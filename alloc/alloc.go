@@ -53,7 +53,7 @@ type Unregisterer interface {
 	Unregister()
 }
 
-// Allocator is the common interface satisfied by all four allocators.
+// Allocator is the common interface satisfied by all six allocators.
 type Allocator interface {
 	// Name identifies the allocator in benchmark output
 	// ("lockfree", "hoard", "ptmalloc", "serial", "chunkheap",

@@ -295,6 +295,57 @@ func TestUsedCountersTrackCensus(t *testing.T) {
 	}
 }
 
+// TestCoalBitsResidue pins the two kinds of coalescing marks a free can
+// leave. Next to a live buddy the merge stops at the shared parent and
+// the marks above stay, accounted for by the live block, until its own
+// free clears them; a free abandoned after the release leaves one root
+// path of marks that nothing accounts for.
+func TestCoalBitsResidue(t *testing.T) {
+	a := newTest(t)
+	th := a.Thread()
+	p1, err := th.Malloc(8)
+	if err != nil {
+		t.Fatal(err)
+	}
+	p2, err := th.Malloc(8)
+	if err != nil {
+		t.Fatal(err)
+	}
+	th.Free(p1)
+	if got := a.CoalBits(); got == 0 || got >= a.Depth() {
+		t.Fatalf("CoalBits = %d after freeing beside a live block, want 1..%d", got, a.Depth()-1)
+	}
+	if got := a.OrphanCoalBits(); got != 0 {
+		t.Fatalf("OrphanCoalBits = %d while the live block accounts for every mark, want 0", got)
+	}
+	th.Free(p2)
+	if got := a.CoalBits(); got != 0 {
+		t.Fatalf("CoalBits = %d after the last free, want 0", got)
+	}
+
+	p, err := th.Malloc(8)
+	if err != nil {
+		t.Fatal(err)
+	}
+	type killed struct{}
+	th.SetHook(func(hp HookPoint) {
+		if hp == HookFreeAfterRelease {
+			panic(killed{})
+		}
+	})
+	func() {
+		defer func() {
+			if _, ok := recover().(killed); !ok {
+				t.Fatal("free did not reach the kill point")
+			}
+		}()
+		th.Free(p)
+	}()
+	if got := a.OrphanCoalBits(); got != a.Depth() {
+		t.Fatalf("OrphanCoalBits = %d after a free abandoned past its release, want one root path (%d)", got, a.Depth())
+	}
+}
+
 func TestName(t *testing.T) {
 	a := newTest(t)
 	if a.Name() != "buddy" {

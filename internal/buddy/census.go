@@ -50,9 +50,14 @@ func (a *Allocator) OrderCensus() []OrderStat {
 }
 
 // CoalBits counts coalescing bits currently set across the forest.
-// After a quiescent run it is zero; after k killed threads it is
-// bounded by k times the tree depth (each victim strands at most one
-// root path of marks), which the kill-tolerance harness asserts.
+// After a quiescent drain it is zero. While any block is live it need
+// not be: a free whose merge stops below a live block's buddy (unmark's
+// second stop condition) leaves its marks on the ancestors above the
+// stop, beside their occupancy bits, for the live block's own free to
+// clear. A block leaked by a dead thread is live forever, so after
+// kills the residue is bounded by the root paths of the leaked blocks,
+// not by the number of kills; OrphanCoalBits counts the part of it
+// that no live block accounts for.
 func (a *Allocator) CoalBits() int {
 	total := 0
 	for _, tr := range *a.trees.Load() {
@@ -62,6 +67,36 @@ func (a *Allocator) CoalBits() int {
 				total++
 			}
 			if s&coalR != 0 {
+				total++
+			}
+		}
+	}
+	return total
+}
+
+// OrphanCoalBits counts the coalescing bits that point at a subtree
+// holding no occupied node: marks of a free that released its node and
+// never unmarked, which no later free is bound to clear. Operations
+// that run to completion leave none, whatever else is live; a thread
+// killed between mark and the end of unmark strands at most one root
+// path of them, which the kill-tolerance harness asserts. Quiescent
+// callers only.
+func (a *Allocator) OrphanCoalBits() int {
+	total := 0
+	for _, tr := range *a.trees.Load() {
+		n := len(tr.status)
+		// holdsOcc[i]: the subtree at i contains an occupied node.
+		holdsOcc := make([]bool, n)
+		for i := n - 1; i >= 1; i-- {
+			holdsOcc[i] = tr.status[i].Load()&occ != 0 ||
+				2*i+1 < n && (holdsOcc[2*i] || holdsOcc[2*i+1])
+		}
+		for i := 1; 2*i+1 < n; i++ {
+			s := tr.status[i].Load()
+			if s&coalL != 0 && !holdsOcc[2*i] {
+				total++
+			}
+			if s&coalR != 0 && !holdsOcc[2*i+1] {
 				total++
 			}
 		}

@@ -305,9 +305,15 @@ func Take(a *core.Allocator) *Census {
 
 	// Arena inventory: bump/live/skip counters from Stats, bin census
 	// from the push/pop-maintained counters.
+	// Bins before Stats: a region can sit in a bin only after the bump
+	// that reserved it was counted, and ReservedWords never falls, so a
+	// later reading of it covers every region the earlier bin census saw
+	// and the ratios below stay within [0, 1] under churn. The other
+	// order let a walk that began beside the first superblock's birth
+	// report more free words than reserved ones.
 	h := a.Heap()
-	hs := h.Stats()
 	bins := h.BinCensus()
+	hs := h.Stats()
 	c.Arenas = make([]ArenaCensus, len(bins))
 	var totFree, totReserved uint64
 	for i, b := range bins {

@@ -216,10 +216,21 @@ type scState struct {
 	class   sizeclass.Class
 	heaps   []ProcHeap
 	partial partial.List
+
+	// extraPartial holds, per processor heap, the additional MRU slots
+	// when Config.PartialSlots exceeds one (§3.2.6: "multiple slots can
+	// be used if desired"); each entry is empty otherwise. Kept beside
+	// the heaps rather than in them so that ProcHeap stays pointer-free.
+	extraPartial [][]atomic.Uint64
 }
 
-// ProcHeap is a processor heap (paper Figure 3). Padded so distinct
-// heaps do not share cache lines.
+// ProcHeap is a processor heap (paper Figure 3): exactly one 64-byte
+// cache line (pinned by a compile-time assertion in policy.go), so
+// distinct heaps' Active words never share one. It holds no Go pointer:
+// the Go allocator places pointer-free objects of a line-multiple size
+// on line boundaries, but prefixes an 8-byte header to pointerful ones
+// above 512 bytes — which would put every heap of a class with more
+// than eight processors across two lines.
 type ProcHeap struct {
 	// Active is the packed (descriptor index, credits) word; zero is
 	// NULL.
@@ -228,14 +239,11 @@ type ProcHeap struct {
 	// descriptor index; zero is NULL.
 	Partial atomic.Uint64
 
-	// extraPartial holds additional MRU slots when Config.PartialSlots
-	// exceeds one (§3.2.6: "multiple slots can be used if desired").
-	extraPartial []atomic.Uint64
+	id   uint64 // global heap id: class*procs + proc
+	cls  uint32 // size-class index: id / procs
+	proc uint32 // processor index within the class: id % procs
 
-	sc *scState
-	id uint64 // global heap id: class*procs + proc
-
-	_ [3]uint64 // pad to 64 bytes
+	_ [4]uint64 // pad to 64 bytes
 }
 
 // New constructs an allocator. The static structures for all size
@@ -310,11 +318,13 @@ func New(cfg Config) *Allocator {
 		if stripes != nil {
 			sc.partial.Instrument(stripes)
 		}
+		sc.extraPartial = make([][]atomic.Uint64, cfg.Processors)
 		for p := range sc.heaps {
-			sc.heaps[p].sc = sc
 			sc.heaps[p].id = uint64(i)*a.procs + uint64(p)
+			sc.heaps[p].cls = uint32(i)
+			sc.heaps[p].proc = uint32(p)
 			if cfg.PartialSlots > 1 {
-				sc.heaps[p].extraPartial = make([]atomic.Uint64, cfg.PartialSlots-1)
+				sc.extraPartial[p] = make([]atomic.Uint64, cfg.PartialSlots-1)
 			}
 		}
 	}
@@ -335,6 +345,9 @@ func (a *Allocator) procHeap(id uint64) *ProcHeap {
 	sc := &a.classes[id/a.procs]
 	return &sc.heaps[id%a.procs]
 }
+
+// classOf returns the size-class state h belongs to.
+func (a *Allocator) classOf(h *ProcHeap) *scState { return &a.classes[h.cls] }
 
 // desc returns the descriptor with the given index.
 func (a *Allocator) desc(idx uint64) *Descriptor { return a.descs.Get(idx) }

@@ -26,6 +26,14 @@ import (
 // by thread id. Fields that may be written during one lifetime and read
 // during a concurrent stale access from a previous lifetime are atomic,
 // which also keeps the implementation clean under the Go race detector.
+//
+// A descriptor is exactly one 64-byte cache line (pinned by a
+// compile-time assertion in policy.go) and pool chunks start on a line
+// boundary, so — as with the paper's 64-byte-aligned descriptors, whose
+// alignment bits are where the Active word's credits come from — no two
+// superblocks' Anchor words ever share a line: a thread's CAS on one
+// superblock's Anchor never invalidates the line another thread reads a
+// different superblock's szMagic or maxCount from.
 type Descriptor struct {
 	// Anchor is the packed anchor word (avail, count, state, tag); all
 	// malloc/free coordination for the superblock happens through CAS
@@ -56,10 +64,6 @@ type Descriptor struct {
 	// maxCount is the number of blocks in the superblock.
 	maxCount atomic.Uint64
 
-	// sbWords is the superblock size in words, needed to return the
-	// superblock region to the OS layer.
-	sbWords atomic.Uint64
-
 	// classIdx is the size-class index of the superblock.
 	classIdx atomic.Int64
 }
@@ -75,9 +79,6 @@ func (d *Descriptor) Size() uint64 { return d.szWords.Load() }
 
 // MaxCount returns the number of blocks in the superblock.
 func (d *Descriptor) MaxCount() uint64 { return d.maxCount.Load() }
-
-// SBWords returns the superblock size in words.
-func (d *Descriptor) SBWords() uint64 { return d.sbWords.Load() }
 
 // ClassIndex returns the size-class index.
 func (d *Descriptor) ClassIndex() int { return int(d.classIdx.Load()) }

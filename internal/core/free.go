@@ -141,7 +141,7 @@ func (t *Thread) free(ptr mem.Ptr, prefix uint64) {
 	if newAnchor.State == atomicx.StateEmpty { // lines 19-21
 		// This thread freed the last allocated block: the superblock
 		// is EMPTY and safe to return to the OS.
-		a.freeSB(sb, desc.SBWords())
+		a.freeSB(sb, a.classes[desc.ClassIndex()].class.SBWords)
 		t.opsp.emptySBFreed.Add(1)
 		if t.rec != nil {
 			t.rec.Note(telemetry.EvSBRetire, desc.ClassIndex(), uint64(sb))
@@ -165,14 +165,16 @@ func (t *Thread) heapPutPartial(descIdx uint64) {
 	a := t.a
 	desc := a.desc(descIdx)
 	h := a.procHeap(desc.heapID.Load())
+	sc := a.classOf(h)
 	if a.cfg.NoPartialSlot {
-		t.listPutPartial(h.sc, descIdx)
+		t.listPutPartial(sc, descIdx)
 		return
 	}
 	// With multiple slots (§3.2.6 option), fill an empty extra slot
 	// before displacing the MRU slot.
-	for i := range h.extraPartial {
-		if h.extraPartial[i].CompareAndSwap(0, descIdx) {
+	extra := sc.extraPartial[h.proc]
+	for i := range extra {
+		if extra[i].CompareAndSwap(0, descIdx) {
 			return
 		}
 	}
@@ -187,7 +189,7 @@ func (t *Thread) heapPutPartial(descIdx uint64) {
 		}
 	}
 	if prev != 0 { // line 3
-		t.listPutPartial(h.sc, prev) // ListPutPartial
+		t.listPutPartial(sc, prev) // ListPutPartial
 	}
 }
 
@@ -209,19 +211,21 @@ func (t *Thread) listPutPartial(sc *scState, descIdx uint64) {
 func (t *Thread) removeEmptyDesc(heapID, descIdx uint64) {
 	a := t.a
 	h := a.procHeap(heapID)
+	sc := a.classOf(h)
 	if !a.cfg.NoPartialSlot {
 		if h.Partial.CompareAndSwap(descIdx, 0) { // line 1
 			a.descs.Retire(t.stripe(), descIdx) // line 2
 			return
 		}
-		for i := range h.extraPartial {
-			if h.extraPartial[i].CompareAndSwap(descIdx, 0) {
+		extra := sc.extraPartial[h.proc]
+		for i := range extra {
+			if extra[i].CompareAndSwap(descIdx, 0) {
 				a.descs.Retire(t.stripe(), descIdx)
 				return
 			}
 		}
 	}
-	t.listRemoveEmptyDesc(h.sc) // line 3
+	t.listRemoveEmptyDesc(sc) // line 3
 }
 
 // listRemoveEmptyDesc is the FIFO-list variant of ListRemoveEmptyDesc

@@ -105,7 +105,7 @@ func TestUpdateActiveRace(t *testing.T) {
 		t.Errorf("A's superblock state = %s, want PARTIAL", atomicx.StateName(st))
 	}
 	h := A.heaps[0]
-	if h.Partial.Load() == 0 && h.sc.partial.Len() == 0 {
+	if h.Partial.Load() == 0 && a.classOf(h).partial.Len() == 0 {
 		t.Error("A's superblock is linked nowhere")
 	}
 	for _, p := range warm {

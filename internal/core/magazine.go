@@ -307,7 +307,7 @@ func (t *Thread) spliceGroup(descIdx uint64, group []mem.Ptr) {
 	}
 
 	if newAnchor.State == atomicx.StateEmpty {
-		a.freeSB(sb, desc.SBWords())
+		a.freeSB(sb, a.classes[desc.ClassIndex()].class.SBWords)
 		t.opsp.emptySBFreed.Add(1)
 		if t.rec != nil {
 			t.rec.Note(telemetry.EvSBRetire, desc.ClassIndex(), uint64(sb))

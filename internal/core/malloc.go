@@ -329,8 +329,10 @@ func (t *Thread) heapGetPartial(h *ProcHeap) uint64 {
 			t.rec.Retry(telemetry.SitePartialSlot)
 		}
 	}
-	for i := range h.extraPartial {
-		slot := &h.extraPartial[i]
+	sc := t.a.classOf(h)
+	extra := sc.extraPartial[h.proc]
+	for i := range extra {
+		slot := &extra[i]
 		for {
 			descIdx := slot.Load()
 			if descIdx == 0 {
@@ -344,7 +346,7 @@ func (t *Thread) heapGetPartial(h *ProcHeap) uint64 {
 			}
 		}
 	}
-	if v, ok := h.sc.partial.Get(); ok { // ListGetPartial
+	if v, ok := sc.partial.Get(); ok { // ListGetPartial
 		return v
 	}
 	return 0
@@ -356,7 +358,7 @@ func (t *Thread) heapGetPartial(h *ProcHeap) uint64 {
 // and the caller should retry from MallocFromActive.
 func (t *Thread) mallocFromNewSB(h *ProcHeap) (mem.Ptr, error) {
 	a := t.a
-	cls := h.sc.class
+	cls := a.classOf(h).class
 
 	descIdx, err := a.descs.Alloc(t.stripe()) // line 1
 	if err != nil {
@@ -384,7 +386,6 @@ func (t *Thread) mallocFromNewSB(h *ProcHeap) (mem.Ptr, error) {
 	desc.szWords.Store(cls.BlockWords)
 	desc.szMagic.Store(^uint64(0)/cls.BlockWords + 1)
 	desc.maxCount.Store(cls.MaxCount) // line 7
-	desc.sbWords.Store(cls.SBWords)
 	desc.classIdx.Store(int64(cls.Index))
 
 	credits := min(cls.MaxCount-1, a.maxCredits) - 1 // line 9

@@ -38,7 +38,6 @@ func mkDesc(t *testing.T, a *Allocator, state uint64) uint64 {
 	d.szWords.Store(cls.BlockWords)
 	d.szMagic.Store(^uint64(0)/cls.BlockWords + 1)
 	d.maxCount.Store(cls.MaxCount)
-	d.sbWords.Store(cls.SBWords)
 	d.heapID.Store(0)
 	count := uint64(0)
 	if state == atomicx.StatePartial {

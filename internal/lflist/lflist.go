@@ -234,9 +234,17 @@ func (l *List) Contains(k uint64) bool { return l.containsFrom(&l.head, k) }
 
 // containsFrom checks membership starting at the given link word.
 func (l *List) containsFrom(start *atomic.Uint64, k uint64) bool {
-	pos := l.findFrom(start, k)
-	return pos.cur != 0 && l.node(pos.cur).key.Load() == k &&
-		pos.prev.Load() == pos.prevW
+	for {
+		pos := l.findFrom(start, k)
+		found := pos.cur != 0 && l.node(pos.cur).key.Load() == k
+		// The key was read after the snapshot: it counts only if the
+		// snapshot still holds. A predecessor link that moved (an insert
+		// just before cur, say) proves nothing about k, so look again
+		// rather than report a present key absent.
+		if pos.prev.Load() == pos.prevW {
+			return found
+		}
+	}
 }
 
 // LinkOf returns the link word of a node obtained from InsertFrom —

@@ -40,6 +40,7 @@ import (
 	"fmt"
 	"math/bits"
 	"sync/atomic"
+	"unsafe"
 
 	"repro/internal/atomicx"
 	"repro/internal/telemetry"
@@ -104,13 +105,20 @@ type Config struct {
 // region allocator. All methods are safe for concurrent use; the region
 // allocator is lock-free.
 type Heap struct {
-	segLog    uint
+	// bases is the flat address-translation table: bases[s] is the
+	// address of word 0 of segment s, or nil until the segment is
+	// materialized. With segLog and segMask it is everything word reads,
+	// so a heap word is one table load away from its Ptr. These fields
+	// are written only by NewHeap (and bases' entries once each, nil →
+	// base) and come first so they share the struct's first cache line
+	// with no counter.
+	bases   []unsafe.Pointer
+	segLog  uint
+	segMask uint64
+
 	segWords  uint64
-	segMask   uint64
 	maxWords  uint64
 	numArenas uint64
-
-	segments []atomic.Pointer[[]uint64]
 
 	// arenas shard the region allocator. Segment s belongs to arena
 	// s % numArenas; each arena bumps only within its own segments and
@@ -136,7 +144,7 @@ type Heap struct {
 	// observer (the shadow-heap oracle) can drop any expectations it
 	// holds about their contents. Loaded atomically; nil when unused.
 	// Last field so the hook's presence does not shift the offsets of
-	// the fields the Load/Store/seg hot paths touch.
+	// the fields the word accessors touch.
 	regionHook atomic.Pointer[func(p Ptr, words uint64)]
 }
 
@@ -262,7 +270,7 @@ func NewHeap(cfg Config) *Heap {
 		maxWords: 1 << totalLog,
 	}
 	numSegs := h.maxWords >> segLog
-	h.segments = make([]atomic.Pointer[[]uint64], numSegs)
+	h.bases = make([]unsafe.Pointer, numSegs)
 	arenas := uint64(1)
 	if cfg.Arenas > 1 {
 		arenas = uint64(cfg.Arenas)
@@ -311,55 +319,57 @@ func (h *Heap) arenaOf(p Ptr) uint64 {
 	return (uint64(p) >> h.segLog) % h.numArenas
 }
 
-func (h *Heap) seg(p Ptr) ([]uint64, uint64) {
-	idx := uint64(p) >> h.segLog
-	sp := h.segments[idx].Load()
-	if sp == nil {
-		panic(fmt.Sprintf("mem: access to unmapped address %v", p))
+// unmappedError is the panic value of an access to an address whose
+// segment was never materialized. A typed value rather than a formatted
+// string so that raising it costs the accessors no call and they stay
+// within the inliner's budget; the message is built only if the panic is
+// printed.
+type unmappedError Ptr
+
+func (e unmappedError) Error() string {
+	return fmt.Sprintf("mem: access to unmapped address %v", Ptr(e))
+}
+
+// word translates p to the address of its backing word: one
+// bounds-checked load from the segment table plus a masked offset. An
+// address beyond the heap's total words fails the table's bounds check;
+// one in a segment not yet materialized panics with unmappedError.
+// (Masking the shift count tells the compiler it is below 64, which
+// NewHeap guarantees, and saves the shift's overflow guard.)
+func (h *Heap) word(p Ptr) *uint64 {
+	base := atomic.LoadPointer(&h.bases[uint64(p)>>(h.segLog&63)])
+	if base == nil {
+		panic(unmappedError(p))
 	}
-	return *sp, uint64(p) & h.segMask
+	return (*uint64)(unsafe.Add(base, (uint64(p)&h.segMask)*WordBytes))
 }
 
 // Load atomically reads the word at p.
-func (h *Heap) Load(p Ptr) uint64 {
-	s, off := h.seg(p)
-	return atomic.LoadUint64(&s[off])
-}
+func (h *Heap) Load(p Ptr) uint64 { return atomic.LoadUint64(h.word(p)) }
 
 // Store atomically writes the word at p.
-func (h *Heap) Store(p Ptr, v uint64) {
-	s, off := h.seg(p)
-	atomic.StoreUint64(&s[off], v)
-}
+func (h *Heap) Store(p Ptr, v uint64) { atomic.StoreUint64(h.word(p), v) }
 
 // CAS performs a compare-and-swap on the word at p.
 func (h *Heap) CAS(p Ptr, old, new uint64) bool {
-	s, off := h.seg(p)
-	return atomic.CompareAndSwapUint64(&s[off], old, new)
+	return atomic.CompareAndSwapUint64(h.word(p), old, new)
 }
 
 // Get reads the word at p without atomicity. Intended for payload
 // access by application code that owns the block.
-func (h *Heap) Get(p Ptr) uint64 {
-	s, off := h.seg(p)
-	return s[off]
-}
+func (h *Heap) Get(p Ptr) uint64 { return *h.word(p) }
 
 // Set writes the word at p without atomicity. Intended for payload
 // access by application code that owns the block.
-func (h *Heap) Set(p Ptr, v uint64) {
-	s, off := h.seg(p)
-	s[off] = v
-}
+func (h *Heap) Set(p Ptr, v uint64) { *h.word(p) = v }
 
 // Words returns a slice aliasing the n words starting at p. The range
 // must lie within one region (regions never straddle segments).
 func (h *Heap) Words(p Ptr, n uint64) []uint64 {
-	s, off := h.seg(p)
-	if off+n > uint64(len(s)) {
+	if n > h.segWords-uint64(p)&h.segMask {
 		panic(fmt.Sprintf("mem: Words(%v, %d) straddles a segment boundary", p, n))
 	}
-	return s[off : off+n : off+n]
+	return unsafe.Slice(h.word(p), n)
 }
 
 // Mapped reports whether p lies in a materialized segment (and is thus
@@ -368,17 +378,17 @@ func (h *Heap) Mapped(p Ptr) bool {
 	if uint64(p) >= h.maxWords {
 		return false
 	}
-	return h.segments[uint64(p)>>h.segLog].Load() != nil
+	return atomic.LoadPointer(&h.bases[uint64(p)>>h.segLog]) != nil
 }
 
 func (h *Heap) ensureSegments(start, end uint64) {
 	for i := start >> h.segLog; i <= (end-1)>>h.segLog; i++ {
-		if h.segments[i].Load() != nil {
+		if atomic.LoadPointer(&h.bases[i]) != nil {
 			continue
 		}
 		s := make([]uint64, h.segWords)
 		// A racing materializer may win; the loser's slice is dropped.
-		h.segments[i].CompareAndSwap(nil, &s)
+		atomic.CompareAndSwapPointer(&h.bases[i], nil, unsafe.Pointer(unsafe.SliceData(s)))
 	}
 }
 

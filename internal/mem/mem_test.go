@@ -1,6 +1,8 @@
 package mem
 
 import (
+	"fmt"
+	"strings"
 	"sync"
 	"testing"
 	"testing/quick"
@@ -309,23 +311,117 @@ func TestConcurrentBinContention(t *testing.T) {
 	}
 }
 
+// accessors is every way to reach one heap word; the translation tests
+// below hold for each of them alike.
+var accessors = []struct {
+	name string
+	do   func(h *Heap, p Ptr)
+}{
+	{"Load", func(h *Heap, p Ptr) { h.Load(p) }},
+	{"Store", func(h *Heap, p Ptr) { h.Store(p, 1) }},
+	{"CAS", func(h *Heap, p Ptr) { h.CAS(p, 0, 1) }},
+	{"Get", func(h *Heap, p Ptr) { h.Get(p) }},
+	{"Set", func(h *Heap, p Ptr) { h.Set(p, 1) }},
+	{"Words", func(h *Heap, p Ptr) { h.Words(p, 1) }},
+}
+
+// panicOf runs f and returns the value it panicked with, or nil.
+func panicOf(f func()) (v any) {
+	defer func() { v = recover() }()
+	f()
+	return nil
+}
+
 func TestWordsPanicsOnStraddle(t *testing.T) {
 	h := newTestHeap()
 	p, _, _ := h.AllocRegion(8)
-	defer func() {
-		if recover() == nil {
-			t.Error("Words across segment boundary did not panic")
+	for _, n := range []uint64{h.SegmentWords() + 1, h.SegmentWords() - uint64(p) + 1, ^uint64(0)} {
+		v := panicOf(func() { h.Words(p, n) })
+		if v == nil {
+			t.Fatalf("Words(%v, %d) across the segment boundary did not panic", p, n)
 		}
-	}()
-	h.Words(p, h.SegmentWords()+1)
+		if msg := fmt.Sprint(v); !strings.Contains(msg, "straddles a segment boundary") {
+			t.Errorf("Words(%v, %d) panicked with %q", p, n, msg)
+		}
+	}
+	// Up to the last word of the segment is one slice, of exactly n words.
+	n := h.SegmentWords() - uint64(p)
+	if w := h.Words(p, n); uint64(len(w)) != n || uint64(cap(w)) != n {
+		t.Errorf("Words(%v, %d): len %d cap %d", p, n, len(w), cap(w))
+	}
 }
 
+// TestAccessUnmappedPanics: an address inside the address space whose
+// segment was never materialized panics with the same message through
+// every accessor, while a neighbouring segment is mapped.
 func TestAccessUnmappedPanics(t *testing.T) {
 	h := newTestHeap()
-	defer func() {
-		if recover() == nil {
-			t.Error("Load of unmapped address did not panic")
+	if _, _, err := h.AllocRegion(8); err != nil { // maps segment 0 only
+		t.Fatal(err)
+	}
+	p := Ptr(1 << 22)
+	want := fmt.Sprintf("mem: access to unmapped address %v", p)
+	for _, acc := range accessors {
+		t.Run(acc.name, func(t *testing.T) {
+			v := panicOf(func() { acc.do(h, p) })
+			if v == nil {
+				t.Fatalf("%s of unmapped address did not panic", acc.name)
+			}
+			err, ok := v.(error)
+			if !ok || err.Error() != want {
+				t.Errorf("%s panicked with %#v, want an error reading %q", acc.name, v, want)
+			}
+		})
+	}
+}
+
+// TestAccessBeyondAddressSpacePanics: an address at or past the heap's
+// total words has no table entry at all; every accessor panics rather
+// than wrap around or touch foreign memory.
+func TestAccessBeyondAddressSpacePanics(t *testing.T) {
+	h := newTestHeap()
+	total := Ptr(1 << 24)
+	for _, acc := range accessors {
+		for _, p := range []Ptr{total, total + 1, 1 << 40, ^Ptr(0)} {
+			if panicOf(func() { acc.do(h, p) }) == nil {
+				t.Errorf("%s(%v) beyond the address space did not panic", acc.name, p)
+			}
 		}
-	}()
-	h.Load(Ptr(1 << 22))
+	}
+}
+
+// TestTranslationAcrossSegments writes a distinct value to the first
+// and last word of regions in several segments through one accessor and
+// reads it back through the others: the table entry and the masked
+// offset must agree for every segment, not just segment 0.
+func TestTranslationAcrossSegments(t *testing.T) {
+	h := newTestHeap()
+	seg := h.SegmentWords()
+	var ptrs []Ptr
+	for len(ptrs) < 6 { // 3 segments' worth of half-segment regions
+		p, words, err := h.AllocRegion(seg / 2)
+		if err != nil {
+			t.Fatal(err)
+		}
+		ptrs = append(ptrs, p, p.Add(words-1))
+	}
+	for i, p := range ptrs {
+		h.Store(p, uint64(i)+100)
+	}
+	for i, p := range ptrs {
+		want := uint64(i) + 100
+		if got := h.Load(p); got != want {
+			t.Errorf("Load(%v) = %d, want %d", p, got, want)
+		}
+		if got := h.Get(p); got != want {
+			t.Errorf("Get(%v) = %d, want %d", p, got, want)
+		}
+		if got := h.Words(p, 1)[0]; got != want {
+			t.Errorf("Words(%v, 1)[0] = %d, want %d", p, got, want)
+		}
+		if !h.CAS(p, want, want+1) {
+			t.Errorf("CAS(%v) failed on the value just read", p)
+		}
+		h.Set(p, want)
+	}
 }

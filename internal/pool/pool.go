@@ -37,6 +37,7 @@ import (
 	"errors"
 	"fmt"
 	"sync/atomic"
+	"unsafe"
 
 	"repro/internal/atomicx"
 	"repro/internal/telemetry"
@@ -154,7 +155,22 @@ type Pool[T any, PT interface {
 	*T
 	Node
 }] struct {
-	chunks []atomic.Pointer[[]T]
+	// chunks is the flat index-translation table: chunks[c] is the
+	// address of node 0 of chunk c, or nil until grow publishes the
+	// chunk. With chunkLog and chunkMask it is everything Get reads, so a
+	// node is one table load away from its index. Read-only after New
+	// (the table's entries are written once each, nil → base), and
+	// grouped ahead of the counters below, which Alloc and Retire write.
+	chunks    []unsafe.Pointer
+	chunkLog  uint
+	chunkMask uint64
+	chunkSize uint64
+
+	be algoBackend
+
+	cfg Config
+
+	tele atomic.Pointer[telemetry.Stripes]
 
 	// nextIdx is the bump counter for never-used indices; it advances
 	// in whole chunks via CAS (so exhaustion is stable, not a counter
@@ -165,14 +181,6 @@ type Pool[T any, PT interface {
 	nextIdx atomic.Uint64
 
 	retired atomic.Uint64 // nodes currently on freelists/batches
-
-	tele atomic.Pointer[telemetry.Stripes]
-
-	be algoBackend
-
-	cfg       Config
-	chunkSize uint64
-	chunkMask uint64
 }
 
 // New creates an empty pool.
@@ -184,8 +192,9 @@ func New[T any, PT interface {
 		cfg.Stripes = 1
 	}
 	p := &Pool[T, PT]{
-		chunks:    make([]atomic.Pointer[[]T], cfg.MaxChunks),
+		chunks:    make([]unsafe.Pointer, cfg.MaxChunks),
 		cfg:       cfg,
+		chunkLog:  cfg.ChunkLog2,
 		chunkSize: 1 << cfg.ChunkLog2,
 		chunkMask: 1<<cfg.ChunkLog2 - 1,
 	}
@@ -207,11 +216,38 @@ func (p *Pool[T, PT]) SetTelemetry(st *telemetry.Stripes) { p.tele.Store(st) }
 // Algo returns the recycling backend this pool was built with.
 func (p *Pool[T, PT]) Algo() Algo { return p.cfg.Algo }
 
+// unpublishedError is the panic value of a Get for an index whose chunk
+// has not been published: an index Alloc never produced. A typed value
+// rather than a formatted string so that raising it costs Get no call
+// and Get stays within the inliner's budget.
+type unpublishedError uint64
+
+func (e unpublishedError) Error() string {
+	return fmt.Sprintf("pool: Get(%d): index in an unpublished chunk", uint64(e))
+}
+
+// chunkBase loads the table entry of idx's chunk: the address of the
+// chunk's node 0, or nil if the chunk is not published. An index beyond
+// the table fails the table's bounds check. (Masking the shift count
+// tells the compiler it is below 64, which New guarantees.)
+func (p *Pool[T, PT]) chunkBase(idx uint64) unsafe.Pointer {
+	return atomic.LoadPointer(&p.chunks[idx>>(p.chunkLog&63)])
+}
+
+// nodeAt returns idx's node within the chunk that starts at base.
+func (p *Pool[T, PT]) nodeAt(base unsafe.Pointer, idx uint64) PT {
+	var zero T
+	return PT(unsafe.Add(base, (idx&p.chunkMask)*uint64(unsafe.Sizeof(zero))))
+}
+
 // Get returns the node with the given index, which must have been
-// produced by Alloc.
+// produced by Alloc: one bounds-checked table load plus a masked offset.
 func (p *Pool[T, PT]) Get(idx uint64) PT {
-	cp := p.chunks[idx>>p.cfg.ChunkLog2].Load()
-	return PT(&(*cp)[idx&p.chunkMask])
+	base := p.chunkBase(idx)
+	if base == nil {
+		panic(unpublishedError(idx))
+	}
+	return p.nodeAt(base, idx)
 }
 
 // TryGet returns the node with the given index, or nil if the chunk
@@ -221,11 +257,11 @@ func (p *Pool[T, PT]) Get(idx uint64) PT {
 // observe an index whose chunk pointer is still nil; no node of such a
 // chunk has ever been handed out, so skipping it is sound.
 func (p *Pool[T, PT]) TryGet(idx uint64) PT {
-	cp := p.chunks[idx>>p.cfg.ChunkLog2].Load()
-	if cp == nil {
+	base := p.chunkBase(idx)
+	if base == nil {
 		return nil
 	}
-	return PT(&(*cp)[idx&p.chunkMask])
+	return p.nodeAt(base, idx)
 }
 
 func (p *Pool[T, PT]) link(idx uint64) *atomic.Uint64 {
@@ -267,10 +303,16 @@ func (p *Pool[T, PT]) RetireChain(stripe int, first, last, n uint64) {
 // derived from the same word), so Allocated() == Limit()-First() holds
 // unconditionally — including between the bump and the chunk's
 // publication, and after ErrExhausted.
+//
+// A chunk is one Go allocation. For a pointer-free node type whose size
+// is a multiple of the cache line (core.Descriptor is exactly one), the
+// allocator's size classes start it on a line boundary, so every node
+// owns its lines and two threads working on neighbouring indices never
+// share one; TestLineSizedNodesGetOwnLines pins that property.
 func (p *Pool[T, PT]) grow() (uint64, error) {
 	for {
 		base := p.nextIdx.Load()
-		ci := base >> p.cfg.ChunkLog2
+		ci := base >> p.chunkLog
 		if ci >= p.cfg.MaxChunks {
 			return 0, fmt.Errorf("pool: %d chunks of %d nodes: %w",
 				p.cfg.MaxChunks, p.chunkSize, ErrExhausted)
@@ -286,7 +328,7 @@ func (p *Pool[T, PT]) grow() (uint64, error) {
 			}
 			PT(&s[i]).PoolNext().Store(atomicx.Tagged{Idx: n}.Pack())
 		}
-		if !p.chunks[ci].CompareAndSwap(nil, &s) {
+		if !atomic.CompareAndSwapPointer(&p.chunks[ci], nil, unsafe.Pointer(unsafe.SliceData(s))) {
 			panic("pool: chunk slot already populated")
 		}
 		return base, nil

@@ -3,9 +3,11 @@ package pool
 import (
 	"errors"
 	"runtime"
+	"strings"
 	"sync"
 	"sync/atomic"
 	"testing"
+	"unsafe"
 
 	"repro/internal/atomicx"
 )
@@ -403,10 +405,16 @@ func TestExhaustionAccountingReconciliation(t *testing.T) {
 		}
 		// Walker: the identity must hold at every instant, TryGet must
 		// stay nil-or-valid across [First, Limit), and the stripe walk
-		// must never loop past its bound.
+		// must never loop past its bound. The walker cannot read both
+		// sides of the identity at one instant while grow runs, so it
+		// brackets Limit between two reads of Allocated: both only grow,
+		// and an Allocated that ever lagged Limit would fall outside.
 		for i := 0; i < 2000; i++ {
-			if got, want := p.Allocated(), p.Limit()-p.First(); got != want {
-				t.Errorf("iteration %d: Allocated %d != Limit-First %d", i, got, want)
+			before := p.Allocated()
+			mid := p.Limit() - p.First()
+			after := p.Allocated()
+			if mid < before || mid > after {
+				t.Errorf("iteration %d: Limit-First %d outside Allocated [%d, %d]", i, mid, before, after)
 				break
 			}
 			limit := p.Limit()
@@ -490,10 +498,93 @@ func TestTryGetUnpublishedChunk(t *testing.T) {
 			t.Error("TryGet and Get disagree on an allocated index")
 		}
 		// An index two chunks past the bump counter lives in a chunk that
-		// was never carved: Get would dereference a nil chunk pointer,
-		// TryGet reports it as absent.
-		if got := p.TryGet(p.Limit() + 2*8); got != nil {
-			t.Errorf("TryGet(uncarved chunk) = %v, want nil", got)
+		// was never carved, and so does index 0, whose chunk is reserved:
+		// TryGet reports both absent, Get panics naming the index.
+		for _, bad := range []uint64{p.Limit() + 2*8, 0} {
+			if got := p.TryGet(bad); got != nil {
+				t.Errorf("TryGet(%d) in an uncarved chunk = %v, want nil", bad, got)
+			}
+			v := panicOf(func() { p.Get(bad) })
+			if err, ok := v.(error); !ok || !strings.Contains(err.Error(), "unpublished chunk") {
+				t.Errorf("Get(%d) in an uncarved chunk panicked with %#v, want an unpublished-chunk error", bad, v)
+			}
+		}
+		// Past the chunk table there is no entry to load at all.
+		if panicOf(func() { p.TryGet(16 * 8) }) == nil || panicOf(func() { p.Get(1 << 40) }) == nil {
+			t.Error("an index beyond the chunk table did not panic")
 		}
 	})
+}
+
+// panicOf runs f and returns the value it panicked with, or nil.
+func panicOf(f func()) (v any) {
+	defer func() { v = recover() }()
+	f()
+	return nil
+}
+
+// TestTranslationIsDense: every index of [First, Limit) resolves to its
+// own node, consecutive indices of a chunk are consecutive nodes, and a
+// stamp written through one lookup is read back through another — the
+// chunk-base table and the masked offset agree across chunk boundaries.
+func TestTranslationIsDense(t *testing.T) {
+	p := newTestPool(Config{ChunkLog2: 2, MaxChunks: 8})
+	for p.Allocated() < 5*4 {
+		mustAlloc(t, p, 0)
+	}
+	seen := map[*tnode]uint64{}
+	for idx := p.First(); idx < p.Limit(); idx++ {
+		n := p.Get(idx)
+		if prev, dup := seen[n]; dup {
+			t.Fatalf("indices %d and %d share node %p", prev, idx, n)
+		}
+		seen[n] = idx
+		n.stamp.Store(idx)
+		if idx%4 != 0 {
+			if d := uintptr(unsafe.Pointer(n)) - uintptr(unsafe.Pointer(p.Get(idx-1))); d != unsafe.Sizeof(tnode{}) {
+				t.Fatalf("indices %d and %d are %d bytes apart, want %d", idx-1, idx, d, unsafe.Sizeof(tnode{}))
+			}
+		}
+	}
+	for idx := p.First(); idx < p.Limit(); idx++ {
+		if got := p.TryGet(idx).stamp.Load(); got != idx {
+			t.Fatalf("index %d reads stamp %d", idx, got)
+		}
+	}
+}
+
+// lineNode is a pointer-free node of exactly one cache line, like
+// core.Descriptor.
+type lineNode struct {
+	next atomic.Uint64
+	_    [7]uint64
+}
+
+func (n *lineNode) PoolNext() *atomic.Uint64 { return &n.next }
+
+// TestLineSizedNodesGetOwnLines: a pool of one-line nodes gives every
+// index a cache line of its own, within a chunk and across chunks. grow
+// relies on the Go allocator placing a pointer-free chunk whose size is
+// a multiple of the line on a line boundary; this is the test that
+// fails if a runtime ever stops doing so.
+func TestLineSizedNodesGetOwnLines(t *testing.T) {
+	for _, chunkLog2 := range []uint{0, 1, 3, 6, 10} {
+		p := New[lineNode, *lineNode](Config{ChunkLog2: chunkLog2, MaxChunks: 8})
+		for p.Allocated() < 4<<chunkLog2 {
+			if _, err := p.Alloc(0); err != nil {
+				t.Fatal(err)
+			}
+		}
+		lines := map[uintptr]uint64{}
+		for idx := p.First(); idx < p.Limit(); idx++ {
+			addr := uintptr(unsafe.Pointer(p.Get(idx)))
+			if addr%64 != 0 {
+				t.Fatalf("ChunkLog2=%d: index %d at %#x straddles two lines", chunkLog2, idx, addr)
+			}
+			if prev, dup := lines[addr/64]; dup {
+				t.Fatalf("ChunkLog2=%d: indices %d and %d share a line", chunkLog2, prev, idx)
+			}
+			lines[addr/64] = idx
+		}
+	}
 }

@@ -19,8 +19,9 @@ type buddyKill struct{ point buddy.HookPoint }
 // (internal/buddy). The availability claim under test is the same as
 // for the core: a thread dying between any two atomic steps of
 // allocate (reserve, fragment) or free (mark, release, unmark) must
-// never block other threads or corrupt the tree — the damage is a
-// leaked block or some stranded coalescing marks, both bounded.
+// never block other threads or corrupt the tree — the damage is the
+// blocks the victim held (and a tree, if it died growing one) and some
+// stranded coalescing marks, both bounded.
 type BuddyPlan struct {
 	// Victims is the number of goroutines killed mid-operation.
 	Victims int
@@ -64,12 +65,21 @@ type BuddyResult struct {
 	// LeakedWords is the heap space still live after survivors freed
 	// everything they own: the memory lost to kills.
 	LeakedWords uint64
-	// StrandedCoalBits counts coalescing marks left behind by threads
-	// killed mid-free. Bounded by kills times tree depth — a victim
-	// strands at most one root path of marks — and harmless: each
-	// residual mark sits under a subtree the victim's unfinished free
-	// still notionally owns, and is swept by the next allocation or
-	// free passing through it.
+	// LeakedBlocks is the number of blocks victims held when they died.
+	// They stay occupied forever.
+	LeakedBlocks int
+	// CoalBits counts every coalescing mark set after the run. A free
+	// whose merge stops below a live block's buddy leaves its marks on
+	// the ancestors above the stop for that block's own free to clear;
+	// a leaked block is never freed, so each one can pin up to one root
+	// path of such marks. Bounded by (kills + LeakedBlocks) times tree
+	// depth, and harmless: every mark sits beside its side's occupancy
+	// bit and is swept by the next allocation passing through it.
+	CoalBits int
+	// StrandedCoalBits counts the marks no live block accounts for
+	// (buddy.OrphanCoalBits): those of victims killed between marking
+	// and the end of unmarking. Bounded by kills times tree depth — a
+	// victim strands at most one root path of marks.
 	StrandedCoalBits int
 	// InvariantErr is non-nil if the post-mortem safety check found
 	// double ownership — two live blocks covering one word. Leaks and
@@ -84,8 +94,8 @@ type BuddyResult struct {
 }
 
 func (r BuddyResult) String() string {
-	return fmt.Sprintf("sched/buddy: kills=%v survivorOps=%d leakedWords=%d coalBits=%d",
-		r.Kills, r.SurvivorOps, r.LeakedWords, r.StrandedCoalBits)
+	return fmt.Sprintf("sched/buddy: kills=%v survivorOps=%d leakedWords=%d leakedBlocks=%d coalBits=%d stranded=%d",
+		r.Kills, r.SurvivorOps, r.LeakedWords, r.LeakedBlocks, r.CoalBits, r.StrandedCoalBits)
 }
 
 // RunBuddy executes the plan against a fresh buddy allocator. It
@@ -154,8 +164,9 @@ func RunBuddy(plan BuddyPlan) (BuddyResult, error) {
 						}
 						killMu.Lock()
 						res.Kills[ks.point]++
+						res.LeakedBlocks += len(held) // a killed thread leaks what it holds
 						killMu.Unlock()
-						held = nil // a killed thread leaks what it holds
+						held = nil
 					}
 				}()
 				// Churn across several orders until the kill fires
@@ -238,7 +249,8 @@ func RunBuddy(plan BuddyPlan) (BuddyResult, error) {
 	// live by construction; the leak is anything beyond them.
 	stats := a.Stats()
 	res.LeakedWords = a.Heap().Stats().LiveWords - uint64(stats.Trees)*stats.TreeWords
-	res.StrandedCoalBits = a.CoalBits()
+	res.CoalBits = a.CoalBits()
+	res.StrandedCoalBits = a.OrphanCoalBits()
 	// Post-mortem: kills may leak blocks and strand coalescing marks,
 	// but no word may ever be owned by two live blocks (the non-strict
 	// safety walk), and the allocator must still function at every
