@@ -26,7 +26,6 @@ import (
 	"repro/internal/chunkheap"
 	"repro/internal/core"
 	"repro/internal/mem"
-	"repro/internal/offload"
 	"repro/internal/shadow"
 )
 
@@ -92,24 +91,11 @@ type Options struct {
 	ShadowConfig shadow.Config
 }
 
-type lockFree struct {
-	a *core.Allocator
-	// eng is the allocation-core offload engine, non-nil only when the
-	// allocator was constructed with Config.Offload.Cores > 0. With it
-	// set, NewThread hands out offload workers (stash + batched
-	// submission to dedicated allocator goroutines) instead of raw core
-	// thread handles.
-	eng *offload.Engine
-}
+type lockFree struct{ a *core.Allocator }
 
-func (w lockFree) Name() string { return w.a.Name() }
-func (w lockFree) NewThread() Thread {
-	if w.eng != nil {
-		return w.eng.Worker()
-	}
-	return w.a.Thread()
-}
-func (w lockFree) Heap() *mem.Heap { return w.a.Heap() }
+func (w lockFree) Name() string      { return w.a.Name() }
+func (w lockFree) NewThread() Thread { return w.a.Thread() }
+func (w lockFree) Heap() *mem.Heap   { return w.a.Heap() }
 
 // Core returns the underlying core allocator (for stats and tests).
 func (w lockFree) Core() *core.Allocator { return w.a }
@@ -122,22 +108,23 @@ func (w lockFree) ShadowOracle() *shadow.Oracle { return w.a.ShadowOracle() }
 // expose the underlying core.Allocator.
 type CoreAccessor interface{ Core() *core.Allocator }
 
-// OffloadEngine exposes the allocation-core engine, or nil when the
-// allocator was built without offload (Config.Offload.Cores == 0).
-func (w lockFree) OffloadEngine() *offload.Engine { return w.eng }
-
-// OffloadAccessor is implemented by the lock-free allocator wrapper to
-// expose its offload engine (nil when offload is off). Benchmarks use
-// it to report engine stats; tools use it to Stop the cores early.
-type OffloadAccessor interface{ OffloadEngine() *offload.Engine }
-
-// NewLockFree constructs the paper's lock-free allocator.
-func NewLockFree(opt Options) Allocator {
+// lockFreeConfig resolves the core.Config NewLockFree builds from opt
+// (before any shadow oracle is attached).
+func lockFreeConfig(opt Options) core.Config {
 	cfg := opt.LockFree
 	if opt.Processors != 0 {
 		cfg.Processors = opt.Processors
 	}
 	cfg.HeapConfig = opt.HeapConfig
+	return cfg
+}
+
+// NewLockFree constructs the paper's lock-free allocator. Like
+// core.New it normalises only zero values and panics on a
+// configuration core.Config.Validate rejects; New returns that error
+// instead.
+func NewLockFree(opt Options) Allocator {
+	cfg := lockFreeConfig(opt)
 	if opt.Shadow && shadow.Enabled && cfg.Shadow == nil {
 		// The oracle is integrated in the core (not wrapped around it)
 		// so the magazine and kill-tolerance paths are mirrored too.
@@ -150,12 +137,7 @@ func NewLockFree(opt Options) Allocator {
 		sc.CrossCheck = true
 		cfg.Shadow = shadow.New(sc)
 	}
-	a := core.New(cfg)
-	w := lockFree{a: a}
-	if cfg.Offload.Cores > 0 {
-		w.eng = offload.New(a)
-	}
-	return w
+	return lockFree{core.New(cfg)}
 }
 
 type serialAlloc struct{ a *serial.Allocator }
@@ -214,10 +196,14 @@ func Names() []string {
 	return []string{"lockfree", "hoard", "ptmalloc", "serial", "chunkheap", "buddy"}
 }
 
-// New constructs an allocator by name.
+// New constructs an allocator by name. An invalid lock-free
+// configuration (core.Config.Validate) is returned as an error.
 func New(name string, opt Options) (Allocator, error) {
 	switch name {
 	case "lockfree", "new":
+		if err := lockFreeConfig(opt).Validate(); err != nil {
+			return nil, fmt.Errorf("alloc: %w", err)
+		}
 		return NewLockFree(opt), nil
 	case "hoard":
 		return NewHoard(opt), nil

@@ -2,6 +2,7 @@ package alloc
 
 import (
 	"math/rand"
+	"strings"
 	"sync"
 	"testing"
 
@@ -295,44 +296,51 @@ func TestSharedWorkloadDifferential(t *testing.T) {
 	}
 }
 
-// TestOffloadConformance runs the behavioural suite against the
-// lock-free allocator in offload mode: NewThread hands out offload
-// workers (stash + batched submission to dedicated allocation cores),
-// so every check — including payload integrity under concurrent
-// stress — exercises the refill/batch/fallback paths end to end.
-func TestOffloadConformance(t *testing.T) {
-	opt := testOptions()
-	opt.LockFree.Offload = core.OffloadConfig{Cores: 2, Batch: 8}
-	a := NewLockFree(opt)
-	oa, ok := a.(OffloadAccessor)
-	if !ok || oa.OffloadEngine() == nil {
-		t.Fatal("offload engine not attached despite Offload.Cores > 0")
+// TestConfigValidation: a contradictory or out-of-range lock-free
+// configuration is an error from core.Config.Validate and from New, and
+// a panic from the constructors whose signatures have no error; zero
+// values and in-range settings construct.
+func TestConfigValidation(t *testing.T) {
+	cases := []struct {
+		name string
+		cfg  core.Config
+		want string // substring of the error; "" = valid
+	}{
+		{"zero value", core.Config{}, ""},
+		{"in range", core.Config{MaxCredits: 64, PartialSlots: 4, MagazineSize: 8, DescStripes: 1}, ""},
+		{"no slot, one slot", core.Config{NoPartialSlot: true, PartialSlots: 1}, ""},
+		{"credits above 64", core.Config{MaxCredits: 100}, "MaxCredits 100"},
+		{"negative credits", core.Config{MaxCredits: -1}, "MaxCredits -1"},
+		{"negative magazine", core.Config{MagazineSize: -1}, "MagazineSize -1"},
+		{"no slot, four slots", core.Config{NoPartialSlot: true, PartialSlots: 4}, "NoPartialSlot contradicts PartialSlots 4"},
+		{"negative processors", core.Config{Processors: -2}, "Processors -2"},
+		{"negative stripes", core.Config{DescStripes: -1}, "DescStripes -1"},
+		{"negative slots", core.Config{PartialSlots: -1}, "PartialSlots -1"},
+		{"unknown algo", core.Config{DescAlgo: 7}, "unknown DescAlgo"},
 	}
-	defer oa.OffloadEngine().Stop()
-
-	t.Run("roundtrip", func(t *testing.T) { conformRoundtrip(t, a) })
-	t.Run("distinct", func(t *testing.T) { conformDistinct(t, a) })
-	t.Run("large", func(t *testing.T) { conformLarge(t, a) })
-	t.Run("freeNil", func(t *testing.T) { a.NewThread().Free(0) })
-	t.Run("crossThreadFree", func(t *testing.T) { conformCrossFree(t, a) })
-	t.Run("integrityStress", func(t *testing.T) { conformStress(t, a) })
-
-	if st := oa.OffloadEngine().Stats(); st.StashHits == 0 {
-		t.Errorf("offload engine never served a stash hit (stats %+v)", st)
-	}
-}
-
-// TestOffloadDisabledHasNoEngine pins the opt-in contract: without
-// Offload.Cores the wrapper hands out raw core thread handles and no
-// engine (or its goroutines) exists.
-func TestOffloadDisabledHasNoEngine(t *testing.T) {
-	a := NewLockFree(testOptions())
-	if oa, ok := a.(OffloadAccessor); !ok {
-		t.Fatal("lockfree wrapper lost OffloadAccessor")
-	} else if oa.OffloadEngine() != nil {
-		t.Error("offload engine attached without opt-in")
-	}
-	if _, ok := a.NewThread().(*core.Thread); !ok {
-		t.Error("offload-off NewThread is not a raw core thread handle")
+	for _, c := range cases {
+		t.Run(c.name, func(t *testing.T) {
+			opt := Options{LockFree: c.cfg}
+			verr := c.cfg.Validate()
+			a, err := New("lockfree", opt)
+			if c.want == "" {
+				if verr != nil || err != nil || a == nil {
+					t.Fatalf("Validate = %v, New = %v, %v; want a valid allocator", verr, a, err)
+				}
+				return
+			}
+			if verr == nil || !strings.Contains(verr.Error(), c.want) {
+				t.Errorf("Validate = %v, want an error naming %q", verr, c.want)
+			}
+			if err == nil || !strings.Contains(err.Error(), c.want) {
+				t.Errorf("New error = %v, want one naming %q", err, c.want)
+			}
+			defer func() {
+				if recover() == nil {
+					t.Error("NewLockFree did not panic on an invalid configuration")
+				}
+			}()
+			NewLockFree(opt)
+		})
 	}
 }

@@ -1,0 +1,92 @@
+#!/bin/sh
+# The CI matrix, runnable locally: ./ci/verify.sh [stage...]
+# Stages: build lint test race tags smoke; no argument runs all of them
+# in that order. .github/workflows/ci.yml calls this script one stage
+# per step, so a check added here runs in CI without a workflow edit.
+set -eu
+cd "$(dirname "$0")/.."
+
+stage_build() {
+	go build ./...
+}
+
+stage_lint() {
+	go vet ./...
+	go vet -tags shadowheap ./...
+	# CI installs a pinned staticcheck before this stage; a machine
+	# without it still gets vet and the inlining guard.
+	if command -v staticcheck >/dev/null; then
+		staticcheck ./...
+		staticcheck -tags shadowheap ./...
+	else
+		echo "verify: staticcheck not on PATH, skipped" >&2
+	fi
+	./ci/inline_guard.sh
+}
+
+stage_test() {
+	go test ./...
+}
+
+stage_race() {
+	go test -race ./alloc ./cmd/allocmon ./internal/baseline/... ./internal/buddy \
+		./internal/census ./internal/core ./internal/lfqueue ./internal/mem \
+		./internal/offload ./internal/pool/... ./internal/sched ./internal/telemetry
+	go test -race -tags memdebug ./internal/mem ./internal/pool
+	go test -race -tags shadowheap ./internal/shadow ./alloc ./internal/core ./internal/sched
+}
+
+stage_tags() {
+	go test -tags shadowheap ./...
+	go test -tags memdebug ./internal/mem ./internal/core ./internal/chunkheap \
+		./internal/buddy ./internal/baseline/...
+}
+
+stage_smoke() {
+	bin=$(mktemp -d)
+	trap 'rm -rf "$bin"' EXIT
+	go build -o "$bin" ./cmd/benchmal ./cmd/mlfstress ./cmd/allocmon
+	go build -tags shadowheap -o "$bin/mlfstress-shadow" ./cmd/mlfstress
+
+	go test -run=NONE -bench=. -benchtime=1x ./internal/core ./internal/bench
+
+	# Every registered experiment, so a new one is smoked without a new step.
+	for id in $("$bin/benchmal" -list | cut -d' ' -f1); do
+		"$bin/benchmal" -exp "$id" -threads 1,2 -scale 0.002
+	done
+	# Every allocator-shape flag away from its default.
+	for knob in "-magazine 8" "-arenas 1" "-descstripes 1" "-descalgo consttime"; do
+		"$bin/benchmal" -exp table1 -threads 1,2 -scale 0.002 -allocs lockfree $knob
+	done
+	# A configuration core.Config.Validate rejects must stop every tool.
+	for tool in benchmal mlfstress allocmon; do
+		if "$bin/$tool" -magazine -1 2>/dev/null; then
+			echo "verify: $tool accepted -magazine -1" >&2
+			exit 1
+		fi
+	done
+
+	"$bin/allocmon" -once -warmup 200ms -threads 2 >/dev/null
+
+	# Stress under the shadow oracle, normal and kill mode, per backend.
+	for shape in "" "-descalgo consttime"; do
+		"$bin/mlfstress-shadow" -threads 4 -ops 20000 -shadow -magazine 8 -arenas 2 -telemetry=false $shape
+		"$bin/mlfstress-shadow" -threads 4 -ops 5000 -kills 2 -shadow -magazine 8 -telemetry=false $shape
+	done
+	"$bin/mlfstress-shadow" -alloc buddy -threads 4 -ops 20000 -shadow -telemetry=false
+	"$bin/mlfstress-shadow" -alloc buddy -threads 4 -ops 5000 -kills 2 -shadow -telemetry=false
+}
+
+[ $# -gt 0 ] || set -- build lint test race tags smoke
+for stage; do
+	case $stage in
+	build | lint | test | race | tags | smoke)
+		echo "== verify: $stage"
+		"stage_$stage"
+		;;
+	*)
+		echo "usage: $0 [build|lint|test|race|tags|smoke]..." >&2
+		exit 2
+		;;
+	esac
+done

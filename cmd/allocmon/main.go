@@ -6,40 +6,22 @@
 // of periodic samples.
 //
 //	allocmon [-addr :8723] [-threads 4] [-hyper] [-pause 50us]
-//	         [-interval 1s] [-samplerate 1024] [-history 120] [-adapt]
+//	         [-interval 1s] [-samplerate 1024] [-history 120]
 //	         [-magazine N] [-arenas N] [-descstripes N]
-//	         [-descalgo freelist|consttime] [-offload N] [-offloadbatch N]
-//	         [-buddy]
+//	         [-descalgo freelist|consttime] [-buddy]
 //	allocmon -once [-warmup 2s]
 //
 // Endpoints:
 //
-//	/            text dashboard (telemetry snapshot + census summary,
-//	             plus the adaptive controller's knobs and recent
-//	             decisions under -adapt)
+//	/            text dashboard (telemetry snapshot + census summary)
 //	/stats.json  full telemetry snapshot as JSON; ?base=<seq|last>
 //	             subtracts an earlier series point (interval delta)
 //	/events      flight-recorder events only, as JSON
 //	/heap        allocator + heap + hyperblock statistics as JSON
 //	/census.json latest full heap census as JSON
 //	/series.json the sampled census+snapshot ring, oldest first
-//	/adapt.json  adaptive controller state: live knob values and the
-//	             decision log ({"enabled":false} without -adapt)
-//	/offload.json allocation-core offload engine state: cores, batch
-//	             size, queue depth, and cumulative counters
-//	             ({"enabled":false} without -offload)
 //	/metrics     Prometheus text format (version 0.0.4)
 //	/stream      server-sent events: one series point per sample tick
-//
-// -adapt builds the allocator with the runtime-mutable policy surface
-// and runs an internal/adapt controller (default hysteresis policy) on
-// the sampling interval; its decision log and live knob values appear
-// on the dashboard, /adapt.json, and /metrics.
-//
-// -offload N routes the workload's malloc/free traffic through N
-// dedicated allocation-core goroutines (internal/offload); the engine's
-// queue depth, stash hit rate, and batch counters appear on the
-// dashboard, /offload.json, and as offload_* Prometheus families.
 //
 // -buddy additionally runs the same churn on the non-blocking buddy
 // allocator (internal/buddy); its per-order free/used block counts
@@ -61,13 +43,11 @@ import (
 	"sync"
 	"time"
 
-	"repro/internal/adapt"
 	"repro/internal/bench"
 	"repro/internal/buddy"
 	"repro/internal/census"
 	"repro/internal/core"
 	"repro/internal/mem"
-	"repro/internal/offload"
 	"repro/internal/telemetry"
 )
 
@@ -77,10 +57,8 @@ type monitor struct {
 	rec    *telemetry.Recorder
 	a      *core.Allocator
 	series *telemetry.Series
-	events int               // flight-recorder events on the text dashboard
-	ctrl   *adapt.Controller // nil unless -adapt
-	eng    *offload.Engine   // nil unless -offload
-	bud    *buddy.Allocator  // nil unless -buddy
+	events int              // flight-recorder events on the text dashboard
+	bud    *buddy.Allocator // nil unless -buddy
 
 	mu   sync.Mutex
 	subs map[chan telemetry.SeriesPoint]struct{}
@@ -165,8 +143,6 @@ func (m *monitor) mux() *http.ServeMux {
 		printHeapStats(w, m.a)
 		c := m.census()
 		printCensusSummary(w, c)
-		printAdaptSummary(w, m.ctrl)
-		printOffloadSummary(w, m.eng)
 		printBuddySummary(w, c.Buddy)
 	})
 	mux.HandleFunc("/stats.json", func(w http.ResponseWriter, r *http.Request) {
@@ -209,45 +185,11 @@ func (m *monitor) mux() *http.ServeMux {
 	mux.HandleFunc("/series.json", func(w http.ResponseWriter, r *http.Request) {
 		writeJSON(w, m.series.Points())
 	})
-	mux.HandleFunc("/adapt.json", func(w http.ResponseWriter, r *http.Request) {
-		if m.ctrl == nil {
-			writeJSON(w, map[string]any{"enabled": false})
-			return
-		}
-		writeJSON(w, map[string]any{
-			"enabled":      true,
-			"intervalNS":   m.ctrl.Interval().Nanoseconds(),
-			"steps":        m.ctrl.Steps(),
-			"decisions":    m.ctrl.DecisionCount(),
-			"magazineCaps": m.a.MagazineCaps(),
-			"bindings":     m.a.ThreadBindings(),
-			"log":          m.ctrl.Decisions(32),
-		})
-	})
-	mux.HandleFunc("/offload.json", func(w http.ResponseWriter, r *http.Request) {
-		if m.eng == nil {
-			writeJSON(w, map[string]any{"enabled": false})
-			return
-		}
-		writeJSON(w, map[string]any{
-			"enabled": true,
-			"cores":   m.eng.Cores(),
-			"batch":   m.eng.Batch(),
-			"stats":   m.eng.Stats(),
-		})
-	})
 	mux.HandleFunc("/metrics", func(w http.ResponseWriter, r *http.Request) {
 		w.Header().Set("Content-Type", census.ContentType)
 		snap := m.rec.Snapshot()
 		if err := census.WriteMetrics(w, snap, m.census()); err != nil {
 			http.Error(w, err.Error(), http.StatusInternalServerError)
-			return
-		}
-		if m.ctrl != nil {
-			writeAdaptMetrics(w, m.ctrl)
-		}
-		if m.eng != nil {
-			writeOffloadMetrics(w, m.eng)
 		}
 	})
 	mux.HandleFunc("/stream", func(w http.ResponseWriter, r *http.Request) {
@@ -334,48 +276,31 @@ func main() {
 		os.Exit(1)
 	}
 	a := core.New(cfg)
-	var eng *offload.Engine
-	if cfg.Offload.Cores > 0 {
-		eng = offload.New(a)
-	}
 	for g := 0; g < *threads; g++ {
-		go churn(a, eng, int64(g), *pause)
+		go churn(a, int64(g), *pause)
 	}
 
 	m := newMonitor(rec, a, *history, *events)
-	m.eng = eng
 	if *withBuddy {
 		m.bud = buddy.New(buddy.Config{Telemetry: rec.Stripes()})
 		for g := 0; g < *threads; g++ {
 			go buddyChurn(m.bud, int64(g), *pause)
 		}
 	}
-	if cfg.Adapt {
-		ctrl, err := adapt.New(a, adapt.Config{Interval: *interval})
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "allocmon: %v\n", err)
-			os.Exit(1)
-		}
-		ctrl.Start()
-		m.ctrl = ctrl
-	}
-
 	if *once {
 		time.Sleep(*warmup)
 		fmt.Print(rec.Snapshot().Text(*events))
 		printHeapStats(os.Stdout, a)
 		c := m.census()
 		printCensusSummary(os.Stdout, c)
-		printAdaptSummary(os.Stdout, m.ctrl)
-		printOffloadSummary(os.Stdout, eng)
 		printBuddySummary(os.Stdout, c.Buddy)
 		return
 	}
 
 	go m.run(*interval, make(chan struct{}))
 
-	fmt.Printf("allocmon: %d workload threads (hyper=%v pause=%v samplerate=%d adapt=%v offload=%d), serving on %s\n",
-		*threads, *hyper, *pause, *sampleRate, cfg.Adapt, cfg.Offload.Cores, *addr)
+	fmt.Printf("allocmon: %d workload threads (hyper=%v pause=%v samplerate=%d), serving on %s\n",
+		*threads, *hyper, *pause, *sampleRate, *addr)
 	if err := http.ListenAndServe(*addr, m.mux()); err != nil {
 		fmt.Fprintf(os.Stderr, "allocmon: %v\n", err)
 		os.Exit(1)
@@ -411,86 +336,6 @@ func printCensusSummary(w interface{ Write([]byte) (int, error) }, c *census.Cen
 	} else {
 		fmt.Fprintf(w, "frag: external %.1f%% (sampler off)\n", s.ExternalFragPct)
 	}
-}
-
-// printAdaptSummary appends the adaptive controller's live knob values
-// and most recent decisions to the text dashboard; no-op without
-// -adapt.
-func printAdaptSummary(w interface{ Write([]byte) (int, error) }, ctrl *adapt.Controller) {
-	if ctrl == nil {
-		return
-	}
-	a := ctrl.Allocator()
-	fmt.Fprintf(w, "adapt: interval=%v steps=%d decisions=%d; magazine caps %v\n",
-		ctrl.Interval(), ctrl.Steps(), ctrl.DecisionCount(), a.MagazineCaps())
-	for _, b := range a.ThreadBindings() {
-		fmt.Fprintf(w, "adapt: thread %d -> stripe=%d arena=%d\n", b.ID, b.Stripe, b.Arena)
-	}
-	for _, d := range ctrl.Decisions(8) {
-		fmt.Fprintf(w, "adapt: %v\n", d)
-	}
-}
-
-// writeAdaptMetrics appends the controller's Prometheus families after
-// the census exposition (same text format; validated by the endpoint
-// test with census.ValidateMetrics).
-func writeAdaptMetrics(w interface{ Write([]byte) (int, error) }, ctrl *adapt.Controller) {
-	fmt.Fprintf(w, "# HELP adapt_controller_steps_total Control steps executed by the adaptive controller.\n")
-	fmt.Fprintf(w, "# TYPE adapt_controller_steps_total counter\n")
-	fmt.Fprintf(w, "adapt_controller_steps_total %d\n", ctrl.Steps())
-	fmt.Fprintf(w, "# HELP adapt_decisions_total Knob movements recorded in the decision log (applied or rejected).\n")
-	fmt.Fprintf(w, "# TYPE adapt_decisions_total counter\n")
-	fmt.Fprintf(w, "adapt_decisions_total %d\n", ctrl.DecisionCount())
-	fmt.Fprintf(w, "# HELP adapt_magazine_cap Current per-class magazine capacity target.\n")
-	fmt.Fprintf(w, "# TYPE adapt_magazine_cap gauge\n")
-	for cls, cap := range ctrl.Allocator().MagazineCaps() {
-		fmt.Fprintf(w, "adapt_magazine_cap{class=\"%d\"} %d\n", cls, cap)
-	}
-}
-
-// printOffloadSummary appends the allocation-core offload engine's
-// queue depth and cumulative counters to the text dashboard; no-op
-// without -offload.
-func printOffloadSummary(w interface{ Write([]byte) (int, error) }, eng *offload.Engine) {
-	if eng == nil {
-		return
-	}
-	st := eng.Stats()
-	hitPct := 0.0
-	if st.StashHits+st.StashMisses > 0 {
-		hitPct = 100 * float64(st.StashHits) / float64(st.StashHits+st.StashMisses)
-	}
-	fmt.Fprintf(w, "offload: cores=%d (%d live) batch=%d queue depth=%d workers=%d\n",
-		eng.Cores(), st.LiveCores, eng.Batch(), st.QueueDepth, st.Workers)
-	fmt.Fprintf(w, "offload: %d submits, stash hit %.1f%%, %d fallbacks; refill %d batches/%d blocks, free %d batches/%d blocks\n",
-		st.Submits, hitPct, st.Fallbacks,
-		st.RefillBatches, st.RefillBlocks, st.FreeBatches, st.FreedBlocks)
-}
-
-// writeOffloadMetrics appends the offload engine's Prometheus families
-// after the census (and adapt) exposition; same text format, validated
-// by the endpoint test with census.ValidateMetrics.
-func writeOffloadMetrics(w interface{ Write([]byte) (int, error) }, eng *offload.Engine) {
-	st := eng.Stats()
-	counter := func(name, help string, v uint64) {
-		fmt.Fprintf(w, "# HELP %s %s\n# TYPE %s counter\n%s %d\n", name, help, name, name, v)
-	}
-	gauge := func(name, help string, v int64) {
-		fmt.Fprintf(w, "# HELP %s %s\n# TYPE %s gauge\n%s %d\n", name, help, name, name, v)
-	}
-	counter("offload_submits_total", "Requests submitted to the allocation cores.", st.Submits)
-	counter("offload_refill_batches_total", "Refill batches executed by allocation cores.", st.RefillBatches)
-	counter("offload_refill_blocks_total", "Blocks delivered by refill batches.", st.RefillBlocks)
-	counter("offload_free_batches_total", "Free batches executed by allocation cores.", st.FreeBatches)
-	counter("offload_freed_blocks_total", "Blocks freed via batched requests.", st.FreedBlocks)
-	counter("offload_stash_hits_total", "Worker mallocs served from the local stash.", st.StashHits)
-	counter("offload_stash_misses_total", "Worker mallocs that missed the stash.", st.StashMisses)
-	counter("offload_fallbacks_total", "Operations executed synchronously under queue backpressure.", st.Fallbacks)
-	counter("offload_core_kills_total", "Allocation cores killed by fault injection.", st.CoreKills)
-	counter("offload_adopted_blocks_total", "Blocks adopted from killed cores' in-flight batches.", st.AdoptedBlocks)
-	gauge("offload_queue_depth", "Requests currently queued to the allocation cores.", int64(st.QueueDepth))
-	gauge("offload_live_cores", "Allocation-core goroutines currently running.", int64(st.LiveCores))
-	gauge("offload_workers", "Workers currently registered with the offload engine.", int64(st.Workers))
 }
 
 // printBuddySummary appends the buddy forest's order-occupancy table
@@ -543,16 +388,8 @@ func buddyChurn(b *buddy.Allocator, seed int64, pause time.Duration) {
 
 // churn is the embedded workload: random-size malloc/free traffic with
 // a bounded live set, the same shape as mlfstress.
-func churn(a *core.Allocator, eng *offload.Engine, seed int64, pause time.Duration) {
-	var th interface {
-		Malloc(uint64) (mem.Ptr, error)
-		Free(mem.Ptr)
-	}
-	if eng != nil {
-		th = eng.Worker()
-	} else {
-		th = a.Thread()
-	}
+func churn(a *core.Allocator, seed int64, pause time.Duration) {
+	th := a.Thread()
 	rng := rand.New(rand.NewSource(seed))
 	var held []mem.Ptr
 	for i := 0; ; i++ {

@@ -9,12 +9,10 @@ import (
 	"strings"
 	"testing"
 
-	"repro/internal/adapt"
 	"repro/internal/buddy"
 	"repro/internal/census"
 	"repro/internal/core"
 	"repro/internal/mem"
-	"repro/internal/offload"
 	"repro/internal/telemetry"
 )
 
@@ -72,15 +70,13 @@ func TestEndpointsContentTypes(t *testing.T) {
 	defer srv.Close()
 
 	for path, want := range map[string]string{
-		"/":             "text/plain; charset=utf-8",
-		"/stats.json":   "application/json",
-		"/events":       "application/json",
-		"/heap":         "application/json",
-		"/census.json":  "application/json",
-		"/series.json":  "application/json",
-		"/adapt.json":   "application/json",
-		"/offload.json": "application/json",
-		"/metrics":      census.ContentType,
+		"/":            "text/plain; charset=utf-8",
+		"/stats.json":  "application/json",
+		"/events":      "application/json",
+		"/heap":        "application/json",
+		"/census.json": "application/json",
+		"/series.json": "application/json",
+		"/metrics":     census.ContentType,
 	} {
 		_, ct := get(t, srv, path)
 		if ct != want {
@@ -239,216 +235,6 @@ func TestSeriesEndpoint(t *testing.T) {
 	}
 }
 
-// TestAdaptDisabled: without -adapt, /adapt.json reports enabled=false
-// and the dashboard carries no adapt section.
-func TestAdaptDisabled(t *testing.T) {
-	m, _ := newTestMonitor(t, 50)
-	srv := httptest.NewServer(m.mux())
-	defer srv.Close()
-	body, _ := get(t, srv, "/adapt.json")
-	var st struct {
-		Enabled bool `json:"enabled"`
-	}
-	if err := json.Unmarshal([]byte(body), &st); err != nil {
-		t.Fatal(err)
-	}
-	if st.Enabled {
-		t.Error("adapt reported enabled on a static monitor")
-	}
-	dash, _ := get(t, srv, "/")
-	if strings.Contains(dash, "adapt:") {
-		t.Error("dashboard shows an adapt section without a controller")
-	}
-}
-
-// newAdaptMonitor builds a monitor whose allocator has the mutable
-// policy surface and a controller with a few deterministic decisions
-// already applied (driven via Step, never started).
-func newAdaptMonitor(t *testing.T) *monitor {
-	t.Helper()
-	rec := core.NewRecorder(telemetry.Config{SampleRate: 1})
-	a := core.New(core.Config{
-		Processors:   2,
-		MagazineSize: 8,
-		Telemetry:    rec,
-		Adapt:        true,
-		HeapConfig:   mem.Config{SegmentWordsLog2: 18, TotalWordsLog2: 28},
-	})
-	th := a.Thread()
-	for i := 0; i < 200; i++ {
-		p, err := th.Malloc(uint64(8 + 16*(i%50)))
-		if err != nil {
-			t.Fatal(err)
-		}
-		th.Free(p)
-	}
-	ctrl, err := adapt.New(a, adapt.Config{Policy: &adapt.Exerciser{Caps: []int{16, 32}}})
-	if err != nil {
-		t.Fatal(err)
-	}
-	ctrl.Step()
-	ctrl.Step()
-	m := newMonitor(rec, a, 16, 4)
-	m.ctrl = ctrl
-	return m
-}
-
-// TestAdaptEndpoints: with a controller attached, /adapt.json exposes
-// the knob state and decision log, /metrics appends valid adapt
-// families, and the dashboard gains the adapt section.
-func TestAdaptEndpoints(t *testing.T) {
-	m := newAdaptMonitor(t)
-	srv := httptest.NewServer(m.mux())
-	defer srv.Close()
-
-	body, _ := get(t, srv, "/adapt.json")
-	var st struct {
-		Enabled      bool             `json:"enabled"`
-		Steps        uint64           `json:"steps"`
-		Decisions    uint64           `json:"decisions"`
-		MagazineCaps []int            `json:"magazineCaps"`
-		Log          []adapt.Decision `json:"log"`
-	}
-	if err := json.Unmarshal([]byte(body), &st); err != nil {
-		t.Fatal(err)
-	}
-	if !st.Enabled || st.Steps != 2 || st.Decisions == 0 {
-		t.Errorf("adapt state = %+v", st)
-	}
-	if len(st.MagazineCaps) == 0 || st.MagazineCaps[0] != 32 {
-		t.Errorf("magazineCaps = %v, want exerciser's second cap 32", st.MagazineCaps)
-	}
-	if len(st.Log) == 0 || st.Log[len(st.Log)-1].To != 32 {
-		t.Errorf("decision log = %+v", st.Log)
-	}
-
-	metrics, _ := get(t, srv, "/metrics")
-	if err := census.ValidateMetrics([]byte(metrics)); err != nil {
-		t.Fatalf("/metrics with adapt families invalid: %v", err)
-	}
-	for _, want := range []string{
-		"adapt_controller_steps_total 2", "adapt_decisions_total",
-		`adapt_magazine_cap{class="0"} 32`,
-	} {
-		if !strings.Contains(metrics, want) {
-			t.Errorf("/metrics missing %q", want)
-		}
-	}
-
-	dash, _ := get(t, srv, "/")
-	for _, want := range []string{"adapt: interval=", "magazine caps", "adapt: thread"} {
-		if !strings.Contains(dash, want) {
-			t.Errorf("dashboard missing %q", want)
-		}
-	}
-}
-
-// TestOffloadDisabled: without -offload, /offload.json reports
-// enabled=false and the dashboard carries no offload section.
-func TestOffloadDisabled(t *testing.T) {
-	m, _ := newTestMonitor(t, 50)
-	srv := httptest.NewServer(m.mux())
-	defer srv.Close()
-	body, _ := get(t, srv, "/offload.json")
-	var st struct {
-		Enabled bool `json:"enabled"`
-	}
-	if err := json.Unmarshal([]byte(body), &st); err != nil {
-		t.Fatal(err)
-	}
-	if st.Enabled {
-		t.Error("offload reported enabled on a plain monitor")
-	}
-	dash, _ := get(t, srv, "/")
-	if strings.Contains(dash, "offload:") {
-		t.Error("dashboard shows an offload section without an engine")
-	}
-	metrics, _ := get(t, srv, "/metrics")
-	if strings.Contains(metrics, "offload_") {
-		t.Error("/metrics exposes offload families without an engine")
-	}
-}
-
-// newOffloadMonitor builds a monitor whose workload runs through the
-// allocation-core offload engine, with some traffic already applied.
-func newOffloadMonitor(t *testing.T) *monitor {
-	t.Helper()
-	rec := core.NewRecorder(telemetry.Config{SampleRate: 1})
-	a := core.New(core.Config{
-		Processors: 2,
-		Telemetry:  rec,
-		Offload:    core.OffloadConfig{Cores: 1, Batch: 8},
-		HeapConfig: mem.Config{SegmentWordsLog2: 18, TotalWordsLog2: 28},
-	})
-	eng := offload.New(a)
-	w := eng.Worker()
-	for i := 0; i < 500; i++ {
-		p, err := w.Malloc(64)
-		if err != nil {
-			t.Fatal(err)
-		}
-		w.Free(p)
-	}
-	t.Cleanup(func() {
-		w.Unregister()
-		eng.Stop()
-	})
-	m := newMonitor(rec, a, 16, 4)
-	m.eng = eng
-	return m
-}
-
-// TestOffloadEndpoints: with an engine attached, /offload.json exposes
-// the counters, /metrics appends valid offload_* families, and the
-// dashboard gains the offload section with the queue depth.
-func TestOffloadEndpoints(t *testing.T) {
-	m := newOffloadMonitor(t)
-	srv := httptest.NewServer(m.mux())
-	defer srv.Close()
-
-	body, _ := get(t, srv, "/offload.json")
-	var st struct {
-		Enabled bool `json:"enabled"`
-		Cores   int  `json:"cores"`
-		Batch   int  `json:"batch"`
-		Stats   struct {
-			Submits   uint64
-			StashHits uint64
-		} `json:"stats"`
-	}
-	if err := json.Unmarshal([]byte(body), &st); err != nil {
-		t.Fatal(err)
-	}
-	if !st.Enabled || st.Cores != 1 || st.Batch != 8 {
-		t.Errorf("offload state = %+v", st)
-	}
-	if st.Stats.Submits == 0 || st.Stats.StashHits == 0 {
-		t.Errorf("offload counters empty: %+v", st.Stats)
-	}
-
-	metrics, _ := get(t, srv, "/metrics")
-	if err := census.ValidateMetrics([]byte(metrics)); err != nil {
-		t.Fatalf("/metrics with offload families invalid: %v", err)
-	}
-	for _, want := range []string{
-		"offload_submits_total", "offload_stash_hits_total",
-		"offload_queue_depth", "offload_live_cores 1",
-	} {
-		if !strings.Contains(metrics, want) {
-			t.Errorf("/metrics missing %q", want)
-		}
-	}
-
-	dash, _ := get(t, srv, "/")
-	for _, want := range []string{"offload: cores=1", "queue depth=", "stash hit"} {
-		if !strings.Contains(dash, want) {
-			t.Errorf("dashboard missing %q", want)
-		}
-	}
-}
-
-// TestDashboardCensusSummary: the text dashboard includes the census
-// lines.
 func TestDashboardCensusSummary(t *testing.T) {
 	m, _ := newTestMonitor(t, 100)
 	srv := httptest.NewServer(m.mux())

@@ -1,13 +1,12 @@
 // Command benchmal regenerates the tables and figures of the paper's
-// evaluation section (§4) over the four allocators in this repository.
+// evaluation section (§4) over the six allocators in this repository.
 //
 // Usage:
 //
-//	benchmal [-exp all|table1|fig8a..fig8h|latency|space|unip|ablate|magazine|arenas|poolstripes|poolalgo|census|adapt|offload]
+//	benchmal [-exp all|table1|fig8a..fig8h|latency|space|unip|ablate|magazine|arenas|poolstripes|poolalgo|census|frag]
 //	         [-threads 1,2,4,8,16] [-scale 0.01] [-allocs lockfree,hoard,...]
 //	         [-procs N] [-telemetry] [-magazine N] [-arenas N] [-descstripes N]
-//	         [-descalgo freelist|consttime] [-adapt] [-offload N] [-offloadbatch N]
-//	         [-samplerate N] [-json] [-list] [-v]
+//	         [-descalgo freelist|consttime] [-samplerate N] [-json] [-list] [-v]
 //
 // -scale 1.0 runs the paper's full parameters (10M malloc/free pairs
 // per thread, 30-second timed phases); the default 0.01 finishes each
@@ -29,20 +28,14 @@
 // this flag. -descalgo selects the descriptor pool's recycling backend
 // (freelist = the paper's Figure-7 tagged freelist, consttime = the
 // Blelloch-Wei constant-time batch scheme); the poolalgo experiment
-// compares the two regardless of this flag. -adapt builds every
-// lock-free allocator with the runtime-mutable policy surface and runs
-// an adaptive controller (internal/adapt) beside each measurement; the
-// adapt experiment compares static vs adaptive regardless of this
-// flag. -offload N routes every lock-free allocator's malloc/free
-// traffic through N dedicated allocation-core goroutines
-// (internal/offload); -offloadbatch sets the request batch size; the
-// offload experiment compares magazines vs offload regardless of
-// these flags. -samplerate N enables the allocation sampler (one sample
-// per N mallocs) on every telemetry recorder, adding a census digest —
-// fragmentation and live-block ages — to each measurement (0 = off,
-// the default, preserving the bare telemetry cost); the census
-// experiment compares off/on regardless of this flag. -json
-// additionally writes every individual measurement to a
+// compares the two regardless of this flag. A contradictory or
+// out-of-range knob (core.Config.Validate) exits non-zero with the
+// reason before anything runs. -samplerate N enables the allocation
+// sampler (one sample per N mallocs) on every telemetry recorder,
+// adding a census digest — fragmentation and live-block ages — to each
+// measurement (0 = off, the default, preserving the bare telemetry
+// cost); the census experiment compares off/on regardless of this
+// flag. -json additionally writes every individual measurement to a
 // BENCH_<unixtime>.json file.
 package main
 
@@ -77,9 +70,6 @@ type jsonReport struct {
 	Arenas        int            `json:"arenas,omitempty"`
 	DescStripes   int            `json:"descStripes,omitempty"`
 	DescAlgo      string         `json:"descAlgo,omitempty"`
-	Adapt         bool           `json:"adapt,omitempty"`
-	Offload       int            `json:"offload,omitempty"`
-	OffloadBatch  int            `json:"offloadBatch,omitempty"`
 	SampleRate    int            `json:"sampleRate,omitempty"`
 	Results       []bench.Result `json:"results"`
 }
@@ -100,7 +90,7 @@ func main() {
 	)
 	flag.Parse()
 
-	descAlgo, err := allocFlags.DescAlgo()
+	shape, err := allocFlags.Apply(core.Config{Processors: *procsFlag})
 	if err != nil {
 		fatal("%v", err)
 	}
@@ -121,12 +111,10 @@ func main() {
 		Scale:       *scaleFlag,
 		Processors:  *procsFlag,
 		Telemetry:   *teleFlag,
-		Magazine:    *allocFlags.Magazine,
-		Arenas:      *allocFlags.Arenas,
-		DescStripes: *allocFlags.DescStripes,
-		DescAlgo:    descAlgo,
-		Adapt:       *allocFlags.Adapt,
-		Offload:     core.OffloadConfig{Cores: *allocFlags.Offload, Batch: *allocFlags.OffloadBatch},
+		Magazine:    shape.MagazineSize,
+		Arenas:      shape.HeapConfig.Arenas,
+		DescStripes: shape.DescStripes,
+		DescAlgo:    shape.DescAlgo,
 		SampleRate:  *rateFlag,
 	}
 	if *allocsFlag != "" {
@@ -178,13 +166,10 @@ func main() {
 			Threads:       threads,
 			Experiments:   ids,
 			Telemetry:     *teleFlag,
-			Magazine:      *allocFlags.Magazine,
-			Arenas:        *allocFlags.Arenas,
-			DescStripes:   *allocFlags.DescStripes,
-			DescAlgo:      descAlgo.String(),
-			Adapt:         *allocFlags.Adapt,
-			Offload:       *allocFlags.Offload,
-			OffloadBatch:  *allocFlags.OffloadBatch,
+			Magazine:      cfg.Magazine,
+			Arenas:        cfg.Arenas,
+			DescStripes:   cfg.DescStripes,
+			DescAlgo:      cfg.DescAlgo.String(),
 			SampleRate:    *rateFlag,
 			Results:       results,
 		}

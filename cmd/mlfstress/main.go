@@ -7,8 +7,7 @@
 //	mlfstress [-alloc lockfree] [-threads 8] [-ops 200000] [-kills 0]
 //	          [-hyper] [-lifo] [-credits 64] [-seed 1] [-telemetry]
 //	          [-events 16] [-magazine 0] [-arenas 0] [-descstripes 0]
-//	          [-descalgo freelist|consttime] [-adapt] [-shadow]
-//	          [-offload 0] [-offloadbatch 0]
+//	          [-descalgo freelist|consttime] [-shadow]
 //
 // -alloc selects the backend under stress from the registry of package
 // alloc (default lockfree, the paper's allocator, with the full knob
@@ -22,15 +21,6 @@
 // mode (-kills) the flight recorder's tail is dumped, showing the
 // events leading up to each kill.
 //
-// With -adapt, the allocator is built with the runtime-mutable policy
-// surface and an adaptive controller (internal/adapt) runs beside the
-// stress traffic: in fault-injection mode the deterministic Exerciser
-// policy churns magazine caps and stripe/arena bindings while victims
-// die; otherwise the default hysteresis policy tunes the live run and
-// its decision log is printed at the end. -adapt implies a (quiet)
-// telemetry recorder even under -telemetry=false, since the controller
-// needs sensors.
-//
 // With -shadow (requires building with -tags shadowheap), every
 // malloc/free is mirrored into a shadow-heap oracle that detects
 // double-free, invalid free, overlapping live blocks, and
@@ -38,11 +28,8 @@
 // run with the offending pointer, the allocating and freeing thread
 // ids, and the flight recorder's tail.
 //
-// With -offload N, malloc/free traffic is routed through N dedicated
-// allocation-core goroutines (internal/offload): each worker holds a
-// per-class stash and submits batched refill/free requests over the
-// MS queue. In fault-injection mode the kills target the allocation
-// cores themselves — the run then verifies no batch was stranded.
+// A contradictory or out-of-range knob (core.Config.Validate) exits
+// non-zero with the reason before any traffic runs.
 package main
 
 import (
@@ -56,13 +43,10 @@ import (
 	"time"
 
 	"repro/alloc"
-	"repro/internal/adapt"
 	"repro/internal/bench"
 	"repro/internal/census"
 	"repro/internal/core"
 	"repro/internal/mem"
-	"repro/internal/offload"
-	"repro/internal/pool"
 	"repro/internal/sched"
 	"repro/internal/shadow"
 	"repro/internal/sizeclass"
@@ -86,7 +70,12 @@ func main() {
 	)
 	flag.Parse()
 
-	descAlgo, err := af.DescAlgo()
+	cfg, err := af.Apply(core.Config{
+		Processors:  *threads,
+		MaxCredits:  *credits,
+		PartialLIFO: *lifo,
+		Hyperblocks: *hyper,
+	})
 	if err != nil {
 		fail("%v", err)
 	}
@@ -104,22 +93,11 @@ func main() {
 	}
 
 	if *kills > 0 {
-		runKillStress(*kills, *threads, *ops, *seed, *tele, *events, af, descAlgo, *shadowF)
+		runKillStress(*kills, *threads, *ops, *seed, *tele, *events, cfg, *shadowF)
 		return
 	}
 
-	cfg, err := af.Apply(core.Config{
-		Processors:  *threads,
-		MaxCredits:  *credits,
-		PartialLIFO: *lifo,
-		Hyperblocks: *hyper,
-	})
-	if err != nil {
-		fail("%v", err)
-	}
-	if *tele || cfg.Adapt {
-		// -adapt needs the recorder as the controller's sensors even when
-		// the summary is suppressed.
+	if *tele {
 		cfg.Telemetry = core.NewRecorder(telemetry.Config{})
 	}
 	if *shadowF {
@@ -133,25 +111,9 @@ func main() {
 		})
 	}
 	a := core.New(cfg)
-	fmt.Printf("mlfstress: %d threads x %d ops (hyper=%v lifo=%v credits=%d magazine=%d arenas=%d descstripes=%d descalgo=%s adapt=%v offload=%d shadow=%v)\n",
-		*threads, *ops, *hyper, *lifo, cfg.MaxCredits, *af.Magazine, *af.Arenas,
-		*af.DescStripes, descAlgo, cfg.Adapt, cfg.Offload.Cores, *shadowF && shadow.Enabled)
-
-	var eng *offload.Engine
-	if cfg.Offload.Cores > 0 {
-		eng = offload.New(a)
-	}
-
-	var ctrl *adapt.Controller
-	if cfg.Adapt {
-		// Default hysteresis policy on a tight interval so a short stress
-		// run still gives it several control steps.
-		ctrl, err = adapt.New(a, adapt.Config{Interval: 5 * time.Millisecond})
-		if err != nil {
-			fail("adapt controller: %v", err)
-		}
-		ctrl.Start()
-	}
+	fmt.Printf("mlfstress: %d threads x %d ops (hyper=%v lifo=%v credits=%d magazine=%d arenas=%d descstripes=%d descalgo=%s shadow=%v)\n",
+		*threads, *ops, *hyper, *lifo, cfg.MaxCredits, cfg.MagazineSize, cfg.HeapConfig.Arenas,
+		cfg.DescStripes, cfg.DescAlgo, *shadowF && shadow.Enabled)
 
 	start := time.Now()
 	var wg sync.WaitGroup
@@ -159,16 +121,7 @@ func main() {
 		wg.Add(1)
 		go func(s int64) {
 			defer wg.Done()
-			var th interface {
-				Malloc(uint64) (mem.Ptr, error)
-				Free(mem.Ptr)
-				Unregister()
-			}
-			if eng != nil {
-				th = eng.Worker()
-			} else {
-				th = a.Thread()
-			}
+			th := a.Thread()
 			rng := rand.New(rand.NewSource(s))
 			var held []mem.Ptr
 			for i := 0; i < *ops; i++ {
@@ -200,24 +153,6 @@ func main() {
 	wg.Wait()
 	elapsed := time.Since(start)
 
-	// Quiesce the controller before the post-run structural checks.
-	if ctrl != nil {
-		ctrl.Stop()
-	}
-	if eng != nil {
-		// The engine auto-quiesces at the last worker Unregister; Stop is
-		// a belt-and-braces barrier so the post-run checks see no live
-		// allocation cores or queued batches.
-		eng.Stop()
-		es := eng.Stats()
-		fmt.Printf("offload: %d submits, %d refill batches (%d blocks), %d free batches (%d blocks), hit rate %.1f%%, %d fallbacks, queue depth %d\n",
-			es.Submits, es.RefillBatches, es.RefillBlocks, es.FreeBatches,
-			es.FreedBlocks, hitRate(es.StashHits, es.StashMisses), es.Fallbacks, es.QueueDepth)
-		if es.QueueDepth != 0 || es.LiveCores != 0 {
-			fail("offload engine not quiescent: depth=%d liveCores=%d", es.QueueDepth, es.LiveCores)
-		}
-	}
-
 	s := a.Stats()
 	fmt.Printf("done in %v: %d mallocs (%.0f ops/s), %d frees\n",
 		elapsed.Round(time.Millisecond), s.Ops.Mallocs,
@@ -235,13 +170,6 @@ func main() {
 	if rec := a.Telemetry(); rec != nil && *tele {
 		fmt.Println()
 		fmt.Print(rec.Snapshot().Text(0))
-	}
-	if ctrl != nil {
-		fmt.Printf("adapt: %d control steps, %d decisions; magazine caps now %v\n",
-			ctrl.Steps(), ctrl.DecisionCount(), a.MagazineCaps())
-		for _, d := range ctrl.Decisions(8) {
-			fmt.Printf("  %v\n", d)
-		}
 	}
 
 	if o := a.ShadowOracle(); o != nil {
@@ -417,10 +345,13 @@ func runBackendStress(name string, threads, ops, kills int, seed int64, tele boo
 	}
 }
 
-func runKillStress(kills, threads, ops int, seed int64, tele bool, events int, af *bench.AllocFlags, descAlgo pool.Algo, useShadow bool) {
-	fmt.Printf("mlfstress: fault injection — %d kills, %d survivors x %d ops (magazine=%d arenas=%d descstripes=%d descalgo=%s adapt=%v offload=%d shadow=%v)\n",
-		kills, threads, ops, *af.Magazine, *af.Arenas, *af.DescStripes,
-		descAlgo, *af.Adapt, *af.Offload, useShadow && shadow.Enabled)
+// runKillStress runs sched's kill harness with the allocator shape of
+// cfg (the knobs sched.Plan carries; -hyper, -lifo and -credits do not
+// apply in kill mode).
+func runKillStress(kills, threads, ops int, seed int64, tele bool, events int, cfg core.Config, useShadow bool) {
+	fmt.Printf("mlfstress: fault injection — %d kills, %d survivors x %d ops (magazine=%d arenas=%d descstripes=%d descalgo=%s shadow=%v)\n",
+		kills, threads, ops, cfg.MagazineSize, cfg.HeapConfig.Arenas, cfg.DescStripes,
+		cfg.DescAlgo, useShadow && shadow.Enabled)
 	var rec *telemetry.Recorder
 	if tele {
 		rec = core.NewRecorder(telemetry.Config{})
@@ -432,13 +363,10 @@ func runKillStress(kills, threads, ops int, seed int64, tele bool, events int, a
 		OpsBeforeKill:  200,
 		Seed:           seed,
 		Point:          -1,
-		Magazine:       *af.Magazine,
-		Arenas:         *af.Arenas,
-		DescStripes:    *af.DescStripes,
-		DescAlgo:       descAlgo,
-		Adapt:          *af.Adapt,
-		Offload:        *af.Offload,
-		OffloadBatch:   *af.OffloadBatch,
+		Magazine:       cfg.MagazineSize,
+		Arenas:         cfg.HeapConfig.Arenas,
+		DescStripes:    cfg.DescStripes,
+		DescAlgo:       cfg.DescAlgo,
 		Telemetry:      rec,
 		Shadow:         useShadow,
 	})
@@ -452,17 +380,6 @@ func runKillStress(kills, threads, ops int, seed int64, tele bool, events int, a
 		fail("survivors blocked: %v", err)
 	}
 	fmt.Printf("%v\n", res)
-	if *af.Offload > 0 {
-		fmt.Printf("offload: %d core kills, %d blocks adopted, %d fallbacks, %d stranded\n",
-			res.OffloadCoreKills, res.OffloadAdopted, res.OffloadFallbacks, res.OffloadStranded)
-		if res.OffloadStranded != 0 {
-			fail("offload: %d batches stranded after kills", res.OffloadStranded)
-		}
-	}
-	if *af.Adapt {
-		fmt.Printf("adapt: %d control steps, %d decisions while victims died\n",
-			res.AdaptSteps, res.AdaptDecisions)
-	}
 	if res.InvariantErr != nil {
 		fail("invariant violation after kills: %v", res.InvariantErr)
 	}
@@ -470,13 +387,6 @@ func runKillStress(kills, threads, ops int, seed int64, tele bool, events int, a
 		fail("shadow oracle after kills: %v", res.ShadowErr)
 	}
 	fmt.Println("survivors made full progress; structure intact (bounded leak only)")
-}
-
-func hitRate(hits, misses uint64) float64 {
-	if hits+misses == 0 {
-		return 0
-	}
-	return 100 * float64(hits) / float64(hits+misses)
 }
 
 func fail(format string, args ...any) {

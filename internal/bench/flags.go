@@ -8,17 +8,14 @@ import (
 	"repro/internal/pool"
 )
 
-// AllocFlags bundles the allocator-shape flags shared by cmd/benchmal
-// and cmd/mlfstress, so each knob — and any future one — is registered
+// AllocFlags bundles the allocator-shape flags shared by cmd/benchmal,
+// cmd/mlfstress and cmd/allocmon, so each knob — and any future one — is registered
 // in one place with one help string instead of being copied per
 // command.
 type AllocFlags struct {
-	Magazine     *int
-	Arenas       *int
-	DescStripes  *int
-	Adapt        *bool
-	Offload      *int
-	OffloadBatch *int
+	Magazine    *int
+	Arenas      *int
+	DescStripes *int
 
 	descAlgo *string
 }
@@ -28,13 +25,10 @@ type AllocFlags struct {
 // the handle to read them after fs.Parse.
 func RegisterAllocFlags(fs *flag.FlagSet) *AllocFlags {
 	return &AllocFlags{
-		Magazine:     fs.Int("magazine", 0, "thread-local magazine capacity for lock-free allocators (0 = off)"),
-		Arenas:       fs.Int("arenas", 0, "region arenas per heap (0 = one per processor, 1 = unsharded)"),
-		DescStripes:  fs.Int("descstripes", 0, "descriptor-pool freelist stripes (0 = one per processor, 1 = single DescAvail)"),
-		Adapt:        fs.Bool("adapt", false, "runtime-mutable policy surface + adaptive controller on lock-free allocators"),
-		Offload:      fs.Int("offload", 0, "dedicated allocation cores for lock-free allocators (0 = off)"),
-		OffloadBatch: fs.Int("offloadbatch", 0, "offload refill/free batch size (0 = default)"),
-		descAlgo:     fs.String("descalgo", "", "descriptor-pool backend: freelist (default) or consttime (Blelloch-Wei)"),
+		Magazine:    fs.Int("magazine", 0, "thread-local magazine capacity for lock-free allocators (0 = off)"),
+		Arenas:      fs.Int("arenas", 0, "region arenas per heap (0 = one per processor, 1 = unsharded)"),
+		DescStripes: fs.Int("descstripes", 0, "descriptor-pool freelist stripes (0 = one per processor, 1 = single DescAvail)"),
+		descAlgo:    fs.String("descalgo", "", "descriptor-pool backend: freelist (default) or consttime (Blelloch-Wei)"),
 	}
 }
 
@@ -44,8 +38,8 @@ func (f *AllocFlags) DescAlgo() (pool.Algo, error) {
 }
 
 // Apply copies the flag values into a core.Config (the caller fills the
-// non-shape fields). It returns an error only for an unparsable
-// -descalgo.
+// non-shape fields). It returns an error for an unparsable -descalgo
+// or a resulting configuration that core.Config.Validate rejects.
 func (f *AllocFlags) Apply(cfg core.Config) (core.Config, error) {
 	algo, err := f.DescAlgo()
 	if err != nil {
@@ -54,12 +48,10 @@ func (f *AllocFlags) Apply(cfg core.Config) (core.Config, error) {
 	cfg.MagazineSize = *f.Magazine
 	cfg.DescStripes = *f.DescStripes
 	cfg.DescAlgo = algo
-	cfg.Adapt = *f.Adapt
-	cfg.Offload = core.OffloadConfig{Cores: *f.Offload, Batch: *f.OffloadBatch}
 	if cfg.HeapConfig == (mem.Config{}) {
 		cfg.HeapConfig = mem.Config{Arenas: *f.Arenas}
 	} else {
 		cfg.HeapConfig.Arenas = *f.Arenas
 	}
-	return cfg, nil
+	return cfg, cfg.Validate()
 }

@@ -69,14 +69,6 @@ type TelemetrySummary struct {
 	MagMisses  uint64  `json:"magMisses,omitempty"`
 	MagHitRate float64 `json:"magHitRate,omitempty"`
 	MagFlushes uint64  `json:"magFlushes,omitempty"`
-
-	// Offload-layer counters for the interval; all zero when the
-	// allocation-core offload engine is off.
-	OffHits      uint64  `json:"offHits,omitempty"`
-	OffMisses    uint64  `json:"offMisses,omitempty"`
-	OffHitRate   float64 `json:"offHitRate,omitempty"`
-	OffSubmits   uint64  `json:"offSubmits,omitempty"`
-	OffFallbacks uint64  `json:"offFallbacks,omitempty"`
 }
 
 // SummarizeTelemetry digests a snapshot (typically an interval delta
@@ -100,11 +92,6 @@ func SummarizeTelemetry(s telemetry.Snapshot) *TelemetrySummary {
 		MagMisses:     s.MagMisses,
 		MagHitRate:    s.MagHitRate(),
 		MagFlushes:    s.MagFlushes,
-		OffHits:       s.OffHits,
-		OffMisses:     s.OffMisses,
-		OffHitRate:    s.OffHitRate(),
-		OffSubmits:    s.OffSubmits,
-		OffFallbacks:  s.OffFallbacks,
 	}
 }
 
@@ -145,9 +132,6 @@ func (r Result) String() string {
 			tel.RetriesPerOp, time.Duration(tel.MallocP50NS), time.Duration(tel.MallocP99NS))
 		if tel.MagHits+tel.MagMisses > 0 {
 			s += fmt.Sprintf(", mag hit %.1f%%", 100*tel.MagHitRate)
-		}
-		if tel.OffHits+tel.OffMisses > 0 {
-			s += fmt.Sprintf(", off hit %.1f%% fb %d", 100*tel.OffHitRate, tel.OffFallbacks)
 		}
 		s += "]"
 	}

@@ -2,9 +2,8 @@
 // lock-free allocator's memory: where every superblock, block, and
 // region is, how much of the footprint is fragmentation (internal and
 // external), which call sites hold the live bytes, and how old they
-// are. It is the observability substrate the adaptive-tuning work in
-// the ROADMAP consumes, and the answer to the question the telemetry
-// layer (contention and latency) does not ask: "where is the memory?"
+// are. It answers the question the telemetry layer (contention and
+// latency) does not ask: "where is the memory?"
 //
 // A census is assembled entirely from racy-consistent atomic reads —
 // the core walk primitives (Allocator.WalkSuperblocks, WalkActive,

@@ -18,6 +18,7 @@
 package core
 
 import (
+	"fmt"
 	"sync"
 	"sync/atomic"
 
@@ -53,8 +54,8 @@ type Config struct {
 	DescAlgo pool.Algo
 
 	// MaxCredits caps blocks reserved through the Active word at once
-	// (the paper's MAXCREDITS, default and maximum 64). Setting 1
-	// disables batched credits: every malloc from the active
+	// (the paper's MAXCREDITS; 0 selects the default and maximum, 64).
+	// Setting 1 disables batched credits: every malloc from the active
 	// superblock takes the last credit — the credit-free ablation.
 	MaxCredits int
 
@@ -77,7 +78,8 @@ type Config struct {
 	// PartialSlots sets the number of most-recently-used Partial slots
 	// per processor heap (the paper's "multiple slots can be used if
 	// desired", §3.2.6). 0 or 1 selects the paper's default single
-	// slot. Ignored when NoPartialSlot is set.
+	// slot. More than one contradicts NoPartialSlot (Validate rejects
+	// the pair).
 	PartialSlots int
 
 	// MagazineSize enables the thread-local magazine layer: each
@@ -90,17 +92,6 @@ type Config struct {
 	// blocks held outside the shared structures; Thread.Unregister
 	// returns them.
 	MagazineSize int
-
-	// Adapt makes the tuning knobs runtime-mutable: magazine capacities
-	// (per size class, seeded from MagazineSize) and per-thread
-	// descriptor-stripe and arena bindings can be changed while the
-	// allocator runs, via SetMagazineCap / RebindStripe / RebindArena —
-	// the surface internal/adapt's controller drives. Threads notice a
-	// policy change with one epoch comparison at the top of malloc and
-	// apply it between operations, never mid-CAS (see policy.go). When
-	// false (the default) the policy layer is absent and the hot paths
-	// carry only a single never-taken nil-check branch.
-	Adapt bool
 
 	// Hyperblocks enables the §3.2.5 extension: superblocks are
 	// allocated in 1 MiB hyperblock batches (reducing OS calls and
@@ -123,14 +114,6 @@ type Config struct {
 	// instrumented branch.
 	Telemetry *telemetry.Recorder
 
-	// Offload configures the SpeedMalloc-style allocation-core offload
-	// mode (internal/offload): Cores worker-serving allocator
-	// goroutines and the request batch size. The core itself only
-	// carries the knobs — it never reads them on any path — so the
-	// zero value (offload off) adds nothing to malloc/free; the
-	// internal/offload engine and the alloc wrapper consume them.
-	Offload OffloadConfig
-
 	// Shadow, when non-nil, mirrors every Malloc/Free into the
 	// shadow-heap differential oracle (internal/shadow): a debugging
 	// layer that detects double frees, overlapping live blocks, prefix
@@ -141,15 +124,27 @@ type Config struct {
 	Shadow *shadow.Oracle
 }
 
-// OffloadConfig parameterizes the allocation-core offload mode (see
-// Config.Offload and internal/offload). Cores <= 0 disables the mode.
-type OffloadConfig struct {
-	// Cores is the number of dedicated allocator goroutines serving
-	// batched malloc/free requests from all workers.
-	Cores int
-	// Batch is the refill and free-batch size (blocks per request).
-	// 0 selects the offload engine's default.
-	Batch int
+// Validate reports the first contradiction or out-of-range value in
+// cfg. Zero values are always valid: they select the documented
+// defaults.
+func (cfg Config) Validate() error {
+	switch {
+	case cfg.Processors < 0:
+		return fmt.Errorf("core: Processors %d is negative", cfg.Processors)
+	case cfg.DescStripes < 0:
+		return fmt.Errorf("core: DescStripes %d is negative", cfg.DescStripes)
+	case cfg.DescAlgo != pool.AlgoFreelist && cfg.DescAlgo != pool.AlgoConstTime:
+		return fmt.Errorf("core: unknown DescAlgo %v", cfg.DescAlgo)
+	case cfg.MaxCredits < 0 || cfg.MaxCredits > atomicx.MaxCredits:
+		return fmt.Errorf("core: MaxCredits %d out of range [0, %d]", cfg.MaxCredits, atomicx.MaxCredits)
+	case cfg.PartialSlots < 0:
+		return fmt.Errorf("core: PartialSlots %d is negative", cfg.PartialSlots)
+	case cfg.NoPartialSlot && cfg.PartialSlots > 1:
+		return fmt.Errorf("core: NoPartialSlot contradicts PartialSlots %d", cfg.PartialSlots)
+	case cfg.MagazineSize < 0:
+		return fmt.Errorf("core: MagazineSize %d is negative", cfg.MagazineSize)
+	}
+	return nil
 }
 
 // NewRecorder creates a telemetry recorder sized for this allocator's
@@ -185,11 +180,6 @@ type Allocator struct {
 
 	cfg Config
 
-	// pol is the runtime-mutable policy table; non-nil only when
-	// cfg.Adapt. Cold: threads read it through their own threadPolicy
-	// epoch, not on the hit paths.
-	pol *policyTable
-
 	mu      sync.Mutex
 	threads []*Thread
 
@@ -201,14 +191,13 @@ type Allocator struct {
 	// paths — are byte-identical with or without the layer compiled in.
 	shadow *shadow.Oracle
 
-	// The struct fills the 256-byte allocation size class exactly
-	// (Config.Offload spent the last of the former padding budget):
-	// 256-byte objects are always 64-byte aligned, so the hot fields
-	// above land on the same cache lines in every process, rather than
-	// at whatever phase a 208- or 224-byte slot happens to start at.
-	// Growing the struct further requires shrinking or out-lining a
-	// cold field (policy.go pins the total with compile-time
-	// assertions).
+	// Pad the struct into the 256-byte allocation size class: 256-byte
+	// objects are always 64-byte aligned, so the hot fields above land
+	// on the same cache lines in every process, rather than at whatever
+	// phase a 208- or 224-byte slot happens to start at. Growing the
+	// struct within the padding budget cannot change the layout
+	// (layout.go pins the total with compile-time assertions).
+	_ [24]byte
 }
 
 // scState is the per-size-class state (paper's sizeclass structure).
@@ -225,7 +214,7 @@ type scState struct {
 }
 
 // ProcHeap is a processor heap (paper Figure 3): exactly one 64-byte
-// cache line (pinned by a compile-time assertion in policy.go), so
+// cache line (pinned by a compile-time assertion in layout.go), so
 // distinct heaps' Active words never share one. It holds no Go pointer:
 // the Go allocator places pointer-free objects of a line-multiple size
 // on line boundaries, but prefixes an 8-byte header to pointerful ones
@@ -249,17 +238,21 @@ type ProcHeap struct {
 // New constructs an allocator. The static structures for all size
 // classes and processor heaps are allocated and initialized here (the
 // paper does this lazily on the first malloc, also without locking).
+//
+// New normalises only zero values (each to its documented default); it
+// never rewrites a set one, and panics on a Config that Validate
+// rejects. Callers holding untrusted input call Validate first.
 func New(cfg Config) *Allocator {
-	if cfg.Processors <= 0 {
+	if err := cfg.Validate(); err != nil {
+		panic(err)
+	}
+	if cfg.Processors == 0 {
 		cfg.Processors = DefaultProcessors()
 	}
-	if cfg.MaxCredits <= 0 || cfg.MaxCredits > atomicx.MaxCredits {
+	if cfg.MaxCredits == 0 {
 		cfg.MaxCredits = atomicx.MaxCredits
 	}
-	if cfg.MagazineSize < 0 {
-		cfg.MagazineSize = 0
-	}
-	if cfg.DescStripes <= 0 {
+	if cfg.DescStripes == 0 {
 		// Stripe the descriptor freelist like the processor heaps and
 		// region arenas: one DescAvail head per processor.
 		cfg.DescStripes = cfg.Processors
@@ -282,9 +275,6 @@ func New(cfg Config) *Allocator {
 		maxCredits: uint64(cfg.MaxCredits),
 		classes:    make([]scState, sizeclass.NumClasses()),
 		descs:      newDescPool(cfg.DescStripes, cfg.DescAlgo),
-	}
-	if cfg.Adapt {
-		a.pol = newPolicyTable(cfg.MagazineSize, sizeclass.NumClasses())
 	}
 	if a.shadow != nil {
 		// Bind the oracle to this allocator's address space and install
@@ -353,12 +343,9 @@ func (a *Allocator) classOf(h *ProcHeap) *scState { return &a.classes[h.cls] }
 func (a *Allocator) desc(idx uint64) *Descriptor { return a.descs.Get(idx) }
 
 // stripe is the descriptor-pool stripe this thread allocates from and
-// retires to. It defaults to the thread id (a pure function, like
-// processor-heap selection) but is rebindable through the policy layer;
-// the pool reduces any non-negative id modulo its stripe count, and
-// cross-stripe alloc/retire mixing is harmless, so a rebind needs no
-// synchronization beyond happening between operations.
-func (t *Thread) stripe() int { return int(t.stripeID) }
+// retires to: a pure function of the thread id, like processor-heap
+// selection (the pool reduces it modulo its stripe count).
+func (t *Thread) stripe() int { return int(t.id) }
 
 // allocSB obtains a superblock region through the calling thread's
 // region arena, or through the hyperblock layer when enabled (paper
@@ -416,42 +403,15 @@ func (a *Allocator) ShadowOracle() *shadow.Oracle { return a.shadow }
 func (a *Allocator) Thread() *Thread {
 	t := &Thread{a: a, id: a.nextThread.Add(1) - 1, shadow: a.shadow}
 	t.opsp = &t.ops
-	t.stripeID = int32(t.id)
 	// The thread's region arena, like its processor heaps below: a pure
-	// function of the thread id, resolved once (rebindable through the
-	// policy layer on adaptive allocators).
+	// function of the thread id, resolved once.
 	t.arena = a.heap.Arena(int(t.id))
 	if a.tele != nil {
 		t.rec = a.tele.NewShard(t.id)
 	}
-	if a.pol != nil {
-		// Record the applied epoch before reading any policy values:
-		// updates published after the epoch load trigger a (harmlessly
-		// idempotent) re-apply at the first malloc; updates published
-		// before it are visible to the capFor reads below.
-		t.pol = &threadPolicy{table: a.pol}
-		t.pol.stripeTarget.Store(-1)
-		t.pol.arenaTarget.Store(-1)
-		t.pol.applied = a.pol.seq.Load()
-	}
-	if a.cfg.MagazineSize > 0 || a.pol != nil {
+	if a.cfg.MagazineSize > 0 {
+		t.magCap = a.cfg.MagazineSize
 		t.mags = make([]magazine, len(a.classes))
-		for cls := range t.mags {
-			c := a.cfg.MagazineSize
-			if a.pol != nil {
-				c = a.pol.capFor(cls)
-			}
-			mag := &t.mags[cls]
-			mag.cap = c
-			// A refill takes the block being allocated plus half a
-			// magazine, leaving room for subsequent frees before the
-			// next flush; one Active CAS can reserve at most MaxCredits
-			// blocks.
-			mag.want = min(uint64(c/2)+1, a.maxCredits)
-			if int32(c) > t.magCap {
-				t.magCap = int32(c)
-			}
-		}
 	}
 	// Resolve this thread's processor heap per size class once (the
 	// paper's find_heap computes heap = f(sz, thread id) per malloc;
@@ -478,26 +438,9 @@ type Thread struct {
 	hookFn func(HookPoint)
 	rec    *telemetry.ThreadShard // non-nil when telemetry is attached
 
-	// stripeID is the descriptor-pool stripe this thread allocates from
-	// and retires to: the thread id by default, rebindable through the
-	// policy layer (see stripe()). int32 (with magCap below) to fund
-	// the opsp word inside the fixed 256-byte budget; both are small by
-	// construction (stripe counts and MaxMagazineCap are tiny).
-	stripeID int32
-
-	// magCap is the max per-class magazine watermark; 0 = layer
-	// disabled.
-	magCap int32
-
-	// pol is this thread's view of the runtime policy layer; non-nil
-	// only on adaptive allocators (Config.Adapt). The hot paths read
-	// only the nil-ness and the applied epoch (see malloc's policy
-	// poll); everything else lives in outlined applyPolicy.
-	pol *threadPolicy
-
-	// Magazine layer (Config.MagazineSize > 0 or Config.Adapt):
-	// per-size-class private block caches, owned exclusively by this
-	// thread's goroutine.
+	// Magazine layer (Config.MagazineSize > 0): per-size-class private
+	// block caches, owned exclusively by this thread's goroutine.
+	magCap     int // high watermark of every magazine; 0 = layer disabled
 	mags       []magazine
 	magScratch []mem.Ptr // reused flush-group buffer
 
@@ -519,12 +462,14 @@ type Thread struct {
 
 	// shadow mirrors Allocator.shadow; non-nil only when the oracle is
 	// attached (shadowheap builds). Last field for the same reason as
-	// Allocator.shadow: identical layout for the unshadowed build. The
-	// fields above fill the 256-byte size class exactly, so every
-	// Thread stays 64-byte aligned with the ops counter block at a
-	// fixed cache-line phase (policy.go pins the total with
-	// compile-time assertions).
+	// Allocator.shadow: identical layout for the unshadowed build.
 	shadow *shadow.Oracle
+
+	// Pad into the 256-byte size class so every Thread is 64-byte
+	// aligned and the ops counter block sits at a fixed cache-line
+	// phase (see the matching padding on Allocator; layout.go pins the
+	// total with compile-time assertions).
+	_ [8]byte
 }
 
 // opCounters is the per-thread operation-counter block. The owning
@@ -695,17 +640,6 @@ func (t *Thread) SetCharge(other *Thread) {
 // operations proxy-charged to it via SetCharge). Safe to call from any
 // goroutine; same snapshot semantics as Allocator.Stats.
 func (t *Thread) OpStats() OpStats { return t.ops.snapshot() }
-
-// TelemetryShard returns the thread's telemetry shard (nil when the
-// telemetry layer is disabled). The offload worker layer uses it to
-// record stash hit/miss/fallback counters and stash-hit latencies into
-// the same per-thread shards the core's operations use.
-func (t *Thread) TelemetryShard() *telemetry.ThreadShard { return t.rec }
-
-// OffloadConfig returns the construction-time offload knobs
-// (Config.Offload). The core never acts on them; the internal/offload
-// engine reads them here.
-func (a *Allocator) OffloadConfig() OffloadConfig { return a.cfg.Offload }
 
 // BlockIsLarge reports whether a block returned by Malloc is a large
 // block (allocated directly from the OS layer) by inspecting its

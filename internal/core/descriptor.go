@@ -28,7 +28,7 @@ import (
 // which also keeps the implementation clean under the Go race detector.
 //
 // A descriptor is exactly one 64-byte cache line (pinned by a
-// compile-time assertion in policy.go) and pool chunks start on a line
+// compile-time assertion in layout.go) and pool chunks start on a line
 // boundary, so — as with the paper's 64-byte-aligned descriptors, whose
 // alignment bits are where the Active word's credits come from — no two
 // superblocks' Anchor words ever share a line: a thread's CAS on one

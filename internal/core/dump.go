@@ -74,13 +74,6 @@ func (a *Allocator) DumpState(w io.Writer) {
 		counts[atomicx.StatePartial], counts[atomicx.StateEmpty])
 	fmt.Fprintf(w, "desc pool: %s backend, %d stripes, free per stripe %v\n",
 		a.descs.Algo(), a.descs.Stripes(), a.descs.StripeFree())
-	if a.Adaptive() {
-		fmt.Fprintf(w, "policy: adaptive (epoch %d), magazine caps %v\n",
-			a.pol.seq.Load(), a.MagazineCaps())
-		for _, b := range a.ThreadBindings() {
-			fmt.Fprintf(w, "  thread %d: stripe=%d arena=%d\n", b.ID, b.Stripe, b.Arena)
-		}
-	}
 	hs := a.heap.Stats()
 	fmt.Fprintf(w, "heap: reserved=%d KiB live=%d KiB max-live=%d KiB regions %d/%d alloc/free\n",
 		hs.ReservedWords*8/1024, hs.LiveWords*8/1024, hs.MaxLiveWords*8/1024,

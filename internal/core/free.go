@@ -70,13 +70,9 @@ func (t *Thread) free(ptr mem.Ptr, prefix uint64) {
 	if t.magCap != 0 {
 		// Magazine path: cache the block thread-locally; the shared
 		// anchor is only touched when a flush splices a whole batch.
-		// Per-class caps can differ under an adaptive policy, so the
-		// class's own cap gates the put (cap 0 = caching off there).
-		if cls := desc.ClassIndex(); t.mags[cls].cap > 0 {
-			t.magazinePut(cls, ptr)
-			t.opsp.frees.Add(1)
-			return
-		}
+		t.magazinePut(desc.ClassIndex(), ptr)
+		t.opsp.frees.Add(1)
+		return
 	}
 	sb := desc.SB() // line 6
 	maxcount := desc.MaxCount()

@@ -6,7 +6,7 @@ import (
 )
 
 // TestHotWordsOwnTheirLines is the runtime half of the size assertions
-// in policy.go: a 64-byte struct only keeps two threads off one line if
+// in layout.go: a 64-byte struct only keeps two threads off one line if
 // the arrays holding it start on a line boundary. Processor heaps of one
 // class (each owned by a different processor) and descriptors with
 // consecutive indices (consecutive superblocks, which Larson-style

@@ -48,16 +48,6 @@ import (
 type magazine struct {
 	blocks []mem.Ptr // LIFO: the most recently freed block is reused first
 
-	// cap is the magazine's high watermark and want its batched-refill
-	// size (want = cap/2+1 clamped to MaxCredits). Both are plain
-	// fields read and written only by the owning thread: they start at
-	// Config.MagazineSize and, on adaptive allocators (Config.Adapt),
-	// track the published policy words — the owner re-reads them in
-	// applyPolicy between operations, never mid-batch. cap == 0
-	// disables caching for this class.
-	cap  int
-	want uint64
-
 	// n mirrors len(blocks) for concurrent readers (the heap census).
 	// Single-writer: only the owning thread stores it, immediately
 	// after every mutation of blocks, so at any hook point n matches
@@ -82,31 +72,28 @@ func (m *magazine) pop() mem.Ptr {
 func (t *Thread) magazinePut(cls int, ptr mem.Ptr) {
 	mag := &t.mags[cls]
 	if mag.blocks == nil {
-		mag.blocks = make([]mem.Ptr, 0, mag.cap)
+		mag.blocks = make([]mem.Ptr, 0, t.magCap)
 	}
 	mag.blocks = append(mag.blocks, ptr)
 	mag.n.Store(uint64(len(mag.blocks)))
-	if n := len(mag.blocks); n >= mag.cap {
-		// Flush down to half the cap, clamped against the current fill:
-		// the fill and the cap move independently once caps are
-		// runtime-mutable, so cap/2 is not necessarily below n.
-		keep := mag.cap / 2
-		if keep >= n {
-			keep = n - 1
-		}
-		t.flushMagazine(cls, keep)
+	if len(mag.blocks) >= t.magCap {
+		t.flushMagazine(cls, t.magCap/2)
 	}
 }
 
 // refillFromActive is the batched MallocFromActive: a single CAS on the
-// heap's Active word reserves up to want blocks (instead of the paper's
+// heap's Active word reserves a batch of blocks (instead of the paper's
 // one), then the reserved blocks are popped from the anchor
 // back-to-back. The first popped block is returned to satisfy the
 // current malloc; the rest go into the magazine. Returns 0 when Active
 // is NULL (the caller falls back to the paper's partial/new-superblock
 // paths for a single block).
-func (t *Thread) refillFromActive(h *ProcHeap, mag *magazine, want uint64) mem.Ptr {
+func (t *Thread) refillFromActive(h *ProcHeap, mag *magazine) mem.Ptr {
 	a := t.a
+	// A refill takes the block being allocated plus half a magazine,
+	// leaving room for subsequent frees before the next flush; one
+	// Active CAS can reserve at most MaxCredits blocks.
+	want := min(uint64(t.magCap/2)+1, a.maxCredits)
 	// Batch reserve: credits+1 blocks are reservable through the Active
 	// word; take k of them in one CAS. k < credits+1 is a plain packed
 	// decrement by k; k == credits+1 takes the last credit and sets
@@ -138,7 +125,7 @@ func (t *Thread) refillFromActive(h *ProcHeap, mag *magazine, want uint64) mem.P
 	tookLast := k == oldActive.Credits+1
 
 	if mag.blocks == nil {
-		mag.blocks = make([]mem.Ptr, 0, mag.cap)
+		mag.blocks = make([]mem.Ptr, 0, t.magCap)
 	}
 	var ret mem.Ptr
 	for i := uint64(0); i < k; i++ {
@@ -347,13 +334,4 @@ func (t *Thread) Unregister() {
 	// armed) makes double-Unregister and use-after-Unregister safe by
 	// construction: there is no cache left to corrupt or leak into.
 	t.magCap = 0
-	for cls := range t.mags {
-		t.mags[cls].cap = 0
-	}
-	if t.pol != nil {
-		// Pin the release: applyPolicy must never re-arm the magazines
-		// of a handle nobody will flush again (stripe/arena rebinds stay
-		// honored — they hold no state to leak).
-		t.pol.unregistered = true
-	}
 }

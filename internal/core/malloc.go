@@ -41,14 +41,6 @@ func (t *Thread) Malloc(size uint64) (mem.Ptr, error) {
 // malloc allocates a block and reports the size class it was served
 // from (-1 for large blocks), so callers need no second class lookup.
 func (t *Thread) malloc(size uint64) (mem.Ptr, int, error) {
-	// Policy poll: on adaptive allocators, one plain pointer load plus
-	// (if adaptive) one uncontended atomic epoch load decide whether a
-	// newer policy has been published; applying it is outlined. On
-	// non-adaptive allocators this is a single never-taken branch, the
-	// same cost class as the sampler guard.
-	if t.pol != nil && t.pol.table.seq.Load() != t.pol.applied {
-		t.applyPolicy()
-	}
 	sc, small := t.a.classFor(size)
 	if !small {
 		p, err := t.mallocLarge(size)
@@ -66,21 +58,16 @@ func (t *Thread) malloc(size uint64) (mem.Ptr, int, error) {
 			}
 			return p, cls, nil
 		}
-		if mag.cap > 0 {
-			// Only an armed class counts misses and refills: with a
-			// per-class cap of 0 the magazine is a drained pass-through
-			// and the op belongs to the paper's paths below.
-			t.opsp.magMisses.Add(1)
-			if t.rec != nil {
-				t.rec.MagMiss()
-			}
-			if p := t.refillFromActive(t.findHeap(sc), mag, mag.want); !p.IsNil() {
-				return p, cls, nil
-			}
-			// Active was NULL: fall through to the paper's partial and
-			// new-superblock paths for this single block; the next miss
-			// retries the batched refill.
+		t.opsp.magMisses.Add(1)
+		if t.rec != nil {
+			t.rec.MagMiss()
 		}
+		if p := t.refillFromActive(t.findHeap(sc), mag); !p.IsNil() {
+			return p, cls, nil
+		}
+		// Active was NULL: fall through to the paper's partial and
+		// new-superblock paths for this single block; the next miss
+		// retries the batched refill.
 	}
 	heap := t.findHeap(sc)
 	for {

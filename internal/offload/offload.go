@@ -1,5 +1,7 @@
-// Package offload implements an opt-in allocation-core architecture on
-// top of the Michael (PLDI 2004) core allocator: instead of every
+// Package offload implements an allocation-core architecture on top of
+// the Michael (PLDI 2004) core allocator, as a self-contained library
+// over *core.Allocator (no configuration selects it — see DESIGN.md,
+// "Allocation-core offload", for why it is un-wired): instead of every
 // worker thread running the full malloc/free paths against the shared
 // heap structures, workers submit batched requests to a small set of
 // dedicated allocator goroutines ("allocation cores") over the
@@ -36,7 +38,7 @@
 // already gone — by the worker draining the queue itself.
 //
 // Kill tolerance: allocation cores may be killed at any hook point
-// (sched fault injection, SetCoreHook). A killed core's in-flight
+// (fault injection through SetCoreHook). A killed core's in-flight
 // request is adopted by its undertaker: a refill is finished with the
 // blocks already allocated (the waiter falls back for the rest), a
 // free batch is re-enqueued minus the single block whose Free was in
@@ -56,11 +58,10 @@ import (
 	"repro/internal/lfqueue"
 	"repro/internal/mem"
 	"repro/internal/sizeclass"
-	"repro/internal/telemetry"
 )
 
-// DefaultBatch is the refill/free batch size when Config.Offload.Batch
-// is zero.
+// DefaultBatch is the refill/free batch size New uses, and NewWith
+// when given a non-positive batch.
 const DefaultBatch = 32
 
 // defaultBoundPerCore sets the queue depth (in requests, i.e. batches)
@@ -102,14 +103,16 @@ type request struct {
 	state atomic.Uint32
 }
 
-// finish publishes completion: state first, then (for refills) the
-// waiter's mailbox, so a mailbox load that observes the request also
-// observes its ptrs.
+// finish publishes completion: (for refills) the waiter's mailbox
+// first, then the state. Either store publishes ptrs; the order is for
+// Worker.Unregister, which waits on the state and then empties the
+// mailbox — with the state stored first it could find the mailbox
+// still empty, return, and leak the whole batch delivered afterwards.
 func (r *request) finish() {
-	r.state.Store(reqDone)
 	if r.kind == reqRefill {
 		r.w.mail.Store(r)
 	}
+	r.state.Store(reqDone)
 }
 
 // Engine owns the request queue and the allocation-core goroutines for
@@ -165,16 +168,12 @@ type Stats struct {
 	Workers       int    // registered workers
 }
 
-// New builds an engine for a from its construction-time
-// Config.Offload. Callers gate on OffloadConfig().Cores > 0; New
-// clamps a non-positive core count to 1.
-func New(a *core.Allocator) *Engine {
-	oc := a.OffloadConfig()
-	return NewWith(a, oc.Cores, oc.Batch)
-}
+// New builds an engine for a with one allocation core and
+// DefaultBatch.
+func New(a *core.Allocator) *Engine { return NewWith(a, 1, DefaultBatch) }
 
-// NewWith builds an engine with explicit knobs, independent of the
-// allocator's Config.Offload.
+// NewWith builds an engine with explicit knobs; a non-positive core
+// count selects 1 and a non-positive batch DefaultBatch.
 func NewWith(a *core.Allocator, cores, batch int) *Engine {
 	if cores < 1 {
 		cores = 1
@@ -272,7 +271,6 @@ func (e *Engine) Worker() *Worker {
 		eng:   e,
 		th:    th,
 		h:     e.q.Handle(),
-		sh:    th.TelemetryShard(),
 		stash: make([][]mem.Ptr, sizeclass.NumClasses()),
 	}
 }
@@ -409,7 +407,6 @@ func (e *Engine) execute(th *core.Thread, req *request) (killed bool) {
 		th.SetCharge(nil)
 		e.freeBatches.Add(1)
 		e.freedBlocks.Add(uint64(len(req.ptrs)))
-		e.noteBatch(th, uint64(len(req.ptrs)))
 		req.finish()
 	case reqRefill:
 		size := sizeclass.ByIndex(req.class).PayloadBytes
@@ -425,16 +422,9 @@ func (e *Engine) execute(th *core.Thread, req *request) (killed bool) {
 		th.SetCharge(nil)
 		e.refillBatches.Add(1)
 		e.refillBlocks.Add(uint64(len(req.ptrs)))
-		e.noteBatch(th, uint64(len(req.ptrs)))
 		req.finish()
 	}
 	return false
-}
-
-func (e *Engine) noteBatch(th *core.Thread, n uint64) {
-	if sh := th.TelemetryShard(); sh != nil {
-		sh.OffBatch(n)
-	}
 }
 
 // adopt resolves a killed core's in-flight request using only the
@@ -514,7 +504,6 @@ type Worker struct {
 	eng     *Engine
 	th      *core.Thread
 	h       *lfqueue.Handle[*request]
-	sh      *telemetry.ThreadShard
 	stash   [][]mem.Ptr
 	freeBuf []mem.Ptr
 	pending *request // the single outstanding refill, if any
@@ -556,9 +545,6 @@ func (w *Worker) Malloc(size uint64) (mem.Ptr, error) {
 		p := s[len(s)-1]
 		w.stash[cls] = s[:len(s)-1]
 		w.eng.stashHits.Add(1)
-		if w.sh != nil {
-			w.sh.OffHit()
-		}
 		if len(s)-1 <= w.eng.low && w.pending == nil {
 			// Prefetch: refill in the background while we keep
 			// computing off the remaining stash.
@@ -567,9 +553,6 @@ func (w *Worker) Malloc(size uint64) (mem.Ptr, error) {
 		return p, nil
 	}
 	w.eng.stashMisses.Add(1)
-	if w.sh != nil {
-		w.sh.OffMiss()
-	}
 	if w.pending == nil && !w.submitRefill(cls) {
 		return w.fallbackMalloc(size)
 	}
@@ -610,9 +593,6 @@ func (w *Worker) submitRefill(cls int) bool {
 	w.pending = req
 	w.h.Enqueue(req)
 	e.submits.Add(1)
-	if w.sh != nil {
-		w.sh.OffSubmit()
-	}
 	return true
 }
 
@@ -625,9 +605,6 @@ func (w *Worker) flushFrees() {
 	e := w.eng
 	if !e.ready() || e.q.Len() >= int(e.bound.Load()) {
 		e.fallbacks.Add(1)
-		if w.sh != nil {
-			w.sh.OffFallback()
-		}
 		for _, p := range w.freeBuf {
 			w.th.Free(p)
 		}
@@ -638,9 +615,6 @@ func (w *Worker) flushFrees() {
 	w.freeBuf = w.freeBuf[:0]
 	w.h.Enqueue(req)
 	e.submits.Add(1)
-	if w.sh != nil {
-		w.sh.OffSubmit()
-	}
 }
 
 // await spins (yielding) for the pending refill, bounded by
@@ -658,9 +632,6 @@ func (w *Worker) await() bool {
 
 func (w *Worker) fallbackMalloc(size uint64) (mem.Ptr, error) {
 	w.eng.fallbacks.Add(1)
-	if w.sh != nil {
-		w.sh.OffFallback()
-	}
 	return w.th.Malloc(size)
 }
 

@@ -7,11 +7,9 @@ import (
 	"time"
 
 	"repro/alloc"
-	"repro/internal/adapt"
 	"repro/internal/bench"
 	"repro/internal/census"
 	"repro/internal/core"
-	"repro/internal/offload"
 	"repro/internal/pool"
 	"repro/internal/telemetry"
 )
@@ -25,7 +23,7 @@ type RunConfig struct {
 	// 1.0 reproduces the paper's parameters; the default quick scale
 	// (0.01) finishes each experiment in seconds.
 	Scale float64
-	// Allocators to include; nil selects all four.
+	// Allocators to include; nil selects all six (alloc.Names).
 	Allocators []string
 	// Processors sizes each allocator's per-processor structures; 0
 	// uses the maximum of Threads.
@@ -51,19 +49,6 @@ type RunConfig struct {
 	// every lock-free allocator constructed for an experiment
 	// (pool.AlgoFreelist, the default, or pool.AlgoConstTime).
 	DescAlgo pool.Algo
-	// Adapt builds every lock-free allocator with the runtime-mutable
-	// policy surface (core.Config.Adapt) and runs an internal/adapt
-	// controller (default hysteresis policy) beside each measurement.
-	// Requires Telemetry for the controller to have sensors; the adapt
-	// experiment compares static vs adaptive regardless of this flag.
-	Adapt bool
-	// Offload sets Config.Offload on every lock-free allocator
-	// constructed for an experiment (Cores 0 = off): workers submit
-	// batched malloc/free requests to dedicated allocation cores. The
-	// offload experiment compares architectures regardless of this
-	// field, but uses its Cores/Batch as the offload variant's shape
-	// when set.
-	Offload core.OffloadConfig
 	// SampleRate sets the allocation sampler's period (one sample per
 	// SampleRate mallocs) on every telemetry recorder constructed for
 	// an experiment; 0 leaves the sampler off. Requires Telemetry.
@@ -96,44 +81,9 @@ func (c RunConfig) lockFreeOptions(lf core.Config) alloc.Options {
 	if lf.DescAlgo == pool.AlgoFreelist {
 		lf.DescAlgo = c.DescAlgo
 	}
-	lf.Adapt = lf.Adapt || c.Adapt
-	if lf.Offload.Cores == 0 {
-		lf.Offload = c.Offload
-	}
 	opt := alloc.Options{Processors: c.Processors, LockFree: lf}
 	opt.HeapConfig.Arenas = c.Arenas
 	return opt
-}
-
-// adaptInterval scales the controller's step interval with the
-// experiment durations, so a quick-scale run still gives the policy
-// ~50 samples per timed phase.
-func (c RunConfig) adaptInterval() time.Duration {
-	iv := c.scaleDur(30*time.Second) / 50
-	if iv < 5*time.Millisecond {
-		iv = 5 * time.Millisecond
-	}
-	return iv
-}
-
-// startAdapt attaches and starts an adaptive controller on a when the
-// run was configured with Adapt, returning its stop function. The
-// returned function is a no-op when Adapt is off, the allocator is not
-// the lock-free core, or the controller cannot attach (no telemetry).
-func (c RunConfig) startAdapt(a alloc.Allocator) func() {
-	if !c.Adapt {
-		return func() {}
-	}
-	ca, ok := a.(alloc.CoreAccessor)
-	if !ok {
-		return func() {}
-	}
-	ctrl, err := adapt.New(ca.Core(), adapt.Config{Interval: c.adaptInterval()})
-	if err != nil {
-		return func() {}
-	}
-	ctrl.Start()
-	return ctrl.Stop
 }
 
 func (c RunConfig) withDefaults() RunConfig {
@@ -182,8 +132,6 @@ func (c RunConfig) newAlloc(name string) (alloc.Allocator, error) {
 		opt.LockFree.MagazineSize = c.Magazine
 		opt.LockFree.DescStripes = c.DescStripes
 		opt.LockFree.DescAlgo = c.DescAlgo
-		opt.LockFree.Adapt = c.Adapt
-		opt.LockFree.Offload = c.Offload
 	}
 	return alloc.New(name, opt)
 }
@@ -339,25 +287,25 @@ func Experiments() []Experiment {
 			ID:    "magazine",
 			Title: "Magazine layer: thread-local batched caching on top of the lock-free heap",
 			Paper: "beyond the paper — batches the paper's per-op CAS traffic; compare retries/op and malloc p50 against the faithful configuration",
-			Run:   runMagazine,
+			Run:   sweepRunner(magazineSweep),
 		},
 		{
 			ID:    "arenas",
 			Title: "Region arenas: per-processor OS-layer sharding with lock-free stealing",
 			Paper: "beyond the paper — shards the OS layer's bump pointer and free-region bins; compare region-CAS retries and steals against the unsharded layout",
-			Run:   runArenas,
+			Run:   sweepRunner(arenasSweep),
 		},
 		{
 			ID:    "poolstripes",
 			Title: "Descriptor-pool stripes: sharded freelist heads with batched chain migration",
 			Paper: "beyond the paper — stripes the paper's single DescAvail list; compare desc-alloc/desc-retire retries and chain migrations against the unstriped layout",
-			Run:   runPoolStripes,
+			Run:   sweepRunner(poolStripesSweep),
 		},
 		{
 			ID:    "poolalgo",
 			Title: "Descriptor-pool backend: Figure-7 tagged freelist vs Blelloch-Wei constant-time batches",
 			Paper: "beyond the paper — swaps the DescAvail freelist for the constant-time batch scheme (Blelloch & Wei); compare desc retries/op, malloc p50/p99, and batch handoffs under DescChurn and Larson",
-			Run:   runPoolAlgo,
+			Run:   sweepRunner(poolAlgoSweep),
 		},
 		{
 			ID:    "census",
@@ -366,22 +314,10 @@ func Experiments() []Experiment {
 			Run:   runCensus,
 		},
 		{
-			ID:    "adapt",
-			Title: "Adaptive policy: self-tuning controller vs static configurations across a phase change",
-			Paper: "beyond the paper — a two-phase Larson (small objects, then large objects with deep churn) where no static magazine cap wins both phases; acceptance is the adaptive allocator within 10% of the best static config in each phase",
-			Run:   runAdapt,
-		},
-		{
 			ID:    "frag",
 			Title: "Fragmentation vs throughput: non-blocking buddy vs chunk heap vs lock-free size classes",
 			Paper: "beyond the paper — §2 dismisses coalescing for the hot path; the buddy backend (Marotta et al.) adds lock-free coalescing, and this measures what it buys: external fragmentation (free-but-unreturnable space while a mixed-size live set is held) against the ops/s it costs",
 			Run:   runFrag,
-		},
-		{
-			ID:    "offload",
-			Title: "Allocation-core offload: dedicated allocator cores vs thread-local magazines",
-			Paper: "beyond the paper — the SpeedMalloc architecture: workers batch malloc/free requests to K dedicated cores over the MS queue, overlapping allocation with compute; head-to-head against the magazine layer across the thread sweep, reporting the crossover",
-			Run:   runOffload,
 		},
 	}
 }
@@ -400,19 +336,28 @@ func ByID(id string) (Experiment, bool) {
 // an oversubscribed host jitter by up to 2x, so best-of-N is reported.
 const scalarReps = 3
 
-// bestOf runs the workload scalarReps times on fresh allocators and
-// returns the highest-throughput result.
+// bestOf runs the workload scalarReps times on fresh allocators of the
+// named kind and returns the highest-throughput result.
 func bestOf(cfg RunConfig, name string, w bench.Workload, threads int) (bench.Result, error) {
+	return bestRun(cfg, func() (alloc.Allocator, error) { return cfg.newAlloc(name) }, w, threads)
+}
+
+// bestLockFree is bestOf for lock-free allocators, each built from a
+// fresh call of opt (so each gets its own telemetry recorder).
+func bestLockFree(cfg RunConfig, opt func() alloc.Options, w bench.Workload, threads int) bench.Result {
+	best, _ := bestRun(cfg, func() (alloc.Allocator, error) { return alloc.NewLockFree(opt()), nil }, w, threads)
+	return best
+}
+
+func bestRun(cfg RunConfig, mk func() (alloc.Allocator, error), w bench.Workload, threads int) (bench.Result, error) {
 	var best bench.Result
 	for i := 0; i < scalarReps; i++ {
-		a, err := cfg.newAlloc(name)
+		a, err := mk()
 		if err != nil {
 			return bench.Result{}, err
 		}
 		runtime.GC()
-		stop := cfg.startAdapt(a)
 		r := w.Run(a, threads)
-		stop()
 		cfg.note(r)
 		if r.OpsPerSec() > best.OpsPerSec() {
 			best = r
@@ -450,9 +395,7 @@ func figRunner(mkWorkload func(RunConfig) bench.Workload) func(RunConfig, io.Wri
 				// collect them outside the timed region so background
 				// sweeps do not perturb the measurement.
 				runtime.GC()
-				stop := cfg.startAdapt(a)
 				r := w.Run(a, t)
-				stop()
 				cfg.note(r)
 				s.Points = append(s.Points, Point{Threads: t, Value: r.SpeedupOver(base)})
 				fmt.Fprintf(out, "# %s\n", r)
@@ -656,69 +599,147 @@ func runUniprocessor(cfg RunConfig, out io.Writer) error {
 	return nil
 }
 
-// runMagazine compares the lock-free allocator with magazines off and
-// on, at the maximum thread count, on the two workloads with the
-// heaviest shared-word traffic. Telemetry is forced on so both rows of
-// each table carry retries/op and malloc p50 from the same run — the
-// acceptance comparison for the magazine layer.
-func runMagazine(cfg RunConfig, out io.Writer) error {
-	cfg = cfg.withDefaults()
-	cfg.Telemetry = true
-	maxT := cfg.Threads[len(cfg.Threads)-1]
+// knobSweep is one A/B experiment over a single allocator knob: every
+// variant runs every workload at the maximum thread count, best of
+// scalarReps, and lands as one row of that workload's table. Telemetry
+// is forced on so all rows of a table carry their counters from the
+// same kind of run — the acceptance comparison for the knob.
+type knobSweep struct {
+	title     string // table titles read "<title>: <workload> at <n> threads"
+	variants  []knobVariant
+	workloads []bench.Workload
+	columns   []knobColumn // between "variant", "ops/s" and "maxlive B"
+	notes     []string
+}
+
+// knobVariant names one setting of the knob and applies it to the
+// options every lock-free allocator of its rows is built from.
+type knobVariant struct {
+	name string
+	set  func(*alloc.Options)
+}
+
+type knobColumn struct {
+	name string
+	cell func(bench.Result) string
+}
+
+// sweepRunner turns a knobSweep (built from the defaulted run
+// configuration, which supplies scales and the processor count) into an
+// experiment runner.
+func sweepRunner(spec func(RunConfig) knobSweep) func(RunConfig, io.Writer) error {
+	return func(cfg RunConfig, out io.Writer) error {
+		cfg = cfg.withDefaults()
+		cfg.Telemetry = true
+		maxT := cfg.Threads[len(cfg.Threads)-1]
+		s := spec(cfg)
+		columns := []string{"variant", "ops/s"}
+		for _, c := range s.columns {
+			columns = append(columns, c.name)
+		}
+		columns = append(columns, "maxlive B")
+		for _, w := range s.workloads {
+			t := Table{
+				Title:   fmt.Sprintf("%s: %s at %d threads", s.title, w.Name(), maxT),
+				Columns: columns,
+				Notes:   s.notes,
+			}
+			for _, v := range s.variants {
+				best := bestLockFree(cfg, func() alloc.Options {
+					opt := cfg.lockFreeOptions(core.Config{})
+					v.set(&opt)
+					return opt
+				}, w, maxT)
+				row := []string{v.name, fmt.Sprintf("%.0f", best.OpsPerSec())}
+				for _, c := range s.columns {
+					row = append(row, c.cell(best))
+				}
+				t.Rows = append(t.Rows, append(row, fmt.Sprintf("%d", best.MaxLiveBytes)))
+			}
+			fmt.Fprint(out, t.Render())
+			fmt.Fprintln(out)
+		}
+		return nil
+	}
+}
+
+// telColumn is a column computed from the row's telemetry summary; the
+// cell is "-" for a row without one.
+func telColumn(name string, cell func(bench.Result, *bench.TelemetrySummary) string) knobColumn {
+	return knobColumn{name, func(r bench.Result) string {
+		if r.Telemetry == nil || r.Ops == 0 {
+			return "-"
+		}
+		return cell(r, r.Telemetry)
+	}}
+}
+
+// retriesColumn sums the failed CASes at the named telemetry sites;
+// retriesPerOpColumn divides that by the workload's operation count.
+func retriesColumn(name string, sites ...string) knobColumn {
+	return telColumn(name, func(_ bench.Result, tel *bench.TelemetrySummary) string {
+		return fmt.Sprintf("%d", siteRetries(tel, sites))
+	})
+}
+
+func retriesPerOpColumn(name string, sites ...string) knobColumn {
+	return telColumn(name, func(r bench.Result, tel *bench.TelemetrySummary) string {
+		return fmt.Sprintf("%.6f", float64(siteRetries(tel, sites))/float64(r.Ops))
+	})
+}
+
+func siteRetries(tel *bench.TelemetrySummary, sites []string) (n uint64) {
+	for _, site := range sites {
+		n += tel.RetriesBySite[site]
+	}
+	return n
+}
+
+var (
+	mallocP50Column = telColumn("malloc p50", func(_ bench.Result, tel *bench.TelemetrySummary) string {
+		return time.Duration(tel.MallocP50NS).String()
+	})
+	mallocP99Column = telColumn("malloc p99", func(_ bench.Result, tel *bench.TelemetrySummary) string {
+		return time.Duration(tel.MallocP99NS).String()
+	})
+)
+
+// magazineSweep compares the lock-free allocator with magazines off and
+// on, on the two workloads with the heaviest shared-word traffic.
+func magazineSweep(cfg RunConfig) knobSweep {
 	magSize := cfg.Magazine
 	if magSize == 0 {
 		magSize = 64
 	}
-	// Each variant carries its own explicit MagazineSize; clear the
-	// global default so the "off" row really runs without magazines.
-	cfg.Magazine = 0
-	variants := []struct {
-		name string
-		size int
-	}{
-		{"magazines off (paper-faithful)", 0},
-		{fmt.Sprintf("magazines on (size=%d)", magSize), magSize},
+	size := func(n int) func(*alloc.Options) {
+		return func(o *alloc.Options) { o.LockFree.MagazineSize = n }
 	}
-	workloads := []bench.Workload{cfg.larson(), cfg.producerConsumer(500)}
-	for _, w := range workloads {
-		t := Table{
-			Title:   fmt.Sprintf("Magazine layer: %s at %d threads", w.Name(), maxT),
-			Columns: []string{"variant", "ops/s", "retries", "retries/op", "malloc p50", "hit rate", "maxlive B"},
-			Notes: []string{
-				"same binary, same run; magazines batch Active/anchor CAS traffic into refills and flushes",
-			},
-		}
-		for _, v := range variants {
-			var best bench.Result
-			for i := 0; i < scalarReps; i++ {
-				a := alloc.NewLockFree(cfg.lockFreeOptions(core.Config{MagazineSize: v.size}))
-				runtime.GC()
-				r := w.Run(a, maxT)
-				cfg.note(r)
-				if r.OpsPerSec() > best.OpsPerSec() {
-					best = r
+	return knobSweep{
+		title: "Magazine layer",
+		variants: []knobVariant{
+			{"magazines off (paper-faithful)", size(0)},
+			{fmt.Sprintf("magazines on (size=%d)", magSize), size(magSize)},
+		},
+		workloads: []bench.Workload{cfg.larson(), cfg.producerConsumer(500)},
+		columns: []knobColumn{
+			telColumn("retries", func(_ bench.Result, tel *bench.TelemetrySummary) string {
+				return fmt.Sprintf("%d", tel.TotalRetries)
+			}),
+			telColumn("retries/op", func(_ bench.Result, tel *bench.TelemetrySummary) string {
+				return fmt.Sprintf("%.4f", tel.RetriesPerOp)
+			}),
+			mallocP50Column,
+			telColumn("hit rate", func(_ bench.Result, tel *bench.TelemetrySummary) string {
+				if tel.MagHits+tel.MagMisses == 0 {
+					return "-"
 				}
-			}
-			raw, perOp, p50, hit := "-", "-", "-", "-"
-			if tel := best.Telemetry; tel != nil {
-				raw = fmt.Sprintf("%d", tel.TotalRetries)
-				perOp = fmt.Sprintf("%.4f", tel.RetriesPerOp)
-				p50 = time.Duration(tel.MallocP50NS).String()
-				if tel.MagHits+tel.MagMisses > 0 {
-					hit = fmt.Sprintf("%.1f%%", 100*tel.MagHitRate)
-				}
-			}
-			t.Rows = append(t.Rows, []string{
-				v.name,
-				fmt.Sprintf("%.0f", best.OpsPerSec()),
-				raw, perOp, p50, hit,
-				fmt.Sprintf("%d", best.MaxLiveBytes),
-			})
-		}
-		fmt.Fprint(out, t.Render())
-		fmt.Fprintln(out)
+				return fmt.Sprintf("%.1f%%", 100*tel.MagHitRate)
+			}),
+		},
+		notes: []string{
+			"same binary, same run; magazines batch Active/anchor CAS traffic into refills and flushes",
+		},
 	}
-	return nil
 }
 
 // regionSites are the telemetry sites of the OS layer's lock-free
@@ -726,202 +747,97 @@ func runMagazine(cfg RunConfig, out io.Writer) error {
 // bump pointers.
 var regionSites = []string{"region-pop", "region-push", "region-bump"}
 
-// runArenas compares the unsharded OS layer (arenas=1, the
-// pre-sharding layout) against per-processor region arenas, at the
-// maximum thread count, on the two workloads that recycle superblocks
-// through the region bins hardest. Telemetry is forced on so both rows
-// carry region-CAS retries and steal counts from the same run — the
-// acceptance comparison for the arena layer.
-func runArenas(cfg RunConfig, out io.Writer) error {
-	cfg = cfg.withDefaults()
-	cfg.Telemetry = true
-	maxT := cfg.Threads[len(cfg.Threads)-1]
-	variants := []struct {
-		name   string
-		arenas int
-	}{
-		{"arenas=1 (global OS layer)", 1},
-		{fmt.Sprintf("arenas=%d (per-processor)", cfg.Processors), cfg.Processors},
+// arenasSweep compares the unsharded OS layer (arenas=1, the
+// pre-sharding layout) against per-processor region arenas, on the two
+// workloads that recycle superblocks through the region bins hardest.
+func arenasSweep(cfg RunConfig) knobSweep {
+	arenas := func(n int) func(*alloc.Options) {
+		return func(o *alloc.Options) { o.HeapConfig.Arenas = n }
 	}
-	workloads := []bench.Workload{cfg.larson(), cfg.linuxScalability()}
-	for _, w := range workloads {
-		t := Table{
-			Title:   fmt.Sprintf("Region arenas: %s at %d threads", w.Name(), maxT),
-			Columns: []string{"variant", "ops/s", "region retries", "region retries/op", "steals", "maxlive B"},
-			Notes: []string{
-				"region retries = failed CASes at the region-pop, region-push, and region-bump sites",
-				"steals = region allocations served from a sibling arena's partition",
-			},
-		}
-		for _, v := range variants {
-			var best bench.Result
-			for i := 0; i < scalarReps; i++ {
-				opt := cfg.lockFreeOptions(core.Config{})
-				opt.HeapConfig.Arenas = v.arenas
-				a := alloc.NewLockFree(opt)
-				runtime.GC()
-				r := w.Run(a, maxT)
-				cfg.note(r)
-				if r.OpsPerSec() > best.OpsPerSec() {
-					best = r
-				}
-			}
-			raw, perOp, steals := "-", "-", "-"
-			if tel := best.Telemetry; tel != nil && best.Ops > 0 {
-				var rr uint64
-				for _, site := range regionSites {
-					rr += tel.RetriesBySite[site]
-				}
-				raw = fmt.Sprintf("%d", rr)
-				perOp = fmt.Sprintf("%.6f", float64(rr)/float64(best.Ops))
-				steals = fmt.Sprintf("%d", tel.RetriesBySite[telemetry.SiteRegionSteal.String()])
-			}
-			t.Rows = append(t.Rows, []string{
-				v.name,
-				fmt.Sprintf("%.0f", best.OpsPerSec()),
-				raw, perOp, steals,
-				fmt.Sprintf("%d", best.MaxLiveBytes),
-			})
-		}
-		fmt.Fprint(out, t.Render())
-		fmt.Fprintln(out)
+	return knobSweep{
+		title: "Region arenas",
+		variants: []knobVariant{
+			{"arenas=1 (global OS layer)", arenas(1)},
+			{fmt.Sprintf("arenas=%d (per-processor)", cfg.Processors), arenas(cfg.Processors)},
+		},
+		workloads: []bench.Workload{cfg.larson(), cfg.linuxScalability()},
+		columns: []knobColumn{
+			retriesColumn("region retries", regionSites...),
+			retriesPerOpColumn("region retries/op", regionSites...),
+			retriesColumn("steals", telemetry.SiteRegionSteal.String()),
+		},
+		notes: []string{
+			"region retries = failed CASes at the region-pop, region-push, and region-bump sites",
+			"steals = region allocations served from a sibling arena's partition",
+		},
 	}
-	return nil
 }
 
 // descSites are the telemetry sites of the descriptor pool's striped
 // freelist heads.
 var descSites = []string{"desc-alloc", "desc-retire"}
 
-// runPoolStripes compares the paper's single DescAvail freelist
+var migrationsColumn = retriesColumn("migrations", telemetry.SitePoolMigrate.String())
+
+// poolStripesSweep compares the paper's single DescAvail freelist
 // (DescStripes=1) against per-processor freelist stripes with batched
-// chain migration, at the maximum thread count, on the two workloads
-// that churn descriptors hardest (larson recycles superblocks
-// continuously; threadtest creates and destroys them in bulk).
-// Telemetry is forced on so both rows carry desc-CAS retries and
-// migration counts from the same run — the acceptance comparison for
-// the generic pool layer.
-func runPoolStripes(cfg RunConfig, out io.Writer) error {
-	cfg = cfg.withDefaults()
-	cfg.Telemetry = true
-	maxT := cfg.Threads[len(cfg.Threads)-1]
-	variants := []struct {
-		name    string
-		stripes int
-	}{
-		{"stripes=1 (single DescAvail)", 1},
-		{fmt.Sprintf("stripes=%d (per-processor)", cfg.Processors), cfg.Processors},
+// chain migration, on the two workloads that churn descriptors hardest
+// (larson recycles superblocks continuously; threadtest creates and
+// destroys them in bulk).
+func poolStripesSweep(cfg RunConfig) knobSweep {
+	stripes := func(n int) func(*alloc.Options) {
+		return func(o *alloc.Options) { o.LockFree.DescStripes = n }
 	}
-	workloads := []bench.Workload{cfg.larson(), cfg.threadtest()}
-	for _, w := range workloads {
-		t := Table{
-			Title:   fmt.Sprintf("Descriptor-pool stripes: %s at %d threads", w.Name(), maxT),
-			Columns: []string{"variant", "ops/s", "desc retries", "desc retries/op", "migrations", "maxlive B"},
-			Notes: []string{
-				"desc retries = failed CASes at the desc-alloc and desc-retire freelist sites",
-				"migrations = whole-chain transfers from a sibling stripe to a dry one",
-			},
-		}
-		for _, v := range variants {
-			var best bench.Result
-			for i := 0; i < scalarReps; i++ {
-				a := alloc.NewLockFree(cfg.lockFreeOptions(core.Config{DescStripes: v.stripes}))
-				runtime.GC()
-				r := w.Run(a, maxT)
-				cfg.note(r)
-				if r.OpsPerSec() > best.OpsPerSec() {
-					best = r
-				}
-			}
-			raw, perOp, migs := "-", "-", "-"
-			if tel := best.Telemetry; tel != nil && best.Ops > 0 {
-				var rr uint64
-				for _, site := range descSites {
-					rr += tel.RetriesBySite[site]
-				}
-				raw = fmt.Sprintf("%d", rr)
-				perOp = fmt.Sprintf("%.6f", float64(rr)/float64(best.Ops))
-				migs = fmt.Sprintf("%d", tel.RetriesBySite[telemetry.SitePoolMigrate.String()])
-			}
-			t.Rows = append(t.Rows, []string{
-				v.name,
-				fmt.Sprintf("%.0f", best.OpsPerSec()),
-				raw, perOp, migs,
-				fmt.Sprintf("%d", best.MaxLiveBytes),
-			})
-		}
-		fmt.Fprint(out, t.Render())
-		fmt.Fprintln(out)
+	return knobSweep{
+		title: "Descriptor-pool stripes",
+		variants: []knobVariant{
+			{"stripes=1 (single DescAvail)", stripes(1)},
+			{fmt.Sprintf("stripes=%d (per-processor)", cfg.Processors), stripes(cfg.Processors)},
+		},
+		workloads: []bench.Workload{cfg.larson(), cfg.threadtest()},
+		columns: []knobColumn{
+			retriesColumn("desc retries", descSites...),
+			retriesPerOpColumn("desc retries/op", descSites...),
+			migrationsColumn,
+		},
+		notes: []string{
+			"desc retries = failed CASes at the desc-alloc and desc-retire freelist sites",
+			"migrations = whole-chain transfers from a sibling stripe to a dry one",
+		},
 	}
-	return nil
 }
 
-// runPoolAlgo pits the descriptor pool's two recycling backends
-// against each other at the maximum thread count: the Figure-7 tagged
-// freelist (per-processor stripes, chain migration) and the
-// Blelloch-Wei constant-time batch scheme. DescChurn bottlenecks on
-// descriptor recycling itself; Larson shows the backend's cost inside
-// a realistic mixed workload. Telemetry is forced on so every row
-// carries desc-site CAS retries, malloc latency percentiles, and
-// migration/handoff counts from the same run. The acceptance claim:
-// the constant-time backend's desc retries/op is ~0 (its per-node
-// paths have no CAS loop to retry) with Larson ops/s within noise of
-// the freelist.
-func runPoolAlgo(cfg RunConfig, out io.Writer) error {
-	cfg = cfg.withDefaults()
-	cfg.Telemetry = true
-	maxT := cfg.Threads[len(cfg.Threads)-1]
-	variants := []struct {
-		name string
-		algo pool.Algo
-	}{
-		{"freelist (Figure 7, striped)", pool.AlgoFreelist},
-		{"consttime (Blelloch-Wei batches)", pool.AlgoConstTime},
+// poolAlgoSweep pits the descriptor pool's two recycling backends
+// against each other: the Figure-7 tagged freelist (per-processor
+// stripes, chain migration) and the Blelloch-Wei constant-time batch
+// scheme. DescChurn bottlenecks on descriptor recycling itself; Larson
+// shows the backend's cost inside a realistic mixed workload. The
+// acceptance claim: the constant-time backend's desc retries/op is ~0
+// (its per-node paths have no CAS loop to retry) with Larson ops/s
+// within noise of the freelist.
+func poolAlgoSweep(cfg RunConfig) knobSweep {
+	algo := func(a pool.Algo) func(*alloc.Options) {
+		return func(o *alloc.Options) { o.LockFree.DescAlgo = a }
 	}
-	workloads := []bench.Workload{cfg.descChurn(), cfg.larson()}
-	for _, w := range workloads {
-		t := Table{
-			Title:   fmt.Sprintf("Descriptor-pool backend: %s at %d threads", w.Name(), maxT),
-			Columns: []string{"variant", "ops/s", "desc retries", "desc retries/op", "malloc p50", "malloc p99", "migrations", "maxlive B"},
-			Notes: []string{
-				"desc retries = failed CASes at the desc-alloc and desc-retire sites (shared-stack CASes for consttime)",
-				"migrations = chain migrations (freelist) or batch handoffs via the shared stacks (consttime)",
-			},
-		}
-		for _, v := range variants {
-			var best bench.Result
-			for i := 0; i < scalarReps; i++ {
-				a := alloc.NewLockFree(cfg.lockFreeOptions(core.Config{DescAlgo: v.algo}))
-				runtime.GC()
-				r := w.Run(a, maxT)
-				cfg.note(r)
-				if r.OpsPerSec() > best.OpsPerSec() {
-					best = r
-				}
-			}
-			raw, perOp, p50, p99, migs := "-", "-", "-", "-", "-"
-			if tel := best.Telemetry; tel != nil && best.Ops > 0 {
-				var rr uint64
-				for _, site := range descSites {
-					rr += tel.RetriesBySite[site]
-				}
-				raw = fmt.Sprintf("%d", rr)
-				perOp = fmt.Sprintf("%.6f", float64(rr)/float64(best.Ops))
-				p50 = time.Duration(tel.MallocP50NS).String()
-				p99 = time.Duration(tel.MallocP99NS).String()
-				migs = fmt.Sprintf("%d", tel.RetriesBySite[telemetry.SitePoolMigrate.String()])
-			}
-			t.Rows = append(t.Rows, []string{
-				v.name,
-				fmt.Sprintf("%.0f", best.OpsPerSec()),
-				raw, perOp, p50, p99, migs,
-				fmt.Sprintf("%d", best.MaxLiveBytes),
-			})
-		}
-		fmt.Fprint(out, t.Render())
-		fmt.Fprintln(out)
+	return knobSweep{
+		title: "Descriptor-pool backend",
+		variants: []knobVariant{
+			{"freelist (Figure 7, striped)", algo(pool.AlgoFreelist)},
+			{"consttime (Blelloch-Wei batches)", algo(pool.AlgoConstTime)},
+		},
+		workloads: []bench.Workload{cfg.descChurn(), cfg.larson()},
+		columns: []knobColumn{
+			retriesColumn("desc retries", descSites...),
+			retriesPerOpColumn("desc retries/op", descSites...),
+			mallocP50Column,
+			mallocP99Column,
+			migrationsColumn,
+		},
+		notes: []string{
+			"desc retries = failed CASes at the desc-alloc and desc-retire sites (shared-stack CASes for consttime)",
+			"migrations = chain migrations (freelist) or batch handoffs via the shared stacks (consttime)",
+		},
 	}
-	return nil
 }
 
 // runCensus measures the observability tax: the lock-free allocator
@@ -1022,136 +938,6 @@ func runCensus(cfg RunConfig, out io.Writer) error {
 	return nil
 }
 
-// runAdapt is the acceptance experiment for the adaptive policy layer:
-// a workload whose optimal magazine cap changes mid-run. Phase 1 is the
-// paper's Larson (small objects, high locality — big magazines win);
-// phase 2 switches to large objects with a deep churn set (few blocks
-// per superblock — caching costs memory and pays little). Both phases
-// run back-to-back on the SAME allocator, so a static configuration is
-// necessarily wrong in one of them; the adaptive variant must re-tune
-// across the transition and land within 10% of the best static config
-// in each phase. Telemetry is forced on (the controller's sensors), so
-// every row carries the magazine hit rate and desc retries/op of its
-// own phase.
-func runAdapt(cfg RunConfig, out io.Writer) error {
-	cfg = cfg.withDefaults()
-	cfg.Telemetry = true
-	// Each variant carries its own explicit MagazineSize/Adapt; clear
-	// the global flags so the static rows really run statically.
-	cfg.Magazine = 0
-	cfg.Adapt = false
-	maxT := cfg.Threads[len(cfg.Threads)-1]
-	phases := []struct {
-		name string
-		w    bench.Workload
-	}{
-		{"small", bench.Larson{Duration: cfg.scaleDur(15 * time.Second), BlocksPerThread: 1024, MinSize: 16, MaxSize: 80}},
-		{"large", bench.Larson{Duration: cfg.scaleDur(15 * time.Second), BlocksPerThread: 256, MinSize: 512, MaxSize: 2048}},
-	}
-	variants := []struct {
-		name  string
-		mag   int
-		adapt bool
-	}{
-		{"static mag=0 (paper-faithful)", 0, false},
-		{"static mag=64", 64, false},
-		{"adaptive (start mag=8, hysteresis)", 8, true},
-	}
-	t := Table{
-		Title:   fmt.Sprintf("Adaptive policy: two-phase Larson at %d threads", maxT),
-		Columns: []string{"variant", "phase", "ops/s", "hit rate", "desc retries/op", "decisions"},
-		Notes: []string{
-			"phases run back-to-back on the same allocator; 'decisions' counts the controller's knob movements during that phase",
-		},
-	}
-	// best[phase index] tracks the best static ops/s; adaptOps the
-	// adaptive variant's, for the acceptance ratio.
-	best := make([]float64, len(phases))
-	adaptOps := make([]float64, len(phases))
-	for _, v := range variants {
-		// Best-of-N by combined throughput; both phase rows come from the
-		// winning rep so the transition they show is a real one.
-		var bestRes []bench.Result
-		var bestDecs []uint64
-		var bestCombined float64
-		for rep := 0; rep < scalarReps; rep++ {
-			a := alloc.NewLockFree(cfg.lockFreeOptions(core.Config{MagazineSize: v.mag, Adapt: v.adapt}))
-			var ctrl *adapt.Controller
-			if v.adapt {
-				var err error
-				ctrl, err = adapt.New(a.(alloc.CoreAccessor).Core(), adapt.Config{Interval: cfg.adaptInterval()})
-				if err != nil {
-					return err
-				}
-				ctrl.Start()
-			}
-			var results []bench.Result
-			var decs []uint64
-			var ops uint64
-			var elapsed time.Duration
-			var prevDecs uint64
-			for _, ph := range phases {
-				runtime.GC()
-				r := ph.w.Run(a, maxT)
-				cfg.note(r)
-				results = append(results, r)
-				ops += r.Ops
-				elapsed += r.Elapsed
-				var d uint64
-				if ctrl != nil {
-					d = ctrl.DecisionCount() - prevDecs
-					prevDecs += d
-				}
-				decs = append(decs, d)
-			}
-			if ctrl != nil {
-				ctrl.Stop()
-			}
-			combined := float64(ops) / elapsed.Seconds()
-			if combined > bestCombined {
-				bestCombined, bestRes, bestDecs = combined, results, decs
-			}
-		}
-		for i, r := range bestRes {
-			hit, perOp := "-", "-"
-			if tel := r.Telemetry; tel != nil && r.Ops > 0 {
-				if tel.MagHits+tel.MagMisses > 0 {
-					hit = fmt.Sprintf("%.1f%%", 100*tel.MagHitRate)
-				}
-				var rr uint64
-				for _, site := range descSites {
-					rr += tel.RetriesBySite[site]
-				}
-				perOp = fmt.Sprintf("%.6f", float64(rr)/float64(r.Ops))
-			}
-			decCell := "-"
-			if v.adapt {
-				decCell = fmt.Sprintf("%d", bestDecs[i])
-			}
-			ops := r.OpsPerSec()
-			if v.adapt {
-				adaptOps[i] = ops
-			} else if ops > best[i] {
-				best[i] = ops
-			}
-			t.Rows = append(t.Rows, []string{
-				v.name, phases[i].name,
-				fmt.Sprintf("%.0f", ops),
-				hit, perOp, decCell,
-			})
-		}
-	}
-	for i := range phases {
-		if best[i] > 0 {
-			t.Notes = append(t.Notes, fmt.Sprintf(
-				"phase %s: adaptive/best-static = %.2f (acceptance >= 0.90)",
-				phases[i].name, adaptOps[i]/best[i]))
-		}
-	}
-	fmt.Fprint(out, t.Render())
-	return nil
-}
-
 func runAblations(cfg RunConfig, out io.Writer) error {
 	cfg = cfg.withDefaults()
 	maxT := cfg.Threads[len(cfg.Threads)-1]
@@ -1175,144 +961,12 @@ func runAblations(cfg RunConfig, out io.Writer) error {
 			Columns: []string{"variant", "ops/s", "maxlive B"},
 		}
 		for _, v := range variants {
-			var best bench.Result
-			for i := 0; i < scalarReps; i++ {
-				a := alloc.NewLockFree(cfg.lockFreeOptions(v.cfg))
-				runtime.GC()
-				r := w.Run(a, maxT)
-				cfg.note(r)
-				if r.OpsPerSec() > best.OpsPerSec() {
-					best = r
-				}
-			}
+			best := bestLockFree(cfg, func() alloc.Options { return cfg.lockFreeOptions(v.cfg) }, w, maxT)
 			t.Rows = append(t.Rows, []string{
 				v.name,
 				fmt.Sprintf("%.0f", best.OpsPerSec()),
 				fmt.Sprintf("%d", best.MaxLiveBytes),
 			})
-		}
-		fmt.Fprint(out, t.Render())
-		fmt.Fprintln(out)
-	}
-	return nil
-}
-
-// runOffload runs the allocation-core architecture head to head
-// against the magazine layer across the thread sweep, on the two
-// sustained-churn workloads. Both variants sit on the identical
-// lock-free heap; the contest is purely between the two ways of
-// keeping workers off the shared CAS paths — thread-local caching
-// (magazines) versus shipping batches to dedicated allocator cores
-// (offload). The table reports, per thread count, both throughputs and
-// their ratio plus the hit-rate/latency columns of the magazine
-// experiment, and the notes characterize the crossover.
-func runOffload(cfg RunConfig, out io.Writer) error {
-	cfg = cfg.withDefaults()
-	cfg.Telemetry = true
-	cores := cfg.Offload.Cores
-	if cores <= 0 {
-		// SpeedMalloc dedicates a minority of the machine to
-		// allocation; a quarter of the sweep's processor budget (at
-		// least one) is the default shape.
-		cores = cfg.Processors / 4
-		if cores < 1 {
-			cores = 1
-		}
-	}
-	batch := cfg.Offload.Batch
-	if batch <= 0 {
-		batch = offload.DefaultBatch
-	}
-	magSize := cfg.Magazine
-	if magSize == 0 {
-		magSize = 64
-	}
-	// Each variant carries its own layer config; clear the globals so
-	// neither row inherits the other's layer.
-	cfg.Magazine = 0
-	cfg.Offload = core.OffloadConfig{}
-
-	run := func(w bench.Workload, lf core.Config, threads int) bench.Result {
-		var best bench.Result
-		for i := 0; i < scalarReps; i++ {
-			a := alloc.NewLockFree(cfg.lockFreeOptions(lf))
-			runtime.GC()
-			r := w.Run(a, threads)
-			if oa, ok := a.(alloc.OffloadAccessor); ok {
-				// The engine auto-quiesces when the workload's threads
-				// unregister; Stop here is belt and braces so no core
-				// goroutines outlive the measurement.
-				if e := oa.OffloadEngine(); e != nil {
-					e.Stop()
-				}
-			}
-			cfg.note(r)
-			if r.OpsPerSec() > best.OpsPerSec() {
-				best = r
-			}
-		}
-		return best
-	}
-	hitCols := func(r bench.Result, mag bool) (hit, p50 string) {
-		hit, p50 = "-", "-"
-		tel := r.Telemetry
-		if tel == nil {
-			return
-		}
-		p50 = time.Duration(tel.MallocP50NS).String()
-		if mag && tel.MagHits+tel.MagMisses > 0 {
-			hit = fmt.Sprintf("%.1f%%", 100*tel.MagHitRate)
-		}
-		if !mag && tel.OffHits+tel.OffMisses > 0 {
-			hit = fmt.Sprintf("%.1f%%", 100*tel.OffHitRate)
-		}
-		return
-	}
-
-	for _, w := range []bench.Workload{cfg.larson(), cfg.producerConsumer(500)} {
-		t := Table{
-			Title: fmt.Sprintf("Offload vs magazine: %s (offload cores=%d batch=%d, magazine size=%d)",
-				w.Name(), cores, batch, magSize),
-			Columns: []string{"threads", "mag ops/s", "off ops/s", "off/mag", "mag hit", "off hit", "off fb", "mag p50", "off p50"},
-			Notes: []string{
-				"same lock-free heap underneath; magazines cache per thread, offload ships batches to dedicated allocator cores",
-				"off p50 is the latency of the shared-structure ops the cores execute, not the worker-side stash pop",
-			},
-		}
-		crossAt := 0
-		var lastRatio float64
-		for _, th := range cfg.Threads {
-			mag := run(w, core.Config{MagazineSize: magSize}, th)
-			off := run(w, core.Config{Offload: core.OffloadConfig{Cores: cores, Batch: batch}}, th)
-			ratio := 0.0
-			if m := mag.OpsPerSec(); m > 0 {
-				ratio = off.OpsPerSec() / m
-			}
-			lastRatio = ratio
-			if crossAt == 0 && ratio >= 1 {
-				crossAt = th
-			}
-			magHit, magP50 := hitCols(mag, true)
-			offHit, offP50 := hitCols(off, false)
-			offFB := "-"
-			if off.Telemetry != nil {
-				offFB = fmt.Sprintf("%d", off.Telemetry.OffFallbacks)
-			}
-			t.Rows = append(t.Rows, []string{
-				fmt.Sprintf("%d", th),
-				fmt.Sprintf("%.0f", mag.OpsPerSec()),
-				fmt.Sprintf("%.0f", off.OpsPerSec()),
-				fmt.Sprintf("%.2f", ratio),
-				magHit, offHit, offFB, magP50, offP50,
-			})
-		}
-		switch {
-		case crossAt > 0:
-			t.Notes = append(t.Notes, fmt.Sprintf(
-				"crossover: offload matches the magazine layer from %d threads on this host", crossAt))
-		default:
-			t.Notes = append(t.Notes, fmt.Sprintf(
-				"no crossover in this sweep (off/mag %.2f at the top end): batch submission overhead dominates while magazines stay thread-local", lastRatio))
 		}
 		fmt.Fprint(out, t.Render())
 		fmt.Fprintln(out)

@@ -18,13 +18,10 @@ import (
 	"runtime/debug"
 	"sync"
 	"sync/atomic"
-	"time"
 
-	"repro/internal/adapt"
 	"repro/internal/census"
 	"repro/internal/core"
 	"repro/internal/mem"
-	"repro/internal/offload"
 	"repro/internal/pool"
 	"repro/internal/shadow"
 	"repro/internal/telemetry"
@@ -32,14 +29,6 @@ import (
 
 // killSignal is the panic value used to abandon an operation.
 type killSignal struct{ point core.HookPoint }
-
-// opThread is the common surface of a raw core.Thread and an
-// offload.Worker, so survivors run unchanged in both modes.
-type opThread interface {
-	Malloc(size uint64) (mem.Ptr, error)
-	Free(p mem.Ptr)
-	Unregister()
-}
 
 // Plan schedules which operations die where.
 type Plan struct {
@@ -95,27 +84,6 @@ type Plan struct {
 	// count and any walker failure land in Result.CensusWalks /
 	// CensusErr.
 	Census bool
-	// Adapt builds the allocator with the runtime-mutable policy layer
-	// (core.Config.Adapt) and runs an internal/adapt controller with
-	// the deterministic Exerciser policy concurrently with the kills:
-	// magazine caps cycle and stripe/arena bindings rotate while
-	// victims die at every hook point, so policy application is
-	// verified to be kill-tolerant. Step and decision counts land in
-	// Result.AdaptSteps / AdaptDecisions.
-	Adapt bool
-	// Offload, when > 0, attaches an allocation-core offload engine
-	// (internal/offload) with that many cores and routes all survivor
-	// traffic through offload workers. The kill targets then change:
-	// instead of victim goroutines, Victims counts kills injected into
-	// the allocation cores themselves (via Engine.SetCoreHook), so a
-	// core dies mid-batch at the chosen hook point. The engine must
-	// adopt the in-flight batch, respawn a replacement, and strand
-	// nothing: survivors still complete their quota, and after quiesce
-	// the request queue must be empty (Result.OffloadStranded == 0).
-	Offload int
-	// OffloadBatch sets the engine's refill/free batch size (0 = engine
-	// default).
-	OffloadBatch int
 }
 
 // Result reports what happened.
@@ -140,18 +108,6 @@ type Result struct {
 	// kills anywhere in the allocator.
 	CensusWalks int
 	CensusErr   error
-	// AdaptSteps/AdaptDecisions count the controller's control steps
-	// and recorded decisions (Plan.Adapt).
-	AdaptSteps     uint64
-	AdaptDecisions uint64
-	// Offload-mode post-mortem (Plan.Offload > 0): allocation cores
-	// killed, free-batch blocks adopted by undertakers, synchronous
-	// fallbacks taken by workers, and the request-queue depth after
-	// quiesce — stranded batches; must be 0 on a passing run.
-	OffloadCoreKills uint64
-	OffloadAdopted   uint64
-	OffloadFallbacks uint64
-	OffloadStranded  int
 }
 
 func (r Result) String() string {
@@ -179,86 +135,18 @@ func Run(plan Plan) (Result, error) {
 			Telemetry:     plan.Telemetry,
 		})
 	}
-	tele := plan.Telemetry
-	if plan.Adapt && tele == nil {
-		// The controller needs sensors; attach a quiet recorder when the
-		// plan didn't bring one.
-		tele = core.NewRecorder(telemetry.Config{})
-	}
 	a := core.New(core.Config{
 		Processors:   procs,
 		HeapConfig:   mem.Config{SegmentWordsLog2: 18, TotalWordsLog2: 28, Arenas: plan.Arenas},
-		Telemetry:    tele,
+		Telemetry:    plan.Telemetry,
 		MagazineSize: plan.Magazine,
 		DescStripes:  plan.DescStripes,
 		DescAlgo:     plan.DescAlgo,
-		Adapt:        plan.Adapt,
 		Shadow:       sh,
 	})
 
 	res := Result{Kills: map[core.HookPoint]int{}}
 	var killMu sync.Mutex
-
-	// Offload mode: the kill targets are the engine's allocation cores,
-	// not victim goroutines. The shared core hook walks a pre-drawn
-	// schedule of (point, skip) targets; each firing kills whichever
-	// core reaches the target first, mid-batch.
-	var eng *offload.Engine
-	if plan.Offload > 0 {
-		eng = offload.NewWith(a, plan.Offload, plan.OffloadBatch)
-		// Targets are independent (not a sequential schedule): a target
-		// whose point is never reached simply doesn't fire — it must not
-		// block the others, mirroring how a non-offload victim whose
-		// point is never reached dies of natural causes.
-		type killTarget struct {
-			point core.HookPoint
-			skip  atomic.Int64
-			fired atomic.Bool
-		}
-		targets := make([]*killTarget, plan.Victims)
-		for i := range targets {
-			p := plan.Point
-			if p < 0 {
-				p = core.HookPoint(rng.Intn(int(core.NumHookPoints)))
-			}
-			kt := &killTarget{point: p}
-			kt.skip.Store(rng.Int63n(4))
-			targets[i] = kt
-		}
-		eng.SetCoreHook(func(p core.HookPoint) {
-			for _, kt := range targets {
-				if kt.point != p || kt.fired.Load() {
-					continue
-				}
-				if kt.skip.Add(-1) >= 0 {
-					continue
-				}
-				if kt.fired.CompareAndSwap(false, true) {
-					killMu.Lock()
-					res.Kills[p]++
-					killMu.Unlock()
-					panic(killSignal{p})
-				}
-			}
-		})
-	}
-
-	// The controller churns the policy surface (Exerciser: caps cycle,
-	// bindings rotate) on a tight interval for the whole run; it must
-	// be stopped before the post-mortem checks, which assume
-	// quiescence.
-	var ctrl *adapt.Controller
-	if plan.Adapt {
-		var err error
-		ctrl, err = adapt.New(a, adapt.Config{
-			Interval: 500 * time.Microsecond,
-			Policy:   &adapt.Exerciser{Rebind: true},
-		})
-		if err != nil {
-			return res, fmt.Errorf("adapt controller: %w", err)
-		}
-		ctrl.Start()
-	}
 
 	// The census walker starts before the victims so walks overlap the
 	// kills. Plain writes to res.CensusWalks/CensusErr are safe: the
@@ -289,13 +177,7 @@ func Run(plan Plan) (Result, error) {
 	}
 
 	var victims sync.WaitGroup
-	victimCount := plan.Victims
-	if eng != nil {
-		// Offload mode: kills are injected into the allocation cores by
-		// the hook installed above; no victim goroutines run.
-		victimCount = 0
-	}
-	for v := 0; v < victimCount; v++ {
+	for v := 0; v < plan.Victims; v++ {
 		point := plan.Point
 		if point < 0 {
 			point = core.HookPoint(rng.Intn(int(core.NumHookPoints)))
@@ -374,12 +256,7 @@ func Run(plan Plan) (Result, error) {
 		survivors.Add(1)
 		go func(seed int64) {
 			defer survivors.Done()
-			var th opThread
-			if eng != nil {
-				th = eng.Worker()
-			} else {
-				th = a.Thread()
-			}
+			th := a.Thread()
 			r := rand.New(rand.NewSource(seed))
 			var held []mem.Ptr
 			for i := 0; i < plan.OpsPerSurvivor; i++ {
@@ -405,26 +282,9 @@ func Run(plan Plan) (Result, error) {
 
 	victims.Wait()
 	survivors.Wait()
-	if eng != nil {
-		// All workers have unregistered, so the engine has quiesced (or
-		// does so now, forced); any batch the killed cores left behind
-		// has been drained. A non-empty queue after this is a stranded
-		// batch — a bug the tests fail on.
-		eng.Stop()
-		st := eng.Stats()
-		res.OffloadCoreKills = st.CoreKills
-		res.OffloadAdopted = st.AdoptedBlocks
-		res.OffloadFallbacks = st.Fallbacks
-		res.OffloadStranded = st.QueueDepth
-	}
 	if plan.Census {
 		close(censusStop)
 		<-censusDone
-	}
-	if ctrl != nil {
-		ctrl.Stop()
-		res.AdaptSteps = ctrl.Steps()
-		res.AdaptDecisions = ctrl.DecisionCount()
 	}
 	close(survivorErrs)
 	for err := range survivorErrs {

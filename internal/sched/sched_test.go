@@ -67,42 +67,6 @@ func TestKillAtEveryPointMagazine(t *testing.T) {
 	}
 }
 
-// TestKillAtEveryPointAdapt repeats the per-point kill sweep with the
-// runtime-mutable policy layer and a live controller (Exerciser: caps
-// cycle between values, stripe and arena bindings rotate every step),
-// so victims die while policies are being published and applied —
-// including mid-shrink incremental flushes. The controller is stopped
-// before the post-mortem, which must find an intact structure.
-func TestKillAtEveryPointAdapt(t *testing.T) {
-	for p := core.HookPoint(0); p < core.NumHookPoints; p++ {
-		p := p
-		t.Run(p.String(), func(t *testing.T) {
-			res, err := Run(Plan{
-				Victims:        2,
-				Survivors:      2,
-				OpsPerSurvivor: 20000,
-				OpsBeforeKill:  50,
-				Seed:           int64(p) + 1,
-				Point:          p,
-				Magazine:       16,
-				Adapt:          true,
-			})
-			if err != nil {
-				t.Fatalf("survivors blocked: %v", err)
-			}
-			if res.SurvivorOps != 2*20000 {
-				t.Errorf("survivor ops = %d", res.SurvivorOps)
-			}
-			if res.InvariantErr != nil {
-				t.Errorf("structure corrupted: %v", res.InvariantErr)
-			}
-			if res.AdaptSteps == 0 {
-				t.Error("controller made no steps during the run")
-			}
-		})
-	}
-}
-
 // TestMassacreMagazine is the random-point massacre with magazines on.
 func TestMassacreMagazine(t *testing.T) {
 	res, err := Run(Plan{
@@ -325,82 +289,4 @@ func TestDelayedThreadDoesNotBlock(t *testing.T) {
 
 func newTestAllocator() *core.Allocator {
 	return core.New(core.Config{Processors: 1})
-}
-
-// TestKillAtEveryPointOffload repeats the per-point kill sweep with
-// the allocation-core offload engine attached: survivors run through
-// offload workers while the dedicated allocation cores — which execute
-// every refill and free batch — are killed mid-batch at each hook
-// point. The engine must adopt in-flight batches, respawn replacement
-// cores, and strand nothing: the quota completes, the request queue is
-// empty after quiesce, and at every point the kill genuinely fired.
-// The magazine layer on the cores is chosen per point: on for the two
-// magazine hook points (unreachable without it), off for the rest
-// (which magazines would absorb).
-func TestKillAtEveryPointOffload(t *testing.T) {
-	for p := core.HookPoint(0); p < core.NumHookPoints; p++ {
-		p := p
-		t.Run(p.String(), func(t *testing.T) {
-			mag := 0
-			if p == core.HookMagRefillAfterReserve || p == core.HookMagFlushBeforeSplice {
-				mag = 16
-			}
-			res, err := Run(Plan{
-				Victims:        2,
-				Survivors:      2,
-				OpsPerSurvivor: 20000,
-				Seed:           int64(p) + 1,
-				Point:          p,
-				Magazine:       mag,
-				Offload:        2,
-				OffloadBatch:   8,
-			})
-			if err != nil {
-				t.Fatalf("survivors blocked: %v", err)
-			}
-			if res.SurvivorOps != 2*20000 {
-				t.Errorf("survivor ops = %d", res.SurvivorOps)
-			}
-			if res.OffloadCoreKills == 0 {
-				t.Errorf("no allocation core was killed at %s; sweep is vacuous", p)
-			}
-			if res.OffloadStranded != 0 {
-				t.Errorf("%d requests stranded in the queue after quiesce", res.OffloadStranded)
-			}
-			if res.InvariantErr != nil {
-				t.Errorf("structure corrupted: %v", res.InvariantErr)
-			}
-		})
-	}
-}
-
-// TestMassacreOffload kills many allocation cores at random points
-// while survivors hammer the offload path.
-func TestMassacreOffload(t *testing.T) {
-	res, err := Run(Plan{
-		Victims:        12,
-		Survivors:      4,
-		OpsPerSurvivor: 30000,
-		Seed:           7,
-		Point:          -1,
-		Offload:        3,
-		OffloadBatch:   16,
-	})
-	if err != nil {
-		t.Fatalf("survivors blocked: %v", err)
-	}
-	if res.SurvivorOps != 4*30000 {
-		t.Errorf("survivor ops = %d", res.SurvivorOps)
-	}
-	if res.OffloadStranded != 0 {
-		t.Errorf("%d requests stranded after quiesce", res.OffloadStranded)
-	}
-	if res.InvariantErr != nil {
-		t.Errorf("structure corrupted: %v", res.InvariantErr)
-	}
-	if res.OffloadCoreKills == 0 {
-		t.Error("massacre killed no allocation cores")
-	}
-	t.Logf("offload massacre: kills=%v coreKills=%d adopted=%d fallbacks=%d leaked=%d words",
-		res.Kills, res.OffloadCoreKills, res.OffloadAdopted, res.OffloadFallbacks, res.LeakedWords)
 }

@@ -63,17 +63,6 @@ type Snapshot struct {
 	MagFlushes       uint64 `json:"magFlushes,omitempty"`
 	MagFlushedBlocks uint64 `json:"magFlushedBlocks,omitempty"`
 
-	// Offload-layer counters, summed over thread shards (all zero when
-	// the offload mode is off): worker stash hits/misses, requests
-	// submitted to the allocator cores, batches executed (with their
-	// total block count), and synchronous fallbacks.
-	OffHits       uint64 `json:"offHits,omitempty"`
-	OffMisses     uint64 `json:"offMisses,omitempty"`
-	OffSubmits    uint64 `json:"offSubmits,omitempty"`
-	OffBatches    uint64 `json:"offBatches,omitempty"`
-	OffBatchedOps uint64 `json:"offBatchedOps,omitempty"`
-	OffFallbacks  uint64 `json:"offFallbacks,omitempty"`
-
 	// Malloc and Free aggregate latency over all size classes
 	// (including large blocks).
 	Malloc HistSummary `json:"malloc"`
@@ -110,12 +99,6 @@ func (r *Recorder) Snapshot() Snapshot {
 		s.MagMisses += sh.magMisses.Load()
 		s.MagFlushes += sh.magFlushes.Load()
 		s.MagFlushedBlocks += sh.magFlushed.Load()
-		s.OffHits += sh.offHits.Load()
-		s.OffMisses += sh.offMisses.Load()
-		s.OffSubmits += sh.offSubmits.Load()
-		s.OffBatches += sh.offBatches.Load()
-		s.OffBatchedOps += sh.offBatched.Load()
-		s.OffFallbacks += sh.offFallbacks.Load()
 	}
 	for i := range r.stripes.stripes {
 		st := &r.stripes.stripes[i]
@@ -194,12 +177,6 @@ func (s Snapshot) Sub(base Snapshot) Snapshot {
 	out.MagMisses = sub(s.MagMisses, base.MagMisses)
 	out.MagFlushes = sub(s.MagFlushes, base.MagFlushes)
 	out.MagFlushedBlocks = sub(s.MagFlushedBlocks, base.MagFlushedBlocks)
-	out.OffHits = sub(s.OffHits, base.OffHits)
-	out.OffMisses = sub(s.OffMisses, base.OffMisses)
-	out.OffSubmits = sub(s.OffSubmits, base.OffSubmits)
-	out.OffBatches = sub(s.OffBatches, base.OffBatches)
-	out.OffBatchedOps = sub(s.OffBatchedOps, base.OffBatchedOps)
-	out.OffFallbacks = sub(s.OffFallbacks, base.OffFallbacks)
 	subSummary := func(a, b HistSummary) HistSummary {
 		bk := a.Buckets
 		bk.Sub(b.Buckets)
@@ -239,16 +216,6 @@ func (s Snapshot) MagHitRate() float64 {
 	return float64(s.MagHits) / float64(total)
 }
 
-// OffHitRate returns the fraction of offload-eligible mallocs served
-// from a worker's local stash, or 0 when the offload mode was off.
-func (s Snapshot) OffHitRate() float64 {
-	total := s.OffHits + s.OffMisses
-	if total == 0 {
-		return 0
-	}
-	return float64(s.OffHits) / float64(total)
-}
-
 // JSON renders the snapshot as indented JSON.
 func (s Snapshot) JSON() ([]byte, error) {
 	return json.MarshalIndent(s, "", "  ")
@@ -267,10 +234,6 @@ func (s Snapshot) Text(maxEvents int) string {
 	if s.MagHits+s.MagMisses > 0 {
 		fmt.Fprintf(&b, "magazines: %.1f%% hit rate (%d hits / %d misses), %d flushes (%d blocks)\n",
 			100*s.MagHitRate(), s.MagHits, s.MagMisses, s.MagFlushes, s.MagFlushedBlocks)
-	}
-	if s.OffHits+s.OffMisses+s.OffSubmits > 0 {
-		fmt.Fprintf(&b, "offload: %.1f%% stash hit rate (%d hits / %d misses), %d submits, %d batches (%d blocks), %d fallbacks\n",
-			100*s.OffHitRate(), s.OffHits, s.OffMisses, s.OffSubmits, s.OffBatches, s.OffBatchedOps, s.OffFallbacks)
 	}
 
 	type kv struct {

@@ -303,19 +303,6 @@ type ThreadShard struct {
 	magFlushes atomic.Uint64
 	magFlushed atomic.Uint64 // blocks returned across all flushes
 
-	// Offload-layer counters (internal/offload): stash hits/misses on
-	// the worker side, requests submitted to the allocator cores,
-	// batches those cores executed (with their block counts), and
-	// operations that fell back to synchronous execution because the
-	// queue was backed up or the stash wait timed out. All zero when
-	// the offload mode is off.
-	offHits      atomic.Uint64
-	offMisses    atomic.Uint64
-	offSubmits   atomic.Uint64
-	offBatches   atomic.Uint64
-	offBatched   atomic.Uint64 // blocks across all executed batches
-	offFallbacks atomic.Uint64
-
 	// hist rows: [op][class] flattened as op*(classes+1)+class, with
 	// op 0 = malloc, 1 = free, and class `classes` = large blocks.
 	hist    []Histogram
@@ -366,29 +353,6 @@ func (s *ThreadShard) MagFlush(n uint64) {
 	s.magFlushes.Add(1)
 	s.magFlushed.Add(n)
 }
-
-// OffHit records a malloc satisfied from an offload worker's local
-// stash of pre-allocated blocks.
-func (s *ThreadShard) OffHit() { s.offHits.Add(1) }
-
-// OffMiss records a malloc that found the stash empty.
-func (s *ThreadShard) OffMiss() { s.offMisses.Add(1) }
-
-// OffSubmit records one request (refill or free batch) enqueued to the
-// allocator cores.
-func (s *ThreadShard) OffSubmit() { s.offSubmits.Add(1) }
-
-// OffBatch records one request batch of n blocks executed by an
-// allocator core.
-func (s *ThreadShard) OffBatch(n uint64) {
-	s.offBatches.Add(1)
-	s.offBatched.Add(n)
-}
-
-// OffFallback records an operation executed synchronously on the
-// worker's own thread because the offload path was unavailable (queue
-// backed up, refill wait timed out, or the engine was quiescing).
-func (s *ThreadShard) OffFallback() { s.offFallbacks.Add(1) }
 
 // histRow returns the histogram for (op, class), clamping class into
 // range (class < 0 or >= classes selects the large-block row).
