@@ -1,7 +1,10 @@
 package alloc
 
 import (
+	"fmt"
+
 	"repro/internal/buddy"
+	"repro/internal/census"
 	"repro/internal/mem"
 )
 
@@ -17,38 +20,83 @@ func (w buddyAlloc) Name() string      { return w.a.Name() }
 func (w buddyAlloc) NewThread() Thread { return w.a.Thread() }
 func (w buddyAlloc) Heap() *mem.Heap   { return w.a.Heap() }
 
-// Buddy returns the underlying buddy allocator (for order-census
-// reporting and tests).
-func (w buddyAlloc) Buddy() *buddy.Allocator { return w.a }
-
-// BuddyAccessor is implemented by the buddy allocator wrapper to
-// expose the underlying buddy.Allocator for order-occupancy census and
-// invariant checks.
-type BuddyAccessor interface{ Buddy() *buddy.Allocator }
-
-// BuddyFrom returns the buddy allocator backing a (unwrapping the
-// shadow wrapper if present), or nil when a is a different backend.
-func BuddyFrom(a Allocator) *buddy.Allocator {
-	for a != nil {
-		if b, ok := a.(BuddyAccessor); ok {
-			return b.Buddy()
-		}
-		u, ok := a.(interface{ Unwrap() Allocator })
-		if !ok {
-			return nil
-		}
-		a = u.Unwrap()
-	}
-	return nil
+// FromBuddy adopts an already-constructed buddy allocator — one with a
+// tree geometry or telemetry stripes Options cannot express — as the
+// registry's "buddy" backend, oracle policy included.
+func FromBuddy(b *buddy.Allocator, opt Options) Allocator {
+	return lookup("buddy").shadowWrap(buddyAlloc{b}, opt)
 }
 
-// NewBuddy constructs the non-blocking buddy allocator.
-func NewBuddy(opt Options) Allocator {
-	a := buddyAlloc{buddy.New(buddy.Config{HeapConfig: opt.HeapConfig})}
-	// The buddy's free path never touches the heap (all bookkeeping is
-	// Go-side status words), but its malloc path writes a sub-block's
-	// prefix *inside* the extent of an enclosing freed block when it
-	// fragments a coalesced region — so, like the chunk heaps,
-	// poison-verify-on-reuse would flag legitimate writes and is off.
-	return shadowWrap(a, opt, false, 0)
+func buildBuddy(_ *Backend, opt Options) (Allocator, error) {
+	cfg := buddy.Config{HeapConfig: opt.HeapConfig}
+	if rec := opt.LockFree.Telemetry; rec != nil {
+		cfg.Telemetry = rec.Stripes()
+	}
+	return buddyAlloc{buddy.New(cfg)}, nil
+}
+
+func (w buddyAlloc) hookedThread(hook func(point int)) Thread {
+	th := w.a.Thread()
+	th.SetHook(func(p buddy.HookPoint) { hook(int(p)) })
+	return th
+}
+
+func (w buddyAlloc) census() *census.Census {
+	return &census.Census{Buddy: census.TakeBuddy(w.a)}
+}
+
+// inspect: kills may leak blocks and strand coalescing marks, but no
+// word may ever be owned by two live blocks (the non-strict safety
+// walk), and the allocator must still function at every order. Without
+// kills the tree must be exactly consistent, and after a full drain
+// coalescing must have rebuilt whole-tree blocks.
+func (w buddyAlloc) inspect(live int64) Report {
+	b := w.a
+	s := b.Stats()
+	r := Report{
+		// The tree regions themselves are the allocator's backing
+		// store, live by construction; the leak is anything beyond them.
+		LeakedWords:      b.Heap().Stats().LiveWords - uint64(s.Trees)*s.TreeWords,
+		CoalBits:         b.CoalBits(),
+		StrandedCoalBits: b.OrphanCoalBits(),
+		InvariantErr:     b.CheckInvariants(live >= 0),
+		Summary: fmt.Sprintf("buddy: %d trees x %d words, %d grows (%d lost races), %d hint hits, %d scans, %d/%d beyond-tree\n",
+			s.Trees, s.TreeWords, s.Grows, s.GrowRaces, s.HintHits, s.Scans, s.LargeMallocs, s.LargeFrees),
+	}
+	switch {
+	case live < 0:
+		r.ProbeErr = buddyProbe(b)
+	case live == 0 && r.InvariantErr == nil:
+		if r.CoalBits != 0 {
+			r.InvariantErr = fmt.Errorf("buddy: %d coalescing marks stranded at quiescence", r.CoalBits)
+		} else if bc := census.TakeBuddy(b); bc.Orders[0].Free != uint64(bc.Trees) {
+			r.InvariantErr = fmt.Errorf("buddy: %d of %d trees are one free block after a full drain (coalescing incomplete)",
+				bc.Orders[0].Free, bc.Trees)
+		}
+	}
+	return r
+}
+
+// buddyProbe exercises every order of a possibly-damaged allocator:
+// fresh allocations must still come back usable and disjoint.
+func buddyProbe(a *buddy.Allocator) error {
+	th := a.Thread()
+	h := a.Heap()
+	var ptrs []mem.Ptr
+	for order := 0; order <= a.Depth(); order++ {
+		bytes := (a.MaxBlockWords()>>order - 1) * mem.WordBytes
+		p, err := th.Malloc(bytes)
+		if err != nil {
+			return fmt.Errorf("probe malloc at order %d (%d bytes): %w", order, bytes, err)
+		}
+		h.Set(p, uint64(order)+0xb0d0)
+		ptrs = append(ptrs, p)
+	}
+	for i, p := range ptrs {
+		if got := h.Get(p); got != uint64(i)+0xb0d0 {
+			return fmt.Errorf("probe block at order %d: tattoo %#x clobbered", i, got)
+		}
+		th.Free(p)
+	}
+	return nil
 }

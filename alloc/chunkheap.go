@@ -26,11 +26,10 @@ type chunkAlloc struct {
 	ch *chunkheap.Heap
 }
 
-// NewChunkHeap constructs the direct chunkheap allocator.
-func NewChunkHeap(opt Options) Allocator {
+// newChunkHeap constructs the direct chunkheap allocator.
+func newChunkHeap(opt Options) *chunkAlloc {
 	h := mem.NewHeap(opt.HeapConfig)
-	a := &chunkAlloc{heap: h, ch: chunkheap.New(h, 0, chunkheap.FastBins)}
-	return shadowWrap(a, opt, false, chunkheap.MutableHeaderBits)
+	return &chunkAlloc{heap: h, ch: chunkheap.New(h, 0, chunkheap.FastBins)}
 }
 
 func (a *chunkAlloc) Name() string      { return "chunkheap" }

@@ -1,0 +1,85 @@
+package alloc
+
+import (
+	"fmt"
+
+	"repro/internal/census"
+	"repro/internal/core"
+	"repro/internal/mem"
+	"repro/internal/shadow"
+)
+
+type lockFree struct{ a *core.Allocator }
+
+func (w lockFree) Name() string      { return w.a.Name() }
+func (w lockFree) NewThread() Thread { return w.a.Thread() }
+func (w lockFree) Heap() *mem.Heap   { return w.a.Heap() }
+
+// Core returns the underlying core allocator (for stats and tests).
+func (w lockFree) Core() *core.Allocator { return w.a }
+
+// ShadowOracle exposes the attached shadow oracle (nil unless built
+// with the shadowheap tag and constructed with Options.Shadow).
+func (w lockFree) ShadowOracle() *shadow.Oracle { return w.a.ShadowOracle() }
+
+// CoreAccessor is implemented by the lock-free allocator wrapper to
+// expose the underlying core.Allocator.
+type CoreAccessor interface{ Core() *core.Allocator }
+
+// lockFreeConfig resolves the core.Config opt describes. The oracle is
+// integrated in the core (not wrapped around it) so the magazine and
+// kill-tolerance paths are mirrored too.
+func lockFreeConfig(b *Backend, opt Options) core.Config {
+	cfg := opt.LockFree
+	if opt.Processors != 0 {
+		cfg.Processors = opt.Processors
+	}
+	cfg.HeapConfig = opt.HeapConfig
+	if wantOracle(opt) && cfg.Shadow == nil {
+		cfg.Shadow = b.oracle(opt, nil)
+	}
+	return cfg
+}
+
+// NewLockFree constructs the paper's lock-free allocator. Like
+// core.New it normalises only zero values and panics on a
+// configuration core.Config.Validate rejects; New returns that error
+// instead.
+func NewLockFree(opt Options) Allocator {
+	return lockFree{core.New(lockFreeConfig(lookup("lockfree"), opt))}
+}
+
+func buildLockFree(b *Backend, opt Options) (Allocator, error) {
+	cfg := lockFreeConfig(b, opt)
+	if err := cfg.Validate(); err != nil {
+		return nil, err
+	}
+	return lockFree{core.New(cfg)}, nil
+}
+
+func (w lockFree) hookedThread(hook func(point int)) Thread {
+	th := w.a.Thread()
+	th.SetHook(func(p core.HookPoint) { hook(int(p)) })
+	return th
+}
+
+func (w lockFree) census() *census.Census { return census.Take(w.a) }
+
+func (w lockFree) inspect(live int64) Report {
+	s := w.a.Stats()
+	r := Report{
+		LeakedWords:  s.Heap.LiveWords,
+		InvariantErr: w.a.CheckInvariants(live),
+		Summary: fmt.Sprintf("paths: active=%d partial=%d newSB=%d raceLoss=%d sbFreed=%d\n"+
+			"descriptors: %d allocated, %d on freelist; heap max-live %d KiB\n",
+			s.Ops.FromActive, s.Ops.FromPartial, s.Ops.FromNewSB, s.Ops.NewSBRaceLoss, s.Ops.EmptySBFreed,
+			s.DescsAllocated, s.DescsOnFreelist, s.Heap.MaxLiveWords*mem.WordBytes/1024),
+	}
+	if hs := w.a.HyperStats(); hs.HyperAllocs > 0 {
+		r.Summary += fmt.Sprintf("hyperblocks: %d allocated, %d released\n", hs.HyperAllocs, hs.HyperReleases)
+	}
+	if live == 0 && r.InvariantErr == nil && s.Ops.Mallocs != s.Ops.Frees {
+		r.InvariantErr = fmt.Errorf("malloc/free imbalance: %d vs %d", s.Ops.Mallocs, s.Ops.Frees)
+	}
+	return r
+}

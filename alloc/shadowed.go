@@ -28,36 +28,26 @@ type shadowed struct {
 	nextID atomic.Uint64
 }
 
-// shadowWrap attaches an oracle to a baseline allocator when
-// Options.Shadow is set and the shadowheap build tag is active;
-// otherwise it returns the allocator unchanged. verify selects the
-// write-after-free check, which is only sound for allocators whose
-// free paths keep out of freed payloads (see shadow package docs);
-// prefixIgnore masks live-header bits the allocator rewrites
-// legitimately (chunk heaps flip prev-in-use on a live neighbor).
-func shadowWrap(a Allocator, opt Options, verify bool, prefixIgnore uint64) Allocator {
-	if !opt.Shadow || !shadow.Enabled {
+// shadowWrap attaches an oracle to a freshly built allocator of this
+// entry when Options.Shadow is set and the shadowheap build tag is
+// active; otherwise (or when the backend integrated the oracle itself,
+// as the lock-free core does) it returns the allocator unchanged.
+func (b *Backend) shadowWrap(a Allocator, opt Options) Allocator {
+	if _, integrated := a.(ShadowAccessor); integrated || !wantOracle(opt) {
 		return a
 	}
-	sc := opt.ShadowConfig
-	sc.Name = a.Name()
-	sc.Heap = a.Heap()
-	sc.VerifyOnReuse = verify
-	sc.CrossCheck = true
-	sc.PrefixIgnoreMask = prefixIgnore
-	return &shadowed{inner: a, oracle: shadow.New(sc)}
+	return &shadowed{inner: a, oracle: b.oracle(opt, a.Heap())}
 }
 
 func (s *shadowed) Name() string                 { return s.inner.Name() }
 func (s *shadowed) Heap() *mem.Heap              { return s.inner.Heap() }
 func (s *shadowed) ShadowOracle() *shadow.Oracle { return s.oracle }
 
-// Unwrap exposes the wrapped allocator so backend-specific accessors
-// (BuddyFrom) work on shadowed allocators too.
-func (s *shadowed) Unwrap() Allocator { return s.inner }
+func (s *shadowed) NewThread() Thread { return s.mirror(s.inner.NewThread()) }
 
-func (s *shadowed) NewThread() Thread {
-	inner := s.inner.NewThread()
+// mirror wraps a handle of the inner allocator so its operations reach
+// the oracle.
+func (s *shadowed) mirror(inner Thread) Thread {
 	t := &shadowThread{
 		inner:  inner,
 		oracle: s.oracle,

@@ -29,9 +29,10 @@ stage_test() {
 }
 
 stage_race() {
-	go test -race ./alloc ./cmd/allocmon ./internal/baseline/... ./internal/buddy \
-		./internal/census ./internal/core ./internal/lfqueue ./internal/mem \
-		./internal/offload ./internal/pool/... ./internal/sched ./internal/telemetry
+	go test -race ./alloc ./cmd/allocmon ./cmd/heapinfo ./cmd/mlfstress \
+		./internal/baseline/... ./internal/buddy ./internal/census ./internal/churn \
+		./internal/core ./internal/lfqueue ./internal/mem ./internal/offload \
+		./internal/pool/... ./internal/sched ./internal/telemetry
 	go test -race -tags memdebug ./internal/mem ./internal/pool
 	go test -race -tags shadowheap ./internal/shadow ./alloc ./internal/core ./internal/sched
 }
@@ -45,7 +46,7 @@ stage_tags() {
 stage_smoke() {
 	bin=$(mktemp -d)
 	trap 'rm -rf "$bin"' EXIT
-	go build -o "$bin" ./cmd/benchmal ./cmd/mlfstress ./cmd/allocmon
+	go build -o "$bin" ./cmd/benchmal ./cmd/mlfstress ./cmd/allocmon ./cmd/heapinfo
 	go build -tags shadowheap -o "$bin/mlfstress-shadow" ./cmd/mlfstress
 
 	go test -run=NONE -bench=. -benchtime=1x ./internal/core ./internal/bench
@@ -68,13 +69,19 @@ stage_smoke() {
 
 	"$bin/allocmon" -once -warmup 200ms -threads 2 >/dev/null
 
-	# Stress under the shadow oracle, normal and kill mode, per backend.
-	for shape in "" "-descalgo consttime"; do
-		"$bin/mlfstress-shadow" -threads 4 -ops 20000 -shadow -magazine 8 -arenas 2 -telemetry=false $shape
-		"$bin/mlfstress-shadow" -threads 4 -ops 5000 -kills 2 -shadow -magazine 8 -telemetry=false $shape
+	# Stress under the shadow oracle: every registered backend, and a
+	# kill sweep on each one whose registry entry has kill points
+	# (heapinfo prints the registry, one "backend <name> ... kill-points=<n>"
+	# line per entry), so a new backend is smoked without a new line here.
+	for name in $("$bin/heapinfo" | awk '$1 == "backend" { print $2 }'); do
+		"$bin/mlfstress-shadow" -alloc "$name" -threads 4 -ops 20000 -shadow -magazine 8 -arenas 2 -telemetry=false
 	done
-	"$bin/mlfstress-shadow" -alloc buddy -threads 4 -ops 20000 -shadow -telemetry=false
-	"$bin/mlfstress-shadow" -alloc buddy -threads 4 -ops 5000 -kills 2 -shadow -telemetry=false
+	for name in $("$bin/heapinfo" | awk '$1 == "backend" && $NF != "kill-points=0" { print $2 }'); do
+		"$bin/mlfstress-shadow" -alloc "$name" -threads 4 -ops 5000 -kills 2 -shadow -magazine 8 -telemetry=false
+	done
+	# The other descriptor-pool backend is a shape of the lock-free allocator only.
+	"$bin/mlfstress-shadow" -threads 4 -ops 20000 -shadow -magazine 8 -arenas 2 -telemetry=false -descalgo consttime
+	"$bin/mlfstress-shadow" -threads 4 -ops 5000 -kills 2 -shadow -magazine 8 -telemetry=false -descalgo consttime
 }
 
 [ $# -gt 0 ] || set -- build lint test race tags smoke

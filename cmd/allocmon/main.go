@@ -23,10 +23,10 @@
 //	/metrics     Prometheus text format (version 0.0.4)
 //	/stream      server-sent events: one series point per sample tick
 //
-// -buddy additionally runs the same churn on the non-blocking buddy
-// allocator (internal/buddy); its per-order free/used block counts
-// appear on the dashboard, as a "buddy" section in /census.json, and
-// as buddy_* Prometheus families on /metrics.
+// -buddy additionally runs the same churn (churn.Mixed, as mlfstress)
+// on the non-blocking buddy allocator (internal/buddy); its per-order
+// free/used block counts appear on the dashboard, as a "buddy" section
+// in /census.json, and as buddy_* Prometheus families on /metrics.
 //
 // -once skips the server: it warms up, prints the text dashboard to
 // stdout, and exits (useful for smoke tests).
@@ -36,18 +36,18 @@ import (
 	"encoding/json"
 	"flag"
 	"fmt"
-	"math/rand"
 	"net/http"
 	"os"
 	"strconv"
 	"sync"
 	"time"
 
+	"repro/alloc"
 	"repro/internal/bench"
 	"repro/internal/buddy"
 	"repro/internal/census"
+	"repro/internal/churn"
 	"repro/internal/core"
-	"repro/internal/mem"
 	"repro/internal/telemetry"
 )
 
@@ -276,15 +276,14 @@ func main() {
 		os.Exit(1)
 	}
 	a := core.New(cfg)
-	for g := 0; g < *threads; g++ {
-		go churn(a, int64(g), *pause)
-	}
-
 	m := newMonitor(rec, a, *history, *events)
 	if *withBuddy {
 		m.bud = buddy.New(buddy.Config{Telemetry: rec.Stripes()})
-		for g := 0; g < *threads; g++ {
-			go buddyChurn(m.bud, int64(g), *pause)
+	}
+	for g := 0; g < *threads; g++ {
+		go churnForever(a.Thread(), int64(g), *pause)
+		if m.bud != nil {
+			go churnForever(m.bud.Thread(), int64(g), *pause)
 		}
 	}
 	if *once {
@@ -355,60 +354,14 @@ func printBuddySummary(w interface{ Write([]byte) (int, error) }, bc *census.Bud
 	}
 }
 
-// buddyChurn mirrors churn on the buddy allocator: random mixed-size
-// traffic with a bounded live set, including occasional blocks big
-// enough to span several orders.
-func buddyChurn(b *buddy.Allocator, seed int64, pause time.Duration) {
-	th := b.Thread()
-	rng := rand.New(rand.NewSource(seed))
-	var held []mem.Ptr
+// churnForever is the embedded workload: churn.Mixed traffic on one
+// handle until the process exits, pausing every 64 operations.
+func churnForever(th alloc.Thread, seed int64, pause time.Duration) {
+	d := churn.New(th, seed, churn.Mixed)
 	for i := 0; ; i++ {
-		if len(held) > 0 && (rng.Intn(2) == 0 || len(held) > 128) {
-			k := rng.Intn(len(held))
-			th.Free(held[k])
-			held[k] = held[len(held)-1]
-			held = held[:len(held)-1]
-		} else {
-			sz := uint64(8 << rng.Intn(9))
-			if rng.Intn(200) == 0 {
-				sz = 4096 + uint64(rng.Intn(16384))
-			}
-			p, err := th.Malloc(sz)
-			if err != nil {
-				fmt.Fprintf(os.Stderr, "allocmon: buddy malloc: %v\n", err)
-				os.Exit(1)
-			}
-			held = append(held, p)
-		}
-		if pause > 0 && i%64 == 0 {
-			time.Sleep(pause)
-		}
-	}
-}
-
-// churn is the embedded workload: random-size malloc/free traffic with
-// a bounded live set, the same shape as mlfstress.
-func churn(a *core.Allocator, seed int64, pause time.Duration) {
-	th := a.Thread()
-	rng := rand.New(rand.NewSource(seed))
-	var held []mem.Ptr
-	for i := 0; ; i++ {
-		if len(held) > 0 && (rng.Intn(2) == 0 || len(held) > 128) {
-			k := rng.Intn(len(held))
-			th.Free(held[k])
-			held[k] = held[len(held)-1]
-			held = held[:len(held)-1]
-		} else {
-			sz := uint64(8 << rng.Intn(9))
-			if rng.Intn(200) == 0 {
-				sz = 4096 + uint64(rng.Intn(16384))
-			}
-			p, err := th.Malloc(sz)
-			if err != nil {
-				fmt.Fprintf(os.Stderr, "allocmon: malloc: %v\n", err)
-				os.Exit(1)
-			}
-			held = append(held, p)
+		if err := d.Step(); err != nil {
+			fmt.Fprintf(os.Stderr, "allocmon: malloc: %v\n", err)
+			os.Exit(1)
 		}
 		if pause > 0 && i%64 == 0 {
 			time.Sleep(pause)

@@ -1,14 +1,18 @@
 // Command heapinfo prints the allocator's compile-time geometry: the
 // size-class table (payload, block words, blocks per superblock), the
-// packed-word layouts of Figure 3, and the large-allocation threshold.
+// packed-word layouts of Figure 3, the large-allocation threshold, and
+// the allocator registry (one "backend <name> ..." line per entry of
+// alloc.Backends: aliases, shadow-oracle policy, number of kill points).
 // Useful for sanity-checking configuration against the paper.
 //
 //	heapinfo [-live] [-threads 4] [-ops 50000] [-arenas N] [-samplerate 1024]
 //	heapinfo -live -buddy
 //
-// With -live, a short multithreaded malloc/free workload is run on a
-// fresh allocator (hyperblock layer enabled) and the resulting live
-// statistics are printed: Allocator.Stats, heap and hyperblock
+// With -live, a short multithreaded malloc/free workload (churn.Mixed)
+// is run on a fresh allocator from alloc.New (the lock-free one with
+// the hyperblock layer enabled), the backend's strict check is run on
+// the drained allocator, and the resulting statistics are printed: the
+// backend's own summary, descriptor-pool and heap
 // counters, a per-arena breakdown of the OS layer with region-bin
 // occupancy, the telemetry snapshot, and a heap census taken while the
 // workload's final live set is still held — per-class superblock
@@ -18,55 +22,61 @@
 // processor heap, 1 = unsharded); -samplerate sets the allocation
 // sampling period (0 = sampler off).
 //
-// With -buddy, the -live workload runs on the non-blocking buddy
-// allocator (internal/buddy) instead, and the census printed is its
+// With -buddy, the same -live workload runs on the registry's "buddy"
+// backend (internal/buddy) instead, and the census printed is its
 // per-order free/used block table with the external-fragmentation
-// ratio.
+// ratio, held and again after the drain.
 package main
 
 import (
 	"flag"
 	"fmt"
-	"math/rand"
+	"io"
 	"os"
-	"sync"
 	"text/tabwriter"
 	"time"
 
+	"repro/alloc"
 	"repro/internal/atomicx"
-	"repro/internal/buddy"
 	"repro/internal/census"
+	"repro/internal/churn"
 	"repro/internal/core"
 	"repro/internal/mem"
 	"repro/internal/sizeclass"
 	"repro/internal/telemetry"
 )
 
-func main() {
+func main() { os.Exit(run(os.Args[1:], os.Stdout, os.Stderr)) }
+
+func run(args []string, stdout, stderr io.Writer) int {
+	fs := flag.NewFlagSet("heapinfo", flag.ContinueOnError)
+	fs.SetOutput(stderr)
 	var (
-		live    = flag.Bool("live", false, "run a short workload and print live allocator statistics")
-		threads = flag.Int("threads", 4, "workload goroutines (-live)")
-		ops     = flag.Int("ops", 50000, "operations per goroutine (-live)")
-		arenas  = flag.Int("arenas", 0, "region arenas (-live; 0 = one per processor, 1 = unsharded)")
-		rate    = flag.Int("samplerate", 1024, "allocation sampling period for the census (-live; 0 = off)")
-		useBud  = flag.Bool("buddy", false, "run the -live workload on the non-blocking buddy allocator")
+		live    = fs.Bool("live", false, "run a short workload and print live allocator statistics")
+		threads = fs.Int("threads", 4, "workload goroutines (-live)")
+		ops     = fs.Int("ops", 50000, "operations per goroutine (-live)")
+		arenas  = fs.Int("arenas", 0, "region arenas (-live; 0 = one per processor, 1 = unsharded)")
+		rate    = fs.Int("samplerate", 1024, "allocation sampling period for the census (-live; 0 = off)")
+		useBud  = fs.Bool("buddy", false, "run the -live workload on the non-blocking buddy allocator")
 	)
-	flag.Parse()
-	fmt.Println("Packed word layouts (paper Figure 3):")
-	fmt.Printf("  anchor: avail:%d count:%d state:%d tag:%d (bits)\n",
+	if err := fs.Parse(args); err != nil {
+		return 2
+	}
+	fmt.Fprintln(stdout, "Packed word layouts (paper Figure 3):")
+	fmt.Fprintf(stdout, "  anchor: avail:%d count:%d state:%d tag:%d (bits)\n",
 		atomicx.AnchorAvailBits, atomicx.AnchorCountBits,
 		atomicx.AnchorStateBits, atomicx.AnchorTagBits)
-	fmt.Printf("  active: ptr:%d credits:%d  (MAXCREDITS=%d)\n",
+	fmt.Fprintf(stdout, "  active: ptr:%d credits:%d  (MAXCREDITS=%d)\n",
 		atomicx.ActivePtrBits, atomicx.ActiveCreditsBits, atomicx.MaxCredits)
-	fmt.Printf("  tagged index: idx:%d tag:%d\n\n",
+	fmt.Fprintf(stdout, "  tagged index: idx:%d tag:%d\n\n",
 		atomicx.TaggedIdxBits, atomicx.TaggedTagBits)
 
-	fmt.Printf("Superblock: %d words (%d KiB); word = %d bytes (block prefix)\n",
+	fmt.Fprintf(stdout, "Superblock: %d words (%d KiB); word = %d bytes (block prefix)\n",
 		sizeclass.SuperblockWords, sizeclass.SuperblockWords*mem.WordBytes/1024, mem.WordBytes)
-	fmt.Printf("Large-allocation threshold: > %d payload bytes -> direct OS region\n\n",
+	fmt.Fprintf(stdout, "Large-allocation threshold: > %d payload bytes -> direct OS region\n\n",
 		sizeclass.MaxPayloadBytes)
 
-	w := tabwriter.NewWriter(os.Stdout, 0, 4, 2, ' ', tabwriter.AlignRight)
+	w := tabwriter.NewWriter(stdout, 0, 4, 2, ' ', tabwriter.AlignRight)
 	fmt.Fprintln(w, "class\tpayload B\tblock words\tblocks/SB\twaste/SB words\t")
 	for _, c := range sizeclass.All() {
 		waste := c.SBWords - c.MaxCount*c.BlockWords
@@ -75,87 +85,78 @@ func main() {
 	}
 	w.Flush()
 
+	// One line per registry entry, in a form scripts can cut: ci/verify.sh
+	// reads the backends and which of them can be kill-swept from here.
+	fmt.Fprintln(stdout, "\nAllocator registry (alloc.Backends): shadow-oracle policy and kill points")
+	for _, b := range alloc.Backends() {
+		fmt.Fprintf(stdout, "backend %s aliases=%v verify-on-reuse=%v header-mask=%#x kill-points=%d\n",
+			b.Name, b.Aliases, b.VerifyOnReuse, b.PrefixIgnoreMask, len(b.HookPoints))
+	}
+
 	if *live {
-		fmt.Println()
-		if *useBud {
-			runLiveBuddy(*threads, *ops)
-		} else {
-			runLive(*threads, *ops, *arenas, *rate)
+		fmt.Fprintln(stdout)
+		if err := runLive(stdout, *useBud, *threads, *ops, *arenas, *rate); err != nil {
+			fmt.Fprintf(stderr, "heapinfo: %v\n", err)
+			return 1
 		}
 	}
+	return 0
 }
 
-// runLive exercises a fresh allocator and prints its live statistics:
-// operation counters, heap/hyperblock state, the telemetry snapshot
-// (contention, latency, flight-recorder tail), and a census taken in
-// the window between churn finishing and the workers releasing their
-// final live sets — so the census has real live blocks to inventory.
-func runLive(threads, ops, arenas, rate int) {
-	rec := core.NewRecorder(telemetry.Config{SampleRate: rate})
-	a := core.New(core.Config{
-		Processors:  threads,
-		HeapConfig:  mem.Config{Arenas: arenas},
-		Hyperblocks: true,
-		Telemetry:   rec,
-	})
-	var wg, churnDone sync.WaitGroup
-	censusReady := make(chan struct{})
-	for g := 0; g < threads; g++ {
-		wg.Add(1)
-		churnDone.Add(1)
-		go func(seed int64) {
-			defer wg.Done()
-			th := a.Thread()
-			rng := rand.New(rand.NewSource(seed))
-			var held []mem.Ptr
-			for i := 0; i < ops; i++ {
-				if len(held) > 0 && (rng.Intn(2) == 0 || len(held) > 64) {
-					k := rng.Intn(len(held))
-					th.Free(held[k])
-					held[k] = held[len(held)-1]
-					held = held[:len(held)-1]
-					continue
-				}
-				sz := uint64(8 << rng.Intn(9))
-				p, err := th.Malloc(sz)
-				if err != nil {
-					fmt.Fprintf(os.Stderr, "heapinfo: malloc: %v\n", err)
-					os.Exit(1)
-				}
-				held = append(held, p)
-			}
-			churnDone.Done()
-			<-censusReady // hold the live set while the census walks
-			for _, p := range held {
-				th.Free(p)
-			}
-		}(int64(g))
+// runLive exercises a fresh allocator — the lock-free one with the
+// hyperblock layer, or the buddy — and prints its statistics and a
+// census taken between churn finishing and the workers releasing their
+// final live sets, so the census has real live blocks to inventory.
+func runLive(out io.Writer, useBuddy bool, threads, ops, arenas, rate int) error {
+	name := "lockfree"
+	if useBuddy {
+		name = "buddy"
 	}
-	churnDone.Wait()
-	c := census.Take(a)
-	close(censusReady)
-	wg.Wait()
+	rec := core.NewRecorder(telemetry.Config{SampleRate: rate})
+	a, err := alloc.New(name, alloc.Options{
+		Processors: threads,
+		HeapConfig: mem.Config{Arenas: arenas},
+		LockFree:   core.Config{Hyperblocks: true, Telemetry: rec},
+	})
+	if err != nil {
+		return err
+	}
+	h := alloc.HarnessOf(a)
+	var held *census.Census
+	if _, _, err := churn.Run(threads, ops, 0, churn.Mixed, a.NewThread, func() { held = h.Census() }); err != nil {
+		return fmt.Errorf("malloc: %w", err)
+	}
+	// Everything is freed again, so the backend's strict check applies.
+	rep := h.Inspect(0)
+	if rep.InvariantErr != nil {
+		return rep.InvariantErr
+	}
+	fmt.Fprintf(out, "Live statistics (%s, %d threads x %d ops):\n%s", a.Name(), threads, ops, rep.Summary)
+	if ca, ok := a.(alloc.CoreAccessor); ok {
+		printHeap(out, ca.Core())
+		printCensus(out, held)
+		fmt.Fprintf(out, "\n%s", rec.Snapshot().Text(8))
+		return nil
+	}
+	// The buddy's census is its order-occupancy table: once with the
+	// live sets held, then after the drain, when coalescing has rebuilt
+	// whole-tree blocks.
+	printBuddyCensus(out, "with workload live sets held", held.Buddy)
+	printBuddyCensus(out, "after drain (fully coalesced)", h.Census().Buddy)
+	return nil
+}
 
+// printHeap prints the lock-free allocator's descriptor-pool and OS-layer
+// state: what its Report.Summary leaves out.
+func printHeap(out io.Writer, a *core.Allocator) {
 	s := a.Stats()
-	fmt.Printf("Live statistics (%d threads x %d ops, hyperblocks on):\n", threads, ops)
-	fmt.Printf("  ops: %d mallocs / %d frees (large %d/%d)\n",
-		s.Ops.Mallocs, s.Ops.Frees, s.Ops.LargeMallocs, s.Ops.LargeFrees)
-	fmt.Printf("  malloc paths: active=%d partial=%d newSB=%d raceLoss=%d\n",
-		s.Ops.FromActive, s.Ops.FromPartial, s.Ops.FromNewSB, s.Ops.NewSBRaceLoss)
-	fmt.Printf("  superblocks freed: %d; empty-partial skips: %d\n",
-		s.Ops.EmptySBFreed, s.Ops.EmptyPartialSkips)
-	fmt.Printf("  descriptors: %d allocated, %d on freelist\n",
-		s.DescsAllocated, s.DescsOnFreelist)
-	fmt.Printf("  desc pool: %s backend, %d stripes, free per stripe %v\n",
+	fmt.Fprintf(out, "desc pool: %s backend, %d stripes, free per stripe %v\n",
 		a.DescAlgo(), a.DescStripes(), a.DescStripeFree())
-	fmt.Printf("  heap: %d words live, max-live %d KiB, %d region allocs / %d frees\n",
-		s.Heap.LiveWords, s.Heap.MaxLiveWords*8/1024, s.Heap.RegionAllocs, s.Heap.RegionFrees)
-	hs := a.HyperStats()
-	fmt.Printf("  hyperblocks: %d allocated, %d released, %d SB allocs / %d frees\n",
-		hs.HyperAllocs, hs.HyperReleases, hs.Allocs, hs.Frees)
+	fmt.Fprintf(out, "heap: %d words live, %d region allocs / %d frees; %d large mallocs, %d empty-partial skips\n",
+		s.Heap.LiveWords, s.Heap.RegionAllocs, s.Heap.RegionFrees, s.Ops.LargeMallocs, s.Ops.EmptyPartialSkips)
 
-	fmt.Printf("\nRegion arenas (%d):\n", a.Heap().Arenas())
-	w := tabwriter.NewWriter(os.Stdout, 0, 4, 2, ' ', tabwriter.AlignRight)
+	fmt.Fprintf(out, "\nRegion arenas (%d):\n", a.Heap().Arenas())
+	w := tabwriter.NewWriter(out, 0, 4, 2, ' ', tabwriter.AlignRight)
 	fmt.Fprintln(w, "arena\treserved\tlive\tskipped\tallocs\tfrees\treused\tsteals\t")
 	for i, as := range s.Heap.Arenas {
 		fmt.Fprintf(w, "%d\t%d\t%d\t%d\t%d\t%d\t%d\t%d\t\n",
@@ -163,90 +164,26 @@ func runLive(threads, ops, arenas, rate int) {
 			as.RegionAllocs, as.RegionFrees, as.ReusedRegions, as.Steals)
 	}
 	w.Flush()
-	fmt.Println("(words; allocs/reused/steals are request-side, the rest partition-side)")
+	fmt.Fprintln(out, "(words; allocs/reused/steals are request-side, the rest partition-side)")
 
 	if bins := a.Heap().RegionBins(); len(bins) > 0 {
-		fmt.Println("\nRegion-bin occupancy (free regions awaiting reuse):")
-		w = tabwriter.NewWriter(os.Stdout, 0, 4, 2, ' ', tabwriter.AlignRight)
+		fmt.Fprintln(out, "\nRegion-bin occupancy (free regions awaiting reuse):")
+		w = tabwriter.NewWriter(out, 0, 4, 2, ' ', tabwriter.AlignRight)
 		fmt.Fprintln(w, "arena\tregion words\tregions\t")
 		for _, b := range bins {
 			fmt.Fprintf(w, "%d\t%d\t%d\t\n", b.Arena, b.RegionWords, b.Regions)
 		}
 		w.Flush()
 	} else {
-		fmt.Println("\nRegion bins: empty (no free regions awaiting reuse)")
+		fmt.Fprintln(out, "\nRegion bins: empty (no free regions awaiting reuse)")
 	}
-	printCensus(c)
-	fmt.Println()
-	fmt.Print(rec.Snapshot().Text(8))
-}
-
-// runLiveBuddy exercises a fresh buddy allocator with the same shape
-// of workload and prints its statistics and order-occupancy census:
-// per-order free/used block counts taken while the final live sets are
-// still held, then again after the drain (when coalescing must have
-// rebuilt whole-tree blocks).
-func runLiveBuddy(threads, ops int) {
-	a := buddy.New(buddy.Config{})
-	var wg, churnDone sync.WaitGroup
-	censusReady := make(chan struct{})
-	for g := 0; g < threads; g++ {
-		wg.Add(1)
-		churnDone.Add(1)
-		go func(seed int64) {
-			defer wg.Done()
-			th := a.Thread()
-			rng := rand.New(rand.NewSource(seed))
-			var held []mem.Ptr
-			for i := 0; i < ops; i++ {
-				if len(held) > 0 && (rng.Intn(2) == 0 || len(held) > 64) {
-					k := rng.Intn(len(held))
-					th.Free(held[k])
-					held[k] = held[len(held)-1]
-					held = held[:len(held)-1]
-					continue
-				}
-				sz := uint64(8 << rng.Intn(9))
-				if rng.Intn(100) == 0 {
-					sz = 4096 + uint64(rng.Intn(65536))
-				}
-				p, err := th.Malloc(sz)
-				if err != nil {
-					fmt.Fprintf(os.Stderr, "heapinfo: buddy malloc: %v\n", err)
-					os.Exit(1)
-				}
-				held = append(held, p)
-			}
-			churnDone.Done()
-			<-censusReady // hold the live set while the census walks
-			for _, p := range held {
-				th.Free(p)
-			}
-		}(int64(g))
-	}
-	churnDone.Wait()
-	held := census.TakeBuddy(a)
-	close(censusReady)
-	wg.Wait()
-	drained := census.TakeBuddy(a)
-
-	s := a.Stats()
-	fmt.Printf("Buddy live statistics (%d threads x %d ops):\n", threads, ops)
-	fmt.Printf("  ops: %d mallocs / %d frees (beyond-tree %d/%d)\n",
-		s.Mallocs, s.Frees, s.LargeMallocs, s.LargeFrees)
-	fmt.Printf("  trees: %d x %d words (leaf %d words); %d grown, %d lost races\n",
-		s.Trees, s.TreeWords, s.MinBlockWords, s.Grows, s.GrowRaces)
-	fmt.Printf("  alloc paths: %d hint hits, %d level scans\n", s.HintHits, s.Scans)
-
-	printBuddyCensus("with workload live sets held", held)
-	printBuddyCensus("after drain (fully coalesced)", drained)
 }
 
 // printBuddyCensus renders one order-occupancy table.
-func printBuddyCensus(when string, bc *census.BuddyCensus) {
-	fmt.Printf("\nBuddy order census (%s): ext frag %.1f%%, %d coal bits\n",
+func printBuddyCensus(out io.Writer, when string, bc *census.BuddyCensus) {
+	fmt.Fprintf(out, "\nBuddy order census (%s): ext frag %.1f%%, %d coal bits\n",
 		when, 100*bc.ExternalFragRatio, bc.CoalBits)
-	w := tabwriter.NewWriter(os.Stdout, 0, 4, 2, ' ', tabwriter.AlignRight)
+	w := tabwriter.NewWriter(out, 0, 4, 2, ' ', tabwriter.AlignRight)
 	fmt.Fprintln(w, "order\tblock words\tfree\tused\t")
 	for _, o := range bc.Orders {
 		if o.Free == 0 && o.Used == 0 {
@@ -260,9 +197,9 @@ func printBuddyCensus(when string, bc *census.BuddyCensus) {
 // printCensus renders the heap census taken at peak liveness: per-class
 // and per-arena inventory, fragmentation, live-block ages, and the top
 // call sites by live bytes.
-func printCensus(c *census.Census) {
-	fmt.Println("\nHeap census (taken with workload live sets held):")
-	w := tabwriter.NewWriter(os.Stdout, 0, 4, 2, ' ', tabwriter.AlignRight)
+func printCensus(out io.Writer, c *census.Census) {
+	fmt.Fprintln(out, "\nHeap census (taken with workload live sets held):")
+	w := tabwriter.NewWriter(out, 0, 4, 2, ' ', tabwriter.AlignRight)
 	fmt.Fprintln(w, "class\tA\tF\tP\tE\tused\tfree\tresv\tmag\tpartial\tint frag\t")
 	for _, cc := range c.Classes {
 		if cc.Superblocks == [4]uint64{} && cc.MagazineCached == 0 {
@@ -280,12 +217,12 @@ func printCensus(c *census.Census) {
 			cc.MagazineCached, cc.PartialList, frag)
 	}
 	w.Flush()
-	fmt.Printf("totals: %d superblocks, blocks used=%d free=%d resv=%d mag=%d, carve waste %d words\n",
+	fmt.Fprintf(out, "totals: %d superblocks, blocks used=%d free=%d resv=%d mag=%d, carve waste %d words\n",
 		c.Totals.Superblocks, c.Totals.BlocksUsed, c.Totals.BlocksFree,
 		c.Totals.BlocksReserved, c.Totals.MagazineCached, c.Totals.CarveWasteWords)
 
-	fmt.Println("\nArena census (bump occupancy and external fragmentation):")
-	w = tabwriter.NewWriter(os.Stdout, 0, 4, 2, ' ', tabwriter.AlignRight)
+	fmt.Fprintln(out, "\nArena census (bump occupancy and external fragmentation):")
+	w = tabwriter.NewWriter(out, 0, 4, 2, ' ', tabwriter.AlignRight)
 	fmt.Fprintln(w, "arena\treserved\tfree regions\tfree words\toccupancy\text frag\t")
 	for _, ac := range c.Arenas {
 		fmt.Fprintf(w, "%d\t%d\t%d\t%d\t%.1f%%\t%.1f%%\t\n",
@@ -295,19 +232,19 @@ func printCensus(c *census.Census) {
 	w.Flush()
 
 	if !c.Sampler.Enabled {
-		fmt.Println("\nAllocation sampler off (-samplerate 0): no age or call-site census")
+		fmt.Fprintln(out, "\nAllocation sampler off (-samplerate 0): no age or call-site census")
 		return
 	}
-	fmt.Printf("\nLive-block ages (%d samples at rate 1/%d): p50=%v p99=%v oldest=%v\n",
+	fmt.Fprintf(out, "\nLive-block ages (%d samples at rate 1/%d): p50=%v p99=%v oldest=%v\n",
 		c.Ages.Count(), c.Sampler.Rate,
 		time.Duration(c.AgeP50NS), time.Duration(c.AgeP99NS), time.Duration(c.OldestNS))
 	if c.Totals.InternalFragRatio >= 0 {
-		fmt.Printf("sampled internal fragmentation: %.1f%% (external %.1f%%)\n",
+		fmt.Fprintf(out, "sampled internal fragmentation: %.1f%% (external %.1f%%)\n",
 			100*c.Totals.InternalFragRatio, 100*c.Totals.ExternalFragRatio)
 	}
 	if len(c.Sites) > 0 {
-		fmt.Println("\nTop call sites by live sampled bytes:")
-		w = tabwriter.NewWriter(os.Stdout, 0, 4, 2, ' ', 0)
+		fmt.Fprintln(out, "\nTop call sites by live sampled bytes:")
+		w = tabwriter.NewWriter(out, 0, 4, 2, ' ', 0)
 		fmt.Fprintln(w, "live\tbytes\toldest\tsite\t")
 		for i, sc := range c.Sites {
 			if i == 5 {

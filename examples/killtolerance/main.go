@@ -15,13 +15,16 @@ package main
 import (
 	"fmt"
 
-	"repro/internal/core"
+	"repro/alloc"
 	"repro/internal/sched"
 )
 
 func main() {
 	fmt.Println("killing 16 threads at random points inside malloc/free,")
 	fmt.Println("while 4 survivors each complete 200,000 operations...")
+	// The harness takes the allocator as the caller built it; any
+	// registered backend with kill points ("buddy" too) fits here.
+	target := alloc.HarnessOf(alloc.NewLockFree(alloc.Options{Processors: 4}))
 	res, err := sched.Run(sched.Plan{
 		Victims:        16,
 		Survivors:      4,
@@ -29,16 +32,16 @@ func main() {
 		OpsBeforeKill:  500,
 		Seed:           42,
 		Point:          -1,
-	})
+	}, target)
 	if err != nil {
 		fmt.Println("FAILED: a kill blocked the allocator:", err)
 		return
 	}
 	fmt.Println("\nsurvivors finished; kills by instrumented point:")
 	total := 0
-	for p := core.HookPoint(0); p < core.NumHookPoints; p++ {
-		if n := res.Kills[p]; n > 0 {
-			fmt.Printf("  %-28s %d\n", p, n)
+	for _, point := range target.HookPoints() {
+		if n := res.Kills[point]; n > 0 {
+			fmt.Printf("  %-28s %d\n", point, n)
 			total += n
 		}
 	}

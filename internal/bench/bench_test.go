@@ -122,11 +122,9 @@ func TestFragChurnAllAllocators(t *testing.T) {
 		if r.ExternalFragRatio < 0 || r.ExternalFragRatio >= 1 {
 			t.Errorf("%s: ExternalFragRatio = %v, want [0,1)", a.Name(), r.ExternalFragRatio)
 		}
-		checkLockFreeInvariants(t, a)
-		if b := alloc.BuddyFrom(a); b != nil {
-			if err := b.CheckInvariants(true); err != nil {
-				t.Errorf("buddy invariants after drain: %v", err)
-			}
+		// Everything is freed again: each backend's strict check applies.
+		if err := alloc.HarnessOf(a).Inspect(0).InvariantErr; err != nil {
+			t.Errorf("%s invariants after drain: %v", a.Name(), err)
 		}
 	}
 }

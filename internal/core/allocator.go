@@ -296,14 +296,25 @@ func New(cfg Config) *Allocator {
 		a.descs.SetTelemetry(stripes)
 		h.SetTelemetry(stripes)
 	}
+	// A partial list links descriptors of live superblocks, each at most
+	// once, so it is sized for the superblocks the address space has room
+	// for rather than for the whole descriptor table. (EMPTY descriptors
+	// awaiting removal can add to that; listRemoveEmptyDesc keeps them
+	// under half the list, and a Put beyond the bound is dropped and
+	// counted exactly as at pool exhaustion.)
+	var heapWords uint64
+	for i := 0; i < h.Arenas(); i++ {
+		heapWords += h.PartitionWords(i)
+	}
+	maxSuperblocks := heapWords / sizeclass.SuperblockWords
 	for i := range a.classes {
 		sc := &a.classes[i]
 		sc.class = sizeclass.ByIndex(i)
 		sc.heaps = make([]ProcHeap, cfg.Processors)
 		if cfg.PartialLIFO {
-			sc.partial = partial.NewLIFO()
+			sc.partial = partial.NewLIFOCap(maxSuperblocks)
 		} else {
-			sc.partial = partial.NewFIFO()
+			sc.partial = partial.NewFIFOCap(maxSuperblocks)
 		}
 		if stripes != nil {
 			sc.partial.Instrument(stripes)

@@ -15,6 +15,7 @@
 package partial
 
 import (
+	"math/bits"
 	"sync/atomic"
 
 	"repro/internal/atomicx"
@@ -40,10 +41,9 @@ type List interface {
 	Instrument(st *telemetry.Stripes)
 }
 
-const (
-	nodeChunkLog2 = 8
-	maxNodeChunks = 1 << 16
-)
+// DefaultNodes is the node capacity of NewFIFO and NewLIFO: one node per
+// descriptor the core's descriptor table can hold.
+const DefaultNodes = 1 << 24
 
 type node struct {
 	value atomic.Uint64
@@ -55,22 +55,32 @@ func (n *node) PoolNext() *atomic.Uint64 { return &n.next }
 
 type nodePool = pool.Pool[node, *node]
 
-func newPool() *nodePool {
+// newPool builds a node pool with room for maxNodes nodes. A list pays
+// for two things up front — one chunk of nodes (16 bytes each, linked
+// one by one; a FIFO's dummy node forces it) and the pool's flat chunk
+// table (8 bytes a chunk) — and their sum is least when a chunk holds
+// about sqrt(maxNodes/2) nodes: 2^11 or 2^12 at 2^23 and 2^24 nodes,
+// 64 and 96 KiB a list, where a fixed small chunk would need a table of
+// half a megabyte. The first chunk of indices holds the reserved NULL
+// index and is never materialized, so the usable capacity is one chunk
+// less.
+func newPool(maxNodes uint64) *nodePool {
+	chunkLog2 := max(uint(bits.Len64(maxNodes)-1)/2, 6)
 	return pool.New[node, *node](pool.Config{
-		ChunkLog2: nodeChunkLog2,
-		MaxChunks: maxNodeChunks,
+		ChunkLog2: chunkLog2,
+		MaxChunks: max((maxNodes+1<<chunkLog2-1)>>chunkLog2, 2),
 	})
 }
 
 // backend adapts the node pool to pool.Backend for the generic FIFO.
 type backend struct{ p *nodePool }
 
-func (b backend) AllocNode() (uint64, error)     { return b.p.Alloc(0) }
-func (b backend) FreeNode(ref uint64)            { b.p.Retire(0, ref) }
-func (b backend) LoadValue(ref uint64) uint64    { return b.p.Get(ref).value.Load() }
+func (b backend) AllocNode() (uint64, error)      { return b.p.Alloc(0) }
+func (b backend) FreeNode(ref uint64)             { b.p.Retire(0, ref) }
+func (b backend) LoadValue(ref uint64) uint64     { return b.p.Get(ref).value.Load() }
 func (b backend) StoreValue(ref uint64, v uint64) { b.p.Get(ref).value.Store(v) }
-func (b backend) LoadLink(ref uint64) uint64     { return b.p.Get(ref).next.Load() }
-func (b backend) StoreLink(ref uint64, w uint64) { b.p.Get(ref).next.Store(w) }
+func (b backend) LoadLink(ref uint64) uint64      { return b.p.Get(ref).next.Load() }
+func (b backend) StoreLink(ref uint64, w uint64)  { b.p.Get(ref).next.Store(w) }
 func (b backend) CASLink(ref uint64, old, new uint64) bool {
 	return b.p.Get(ref).next.CompareAndSwap(old, new)
 }
@@ -88,10 +98,17 @@ func (q *FIFO) Instrument(st *telemetry.Stripes) {
 	q.q.Instrument(st, telemetry.SitePartialListPut, telemetry.SitePartialListGet)
 }
 
-// NewFIFO creates an empty FIFO list. Multiple FIFO lists may share a
-// process; each owns a private node pool.
-func NewFIFO() *FIFO {
-	q := &FIFO{pool: newPool()}
+// NewFIFO creates an empty FIFO list of DefaultNodes capacity. Multiple
+// FIFO lists may share a process; each owns a private node pool.
+func NewFIFO() *FIFO { return NewFIFOCap(DefaultNodes) }
+
+// NewFIFOCap creates an empty FIFO list whose node pool is bounded by
+// maxNodes (at least 64; see newPool): Put returns pool.ErrExhausted
+// beyond it. A caller that knows how many values can exist at once —
+// the core knows how many superblocks its heap has room for — passes
+// that instead of paying for DefaultNodes worth of chunk table.
+func NewFIFOCap(maxNodes uint64) *FIFO {
+	q := &FIFO{pool: newPool(maxNodes)}
 	if err := q.q.Init(backend{q.pool}); err != nil {
 		panic(err) // a fresh pool cannot be exhausted
 	}
@@ -125,9 +142,12 @@ type LIFO struct {
 // Instrument implements List.
 func (s *LIFO) Instrument(st *telemetry.Stripes) { s.tele.Store(st) }
 
-// NewLIFO creates an empty LIFO list.
-func NewLIFO() *LIFO {
-	return &LIFO{pool: newPool()}
+// NewLIFO creates an empty LIFO list of DefaultNodes capacity.
+func NewLIFO() *LIFO { return NewLIFOCap(DefaultNodes) }
+
+// NewLIFOCap creates an empty LIFO list bounded like NewFIFOCap.
+func NewLIFOCap(maxNodes uint64) *LIFO {
+	return &LIFO{pool: newPool(maxNodes)}
 }
 
 // Put pushes v.

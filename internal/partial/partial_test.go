@@ -1,9 +1,13 @@
 package partial
 
 import (
+	"errors"
+	"runtime"
 	"sync"
 	"testing"
 	"testing/quick"
+
+	"repro/internal/pool"
 )
 
 func lists() map[string]func() List {
@@ -263,6 +267,57 @@ func TestFIFOPerProducerOrder(t *testing.T) {
 	for p, l := range last {
 		if l != perProducer {
 			t.Errorf("producer %d: drained up to %d, want %d", p, l, perProducer)
+		}
+	}
+}
+
+// TestCapBoundsTheNodePool: a list built for maxNodes values holds about
+// that many (whole chunks, less the reserved first one) and then fails
+// Put with the pool's typed error instead of growing; what it holds
+// still comes out intact, and room freed by Get is reusable.
+func TestCapBoundsTheNodePool(t *testing.T) {
+	for name, l := range map[string]List{"fifo": NewFIFOCap(1000), "lifo": NewLIFOCap(1000)} {
+		var n uint64
+		var err error
+		for err == nil && n < 5000 {
+			n++
+			err = l.Put(n)
+		}
+		if !errors.Is(err, pool.ErrExhausted) {
+			t.Fatalf("%s: Put #%d = %v, want pool.ErrExhausted near 1000", name, n, err)
+		}
+		if held := n - 1; held < 900 || held > 1024 {
+			t.Errorf("%s: held %d values before exhaustion, want about 1000", name, held)
+		}
+		seen := map[uint64]bool{}
+		for v, ok := l.Get(); ok; v, ok = l.Get() {
+			if v == 0 || v >= n || seen[v] {
+				t.Fatalf("%s: Get returned %d (duplicate=%v)", name, v, seen[v])
+			}
+			seen[v] = true
+		}
+		if uint64(len(seen)) != n-1 {
+			t.Errorf("%s: got %d values back, put %d", name, len(seen), n-1)
+		}
+		if err := l.Put(7); err != nil {
+			t.Errorf("%s: Put after draining: %v", name, err)
+		}
+	}
+}
+
+// TestUpFrontFootprint pins what an empty list allocates: the node-pool
+// chunk table used to be 512 KiB a list whatever the capacity.
+func TestUpFrontFootprint(t *testing.T) {
+	for _, tc := range []struct {
+		maxNodes uint64
+		limit    uint64 // bytes
+	}{{DefaultNodes, 100 << 10}, {1 << 23, 68 << 10}, {1 << 15, 6 << 10}, {64, 2 << 10}} {
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		NewFIFOCap(tc.maxNodes)
+		runtime.ReadMemStats(&after)
+		if got := after.TotalAlloc - before.TotalAlloc; got > tc.limit {
+			t.Errorf("NewFIFOCap(%d) allocates %d bytes, limit %d", tc.maxNodes, got, tc.limit)
 		}
 	}
 }

@@ -3,6 +3,7 @@ package sched
 import (
 	"testing"
 
+	"repro/alloc"
 	"repro/internal/buddy"
 	"repro/internal/telemetry"
 )
@@ -24,37 +25,28 @@ import (
 // far more blocks than one pinned to a point every operation passes.
 func TestBuddyKillAtEveryPoint(t *testing.T) {
 	for p := buddy.HookPoint(0); p < buddy.NumHookPoints; p++ {
-		p := p
 		t.Run(p.String(), func(t *testing.T) {
 			t.Parallel()
-			res, err := RunBuddy(BuddyPlan{
+			target, b := buddyTarget(buddy.Config{}, false)
+			res, err := Run(Plan{
 				Victims:        6,
 				Survivors:      4,
 				OpsPerSurvivor: 3000,
 				OpsBeforeKill:  50,
 				Seed:           int64(p) + 7,
-				Point:          p,
-			})
+				Point:          int(p),
+			}, target)
 			if err != nil {
 				t.Fatalf("survivors blocked: %v (%v)", err, res)
 			}
 			if res.SurvivorOps != 4*3000 {
 				t.Fatalf("SurvivorOps = %d, want %d (%v)", res.SurvivorOps, 4*3000, res)
 			}
-			if res.InvariantErr != nil {
-				t.Fatalf("post-mortem corruption: %v (%v)", res.InvariantErr, res)
-			}
-			if res.ProbeErr != nil {
-				t.Fatalf("allocator unusable after kills: %v (%v)", res.ProbeErr, res)
-			}
-			kills := 0
-			for _, n := range res.Kills {
-				kills += n
-			}
+			checkBuddyPostMortem(t, res)
 			// Each victim killed mid-free strands at most one root path
 			// of coalescing marks (depth bits); more means unmark logic
 			// leaked marks it should have cleared.
-			depth := 12 - 3 // TreeWordsLog2 default in RunBuddy minus leaf log2
+			kills, depth := kills(res), b.Depth()
 			if res.StrandedCoalBits > kills*depth {
 				t.Fatalf("StrandedCoalBits = %d, want <= kills(%d) * depth(%d) (%v)",
 					res.StrandedCoalBits, kills, depth, res)
@@ -67,22 +59,10 @@ func TestBuddyKillAtEveryPoint(t *testing.T) {
 	}
 }
 
-// TestBuddyRandomKills draws random kill points, the configuration the
-// CI smoke runs at scale.
-func TestBuddyRandomKills(t *testing.T) {
-	st := &telemetry.Stripes{}
-	res, err := RunBuddy(BuddyPlan{
-		Victims:        10,
-		Survivors:      4,
-		OpsPerSurvivor: 5000,
-		OpsBeforeKill:  100,
-		Seed:           42,
-		Point:          -1,
-		Telemetry:      st,
-	})
-	if err != nil {
-		t.Fatalf("survivors blocked: %v (%v)", err, res)
-	}
+// checkBuddyPostMortem: kills may leak and strand marks, never corrupt
+// the trees or leave the allocator unable to serve an order.
+func checkBuddyPostMortem(t *testing.T, res Result) {
+	t.Helper()
 	if res.InvariantErr != nil {
 		t.Fatalf("post-mortem corruption: %v (%v)", res.InvariantErr, res)
 	}
@@ -91,15 +71,34 @@ func TestBuddyRandomKills(t *testing.T) {
 	}
 }
 
+// TestBuddyRandomKills draws random kill points, the configuration the
+// CI smoke runs at scale.
+func TestBuddyRandomKills(t *testing.T) {
+	target, _ := buddyTarget(buddy.Config{Telemetry: &telemetry.Stripes{}}, false)
+	res, err := Run(Plan{
+		Victims:        10,
+		Survivors:      4,
+		OpsPerSurvivor: 5000,
+		OpsBeforeKill:  100,
+		Seed:           42,
+		Point:          -1,
+	}, target)
+	if err != nil {
+		t.Fatalf("survivors blocked: %v (%v)", err, res)
+	}
+	checkBuddyPostMortem(t, res)
+}
+
 // TestBuddyNoKillsIsClean sanity-checks the harness itself: with zero
 // victims nothing may leak and no coalescing marks may remain.
 func TestBuddyNoKillsIsClean(t *testing.T) {
-	res, err := RunBuddy(BuddyPlan{
+	target, _ := buddyTarget(buddy.Config{}, false)
+	res, err := Run(Plan{
 		Survivors:      4,
 		OpsPerSurvivor: 4000,
 		Seed:           7,
 		Point:          -1,
-	})
+	}, target)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -109,8 +108,11 @@ func TestBuddyNoKillsIsClean(t *testing.T) {
 	if res.CoalBits != 0 {
 		t.Fatalf("CoalBits = %d with no kills, want 0 (%v)", res.CoalBits, res)
 	}
-	if res.InvariantErr != nil {
-		t.Fatal(res.InvariantErr)
+	checkBuddyPostMortem(t, res)
+	// Nothing died, so the strict check applies too: exact tree
+	// consistency and every tree coalesced back into one block.
+	if err := target.Inspect(0).InvariantErr; err != nil {
+		t.Fatal(err)
 	}
 }
 
@@ -119,27 +121,49 @@ func TestBuddyNoKillsIsClean(t *testing.T) {
 // shadowheap build tag this verifies kills never produce double-free,
 // overlap, or write-after-free visible to the oracle; without the tag
 // the oracle is compiled out and the run degenerates to the plain
-// sweep.
+// sweep. The mirroring (alloc's oracle wrapper) is ordered so a kill
+// cannot desynchronize the model: a malloc is noted only after it
+// returns (a victim killed mid-fragment leaks a block the oracle never
+// saw, and nobody can reuse it), and a free is noted before the status
+// words change (a victim killed mid-free leaves a block the oracle
+// counts freed, which is either released or stranded-occupied — never
+// handed out twice).
 func TestBuddyKillsUnderShadowOracle(t *testing.T) {
-	res, err := RunBuddy(BuddyPlan{
+	target, _ := buddyTarget(buddy.Config{}, true)
+	res, err := Run(Plan{
 		Victims:        8,
 		Survivors:      4,
 		OpsPerSurvivor: 3000,
 		OpsBeforeKill:  100,
 		Seed:           7,
 		Point:          -1,
-		Shadow:         true,
-	})
+	}, target)
 	if err != nil {
 		t.Fatalf("survivors blocked: %v", err)
 	}
 	if res.ShadowErr != nil {
 		t.Fatalf("shadow oracle: %v", res.ShadowErr)
 	}
-	if res.InvariantErr != nil {
-		t.Fatalf("invariants: %v", res.InvariantErr)
+	checkBuddyPostMortem(t, res)
+}
+
+// TestRegistryTargetsMatchTheirBackends: the harness reaches the hook
+// points through alloc's registry, so the table there must be the
+// backends' own enumeration, in order.
+func TestRegistryTargetsMatchTheirBackends(t *testing.T) {
+	target, _ := buddyTarget(buddy.Config{}, false)
+	names := target.HookPoints()
+	if len(names) != int(buddy.NumHookPoints) {
+		t.Fatalf("buddy target has %d hook points, want %d", len(names), buddy.NumHookPoints)
 	}
-	if res.ProbeErr != nil {
-		t.Fatalf("probe: %v", res.ProbeErr)
+	for p := buddy.HookPoint(0); p < buddy.NumHookPoints; p++ {
+		if names[p] != p.String() {
+			t.Errorf("buddy point %d is %q in the registry, %q in the backend", p, names[p], p)
+		}
+	}
+	for _, b := range alloc.Backends() {
+		if (b.Name == "lockfree" || b.Name == "buddy") != (len(b.HookPoints) > 0) {
+			t.Errorf("%s: %d hook points", b.Name, len(b.HookPoints))
+		}
 	}
 }

@@ -3,34 +3,42 @@ package sched
 import (
 	"testing"
 
+	"repro/internal/buddy"
 	"repro/internal/core"
 	"repro/internal/telemetry"
 )
 
+// censusTarget is the lock-free shape the census sweeps run on: two
+// processor heaps, magazines, and the allocation sampler on.
+func censusTarget(oracle bool) Target {
+	return lockFree(core.Config{
+		Processors:   2,
+		MagazineSize: 8,
+		Telemetry:    core.NewRecorder(telemetry.Config{SampleRate: 64}),
+	}, oracle)
+}
+
 // TestCensusSurvivesKillAtEveryPoint pins victims to each hook point in
-// turn while a census walker loops concurrently: a thread killed
-// between any two atomic steps of the allocator must leave structures
-// the lock-free walk still reads consistently — the walker never
-// panics, never blocks, and keeps completing walks.
+// turn, of the lock-free core and of the buddy, while the backend's
+// census walker loops concurrently: a thread killed between any two
+// atomic steps of the allocator must leave structures the lock-free
+// walk still reads consistently — the walker never panics, never
+// blocks, and keeps completing walks.
 func TestCensusSurvivesKillAtEveryPoint(t *testing.T) {
 	if testing.Short() {
 		t.Skip("kill sweep is slow")
 	}
-	for p := core.HookPoint(0); p < core.NumHookPoints; p++ {
-		p := p
-		t.Run(p.String(), func(t *testing.T) {
+	sweep := func(name string, point int, target Target) {
+		t.Run(name, func(t *testing.T) {
 			res, err := Run(Plan{
 				Victims:        2,
 				Survivors:      2,
 				OpsPerSurvivor: 3000,
 				OpsBeforeKill:  50,
-				Seed:           int64(p) + 1,
-				Point:          p,
-				Processors:     2,
-				Magazine:       8,
+				Seed:           int64(point) + 1,
+				Point:          point,
 				Census:         true,
-				Telemetry:      core.NewRecorder(telemetry.Config{SampleRate: 64}),
-			})
+			}, target)
 			if err != nil {
 				t.Fatalf("survivors blocked: %v", err)
 			}
@@ -45,6 +53,13 @@ func TestCensusSurvivesKillAtEveryPoint(t *testing.T) {
 			}
 		})
 	}
+	for p := core.HookPoint(0); p < core.NumHookPoints; p++ {
+		sweep(p.String(), int(p), censusTarget(false))
+	}
+	for p := buddy.HookPoint(0); p < buddy.NumHookPoints; p++ {
+		target, _ := buddyTarget(buddy.Config{}, false)
+		sweep("buddy/"+p.String(), int(p), target)
+	}
 }
 
 // TestCensusWalkerRandomKills drives the randomized sweep (a fresh
@@ -58,12 +73,8 @@ func TestCensusWalkerRandomKills(t *testing.T) {
 		OpsBeforeKill:  100,
 		Seed:           7,
 		Point:          -1,
-		Processors:     2,
-		Magazine:       8,
 		Census:         true,
-		Shadow:         true,
-		Telemetry:      core.NewRecorder(telemetry.Config{SampleRate: 64}),
-	})
+	}, censusTarget(true))
 	if err != nil {
 		t.Fatalf("survivors blocked: %v", err)
 	}

@@ -5,12 +5,12 @@ import (
 	"math/rand"
 	"sync/atomic"
 
-	"repro/internal/core"
+	"repro/alloc"
 )
 
-// Explore is a stateless model checker for the allocator at hook-point
+// Explore is a stateless model checker for an allocator at hook-point
 // granularity: it runs a set of scripted operations, one per thread,
-// where every instrumented point (core.HookPoint) is a scheduling
+// where every instrumented point (Target.HookPoints) is a scheduling
 // yield, and systematically enumerates ALL interleavings of those
 // yields by depth-first search over scheduler decisions, re-executing
 // from a fresh allocator for each schedule.
@@ -29,17 +29,17 @@ import (
 
 // Script is one thread's scripted work. It runs to completion under
 // the director; every allocator hook inside is a yield point.
-type Script func(th *core.Thread)
+type Script func(th alloc.Thread)
 
 // ExploreConfig configures an exploration.
 type ExploreConfig struct {
-	// NewAllocator builds the fresh allocator for each schedule.
-	NewAllocator func() *core.Allocator
+	// NewTarget builds the fresh allocator for each schedule.
+	NewTarget func() Target
 	// Scripts are the per-thread operations (2-3 keep the state space
 	// tractable; yields grow it exponentially).
 	Scripts []Script
 	// Check validates the quiescent state after each schedule.
-	Check func(a *core.Allocator) error
+	Check func(t Target) error
 	// MaxSchedules bounds the search (0 = unlimited).
 	MaxSchedules int
 }
@@ -131,7 +131,7 @@ func ExploreRandom(cfg ExploreConfig, n int, seed int64) (ExploreResult, error) 
 // first-runnable. It records the number of alternatives at each choice
 // point into *alts and returns how many choice points occurred.
 func runSchedule(cfg ExploreConfig, decisions []int, alts *[]int) (int, error) {
-	a := cfg.NewAllocator()
+	t := cfg.NewTarget()
 	n := len(cfg.Scripts)
 	states := make([]*threadState, n)
 	var abort atomic.Bool
@@ -142,8 +142,7 @@ func runSchedule(cfg ExploreConfig, decisions []int, alts *[]int) (int, error) {
 			done:    make(chan struct{}),
 		}
 		states[i] = st
-		th := a.Thread()
-		th.SetHook(func(core.HookPoint) {
+		th := t.NewThread(func(int) {
 			st.yielded <- struct{}{}
 			<-st.resume
 			if abort.Load() {
@@ -213,18 +212,18 @@ func runSchedule(cfg ExploreConfig, decisions []int, alts *[]int) (int, error) {
 			}
 		}
 		choice++
-		t := runnable[pick]
-		running[t] = true
-		states[t].resume <- struct{}{}
+		r := runnable[pick]
+		running[r] = true
+		states[r].resume <- struct{}{}
 		select {
-		case <-states[t].yielded:
-			running[t] = false
-		case <-states[t].done:
-			running[t] = false
-			finished[t] = true
-			if err := states[t].err; err != nil {
+		case <-states[r].yielded:
+			running[r] = false
+		case <-states[r].done:
+			running[r] = false
+			finished[r] = true
+			if err := states[r].err; err != nil {
 				teardown()
-				return choice, fmt.Errorf("thread %d: %w", t, err)
+				return choice, fmt.Errorf("thread %d: %w", r, err)
 			}
 		}
 	}
@@ -232,13 +231,11 @@ func runSchedule(cfg ExploreConfig, decisions []int, alts *[]int) (int, error) {
 	// is attached to the allocator, is consulted first: a double-free
 	// or write-after-free detected mid-schedule is more precise than
 	// whatever downstream inconsistency Check would report.
-	if o := a.ShadowOracle(); o != nil {
-		if err := o.Err(); err != nil {
-			return choice, err
-		}
+	if err := t.ShadowErr(); err != nil {
+		return choice, err
 	}
 	if cfg.Check != nil {
-		if err := cfg.Check(a); err != nil {
+		if err := cfg.Check(t); err != nil {
 			return choice, err
 		}
 	}

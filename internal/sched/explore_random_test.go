@@ -3,6 +3,7 @@ package sched
 import (
 	"testing"
 
+	"repro/alloc"
 	"repro/internal/core"
 	"repro/internal/mem"
 )
@@ -12,7 +13,7 @@ import (
 // enumerate.
 func TestExploreRandomMixedSizes(t *testing.T) {
 	script := func(sizes []uint64) Script {
-		return func(th *core.Thread) {
+		return func(th alloc.Thread) {
 			var ps []mem.Ptr
 			for _, sz := range sizes {
 				p, err := th.Malloc(sz)
@@ -34,15 +35,13 @@ func TestExploreRandomMixedSizes(t *testing.T) {
 		}
 	}
 	res, err := ExploreRandom(ExploreConfig{
-		NewAllocator: exploreAlloc,
+		NewTarget: exploreAlloc,
 		Scripts: []Script{
 			script([]uint64{8, 2048, 64}),
 			script([]uint64{2048, 8, 256}),
 			script([]uint64{64, 64, 2048}),
 		},
-		Check: func(a *core.Allocator) error {
-			return a.CheckInvariants(0)
-		},
+		Check: quiescent(0),
 	}, 150, 42)
 	if err != nil {
 		t.Fatal(err)
@@ -55,7 +54,7 @@ func TestExploreRandomMixedSizes(t *testing.T) {
 // TestExploreRandomHyperblocks samples schedules against the
 // hyperblock-enabled allocator.
 func TestExploreRandomHyperblocks(t *testing.T) {
-	pair := func(th *core.Thread) {
+	pair := func(th alloc.Thread) {
 		var ps []mem.Ptr
 		for i := 0; i < 4; i++ {
 			p, err := th.Malloc(2048)
@@ -69,17 +68,15 @@ func TestExploreRandomHyperblocks(t *testing.T) {
 		}
 	}
 	res, err := ExploreRandom(ExploreConfig{
-		NewAllocator: func() *core.Allocator {
-			return core.New(core.Config{
+		NewTarget: func() Target {
+			return lockFree(core.Config{
 				Processors:  1,
 				Hyperblocks: true,
 				HeapConfig:  mem.Config{SegmentWordsLog2: 18, TotalWordsLog2: 27},
-			})
+			}, false)
 		},
 		Scripts: []Script{pair, pair},
-		Check: func(a *core.Allocator) error {
-			return a.CheckInvariants(0)
-		},
+		Check:   quiescent(0),
 	}, 100, 7)
 	if err != nil {
 		t.Fatal(err)

@@ -6,15 +6,16 @@ import (
 	"testing"
 	"time"
 
+	"repro/alloc"
 	"repro/internal/core"
 	"repro/internal/mem"
 )
 
-func exploreAllocator() *core.Allocator {
-	return core.New(core.Config{
+func exploreAllocator() Target {
+	return lockFree(core.Config{
 		Processors: 1,
 		HeapConfig: mem.Config{SegmentWordsLog2: 14, TotalWordsLog2: 22},
-	})
+	}, false)
 }
 
 // TestExploreScriptPanicPropagates pins the teardown contract: a script
@@ -24,9 +25,9 @@ func exploreAllocator() *core.Allocator {
 func TestExploreScriptPanicPropagates(t *testing.T) {
 	before := runtime.NumGoroutine()
 	_, err := Explore(ExploreConfig{
-		NewAllocator: exploreAllocator,
+		NewTarget: exploreAllocator,
 		Scripts: []Script{
-			func(th *core.Thread) {
+			func(th alloc.Thread) {
 				p, e := th.Malloc(64)
 				if e != nil {
 					panic(e)
@@ -34,7 +35,7 @@ func TestExploreScriptPanicPropagates(t *testing.T) {
 				th.Free(p)
 				panic("deliberate script failure")
 			},
-			func(th *core.Thread) {
+			func(th alloc.Thread) {
 				p, e := th.Malloc(64)
 				if e != nil {
 					panic(e)
@@ -68,14 +69,14 @@ func TestExploreScriptPanicPropagates(t *testing.T) {
 func TestExploreCheckFailureNoLeak(t *testing.T) {
 	before := runtime.NumGoroutine()
 	_, err := Explore(ExploreConfig{
-		NewAllocator: exploreAllocator,
+		NewTarget: exploreAllocator,
 		Scripts: []Script{
-			func(th *core.Thread) {
+			func(th alloc.Thread) {
 				p, _ := th.Malloc(16)
 				th.Free(p)
 			},
 		},
-		Check: func(a *core.Allocator) error {
+		Check: func(Target) error {
 			return errTestCheck
 		},
 	})

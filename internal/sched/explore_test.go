@@ -5,15 +5,22 @@ import (
 	"sync/atomic"
 	"testing"
 
+	"repro/alloc"
 	"repro/internal/core"
 	"repro/internal/mem"
 )
 
-func exploreAlloc() *core.Allocator {
-	return core.New(core.Config{
+func exploreAlloc() Target {
+	return lockFree(core.Config{
 		Processors: 1, // one heap: maximum interference between threads
 		HeapConfig: mem.Config{SegmentWordsLog2: 16, TotalWordsLog2: 26},
-	})
+	}, false)
+}
+
+// quiescent is the usual terminal check: the strict structural check
+// with live small blocks still held.
+func quiescent(live int64) func(Target) error {
+	return func(t Target) error { return t.Inspect(live).InvariantErr }
 }
 
 // TestExploreMallocFreePair enumerates every interleaving of two
@@ -21,16 +28,16 @@ func exploreAlloc() *core.Allocator {
 // and zero leakage after each.
 func TestExploreMallocFreePair(t *testing.T) {
 	res, err := Explore(ExploreConfig{
-		NewAllocator: exploreAlloc,
+		NewTarget: exploreAlloc,
 		Scripts: []Script{
-			func(th *core.Thread) {
+			func(th alloc.Thread) {
 				p, err := th.Malloc(8)
 				if err != nil {
 					panic(err)
 				}
 				th.Free(p)
 			},
-			func(th *core.Thread) {
+			func(th alloc.Thread) {
 				p, err := th.Malloc(8)
 				if err != nil {
 					panic(err)
@@ -38,9 +45,7 @@ func TestExploreMallocFreePair(t *testing.T) {
 				th.Free(p)
 			},
 		},
-		Check: func(a *core.Allocator) error {
-			return a.CheckInvariants(0)
-		},
+		Check:        quiescent(0),
 		MaxSchedules: 20000,
 	})
 	if err != nil {
@@ -57,20 +62,20 @@ func TestExploreMallocFreePair(t *testing.T) {
 func TestExploreDistinctBlocks(t *testing.T) {
 	var p0, p1 atomic.Uint64
 	res, err := Explore(ExploreConfig{
-		NewAllocator: func() *core.Allocator {
+		NewTarget: func() Target {
 			p0.Store(0)
 			p1.Store(0)
 			return exploreAlloc()
 		},
 		Scripts: []Script{
-			func(th *core.Thread) {
+			func(th alloc.Thread) {
 				p, err := th.Malloc(8)
 				if err != nil {
 					panic(err)
 				}
 				p0.Store(uint64(p))
 			},
-			func(th *core.Thread) {
+			func(th alloc.Thread) {
 				p, err := th.Malloc(8)
 				if err != nil {
 					panic(err)
@@ -78,14 +83,14 @@ func TestExploreDistinctBlocks(t *testing.T) {
 				p1.Store(uint64(p))
 			},
 		},
-		Check: func(a *core.Allocator) error {
+		Check: func(t Target) error {
 			if p0.Load() == 0 || p1.Load() == 0 {
 				return fmt.Errorf("a malloc did not complete")
 			}
 			if p0.Load() == p1.Load() {
 				return fmt.Errorf("both threads received block %#x", p0.Load())
 			}
-			return a.CheckInvariants(2)
+			return quiescent(2)(t)
 		},
 		MaxSchedules: 20000,
 	})
@@ -101,20 +106,20 @@ func TestExploreRemoteFree(t *testing.T) {
 	var published atomic.Uint64
 	var consumed atomic.Bool
 	res, err := Explore(ExploreConfig{
-		NewAllocator: func() *core.Allocator {
+		NewTarget: func() Target {
 			published.Store(0)
 			consumed.Store(false)
 			return exploreAlloc()
 		},
 		Scripts: []Script{
-			func(th *core.Thread) {
+			func(th alloc.Thread) {
 				p, err := th.Malloc(16)
 				if err != nil {
 					panic(err)
 				}
 				published.Store(uint64(p))
 			},
-			func(th *core.Thread) {
+			func(th alloc.Thread) {
 				// B does its own work, then frees A's block if visible.
 				q, err := th.Malloc(16)
 				if err != nil {
@@ -127,12 +132,12 @@ func TestExploreRemoteFree(t *testing.T) {
 				}
 			},
 		},
-		Check: func(a *core.Allocator) error {
+		Check: func(t Target) error {
 			want := int64(1) // A's block lives unless B consumed it
 			if consumed.Load() {
 				want = 0
 			}
-			return a.CheckInvariants(want)
+			return quiescent(want)(t)
 		},
 		MaxSchedules: 20000,
 	})
@@ -146,7 +151,8 @@ func TestExploreRemoteFree(t *testing.T) {
 // superblock past FULL and back; every interleaving of the
 // FULL/PARTIAL/EMPTY transitions must stay consistent.
 func TestExploreSuperblockDrain(t *testing.T) {
-	script := func(th *core.Thread) {
+	t.Parallel() // single-threaded by construction: the director runs one thread at a time
+	script := func(th alloc.Thread) {
 		// 2048-byte class: 7 blocks per superblock; 4+4 allocations
 		// from two threads force a FULL transition and a second
 		// superblock in some interleavings.
@@ -163,11 +169,9 @@ func TestExploreSuperblockDrain(t *testing.T) {
 		}
 	}
 	res, err := Explore(ExploreConfig{
-		NewAllocator: exploreAlloc,
+		NewTarget:    exploreAlloc,
 		Scripts:      []Script{script, script},
-		Check: func(a *core.Allocator) error {
-			return a.CheckInvariants(0)
-		},
+		Check:        quiescent(0),
 		MaxSchedules: 800, // the full space is large; a bounded prefix
 	})
 	if err != nil {
@@ -183,7 +187,7 @@ func TestExploreSuperblockDrain(t *testing.T) {
 // the last credit and runs UpdateActive — the densest interleaving of
 // the §3.2.3 credit machinery. Exhaustive for two malloc/free pairs.
 func TestExploreNoCreditsVariant(t *testing.T) {
-	pair := func(th *core.Thread) {
+	pair := func(th alloc.Thread) {
 		p, err := th.Malloc(8)
 		if err != nil {
 			panic(err)
@@ -191,17 +195,15 @@ func TestExploreNoCreditsVariant(t *testing.T) {
 		th.Free(p)
 	}
 	res, err := Explore(ExploreConfig{
-		NewAllocator: func() *core.Allocator {
-			return core.New(core.Config{
+		NewTarget: func() Target {
+			return lockFree(core.Config{
 				Processors: 1,
 				MaxCredits: 1,
 				HeapConfig: mem.Config{SegmentWordsLog2: 16, TotalWordsLog2: 26},
-			})
+			}, false)
 		},
-		Scripts: []Script{pair, pair},
-		Check: func(a *core.Allocator) error {
-			return a.CheckInvariants(0)
-		},
+		Scripts:      []Script{pair, pair},
+		Check:        quiescent(0),
 		MaxSchedules: 20000,
 	})
 	if err != nil {
@@ -214,7 +216,8 @@ func TestExploreNoCreditsVariant(t *testing.T) {
 // layer enabled, interleaving its lock-free superblock recycling with
 // the allocator's EMPTY transitions.
 func TestExploreHyperblocks(t *testing.T) {
-	script := func(th *core.Thread) {
+	t.Parallel() // single-threaded by construction: the director runs one thread at a time
+	script := func(th alloc.Thread) {
 		var ps []mem.Ptr
 		for i := 0; i < 3; i++ {
 			p, err := th.Malloc(2048)
@@ -228,17 +231,15 @@ func TestExploreHyperblocks(t *testing.T) {
 		}
 	}
 	res, err := Explore(ExploreConfig{
-		NewAllocator: func() *core.Allocator {
-			return core.New(core.Config{
+		NewTarget: func() Target {
+			return lockFree(core.Config{
 				Processors:  1,
 				Hyperblocks: true,
 				HeapConfig:  mem.Config{SegmentWordsLog2: 18, TotalWordsLog2: 27},
-			})
+			}, false)
 		},
-		Scripts: []Script{script, script},
-		Check: func(a *core.Allocator) error {
-			return a.CheckInvariants(0)
-		},
+		Scripts:      []Script{script, script},
+		Check:        quiescent(0),
 		MaxSchedules: 300,
 	})
 	if err != nil {
@@ -250,7 +251,8 @@ func TestExploreHyperblocks(t *testing.T) {
 // TestExploreThreeThreads: a bounded sweep of a 3-thread configuration
 // (malloc/free pairs) for cross-checking beyond pairwise interactions.
 func TestExploreThreeThreads(t *testing.T) {
-	pair := func(th *core.Thread) {
+	t.Parallel() // single-threaded by construction: the director runs one thread at a time
+	pair := func(th alloc.Thread) {
 		p, err := th.Malloc(8)
 		if err != nil {
 			panic(err)
@@ -258,11 +260,9 @@ func TestExploreThreeThreads(t *testing.T) {
 		th.Free(p)
 	}
 	res, err := Explore(ExploreConfig{
-		NewAllocator: exploreAlloc,
+		NewTarget:    exploreAlloc,
 		Scripts:      []Script{pair, pair, pair},
-		Check: func(a *core.Allocator) error {
-			return a.CheckInvariants(0)
-		},
+		Check:        quiescent(0),
 		MaxSchedules: 1200,
 	})
 	if err != nil {

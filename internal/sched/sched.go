@@ -1,8 +1,9 @@
-// Package sched provides fault-injection harnesses for the lock-free
-// allocator: it "kills" threads at instrumented points between atomic
-// steps (core.HookPoint) and verifies the paper's availability claims
-// (§1): other threads keep making progress no matter where a thread
-// dies, and the damage is bounded memory, never blocked peers.
+// Package sched provides fault-injection harnesses for the allocators
+// with instrumented steps between their atomic operations (the hook
+// points of an alloc.Backend): it "kills" threads at those points and
+// verifies the paper's availability claims (§1): other threads keep
+// making progress no matter where a thread dies, and the damage is
+// bounded memory, never blocked peers.
 //
 // Goroutines cannot literally be killed, so a victim abandons its
 // operation by panicking out of the allocator (which holds no locks
@@ -18,17 +19,42 @@ import (
 	"runtime/debug"
 	"sync"
 	"sync/atomic"
+	"time"
 
+	"repro/alloc"
 	"repro/internal/census"
-	"repro/internal/core"
-	"repro/internal/mem"
-	"repro/internal/pool"
-	"repro/internal/shadow"
-	"repro/internal/telemetry"
+	"repro/internal/churn"
 )
 
+// Target is the allocator under test as the harnesses see it; all that
+// differs between backends is behind it. alloc.HarnessOf provides one
+// (whose methods carry the full contracts) for every registered
+// backend, from an allocator the caller built — heap shape, knobs,
+// telemetry and shadow oracle are chosen there, not here.
+type Target interface {
+	// HookPoints names the kill points; the hook gets an index into it.
+	HookPoints() []string
+	// NewThread registers a fresh handle whose every instrumented step
+	// calls hook (nil: none); panicking out of it abandons the operation.
+	NewThread(hook func(point int)) alloc.Thread
+	// Census makes one walk beside live and dead threads; nil: no walker.
+	Census() *census.Census
+	// ShadowErr is the mirroring oracle's verdict, nil without one.
+	ShadowErr() error
+	// Inspect checks the quiescent allocator holding live blocks, or an
+	// unknown number (negative) after kills.
+	Inspect(live int64) alloc.Report
+}
+
 // killSignal is the panic value used to abandon an operation.
-type killSignal struct{ point core.HookPoint }
+type killSignal struct{ point int }
+
+// stallDeadline is how long all victims and survivors together may go
+// without completing a single operation before Run reports the
+// allocator blocked. An operation takes microseconds and any one of
+// them resets the clock, so only a thread parked on something a dead
+// thread owns gets anywhere near it.
+const stallDeadline = 2 * time.Second
 
 // Plan schedules which operations die where.
 type Plan struct {
@@ -44,64 +70,41 @@ type Plan struct {
 	OpsBeforeKill int
 	// Seed drives the randomized choice of kill points.
 	Seed int64
-	// Point, if >= 0, pins every kill to one hook point; -1 draws a
-	// random point per victim.
-	Point core.HookPoint
-	// Processors configures the shared allocator.
-	Processors int
-	// Magazine sets Config.MagazineSize (0 = magazines off), so kill
-	// tolerance can be verified with the batched refill/flush paths in
-	// play.
-	Magazine int
-	// Arenas sets the region-arena count of the shared heap (0 =
-	// one arena per processor, the allocator default; 1 = the
-	// unsharded layout), so kill tolerance can be verified with
-	// cross-arena stealing and remote-free routing in play.
-	Arenas int
-	// DescStripes sets the descriptor-pool stripe count (0 = one
-	// stripe per processor, the allocator default; 1 = the paper's
-	// single DescAvail list), so kill tolerance can be verified with
-	// cross-stripe chain migration in play.
-	DescStripes int
-	// DescAlgo selects the descriptor pool's recycling backend
-	// (pool.AlgoFreelist or pool.AlgoConstTime), so kill tolerance can
-	// be verified with the Blelloch-Wei batch machinery in play.
-	DescAlgo pool.Algo
-	// Telemetry, when non-nil, is attached to the allocator; after the
-	// run its flight recorder holds the events leading up to each kill
-	// (every hook firing is recorded, so the ring's tail shows exactly
-	// where each victim died).
-	Telemetry *telemetry.Recorder
-	// Shadow attaches a shadow-heap oracle in collecting mode (requires
-	// the shadowheap build tag; a no-op without it). Kills may leak
-	// blocks but must never make the allocator hand out overlapping or
-	// stale memory — the oracle's verdict lands in Result.ShadowErr.
-	Shadow bool
-	// Census runs a heap-census walker concurrently with the victims
-	// and survivors: the walk must tolerate kills at every hook point —
-	// a thread dead mid-operation leaves structures the walker still
-	// reads consistently — and must itself never panic or block. Walk
-	// count and any walker failure land in Result.CensusWalks /
+	// Point, if >= 0, pins every kill to one hook point (an index into
+	// Target.HookPoints); -1 draws a random point per victim.
+	Point int
+	// Census runs the target's census walker concurrently with the
+	// victims and survivors: the walk must tolerate kills at every hook
+	// point — a thread dead mid-operation leaves structures the walker
+	// still reads consistently — and must itself never panic or block.
+	// Walk count and any walker failure land in Result.CensusWalks /
 	// CensusErr.
 	Census bool
 }
 
 // Result reports what happened.
 type Result struct {
-	// Kills counts the kills that actually fired, by point. (A victim
-	// whose chosen point is never reached dies of natural causes —
-	// completes its ops — and is not counted.)
-	Kills map[core.HookPoint]int
+	// Kills counts the kills that actually fired, by hook-point name.
+	// (A victim whose chosen point is never reached dies of natural
+	// causes — completes its ops — and is not counted.)
+	Kills map[string]int
 	// SurvivorOps is the total operations completed by survivors.
 	SurvivorOps uint64
-	// LeakedWords is the heap space still live after survivors freed
-	// everything they own: the memory lost to kills.
-	LeakedWords uint64
-	// InvariantErr is non-nil if the post-mortem structural check
-	// found corruption (leaks are expected; corruption never is).
-	InvariantErr error
-	// ShadowErr is the shadow oracle's verdict (nil when Plan.Shadow is
-	// off or the shadowheap build tag is absent).
+	// LeakedBlocks is the number of blocks victims held when they died.
+	// They stay allocated forever.
+	LeakedBlocks int
+	// Report is the target's post-mortem, Inspect(-1): LeakedWords is
+	// the memory lost to the kills; InvariantErr is non-nil if the
+	// structural check found corruption (leaks are expected; corruption
+	// never is) and ProbeErr if the allocator no longer serves requests.
+	// The buddy's coalescing marks are bounded by the kills: CoalBits by
+	// (kills + LeakedBlocks) × tree depth, StrandedCoalBits by kills ×
+	// depth.
+	alloc.Report
+	// ShadowErr is the shadow oracle's verdict (nil when the target has
+	// no oracle or the shadowheap build tag is absent). Kills may leak
+	// blocks but must never make the allocator hand out overlapping or
+	// stale memory.
 	ShadowErr error
 	// CensusWalks counts completed census walks (Plan.Census);
 	// CensusErr is non-nil if a walk panicked — a walker must survive
@@ -111,54 +114,42 @@ type Result struct {
 }
 
 func (r Result) String() string {
-	return fmt.Sprintf("sched: kills=%v survivorOps=%d leakedWords=%d",
-		r.Kills, r.SurvivorOps, r.LeakedWords)
+	s := fmt.Sprintf("sched: kills=%v survivorOps=%d leakedWords=%d leakedBlocks=%d",
+		r.Kills, r.SurvivorOps, r.LeakedWords, r.LeakedBlocks)
+	if r.CoalBits != 0 || r.StrandedCoalBits != 0 {
+		s += fmt.Sprintf(" coalBits=%d stranded=%d", r.CoalBits, r.StrandedCoalBits)
+	}
+	return s
 }
 
-// Run executes the plan against a fresh allocator. It returns an error
-// only if a survivor could not complete its operations — i.e. if a
-// kill blocked the allocator, violating lock-freedom.
-func Run(plan Plan) (Result, error) {
+// Run executes the plan against the target. It returns an error if the
+// plan does not fit the target, or if the survivors could not complete
+// their operations — a Malloc failed, or no thread completed anything
+// for stallDeadline, i.e. a kill blocked the allocator, violating
+// lock-freedom. In the blocked case the stuck goroutines cannot be
+// reclaimed and stay parked.
+func Run(plan Plan, t Target) (Result, error) {
+	points := t.HookPoints()
+	if plan.Victims > 0 && len(points) == 0 {
+		return Result{}, fmt.Errorf("sched: the target has no hook points to kill a thread at")
+	}
+	if plan.Point >= len(points) && plan.Victims > 0 {
+		return Result{}, fmt.Errorf("sched: kill point %d of %d", plan.Point, len(points))
+	}
 	rng := rand.New(rand.NewSource(plan.Seed))
-	procs := plan.Processors
-	if procs == 0 {
-		procs = 4
-	}
-	var sh *shadow.Oracle
-	if plan.Shadow {
-		// Collecting mode: an empty OnViolation suppresses the default
-		// panic; violations accumulate and surface via Result.ShadowErr.
-		sh = shadow.New(shadow.Config{
-			Name:          "lockfree",
-			VerifyOnReuse: true,
-			OnViolation:   func(shadow.Violation) {},
-			Telemetry:     plan.Telemetry,
-		})
-	}
-	a := core.New(core.Config{
-		Processors:   procs,
-		HeapConfig:   mem.Config{SegmentWordsLog2: 18, TotalWordsLog2: 28, Arenas: plan.Arenas},
-		Telemetry:    plan.Telemetry,
-		MagazineSize: plan.Magazine,
-		DescStripes:  plan.DescStripes,
-		DescAlgo:     plan.DescAlgo,
-		Shadow:       sh,
-	})
-
-	res := Result{Kills: map[core.HookPoint]int{}}
-	var killMu sync.Mutex
+	res := Result{Kills: map[string]int{}}
+	var killMu sync.Mutex // guards res.Kills and res.LeakedBlocks
 
 	// The census walker starts before the victims so walks overlap the
 	// kills. Plain writes to res.CensusWalks/CensusErr are safe: the
-	// goroutine exits before the close(censusStop)+Wait below, which
-	// happens-before the reads.
-	var censusStop chan struct{}
-	var censusDone chan struct{}
+	// goroutine exits before stopCensus returns, which happens-before
+	// the reads.
+	stopCensus := func() {}
 	if plan.Census {
-		censusStop = make(chan struct{})
-		censusDone = make(chan struct{})
+		stop, done := make(chan struct{}), make(chan struct{})
+		stopCensus = func() { close(stop); <-done }
 		go func() {
-			defer close(censusDone)
+			defer close(done)
 			defer func() {
 				if rec := recover(); rec != nil {
 					res.CensusErr = fmt.Errorf("census walk panicked: %v\n%s", rec, debug.Stack())
@@ -166,136 +157,148 @@ func Run(plan Plan) (Result, error) {
 			}()
 			for {
 				select {
-				case <-censusStop:
+				case <-stop:
 					return
 				default:
 				}
-				census.Take(a)
+				if t.Census() == nil {
+					return
+				}
 				res.CensusWalks++
 			}
 		}()
 	}
 
-	var victims sync.WaitGroup
+	var threads sync.WaitGroup
+	drivers := make([]*churn.Driver, 0, plan.Victims+plan.Survivors)
 	for v := 0; v < plan.Victims; v++ {
 		point := plan.Point
 		if point < 0 {
-			point = core.HookPoint(rng.Intn(int(core.NumHookPoints)))
+			point = rng.Intn(len(points))
 		}
 		skip := rng.Int63n(4)
-		victims.Add(1)
-		go func(point core.HookPoint, skip int64, seed int64) {
-			defer victims.Done()
-			th := a.Thread()
-			var armed atomic.Bool
-			counter := skip
-			th.SetHook(func(p core.HookPoint) {
-				if !armed.Load() || p != point {
-					return
-				}
-				if counter > 0 {
-					counter--
-					return
-				}
-				panic(killSignal{p})
-			})
-			r := rand.New(rand.NewSource(seed))
-			var held []mem.Ptr
-			killed := false
-			func() {
-				defer func() {
-					if rec := recover(); rec != nil {
-						ks, ok := rec.(killSignal)
-						if !ok {
-							panic(rec)
-						}
-						killed = true
-						killMu.Lock()
-						res.Kills[ks.point]++
-						killMu.Unlock()
-					}
-				}()
-				// Churn until the kill fires (bounded: if the point is
-				// never reached, die of natural causes).
-				for i := 0; i < plan.OpsBeforeKill+200000; i++ {
-					if i == plan.OpsBeforeKill {
-						armed.Store(true)
-					}
-					if len(held) > 0 && r.Intn(3) == 0 {
-						th.Free(held[len(held)-1])
-						held = held[:len(held)-1]
-						continue
-					}
-					p, err := th.Malloc(uint64(8 << r.Intn(8)))
-					if err != nil {
-						panic(err)
-					}
-					held = append(held, p)
-				}
-			}()
-			// A killed thread never touches the allocator again; its
-			// held blocks leak, exactly as for a killed pthread. A
-			// victim whose kill point was never reached survived, so
-			// it cleans up like any live thread would.
-			if !killed {
-				th.SetHook(nil)
-				for _, p := range held {
-					th.Free(p)
-				}
-				th.Unregister()
+		// armed and skip belong to the victim's goroutine: the hook runs
+		// inside that goroutine's own Malloc and Free calls.
+		armed := false
+		th := t.NewThread(func(p int) {
+			if !armed || p != point {
+				return
 			}
-		}(point, skip, int64(v)+100)
+			if skip > 0 {
+				skip--
+				return
+			}
+			panic(killSignal{p})
+		})
+		d := churn.New(th, int64(v)+100, churn.Victim)
+		drivers = append(drivers, d)
+		threads.Add(1)
+		go func() {
+			defer threads.Done()
+			if at, killed := victim(d, &armed, plan.OpsBeforeKill); killed {
+				// A killed thread never touches the allocator again; its
+				// held blocks leak, exactly as for a killed pthread.
+				killMu.Lock()
+				res.Kills[points[at]]++
+				res.LeakedBlocks += d.Live()
+				killMu.Unlock()
+				return
+			}
+			// The kill point was never reached: the victim survived, so
+			// it cleans up like any live thread would.
+			armed = false
+			d.Drain()
+		}()
 	}
 
 	// Survivors run concurrently with the dying victims and must
 	// finish their quota regardless.
 	survivorErrs := make(chan error, plan.Survivors)
 	var survivorOps atomic.Uint64
-	var survivors sync.WaitGroup
 	for s := 0; s < plan.Survivors; s++ {
-		survivors.Add(1)
-		go func(seed int64) {
-			defer survivors.Done()
-			th := a.Thread()
-			r := rand.New(rand.NewSource(seed))
-			var held []mem.Ptr
+		d := churn.New(t.NewThread(nil), int64(s)+1000, churn.Survivor)
+		drivers = append(drivers, d)
+		threads.Add(1)
+		go func() {
+			defer threads.Done()
 			for i := 0; i < plan.OpsPerSurvivor; i++ {
-				if len(held) > 0 && (r.Intn(2) == 0 || len(held) > 32) {
-					th.Free(held[len(held)-1])
-					held = held[:len(held)-1]
-					continue
-				}
-				p, err := th.Malloc(uint64(8 << r.Intn(8)))
-				if err != nil {
+				if err := d.Step(); err != nil {
 					survivorErrs <- fmt.Errorf("survivor malloc: %w", err)
 					return
 				}
-				held = append(held, p)
 			}
-			for _, p := range held {
-				th.Free(p)
-			}
-			th.Unregister()
+			d.Drain()
 			survivorOps.Add(uint64(plan.OpsPerSurvivor))
-		}(int64(s) + 1000)
+		}()
 	}
 
-	victims.Wait()
-	survivors.Wait()
-	if plan.Census {
-		close(censusStop)
-		<-censusDone
+	finished := make(chan struct{})
+	go func() { threads.Wait(); close(finished) }()
+	err := awaitProgress(finished, drivers)
+	stopCensus()
+	if err != nil {
+		return res, err
 	}
 	close(survivorErrs)
 	for err := range survivorErrs {
 		return res, err
 	}
 	res.SurvivorOps = survivorOps.Load()
-	res.LeakedWords = a.Heap().Stats().LiveWords
-	// Post-mortem: the structure must be intact (walkable free lists,
-	// consistent counts); kills may only leak, never corrupt. Live
-	// count is unknowable after kills, so pass -1.
-	res.InvariantErr = a.CheckInvariants(-1)
-	res.ShadowErr = sh.Err()
+	// The oracle's verdict comes first: the post-mortem's probe reuses
+	// freed (poisoned) blocks without mirroring, so its writes must not
+	// count against the write-after-free check.
+	res.ShadowErr = t.ShadowErr()
+	// Post-mortem: the structure must be intact; kills may only leak,
+	// never corrupt. What is live is unknowable after kills.
+	res.Report = t.Inspect(-1)
 	return res, nil
+}
+
+// victim churns until its kill fires (bounded: if the point is never
+// reached, it dies of natural causes) and reports where it was killed.
+// The kill arms after opsBeforeKill operations.
+func victim(d *churn.Driver, armed *bool, opsBeforeKill int) (point int, killed bool) {
+	defer func() {
+		if rec := recover(); rec != nil {
+			ks, ok := rec.(killSignal)
+			if !ok {
+				panic(rec)
+			}
+			point, killed = ks.point, true
+		}
+	}()
+	for i := 0; i < opsBeforeKill+200000; i++ {
+		if i == opsBeforeKill {
+			*armed = true
+		}
+		if err := d.Step(); err != nil {
+			panic(err)
+		}
+	}
+	return 0, false
+}
+
+// awaitProgress waits for finished, or fails once the drivers' combined
+// operation count has stood still for stallDeadline.
+func awaitProgress(finished <-chan struct{}, drivers []*churn.Driver) error {
+	tick := time.NewTicker(stallDeadline / 8)
+	defer tick.Stop()
+	var last uint64
+	lastAt := time.Now()
+	for {
+		select {
+		case <-finished:
+			return nil
+		case now := <-tick.C:
+			var ops uint64
+			for _, d := range drivers {
+				ops += d.Mallocs() + d.Frees()
+			}
+			if ops != last {
+				last, lastAt = ops, now
+			} else if now.Sub(lastAt) >= stallDeadline {
+				return fmt.Errorf("sched: survivors blocked: no thread completed an operation in %v", stallDeadline)
+			}
+		}
+	}
 }

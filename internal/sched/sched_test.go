@@ -1,10 +1,18 @@
 package sched
 
 import (
+	"errors"
 	"fmt"
+	"strings"
+	"sync"
+	"sync/atomic"
 	"testing"
+	"time"
 
+	"repro/alloc"
+	"repro/internal/census"
 	"repro/internal/core"
+	"repro/internal/mem"
 	"repro/internal/pool"
 )
 
@@ -12,28 +20,7 @@ import (
 // turn and requires survivors to finish: the paper's kill-tolerance
 // claim, point by point.
 func TestKillAtEveryPoint(t *testing.T) {
-	for p := core.HookPoint(0); p < core.NumHookPoints; p++ {
-		p := p
-		t.Run(p.String(), func(t *testing.T) {
-			res, err := Run(Plan{
-				Victims:        2,
-				Survivors:      2,
-				OpsPerSurvivor: 20000,
-				OpsBeforeKill:  50,
-				Seed:           int64(p) + 1,
-				Point:          p,
-			})
-			if err != nil {
-				t.Fatalf("survivors blocked: %v", err)
-			}
-			if res.SurvivorOps != 2*20000 {
-				t.Errorf("survivor ops = %d", res.SurvivorOps)
-			}
-			if res.InvariantErr != nil {
-				t.Errorf("structure corrupted: %v", res.InvariantErr)
-			}
-		})
-	}
+	sweepLockFree(t, "", 20000, func(p int64) int64 { return p + 1 }, core.Config{})
 }
 
 // TestKillAtEveryPointMagazine repeats the per-point kill sweep with
@@ -42,69 +29,7 @@ func TestKillAtEveryPoint(t *testing.T) {
 // thread's magazine-cached blocks and any flush group removed from the
 // magazine before the splice may leak; the structure must stay intact.
 func TestKillAtEveryPointMagazine(t *testing.T) {
-	for p := core.HookPoint(0); p < core.NumHookPoints; p++ {
-		p := p
-		t.Run(p.String(), func(t *testing.T) {
-			res, err := Run(Plan{
-				Victims:        2,
-				Survivors:      2,
-				OpsPerSurvivor: 20000,
-				OpsBeforeKill:  50,
-				Seed:           int64(p) + 1,
-				Point:          p,
-				Magazine:       16,
-			})
-			if err != nil {
-				t.Fatalf("survivors blocked: %v", err)
-			}
-			if res.SurvivorOps != 2*20000 {
-				t.Errorf("survivor ops = %d", res.SurvivorOps)
-			}
-			if res.InvariantErr != nil {
-				t.Errorf("structure corrupted: %v", res.InvariantErr)
-			}
-		})
-	}
-}
-
-// TestMassacreMagazine is the random-point massacre with magazines on.
-func TestMassacreMagazine(t *testing.T) {
-	res, err := Run(Plan{
-		Victims:        16,
-		Survivors:      4,
-		OpsPerSurvivor: 30000,
-		OpsBeforeKill:  100,
-		Seed:           7,
-		Point:          -1,
-		Magazine:       32,
-	})
-	if err != nil {
-		t.Fatalf("survivors blocked: %v", err)
-	}
-	if res.InvariantErr != nil {
-		t.Errorf("structure corrupted: %v", res.InvariantErr)
-	}
-	t.Logf("%v", res)
-}
-
-// TestMassacre kills many victims at random points concurrently with
-// survivor progress.
-func TestMassacre(t *testing.T) {
-	res, err := Run(Plan{
-		Victims:        16,
-		Survivors:      4,
-		OpsPerSurvivor: 30000,
-		OpsBeforeKill:  100,
-		Seed:           7,
-		Point:          -1,
-	})
-	if err != nil {
-		t.Fatalf("survivors blocked: %v", err)
-	}
-	if res.InvariantErr != nil {
-		t.Errorf("structure corrupted: %v", res.InvariantErr)
-	}
-	t.Logf("%v", res)
+	sweepLockFree(t, "", 20000, func(p int64) int64 { return p + 1 }, core.Config{MagazineSize: 16})
 }
 
 // TestKillAtEveryPointArenas repeats the per-point kill sweep at both
@@ -114,30 +39,11 @@ func TestMassacre(t *testing.T) {
 // layouts. A thread killed mid-steal or mid-remote-free must never
 // block other arenas.
 func TestKillAtEveryPointArenas(t *testing.T) {
-	for _, arenas := range []int{1, 6} {
-		for p := core.HookPoint(0); p < core.NumHookPoints; p++ {
-			p := p
-			t.Run(fmt.Sprintf("arenas=%d/%v", arenas, p), func(t *testing.T) {
-				res, err := Run(Plan{
-					Victims:        2,
-					Survivors:      2,
-					OpsPerSurvivor: 10000,
-					OpsBeforeKill:  50,
-					Seed:           int64(p) + 100*int64(arenas),
-					Point:          p,
-					Arenas:         arenas,
-				})
-				if err != nil {
-					t.Fatalf("survivors blocked: %v", err)
-				}
-				if res.SurvivorOps != 2*10000 {
-					t.Errorf("survivor ops = %d", res.SurvivorOps)
-				}
-				if res.InvariantErr != nil {
-					t.Errorf("structure corrupted: %v", res.InvariantErr)
-				}
-			})
-		}
+	for _, arenas := range []int64{1, 6} {
+		heap := sweepHeap
+		heap.Arenas = int(arenas)
+		sweepLockFree(t, fmt.Sprintf("arenas=%d/", arenas), 10000,
+			func(p int64) int64 { return p + 100*arenas }, core.Config{HeapConfig: heap})
 	}
 }
 
@@ -145,36 +51,69 @@ func TestKillAtEveryPointArenas(t *testing.T) {
 // both ends of the descriptor-pool ablation — the paper's single
 // DescAvail list (DescStripes=1) and more stripes than processors — so
 // victims die with cross-stripe chain migration in play on both
-// layouts. A thread killed between a migration's detach CAS and its
-// splice must never strand the chain where peers can't reach it.
+// layouts, under both recycling backends. A thread killed between a
+// migration's detach CAS and its splice must never strand the chain
+// where peers can't reach it.
 func TestKillAtEveryPointDescStripes(t *testing.T) {
 	for _, algo := range []pool.Algo{pool.AlgoFreelist, pool.AlgoConstTime} {
-		for _, stripes := range []int{1, 6} {
-			for p := core.HookPoint(0); p < core.NumHookPoints; p++ {
-				p := p
-				t.Run(fmt.Sprintf("algo=%s/stripes=%d/%v", algo, stripes, p), func(t *testing.T) {
-					res, err := Run(Plan{
-						Victims:        2,
-						Survivors:      2,
-						OpsPerSurvivor: 10000,
-						OpsBeforeKill:  50,
-						Seed:           int64(p) + 1000*int64(stripes),
-						Point:          p,
-						DescStripes:    stripes,
-						DescAlgo:       algo,
-					})
-					if err != nil {
-						t.Fatalf("survivors blocked: %v", err)
-					}
-					if res.SurvivorOps != 2*10000 {
-						t.Errorf("survivor ops = %d", res.SurvivorOps)
-					}
-					if res.InvariantErr != nil {
-						t.Errorf("structure corrupted: %v", res.InvariantErr)
-					}
-				})
-			}
+		for _, stripes := range []int64{1, 6} {
+			sweepLockFree(t, fmt.Sprintf("algo=%s/stripes=%d/", algo, stripes), 10000,
+				func(p int64) int64 { return p + 1000*stripes },
+				core.Config{DescStripes: int(stripes), DescAlgo: algo})
 		}
+	}
+}
+
+// TestMassacre kills many victims at random points concurrently with
+// survivor progress, without and with magazines.
+func TestMassacre(t *testing.T)         { massacre(t, core.Config{}) }
+func TestMassacreMagazine(t *testing.T) { massacre(t, core.Config{MagazineSize: 32}) }
+
+func massacre(t *testing.T, cfg core.Config) {
+	res, err := Run(Plan{
+		Victims:        16,
+		Survivors:      4,
+		OpsPerSurvivor: 30000,
+		OpsBeforeKill:  100,
+		Seed:           7,
+		Point:          -1,
+	}, lockFree(cfg, false))
+	if err != nil {
+		t.Fatalf("survivors blocked: %v", err)
+	}
+	if res.InvariantErr != nil {
+		t.Errorf("structure corrupted: %v", res.InvariantErr)
+	}
+	t.Logf("%v", res)
+}
+
+// TestKillSweepUsesTheCallersShape pins the reason Run takes a built
+// allocator: a knob the harness has never heard of is in play during
+// the sweep. (sched.Plan used to copy five core.Config fields and
+// silently dropped the rest — mlfstress -kills -hyper ran without
+// hyperblocks.)
+func TestKillSweepUsesTheCallersShape(t *testing.T) {
+	a := alloc.NewLockFree(alloc.Options{
+		Processors: 4,
+		HeapConfig: sweepHeap,
+		LockFree:   core.Config{Hyperblocks: true, PartialLIFO: true, MaxCredits: 8},
+	})
+	res, err := Run(Plan{
+		Victims:        4,
+		Survivors:      2,
+		OpsPerSurvivor: 10000,
+		OpsBeforeKill:  100,
+		Seed:           5,
+		Point:          -1,
+	}, alloc.HarnessOf(a))
+	if err != nil {
+		t.Fatalf("survivors blocked: %v", err)
+	}
+	if res.InvariantErr != nil {
+		t.Errorf("structure corrupted: %v", res.InvariantErr)
+	}
+	if hs := a.(alloc.CoreAccessor).Core().HyperStats(); hs.HyperAllocs == 0 {
+		t.Errorf("no hyperblock was allocated during the sweep: %+v", hs)
 	}
 }
 
@@ -190,7 +129,7 @@ func TestLeakIsBounded(t *testing.T) {
 		OpsBeforeKill:  200,
 		Seed:           11,
 		Point:          -1,
-	})
+	}, lockFree(core.Config{}, false))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -213,7 +152,7 @@ func TestNoKillNoLeak(t *testing.T) {
 		OpsPerSurvivor: 20000,
 		Seed:           3,
 		Point:          -1,
-	})
+	}, lockFree(core.Config{}, false))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -224,11 +163,100 @@ func TestNoKillNoLeak(t *testing.T) {
 	if bound := uint64(8 * 4 * 2 * 2048); res.LeakedWords > bound {
 		t.Errorf("leaked %d words without kills (retention bound %d)", res.LeakedWords, bound)
 	}
-	if len(res.Kills) != 0 {
-		t.Errorf("phantom kills: %v", res.Kills)
+	if len(res.Kills) != 0 || res.LeakedBlocks != 0 {
+		t.Errorf("phantom kills: %v", res)
 	}
 	if res.InvariantErr != nil {
 		t.Error(res.InvariantErr)
+	}
+}
+
+// lockedTarget is the negative control: a toy allocator that takes a
+// mutex around every operation and has its one hook point inside the
+// critical section, which is what any lock-based allocator looks like
+// to a thread killed mid-operation.
+type lockedTarget struct {
+	mu     sync.Mutex
+	next   mem.Ptr
+	closed atomic.Bool // set when the test ends: Malloc fails, so the parked survivors leave
+}
+
+type lockedThread struct {
+	t    *lockedTarget
+	hook func(point int)
+}
+
+func (t *lockedTarget) HookPoints() []string       { return []string{"holding-the-lock"} }
+func (t *lockedTarget) Census() *census.Census     { return nil }
+func (t *lockedTarget) ShadowErr() error           { return nil }
+func (t *lockedTarget) Inspect(int64) alloc.Report { return alloc.Report{} }
+func (t *lockedTarget) NewThread(hook func(int)) alloc.Thread {
+	return &lockedThread{t, hook}
+}
+
+func (th *lockedThread) Malloc(uint64) (mem.Ptr, error) {
+	th.t.mu.Lock()
+	if th.hook != nil {
+		th.hook(0) // a kill here unwinds past the Unlock
+	}
+	th.t.next++
+	p := th.t.next
+	th.t.mu.Unlock()
+	if th.t.closed.Load() {
+		return 0, errors.New("lockedTarget closed")
+	}
+	return p, nil
+}
+
+func (th *lockedThread) Free(mem.Ptr) {
+	th.t.mu.Lock()
+	defer th.t.mu.Unlock()
+}
+
+// TestRunReportsABlockedAllocator is the proof that the sweep can
+// detect what it exists to detect: one victim killed inside a lock-based
+// allocator's critical section leaves the survivors parked on the lock,
+// and Run must say so within its no-progress deadline instead of
+// waiting for the test binary's timeout.
+func TestRunReportsABlockedAllocator(t *testing.T) {
+	t.Parallel() // it mostly waits for the deadline
+	target := &lockedTarget{}
+	t.Cleanup(func() {
+		// Release the survivors parked behind the dead victim's lock.
+		target.closed.Store(true)
+		target.mu.TryLock()
+		target.mu.Unlock()
+	})
+	start := time.Now()
+	res, err := Run(Plan{
+		Victims:        1,
+		Survivors:      2,
+		OpsPerSurvivor: 1 << 30,
+		OpsBeforeKill:  10,
+		Seed:           1,
+		Point:          0,
+	}, target)
+	if err == nil || !strings.Contains(err.Error(), "survivors blocked") {
+		t.Fatalf("Run = %v, %v; want the survivors-blocked error", res, err)
+	}
+	if took := time.Since(start); took > 2*stallDeadline {
+		t.Errorf("verdict took %v, want within about the %v deadline", took, stallDeadline)
+	}
+}
+
+// TestRunRejectsAPlanTheTargetCannotServe: a target without hook points
+// cannot be swept, and a pinned point must exist.
+func TestRunRejectsAPlanTheTargetCannotServe(t *testing.T) {
+	hoard, err := alloc.New("hoard", alloc.Options{Processors: 2, HeapConfig: sweepHeap})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := Run(Plan{Victims: 1, Survivors: 1, OpsPerSurvivor: 10, Point: -1}, alloc.HarnessOf(hoard)); err == nil {
+		t.Error("Run killed a thread inside an allocator with no hook points")
+	}
+	if _, err := Run(Plan{Victims: 1, Survivors: 1, OpsPerSurvivor: 10, Point: int(core.NumHookPoints)},
+		lockFree(core.Config{}, false)); err == nil {
+		t.Error("Run accepted a kill point past the target's table")
 	}
 }
 
@@ -238,7 +266,7 @@ func TestNoKillNoLeak(t *testing.T) {
 func TestDelayedThreadDoesNotBlock(t *testing.T) {
 	// Reuse Run with kills as the extreme form of delay; additionally
 	// exercise an explicit stall-and-resume here.
-	a := newTestAllocator()
+	a := core.New(core.Config{Processors: 1})
 	stall := make(chan struct{})
 	resume := make(chan struct{})
 	delayed := a.Thread()
@@ -285,8 +313,4 @@ func TestDelayedThreadDoesNotBlock(t *testing.T) {
 	if err := a.CheckInvariants(0); err != nil {
 		t.Error(err)
 	}
-}
-
-func newTestAllocator() *core.Allocator {
-	return core.New(core.Config{Processors: 1})
 }

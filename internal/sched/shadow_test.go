@@ -5,15 +5,17 @@ package sched
 import (
 	"testing"
 
+	"repro/alloc"
 	"repro/internal/core"
 	"repro/internal/mem"
-	"repro/internal/shadow"
 )
 
 // TestRunShadowCleanUnderKills runs the kill harness with the oracle
 // attached: kills may leak, but no double hand-out, stale poison, or
 // model divergence may appear, with magazines and sharded arenas on.
 func TestRunShadowCleanUnderKills(t *testing.T) {
+	heap := sweepHeap
+	heap.Arenas = 2
 	res, err := Run(Plan{
 		Victims:        3,
 		Survivors:      3,
@@ -21,10 +23,7 @@ func TestRunShadowCleanUnderKills(t *testing.T) {
 		OpsBeforeKill:  100,
 		Seed:           7,
 		Point:          -1,
-		Magazine:       8,
-		Arenas:         2,
-		Shadow:         true,
-	})
+	}, lockFree(core.Config{MagazineSize: 8, HeapConfig: heap}, true))
 	if err != nil {
 		t.Fatalf("survivors blocked: %v", err)
 	}
@@ -41,7 +40,7 @@ func TestRunShadowCleanUnderKills(t *testing.T) {
 // terminal check, so any interleaving that produced a model divergence
 // would fail the exploration with the decision vector.
 func TestExploreShadowTerminalCheck(t *testing.T) {
-	script := func(th *core.Thread) {
+	script := func(th alloc.Thread) {
 		p, err := th.Malloc(64)
 		if err != nil {
 			panic(err)
@@ -54,16 +53,11 @@ func TestExploreShadowTerminalCheck(t *testing.T) {
 		th.Free(q)
 	}
 	res, err := Explore(ExploreConfig{
-		NewAllocator: func() *core.Allocator {
-			return core.New(core.Config{
+		NewTarget: func() Target {
+			return lockFree(core.Config{
 				Processors: 1,
 				HeapConfig: mem.Config{SegmentWordsLog2: 14, TotalWordsLog2: 22},
-				Shadow: shadow.New(shadow.Config{
-					Name:          "lockfree",
-					VerifyOnReuse: true,
-					OnViolation:   func(shadow.Violation) {}, // collect; Err() is the verdict
-				}),
-			})
+			}, true)
 		},
 		Scripts:      []Script{script, script},
 		MaxSchedules: 2000,

@@ -1,0 +1,98 @@
+package sched
+
+import (
+	"os"
+	"runtime/debug"
+	"testing"
+
+	"repro/alloc"
+	"repro/internal/buddy"
+	"repro/internal/core"
+	"repro/internal/mem"
+	"repro/internal/shadow"
+)
+
+// Every Run and every explored schedule builds a fresh allocator, whose
+// descriptor table alone is 2 MiB, thousands of times over on a live
+// heap of a few MB. At the default pacing the collector then runs every
+// other schedule and takes a third of the package's CPU time.
+func TestMain(m *testing.M) {
+	debug.SetGCPercent(400)
+	os.Exit(m.Run())
+}
+
+// sweepHeap is the address space of the kill sweeps: small segments, so
+// a run materializes little memory.
+var sweepHeap = mem.Config{SegmentWordsLog2: 18, TotalWordsLog2: 28}
+
+// collecting is the oracle configuration of every target here: an empty
+// OnViolation suppresses the default panic; violations accumulate and
+// surface through Target.ShadowErr.
+var collecting = shadow.Config{OnViolation: func(shadow.Violation) {}}
+
+// lockFree builds a target around a lock-free allocator of shape cfg:
+// four processor heaps on sweepHeap unless cfg says otherwise, and with
+// oracle a collecting shadow oracle (a no-op without the shadowheap
+// build tag).
+func lockFree(cfg core.Config, oracle bool) Target {
+	if cfg.Processors == 0 {
+		cfg.Processors = 4
+	}
+	if cfg.HeapConfig == (mem.Config{}) {
+		cfg.HeapConfig = sweepHeap
+	}
+	return alloc.HarnessOf(alloc.NewLockFree(alloc.Options{
+		HeapConfig:   cfg.HeapConfig,
+		LockFree:     cfg,
+		Shadow:       oracle,
+		ShadowConfig: collecting,
+	}))
+}
+
+// buddyTarget builds a target around a buddy allocator on sweepHeap.
+// The trees are 2^12 words: small trees put every operation's
+// coalescing path through the same few ancestors, maximizing
+// interleaving with the kills. The allocator is returned for its depth.
+func buddyTarget(cfg buddy.Config, oracle bool) (Target, *buddy.Allocator) {
+	cfg.HeapConfig = sweepHeap
+	cfg.TreeWordsLog2 = 12
+	b := buddy.New(cfg)
+	return alloc.HarnessOf(alloc.FromBuddy(b, alloc.Options{Shadow: oracle, ShadowConfig: collecting})), b
+}
+
+// kills sums the kills that fired.
+func kills(res Result) int {
+	n := 0
+	for _, k := range res.Kills {
+		n += k
+	}
+	return n
+}
+
+// sweepLockFree kills two victims at each lock-free hook point in turn
+// on the shape cfg and requires the two survivors to finish: the
+// paper's kill-tolerance claim, point by point. Subtests are named
+// prefix + the point's name.
+func sweepLockFree(t *testing.T, prefix string, ops int, seed func(p int64) int64, cfg core.Config) {
+	for p := core.HookPoint(0); p < core.NumHookPoints; p++ {
+		t.Run(prefix+p.String(), func(t *testing.T) {
+			res, err := Run(Plan{
+				Victims:        2,
+				Survivors:      2,
+				OpsPerSurvivor: ops,
+				OpsBeforeKill:  50,
+				Seed:           seed(int64(p)),
+				Point:          int(p),
+			}, lockFree(cfg, false))
+			if err != nil {
+				t.Fatalf("survivors blocked: %v", err)
+			}
+			if res.SurvivorOps != uint64(2*ops) {
+				t.Errorf("survivor ops = %d", res.SurvivorOps)
+			}
+			if res.InvariantErr != nil {
+				t.Errorf("structure corrupted: %v", res.InvariantErr)
+			}
+		})
+	}
+}
