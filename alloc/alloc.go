@@ -72,11 +72,13 @@ type Options struct {
 	// buddy backend's CAS-retry sites.
 	LockFree core.Config
 
-	// Shadow attaches a shadow-heap oracle (internal/shadow) that
-	// mirrors every Malloc/Free into a reference model and detects
-	// double-free, invalid free, overlap, and write-after-free. It only
-	// takes effect when the binary is built with the `shadowheap` tag;
-	// otherwise construction is unchanged and the oracle costs nothing.
+	// Shadow wraps the allocator in a shadow-heap oracle
+	// (internal/shadow) that mirrors every Malloc/Free into a reference
+	// model and detects double-free, invalid free, overlap, and
+	// write-after-free, for every backend and in every build. Unset,
+	// no wrapper is installed and the oracle costs nothing. The wrapped
+	// allocator is reached through HarnessOf (oracle verdict, hooked
+	// threads, census, recorder); it does not satisfy CoreAccessor.
 	Shadow bool
 	// ShadowConfig tunes the oracle (violation handler, telemetry
 	// recorder for flight-recorder dumps, poison limits). Name, Heap,

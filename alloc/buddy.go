@@ -6,6 +6,7 @@ import (
 	"repro/internal/buddy"
 	"repro/internal/census"
 	"repro/internal/mem"
+	"repro/internal/telemetry"
 )
 
 // buddyAlloc exposes the non-blocking buddy system (internal/buddy,
@@ -14,7 +15,12 @@ import (
 // avoids coalescing entirely (Michael's fixed size classes) and the
 // chunk-engine baselines coalesce under a lock, the buddy backend
 // merges freed blocks back into larger ones with per-node CAS only.
-type buddyAlloc struct{ a *buddy.Allocator }
+type buddyAlloc struct {
+	a *buddy.Allocator
+	// rec is the recorder whose stripes count the CAS retries; nil for
+	// an adopted allocator (FromBuddy), which wires its own.
+	rec *telemetry.Recorder
+}
 
 func (w buddyAlloc) Name() string      { return w.a.Name() }
 func (w buddyAlloc) NewThread() Thread { return w.a.Thread() }
@@ -24,15 +30,16 @@ func (w buddyAlloc) Heap() *mem.Heap   { return w.a.Heap() }
 // tree geometry or telemetry stripes Options cannot express — as the
 // registry's "buddy" backend, oracle policy included.
 func FromBuddy(b *buddy.Allocator, opt Options) Allocator {
-	return lookup("buddy").shadowWrap(buddyAlloc{b}, opt)
+	return lookup("buddy").shadowWrap(buddyAlloc{a: b}, opt)
 }
 
 func buildBuddy(_ *Backend, opt Options) (Allocator, error) {
 	cfg := buddy.Config{HeapConfig: opt.HeapConfig}
-	if rec := opt.LockFree.Telemetry; rec != nil {
+	rec := opt.LockFree.Telemetry
+	if rec != nil {
 		cfg.Telemetry = rec.Stripes()
 	}
-	return buddyAlloc{buddy.New(cfg)}, nil
+	return buddyAlloc{buddy.New(cfg), rec}, nil
 }
 
 func (w buddyAlloc) hookedThread(hook func(point int)) Thread {
@@ -44,6 +51,8 @@ func (w buddyAlloc) hookedThread(hook func(point int)) Thread {
 func (w buddyAlloc) census() *census.Census {
 	return &census.Census{Buddy: census.TakeBuddy(w.a)}
 }
+
+func (w buddyAlloc) recorder() *telemetry.Recorder { return w.rec }
 
 // inspect: kills may leak blocks and strand coalescing marks, but no
 // word may ever be owned by two live blocks (the non-strict safety

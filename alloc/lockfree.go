@@ -6,7 +6,7 @@ import (
 	"repro/internal/census"
 	"repro/internal/core"
 	"repro/internal/mem"
-	"repro/internal/shadow"
+	"repro/internal/telemetry"
 )
 
 type lockFree struct{ a *core.Allocator }
@@ -18,26 +18,19 @@ func (w lockFree) Heap() *mem.Heap   { return w.a.Heap() }
 // Core returns the underlying core allocator (for stats and tests).
 func (w lockFree) Core() *core.Allocator { return w.a }
 
-// ShadowOracle exposes the attached shadow oracle (nil unless built
-// with the shadowheap tag and constructed with Options.Shadow).
-func (w lockFree) ShadowOracle() *shadow.Oracle { return w.a.ShadowOracle() }
-
-// CoreAccessor is implemented by the lock-free allocator wrapper to
-// expose the underlying core.Allocator.
+// CoreAccessor is implemented by the lock-free allocator built without
+// Options.Shadow (the oracle wrapper does not forward it) to expose the
+// underlying core.Allocator. Code that may be handed a wrapped
+// allocator goes through HarnessOf instead.
 type CoreAccessor interface{ Core() *core.Allocator }
 
-// lockFreeConfig resolves the core.Config opt describes. The oracle is
-// integrated in the core (not wrapped around it) so the magazine and
-// kill-tolerance paths are mirrored too.
-func lockFreeConfig(b *Backend, opt Options) core.Config {
+// lockFreeConfig resolves the core.Config opt describes.
+func lockFreeConfig(opt Options) core.Config {
 	cfg := opt.LockFree
 	if opt.Processors != 0 {
 		cfg.Processors = opt.Processors
 	}
 	cfg.HeapConfig = opt.HeapConfig
-	if wantOracle(opt) && cfg.Shadow == nil {
-		cfg.Shadow = b.oracle(opt, nil)
-	}
 	return cfg
 }
 
@@ -46,11 +39,11 @@ func lockFreeConfig(b *Backend, opt Options) core.Config {
 // configuration core.Config.Validate rejects; New returns that error
 // instead.
 func NewLockFree(opt Options) Allocator {
-	return lockFree{core.New(lockFreeConfig(lookup("lockfree"), opt))}
+	return lookup("lockfree").shadowWrap(lockFree{core.New(lockFreeConfig(opt))}, opt)
 }
 
-func buildLockFree(b *Backend, opt Options) (Allocator, error) {
-	cfg := lockFreeConfig(b, opt)
+func buildLockFree(_ *Backend, opt Options) (Allocator, error) {
+	cfg := lockFreeConfig(opt)
 	if err := cfg.Validate(); err != nil {
 		return nil, err
 	}
@@ -64,6 +57,8 @@ func (w lockFree) hookedThread(hook func(point int)) Thread {
 }
 
 func (w lockFree) census() *census.Census { return census.Take(w.a) }
+
+func (w lockFree) recorder() *telemetry.Recorder { return w.a.Telemetry() }
 
 func (w lockFree) inspect(live int64) Report {
 	s := w.a.Stats()

@@ -13,6 +13,7 @@ import (
 	"repro/internal/core"
 	"repro/internal/mem"
 	"repro/internal/shadow"
+	"repro/internal/telemetry"
 )
 
 // Backend is one entry of the allocator registry: what the repository
@@ -49,6 +50,7 @@ type Backend struct {
 type harnessed interface {
 	hookedThread(hook func(point int)) Thread
 	census() *census.Census
+	recorder() *telemetry.Recorder
 	inspect(live int64) Report
 }
 
@@ -59,8 +61,9 @@ var backends = []Backend{
 	{
 		Name:    "lockfree",
 		Aliases: []string{"new"},
-		// The core keeps free-list links in the block prefix, never the
-		// payload, and never touches a live block's prefix.
+		// The core keeps free-list links (magazine flush chains
+		// included) in the block prefix, never the payload, and never
+		// touches a live block's prefix.
 		VerifyOnReuse: true,
 		HookPoints:    hookPointNames(core.NumHookPoints),
 		build:         buildLockFree,
@@ -184,21 +187,6 @@ func New(name string, opt Options) (Allocator, error) {
 	return b.shadowWrap(a, opt), nil
 }
 
-// wantOracle: opt asks for a shadow oracle and this binary has one.
-func wantOracle(opt Options) bool { return opt.Shadow && shadow.Enabled }
-
-// oracle builds the shadow oracle opt asks for under this entry's
-// policy. heap may be nil for a backend that attaches its own.
-func (b *Backend) oracle(opt Options, heap *mem.Heap) *shadow.Oracle {
-	sc := opt.ShadowConfig
-	sc.Name = b.Name
-	sc.Heap = heap
-	sc.VerifyOnReuse = b.VerifyOnReuse
-	sc.PrefixIgnoreMask = b.PrefixIgnoreMask
-	sc.CrossCheck = true
-	return shadow.New(sc)
-}
-
 // Report is what a backend finds when it inspects itself while no
 // operation is in flight (Harness.Inspect).
 type Report struct {
@@ -270,12 +258,31 @@ func (h Harness) Census() *census.Census {
 	return nil
 }
 
+// Recorder is the telemetry recorder the backend was built with
+// (Options.LockFree.Telemetry); nil if it has none or keeps no counters.
+func (h Harness) Recorder() *telemetry.Recorder {
+	if k, ok := h.raw.(harnessed); ok {
+		return k.recorder()
+	}
+	return nil
+}
+
+// Oracle is the shadow oracle attached by Options.Shadow, nil without
+// one. Its owner releases it with Close (it is registered process-wide
+// for cross-allocator attribution).
+func (h Harness) Oracle() *shadow.Oracle {
+	if s, ok := h.a.(*shadowed); ok {
+		return s.oracle
+	}
+	return nil
+}
+
 // ShadowErr is the attached shadow oracle's verdict so far; nil without
 // an oracle. Collect it before Inspect(-1), whose probe reuses freed
 // blocks without mirroring.
 func (h Harness) ShadowErr() error {
-	if sa, ok := h.a.(ShadowAccessor); ok {
-		return sa.ShadowOracle().Err()
+	if o := h.Oracle(); o != nil {
+		return o.Err()
 	}
 	return nil
 }

@@ -6,6 +6,7 @@ import (
 	"repro/internal/buddy"
 	"repro/internal/core"
 	"repro/internal/mem"
+	"repro/internal/shadow"
 )
 
 // TestRegistryTable: Names, New's aliases and the hook-point tables all
@@ -51,56 +52,80 @@ func TestRegistryTable(t *testing.T) {
 // entry: a hooked handle reports only points from the entry's table (and
 // a backend without a table never calls the hook), the census walks
 // where there is a walker, and the strict check passes once every block
-// is freed.
+// is freed. Behind the oracle wrapper the harness is the same one — for
+// the lock-free allocator all twelve points, the census and the checker
+// — and the hooked handle is mirrored like any other.
 func TestHarnessEveryBackend(t *testing.T) {
 	for _, name := range Names() {
-		t.Run(name, func(t *testing.T) {
-			a, err := New(name, testOptions())
-			if err != nil {
-				t.Fatal(err)
-			}
-			h := HarnessOf(a)
-			seen := map[int]bool{}
-			th := h.NewThread(func(point int) { seen[point] = true })
-			var held []mem.Ptr
-			for i := 0; i < 3000; i++ {
-				p, err := th.Malloc(uint64(8 << (i % 9)))
-				if err != nil {
-					t.Fatal(err)
-				}
-				held = append(held, p)
-			}
-			hookable := len(h.HookPoints()) > 0
-			if c := h.Census(); (c != nil) != hookable {
-				t.Errorf("Census() = %v on a backend with %d hook points", c, len(h.HookPoints()))
-			}
-			if rep := h.Inspect(int64(len(held))); rep.InvariantErr != nil {
-				t.Errorf("Inspect with %d blocks held: %+v", len(held), rep)
-			}
-			for _, p := range held {
-				th.Free(p)
-			}
-			if u, ok := th.(Unregisterer); ok {
-				u.Unregister()
-			}
-			if (len(seen) > 0) != hookable {
-				t.Errorf("hook saw points %v, table has %d", seen, len(h.HookPoints()))
-			}
-			for point := range seen {
-				if point < 0 || point >= len(h.HookPoints()) {
-					t.Errorf("hook reported point %d outside the table of %d", point, len(h.HookPoints()))
-				}
-			}
-			if rep := h.Inspect(0); rep.InvariantErr != nil || rep.ProbeErr != nil {
-				t.Errorf("Inspect(0) after the drain: %+v", rep)
-			}
-			if rep := h.Inspect(-1); rep.InvariantErr != nil || rep.ProbeErr != nil {
-				t.Errorf("Inspect(-1): %+v", rep)
-			}
-			if err := h.ShadowErr(); err != nil {
-				t.Errorf("ShadowErr = %v", err)
-			}
-		})
+		t.Run(name, func(t *testing.T) { harnessBackend(t, name, false) })
+		t.Run(name+"-shadow", func(t *testing.T) { harnessBackend(t, name, true) })
+	}
+}
+
+func harnessBackend(t *testing.T, name string, oracle bool) {
+	opt := testOptions()
+	opt.Shadow = oracle
+	opt.ShadowConfig.OnViolation = func(shadow.Violation) {}
+	a, err := New(name, opt)
+	if err != nil {
+		t.Fatal(err)
+	}
+	h := HarnessOf(a)
+	if o := h.Oracle(); (o != nil) != oracle {
+		t.Fatalf("Oracle() = %v with Options.Shadow = %v", o, oracle)
+	} else if oracle {
+		defer o.Close()
+	}
+	if _, bare := a.(CoreAccessor); bare != (name == "lockfree" && !oracle) {
+		t.Errorf("CoreAccessor satisfied = %v", bare)
+	}
+	if want := len(lookup(name).HookPoints); len(h.HookPoints()) != want {
+		t.Fatalf("%d hook points, the entry has %d", len(h.HookPoints()), want)
+	}
+	seen := map[int]bool{}
+	th := h.NewThread(func(point int) { seen[point] = true })
+	var held []mem.Ptr
+	for i := 0; i < 3000; i++ {
+		p, err := th.Malloc(uint64(8 << (i % 9)))
+		if err != nil {
+			t.Fatal(err)
+		}
+		held = append(held, p)
+	}
+	hookable := len(h.HookPoints()) > 0
+	if c := h.Census(); (c != nil) != hookable {
+		t.Errorf("Census() = %v on a backend with %d hook points", c, len(h.HookPoints()))
+	}
+	if rep := h.Inspect(int64(len(held))); rep.InvariantErr != nil {
+		t.Errorf("Inspect with %d blocks held: %+v", len(held), rep)
+	}
+	for _, p := range held {
+		th.Free(p)
+	}
+	if u, ok := th.(Unregisterer); ok {
+		u.Unregister()
+	}
+	if (len(seen) > 0) != hookable {
+		t.Errorf("hook saw points %v, table has %d", seen, len(h.HookPoints()))
+	}
+	for point := range seen {
+		if point < 0 || point >= len(h.HookPoints()) {
+			t.Errorf("hook reported point %d outside the table of %d", point, len(h.HookPoints()))
+		}
+	}
+	if rep := h.Inspect(0); rep.InvariantErr != nil || rep.ProbeErr != nil {
+		t.Errorf("Inspect(0) after the drain: %+v", rep)
+	}
+	if oracle {
+		if n := h.Oracle().LiveBlocks(); n != 0 {
+			t.Errorf("the hooked handle was not mirrored: %d blocks modeled live after the drain", n)
+		}
+	}
+	if err := h.ShadowErr(); err != nil {
+		t.Errorf("ShadowErr = %v", err)
+	}
+	if rep := h.Inspect(-1); rep.InvariantErr != nil || rep.ProbeErr != nil {
+		t.Errorf("Inspect(-1): %+v", rep)
 	}
 }
 

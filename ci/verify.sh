@@ -12,12 +12,10 @@ stage_build() {
 
 stage_lint() {
 	go vet ./...
-	go vet -tags shadowheap ./...
 	# CI installs a pinned staticcheck before this stage; a machine
 	# without it still gets vet and the inlining guard.
 	if command -v staticcheck >/dev/null; then
 		staticcheck ./...
-		staticcheck -tags shadowheap ./...
 	else
 		echo "verify: staticcheck not on PATH, skipped" >&2
 	fi
@@ -32,13 +30,11 @@ stage_race() {
 	go test -race ./alloc ./cmd/allocmon ./cmd/heapinfo ./cmd/mlfstress \
 		./internal/baseline/... ./internal/buddy ./internal/census ./internal/churn \
 		./internal/core ./internal/lfqueue ./internal/mem ./internal/offload \
-		./internal/pool/... ./internal/sched ./internal/telemetry
+		./internal/pool/... ./internal/sched ./internal/shadow ./internal/telemetry
 	go test -race -tags memdebug ./internal/mem ./internal/pool
-	go test -race -tags shadowheap ./internal/shadow ./alloc ./internal/core ./internal/sched
 }
 
 stage_tags() {
-	go test -tags shadowheap ./...
 	go test -tags memdebug ./internal/mem ./internal/core ./internal/chunkheap \
 		./internal/buddy ./internal/baseline/...
 }
@@ -47,7 +43,6 @@ stage_smoke() {
 	bin=$(mktemp -d)
 	trap 'rm -rf "$bin"' EXIT
 	go build -o "$bin" ./cmd/benchmal ./cmd/mlfstress ./cmd/allocmon ./cmd/heapinfo
-	go build -tags shadowheap -o "$bin/mlfstress-shadow" ./cmd/mlfstress
 
 	go test -run=NONE -bench=. -benchtime=1x ./internal/core ./internal/bench
 
@@ -74,14 +69,14 @@ stage_smoke() {
 	# (heapinfo prints the registry, one "backend <name> ... kill-points=<n>"
 	# line per entry), so a new backend is smoked without a new line here.
 	for name in $("$bin/heapinfo" | awk '$1 == "backend" { print $2 }'); do
-		"$bin/mlfstress-shadow" -alloc "$name" -threads 4 -ops 20000 -shadow -magazine 8 -arenas 2 -telemetry=false
+		"$bin/mlfstress" -alloc "$name" -threads 4 -ops 20000 -shadow -magazine 8 -arenas 2 -telemetry=false
 	done
 	for name in $("$bin/heapinfo" | awk '$1 == "backend" && $NF != "kill-points=0" { print $2 }'); do
-		"$bin/mlfstress-shadow" -alloc "$name" -threads 4 -ops 5000 -kills 2 -shadow -magazine 8 -telemetry=false
+		"$bin/mlfstress" -alloc "$name" -threads 4 -ops 5000 -kills 2 -shadow -magazine 8 -telemetry=false
 	done
 	# The other descriptor-pool backend is a shape of the lock-free allocator only.
-	"$bin/mlfstress-shadow" -threads 4 -ops 20000 -shadow -magazine 8 -arenas 2 -telemetry=false -descalgo consttime
-	"$bin/mlfstress-shadow" -threads 4 -ops 5000 -kills 2 -shadow -magazine 8 -telemetry=false -descalgo consttime
+	"$bin/mlfstress" -threads 4 -ops 20000 -shadow -magazine 8 -arenas 2 -telemetry=false -descalgo consttime
+	"$bin/mlfstress" -threads 4 -ops 5000 -kills 2 -shadow -magazine 8 -telemetry=false -descalgo consttime
 }
 
 [ $# -gt 0 ] || set -- build lint test race tags smoke

@@ -12,10 +12,11 @@
 // per thread, 30-second timed phases); the default 0.01 finishes each
 // experiment in seconds and preserves the qualitative shape.
 //
-// -telemetry (default on) attaches the lock-free observability layer
-// to every lock-free allocator, so each measurement line carries CAS
-// retries/op and malloc latency quantiles; -telemetry=false measures
-// the bare allocator. -magazine N enables the thread-local magazine
+// -telemetry (default on) hands every allocator a telemetry recorder:
+// the lock-free allocator's measurement lines then carry CAS retries/op
+// and malloc latency quantiles, the buddy's its CAS-retry sites, and
+// the lock-based baselines ignore it; -telemetry=false measures the
+// bare allocator. -magazine N enables the thread-local magazine
 // layer (Config.MagazineSize=N) on every lock-free allocator; the
 // magazine experiment compares off/on regardless of this flag.
 // -arenas N shards every allocator's OS layer into N region arenas
@@ -51,6 +52,7 @@ import (
 	"strings"
 	"time"
 
+	"repro/alloc"
 	"repro/internal/bench"
 	"repro/internal/core"
 	"repro/internal/report"
@@ -81,7 +83,7 @@ func main() {
 		scaleFlag   = flag.Float64("scale", 0.01, "fraction of the paper's full parameters (1.0 = full)")
 		allocsFlag  = flag.String("allocs", "", "comma-separated allocators (default: all)")
 		procsFlag   = flag.Int("procs", 0, "processor heaps per allocator (default: max threads)")
-		teleFlag    = flag.Bool("telemetry", true, "attach the telemetry layer to lock-free allocators (retries/op and latency per row)")
+		teleFlag    = flag.Bool("telemetry", true, "hand every allocator a telemetry recorder (retries/op and latency per lock-free row, CAS-retry sites per buddy row)")
 		allocFlags  = bench.RegisterAllocFlags(flag.CommandLine)
 		rateFlag    = flag.Int("samplerate", 0, "allocation sampling period for census columns (0 = sampler off)")
 		jsonFlag    = flag.Bool("json", false, "write all measurements to a BENCH_<unixtime>.json file")
@@ -107,15 +109,11 @@ func main() {
 		fatal("invalid -threads: %v", err)
 	}
 	cfg := report.RunConfig{
-		Threads:     threads,
-		Scale:       *scaleFlag,
-		Processors:  *procsFlag,
-		Telemetry:   *teleFlag,
-		Magazine:    shape.MagazineSize,
-		Arenas:      shape.HeapConfig.Arenas,
-		DescStripes: shape.DescStripes,
-		DescAlgo:    shape.DescAlgo,
-		SampleRate:  *rateFlag,
+		Threads:    threads,
+		Scale:      *scaleFlag,
+		Options:    alloc.Options{Processors: *procsFlag, HeapConfig: shape.HeapConfig, LockFree: shape},
+		Telemetry:  *teleFlag,
+		SampleRate: *rateFlag,
 	}
 	if *allocsFlag != "" {
 		cfg.Allocators = strings.Split(*allocsFlag, ",")
@@ -166,10 +164,10 @@ func main() {
 			Threads:       threads,
 			Experiments:   ids,
 			Telemetry:     *teleFlag,
-			Magazine:      cfg.Magazine,
-			Arenas:        cfg.Arenas,
-			DescStripes:   cfg.DescStripes,
-			DescAlgo:      cfg.DescAlgo.String(),
+			Magazine:      shape.MagazineSize,
+			Arenas:        shape.HeapConfig.Arenas,
+			DescStripes:   shape.DescStripes,
+			DescAlgo:      shape.DescAlgo.String(),
 			SampleRate:    *rateFlag,
 			Results:       results,
 		}

@@ -25,10 +25,10 @@
 // flight recorder's tail is dumped, showing the events leading up to
 // each kill.
 //
-// With -shadow (requires building with -tags shadowheap), every
-// malloc/free is mirrored into a shadow-heap oracle that detects
-// double-free, invalid free, overlapping live blocks, and
-// write-after-free via poison-on-free; the first violation aborts the
+// With -shadow every malloc/free, of whichever backend, is mirrored
+// into a shadow-heap oracle that detects double-free, invalid free,
+// overlapping live blocks, and write-after-free via poison-on-free
+// (where the registry entry allows it); the first violation aborts the
 // run with the offending pointer, the allocating and freeing thread
 // ids, and the flight recorder's tail. (Under -kills violations are
 // collected and reported after the sweep.)
@@ -57,6 +57,10 @@ import (
 
 func main() { os.Exit(run(os.Args[1:], os.Stdout, os.Stderr)) }
 
+// newThread is how the plain churn obtains its worker handles; the test
+// of -shadow substitutes handles that free a block twice.
+var newThread = func(a alloc.Allocator) alloc.Thread { return a.NewThread() }
+
 func run(args []string, stdout, stderr io.Writer) int {
 	fs := flag.NewFlagSet("mlfstress", flag.ContinueOnError)
 	fs.SetOutput(stderr)
@@ -72,7 +76,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 		events  = fs.Int("events", 16, "flight-recorder events to dump (telemetry mode)")
 		name    = fs.String("alloc", "lockfree", "allocator backend under stress (see alloc.Names())")
 		af      = bench.RegisterAllocFlags(fs)
-		shadowF = fs.Bool("shadow", false, "attach the shadow-heap oracle (needs -tags shadowheap); first violation aborts the run")
+		shadowF = fs.Bool("shadow", false, "attach the shadow-heap oracle; first violation aborts the run")
 	)
 	if err := fs.Parse(args); err != nil {
 		return 2
@@ -93,9 +97,6 @@ func run(args []string, stdout, stderr io.Writer) int {
 	}
 	if *threads > runtime.GOMAXPROCS(0) {
 		runtime.GOMAXPROCS(*threads)
-	}
-	if *shadowF && !shadow.Enabled {
-		fmt.Fprintln(stderr, "mlfstress: warning: -shadow requested but the binary was built without -tags shadowheap; the oracle is compiled out")
 	}
 	var rec *telemetry.Recorder
 	if *tele {
@@ -120,9 +121,14 @@ func run(args []string, stdout, stderr io.Writer) int {
 		return fail("%v", err)
 	}
 	h := alloc.HarnessOf(a)
+	if o := h.Oracle(); o != nil {
+		defer o.Close()
+	}
 
-	shape := fmt.Sprintf("alloc=%s arenas=%d shadow=%v", a.Name(), cfg.HeapConfig.Arenas, *shadowF && shadow.Enabled)
-	_, lockFree := a.(alloc.CoreAccessor)
+	shape := fmt.Sprintf("alloc=%s arenas=%d shadow=%v", a.Name(), cfg.HeapConfig.Arenas, *shadowF)
+	// By the registry entry's name, which the oracle wrapper keeps: a
+	// type assertion on a would miss the lock-free allocator behind it.
+	lockFree := a.Name() == "lockfree"
 	if lockFree {
 		shape += fmt.Sprintf(" hyper=%v lifo=%v credits=%d magazine=%d descstripes=%d descalgo=%s",
 			cfg.Hyperblocks, cfg.PartialLIFO, cfg.MaxCredits, cfg.MagazineSize, cfg.DescStripes, cfg.DescAlgo)
@@ -156,7 +162,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 	} else {
 		fmt.Fprintf(stdout, "mlfstress: %d threads x %d ops (%s)\n", *threads, *ops, shape)
 		start := time.Now()
-		mallocs, frees, err := churn.Run(*threads, *ops, *seed, churn.Mixed, a.NewThread, nil)
+		mallocs, frees, err := churn.Run(*threads, *ops, *seed, churn.Mixed, func() alloc.Thread { return newThread(a) }, nil)
 		elapsed := time.Since(start)
 		if err != nil {
 			return fail("malloc: %v", err)

@@ -2,10 +2,13 @@ package main
 
 import (
 	"bytes"
+	"fmt"
 	"strings"
+	"sync/atomic"
 	"testing"
 
 	"repro/alloc"
+	"repro/internal/mem"
 )
 
 // stress runs the command and returns its exit status and output.
@@ -99,5 +102,94 @@ func TestRejectedConfigStopsBeforeTraffic(t *testing.T) {
 		if out != "" {
 			t.Errorf("%v: output before the rejection:\n%s", tc.args, out)
 		}
+	}
+}
+
+// TestShadowRunEveryBackend: -shadow means an oracle in this, the only,
+// binary, whichever backend sits behind it — plain and, where the entry
+// has kill points, under kills. The lock-free allocator is still held
+// to its retention bound behind the wrapper.
+func TestShadowRunEveryBackend(t *testing.T) {
+	for _, b := range alloc.Backends() {
+		t.Run(b.Name, func(t *testing.T) {
+			code, out, errOut := stress("-alloc", b.Name, "-shadow", "-magazine", "8", "-threads", "2", "-ops", "4000")
+			if code != 0 {
+				t.Fatalf("exit %d\n%s%s", code, out, errOut)
+			}
+			want := []string{"alloc=" + b.Name, "shadow=true", "invariants OK"}
+			if b.Name == "lockfree" {
+				want = append(want, "magazine=8", "retained superblock cache")
+			}
+			for _, w := range want {
+				if !strings.Contains(out, w) {
+					t.Errorf("output lacks %q:\n%s", w, out)
+				}
+			}
+			if errOut != "" {
+				t.Errorf("stderr: %s", errOut)
+			}
+			if len(b.HookPoints) == 0 {
+				return
+			}
+			code, out, errOut = stress("-alloc", b.Name, "-shadow", "-kills", "2", "-magazine", "8",
+				"-threads", "2", "-ops", "3000", "-seed", "2", "-telemetry=false")
+			if code != 0 || !strings.Contains(out, "shadow=true") {
+				t.Fatalf("kill sweep under the oracle: exit %d\n%s%s", code, out, errOut)
+			}
+		})
+	}
+}
+
+// doubleFreer frees one block twice. Outside a kill sweep the oracle
+// panics on the first violation; the handle recovers the report so the
+// test can read it, where the real command dies with it.
+type doubleFreer struct {
+	alloc.Thread
+	frees  int
+	report *atomic.Value
+}
+
+func (d *doubleFreer) Free(p mem.Ptr) {
+	d.Thread.Free(p)
+	if d.frees++; d.frees == 100 {
+		defer func() { d.report.Store(fmt.Sprint(recover())) }()
+		d.Thread.Free(p)
+	}
+}
+
+func (d *doubleFreer) Unregister() {
+	if u, ok := d.Thread.(alloc.Unregisterer); ok {
+		u.Unregister()
+	}
+}
+
+// TestShadowCatchesAnInjectedDoubleFree: the run fails with the
+// oracle's verdict, and the abort message carries the attribution and
+// the flight recorder's tail.
+func TestShadowCatchesAnInjectedDoubleFree(t *testing.T) {
+	for _, name := range []string{"lockfree", "hoard", "buddy"} {
+		t.Run(name, func(t *testing.T) {
+			var report atomic.Value
+			injected := false
+			defer func(orig func(alloc.Allocator) alloc.Thread) { newThread = orig }(newThread)
+			newThread = func(a alloc.Allocator) alloc.Thread {
+				if injected {
+					return a.NewThread()
+				}
+				injected = true
+				return &doubleFreer{Thread: a.NewThread(), report: &report}
+			}
+
+			code, out, errOut := stress("-alloc", name, "-shadow", "-magazine", "8", "-threads", "2", "-ops", "4000")
+			if code != 1 || !strings.Contains(errOut, "shadow oracle: shadow: 1 violation(s)") || !strings.Contains(errOut, "double-free") {
+				t.Fatalf("exit %d, stderr %q; want the oracle's double-free verdict\n%s", code, errOut, out)
+			}
+			msg, _ := report.Load().(string)
+			for _, want := range []string{"shadow[" + name + "]: double-free", "op thread 0", "flight recorder tail"} {
+				if !strings.Contains(msg, want) {
+					t.Errorf("abort message lacks %q:\n%s", want, msg)
+				}
+			}
+		})
 	}
 }

@@ -95,13 +95,11 @@ func SummarizeTelemetry(s telemetry.Snapshot) *TelemetrySummary {
 	}
 }
 
-// Recorder returns the telemetry recorder attached to an allocator,
-// or nil (only the lock-free allocator carries one).
+// Recorder returns the telemetry recorder attached to an allocator, or
+// nil: the lock-free allocator's, or the one counting the buddy's CAS
+// retries (which times no operations, so its latency rows stay zero).
 func Recorder(a alloc.Allocator) *telemetry.Recorder {
-	if ca, ok := a.(alloc.CoreAccessor); ok {
-		return ca.Core().Telemetry()
-	}
-	return nil
+	return alloc.HarnessOf(a).Recorder()
 }
 
 // OpsPerSec returns the throughput.
@@ -199,7 +197,8 @@ func measure(w Workload, a alloc.Allocator, threads int, fn func(id int, th allo
 		runtime.GOMAXPROCS(threads)
 		defer runtime.GOMAXPROCS(prev)
 	}
-	rec := Recorder(a)
+	h := alloc.HarnessOf(a)
+	rec := h.Recorder()
 	var base telemetry.Snapshot
 	if rec != nil {
 		base = rec.Snapshot()
@@ -217,8 +216,10 @@ func measure(w Workload, a alloc.Allocator, threads int, fn func(id int, th allo
 	if rec != nil {
 		r.Telemetry = SummarizeTelemetry(rec.Snapshot().Sub(base))
 		if rec.Sampler() != nil {
-			if ca, ok := a.(alloc.CoreAccessor); ok {
-				s := census.Take(ca.Core()).Summary()
+			// The buddy's census is an order table, with no sampled
+			// blocks to digest.
+			if c := h.Census(); c.Buddy == nil {
+				s := c.Summary()
 				r.Census = &s
 			}
 		}

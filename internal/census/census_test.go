@@ -164,12 +164,13 @@ func TestCensusNoSampler(t *testing.T) {
 // TestCensusUnderChurn runs walkers against concurrent malloc/free
 // churn. The walk must be race-detector-clean, never panic, and always
 // produce internally well-formed numbers even while every identity is
-// in flight. With -tags shadowheap the differential oracle also audits
-// the churn itself.
+// in flight. The differential oracle audits the churn itself, mirrored
+// by hand as the alloc wrapper would (this package cannot import alloc):
+// mallocs after the operation, frees before it.
 func TestCensusUnderChurn(t *testing.T) {
-	cfg := testConfig(8)
-	cfg.Shadow = shadow.New(shadow.Config{Name: "census-churn", VerifyOnReuse: true})
-	a := core.New(cfg)
+	a := core.New(testConfig(8))
+	oracle := shadow.New(shadow.Config{Name: "census-churn", Heap: a.Heap(), VerifyOnReuse: true})
+	defer oracle.Close()
 
 	const (
 		workers = 4
@@ -184,25 +185,32 @@ func TestCensusUnderChurn(t *testing.T) {
 			defer wg.Done()
 			th := a.Thread()
 			defer th.Unregister()
+			free := func(p mem.Ptr) {
+				if oracle.NoteFree(th.ID(), p) {
+					th.Free(p)
+				}
+			}
 			rng := rand.New(rand.NewSource(seed))
 			live := make([]mem.Ptr, 0, 64)
 			for i := 0; i < ops; i++ {
 				if len(live) > 0 && rng.Intn(2) == 0 {
 					j := rng.Intn(len(live))
-					th.Free(live[j])
+					free(live[j])
 					live[j] = live[len(live)-1]
 					live = live[:len(live)-1]
 				} else {
-					p, err := th.Malloc(uint64(8 + rng.Intn(2000)))
+					size := uint64(8 + rng.Intn(2000))
+					p, err := th.Malloc(size)
 					if err != nil {
 						t.Error(err)
 						return
 					}
+					oracle.NoteMalloc(th.ID(), p, size, th.UsableWords(p))
 					live = append(live, p)
 				}
 			}
 			for _, p := range live {
-				th.Free(p)
+				free(p)
 			}
 		}(int64(w) + 1)
 	}
@@ -242,7 +250,7 @@ func TestCensusUnderChurn(t *testing.T) {
 	close(stop)
 	<-walkerDone
 
-	if err := cfg.Shadow.Err(); err != nil {
+	if err := oracle.Err(); err != nil {
 		t.Fatal(err)
 	}
 	// Quiescent now: a final walk plus the invariant checker must agree

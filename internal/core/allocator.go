@@ -26,7 +26,6 @@ import (
 	"repro/internal/mem"
 	"repro/internal/partial"
 	"repro/internal/pool"
-	"repro/internal/shadow"
 	"repro/internal/sizeclass"
 	"repro/internal/telemetry"
 )
@@ -113,15 +112,6 @@ type Config struct {
 	// table. When nil (the default), the only cost is a nil check per
 	// instrumented branch.
 	Telemetry *telemetry.Recorder
-
-	// Shadow, when non-nil, mirrors every Malloc/Free into the
-	// shadow-heap differential oracle (internal/shadow): a debugging
-	// layer that detects double frees, overlapping live blocks, prefix
-	// clobbering, and — via poison-on-free — writes after free. The
-	// oracle is bound to this allocator's heap by New. Without the
-	// `shadowheap` build tag shadow.New returns nil, so the field stays
-	// nil and the mirroring costs one nil-check per operation.
-	Shadow *shadow.Oracle
 }
 
 // Validate reports the first contradiction or out-of-range value in
@@ -185,19 +175,13 @@ type Allocator struct {
 
 	nextThread atomic.Uint64
 
-	// shadow is the attached differential oracle; non-nil only when
-	// cfg.Shadow is set (shadowheap builds). Kept at the end of the
-	// struct so the unshadowed build's field offsets — and so its hot
-	// paths — are byte-identical with or without the layer compiled in.
-	shadow *shadow.Oracle
-
 	// Pad the struct into the 256-byte allocation size class: 256-byte
 	// objects are always 64-byte aligned, so the hot fields above land
 	// on the same cache lines in every process, rather than at whatever
 	// phase a 208- or 224-byte slot happens to start at. Growing the
 	// struct within the padding budget cannot change the layout
 	// (layout.go pins the total with compile-time assertions).
-	_ [24]byte
+	_ [40]byte
 }
 
 // scState is the per-size-class state (paper's sizeclass structure).
@@ -270,16 +254,10 @@ func New(cfg Config) *Allocator {
 	a := &Allocator{
 		heap:       h,
 		cfg:        cfg,
-		shadow:     cfg.Shadow,
 		procs:      uint64(cfg.Processors),
 		maxCredits: uint64(cfg.MaxCredits),
 		classes:    make([]scState, sizeclass.NumClasses()),
 		descs:      newDescPool(cfg.DescStripes, cfg.DescAlgo),
-	}
-	if a.shadow != nil {
-		// Bind the oracle to this allocator's address space and install
-		// the region-recycle hook that invalidates stale poison.
-		a.shadow.AttachHeap(h)
 	}
 	if cfg.Hyperblocks {
 		// 64 superblocks per hyperblock = 1 MiB batches (§3.2.5).
@@ -402,17 +380,12 @@ func (a *Allocator) HyperStats() mem.HyperStats {
 // layer is disabled).
 func (a *Allocator) Telemetry() *telemetry.Recorder { return a.tele }
 
-// ShadowOracle returns the attached shadow-heap oracle (nil when the
-// layer is disabled or compiled out). Harnesses use it to collect the
-// oracle's verdict as an additional terminal check.
-func (a *Allocator) ShadowOracle() *shadow.Oracle { return a.shadow }
-
 // Thread registers a new thread (goroutine) with the allocator and
 // returns its handle. The handle is not safe for concurrent use; each
 // worker goroutine should hold its own, as each OS thread does in the
 // paper's pthread environment.
 func (a *Allocator) Thread() *Thread {
-	t := &Thread{a: a, id: a.nextThread.Add(1) - 1, shadow: a.shadow}
+	t := &Thread{a: a, id: a.nextThread.Add(1) - 1}
 	t.opsp = &t.ops
 	// The thread's region arena, like its processor heaps below: a pure
 	// function of the thread id, resolved once.
@@ -471,16 +444,11 @@ type Thread struct {
 	// goroutine (see Stats for the snapshot semantics).
 	ops opCounters
 
-	// shadow mirrors Allocator.shadow; non-nil only when the oracle is
-	// attached (shadowheap builds). Last field for the same reason as
-	// Allocator.shadow: identical layout for the unshadowed build.
-	shadow *shadow.Oracle
-
 	// Pad into the 256-byte size class so every Thread is 64-byte
 	// aligned and the ops counter block sits at a fixed cache-line
 	// phase (see the matching padding on Allocator; layout.go pins the
 	// total with compile-time assertions).
-	_ [8]byte
+	_ [16]byte
 }
 
 // opCounters is the per-thread operation-counter block. The owning

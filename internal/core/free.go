@@ -22,17 +22,6 @@ func (t *Thread) Free(ptr mem.Ptr) {
 	if ptr.IsNil() { // line 1
 		return
 	}
-	// Mirror into the shadow oracle before the operation, while the
-	// block's prefix and payload are still intact: the model marks the
-	// block freed (and poisons it) before the allocator can recycle it.
-	// A false return means the free is invalid — double free, pointer
-	// never allocated, clobbered prefix — and is swallowed so the
-	// allocator's own structures are not corrupted by it (the oracle has
-	// already reported or recorded the violation). Compiles to nothing
-	// without the shadowheap tag.
-	if !t.shadowNoteFree(ptr) {
-		return
-	}
 	prefix := t.a.heap.Load(ptr - 1) // line 2: get prefix, resolved once
 	if t.rec == nil {
 		t.free(ptr, prefix)

@@ -15,13 +15,6 @@ import (
 func (t *Thread) Malloc(size uint64) (mem.Ptr, error) {
 	if t.rec == nil {
 		p, _, err := t.malloc(size)
-		if err == nil {
-			// Mirror into the shadow oracle after the operation: the
-			// block (and its prefix) exist, and no other thread can be
-			// handed the same address while the model still lacks it.
-			// Compiles to nothing without the shadowheap tag.
-			t.shadowNoteMalloc(p, size)
-		}
 		return p, err
 	}
 	// Telemetry path: time the operation and attribute it to the size
@@ -33,7 +26,6 @@ func (t *Thread) Malloc(size uint64) (mem.Ptr, error) {
 	if err == nil {
 		t.rec.EndMalloc(cls, time.Since(start), uint64(p))
 		t.rec.SampleMalloc(uint64(p), size, cls)
-		t.shadowNoteMalloc(p, size)
 	}
 	return p, err
 }

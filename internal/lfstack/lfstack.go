@@ -4,24 +4,19 @@
 // bins, and the §5 discussion of lock-free stacks as beneficiaries of
 // the allocator.
 //
-// Two variants are provided, matching the two ABA-prevention
-// techniques the paper uses:
-//
-//   - Tagged: elements are 40-bit indices into caller-owned storage;
-//     the head packs (index, 24-bit version tag) into one word and the
-//     link lives at a caller-designated word per element. This is the
-//     in-simulated-heap variant (DescAvail, Figure 7).
-//
-//   - Pointer: elements are Go nodes protected by hazard pointers
-//     ([17,19]), the variant the paper prescribes when tags cannot be
-//     embedded (pointer-sized values, reusable memory).
+// Tagged is the variant with the paper's first ABA-prevention
+// technique: elements are 40-bit indices into caller-owned storage; the
+// head packs (index, 24-bit version tag) into one word and the link
+// lives at a caller-designated word per element. This is the
+// in-simulated-heap variant (DescAvail, Figure 7); the buddy's hint
+// stacks are its user. The hazard-pointer technique ([17,19]), for when
+// tags cannot be embedded, is exercised by internal/lfqueue.
 package lfstack
 
 import (
 	"sync/atomic"
 
 	"repro/internal/atomicx"
-	"repro/internal/hazard"
 )
 
 // Links provides storage for intrusive next-links of the Tagged stack:
@@ -81,89 +76,6 @@ func (s *Tagged) Pop() (uint64, bool) {
 
 // Len returns a racy size estimate.
 func (s *Tagged) Len() int {
-	n := s.size.Load()
-	if n < 0 {
-		n = 0
-	}
-	return int(n)
-}
-
-// node is a Pointer-stack node.
-type node[T any] struct {
-	value T
-	next  atomic.Pointer[node[T]]
-}
-
-// Pointer is the hazard-pointer-protected Treiber stack over Go nodes.
-type Pointer[T any] struct {
-	head atomic.Pointer[node[T]]
-	dom  *hazard.Domain[node[T]]
-	size atomic.Int64
-}
-
-// NewPointer creates an empty stack.
-func NewPointer[T any]() *Pointer[T] {
-	return &Pointer[T]{dom: hazard.NewDomain[node[T]]()}
-}
-
-// Handle is a per-goroutine accessor carrying the hazard record.
-type Handle[T any] struct {
-	s   *Pointer[T]
-	rec *hazard.Record[node[T]]
-}
-
-// Handle returns a per-goroutine handle.
-func (s *Pointer[T]) Handle() *Handle[T] {
-	return &Handle[T]{s: s, rec: s.dom.Acquire()}
-}
-
-// Close releases the handle's hazard record.
-func (h *Handle[T]) Close() {
-	h.rec.Drain()
-	h.rec.Release()
-}
-
-// Push adds v.
-func (h *Handle[T]) Push(v T) {
-	n := &node[T]{value: v}
-	for {
-		head := h.s.head.Load()
-		n.next.Store(head)
-		if h.s.head.CompareAndSwap(head, n) {
-			h.s.size.Add(1)
-			return
-		}
-	}
-}
-
-// Pop removes the most recently pushed value. The hazard pointer on
-// the head node makes reading its next link safe even if a concurrent
-// pop retires and recycles it.
-func (h *Handle[T]) Pop() (T, bool) {
-	var zero T
-	for {
-		head := h.rec.Protect(0, &h.s.head)
-		if head == nil {
-			h.rec.Clear(0)
-			return zero, false
-		}
-		next := head.next.Load()
-		if h.s.head.CompareAndSwap(head, next) {
-			v := head.value
-			h.rec.Clear(0)
-			h.rec.Retire(head, func(n *node[T]) {
-				n.next.Store(nil)
-				var z T
-				n.value = z
-			})
-			h.s.size.Add(-1)
-			return v, true
-		}
-	}
-}
-
-// Len returns a racy size estimate.
-func (s *Pointer[T]) Len() int {
 	n := s.size.Load()
 	if n < 0 {
 		n = 0

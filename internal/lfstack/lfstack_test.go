@@ -84,73 +84,3 @@ func TestTaggedConcurrentConservation(t *testing.T) {
 		t.Fatalf("drained %d indices, want %d", len(seen), n)
 	}
 }
-
-func TestPointerLIFO(t *testing.T) {
-	s := NewPointer[int]()
-	h := s.Handle()
-	defer h.Close()
-	if _, ok := h.Pop(); ok {
-		t.Fatal("empty pop succeeded")
-	}
-	for i := 1; i <= 100; i++ {
-		h.Push(i)
-	}
-	for i := 100; i >= 1; i-- {
-		v, ok := h.Pop()
-		if !ok || v != i {
-			t.Fatalf("Pop = (%d, %v), want %d", v, ok, i)
-		}
-	}
-}
-
-func TestPointerConcurrentConservation(t *testing.T) {
-	s := NewPointer[uint64]()
-	const producers = 4
-	const perProducer = 20000
-	var wg sync.WaitGroup
-	for p := 0; p < producers; p++ {
-		wg.Add(1)
-		go func(p uint64) {
-			defer wg.Done()
-			h := s.Handle()
-			defer h.Close()
-			for i := uint64(0); i < perProducer; i++ {
-				h.Push(p*perProducer + i + 1)
-				if i%3 == 0 {
-					h.Pop()
-				}
-			}
-		}(uint64(p))
-	}
-	wg.Wait()
-	h := s.Handle()
-	defer h.Close()
-	seen := map[uint64]bool{}
-	for {
-		v, ok := h.Pop()
-		if !ok {
-			break
-		}
-		if seen[v] {
-			t.Fatalf("value %d delivered twice", v)
-		}
-		seen[v] = true
-	}
-}
-
-func TestPointerReclamation(t *testing.T) {
-	s := NewPointer[int]()
-	h := s.Handle()
-	for i := 0; i < 10000; i++ {
-		h.Push(i)
-		h.Pop()
-	}
-	h.Drain()
-	if s.dom.Stats().Reclaimed == 0 {
-		t.Error("no nodes reclaimed")
-	}
-	h.Close()
-}
-
-// Drain is exported on Handle for tests via the embedded record.
-func (h *Handle[T]) Drain() { h.rec.Drain() }

@@ -8,7 +8,6 @@ import (
 
 	"repro/alloc"
 	"repro/internal/bench"
-	"repro/internal/census"
 	"repro/internal/core"
 	"repro/internal/pool"
 	"repro/internal/telemetry"
@@ -25,30 +24,18 @@ type RunConfig struct {
 	Scale float64
 	// Allocators to include; nil selects all six (alloc.Names).
 	Allocators []string
-	// Processors sizes each allocator's per-processor structures; 0
-	// uses the maximum of Threads.
-	Processors int
-	// Telemetry attaches a telemetry recorder to every lock-free
-	// allocator constructed for an experiment, so each printed result
-	// carries CAS retries/op and latency quantiles for its interval.
+	// Options is what every allocator constructed for an experiment is
+	// built from, whichever backend it is: each reads what it
+	// understands (all of them Processors and HeapConfig.Arenas, the
+	// lock-free allocator its LockFree shape — magazines, descriptor
+	// stripes and backend). Processors 0 uses the maximum of Threads.
+	// An experiment's variants are edits of a copy.
+	Options alloc.Options
+	// Telemetry attaches a fresh telemetry recorder to every allocator
+	// constructed for an experiment (the lock-free allocator and the
+	// buddy count into it), so each printed result carries CAS
+	// retries/op and latency quantiles for its interval.
 	Telemetry bool
-	// Magazine sets Config.MagazineSize on every lock-free allocator
-	// constructed for an experiment (0 = magazines off, the
-	// paper-faithful default).
-	Magazine int
-	// Arenas sets the heap's region-arena count on every allocator
-	// constructed for an experiment (0 = one arena per processor, the
-	// default; 1 = the unsharded OS layer).
-	Arenas int
-	// DescStripes sets the descriptor-pool freelist stripe count on
-	// every lock-free allocator constructed for an experiment (0 = one
-	// stripe per processor, the default; 1 = the paper's single
-	// DescAvail list).
-	DescStripes int
-	// DescAlgo selects the descriptor pool's recycling backend on
-	// every lock-free allocator constructed for an experiment
-	// (pool.AlgoFreelist, the default, or pool.AlgoConstTime).
-	DescAlgo pool.Algo
 	// SampleRate sets the allocation sampler's period (one sample per
 	// SampleRate mallocs) on every telemetry recorder constructed for
 	// an experiment; 0 leaves the sampler off. Requires Telemetry.
@@ -66,26 +53,6 @@ func (c RunConfig) note(r bench.Result) {
 	}
 }
 
-// lockFreeOptions builds alloc.Options for a lock-free variant,
-// attaching a fresh recorder when cfg.Telemetry is set.
-func (c RunConfig) lockFreeOptions(lf core.Config) alloc.Options {
-	if c.Telemetry {
-		lf.Telemetry = core.NewRecorder(telemetry.Config{SampleRate: c.SampleRate})
-	}
-	if lf.MagazineSize == 0 {
-		lf.MagazineSize = c.Magazine
-	}
-	if lf.DescStripes == 0 {
-		lf.DescStripes = c.DescStripes
-	}
-	if lf.DescAlgo == pool.AlgoFreelist {
-		lf.DescAlgo = c.DescAlgo
-	}
-	opt := alloc.Options{Processors: c.Processors, LockFree: lf}
-	opt.HeapConfig.Arenas = c.Arenas
-	return opt
-}
-
 func (c RunConfig) withDefaults() RunConfig {
 	if len(c.Threads) == 0 {
 		c.Threads = []int{1, 2, 4, 8, 16}
@@ -96,10 +63,10 @@ func (c RunConfig) withDefaults() RunConfig {
 	if len(c.Allocators) == 0 {
 		c.Allocators = alloc.Names()
 	}
-	if c.Processors == 0 {
+	if c.Options.Processors == 0 {
 		for _, t := range c.Threads {
-			if t > c.Processors {
-				c.Processors = t
+			if t > c.Options.Processors {
+				c.Options.Processors = t
 			}
 		}
 	}
@@ -122,16 +89,16 @@ func (c RunConfig) scaleDur(full time.Duration) time.Duration {
 	return d
 }
 
-func (c RunConfig) newAlloc(name string) (alloc.Allocator, error) {
-	opt := alloc.Options{Processors: c.Processors}
-	opt.HeapConfig.Arenas = c.Arenas
-	if name == "lockfree" || name == "new" {
-		if c.Telemetry {
-			opt.LockFree.Telemetry = core.NewRecorder(telemetry.Config{SampleRate: c.SampleRate})
-		}
-		opt.LockFree.MagazineSize = c.Magazine
-		opt.LockFree.DescStripes = c.DescStripes
-		opt.LockFree.DescAlgo = c.DescAlgo
+// newAlloc is the one constructor of the experiments: the named
+// backend built from a copy of c.Options with a variant's edit applied
+// (nil for none) and, when c.Telemetry is set, a fresh recorder.
+func (c RunConfig) newAlloc(name string, edit func(*alloc.Options)) (alloc.Allocator, error) {
+	opt := c.Options
+	if c.Telemetry {
+		opt.LockFree.Telemetry = core.NewRecorder(telemetry.Config{SampleRate: c.SampleRate})
+	}
+	if edit != nil {
+		edit(&opt)
 	}
 	return alloc.New(name, opt)
 }
@@ -281,7 +248,7 @@ func Experiments() []Experiment {
 			ID:    "ablate",
 			Title: "Ablations: credits, FIFO vs LIFO partial lists, new-superblock race policy, partial slot",
 			Paper: "design choices discussed in §3.2.3 and §3.2.6",
-			Run:   runAblations,
+			Run:   sweepRunner(ablationSweep),
 		},
 		{
 			ID:    "magazine",
@@ -337,22 +304,12 @@ func ByID(id string) (Experiment, bool) {
 const scalarReps = 3
 
 // bestOf runs the workload scalarReps times on fresh allocators of the
-// named kind and returns the highest-throughput result.
-func bestOf(cfg RunConfig, name string, w bench.Workload, threads int) (bench.Result, error) {
-	return bestRun(cfg, func() (alloc.Allocator, error) { return cfg.newAlloc(name) }, w, threads)
-}
-
-// bestLockFree is bestOf for lock-free allocators, each built from a
-// fresh call of opt (so each gets its own telemetry recorder).
-func bestLockFree(cfg RunConfig, opt func() alloc.Options, w bench.Workload, threads int) bench.Result {
-	best, _ := bestRun(cfg, func() (alloc.Allocator, error) { return alloc.NewLockFree(opt()), nil }, w, threads)
-	return best
-}
-
-func bestRun(cfg RunConfig, mk func() (alloc.Allocator, error), w bench.Workload, threads int) (bench.Result, error) {
+// named kind (each with edit applied, see newAlloc) and returns the
+// highest-throughput result.
+func bestOf(cfg RunConfig, name string, edit func(*alloc.Options), w bench.Workload, threads int) (bench.Result, error) {
 	var best bench.Result
 	for i := 0; i < scalarReps; i++ {
-		a, err := mk()
+		a, err := cfg.newAlloc(name, edit)
 		if err != nil {
 			return bench.Result{}, err
 		}
@@ -370,7 +327,7 @@ func bestRun(cfg RunConfig, mk func() (alloc.Allocator, error), w bench.Workload
 // allocator on the workload: the denominator of every speedup in the
 // paper.
 func serialBaseline(cfg RunConfig, w bench.Workload) (bench.Result, error) {
-	return bestOf(cfg, "serial", w, 1)
+	return bestOf(cfg, "serial", nil, w, 1)
 }
 
 // figRunner builds a Figure 8 style sweep: speedup over contention-free
@@ -387,7 +344,7 @@ func figRunner(mkWorkload func(RunConfig) bench.Workload) func(RunConfig, io.Wri
 		for _, name := range cfg.Allocators {
 			s := Series{Name: name}
 			for _, t := range cfg.Threads {
-				a, err := cfg.newAlloc(name)
+				a, err := cfg.newAlloc(name, nil)
 				if err != nil {
 					return err
 				}
@@ -439,7 +396,7 @@ func runTable1(cfg RunConfig, out io.Writer) error {
 		}
 		cells := []string{r.name}
 		for _, name := range []string{"lockfree", "hoard", "ptmalloc"} {
-			res, err := bestOf(cfg, name, r.w, 1)
+			res, err := bestOf(cfg, name, nil, r.w, 1)
 			if err != nil {
 				return err
 			}
@@ -472,17 +429,19 @@ func runLatency(cfg RunConfig, out io.Writer) error {
 		return cells
 	}
 	for _, name := range cfg.Allocators {
-		r, err := bestOf(cfg, name, w, 1)
+		r, err := bestOf(cfg, name, nil, w, 1)
 		if err != nil {
 			return err
 		}
 		ns := float64(r.Elapsed.Nanoseconds()) / float64(r.Ops)
 		cells := []string{name, fmt.Sprintf("%.0f", ns)}
-		if cfg.Telemetry && r.Telemetry != nil {
+		// Only a recorder that timed operations has quantiles: the
+		// buddy's counts CAS retries alone.
+		if tel := r.Telemetry; cfg.Telemetry && tel != nil && tel.MallocP50NS > 0 {
 			cells = append(cells,
-				time.Duration(r.Telemetry.MallocP50NS).String(),
-				time.Duration(r.Telemetry.MallocP99NS).String(),
-				fmt.Sprintf("%.4f", r.Telemetry.RetriesPerOp))
+				time.Duration(tel.MallocP50NS).String(),
+				time.Duration(tel.MallocP99NS).String(),
+				fmt.Sprintf("%.4f", tel.RetriesPerOp))
 		}
 		t.Rows = append(t.Rows, pad(cells))
 	}
@@ -513,7 +472,7 @@ func runSpace(cfg RunConfig, out io.Writer) error {
 		cells := []string{w.Name()}
 		var lf, pt float64
 		for _, name := range []string{"lockfree", "hoard", "ptmalloc"} {
-			a, err := cfg.newAlloc(name)
+			a, err := cfg.newAlloc(name, nil)
 			if err != nil {
 				return err
 			}
@@ -559,7 +518,7 @@ func runFrag(cfg RunConfig, out io.Writer) error {
 		},
 	}
 	for _, name := range []string{"buddy", "chunkheap", "lockfree"} {
-		r, err := bestOf(cfg, name, w, maxT)
+		r, err := bestOf(cfg, name, nil, w, maxT)
 		if err != nil {
 			return err
 		}
@@ -578,10 +537,14 @@ func runFrag(cfg RunConfig, out io.Writer) error {
 func runUniprocessor(cfg RunConfig, out io.Writer) error {
 	cfg = cfg.withDefaults()
 	w := cfg.linuxScalability()
-	multi := alloc.NewLockFree(cfg.lockFreeOptions(core.Config{}))
-	singleOpt := cfg.lockFreeOptions(core.Config{})
-	singleOpt.Processors = 1
-	single := alloc.NewLockFree(singleOpt)
+	multi, err := cfg.newAlloc("lockfree", nil)
+	if err != nil {
+		return err
+	}
+	single, err := cfg.newAlloc("lockfree", func(o *alloc.Options) { o.Processors = 1 })
+	if err != nil {
+		return err
+	}
 	rm := w.Run(multi, 1)
 	cfg.note(rm)
 	rs := w.Run(single, 1)
@@ -592,7 +555,7 @@ func runUniprocessor(cfg RunConfig, out io.Writer) error {
 		Notes:   []string{"paper: +15% contention-free speedup on POWER3 (§4.2.4)"},
 	}
 	t.Rows = append(t.Rows,
-		[]string{fmt.Sprintf("heaps=%d", cfg.Processors), fmt.Sprintf("%.0f", rm.OpsPerSec()), "1.00"},
+		[]string{fmt.Sprintf("heaps=%d", cfg.Options.Processors), fmt.Sprintf("%.0f", rm.OpsPerSec()), "1.00"},
 		[]string{"heaps=1", fmt.Sprintf("%.0f", rs.OpsPerSec()), fmt.Sprintf("%.2f", rs.OpsPerSec()/rm.OpsPerSec())},
 	)
 	fmt.Fprint(out, t.Render())
@@ -601,9 +564,10 @@ func runUniprocessor(cfg RunConfig, out io.Writer) error {
 
 // knobSweep is one A/B experiment over a single allocator knob: every
 // variant runs every workload at the maximum thread count, best of
-// scalarReps, and lands as one row of that workload's table. Telemetry
-// is forced on so all rows of a table carry their counters from the
-// same kind of run — the acceptance comparison for the knob.
+// scalarReps, and lands as one row of that workload's table. A sweep
+// with counter columns forces telemetry on so all rows of a table carry
+// their counters from the same kind of run — the acceptance comparison
+// for the knob.
 type knobSweep struct {
 	title     string // table titles read "<title>: <workload> at <n> threads"
 	variants  []knobVariant
@@ -630,9 +594,11 @@ type knobColumn struct {
 func sweepRunner(spec func(RunConfig) knobSweep) func(RunConfig, io.Writer) error {
 	return func(cfg RunConfig, out io.Writer) error {
 		cfg = cfg.withDefaults()
-		cfg.Telemetry = true
 		maxT := cfg.Threads[len(cfg.Threads)-1]
 		s := spec(cfg)
+		if len(s.columns) > 0 {
+			cfg.Telemetry = true
+		}
 		columns := []string{"variant", "ops/s"}
 		for _, c := range s.columns {
 			columns = append(columns, c.name)
@@ -645,11 +611,10 @@ func sweepRunner(spec func(RunConfig) knobSweep) func(RunConfig, io.Writer) erro
 				Notes:   s.notes,
 			}
 			for _, v := range s.variants {
-				best := bestLockFree(cfg, func() alloc.Options {
-					opt := cfg.lockFreeOptions(core.Config{})
-					v.set(&opt)
-					return opt
-				}, w, maxT)
+				best, err := bestOf(cfg, "lockfree", v.set, w, maxT)
+				if err != nil {
+					return err
+				}
 				row := []string{v.name, fmt.Sprintf("%.0f", best.OpsPerSec())}
 				for _, c := range s.columns {
 					row = append(row, c.cell(best))
@@ -707,7 +672,7 @@ var (
 // magazineSweep compares the lock-free allocator with magazines off and
 // on, on the two workloads with the heaviest shared-word traffic.
 func magazineSweep(cfg RunConfig) knobSweep {
-	magSize := cfg.Magazine
+	magSize := cfg.Options.LockFree.MagazineSize
 	if magSize == 0 {
 		magSize = 64
 	}
@@ -758,7 +723,7 @@ func arenasSweep(cfg RunConfig) knobSweep {
 		title: "Region arenas",
 		variants: []knobVariant{
 			{"arenas=1 (global OS layer)", arenas(1)},
-			{fmt.Sprintf("arenas=%d (per-processor)", cfg.Processors), arenas(cfg.Processors)},
+			{fmt.Sprintf("arenas=%d (per-processor)", cfg.Options.Processors), arenas(cfg.Options.Processors)},
 		},
 		workloads: []bench.Workload{cfg.larson(), cfg.linuxScalability()},
 		columns: []knobColumn{
@@ -792,7 +757,7 @@ func poolStripesSweep(cfg RunConfig) knobSweep {
 		title: "Descriptor-pool stripes",
 		variants: []knobVariant{
 			{"stripes=1 (single DescAvail)", stripes(1)},
-			{fmt.Sprintf("stripes=%d (per-processor)", cfg.Processors), stripes(cfg.Processors)},
+			{fmt.Sprintf("stripes=%d (per-processor)", cfg.Options.Processors), stripes(cfg.Options.Processors)},
 		},
 		workloads: []bench.Workload{cfg.larson(), cfg.threadtest()},
 		columns: []knobColumn{
@@ -877,14 +842,17 @@ func runCensus(cfg RunConfig, out io.Writer) error {
 		var best bench.Result
 		var bestWalks int
 		for i := 0; i < scalarReps; i++ {
-			a := alloc.NewLockFree(vcfg.lockFreeOptions(core.Config{}))
+			a, err := vcfg.newAlloc("lockfree", nil)
+			if err != nil {
+				return err
+			}
 			runtime.GC()
 			walks := 0
 			stop := make(chan struct{})
 			var walkerDone chan struct{}
 			if v.walker {
 				walkerDone = make(chan struct{})
-				ca := a.(alloc.CoreAccessor)
+				h := alloc.HarnessOf(a)
 				go func() {
 					defer close(walkerDone)
 					for {
@@ -893,7 +861,7 @@ func runCensus(cfg RunConfig, out io.Writer) error {
 							return
 						default:
 						}
-						census.Take(ca.Core())
+						h.Census()
 						walks++
 						time.Sleep(2 * time.Millisecond)
 					}
@@ -938,38 +906,25 @@ func runCensus(cfg RunConfig, out io.Writer) error {
 	return nil
 }
 
-func runAblations(cfg RunConfig, out io.Writer) error {
-	cfg = cfg.withDefaults()
-	maxT := cfg.Threads[len(cfg.Threads)-1]
-	variants := []struct {
-		name string
-		cfg  core.Config
-	}{
-		{"baseline (credits=64, FIFO, free-on-race-loss, partial slot)", core.Config{}},
-		{"credits=1 (no batched reservations)", core.Config{MaxCredits: 1}},
-		{"credits=8", core.Config{MaxCredits: 8}},
-		{"LIFO partial lists", core.Config{PartialLIFO: true}},
-		{"keep new SB on race loss", core.Config{KeepNewSBOnRaceLoss: true}},
-		{"no per-heap partial slot", core.Config{NoPartialSlot: true}},
-		{"4 partial slots per heap (§3.2.6 option)", core.Config{PartialSlots: 4}},
-		{"hyperblock batching (§3.2.5)", core.Config{Hyperblocks: true}},
+// ablationSweep toggles the paper's own design choices (§3.2.3,
+// §3.2.6, §3.2.5) one at a time against the baseline. No counter
+// columns: the comparison is throughput and space.
+func ablationSweep(cfg RunConfig) knobSweep {
+	lockFree := func(set func(*core.Config)) func(*alloc.Options) {
+		return func(o *alloc.Options) { set(&o.LockFree) }
 	}
-	workloads := []bench.Workload{cfg.linuxScalability(), cfg.larson()}
-	for _, w := range workloads {
-		t := Table{
-			Title:   fmt.Sprintf("Ablation: %s at %d threads", w.Name(), maxT),
-			Columns: []string{"variant", "ops/s", "maxlive B"},
-		}
-		for _, v := range variants {
-			best := bestLockFree(cfg, func() alloc.Options { return cfg.lockFreeOptions(v.cfg) }, w, maxT)
-			t.Rows = append(t.Rows, []string{
-				v.name,
-				fmt.Sprintf("%.0f", best.OpsPerSec()),
-				fmt.Sprintf("%d", best.MaxLiveBytes),
-			})
-		}
-		fmt.Fprint(out, t.Render())
-		fmt.Fprintln(out)
+	return knobSweep{
+		title: "Ablation",
+		variants: []knobVariant{
+			{"baseline (credits=64, FIFO, free-on-race-loss, partial slot)", lockFree(func(*core.Config) {})},
+			{"credits=1 (no batched reservations)", lockFree(func(c *core.Config) { c.MaxCredits = 1 })},
+			{"credits=8", lockFree(func(c *core.Config) { c.MaxCredits = 8 })},
+			{"LIFO partial lists", lockFree(func(c *core.Config) { c.PartialLIFO = true })},
+			{"keep new SB on race loss", lockFree(func(c *core.Config) { c.KeepNewSBOnRaceLoss = true })},
+			{"no per-heap partial slot", lockFree(func(c *core.Config) { c.NoPartialSlot = true })},
+			{"4 partial slots per heap (§3.2.6 option)", lockFree(func(c *core.Config) { c.PartialSlots = 4 })},
+			{"hyperblock batching (§3.2.5)", lockFree(func(c *core.Config) { c.Hyperblocks = true })},
+		},
+		workloads: []bench.Workload{cfg.linuxScalability(), cfg.larson()},
 	}
-	return nil
 }

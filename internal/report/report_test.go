@@ -5,6 +5,7 @@ import (
 	"strings"
 	"testing"
 
+	"repro/alloc"
 	"repro/internal/bench"
 )
 
@@ -134,8 +135,8 @@ func TestRunConfigDefaults(t *testing.T) {
 	if len(c.Threads) == 0 || c.Scale <= 0 || len(c.Allocators) == 0 {
 		t.Errorf("defaults incomplete: %+v", c)
 	}
-	if c.Processors != 16 {
-		t.Errorf("Processors = %d, want max of default threads", c.Processors)
+	if c.Options.Processors != 16 {
+		t.Errorf("Processors = %d, want max of default threads", c.Options.Processors)
 	}
 	if c.scaleInt(100) < 1 {
 		t.Error("scaleInt floor")
@@ -148,9 +149,9 @@ func TestTinyExperimentEndToEnd(t *testing.T) {
 	e, _ := ByID("fig8a")
 	var buf bytes.Buffer
 	cfg := RunConfig{
-		Threads:    []int{1, 2},
-		Scale:      0.0002, // 2000 pairs
-		Processors: 2,
+		Threads: []int{1, 2},
+		Scale:   0.0002, // 2000 pairs
+		Options: alloc.Options{Processors: 2},
 	}
 	if err := e.Run(cfg, &buf); err != nil {
 		t.Fatal(err)
@@ -166,7 +167,7 @@ func TestTinyExperimentEndToEnd(t *testing.T) {
 func TestTinyTable1EndToEnd(t *testing.T) {
 	e, _ := ByID("table1")
 	var buf bytes.Buffer
-	cfg := RunConfig{Threads: []int{1}, Scale: 0.0002, Processors: 2}
+	cfg := RunConfig{Threads: []int{1}, Scale: 0.0002, Options: alloc.Options{Processors: 2}}
 	if err := e.Run(cfg, &buf); err != nil {
 		t.Fatal(err)
 	}
@@ -196,7 +197,7 @@ func TestTelemetryExperimentEndToEnd(t *testing.T) {
 	cfg := RunConfig{
 		Threads:    []int{1, 2},
 		Scale:      0.0002,
-		Processors: 2,
+		Options:    alloc.Options{Processors: 2},
 		Allocators: []string{"lockfree", "serial"},
 		Telemetry:  true,
 		Record:     func(r bench.Result) { recorded = append(recorded, r) },

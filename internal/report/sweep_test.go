@@ -34,9 +34,34 @@ func skeleton(out string) string {
 }
 
 // sweepGolden is the skeleton of what runMagazine, runArenas,
-// runPoolStripes and runPoolAlgo printed at commit 47d5d12 with
-// -threads 1,2 — the four hand-written loops knobSweep replaced.
+// runPoolStripes and runPoolAlgo printed at commit 47d5d12, and
+// runAblations at c1287c8, with -threads 1,2 — the five hand-written
+// loops knobSweep replaced.
 var sweepGolden = map[string]string{
+	"ablate": `Ablation: linux-scalability at 2 threads
+========================================
+variant | ops/s | maxlive B
+baseline (credits=64, FIFO, free-on-race-loss, partial slot) | # | #
+credits=1 (no batched reservations) | # | #
+credits=8 | # | #
+LIFO partial lists | # | #
+keep new SB on race loss | # | #
+no per-heap partial slot | # | #
+4 partial slots per heap (§3.2.6 option) | # | #
+hyperblock batching (§3.2.5) | # | #
+
+Ablation: larson at 2 threads
+=============================
+variant | ops/s | maxlive B
+baseline (credits=64, FIFO, free-on-race-loss, partial slot) | # | #
+credits=1 (no batched reservations) | # | #
+credits=8 | # | #
+LIFO partial lists | # | #
+keep new SB on race loss | # | #
+no per-heap partial slot | # | #
+4 partial slots per heap (§3.2.6 option) | # | #
+hyperblock batching (§3.2.5) | # | #`,
+
 	"magazine": `Magazine layer: larson at 2 threads
 ===================================
 variant | ops/s | retries | retries/op | malloc p50 | hit rate | maxlive B

@@ -117,11 +117,9 @@ func TestBuddyNoKillsIsClean(t *testing.T) {
 }
 
 // TestBuddyKillsUnderShadowOracle runs the random-kill sweep with the
-// shadow-heap oracle mirroring every completed operation. Under the
-// shadowheap build tag this verifies kills never produce double-free,
-// overlap, or write-after-free visible to the oracle; without the tag
-// the oracle is compiled out and the run degenerates to the plain
-// sweep. The mirroring (alloc's oracle wrapper) is ordered so a kill
+// shadow-heap oracle mirroring every completed operation: kills must
+// never produce a double free or an overlap visible to the oracle. The
+// mirroring (alloc's oracle wrapper) is ordered so a kill
 // cannot desynchronize the model: a malloc is noted only after it
 // returns (a victim killed mid-fragment leaks a block the oracle never
 // saw, and nobody can reuse it), and a free is noted before the status

@@ -102,9 +102,8 @@ type Result struct {
 	// depth.
 	alloc.Report
 	// ShadowErr is the shadow oracle's verdict (nil when the target has
-	// no oracle or the shadowheap build tag is absent). Kills may leak
-	// blocks but must never make the allocator hand out overlapping or
-	// stale memory.
+	// no oracle). Kills may leak blocks but must never make the
+	// allocator hand out overlapping or stale memory.
 	ShadowErr error
 	// CensusWalks counts completed census walks (Plan.Census);
 	// CensusErr is non-nil if a walk panicked — a walker must survive

@@ -1,5 +1,3 @@
-//go:build shadowheap
-
 package sched
 
 import (
@@ -59,7 +57,13 @@ func TestExploreShadowTerminalCheck(t *testing.T) {
 				HeapConfig: mem.Config{SegmentWordsLog2: 14, TotalWordsLog2: 22},
 			}, true)
 		},
-		Scripts:      []Script{script, script},
+		Scripts: []Script{script, script},
+		// Each schedule's oracle is registered process-wide; release it,
+		// or two thousand allocators stay reachable until the test ends.
+		Check: func(t Target) error {
+			t.(alloc.Harness).Oracle().Close()
+			return nil
+		},
 		MaxSchedules: 2000,
 	})
 	if err != nil {

@@ -32,8 +32,7 @@ var collecting = shadow.Config{OnViolation: func(shadow.Violation) {}}
 
 // lockFree builds a target around a lock-free allocator of shape cfg:
 // four processor heaps on sweepHeap unless cfg says otherwise, and with
-// oracle a collecting shadow oracle (a no-op without the shadowheap
-// build tag).
+// oracle behind a collecting shadow oracle.
 func lockFree(cfg core.Config, oracle bool) Target {
 	if cfg.Processors == 0 {
 		cfg.Processors = 4

@@ -1,5 +1,3 @@
-//go:build shadowheap
-
 package shadow
 
 import (
@@ -8,10 +6,6 @@ import (
 
 	"repro/internal/mem"
 )
-
-// Enabled reports whether the oracle is compiled in (the shadowheap
-// build tag is set).
-const Enabled = true
 
 // pageShift indexes blocks by 512-word pages for overlap queries; a
 // block is registered under every page its payload touches.
@@ -34,8 +28,7 @@ func (r *blockRec) end() mem.Ptr { return r.start.Add(r.words) }
 // model; it is held only across model updates, never across allocator
 // operations, so the allocator under test keeps its own concurrency.
 type Oracle struct {
-	cfg  Config
-	heap *mem.Heap
+	cfg Config
 
 	mu          sync.Mutex
 	live        map[mem.Ptr]*blockRec
@@ -51,9 +44,9 @@ var (
 	registry   = map[*Oracle]struct{}{}
 )
 
-// New constructs an oracle. If cfg.Heap is set the region-recycle hook
-// is attached immediately; otherwise call AttachHeap once the heap
-// exists (core.New does this when Config.Shadow is set).
+// New constructs an oracle over cfg.Heap and installs the
+// region-recycle hook that invalidates stale poison there, so it must
+// run before the first mirrored operation.
 func New(cfg Config) *Oracle {
 	if cfg.MaxPoisonWords == 0 {
 		cfg.MaxPoisonWords = 4096
@@ -71,9 +64,7 @@ func New(cfg Config) *Oracle {
 		livePages:   map[uint64][]*blockRec{},
 		poisonPages: map[uint64][]*blockRec{},
 	}
-	if cfg.Heap != nil {
-		o.AttachHeap(cfg.Heap)
-	}
+	o.cfg.Heap.SetRegionHook(o.InvalidateRange)
 	if cfg.CrossCheck {
 		registryMu.Lock()
 		registry[o] = struct{}{}
@@ -82,37 +73,21 @@ func New(cfg Config) *Oracle {
 	return o
 }
 
-// AttachHeap binds the oracle to the allocator's address space and
-// installs the region-recycle hook that invalidates stale poison.
-// Must be called before the first mirrored operation.
-func (o *Oracle) AttachHeap(h *mem.Heap) {
-	if o == nil || h == nil {
-		return
-	}
-	o.heap = h
-	h.SetRegionHook(o.InvalidateRange)
-}
-
 // Close deregisters a cross-checking oracle and detaches the region
 // hook. The oracle must not be used afterwards.
 func (o *Oracle) Close() {
-	if o == nil {
-		return
-	}
 	if o.cfg.CrossCheck {
 		registryMu.Lock()
 		delete(registry, o)
 		registryMu.Unlock()
 	}
-	if o.heap != nil {
-		o.heap.SetRegionHook(nil)
-	}
+	o.cfg.Heap.SetRegionHook(nil)
 }
 
 // NoteMalloc mirrors a successful Malloc(size) that returned p with
 // `usable` payload words. Call it *after* the allocator operation.
 func (o *Oracle) NoteMalloc(thread uint64, p mem.Ptr, size, usable uint64) {
-	if o == nil || p.IsNil() {
+	if p.IsNil() {
 		return
 	}
 	th := int64(thread)
@@ -136,7 +111,7 @@ func (o *Oracle) NoteMalloc(thread uint64, p mem.Ptr, size, usable uint64) {
 		if fr.poisoned {
 			n := min(fr.words, usable)
 			for i := uint64(0); i < n; i++ {
-				got := o.heap.Get(p.Add(i))
+				got := o.cfg.Heap.Get(p.Add(i))
 				if got == PoisonWord {
 					continue
 				}
@@ -159,7 +134,7 @@ func (o *Oracle) NoteMalloc(thread uint64, p mem.Ptr, size, usable uint64) {
 	}
 	rec := &blockRec{
 		start: p, words: usable, size: size,
-		prefix: o.heap.Load(p - 1), allocThread: th, freeThread: -1,
+		prefix: o.cfg.Heap.Load(p - 1), allocThread: th, freeThread: -1,
 	}
 	o.live[p] = rec
 	o.addPages(o.livePages, rec)
@@ -174,7 +149,7 @@ func (o *Oracle) NoteMalloc(thread uint64, p mem.Ptr, size, usable uint64) {
 // forward it to the allocator — in collecting mode this keeps the
 // allocator itself intact so the run can finish and report.
 func (o *Oracle) NoteFree(thread uint64, p mem.Ptr) bool {
-	if o == nil || p.IsNil() {
+	if p.IsNil() {
 		return true
 	}
 	th := int64(thread)
@@ -216,7 +191,7 @@ func (o *Oracle) NoteFree(thread uint64, p mem.Ptr) bool {
 		o.report([]Violation{v})
 		return false
 	}
-	if cur := o.heap.Load(p - 1); cur&^o.cfg.PrefixIgnoreMask != rec.prefix&^o.cfg.PrefixIgnoreMask {
+	if cur := o.cfg.Heap.Load(p - 1); cur&^o.cfg.PrefixIgnoreMask != rec.prefix&^o.cfg.PrefixIgnoreMask {
 		v := Violation{
 			Kind: KindPrefixMismatch, Allocator: o.cfg.Name, Ptr: p,
 			Thread: th, AllocThread: rec.allocThread, FreeThread: -1,
@@ -235,7 +210,7 @@ func (o *Oracle) NoteFree(thread uint64, p mem.Ptr) bool {
 	o.freed[p] = rec
 	if !o.cfg.DisablePoison && rec.words <= o.cfg.MaxPoisonWords {
 		for i := uint64(0); i < rec.words; i++ {
-			o.heap.Set(p.Add(i), PoisonWord)
+			o.cfg.Heap.Set(p.Add(i), PoisonWord)
 		}
 		if o.cfg.VerifyOnReuse {
 			rec.poisoned = true
@@ -249,13 +224,10 @@ func (o *Oracle) NoteFree(thread uint64, p mem.Ptr) bool {
 // InvalidateRange drops poison expectations for every freed block
 // inside [base, base+words): the range is returning to the region
 // layer, whose recycling may legitimately rewrite it. Installed as the
-// heap's region hook by AttachHeap. It also flags live blocks inside
+// heap's region hook by New. It also flags live blocks inside
 // the range — an allocator returning a region out from under live
 // blocks is itself a use-after-free.
 func (o *Oracle) InvalidateRange(base mem.Ptr, words uint64) {
-	if o == nil {
-		return
-	}
 	var out []Violation
 	end := base.Add(words)
 	o.mu.Lock()
@@ -284,9 +256,6 @@ func (o *Oracle) InvalidateRange(base mem.Ptr, words uint64) {
 // Err returns nil if no violation was detected, else an error naming
 // the first violation and the total count.
 func (o *Oracle) Err() error {
-	if o == nil {
-		return nil
-	}
 	o.mu.Lock()
 	defer o.mu.Unlock()
 	if o.nViol == 0 {
@@ -298,9 +267,6 @@ func (o *Oracle) Err() error {
 // Violations returns the retained violations (bounded by
 // Config.MaxViolations).
 func (o *Oracle) Violations() []Violation {
-	if o == nil {
-		return nil
-	}
 	o.mu.Lock()
 	defer o.mu.Unlock()
 	out := make([]Violation, len(o.viol))
@@ -310,9 +276,6 @@ func (o *Oracle) Violations() []Violation {
 
 // LiveBlocks returns the number of blocks the model believes live.
 func (o *Oracle) LiveBlocks() int {
-	if o == nil {
-		return 0
-	}
 	o.mu.Lock()
 	defer o.mu.Unlock()
 	return len(o.live)

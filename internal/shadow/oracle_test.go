@@ -1,5 +1,3 @@
-//go:build shadowheap
-
 package shadow_test
 
 import (

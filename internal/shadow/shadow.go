@@ -34,10 +34,11 @@
 //
 // The oracle is a debugging tool, not a production path: it serializes
 // all mirrored operations on one mutex and touches every freed payload
-// word. It is compiled in only under the `shadowheap` build tag;
-// without the tag, New returns nil and every method is a no-op on the
-// nil receiver, so wired-through call sites cost one predictable
-// nil-check per operation.
+// word. It is part of every build and attached in exactly one way:
+// alloc.New (or NewLockFree, FromBuddy) with Options.Shadow wraps the
+// allocator's handles so that each malloc is mirrored after the
+// operation and each free before it. An allocator built without the
+// option has no wrapper, so its paths carry no trace of the oracle.
 package shadow
 
 import (
@@ -59,9 +60,7 @@ type Config struct {
 	// (e.g. "lockfree").
 	Name string
 
-	// Heap is the address space the allocator runs on. It may be left
-	// nil and supplied later via AttachHeap (the core allocator creates
-	// its heap after the oracle exists).
+	// Heap is the address space the allocator runs on; required.
 	Heap *mem.Heap
 
 	// VerifyOnReuse enables the write-after-free check: freed payloads
@@ -173,9 +172,10 @@ func (k Kind) String() string {
 	}
 }
 
-// Violation is one detected heap-safety violation. Thread ids are the
-// allocator's own (core.Thread.ID, or the wrapper's counter for the
-// baseline allocators); -1 means unknown/not applicable.
+// Violation is one detected heap-safety violation. Thread ids are
+// whatever the mirroring caller passes to NoteMalloc/NoteFree (the
+// alloc wrapper numbers its handles in NewThread order from 0); -1
+// means unknown/not applicable.
 type Violation struct {
 	Kind      Kind
 	Allocator string
