@@ -8,7 +8,7 @@
 // All allocators operate on the simulated word-addressed heap of
 // internal/mem (see DESIGN.md for why the address space is simulated):
 //
-//	a := alloc.NewLockFree(alloc.Options{Processors: 8})
+//	a, err := alloc.New("lockfree", alloc.Options{Processors: 8})
 //	t := a.NewThread()          // one handle per worker goroutine
 //	p, err := t.Malloc(64)      // pointer to 64 payload bytes
 //	h := a.Heap()
@@ -78,7 +78,7 @@ type Options struct {
 	// write-after-free, for every backend and in every build. Unset,
 	// no wrapper is installed and the oracle costs nothing. The wrapped
 	// allocator is reached through HarnessOf (oracle verdict, hooked
-	// threads, census, recorder); it does not satisfy CoreAccessor.
+	// threads, census, recorder), like a bare one.
 	Shadow bool
 	// ShadowConfig tunes the oracle (violation handler, telemetry
 	// recorder for flight-recorder dumps, poison limits). Name, Heap,

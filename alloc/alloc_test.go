@@ -317,10 +317,11 @@ func TestConfigValidation(t *testing.T) {
 		{"negative stripes", core.Config{DescStripes: -1}, "DescStripes -1"},
 		{"negative slots", core.Config{PartialSlots: -1}, "PartialSlots -1"},
 		{"unknown algo", core.Config{DescAlgo: 7}, "unknown DescAlgo"},
+		{"negative arenas", core.Config{HeapConfig: mem.Config{Arenas: -1}}, "Arenas -1"},
 	}
 	for _, c := range cases {
 		t.Run(c.name, func(t *testing.T) {
-			opt := Options{LockFree: c.cfg}
+			opt := Options{HeapConfig: c.cfg.HeapConfig, LockFree: c.cfg}
 			verr := c.cfg.Validate()
 			a, err := New("lockfree", opt)
 			if c.want == "" {

@@ -48,8 +48,8 @@ func (w buddyAlloc) hookedThread(hook func(point int)) Thread {
 	return th
 }
 
-func (w buddyAlloc) census() *census.Census {
-	return &census.Census{Buddy: census.TakeBuddy(w.a)}
+func (w buddyAlloc) census() []census.Part {
+	return []census.Part{census.TakeBuddy(w.a), census.TakeOS(w.a.Heap())}
 }
 
 func (w buddyAlloc) recorder() *telemetry.Recorder { return w.rec }
@@ -69,8 +69,6 @@ func (w buddyAlloc) inspect(live int64) Report {
 		CoalBits:         b.CoalBits(),
 		StrandedCoalBits: b.OrphanCoalBits(),
 		InvariantErr:     b.CheckInvariants(live >= 0),
-		Summary: fmt.Sprintf("buddy: %d trees x %d words, %d grows (%d lost races), %d hint hits, %d scans, %d/%d beyond-tree\n",
-			s.Trees, s.TreeWords, s.Grows, s.GrowRaces, s.HintHits, s.Scans, s.LargeMallocs, s.LargeFrees),
 	}
 	switch {
 	case live < 0:
@@ -78,9 +76,9 @@ func (w buddyAlloc) inspect(live int64) Report {
 	case live == 0 && r.InvariantErr == nil:
 		if r.CoalBits != 0 {
 			r.InvariantErr = fmt.Errorf("buddy: %d coalescing marks stranded at quiescence", r.CoalBits)
-		} else if bc := census.TakeBuddy(b); bc.Orders[0].Free != uint64(bc.Trees) {
+		} else if bc := census.TakeBuddy(b); bc.Orders[0].Free != uint64(s.Trees) {
 			r.InvariantErr = fmt.Errorf("buddy: %d of %d trees are one free block after a full drain (coalescing incomplete)",
-				bc.Orders[0].Free, bc.Trees)
+				bc.Orders[0].Free, s.Trees)
 		}
 	}
 	return r

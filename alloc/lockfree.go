@@ -56,23 +56,16 @@ func (w lockFree) hookedThread(hook func(point int)) Thread {
 	return th
 }
 
-func (w lockFree) census() *census.Census { return census.Take(w.a) }
+func (w lockFree) census() []census.Part {
+	sb, descs, sampled := census.TakeLockFree(w.a)
+	return []census.Part{sb, census.TakeOS(w.a.Heap()), descs, sampled}
+}
 
 func (w lockFree) recorder() *telemetry.Recorder { return w.a.Telemetry() }
 
 func (w lockFree) inspect(live int64) Report {
 	s := w.a.Stats()
-	r := Report{
-		LeakedWords:  s.Heap.LiveWords,
-		InvariantErr: w.a.CheckInvariants(live),
-		Summary: fmt.Sprintf("paths: active=%d partial=%d newSB=%d raceLoss=%d sbFreed=%d\n"+
-			"descriptors: %d allocated, %d on freelist; heap max-live %d KiB\n",
-			s.Ops.FromActive, s.Ops.FromPartial, s.Ops.FromNewSB, s.Ops.NewSBRaceLoss, s.Ops.EmptySBFreed,
-			s.DescsAllocated, s.DescsOnFreelist, s.Heap.MaxLiveWords*mem.WordBytes/1024),
-	}
-	if hs := w.a.HyperStats(); hs.HyperAllocs > 0 {
-		r.Summary += fmt.Sprintf("hyperblocks: %d allocated, %d released\n", hs.HyperAllocs, hs.HyperReleases)
-	}
+	r := Report{LeakedWords: s.Heap.LiveWords, InvariantErr: w.a.CheckInvariants(live)}
 	if live == 0 && r.InvariantErr == nil && s.Ops.Mallocs != s.Ops.Frees {
 		r.InvariantErr = fmt.Errorf("malloc/free imbalance: %d vs %d", s.Ops.Mallocs, s.Ops.Frees)
 	}

@@ -49,7 +49,9 @@ type Backend struct {
 // HookPoints: the backend-specific half of Harness.
 type harnessed interface {
 	hookedThread(hook func(point int)) Thread
-	census() *census.Census
+	// census lists the parts of a walk of the backend's own structures
+	// and of its heap, top-down.
+	census() []census.Part
 	recorder() *telemetry.Recorder
 	inspect(live int64) Report
 }
@@ -188,11 +190,9 @@ func New(name string, opt Options) (Allocator, error) {
 }
 
 // Report is what a backend finds when it inspects itself while no
-// operation is in flight (Harness.Inspect).
+// operation is in flight (Harness.Inspect). Its counters are in the
+// census.
 type Report struct {
-	// Summary is the backend's own counters, one topic a line, for a
-	// tool to print; empty for a backend that keeps none.
-	Summary string
 	// LeakedWords is the heap space still allocated from the OS layer
 	// beyond the backend's own backing store (buddy trees): after every
 	// block is freed, its cache plus what killed threads took with them.
@@ -218,7 +218,8 @@ type Harness struct {
 }
 
 // HarnessOf binds a to its registry entry. An allocator from elsewhere
-// has no hook points, no census and a Report of LeakedWords only.
+// has no hook points, a census of its heap only and a Report of
+// LeakedWords only.
 func HarnessOf(a Allocator) Harness {
 	h := Harness{a: a, raw: a}
 	if s, ok := a.(*shadowed); ok {
@@ -248,14 +249,15 @@ func (h Harness) NewThread(hook func(point int)) Thread {
 	return k.hookedThread(hook)
 }
 
-// Census makes one walk of the backend's structures, safe while other
-// threads allocate, free, or lie dead mid-operation; nil if the backend
-// has no walker.
+// Census makes one walk of the allocator, safe while other threads
+// allocate, free, or lie dead mid-operation: the OS layer under every
+// backend (internal/mem), and the backend's own structures where it has
+// a walker.
 func (h Harness) Census() *census.Census {
 	if k, ok := h.raw.(harnessed); ok {
-		return k.census()
+		return census.New(k.census()...)
 	}
-	return nil
+	return census.New(census.TakeOS(h.raw.Heap()))
 }
 
 // Recorder is the telemetry recorder the backend was built with

@@ -1,9 +1,12 @@
 package alloc
 
 import (
+	"bytes"
+	"strings"
 	"testing"
 
 	"repro/internal/buddy"
+	"repro/internal/census"
 	"repro/internal/core"
 	"repro/internal/mem"
 	"repro/internal/shadow"
@@ -50,9 +53,10 @@ func TestRegistryTable(t *testing.T) {
 
 // TestHarnessEveryBackend drives each backend through its registry
 // entry: a hooked handle reports only points from the entry's table (and
-// a backend without a table never calls the hook), the census walks
-// where there is a walker, and the strict check passes once every block
-// is freed. Behind the oracle wrapper the harness is the same one — for
+// a backend without a table never calls the hook), the census walks —
+// the OS layer for all six, the backend's own structures above it where
+// there is a walker — and the strict check passes once every block is
+// freed. Behind the oracle wrapper the harness is the same one — for
 // the lock-free allocator all twelve points, the census and the checker
 // — and the hooked handle is mirrored like any other.
 func TestHarnessEveryBackend(t *testing.T) {
@@ -93,8 +97,26 @@ func harnessBackend(t *testing.T, name string, oracle bool) {
 		held = append(held, p)
 	}
 	hookable := len(h.HookPoints()) > 0
-	if c := h.Census(); (c != nil) != hookable {
-		t.Errorf("Census() = %v on a backend with %d hook points", c, len(h.HookPoints()))
+	c := h.Census()
+	if c == nil || len(c.Parts) == 0 {
+		t.Fatalf("Census() = %v", c)
+	}
+	var osl *census.OSLayer
+	for _, part := range c.Parts {
+		if o, ok := part.(*census.OSLayer); ok {
+			osl = o
+		}
+	}
+	if osl == nil || osl.RegionAllocs == 0 || osl.LiveWords == 0 {
+		t.Errorf("census OS-layer part = %+v with %d blocks held", osl, len(held))
+	}
+	if (len(c.Parts) > 1) != hookable {
+		t.Errorf("census has %d parts on a backend with %d hook points", len(c.Parts), len(h.HookPoints()))
+	}
+	var text bytes.Buffer
+	c.WriteText(&text)
+	if !strings.Contains(text.String(), "Region arenas (") {
+		t.Errorf("census text lacks the arena table:\n%s", text.String())
 	}
 	if rep := h.Inspect(int64(len(held))); rep.InvariantErr != nil {
 		t.Errorf("Inspect with %d blocks held: %+v", len(held), rep)
@@ -163,8 +185,8 @@ func TestFromBuddyAdoptsTheCallersTrees(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got := h.Census().Buddy.TreeWords; got != 1<<12 {
-		t.Errorf("census sees trees of %d words, want the caller's 4096", got)
+	if bc, ok := h.Census().Parts[0].(*census.Buddy); !ok || bc.Stats.TreeWords != 1<<12 {
+		t.Errorf("census sees %+v, want trees of the caller's 4096 words", h.Census().Parts[0])
 	}
 	th.Free(p)
 	if rep := h.Inspect(0); rep.InvariantErr != nil {

@@ -1,7 +1,7 @@
 #!/bin/sh
 # The CI matrix, runnable locally: ./ci/verify.sh [stage...]
-# Stages: build lint test race tags smoke; no argument runs all of them
-# in that order. .github/workflows/ci.yml calls this script one stage
+# Stages: build lint test race tags smoke fuzz; no argument runs all of
+# them in that order. .github/workflows/ci.yml calls this script one stage
 # per step, so a check added here runs in CI without a workflow edit.
 set -eu
 cd "$(dirname "$0")/.."
@@ -55,20 +55,22 @@ stage_smoke() {
 		"$bin/benchmal" -exp table1 -threads 1,2 -scale 0.002 -allocs lockfree $knob
 	done
 	# A configuration core.Config.Validate rejects must stop every tool.
-	for tool in benchmal mlfstress allocmon; do
-		if "$bin/$tool" -magazine -1 2>/dev/null; then
-			echo "verify: $tool accepted -magazine -1" >&2
-			exit 1
-		fi
+	for tool in benchmal mlfstress "allocmon -once" "heapinfo -live"; do
+		for knob in "-magazine -1" "-arenas -1"; do
+			if "$bin/"$tool $knob >/dev/null 2>&1; then
+				echo "verify: $tool accepted $knob" >&2
+				exit 1
+			fi
+		done
 	done
 
-	"$bin/allocmon" -once -warmup 200ms -threads 2 >/dev/null
-
-	# Stress under the shadow oracle: every registered backend, and a
-	# kill sweep on each one whose registry entry has kill points
-	# (heapinfo prints the registry, one "backend <name> ... kill-points=<n>"
-	# line per entry), so a new backend is smoked without a new line here.
+	# Every registered backend (heapinfo prints the registry, one
+	# "backend <name> ... kill-points=<n>" line per entry, so a new one is
+	# smoked without a new line here): both diagnostic tools, stress under
+	# the shadow oracle, and a kill sweep on each entry with kill points.
 	for name in $("$bin/heapinfo" | awk '$1 == "backend" { print $2 }'); do
+		"$bin/allocmon" -once -warmup 200ms -threads 2 -alloc "$name" >/dev/null
+		"$bin/heapinfo" -live -threads 2 -ops 20000 -alloc "$name" >/dev/null
 		"$bin/mlfstress" -alloc "$name" -threads 4 -ops 20000 -shadow -magazine 8 -arenas 2 -telemetry=false
 	done
 	for name in $("$bin/heapinfo" | awk '$1 == "backend" && $NF != "kill-points=0" { print $2 }'); do
@@ -79,15 +81,25 @@ stage_smoke() {
 	"$bin/mlfstress" -threads 4 -ops 5000 -kills 2 -shadow -magazine 8 -telemetry=false -descalgo consttime
 }
 
-[ $# -gt 0 ] || set -- build lint test race tags smoke
+# Each Go fuzzer for a fixed budget; a crasher it finds lands in the
+# package's testdata/fuzz and fails the stage (and, committed with its
+# fix, every later `go test`).
+stage_fuzz() {
+	for target in core:FuzzMallocFreeSequence core:FuzzReallocSequence core:FuzzMagazine \
+		buddy:FuzzModel chunkheap:FuzzChunkOps; do
+		go test -run=NONE -fuzz="^${target#*:}\$" -fuzztime=10s "./internal/${target%%:*}"
+	done
+}
+
+[ $# -gt 0 ] || set -- build lint test race tags smoke fuzz
 for stage; do
 	case $stage in
-	build | lint | test | race | tags | smoke)
+	build | lint | test | race | tags | smoke | fuzz)
 		echo "== verify: $stage"
 		"stage_$stage"
 		;;
 	*)
-		echo "usage: $0 [build|lint|test|race|tags|smoke]..." >&2
+		echo "usage: $0 [build|lint|test|race|tags|smoke|fuzz]..." >&2
 		exit 2
 		;;
 	esac

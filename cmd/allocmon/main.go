@@ -1,32 +1,31 @@
-// Command allocmon runs a continuous malloc/free workload on the
-// lock-free allocator with the telemetry layer and allocation sampler
-// attached, and serves live observability over HTTP: telemetry
-// snapshots, heap censuses (fragmentation, live-block ages, call
-// sites), a Prometheus scrape endpoint, and a server-sent-event stream
-// of periodic samples.
+// Command allocmon runs a continuous malloc/free workload (churn.Mixed,
+// as mlfstress) on one backend of the alloc registry, with the
+// telemetry layer and allocation sampler attached, and serves live
+// observability over HTTP: telemetry snapshots, censuses (the OS layer
+// for every backend; fragmentation, live-block ages and call sites for
+// lockfree; the order table for buddy), a Prometheus scrape endpoint,
+// and a server-sent-event stream of periodic samples.
 //
-//	allocmon [-addr :8723] [-threads 4] [-hyper] [-pause 50us]
-//	         [-interval 1s] [-samplerate 1024] [-history 120]
-//	         [-magazine N] [-arenas N] [-descstripes N]
-//	         [-descalgo freelist|consttime] [-buddy]
+//	allocmon [-alloc lockfree] [-addr :8723] [-threads 4] [-hyper]
+//	         [-pause 50us] [-interval 1s] [-samplerate 1024]
+//	         [-history 120] [-magazine N] [-arenas N] [-descstripes N]
+//	         [-descalgo freelist|consttime]
 //	allocmon -once [-warmup 2s]
 //
 // Endpoints:
 //
-//	/            text dashboard (telemetry snapshot + census summary)
+//	/            text dashboard (telemetry snapshot + census)
 //	/stats.json  full telemetry snapshot as JSON; ?base=<seq|last>
 //	             subtracts an earlier series point (interval delta)
 //	/events      flight-recorder events only, as JSON
-//	/heap        allocator + heap + hyperblock statistics as JSON
-//	/census.json latest full heap census as JSON
+//	/census.json latest full census as JSON, one key per part
 //	/series.json the sampled census+snapshot ring, oldest first
 //	/metrics     Prometheus text format (version 0.0.4)
 //	/stream      server-sent events: one series point per sample tick
 //
-// -buddy additionally runs the same churn (churn.Mixed, as mlfstress)
-// on the non-blocking buddy allocator (internal/buddy); its per-order
-// free/used block counts appear on the dashboard, as a "buddy" section
-// in /census.json, and as buddy_* Prometheus families on /metrics.
+// What a census holds is up to the backend (alloc.Harness.Census) and
+// how a part looks up to the part (internal/census); to watch two
+// backends, run allocmon twice.
 //
 // -once skips the server: it warms up, prints the text dashboard to
 // stdout, and exits (useful for smoke tests).
@@ -36,6 +35,7 @@ import (
 	"encoding/json"
 	"flag"
 	"fmt"
+	"io"
 	"net/http"
 	"os"
 	"strconv"
@@ -44,7 +44,6 @@ import (
 
 	"repro/alloc"
 	"repro/internal/bench"
-	"repro/internal/buddy"
 	"repro/internal/census"
 	"repro/internal/churn"
 	"repro/internal/core"
@@ -55,23 +54,30 @@ import (
 // drive it through httptest without a listening socket or workload.
 type monitor struct {
 	rec    *telemetry.Recorder
-	a      *core.Allocator
+	h      alloc.Harness
 	series *telemetry.Series
-	events int              // flight-recorder events on the text dashboard
-	bud    *buddy.Allocator // nil unless -buddy
+	events int // flight-recorder events on the text dashboard
 
 	mu   sync.Mutex
 	subs map[chan telemetry.SeriesPoint]struct{}
 }
 
-func newMonitor(rec *telemetry.Recorder, a *core.Allocator, history, events int) *monitor {
+func newMonitor(rec *telemetry.Recorder, a alloc.Allocator, history, events int) *monitor {
 	return &monitor{
 		rec:    rec,
-		a:      a,
+		h:      alloc.HarnessOf(a),
 		series: telemetry.NewSeries(history),
 		events: events,
 		subs:   make(map[chan telemetry.SeriesPoint]struct{}),
 	}
+}
+
+// dashboard writes the text dashboard: the telemetry snapshot, then the
+// census.
+func (m *monitor) dashboard(w io.Writer) {
+	fmt.Fprint(w, m.rec.Snapshot().Text(m.events))
+	fmt.Fprintln(w, "\nCensus:")
+	m.h.Census().WriteText(w)
 }
 
 // sampleOnce takes one snapshot+census pair, appends it to the series,
@@ -80,7 +86,7 @@ func newMonitor(rec *telemetry.Recorder, a *core.Allocator, history, events int)
 func (m *monitor) sampleOnce() telemetry.SeriesPoint {
 	snap := m.rec.Snapshot()
 	snap.Events = nil // the series is numeric; /events serves the ring
-	pt := m.series.Add(snap, m.census())
+	pt := m.series.Add(snap, m.h.Census())
 	m.mu.Lock()
 	for ch := range m.subs {
 		select {
@@ -90,17 +96,6 @@ func (m *monitor) sampleOnce() telemetry.SeriesPoint {
 	}
 	m.mu.Unlock()
 	return pt
-}
-
-// census takes the core census and, under -buddy, attaches the buddy
-// forest's order-occupancy section (served on /census.json, /series.json
-// and rendered as buddy_* families on /metrics).
-func (m *monitor) census() *census.Census {
-	c := census.Take(m.a)
-	if m.bud != nil {
-		c.Buddy = census.TakeBuddy(m.bud)
-	}
-	return c
 }
 
 func (m *monitor) subscribe() chan telemetry.SeriesPoint {
@@ -139,11 +134,7 @@ func (m *monitor) mux() *http.ServeMux {
 			return
 		}
 		w.Header().Set("Content-Type", "text/plain; charset=utf-8")
-		fmt.Fprint(w, m.rec.Snapshot().Text(m.events))
-		printHeapStats(w, m.a)
-		c := m.census()
-		printCensusSummary(w, c)
-		printBuddySummary(w, c.Buddy)
+		m.dashboard(w)
 	})
 	mux.HandleFunc("/stats.json", func(w http.ResponseWriter, r *http.Request) {
 		snap := m.rec.Snapshot()
@@ -171,16 +162,8 @@ func (m *monitor) mux() *http.ServeMux {
 			"events":         snap.Events,
 		})
 	})
-	mux.HandleFunc("/heap", func(w http.ResponseWriter, r *http.Request) {
-		writeJSON(w, map[string]any{
-			"stats":          m.a.Stats(),
-			"hyper":          m.a.HyperStats(),
-			"descStripes":    m.a.DescStripes(),
-			"descStripeFree": m.a.DescStripeFree(),
-		})
-	})
 	mux.HandleFunc("/census.json", func(w http.ResponseWriter, r *http.Request) {
-		writeJSON(w, m.census())
+		writeJSON(w, m.h.Census())
 	})
 	mux.HandleFunc("/series.json", func(w http.ResponseWriter, r *http.Request) {
 		writeJSON(w, m.series.Points())
@@ -188,7 +171,7 @@ func (m *monitor) mux() *http.ServeMux {
 	mux.HandleFunc("/metrics", func(w http.ResponseWriter, r *http.Request) {
 		w.Header().Set("Content-Type", census.ContentType)
 		snap := m.rec.Snapshot()
-		if err := census.WriteMetrics(w, snap, m.census()); err != nil {
+		if err := census.WriteMetrics(w, snap, m.h.Census()); err != nil {
 			http.Error(w, err.Error(), http.StatusInternalServerError)
 		}
 	})
@@ -248,62 +231,74 @@ func sendEvent(w http.ResponseWriter, fl http.Flusher, pt telemetry.SeriesPoint)
 	return true
 }
 
-func main() {
+func main() { os.Exit(run(os.Args[1:], os.Stdout, os.Stderr)) }
+
+func run(args []string, stdout, stderr io.Writer) int {
+	fs := flag.NewFlagSet("allocmon", flag.ContinueOnError)
+	fs.SetOutput(stderr)
 	var (
-		addr       = flag.String("addr", ":8723", "HTTP listen address")
-		threads    = flag.Int("threads", 4, "workload goroutines")
-		hyper      = flag.Bool("hyper", false, "enable the hyperblock layer")
-		pause      = flag.Duration("pause", 50*time.Microsecond, "sleep between workload ops (0 = full speed)")
-		once       = flag.Bool("once", false, "print one dashboard after -warmup and exit (no server)")
-		warmup     = flag.Duration("warmup", 2*time.Second, "workload warmup before -once prints")
-		events     = flag.Int("events", 16, "flight-recorder events shown on the text dashboard")
-		interval   = flag.Duration("interval", time.Second, "census sampling interval for /series.json and /stream")
-		sampleRate = flag.Int("samplerate", 1024, "allocation sampling period (mallocs per sample, 0 = off)")
-		history    = flag.Int("history", 120, "series points retained")
-		withBuddy  = flag.Bool("buddy", false, "run a second churn on the non-blocking buddy allocator and expose its order census")
-		af         = bench.RegisterAllocFlags(flag.CommandLine)
+		addr       = fs.String("addr", ":8723", "HTTP listen address")
+		threads    = fs.Int("threads", 4, "workload goroutines")
+		hyper      = fs.Bool("hyper", false, "enable the hyperblock layer")
+		pause      = fs.Duration("pause", 50*time.Microsecond, "sleep between workload ops (0 = full speed)")
+		once       = fs.Bool("once", false, "print one dashboard after -warmup and exit (no server)")
+		warmup     = fs.Duration("warmup", 2*time.Second, "workload warmup before -once prints")
+		events     = fs.Int("events", 16, "flight-recorder events shown on the text dashboard")
+		interval   = fs.Duration("interval", time.Second, "census sampling interval for /series.json and /stream")
+		sampleRate = fs.Int("samplerate", 1024, "allocation sampling period (mallocs per sample, 0 = off)")
+		history    = fs.Int("history", 120, "series points retained")
+		af         = bench.RegisterBackendFlags(fs)
 	)
-	flag.Parse()
+	if err := fs.Parse(args); err != nil {
+		return 2
+	}
+	fail := func(err error) int {
+		fmt.Fprintf(stderr, "allocmon: %v\n", err)
+		return 1
+	}
 
 	rec := core.NewRecorder(telemetry.Config{SampleRate: *sampleRate})
-	cfg, err := af.Apply(core.Config{
-		Processors:  *threads,
-		Hyperblocks: *hyper,
-		Telemetry:   rec,
-	})
+	a, _, err := af.New(core.Config{Processors: *threads, Hyperblocks: *hyper, Telemetry: rec}, alloc.Options{})
 	if err != nil {
-		fmt.Fprintf(os.Stderr, "allocmon: %v\n", err)
-		os.Exit(1)
+		return fail(err)
 	}
-	a := core.New(cfg)
 	m := newMonitor(rec, a, *history, *events)
-	if *withBuddy {
-		m.bud = buddy.New(buddy.Config{Telemetry: rec.Stripes()})
-	}
+
+	// The embedded workload runs until run returns; the first error, a
+	// worker's Malloc or the server's, ends the command.
+	stop := make(chan struct{})
+	errs := make(chan error, *threads+1) // one send each at most
+	var workers sync.WaitGroup
+	defer func() {
+		close(stop)
+		workers.Wait()
+	}()
 	for g := 0; g < *threads; g++ {
-		go churnForever(a.Thread(), int64(g), *pause)
-		if m.bud != nil {
-			go churnForever(m.bud.Thread(), int64(g), *pause)
-		}
+		workers.Add(1)
+		go func(th alloc.Thread, seed int64) {
+			defer workers.Done()
+			if err := churnUntil(stop, th, seed, *pause); err != nil {
+				errs <- fmt.Errorf("malloc: %w", err)
+			}
+		}(a.NewThread(), int64(g))
 	}
 	if *once {
-		time.Sleep(*warmup)
-		fmt.Print(rec.Snapshot().Text(*events))
-		printHeapStats(os.Stdout, a)
-		c := m.census()
-		printCensusSummary(os.Stdout, c)
-		printBuddySummary(os.Stdout, c.Buddy)
-		return
+		// The dashboard is taken with the workload still running, so the
+		// census has live blocks to count.
+		select {
+		case err := <-errs:
+			return fail(err)
+		case <-time.After(*warmup):
+		}
+		m.dashboard(stdout)
+		return 0
 	}
 
-	go m.run(*interval, make(chan struct{}))
-
-	fmt.Printf("allocmon: %d workload threads (hyper=%v pause=%v samplerate=%d), serving on %s\n",
-		*threads, *hyper, *pause, *sampleRate, *addr)
-	if err := http.ListenAndServe(*addr, m.mux()); err != nil {
-		fmt.Fprintf(os.Stderr, "allocmon: %v\n", err)
-		os.Exit(1)
-	}
+	go m.run(*interval, stop)
+	go func() { errs <- http.ListenAndServe(*addr, m.mux()) }()
+	fmt.Fprintf(stdout, "allocmon: %s, %d workload threads (hyper=%v pause=%v samplerate=%d), serving on %s\n",
+		a.Name(), *threads, *hyper, *pause, *sampleRate, *addr)
+	return fail(<-errs)
 }
 
 func writeJSON(w http.ResponseWriter, v any) {
@@ -313,58 +308,25 @@ func writeJSON(w http.ResponseWriter, v any) {
 	enc.Encode(v)
 }
 
-func printHeapStats(w interface{ Write([]byte) (int, error) }, a *core.Allocator) {
-	s := a.Stats()
-	fmt.Fprintf(w, "allocator: mallocs=%d frees=%d active=%d partial=%d newSB=%d\n",
-		s.Ops.Mallocs, s.Ops.Frees, s.Ops.FromActive, s.Ops.FromPartial, s.Ops.FromNewSB)
-	fmt.Fprintf(w, "heap: live %d KiB, max-live %d KiB, descriptors %d (+%d free)\n",
-		s.Heap.LiveWords*8/1024, s.Heap.MaxLiveWords*8/1024,
-		s.DescsAllocated, s.DescsOnFreelist)
-	fmt.Fprintf(w, "desc pool: %s backend, %d stripes, free per stripe %v\n",
-		a.DescAlgo(), a.DescStripes(), a.DescStripeFree())
-}
-
-func printCensusSummary(w interface{ Write([]byte) (int, error) }, c *census.Census) {
-	s := c.Summary()
-	fmt.Fprintf(w, "census: %d superblocks, blocks used=%d free=%d magazine=%d\n",
-		s.Superblocks, s.BlocksUsed, s.BlocksFree, s.MagazineCached)
-	if s.InternalFragPct >= 0 {
-		fmt.Fprintf(w, "frag: internal %.1f%% external %.1f%%; %d live samples, age p50=%v p99=%v oldest=%v\n",
-			s.InternalFragPct, s.ExternalFragPct, s.LiveSamples,
-			time.Duration(s.AgeP50NS), time.Duration(s.AgeP99NS), time.Duration(s.OldestNS))
-	} else {
-		fmt.Fprintf(w, "frag: external %.1f%% (sampler off)\n", s.ExternalFragPct)
-	}
-}
-
-// printBuddySummary appends the buddy forest's order-occupancy table
-// to the text dashboard; no-op without -buddy.
-func printBuddySummary(w interface{ Write([]byte) (int, error) }, bc *census.BuddyCensus) {
-	if bc == nil {
-		return
-	}
-	fmt.Fprintf(w, "buddy: %d trees x %d words, frees coalesced to ext-frag %.1f%%, %d coal bits\n",
-		bc.Trees, bc.TreeWords, 100*bc.ExternalFragRatio, bc.CoalBits)
-	for _, o := range bc.Orders {
-		if o.Free == 0 && o.Used == 0 {
-			continue
-		}
-		fmt.Fprintf(w, "buddy: order %d (%d words): free=%d used=%d\n",
-			o.Order, o.BlockWords, o.Free, o.Used)
-	}
-}
-
-// churnForever is the embedded workload: churn.Mixed traffic on one
-// handle until the process exits, pausing every 64 operations.
-func churnForever(th alloc.Thread, seed int64, pause time.Duration) {
+// churnUntil is the embedded workload: churn.Mixed traffic on one
+// handle until stop closes, pausing every 64 operations; the live set
+// is freed on the way out.
+func churnUntil(stop <-chan struct{}, th alloc.Thread, seed int64, pause time.Duration) error {
 	d := churn.New(th, seed, churn.Mixed)
+	defer d.Drain()
 	for i := 0; ; i++ {
 		if err := d.Step(); err != nil {
-			fmt.Fprintf(os.Stderr, "allocmon: malloc: %v\n", err)
-			os.Exit(1)
+			return err
 		}
-		if pause > 0 && i%64 == 0 {
-			time.Sleep(pause)
+		if i%64 == 0 {
+			select {
+			case <-stop:
+				return nil
+			default:
+			}
+			if pause > 0 {
+				time.Sleep(pause)
+			}
 		}
 	}
 }

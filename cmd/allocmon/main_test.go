@@ -2,14 +2,17 @@ package main
 
 import (
 	"bufio"
+	"bytes"
 	"encoding/json"
 	"fmt"
 	"io"
 	"net/http/httptest"
+	"regexp"
+	"slices"
 	"strings"
 	"testing"
 
-	"repro/internal/buddy"
+	"repro/alloc"
 	"repro/internal/census"
 	"repro/internal/core"
 	"repro/internal/mem"
@@ -18,16 +21,22 @@ import (
 
 // newTestMonitor builds a monitor over a small allocator with the
 // sampler on and some deterministic traffic already applied.
-func newTestMonitor(t *testing.T, ops int) (*monitor, *core.Thread) {
+func newTestMonitor(t *testing.T, ops int) (*monitor, alloc.Thread) {
+	return newBackendMonitor(t, "lockfree", ops)
+}
+
+func newBackendMonitor(t *testing.T, name string, ops int) (*monitor, alloc.Thread) {
 	t.Helper()
 	rec := core.NewRecorder(telemetry.Config{SampleRate: 1})
-	a := core.New(core.Config{
-		Processors:   2,
-		MagazineSize: 8,
-		Telemetry:    rec,
-		HeapConfig:   mem.Config{SegmentWordsLog2: 18, TotalWordsLog2: 28},
+	a, err := alloc.New(name, alloc.Options{
+		Processors: 2,
+		HeapConfig: mem.Config{SegmentWordsLog2: 18, TotalWordsLog2: 28},
+		LockFree:   core.Config{MagazineSize: 8, Telemetry: rec},
 	})
-	th := a.Thread()
+	if err != nil {
+		t.Fatal(err)
+	}
+	th := a.NewThread()
 	held := make([]mem.Ptr, 0, ops)
 	for i := 0; i < ops; i++ {
 		p, err := th.Malloc(uint64(8 + 16*(i%50)))
@@ -73,7 +82,6 @@ func TestEndpointsContentTypes(t *testing.T) {
 		"/":            "text/plain; charset=utf-8",
 		"/stats.json":  "application/json",
 		"/events":      "application/json",
-		"/heap":        "application/json",
 		"/census.json": "application/json",
 		"/series.json": "application/json",
 		"/metrics":     census.ContentType,
@@ -138,8 +146,11 @@ func TestStreamEndpoint(t *testing.T) {
 	var pt struct {
 		Seq      uint64             `json:"seq"`
 		Snapshot telemetry.Snapshot `json:"snapshot"`
-		Census   *census.Census     `json:"census"`
-		Delta    telemetry.Snapshot `json:"delta"`
+		Census   *struct {
+			Superblocks census.Superblocks `json:"superblocks"`
+			Sampler     census.Sampled     `json:"sampler"`
+		} `json:"census"`
+		Delta telemetry.Snapshot `json:"delta"`
 	}
 	if err := json.Unmarshal([]byte(data), &pt); err != nil {
 		t.Fatalf("bad SSE JSON: %v", err)
@@ -147,10 +158,10 @@ func TestStreamEndpoint(t *testing.T) {
 	if pt.Snapshot.Malloc.Count == 0 {
 		t.Error("streamed snapshot has no mallocs")
 	}
-	if pt.Census == nil || pt.Census.Totals.Superblocks == 0 {
+	if pt.Census == nil || pt.Census.Superblocks.Totals.Superblocks == 0 {
 		t.Errorf("streamed census empty: %+v", pt.Census)
 	}
-	if pt.Census != nil && pt.Census.Ages.Count() == 0 {
+	if pt.Census != nil && pt.Census.Sampler.Ages.Count() == 0 {
 		t.Error("streamed census has no live-age samples")
 	}
 }
@@ -240,35 +251,66 @@ func TestDashboardCensusSummary(t *testing.T) {
 	srv := httptest.NewServer(m.mux())
 	defer srv.Close()
 	body, _ := get(t, srv, "/")
-	for _, want := range []string{"census:", "frag: internal"} {
+	for _, want := range []string{"totals: ", "sampled internal fragmentation: ", "external fragmentation "} {
 		if !strings.Contains(body, want) {
 			t.Errorf("dashboard missing %q", want)
 		}
 	}
 }
 
-// TestBuddyEndpoints: with -buddy attached, /census.json carries the
-// buddy order table and /metrics appends valid buddy_* families.
-func TestBuddyEndpoints(t *testing.T) {
-	m, _ := newTestMonitor(t, 100)
-	m.bud = buddy.New(buddy.Config{
-		HeapConfig:    mem.Config{SegmentWordsLog2: 14, TotalWordsLog2: 22},
-		TreeWordsLog2: 12,
-	})
-	bt := m.bud.Thread()
-	var held []mem.Ptr
-	for _, sz := range []uint64{8, 100, 1000, 20000} {
-		p, err := bt.Malloc(sz)
-		if err != nil {
-			t.Fatal(err)
-		}
-		held = append(held, p)
+// TestEveryBackend: each registry entry can be watched — a dashboard,
+// scrapeable /metrics, a /census.json that carries at least the OS-layer
+// part with the regions the traffic drew, and a -once run that exits 0.
+func TestEveryBackend(t *testing.T) {
+	for _, name := range alloc.Names() {
+		t.Run(name, func(t *testing.T) {
+			m, _ := newBackendMonitor(t, name, 100)
+			srv := httptest.NewServer(m.mux())
+			defer srv.Close()
+
+			if body, _ := get(t, srv, "/"); !strings.Contains(body, "telemetry: ") || !strings.Contains(body, "Region arenas (") {
+				t.Errorf("dashboard lacks the snapshot or the census:\n%s", body)
+			}
+			metrics, _ := get(t, srv, "/metrics")
+			if err := census.ValidateMetrics([]byte(metrics)); err != nil {
+				t.Errorf("/metrics invalid: %v", err)
+			}
+			if !strings.Contains(metrics, "census_arena_words{arena=") {
+				t.Error("/metrics lacks the OS-layer families")
+			}
+			body, _ := get(t, srv, "/census.json")
+			var c struct {
+				OS *census.OSLayer `json:"os"`
+			}
+			if err := json.Unmarshal([]byte(body), &c); err != nil {
+				t.Fatal(err)
+			}
+			if c.OS == nil || c.OS.RegionAllocs == 0 || len(c.OS.Arenas) == 0 {
+				t.Errorf("/census.json OS-layer part = %+v: %s", c.OS, body)
+			}
+
+			var out, errOut bytes.Buffer
+			if code := run([]string{"-once", "-warmup", "20ms", "-threads", "2", "-alloc", name}, &out, &errOut); code != 0 {
+				t.Fatalf("-once: exit %d\n%s", code, errOut.String())
+			}
+			if !strings.Contains(out.String(), "Region arenas (") {
+				t.Errorf("-once printed no census:\n%s", out.String())
+			}
+		})
 	}
+}
+
+// TestBuddyEndpoints: watching the buddy, /census.json carries its order
+// table and /metrics its buddy_* families.
+func TestBuddyEndpoints(t *testing.T) {
+	m, _ := newBackendMonitor(t, "buddy", 100)
 	srv := httptest.NewServer(m.mux())
 	defer srv.Close()
 
 	body, _ := get(t, srv, "/census.json")
-	var c census.Census
+	var c struct {
+		Buddy *census.Buddy `json:"buddy"`
+	}
 	if err := json.Unmarshal([]byte(body), &c); err != nil {
 		t.Fatal(err)
 	}
@@ -279,20 +321,124 @@ func TestBuddyEndpoints(t *testing.T) {
 	for _, o := range c.Buddy.Orders {
 		used += o.Used
 	}
-	if used != uint64(len(held)) {
-		t.Fatalf("buddy census counts %d used blocks, want %d", used, len(held))
+	if used != 50 { // newBackendMonitor frees every other of its 100 blocks
+		t.Fatalf("buddy census counts %d used blocks, want 50", used)
 	}
-
 	metrics, _ := get(t, srv, "/metrics")
-	if err := census.ValidateMetrics([]byte(metrics)); err != nil {
-		t.Fatalf("/metrics with buddy families invalid: %v", err)
-	}
 	for _, want := range []string{"buddy_order_blocks", "buddy_external_frag_ratio", "buddy_trees"} {
 		if !strings.Contains(metrics, want) {
 			t.Errorf("/metrics missing %s", want)
 		}
 	}
-	for _, p := range held {
-		bt.Free(p)
+}
+
+// TestRejectedConfig: a knob core.Config.Validate rejects, or an unknown
+// backend, stops -once before any workload starts.
+func TestRejectedConfig(t *testing.T) {
+	for _, args := range [][]string{{"-arenas", "-3"}, {"-magazine", "-1"}, {"-alloc", "nosuch"}} {
+		var out, errOut bytes.Buffer
+		if code := run(append([]string{"-once", "-warmup", "1ms"}, args...), &out, &errOut); code != 1 || out.Len() != 0 {
+			t.Errorf("allocmon -once %v: exit %d, stdout %q, stderr %q", args, code, out.String(), errOut.String())
+		}
+	}
+}
+
+var (
+	pathInParens = regexp.MustCompile(`\(/[^)]*\)`)
+	numeral      = regexp.MustCompile(`0x[0-9a-f]+|[0-9][0-9.]*(ns|µs|ms|s|%)?`)
+)
+
+// skeleton reduces a dashboard to the line structure of its census (the
+// snapshot above it is internal/telemetry's text): every numeral masked
+// as "#", file paths as "(path)", column padding squeezed, table rows —
+// lines of nothing but masks — and blank lines dropped.
+func skeleton(out string) []string {
+	_, out, _ = strings.Cut(out, "\nCensus:\n")
+	var lines []string
+	for _, line := range strings.Split(out, "\n") {
+		line = numeral.ReplaceAllString(pathInParens.ReplaceAllString(line, "(path)"), "#")
+		line = strings.Join(strings.Fields(line), " ")
+		if strings.Trim(line, "#- ") != "" {
+			lines = append(lines, line)
+		}
+	}
+	return lines
+}
+
+const osLayerSkeleton = `heap: # words live (max-live # KiB), # region allocs / # frees, external fragmentation #
+Region arenas (#):
+arena reserved live skipped allocs frees reused steals free regions free words occupancy ext frag
+(words; allocs/reused/steals are request-side, the rest partition-side)
+`
+
+// onceSkeletons is the line structure of the census on `allocmon -once
+// -alloc <name> -threads 2 -samplerate 1`.
+var onceSkeletons = map[string]string{
+	"lockfree": `allocator: mallocs=# frees=#; # large mallocs, # empty-partial skips
+paths: active=# partial=# newSB=# raceLoss=# sbFreed=#
+Size classes (superblocks by anchor state, block inventory):
+class A F P E used free resv mag partial int frag
+totals: # superblocks, blocks used=# free=# resv=# mag=#, carve waste # words
+sampled internal fragmentation: #
+` + osLayerSkeleton + `Region-bin occupancy (free regions awaiting reuse):
+arena region words regions
+descriptors: # allocated, # on freelist
+desc pool: freelist backend, # stripes, free per stripe [# #]
+Live-block ages (# samples at rate #/#): p#=# p#=# oldest=#
+Top call sites by live sampled bytes:
+live bytes oldest site
+# # # repro/internal/churn.(*Driver).Step (path)
+`,
+	"buddy": `buddy: # trees x # words, # grows (# lost races), # hint hits, # scans, #/# beyond-tree
+Buddy order census: ext frag #, # coal bits
+order block words free used
+` + osLayerSkeleton + `Region bins: empty (no free regions awaiting reuse)
+`,
+}
+
+// parentLines maps every line shape under the snapshot of `allocmon
+// -once [-buddy]` at commit 7adc75f (the digest printers this command
+// used to hold; -buddy appended its lines to the lock-free ones) to the
+// shape that carries its numbers now; a parent line that was split names
+// the one its first numbers went to, and CHANGES.md (PR 16) says where
+// the rest are.
+var parentLines = map[string]map[string]string{
+	"lockfree": {
+		"allocator: mallocs=# frees=# active=# partial=# newSB=#":             "allocator: mallocs=# frees=#; # large mallocs, # empty-partial skips",
+		"heap: live # KiB, max-live # KiB, descriptors # (+# free)":           "heap: # words live (max-live # KiB), # region allocs / # frees, external fragmentation #",
+		"desc pool: freelist backend, # stripes, free per stripe [# #]":       "",
+		"census: # superblocks, blocks used=# free=# magazine=#":              "totals: # superblocks, blocks used=# free=# resv=# mag=#, carve waste # words",
+		"frag: internal # external #; # live samples, age p#=# p#=# oldest=#": "Live-block ages (# samples at rate #/#): p#=# p#=# oldest=#",
+		"frag: external # (sampler off)":                                      "heap: # words live (max-live # KiB), # region allocs / # frees, external fragmentation #",
+	},
+	"buddy": {
+		"buddy: # trees x # words, frees coalesced to ext-frag #, # coal bits": "Buddy order census: ext frag #, # coal bits",
+		"buddy: order # (# words): free=# used=#":                              "order block words free used",
+	},
+}
+
+// TestOnceSkeleton pins the line structure of -once for the two backends
+// that had one at the parent commit, and that none of the parent's lines
+// went missing.
+func TestOnceSkeleton(t *testing.T) {
+	for name, want := range onceSkeletons {
+		var out, errOut bytes.Buffer
+		// Full speed, so that 200 ms is sure to have freed a large block
+		// into the region bins.
+		if code := run([]string{"-once", "-warmup", "200ms", "-pause", "0", "-threads", "2", "-samplerate", "1", "-alloc", name}, &out, &errOut); code != 0 {
+			t.Fatalf("%s: exit %d\n%s", name, code, errOut.String())
+		}
+		got := skeleton(out.String())
+		if joined := strings.Join(got, "\n") + "\n"; joined != want {
+			t.Errorf("%s: skeleton changed\n--- got ---\n%s--- want ---\n%s", name, joined, want)
+		}
+		for parent, now := range parentLines[name] {
+			if now == "" {
+				now = parent
+			}
+			if !slices.Contains(got, now) {
+				t.Errorf("%s: the parent's line %q has no counterpart %q", name, parent, now)
+			}
+		}
 	}
 }

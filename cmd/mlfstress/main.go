@@ -74,8 +74,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 		seed    = fs.Int64("seed", 1, "PRNG seed")
 		tele    = fs.Bool("telemetry", true, "attach the telemetry layer (contention/latency summary, flight recorder)")
 		events  = fs.Int("events", 16, "flight-recorder events to dump (telemetry mode)")
-		name    = fs.String("alloc", "lockfree", "allocator backend under stress (see alloc.Names())")
-		af      = bench.RegisterAllocFlags(fs)
+		af      = bench.RegisterBackendFlags(fs)
 		shadowF = fs.Bool("shadow", false, "attach the shadow-heap oracle; first violation aborts the run")
 	)
 	if err := fs.Parse(args); err != nil {
@@ -86,22 +85,12 @@ func run(args []string, stdout, stderr io.Writer) int {
 		return 1
 	}
 
-	cfg, err := af.Apply(core.Config{
-		Processors:  *threads,
-		MaxCredits:  *credits,
-		PartialLIFO: *lifo,
-		Hyperblocks: *hyper,
-	})
-	if err != nil {
-		return fail("%v", err)
-	}
 	if *threads > runtime.GOMAXPROCS(0) {
 		runtime.GOMAXPROCS(*threads)
 	}
 	var rec *telemetry.Recorder
 	if *tele {
 		rec = core.NewRecorder(telemetry.Config{})
-		cfg.Telemetry = rec
 	}
 	// Without an OnViolation handler the first violation panics with the
 	// attribution line and the flight recorder's tail. A kill sweep
@@ -110,13 +99,13 @@ func run(args []string, stdout, stderr io.Writer) int {
 	if *kills > 0 {
 		oracle.OnViolation = func(shadow.Violation) {}
 	}
-	a, err := alloc.New(*name, alloc.Options{
-		Processors:   *threads,
-		HeapConfig:   cfg.HeapConfig,
-		LockFree:     cfg,
-		Shadow:       *shadowF,
-		ShadowConfig: oracle,
-	})
+	a, cfg, err := af.New(core.Config{
+		Processors:  *threads,
+		MaxCredits:  *credits,
+		PartialLIFO: *lifo,
+		Hyperblocks: *hyper,
+		Telemetry:   rec,
+	}, alloc.Options{Shadow: *shadowF, ShadowConfig: oracle})
 	if err != nil {
 		return fail("%v", err)
 	}
@@ -175,7 +164,11 @@ func run(args []string, stdout, stderr io.Writer) int {
 		shadowErr = h.ShadowErr()
 		rep = h.Inspect(0)
 	}
-	fmt.Fprint(stdout, rep.Summary)
+	// The backend's counters and inventory as the run left them, every
+	// surviving block freed: what it retains, and what the kills cost.
+	fmt.Fprintln(stdout)
+	h.Census().WriteText(stdout)
+	fmt.Fprintln(stdout)
 
 	if shadowErr != nil {
 		return fail("shadow oracle: %v", shadowErr)

@@ -91,6 +91,7 @@ func TestRejectedConfigStopsBeforeTraffic(t *testing.T) {
 		want string
 	}{
 		{[]string{"-magazine", "-1"}, "MagazineSize"},
+		{[]string{"-arenas", "-1", "-alloc", "hoard"}, "Arenas -1"},
 		{[]string{"-credits", "100", "-kills", "1"}, "MaxCredits"},
 		{[]string{"-descalgo", "bogus"}, "bogus"},
 		{[]string{"-alloc", "bogus"}, "unknown allocator"},

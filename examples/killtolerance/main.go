@@ -24,7 +24,12 @@ func main() {
 	fmt.Println("while 4 survivors each complete 200,000 operations...")
 	// The harness takes the allocator as the caller built it; any
 	// registered backend with kill points ("buddy" too) fits here.
-	target := alloc.HarnessOf(alloc.NewLockFree(alloc.Options{Processors: 4}))
+	a, err := alloc.New("lockfree", alloc.Options{Processors: 4})
+	if err != nil {
+		fmt.Println("FAILED:", err)
+		return
+	}
+	target := alloc.HarnessOf(a)
 	res, err := sched.Run(sched.Plan{
 		Victims:        16,
 		Survivors:      4,

@@ -1,11 +1,12 @@
 // Quickstart: construct the lock-free allocator, allocate and free
-// blocks from several goroutines, and inspect allocator statistics.
+// blocks from several goroutines, and print the allocator's census.
 //
 //	go run ./examples/quickstart
 package main
 
 import (
 	"fmt"
+	"os"
 	"sync"
 
 	"repro/alloc"
@@ -15,7 +16,10 @@ import (
 func main() {
 	// One allocator per process; Processors sizes the per-size-class
 	// processor heaps (defaults to GOMAXPROCS).
-	a := alloc.NewLockFree(alloc.Options{Processors: 4})
+	a, err := alloc.New("lockfree", alloc.Options{Processors: 4})
+	if err != nil {
+		panic(err)
+	}
 	heap := a.Heap()
 
 	// Single-threaded use: a Thread handle is this goroutine's
@@ -66,11 +70,7 @@ func main() {
 	}
 	wg.Wait()
 
-	if ca, ok := a.(alloc.CoreAccessor); ok {
-		s := ca.Core().Stats()
-		fmt.Printf("mallocs=%d frees=%d (active=%d partial=%d newSB=%d)\n",
-			s.Ops.Mallocs, s.Ops.Frees, s.Ops.FromActive, s.Ops.FromPartial, s.Ops.FromNewSB)
-		fmt.Printf("heap: reserved=%d KiB, live=%d KiB, max-live=%d KiB\n",
-			s.Heap.ReservedWords*8/1024, s.Heap.LiveWords*8/1024, s.Heap.MaxLiveWords*8/1024)
-	}
+	// Counters and inventory, for this or any other alloc.New backend:
+	// which path served the mallocs, what each layer still holds.
+	alloc.HarnessOf(a).Census().WriteText(os.Stdout)
 }

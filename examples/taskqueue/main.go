@@ -100,7 +100,10 @@ func (q *queue) dequeue(th alloc.Thread) (uint64, bool) {
 }
 
 func main() {
-	a := alloc.NewLockFree(alloc.Options{Processors: 4})
+	a, err := alloc.New("lockfree", alloc.Options{Processors: 4})
+	if err != nil {
+		panic(err)
+	}
 	heap := a.Heap()
 	setup := a.NewThread()
 	q := newQueue(a, setup)

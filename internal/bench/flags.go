@@ -3,15 +3,16 @@ package bench
 import (
 	"flag"
 
+	"repro/alloc"
 	"repro/internal/core"
 	"repro/internal/mem"
 	"repro/internal/pool"
 )
 
-// AllocFlags bundles the allocator-shape flags shared by cmd/benchmal,
-// cmd/mlfstress and cmd/allocmon, so each knob — and any future one — is registered
-// in one place with one help string instead of being copied per
-// command.
+// AllocFlags bundles the allocator-shape flags shared by cmd/benchmal
+// and, through BackendFlags, the commands that run one backend, so each
+// knob — and any future one — is registered in one place with one help
+// string instead of being copied per command.
 type AllocFlags struct {
 	Magazine    *int
 	Arenas      *int
@@ -29,6 +30,22 @@ func RegisterAllocFlags(fs *flag.FlagSet) *AllocFlags {
 		Arenas:      fs.Int("arenas", 0, "region arenas per heap (0 = one per processor, 1 = unsharded)"),
 		DescStripes: fs.Int("descstripes", 0, "descriptor-pool freelist stripes (0 = one per processor, 1 = single DescAvail)"),
 		descAlgo:    fs.String("descalgo", "", "descriptor-pool backend: freelist (default) or consttime (Blelloch-Wei)"),
+	}
+}
+
+// BackendFlags is AllocFlags plus -alloc, for a command that runs one
+// backend of the alloc registry (cmd/mlfstress, cmd/allocmon,
+// cmd/heapinfo).
+type BackendFlags struct {
+	*AllocFlags
+	name *string
+}
+
+// RegisterBackendFlags registers -alloc and the shape flags on fs.
+func RegisterBackendFlags(fs *flag.FlagSet) *BackendFlags {
+	return &BackendFlags{
+		AllocFlags: RegisterAllocFlags(fs),
+		name:       fs.String("alloc", "lockfree", "allocator backend, one of alloc.Names(); the shape flags other than -arenas configure lockfree only"),
 	}
 }
 
@@ -54,4 +71,18 @@ func (f *AllocFlags) Apply(cfg core.Config) (core.Config, error) {
 		cfg.HeapConfig.Arenas = *f.Arenas
 	}
 	return cfg, cfg.Validate()
+}
+
+// New builds the -alloc backend through the registry: cfg with the
+// shape flags applied, its Processors and HeapConfig also sizing the
+// other backends; opt carries what cfg cannot (the shadow oracle). The
+// applied cfg is returned for the caller's banner.
+func (f *BackendFlags) New(cfg core.Config, opt alloc.Options) (alloc.Allocator, core.Config, error) {
+	cfg, err := f.Apply(cfg)
+	if err != nil {
+		return nil, cfg, err
+	}
+	opt.Processors, opt.HeapConfig, opt.LockFree = cfg.Processors, cfg.HeapConfig, cfg
+	a, err := alloc.New(*f.name, opt)
+	return a, cfg, err
 }

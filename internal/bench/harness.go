@@ -45,9 +45,10 @@ type Result struct {
 	// allocator has no recorder attached.
 	Telemetry *TelemetrySummary `json:"telemetry,omitempty"`
 
-	// Census digests a heap census taken right after the run —
-	// fragmentation and live-block ages; nil unless the allocator has a
-	// recorder with the allocation sampler enabled.
+	// Census digests a census taken right after the run — fragmentation
+	// and live-block ages, from whichever parts the backend's census has;
+	// nil unless the allocator has a recorder with the allocation sampler
+	// enabled.
 	Census *census.Summary `json:"census,omitempty"`
 }
 
@@ -93,13 +94,6 @@ func SummarizeTelemetry(s telemetry.Snapshot) *TelemetrySummary {
 		MagHitRate:    s.MagHitRate(),
 		MagFlushes:    s.MagFlushes,
 	}
-}
-
-// Recorder returns the telemetry recorder attached to an allocator, or
-// nil: the lock-free allocator's, or the one counting the buddy's CAS
-// retries (which times no operations, so its latency rows stay zero).
-func Recorder(a alloc.Allocator) *telemetry.Recorder {
-	return alloc.HarnessOf(a).Recorder()
 }
 
 // OpsPerSec returns the throughput.
@@ -216,12 +210,8 @@ func measure(w Workload, a alloc.Allocator, threads int, fn func(id int, th allo
 	if rec != nil {
 		r.Telemetry = SummarizeTelemetry(rec.Snapshot().Sub(base))
 		if rec.Sampler() != nil {
-			// The buddy's census is an order table, with no sampled
-			// blocks to digest.
-			if c := h.Census(); c.Buddy == nil {
-				s := c.Summary()
-				r.Census = &s
-			}
+			s := h.Census().Summary()
+			r.Census = &s
 		}
 	}
 	return r

@@ -1,15 +1,10 @@
 package census
 
-// Buddy-forest census: the per-order occupancy of the non-blocking
-// buddy allocator (internal/buddy), rendered into the same JSON and
-// Prometheus surfaces as the core census. The order table is the
-// buddy allocator's fragmentation signature — many small free blocks
-// with no large ones left is external fragmentation made visible.
-
 import (
+	"fmt"
 	"io"
 	"strconv"
-	"time"
+	"text/tabwriter"
 
 	"repro/internal/buddy"
 )
@@ -26,15 +21,13 @@ type BuddyOrder struct {
 	Used uint64 `json:"used"`
 }
 
-// BuddyCensus is a point-in-time inventory of the buddy forest.
-type BuddyCensus struct {
-	TakenUnixNano int64 `json:"takenUnixNano"`
-
-	// Trees is the number of published tree regions; TreeWords each
-	// region's size; MinBlockWords the leaf block size.
-	Trees         int    `json:"trees"`
-	TreeWords     uint64 `json:"treeWords"`
-	MinBlockWords uint64 `json:"minBlockWords"`
+// Buddy is the non-blocking buddy allocator's forest (internal/buddy).
+// The order table is its fragmentation signature — many small free
+// blocks with no large ones left is external fragmentation made visible.
+type Buddy struct {
+	// Stats snapshots the allocator's geometry (published trees, words
+	// a tree, leaf block size) and operation counters.
+	Stats buddy.Stats `json:"stats"`
 
 	// Orders is the per-order free/used table, largest blocks first.
 	Orders []BuddyOrder `json:"orders"`
@@ -49,24 +42,13 @@ type BuddyCensus struct {
 
 	// CoalBits counts in-flight (or kill-stranded) coalescing marks.
 	CoalBits int `json:"coalBits"`
-
-	// Stats snapshots the allocator's operation counters.
-	Stats buddy.Stats `json:"stats"`
 }
 
-// TakeBuddy walks the buddy forest and assembles its census. Like
-// Take, it is lock-free and racy-consistent: safe during concurrent
-// malloc/free, exact at quiescence.
-func TakeBuddy(b *buddy.Allocator) *BuddyCensus {
-	bc := &BuddyCensus{
-		TakenUnixNano: time.Now().UnixNano(),
-		Stats:         b.Stats(),
-		CoalBits:      b.CoalBits(),
-	}
-	bc.Trees = bc.Stats.Trees
-	bc.TreeWords = bc.Stats.TreeWords
-	bc.MinBlockWords = bc.Stats.MinBlockWords
-
+// TakeBuddy walks the buddy forest. Like TakeLockFree it is lock-free
+// and racy-consistent: safe during concurrent malloc/free, exact at
+// quiescence.
+func TakeBuddy(b *buddy.Allocator) *Buddy {
+	bc := &Buddy{Stats: b.Stats(), CoalBits: b.CoalBits()}
 	orders := b.OrderCensus()
 	bc.Orders = make([]BuddyOrder, len(orders))
 	var largestFree uint64
@@ -89,15 +71,28 @@ func TakeBuddy(b *buddy.Allocator) *BuddyCensus {
 	return bc
 }
 
-// WriteBuddyMetrics renders bc as buddy_* Prometheus families (same
-// text format as WriteMetrics; append after it on a /metrics handler).
-func WriteBuddyMetrics(w io.Writer, bc *BuddyCensus) error {
-	p := &promWriter{w: w}
+func (bc *Buddy) Key() string { return "buddy" }
 
+func (bc *Buddy) WriteText(w io.Writer) {
+	s := bc.Stats
+	fmt.Fprintf(w, "buddy: %d trees x %d words, %d grows (%d lost races), %d hint hits, %d scans, %d/%d beyond-tree\n",
+		s.Trees, s.TreeWords, s.Grows, s.GrowRaces, s.HintHits, s.Scans, s.LargeMallocs, s.LargeFrees)
+	fmt.Fprintf(w, "\nBuddy order census: ext frag %.1f%%, %d coal bits\n", 100*bc.ExternalFragRatio, bc.CoalBits)
+	tw := table(w, tabwriter.AlignRight, "order\tblock words\tfree\tused\t")
+	for _, o := range bc.Orders {
+		if o.Free == 0 && o.Used == 0 {
+			continue
+		}
+		fmt.Fprintf(tw, "%d\t%d\t%d\t%d\t\n", o.Order, o.BlockWords, o.Free, o.Used)
+	}
+	tw.Flush()
+}
+
+func (bc *Buddy) writeMetrics(p *promWriter) {
 	p.header("buddy_trees", "Published buddy tree regions.", "gauge")
-	p.sample("buddy_trees", float64(bc.Trees))
+	p.sample("buddy_trees", float64(bc.Stats.Trees))
 	p.header("buddy_tree_words", "Words per buddy tree region.", "gauge")
-	p.sample("buddy_tree_words", float64(bc.TreeWords))
+	p.sample("buddy_tree_words", float64(bc.Stats.TreeWords))
 
 	p.header("buddy_order_blocks", "Buddy block inventory by order (maximal free and allocated blocks).", "gauge")
 	for _, o := range bc.Orders {
@@ -130,6 +125,4 @@ func WriteBuddyMetrics(w io.Writer, bc *BuddyCensus) error {
 	p.sample("buddy_hint_hits_total", float64(bc.Stats.HintHits))
 	p.header("buddy_scans_total", "Allocations that fell back to a level scan.", "counter")
 	p.sample("buddy_scans_total", float64(bc.Stats.Scans))
-
-	return p.err
 }

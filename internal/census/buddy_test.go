@@ -7,6 +7,7 @@ import (
 
 	"repro/internal/buddy"
 	"repro/internal/mem"
+	"repro/internal/telemetry"
 )
 
 func newBuddy(t *testing.T) (*buddy.Allocator, *buddy.Thread) {
@@ -29,8 +30,8 @@ func TestTakeBuddy(t *testing.T) {
 		t.Fatal(err)
 	}
 	bc := TakeBuddy(a)
-	if bc.Trees != 1 || bc.TreeWords != 4096 {
-		t.Fatalf("geometry = %d trees x %d words, want 1 x 4096", bc.Trees, bc.TreeWords)
+	if bc.Stats.Trees != 1 || bc.Stats.TreeWords != 4096 {
+		t.Fatalf("geometry = %d trees x %d words, want 1 x 4096", bc.Stats.Trees, bc.Stats.TreeWords)
 	}
 	var used uint64
 	for _, o := range bc.Orders {
@@ -39,8 +40,8 @@ func TestTakeBuddy(t *testing.T) {
 	if used != 2 {
 		t.Fatalf("order table counts %d used blocks, want 2: %+v", used, bc.Orders)
 	}
-	if bc.FreeWords+bc.UsedWords != bc.TreeWords {
-		t.Fatalf("free %d + used %d != tree %d", bc.FreeWords, bc.UsedWords, bc.TreeWords)
+	if bc.FreeWords+bc.UsedWords != bc.Stats.TreeWords {
+		t.Fatalf("free %d + used %d != tree %d", bc.FreeWords, bc.UsedWords, bc.Stats.TreeWords)
 	}
 	if bc.ExternalFragRatio <= 0 || bc.ExternalFragRatio >= 1 {
 		t.Fatalf("ExternalFragRatio = %v, want in (0,1) with a split tree", bc.ExternalFragRatio)
@@ -54,17 +55,20 @@ func TestTakeBuddy(t *testing.T) {
 	if bc.CoalBits != 0 {
 		t.Fatalf("CoalBits = %d at quiescence, want 0", bc.CoalBits)
 	}
-	// The census must round-trip as the /census.json payload.
-	data, err := json.Marshal(&Census{Buddy: bc})
+	// The /census.json payload keys each part by its name.
+	data, err := json.Marshal(New(bc, TakeOS(a.Heap())))
 	if err != nil {
 		t.Fatal(err)
 	}
-	var back Census
+	var back struct {
+		Buddy *Buddy   `json:"buddy"`
+		OS    *OSLayer `json:"os"`
+	}
 	if err := json.Unmarshal(data, &back); err != nil {
 		t.Fatal(err)
 	}
-	if back.Buddy == nil || back.Buddy.Trees != bc.Trees {
-		t.Fatalf("Buddy section did not survive the JSON round trip: %s", data)
+	if back.Buddy == nil || back.Buddy.Stats.Trees != bc.Stats.Trees || back.OS == nil || len(back.OS.Arenas) == 0 {
+		t.Fatalf("parts did not survive the JSON round trip: %s", data)
 	}
 }
 
@@ -80,7 +84,7 @@ func TestWriteBuddyMetricsValidates(t *testing.T) {
 	}
 	bc := TakeBuddy(a)
 	var buf bytes.Buffer
-	if err := WriteBuddyMetrics(&buf, bc); err != nil {
+	if err := WriteMetrics(&buf, telemetry.Snapshot{}, New(bc, TakeOS(a.Heap()))); err != nil {
 		t.Fatal(err)
 	}
 	if err := ValidateMetrics(buf.Bytes()); err != nil {
@@ -88,7 +92,7 @@ func TestWriteBuddyMetricsValidates(t *testing.T) {
 	}
 	for _, want := range []string{
 		"buddy_order_blocks{order=", `kind="free"`, `kind="used"`,
-		"buddy_external_frag_ratio", "buddy_trees", "buddy_ops_total",
+		"buddy_external_frag_ratio", "buddy_trees", "buddy_ops_total", "census_arena_words{arena=",
 	} {
 		if !bytes.Contains(buf.Bytes(), []byte(want)) {
 			t.Fatalf("exposition missing %q:\n%s", want, buf.Bytes())

@@ -1,21 +1,29 @@
-// Package census builds consistent point-in-time inventories of a
-// lock-free allocator's memory: where every superblock, block, and
-// region is, how much of the footprint is fragmentation (internal and
-// external), which call sites hold the live bytes, and how old they
-// are. It answers the question the telemetry layer (contention and
-// latency) does not ask: "where is the memory?"
+// Package census builds consistent point-in-time inventories of an
+// allocator's memory: where every superblock, block, and region is, how
+// much of the footprint is fragmentation (internal and external), which
+// call sites hold the live bytes, and how old they are. It answers the
+// question the telemetry layer (contention and latency) does not ask:
+// "where is the memory?"
 //
-// A census is assembled entirely from racy-consistent atomic reads —
+// A Census is a list of parts, one per layer of the allocator's stack,
+// top-down: the backend's own structures where a walker exists (the
+// lock-free allocator's superblocks, descriptor pool and allocation
+// sampler; the buddy forest) above the OS layer (mem.Heap: arenas,
+// region bins), which every backend has. A part is plain data — JSON by
+// its struct tags — that renders itself as text and as Prometheus
+// families; nothing outside this package formats a part's numbers.
+//
+// Every part is assembled entirely from racy-consistent atomic reads —
 // the core walk primitives (Allocator.WalkSuperblocks, WalkActive,
 // MagazineCounts, PartialListLens), the mem bin counters
 // (Heap.BinCensus), the descriptor-pool stripe counters, and the
-// telemetry allocation sampler — so Take is safe (and race-detector-
-// clean) while malloc/free churn, and lock-free: a stalled or killed
-// thread anywhere in the allocator cannot block a walk, and a walk
-// cannot block any allocator operation. The price is bounded
-// inconsistency: each value is exact at some instant during the walk,
-// but cross-structure identities (used+free+reserved == capacity) can
-// be off by in-flight operations; they are exact at quiescence.
+// telemetry allocation sampler — so a walk is safe (and race-detector-
+// clean) while malloc/free churn, and a stalled or killed thread
+// anywhere in the allocator cannot block it, nor it any allocator
+// operation. The price is bounded inconsistency: each value is exact at
+// some instant during the walk, but cross-structure identities
+// (used+free+reserved == capacity) can be off by in-flight operations;
+// they are exact at quiescence.
 //
 // Fragmentation accounting:
 //
@@ -38,16 +46,72 @@
 package census
 
 import (
+	"encoding/json"
+	"fmt"
+	"io"
 	"runtime"
 	"sort"
+	"strconv"
 	"strings"
+	"text/tabwriter"
 	"time"
 
 	"repro/internal/atomicx"
 	"repro/internal/core"
+	"repro/internal/mem"
 	"repro/internal/sizeclass"
 	"repro/internal/telemetry"
 )
+
+// Part is one layer's share of a census: plain data that knows its
+// renderings.
+type Part interface {
+	// Key names the part in the census's JSON object.
+	Key() string
+	// WriteText renders the part for a terminal.
+	WriteText(w io.Writer)
+	// writeMetrics renders it as Prometheus families.
+	writeMetrics(p *promWriter)
+}
+
+// Census is one point-in-time inventory: the parts of the allocator's
+// stack, top-down.
+type Census struct {
+	TakenUnixNano int64
+	Parts         []Part
+}
+
+// New stamps a census of the given parts.
+func New(parts ...Part) *Census {
+	return &Census{TakenUnixNano: time.Now().UnixNano(), Parts: parts}
+}
+
+// WriteText renders every part in order, a blank line between two.
+func (c *Census) WriteText(w io.Writer) {
+	for i, p := range c.Parts {
+		if i > 0 {
+			fmt.Fprintln(w)
+		}
+		p.WriteText(w)
+	}
+}
+
+// MarshalJSON renders the census as one object: takenUnixNano plus each
+// part under its Key.
+func (c *Census) MarshalJSON() ([]byte, error) {
+	m := map[string]any{"takenUnixNano": c.TakenUnixNano}
+	for _, p := range c.Parts {
+		m[p.Key()] = p
+	}
+	return json.Marshal(m)
+}
+
+// table starts an aligned table on w under the given header row.
+func table(w io.Writer, flags uint, header string) *tabwriter.Writer {
+	tw := tabwriter.NewWriter(w, 0, 4, 2, ' ', flags)
+	fmt.Fprintln(tw, header)
+	return tw
+}
 
 // ClassCensus is one size class's inventory.
 type ClassCensus struct {
@@ -84,25 +148,40 @@ type ClassCensus struct {
 	InternalFragRatio float64 `json:"internalFragRatio"`
 }
 
-// ArenaCensus is one region arena's inventory.
-type ArenaCensus struct {
-	Arena int `json:"arena"`
-	// PartitionWords is the arena's address-space capacity;
-	// ReservedWords what its bump pointer has consumed; LiveWords the
-	// words currently inside allocated regions; SkippedWords the bump
-	// waste from segment-boundary skips.
-	PartitionWords uint64 `json:"partitionWords"`
-	ReservedWords  uint64 `json:"reservedWords"`
-	LiveWords      uint64 `json:"liveWords"`
-	SkippedWords   uint64 `json:"skippedWords"`
-	// FreeRegions/FreeWords inventory the arena's free-region bins.
-	FreeRegions uint64 `json:"freeRegions"`
-	FreeWords   uint64 `json:"freeWords"`
-	// BumpOccupancy is ReservedWords/PartitionWords;
-	// ExternalFragRatio is FreeWords/ReservedWords (free-but-held
-	// address space), 0 when nothing is reserved.
-	BumpOccupancy     float64 `json:"bumpOccupancy"`
-	ExternalFragRatio float64 `json:"externalFragRatio"`
+// Totals aggregates the size classes.
+type Totals struct {
+	Superblocks    uint64 `json:"superblocks"` // live (non-EMPTY) superblocks
+	BlocksUsed     uint64 `json:"blocksUsed"`
+	BlocksFree     uint64 `json:"blocksFree"`
+	BlocksReserved uint64 `json:"blocksReserved"`
+	MagazineCached uint64 `json:"magazineCached"`
+	// CarveWasteWords sums the per-class carving remainders.
+	CarveWasteWords uint64 `json:"carveWasteWords"`
+	// InternalFragRatio is the sampled waste over sampled class bytes
+	// across all small classes (-1 with no samples).
+	InternalFragRatio float64 `json:"internalFragRatio"`
+}
+
+// Superblocks is the lock-free allocator's superblock layer: the
+// per-class inventory, which path served the mallocs, and the
+// hyperblock batching below it.
+type Superblocks struct {
+	Classes []ClassCensus `json:"classes"`
+	Totals  Totals        `json:"totals"`
+	// Ops are the allocator's operation and path counters, Hyper the
+	// hyperblock layer's (zero with the layer off).
+	Ops   core.OpStats   `json:"ops"`
+	Hyper mem.HyperStats `json:"hyper"`
+}
+
+// DescPool is the lock-free allocator's descriptor pool.
+type DescPool struct {
+	Algo string `json:"algo"`
+	// Allocated counts descriptors ever carved, OnFreelist those
+	// retired and awaiting reuse, StripeFree the latter per stripe.
+	Allocated  uint64   `json:"allocated"`
+	OnFreelist uint64   `json:"onFreelist"`
+	StripeFree []uint64 `json:"stripeFree"`
 }
 
 // SiteCensus aggregates live sampled blocks by allocation call site.
@@ -120,42 +199,19 @@ type SiteCensus struct {
 	OldestNS  int64  `json:"oldestNS"`
 }
 
-// Totals aggregates the whole heap.
-type Totals struct {
-	Superblocks    uint64 `json:"superblocks"` // live (non-EMPTY) superblocks
-	BlocksUsed     uint64 `json:"blocksUsed"`
-	BlocksFree     uint64 `json:"blocksFree"`
-	BlocksReserved uint64 `json:"blocksReserved"`
-	MagazineCached uint64 `json:"magazineCached"`
-	// CarveWasteWords sums the per-class carving remainders.
-	CarveWasteWords uint64 `json:"carveWasteWords"`
-	// InternalFragRatio is the sampled waste over sampled class bytes
-	// across all small classes (-1 with no samples);
-	// ExternalFragRatio the bin-parked words over reserved words
-	// across all arenas.
-	InternalFragRatio float64 `json:"internalFragRatio"`
-	ExternalFragRatio float64 `json:"externalFragRatio"`
+// label names the site in a rendering.
+func (sc SiteCensus) label() string {
+	if sc.Func == "" {
+		return fmt.Sprintf("pc=%#x", sc.PC)
+	}
+	return sc.Func
 }
 
-// SamplerInfo carries the sampler's configuration and counters into
-// the census (zero value when the sampler is off).
-type SamplerInfo struct {
+// Sampled is what the allocation sampler knows of the live blocks; the
+// zero value when the sampler is off.
+type Sampled struct {
 	Enabled bool `json:"enabled"`
 	telemetry.SamplerStats
-}
-
-// Census is one point-in-time heap inventory.
-type Census struct {
-	TakenUnixNano int64 `json:"takenUnixNano"`
-
-	Classes []ClassCensus `json:"classes"`
-	Arenas  []ArenaCensus `json:"arenas"`
-	// DescStripeFree is the retired-descriptor count per descriptor-
-	// pool stripe (freelist depth).
-	DescStripeFree []uint64 `json:"descStripeFree"`
-
-	Totals Totals `json:"totals"`
-
 	// Ages buckets live sampled blocks by age (log2 nanoseconds, same
 	// bucket semantics as the telemetry histograms); the quantiles and
 	// OldestNS derive from the samples.
@@ -163,24 +219,18 @@ type Census struct {
 	AgeP50NS uint64                `json:"ageP50NS"`
 	AgeP99NS uint64                `json:"ageP99NS"`
 	OldestNS int64                 `json:"oldestNS"`
-
 	// Sites ranks allocation call sites by live sampled bytes,
 	// descending.
 	Sites []SiteCensus `json:"sites,omitempty"`
-
-	Sampler SamplerInfo `json:"sampler"`
-
-	// Buddy, when set (allocmon -buddy), carries the non-blocking
-	// buddy allocator's order-occupancy census alongside the core's.
-	// Take never fills it; attach one from TakeBuddy.
-	Buddy *BuddyCensus `json:"buddy,omitempty"`
 }
 
-// Take walks the allocator and assembles a census. Lock-free and safe
-// during concurrent malloc/free; see the package comment for the
-// consistency model.
-func Take(a *core.Allocator) *Census {
-	c := &Census{TakenUnixNano: time.Now().UnixNano()}
+// TakeLockFree walks the lock-free allocator and assembles its three
+// parts. Safe during concurrent malloc/free; see the package comment
+// for the consistency model.
+func TakeLockFree(a *core.Allocator) (*Superblocks, *DescPool, *Sampled) {
+	stats := a.Stats()
+	sb := &Superblocks{Ops: stats.Ops, Hyper: a.HyperStats()}
+	smp := &Sampled{}
 
 	// Active-word reservations, per descriptor: these blocks sit on
 	// free lists but are spoken for, so the walk splits them out of the
@@ -191,30 +241,30 @@ func Take(a *core.Allocator) *Census {
 	})
 
 	classes := sizeclass.All()
-	c.Classes = make([]ClassCensus, len(classes))
+	sb.Classes = make([]ClassCensus, len(classes))
 	for i, cls := range classes {
-		c.Classes[i] = ClassCensus{
+		sb.Classes[i] = ClassCensus{
 			Class:             i,
 			PayloadBytes:      cls.PayloadBytes,
 			InternalFragRatio: -1,
 		}
 	}
 	for i, n := range a.MagazineCounts() {
-		c.Classes[i].MagazineCached = n
+		sb.Classes[i].MagazineCached = n
 	}
 	for i, n := range a.PartialListLens() {
-		c.Classes[i].PartialList = n
+		sb.Classes[i].PartialList = n
 	}
 
-	a.WalkSuperblocks(func(sb core.SuperblockInfo) bool {
-		cc := &c.Classes[sb.Class]
-		cc.Superblocks[sb.State&3]++
-		if sb.State == atomicx.StateEmpty {
+	a.WalkSuperblocks(func(d core.SuperblockInfo) bool {
+		cc := &sb.Classes[d.Class]
+		cc.Superblocks[d.State&3]++
+		if d.State == atomicx.StateEmpty {
 			return true // superblock returned to the OS
 		}
-		res := reserved[sb.Desc]
-		free := sb.FreeCount
-		used := sb.MaxCount - free
+		res := reserved[d.Desc]
+		free := d.FreeCount
+		used := d.MaxCount - free
 		if used >= res {
 			used -= res
 		} else {
@@ -226,25 +276,23 @@ func Take(a *core.Allocator) *Census {
 		cc.BlocksUsed += used
 		cc.BlocksFree += free
 		cc.BlocksReserved += res
-		cls := classes[sb.Class]
-		cc.CarveWasteWords += cls.SBWords - sb.MaxCount*cls.BlockWords
+		cls := classes[d.Class]
+		cc.CarveWasteWords += cls.SBWords - d.MaxCount*cls.BlockWords
 		return true
 	})
 
 	// Sampler-derived estimates: internal fragmentation, ages, sites.
-	var totSampledWaste, totSampledClassBytes uint64
 	if rec := a.Telemetry(); rec != nil && rec.Sampler() != nil {
-		smp := rec.Sampler()
-		c.Sampler = SamplerInfo{Enabled: true, SamplerStats: smp.Stats()}
-		samples := smp.Live()
+		smp.Enabled, smp.SamplerStats = true, rec.Sampler().Stats()
+		samples := rec.Sampler().Live()
 		bySite := make(map[uint64]*SiteCensus)
 		for _, s := range samples {
-			c.Ages.Observe(time.Duration(s.AgeNS))
-			if s.AgeNS > c.OldestNS {
-				c.OldestNS = s.AgeNS
+			smp.Ages.Observe(time.Duration(s.AgeNS))
+			if s.AgeNS > smp.OldestNS {
+				smp.OldestNS = s.AgeNS
 			}
-			if s.Class >= 0 && s.Class < len(c.Classes) {
-				cc := &c.Classes[s.Class]
+			if s.Class >= 0 && s.Class < len(sb.Classes) {
+				cc := &sb.Classes[s.Class]
 				cc.SampledLive++
 				cc.SampledReqBytes += s.ReqBytes
 				if w := cc.PayloadBytes - s.ReqBytes; w <= cc.PayloadBytes {
@@ -262,34 +310,35 @@ func Take(a *core.Allocator) *Census {
 				sc.OldestNS = s.AgeNS
 			}
 		}
-		c.AgeP50NS = c.Ages.Quantile(0.50)
-		c.AgeP99NS = c.Ages.Quantile(0.99)
+		smp.AgeP50NS = smp.Ages.Quantile(0.50)
+		smp.AgeP99NS = smp.Ages.Quantile(0.99)
 		for _, s := range samples {
 			if sc := bySite[s.PC]; sc != nil && sc.Func == "" {
 				sc.Func, sc.File, sc.Line = resolveSite(s.PC, s.PC2)
 			}
 		}
-		c.Sites = make([]SiteCensus, 0, len(bySite))
+		smp.Sites = make([]SiteCensus, 0, len(bySite))
 		for _, sc := range bySite {
-			c.Sites = append(c.Sites, *sc)
+			smp.Sites = append(smp.Sites, *sc)
 		}
-		sort.Slice(c.Sites, func(i, j int) bool {
-			if c.Sites[i].LiveBytes != c.Sites[j].LiveBytes {
-				return c.Sites[i].LiveBytes > c.Sites[j].LiveBytes
+		sort.Slice(smp.Sites, func(i, j int) bool {
+			if smp.Sites[i].LiveBytes != smp.Sites[j].LiveBytes {
+				return smp.Sites[i].LiveBytes > smp.Sites[j].LiveBytes
 			}
-			return c.Sites[i].PC < c.Sites[j].PC
+			return smp.Sites[i].PC < smp.Sites[j].PC
 		})
 	}
 
-	for i := range c.Classes {
-		cc := &c.Classes[i]
-		c.Totals.Superblocks += cc.Superblocks[atomicx.StateActive] +
+	var totSampledWaste, totSampledClassBytes uint64
+	for i := range sb.Classes {
+		cc := &sb.Classes[i]
+		sb.Totals.Superblocks += cc.Superblocks[atomicx.StateActive] +
 			cc.Superblocks[atomicx.StateFull] + cc.Superblocks[atomicx.StatePartial]
-		c.Totals.BlocksUsed += cc.BlocksUsed
-		c.Totals.BlocksFree += cc.BlocksFree
-		c.Totals.BlocksReserved += cc.BlocksReserved
-		c.Totals.MagazineCached += cc.MagazineCached
-		c.Totals.CarveWasteWords += cc.CarveWasteWords
+		sb.Totals.BlocksUsed += cc.BlocksUsed
+		sb.Totals.BlocksFree += cc.BlocksFree
+		sb.Totals.BlocksReserved += cc.BlocksReserved
+		sb.Totals.MagazineCached += cc.MagazineCached
+		sb.Totals.CarveWasteWords += cc.CarveWasteWords
 		if cc.SampledLive > 0 {
 			classBytes := cc.SampledLive * cc.PayloadBytes
 			cc.InternalFragRatio = float64(cc.SampledWasteBytes) / float64(classBytes)
@@ -297,52 +346,18 @@ func Take(a *core.Allocator) *Census {
 			totSampledClassBytes += classBytes
 		}
 	}
-	c.Totals.InternalFragRatio = -1
+	sb.Totals.InternalFragRatio = -1
 	if totSampledClassBytes > 0 {
-		c.Totals.InternalFragRatio = float64(totSampledWaste) / float64(totSampledClassBytes)
+		sb.Totals.InternalFragRatio = float64(totSampledWaste) / float64(totSampledClassBytes)
 	}
 
-	// Arena inventory: bump/live/skip counters from Stats, bin census
-	// from the push/pop-maintained counters.
-	// Bins before Stats: a region can sit in a bin only after the bump
-	// that reserved it was counted, and ReservedWords never falls, so a
-	// later reading of it covers every region the earlier bin census saw
-	// and the ratios below stay within [0, 1] under churn. The other
-	// order let a walk that began beside the first superblock's birth
-	// report more free words than reserved ones.
-	h := a.Heap()
-	bins := h.BinCensus()
-	hs := h.Stats()
-	c.Arenas = make([]ArenaCensus, len(bins))
-	var totFree, totReserved uint64
-	for i, b := range bins {
-		ac := ArenaCensus{
-			Arena:          i,
-			PartitionWords: b.PartitionWords,
-			FreeRegions:    b.FreeRegions,
-			FreeWords:      b.FreeWords,
-		}
-		if i < len(hs.Arenas) {
-			ac.ReservedWords = hs.Arenas[i].ReservedWords
-			ac.LiveWords = hs.Arenas[i].LiveWords
-			ac.SkippedWords = hs.Arenas[i].SkippedWords
-		}
-		if ac.PartitionWords > 0 {
-			ac.BumpOccupancy = float64(ac.ReservedWords) / float64(ac.PartitionWords)
-		}
-		if ac.ReservedWords > 0 {
-			ac.ExternalFragRatio = float64(ac.FreeWords) / float64(ac.ReservedWords)
-		}
-		totFree += ac.FreeWords
-		totReserved += ac.ReservedWords
-		c.Arenas[i] = ac
+	dp := &DescPool{
+		Algo:       a.DescAlgo().String(),
+		Allocated:  stats.DescsAllocated,
+		OnFreelist: stats.DescsOnFreelist,
+		StripeFree: a.DescStripeFree(),
 	}
-	if totReserved > 0 {
-		c.Totals.ExternalFragRatio = float64(totFree) / float64(totReserved)
-	}
-
-	c.DescStripeFree = a.DescStripeFree()
-	return c
+	return sb, dp, smp
 }
 
 // resolveSite maps a sample's call-site PCs to (function, file, line),
@@ -377,6 +392,195 @@ func resolveSite(pc, pc2 uint64) (fn, file string, line int) {
 	return first.Function, first.File, first.Line
 }
 
+func (sb *Superblocks) Key() string { return "superblocks" }
+
+func (sb *Superblocks) WriteText(w io.Writer) {
+	o := sb.Ops
+	fmt.Fprintf(w, "allocator: mallocs=%d frees=%d; %d large mallocs, %d empty-partial skips\n",
+		o.Mallocs, o.Frees, o.LargeMallocs, o.EmptyPartialSkips)
+	fmt.Fprintf(w, "paths: active=%d partial=%d newSB=%d raceLoss=%d sbFreed=%d\n",
+		o.FromActive, o.FromPartial, o.FromNewSB, o.NewSBRaceLoss, o.EmptySBFreed)
+	if sb.Hyper.HyperAllocs > 0 {
+		fmt.Fprintf(w, "hyperblocks: %d allocated, %d released\n", sb.Hyper.HyperAllocs, sb.Hyper.HyperReleases)
+	}
+	fmt.Fprintln(w, "\nSize classes (superblocks by anchor state, block inventory):")
+	tw := table(w, tabwriter.AlignRight, "class\tA\tF\tP\tE\tused\tfree\tresv\tmag\tpartial\tint frag\t")
+	for _, cc := range sb.Classes {
+		if cc.Superblocks == [4]uint64{} && cc.MagazineCached == 0 {
+			continue
+		}
+		frag := "-"
+		if cc.SampledLive > 0 {
+			frag = fmt.Sprintf("%.1f%%", 100*cc.InternalFragRatio)
+		}
+		fmt.Fprintf(tw, "%d\t%d\t%d\t%d\t%d\t%d\t%d\t%d\t%d\t%d\t%s\t\n",
+			cc.Class,
+			cc.Superblocks[atomicx.StateActive], cc.Superblocks[atomicx.StateFull],
+			cc.Superblocks[atomicx.StatePartial], cc.Superblocks[atomicx.StateEmpty],
+			cc.BlocksUsed, cc.BlocksFree, cc.BlocksReserved,
+			cc.MagazineCached, cc.PartialList, frag)
+	}
+	tw.Flush()
+	t := sb.Totals
+	fmt.Fprintf(w, "totals: %d superblocks, blocks used=%d free=%d resv=%d mag=%d, carve waste %d words\n",
+		t.Superblocks, t.BlocksUsed, t.BlocksFree, t.BlocksReserved, t.MagazineCached, t.CarveWasteWords)
+	if t.InternalFragRatio >= 0 {
+		fmt.Fprintf(w, "sampled internal fragmentation: %.1f%%\n", 100*t.InternalFragRatio)
+	}
+}
+
+var stateLabels = [4]string{
+	atomicx.StateActive:  "active",
+	atomicx.StateFull:    "full",
+	atomicx.StatePartial: "partial",
+	atomicx.StateEmpty:   "empty",
+}
+
+func (sb *Superblocks) writeMetrics(p *promWriter) {
+	p.header("census_superblocks", "Superblock descriptors by size class and anchor state.", "gauge")
+	for _, cc := range sb.Classes {
+		cls := strconv.Itoa(cc.Class)
+		for st, n := range cc.Superblocks {
+			if n > 0 {
+				p.sample("census_superblocks", float64(n), "class", cls, "state", stateLabels[st])
+			}
+		}
+	}
+
+	p.header("census_blocks", "Block inventory by size class.", "gauge")
+	for _, cc := range sb.Classes {
+		if cc.BlocksUsed+cc.BlocksFree+cc.BlocksReserved+cc.MagazineCached == 0 {
+			continue
+		}
+		cls := strconv.Itoa(cc.Class)
+		p.sample("census_blocks", float64(cc.BlocksUsed), "class", cls, "kind", "used")
+		p.sample("census_blocks", float64(cc.BlocksFree), "class", cls, "kind", "free")
+		p.sample("census_blocks", float64(cc.BlocksReserved), "class", cls, "kind", "reserved")
+		p.sample("census_blocks", float64(cc.MagazineCached), "class", cls, "kind", "magazine")
+	}
+
+	p.header("census_partial_list_len", "Partial-list length by size class.", "gauge")
+	for _, cc := range sb.Classes {
+		if cc.PartialList > 0 {
+			p.sample("census_partial_list_len", float64(cc.PartialList), "class", strconv.Itoa(cc.Class))
+		}
+	}
+
+	p.header("census_carve_waste_words", "Superblock carving remainder words by size class.", "gauge")
+	for _, cc := range sb.Classes {
+		if cc.CarveWasteWords > 0 {
+			p.sample("census_carve_waste_words", float64(cc.CarveWasteWords), "class", strconv.Itoa(cc.Class))
+		}
+	}
+
+	p.header("census_internal_frag_ratio", "Sampled internal fragmentation by size class (waste/class bytes).", "gauge")
+	for _, cc := range sb.Classes {
+		if cc.SampledLive > 0 {
+			p.sample("census_internal_frag_ratio", cc.InternalFragRatio, "class", strconv.Itoa(cc.Class))
+		}
+	}
+	if sb.Totals.InternalFragRatio >= 0 {
+		p.header("census_total_internal_frag_ratio", "Sampled internal fragmentation across all classes.", "gauge")
+		p.sample("census_total_internal_frag_ratio", sb.Totals.InternalFragRatio)
+	}
+}
+
+func (dp *DescPool) Key() string { return "descPool" }
+
+func (dp *DescPool) WriteText(w io.Writer) {
+	fmt.Fprintf(w, "descriptors: %d allocated, %d on freelist\n", dp.Allocated, dp.OnFreelist)
+	fmt.Fprintf(w, "desc pool: %s backend, %d stripes, free per stripe %v\n", dp.Algo, len(dp.StripeFree), dp.StripeFree)
+}
+
+func (dp *DescPool) writeMetrics(p *promWriter) {
+	p.header("census_desc_stripe_free", "Retired descriptors per pool stripe.", "gauge")
+	for i, n := range dp.StripeFree {
+		p.sample("census_desc_stripe_free", float64(n), "stripe", strconv.Itoa(i))
+	}
+}
+
+func (s *Sampled) Key() string { return "sampler" }
+
+func (s *Sampled) WriteText(w io.Writer) {
+	if !s.Enabled {
+		fmt.Fprintln(w, "Allocation sampler off: no age or call-site census")
+		return
+	}
+	fmt.Fprintf(w, "Live-block ages (%d samples at rate 1/%d): p50=%v p99=%v oldest=%v\n",
+		s.Ages.Count(), s.Rate,
+		time.Duration(s.AgeP50NS), time.Duration(s.AgeP99NS), time.Duration(s.OldestNS))
+	if len(s.Sites) == 0 {
+		return
+	}
+	fmt.Fprintln(w, "\nTop call sites by live sampled bytes:")
+	tw := table(w, 0, "live\tbytes\toldest\tsite\t")
+	for i, sc := range s.Sites {
+		if i == 5 {
+			break
+		}
+		site := sc.label()
+		if sc.Func != "" {
+			site += fmt.Sprintf(" (%s:%d)", sc.File, sc.Line)
+		}
+		fmt.Fprintf(tw, "%d\t%d\t%v\t%s\t\n", sc.Live, sc.LiveBytes, time.Duration(sc.OldestNS), site)
+	}
+	tw.Flush()
+}
+
+func (s *Sampled) writeMetrics(p *promWriter) {
+	// Live-age histogram: cumulative le buckets in seconds. Bucket i of
+	// the telemetry vector covers ages below 2^i ns.
+	p.header("census_live_age_seconds", "Ages of live sampled allocations.", "histogram")
+	var cum uint64
+	var sumNS float64
+	top := 0
+	for i, n := range s.Ages {
+		if n > 0 {
+			top = i
+		}
+	}
+	for i := 0; i <= top; i++ {
+		cum += s.Ages[i]
+		sumNS += float64(s.Ages[i]) * float64(bucketMidNS(i))
+		le := strconv.FormatFloat(float64(uint64(1)<<uint(i))/1e9, 'g', -1, 64)
+		p.sample("census_live_age_seconds_bucket", float64(cum), "le", le)
+	}
+	p.sample("census_live_age_seconds_bucket", float64(s.Ages.Count()), "le", "+Inf")
+	p.sample("census_live_age_seconds_sum", sumNS/1e9)
+	p.sample("census_live_age_seconds_count", float64(s.Ages.Count()))
+
+	p.header("census_site_live_blocks", "Live sampled blocks by allocation site.", "gauge")
+	p.header("census_site_live_bytes", "Live sampled requested bytes by allocation site.", "gauge")
+	for _, sc := range s.Sites {
+		p.sample("census_site_live_blocks", float64(sc.Live), "site", sc.label())
+		p.sample("census_site_live_bytes", float64(sc.LiveBytes), "site", sc.label())
+	}
+
+	p.header("census_sampler_sampled_total", "Allocation samples deposited.", "counter")
+	p.sample("census_sampler_sampled_total", float64(s.Sampled))
+	p.header("census_sampler_evicted_total", "Samples overwritten before their free was seen.", "counter")
+	p.sample("census_sampler_evicted_total", float64(s.Evicted))
+	p.header("census_sampler_collisions_total", "Samples dropped to a concurrent slot writer.", "counter")
+	p.sample("census_sampler_collisions_total", float64(s.Collisions))
+	p.header("census_sampler_matched_frees_total", "Frees matched against a live sample.", "counter")
+	p.sample("census_sampler_matched_frees_total", float64(s.MatchedFrees))
+	p.header("census_sample_rate", "Sampling period (mallocs per sample, 0 = off).", "gauge")
+	p.sample("census_sample_rate", float64(s.Rate))
+}
+
+// bucketMidNS mirrors the telemetry histogram's representative bucket
+// values (midpoint of [2^(i-1), 2^i)).
+func bucketMidNS(i int) uint64 {
+	switch i {
+	case 0:
+		return 0
+	case 1:
+		return 1
+	default:
+		return 3 << (i - 2)
+	}
+}
+
 // Summary is the compact census digest embedded in benchmark results
 // (bench.Result) and tables.
 type Summary struct {
@@ -395,23 +599,29 @@ type Summary struct {
 	Sites           int     `json:"sites"`
 }
 
-// Summary digests the census.
+// Summary digests the census; the fields of a part it lacks stay zero
+// (InternalFragPct -1).
 func (c *Census) Summary() Summary {
-	s := Summary{
-		Superblocks:     c.Totals.Superblocks,
-		BlocksUsed:      c.Totals.BlocksUsed,
-		BlocksFree:      c.Totals.BlocksFree,
-		MagazineCached:  c.Totals.MagazineCached,
-		InternalFragPct: -1,
-		ExternalFragPct: 100 * c.Totals.ExternalFragRatio,
-		LiveSamples:     c.Ages.Count(),
-		AgeP50NS:        c.AgeP50NS,
-		AgeP99NS:        c.AgeP99NS,
-		OldestNS:        c.OldestNS,
-		Sites:           len(c.Sites),
-	}
-	if c.Totals.InternalFragRatio >= 0 {
-		s.InternalFragPct = 100 * c.Totals.InternalFragRatio
+	s := Summary{InternalFragPct: -1}
+	for _, part := range c.Parts {
+		switch p := part.(type) {
+		case *Superblocks:
+			s.Superblocks = p.Totals.Superblocks
+			s.BlocksUsed = p.Totals.BlocksUsed
+			s.BlocksFree = p.Totals.BlocksFree
+			s.MagazineCached = p.Totals.MagazineCached
+			if p.Totals.InternalFragRatio >= 0 {
+				s.InternalFragPct = 100 * p.Totals.InternalFragRatio
+			}
+		case *OSLayer:
+			s.ExternalFragPct = 100 * p.ExternalFragRatio
+		case *Sampled:
+			s.LiveSamples = p.Ages.Count()
+			s.AgeP50NS = p.AgeP50NS
+			s.AgeP99NS = p.AgeP99NS
+			s.OldestNS = p.OldestNS
+			s.Sites = len(p.Sites)
+		}
 	}
 	return s
 }

@@ -46,7 +46,8 @@ func TestCensusQuiescent(t *testing.T) {
 	th.Free(ptrs[2])
 	held := uint64(len(sizes) - 2)
 
-	c := Take(a)
+	c, dp, smp := TakeLockFree(a)
+	osl := TakeOS(a.Heap())
 
 	if got := c.Totals.BlocksUsed; got != held+c.Totals.MagazineCached {
 		t.Errorf("BlocksUsed = %d, want held %d + magazine %d",
@@ -59,18 +60,18 @@ func TestCensusQuiescent(t *testing.T) {
 	if c.Totals.Superblocks == 0 {
 		t.Error("no live superblocks counted")
 	}
-	if !c.Sampler.Enabled {
+	if !smp.Enabled {
 		t.Fatal("sampler not reported enabled")
 	}
 	// Rate 1 with no evictions: every live block is a live sample.
-	if got := c.Ages.Count(); got != held {
+	if got := smp.Ages.Count(); got != held {
 		t.Errorf("live samples = %d, want %d (held blocks)", got, held)
 	}
-	if len(c.Sites) == 0 {
+	if len(smp.Sites) == 0 {
 		t.Error("no call sites attributed")
 	}
 	var siteLive uint64
-	for _, sc := range c.Sites {
+	for _, sc := range smp.Sites {
 		siteLive += sc.Live
 		if sc.Func == "" {
 			t.Errorf("site pc=%#x unresolved", sc.PC)
@@ -94,11 +95,11 @@ func TestCensusQuiescent(t *testing.T) {
 			t.Errorf("class %d unsampled frag = %v, want -1", cc.Class, cc.InternalFragRatio)
 		}
 	}
-	if len(c.Arenas) == 0 {
+	if len(osl.Arenas) == 0 {
 		t.Fatal("no arenas in census")
 	}
 	var reserved uint64
-	for _, ac := range c.Arenas {
+	for _, ac := range osl.Arenas {
 		if ac.BumpOccupancy < 0 || ac.BumpOccupancy > 1 {
 			t.Errorf("arena %d BumpOccupancy = %v", ac.Arena, ac.BumpOccupancy)
 		}
@@ -110,18 +111,21 @@ func TestCensusQuiescent(t *testing.T) {
 	if reserved == 0 {
 		t.Error("no arena reserved any words despite live superblocks")
 	}
-	if len(c.DescStripeFree) == 0 {
+	if len(dp.StripeFree) == 0 {
 		t.Error("no descriptor stripes in census")
 	}
-	if c.AgeP99NS < c.AgeP50NS {
-		t.Errorf("age p99 %d < p50 %d", c.AgeP99NS, c.AgeP50NS)
+	if smp.AgeP99NS < smp.AgeP50NS {
+		t.Errorf("age p99 %d < p50 %d", smp.AgeP99NS, smp.AgeP50NS)
 	}
-	if c.OldestNS <= 0 {
-		t.Errorf("OldestNS = %d, want > 0", c.OldestNS)
+	if smp.OldestNS <= 0 {
+		t.Errorf("OldestNS = %d, want > 0", smp.OldestNS)
+	}
+	if c.Ops.Mallocs != uint64(len(sizes)) || c.Ops.Frees != 2 {
+		t.Errorf("Ops = %d mallocs / %d frees, want %d / 2", c.Ops.Mallocs, c.Ops.Frees, len(sizes))
 	}
 
-	s := c.Summary()
-	if s.BlocksUsed != c.Totals.BlocksUsed || s.LiveSamples != held {
+	s := New(c, osl, dp, smp).Summary()
+	if s.BlocksUsed != c.Totals.BlocksUsed || s.LiveSamples != held || s.ExternalFragPct != 100*osl.ExternalFragRatio {
 		t.Errorf("Summary mismatch: %+v", s)
 	}
 
@@ -144,8 +148,8 @@ func TestCensusNoSampler(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	c := Take(a)
-	if c.Sampler.Enabled {
+	c, dp, smp := TakeLockFree(a)
+	if smp.Enabled {
 		t.Error("sampler reported enabled without telemetry")
 	}
 	if c.Totals.InternalFragRatio != -1 {
@@ -154,7 +158,7 @@ func TestCensusNoSampler(t *testing.T) {
 	if c.Totals.BlocksUsed != 1+c.Totals.MagazineCached {
 		t.Errorf("BlocksUsed = %d with one live block", c.Totals.BlocksUsed)
 	}
-	if s := c.Summary(); s.InternalFragPct != -1 {
+	if s := New(c, dp, smp).Summary(); s.InternalFragPct != -1 {
 		t.Errorf("Summary.InternalFragPct = %v, want -1", s.InternalFragPct)
 	}
 	th.Free(p)
@@ -224,7 +228,7 @@ func TestCensusUnderChurn(t *testing.T) {
 				return
 			default:
 			}
-			c := Take(a)
+			c, _, _ := TakeLockFree(a)
 			// Racy but well-formed: totals are sums of per-class
 			// non-negative values, ratios stay in range.
 			var used, freeB uint64
@@ -238,7 +242,7 @@ func TestCensusUnderChurn(t *testing.T) {
 			if used != c.Totals.BlocksUsed || freeB != c.Totals.BlocksFree {
 				t.Errorf("walk %d: totals disagree with class sums", i)
 			}
-			for _, ac := range c.Arenas {
+			for _, ac := range TakeOS(a.Heap()).Arenas {
 				if ac.ExternalFragRatio < 0 || ac.ExternalFragRatio > 1 {
 					t.Errorf("walk %d: arena %d ext frag %v", i, ac.Arena, ac.ExternalFragRatio)
 				}
@@ -255,7 +259,7 @@ func TestCensusUnderChurn(t *testing.T) {
 	}
 	// Quiescent now: a final walk plus the invariant checker must agree
 	// nothing is live.
-	c := Take(a)
+	c, _, _ := TakeLockFree(a)
 	if c.Totals.BlocksUsed != 0 {
 		t.Errorf("quiescent BlocksUsed = %d, want 0", c.Totals.BlocksUsed)
 	}

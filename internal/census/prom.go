@@ -1,8 +1,9 @@
 package census
 
 // Prometheus text-format exposition (version 0.0.4) of a telemetry
-// snapshot plus a heap census, and a validator for the format so tests
-// (and CI's golden check) can prove /metrics stays parseable.
+// snapshot plus a census (each part's families are written beside its
+// data), and a validator for the format so tests (and CI's golden
+// check) can prove /metrics stays parseable.
 //
 // Output is deterministic for a given (Snapshot, Census) pair: map
 // iteration is sorted, floats are rendered with strconv 'g', and no
@@ -18,7 +19,6 @@ import (
 	"strconv"
 	"strings"
 
-	"repro/internal/atomicx"
 	"repro/internal/telemetry"
 )
 
@@ -68,15 +68,9 @@ func (p *promWriter) sample(name string, value float64, labels ...string) {
 	_, p.err = io.WriteString(p.w, b.String())
 }
 
-var stateLabels = [4]string{
-	atomicx.StateActive:  "active",
-	atomicx.StateFull:    "full",
-	atomicx.StatePartial: "partial",
-	atomicx.StateEmpty:   "empty",
-}
-
-// WriteMetrics renders snap and c in Prometheus text format. c may be
-// nil (snapshot-only exposition). Returns the first write error.
+// WriteMetrics renders snap and each part of c in Prometheus text
+// format. c may be nil (snapshot-only exposition). Returns the first
+// write error.
 func WriteMetrics(w io.Writer, snap telemetry.Snapshot, c *Census) error {
 	p := &promWriter{w: w}
 
@@ -116,138 +110,12 @@ func WriteMetrics(w io.Writer, snap telemetry.Snapshot, c *Census) error {
 	p.header("alloc_magazine_flushes_total", "Magazine flush batches spliced back.", "counter")
 	p.sample("alloc_magazine_flushes_total", float64(snap.MagFlushes))
 
-	if c == nil {
-		return p.err
-	}
-
-	p.header("census_superblocks", "Superblock descriptors by size class and anchor state.", "gauge")
-	for _, cc := range c.Classes {
-		cls := strconv.Itoa(cc.Class)
-		for st, n := range cc.Superblocks {
-			if n > 0 {
-				p.sample("census_superblocks", float64(n), "class", cls, "state", stateLabels[st])
-			}
+	if c != nil {
+		for _, part := range c.Parts {
+			part.writeMetrics(p)
 		}
-	}
-
-	p.header("census_blocks", "Block inventory by size class.", "gauge")
-	for _, cc := range c.Classes {
-		if cc.BlocksUsed+cc.BlocksFree+cc.BlocksReserved+cc.MagazineCached == 0 {
-			continue
-		}
-		cls := strconv.Itoa(cc.Class)
-		p.sample("census_blocks", float64(cc.BlocksUsed), "class", cls, "kind", "used")
-		p.sample("census_blocks", float64(cc.BlocksFree), "class", cls, "kind", "free")
-		p.sample("census_blocks", float64(cc.BlocksReserved), "class", cls, "kind", "reserved")
-		p.sample("census_blocks", float64(cc.MagazineCached), "class", cls, "kind", "magazine")
-	}
-
-	p.header("census_partial_list_len", "Partial-list length by size class.", "gauge")
-	for _, cc := range c.Classes {
-		if cc.PartialList > 0 {
-			p.sample("census_partial_list_len", float64(cc.PartialList), "class", strconv.Itoa(cc.Class))
-		}
-	}
-
-	p.header("census_carve_waste_words", "Superblock carving remainder words by size class.", "gauge")
-	for _, cc := range c.Classes {
-		if cc.CarveWasteWords > 0 {
-			p.sample("census_carve_waste_words", float64(cc.CarveWasteWords), "class", strconv.Itoa(cc.Class))
-		}
-	}
-
-	p.header("census_internal_frag_ratio", "Sampled internal fragmentation by size class (waste/class bytes).", "gauge")
-	for _, cc := range c.Classes {
-		if cc.SampledLive > 0 {
-			p.sample("census_internal_frag_ratio", cc.InternalFragRatio, "class", strconv.Itoa(cc.Class))
-		}
-	}
-	if c.Totals.InternalFragRatio >= 0 {
-		p.header("census_total_internal_frag_ratio", "Sampled internal fragmentation across all classes.", "gauge")
-		p.sample("census_total_internal_frag_ratio", c.Totals.InternalFragRatio)
-	}
-
-	p.header("census_arena_words", "Region-arena word inventory.", "gauge")
-	p.header("census_arena_free_regions", "Free regions parked in arena bins.", "gauge")
-	p.header("census_external_frag_ratio", "Free-bin words over reserved words by arena.", "gauge")
-	for _, ac := range c.Arenas {
-		ar := strconv.Itoa(ac.Arena)
-		p.sample("census_arena_words", float64(ac.PartitionWords), "arena", ar, "kind", "partition")
-		p.sample("census_arena_words", float64(ac.ReservedWords), "arena", ar, "kind", "reserved")
-		p.sample("census_arena_words", float64(ac.LiveWords), "arena", ar, "kind", "live")
-		p.sample("census_arena_words", float64(ac.FreeWords), "arena", ar, "kind", "free")
-		p.sample("census_arena_free_regions", float64(ac.FreeRegions), "arena", ar)
-		p.sample("census_external_frag_ratio", ac.ExternalFragRatio, "arena", ar)
-	}
-
-	p.header("census_desc_stripe_free", "Retired descriptors per pool stripe.", "gauge")
-	for i, n := range c.DescStripeFree {
-		p.sample("census_desc_stripe_free", float64(n), "stripe", strconv.Itoa(i))
-	}
-
-	// Live-age histogram: cumulative le buckets in seconds. Bucket i of
-	// the telemetry vector covers ages below 2^i ns.
-	p.header("census_live_age_seconds", "Ages of live sampled allocations.", "histogram")
-	var cum uint64
-	var sumNS float64
-	top := 0
-	for i, n := range c.Ages {
-		if n > 0 {
-			top = i
-		}
-	}
-	for i := 0; i <= top; i++ {
-		cum += c.Ages[i]
-		sumNS += float64(c.Ages[i]) * float64(bucketMidNS(i))
-		le := strconv.FormatFloat(float64(uint64(1)<<uint(i))/1e9, 'g', -1, 64)
-		p.sample("census_live_age_seconds_bucket", float64(cum), "le", le)
-	}
-	p.sample("census_live_age_seconds_bucket", float64(c.Ages.Count()), "le", "+Inf")
-	p.sample("census_live_age_seconds_sum", sumNS/1e9)
-	p.sample("census_live_age_seconds_count", float64(c.Ages.Count()))
-
-	p.header("census_site_live_blocks", "Live sampled blocks by allocation site.", "gauge")
-	p.header("census_site_live_bytes", "Live sampled requested bytes by allocation site.", "gauge")
-	for _, sc := range c.Sites {
-		site := sc.Func
-		if site == "" {
-			site = fmt.Sprintf("pc=%#x", sc.PC)
-		}
-		p.sample("census_site_live_blocks", float64(sc.Live), "site", site)
-		p.sample("census_site_live_bytes", float64(sc.LiveBytes), "site", site)
-	}
-
-	p.header("census_sampler_sampled_total", "Allocation samples deposited.", "counter")
-	p.sample("census_sampler_sampled_total", float64(c.Sampler.Sampled))
-	p.header("census_sampler_evicted_total", "Samples overwritten before their free was seen.", "counter")
-	p.sample("census_sampler_evicted_total", float64(c.Sampler.Evicted))
-	p.header("census_sampler_collisions_total", "Samples dropped to a concurrent slot writer.", "counter")
-	p.sample("census_sampler_collisions_total", float64(c.Sampler.Collisions))
-	p.header("census_sampler_matched_frees_total", "Frees matched against a live sample.", "counter")
-	p.sample("census_sampler_matched_frees_total", float64(c.Sampler.MatchedFrees))
-	p.header("census_sample_rate", "Sampling period (mallocs per sample, 0 = off).", "gauge")
-	p.sample("census_sample_rate", float64(c.Sampler.Rate))
-
-	if c.Buddy != nil {
-		if p.err != nil {
-			return p.err
-		}
-		return WriteBuddyMetrics(w, c.Buddy)
 	}
 	return p.err
-}
-
-// bucketMidNS mirrors the telemetry histogram's representative bucket
-// values (midpoint of [2^(i-1), 2^i)).
-func bucketMidNS(i int) uint64 {
-	switch i {
-	case 0:
-		return 0
-	case 1:
-		return 1
-	default:
-		return 3 << (i - 2)
-	}
 }
 
 var (

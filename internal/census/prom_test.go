@@ -9,6 +9,7 @@ import (
 	"testing"
 
 	"repro/internal/core"
+	"repro/internal/mem"
 	"repro/internal/telemetry"
 )
 
@@ -30,7 +31,7 @@ func goldenInputs() (telemetry.Snapshot, *Census) {
 		Free:         telemetry.HistSummary{Count: 1400, P50NS: 48, P90NS: 192, P99NS: 768},
 	}
 
-	c := &Census{
+	sb := &Superblocks{
 		Classes: []ClassCensus{
 			{
 				Class: 0, PayloadBytes: 8,
@@ -45,20 +46,23 @@ func goldenInputs() (telemetry.Snapshot, *Census) {
 				InternalFragRatio: -1, // nothing sampled, nothing live
 			},
 		},
-		Arenas: []ArenaCensus{
-			{
-				Arena: 0, PartitionWords: 1 << 20, ReservedWords: 1 << 16,
-				LiveWords: 3 << 14, SkippedWords: 128,
-				FreeRegions: 4, FreeWords: 1 << 13,
-				BumpOccupancy: 0.0625, ExternalFragRatio: 0.125,
-			},
-		},
-		DescStripeFree: []uint64{5, 0, 7},
 		Totals: Totals{
 			Superblocks: 4, BlocksUsed: 4000, BlocksFree: 96,
 			BlocksReserved: 32, MagazineCached: 48, CarveWasteWords: 12,
-			InternalFragRatio: 0.25, ExternalFragRatio: 0.125,
+			InternalFragRatio: 0.25,
 		},
+	}
+	osl := &OSLayer{
+		Arenas: []ArenaCensus{
+			{
+				ArenaStats:    mem.ArenaStats{ReservedWords: 1 << 16, LiveWords: 3 << 14, SkippedWords: 128},
+				ArenaBins:     mem.ArenaBins{Arena: 0, PartitionWords: 1 << 20, FreeRegions: 4, FreeWords: 1 << 13},
+				BumpOccupancy: 0.0625, ExternalFragRatio: 0.125,
+			},
+		},
+		ExternalFragRatio: 0.125,
+	}
+	smp := &Sampled{
 		AgeP50NS: 98304,
 		AgeP99NS: 1572864,
 		OldestNS: 2000000,
@@ -67,18 +71,16 @@ func goldenInputs() (telemetry.Snapshot, *Census) {
 				Live: 7, LiveBytes: 44, OldestNS: 2000000},
 			{PC: 0x402000, Live: 3, LiveBytes: 16, OldestNS: 150000},
 		},
-		Sampler: SamplerInfo{
-			Enabled: true,
-			SamplerStats: telemetry.SamplerStats{
-				Rate: 64, Slots: 2048, Sampled: 23, Evicted: 2,
-				Collisions: 1, MatchedFrees: 13,
-			},
+		Enabled: true,
+		SamplerStats: telemetry.SamplerStats{
+			Rate: 64, Slots: 2048, Sampled: 23, Evicted: 2,
+			Collisions: 1, MatchedFrees: 13,
 		},
 	}
-	c.Ages[17] = 6 // ~0.1 ms
-	c.Ages[20] = 3 // ~1 ms
-	c.Ages[21] = 1 // ~2 ms
-	return snap, c
+	smp.Ages[17] = 6 // ~0.1 ms
+	smp.Ages[20] = 3 // ~1 ms
+	smp.Ages[21] = 1 // ~2 ms
+	return snap, &Census{Parts: []Part{sb, osl, &DescPool{StripeFree: []uint64{5, 0, 7}}, smp}}
 }
 
 // TestWriteMetricsGolden pins the exposition format byte-for-byte and
@@ -143,7 +145,8 @@ func TestWriteMetricsLive(t *testing.T) {
 		ptrs = append(ptrs, uint64(p))
 	}
 	snap := a.Telemetry().Snapshot()
-	c := Take(a)
+	sb, dp, smp := TakeLockFree(a)
+	c := New(sb, TakeOS(a.Heap()), dp, smp)
 	var buf bytes.Buffer
 	if err := WriteMetrics(&buf, snap, c); err != nil {
 		t.Fatal(err)

@@ -133,6 +133,9 @@ func (cfg Config) Validate() error {
 		return fmt.Errorf("core: NoPartialSlot contradicts PartialSlots %d", cfg.PartialSlots)
 	case cfg.MagazineSize < 0:
 		return fmt.Errorf("core: MagazineSize %d is negative", cfg.MagazineSize)
+	case cfg.HeapConfig.Arenas < 0:
+		// mem.NewHeap would quietly run it unsharded.
+		return fmt.Errorf("core: HeapConfig.Arenas %d is negative", cfg.HeapConfig.Arenas)
 	}
 	return nil
 }
@@ -251,13 +254,20 @@ func New(cfg Config) *Allocator {
 		}
 		h = mem.NewHeap(cfg.HeapConfig)
 	}
+	// The superblocks the address space has room for bound both the
+	// descriptor table and the partial lists.
+	var heapWords uint64
+	for i := 0; i < h.Arenas(); i++ {
+		heapWords += h.PartitionWords(i)
+	}
+	maxSuperblocks := heapWords / sizeclass.SuperblockWords
 	a := &Allocator{
 		heap:       h,
 		cfg:        cfg,
 		procs:      uint64(cfg.Processors),
 		maxCredits: uint64(cfg.MaxCredits),
 		classes:    make([]scState, sizeclass.NumClasses()),
-		descs:      newDescPool(cfg.DescStripes, cfg.DescAlgo),
+		descs:      newDescPool(maxSuperblocks, cfg.DescStripes, cfg.DescAlgo),
 	}
 	if cfg.Hyperblocks {
 		// 64 superblocks per hyperblock = 1 MiB batches (§3.2.5).
@@ -280,11 +290,6 @@ func New(cfg Config) *Allocator {
 	// awaiting removal can add to that; listRemoveEmptyDesc keeps them
 	// under half the list, and a Put beyond the bound is dropped and
 	// counted exactly as at pool exhaustion.)
-	var heapWords uint64
-	for i := 0; i < h.Arenas(); i++ {
-		heapWords += h.PartitionWords(i)
-	}
-	maxSuperblocks := heapWords / sizeclass.SuperblockWords
 	for i := range a.classes {
 		sc := &a.classes[i]
 		sc.class = sizeclass.ByIndex(i)

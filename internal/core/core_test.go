@@ -1,6 +1,7 @@
 package core
 
 import (
+	"errors"
 	"math/rand"
 	"runtime"
 	"sync"
@@ -8,6 +9,7 @@ import (
 
 	"repro/internal/atomicx"
 	"repro/internal/mem"
+	"repro/internal/pool"
 	"repro/internal/sizeclass"
 )
 
@@ -681,22 +683,74 @@ func TestThreadsMapToDistinctHeaps(t *testing.T) {
 	}
 }
 
-// TestNewFootprint pins what constructing a default allocator costs in
-// Go memory. It was 16.9 MB — 28 partial lists with a 512 KiB node-pool
-// chunk table each — which made every test and every explored schedule
-// that builds a fresh allocator pay 7.5 ms for tables it never touched.
-// What remains is the 2 MiB descriptor table and 64 KiB a list.
+// TestNewFootprint pins what constructing an allocator costs in Go
+// memory. For the default 2^34-word heap it was 16.9 MB — 28 partial
+// lists with a 512 KiB node-pool chunk table each — which made every
+// test and every explored schedule that builds a fresh allocator pay
+// 7.5 ms for tables it never touched; what remains there is the 2 MiB
+// descriptor table, which that heap's 2^23 superblocks need, and 64 KiB
+// a list. The 2^26-word heap sched.Explore builds per schedule paid the
+// same 2 MiB table (2.24 MB in all) until the table followed the heap.
 func TestNewFootprint(t *testing.T) {
-	const limit = 4 << 20
-	best := uint64(1 << 62)
-	for i := 0; i < 3; i++ { // the least of three: other tests' goroutines allocate too
-		var before, after runtime.MemStats
-		runtime.ReadMemStats(&before)
-		New(Config{})
-		runtime.ReadMemStats(&after)
-		best = min(best, after.TotalAlloc-before.TotalAlloc)
+	for _, c := range []struct {
+		heap  mem.Config
+		limit uint64
+	}{
+		{mem.Config{}, 4 << 20},
+		{mem.Config{TotalWordsLog2: 26}, 192 << 10},
+	} {
+		best := uint64(1 << 62)
+		for i := 0; i < 3; i++ { // the least of three: other tests' goroutines allocate too
+			var before, after runtime.MemStats
+			runtime.ReadMemStats(&before)
+			New(Config{HeapConfig: c.heap})
+			runtime.ReadMemStats(&after)
+			best = min(best, after.TotalAlloc-before.TotalAlloc)
+		}
+		if best > c.limit {
+			t.Errorf("core.New with heap %+v allocates %d bytes, limit %d", c.heap, best, c.limit)
+		}
 	}
-	if best > limit {
-		t.Errorf("core.New(Config{}) allocates %d bytes, limit %d", best, limit)
+}
+
+// TestDescriptorTableFollowsTheHeap: a heap filled with superblocks runs
+// out of address space, never of descriptors — also the second time,
+// when the descriptors are recycled ones and EMPTY ones linger in the
+// partial lists — and a table that is too small fails Malloc with the
+// pool's wrapped error rather than a panic.
+func TestDescriptorTableFollowsTheHeap(t *testing.T) {
+	for _, algo := range []pool.Algo{pool.AlgoFreelist, pool.AlgoConstTime} {
+		a := New(Config{Processors: 2, DescAlgo: algo, HeapConfig: mem.Config{SegmentWordsLog2: 16, TotalWordsLog2: 20}})
+		th := a.Thread()
+		for round := 0; round < 2; round++ {
+			var held []mem.Ptr
+			var err error
+			for size := uint64(8); err == nil; size = size%2048 + 8 {
+				var p mem.Ptr
+				if p, err = th.Malloc(size); err == nil {
+					held = append(held, p)
+				}
+			}
+			if !errors.Is(err, mem.ErrOutOfMemory) {
+				t.Fatalf("%v round %d: a full heap failed with %v after %d blocks, want mem.ErrOutOfMemory", algo, round, err, len(held))
+			}
+			for _, p := range held {
+				th.Free(p)
+			}
+		}
+		if err := a.CheckInvariants(0); err != nil {
+			t.Fatal(err)
+		}
+	}
+
+	a := New(testConfig())
+	a.descs = newDescPool(0, 1, pool.AlgoFreelist) // two usable chunks
+	th := a.Thread()
+	var err error
+	for n := 0; err == nil && n < 1<<20; n++ {
+		_, err = th.Malloc(sizeclass.MaxPayloadBytes) // few blocks a superblock
+	}
+	if !errors.Is(err, pool.ErrExhausted) {
+		t.Fatalf("a full descriptor table failed Malloc with %v, want pool.ErrExhausted", err)
 	}
 }

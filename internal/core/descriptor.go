@@ -94,8 +94,8 @@ const (
 	descChunkLog2 = 6
 	descChunk     = 1 << descChunkLog2
 
-	// maxDescChunks bounds the descriptor table (2^24 descriptors,
-	// i.e. 2^24 superblocks ≈ 256 GiB of small-block heap).
+	// maxDescChunks bounds the descriptor table of the largest heaps
+	// (2^24 descriptors, a 2 MiB table).
 	maxDescChunks = 1 << 18
 )
 
@@ -104,10 +104,21 @@ const (
 // with one freelist stripe per processor.
 type descPool = pool.Pool[Descriptor, *Descriptor]
 
-func newDescPool(stripes int, algo pool.Algo) *descPool {
+// newDescPool sizes the descriptor table, like the partial lists, for
+// the superblocks the heap has room for rather than for the largest
+// heap: a descriptor is in use while its superblock is live or while,
+// EMPTY, it is still linked in a partial list, and listRemoveEmptyDesc
+// keeps the EMPTY ones under half of each list — at most one for each
+// live superblock. On top of that comes the chunk of reserved index 0,
+// and two chunks a stripe: a dry stripe carves a new chunk although its
+// siblings hold retired descriptors — whenever it loses the migration
+// race (freelist), or while they sit in the siblings' two private
+// batches (consttime). Beyond the table Malloc fails with
+// pool.ErrExhausted.
+func newDescPool(maxSuperblocks uint64, stripes int, algo pool.Algo) *descPool {
 	return pool.New[Descriptor, *Descriptor](pool.Config{
 		ChunkLog2:   descChunkLog2,
-		MaxChunks:   maxDescChunks,
+		MaxChunks:   min(1+(2*maxSuperblocks+descChunk-1)/descChunk+2*uint64(stripes), maxDescChunks),
 		Stripes:     stripes,
 		Algo:        algo,
 		AllocSite:   telemetry.SiteDescAlloc,
