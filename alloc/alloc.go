@@ -36,11 +36,11 @@ type Thread interface {
 }
 
 // Unregisterer is optionally implemented by Thread handles that hold
-// per-thread caches (the lock-free allocator's magazine layer):
-// Unregister returns the cached blocks to the shared structures. Call
-// it when the owning goroutine stops using the handle; it is a no-op
-// when no cache is held, so callers may type-assert and invoke it
-// unconditionally.
+// per-thread state (the lock-free allocator's magazines and batched
+// operation counters): Unregister returns the cached blocks to the
+// shared structures and makes the allocator's counters exact for the
+// handle. Call it when the owning goroutine stops using the handle;
+// callers may type-assert and invoke it unconditionally.
 type Unregisterer interface {
 	Unregister()
 }

@@ -64,6 +64,9 @@ func (w lockFree) census() []census.Part {
 func (w lockFree) recorder() *telemetry.Recorder { return w.a.Telemetry() }
 
 func (w lockFree) inspect(live int64) Report {
+	// Quiescent by contract: count exactly the handles nobody
+	// unregistered, dead victims included, without flushing a magazine.
+	w.a.PublishStats()
 	s := w.a.Stats()
 	r := Report{LeakedWords: s.Heap.LiveWords, InvariantErr: w.a.CheckInvariants(live)}
 	if live == 0 && r.InvariantErr == nil && s.Ops.Mallocs != s.Ops.Frees {

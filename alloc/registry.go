@@ -64,16 +64,18 @@ var backends = []Backend{
 		Name:    "lockfree",
 		Aliases: []string{"new"},
 		// The core keeps free-list links (magazine flush chains
-		// included) in the block prefix, never the payload, and never
-		// touches a live block's prefix.
+		// included) in the high bits of the block prefix word, never the
+		// payload, and writes a prefix only when it carves the superblock
+		// or frees the block: a live block's prefix never changes.
 		VerifyOnReuse: true,
 		HookPoints:    hookPointNames(core.NumHookPoints),
 		build:         buildLockFree,
 	},
 	{
 		Name: "hoard",
-		// Hoard's free lists link through the block prefix like the
-		// core, so freed payloads stay poisoned.
+		// Hoard's free lists overwrite a freed block's prefix word with
+		// the link and malloc rewrites the prefix, so freed payloads stay
+		// poisoned and a live block's prefix is stable.
 		VerifyOnReuse: true,
 		build: func(_ *Backend, opt Options) (Allocator, error) {
 			a := hoard.New(hoard.Config{Processors: opt.Processors, HeapConfig: opt.HeapConfig})

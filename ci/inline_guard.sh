@@ -1,9 +1,12 @@
 #!/bin/sh
 # Inlining guard: every heap word access and every descriptor lookup on
 # the malloc/free paths is meant to compile to a table load in the
-# caller, not a call. The Go inliner gives a function a budget of 80
-# nodes; an edit that pushes one of these accessors over it costs a call
-# per word silently. This step asks the compiler and fails loudly.
+# caller, not a call, and every counter bump and prefix decode to a few
+# register instructions (an outlined bump hands back, as a call, what
+# replacing the atomic add saved). The Go inliner gives a function a
+# budget of 80 nodes; an edit that pushes one of these helpers over it
+# costs a call per word silently. This step asks the compiler and fails
+# loudly.
 #
 # mem's accessors are checked where they are declared. pool.Pool is
 # generic, so the compiler only reports on its methods where they are
@@ -25,7 +28,19 @@ done
 need 'can inline \(\*Allocator\)\.desc( |$)' 'can inline (*Allocator).desc'
 need 'allocator\.go:[0-9:]+ inlining call to pool\.\(\*Pool\[.*\]\)\.Get( |$)' \
 	'inlining call to pool.(*Pool[...]).Get in (*Allocator).desc'
+# The counter bump must inline where malloc, the magazine refill and
+# free count an operation; the prefix helpers where malloc's pop loops
+# (mallocFromActive, mallocFromPartial) and free read word 0.
+inlined() {
+	need "$1\\.go:[0-9:]+ inlining call to $2( |\$)" "inlining call to $3 in core/$1.go"
+}
+for file in malloc magazine free; do
+	inlined "$file" '\(\*Thread\)\.bump' '(*Thread).bump'
+done
+inlined free prefixDesc prefixDesc
+inlined free withLink withLink
+inlined malloc prefixLink prefixLink
 if [ "$status" -eq 0 ]; then
-	echo "inline guard: mem.(*Heap).{word,Load,Store,CAS,Get,Set}, pool.(*Pool).Get and core.(*Allocator).desc all inline"
+	echo "inline guard: mem.(*Heap).{word,Load,Store,CAS,Get,Set}, pool.(*Pool).Get, core.(*Allocator).desc, (*Thread).bump and the prefix helpers all inline"
 fi
 exit "$status"

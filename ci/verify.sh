@@ -46,6 +46,14 @@ stage_smoke() {
 
 	go test -run=NONE -bench=. -benchtime=1x ./internal/core ./internal/bench
 
+	# The ledger's in-run checks (a canary on every block, CheckInvariants
+	# and Mallocs == Frees after every round; a failure exits 1) over the
+	# block layout and publish-at-Unregister, with magazines off (larson)
+	# and on (kvcache).
+	for workload in larson kvcache; do
+		go run ./benchmark -workload "$workload" -seconds 2 -rounds 2 -trace 0 >/dev/null
+	done
+
 	# Every registered experiment, so a new one is smoked without a new step.
 	for id in $("$bin/benchmal" -list | cut -d' ' -f1); do
 		"$bin/benchmal" -exp "$id" -threads 1,2 -scale 0.002

@@ -35,6 +35,7 @@ func main() {
 	}
 	fmt.Printf("allocated %v, payload[3] = %d\n", p, heap.Get(p.Add(3)))
 	t.Free(p)
+	release(t)
 
 	// Multi-threaded use: each goroutine takes its own handle. Blocks
 	// may be freed by a different thread than allocated them (the
@@ -47,6 +48,7 @@ func main() {
 	go func() { // producer
 		defer wg.Done()
 		th := a.NewThread()
+		defer release(th)
 		for i := 0; i < workers*blocksEach; i++ {
 			p, err := th.Malloc(48)
 			if err != nil {
@@ -62,6 +64,7 @@ func main() {
 		go func() { // consumers free remotely
 			defer wg.Done()
 			th := a.NewThread()
+			defer release(th)
 			for p := range ch {
 				_ = heap.Get(p)
 				th.Free(p)
@@ -73,4 +76,13 @@ func main() {
 	// Counters and inventory, for this or any other alloc.New backend:
 	// which path served the mallocs, what each layer still holds.
 	alloc.HarnessOf(a).Census().WriteText(os.Stdout)
+}
+
+// release is what a goroutine does with its handle when it is done
+// (the pthread-exit analogue): the lock-free allocator then returns the
+// handle's cached blocks and makes its operation counters exact.
+func release(th alloc.Thread) {
+	if u, ok := th.(alloc.Unregisterer); ok {
+		u.Unregister()
+	}
 }

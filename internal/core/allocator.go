@@ -390,8 +390,7 @@ func (a *Allocator) Telemetry() *telemetry.Recorder { return a.tele }
 // worker goroutine should hold its own, as each OS thread does in the
 // paper's pthread environment.
 func (a *Allocator) Thread() *Thread {
-	t := &Thread{a: a, id: a.nextThread.Add(1) - 1}
-	t.opsp = &t.ops
+	t := &Thread{a: a, id: a.nextThread.Add(1) - 1, pubMask: pubBatch - 1}
 	// The thread's region arena, like its processor heaps below: a pure
 	// function of the thread id, resolved once.
 	t.arena = a.heap.Arena(int(t.id))
@@ -420,49 +419,70 @@ func (a *Allocator) Thread() *Thread {
 // paper's malloc/free; the thread id selects processor heaps the way
 // pthread ids do in the paper.
 type Thread struct {
+	// First cache line: what every Malloc and Free reads.
 	a      *Allocator
-	id     uint64
-	arena  mem.Arena   // region arena for superblock and large allocs
 	heaps  []*ProcHeap // per-size-class processor heap for this thread
 	hookFn func(HookPoint)
 	rec    *telemetry.ThreadShard // non-nil when telemetry is attached
+	magCap int                    // high watermark of every magazine; 0 = layer disabled
+	// pubMask batches the counters below: pubBatch-1, or 0 once
+	// Unregister has run, so a straggling operation publishes itself.
+	pubMask uint64
 
-	// Magazine layer (Config.MagazineSize > 0): per-size-class private
-	// block caches, owned exclusively by this thread's goroutine.
-	magCap     int // high watermark of every magazine; 0 = layer disabled
+	// Second line: the magazines (Config.MagazineSize > 0; private block
+	// caches per size class) and the counters that change on every
+	// operation — plain words of the owning goroutine, where a LOCK XADD
+	// each was a fifth of an uncontended pair, copied into ops by bump
+	// every pubBatch-th event and by publish exactly.
 	mags       []magazine
+	frees      uint64
+	fromActive uint64
+	magHits    uint64
+	arena      mem.Arena // region arena for superblock and large allocs
+
+	id         uint64
 	magScratch []mem.Ptr // reused flush-group buffer
 
-	// opsp is where this thread's operation counters land: &ops below
-	// by default, retargeted by SetCharge while an offload allocator
-	// core executes another thread's request, so proxy-executed
-	// operations are charged to the submitting thread. Owner-only
-	// plain field; the counters behind it are atomic, so cross-thread
-	// charging is race-free. Always non-nil, so the counter paths pay
-	// one pointer load and no branch.
-	opsp *opCounters
-
-	// Operation counters, aggregated by Allocator.Stats. The owning
-	// goroutine is the only writer (or, transiently, an offload
-	// allocator core charged to this thread — see SetCharge); each
-	// counter is atomic so Stats can sample them live from any
-	// goroutine (see Stats for the snapshot semantics).
+	// ops is what Stats and OpStats load, from any goroutine: the three
+	// batched counters as last published, and the ten whose paths
+	// already cost a superblock, a flush or an OS call, added in place.
 	ops opCounters
 
-	// Pad into the 256-byte size class so every Thread is 64-byte
-	// aligned and the ops counter block sits at a fixed cache-line
-	// phase (see the matching padding on Allocator; layout.go pins the
-	// total with compile-time assertions).
-	_ [16]byte
+	// Pad into the 320-byte size class, a whole number of lines: every
+	// Thread starts on a line boundary (layout.go pins size and phase).
+	_ [56]byte
 }
 
-// opCounters is the per-thread operation-counter block. The owning
-// thread increments with atomic adds; Stats loads each counter
-// atomically. The total malloc count is not stored: every successful
-// small malloc takes exactly one of the four paths (magazine hit,
-// active, partial, new superblock), so snapshot derives Mallocs =
-// magHits+fromActive+fromPartial+fromNewSB and the malloc fast path
-// pays a single uncontended atomic add.
+// pubBatch is how many events of one batched counter pass between two
+// publications: a power of two, so the test is a mask. Publication
+// depends on the handle's own event count and nothing else — not time,
+// not other threads — so a one-thread run's Stats repeat exactly.
+const pubBatch = 64
+
+// bump counts one event on an owner-only counter and publishes it every
+// pubBatch-th time. It must stay inlinable: outlined, the call costs
+// what the atomic add it replaces did (ci/inline_guard.sh).
+func (t *Thread) bump(n *uint64, pub *atomic.Uint64) {
+	*n++
+	if *n&t.pubMask == 0 {
+		pub.Store(*n)
+	}
+}
+
+// publish makes Stats exact for this handle. Owner-only like Malloc and
+// Free, or any goroutine once the allocator is quiescent.
+func (t *Thread) publish() {
+	t.ops.frees.Store(t.frees)
+	t.ops.fromActive.Store(t.fromActive)
+	t.ops.magHits.Store(t.magHits)
+}
+
+// opCounters is the per-thread block Stats loads atomically. frees,
+// fromActive and magHits are stored from the handle's plain words by
+// bump and publish; the rest are atomic adds. The total malloc count is
+// not stored: every successful small malloc takes exactly one of the
+// four paths (magazine hit, active, partial, new superblock), so
+// snapshot derives Mallocs = magHits+fromActive+fromPartial+fromNewSB.
 type opCounters struct {
 	frees             atomic.Uint64
 	largeMallocs      atomic.Uint64
@@ -563,13 +583,15 @@ type Stats struct {
 // It is safe to call at any time, including while worker threads run.
 //
 // Snapshot semantics: every counter is read with an atomic load, so
-// values are never torn and each is monotone; but the loads happen at
-// slightly different instants, so cross-counter identities hold
-// exactly only at quiescence (e.g. Mallocs == Frees may be off by
-// in-flight operations). Mallocs ==
-// MagazineHits+FromActive+FromPartial+FromNewSB holds by construction:
-// snapshot derives the total from the path counters rather than
-// maintaining a separate one.
+// values are never torn and each is monotone. Frees, FromActive and
+// MagazineHits (and Mallocs, derived from them) are published in
+// batches: each lags a handle still in use by fewer than pubBatch (64)
+// events and is exact for a handle whose last call was Unregister or
+// FlushMagazines, and for all handles after PublishStats. The loads
+// happen at slightly different instants, so cross-counter identities
+// (Mallocs == Frees) hold exactly only at quiescence, every handle
+// published. Mallocs == MagazineHits+FromActive+FromPartial+FromNewSB
+// holds by construction: snapshot derives the total.
 func (a *Allocator) Stats() Stats {
 	var s Stats
 	a.mu.Lock()
@@ -581,6 +603,18 @@ func (a *Allocator) Stats() Stats {
 	s.DescsOnFreelist = a.descs.Retired()
 	s.Heap = a.heap.Stats()
 	return s
+}
+
+// PublishStats makes the next Stats exact for every handle, those
+// nobody unregistered and those whose goroutine died mid-operation
+// included. Quiescent callers only, like CheckInvariants. It flushes no
+// magazine: a dead thread's cached blocks stay leaked and counted.
+func (a *Allocator) PublishStats() {
+	a.mu.Lock()
+	defer a.mu.Unlock()
+	for _, t := range a.threads {
+		t.publish()
+	}
 }
 
 // DescStripes returns the number of descriptor-pool freelist stripes.
@@ -600,29 +634,8 @@ func (t *Thread) ID() uint64 { return t.id }
 // Allocator returns the owning allocator.
 func (t *Thread) Allocator() *Allocator { return t.a }
 
-// SetCharge retargets this thread's operation counters at another
-// thread: while a charge is set, every Malloc/Free this handle
-// executes is counted against other's OpStats instead of its own.
-// SetCharge(nil) restores self-charging.
-//
-// This is the attribution contract for proxy execution (the offload
-// engine's allocator cores): an operation submitted by worker W but
-// executed by core C must appear in W's counters — C executes it *on
-// behalf of* W — or per-thread accounting double- or mis-counts (see
-// TestChargeAttribution). Only the owning goroutine may call SetCharge
-// (like Malloc/Free); the charged counters are atomic, so the target
-// thread may run its own operations concurrently.
-func (t *Thread) SetCharge(other *Thread) {
-	if other == nil {
-		t.opsp = &t.ops
-		return
-	}
-	t.opsp = &other.ops
-}
-
-// OpStats returns this thread's own operation counters (including
-// operations proxy-charged to it via SetCharge). Safe to call from any
-// goroutine; same snapshot semantics as Allocator.Stats.
+// OpStats returns this thread's own operation counters. Safe to call
+// from any goroutine; same snapshot semantics as Allocator.Stats.
 func (t *Thread) OpStats() OpStats { return t.ops.snapshot() }
 
 // BlockIsLarge reports whether a block returned by Malloc is a large
@@ -637,11 +650,36 @@ func (t *Thread) findHeap(sc *scState) *ProcHeap {
 	return t.heaps[sc.class.Index]
 }
 
-// prefix encoding: small blocks store descIdx<<1 (bit 0 clear); large
-// blocks store mem.SizePrefix(regionWords) — the region's rounded word
-// count <<1|1 (the paper's "desc holds sz+1" with the large-block bit
-// set; rounded so the free path passes FreeRegion the canonical region
-// size).
+// Word 0 of a block, the prefix. A large block's is
+// mem.SizePrefix(regionWords): the region's rounded word count <<1|1
+// (the paper's "desc holds sz+1" with the large-block bit set; rounded
+// so the free path passes FreeRegion the canonical region size). A small
+// block's has bit 0 clear and two fields: the descriptor index below
+// linkShift, written when the superblock is carved and never changed,
+// and above it the free-list link — the index of the next free block,
+// meaningful while this one is free and stale while it is allocated.
+// The carve loop, free and the magazine flush store both at once
+// (withLink); malloc stores neither, so serving a block writes no heap
+// word. Every reader goes through prefixIsLarge, prefixDesc, prefixLink.
+const (
+	linkShift  = 64 - atomicx.AnchorAvailBits
+	prefixMask = 1<<linkShift - 1
+
+	// Every descriptor index fits below the link field and every block
+	// index in it (else the unsigned constant is negative: no compile).
+	_ = uint64(1<<(linkShift-1)) - maxDescChunks<<descChunkLog2
+	_ = uint64(1<<(64-linkShift)) - atomicx.MaxBlocksPerSuperblock
+)
+
 func smallPrefix(descIdx uint64) uint64 { return descIdx << 1 }
 
 func prefixIsLarge(p uint64) bool { return p&1 != 0 }
+
+// prefixDesc is the descriptor index in a small block's word 0.
+func prefixDesc(p uint64) uint64 { return (p & prefixMask) >> 1 }
+
+// prefixLink is the free-list link in a free small block's word 0.
+func prefixLink(p uint64) uint64 { return p >> linkShift }
+
+// withLink is p with link in place of whatever stale link p carried.
+func withLink(p, link uint64) uint64 { return p&prefixMask | link<<linkShift }

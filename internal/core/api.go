@@ -12,13 +12,13 @@ func (t *Thread) UsableWords(p mem.Ptr) uint64 {
 	if prefixIsLarge(prefix) {
 		return mem.SizePrefixWords(prefix) - 1
 	}
-	return t.a.desc(prefix>>1).Size() - 1
+	return t.a.desc(prefixDesc(prefix)).Size() - 1
 }
 
 // MallocZeroed allocates like Malloc and zeroes the payload (the
-// calloc analogue). Blocks recycled through superblock free lists may
-// carry stale contents plus the free-list link in their first word, so
-// zeroing is explicit.
+// calloc analogue). The allocator never writes a payload, so a recycled
+// block carries whatever its last owner left there: zeroing is
+// explicit.
 func (t *Thread) MallocZeroed(size uint64) (mem.Ptr, error) {
 	p, err := t.Malloc(size)
 	if err != nil {

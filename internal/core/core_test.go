@@ -281,6 +281,7 @@ func TestCrossThreadFree(t *testing.T) {
 	if err := a.CheckInvariants(0); err != nil {
 		t.Fatal(err)
 	}
+	a.PublishStats()
 	s := a.Stats()
 	if s.Ops.Mallocs != n || s.Ops.Frees != n {
 		t.Errorf("ops = %d/%d, want %d/%d", s.Ops.Mallocs, s.Ops.Frees, n, n)
@@ -354,6 +355,7 @@ func stress(t *testing.T, cfg Config, goroutines, iters int) {
 	if err := a.CheckInvariants(0); err != nil {
 		t.Fatal(err)
 	}
+	a.PublishStats() // the workers dropped their handles without Unregister
 	s := a.Stats()
 	if s.Ops.Mallocs != s.Ops.Frees {
 		t.Errorf("mallocs %d != frees %d", s.Ops.Mallocs, s.Ops.Frees)
@@ -611,6 +613,7 @@ func TestStatsAttribution(t *testing.T) {
 		}
 		th.Free(p)
 	}
+	a.PublishStats()
 	s := a.Stats()
 	if s.Ops.Mallocs != n {
 		t.Errorf("Mallocs = %d", s.Ops.Mallocs)
@@ -643,8 +646,7 @@ func TestAnchorStateAfterFill(t *testing.T) {
 		ptrs[i] = p
 	}
 	// Find the descriptor of the first block.
-	prefix := a.heap.Load(ptrs[0] - 1)
-	desc := a.desc(prefix >> 1)
+	desc := a.desc(prefixDesc(a.heap.Load(ptrs[0] - 1)))
 	st := atomicx.UnpackAnchor(desc.Anchor.Load()).State
 	if st != atomicx.StateFull {
 		t.Fatalf("state after filling = %s, want FULL", atomicx.StateName(st))

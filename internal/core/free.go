@@ -31,7 +31,7 @@ func (t *Thread) Free(ptr mem.Ptr) {
 	// prefix (before the block is recycled), then time the operation.
 	cls := -1
 	if !prefixIsLarge(prefix) {
-		cls = t.a.desc(prefix >> 1).ClassIndex()
+		cls = t.a.desc(prefixDesc(prefix)).ClassIndex()
 	}
 	// Match against the allocation sampler before the block can be
 	// recycled (and outside the timed window, so sampling never skews
@@ -51,16 +51,16 @@ func (t *Thread) free(ptr mem.Ptr, prefix uint64) {
 	if prefixIsLarge(prefix) { // line 4
 		// Large block: return directly to the OS layer (line 5).
 		a.heap.LargeFree(ptr, mem.SizePrefixWords(prefix))
-		t.opsp.largeFrees.Add(1)
+		t.ops.largeFrees.Add(1)
 		return
 	}
-	descIdx := prefix >> 1
+	descIdx := prefixDesc(prefix)
 	desc := a.desc(descIdx) // line 3
 	if t.magCap != 0 {
 		// Magazine path: cache the block thread-locally; the shared
 		// anchor is only touched when a flush splices a whole batch.
 		t.magazinePut(desc.ClassIndex(), ptr)
-		t.opsp.frees.Add(1)
+		t.bump(&t.frees, &t.ops.frees)
 		return
 	}
 	sb := desc.SB() // line 6
@@ -78,12 +78,12 @@ func (t *Thread) free(ptr mem.Ptr, prefix uint64) {
 			w>>atomicx.AnchorCountShift&atomicx.AnchorCountMask == maxcount-1 {
 			break // slow path below
 		}
-		a.heap.Store(block, w&atomicx.AnchorAvailMask) // line 8: link to old head
+		a.heap.Store(block, withLink(prefix, w&atomicx.AnchorAvailMask)) // line 8: link to old head
 		nw := (w &^ uint64(atomicx.AnchorAvailMask)) | idx
 		nw += 1 << atomicx.AnchorCountShift // count++
 		t.hook(HookFreeBeforeCAS)
 		if desc.Anchor.CompareAndSwap(w, nw) {
-			t.opsp.frees.Add(1)
+			t.bump(&t.frees, &t.ops.frees)
 			return
 		}
 		if t.rec != nil {
@@ -98,9 +98,9 @@ func (t *Thread) free(ptr mem.Ptr, prefix uint64) {
 		oldAnchor = atomicx.UnpackAnchor(oldWord) // line 7
 		newAnchor = oldAnchor
 		// Push the freed block onto the superblock's LIFO list: the
-		// block's first word becomes the link to the previous head
-		// (line 8), and avail points at this block (line 9).
-		a.heap.Store(block, oldAnchor.Avail)
+		// link field of the block's first word becomes the link to the
+		// previous head (line 8), and avail points at this block (line 9).
+		a.heap.Store(block, withLink(prefix, oldAnchor.Avail))
 		newAnchor.Avail = idx
 		if oldAnchor.State == atomicx.StateFull { // lines 10-11
 			newAnchor.State = atomicx.StatePartial
@@ -121,13 +121,13 @@ func (t *Thread) free(ptr mem.Ptr, prefix uint64) {
 			t.rec.Retry(telemetry.SiteFreeSlow)
 		}
 	}
-	t.opsp.frees.Add(1)
+	t.bump(&t.frees, &t.ops.frees)
 
 	if newAnchor.State == atomicx.StateEmpty { // lines 19-21
 		// This thread freed the last allocated block: the superblock
 		// is EMPTY and safe to return to the OS.
 		a.freeSB(sb, a.classes[desc.ClassIndex()].class.SBWords)
-		t.opsp.emptySBFreed.Add(1)
+		t.ops.emptySBFreed.Add(1)
 		if t.rec != nil {
 			t.rec.Note(telemetry.EvSBRetire, desc.ClassIndex(), uint64(sb))
 		}
@@ -186,7 +186,7 @@ func (t *Thread) heapPutPartial(descIdx uint64) {
 // the condition is observable. The pre-pool implementation panicked.
 func (t *Thread) listPutPartial(sc *scState, descIdx uint64) {
 	if err := sc.partial.Put(descIdx); err != nil {
-		t.opsp.partialListDrops.Add(1)
+		t.ops.partialListDrops.Add(1)
 	}
 }
 

@@ -25,7 +25,7 @@ const (
 	// unfolds and the anchor tag must force a retry.
 	HookMallocDuringPop
 	// HookMallocAfterPop fires after the anchor CAS popped the block,
-	// before the prefix store. A kill leaks one block.
+	// before malloc returns it. A kill leaks one block.
 	HookMallocAfterPop
 	// HookMallocBeforeUpdateActive fires after taking morecredits,
 	// before reinstalling the superblock. A kill leaks up to

@@ -99,8 +99,7 @@ func TestUpdateActiveRace(t *testing.T) {
 
 	// A's superblock must now be PARTIAL and linked via the Partial
 	// slot or the size-class list.
-	prefix := a.heap.Load(pA - 1)
-	descA := a.desc(prefix >> 1)
+	descA := a.desc(prefixDesc(a.heap.Load(pA - 1)))
 	if st := atomicx.UnpackAnchor(descA.Anchor.Load()).State; st != atomicx.StatePartial {
 		t.Errorf("A's superblock state = %s, want PARTIAL", atomicx.StateName(st))
 	}
@@ -151,14 +150,14 @@ func TestNewSBInstallRace(t *testing.T) {
 	if got := A.ops.newSBRaceLoss.Load(); got != 1 {
 		t.Errorf("A race losses = %d, want 1", got)
 	}
-	if got := A.ops.fromActive.Load(); got != 1 {
+	if got := A.fromActive; got != 1 {
 		t.Errorf("A must retry via the active superblock, FromActive = %d", got)
 	}
 	if a.heap.Stats().RegionFrees != regionFreesBefore+1 {
 		t.Error("A's losing superblock was not returned to the OS")
 	}
 	// Both blocks must come from B's (the installed) superblock.
-	if a.heap.Load(pA-1) != a.heap.Load(pB-1) {
+	if prefixDesc(a.heap.Load(pA-1)) != prefixDesc(a.heap.Load(pB-1)) {
 		t.Error("A and B blocks come from different superblocks")
 	}
 	A.Free(pA)
@@ -201,8 +200,8 @@ func TestKeepNewSBOnRaceLossVariant(t *testing.T) {
 		t.Error("keep-variant should not count a race loss discard")
 	}
 	// A's block must come from its own (kept) superblock, now PARTIAL.
-	descA := a.desc(a.heap.Load(pA-1) >> 1)
-	descB := a.desc(a.heap.Load(pB-1) >> 1)
+	descA := a.desc(prefixDesc(a.heap.Load(pA - 1)))
+	descB := a.desc(prefixDesc(a.heap.Load(pB - 1)))
 	if descA == descB {
 		t.Fatal("A should have kept its own superblock")
 	}

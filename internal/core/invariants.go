@@ -21,7 +21,8 @@ import (
 //     heapID is that heap, with credits+1 <= available reservations;
 //   - every descriptor's anchor fields are within range;
 //   - each non-EMPTY superblock's free list is acyclic, in-bounds, and
-//     exactly count+reserved long;
+//     exactly count+reserved long, and every block on it carries its
+//     descriptor's prefix beside the link;
 //   - every magazine-cached block has a valid small-block prefix, is
 //     cached exactly once, belongs to a non-EMPTY superblock, and does
 //     not also appear on that superblock's free list;
@@ -141,7 +142,7 @@ func (a *Allocator) magazineScan() (magBlocks map[uint64]map[uint64]bool, totalM
 				if prefixIsLarge(prefix) {
 					return nil, 0, fmt.Errorf("thread %d magazine class %d caches %#x with large-block prefix", t.id, cls, p)
 				}
-				descIdx := prefix >> 1
+				descIdx := prefixDesc(prefix)
 				desc := a.desc(descIdx)
 				if desc.ClassIndex() != cls {
 					return nil, 0, fmt.Errorf("thread %d magazine class %d caches %#x of class %d", t.id, cls, p, desc.ClassIndex())
@@ -181,7 +182,13 @@ func (a *Allocator) walkFreeList(idx uint64, desc *Descriptor, anchor atomicx.An
 			return fmt.Errorf("desc %d: block %d is both free-listed and magazine-cached", idx, cur)
 		}
 		visited[cur] = true
-		cur = a.heap.Load(sb.Add(cur*sz)) & atomicx.AnchorAvailMask
+		// Malloc hands the block out without writing it, so the prefix
+		// it will be freed through must already be in place.
+		w := a.heap.Load(sb.Add(cur * sz))
+		if prefixIsLarge(w) || prefixDesc(w) != idx {
+			return fmt.Errorf("desc %d: free block %d carries prefix %#x, not its descriptor's", idx, cur, w)
+		}
+		cur = prefixLink(w)
 	}
 	return nil
 }

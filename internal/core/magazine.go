@@ -141,7 +141,7 @@ func (t *Thread) refillFromActive(h *ProcHeap, mag *magazine) mem.Ptr {
 				oa := atomicx.UnpackAnchor(oldAnchor)
 				na := oa
 				addr = sb.Add(oa.Avail * sz)
-				na.Avail = a.heap.Load(addr)
+				na.Avail = prefixLink(a.heap.Load(addr))
 				na.Tag++
 				morecredits = 0
 				if oa.Count == 0 {
@@ -167,8 +167,7 @@ func (t *Thread) refillFromActive(h *ProcHeap, mag *magazine) mem.Ptr {
 			for {
 				w := desc.Anchor.Load()
 				addr = sb.Add((w & atomicx.AnchorAvailMask) * sz)
-				next := a.heap.Load(addr)
-				nw := (w &^ uint64(atomicx.AnchorAvailMask)) | (next & atomicx.AnchorAvailMask)
+				nw := (w &^ uint64(atomicx.AnchorAvailMask)) | prefixLink(a.heap.Load(addr))
 				nw += 1 << atomicx.AnchorTagShift // tag++
 				if desc.Anchor.CompareAndSwap(w, nw) {
 					break
@@ -178,7 +177,6 @@ func (t *Thread) refillFromActive(h *ProcHeap, mag *magazine) mem.Ptr {
 				}
 			}
 		}
-		a.heap.Store(addr, smallPrefix(oldActive.Desc))
 		if i == 0 {
 			ret = addr.Add(1)
 		} else {
@@ -188,7 +186,7 @@ func (t *Thread) refillFromActive(h *ProcHeap, mag *magazine) mem.Ptr {
 	mag.n.Store(uint64(len(mag.blocks)))
 	// One user-visible malloc was satisfied from the active superblock;
 	// the cached remainder surfaces later as magazine hits.
-	t.opsp.fromActive.Add(1)
+	t.bump(&t.fromActive, &t.ops.fromActive)
 	return ret
 }
 
@@ -202,8 +200,7 @@ func (t *Thread) flushMagazine(cls, keep int) {
 	mag := &t.mags[cls]
 	for len(mag.blocks) > keep {
 		n := len(mag.blocks) - keep
-		lead := mag.blocks[0] - 1
-		descIdx := a.heap.Load(lead) >> 1
+		descIdx := prefixDesc(a.heap.Load(mag.blocks[0] - 1))
 		// Collect the group (same superblock, within the flush window)
 		// and compact the survivors in place. The group is removed from
 		// the magazine before the splice so that a thread killed
@@ -211,7 +208,7 @@ func (t *Thread) flushMagazine(cls, keep int) {
 		group := t.magScratch[:0]
 		rest := mag.blocks[:0]
 		for i, p := range mag.blocks {
-			if i < n && a.heap.Load(p-1)>>1 == descIdx {
+			if i < n && prefixDesc(a.heap.Load(p-1)) == descIdx {
 				group = append(group, p)
 			} else {
 				rest = append(rest, p)
@@ -245,12 +242,13 @@ func (t *Thread) spliceGroup(descIdx uint64, group []mem.Ptr) {
 		hi, _ := bits.Mul64((p - 1).Sub(sb), magic)
 		return hi
 	}
-	// Link the group into a chain through the blocks' first words.
-	// These are plain stores into blocks this thread still owns; only
-	// the tail link (to the current list head) depends on the anchor
-	// and is (re)written inside the CAS loop.
+	// Link the group into a chain through the link fields of the
+	// blocks' first words. These are stores into blocks this thread
+	// still owns; only the tail link (to the current list head) depends
+	// on the anchor and is (re)written inside the CAS loop.
+	prefix := smallPrefix(descIdx)
 	for j := 0; j < len(group)-1; j++ {
-		a.heap.Store(group[j]-1, idxOf(group[j+1]))
+		a.heap.Store(group[j]-1, withLink(prefix, idxOf(group[j+1])))
 	}
 	first := idxOf(group[0])
 	tail := group[len(group)-1] - 1
@@ -261,7 +259,7 @@ func (t *Thread) spliceGroup(descIdx uint64, group []mem.Ptr) {
 		oldWord := desc.Anchor.Load()
 		oldAnchor = atomicx.UnpackAnchor(oldWord)
 		newAnchor = oldAnchor
-		a.heap.Store(tail, oldAnchor.Avail) // chain tail -> old head
+		a.heap.Store(tail, withLink(prefix, oldAnchor.Avail)) // chain tail -> old head
 		newAnchor.Avail = first
 		if oldAnchor.State == atomicx.StateFull {
 			newAnchor.State = atomicx.StatePartial
@@ -288,14 +286,14 @@ func (t *Thread) spliceGroup(descIdx uint64, group []mem.Ptr) {
 			t.rec.Retry(telemetry.SiteMagFlush)
 		}
 	}
-	t.opsp.magFlushes.Add(1)
+	t.ops.magFlushes.Add(1)
 	if t.rec != nil {
 		t.rec.MagFlush(m)
 	}
 
 	if newAnchor.State == atomicx.StateEmpty {
 		a.freeSB(sb, a.classes[desc.ClassIndex()].class.SBWords)
-		t.opsp.emptySBFreed.Add(1)
+		t.ops.emptySBFreed.Add(1)
 		if t.rec != nil {
 			t.rec.Note(telemetry.EvSBRetire, desc.ClassIndex(), uint64(sb))
 		}
@@ -305,33 +303,37 @@ func (t *Thread) spliceGroup(descIdx uint64, group []mem.Ptr) {
 	}
 }
 
-// FlushMagazines returns every magazine-cached block to its superblock.
-// Useful before a long quiet period; with magazines disabled it is a
-// no-op. Like Malloc and Free it must only be called by the owning
-// goroutine.
+// FlushMagazines returns every magazine-cached block to its superblock
+// and publishes the handle's batched counters, so Stats is exact for it
+// until its next operation. Useful before a long quiet period. Like
+// Malloc and Free it must only be called by the owning goroutine.
 func (t *Thread) FlushMagazines() {
 	for cls := range t.mags {
 		if len(t.mags[cls].blocks) > 0 {
 			t.flushMagazine(cls, 0)
 		}
 	}
+	t.publish()
 }
 
 // Unregister releases the thread handle: all magazine-cached blocks
-// return to the shared structures and the magazine layer is disabled
-// for this handle. Call it when the owning goroutine stops using the
-// handle (the pthread-exit analogue); the handle's operation counters
-// remain visible in Allocator.Stats. With magazines disabled it is a
-// no-op, so callers may invoke it unconditionally.
+// return to the shared structures, the magazine layer is disabled for
+// this handle, and its operation counters, which stay visible in
+// Allocator.Stats, become exact. Call it when the owning goroutine
+// stops using the handle (the pthread-exit analogue) — with or without
+// magazines: a handle dropped without it leaves Stats short of up to
+// pubBatch-1 events of each batched counter.
 //
 // Unregister is idempotent, and the handle remains usable afterwards:
-// subsequent Malloc/Free bypass the magazines and go straight to the
-// shared structures, so a straggling Free cannot strand a block in a
-// cache nobody will ever flush.
+// subsequent Malloc/Free bypass the magazines, go straight to the
+// shared structures and publish every event they count, so a straggling
+// Free can neither strand a block in a cache nobody will ever flush nor
+// leave Stats behind.
 func (t *Thread) Unregister() {
 	t.FlushMagazines()
 	// Disabling the layer (rather than leaving the empty magazines
 	// armed) makes double-Unregister and use-after-Unregister safe by
 	// construction: there is no cache left to corrupt or leak into.
 	t.magCap = 0
+	t.pubMask = 0
 }

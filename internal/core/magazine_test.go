@@ -33,6 +33,7 @@ func TestMagazineRoundTrip(t *testing.T) {
 	if q != p {
 		t.Errorf("magazine returned %v, freed %v", q, p)
 	}
+	a.PublishStats()
 	ops := a.Stats().Ops
 	if ops.MagazineHits != 1 {
 		t.Errorf("MagazineHits = %d, want 1", ops.MagazineHits)
@@ -65,6 +66,7 @@ func TestMagazineRefillBatches(t *testing.T) {
 		}
 		ptrs = append(ptrs, p)
 	}
+	a.PublishStats()
 	ops := a.Stats().Ops
 	// First malloc misses into MallocFromNewSB (Active NULL); the
 	// second miss batch-refills; the rest must be mostly hits.
@@ -344,8 +346,8 @@ func TestMagazineCrossThreadFree(t *testing.T) {
 }
 
 // TestMagazineDisabledUnchanged: with MagazineSize 0 the layer is
-// completely inert — no magazine counters move and Unregister is a
-// no-op.
+// completely inert — no magazine counters move and Unregister has
+// nothing to flush.
 func TestMagazineDisabledUnchanged(t *testing.T) {
 	a := newTestAllocator(t, testConfig())
 	th := a.Thread()

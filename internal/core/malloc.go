@@ -44,13 +44,13 @@ func (t *Thread) malloc(size uint64) (mem.Ptr, int, error) {
 		if p := mag.pop(); !p.IsNil() {
 			// Magazine hit: the block is thread-private and its prefix
 			// is still in place — no shared word is touched.
-			t.opsp.magHits.Add(1)
+			t.bump(&t.magHits, &t.ops.magHits)
 			if t.rec != nil {
 				t.rec.MagHit()
 			}
 			return p, cls, nil
 		}
-		t.opsp.magMisses.Add(1)
+		t.ops.magMisses.Add(1)
 		if t.rec != nil {
 			t.rec.MagMiss()
 		}
@@ -64,11 +64,11 @@ func (t *Thread) malloc(size uint64) (mem.Ptr, int, error) {
 	heap := t.findHeap(sc)
 	for {
 		if addr := t.mallocFromActive(heap); !addr.IsNil() {
-			t.opsp.fromActive.Add(1)
+			t.bump(&t.fromActive, &t.ops.fromActive)
 			return addr, cls, nil
 		}
 		if addr := t.mallocFromPartial(heap); !addr.IsNil() {
-			t.opsp.fromPartial.Add(1)
+			t.ops.fromPartial.Add(1)
 			return addr, cls, nil
 		}
 		addr, err := t.mallocFromNewSB(heap)
@@ -76,7 +76,7 @@ func (t *Thread) malloc(size uint64) (mem.Ptr, int, error) {
 			return 0, cls, err
 		}
 		if !addr.IsNil() {
-			t.opsp.fromNewSB.Add(1)
+			t.ops.fromNewSB.Add(1)
 			return addr, cls, nil
 		}
 	}
@@ -100,7 +100,7 @@ func (t *Thread) mallocLarge(size uint64) (mem.Ptr, error) {
 	if err != nil {
 		return 0, err
 	}
-	t.opsp.largeMallocs.Add(1)
+	t.ops.largeMallocs.Add(1)
 	return p, nil
 }
 
@@ -147,8 +147,7 @@ func (t *Thread) mallocFromActive(h *ProcHeap) mem.Ptr {
 		for {
 			w := desc.Anchor.Load()
 			addr = sb.Add((w & atomicx.AnchorAvailMask) * sz)
-			next := a.heap.Load(addr)
-			nw := (w &^ uint64(atomicx.AnchorAvailMask)) | (next & atomicx.AnchorAvailMask)
+			nw := (w &^ uint64(atomicx.AnchorAvailMask)) | prefixLink(a.heap.Load(addr))
 			nw += 1 << atomicx.AnchorTagShift // tag++ (wraps in the top bits)
 			t.hook(HookMallocDuringPop)
 			if desc.Anchor.CompareAndSwap(w, nw) {
@@ -168,8 +167,7 @@ func (t *Thread) mallocFromActive(h *ProcHeap) mem.Ptr {
 			oa := atomicx.UnpackAnchor(oldAnchor)
 			na := oa
 			addr = sb.Add(oa.Avail * sz)
-			next := a.heap.Load(addr)
-			na.Avail = next
+			na.Avail = prefixLink(a.heap.Load(addr))
 			na.Tag++
 			morecredits = 0
 			// The state must be ACTIVE here.
@@ -192,7 +190,8 @@ func (t *Thread) mallocFromActive(h *ProcHeap) mem.Ptr {
 		}
 	}
 	t.hook(HookMallocAfterPop)
-	a.heap.Store(addr, smallPrefix(oldActive.Desc)) // line 21
+	// Line 21's prefix store ran when the superblock was carved, and
+	// free kept it beside the link: nothing to write.
 	return addr.Add(1)
 }
 
@@ -246,7 +245,7 @@ retry:
 		oldWord := desc.Anchor.Load()
 		oa := atomicx.UnpackAnchor(oldWord)
 		if oa.State == atomicx.StateEmpty {
-			t.opsp.emptyPartialSkips.Add(1)
+			t.ops.emptyPartialSkips.Add(1)
 			a.descs.Retire(t.stripe(), descIdx) // line 6
 			goto retry
 		}
@@ -276,7 +275,7 @@ retry:
 		oa := atomicx.UnpackAnchor(oldWord)
 		na := oa
 		addr = sb.Add(oa.Avail * sz)
-		na.Avail = a.heap.Load(addr)
+		na.Avail = prefixLink(a.heap.Load(addr))
 		na.Tag++
 		if desc.Anchor.CompareAndSwap(oldWord, na.Pack()) {
 			break
@@ -288,8 +287,7 @@ retry:
 	if morecredits > 0 {
 		t.updateActive(h, descIdx, morecredits) // lines 16-17
 	}
-	a.heap.Store(addr, smallPrefix(descIdx)) // line 18
-	return addr.Add(1)
+	return addr.Add(1) // line 18's prefix is already there
 }
 
 // heapGetPartial is Figure 4's HeapGetPartial: pop the heap's
@@ -352,12 +350,15 @@ func (t *Thread) mallocFromNewSB(h *ProcHeap) (mem.Ptr, error) {
 		return 0, err
 	}
 
-	// Organize blocks in a linked list starting with index 0 (line 3).
-	// Block 0 is taken by this thread; blocks 1..maxcount-1 form the
-	// free list (block i links to i+1; the last link is never followed
-	// before a free, per the paper's footnote 1).
-	for i := uint64(1); i < cls.MaxCount; i++ {
-		a.heap.Store(sb.Add(i*cls.BlockWords), i+1)
+	// Organize blocks in a linked list starting with index 0 (line 3),
+	// and give every block its prefix (lines 15 and 21, once per
+	// superblock instead of once per malloc). Block 0 is taken by this
+	// thread; blocks 1..maxcount-1 form the free list (block i links to
+	// i+1; the last block's link, which need not even fit its field, is
+	// never followed before a free, per the paper's footnote 1).
+	prefix := smallPrefix(descIdx)
+	for i := uint64(0); i < cls.MaxCount; i++ {
+		a.heap.Store(sb.Add(i*cls.BlockWords), withLink(prefix, i+1))
 	}
 
 	desc.sb.Store(uint64(sb))
@@ -383,7 +384,6 @@ func (t *Thread) mallocFromNewSB(h *ProcHeap) (mem.Ptr, error) {
 	t.hook(HookNewSBBeforeInstall)
 
 	if h.Active.CompareAndSwap(0, newActive) { // line 13
-		a.heap.Store(sb, smallPrefix(descIdx)) // line 15
 		if t.rec != nil {
 			t.rec.Note(telemetry.EvNewSB, cls.Index, uint64(sb))
 		}
@@ -410,7 +410,6 @@ func (t *Thread) mallocFromNewSB(h *ProcHeap) (mem.Ptr, error) {
 			}
 		}
 		t.heapPutPartial(descIdx)
-		a.heap.Store(sb, smallPrefix(descIdx))
 		return sb.Add(1), nil
 	}
 
@@ -421,7 +420,7 @@ func (t *Thread) mallocFromNewSB(h *ProcHeap) (mem.Ptr, error) {
 	desc.Anchor.Store(atomicx.Anchor{State: atomicx.StateEmpty, Tag: anchor.Tag + 1}.Pack())
 	a.freeSB(sb, cls.SBWords)
 	a.descs.Retire(t.stripe(), descIdx)
-	t.opsp.newSBRaceLoss.Add(1)
+	t.ops.newSBRaceLoss.Add(1)
 	if t.rec != nil {
 		t.rec.Note(telemetry.EvRaceLoss, cls.Index, uint64(sb))
 	}

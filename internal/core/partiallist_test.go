@@ -127,7 +127,7 @@ func TestAnchorTagWraparound(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	desc := a.desc(a.heap.Load(p-1) >> 1)
+	desc := a.desc(prefixDesc(a.heap.Load(p - 1)))
 	// Push the tag to the edge of its field.
 	for {
 		w := desc.Anchor.Load()

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"fmt"
 	"math/rand"
 	"sync"
 	"sync/atomic"
@@ -98,15 +99,26 @@ func TestTelemetryIntegration(t *testing.T) {
 	}
 }
 
-// TestStatsLiveSampling exercises the documented Stats snapshot
-// semantics: Stats may be called from any goroutine while workers are
-// mid-operation (race-detector clean), every sampled counter is
-// monotone, and at quiescence the cross-counter identities hold
-// exactly.
+// TestStatsLiveSampling is the contract test of Stats under batched
+// publication, with magazines off and on: Stats may be called from any
+// goroutine while workers are mid-operation (race-detector clean) and
+// every sampled counter is monotone; a handle still in use is behind by
+// fewer than pubBatch events per batched counter — exactly: the owner's
+// count rounded down to the batch, a function of the handle's own event
+// count alone; and after Unregister every identity holds exactly.
 func TestStatsLiveSampling(t *testing.T) {
-	a := New(testConfig())
-	const workers = 6
-	const iters = 5000
+	for _, magazine := range []int{0, 8} {
+		t.Run(fmt.Sprintf("magazine=%d", magazine), func(t *testing.T) {
+			cfg := testConfig()
+			cfg.MagazineSize = magazine
+			statsLiveSampling(t, New(cfg))
+		})
+	}
+}
+
+func statsLiveSampling(t *testing.T, a *Allocator) {
+	const workers = 2
+	const iters = 5001 // not a multiple of pubBatch: the handles end mid-batch
 
 	stop := make(chan struct{})
 	var sampler sync.WaitGroup
@@ -114,36 +126,43 @@ func TestStatsLiveSampling(t *testing.T) {
 	sampler.Add(1)
 	go func() {
 		defer sampler.Done()
-		var prev Stats
+		var prev OpStats
 		for {
 			select {
 			case <-stop:
 				return
 			default:
 			}
-			s := a.Stats()
+			s := a.Stats().Ops
 			samples.Add(1)
-			if s.Ops.Mallocs < prev.Ops.Mallocs || s.Ops.Frees < prev.Ops.Frees {
-				t.Error("live Stats sample went backwards")
+			if s.Mallocs < prev.Mallocs || s.Frees < prev.Frees ||
+				s.FromActive < prev.FromActive || s.MagazineHits < prev.MagazineHits {
+				t.Errorf("live Stats sample went backwards: %+v after %+v", s, prev)
 				return
 			}
 			prev = s
 		}
 	}()
 
-	var wg sync.WaitGroup
-	for g := 0; g < workers; g++ {
+	// Each worker churns, parks with its handle still registered while
+	// the test compares Stats against the handle's own words, then
+	// unregisters.
+	ths := make([]*Thread, workers)
+	var parked, wg sync.WaitGroup
+	release := make(chan struct{})
+	for g := range ths {
+		ths[g] = a.Thread()
+		parked.Add(1)
 		wg.Add(1)
-		go func(seed int64) {
+		go func(th *Thread, seed int64) {
 			defer wg.Done()
-			th := a.Thread()
 			rng := rand.New(rand.NewSource(seed))
 			var live []mem.Ptr
 			for i := 0; i < iters; i++ {
 				p, err := th.Malloc(uint64(8 + rng.Intn(500)))
 				if err != nil {
 					t.Error(err)
-					return
+					break
 				}
 				live = append(live, p)
 				if len(live) > 16 {
@@ -154,25 +173,48 @@ func TestStatsLiveSampling(t *testing.T) {
 			for _, p := range live {
 				th.Free(p)
 			}
-		}(int64(g))
+			parked.Done()
+			<-release
+			th.Unregister()
+		}(ths[g], int64(g))
 	}
-	wg.Wait()
+	parked.Wait()
 	close(stop)
 	sampler.Wait()
-
 	if samples.Load() == 0 {
 		t.Fatal("sampler never ran")
 	}
-	s := a.Stats()
+
+	const mask = pubBatch - 1
+	for _, th := range ths {
+		got := th.OpStats()
+		if th.frees != iters {
+			t.Errorf("thread %d counted %d frees, performed %d", th.id, th.frees, iters)
+		}
+		if n := th.magHits + th.fromActive + got.FromPartial + got.FromNewSB; n != iters {
+			t.Errorf("thread %d counted %d mallocs, performed %d", th.id, n, iters)
+		}
+		if got.Frees != th.frees&^mask || got.FromActive != th.fromActive&^mask || got.MagazineHits != th.magHits&^mask {
+			t.Errorf("thread %d in use: Stats has frees/active/hits %d/%d/%d, want the owner's %d/%d/%d rounded down to %d",
+				th.id, got.Frees, got.FromActive, got.MagazineHits, th.frees, th.fromActive, th.magHits, pubBatch)
+		}
+	}
+
+	close(release)
+	wg.Wait()
+	s := a.Stats().Ops
 	const total = workers * iters
-	if s.Ops.Mallocs+s.Ops.LargeMallocs != total {
-		t.Errorf("mallocs = %d, want %d", s.Ops.Mallocs+s.Ops.LargeMallocs, total)
+	if s.Mallocs != total || s.Frees != total {
+		t.Errorf("after Unregister: %d mallocs, %d frees, want %d each", s.Mallocs, s.Frees, total)
 	}
-	if s.Ops.Frees+s.Ops.LargeFrees != total {
-		t.Errorf("frees = %d, want %d", s.Ops.Frees+s.Ops.LargeFrees, total)
+	if got := s.MagazineHits + s.FromActive + s.FromPartial + s.FromNewSB; got != s.Mallocs {
+		t.Errorf("malloc sources sum to %d, want Mallocs=%d", got, s.Mallocs)
 	}
-	if got := s.Ops.FromActive + s.Ops.FromPartial + s.Ops.FromNewSB; got != s.Ops.Mallocs {
-		t.Errorf("malloc sources sum to %d, want Mallocs=%d", got, s.Ops.Mallocs)
+	if (s.MagazineHits != 0) != (a.cfg.MagazineSize != 0) {
+		t.Errorf("MagazineHits = %d with MagazineSize %d", s.MagazineHits, a.cfg.MagazineSize)
+	}
+	if err := a.CheckInvariants(0); err != nil {
+		t.Fatal(err)
 	}
 }
 

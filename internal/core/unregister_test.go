@@ -59,8 +59,9 @@ func TestFreeAfterUnregister(t *testing.T) {
 	if err := a.CheckInvariants(0); err != nil {
 		t.Fatalf("invariants after post-Unregister malloc/free: %v", err)
 	}
-	s := a.Stats()
-	if s.Ops.Mallocs != s.Ops.Frees {
-		t.Fatalf("malloc/free imbalance after Unregister: %d vs %d", s.Ops.Mallocs, s.Ops.Frees)
+	// An unregistered handle publishes every event it counts, so the
+	// stragglers are in Stats without another publish step.
+	if s := a.Stats(); s.Ops.Mallocs != 2 || s.Ops.Frees != 2 {
+		t.Fatalf("after Unregister: %d mallocs, %d frees in Stats, want 2 and 2", s.Ops.Mallocs, s.Ops.Frees)
 	}
 }

@@ -24,8 +24,8 @@
 //   - When the free buffer reaches Batch the worker enqueues it as one
 //     request and starts a fresh buffer.
 //   - Allocation cores dequeue requests and execute them with their
-//     own core.Thread handles, calling SetCharge so OpStats land on
-//     the submitting worker (see core.Thread.SetCharge).
+//     own core.Thread handles, whose OpStats the work lands on; a
+//     worker's own handle counts only its synchronous fallbacks.
 //
 // Degradation, never deadlock: every wait in the worker is bounded.
 // If the queue is over its depth bound, the engine is stopping, or a
@@ -384,9 +384,8 @@ func quietUnregister(th *core.Thread) {
 	th.Unregister()
 }
 
-// execute runs one request on th, charging OpStats to the submitting
-// worker. Returns killed=true if a hook panic aborted the operation;
-// the request has then already been adopted.
+// execute runs one request on th. Returns killed=true if a hook panic
+// aborted the operation; the request has then already been adopted.
 func (e *Engine) execute(th *core.Thread, req *request) (killed bool) {
 	defer func() {
 		if r := recover(); r != nil {
@@ -394,7 +393,6 @@ func (e *Engine) execute(th *core.Thread, req *request) (killed bool) {
 			e.adopt(req)
 		}
 	}()
-	th.SetCharge(req.w.th)
 	switch req.kind {
 	case reqFree:
 		for req.next < len(req.ptrs) {
@@ -404,7 +402,6 @@ func (e *Engine) execute(th *core.Thread, req *request) (killed bool) {
 			req.next++
 			th.Free(p)
 		}
-		th.SetCharge(nil)
 		e.freeBatches.Add(1)
 		e.freedBlocks.Add(uint64(len(req.ptrs)))
 		req.finish()
@@ -419,7 +416,6 @@ func (e *Engine) execute(th *core.Thread, req *request) (killed bool) {
 			}
 			req.ptrs = append(req.ptrs, p)
 		}
-		th.SetCharge(nil)
 		e.refillBatches.Add(1)
 		e.refillBlocks.Add(uint64(len(req.ptrs)))
 		req.finish()
@@ -637,8 +633,7 @@ func (w *Worker) fallbackMalloc(size uint64) (mem.Ptr, error) {
 
 // Unregister resolves the outstanding refill, returns the stash and
 // buffered frees to the allocator (balancing Mallocs == Frees at
-// quiescence — refill blocks were charged to this worker), and
-// releases the worker's handles. The last worker out quiesces the
+// quiescence), and releases the worker's handles. The last worker out quiesces the
 // engine's core fleet.
 func (w *Worker) Unregister() {
 	if w.closed {
@@ -649,8 +644,11 @@ func (w *Worker) Unregister() {
 		// Guaranteed to resolve: a live core completes it, a killed
 		// core's undertaker finishes it, the quiesce drain executes it,
 		// or — if the fleet is already gone — we drain it ourselves.
+		// Gone includes stopped: a Stop that ran to completion between
+		// this worker's ready() check and its Enqueue left the request
+		// queued with running false, and nobody else will ever take it.
 		for req.state.Load() == reqPending {
-			if w.eng.deadStopping() {
+			if !w.eng.running.Load() || w.eng.deadStopping() {
 				if !w.eng.drainOne(w.th, w.h) {
 					runtime.Gosched()
 				}

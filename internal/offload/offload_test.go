@@ -71,6 +71,14 @@ func TestWorkerBasic(t *testing.T) {
 	if st.RefillBlocks == 0 || st.FreedBlocks == 0 {
 		t.Errorf("refilled %d / batch-freed %d blocks, want both > 0", st.RefillBlocks, st.FreedBlocks)
 	}
+	// The cores count the batches they execute on their own handles and
+	// the worker's handle counts its synchronous fallbacks, so the
+	// engine's totals and the allocator's are the same blocks, once each.
+	agg, own := e.Allocator().Stats().Ops, w.Thread().OpStats()
+	if agg.Mallocs != st.RefillBlocks+own.Mallocs || agg.Frees != st.FreedBlocks+own.Frees {
+		t.Errorf("allocator counts %d mallocs / %d frees; engine refilled %d + worker ran %d, engine freed %d + worker ran %d",
+			agg.Mallocs, agg.Frees, st.RefillBlocks, own.Mallocs, st.FreedBlocks, own.Frees)
+	}
 	checkQuiesced(t, e)
 }
 
@@ -562,36 +570,4 @@ func TestCoreMassacre(t *testing.T) {
 		seed: 7,
 	})
 	t.Logf("kills=%d adopted=%d fallbacks=%d", st.CoreKills, st.AdoptedBlocks, st.Fallbacks)
-}
-
-// TestChargeAttributionThroughEngine verifies end to end that refill
-// and batched-free work executed by allocation cores lands on the
-// submitting worker's OpStats, not on the cores'.
-func TestChargeAttributionThroughEngine(t *testing.T) {
-	e := newEngine(t, 2, 8)
-	w := e.Worker()
-	const n = 600
-	ptrs := make([]mem.Ptr, 0, n)
-	for i := 0; i < n; i++ {
-		p, err := w.Malloc(64)
-		if err != nil {
-			t.Fatal(err)
-		}
-		ptrs = append(ptrs, p)
-	}
-	for _, p := range ptrs {
-		w.Free(p)
-	}
-	stats := w.Thread().OpStats()
-	w.Unregister()
-
-	if stats.Mallocs == 0 || stats.Frees == 0 {
-		t.Errorf("worker charged %d mallocs / %d frees; proxy work not attributed to submitter",
-			stats.Mallocs, stats.Frees)
-	}
-	agg := e.Allocator().Stats().Ops
-	if agg.Mallocs != agg.Frees {
-		t.Errorf("aggregate mallocs %d != frees %d", agg.Mallocs, agg.Frees)
-	}
-	checkQuiesced(t, e)
 }
