@@ -10,15 +10,15 @@ import (
 
 // boundarySizes are the request sizes (bytes) where allocators switch
 // representation: zero, one word, the largest small class
-// (sizeclass.MaxPayloadBytes = 2048), the first large size, and the
+// (sizeclass.MaxPayloadBytes, half a superblock), the first large size, and the
 // chunk-based baselines' direct-OS threshold (4096 words = 32768 bytes,
 // where `words >= threshold` flips at 32760/32768).
 var boundarySizes = []uint64{
 	0, 1, 7, 8, 9,
-	sizeclass.MaxPayloadBytes - 8, // 2040: last word below the top class
-	sizeclass.MaxPayloadBytes - 1, // 2047: rounds up into the top class
-	sizeclass.MaxPayloadBytes,     // 2048: the largest small payload
-	sizeclass.MaxPayloadBytes + 1, // 2049: the smallest large payload
+	sizeclass.MaxPayloadBytes - 8, // one word short of the top class's payload
+	sizeclass.MaxPayloadBytes - 1, // rounds up to exactly the top class
+	sizeclass.MaxPayloadBytes,     // the largest small payload
+	sizeclass.MaxPayloadBytes + 1, // the smallest large payload
 	sizeclass.MaxPayloadBytes + 8,
 	32752, 32760, 32768, 32776, // around the chunk heaps' OS threshold
 }
@@ -101,9 +101,9 @@ func TestBoundaryConformance(t *testing.T) {
 }
 
 // TestBoundaryClassAgreement pins the small/large split of the
-// lock-free allocator's prefix encoding at the exact threshold: 2048
-// bytes is served from a superblock (even prefix), 2049 from the region
-// layer (odd prefix).
+// lock-free allocator's prefix encoding at the exact threshold:
+// MaxPayloadBytes is served from a superblock (even prefix), one byte
+// more from the region layer (odd prefix).
 func TestBoundaryClassAgreement(t *testing.T) {
 	a := alloc.NewLockFree(alloc.Options{Processors: 1})
 	th := a.NewThread()

@@ -394,7 +394,7 @@ func TestShadowDoubleFreeThroughMagazine(t *testing.T) {
 func TestShadowSuperblockRetireNoFalsePositive(t *testing.T) {
 	a, c := newShadowed(t, "lockfree", alloc.Options{Processors: 1})
 	th := a.NewThread()
-	const n = 600 // several superblocks of the 2048-byte class
+	const n = 600 // several superblocks of 2048-byte blocks (7 each)
 	ptrs := make([]mem.Ptr, n)
 	for i := range ptrs {
 		p, err := th.Malloc(2048)

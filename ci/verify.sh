@@ -30,7 +30,8 @@ stage_race() {
 	go test -race ./alloc ./cmd/allocmon ./cmd/heapinfo ./cmd/mlfstress \
 		./internal/baseline/... ./internal/buddy ./internal/census ./internal/churn \
 		./internal/core ./internal/lfqueue ./internal/mem ./internal/offload \
-		./internal/pool/... ./internal/sched ./internal/shadow ./internal/telemetry
+		./internal/partial ./internal/pool/... ./internal/sched ./internal/shadow \
+		./internal/telemetry
 	go test -race -tags memdebug ./internal/mem ./internal/pool
 }
 
@@ -49,10 +50,30 @@ stage_smoke() {
 	# The ledger's in-run checks (a canary on every block, CheckInvariants
 	# and Mallocs == Frees after every round; a failure exits 1) over the
 	# block layout and publish-at-Unregister, with magazines off (larson)
-	# and on (kvcache).
+	# and on (kvcache). The last line of output is the report.
 	for workload in larson kvcache; do
-		go run ./benchmark -workload "$workload" -seconds 2 -rounds 2 -trace 0 >/dev/null
+		go run ./benchmark -workload "$workload" -seconds 2 -rounds 2 -trace 0 >"$bin/$workload.out"
+		report=$(tail -n 1 "$bin/$workload.out")
+		echo "$report"
+		case $report in
+		*'"failed":0,'*) ;;
+		*)
+			echo "verify: $workload: the report does not say \"failed\":0" >&2
+			exit 1
+			;;
+		esac
 	done
+	# kvcache's values are log-uniform from 16 B to 8 KiB, so its
+	# space_blowup is the class table's price: 1.158 with the classes by
+	# block count up to half a superblock, 1.333 while 2-8 KiB requests
+	# were page-rounded regions. It repeats to 0.1 %, two-second run or
+	# full one, so the ceiling trips on a change of table or of the
+	# small/large boundary, not on noise.
+	echo "$report" | sed -n 's/.*"space_blowup":{"value":\([0-9.eE+-]*\).*/\1/p' |
+		awk '{ seen = 1; if ($1 > 1.20) bad = 1 } END { exit !seen || bad }' || {
+		echo "verify: kvcache space_blowup is missing or above 1.20" >&2
+		exit 1
+	}
 
 	# Every registered experiment, so a new one is smoked without a new step.
 	for id in $("$bin/benchmal" -list | cut -d' ' -f1); do

@@ -26,8 +26,9 @@ type Mix struct {
 	// SizeShifts sets the small request sizes, 8<<rand(SizeShifts) bytes.
 	SizeShifts int
 	// LargeOneIn turns one malloc in LargeOneIn into a request of
-	// 4096+rand(LargeSpan) bytes, enough to leave the small size
-	// classes (and, for the buddy, to span several orders). 0 = never.
+	// 4096+rand(LargeSpan) bytes: the classes of two and three blocks a
+	// superblock and, past half a superblock, large blocks (for the
+	// buddy, several orders). 0 = never.
 	LargeOneIn, LargeSpan int
 }
 

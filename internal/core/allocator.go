@@ -284,20 +284,23 @@ func New(cfg Config) *Allocator {
 		a.descs.SetTelemetry(stripes)
 		h.SetTelemetry(stripes)
 	}
-	// A partial list links descriptors of live superblocks, each at most
-	// once, so it is sized for the superblocks the address space has room
-	// for rather than for the whole descriptor table. (EMPTY descriptors
-	// awaiting removal can add to that; listRemoveEmptyDesc keeps them
-	// under half the list, and a Put beyond the bound is dropped and
-	// counted exactly as at pool exhaustion.)
+	// The partial lists link descriptors of live superblocks, each at
+	// most once and in one class's list at a time, so all of them draw
+	// their nodes from one pool, sized for the superblocks the address
+	// space has room for rather than for the whole descriptor table, plus
+	// a FIFO's dummy node per list. (EMPTY descriptors awaiting removal
+	// can add to that; listRemoveEmptyDesc keeps them under half of each
+	// list, and a Put beyond the bound is dropped and counted exactly as
+	// at pool exhaustion.)
+	nodes := partial.NewNodes(maxSuperblocks + uint64(len(a.classes)))
 	for i := range a.classes {
 		sc := &a.classes[i]
 		sc.class = sizeclass.ByIndex(i)
 		sc.heaps = make([]ProcHeap, cfg.Processors)
 		if cfg.PartialLIFO {
-			sc.partial = partial.NewLIFOCap(maxSuperblocks)
+			sc.partial = nodes.NewLIFO()
 		} else {
-			sc.partial = partial.NewFIFOCap(maxSuperblocks)
+			sc.partial = nodes.NewFIFO()
 		}
 		if stripes != nil {
 			sc.partial.Instrument(stripes)

@@ -17,7 +17,8 @@ func TestUsableWords(t *testing.T) {
 		{8, 1},    // class 8 B -> 1 payload word
 		{9, 2},    // rounds to 16 B class
 		{100, 14}, // 112 B class
-		{2048, 256},
+		{sizeclass.MaxPayloadBytes, sizeclass.MaxPayloadBytes / mem.WordBytes}, // the top class, exactly
+		{sizeclass.MaxPayloadBytes - 8, sizeclass.MaxPayloadBytes / mem.WordBytes},
 	}
 	for _, c := range cases {
 		p, err := th.Malloc(c.req)

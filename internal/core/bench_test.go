@@ -91,7 +91,7 @@ func BenchmarkMallocFreeParallel(b *testing.B) {
 }
 
 // BenchmarkDescChurnParallel stresses the descriptor pool: each
-// iteration allocates a batch of largest-class blocks spanning many
+// iteration allocates a batch of seven-a-superblock blocks spanning many
 // superblocks, then frees them all, so every batch retires its
 // superblocks' descriptors and the next batch reallocates them. The
 // stripes=1 variant is the paper's single DescAvail list; the striped

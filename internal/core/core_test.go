@@ -321,9 +321,9 @@ func stress(t *testing.T, cfg Config, goroutines, iters int) {
 					live = live[:len(live)-1]
 					continue
 				}
-				sz := uint64(8 << rng.Intn(9)) // 8..2048: all small classes
+				sz := uint64(8 << rng.Intn(9)) // 8..2048
 				if rng.Intn(50) == 0 {
-					sz = 4096 + uint64(rng.Intn(8192)) // occasional large
+					sz = 4096 + uint64(rng.Intn(8192)) // occasionally two or three a superblock, or large
 				}
 				p, err := th.Malloc(sz)
 				if err != nil {
@@ -690,16 +690,19 @@ func TestThreadsMapToDistinctHeaps(t *testing.T) {
 // lists with a 512 KiB node-pool chunk table each — which made every
 // test and every explored schedule that builds a fresh allocator pay
 // 7.5 ms for tables it never touched; what remains there is the 2 MiB
-// descriptor table, which that heap's 2^23 superblocks need, and 64 KiB
-// a list. The 2^26-word heap sched.Explore builds per schedule paid the
-// same 2 MiB table (2.24 MB in all) until the table followed the heap.
+// descriptor table, which that heap's 2^23 superblocks need, and one
+// 72 KiB node pool for all the lists (64 KiB each, 1.8 MB, while every
+// list had its own). The 2^26-word heap sched.Explore builds per
+// schedule paid the same 2 MiB table (2.24 MB in all) until the table
+// followed the heap, then 4 KiB a list. The limits leave room for a
+// few more size classes, not for a table or a pool per class.
 func TestNewFootprint(t *testing.T) {
 	for _, c := range []struct {
 		heap  mem.Config
 		limit uint64
 	}{
-		{mem.Config{}, 4 << 20},
-		{mem.Config{TotalWordsLog2: 26}, 192 << 10},
+		{mem.Config{}, 2560 << 10},                 // 2 254 424 B with 37 classes
+		{mem.Config{TotalWordsLog2: 26}, 64 << 10}, // 32 088 B
 	} {
 		best := uint64(1 << 62)
 		for i := 0; i < 3; i++ { // the least of three: other tests' goroutines allocate too

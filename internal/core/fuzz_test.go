@@ -4,7 +4,37 @@ import (
 	"testing"
 
 	"repro/internal/mem"
+	"repro/internal/sizeclass"
 )
+
+// fuzzSize maps an op byte's low seven bits to a request size, quadratic
+// so that it is dense among the small classes and still reaches every
+// class by its block count; from fuzzLargeFrom up (a tenth of the range)
+// it is past sizeclass.MaxPayloadBytes, so the large path stays fuzzed
+// wherever the table draws the boundary.
+func fuzzSize(b byte) uint64 {
+	const fuzzLargeFrom = 114
+	k := uint64(b & 0x7f)
+	return k*k*sizeclass.MaxPayloadBytes/(fuzzLargeFrom*fuzzLargeFrom) + 1
+}
+
+// TestFuzzSizeSpansTheBoundary keeps the fuzzers on both sides of the
+// small/large boundary, whatever the class table says it is.
+func TestFuzzSizeSpansTheBoundary(t *testing.T) {
+	classes := map[int]bool{}
+	large := 0
+	for b := 0; b < 128; b++ {
+		if cls, ok := sizeclass.IndexFor(fuzzSize(byte(b))); ok {
+			classes[cls] = true
+		} else {
+			large++
+		}
+	}
+	if !classes[sizeclass.NumClasses()-1] || len(classes) < sizeclass.NumClasses()*3/4 || large < 8 {
+		t.Errorf("fuzzSize reaches %d of %d classes (top class: %v) and %d large sizes",
+			len(classes), sizeclass.NumClasses(), classes[sizeclass.NumClasses()-1], large)
+	}
+}
 
 // FuzzMallocFreeSequence interprets the fuzz input as a single-thread
 // operation sequence — each byte either allocates (size derived from
@@ -47,7 +77,7 @@ func FuzzMallocFreeSequence(f *testing.F) {
 				continue
 			}
 			// Allocate: size spans all classes plus occasional large.
-			size := uint64(b&0x7f)*24 + 1 // 1..3049 bytes
+			size := fuzzSize(b)
 			p, err := th.Malloc(size)
 			if err != nil {
 				t.Fatalf("op %d: malloc(%d): %v", i, size, err)
@@ -61,7 +91,7 @@ func FuzzMallocFreeSequence(f *testing.F) {
 		}
 		n := int64(0)
 		for _, h := range live {
-			if h.words <= 256 { // small blocks only in descriptor stats
+			if !sizeclass.IsLarge(h.words * mem.WordBytes) { // small blocks only in descriptor stats
 				n++
 			}
 		}
@@ -170,7 +200,7 @@ func FuzzMagazine(f *testing.F) {
 				live = live[:len(live)-1]
 				continue
 			}
-			size := uint64(b&0x7f)*24 + 1 // 1..3049 bytes
+			size := fuzzSize(b)
 			p, err := th.Malloc(size)
 			if err != nil {
 				t.Fatalf("op %d: malloc(%d): %v", i, size, err)
@@ -184,7 +214,7 @@ func FuzzMagazine(f *testing.F) {
 		}
 		n := int64(0)
 		for _, h := range live {
-			if h.words <= 256 { // small blocks only in descriptor stats
+			if !sizeclass.IsLarge(h.words * mem.WordBytes) { // small blocks only in descriptor stats
 				n++
 			}
 		}

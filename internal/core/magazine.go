@@ -297,7 +297,16 @@ func (t *Thread) spliceGroup(descIdx uint64, group []mem.Ptr) {
 		if t.rec != nil {
 			t.rec.Note(telemetry.EvSBRetire, desc.ClassIndex(), uint64(sb))
 		}
-		t.removeEmptyDesc(heapID, descIdx)
+		if oldAnchor.State == atomicx.StateFull {
+			// The group was the whole superblock — a transition the
+			// paper's one-block free cannot make. A FULL superblock is
+			// in no Partial slot and no list, where RemoveEmptyDesc
+			// would look for it and where nobody will put it now: this
+			// thread holds the last reference to the descriptor.
+			a.descs.Retire(t.stripe(), descIdx)
+		} else {
+			t.removeEmptyDesc(heapID, descIdx)
+		}
 	} else if oldAnchor.State == atomicx.StateFull {
 		t.heapPutPartial(descIdx)
 	}

@@ -122,33 +122,46 @@ func TestMagazineUnregisterFlush(t *testing.T) {
 
 // TestMagazineFlushEmptiesSuperblock: freeing everything through the
 // magazine must still retire emptied superblocks (the batched EMPTY
-// transition of spliceGroup) once the magazines are flushed.
+// transition of spliceGroup) once the magazines are flushed — and their
+// descriptors with them, also when a flush group is a whole FULL
+// superblock, which no Partial slot or list holds: 15 blocks of 16
+// flushed at once, or both blocks of the top class.
 func TestMagazineFlushEmptiesSuperblock(t *testing.T) {
-	a := newTestAllocator(t, magConfig(32))
-	th := a.Thread()
-	// Enough blocks of one class to fill several superblocks.
-	cls, ok := sizeclass.IndexFor(1024)
-	if !ok {
-		t.Fatal("no class for 1024 bytes")
-	}
-	size := sizeclass.All()[cls].PayloadBytes
-	var ptrs []mem.Ptr
-	for i := 0; i < 200; i++ {
-		p, err := th.Malloc(size)
-		if err != nil {
+	for _, size := range []uint64{1024, sizeclass.MaxPayloadBytes} {
+		cfg := magConfig(32)
+		cfg.Processors = 1
+		a := newTestAllocator(t, cfg)
+		th := a.Thread()
+		// Enough blocks of one class to fill several superblocks.
+		var ptrs []mem.Ptr
+		for i := 0; i < 200; i++ {
+			p, err := th.Malloc(size)
+			if err != nil {
+				t.Fatal(err)
+			}
+			ptrs = append(ptrs, p)
+		}
+		for _, p := range ptrs {
+			th.Free(p)
+		}
+		th.FlushMagazines()
+		st := a.Stats()
+		if st.Ops.EmptySBFreed == 0 {
+			t.Errorf("%d B: no superblock retired after flushing all blocks", size)
+		}
+		// What is not back on the freelist is the heap's Active and
+		// Partial superblocks and EMPTY descriptors a list still links.
+		lingering := 0
+		for _, n := range a.PartialListLens() {
+			lingering += n
+		}
+		if live := st.DescsAllocated - st.DescsOnFreelist; live > 2+uint64(lingering) {
+			t.Errorf("%d B: %d descriptors neither retired nor reachable (%d superblocks emptied, %d in partial lists)",
+				size, live, st.Ops.EmptySBFreed, lingering)
+		}
+		if err := a.CheckInvariants(0); err != nil {
 			t.Fatal(err)
 		}
-		ptrs = append(ptrs, p)
-	}
-	for _, p := range ptrs {
-		th.Free(p)
-	}
-	th.FlushMagazines()
-	if got := a.Stats().Ops.EmptySBFreed; got == 0 {
-		t.Error("no superblock retired after flushing all blocks")
-	}
-	if err := a.CheckInvariants(0); err != nil {
-		t.Fatal(err)
 	}
 }
 

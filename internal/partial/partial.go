@@ -55,21 +55,36 @@ func (n *node) PoolNext() *atomic.Uint64 { return &n.next }
 
 type nodePool = pool.Pool[node, *node]
 
-// newPool builds a node pool with room for maxNodes nodes. A list pays
-// for two things up front — one chunk of nodes (16 bytes each, linked
-// one by one; a FIFO's dummy node forces it) and the pool's flat chunk
-// table (8 bytes a chunk) — and their sum is least when a chunk holds
-// about sqrt(maxNodes/2) nodes: 2^11 or 2^12 at 2^23 and 2^24 nodes,
-// 64 and 96 KiB a list, where a fixed small chunk would need a table of
+// Nodes is a node pool that any number of lists draw from: a list
+// created by its NewFIFO or NewLIFO holds nodes only while they carry
+// values (plus a FIFO's one dummy), so lists whose values are bounded
+// together — a descriptor sits in at most one size class's partial list
+// at a time — share one bound and pay for one pool. Recycling a node
+// from one list into another is as safe as into the same one: the tag
+// that guards a link word belongs to the node, the tags on head and tail
+// to the list.
+type Nodes struct{ pool *nodePool }
+
+// NewNodes builds a node pool with room for maxNodes nodes (at least
+// 64); beyond it the lists' Put returns pool.ErrExhausted. A caller that
+// knows how many values can exist at once — the core knows how many
+// superblocks its heap has room for — passes that instead of paying for
+// DefaultNodes worth of chunk table.
+//
+// A pool pays for two things up front — one chunk of nodes (16 bytes
+// each, linked one by one; a FIFO's dummy node forces it) and the flat
+// chunk table (8 bytes a chunk) — and their sum is least when a chunk
+// holds about sqrt(maxNodes/2) nodes: 2^11 or 2^12 at 2^23 and 2^24
+// nodes, 64 and 96 KiB, where a fixed small chunk would need a table of
 // half a megabyte. The first chunk of indices holds the reserved NULL
 // index and is never materialized, so the usable capacity is one chunk
 // less.
-func newPool(maxNodes uint64) *nodePool {
+func NewNodes(maxNodes uint64) *Nodes {
 	chunkLog2 := max(uint(bits.Len64(maxNodes)-1)/2, 6)
-	return pool.New[node, *node](pool.Config{
+	return &Nodes{pool.New[node, *node](pool.Config{
 		ChunkLog2: chunkLog2,
 		MaxChunks: max((maxNodes+1<<chunkLog2-1)>>chunkLog2, 2),
-	})
+	})}
 }
 
 // backend adapts the node pool to pool.Backend for the generic FIFO.
@@ -98,19 +113,17 @@ func (q *FIFO) Instrument(st *telemetry.Stripes) {
 	q.q.Instrument(st, telemetry.SitePartialListPut, telemetry.SitePartialListGet)
 }
 
-// NewFIFO creates an empty FIFO list of DefaultNodes capacity. Multiple
-// FIFO lists may share a process; each owns a private node pool.
-func NewFIFO() *FIFO { return NewFIFOCap(DefaultNodes) }
+// NewFIFO creates an empty FIFO list with a private node pool of
+// DefaultNodes capacity.
+func NewFIFO() *FIFO { return NewNodes(DefaultNodes).NewFIFO() }
 
-// NewFIFOCap creates an empty FIFO list whose node pool is bounded by
-// maxNodes (at least 64; see newPool): Put returns pool.ErrExhausted
-// beyond it. A caller that knows how many values can exist at once —
-// the core knows how many superblocks its heap has room for — passes
-// that instead of paying for DefaultNodes worth of chunk table.
-func NewFIFOCap(maxNodes uint64) *FIFO {
-	q := &FIFO{pool: newPool(maxNodes)}
+// NewFIFO creates an empty FIFO list over the shared pool, taking its
+// dummy node from it. It panics if the pool cannot supply one, which a
+// pool sized for its lists' dummies cannot come to.
+func (n *Nodes) NewFIFO() *FIFO {
+	q := &FIFO{pool: n.pool}
 	if err := q.q.Init(backend{q.pool}); err != nil {
-		panic(err) // a fresh pool cannot be exhausted
+		panic(err)
 	}
 	return q
 }
@@ -142,13 +155,12 @@ type LIFO struct {
 // Instrument implements List.
 func (s *LIFO) Instrument(st *telemetry.Stripes) { s.tele.Store(st) }
 
-// NewLIFO creates an empty LIFO list of DefaultNodes capacity.
-func NewLIFO() *LIFO { return NewLIFOCap(DefaultNodes) }
+// NewLIFO creates an empty LIFO list with a private node pool of
+// DefaultNodes capacity.
+func NewLIFO() *LIFO { return NewNodes(DefaultNodes).NewLIFO() }
 
-// NewLIFOCap creates an empty LIFO list bounded like NewFIFOCap.
-func NewLIFOCap(maxNodes uint64) *LIFO {
-	return &LIFO{pool: newPool(maxNodes)}
-}
+// NewLIFO creates an empty LIFO list over the shared pool.
+func (n *Nodes) NewLIFO() *LIFO { return &LIFO{pool: n.pool} }
 
 // Put pushes v.
 func (s *LIFO) Put(v uint64) error {

@@ -276,7 +276,7 @@ func TestFIFOPerProducerOrder(t *testing.T) {
 // Put with the pool's typed error instead of growing; what it holds
 // still comes out intact, and room freed by Get is reusable.
 func TestCapBoundsTheNodePool(t *testing.T) {
-	for name, l := range map[string]List{"fifo": NewFIFOCap(1000), "lifo": NewLIFOCap(1000)} {
+	for name, l := range map[string]List{"fifo": NewNodes(1000).NewFIFO(), "lifo": NewNodes(1000).NewLIFO()} {
 		var n uint64
 		var err error
 		for err == nil && n < 5000 {
@@ -305,6 +305,80 @@ func TestCapBoundsTheNodePool(t *testing.T) {
 	}
 }
 
+// TestListsShareNodes: lists over one Nodes keep their values apart while
+// their nodes migrate from list to list, and the bound is on their sum —
+// what lets the core give all its size classes one pool.
+func TestListsShareNodes(t *testing.T) {
+	nodes := NewNodes(256)
+	ls := []List{nodes.NewFIFO(), nodes.NewLIFO(), nodes.NewFIFO(), nodes.NewLIFO()}
+	const workers, rounds = 4, 20000
+	got := make([]map[uint64]bool, workers) // per worker: values it took out
+	var put [workers]uint64
+	var wg sync.WaitGroup
+	for w := 0; w < workers; w++ {
+		got[w] = map[uint64]bool{}
+		wg.Add(1)
+		go func(w int) {
+			defer wg.Done()
+			for i := 0; i < rounds; i++ {
+				in, out := uint64(i+w)%uint64(len(ls)), uint64(i)%uint64(len(ls))
+				// A value names the list it went into, the worker and a sequence.
+				if err := ls[in].Put(in<<48 | uint64(w)<<32 | uint64(i+1)); err == nil {
+					put[w]++
+				} else if !errors.Is(err, pool.ErrExhausted) {
+					t.Errorf("Put: %v", err)
+					return
+				}
+				if v, ok := ls[out].Get(); ok {
+					if v>>48 != out || got[w][v] {
+						t.Errorf("list %d returned %#x (seen before: %v)", out, v, got[w][v])
+						return
+					}
+					got[w][v] = true
+				}
+			}
+		}(w)
+	}
+	wg.Wait()
+	all := map[uint64]bool{}
+	for _, m := range got {
+		for v := range m {
+			if all[v] {
+				t.Fatalf("value %#x delivered to two workers", v)
+			}
+			all[v] = true
+		}
+	}
+	for k, l := range ls {
+		for v, ok := l.Get(); ok; v, ok = l.Get() {
+			if v>>48 != uint64(k) || all[v] {
+				t.Fatalf("draining list %d returned %#x (seen before: %v)", k, v, all[v])
+			}
+			all[v] = true
+		}
+	}
+	if want := put[0] + put[1] + put[2] + put[3]; uint64(len(all)) != want {
+		t.Fatalf("%d values came out, %d went in", len(all), want)
+	}
+
+	// One bound for all: what list 0 holds, list 1 cannot.
+	n := uint64(0)
+	for ; ls[0].Put(n+1) == nil; n++ {
+	}
+	if n < 192-2 || n > 256 { // whole 64-node chunks less the reserved one and two dummies
+		t.Errorf("one list of a 256-node pool held %d values", n)
+	}
+	if err := ls[1].Put(1); !errors.Is(err, pool.ErrExhausted) {
+		t.Fatalf("Put into a second list of a full pool = %v, want pool.ErrExhausted", err)
+	}
+	if _, ok := ls[0].Get(); !ok {
+		t.Fatal("Get from the full list failed")
+	}
+	if err := ls[1].Put(1); err != nil {
+		t.Fatalf("Put into a second list after the first gave a node back: %v", err)
+	}
+}
+
 // TestUpFrontFootprint pins what an empty list allocates: the node-pool
 // chunk table used to be 512 KiB a list whatever the capacity.
 func TestUpFrontFootprint(t *testing.T) {
@@ -314,10 +388,10 @@ func TestUpFrontFootprint(t *testing.T) {
 	}{{DefaultNodes, 100 << 10}, {1 << 23, 68 << 10}, {1 << 15, 6 << 10}, {64, 2 << 10}} {
 		var before, after runtime.MemStats
 		runtime.ReadMemStats(&before)
-		NewFIFOCap(tc.maxNodes)
+		NewNodes(tc.maxNodes).NewFIFO()
 		runtime.ReadMemStats(&after)
 		if got := after.TotalAlloc - before.TotalAlloc; got > tc.limit {
-			t.Errorf("NewFIFOCap(%d) allocates %d bytes, limit %d", tc.maxNodes, got, tc.limit)
+			t.Errorf("NewNodes(%d).NewFIFO() allocates %d bytes, limit %d", tc.maxNodes, got, tc.limit)
 		}
 	}
 }

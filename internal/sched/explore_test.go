@@ -8,6 +8,7 @@ import (
 	"repro/alloc"
 	"repro/internal/core"
 	"repro/internal/mem"
+	"repro/internal/sizeclass"
 )
 
 func exploreAlloc() Target {
@@ -147,40 +148,50 @@ func TestExploreRemoteFree(t *testing.T) {
 	t.Logf("explored %d interleavings", res.Schedules)
 }
 
-// TestExploreSuperblockDrain: two threads race to fill a tiny-class
+// TestExploreSuperblockDrain: two threads race to fill a few-block
 // superblock past FULL and back; every interleaving of the
 // FULL/PARTIAL/EMPTY transitions must stay consistent.
 func TestExploreSuperblockDrain(t *testing.T) {
 	t.Parallel() // single-threaded by construction: the director runs one thread at a time
-	script := func(th alloc.Thread) {
-		// 2048-byte class: 7 blocks per superblock; 4+4 allocations
-		// from two threads force a FULL transition and a second
-		// superblock in some interleavings.
-		var ps []mem.Ptr
-		for i := 0; i < 4; i++ {
-			p, err := th.Malloc(2048)
-			if err != nil {
-				panic(err)
+	for _, c := range []struct {
+		size   uint64
+		blocks int
+	}{
+		// 7 per superblock; 4+4 allocations from two threads force a
+		// FULL transition and a second superblock in some interleavings.
+		{2048, 4},
+		// 2 per superblock: no malloc finds a credit to leave behind, so
+		// each one carves a superblock, takes a last credit or goes to
+		// a PARTIAL one, and every second free empties a superblock.
+		{sizeclass.MaxPayloadBytes, 2},
+	} {
+		script := func(th alloc.Thread) {
+			var ps []mem.Ptr
+			for i := 0; i < c.blocks; i++ {
+				p, err := th.Malloc(c.size)
+				if err != nil {
+					panic(err)
+				}
+				ps = append(ps, p)
 			}
-			ps = append(ps, p)
+			for _, p := range ps {
+				th.Free(p)
+			}
 		}
-		for _, p := range ps {
-			th.Free(p)
+		res, err := Explore(ExploreConfig{
+			NewTarget:    exploreAlloc,
+			Scripts:      []Script{script, script},
+			Check:        quiescent(0),
+			MaxSchedules: 800, // the full space is large; a bounded prefix
+		})
+		if err != nil {
+			t.Fatalf("%d x %d B: %v", c.blocks, c.size, err)
 		}
+		if !res.Truncated && res.Schedules < 100 {
+			t.Errorf("%d x %d B: suspiciously small space: %d schedules", c.blocks, c.size, res.Schedules)
+		}
+		t.Logf("%d x %d B: explored %d interleavings (truncated=%v)", c.blocks, c.size, res.Schedules, res.Truncated)
 	}
-	res, err := Explore(ExploreConfig{
-		NewTarget:    exploreAlloc,
-		Scripts:      []Script{script, script},
-		Check:        quiescent(0),
-		MaxSchedules: 800, // the full space is large; a bounded prefix
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !res.Truncated && res.Schedules < 100 {
-		t.Errorf("suspiciously small space: %d schedules", res.Schedules)
-	}
-	t.Logf("explored %d interleavings (truncated=%v)", res.Schedules, res.Truncated)
 }
 
 // TestExploreNoCreditsVariant: with MaxCredits=1 every malloc takes

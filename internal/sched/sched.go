@@ -73,6 +73,11 @@ type Plan struct {
 	// Point, if >= 0, pins every kill to one hook point (an index into
 	// Target.HookPoints); -1 draws a random point per victim.
 	Point int
+	// LargeOneIn, if > 0, turns one malloc in LargeOneIn, of victims and
+	// survivors alike, into a request of 4096+rand(LargeSpan) bytes
+	// (churn.Mix's fields of the same names); without it no request
+	// exceeds 1 KiB.
+	LargeOneIn, LargeSpan int
 	// Census runs the target's census walker concurrently with the
 	// victims and survivors: the walk must tolerate kills at every hook
 	// point — a thread dead mid-operation leaves structures the walker
@@ -168,6 +173,10 @@ func Run(plan Plan, t Target) (Result, error) {
 		}()
 	}
 
+	victimMix, survivorMix := churn.Victim, churn.Survivor
+	victimMix.LargeOneIn, victimMix.LargeSpan = plan.LargeOneIn, plan.LargeSpan
+	survivorMix.LargeOneIn, survivorMix.LargeSpan = plan.LargeOneIn, plan.LargeSpan
+
 	var threads sync.WaitGroup
 	drivers := make([]*churn.Driver, 0, plan.Victims+plan.Survivors)
 	for v := 0; v < plan.Victims; v++ {
@@ -189,7 +198,7 @@ func Run(plan Plan, t Target) (Result, error) {
 			}
 			panic(killSignal{p})
 		})
-		d := churn.New(th, int64(v)+100, churn.Victim)
+		d := churn.New(th, int64(v)+100, victimMix)
 		drivers = append(drivers, d)
 		threads.Add(1)
 		go func() {
@@ -215,7 +224,7 @@ func Run(plan Plan, t Target) (Result, error) {
 	survivorErrs := make(chan error, plan.Survivors)
 	var survivorOps atomic.Uint64
 	for s := 0; s < plan.Survivors; s++ {
-		d := churn.New(t.NewThread(nil), int64(s)+1000, churn.Survivor)
+		d := churn.New(t.NewThread(nil), int64(s)+1000, survivorMix)
 		drivers = append(drivers, d)
 		threads.Add(1)
 		go func() {

@@ -14,6 +14,7 @@ import (
 	"repro/internal/core"
 	"repro/internal/mem"
 	"repro/internal/pool"
+	"repro/internal/sizeclass"
 )
 
 // TestKillAtEveryPoint kills one victim at each instrumented point in
@@ -61,6 +62,21 @@ func TestKillAtEveryPointDescStripes(t *testing.T) {
 				func(p int64) int64 { return p + 1000*stripes },
 				core.Config{DescStripes: int(stripes), DescAlgo: algo})
 		}
+	}
+}
+
+// TestKillAtEveryPointFewBlockClasses repeats the per-point kill sweep
+// with one malloc in 16 between 4096 and sizeclass.MaxPayloadBytes
+// (8184 B): the classes of three and two blocks a superblock, where a
+// fresh superblock installs Active with one credit or none, every other
+// malloc takes a last credit, and a victim dies holding half a
+// superblock — without magazines and with a magazine a refill cannot
+// half fill.
+func TestKillAtEveryPointFewBlockClasses(t *testing.T) {
+	for _, mag := range []int{0, 8} {
+		sweepLockFreePlan(t, fmt.Sprintf("magazine=%d/", mag),
+			Plan{OpsPerSurvivor: 10000, LargeOneIn: 16, LargeSpan: sizeclass.MaxPayloadBytes - 4096 + 1},
+			func(p int64) int64 { return p + 10000 }, core.Config{MagazineSize: mag})
 	}
 }
 

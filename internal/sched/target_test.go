@@ -73,16 +73,19 @@ func kills(res Result) int {
 // paper's kill-tolerance claim, point by point. Subtests are named
 // prefix + the point's name.
 func sweepLockFree(t *testing.T, prefix string, ops int, seed func(p int64) int64, cfg core.Config) {
+	sweepLockFreePlan(t, prefix, Plan{OpsPerSurvivor: ops}, seed, cfg)
+}
+
+// sweepLockFreePlan is sweepLockFree with the traffic of base: its
+// survivor quota and its large requests.
+func sweepLockFreePlan(t *testing.T, prefix string, base Plan, seed func(p int64) int64, cfg core.Config) {
+	ops := base.OpsPerSurvivor
 	for p := core.HookPoint(0); p < core.NumHookPoints; p++ {
 		t.Run(prefix+p.String(), func(t *testing.T) {
-			res, err := Run(Plan{
-				Victims:        2,
-				Survivors:      2,
-				OpsPerSurvivor: ops,
-				OpsBeforeKill:  50,
-				Seed:           seed(int64(p)),
-				Point:          int(p),
-			}, lockFree(cfg, false))
+			plan := base
+			plan.Victims, plan.Survivors, plan.OpsBeforeKill = 2, 2, 50
+			plan.Seed, plan.Point = seed(int64(p)), int(p)
+			res, err := Run(plan, lockFree(cfg, false))
 			if err != nil {
 				t.Fatalf("survivors blocked: %v", err)
 			}
