@@ -13,7 +13,7 @@ import (
 func testOptions() Options {
 	return Options{
 		Processors: 4,
-		HeapConfig: mem.Config{SegmentWordsLog2: 18, TotalWordsLog2: 28},
+		HeapConfig: mem.Config{TotalWordsLog2: 28},
 	}
 }
 

@@ -11,6 +11,11 @@ stage_build() {
 }
 
 stage_lint() {
+	unformatted=$(gofmt -l .)
+	if [ -n "$unformatted" ]; then
+		echo "verify: gofmt -l prints:" $unformatted >&2
+		exit 1
+	fi
 	go vet ./...
 	# CI installs a pinned staticcheck before this stage; a machine
 	# without it still gets vet and the inlining guard.

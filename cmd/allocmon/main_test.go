@@ -30,7 +30,7 @@ func newBackendMonitor(t *testing.T, name string, ops int) (*monitor, alloc.Thre
 	rec := core.NewRecorder(telemetry.Config{SampleRate: 1})
 	a, err := alloc.New(name, alloc.Options{
 		Processors: 2,
-		HeapConfig: mem.Config{SegmentWordsLog2: 18, TotalWordsLog2: 28},
+		HeapConfig: mem.Config{TotalWordsLog2: 28},
 		LockFree:   core.Config{MagazineSize: 8, Telemetry: rec},
 	})
 	if err != nil {
@@ -367,7 +367,7 @@ func skeleton(out string) []string {
 
 const osLayerSkeleton = `heap: # words live (max-live # KiB), # region allocs / # frees, external fragmentation #
 Region arenas (#):
-arena reserved live skipped allocs frees reused steals free regions free words occupancy ext frag
+arena reserved materialized live skipped allocs frees reused steals free regions free words occupancy ext frag
 (words; allocs/reused/steals are request-side, the rest partition-side)
 `
 

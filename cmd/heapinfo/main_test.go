@@ -115,7 +115,7 @@ func skeleton(out string) []string {
 const (
 	osLayerSkeleton = `heap: # words live (max-live # KiB), # region allocs / # frees, external fragmentation #
 Region arenas (#):
-arena reserved live skipped allocs frees reused steals free regions free words occupancy ext frag
+arena reserved materialized live skipped allocs frees reused steals free regions free words occupancy ext frag
 (words; allocs/reused/steals are request-side, the rest partition-side)
 `
 	lockFreeSkeleton = `allocator: mallocs=# frees=#; # large mallocs, # empty-partial skips
@@ -164,7 +164,7 @@ var parentLines = map[string]map[string]string{
 		"desc pool: freelist backend, # stripes, free per stripe [# #]":                         "",
 		"heap: # words live, # region allocs / # frees; # large mallocs, # empty-partial skips": "heap: # words live (max-live # KiB), # region allocs / # frees, external fragmentation #",
 		"Region arenas (#):": "",
-		"arena reserved live skipped allocs frees reused steals":                        "arena reserved live skipped allocs frees reused steals free regions free words occupancy ext frag",
+		"arena reserved live skipped allocs frees reused steals":                        "arena reserved materialized live skipped allocs frees reused steals free regions free words occupancy ext frag",
 		"(words; allocs/reused/steals are request-side, the rest partition-side)":       "",
 		"Region-bin occupancy (free regions awaiting reuse):":                           "",
 		"arena region words regions":                                                    "",
@@ -172,7 +172,7 @@ var parentLines = map[string]map[string]string{
 		"class A F P E used free resv mag partial int frag":                             "",
 		"totals: # superblocks, blocks used=# free=# resv=# mag=#, carve waste # words": "",
 		"Arena census (bump occupancy and external fragmentation):":                     "Region arenas (#):",
-		"arena reserved free regions free words occupancy ext frag":                     "arena reserved live skipped allocs frees reused steals free regions free words occupancy ext frag",
+		"arena reserved free regions free words occupancy ext frag":                     "arena reserved materialized live skipped allocs frees reused steals free regions free words occupancy ext frag",
 		"Live-block ages (# samples at rate #/#): p#=# p#=# oldest=#":                   "",
 		"sampled internal fragmentation: # (external #)":                                "sampled internal fragmentation: #",
 		"Top call sites by live sampled bytes:":                                         "",

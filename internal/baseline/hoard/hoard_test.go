@@ -12,7 +12,7 @@ import (
 func newTest() *Allocator {
 	return New(Config{
 		Processors: 2,
-		HeapConfig: mem.Config{SegmentWordsLog2: 18, TotalWordsLog2: 28},
+		HeapConfig: mem.Config{TotalWordsLog2: 28},
 	})
 }
 

@@ -11,7 +11,7 @@ import (
 func newTest(arenas int) *Allocator {
 	return New(Config{
 		Arenas:     arenas,
-		HeapConfig: mem.Config{SegmentWordsLog2: 18, TotalWordsLog2: 28},
+		HeapConfig: mem.Config{TotalWordsLog2: 28},
 	})
 }
 

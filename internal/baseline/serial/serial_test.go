@@ -8,7 +8,7 @@ import (
 )
 
 func newTest() *Allocator {
-	return New(Config{HeapConfig: mem.Config{SegmentWordsLog2: 18, TotalWordsLog2: 28}})
+	return New(Config{HeapConfig: mem.Config{TotalWordsLog2: 28}})
 }
 
 func TestRoundTrip(t *testing.T) {

@@ -15,7 +15,7 @@ func testConfig(sampleRate int) core.Config {
 	cfg := core.Config{
 		Processors:   4,
 		MagazineSize: 16,
-		HeapConfig:   mem.Config{SegmentWordsLog2: 18, TotalWordsLog2: 28},
+		HeapConfig:   mem.Config{TotalWordsLog2: 28},
 	}
 	if sampleRate > 0 {
 		cfg.Telemetry = core.NewRecorder(telemetry.Config{SampleRate: sampleRate})

@@ -82,11 +82,11 @@ func (o *OSLayer) WriteText(w io.Writer) {
 		o.LiveWords, o.MaxLiveWords*mem.WordBytes/1024, o.RegionAllocs, o.RegionFrees, 100*o.ExternalFragRatio)
 	fmt.Fprintf(w, "\nRegion arenas (%d):\n", len(o.Arenas))
 	tw := table(w, tabwriter.AlignRight,
-		"arena\treserved\tlive\tskipped\tallocs\tfrees\treused\tsteals\tfree regions\tfree words\toccupancy\text frag\t")
+		"arena\treserved\tmaterialized\tlive\tskipped\tallocs\tfrees\treused\tsteals\tfree regions\tfree words\toccupancy\text frag\t")
 	nbins := 0
 	for _, ac := range o.Arenas {
-		fmt.Fprintf(tw, "%d\t%d\t%d\t%d\t%d\t%d\t%d\t%d\t%d\t%d\t%.1f%%\t%.1f%%\t\n",
-			ac.Arena, ac.ReservedWords, ac.LiveWords, ac.SkippedWords,
+		fmt.Fprintf(tw, "%d\t%d\t%d\t%d\t%d\t%d\t%d\t%d\t%d\t%d\t%d\t%.1f%%\t%.1f%%\t\n",
+			ac.Arena, ac.ReservedWords, ac.MaterializedWords, ac.LiveWords, ac.SkippedWords,
 			ac.RegionAllocs, ac.RegionFrees, ac.ReusedRegions, ac.Steals,
 			ac.FreeRegions, ac.FreeWords, 100*ac.BumpOccupancy, 100*ac.ExternalFragRatio)
 		nbins += len(ac.Bins)
@@ -115,6 +115,7 @@ func (o *OSLayer) writeMetrics(p *promWriter) {
 		ar := strconv.Itoa(ac.Arena)
 		p.sample("census_arena_words", float64(ac.PartitionWords), "arena", ar, "kind", "partition")
 		p.sample("census_arena_words", float64(ac.ReservedWords), "arena", ar, "kind", "reserved")
+		p.sample("census_arena_words", float64(ac.MaterializedWords), "arena", ar, "kind", "materialized")
 		p.sample("census_arena_words", float64(ac.LiveWords), "arena", ar, "kind", "live")
 		p.sample("census_arena_words", float64(ac.FreeWords), "arena", ar, "kind", "free")
 		p.sample("census_arena_free_regions", float64(ac.FreeRegions), "arena", ar)

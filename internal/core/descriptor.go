@@ -90,7 +90,9 @@ func (d *Descriptor) HeapID() uint64 { return d.heapID.Load() }
 const (
 	// descChunkLog2 is the log2 of descriptors per table chunk; a chunk
 	// is also the unit of descriptor-superblock allocation (the paper's
-	// DESCSBSIZE).
+	// DESCSBSIZE). A larger chunk shrinks the table New clears but is
+	// carved and walked whole by allocators that use a handful of
+	// descriptors; TestNewFootprint records the trial of 9.
 	descChunkLog2 = 6
 	descChunk     = 1 << descChunkLog2
 

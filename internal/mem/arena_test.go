@@ -57,7 +57,7 @@ func TestArenaPartitioning(t *testing.T) {
 			t.Errorf("arena %d allocation landed in arena %d's partition (%v)", i, got, p)
 		}
 		// Free from a *different* arena's handle: must still route home.
-		h.Arena((i + 1) % h.Arenas()).FreeRegion(p, w)
+		h.Arena((i+1)%h.Arenas()).FreeRegion(p, w)
 		st := h.Stats().Arenas[i]
 		if st.RegionFrees != 1 {
 			t.Errorf("arena %d RegionFrees = %d, want 1 (remote free must route home)", i, st.RegionFrees)

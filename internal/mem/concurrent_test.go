@@ -1,8 +1,10 @@
 package mem
 
 import (
+	"runtime"
 	"sync"
 	"testing"
+	"unsafe"
 )
 
 // TestConcurrentSegmentMaterialization hammers the lazy segment
@@ -34,6 +36,77 @@ func TestConcurrentSegmentMaterialization(t *testing.T) {
 		}(uint64(g))
 	}
 	wg.Wait()
+}
+
+// TestMaterializeRace releases 8 goroutines from one barrier onto a
+// fresh heap, each bumping one quarter-granule region, so that every
+// granule they reach is reached by several of them at once. Whoever
+// loses the race for a table entry has allocated one granule for
+// nothing and no more: each goroutine materializes at most once, so the
+// Go memory allocated stays within (granules touched + 8) granules.
+// Every entry is published once: the backing address a goroutine saw
+// for its region is the one the heap still translates to at the end.
+func TestMaterializeRace(t *testing.T) {
+	const goroutines = 8
+	for round := 0; round < 16; round++ {
+		h := NewHeap(Config{TotalWordsLog2: 28}) // 256 KiB granules
+		gran := h.granMask + 1
+		words := gran / 4
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		var wg sync.WaitGroup
+		start := make(chan struct{})
+		regions := make([]Ptr, goroutines)
+		backing := make([]*uint64, goroutines)
+		for g := 0; g < goroutines; g++ {
+			wg.Add(1)
+			go func(g int) {
+				defer wg.Done()
+				<-start
+				p, w, err := h.AllocRegion(words)
+				if err != nil || w != words {
+					t.Errorf("AllocRegion(%d) = %v, %d, %v", words, p, w, err)
+					return
+				}
+				regions[g] = p
+				for i := uint64(0); i < w; i++ {
+					h.Store(p.Add(i), uint64(g)<<32|i)
+				}
+				s := h.Words(p, w)
+				backing[g] = unsafe.SliceData(s)
+				for i := uint64(0); i < w; i++ {
+					if want := uint64(g)<<32 | i; h.Load(p.Add(i)) != want || s[i] != want {
+						t.Errorf("goroutine %d word %d: Load %#x, Words %#x, want %#x", g, i, h.Load(p.Add(i)), s[i], want)
+						return
+					}
+				}
+			}(g)
+		}
+		close(start)
+		wg.Wait()
+		runtime.ReadMemStats(&after)
+		if t.Failed() {
+			return
+		}
+
+		touched := uint64(0)
+		for g := range h.bases {
+			if h.bases[g] != nil {
+				touched++
+			}
+		}
+		for g, p := range regions {
+			if got := unsafe.SliceData(h.Words(p, words)); got != backing[g] {
+				t.Errorf("region %v moved from %p to %p: its table entry was published twice", p, backing[g], got)
+			}
+		}
+		if got := h.Stats().MaterializedWords; got != touched*gran {
+			t.Errorf("MaterializedWords = %d with %d granules mapped, want %d", got, touched, touched*gran)
+		}
+		if grew, limit := after.TotalAlloc-before.TotalAlloc, (touched+goroutines)*gran*WordBytes; grew > limit {
+			t.Errorf("%d goroutines reaching %d granules allocated %d bytes, limit %d", goroutines, touched, grew, limit)
+		}
+	}
 }
 
 // TestConcurrentAlignedAlloc races aligned and unaligned allocations;

@@ -7,9 +7,10 @@
 // simulates one:
 //
 //   - The address space is word-addressed. A Ptr is a 64-bit word index
-//     into a growable set of fixed-size segments, each backed by a
-//     []uint64. Ptr 0 is the nil pointer (the first page of segment 0 is
-//     never handed out).
+//     into a table of fixed-size granules (2 MiB on the default heap),
+//     each backed by a []uint64 only once a region reaches it: like
+//     address space under mmap, a heap costs what it touches. Ptr 0 is
+//     the nil pointer (the first page of granule 0 is never handed out).
 //
 //   - All allocator-metadata accesses to heap words (block prefixes,
 //     free-list links) go through atomic Load/Store, mirroring how the C
@@ -28,6 +29,17 @@
 //     the arena that owns the address; an arena that runs dry steals
 //     lock-free from its siblings before reporting ErrOutOfMemory, so
 //     total capacity is that of the whole heap regardless of sharding.
+//
+// Two units divide the address space. The segment
+// (Config.SegmentWordsLog2) is the unit arenas interleave by and the
+// largest region. The granule, a power-of-two fraction of a segment that
+// NewHeap derives from the heap's size, is the unit of address
+// translation and of backing: a region no larger than a granule lies
+// inside one granule, whose backing slice the first region to reach it
+// allocates; a larger region is whole granules of its own, backed by one
+// slice of exactly its length. Either way a region's words are
+// contiguous in one backing slice (Words), and nothing is allocated or
+// cleared for address space no region has reached.
 //
 // Cache behaviour is real: words of one superblock are contiguous in the
 // backing array, so blocks carved from the same superblock share cache
@@ -71,6 +83,14 @@ const PageWords = 512
 const (
 	defaultSegmentWordsLog2 = 21 // 2 Mi words = 16 MiB per segment
 	defaultTotalWordsLog2   = 34 // 16 Gi words = 128 GiB of address space
+
+	// A granule is 2^(TotalWordsLog2 - maxTableLog2) words, so the
+	// translation table has at most 2^16 entries (512 KiB, which NewHeap
+	// allocates and clears), but never below 2^minGranuleLog2 words = 64
+	// pages: every region above exactBins pages is then a power of two
+	// pages and so whole granules. The default heap gets 2 MiB granules.
+	maxTableLog2   = 16
+	minGranuleLog2 = 15
 )
 
 // exactBins is the number of small region bins, one per page count
@@ -87,8 +107,10 @@ var ErrOutOfMemory = errors.New("mem: simulated address space exhausted")
 
 // Config parameterizes a Heap.
 type Config struct {
-	// SegmentWordsLog2 is the log2 of words per segment. Segments are
-	// materialized lazily. 0 selects the default (2^21 words, 16 MiB).
+	// SegmentWordsLog2 is the log2 of words per segment, the unit arenas
+	// partition the address space by and the largest region. It costs
+	// nothing until used: backing is materialized a granule at a time
+	// (see NewHeap). 0 selects the default (2^21 words, 16 MiB).
 	SegmentWordsLog2 uint
 	// TotalWordsLog2 is the log2 of the total addressable words.
 	// 0 selects the default (2^34 words).
@@ -105,17 +127,20 @@ type Config struct {
 // region allocator. All methods are safe for concurrent use; the region
 // allocator is lock-free.
 type Heap struct {
-	// bases is the flat address-translation table: bases[s] is the
-	// address of word 0 of segment s, or nil until the segment is
-	// materialized. With segLog and segMask it is everything word reads,
-	// so a heap word is one table load away from its Ptr. These fields
-	// are written only by NewHeap (and bases' entries once each, nil →
-	// base) and come first so they share the struct's first cache line
-	// with no counter.
-	bases   []unsafe.Pointer
-	segLog  uint
-	segMask uint64
+	// bases is the flat address-translation table: bases[g] is the
+	// address of word 0 of granule g, or nil until the granule is
+	// materialized. With granLog and granMask it is everything word
+	// reads, so a heap word is one table load away from its Ptr. These
+	// fields are written only by NewHeap (and bases' entries once each,
+	// nil → base, by materialize) and come first so they share the
+	// struct's first cache line with no counter: Heap fills the 128-byte
+	// size class exactly (asserted below), which the Go allocator starts
+	// on a line boundary, so the counters keep to the second line.
+	bases    []unsafe.Pointer
+	granLog  uint
+	granMask uint64 // granule words - 1
 
+	segLog    uint
 	segWords  uint64
 	maxWords  uint64
 	numArenas uint64
@@ -148,6 +173,11 @@ type Heap struct {
 	regionHook atomic.Pointer[func(p Ptr, words uint64)]
 }
 
+const (
+	_ = 128 - unsafe.Sizeof(Heap{}) // either overflowing is a negative constant: no compile
+	_ = unsafe.Sizeof(Heap{}) - 128
+)
+
 // arenaShard is one shard of the region allocator. Padded so that two
 // arenas' hot bump pointers and bin heads never share a cache line.
 type arenaShard struct {
@@ -174,13 +204,14 @@ type arenaShard struct {
 }
 
 type arenaCounters struct {
-	reservedWords atomic.Uint64 // address space consumed by this arena's bump
-	liveWords     atomic.Uint64 // live words in regions this arena owns
-	regionAllocs  atomic.Uint64 // allocations requested via this arena
-	regionFrees   atomic.Uint64 // frees routed home to this arena
-	reusedRegions atomic.Uint64 // requests satisfied from a bin (own or stolen)
-	steals        atomic.Uint64 // requests satisfied by a sibling arena
-	skippedWords  atomic.Uint64 // words wasted skipping to an owned segment
+	reservedWords     atomic.Uint64 // address space consumed by this arena's bump
+	liveWords         atomic.Uint64 // live words in regions this arena owns
+	regionAllocs      atomic.Uint64 // allocations requested via this arena
+	regionFrees       atomic.Uint64 // frees routed home to this arena
+	reusedRegions     atomic.Uint64 // requests satisfied from a bin (own or stolen)
+	steals            atomic.Uint64 // requests satisfied by a sibling arena
+	skippedWords      atomic.Uint64 // words wasted skipping to an owned segment or a granule boundary
+	materializedWords atomic.Uint64 // backing allocated for this arena's granules
 }
 
 // stealTestHook, when non-nil, is called before each sibling-arena
@@ -218,32 +249,36 @@ func (h *Heap) noteRecycled(p Ptr, words uint64) {
 // ArenaStats is a point-in-time snapshot of one arena's counters.
 // Request-side counters (RegionAllocs, ReusedRegions, Steals) are
 // charged to the arena the request went through; partition-side
-// counters (ReservedWords, LiveWords, RegionFrees, SkippedWords) are
-// charged to the arena that owns the affected address, so each arena's
-// LiveWords drains back to zero no matter which thread frees.
+// counters (ReservedWords, MaterializedWords, LiveWords, RegionFrees,
+// SkippedWords) are charged to the arena that owns the affected address,
+// so each arena's LiveWords drains back to zero no matter which thread
+// frees. MaterializedWords is the backing actually allocated for the
+// reserved address space: whole granules, so it can exceed ReservedWords.
 type ArenaStats struct {
-	ReservedWords uint64
-	LiveWords     uint64
-	RegionAllocs  uint64
-	RegionFrees   uint64
-	ReusedRegions uint64
-	Steals        uint64
-	SkippedWords  uint64
+	ReservedWords     uint64
+	MaterializedWords uint64
+	LiveWords         uint64
+	RegionAllocs      uint64
+	RegionFrees       uint64
+	ReusedRegions     uint64
+	Steals            uint64
+	SkippedWords      uint64
 }
 
 // Stats is a point-in-time snapshot of heap counters. The scalar
 // fields are sums over all arenas (LiveWords and MaxLiveWords come
 // from a single global counter so the high-water mark is exact).
 type Stats struct {
-	ReservedWords uint64 // address space consumed by the bump pointers
-	LiveWords     uint64 // words currently allocated to regions
-	MaxLiveWords  uint64 // high-water mark of LiveWords
-	RegionAllocs  uint64
-	RegionFrees   uint64
-	ReusedRegions uint64
-	Steals        uint64 // allocations served by a non-local arena
-	SkippedWords  uint64
-	Arenas        []ArenaStats // per-arena breakdown, indexed by arena
+	ReservedWords     uint64 // address space consumed by the bump pointers
+	MaterializedWords uint64 // backing allocated for it, in whole granules
+	LiveWords         uint64 // words currently allocated to regions
+	MaxLiveWords      uint64 // high-water mark of LiveWords
+	RegionAllocs      uint64
+	RegionFrees       uint64
+	ReusedRegions     uint64
+	Steals            uint64 // allocations served by a non-local arena
+	SkippedWords      uint64
+	Arenas            []ArenaStats // per-arena breakdown, indexed by arena
 }
 
 // NewHeap creates a heap with the given configuration.
@@ -263,14 +298,16 @@ func NewHeap(cfg Config) *Heap {
 		// Region freelist heads pack pointers into 40 bits.
 		totalLog = atomicx.TaggedIdxBits
 	}
+	granLog := uint(min(max(int(totalLog)-maxTableLog2, minGranuleLog2), int(segLog)))
 	h := &Heap{
+		granLog:  granLog,
+		granMask: 1<<granLog - 1,
 		segLog:   segLog,
 		segWords: 1 << segLog,
-		segMask:  1<<segLog - 1,
 		maxWords: 1 << totalLog,
 	}
 	numSegs := h.maxWords >> segLog
-	h.bases = make([]unsafe.Pointer, numSegs)
+	h.bases = make([]unsafe.Pointer, h.maxWords>>granLog)
 	arenas := uint64(1)
 	if cfg.Arenas > 1 {
 		arenas = uint64(cfg.Arenas)
@@ -291,9 +328,9 @@ func NewHeap(cfg Config) *Heap {
 	return h
 }
 
-// SegmentWords returns the number of words per segment; regions never
-// straddle a segment boundary, so any region's words are contiguous in
-// one backing slice.
+// SegmentWords returns the number of words per segment. Regions never
+// straddle a segment boundary; that any region's words are contiguous in
+// one backing slice is the granule rules' doing (see bumpArena).
 func (h *Heap) SegmentWords() uint64 { return h.segWords }
 
 // MaxRegionWords returns the largest region the OS layer can serve.
@@ -320,7 +357,7 @@ func (h *Heap) arenaOf(p Ptr) uint64 {
 }
 
 // unmappedError is the panic value of an access to an address whose
-// segment was never materialized. A typed value rather than a formatted
+// granule was never materialized. A typed value rather than a formatted
 // string so that raising it costs the accessors no call and they stay
 // within the inliner's budget; the message is built only if the panic is
 // printed.
@@ -331,17 +368,17 @@ func (e unmappedError) Error() string {
 }
 
 // word translates p to the address of its backing word: one
-// bounds-checked load from the segment table plus a masked offset. An
+// bounds-checked load from the granule table plus a masked offset. An
 // address beyond the heap's total words fails the table's bounds check;
-// one in a segment not yet materialized panics with unmappedError.
+// one in a granule not yet materialized panics with unmappedError.
 // (Masking the shift count tells the compiler it is below 64, which
 // NewHeap guarantees, and saves the shift's overflow guard.)
 func (h *Heap) word(p Ptr) *uint64 {
-	base := atomic.LoadPointer(&h.bases[uint64(p)>>(h.segLog&63)])
+	base := atomic.LoadPointer(&h.bases[uint64(p)>>(h.granLog&63)])
 	if base == nil {
 		panic(unmappedError(p))
 	}
-	return (*uint64)(unsafe.Add(base, (uint64(p)&h.segMask)*WordBytes))
+	return (*uint64)(unsafe.Add(base, (uint64(p)&h.granMask)*WordBytes))
 }
 
 // Load atomically reads the word at p.
@@ -364,31 +401,49 @@ func (h *Heap) Get(p Ptr) uint64 { return *h.word(p) }
 func (h *Heap) Set(p Ptr, v uint64) { *h.word(p) = v }
 
 // Words returns a slice aliasing the n words starting at p. The range
-// must lie within one region (regions never straddle segments).
+// must lie within one region: past the end of p's granule only the
+// backing slice of a larger region continues, so every further granule
+// the range enters must translate to where the first one's words run on.
 func (h *Heap) Words(p Ptr, n uint64) []uint64 {
-	if n > h.segWords-uint64(p)&h.segMask {
-		panic(fmt.Sprintf("mem: Words(%v, %d) straddles a segment boundary", p, n))
+	w, gran := h.word(p), h.granMask+1
+	ok := n <= h.segWords-uint64(p)&(h.segWords-1)
+	for off := gran - uint64(p)&h.granMask; ok && off < n; off += gran {
+		ok = unsafe.Pointer(h.word(p.Add(off))) == unsafe.Add(unsafe.Pointer(w), off*WordBytes)
 	}
-	return unsafe.Slice(h.word(p), n)
+	if !ok {
+		panic(fmt.Sprintf("mem: Words(%v, %d) straddles a segment boundary or two backing slices", p, n))
+	}
+	return unsafe.Slice(w, n)
 }
 
-// Mapped reports whether p lies in a materialized segment (and is thus
+// Mapped reports whether p lies in a materialized granule (and is thus
 // safe to access). The nil pointer is not mapped.
 func (h *Heap) Mapped(p Ptr) bool {
 	if uint64(p) >= h.maxWords {
 		return false
 	}
-	return atomic.LoadPointer(&h.bases[uint64(p)>>h.segLog]) != nil
+	return atomic.LoadPointer(&h.bases[uint64(p)>>h.granLog]) != nil
 }
 
-func (h *Heap) ensureSegments(start, end uint64) {
-	for i := start >> h.segLog; i <= (end-1)>>h.segLog; i++ {
-		if atomic.LoadPointer(&h.bases[i]) != nil {
-			continue
+// materialize backs the region [start, start+words) that a just bumped
+// out of its partition. A region within one granule shares the granule's
+// slice with its neighbours: whoever finds the entry nil allocates one
+// and publishes it by CAS, and a racing loser drops its slice, so the
+// entry is checked right before the make and nowhere earlier. A larger
+// region is whole granules no other region can reach (bumpArena), so its
+// entries are its own to store: interior addresses of one slice of
+// exactly its length, contiguous for Words.
+func (h *Heap) materialize(a *arenaShard, start, words uint64) {
+	g, gran := start>>h.granLog, h.granMask+1
+	if words > gran {
+		s := make([]uint64, words)
+		for off := uint64(0); off < words; off += gran {
+			atomic.StorePointer(&h.bases[g+off>>h.granLog], unsafe.Pointer(&s[off]))
 		}
-		s := make([]uint64, h.segWords)
-		// A racing materializer may win; the loser's slice is dropped.
-		atomic.CompareAndSwapPointer(&h.bases[i], nil, unsafe.Pointer(unsafe.SliceData(s)))
+		a.stats.materializedWords.Add(words)
+	} else if atomic.LoadPointer(&h.bases[g]) == nil &&
+		atomic.CompareAndSwapPointer(&h.bases[g], nil, unsafe.Pointer(unsafe.SliceData(make([]uint64, gran)))) {
+		a.stats.materializedWords.Add(gran)
 	}
 }
 
@@ -632,13 +687,19 @@ func (h *Heap) pushRegion(ai uint64, p Ptr, words uint64) {
 // space, at the given alignment (1 for none). The bump pointer walks
 // only segments the arena owns (segment index ≡ ai mod numArenas),
 // jumping numArenas segments ahead when a request would straddle the
-// current segment's end. Returns false when the arena's partition is
-// exhausted.
+// current segment's end. Within a segment it keeps the two rules
+// materialize relies on: a region larger than a granule starts on a
+// granule boundary (being a power of two pages, it ends on one too), and
+// a smaller one that would straddle a boundary starts on the next one.
+// Returns false when the arena's partition is exhausted.
 func (h *Heap) bumpArena(ai, words, align uint64) (Ptr, bool) {
 	a := &h.arenas[ai]
 	for {
 		cur := a.next.Load()
 		start := (cur + align - 1) &^ (align - 1)
+		if words > h.granMask+1 || (start+words-1)>>h.granLog != start>>h.granLog {
+			start = (start + h.granMask) &^ h.granMask // satisfies align: both are powers of two
+		}
 		seg := start >> h.segLog
 		if seg%h.numArenas != ai {
 			// Filling a segment exactly (or aligning past its end)
@@ -660,7 +721,7 @@ func (h *Heap) bumpArena(ai, words, align uint64) (Ptr, bool) {
 				a.stats.skippedWords.Add(start - cur)
 			}
 			a.stats.reservedWords.Add(end - cur)
-			h.ensureSegments(start, end)
+			h.materialize(a, start, words)
 			return Ptr(start), true
 		}
 		if st := h.tele.Load(); st != nil {
@@ -679,16 +740,18 @@ func (h *Heap) Stats() Stats {
 	for i := range h.arenas {
 		c := &h.arenas[i].stats
 		as := ArenaStats{
-			ReservedWords: c.reservedWords.Load(),
-			LiveWords:     c.liveWords.Load(),
-			RegionAllocs:  c.regionAllocs.Load(),
-			RegionFrees:   c.regionFrees.Load(),
-			ReusedRegions: c.reusedRegions.Load(),
-			Steals:        c.steals.Load(),
-			SkippedWords:  c.skippedWords.Load(),
+			ReservedWords:     c.reservedWords.Load(),
+			MaterializedWords: c.materializedWords.Load(),
+			LiveWords:         c.liveWords.Load(),
+			RegionAllocs:      c.regionAllocs.Load(),
+			RegionFrees:       c.regionFrees.Load(),
+			ReusedRegions:     c.reusedRegions.Load(),
+			Steals:            c.steals.Load(),
+			SkippedWords:      c.skippedWords.Load(),
 		}
 		s.Arenas[i] = as
 		s.ReservedWords += as.ReservedWords
+		s.MaterializedWords += as.MaterializedWords
 		s.RegionAllocs += as.RegionAllocs
 		s.RegionFrees += as.RegionFrees
 		s.ReusedRegions += as.ReusedRegions

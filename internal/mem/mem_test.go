@@ -1,6 +1,7 @@
 package mem
 
 import (
+	"errors"
 	"fmt"
 	"strings"
 	"sync"
@@ -423,5 +424,118 @@ func TestTranslationAcrossSegments(t *testing.T) {
 			t.Errorf("CAS(%v) failed on the value just read", p)
 		}
 		h.Set(p, want)
+	}
+}
+
+// TestLargeRegionIsOneSlice: a region larger than a granule is backed by
+// one slice of its own, so Words spans it although its addresses
+// translate through several table entries; it recycles like any other
+// region, and the address space after it is served as before.
+func TestLargeRegionIsOneSlice(t *testing.T) {
+	for _, c := range []struct {
+		heap  Config
+		bytes []uint64
+	}{
+		{Config{}, []uint64{4 << 20, 16<<20 - WordBytes}},                   // 2 MiB granules; the second is MaxRegionWords
+		{Config{TotalWordsLog2: 28}, []uint64{300 << 10, 1 << 20, 4 << 20}}, // 256 KiB granules
+	} {
+		h := NewHeap(c.heap)
+		for _, size := range c.bytes {
+			p, err := h.LargeAlloc(size, SizePrefix)
+			if err != nil {
+				t.Fatalf("%+v: LargeAlloc(%d): %v", c.heap, size, err)
+			}
+			base, n := p-1, SizePrefixWords(h.Load(p-1))
+			if n <= h.granMask || uint64(base)&h.granMask != 0 {
+				t.Fatalf("%+v: LargeAlloc(%d) = %v+%d: not whole granules of %d words", c.heap, size, base, n, h.granMask+1)
+			}
+			w := h.Words(base, n)
+			if uint64(len(w)) != n {
+				t.Fatalf("Words(%v, %d) has %d words", base, n, len(w))
+			}
+			for _, i := range []uint64{0, n / 2, n - 1} {
+				w[i] = i + 7
+				if got := h.Load(base.Add(i)); got != i+7 {
+					t.Errorf("%+v: Words(%v, %d)[%d] does not alias Load: %d", c.heap, base, n, i, got)
+				}
+			}
+			h.LargeFree(p, n)
+			if q, err := h.LargeAlloc(size, SizePrefix); err != nil || q != p {
+				t.Errorf("%+v: LargeAlloc(%d) after free = %v, %v; want %v again", c.heap, size, q, err, p)
+			}
+			// The bump pointer stands at the large region's end, a granule
+			// boundary: the next small region opens that granule.
+			small, sw, err := h.AllocRegion(PageWords)
+			if err != nil || !h.Mapped(small) || !h.Mapped(small.Add(sw-1)) {
+				t.Fatalf("%+v: small region after a large one: %v, %v, mapped %v", c.heap, small, err, h.Mapped(small))
+			}
+			h.Store(small.Add(sw-1), 1)
+		}
+		if _, err := h.LargeAlloc(h.MaxRegionWords()*WordBytes, SizePrefix); !errors.Is(err, ErrOutOfMemory) {
+			t.Errorf("%+v: a region of MaxRegionWords()+1 words: %v, want ErrOutOfMemory", c.heap, err)
+		}
+		if _, _, err := h.AllocRegion(h.MaxRegionWords() + 1); !errors.Is(err, ErrOutOfMemory) {
+			t.Errorf("%+v: AllocRegion(MaxRegionWords()+1): %v, want ErrOutOfMemory", c.heap, err)
+		}
+	}
+}
+
+// TestSmallRegionStaysInOneGranule: a region no larger than a granule
+// that would straddle a granule boundary starts on the next one, the gap
+// is counted as skipped, and only granules a region has reached are
+// mapped — those from their first word to their last.
+func TestSmallRegionStaysInOneGranule(t *testing.T) {
+	h := NewHeap(Config{TotalWordsLog2: 28})
+	gran := h.granMask + 1 // 64 pages
+	words := gran / 4 * 3
+	first, _, err := h.AllocRegion(words) // one page in: [1, 49) pages
+	if err != nil || first != PageWords {
+		t.Fatalf("first region at %v, %v", first, err)
+	}
+	skipped := h.Stats().SkippedWords
+	second, _, err := h.AllocRegion(words)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if second != Ptr(gran) {
+		t.Errorf("second region at %v, want the granule boundary %v", second, Ptr(gran))
+	}
+	if got, gap := h.Stats().SkippedWords-skipped, gran-uint64(first)-words; got != gap {
+		t.Errorf("SkippedWords grew by %d, want the gap of %d", got, gap)
+	}
+	if s := h.Words(second, words); uint64(len(s)) != words {
+		t.Errorf("Words over the second region has %d words", len(s))
+	}
+	for _, p := range []Ptr{1, first, Ptr(gran - 1), Ptr(gran), Ptr(2*gran - 1)} {
+		if !h.Mapped(p) {
+			t.Errorf("%v lies in a materialized granule but is not mapped", p)
+		}
+	}
+	for _, p := range []Ptr{Ptr(2 * gran), Ptr(3*gran + 5), Ptr(h.SegmentWords())} {
+		if h.Mapped(p) {
+			t.Errorf("%v is mapped although no region has reached its granule", p)
+		}
+	}
+	if panicOf(func() { h.Words(second, gran+1) }) == nil {
+		t.Error("Words running on into an unmapped granule did not panic")
+	}
+	if got := h.Stats().MaterializedWords; got != 2*gran {
+		t.Errorf("MaterializedWords = %d, want two granules (%d)", got, 2*gran)
+	}
+}
+
+// TestAlignedRegionAcrossGranules: a hyperblock-sized aligned region on a
+// heap whose granules are smaller is still one contiguous run of words.
+func TestAlignedRegionAcrossGranules(t *testing.T) {
+	h := NewHeap(Config{TotalWordsLog2: 28})
+	const words = 1 << 17 // 1 MiB, four granules
+	p, err := h.AllocRegionAligned(words, words)
+	if err != nil || uint64(p)%words != 0 {
+		t.Fatalf("AllocRegionAligned = %v, %v", p, err)
+	}
+	s := h.Words(p, words)
+	s[words-1] = 42
+	if uint64(len(s)) != words || h.Load(p.Add(words-1)) != 42 {
+		t.Errorf("Words(%v, %d): len %d, last word reads %d", p, uint64(words), len(s), h.Load(p.Add(words-1)))
 	}
 }

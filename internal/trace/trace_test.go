@@ -164,7 +164,7 @@ func TestStats(t *testing.T) {
 func testOptions() alloc.Options {
 	return alloc.Options{
 		Processors: 4,
-		HeapConfig: mem.Config{SegmentWordsLog2: 18, TotalWordsLog2: 28},
+		HeapConfig: mem.Config{TotalWordsLog2: 28},
 	}
 }
 
