@@ -40,7 +40,23 @@ done
 inlined free prefixDesc prefixDesc
 inlined free withLink withLink
 inlined malloc prefixLink prefixLink
+inlined magazine prefixDesc prefixDesc
+# release (Figure 6 for a chain of blocks) is what free's slow path and a
+# magazine flush both end in: the tail-link store in its CAS loop must
+# stay a shift and an or. The compiler reports file:line, so the line is
+# checked against the function's extent.
+inlined_within() {
+	start=$(grep -n "^func (t \*Thread) $2(" "internal/core/$1.go" | cut -d: -f1)
+	end=$(awk -v s="$start" 'NR > s && /^}/ { print NR; exit }' "internal/core/$1.go")
+	if ! printf '%s\n' "$out" | awk -F: -v f="$1.go" -v s="$start" -v e="$end" -v fn="$3" \
+		'$1 ~ f"$" && $2 > s && $2 < e && $0 ~ "inlining call to "fn"( |$)" { found = 1 } END { exit !found }'; then
+		echo "inline guard: compiler no longer reports: inlining call to $3 in (*Thread).$2 (core/$1.go:$start-$end)" >&2
+		status=1
+	fi
+}
+inlined_within release release withLink
+inlined_within release release smallPrefix
 if [ "$status" -eq 0 ]; then
-	echo "inline guard: mem.(*Heap).{word,Load,Store,CAS,Get,Set}, pool.(*Pool).Get, core.(*Allocator).desc, (*Thread).bump and the prefix helpers all inline"
+	echo "inline guard: mem.(*Heap).{word,Load,Store,CAS,Get,Set}, pool.(*Pool).Get, core.(*Allocator).desc, (*Thread).bump and the prefix helpers all inline, withLink and smallPrefix inside release"
 fi
 exit "$status"

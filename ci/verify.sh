@@ -50,7 +50,7 @@ stage_smoke() {
 	trap 'rm -rf "$bin"' EXIT
 	go build -o "$bin" ./cmd/benchmal ./cmd/mlfstress ./cmd/allocmon ./cmd/heapinfo
 
-	go test -run=NONE -bench=. -benchtime=1x ./internal/core ./internal/bench
+	go test -run=NONE -bench=. -benchtime=1x ./internal/core
 
 	# The ledger's in-run checks (a canary on every block, CheckInvariants
 	# and Mallocs == Frees after every round; a failure exits 1) over the

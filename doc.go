@@ -8,7 +8,7 @@
 // system inventory and experiment index, and EXPERIMENTS.md for
 // paper-vs-measured results.
 //
-// The root package contains no code; bench_test.go here hosts one
-// testing.B benchmark per table and figure of the paper's evaluation
-// section.
+// The root package contains no code. cmd/benchmal regenerates the
+// tables and figures of the paper's evaluation section; go run
+// ./benchmark is the performance ledger.
 package repro

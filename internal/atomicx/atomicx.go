@@ -1,5 +1,5 @@
-// Package atomicx provides the packed atomic word encodings and small
-// lock-free idioms used throughout the allocator.
+// Package atomicx provides the packed atomic word encodings used
+// throughout the allocator.
 //
 // The allocator of Michael (PLDI 2004) relies on single-word CAS over
 // carefully packed multi-field words:
@@ -10,9 +10,8 @@
 //   - tagged index words for ABA-safe freelist heads (idx:40, tag:24).
 //
 // This package implements those encodings with explicit bit layouts that
-// match the paper's Figure 3, plus helpers shared by the lock-free
-// substrates (exponential backoff, a documented stand-in for memory
-// fences).
+// match the paper's Figure 3, plus a documented stand-in for memory
+// fences.
 //
 // Memory fences: the paper targets PowerPC and inserts sync/isync/eieio
 // instructions at specific points (Figure 4 line 12, Figure 6 lines 14
@@ -22,11 +21,6 @@
 // kept (as Fence calls that compile to nothing beyond an atomic no-op)
 // so the correspondence with the paper's code remains visible.
 package atomicx
-
-import (
-	"runtime"
-	"sync/atomic"
-)
 
 // Superblock states, exactly the paper's codes (Figure 3).
 const (
@@ -196,54 +190,3 @@ func Fence() {}
 // a subsequent CAS (free(), Figure 6 line 14). As with Fence, Go's
 // atomics subsume it.
 func InstructionFence() {}
-
-// Backoff implements truncated exponential backoff for CAS retry loops.
-// The zero value is ready to use. Lock-free progress does not require
-// backoff; it only reduces wasted work under heavy contention.
-type Backoff struct {
-	n uint32
-}
-
-const backoffCeiling = 8
-
-// Spin yields the processor for a bounded, growing number of steps.
-func (b *Backoff) Spin() {
-	if b.n < backoffCeiling {
-		b.n++
-	}
-	for i := uint32(0); i < 1<<b.n; i++ {
-		spinHint()
-	}
-	if b.n >= backoffCeiling {
-		// Past the ceiling, also yield to the scheduler so a preempted
-		// lock-free peer can run (preemption-tolerance on few cores).
-		runtime.Gosched()
-	}
-}
-
-// Reset clears accumulated backoff after a successful operation.
-func (b *Backoff) Reset() { b.n = 0 }
-
-// spinHint burns a tiny amount of time without entering the scheduler.
-//
-//go:noinline
-func spinHint() {}
-
-// CAS is a convenience wrapper matching the paper's
-// CAS(addr,expval,newval) (Figure 1) over a *uint64.
-func CAS(addr *atomic.Uint64, expval, newval uint64) bool {
-	return addr.CompareAndSwap(expval, newval)
-}
-
-// AtomicInc is the classic lock-free increment of Figure 2, provided
-// for completeness and used by statistics counters that want the
-// explicit CAS-loop form.
-func AtomicInc(addr *atomic.Uint64) uint64 {
-	for {
-		oldval := addr.Load()
-		newval := oldval + 1
-		if addr.CompareAndSwap(oldval, newval) {
-			return newval
-		}
-	}
-}

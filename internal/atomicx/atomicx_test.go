@@ -1,8 +1,6 @@
 package atomicx
 
 import (
-	"sync"
-	"sync/atomic"
 	"testing"
 	"testing/quick"
 )
@@ -143,57 +141,6 @@ func TestStateName(t *testing.T) {
 		if got := StateName(s); got != name {
 			t.Errorf("StateName(%d) = %q, want %q", s, got, name)
 		}
-	}
-}
-
-func TestAtomicInc(t *testing.T) {
-	var v atomic.Uint64
-	const goroutines = 8
-	const perG = 10000
-	var wg sync.WaitGroup
-	for g := 0; g < goroutines; g++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for i := 0; i < perG; i++ {
-				AtomicInc(&v)
-			}
-		}()
-	}
-	wg.Wait()
-	if v.Load() != goroutines*perG {
-		t.Errorf("count = %d, want %d", v.Load(), goroutines*perG)
-	}
-}
-
-func TestCASSemantics(t *testing.T) {
-	var v atomic.Uint64
-	v.Store(5)
-	if CAS(&v, 4, 9) {
-		t.Error("CAS succeeded with wrong expected value")
-	}
-	if v.Load() != 5 {
-		t.Error("failed CAS modified the value")
-	}
-	if !CAS(&v, 5, 9) {
-		t.Error("CAS failed with correct expected value")
-	}
-	if v.Load() != 9 {
-		t.Error("successful CAS did not write")
-	}
-}
-
-func TestBackoffResets(t *testing.T) {
-	var b Backoff
-	for i := 0; i < 20; i++ {
-		b.Spin()
-	}
-	if b.n < backoffCeiling {
-		t.Errorf("backoff did not saturate: n=%d", b.n)
-	}
-	b.Reset()
-	if b.n != 0 {
-		t.Errorf("Reset left n=%d", b.n)
 	}
 }
 

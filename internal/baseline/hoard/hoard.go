@@ -47,7 +47,6 @@ type Config struct {
 	// the global heap. 0 selects GOMAXPROCS via the core default.
 	Processors int
 	HeapConfig mem.Config
-	Heap       *mem.Heap
 }
 
 // superblock is one size-class superblock with its statistics. Fields
@@ -93,14 +92,11 @@ func New(cfg Config) *Allocator {
 	if cfg.Processors <= 0 {
 		cfg.Processors = defaultProcessors()
 	}
-	h := cfg.Heap
-	if h == nil {
-		if cfg.HeapConfig.Arenas == 0 {
-			// One region arena per processor, like the processor heaps.
-			cfg.HeapConfig.Arenas = cfg.Processors
-		}
-		h = mem.NewHeap(cfg.HeapConfig)
+	if cfg.HeapConfig.Arenas == 0 {
+		// One region arena per processor, like the processor heaps.
+		cfg.HeapConfig.Arenas = cfg.Processors
 	}
+	h := mem.NewHeap(cfg.HeapConfig)
 	a := &Allocator{
 		heap:  h,
 		procs: cfg.Processors,

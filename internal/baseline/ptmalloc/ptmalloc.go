@@ -39,7 +39,6 @@ type Config struct {
 	// Arenas is the initial arena count. 0 selects GOMAXPROCS.
 	Arenas     int
 	HeapConfig mem.Config
-	Heap       *mem.Heap
 }
 
 type arena struct {
@@ -66,15 +65,12 @@ func New(cfg Config) *Allocator {
 	if cfg.Arenas > maxArenas {
 		cfg.Arenas = maxArenas
 	}
-	h := cfg.Heap
-	if h == nil {
-		if cfg.HeapConfig.Arenas == 0 {
-			// One region arena per malloc arena (chunkheap i draws its
-			// wilderness from region arena i via its owner tag).
-			cfg.HeapConfig.Arenas = cfg.Arenas
-		}
-		h = mem.NewHeap(cfg.HeapConfig)
+	if cfg.HeapConfig.Arenas == 0 {
+		// One region arena per malloc arena (chunkheap i draws its
+		// wilderness from region arena i via its owner tag).
+		cfg.HeapConfig.Arenas = cfg.Arenas
 	}
+	h := mem.NewHeap(cfg.HeapConfig)
 	a := &Allocator{heap: h}
 	arenas := make([]*arena, cfg.Arenas)
 	for i := range arenas {

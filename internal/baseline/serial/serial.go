@@ -25,9 +25,6 @@ const largeThresholdWords = 4096
 // Config configures the serial allocator.
 type Config struct {
 	HeapConfig mem.Config
-	// Heap supplies an existing address space; if nil a new one is
-	// created.
-	Heap *mem.Heap
 }
 
 // Allocator is the global-lock baseline. All methods are safe for
@@ -44,10 +41,7 @@ type Allocator struct {
 
 // New constructs a serial allocator.
 func New(cfg Config) *Allocator {
-	h := cfg.Heap
-	if h == nil {
-		h = mem.NewHeap(cfg.HeapConfig)
-	}
+	h := mem.NewHeap(cfg.HeapConfig)
 	return &Allocator{
 		heap: h,
 		ch:   chunkheap.New(h, 0, chunkheap.BestFitTree),

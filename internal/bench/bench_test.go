@@ -6,7 +6,6 @@ import (
 
 	"repro/alloc"
 	"repro/internal/mem"
-	"repro/internal/trace"
 )
 
 func testOptions() alloc.Options {
@@ -195,28 +194,6 @@ func TestQueueNodesRecycled(t *testing.T) {
 	live := a.Heap().Stats().LiveWords
 	if live > 4096 {
 		t.Errorf("LiveWords = %d after steady-state queue churn", live)
-	}
-}
-
-func TestTraceWorkloadAllAllocators(t *testing.T) {
-	w := TraceWorkload{
-		Gen: trace.GenConfig{
-			Events:  10000,
-			Seed:    5,
-			Pattern: trace.Bursty,
-			MinSize: 8,
-			MaxSize: 512,
-		},
-	}
-	for _, a := range allAllocators(t) {
-		r := w.Run(a, 3)
-		if r.Ops != 10000 {
-			t.Errorf("%s: ops = %d", a.Name(), r.Ops)
-		}
-		checkLockFreeInvariants(t, a)
-	}
-	if w.Name() == "" {
-		t.Error("empty workload name")
 	}
 }
 

@@ -91,22 +91,18 @@ const nodeBits = 24
 // level's stack before falling back to the level scan.
 const hintTries = 8
 
+// minWordsLog2 is the log2 of the smallest block (the leaf size) in
+// words: 64 B blocks, one prefix word + 56 B of payload.
+const minWordsLog2 = 3
+
 // Config configures the buddy allocator.
 type Config struct {
-	// HeapConfig configures the simulated address space; ignored when
-	// Heap is set.
+	// HeapConfig configures the simulated address space.
 	HeapConfig mem.Config
-	// Heap supplies an existing address space; if nil a new one is
-	// created.
-	Heap *mem.Heap
 	// TreeWordsLog2 is the log2 of each tree region's size in words.
 	// 0 selects 18 (2 MiB of payload words). Clamped to the heap's
 	// segment size.
 	TreeWordsLog2 int
-	// MinWordsLog2 is the log2 of the smallest block in words (the
-	// leaf size). 0 selects 3 (64 B blocks: one prefix word + 56 B of
-	// payload).
-	MinWordsLog2 int
 	// Telemetry, when set, receives CAS-retry counts for the tree
 	// status words and growth races (the buddy-* sites).
 	Telemetry *telemetry.Stripes
@@ -136,7 +132,6 @@ func (l treeLinks) StoreLink(idx, next uint64) { l.tr.links[idx].Store(next) }
 // for concurrent use through per-goroutine Thread handles.
 type Allocator struct {
 	heap      *mem.Heap
-	ownsHeap  bool
 	treeWords uint64
 	treeLog2  int
 	minWords  uint64
@@ -160,12 +155,7 @@ type Allocator struct {
 // New constructs a buddy allocator with one tree; further trees are
 // added lock-free as demand grows.
 func New(cfg Config) *Allocator {
-	h := cfg.Heap
-	owns := false
-	if h == nil {
-		h = mem.NewHeap(cfg.HeapConfig)
-		owns = true
-	}
+	h := mem.NewHeap(cfg.HeapConfig)
 	treeLog2 := cfg.TreeWordsLog2
 	if treeLog2 == 0 {
 		treeLog2 = 18
@@ -173,19 +163,9 @@ func New(cfg Config) *Allocator {
 	if segLog2 := bits.Len64(h.SegmentWords()) - 1; treeLog2 > segLog2 {
 		treeLog2 = segLog2
 	}
-	minLog2 := cfg.MinWordsLog2
-	if minLog2 == 0 {
-		minLog2 = 3
-	}
-	if minLog2 < 1 {
-		minLog2 = 1
-	}
-	if minLog2 > treeLog2 {
-		minLog2 = treeLog2
-	}
+	minLog2 := min(minWordsLog2, treeLog2)
 	a := &Allocator{
 		heap:      h,
-		ownsHeap:  owns,
 		treeWords: 1 << treeLog2,
 		treeLog2:  treeLog2,
 		minWords:  1 << minLog2,

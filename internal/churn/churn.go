@@ -91,13 +91,14 @@ func (d *Driver) Step() error {
 
 // Drain frees the live set and, where the handle caches blocks
 // (alloc.Unregisterer), returns the cache too, so the allocator is left
-// as a departing thread would leave it.
+// as a departing thread would leave it. Killed inside it, Live counts
+// the block being freed and those not yet reached, as in Step.
 func (d *Driver) Drain() {
-	for _, p := range d.held {
-		d.th.Free(p)
+	for n := len(d.held); n > 0; n = len(d.held) {
+		d.th.Free(d.held[n-1])
+		d.held = d.held[:n-1]
 		d.frees.Add(1)
 	}
-	d.held = nil
 	if u, ok := d.th.(alloc.Unregisterer); ok {
 		u.Unregister()
 	}

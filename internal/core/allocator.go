@@ -98,11 +98,8 @@ type Config struct {
 	// can be returned to the OS via Scavenge.
 	Hyperblocks bool
 
-	// Heap supplies an existing simulated address space; if nil a new
-	// one is created with mem.Config defaults.
-	Heap *mem.Heap
-
-	// HeapConfig configures the created heap when Heap is nil.
+	// HeapConfig configures the simulated address space the allocator
+	// creates.
 	HeapConfig mem.Config
 
 	// Telemetry, when non-nil, attaches the lock-free observability
@@ -184,7 +181,7 @@ type Allocator struct {
 	// phase a 208- or 224-byte slot happens to start at. Growing the
 	// struct within the padding budget cannot change the layout
 	// (layout.go pins the total with compile-time assertions).
-	_ [40]byte
+	_ [48]byte
 }
 
 // scState is the per-size-class state (paper's sizeclass structure).
@@ -244,16 +241,13 @@ func New(cfg Config) *Allocator {
 		// region arenas: one DescAvail head per processor.
 		cfg.DescStripes = cfg.Processors
 	}
-	h := cfg.Heap
-	if h == nil {
-		if cfg.HeapConfig.Arenas == 0 {
-			// Shard the OS layer like the processor heaps above it: one
-			// region arena per processor (Config.HeapConfig.Arenas
-			// overrides; callers wanting the unsharded layout pass 1).
-			cfg.HeapConfig.Arenas = cfg.Processors
-		}
-		h = mem.NewHeap(cfg.HeapConfig)
+	if cfg.HeapConfig.Arenas == 0 {
+		// Shard the OS layer like the processor heaps above it: one
+		// region arena per processor (Config.HeapConfig.Arenas
+		// overrides; callers wanting the unsharded layout pass 1).
+		cfg.HeapConfig.Arenas = cfg.Processors
 	}
+	h := mem.NewHeap(cfg.HeapConfig)
 	// The superblocks the address space has room for bound both the
 	// descriptor table and the partial lists.
 	var heapWords uint64

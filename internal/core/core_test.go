@@ -238,7 +238,7 @@ func TestDescriptorRecycling(t *testing.T) {
 			th.Free(p)
 		}
 	}
-	if n := a.DescriptorCount(); n > 4*descChunk {
+	if n := a.Stats().DescsAllocated; n > 4*descChunk {
 		t.Errorf("descriptor table grew to %d; recycling is broken", n)
 	}
 }

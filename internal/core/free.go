@@ -91,55 +91,8 @@ func (t *Thread) free(ptr mem.Ptr, prefix uint64) {
 		}
 	}
 
-	var oldAnchor, newAnchor atomicx.Anchor
-	var heapID uint64
-	for {
-		oldWord := desc.Anchor.Load()
-		oldAnchor = atomicx.UnpackAnchor(oldWord) // line 7
-		newAnchor = oldAnchor
-		// Push the freed block onto the superblock's LIFO list: the
-		// link field of the block's first word becomes the link to the
-		// previous head (line 8), and avail points at this block (line 9).
-		a.heap.Store(block, withLink(prefix, oldAnchor.Avail))
-		newAnchor.Avail = idx
-		if oldAnchor.State == atomicx.StateFull { // lines 10-11
-			newAnchor.State = atomicx.StatePartial
-		}
-		if oldAnchor.Count == maxcount-1 { // line 12
-			heapID = desc.heapID.Load()          // line 13
-			atomicx.InstructionFence()           // line 14
-			newAnchor.State = atomicx.StateEmpty // line 15
-		} else {
-			newAnchor.Count++ // line 16
-		}
-		atomicx.Fence() // line 17: publish the link store before the CAS
-		t.hook(HookFreeBeforeCAS)
-		if desc.Anchor.CompareAndSwap(oldWord, newAnchor.Pack()) { // line 18
-			break
-		}
-		if t.rec != nil {
-			t.rec.Retry(telemetry.SiteFreeSlow)
-		}
-	}
+	t.release(descIdx, idx, block, 1, HookFreeBeforeCAS, telemetry.SiteFreeSlow)
 	t.bump(&t.frees, &t.ops.frees)
-
-	if newAnchor.State == atomicx.StateEmpty { // lines 19-21
-		// This thread freed the last allocated block: the superblock
-		// is EMPTY and safe to return to the OS.
-		a.freeSB(sb, a.classes[desc.ClassIndex()].class.SBWords)
-		t.ops.emptySBFreed.Add(1)
-		if t.rec != nil {
-			t.rec.Note(telemetry.EvSBRetire, desc.ClassIndex(), uint64(sb))
-		}
-		t.hook(HookFreeBeforeRetire)
-		t.removeEmptyDesc(heapID, descIdx)
-	} else if oldAnchor.State == atomicx.StateFull { // lines 22-23
-		// First free into a FULL superblock: this thread takes
-		// responsibility for linking it back into the allocator
-		// structures.
-		t.hook(HookFreeBeforePutPartial)
-		t.heapPutPartial(descIdx)
-	}
 }
 
 // heapPutPartial is Figure 6's HeapPutPartial: atomically swap the

@@ -27,9 +27,12 @@ const (
 	// HookMallocAfterPop fires after the anchor CAS popped the block,
 	// before malloc returns it. A kill leaks one block.
 	HookMallocAfterPop
-	// HookMallocBeforeUpdateActive fires after taking morecredits,
-	// before reinstalling the superblock. A kill leaks up to
-	// MAXCREDITS reservations and unlinks the superblock.
+	// HookMallocBeforeUpdateActive fires in popLastCredit after taking
+	// morecredits, before reinstalling the superblock: from
+	// MallocFromActive and from the last pop of a magazine refill. A
+	// kill leaks up to MAXCREDITS reservations and unlinks the
+	// superblock; inside a refill it also leaks the blocks the batch
+	// already popped, which reach the magazine only after the last pop.
 	HookMallocBeforeUpdateActive
 	// HookPartialAfterGet fires after removing a descriptor from the
 	// Partial slot or list, before reserving. A kill leaks the
@@ -42,25 +45,27 @@ const (
 	// initialized, before the Active install CAS. A kill leaks one
 	// superblock and one descriptor.
 	HookNewSBBeforeInstall
-	// HookFreeBeforeCAS fires inside free's retry loop after the link
-	// store, before the anchor CAS. A kill leaks the freed block.
+	// HookFreeBeforeCAS fires inside free's retry loops (the packed
+	// fast loop and release called for one block) after the link store,
+	// before the anchor CAS. A kill leaks the freed block.
 	HookFreeBeforeCAS
-	// HookFreeBeforePutPartial fires after free transitioned a FULL
-	// superblock, before HeapPutPartial links it back. A kill strands
-	// the superblock until its next free.
+	// HookFreeBeforePutPartial fires in release after a free or a
+	// magazine flush group transitioned a FULL superblock, before
+	// HeapPutPartial links it back. A kill strands the superblock until
+	// its next free.
 	HookFreeBeforePutPartial
-	// HookFreeBeforeRetire fires after free emptied a superblock and
-	// returned it to the OS, before the descriptor is retired. A kill
-	// leaks one descriptor.
+	// HookFreeBeforeRetire fires in release after a free or a magazine
+	// flush group emptied a superblock and returned it to the OS, before
+	// the descriptor is retired. A kill leaks one descriptor.
 	HookFreeBeforeRetire
 	// HookMagRefillAfterReserve fires after a magazine refill's batch
 	// reserve CAS on the Active word, before the anchor pops. A kill
 	// leaks up to the batch's reservations.
 	HookMagRefillAfterReserve
-	// HookMagFlushBeforeSplice fires inside a magazine flush's splice
-	// retry loop, after the group chain is linked but before the
-	// anchor CAS. A kill leaks the group's blocks (already removed
-	// from the magazine, not yet on the free list).
+	// HookMagFlushBeforeSplice fires inside release's retry loop when a
+	// magazine flush called it, after the group chain is linked but
+	// before the anchor CAS. A kill leaks the group's blocks (already
+	// removed from the magazine, not yet on the free list).
 	HookMagFlushBeforeSplice
 	// NumHookPoints is the number of hook points.
 	NumHookPoints

@@ -192,7 +192,3 @@ func (a *Allocator) walkFreeList(idx uint64, desc *Descriptor, anchor atomicx.An
 	}
 	return nil
 }
-
-// DescriptorCount returns how many descriptors have ever been created
-// (diagnostics).
-func (a *Allocator) DescriptorCount() uint64 { return a.descs.Allocated() }

@@ -21,9 +21,8 @@ package core
 //     superblock, each group is linked into a chain through the blocks'
 //     first words (plain heap stores, no contention — the thread still
 //     owns the blocks), and the whole chain is spliced onto the
-//     anchor's LIFO free list with a single CAS per superblock: the
-//     m-block generalization of Figure 6's push, including the
-//     FULL→PARTIAL and EMPTY transitions.
+//     anchor's LIFO free list with a single CAS per superblock, by the
+//     same routine (release, Figure 6 lines 7-23) that frees one block.
 //
 // Lock-freedom is unaffected: magazines are thread-private (no new
 // shared-state loops), and every new CAS loop (batch reserve, batch
@@ -97,7 +96,7 @@ func (t *Thread) refillFromActive(h *ProcHeap, mag *magazine) mem.Ptr {
 	// Batch reserve: credits+1 blocks are reservable through the Active
 	// word; take k of them in one CAS. k < credits+1 is a plain packed
 	// decrement by k; k == credits+1 takes the last credit and sets
-	// Active to NULL, exactly like Figure 4 lines 1-6 generalized.
+	// Active to NULL, so the last pop is Figure 4's popLastCredit.
 	var oldWord, k uint64
 	for {
 		oldWord = h.Active.Load()
@@ -127,39 +126,16 @@ func (t *Thread) refillFromActive(h *ProcHeap, mag *magazine) mem.Ptr {
 	if mag.blocks == nil {
 		mag.blocks = make([]mem.Ptr, 0, t.magCap)
 	}
+	// The pops fill a local slice header over the magazine's spare
+	// capacity; the magazine itself is published once, after the last
+	// pop, so a kill at a hook point in between leaks the popped blocks
+	// exactly as it leaks the reservations, with n == len(blocks).
+	blocks := mag.blocks
 	var ret mem.Ptr
 	for i := uint64(0); i < k; i++ {
 		var addr mem.Ptr
 		if tookLast && i == k-1 {
-			// Final pop after taking the last credit: this thread set
-			// Active to NULL, so it must either declare the superblock
-			// FULL or move more credits from the anchor count back into
-			// a reinstalled Active word (Figure 4 lines 13-19).
-			var morecredits uint64
-			for {
-				oldAnchor := desc.Anchor.Load()
-				oa := atomicx.UnpackAnchor(oldAnchor)
-				na := oa
-				addr = sb.Add(oa.Avail * sz)
-				na.Avail = prefixLink(a.heap.Load(addr))
-				na.Tag++
-				morecredits = 0
-				if oa.Count == 0 {
-					na.State = atomicx.StateFull
-				} else {
-					morecredits = min(oa.Count, a.maxCredits)
-					na.Count -= morecredits
-				}
-				if desc.Anchor.CompareAndSwap(oldAnchor, na.Pack()) {
-					break
-				}
-				if t.rec != nil {
-					t.rec.Retry(telemetry.SiteMagRefillPop)
-				}
-			}
-			if morecredits > 0 {
-				t.updateActive(h, oldActive.Desc, morecredits)
-			}
+			addr = t.popLastCredit(h, desc, oldActive.Desc, telemetry.SiteMagRefillPop)
 		} else {
 			// Common pop: credits remain on the Active word, so only
 			// avail and tag change (Figure 4 lines 7-12); the anchor
@@ -180,10 +156,11 @@ func (t *Thread) refillFromActive(h *ProcHeap, mag *magazine) mem.Ptr {
 		if i == 0 {
 			ret = addr.Add(1)
 		} else {
-			mag.blocks = append(mag.blocks, addr.Add(1))
+			blocks = append(blocks, addr.Add(1))
 		}
 	}
-	mag.n.Store(uint64(len(mag.blocks)))
+	mag.blocks = blocks
+	mag.n.Store(uint64(len(blocks)))
 	// One user-visible malloc was satisfied from the active superblock;
 	// the cached remainder surfaces later as magazine hits.
 	t.bump(&t.fromActive, &t.ops.fromActive)
@@ -224,91 +201,28 @@ func (t *Thread) flushMagazine(cls, keep int) {
 	}
 }
 
-// spliceGroup pushes a group of blocks belonging to one superblock onto
-// its anchor's LIFO free list with a single CAS: the m-block
-// generalization of Figure 6's push. State transitions follow the
-// paper's free exactly: FULL becomes PARTIAL, and a group that frees
-// the last allocated blocks makes the superblock EMPTY (returned to the
-// OS, descriptor retired).
+// spliceGroup returns a group of blocks of one superblock with one
+// anchor CAS: it links them into a chain through their first words
+// (stores into blocks this thread still owns; the tail's link depends on
+// the anchor and is release's to write) and hands the chain to Figure 6.
 func (t *Thread) spliceGroup(descIdx uint64, group []mem.Ptr) {
 	a := t.a
 	desc := a.desc(descIdx)
 	sb := desc.SB()
 	magic := desc.szMagic.Load()
-	maxcount := desc.MaxCount()
-	m := uint64(len(group))
-
 	idxOf := func(p mem.Ptr) uint64 {
 		hi, _ := bits.Mul64((p - 1).Sub(sb), magic)
 		return hi
 	}
-	// Link the group into a chain through the link fields of the
-	// blocks' first words. These are stores into blocks this thread
-	// still owns; only the tail link (to the current list head) depends
-	// on the anchor and is (re)written inside the CAS loop.
 	prefix := smallPrefix(descIdx)
 	for j := 0; j < len(group)-1; j++ {
 		a.heap.Store(group[j]-1, withLink(prefix, idxOf(group[j+1])))
 	}
-	first := idxOf(group[0])
-	tail := group[len(group)-1] - 1
-
-	var oldAnchor, newAnchor atomicx.Anchor
-	var heapID uint64
-	for {
-		oldWord := desc.Anchor.Load()
-		oldAnchor = atomicx.UnpackAnchor(oldWord)
-		newAnchor = oldAnchor
-		a.heap.Store(tail, withLink(prefix, oldAnchor.Avail)) // chain tail -> old head
-		newAnchor.Avail = first
-		if oldAnchor.State == atomicx.StateFull {
-			newAnchor.State = atomicx.StatePartial
-		}
-		if oldAnchor.Count+m == maxcount {
-			// The group frees every remaining allocated block; count+m
-			// == maxcount also implies no outstanding reservations, so
-			// the superblock is EMPTY (Figure 6 lines 12-15, batched).
-			// EMPTY anchors keep count at maxcount-1, the same
-			// convention as the single-block free.
-			heapID = desc.heapID.Load()
-			atomicx.InstructionFence()
-			newAnchor.State = atomicx.StateEmpty
-			newAnchor.Count = maxcount - 1
-		} else {
-			newAnchor.Count += m
-		}
-		atomicx.Fence() // publish the link stores before the CAS
-		t.hook(HookMagFlushBeforeSplice)
-		if desc.Anchor.CompareAndSwap(oldWord, newAnchor.Pack()) {
-			break
-		}
-		if t.rec != nil {
-			t.rec.Retry(telemetry.SiteMagFlush)
-		}
-	}
+	m := uint64(len(group))
+	t.release(descIdx, idxOf(group[0]), group[m-1]-1, m, HookMagFlushBeforeSplice, telemetry.SiteMagFlush)
 	t.ops.magFlushes.Add(1)
 	if t.rec != nil {
 		t.rec.MagFlush(m)
-	}
-
-	if newAnchor.State == atomicx.StateEmpty {
-		a.freeSB(sb, a.classes[desc.ClassIndex()].class.SBWords)
-		t.ops.emptySBFreed.Add(1)
-		if t.rec != nil {
-			t.rec.Note(telemetry.EvSBRetire, desc.ClassIndex(), uint64(sb))
-		}
-		if oldAnchor.State == atomicx.StateFull {
-			// The group was the whole superblock — a transition the
-			// paper's one-block free cannot make. A FULL superblock is
-			// in no Partial slot and no list, where RemoveEmptyDesc
-			// would look for it and where nobody will put it now: this
-			// thread holds the last reference to the descriptor.
-			a.descs.Retire(t.stripe(), descIdx)
-		} else {
-			t.removeEmptyDesc(heapID, descIdx)
-		}
-	} else if oldAnchor.State == atomicx.StateFull {
-		t.heapPutPartial(descIdx)
 	}
 }
 

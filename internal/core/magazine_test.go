@@ -121,8 +121,8 @@ func TestMagazineUnregisterFlush(t *testing.T) {
 }
 
 // TestMagazineFlushEmptiesSuperblock: freeing everything through the
-// magazine must still retire emptied superblocks (the batched EMPTY
-// transition of spliceGroup) once the magazines are flushed — and their
+// magazine must still retire emptied superblocks (release's EMPTY
+// transition for a flush group) once the magazines are flushed — and their
 // descriptors with them, also when a flush group is a whole FULL
 // superblock, which no Partial slot or list holds: 15 blocks of 16
 // flushed at once, or both blocks of the top class.

@@ -158,36 +158,7 @@ func (t *Thread) mallocFromActive(h *ProcHeap) mem.Ptr {
 			}
 		}
 	} else {
-		// This thread set Active to NULL (lines 13-17): it must either
-		// declare the superblock FULL or take more credits for
-		// UpdateActive.
-		var morecredits uint64
-		for {
-			oldAnchor := desc.Anchor.Load()
-			oa := atomicx.UnpackAnchor(oldAnchor)
-			na := oa
-			addr = sb.Add(oa.Avail * sz)
-			na.Avail = prefixLink(a.heap.Load(addr))
-			na.Tag++
-			morecredits = 0
-			// The state must be ACTIVE here.
-			if oa.Count == 0 {
-				na.State = atomicx.StateFull
-			} else {
-				morecredits = min(oa.Count, a.maxCredits)
-				na.Count -= morecredits
-			}
-			if desc.Anchor.CompareAndSwap(oldAnchor, na.Pack()) {
-				break
-			}
-			if t.rec != nil {
-				t.rec.Retry(telemetry.SiteActivePop)
-			}
-		}
-		if morecredits > 0 { // line 19
-			t.hook(HookMallocBeforeUpdateActive)
-			t.updateActive(h, oldActive.Desc, morecredits)
-		}
+		addr = t.popLastCredit(h, desc, oldActive.Desc, telemetry.SiteActivePop)
 	}
 	t.hook(HookMallocAfterPop)
 	// Line 21's prefix store ran when the superblock was carved, and
@@ -195,12 +166,52 @@ func (t *Thread) mallocFromActive(h *ProcHeap) mem.Ptr {
 	return addr.Add(1)
 }
 
+// popLastCredit is Figure 4 lines 13-19, the pop of a thread whose
+// reserve took the last credit and set Active to NULL: it must either
+// declare the superblock FULL or take more credits for UpdateActive.
+// It returns the block's first word. mallocFromActive and the magazine
+// refill both end a reservation here, holding the descriptor and its
+// index already; site tells their retries apart.
+func (t *Thread) popLastCredit(h *ProcHeap, desc *Descriptor, descIdx uint64, site telemetry.Site) mem.Ptr {
+	a := t.a
+	sb := desc.SB()
+	sz := desc.Size()
+	var addr mem.Ptr
+	var morecredits uint64
+	for {
+		oldAnchor := desc.Anchor.Load()
+		oa := atomicx.UnpackAnchor(oldAnchor)
+		na := oa
+		addr = sb.Add(oa.Avail * sz)
+		na.Avail = prefixLink(a.heap.Load(addr))
+		na.Tag++
+		morecredits = 0
+		// The state must be ACTIVE here.
+		if oa.Count == 0 {
+			na.State = atomicx.StateFull
+		} else {
+			morecredits = min(oa.Count, a.maxCredits)
+			na.Count -= morecredits
+		}
+		if desc.Anchor.CompareAndSwap(oldAnchor, na.Pack()) {
+			break
+		}
+		if t.rec != nil {
+			t.rec.Retry(site)
+		}
+	}
+	if morecredits > 0 { // line 19
+		t.hook(HookMallocBeforeUpdateActive)
+		t.updateActive(h, descIdx, morecredits)
+	}
+	return addr
+}
+
 // updateActive is Figure 4's UpdateActive: try to reinstall desc as the
 // heap's active superblock with morecredits-1 credits; if another
 // thread installed a different superblock meanwhile, return the credits
 // to the anchor, mark the superblock PARTIAL, and make it available.
 func (t *Thread) updateActive(h *ProcHeap, descIdx, morecredits uint64) {
-	a := t.a
 	newActive := atomicx.Active{Desc: descIdx, Credits: morecredits - 1}.Pack()
 	if h.Active.CompareAndSwap(0, newActive) { // line 3
 		return
@@ -208,13 +219,19 @@ func (t *Thread) updateActive(h *ProcHeap, descIdx, morecredits uint64) {
 	if t.rec != nil {
 		t.rec.Retry(telemetry.SiteActiveInstall)
 	}
-	// Someone installed another active superblock. Return the credits
-	// and make this superblock partial (lines 4-8).
-	desc := a.desc(descIdx)
+	t.returnCredits(descIdx, morecredits)
+}
+
+// returnCredits is UpdateActive lines 4-8, for a thread that holds
+// credits of a superblock it could not install as Active: the credits go
+// back to the anchor count, the superblock becomes PARTIAL and is made
+// available.
+func (t *Thread) returnCredits(descIdx, credits uint64) {
+	desc := t.a.desc(descIdx)
 	for {
 		oldWord := desc.Anchor.Load()
 		na := atomicx.UnpackAnchor(oldWord)
-		na.Count += morecredits
+		na.Count += credits
 		na.State = atomicx.StatePartial
 		if desc.Anchor.CompareAndSwap(oldWord, na.Pack()) {
 			break
@@ -397,19 +414,7 @@ func (t *Thread) mallocFromNewSB(h *ProcHeap) (mem.Ptr, error) {
 	if a.cfg.KeepNewSBOnRaceLoss {
 		// Alternative policy (paper line 16 comment): take block 0,
 		// return the reserved credits, and keep the superblock PARTIAL.
-		for {
-			oldWord := desc.Anchor.Load()
-			na := atomicx.UnpackAnchor(oldWord)
-			na.Count += credits + 1
-			na.State = atomicx.StatePartial
-			if desc.Anchor.CompareAndSwap(oldWord, na.Pack()) {
-				break
-			}
-			if t.rec != nil {
-				t.rec.Retry(telemetry.SiteUpdateActive)
-			}
-		}
-		t.heapPutPartial(descIdx)
+		t.returnCredits(descIdx, credits+1)
 		return sb.Add(1), nil
 	}
 

@@ -3,6 +3,7 @@ package core
 import (
 	"fmt"
 	"math/rand"
+	"runtime"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -143,6 +144,12 @@ func statsLiveSampling(t *testing.T, a *Allocator) {
 			prev = s
 		}
 	}()
+
+	// The workers are done in a millisecond: they start once the sampler
+	// is running, or on a loaded machine it may never get a turn.
+	for samples.Load() == 0 {
+		runtime.Gosched()
+	}
 
 	// Each worker churns, parks with its handle still registered while
 	// the test compares Stats against the handle's own words, then

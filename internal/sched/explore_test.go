@@ -281,3 +281,86 @@ func TestExploreThreeThreads(t *testing.T) {
 	}
 	t.Logf("explored %d interleavings (truncated=%v)", res.Schedules, res.Truncated)
 }
+
+// TestExploreFlushGroupMeetsSingleFree: one thread's magazine flush
+// group and another thread's single Free go back to the same FULL
+// superblock, so two calls of release — a chain of two and a chain of
+// one — race on one anchor: whichever loses the CAS rewrites its tail
+// link, exactly one of them leaves FULL and must link the superblock
+// back in, and where nothing stays allocated the later one empties it
+// while the earlier may still be on its way to HeapPutPartial.
+// Exhaustive at hook granularity. The terminal probe is one more malloc
+// of the class: it must find the PARTIAL superblock (or shed the EMPTY
+// descriptor from the Partial slot), so that exactly one descriptor is
+// in use afterwards — a superblock or descriptor either call dropped
+// would make it two.
+func TestExploreFlushGroupMeetsSingleFree(t *testing.T) {
+	t.Parallel() // single-threaded by construction: the director runs one thread at a time
+	for _, c := range []struct {
+		size   uint64
+		blocks int
+	}{
+		{4088, 4}, // one block stays allocated: the superblock ends PARTIAL
+		{5448, 3}, // none does: it ends EMPTY
+	} {
+		var a *core.Allocator
+		var ptrs []mem.Ptr
+		stays := c.blocks - 3
+		res, err := Explore(ExploreConfig{
+			NewTarget: func() Target {
+				heap := mem.Config{SegmentWordsLog2: 16, TotalWordsLog2: 26}
+				la := alloc.NewLockFree(alloc.Options{
+					HeapConfig: heap,
+					LockFree:   core.Config{Processors: 1, MagazineSize: 8, HeapConfig: heap},
+				})
+				a = la.(alloc.CoreAccessor).Core()
+				h := alloc.HarnessOf(la)
+				th := h.NewThread(nil)
+				ptrs = ptrs[:0]
+				for i := 0; i < c.blocks; i++ {
+					p, err := th.Malloc(c.size)
+					if err != nil {
+						panic(err)
+					}
+					ptrs = append(ptrs, p)
+				}
+				th.(alloc.Unregisterer).Unregister()
+				return h
+			},
+			Scripts: []Script{
+				func(th alloc.Thread) { // the flush group
+					th.Free(ptrs[0])
+					th.Free(ptrs[1])
+					th.(alloc.Unregisterer).Unregister()
+				},
+				func(th alloc.Thread) { // the single Free: an unregistered handle has no magazine
+					th.(alloc.Unregisterer).Unregister()
+					th.Free(ptrs[2])
+				},
+			},
+			Check: func(t Target) error {
+				th := t.NewThread(nil)
+				if _, err := th.Malloc(c.size); err != nil {
+					return err
+				}
+				th.(alloc.Unregisterer).Unregister()
+				st := a.Stats()
+				if inUse := st.DescsAllocated - st.DescsOnFreelist; inUse != 1 {
+					return fmt.Errorf("%d descriptors in use after the probe malloc, want 1", inUse)
+				}
+				if want := uint64(1 - stays); st.Ops.EmptySBFreed != want {
+					return fmt.Errorf("%d superblocks emptied, want %d", st.Ops.EmptySBFreed, want)
+				}
+				return quiescent(int64(stays + 1))(t)
+			},
+		})
+		if err != nil {
+			t.Fatalf("%d x %d B: %v", c.blocks, c.size, err)
+		}
+		if res.Truncated || res.Schedules < 10 {
+			t.Errorf("%d x %d B: %d schedules (truncated=%v), want the whole of a space of at least 10",
+				c.blocks, c.size, res.Schedules, res.Truncated)
+		}
+		t.Logf("%d x %d B: explored %d interleavings", c.blocks, c.size, res.Schedules)
+	}
+}

@@ -210,12 +210,7 @@ func Run(plan Plan, t Target) (Result, error) {
 				res.Kills[points[at]]++
 				res.LeakedBlocks += d.Live()
 				killMu.Unlock()
-				return
 			}
-			// The kill point was never reached: the victim survived, so
-			// it cleans up like any live thread would.
-			armed = false
-			d.Drain()
 		}()
 	}
 
@@ -262,9 +257,10 @@ func Run(plan Plan, t Target) (Result, error) {
 	return res, nil
 }
 
-// victim churns until its kill fires (bounded: if the point is never
-// reached, it dies of natural causes) and reports where it was killed.
-// The kill arms after opsBeforeKill operations.
+// victim churns until its kill fires and reports where it was killed.
+// The kill arms after opsBeforeKill operations and stays armed while the
+// victim, its quota done, departs (bounded: if the point is not reached
+// then either, it dies of natural causes).
 func victim(d *churn.Driver, armed *bool, opsBeforeKill int) (point int, killed bool) {
 	defer func() {
 		if rec := recover(); rec != nil {
@@ -283,6 +279,10 @@ func victim(d *churn.Driver, armed *bool, opsBeforeKill int) (point int, killed 
 			panic(err)
 		}
 	}
+	// A victim's live set only grows, so a step only a departing thread
+	// takes (returning everything it holds empties its superblocks)
+	// kills it here. Past that it has cleaned up like any live thread.
+	d.Drain()
 	return 0, false
 }
 

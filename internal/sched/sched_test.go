@@ -29,8 +29,21 @@ func TestKillAtEveryPoint(t *testing.T) {
 // flush paths too (including their dedicated hook points). A killed
 // thread's magazine-cached blocks and any flush group removed from the
 // magazine before the splice may leak; the structure must stay intact.
+//
+// With magazines on every Free is a magazine put and every malloc from
+// Active a refill, so a kill at one of the paper's three points below
+// can only have fired inside popLastCredit called by a refill or inside
+// release called by a flush: the sweep reaches the shared routines
+// through the magazine layer, and says so. (A victim's live set only
+// grows; it empties a superblock, and dies at free-before-retire, when
+// it departs and returns everything, still armed.)
 func TestKillAtEveryPointMagazine(t *testing.T) {
-	sweepLockFree(t, "", 20000, func(p int64) int64 { return p + 1 }, core.Config{MagazineSize: 16})
+	fired := sweepLockFree(t, "", 20000, func(p int64) int64 { return p + 1 }, core.Config{MagazineSize: 8})
+	for _, p := range []core.HookPoint{core.HookMallocBeforeUpdateActive, core.HookFreeBeforeRetire, core.HookFreeBeforePutPartial} {
+		if fired[p.String()] == 0 {
+			t.Errorf("no victim died at %v with magazines on: kills %v", p, fired)
+		}
+	}
 }
 
 // TestKillAtEveryPointArenas repeats the per-point kill sweep at both

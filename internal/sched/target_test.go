@@ -71,15 +71,17 @@ func kills(res Result) int {
 // sweepLockFree kills two victims at each lock-free hook point in turn
 // on the shape cfg and requires the two survivors to finish: the
 // paper's kill-tolerance claim, point by point. Subtests are named
-// prefix + the point's name.
-func sweepLockFree(t *testing.T, prefix string, ops int, seed func(p int64) int64, cfg core.Config) {
-	sweepLockFreePlan(t, prefix, Plan{OpsPerSurvivor: ops}, seed, cfg)
+// prefix + the point's name. It returns the kills that fired, by point
+// name.
+func sweepLockFree(t *testing.T, prefix string, ops int, seed func(p int64) int64, cfg core.Config) map[string]int {
+	return sweepLockFreePlan(t, prefix, Plan{OpsPerSurvivor: ops}, seed, cfg)
 }
 
 // sweepLockFreePlan is sweepLockFree with the traffic of base: its
 // survivor quota and its large requests.
-func sweepLockFreePlan(t *testing.T, prefix string, base Plan, seed func(p int64) int64, cfg core.Config) {
+func sweepLockFreePlan(t *testing.T, prefix string, base Plan, seed func(p int64) int64, cfg core.Config) map[string]int {
 	ops := base.OpsPerSurvivor
+	fired := map[string]int{}
 	for p := core.HookPoint(0); p < core.NumHookPoints; p++ {
 		t.Run(prefix+p.String(), func(t *testing.T) {
 			plan := base
@@ -95,6 +97,10 @@ func sweepLockFreePlan(t *testing.T, prefix string, base Plan, seed func(p int64
 			if res.InvariantErr != nil {
 				t.Errorf("structure corrupted: %v", res.InvariantErr)
 			}
+			for name, n := range res.Kills {
+				fired[name] += n
+			}
 		})
 	}
+	return fired
 }

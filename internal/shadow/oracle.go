@@ -48,14 +48,8 @@ var (
 // region-recycle hook that invalidates stale poison there, so it must
 // run before the first mirrored operation.
 func New(cfg Config) *Oracle {
-	if cfg.MaxPoisonWords == 0 {
-		cfg.MaxPoisonWords = 4096
-	}
 	if cfg.DumpEvents == 0 {
 		cfg.DumpEvents = 16
-	}
-	if cfg.MaxViolations == 0 {
-		cfg.MaxViolations = 64
 	}
 	o := &Oracle{
 		cfg:         cfg,
@@ -208,7 +202,7 @@ func (o *Oracle) NoteFree(thread uint64, p mem.Ptr) bool {
 		o.dropFreed(old)
 	}
 	o.freed[p] = rec
-	if !o.cfg.DisablePoison && rec.words <= o.cfg.MaxPoisonWords {
+	if rec.words <= maxPoisonWords {
 		for i := uint64(0); i < rec.words; i++ {
 			o.cfg.Heap.Set(p.Add(i), PoisonWord)
 		}
@@ -264,8 +258,7 @@ func (o *Oracle) Err() error {
 	return fmt.Errorf("shadow: %d violation(s), first: %w", o.nViol, o.viol[0])
 }
 
-// Violations returns the retained violations (bounded by
-// Config.MaxViolations).
+// Violations returns the retained violations (at most maxViolations).
 func (o *Oracle) Violations() []Violation {
 	o.mu.Lock()
 	defer o.mu.Unlock()
@@ -346,7 +339,7 @@ func (o *Oracle) containing(p mem.Ptr) *blockRec {
 
 func (o *Oracle) recordLocked(vs []Violation) {
 	for _, v := range vs {
-		if len(o.viol) < o.cfg.MaxViolations {
+		if len(o.viol) < maxViolations {
 			o.viol = append(o.viol, v)
 		}
 		o.nViol++

@@ -54,6 +54,16 @@ import (
 // reallocated.
 const PoisonWord = 0xdeadbeefcafef00d
 
+// maxPoisonWords bounds which blocks are poisoned: blocks with more
+// usable words are tracked but left unpoisoned (large blocks return
+// straight to the region layer, where the recycle hook would invalidate
+// the canary immediately anyway).
+const maxPoisonWords = 4096
+
+// maxViolations bounds how many violations are retained for
+// Violations()/Err() (the count is always exact).
+const maxViolations = 64
+
 // Config parameterizes an Oracle.
 type Config struct {
 	// Name identifies the allocator under test in violation reports
@@ -70,10 +80,6 @@ type Config struct {
 	// baselines must leave it off.
 	VerifyOnReuse bool
 
-	// DisablePoison turns off the canary fill entirely (poisoning costs
-	// a write per freed payload word).
-	DisablePoison bool
-
 	// PrefixIgnoreMask masks bits OUT of the prefix-stability check:
 	// header bits the allocator legitimately rewrites while the block is
 	// live. The boundary-tag baselines clear a live chunk's prev-in-use
@@ -81,12 +87,6 @@ type Config struct {
 	// (chunkheap.MutableHeaderBits); the lockfree core and hoard never
 	// touch a live block's prefix, so they leave this zero.
 	PrefixIgnoreMask uint64
-
-	// MaxPoisonWords bounds which blocks are poisoned: blocks with more
-	// usable words are tracked but left unpoisoned (large blocks return
-	// straight to the region layer, where the recycle hook would
-	// invalidate the canary immediately anyway). 0 selects 4096.
-	MaxPoisonWords uint64
 
 	// CrossCheck registers the oracle in a process-wide registry so a
 	// free of a pointer unknown to this oracle can be attributed to the
@@ -108,10 +108,6 @@ type Config struct {
 	// DumpEvents is how many flight-recorder events the report includes
 	// (0 selects 16).
 	DumpEvents int
-
-	// MaxViolations bounds how many violations are retained for
-	// Violations()/Err() (the count is always exact). 0 selects 64.
-	MaxViolations int
 }
 
 // Kind classifies a violation.
