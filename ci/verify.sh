@@ -32,11 +32,14 @@ stage_test() {
 }
 
 stage_race() {
-	go test -race ./alloc ./cmd/allocmon ./cmd/heapinfo ./cmd/mlfstress \
-		./internal/baseline/... ./internal/buddy ./internal/census ./internal/churn \
-		./internal/core ./internal/lfqueue ./internal/mem ./internal/offload \
-		./internal/partial ./internal/pool/... ./internal/sched ./internal/shadow \
-		./internal/telemetry
+	# internal/bench, internal/report and cmd/benchmal for the census
+	# walker (bench.Walked), the one goroutine of the measuring layer that
+	# is not a workload's worker.
+	go test -race ./alloc ./cmd/allocmon ./cmd/benchmal ./cmd/heapinfo ./cmd/mlfstress \
+		./internal/baseline/... ./internal/bench ./internal/buddy ./internal/census \
+		./internal/churn ./internal/core ./internal/lfqueue ./internal/mem \
+		./internal/offload ./internal/partial ./internal/pool/... ./internal/report \
+		./internal/sched ./internal/shadow ./internal/telemetry
 	go test -race -tags memdebug ./internal/mem ./internal/pool
 }
 

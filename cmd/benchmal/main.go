@@ -3,10 +3,18 @@
 //
 // Usage:
 //
-//	benchmal [-exp all|table1|fig8a..fig8h|latency|space|unip|ablate|magazine|arenas|poolstripes|poolalgo|census|frag]
-//	         [-threads 1,2,4,8,16] [-scale 0.01] [-allocs lockfree,hoard,...]
-//	         [-procs N] [-telemetry] [-magazine N] [-arenas N] [-descstripes N]
-//	         [-descalgo freelist|consttime] [-samplerate N] [-json] [-list] [-v]
+//	benchmal [-exp all|id,id,...] [-threads 1,2,4,8,16] [-scale 0.01]
+//	         [-allocs lockfree,hoard,...] [-procs N] [-telemetry] [-magazine N]
+//	         [-arenas N] [-descstripes N] [-descalgo freelist|consttime]
+//	         [-samplerate N] [-json] [-list] [-v]
+//
+// -list prints the experiment ids; -list -v adds what each one is: its
+// thread counts and reference, and its workloads (parameters at the
+// given -scale), subjects and columns. Every number printed is the best
+// of three runs on fresh allocators; -v prints each run as it is taken.
+// -allocs narrows every experiment to the named allocators, those that
+// name their own subjects included (the serial reference of a speedup
+// always runs).
 //
 // -scale 1.0 runs the paper's full parameters (10M malloc/free pairs
 // per thread, 30-second timed phases); the default 0.01 finishes each
@@ -16,32 +24,29 @@
 // the lock-free allocator's measurement lines then carry CAS retries/op
 // and malloc latency quantiles, the buddy's its CAS-retry sites, and
 // the lock-based baselines ignore it; -telemetry=false measures the
-// bare allocator. -magazine N enables the thread-local magazine
-// layer (Config.MagazineSize=N) on every lock-free allocator; the
-// magazine experiment compares off/on regardless of this flag.
-// -arenas N shards every allocator's OS layer into N region arenas
-// (0 = one per processor heap, the default; 1 = the unsharded global
-// layout); the arenas experiment compares 1 vs per-processor
-// regardless of this flag. -descstripes N likewise sets the
-// descriptor-pool freelist stripe count on every lock-free allocator
-// (0 = one per processor, 1 = the paper's single DescAvail list); the
-// poolstripes experiment compares 1 vs per-processor regardless of
-// this flag. -descalgo selects the descriptor pool's recycling backend
-// (freelist = the paper's Figure-7 tagged freelist, consttime = the
-// Blelloch-Wei constant-time batch scheme); the poolalgo experiment
-// compares the two regardless of this flag. A contradictory or
-// out-of-range knob (core.Config.Validate) exits non-zero with the
-// reason before anything runs. -samplerate N enables the allocation
-// sampler (one sample per N mallocs) on every telemetry recorder,
-// adding a census digest — fragmentation and live-block ages — to each
-// measurement (0 = off, the default, preserving the bare telemetry
-// cost); the census experiment compares off/on regardless of this
-// flag. -json additionally writes every individual measurement to a
+// bare allocator. -samplerate N enables the allocation sampler (one
+// sample per N mallocs) on every recorder, adding a census digest —
+// fragmentation and live-block ages — to each measurement (0 = off, the
+// default, preserving the bare telemetry cost).
+//
+// The shape flags apply to every lock-free allocator built (-arenas to
+// every allocator's OS layer): -magazine N is Config.MagazineSize,
+// -arenas N the region arenas (0 = one per processor heap, 1 = the
+// unsharded layout), -descstripes N the descriptor-pool freelist
+// stripes (0 = one per processor, 1 = the paper's single DescAvail
+// list), -descalgo the pool's recycling backend (freelist = Figure 7,
+// consttime = Blelloch-Wei batches). A contradictory or out-of-range
+// value (core.Config.Validate) exits non-zero with the reason before
+// anything runs. The experiment that compares settings of one of these
+// (magazine, arenas, poolstripes, poolalgo; census for -samplerate)
+// sets it per row; a -magazine or -samplerate given is what its "on"
+// row uses.
+//
+// -json additionally writes every individual measurement to a
 // BENCH_<unixtime>.json file.
 package main
 
 import (
-	"bytes"
 	"encoding/json"
 	"flag"
 	"fmt"
@@ -88,20 +93,13 @@ func main() {
 		rateFlag    = flag.Int("samplerate", 0, "allocation sampling period for census columns (0 = sampler off)")
 		jsonFlag    = flag.Bool("json", false, "write all measurements to a BENCH_<unixtime>.json file")
 		listFlag    = flag.Bool("list", false, "list experiments and exit")
-		verboseFlag = flag.Bool("v", false, "print every individual measurement")
+		verboseFlag = flag.Bool("v", false, "print every individual measurement; with -list, what each experiment measures")
 	)
 	flag.Parse()
 
 	shape, err := allocFlags.Apply(core.Config{Processors: *procsFlag})
 	if err != nil {
 		fatal("%v", err)
-	}
-
-	if *listFlag {
-		for _, e := range report.Experiments() {
-			fmt.Printf("%-8s %s\n", e.ID, e.Title)
-		}
-		return
 	}
 
 	threads, err := parseInts(*threadsFlag)
@@ -119,14 +117,22 @@ func main() {
 		cfg.Allocators = strings.Split(*allocsFlag, ",")
 	}
 
+	if *listFlag {
+		list(os.Stdout, report.Experiments(cfg), *verboseFlag)
+		return
+	}
+
 	var results []bench.Result
-	if *jsonFlag {
-		cfg.Record = func(r bench.Result) { results = append(results, r) }
+	cfg.Record = func(r bench.Result) {
+		results = append(results, r)
+		if *verboseFlag {
+			fmt.Printf("# %s\n", r)
+		}
 	}
 
 	var ids []string
 	if *expFlag == "all" {
-		for _, e := range report.Experiments() {
+		for _, e := range report.Experiments(cfg) {
 			ids = append(ids, e.ID)
 		}
 	} else {
@@ -137,19 +143,13 @@ func main() {
 		runtime.GOMAXPROCS(0), runtime.NumCPU(), *scaleFlag, threads)
 
 	for _, id := range ids {
-		e, ok := report.ByID(strings.TrimSpace(id))
+		e, ok := report.ByID(cfg, strings.TrimSpace(id))
 		if !ok {
 			fatal("unknown experiment %q (use -list)", id)
 		}
 		fmt.Printf("==== %s: %s ====\n", e.ID, e.Title)
-		if e.Paper != "" {
-			fmt.Printf("paper: %s\n\n", e.Paper)
-		}
-		var out io.Writer = os.Stdout
-		if !*verboseFlag {
-			out = &filterComments{w: os.Stdout}
-		}
-		if err := e.Run(cfg, out); err != nil {
+		fmt.Printf("paper: %s\n\n", e.Paper)
+		if err := e.Run(os.Stdout); err != nil {
 			fatal("%s: %v", e.ID, err)
 		}
 		fmt.Println()
@@ -183,29 +183,15 @@ func main() {
 	}
 }
 
-// filterComments drops lines starting with "# " (per-measurement
-// detail) unless -v is given.
-type filterComments struct {
-	w   io.Writer
-	buf []byte
-}
-
-func (f *filterComments) Write(p []byte) (int, error) {
-	f.buf = append(f.buf, p...)
-	for {
-		i := bytes.IndexByte(f.buf, '\n')
-		if i < 0 {
-			break
+// list prints one line per experiment, and under it, if verbose, what
+// the experiment measures.
+func list(w io.Writer, exps []report.Experiment, verbose bool) {
+	for _, e := range exps {
+		fmt.Fprintf(w, "%-8s %s\n", e.ID, e.Title)
+		if verbose {
+			fmt.Fprint(w, e.Describe())
 		}
-		line := f.buf[:i+1]
-		if !(len(line) >= 2 && line[0] == '#' && line[1] == ' ') {
-			if _, err := f.w.Write(line); err != nil {
-				return len(p), err
-			}
-		}
-		f.buf = f.buf[i+1:]
 	}
-	return len(p), nil
 }
 
 func parseInts(s string) ([]int, error) {

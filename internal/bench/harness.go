@@ -10,6 +10,7 @@ import (
 	"fmt"
 	"runtime"
 	"sync"
+	"sync/atomic"
 	"time"
 
 	"repro/alloc"
@@ -50,6 +51,9 @@ type Result struct {
 	// nil unless the allocator has a recorder with the allocation sampler
 	// enabled.
 	Census *census.Summary `json:"census,omitempty"`
+	// CensusWalks counts the walks a concurrent census walker completed
+	// during the run (Walked).
+	CensusWalks int `json:"censusWalks,omitempty"`
 }
 
 // TelemetrySummary is the per-run digest of a telemetry snapshot
@@ -139,6 +143,38 @@ type Workload interface {
 	// Run executes the workload with the given number of threads and
 	// returns the measurement.
 	Run(a alloc.Allocator, threads int) Result
+}
+
+// Walked runs a workload the way allocmon watches a live heap: on an
+// allocator whose recorder samples allocations — the same condition
+// under which a Result carries a Census — a walker takes a census every
+// 2 ms for as long as the workload runs. On any other allocator the
+// workload runs alone.
+type Walked struct{ Workload }
+
+func (w Walked) String() string { return fmt.Sprintf("%+v + census walker", w.Workload) }
+
+// Run executes the inner workload, with the walker beside it if the
+// allocator is under census.
+func (w Walked) Run(a alloc.Allocator, threads int) Result {
+	h := alloc.HarnessOf(a)
+	if rec := h.Recorder(); rec == nil || rec.Sampler() == nil {
+		return w.Workload.Run(a, threads)
+	}
+	var stop atomic.Bool
+	walked := make(chan int)
+	go func() {
+		walks := 0
+		for ; !stop.Load(); walks++ {
+			h.Census()
+			time.Sleep(2 * time.Millisecond)
+		}
+		walked <- walks
+	}()
+	r := w.Workload.Run(a, threads)
+	stop.Store(true)
+	r.CensusWalks = <-walked
+	return r
 }
 
 // runWorkers starts one goroutine per worker, each with its own Thread

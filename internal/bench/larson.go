@@ -28,7 +28,6 @@ type Larson struct {
 	BlocksPerThread int           // paper: 1024
 	MinSize         uint64        // paper: 16
 	MaxSize         uint64        // paper: 80
-	SetupChurn      int           // initial random malloc/free churn per slot
 }
 
 // Name identifies the workload.
@@ -36,10 +35,7 @@ func (w Larson) Name() string { return "larson" }
 
 // Run executes the workload.
 func (w Larson) Run(a alloc.Allocator, threads int) Result {
-	churn := w.SetupChurn
-	if churn == 0 {
-		churn = 4
-	}
+	const churn = 4 // initial random malloc/free pairs per slot
 	// Setup phase (untimed): one thread allocates and frees random
 	// blocks in random order, then fills each worker's slot array.
 	setup := a.NewThread()

@@ -20,17 +20,16 @@ import (
 // dequeues a task, builds a histogram from the database entries named
 // by the task, performs Work units of local work, and frees the queue
 // node, the task, the index block, and its histogram block (1 malloc +
-// 4 frees). When the queue exceeds HelpThreshold tasks, the producer
-// helps by consuming one task itself.
+// 4 frees). When the queue exceeds 1000 tasks (the paper's threshold),
+// the producer helps by consuming one task itself.
 //
 // The benchmark measures how many tasks are completed in Duration; it
 // captures robustness under the producer-consumer sharing pattern,
 // where threads free blocks allocated by other threads.
 type ProducerConsumer struct {
-	Duration      time.Duration // paper: 30 s
-	Work          int           // local work per task (paper: 500/750/1000)
-	DBSize        int           // database entries (paper: 1,000,000)
-	HelpThreshold int64         // paper: 1000
+	Duration time.Duration // paper: 30 s
+	Work     int           // local work per task (paper: 500/750/1000)
+	DBSize   int           // database entries (paper: 1,000,000)
 }
 
 // Name identifies the workload.
@@ -50,10 +49,7 @@ func (w ProducerConsumer) Run(a alloc.Allocator, threads int) Result {
 	if dbSize == 0 {
 		dbSize = 1 << 20
 	}
-	help := w.HelpThreshold
-	if help == 0 {
-		help = 1000
-	}
+	const help = 1000
 	// The database is application memory, not allocator-managed.
 	db := make([]uint64, dbSize)
 	rng := rand.New(rand.NewSource(3))

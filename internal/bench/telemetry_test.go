@@ -3,6 +3,7 @@ package bench
 import (
 	"encoding/json"
 	"testing"
+	"time"
 
 	"repro/alloc"
 	"repro/internal/core"
@@ -61,5 +62,27 @@ func TestResultTelemetrySummary(t *testing.T) {
 	}
 	if r := w.Run(serial, 1); r.Telemetry != nil {
 		t.Error("serial allocator produced a telemetry summary")
+	}
+}
+
+// TestWalkedWalksOnlyUnderCensus: Walked adds its concurrent census
+// walker exactly where a Result carries a Census — on an allocator whose
+// recorder samples allocations — and runs the workload alone elsewhere.
+func TestWalkedWalksOnlyUnderCensus(t *testing.T) {
+	w := Walked{Larson{Duration: 50 * time.Millisecond, BlocksPerThread: 64, MinSize: 16, MaxSize: 80}}
+	for rate, wantWalks := range map[int]bool{0: false, 64: true} {
+		opt := testOptions()
+		opt.LockFree.Telemetry = core.NewRecorder(telemetry.Config{SampleRate: rate})
+		a, err := alloc.New("lockfree", opt)
+		if err != nil {
+			t.Fatal(err)
+		}
+		r := w.Run(a, 2)
+		if r.Workload != "larson" || r.Ops == 0 {
+			t.Errorf("rate %d: result %+v is not the inner workload's", rate, r)
+		}
+		if (r.CensusWalks > 0) != wantWalks || (r.Census != nil) != wantWalks {
+			t.Errorf("rate %d: %d walks, census %v; want both present = %v", rate, r.CensusWalks, r.Census, wantWalks)
+		}
 	}
 }

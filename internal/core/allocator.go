@@ -74,13 +74,6 @@ type Config struct {
 	// list (§3.2.6 ablation).
 	NoPartialSlot bool
 
-	// PartialSlots sets the number of most-recently-used Partial slots
-	// per processor heap (the paper's "multiple slots can be used if
-	// desired", §3.2.6). 0 or 1 selects the paper's default single
-	// slot. More than one contradicts NoPartialSlot (Validate rejects
-	// the pair).
-	PartialSlots int
-
 	// MagazineSize enables the thread-local magazine layer: each
 	// Thread keeps up to MagazineSize blocks per size class in a
 	// private cache, refilled and flushed in batches so the shared
@@ -124,10 +117,6 @@ func (cfg Config) Validate() error {
 		return fmt.Errorf("core: unknown DescAlgo %v", cfg.DescAlgo)
 	case cfg.MaxCredits < 0 || cfg.MaxCredits > atomicx.MaxCredits:
 		return fmt.Errorf("core: MaxCredits %d out of range [0, %d]", cfg.MaxCredits, atomicx.MaxCredits)
-	case cfg.PartialSlots < 0:
-		return fmt.Errorf("core: PartialSlots %d is negative", cfg.PartialSlots)
-	case cfg.NoPartialSlot && cfg.PartialSlots > 1:
-		return fmt.Errorf("core: NoPartialSlot contradicts PartialSlots %d", cfg.PartialSlots)
 	case cfg.MagazineSize < 0:
 		return fmt.Errorf("core: MagazineSize %d is negative", cfg.MagazineSize)
 	case cfg.HeapConfig.Arenas < 0:
@@ -181,7 +170,7 @@ type Allocator struct {
 	// phase a 208- or 224-byte slot happens to start at. Growing the
 	// struct within the padding budget cannot change the layout
 	// (layout.go pins the total with compile-time assertions).
-	_ [48]byte
+	_ [56]byte
 }
 
 // scState is the per-size-class state (paper's sizeclass structure).
@@ -189,12 +178,6 @@ type scState struct {
 	class   sizeclass.Class
 	heaps   []ProcHeap
 	partial partial.List
-
-	// extraPartial holds, per processor heap, the additional MRU slots
-	// when Config.PartialSlots exceeds one (§3.2.6: "multiple slots can
-	// be used if desired"); each entry is empty otherwise. Kept beside
-	// the heaps rather than in them so that ProcHeap stays pointer-free.
-	extraPartial [][]atomic.Uint64
 }
 
 // ProcHeap is a processor heap (paper Figure 3): exactly one 64-byte
@@ -299,14 +282,10 @@ func New(cfg Config) *Allocator {
 		if stripes != nil {
 			sc.partial.Instrument(stripes)
 		}
-		sc.extraPartial = make([][]atomic.Uint64, cfg.Processors)
 		for p := range sc.heaps {
 			sc.heaps[p].id = uint64(i)*a.procs + uint64(p)
 			sc.heaps[p].cls = uint32(i)
 			sc.heaps[p].proc = uint32(p)
-			if cfg.PartialSlots > 1 {
-				sc.extraPartial[p] = make([]atomic.Uint64, cfg.PartialSlots-1)
-			}
 		}
 	}
 	return a

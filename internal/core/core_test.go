@@ -404,49 +404,6 @@ func TestStressSmallMaxCredits(t *testing.T) {
 	stress(t, cfg, 4, 10000)
 }
 
-func TestStressMultiPartialSlots(t *testing.T) {
-	cfg := testConfig()
-	cfg.PartialSlots = 4
-	stress(t, cfg, 8, 15000)
-}
-
-func TestMultiPartialSlotFillAndDrain(t *testing.T) {
-	cfg := testConfig()
-	cfg.Processors = 1
-	cfg.PartialSlots = 3
-	a := New(cfg)
-	th := a.Thread()
-	sc := &a.classes[0]
-	h := &sc.heaps[0]
-	// Four partial descriptors: two land in extra slots, one in the
-	// MRU slot, the displaced one in the size-class list.
-	var descs []uint64
-	for i := 0; i < 4; i++ {
-		d := mkDesc(t, a, atomicx.StatePartial)
-		descs = append(descs, d)
-		th.heapPutPartial(d)
-	}
-	got := map[uint64]bool{}
-	for i := 0; i < 4; i++ {
-		d := th.heapGetPartial(h)
-		if d == 0 {
-			t.Fatalf("retrieval %d came up empty", i)
-		}
-		if got[d] {
-			t.Fatalf("descriptor %d retrieved twice", d)
-		}
-		got[d] = true
-	}
-	for _, d := range descs {
-		if !got[d] {
-			t.Errorf("descriptor %d lost", d)
-		}
-	}
-	if d := th.heapGetPartial(h); d != 0 {
-		t.Errorf("extra retrieval returned %d", d)
-	}
-}
-
 func TestStressHyperblocks(t *testing.T) {
 	cfg := testConfig()
 	cfg.Hyperblocks = true

@@ -108,14 +108,6 @@ func (t *Thread) heapPutPartial(descIdx uint64) {
 		t.listPutPartial(sc, descIdx)
 		return
 	}
-	// With multiple slots (§3.2.6 option), fill an empty extra slot
-	// before displacing the MRU slot.
-	extra := sc.extraPartial[h.proc]
-	for i := range extra {
-		if extra[i].CompareAndSwap(0, descIdx) {
-			return
-		}
-	}
 	var prev uint64
 	for { // lines 1-2
 		prev = h.Partial.Load()
@@ -149,21 +141,11 @@ func (t *Thread) listPutPartial(sc *scState, descIdx uint64) {
 func (t *Thread) removeEmptyDesc(heapID, descIdx uint64) {
 	a := t.a
 	h := a.procHeap(heapID)
-	sc := a.classOf(h)
-	if !a.cfg.NoPartialSlot {
-		if h.Partial.CompareAndSwap(descIdx, 0) { // line 1
-			a.descs.Retire(t.stripe(), descIdx) // line 2
-			return
-		}
-		extra := sc.extraPartial[h.proc]
-		for i := range extra {
-			if extra[i].CompareAndSwap(descIdx, 0) {
-				a.descs.Retire(t.stripe(), descIdx)
-				return
-			}
-		}
+	if !a.cfg.NoPartialSlot && h.Partial.CompareAndSwap(descIdx, 0) { // line 1
+		a.descs.Retire(t.stripe(), descIdx) // line 2
+		return
 	}
-	t.listRemoveEmptyDesc(sc) // line 3
+	t.listRemoveEmptyDesc(a.classOf(h)) // line 3
 }
 
 // listRemoveEmptyDesc is the FIFO-list variant of ListRemoveEmptyDesc

@@ -323,24 +323,7 @@ func (t *Thread) heapGetPartial(h *ProcHeap) uint64 {
 			t.rec.Retry(telemetry.SitePartialSlot)
 		}
 	}
-	sc := t.a.classOf(h)
-	extra := sc.extraPartial[h.proc]
-	for i := range extra {
-		slot := &extra[i]
-		for {
-			descIdx := slot.Load()
-			if descIdx == 0 {
-				break
-			}
-			if slot.CompareAndSwap(descIdx, 0) {
-				return descIdx
-			}
-			if t.rec != nil {
-				t.rec.Retry(telemetry.SitePartialSlot)
-			}
-		}
-	}
-	if v, ok := sc.partial.Get(); ok { // ListGetPartial
+	if v, ok := t.a.classOf(h).partial.Get(); ok { // ListGetPartial
 		return v
 	}
 	return 0

@@ -95,11 +95,7 @@ func (f Figure) plot() string {
 		xs.WriteString(fmt.Sprintf("%*d", colW, t))
 	}
 	b.WriteString(xs.String() + "\n")
-	xlab := f.XLabel
-	if xlab == "" {
-		xlab = "threads"
-	}
-	fmt.Fprintf(&b, "%8s  %s (y: %s; ", "", xlab, ylab)
+	fmt.Fprintf(&b, "%8s  threads (y: %s; ", "", ylab)
 	var ms []string
 	for _, s := range f.Series {
 		ms = append(ms, fmt.Sprintf("%c=%s", markers[s.Name], s.Name))

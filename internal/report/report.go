@@ -38,7 +38,6 @@ func (s Series) Value(threads int) (float64, bool) {
 type Figure struct {
 	Title  string
 	YLabel string
-	XLabel string
 	Series []Series
 }
 

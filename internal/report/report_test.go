@@ -2,6 +2,7 @@ package report
 
 import (
 	"bytes"
+	"io"
 	"strings"
 	"testing"
 
@@ -100,13 +101,13 @@ func TestFigurePlotEmpty(t *testing.T) {
 
 func TestExperimentRegistry(t *testing.T) {
 	ids := map[string]bool{}
-	for _, e := range Experiments() {
+	for _, e := range Experiments(RunConfig{}) {
 		if ids[e.ID] {
 			t.Errorf("duplicate experiment id %q", e.ID)
 		}
 		ids[e.ID] = true
-		if e.Run == nil {
-			t.Errorf("experiment %q has no runner", e.ID)
+		if err := e.spec.check(); err != nil {
+			t.Errorf("experiment %q: %v", e.ID, err)
 		}
 		if e.Title == "" {
 			t.Errorf("experiment %q has no title", e.ID)
@@ -122,11 +123,70 @@ func TestExperimentRegistry(t *testing.T) {
 			t.Errorf("missing experiment %q", want)
 		}
 	}
-	if _, ok := ByID("fig8a"); !ok {
+	if _, ok := ByID(RunConfig{}, "fig8a"); !ok {
 		t.Error("ByID(fig8a) failed")
 	}
-	if _, ok := ByID("nope"); ok {
+	if _, ok := ByID(RunConfig{}, "nope"); ok {
 		t.Error("ByID(nope) succeeded")
+	}
+}
+
+// TestMalformedSpecRejected: run refuses, before measuring anything, a
+// spec it could not run or lay out.
+func TestMalformedSpecRejected(t *testing.T) {
+	cfg := RunConfig{Threads: []int{1}, Scale: 0.0002}.withDefaults()
+	good := spec{
+		layout: bySubject, subjects: []subject{{name: "lockfree"}},
+		workloads: []bench.Workload{bench.LinuxScalability{Pairs: 100, Size: 8}}, threads: []int{1}, ref: libc, columns: []column{opsColumn},
+	}
+	if err := good.check(); err != nil {
+		t.Fatalf("well-formed spec rejected: %v", err)
+	}
+	for name, breakIt := range map[string]func(*spec){
+		"no subject":             func(s *spec) { s.subjects = []subject{} },
+		"no workload":            func(s *spec) { s.workloads = nil },
+		"unregistered reference": func(s *spec) { s.ref = "libc" },
+		"no column":              func(s *spec) { s.columns = nil },
+		"two-column figure":      func(s *spec) { s.layout, s.columns = overThreads, []column{opsColumn, maxLiveColumn} },
+		"two-metric grid":        func(s *spec) { s.layout, s.columns = byWorkload, []column{opsColumn, maxLiveColumn} },
+	} {
+		bad := good
+		breakIt(&bad)
+		var buf bytes.Buffer
+		measured := 0
+		cfg.Record = func(bench.Result) { measured++ }
+		if err := run(cfg, bad, &buf); err == nil || measured > 0 || buf.Len() > 0 {
+			t.Errorf("%s: run = %v after %d measurements and output %q; want an error before any", name, err, measured, buf.String())
+		}
+	}
+}
+
+// TestAllocsHonoured: RunConfig.Allocators filters the subjects of every
+// experiment, the ones that name their own included; only the serial
+// reference is measured regardless.
+func TestAllocsHonoured(t *testing.T) {
+	for id, refRuns := range map[string]int{"table1": 3 * scalarReps, "space": 0, "frag": 0, "arenas": 0} {
+		t.Run(id, func(t *testing.T) {
+			t.Parallel()
+			var recorded []bench.Result
+			cfg := RunConfig{
+				Threads:    []int{1, 2},
+				Scale:      0.0002,
+				Allocators: []string{"lockfree"},
+				Record:     func(r bench.Result) { recorded = append(recorded, r) },
+			}
+			e, _ := ByID(cfg, id)
+			if err := e.Run(io.Discard); err != nil {
+				t.Fatal(err)
+			}
+			byAlloc := map[string]int{}
+			for _, r := range recorded {
+				byAlloc[r.Allocator]++
+			}
+			if byAlloc["lockfree"] == 0 || byAlloc["serial"] != refRuns || len(byAlloc) > 2 {
+				t.Errorf("measured %v; want lockfree and %d runs of the serial reference only", byAlloc, refRuns)
+			}
+		})
 	}
 }
 
@@ -146,14 +206,14 @@ func TestRunConfigDefaults(t *testing.T) {
 // TestTinyExperimentEndToEnd runs one sweep experiment at microscopic
 // scale to validate the whole pipeline.
 func TestTinyExperimentEndToEnd(t *testing.T) {
-	e, _ := ByID("fig8a")
-	var buf bytes.Buffer
 	cfg := RunConfig{
 		Threads: []int{1, 2},
 		Scale:   0.0002, // 2000 pairs
 		Options: alloc.Options{Processors: 2},
 	}
-	if err := e.Run(cfg, &buf); err != nil {
+	e, _ := ByID(cfg, "fig8a")
+	var buf bytes.Buffer
+	if err := e.Run(&buf); err != nil {
 		t.Fatal(err)
 	}
 	out := buf.String()
@@ -165,10 +225,10 @@ func TestTinyExperimentEndToEnd(t *testing.T) {
 }
 
 func TestTinyTable1EndToEnd(t *testing.T) {
-	e, _ := ByID("table1")
-	var buf bytes.Buffer
 	cfg := RunConfig{Threads: []int{1}, Scale: 0.0002, Options: alloc.Options{Processors: 2}}
-	if err := e.Run(cfg, &buf); err != nil {
+	e, _ := ByID(cfg, "table1")
+	var buf bytes.Buffer
+	if err := e.Run(&buf); err != nil {
 		t.Fatal(err)
 	}
 	if !strings.Contains(buf.String(), "Larson") {
@@ -177,22 +237,18 @@ func TestTinyTable1EndToEnd(t *testing.T) {
 }
 
 func TestRawSyncCosts(t *testing.T) {
-	lock, cas := rawSyncCosts()
-	if lock <= 0 || cas <= 0 {
-		t.Errorf("nonpositive costs: lock=%v cas=%v", lock, cas)
-	}
-	if lock > 10000 || cas > 10000 {
-		t.Errorf("implausible costs: lock=%v cas=%v", lock, cas)
+	for _, r := range rawSyncCosts() {
+		if ns := float64(r.Elapsed.Nanoseconds()) / float64(r.Ops); ns <= 0 || ns > 10000 {
+			t.Errorf("implausible cost: %s = %v ns", r.Allocator, ns)
+		}
 	}
 }
 
 // TestTelemetryExperimentEndToEnd runs a tiny sweep with the telemetry
 // layer on and a Record callback (the benchmal -json path): every
 // measurement is delivered, lock-free rows carry telemetry summaries,
-// and the printed per-measurement lines include retries/op.
+// and their per-measurement lines (benchmal -v) include retries/op.
 func TestTelemetryExperimentEndToEnd(t *testing.T) {
-	e, _ := ByID("fig8a")
-	var buf bytes.Buffer
 	var recorded []bench.Result
 	cfg := RunConfig{
 		Threads:    []int{1, 2},
@@ -202,7 +258,8 @@ func TestTelemetryExperimentEndToEnd(t *testing.T) {
 		Telemetry:  true,
 		Record:     func(r bench.Result) { recorded = append(recorded, r) },
 	}
-	if err := e.Run(cfg, &buf); err != nil {
+	e, _ := ByID(cfg, "fig8a")
+	if err := e.Run(io.Discard); err != nil {
 		t.Fatal(err)
 	}
 	if len(recorded) == 0 {
@@ -213,8 +270,8 @@ func TestTelemetryExperimentEndToEnd(t *testing.T) {
 		switch r.Allocator {
 		case "lockfree":
 			lockfree++
-			if r.Telemetry == nil {
-				t.Errorf("lockfree %s t=%d missing telemetry summary", r.Workload, r.Threads)
+			if r.Telemetry == nil || !strings.Contains(r.String(), "retries/op") {
+				t.Errorf("lockfree %s t=%d missing telemetry summary, or its line (benchmal -v) retries/op: %s", r.Workload, r.Threads, r)
 			}
 		case "serial":
 			if r.Telemetry != nil {
@@ -224,8 +281,5 @@ func TestTelemetryExperimentEndToEnd(t *testing.T) {
 	}
 	if lockfree == 0 {
 		t.Error("no lockfree measurements recorded")
-	}
-	if !strings.Contains(buf.String(), "retries/op") {
-		t.Error("verbose measurement lines missing retries/op")
 	}
 }

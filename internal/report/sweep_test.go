@@ -19,12 +19,12 @@ var (
 // skeleton reduces rendered tables and figures to what does not depend
 // on the measurement: titles, column headers, row labels, plot legends
 // and notes. Cells are re-joined with " | ", numeric ones masked as "#";
-// dropped are the per-measurement "# " lines (benchmal -v), the dashed
-// rule (whose length follows the cell widths) and a plot's grid.
+// dropped are the dashed rule (whose length follows the cell widths) and
+// a plot's grid.
 func skeleton(out string) string {
 	var lines []string
 	for _, line := range strings.Split(strings.TrimSpace(out), "\n") {
-		if strings.HasPrefix(line, "# ") || line != "" && (strings.Trim(line, "-") == "" || plotLine.MatchString(line)) {
+		if line != "" && (strings.Trim(line, "-") == "" || plotLine.MatchString(line)) {
 			continue
 		}
 		cells := cellGap.Split(strings.TrimRight(line, " "), -1)
@@ -60,7 +60,7 @@ func goldenSkeletons(t *testing.T) map[string]string {
 // compares everything but the measured numbers against the golden.
 func TestKnobSweepSkeletons(t *testing.T) {
 	golden := goldenSkeletons(t)
-	for _, e := range Experiments() {
+	for _, e := range Experiments(RunConfig{Threads: []int{1, 2}, Scale: 0.0002}) {
 		want, ok := golden[e.ID]
 		if !ok {
 			t.Errorf("experiment %q has no golden skeleton", e.ID)
@@ -70,7 +70,7 @@ func TestKnobSweepSkeletons(t *testing.T) {
 		t.Run(e.ID, func(t *testing.T) {
 			t.Parallel()
 			var buf bytes.Buffer
-			if err := e.Run(RunConfig{Threads: []int{1, 2}, Scale: 0.0002}, &buf); err != nil {
+			if err := e.Run(&buf); err != nil {
 				t.Fatal(err)
 			}
 			if got := skeleton(buf.String()); got != want {
