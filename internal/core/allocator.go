@@ -195,9 +195,8 @@ type ProcHeap struct {
 	// descriptor index; zero is NULL.
 	Partial atomic.Uint64
 
-	id   uint64 // global heap id: class*procs + proc
-	cls  uint32 // size-class index: id / procs
-	proc uint32 // processor index within the class: id % procs
+	id  uint64 // global heap id: class*procs + processor index
+	cls uint32 // size-class index: id / procs
 
 	_ [4]uint64 // pad to 64 bytes
 }
@@ -285,7 +284,6 @@ func New(cfg Config) *Allocator {
 		for p := range sc.heaps {
 			sc.heaps[p].id = uint64(i)*a.procs + uint64(p)
 			sc.heaps[p].cls = uint32(i)
-			sc.heaps[p].proc = uint32(p)
 		}
 	}
 	return a

@@ -85,8 +85,7 @@ type column struct {
 	show  func(float64) string // nil: fixed(0)
 }
 
-func (c column) cell(r, ref bench.Result) string {
-	v := c.value(r, ref)
+func (c column) text(v float64) string {
 	switch {
 	case math.IsNaN(v):
 		return "-"
@@ -151,7 +150,7 @@ func (s spec) titleOf(w bench.Workload) string {
 func (s spec) row(label string, r, ref bench.Result) []string {
 	cells := []string{label}
 	for _, c := range s.columns {
-		cells = append(cells, c.cell(r, ref))
+		cells = append(cells, c.text(c.value(r, ref)))
 	}
 	return cells
 }
@@ -243,8 +242,9 @@ func run(cfg RunConfig, s spec, out io.Writer) error {
 		case byWorkload:
 			row, byName := []string{w.Name()}, map[string]float64{}
 			for i, sub := range subs {
-				byName[sub.name] = s.columns[0].value(cells[i][0], ref)
-				row = append(row, s.columns[0].cell(cells[i][0], ref))
+				v := s.columns[0].value(cells[i][0], ref)
+				byName[sub.name] = v
+				row = append(row, s.columns[0].text(v))
 			}
 			if s.last != nil {
 				row = append(row, s.last.cell(w, byName))
