@@ -6,7 +6,8 @@
 # replacing the atomic add saved). The Go inliner gives a function a
 # budget of 80 nodes; an edit that pushes one of these helpers over it
 # costs a call per word silently. This step asks the compiler and fails
-# loudly.
+# loudly. It then counts the locked instructions on the paths that end
+# in a CAS (see the last section).
 #
 # mem's accessors are checked where they are declared. pool.Pool is
 # generic, so the compiler only reports on its methods where they are
@@ -58,5 +59,38 @@ inlined_within release release withLink
 inlined_within release release smallPrefix
 if [ "$status" -eq 0 ]; then
 	echo "inline guard: mem.(*Heap).{word,Load,Store,CAS,Get,Set}, pool.(*Pool).Get, core.(*Allocator).desc, (*Thread).bump and the prefix helpers all inline, withLink and smallPrefix inside release"
+fi
+
+# Locked-instruction count, from the disassembly of a non-race build
+# (the race build keeps Heap.Store atomic). Heap.Store is a plain store:
+# the CAS after every link store publishes it. A plain XCHG is a locked
+# store (an atomic Store on amd64); LOCK is the prefix of CMPXCHG (a
+# CAS) and XADD (an atomic Add). spliceGroup's link stores are the one
+# place this fails on: it writes only blocks it owns and hands the chain
+# to release's CAS, so any XCHG in it is a barrier paid per block. The
+# other counts are printed for the record.
+if [ "$(go env GOARCH)" = amd64 ]; then
+	bin=$(mktemp -d)
+	trap 'rm -rf "$bin"' EXIT
+	go test -c -o "$bin/core.test" ./internal/core
+	locked() { # prints "<xchg> <lock>" for core.(*Thread).$1, or nothing if absent
+		go tool objdump -s "^repro/internal/core\.\(\*Thread\)\.$1\$" "$bin/core.test" |
+			awk '/^TEXT/ { seen = 1 } /[ \t]XCHG[BWLQ]?[ \t]/ { x++ } /[ \t]LOCK[ \t]/ { l++ }
+				END { if (seen) print x + 0, l + 0 }'
+	}
+	for fn in spliceGroup free mallocFromActive refillFromActive release; do
+		counts=$(locked "$fn")
+		if [ -z "$counts" ]; then
+			echo "inline guard: no code for core.(*Thread).$fn in the test binary" >&2
+			status=1
+			continue
+		fi
+		set -- $counts
+		echo "locked instructions: core.(*Thread).$fn XCHG=$1 LOCK=$2"
+		if [ "$fn" = spliceGroup ] && [ "$1" -ne 0 ]; then
+			echo "inline guard: core.(*Thread).spliceGroup has $1 XCHG; its link stores must be plain" >&2
+			status=1
+		fi
+	done
 fi
 exit "$status"

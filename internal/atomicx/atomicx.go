@@ -15,11 +15,12 @@
 //
 // Memory fences: the paper targets PowerPC and inserts sync/isync/eieio
 // instructions at specific points (Figure 4 line 12, Figure 6 lines 14
-// and 17, Figure 7 lines 7 and 3). Go's sync/atomic operations are
-// sequentially consistent, so every atomic load/store/CAS already
-// carries the ordering those fences establish. The fence call sites are
-// kept (as Fence calls that compile to nothing beyond an atomic no-op)
-// so the correspondence with the paper's code remains visible.
+// and 17, Figure 7 lines 7 and 3), each between plain stores or loads
+// and the CAS that publishes them. Go's sync/atomic operations are
+// sequentially consistent, so that CAS itself orders every earlier
+// store before it and every later load after it: the CAS is the fence.
+// The fence call sites are kept (as Fence calls that compile to
+// nothing) so the correspondence with the paper's code remains visible.
 package atomicx
 
 // Superblock states, exactly the paper's codes (Figure 3).
@@ -179,14 +180,15 @@ func UnpackTagged(w uint64) Tagged {
 
 // Fence documents a point where the paper's PowerPC code issues a
 // memory fence (sync/eieio) to order plain stores before a subsequent
-// CAS. Go's atomic operations are sequentially consistent, so a fence
-// instruction is unnecessary; the surrounding atomic CAS provides the
-// ordering. The function exists to keep the paper's fence sites visible
-// in the code.
+// CAS. The stores here are plain too (mem.Heap.Store), and the ordering
+// comes from that CAS: a sequentially consistent atomic, after which
+// another thread that observes its result also observes every store
+// program-ordered before it. No fence instruction is needed; the
+// function exists to keep the paper's fence sites visible in the code.
 func Fence() {}
 
 // InstructionFence documents a point where the paper issues an
 // instruction fence (isync) to order a plain load before the success of
-// a subsequent CAS (free(), Figure 6 line 14). As with Fence, Go's
-// atomics subsume it.
+// a subsequent CAS (free(), Figure 6 line 14). As with Fence, the load
+// and the CAS are Go atomics, which already keep that order.
 func InstructionFence() {}

@@ -285,9 +285,9 @@ func (a *Allocator) newSuperblock(h *heapT, hi int, cls sizeclass.Class) (*super
 		return nil, err
 	}
 	sb := &superblock{class: cls, base: base, freeHead: 0}
-	// Atomic link writes: a lock-free structure's stale reader may
-	// still be examining words of a recycled region (see the note on
-	// chunkheap's link accessors).
+	// Link writes through Heap.Store: a lock-free structure's stale
+	// reader may still be examining words of a recycled region (see the
+	// note on chunkheap's link accessors).
 	for i := uint64(0); i < cls.MaxCount; i++ {
 		a.heap.Store(base.Add(i*cls.BlockWords), i+1)
 	}
@@ -340,9 +340,9 @@ func (t *Thread) Free(p mem.Ptr) {
 		}
 		h.mu.Unlock()
 	}
-	// Push the block. The link write is atomic: a lock-free
-	// structure's stale reader may still read this word (see the note
-	// on chunkheap's link accessors).
+	// Push the block. The link write goes through Heap.Store: a
+	// lock-free structure's stale reader may still read this word (see
+	// the note on chunkheap's link accessors).
 	idx := block.Sub(sb.base) / sb.class.BlockWords
 	a.heap.Store(block, sb.freeHead)
 	sb.freeHead = idx

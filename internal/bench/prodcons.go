@@ -69,10 +69,10 @@ func (w ProducerConsumer) Run(a alloc.Allocator, threads int) Result {
 	// consume processes one task: histogram + local work + 3 frees
 	// (the 4th free, the queue node, happened in Dequeue).
 	//
-	// Payload access is atomic throughout this benchmark: blocks here
-	// are recycled through the same storage as the lock-free queue's
-	// nodes, whose intentionally stale readers may examine any word a
-	// recycled block now owns (see chunkheap's link-accessor note).
+	// Payload access goes through Load/Store throughout this benchmark:
+	// blocks here are recycled through the same storage as the lock-free
+	// queue's nodes, whose intentionally stale readers may examine any
+	// word a recycled block now owns (see chunkheap's link-accessor note).
 	consume := func(th alloc.Thread, task mem.Ptr) {
 		idxBlock := mem.Ptr(heap.Load(task))
 		n := heap.Load(task.Add(1))

@@ -161,16 +161,19 @@ func UsableWords(m *mem.Heap, p mem.Ptr) uint64 {
 
 // chunk accessors. A chunk pointer addresses its header word.
 //
-// All metadata WRITES are atomic, for two reasons. First, free() reads
-// the owner tag of an allocated block before acquiring any lock
-// (ptmalloc's arena routing), so header writes race with unlocked tag
-// reads. Second, a lock-free structure built over allocator blocks
+// All metadata WRITES go through Heap.Store, for two reasons. First,
+// free() reads the owner tag of an allocated block before acquiring any
+// lock (ptmalloc's arena routing), so header writes race with unlocked
+// tag reads. Second, a lock-free structure built over allocator blocks
 // (the §4.1 benchmark queue) holds intentionally stale pointers into
 // freed blocks and reads their words; splits, coalescing, and binning
 // rewrite those same words. A C allocator leaves these races benign-
-// by-convention; the Go memory model requires atomicity. READS happen
-// under the owning lock (ordered with the locked atomic writes) and
-// stay plain.
+// by-convention, and so does Store outside the race build: one aligned
+// word written plainly, so a racing read sees the old word or the new
+// one. The race build keeps Store atomic, which is what tells the
+// detector the race is intended. The lock release publishes the writes
+// to the next holder; READS happen under the owning lock and stay
+// plain.
 
 func (c *Heap) header(ch mem.Ptr) uint64        { return c.mem.Get(ch) }
 func (c *Heap) setHeader(ch mem.Ptr, h uint64)  { c.mem.Store(ch, h) }
@@ -187,13 +190,14 @@ func (c *Heap) setFooter(ch mem.Ptr, size uint64) {
 func (c *Heap) prevSize(ch mem.Ptr) uint64 { return c.mem.Get(ch - 1) }
 
 // free-list link accessors (valid only on free chunks). Link WRITES
-// are atomic: they recycle the first payload words of a freed block,
-// which a lock-free structure built over allocator blocks (e.g. the
-// §4.1 benchmark queue) may still read through an intentionally stale
-// pointer — exactly the safe-memory-reclamation hazard the paper's
-// [17,18,19] address. A C allocator leaves this race benign-by-
-// convention; the Go memory model requires the writes to be atomic.
-// Reads happen under the owning lock and may stay plain.
+// go through Heap.Store: they recycle the first payload words of a
+// freed block, which a lock-free structure built over allocator blocks
+// (e.g. the §4.1 benchmark queue) may still read through an
+// intentionally stale pointer — exactly the safe-memory-reclamation
+// hazard the paper's [17,18,19] address. A C allocator leaves this race
+// benign-by-convention; Store does too, and is atomic in the race build
+// so the detector accepts it (see the accessor note above). Reads
+// happen under the owning lock and may stay plain.
 func (c *Heap) fd(ch mem.Ptr) mem.Ptr { return mem.Ptr(c.mem.Get(ch.Add(1))) }
 func (c *Heap) bk(ch mem.Ptr) mem.Ptr { return mem.Ptr(c.mem.Get(ch.Add(2))) }
 func (c *Heap) setFd(ch, v mem.Ptr)   { c.mem.Store(ch.Add(1), uint64(v)) }
@@ -282,7 +286,7 @@ func (c *Heap) finishAlloc(ch mem.Ptr, need uint64) mem.Ptr {
 	} else {
 		// Exact-ish fit: successor's prevInUse must be set. The
 		// successor may be an allocated block whose header a
-		// concurrent unlocked free() is reading, hence atomic.
+		// concurrent unlocked free() is reading (see the accessor note).
 		nxt := ch.Add(size)
 		c.setHeaderA(nxt, c.header(nxt)|flagPrevInUse)
 	}
@@ -318,7 +322,8 @@ func (c *Heap) Free(p mem.Ptr) {
 		nh = c.header(nxt)
 	}
 	// Mark free: header, footer, successor's prevInUse cleared (the
-	// successor may be allocated and concurrently tag-read: atomic).
+	// successor may be allocated and concurrently tag-read; see the
+	// accessor note).
 	c.setHeader(ch, packHeader(size, c.tag, headerFlags(c.header(ch))&flagPrevInUse))
 	c.setFooter(ch, size)
 	c.setHeaderA(nxt, nh&^flagPrevInUse)

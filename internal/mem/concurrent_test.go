@@ -3,6 +3,7 @@ package mem
 import (
 	"runtime"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"unsafe"
 )
@@ -205,4 +206,87 @@ func TestHyperConcurrentWithScavengeWindows(t *testing.T) {
 	if hy.Stats().HyperReleases == 0 {
 		t.Error("no hyperblock was ever released across 5 scavenges")
 	}
+}
+
+// TestStorePublishedByCAS is a message-passing litmus test for Store
+// without a barrier of its own. A writer Stores k words into a fresh
+// region and publishes the region's Ptr by CAS into a head word; a
+// reader Loads the head, then every word, and must see each one as the
+// writer stored it. The reader frees the region and hands the head back
+// with a CAS, so the writer's next region is often the same one
+// recycled: a stale word would still carry an earlier hand-off's value.
+// amd64's store order cannot fail this; what it pins is that neither
+// the compiler nor a weaker memory model moves a Store past the CAS
+// that publishes it.
+func TestStorePublishedByCAS(t *testing.T) {
+	const (
+		handoffs = 100_000
+		k        = 8
+	)
+	h := newTestHeap()
+	head, _, err := h.AllocRegion(1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	h.Store(head, 0)
+	words := RegionWords(k)
+	word := func(i, j uint64) uint64 { return i<<8 | j | 1<<63 }
+	// quit is set by a side that stops early, so the other does not spin
+	// forever; a side that finishes leaves it alone, since the other may
+	// still be spinning for a hand-off that is already published.
+	var quit atomic.Bool
+	spin := func(n *int) bool {
+		if *n++; *n%64 == 0 {
+			runtime.Gosched() // let the other side run on a single P
+		}
+		return !quit.Load()
+	}
+
+	var wg sync.WaitGroup
+	wg.Add(2)
+	go func() { // writer
+		defer wg.Done()
+		for i := uint64(0); i < handoffs; i++ {
+			p, _, err := h.AllocRegion(k)
+			if err != nil {
+				t.Error(err)
+				quit.Store(true)
+				return
+			}
+			for j := uint64(0); j < k; j++ {
+				h.Store(p.Add(j), word(i, j))
+			}
+			for n := 0; !h.CAS(head, 0, uint64(p)); {
+				if !spin(&n) {
+					return
+				}
+			}
+		}
+	}()
+	go func() { // reader
+		defer wg.Done()
+		for i := uint64(0); i < handoffs; i++ {
+			var p Ptr
+			for n := 0; p == 0; {
+				if p = Ptr(h.Load(head)); p == 0 && !spin(&n) {
+					t.Errorf("hand-off %d: the writer stopped", i)
+					return
+				}
+			}
+			for j := uint64(0); j < k; j++ {
+				if got := h.Load(p.Add(j)); got != word(i, j) {
+					t.Errorf("hand-off %d: word %d of %v reads %#x, stored %#x", i, j, p, got, word(i, j))
+					quit.Store(true)
+					return
+				}
+			}
+			h.FreeRegion(p, words)
+			if !h.CAS(head, uint64(p), 0) {
+				t.Error("head changed while the reader held it")
+				quit.Store(true)
+				return
+			}
+		}
+	}()
+	wg.Wait()
 }

@@ -12,10 +12,13 @@
 //     address space under mmap, a heap costs what it touches. Ptr 0 is
 //     the nil pointer (the first page of granule 0 is never handed out).
 //
-//   - All allocator-metadata accesses to heap words (block prefixes,
-//     free-list links) go through atomic Load/Store, mirroring how the C
-//     implementation uses ordinary and atomic memory accesses on the
-//     process heap. Payload accesses may use the non-atomic accessors.
+//   - Allocator-metadata accesses to heap words (block prefixes,
+//     free-list links) go through Load, Store and CAS, as the C
+//     implementation uses ordinary and atomic accesses on the process
+//     heap: Load is an atomic read (a plain MOV on amd64), Store the
+//     paper's plain store, which the caller's next CAS publishes, and
+//     CAS a locked instruction. Under -race Store is atomic too (see
+//     raceBuild). Payload accesses may use Get and Set.
 //
 //   - The OS layer (AllocRegion/FreeRegion) hands out page-granular
 //     regions, exactly the role mmap/munmap play in the paper: it serves
@@ -384,8 +387,19 @@ func (h *Heap) word(p Ptr) *uint64 {
 // Load atomically reads the word at p.
 func (h *Heap) Load(p Ptr) uint64 { return atomic.LoadUint64(h.word(p)) }
 
-// Store atomically writes the word at p.
-func (h *Heap) Store(p Ptr, v uint64) { atomic.StoreUint64(h.word(p), v) }
+// Store writes the word at p with the paper's plain store (Figure 6
+// line 8): no barrier of its own. Whoever hands the word to another
+// thread publishes it, as every caller does with a CAS (or a lock
+// release) after its stores; on amd64 that saves a locked XCHG per
+// word. Under -race it is atomic.StoreUint64, so the detector does not
+// report a stale reader's Load racing with it (see raceBuild).
+func (h *Heap) Store(p Ptr, v uint64) {
+	if raceBuild {
+		atomic.StoreUint64(h.word(p), v)
+		return
+	}
+	*h.word(p) = v
+}
 
 // CAS performs a compare-and-swap on the word at p.
 func (h *Heap) CAS(p Ptr, old, new uint64) bool {
@@ -397,7 +411,9 @@ func (h *Heap) CAS(p Ptr, old, new uint64) bool {
 func (h *Heap) Get(p Ptr) uint64 { return *h.word(p) }
 
 // Set writes the word at p without atomicity. Intended for payload
-// access by application code that owns the block.
+// access by application code that owns the block. It compiles to the
+// same write as Store and differs from it only under -race, where Store
+// stays atomic.
 func (h *Heap) Set(p Ptr, v uint64) { *h.word(p) = v }
 
 // Words returns a slice aliasing the n words starting at p. The range

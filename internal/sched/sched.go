@@ -110,7 +110,8 @@ type Result struct {
 	// no oracle). Kills may leak blocks but must never make the
 	// allocator hand out overlapping or stale memory.
 	ShadowErr error
-	// CensusWalks counts completed census walks (Plan.Census);
+	// CensusWalks counts census walks completed while the threads ran
+	// (Plan.Census), not the one made before they started;
 	// CensusErr is non-nil if a walk panicked — a walker must survive
 	// kills anywhere in the allocator.
 	CensusWalks int
@@ -144,16 +145,27 @@ func Run(plan Plan, t Target) (Result, error) {
 	res := Result{Kills: map[string]int{}}
 	var killMu sync.Mutex // guards res.Kills and res.LeakedBlocks
 
-	// The census walker starts before the victims so walks overlap the
-	// kills. Plain writes to res.CensusWalks/CensusErr are safe: the
-	// goroutine exits before stopCensus returns, which happens-before
-	// the reads.
+	// The census walker makes one uncounted walk before any victim
+	// starts; every walk it counts therefore began after the threads
+	// were launched and overlaps the kills, and a run in which none
+	// completes reports zero. Plain writes to res.CensusWalks/CensusErr
+	// are safe: the goroutine exits before stopCensus returns, which
+	// happens-before the reads.
 	stopCensus := func() {}
 	if plan.Census {
 		stop, done := make(chan struct{}), make(chan struct{})
+		// walked closes after the first walk, or when the walker exits
+		// before finishing one (no census, or the walk panicked).
+		walked := make(chan struct{})
 		stopCensus = func() { close(stop); <-done }
 		go func() {
 			defer close(done)
+			first := true
+			defer func() {
+				if first {
+					close(walked)
+				}
+			}()
 			defer func() {
 				if rec := recover(); rec != nil {
 					res.CensusErr = fmt.Errorf("census walk panicked: %v\n%s", rec, debug.Stack())
@@ -168,9 +180,15 @@ func Run(plan Plan, t Target) (Result, error) {
 				if t.Census() == nil {
 					return
 				}
-				res.CensusWalks++
+				if first {
+					first = false
+					close(walked)
+				} else {
+					res.CensusWalks++
+				}
 			}
 		}()
+		<-walked
 	}
 
 	victimMix, survivorMix := churn.Victim, churn.Survivor
