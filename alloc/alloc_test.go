@@ -314,7 +314,6 @@ func TestConfigValidation(t *testing.T) {
 		{"negative processors", core.Config{Processors: -2}, "Processors -2"},
 		{"negative stripes", core.Config{DescStripes: -1}, "DescStripes -1"},
 		{"unknown algo", core.Config{DescAlgo: 7}, "unknown DescAlgo"},
-		{"negative arenas", core.Config{HeapConfig: mem.Config{Arenas: -1}}, "Arenas -1"},
 	}
 	for _, c := range cases {
 		t.Run(c.name, func(t *testing.T) {

@@ -115,8 +115,8 @@ func harnessBackend(t *testing.T, name string, oracle bool) {
 	}
 	var text bytes.Buffer
 	c.WriteText(&text)
-	if !strings.Contains(text.String(), "Region arenas (") {
-		t.Errorf("census text lacks the arena table:\n%s", text.String())
+	if !strings.Contains(text.String(), "OS layer (words):") {
+		t.Errorf("census text lacks the OS-layer table:\n%s", text.String())
 	}
 	if rep := h.Inspect(int64(len(held))); rep.InvariantErr != nil {
 		t.Errorf("Inspect with %d blocks held: %+v", len(held), rep)

@@ -182,13 +182,12 @@ func TestShadowDoubleFreeAllAllocators(t *testing.T) {
 }
 
 // TestShadowDoubleFreeAttributionLockfree is the acceptance scenario:
-// lockfree with magazines and sharded arenas enabled, a block allocated
+// lockfree with magazines enabled, a block allocated
 // on one thread and double-freed on another, with both thread ids
 // attributed.
 func TestShadowDoubleFreeAttributionLockfree(t *testing.T) {
 	a, c := newShadowed(t, "lockfree", alloc.Options{
 		Processors: 2,
-		HeapConfig: mem.Config{Arenas: 2},
 		LockFree:   core.Config{MagazineSize: 8},
 	})
 	t1 := a.NewThread() // oracle thread id 0
@@ -211,13 +210,12 @@ func TestShadowDoubleFreeAttributionLockfree(t *testing.T) {
 }
 
 // TestShadowWriteAfterFreeLockfree is the second acceptance scenario:
-// with magazines and arenas on, a write into a freed block's payload is
+// with magazines on, a write into a freed block's payload is
 // caught when the block is reused, attributed to the allocating and
 // freeing threads.
 func TestShadowWriteAfterFreeLockfree(t *testing.T) {
 	a, c := newShadowed(t, "lockfree", alloc.Options{
 		Processors: 2,
-		HeapConfig: mem.Config{Arenas: 2},
 		LockFree:   core.Config{MagazineSize: 8},
 	})
 	th := a.NewThread() // oracle thread id 0

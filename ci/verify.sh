@@ -88,12 +88,12 @@ stage_smoke() {
 		"$bin/benchmal" -exp "$id" -threads 1,2 -scale 0.002
 	done
 	# Every allocator-shape flag away from its default.
-	for knob in "-magazine 8" "-arenas 1" "-descstripes 1" "-descalgo consttime"; do
+	for knob in "-magazine 8" "-descstripes 1" "-descalgo consttime"; do
 		"$bin/benchmal" -exp table1 -threads 1,2 -scale 0.002 -allocs lockfree $knob
 	done
 	# A configuration core.Config.Validate rejects must stop every tool.
 	for tool in benchmal mlfstress "allocmon -once" "heapinfo -live"; do
-		for knob in "-magazine -1" "-arenas -1"; do
+		for knob in "-magazine -1" "-descstripes -1"; do
 			if "$bin/"$tool $knob >/dev/null 2>&1; then
 				echo "verify: $tool accepted $knob" >&2
 				exit 1
@@ -108,13 +108,13 @@ stage_smoke() {
 	for name in $("$bin/heapinfo" | awk '$1 == "backend" { print $2 }'); do
 		"$bin/allocmon" -once -warmup 200ms -threads 2 -alloc "$name" >/dev/null
 		"$bin/heapinfo" -live -threads 2 -ops 20000 -alloc "$name" >/dev/null
-		"$bin/mlfstress" -alloc "$name" -threads 4 -ops 20000 -shadow -magazine 8 -arenas 2 -telemetry=false
+		"$bin/mlfstress" -alloc "$name" -threads 4 -ops 20000 -shadow -magazine 8 -telemetry=false
 	done
 	for name in $("$bin/heapinfo" | awk '$1 == "backend" && $NF != "kill-points=0" { print $2 }'); do
 		"$bin/mlfstress" -alloc "$name" -threads 4 -ops 5000 -kills 2 -shadow -magazine 8 -telemetry=false
 	done
 	# The other descriptor-pool backend is a shape of the lock-free allocator only.
-	"$bin/mlfstress" -threads 4 -ops 20000 -shadow -magazine 8 -arenas 2 -telemetry=false -descalgo consttime
+	"$bin/mlfstress" -threads 4 -ops 20000 -shadow -magazine 8 -telemetry=false -descalgo consttime
 	"$bin/mlfstress" -threads 4 -ops 5000 -kills 2 -shadow -magazine 8 -telemetry=false -descalgo consttime
 }
 

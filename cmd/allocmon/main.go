@@ -8,7 +8,7 @@
 //
 //	allocmon [-alloc lockfree] [-addr :8723] [-threads 4] [-hyper]
 //	         [-pause 50us] [-interval 1s] [-samplerate 1024]
-//	         [-history 120] [-magazine N] [-arenas N] [-descstripes N]
+//	         [-history 120] [-magazine N] [-descstripes N]
 //	         [-descalgo freelist|consttime]
 //	allocmon -once [-warmup 2s]
 //

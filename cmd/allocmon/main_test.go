@@ -268,14 +268,14 @@ func TestEveryBackend(t *testing.T) {
 			srv := httptest.NewServer(m.mux())
 			defer srv.Close()
 
-			if body, _ := get(t, srv, "/"); !strings.Contains(body, "telemetry: ") || !strings.Contains(body, "Region arenas (") {
+			if body, _ := get(t, srv, "/"); !strings.Contains(body, "telemetry: ") || !strings.Contains(body, "OS layer (words):") {
 				t.Errorf("dashboard lacks the snapshot or the census:\n%s", body)
 			}
 			metrics, _ := get(t, srv, "/metrics")
 			if err := census.ValidateMetrics([]byte(metrics)); err != nil {
 				t.Errorf("/metrics invalid: %v", err)
 			}
-			if !strings.Contains(metrics, "census_arena_words{arena=") {
+			if !strings.Contains(metrics, "census_os_words{kind=") {
 				t.Error("/metrics lacks the OS-layer families")
 			}
 			body, _ := get(t, srv, "/census.json")
@@ -285,7 +285,7 @@ func TestEveryBackend(t *testing.T) {
 			if err := json.Unmarshal([]byte(body), &c); err != nil {
 				t.Fatal(err)
 			}
-			if c.OS == nil || c.OS.RegionAllocs == 0 || len(c.OS.Arenas) == 0 {
+			if c.OS == nil || c.OS.RegionAllocs == 0 || c.OS.ReservedWords == 0 {
 				t.Errorf("/census.json OS-layer part = %+v: %s", c.OS, body)
 			}
 
@@ -293,7 +293,7 @@ func TestEveryBackend(t *testing.T) {
 			if code := run([]string{"-once", "-warmup", "20ms", "-threads", "2", "-alloc", name}, &out, &errOut); code != 0 {
 				t.Fatalf("-once: exit %d\n%s", code, errOut.String())
 			}
-			if !strings.Contains(out.String(), "Region arenas (") {
+			if !strings.Contains(out.String(), "OS layer (words):") {
 				t.Errorf("-once printed no census:\n%s", out.String())
 			}
 		})
@@ -335,7 +335,7 @@ func TestBuddyEndpoints(t *testing.T) {
 // TestRejectedConfig: a knob core.Config.Validate rejects, or an unknown
 // backend, stops -once before any workload starts.
 func TestRejectedConfig(t *testing.T) {
-	for _, args := range [][]string{{"-arenas", "-3"}, {"-magazine", "-1"}, {"-alloc", "nosuch"}} {
+	for _, args := range [][]string{{"-descstripes", "-3"}, {"-magazine", "-1"}, {"-alloc", "nosuch"}} {
 		var out, errOut bytes.Buffer
 		if code := run(append([]string{"-once", "-warmup", "1ms"}, args...), &out, &errOut); code != 1 || out.Len() != 0 {
 			t.Errorf("allocmon -once %v: exit %d, stdout %q, stderr %q", args, code, out.String(), errOut.String())
@@ -366,9 +366,8 @@ func skeleton(out string) []string {
 }
 
 const osLayerSkeleton = `heap: # words live (max-live # KiB), # region allocs / # frees, external fragmentation #
-Region arenas (#):
-arena reserved materialized live skipped allocs frees reused steals free regions free words occupancy ext frag
-(words; allocs/reused/steals are request-side, the rest partition-side)
+OS layer (words):
+reserved materialized live skipped allocs frees reused free regions free words occupancy ext frag
 `
 
 // onceSkeletons is the line structure of the census on `allocmon -once
@@ -381,7 +380,7 @@ class A F P E used free resv mag partial int frag
 totals: # superblocks, blocks used=# free=# resv=# mag=#, carve waste # words
 sampled internal fragmentation: #
 ` + osLayerSkeleton + `Region-bin occupancy (free regions awaiting reuse):
-arena region words regions
+region words regions
 descriptors: # allocated, # on freelist
 desc pool: freelist backend, # stripes, free per stripe [# #]
 Live-block ages (# samples at rate #/#): p#=# p#=# oldest=#

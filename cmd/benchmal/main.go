@@ -5,7 +5,7 @@
 //
 //	benchmal [-exp all|id,id,...] [-threads 1,2,4,8,16] [-scale 0.01]
 //	         [-allocs lockfree,hoard,...] [-procs N] [-telemetry] [-magazine N]
-//	         [-arenas N] [-descstripes N] [-descalgo freelist|consttime]
+//	         [-descstripes N] [-descalgo freelist|consttime]
 //	         [-samplerate N] [-json] [-list] [-v]
 //
 // -list prints the experiment ids; -list -v adds what each one is: its
@@ -29,16 +29,14 @@
 // fragmentation and live-block ages — to each measurement (0 = off, the
 // default, preserving the bare telemetry cost).
 //
-// The shape flags apply to every lock-free allocator built (-arenas to
-// every allocator's OS layer): -magazine N is Config.MagazineSize,
-// -arenas N the region arenas (0 = one per processor heap, 1 = the
-// unsharded layout), -descstripes N the descriptor-pool freelist
+// The shape flags apply to every lock-free allocator built: -magazine N
+// is Config.MagazineSize, -descstripes N the descriptor-pool freelist
 // stripes (0 = one per processor, 1 = the paper's single DescAvail
 // list), -descalgo the pool's recycling backend (freelist = Figure 7,
 // consttime = Blelloch-Wei batches). A contradictory or out-of-range
 // value (core.Config.Validate) exits non-zero with the reason before
 // anything runs. The experiment that compares settings of one of these
-// (magazine, arenas, poolstripes, poolalgo; census for -samplerate)
+// (magazine, poolstripes, poolalgo; census for -samplerate)
 // sets it per row; a -magazine or -samplerate given is what its "on"
 // row uses.
 //
@@ -74,7 +72,6 @@ type jsonReport struct {
 	Experiments   []string       `json:"experiments"`
 	Telemetry     bool           `json:"telemetry"`
 	Magazine      int            `json:"magazine,omitempty"`
-	Arenas        int            `json:"arenas,omitempty"`
 	DescStripes   int            `json:"descStripes,omitempty"`
 	DescAlgo      string         `json:"descAlgo,omitempty"`
 	SampleRate    int            `json:"sampleRate,omitempty"`
@@ -165,7 +162,6 @@ func main() {
 			Experiments:   ids,
 			Telemetry:     *teleFlag,
 			Magazine:      shape.MagazineSize,
-			Arenas:        shape.HeapConfig.Arenas,
 			DescStripes:   shape.DescStripes,
 			DescAlgo:      shape.DescAlgo.String(),
 			SampleRate:    *rateFlag,

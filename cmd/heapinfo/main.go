@@ -6,8 +6,8 @@
 // Useful for sanity-checking configuration against the paper.
 //
 //	heapinfo [-live] [-alloc lockfree] [-threads 4] [-ops 50000]
-//	         [-samplerate 1024] [-magazine N] [-arenas N]
-//	         [-descstripes N] [-descalgo freelist|consttime]
+//	         [-samplerate 1024] [-magazine N] [-descstripes N]
+//	         [-descalgo freelist|consttime]
 //
 // With -live, a short multithreaded malloc/free workload (churn.Mixed)
 // is run on a fresh allocator from alloc.New — any registry entry,
@@ -16,7 +16,7 @@
 // the allocator's census (alloc.Harness.Census) is printed twice: as
 // taken while the workload's final live set was still held, and again
 // after the drain. A census has the parts the backend has — the OS
-// layer for all six (per-arena region counters, bin occupancy, external
+// layer for all six (region counters, bin occupancy, external
 // fragmentation); for lockfree its path counters, per-class superblock
 // states and block inventory, descriptor pool, and the sampler's
 // live-block ages and top call sites; for buddy the per-order
@@ -118,8 +118,8 @@ func runLive(out io.Writer, af *bench.BackendFlags, threads, ops, rate int) erro
 	if rep := h.Inspect(0); rep.InvariantErr != nil {
 		return rep.InvariantErr
 	}
-	fmt.Fprintf(out, "Live statistics (%s, %d threads x %d ops; arenas=%d; lockfree is built with hyper=%v magazine=%d descstripes=%d descalgo=%s):\n",
-		a.Name(), threads, ops, cfg.HeapConfig.Arenas, cfg.Hyperblocks, cfg.MagazineSize, cfg.DescStripes, cfg.DescAlgo)
+	fmt.Fprintf(out, "Live statistics (%s, %d threads x %d ops; lockfree is built with hyper=%v magazine=%d descstripes=%d descalgo=%s):\n",
+		a.Name(), threads, ops, cfg.Hyperblocks, cfg.MagazineSize, cfg.DescStripes, cfg.DescAlgo)
 	fmt.Fprintln(out, "\nCensus with workload live sets held:")
 	held.WriteText(out)
 	fmt.Fprintln(out, "\nCensus after drain:")

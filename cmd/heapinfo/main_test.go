@@ -49,8 +49,8 @@ func TestStaticTables(t *testing.T) {
 // with the live sets held.
 func TestLive(t *testing.T) {
 	out := info(t, "-live", "-threads", "2", "-ops", "4000", "-samplerate", "16")
-	wantAll(t, out, "Live statistics (lockfree, 2 threads x 4000 ops; arenas=0; lockfree is built with hyper=true ",
-		"paths: active=", "hyperblocks: ", "desc pool: ", "Region arenas (2)",
+	wantAll(t, out, "Live statistics (lockfree, 2 threads x 4000 ops; lockfree is built with hyper=true ",
+		"paths: active=", "hyperblocks: ", "desc pool: ", "OS layer (words):",
 		"Census with workload live sets held:", "totals: ", "Live-block ages", "Census after drain:", "telemetry: ")
 }
 
@@ -72,8 +72,8 @@ func TestLiveEveryBackend(t *testing.T) {
 	for _, name := range alloc.Names() {
 		out := info(t, "-live", "-alloc", name, "-threads", "2", "-ops", "2000")
 		wantAll(t, out, "Live statistics ("+name+", 2 threads x 2000 ops", "telemetry: ")
-		if n := strings.Count(out, "Region arenas ("); n != 2 {
-			t.Errorf("%s: %d arena tables, want one per census:\n%s", name, n, out)
+		if n := strings.Count(out, "OS layer (words):"); n != 2 {
+			t.Errorf("%s: %d OS-layer tables, want one per census:\n%s", name, n, out)
 		}
 	}
 }
@@ -81,7 +81,7 @@ func TestLiveEveryBackend(t *testing.T) {
 // TestRejectedConfig: the shared shape flags are validated before any
 // traffic runs.
 func TestRejectedConfig(t *testing.T) {
-	for _, args := range [][]string{{"-arenas", "-1"}, {"-magazine", "-1"}, {"-alloc", "nosuch"}} {
+	for _, args := range [][]string{{"-descstripes", "-1"}, {"-magazine", "-1"}, {"-alloc", "nosuch"}} {
 		var out, errOut bytes.Buffer
 		if code := run(append([]string{"-live"}, args...), &out, &errOut); code != 1 || strings.Contains(out.String(), "Live statistics") {
 			t.Errorf("heapinfo -live %v: exit %d\n%s", args, code, errOut.String())
@@ -114,9 +114,8 @@ func skeleton(out string) []string {
 
 const (
 	osLayerSkeleton = `heap: # words live (max-live # KiB), # region allocs / # frees, external fragmentation #
-Region arenas (#):
-arena reserved materialized live skipped allocs frees reused steals free regions free words occupancy ext frag
-(words; allocs/reused/steals are request-side, the rest partition-side)
+OS layer (words):
+reserved materialized live skipped allocs frees reused free regions free words occupancy ext frag
 `
 	lockFreeSkeleton = `allocator: mallocs=# frees=#; # large mallocs, # empty-partial skips
 paths: active=# partial=# newSB=# raceLoss=# sbFreed=#
@@ -125,7 +124,7 @@ Size classes (superblocks by anchor state, block inventory):
 class A F P E used free resv mag partial int frag
 totals: # superblocks, blocks used=# free=# resv=# mag=#, carve waste # words
 %s` + osLayerSkeleton + `Region-bin occupancy (free regions awaiting reuse):
-arena region words regions
+region words regions
 descriptors: # allocated, # on freelist
 desc pool: freelist backend, # stripes, free per stripe [# #]
 Live-block ages (# samples at rate #/#): p#=# p#=# oldest=#
@@ -141,12 +140,12 @@ order block words free used
 // -threads 2 -samplerate 1`: the census held, then drained (when no
 // sampled block is left to be wasteful or to have a call site).
 var liveSkeletons = map[string]string{
-	"lockfree": "Live statistics (lockfree, # threads x # ops; arenas=#; lockfree is built with hyper=true magazine=# descstripes=# descalgo=freelist):\n" +
+	"lockfree": "Live statistics (lockfree, # threads x # ops; lockfree is built with hyper=true magazine=# descstripes=# descalgo=freelist):\n" +
 		"Census with workload live sets held:\n" +
 		fmt.Sprintf(lockFreeSkeleton, "sampled internal fragmentation: #\n") +
 		"Top call sites by live sampled bytes:\nlive bytes oldest site\n# # # repro/internal/churn.(*Driver).Step (path)\n" +
 		"Census after drain:\n" + fmt.Sprintf(lockFreeSkeleton, ""),
-	"buddy": "Live statistics (buddy, # threads x # ops; arenas=#; lockfree is built with hyper=true magazine=# descstripes=# descalgo=freelist):\n" +
+	"buddy": "Live statistics (buddy, # threads x # ops; lockfree is built with hyper=true magazine=# descstripes=# descalgo=freelist):\n" +
 		"Census with workload live sets held:\n" + buddySkeleton + "Census after drain:\n" + buddySkeleton,
 }
 
@@ -157,22 +156,22 @@ var liveSkeletons = map[string]string{
 // says where the rest are.
 var parentLines = map[string]map[string]string{
 	"lockfree": {
-		"Live statistics (lockfree, # threads x # ops):":                                        "Live statistics (lockfree, # threads x # ops; arenas=#; lockfree is built with hyper=true magazine=# descstripes=# descalgo=freelist):",
+		"Live statistics (lockfree, # threads x # ops):":                                        "Live statistics (lockfree, # threads x # ops; lockfree is built with hyper=true magazine=# descstripes=# descalgo=freelist):",
 		"paths: active=# partial=# newSB=# raceLoss=# sbFreed=#":                                "",
 		"descriptors: # allocated, # on freelist; heap max-live # KiB":                          "descriptors: # allocated, # on freelist",
 		"hyperblocks: # allocated, # released":                                                  "",
 		"desc pool: freelist backend, # stripes, free per stripe [# #]":                         "",
 		"heap: # words live, # region allocs / # frees; # large mallocs, # empty-partial skips": "heap: # words live (max-live # KiB), # region allocs / # frees, external fragmentation #",
-		"Region arenas (#):": "",
-		"arena reserved live skipped allocs frees reused steals":                        "arena reserved materialized live skipped allocs frees reused steals free regions free words occupancy ext frag",
-		"(words; allocs/reused/steals are request-side, the rest partition-side)":       "",
+		"Region arenas (#):": "OS layer (words):",
+		"arena reserved live skipped allocs frees reused steals":                        "reserved materialized live skipped allocs frees reused free regions free words occupancy ext frag",
+		"(words; allocs/reused/steals are request-side, the rest partition-side)":       "OS layer (words):",
 		"Region-bin occupancy (free regions awaiting reuse):":                           "",
-		"arena region words regions":                                                    "",
+		"arena region words regions":                                                    "region words regions",
 		"Heap census (taken with workload live sets held):":                             "Census with workload live sets held:",
 		"class A F P E used free resv mag partial int frag":                             "",
 		"totals: # superblocks, blocks used=# free=# resv=# mag=#, carve waste # words": "",
-		"Arena census (bump occupancy and external fragmentation):":                     "Region arenas (#):",
-		"arena reserved free regions free words occupancy ext frag":                     "arena reserved materialized live skipped allocs frees reused steals free regions free words occupancy ext frag",
+		"Arena census (bump occupancy and external fragmentation):":                     "OS layer (words):",
+		"arena reserved free regions free words occupancy ext frag":                     "reserved materialized live skipped allocs frees reused free regions free words occupancy ext frag",
 		"Live-block ages (# samples at rate #/#): p#=# p#=# oldest=#":                   "",
 		"sampled internal fragmentation: # (external #)":                                "sampled internal fragmentation: #",
 		"Top call sites by live sampled bytes:":                                         "",
@@ -180,7 +179,7 @@ var parentLines = map[string]map[string]string{
 		"# # # repro/internal/churn.(*Driver).Step (path)":                              "",
 	},
 	"buddy": {
-		"Live statistics (buddy, # threads x # ops):":                                             "Live statistics (buddy, # threads x # ops; arenas=#; lockfree is built with hyper=true magazine=# descstripes=# descalgo=freelist):",
+		"Live statistics (buddy, # threads x # ops):":                                             "Live statistics (buddy, # threads x # ops; lockfree is built with hyper=true magazine=# descstripes=# descalgo=freelist):",
 		"buddy: # trees x # words, # grows (# lost races), # hint hits, # scans, #/# beyond-tree": "",
 		"Buddy order census (with workload live sets held): ext frag #, # coal bits":              "Buddy order census: ext frag #, # coal bits",
 		"order block words free used":                                                             "",

@@ -5,7 +5,7 @@
 //
 //	mlfstress [-alloc lockfree] [-threads 8] [-ops 200000] [-kills 0]
 //	          [-hyper] [-lifo] [-credits 64] [-seed 1] [-telemetry]
-//	          [-events 16] [-magazine 0] [-arenas 0] [-descstripes 0]
+//	          [-events 16] [-magazine 0] [-descstripes 0]
 //	          [-descalgo freelist|consttime] [-shadow]
 //
 // -alloc selects the backend under stress from the registry of package
@@ -13,7 +13,7 @@
 // built by alloc.New and driven by the same churn (internal/churn), in
 // both modes; -hyper, -lifo, -credits and the -magazine/-descstripes/
 // -descalgo shape flags configure the lock-free allocator and are
-// ignored by the others, -arenas shards every backend's heap.
+// ignored by the others.
 //
 // Fault injection (-kills N) runs sched.Run against the allocator as
 // configured — every flag above applies, the banner prints the shape
@@ -114,7 +114,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 		defer o.Close()
 	}
 
-	shape := fmt.Sprintf("alloc=%s arenas=%d shadow=%v", a.Name(), cfg.HeapConfig.Arenas, *shadowF)
+	shape := fmt.Sprintf("alloc=%s shadow=%v", a.Name(), *shadowF)
 	// By the registry entry's name, which the oracle wrapper keeps: a
 	// type assertion on a would miss the lock-free allocator behind it.
 	lockFree := a.Name() == "lockfree"

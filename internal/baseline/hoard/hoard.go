@@ -92,10 +92,6 @@ func New(cfg Config) *Allocator {
 	if cfg.Processors <= 0 {
 		cfg.Processors = defaultProcessors()
 	}
-	if cfg.HeapConfig.Arenas == 0 {
-		// One region arena per processor, like the processor heaps.
-		cfg.HeapConfig.Arenas = cfg.Processors
-	}
 	h := mem.NewHeap(cfg.HeapConfig)
 	a := &Allocator{
 		heap:  h,
@@ -209,7 +205,9 @@ func (t *Thread) Malloc(size uint64) (mem.Ptr, error) {
 	a := t.a
 	cls, small := sizeclass.For(size)
 	if !small {
-		return a.mallocLarge(a.heap.Arena(t.heapIndex()), size)
+		// The prefix records the rounded region size, the canonical
+		// value for FreeRegion on the free path.
+		return a.heap.LargeAlloc(size, mem.SizePrefix)
 	}
 	hi := t.heapIndex()
 	h := &a.heaps[hi]
@@ -278,9 +276,7 @@ func (a *Allocator) refill(h *heapT, hi int, cls sizeclass.Class) *superblock {
 // newSuperblock allocates a fresh superblock from the OS into heap h.
 // Caller holds h's lock.
 func (a *Allocator) newSuperblock(h *heapT, hi int, cls sizeclass.Class) (*superblock, error) {
-	// Draw from the region arena matching this processor heap, so
-	// distinct heaps do not contend on one bump pointer.
-	base, _, err := a.heap.Arena(hi).AllocRegion(cls.SBWords)
+	base, _, err := a.heap.AllocRegion(cls.SBWords)
 	if err != nil {
 		return nil, err
 	}
@@ -306,12 +302,6 @@ func (sb *superblock) popBlock(h *mem.Heap) mem.Ptr {
 	sb.freeHead = h.Get(block)
 	sb.inUse++
 	return block
-}
-
-func (a *Allocator) mallocLarge(ar mem.Arena, size uint64) (mem.Ptr, error) {
-	// The prefix records the rounded region size, the canonical value
-	// for FreeRegion on the free path.
-	return ar.LargeAlloc(size, mem.SizePrefix)
 }
 
 // Free returns a block to its superblock, under the superblock's lock

@@ -65,11 +65,6 @@ func New(cfg Config) *Allocator {
 	if cfg.Arenas > maxArenas {
 		cfg.Arenas = maxArenas
 	}
-	if cfg.HeapConfig.Arenas == 0 {
-		// One region arena per malloc arena (chunkheap i draws its
-		// wilderness from region arena i via its owner tag).
-		cfg.HeapConfig.Arenas = cfg.Arenas
-	}
 	h := mem.NewHeap(cfg.HeapConfig)
 	a := &Allocator{heap: h}
 	arenas := make([]*arena, cfg.Arenas)
@@ -112,9 +107,8 @@ func (t *Thread) Malloc(size uint64) (mem.Ptr, error) {
 		words = 1
 	}
 	if words >= largeThresholdWords {
-		// Route through the last-used arena's region shard; the header
-		// records the rounded region size for the free path.
-		return a.heap.Arena(t.last).LargeAlloc(size, chunkheap.MakeLargeHeader)
+		// The header records the rounded region size for the free path.
+		return a.heap.LargeAlloc(size, chunkheap.MakeLargeHeader)
 	}
 	arenas := *a.arenas.Load()
 	// Try the last-used arena first, then the rest, with trylock.

@@ -5,7 +5,6 @@ import (
 
 	"repro/alloc"
 	"repro/internal/core"
-	"repro/internal/mem"
 	"repro/internal/pool"
 )
 
@@ -15,7 +14,6 @@ import (
 // string instead of being copied per command.
 type AllocFlags struct {
 	Magazine    *int
-	Arenas      *int
 	DescStripes *int
 
 	descAlgo *string
@@ -27,7 +25,6 @@ type AllocFlags struct {
 func RegisterAllocFlags(fs *flag.FlagSet) *AllocFlags {
 	return &AllocFlags{
 		Magazine:    fs.Int("magazine", 0, "thread-local magazine capacity for lock-free allocators (0 = off)"),
-		Arenas:      fs.Int("arenas", 0, "region arenas per heap (0 = one per processor, 1 = unsharded)"),
 		DescStripes: fs.Int("descstripes", 0, "descriptor-pool freelist stripes (0 = one per processor, 1 = single DescAvail)"),
 		descAlgo:    fs.String("descalgo", "", "descriptor-pool backend: freelist (default) or consttime (Blelloch-Wei)"),
 	}
@@ -45,7 +42,7 @@ type BackendFlags struct {
 func RegisterBackendFlags(fs *flag.FlagSet) *BackendFlags {
 	return &BackendFlags{
 		AllocFlags: RegisterAllocFlags(fs),
-		name:       fs.String("alloc", "lockfree", "allocator backend, one of alloc.Names(); the shape flags other than -arenas configure lockfree only"),
+		name:       fs.String("alloc", "lockfree", "allocator backend, one of alloc.Names(); the shape flags configure lockfree only"),
 	}
 }
 
@@ -65,11 +62,6 @@ func (f *AllocFlags) Apply(cfg core.Config) (core.Config, error) {
 	cfg.MagazineSize = *f.Magazine
 	cfg.DescStripes = *f.DescStripes
 	cfg.DescAlgo = algo
-	if cfg.HeapConfig == (mem.Config{}) {
-		cfg.HeapConfig = mem.Config{Arenas: *f.Arenas}
-	} else {
-		cfg.HeapConfig.Arenas = *f.Arenas
-	}
 	return cfg, cfg.Validate()
 }
 

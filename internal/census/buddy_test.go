@@ -67,7 +67,7 @@ func TestTakeBuddy(t *testing.T) {
 	if err := json.Unmarshal(data, &back); err != nil {
 		t.Fatal(err)
 	}
-	if back.Buddy == nil || back.Buddy.Stats.Trees != bc.Stats.Trees || back.OS == nil || len(back.OS.Arenas) == 0 {
+	if back.Buddy == nil || back.Buddy.Stats.Trees != bc.Stats.Trees || back.OS == nil || back.OS.RegionAllocs == 0 {
 		t.Fatalf("parts did not survive the JSON round trip: %s", data)
 	}
 }
@@ -92,7 +92,7 @@ func TestWriteBuddyMetricsValidates(t *testing.T) {
 	}
 	for _, want := range []string{
 		"buddy_order_blocks{order=", `kind="free"`, `kind="used"`,
-		"buddy_external_frag_ratio", "buddy_trees", "buddy_ops_total", "census_arena_words{arena=",
+		"buddy_external_frag_ratio", "buddy_trees", "buddy_ops_total", "census_os_words{kind=",
 	} {
 		if !bytes.Contains(buf.Bytes(), []byte(want)) {
 			t.Fatalf("exposition missing %q:\n%s", want, buf.Bytes())

@@ -8,8 +8,8 @@
 // A Census is a list of parts, one per layer of the allocator's stack,
 // top-down: the backend's own structures where a walker exists (the
 // lock-free allocator's superblocks, descriptor pool and allocation
-// sampler; the buddy forest) above the OS layer (mem.Heap: arenas,
-// region bins), which every backend has. A part is plain data — JSON by
+// sampler; the buddy forest) above the OS layer (mem.Heap: bump
+// pointer, region bins), which every backend has. A part is plain data — JSON by
 // its struct tags — that renders itself as text and as Prometheus
 // families; nothing outside this package formats a part's numbers.
 //
@@ -34,10 +34,9 @@
 //     superblock that block carving cannot use — is exact, not
 //     sampled.
 //
-//   - External fragmentation (per arena) is the free-region mass
-//     parked in the arena's bins as a fraction of its reserved address
-//     space: memory the OS layer holds but no superblock or large
-//     block occupies.
+//   - External fragmentation is the free-region mass parked in the OS
+//     layer's bins as a fraction of its reserved address space: memory
+//     the OS layer holds but no superblock or large block occupies.
 //
 //   - Live-block age buckets come from the same sampler: allocations
 //     are sampled uniformly at rate 1/N, so surviving samples of age A

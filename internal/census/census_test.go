@@ -96,21 +96,14 @@ func TestCensusQuiescent(t *testing.T) {
 			t.Errorf("class %d unsampled frag = %v, want -1", cc.Class, cc.InternalFragRatio)
 		}
 	}
-	if len(osl.Arenas) == 0 {
-		t.Fatal("no arenas in census")
+	if osl.BumpOccupancy < 0 || osl.BumpOccupancy > 1 {
+		t.Errorf("BumpOccupancy = %v", osl.BumpOccupancy)
 	}
-	var reserved uint64
-	for _, ac := range osl.Arenas {
-		if ac.BumpOccupancy < 0 || ac.BumpOccupancy > 1 {
-			t.Errorf("arena %d BumpOccupancy = %v", ac.Arena, ac.BumpOccupancy)
-		}
-		if ac.ExternalFragRatio < 0 || ac.ExternalFragRatio > 1 {
-			t.Errorf("arena %d ExternalFragRatio = %v", ac.Arena, ac.ExternalFragRatio)
-		}
-		reserved += ac.ReservedWords
+	if osl.ExternalFragRatio < 0 || osl.ExternalFragRatio > 1 {
+		t.Errorf("ExternalFragRatio = %v", osl.ExternalFragRatio)
 	}
-	if reserved == 0 {
-		t.Error("no arena reserved any words despite live superblocks")
+	if osl.ReservedWords == 0 || osl.TotalWords == 0 {
+		t.Errorf("ReservedWords = %d of %d despite live superblocks", osl.ReservedWords, osl.TotalWords)
 	}
 	if len(dp.StripeFree) == 0 {
 		t.Error("no descriptor stripes in census")
@@ -243,10 +236,8 @@ func TestCensusUnderChurn(t *testing.T) {
 			if used != c.Totals.BlocksUsed || freeB != c.Totals.BlocksFree {
 				t.Errorf("walk %d: totals disagree with class sums", i)
 			}
-			for _, ac := range TakeOS(a.Heap()).Arenas {
-				if ac.ExternalFragRatio < 0 || ac.ExternalFragRatio > 1 {
-					t.Errorf("walk %d: arena %d ext frag %v", i, ac.Arena, ac.ExternalFragRatio)
-				}
+			if r := TakeOS(a.Heap()).ExternalFragRatio; r < 0 || r > 1 {
+				t.Errorf("walk %d: ext frag %v", i, r)
 			}
 		}
 	}()

@@ -3,37 +3,25 @@ package census
 import (
 	"fmt"
 	"io"
-	"strconv"
 	"text/tabwriter"
 
 	"repro/internal/mem"
 )
 
-// ArenaCensus is one region arena's inventory: mem's own counters
-// (request-side RegionAllocs/ReusedRegions/Steals charged to the arena
-// asked, the rest to the arena owning the address) and bin census, plus
-// the two ratios derived from them.
-type ArenaCensus struct {
-	mem.ArenaStats
-	mem.ArenaBins
-	// BumpOccupancy is ReservedWords/PartitionWords;
-	// ExternalFragRatio is FreeWords/ReservedWords (free-but-held
-	// address space), 0 when nothing is reserved.
-	BumpOccupancy     float64 `json:"bumpOccupancy"`
-	ExternalFragRatio float64 `json:"externalFragRatio"`
-}
-
 // OSLayer is the simulated OS layer's inventory (mem.Heap), the part
 // every backend has: all six draw their superblocks, arenas, trees and
-// large blocks from it as regions.
+// large blocks from it as regions. It is mem's own counters and bin
+// census, plus the two ratios derived from them.
 type OSLayer struct {
-	LiveWords    uint64        `json:"liveWords"`
-	MaxLiveWords uint64        `json:"maxLiveWords"`
-	RegionAllocs uint64        `json:"regionAllocs"`
-	RegionFrees  uint64        `json:"regionFrees"`
-	Arenas       []ArenaCensus `json:"arenas"`
-	// ExternalFragRatio is the bin-parked words over reserved words
-	// across all arenas.
+	mem.Stats
+	TotalWords  uint64        `json:"totalWords"` // the address space
+	FreeRegions uint64        `json:"freeRegions"`
+	FreeWords   uint64        `json:"freeWords"`
+	Bins        []mem.BinStat `json:"bins"`
+	// BumpOccupancy is ReservedWords/TotalWords; ExternalFragRatio is
+	// FreeWords/ReservedWords (free-but-held address space), 0 when
+	// nothing is reserved.
+	BumpOccupancy     float64 `json:"bumpOccupancy"`
 	ExternalFragRatio float64 `json:"externalFragRatio"`
 }
 
@@ -47,30 +35,15 @@ func TakeOS(h *mem.Heap) *OSLayer {
 	// and the ratios below stay within [0, 1] under churn. The other
 	// order let a walk that began beside the first superblock's birth
 	// report more free words than reserved ones.
-	bins := h.BinCensus()
-	hs := h.Stats()
-	o := &OSLayer{
-		LiveWords:    hs.LiveWords,
-		MaxLiveWords: hs.MaxLiveWords,
-		RegionAllocs: hs.RegionAllocs,
-		RegionFrees:  hs.RegionFrees,
-		Arenas:       make([]ArenaCensus, len(bins)),
+	o := &OSLayer{Bins: h.BinCensus()}
+	o.Stats, o.TotalWords = h.Stats(), h.TotalWords()
+	for _, b := range o.Bins {
+		o.FreeRegions += uint64(b.Regions)
+		o.FreeWords += uint64(b.Regions) * b.RegionWords
 	}
-	var totFree, totReserved uint64
-	for i, b := range bins {
-		ac := ArenaCensus{ArenaStats: hs.Arenas[i], ArenaBins: b}
-		if ac.PartitionWords > 0 {
-			ac.BumpOccupancy = float64(ac.ReservedWords) / float64(ac.PartitionWords)
-		}
-		if ac.ReservedWords > 0 {
-			ac.ExternalFragRatio = float64(ac.FreeWords) / float64(ac.ReservedWords)
-		}
-		totFree += ac.FreeWords
-		totReserved += ac.ReservedWords
-		o.Arenas[i] = ac
-	}
-	if totReserved > 0 {
-		o.ExternalFragRatio = float64(totFree) / float64(totReserved)
+	o.BumpOccupancy = float64(o.ReservedWords) / float64(o.TotalWords)
+	if o.ReservedWords > 0 {
+		o.ExternalFragRatio = float64(o.FreeWords) / float64(o.ReservedWords)
 	}
 	return o
 }
@@ -80,45 +53,35 @@ func (o *OSLayer) Key() string { return "os" }
 func (o *OSLayer) WriteText(w io.Writer) {
 	fmt.Fprintf(w, "heap: %d words live (max-live %d KiB), %d region allocs / %d frees, external fragmentation %.1f%%\n",
 		o.LiveWords, o.MaxLiveWords*mem.WordBytes/1024, o.RegionAllocs, o.RegionFrees, 100*o.ExternalFragRatio)
-	fmt.Fprintf(w, "\nRegion arenas (%d):\n", len(o.Arenas))
+	fmt.Fprintln(w, "\nOS layer (words):")
 	tw := table(w, tabwriter.AlignRight,
-		"arena\treserved\tmaterialized\tlive\tskipped\tallocs\tfrees\treused\tsteals\tfree regions\tfree words\toccupancy\text frag\t")
-	nbins := 0
-	for _, ac := range o.Arenas {
-		fmt.Fprintf(tw, "%d\t%d\t%d\t%d\t%d\t%d\t%d\t%d\t%d\t%d\t%d\t%.1f%%\t%.1f%%\t\n",
-			ac.Arena, ac.ReservedWords, ac.MaterializedWords, ac.LiveWords, ac.SkippedWords,
-			ac.RegionAllocs, ac.RegionFrees, ac.ReusedRegions, ac.Steals,
-			ac.FreeRegions, ac.FreeWords, 100*ac.BumpOccupancy, 100*ac.ExternalFragRatio)
-		nbins += len(ac.Bins)
-	}
+		"reserved\tmaterialized\tlive\tskipped\tallocs\tfrees\treused\tfree regions\tfree words\toccupancy\text frag\t")
+	fmt.Fprintf(tw, "%d\t%d\t%d\t%d\t%d\t%d\t%d\t%d\t%d\t%.1f%%\t%.1f%%\t\n",
+		o.ReservedWords, o.MaterializedWords, o.LiveWords, o.SkippedWords,
+		o.RegionAllocs, o.RegionFrees, o.ReusedRegions,
+		o.FreeRegions, o.FreeWords, 100*o.BumpOccupancy, 100*o.ExternalFragRatio)
 	tw.Flush()
-	fmt.Fprintln(w, "(words; allocs/reused/steals are request-side, the rest partition-side)")
-	if nbins == 0 {
+	if len(o.Bins) == 0 {
 		fmt.Fprintln(w, "\nRegion bins: empty (no free regions awaiting reuse)")
 		return
 	}
 	fmt.Fprintln(w, "\nRegion-bin occupancy (free regions awaiting reuse):")
-	tw = table(w, tabwriter.AlignRight, "arena\tregion words\tregions\t")
-	for _, ac := range o.Arenas {
-		for _, b := range ac.Bins {
-			fmt.Fprintf(tw, "%d\t%d\t%d\t\n", b.Arena, b.RegionWords, b.Regions)
-		}
+	tw = table(w, tabwriter.AlignRight, "region words\tregions\t")
+	for _, b := range o.Bins {
+		fmt.Fprintf(tw, "%d\t%d\t\n", b.RegionWords, b.Regions)
 	}
 	tw.Flush()
 }
 
 func (o *OSLayer) writeMetrics(p *promWriter) {
-	p.header("census_arena_words", "Region-arena word inventory.", "gauge")
-	p.header("census_arena_free_regions", "Free regions parked in arena bins.", "gauge")
-	p.header("census_external_frag_ratio", "Free-bin words over reserved words by arena.", "gauge")
-	for _, ac := range o.Arenas {
-		ar := strconv.Itoa(ac.Arena)
-		p.sample("census_arena_words", float64(ac.PartitionWords), "arena", ar, "kind", "partition")
-		p.sample("census_arena_words", float64(ac.ReservedWords), "arena", ar, "kind", "reserved")
-		p.sample("census_arena_words", float64(ac.MaterializedWords), "arena", ar, "kind", "materialized")
-		p.sample("census_arena_words", float64(ac.LiveWords), "arena", ar, "kind", "live")
-		p.sample("census_arena_words", float64(ac.FreeWords), "arena", ar, "kind", "free")
-		p.sample("census_arena_free_regions", float64(ac.FreeRegions), "arena", ar)
-		p.sample("census_external_frag_ratio", ac.ExternalFragRatio, "arena", ar)
-	}
+	p.header("census_os_words", "OS-layer word inventory.", "gauge")
+	p.header("census_os_free_regions", "Free regions parked in the OS layer's bins.", "gauge")
+	p.header("census_external_frag_ratio", "Free-bin words over reserved words.", "gauge")
+	p.sample("census_os_words", float64(o.TotalWords), "kind", "total")
+	p.sample("census_os_words", float64(o.ReservedWords), "kind", "reserved")
+	p.sample("census_os_words", float64(o.MaterializedWords), "kind", "materialized")
+	p.sample("census_os_words", float64(o.LiveWords), "kind", "live")
+	p.sample("census_os_words", float64(o.FreeWords), "kind", "free")
+	p.sample("census_os_free_regions", float64(o.FreeRegions))
+	p.sample("census_external_frag_ratio", o.ExternalFragRatio)
 }

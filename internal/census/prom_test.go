@@ -53,14 +53,9 @@ func goldenInputs() (telemetry.Snapshot, *Census) {
 		},
 	}
 	osl := &OSLayer{
-		Arenas: []ArenaCensus{
-			{
-				ArenaStats:    mem.ArenaStats{ReservedWords: 1 << 16, MaterializedWords: 1 << 18, LiveWords: 3 << 14, SkippedWords: 128},
-				ArenaBins:     mem.ArenaBins{Arena: 0, PartitionWords: 1 << 20, FreeRegions: 4, FreeWords: 1 << 13},
-				BumpOccupancy: 0.0625, ExternalFragRatio: 0.125,
-			},
-		},
-		ExternalFragRatio: 0.125,
+		Stats:      mem.Stats{ReservedWords: 1 << 16, MaterializedWords: 1 << 18, LiveWords: 3 << 14, SkippedWords: 128},
+		TotalWords: 1 << 20, FreeRegions: 4, FreeWords: 1 << 13,
+		BumpOccupancy: 0.0625, ExternalFragRatio: 0.125,
 	}
 	smp := &Sampled{
 		AgeP50NS: 98304,

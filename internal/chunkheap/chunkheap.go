@@ -96,24 +96,17 @@ type Heap struct {
 	top    mem.Ptr
 	topEnd mem.Ptr
 
-	// arena is the region arena wilderness extensions draw from (the
-	// owner tag modulo the heap's arena count, so chunk heap i maps to
-	// region arena i).
-	arena mem.Arena
-
 	// Stats.
 	allocs, frees, coalesces, splits, extends uint64
 }
 
 // New creates a chunk heap with the given owner tag (0..65535), drawing
-// wilderness regions from m. The tag doubles as the region-arena hint:
-// wilderness extensions come from m.Arena(tag), so distinct chunk heaps
-// spread across the OS layer's arenas.
+// wilderness regions from m.
 func New(m *mem.Heap, tag uint64, policy Policy) *Heap {
 	if tag > headerTagMask {
 		panic("chunkheap: tag out of range")
 	}
-	return &Heap{mem: m, tag: tag, policy: policy, arena: m.Arena(int(tag))}
+	return &Heap{mem: m, tag: tag, policy: policy}
 }
 
 func packHeader(sizeWords, tag, flags uint64) uint64 {
@@ -243,7 +236,7 @@ func (c *Heap) extend(need uint64) error {
 	if want < regionWords {
 		want = regionWords
 	}
-	base, words, err := c.arena.AllocRegion(want)
+	base, words, err := c.mem.AllocRegion(want)
 	if err != nil {
 		return err
 	}

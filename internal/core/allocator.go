@@ -119,9 +119,6 @@ func (cfg Config) Validate() error {
 		return fmt.Errorf("core: MaxCredits %d out of range [0, %d]", cfg.MaxCredits, atomicx.MaxCredits)
 	case cfg.MagazineSize < 0:
 		return fmt.Errorf("core: MagazineSize %d is negative", cfg.MagazineSize)
-	case cfg.HeapConfig.Arenas < 0:
-		// mem.NewHeap would quietly run it unsharded.
-		return fmt.Errorf("core: HeapConfig.Arenas %d is negative", cfg.HeapConfig.Arenas)
 	}
 	return nil
 }
@@ -170,7 +167,7 @@ type Allocator struct {
 	// phase a 208- or 224-byte slot happens to start at. Growing the
 	// struct within the padding budget cannot change the layout
 	// (layout.go pins the total with compile-time assertions).
-	_ [56]byte
+	_ [64]byte
 }
 
 // scState is the per-size-class state (paper's sizeclass structure).
@@ -219,24 +216,14 @@ func New(cfg Config) *Allocator {
 		cfg.MaxCredits = atomicx.MaxCredits
 	}
 	if cfg.DescStripes == 0 {
-		// Stripe the descriptor freelist like the processor heaps and
-		// region arenas: one DescAvail head per processor.
+		// Stripe the descriptor freelist like the processor heaps: one
+		// DescAvail head per processor.
 		cfg.DescStripes = cfg.Processors
-	}
-	if cfg.HeapConfig.Arenas == 0 {
-		// Shard the OS layer like the processor heaps above it: one
-		// region arena per processor (Config.HeapConfig.Arenas
-		// overrides; callers wanting the unsharded layout pass 1).
-		cfg.HeapConfig.Arenas = cfg.Processors
 	}
 	h := mem.NewHeap(cfg.HeapConfig)
 	// The superblocks the address space has room for bound both the
 	// descriptor table and the partial lists.
-	var heapWords uint64
-	for i := 0; i < h.Arenas(); i++ {
-		heapWords += h.PartitionWords(i)
-	}
-	maxSuperblocks := heapWords / sizeclass.SuperblockWords
+	maxSuperblocks := h.TotalWords() / sizeclass.SuperblockWords
 	a := &Allocator{
 		heap:       h,
 		cfg:        cfg,
@@ -315,20 +302,18 @@ func (a *Allocator) desc(idx uint64) *Descriptor { return a.descs.Get(idx) }
 // selection (the pool reduces it modulo its stripe count).
 func (t *Thread) stripe() int { return int(t.id) }
 
-// allocSB obtains a superblock region through the calling thread's
-// region arena, or through the hyperblock layer when enabled (paper
-// §3.2.5).
-func (t *Thread) allocSB(words uint64) (mem.Ptr, error) {
-	a := t.a
+// allocSB obtains a superblock region from the OS layer, or through the
+// hyperblock layer when enabled (paper §3.2.5).
+func (a *Allocator) allocSB(words uint64) (mem.Ptr, error) {
 	if a.hyper != nil && words == a.hyper.SBWords() {
-		return a.hyper.AllocFrom(t.arena)
+		return a.hyper.Alloc()
 	}
-	p, _, err := t.arena.AllocRegion(words)
+	p, _, err := a.heap.AllocRegion(words)
 	return p, err
 }
 
-// freeSB returns a superblock region; the OS layer routes it to the
-// arena owning its address, so any thread may free any superblock.
+// freeSB returns a superblock region to the OS layer (or the
+// hyperblock layer); any thread may free any superblock.
 func (a *Allocator) freeSB(p mem.Ptr, words uint64) {
 	if a.hyper != nil && words == a.hyper.SBWords() {
 		a.hyper.Free(p)
@@ -365,9 +350,6 @@ func (a *Allocator) Telemetry() *telemetry.Recorder { return a.tele }
 // paper's pthread environment.
 func (a *Allocator) Thread() *Thread {
 	t := &Thread{a: a, id: a.nextThread.Add(1) - 1, pubMask: pubBatch - 1}
-	// The thread's region arena, like its processor heaps below: a pure
-	// function of the thread id, resolved once.
-	t.arena = a.heap.Arena(int(t.id))
 	if a.tele != nil {
 		t.rec = a.tele.NewShard(t.id)
 	}
@@ -412,7 +394,7 @@ type Thread struct {
 	frees      uint64
 	fromActive uint64
 	magHits    uint64
-	arena      mem.Arena // region arena for superblock and large allocs
+	_          [16]byte // keeps id at the third line
 
 	id         uint64
 	magScratch []mem.Ptr // reused flush-group buffer
@@ -599,7 +581,7 @@ func (a *Allocator) DescAlgo() pool.Algo { return a.descs.Algo() }
 
 // DescStripeFree returns the retired-descriptor count on each
 // descriptor-pool stripe (racy; exact at quiescence). Operators use it
-// to see freelist imbalance next to the per-arena region-bin tables.
+// to see freelist imbalance next to the region-bin table.
 func (a *Allocator) DescStripeFree() []uint64 { return a.descs.StripeFree() }
 
 // ID returns the thread id used for processor-heap selection.

@@ -219,6 +219,51 @@ func TestSuperblockBecomesEmptyAndIsFreed(t *testing.T) {
 	}
 }
 
+// TestRegionReuseAcrossThreads: the OS layer is one region allocator
+// shared by every thread, so the region thread A's frees return is the
+// one thread B's next superblock takes, and no fresh address space is
+// reserved for it.
+func TestRegionReuseAcrossThreads(t *testing.T) {
+	a := newTestAllocator(t, Config{Processors: 2, HeapConfig: mem.Config{TotalWordsLog2: 28}})
+	ta, tb := a.Thread(), a.Thread()
+	cls, _ := sizeclass.For(2048)
+	// A fills one superblock and starts a second, so the first is no
+	// longer Active and its last free empties it.
+	ptrs := make([]mem.Ptr, cls.MaxCount+1)
+	for i := range ptrs {
+		p, err := ta.Malloc(2048)
+		if err != nil {
+			t.Fatal(err)
+		}
+		ptrs[i] = p
+	}
+	before := a.Stats()
+	for _, p := range ptrs[:cls.MaxCount] {
+		ta.Free(p)
+	}
+	freed := a.Stats()
+	if freed.Ops.EmptySBFreed != before.Ops.EmptySBFreed+1 {
+		t.Fatalf("EmptySBFreed %d -> %d, want one superblock returned", before.Ops.EmptySBFreed, freed.Ops.EmptySBFreed)
+	}
+	q, err := tb.Malloc(2048)
+	if err != nil {
+		t.Fatal(err)
+	}
+	after := a.Stats()
+	if after.Heap.ReusedRegions != freed.Heap.ReusedRegions+1 {
+		t.Errorf("ReusedRegions %d -> %d, want B's superblock from A's freed region",
+			freed.Heap.ReusedRegions, after.Heap.ReusedRegions)
+	}
+	if after.Heap.ReservedWords != freed.Heap.ReservedWords {
+		t.Errorf("ReservedWords %d -> %d, want no fresh address space", freed.Heap.ReservedWords, after.Heap.ReservedWords)
+	}
+	tb.Free(q)
+	ta.Free(ptrs[cls.MaxCount])
+	if err := a.CheckInvariants(0); err != nil {
+		t.Fatal(err)
+	}
+}
+
 func TestDescriptorRecycling(t *testing.T) {
 	// Exhaust and release superblocks repeatedly: descriptor count
 	// must stay bounded (retired descriptors are reused).

@@ -96,7 +96,7 @@ func (a *Allocator) classFor(size uint64) (*scState, bool) {
 // The prefix records the region's actual (rounded) size, so the free
 // path hands FreeRegion the canonical region size.
 func (t *Thread) mallocLarge(size uint64) (mem.Ptr, error) {
-	p, err := t.arena.LargeAlloc(size, mem.SizePrefix)
+	p, err := t.a.heap.LargeAlloc(size, mem.SizePrefix)
 	if err != nil {
 		return 0, err
 	}
@@ -344,7 +344,7 @@ func (t *Thread) mallocFromNewSB(h *ProcHeap) (mem.Ptr, error) {
 		return 0, err
 	}
 	desc := a.desc(descIdx)
-	sb, err := t.allocSB(cls.SBWords) // line 2
+	sb, err := a.allocSB(cls.SBWords) // line 2
 	if err != nil {
 		a.descs.Retire(t.stripe(), descIdx)
 		return 0, err

@@ -1,9 +1,6 @@
 package mem
 
 import (
-	"fmt"
-	"runtime"
-	"sync/atomic"
 	"testing"
 
 	"repro/internal/telemetry"
@@ -23,40 +20,28 @@ func BenchmarkRegionAllocFree(b *testing.B) {
 }
 
 // BenchmarkRegionChurnParallel measures contended superblock-size
-// region round trips — every iteration hits a bump pointer or a
-// free-region bin, the arena layer's target traffic — with the OS
-// layer unsharded (arenas=1) vs one arena per processor. Region-CAS
-// retries and steals per operation are reported as custom metrics.
+// region round trips — every iteration hits the bump pointer or a
+// free-region bin. Region-CAS retries per operation are reported as a
+// custom metric.
 func BenchmarkRegionChurnParallel(b *testing.B) {
-	counts := []int{1, runtime.GOMAXPROCS(0)}
-	if counts[1] == 1 {
-		counts = counts[:1]
-	}
-	for _, arenas := range counts {
-		b.Run(fmt.Sprintf("arenas=%d", arenas), func(b *testing.B) {
-			h := NewHeap(Config{Arenas: arenas})
-			rec := telemetry.New(telemetry.Config{})
-			h.SetTelemetry(rec.Stripes())
-			var worker atomic.Int64
-			b.RunParallel(func(pb *testing.PB) {
-				ar := h.Arena(int(worker.Add(1) - 1))
-				for pb.Next() {
-					p, words, err := ar.AllocRegion(2048)
-					if err != nil {
-						b.Error(err)
-						return
-					}
-					h.FreeRegion(p, words)
-				}
-			})
-			snap := rec.Snapshot()
-			retries := snap.Retries[telemetry.SiteRegionPop.String()] +
-				snap.Retries[telemetry.SiteRegionPush.String()] +
-				snap.Retries[telemetry.SiteRegionBump.String()]
-			b.ReportMetric(float64(retries)/float64(b.N), "region-retries/op")
-			b.ReportMetric(float64(h.Stats().Steals)/float64(b.N), "steals/op")
-		})
-	}
+	h := NewHeap(Config{})
+	rec := telemetry.New(telemetry.Config{})
+	h.SetTelemetry(rec.Stripes())
+	b.RunParallel(func(pb *testing.PB) {
+		for pb.Next() {
+			p, words, err := h.AllocRegion(2048)
+			if err != nil {
+				b.Error(err)
+				return
+			}
+			h.FreeRegion(p, words)
+		}
+	})
+	snap := rec.Snapshot()
+	retries := snap.Retries[telemetry.SiteRegionPop.String()] +
+		snap.Retries[telemetry.SiteRegionPush.String()] +
+		snap.Retries[telemetry.SiteRegionBump.String()]
+	b.ReportMetric(float64(retries)/float64(b.N), "region-retries/op")
 }
 
 // BenchmarkHyperAllocFree measures the §3.2.5 hyperblock layer's

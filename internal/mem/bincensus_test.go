@@ -9,79 +9,53 @@ import (
 // against the freelist walk at quiescence — the counters must agree
 // bin-for-bin with what the links actually hold.
 func TestBinCensusMatchesRegionBins(t *testing.T) {
-	h := arenaTestHeap()
-	for _, ab := range h.BinCensus() {
-		if ab.FreeRegions != 0 || ab.FreeWords != 0 || len(ab.Bins) != 0 {
-			t.Fatalf("fresh arena %d census non-empty: %+v", ab.Arena, ab)
-		}
-		if ab.PartitionWords == 0 {
-			t.Fatalf("arena %d has zero partition", ab.Arena)
-		}
+	h := NewHeap(Config{SegmentWordsLog2: 14, TotalWordsLog2: 18})
+	if bins := h.BinCensus(); len(bins) != 0 {
+		t.Fatalf("fresh heap census non-empty: %+v", bins)
 	}
 
-	p1, w1, _ := h.Arena(0).AllocRegion(PageWords)
-	p2, w2, _ := h.Arena(0).AllocRegion(PageWords)
-	p3, w3, _ := h.Arena(2).AllocRegion(3 * PageWords)
+	p1, w1, _ := h.AllocRegion(PageWords)
+	p2, w2, _ := h.AllocRegion(PageWords)
+	p3, w3, _ := h.AllocRegion(3 * PageWords)
 	h.FreeRegion(p1, w1)
 	h.FreeRegion(p2, w2)
 	h.FreeRegion(p3, w3)
 
-	walk := map[BinStat]bool{}
-	for _, b := range h.RegionBins() {
-		walk[b] = true
+	census, walk := h.BinCensus(), h.RegionBins()
+	want := []BinStat{{RegionWords: PageWords, Regions: 2}, {RegionWords: 3 * PageWords, Regions: 1}}
+	if len(census) != len(want) || len(walk) != len(want) {
+		t.Fatalf("census bins %+v, walk bins %+v, want %+v", census, walk, want)
 	}
-	census := h.BinCensus()
-	var fromCensus []BinStat
-	for _, ab := range census {
-		var words uint64
-		for _, b := range ab.Bins {
-			fromCensus = append(fromCensus, b)
-			words += uint64(b.Regions) * b.RegionWords
+	for i := range want {
+		if census[i] != want[i] || walk[i] != want[i] {
+			t.Errorf("bin %d: census %+v, walk %+v, want %+v", i, census[i], walk[i], want[i])
 		}
-		if words != ab.FreeWords {
-			t.Errorf("arena %d: FreeWords %d != bin sum %d", ab.Arena, ab.FreeWords, words)
-		}
-	}
-	if len(fromCensus) != len(walk) {
-		t.Fatalf("census bins %+v, walk bins %+v", fromCensus, walk)
-	}
-	for _, b := range fromCensus {
-		if !walk[b] {
-			t.Errorf("census bin %+v not found by freelist walk", b)
-		}
-	}
-	if census[0].FreeRegions != 2 || census[0].FreeWords != 2*PageWords {
-		t.Errorf("arena 0 census = %+v", census[0])
-	}
-	if census[2].FreeRegions != 1 || census[2].FreeWords != 3*PageWords {
-		t.Errorf("arena 2 census = %+v", census[2])
 	}
 }
 
-// TestBinCensusConcurrent hammers one arena's bins with parallel
-// alloc/free while BinCensus runs: the counters are push/pop-maintained
-// atomics, so the census must stay race-clean and in range (never more
-// free words than the partition), and must match the walk once the
-// churn quiesces.
+// TestBinCensusConcurrent hammers the bins with parallel alloc/free
+// while BinCensus runs: the counters are push/pop-maintained atomics, so
+// the census must stay race-clean and in range (never more free words
+// than the address space), and must match the walk once the churn
+// quiesces.
 func TestBinCensusConcurrent(t *testing.T) {
-	h := arenaTestHeap()
+	h := NewHeap(Config{SegmentWordsLog2: 14, TotalWordsLog2: 18})
 	stop := make(chan struct{})
 	var churn sync.WaitGroup
 	for g := 0; g < 4; g++ {
 		churn.Add(1)
-		go func(g int) {
+		go func() {
 			defer churn.Done()
-			ar := h.Arena(g % h.Arenas())
 			for i := 0; i < 2000; i++ {
 				n := uint64(PageWords) << (i % 3)
-				p, w, err := ar.AllocRegion(n)
+				p, w, err := h.AllocRegion(n)
 				if err != nil {
 					t.Error(err)
 					return
 				}
 				h.FreeRegion(p, w)
 			}
-		}(g)
+		}()
 	}
 	var walker sync.WaitGroup
 	walker.Add(1)
@@ -93,11 +67,12 @@ func TestBinCensusConcurrent(t *testing.T) {
 				return
 			default:
 			}
-			for _, ab := range h.BinCensus() {
-				if ab.FreeWords > ab.PartitionWords {
-					t.Errorf("arena %d: free %d words > partition %d",
-						ab.Arena, ab.FreeWords, ab.PartitionWords)
-				}
+			var free uint64
+			for _, b := range h.BinCensus() {
+				free += uint64(b.Regions) * b.RegionWords
+			}
+			if free > h.TotalWords() {
+				t.Errorf("free %d words > address space %d", free, h.TotalWords())
 			}
 		}
 	}()
@@ -106,12 +81,12 @@ func TestBinCensusConcurrent(t *testing.T) {
 	walker.Wait()
 
 	// Quiescent: counters and freelist links must agree exactly.
-	var censusRegions, walkRegions uint64
-	for _, ab := range h.BinCensus() {
-		censusRegions += ab.FreeRegions
+	var censusRegions, walkRegions int
+	for _, b := range h.BinCensus() {
+		censusRegions += b.Regions
 	}
 	for _, b := range h.RegionBins() {
-		walkRegions += uint64(b.Regions)
+		walkRegions += b.Regions
 	}
 	if censusRegions != walkRegions {
 		t.Errorf("quiescent census %d regions, walk %d", censusRegions, walkRegions)

@@ -11,7 +11,7 @@ import (
 // TestConcurrentSegmentMaterialization hammers the lazy segment
 // installation from many goroutines: every allocated region must be
 // usable even when two goroutines race to materialize the same
-// segment (one make() wins, the loser's is dropped).
+// segment (one make() wins, the loser parks its slice as the spare).
 func TestConcurrentSegmentMaterialization(t *testing.T) {
 	h := NewHeap(Config{SegmentWordsLog2: 12, TotalWordsLog2: 24}) // many tiny segments
 	const goroutines = 8

@@ -98,19 +98,8 @@ func (hy *Hyper) desc(sb Ptr) *hyperDesc {
 	return d
 }
 
-// Alloc returns one superblock, drawing fresh hyperblocks through
-// arena 0. Lock-free. Callers with a processor identity should prefer
-// AllocFrom with their own arena.
+// Alloc returns one superblock. Lock-free.
 func (hy *Hyper) Alloc() (Ptr, error) {
-	return hy.AllocFrom(hy.heap.Arena(0))
-}
-
-// AllocFrom returns one superblock, drawing any fresh hyperblock it
-// needs through the given arena (the free stack and bump cursor are
-// shared across arenas — hyperblocks are big enough that carving them
-// is rare, so only the region allocation underneath is sharded).
-// Lock-free.
-func (hy *Hyper) AllocFrom(ar Arena) (Ptr, error) {
 	hy.allocs.Add(1)
 	for {
 		// Freed superblocks first.
@@ -131,7 +120,7 @@ func (hy *Hyper) AllocFrom(ar Arena) (Ptr, error) {
 			continue
 		}
 		// Current exhausted (or none): install a fresh hyperblock.
-		nb, err := hy.newHyperblock(ar)
+		nb, err := hy.newHyperblock()
 		if err != nil {
 			return 0, err
 		}
@@ -149,7 +138,7 @@ func (hy *Hyper) AllocFrom(ar Arena) (Ptr, error) {
 // Free returns a superblock obtained from Alloc. Lock-free.
 func (hy *Hyper) Free(sb Ptr) {
 	hy.frees.Add(1)
-	// The superblock's words become reusable by a later AllocFrom
+	// The superblock's words become reusable by a later Alloc
 	// without passing through FreeRegion, so fire the recycle hook here.
 	hy.heap.noteRecycled(sb, hy.sbWords)
 	hy.pushFree(sb)
@@ -181,8 +170,8 @@ func (hy *Hyper) pushFree(sb Ptr) {
 	}
 }
 
-func (hy *Hyper) newHyperblock(ar Arena) (Ptr, error) {
-	base, err := ar.AllocRegionAligned(hy.hypWords, hy.hypWords)
+func (hy *Hyper) newHyperblock() (Ptr, error) {
+	base, err := hy.heap.AllocRegionAligned(hy.hypWords, hy.hypWords)
 	if err != nil {
 		return 0, err
 	}

@@ -28,33 +28,27 @@ func SizePrefix(regionWords uint64) uint64 { return regionWords<<1 | 1 }
 func SizePrefixWords(prefix uint64) uint64 { return prefix >> 1 }
 
 // LargeAlloc allocates a large block with at least size payload bytes
-// directly from arena a and returns a pointer to the payload. The
+// directly from the OS layer and returns a pointer to the payload. The
 // region holds one prefix word followed by the payload; encode maps
 // the region's canonical (rounded) word count to the prefix word
 // stored there; the free path decodes it back and hands the canonical
 // size to LargeFree, which asserts the round trip under the memdebug
 // build tag.
-func (a Arena) LargeAlloc(size uint64, encode func(regionWords uint64) uint64) (Ptr, error) {
+func (h *Heap) LargeAlloc(size uint64, encode func(regionWords uint64) uint64) (Ptr, error) {
 	payloadWords := (size + WordBytes - 1) / WordBytes
 	if payloadWords == 0 {
 		payloadWords = 1
 	}
 	totalWords := payloadWords + 1
-	if totalWords > a.h.MaxRegionWords() {
+	if totalWords > h.MaxRegionWords() {
 		return 0, ErrRegionOverflow
 	}
-	base, regionWords, err := a.AllocRegion(totalWords)
+	base, regionWords, err := h.AllocRegion(totalWords)
 	if err != nil {
 		return 0, err
 	}
-	a.h.Store(base, encode(regionWords))
+	h.Store(base, encode(regionWords))
 	return base.Add(1), nil
-}
-
-// LargeAlloc allocates a large block through arena 0 (see
-// Arena.LargeAlloc).
-func (h *Heap) LargeAlloc(size uint64, encode func(regionWords uint64) uint64) (Ptr, error) {
-	return h.Arena(0).LargeAlloc(size, encode)
 }
 
 // LargeFree releases a large block returned by LargeAlloc. regionWords

@@ -23,20 +23,16 @@
 //   - The OS layer (AllocRegion/FreeRegion) hands out page-granular
 //     regions, exactly the role mmap/munmap play in the paper: it serves
 //     superblock allocation, large-block allocation, and descriptor-
-//     superblock allocation. It is itself lock-free, and it is sharded:
-//     the address space is interleaved segment-by-segment across an
-//     array of per-processor arenas, each with its own atomic bump
-//     pointer and its own per-size lock-free freelists of returned
-//     regions (Treiber stacks threaded through the first word of each
-//     free region, with tagged heads for ABA safety). Frees route to
-//     the arena that owns the address; an arena that runs dry steals
-//     lock-free from its siblings before reporting ErrOutOfMemory, so
-//     total capacity is that of the whole heap regardless of sharding.
+//     superblock allocation. It is one lock-free region allocator shared
+//     by every thread, as the paper's OS is: an atomic bump pointer over
+//     never-used address space and per-size lock-free freelists of
+//     returned regions (Treiber stacks threaded through the first word of
+//     each free region, with tagged heads for ABA safety).
 //
 // Two units divide the address space. The segment
-// (Config.SegmentWordsLog2) is the unit arenas interleave by and the
-// largest region. The granule, a power-of-two fraction of a segment that
-// NewHeap derives from the heap's size, is the unit of address
+// (Config.SegmentWordsLog2) is the largest region: no region straddles a
+// segment boundary. The granule, a power-of-two fraction of a segment
+// that NewHeap derives from the heap's size, is the unit of address
 // translation and of backing: a region no larger than a granule lies
 // inside one granule, whose backing slice the first region to reach it
 // allocates; a larger region is whole granules of its own, backed by one
@@ -110,20 +106,14 @@ var ErrOutOfMemory = errors.New("mem: simulated address space exhausted")
 
 // Config parameterizes a Heap.
 type Config struct {
-	// SegmentWordsLog2 is the log2 of words per segment, the unit arenas
-	// partition the address space by and the largest region. It costs
-	// nothing until used: backing is materialized a granule at a time
-	// (see NewHeap). 0 selects the default (2^21 words, 16 MiB).
+	// SegmentWordsLog2 is the log2 of words per segment, the largest
+	// region. It costs nothing until used: backing is materialized a
+	// granule at a time (see NewHeap). 0 selects the default (2^21
+	// words, 16 MiB).
 	SegmentWordsLog2 uint
 	// TotalWordsLog2 is the log2 of the total addressable words.
 	// 0 selects the default (2^34 words).
 	TotalWordsLog2 uint
-	// Arenas is the number of per-processor arenas the region
-	// allocator is sharded into. 0 or 1 selects a single arena, which
-	// reproduces the unsharded global bump pointer and free bins
-	// exactly. Values above the segment count are clamped so every
-	// arena owns at least one segment.
-	Arenas int
 }
 
 // Heap is a simulated word-addressed address space with an OS-like
@@ -143,28 +133,29 @@ type Heap struct {
 	granLog  uint
 	granMask uint64 // granule words - 1
 
-	segLog    uint
-	segWords  uint64
-	maxWords  uint64
-	numArenas uint64
+	segLog   uint
+	segWords uint64
+	maxWords uint64
 
-	// arenas shard the region allocator. Segment s belongs to arena
-	// s % numArenas; each arena bumps only within its own segments and
-	// keeps its own free-region bins, so the bins of arena i only ever
-	// hold regions whose addresses lie in arena i's segments.
-	arenas []arenaShard
+	// os is the region allocator: bump pointer, free-region bins and
+	// their counters, behind a pointer so Heap stays two lines.
+	os *regions
+
+	// spare is a granule-sized backing slice whose materialize lost the
+	// race to publish it: never handed out, so still zero, and the next
+	// materialize takes it instead of allocating one. Threads bumping
+	// one pointer reach each fresh granule together, so losers are
+	// common.
+	spare atomic.Pointer[uint64]
 
 	// tele, when set, receives CAS-retry counts for the region
-	// free-stack bins and bump pointers, and steal events. An atomic
-	// pointer so SetTelemetry may race in-flight operations; loaded
-	// only on CAS-failure and steal paths.
+	// free-stack bins and the bump pointer. An atomic pointer so
+	// SetTelemetry may race in-flight operations; loaded only on
+	// CAS-failure paths.
 	tele atomic.Pointer[telemetry.Stripes]
 
-	// liveWords/maxLiveWords are kept globally (not summed from the
-	// arenas) so the high-water mark is a consistent single-counter
-	// CAS-max, as before sharding.
-	liveWords    atomic.Uint64
-	maxLiveWords atomic.Uint64
+	liveWords    atomic.Uint64 // words currently allocated to regions
+	maxLiveWords atomic.Uint64 // its high-water mark, by CAS-max
 
 	// regionHook, when set, is called whenever a region's words return
 	// to the recycler — FreeRegion, and the hyperblock layer's
@@ -174,6 +165,8 @@ type Heap struct {
 	// Last field so the hook's presence does not shift the offsets of
 	// the fields the word accessors touch.
 	regionHook atomic.Pointer[func(p Ptr, words uint64)]
+
+	_ [16]byte // to the 128-byte size class
 }
 
 const (
@@ -181,11 +174,11 @@ const (
 	_ = unsafe.Sizeof(Heap{}) - 128
 )
 
-// arenaShard is one shard of the region allocator. Padded so that two
-// arenas' hot bump pointers and bin heads never share a cache line.
-type arenaShard struct {
-	_    [64]byte
-	next atomic.Uint64 // bump pointer (word index of next unreserved word)
+// regions is the region allocator's state.
+type regions struct {
+	// next is the bump pointer, the word index of the next unreserved
+	// word: it is also the address space reserved so far.
+	next atomic.Uint64
 
 	// Free-region bins. bins[0..exactBins-1] hold regions of exactly
 	// i+1 pages; log2Bins[k] holds regions of exactly 2^k pages.
@@ -202,25 +195,12 @@ type arenaShard struct {
 	binRegions     [exactBins]atomic.Uint64
 	log2BinRegions [maxLog2Bins]atomic.Uint64
 
-	stats arenaCounters
-	_     [64]byte
+	allocs            atomic.Uint64 // regions handed out
+	frees             atomic.Uint64 // regions returned
+	reused            atomic.Uint64 // allocations served from a bin
+	skippedWords      atomic.Uint64 // words the bump skipped to a granule or segment boundary
+	materializedWords atomic.Uint64 // backing allocated for reserved granules
 }
-
-type arenaCounters struct {
-	reservedWords     atomic.Uint64 // address space consumed by this arena's bump
-	liveWords         atomic.Uint64 // live words in regions this arena owns
-	regionAllocs      atomic.Uint64 // allocations requested via this arena
-	regionFrees       atomic.Uint64 // frees routed home to this arena
-	reusedRegions     atomic.Uint64 // requests satisfied from a bin (own or stolen)
-	steals            atomic.Uint64 // requests satisfied by a sibling arena
-	skippedWords      atomic.Uint64 // words wasted skipping to an owned segment or a granule boundary
-	materializedWords atomic.Uint64 // backing allocated for this arena's granules
-}
-
-// stealTestHook, when non-nil, is called before each sibling-arena
-// steal attempt with (requester, victim). Test-only: lets tests
-// interleave or abandon a thread mid-steal.
-var stealTestHook func(requester, victim int)
 
 // SetTelemetry attaches striped retry counters to the region
 // free-stack push/pop and bump CAS loops (nil detaches). Safe to call
@@ -249,39 +229,20 @@ func (h *Heap) noteRecycled(p Ptr, words uint64) {
 	}
 }
 
-// ArenaStats is a point-in-time snapshot of one arena's counters.
-// Request-side counters (RegionAllocs, ReusedRegions, Steals) are
-// charged to the arena the request went through; partition-side
-// counters (ReservedWords, MaterializedWords, LiveWords, RegionFrees,
-// SkippedWords) are charged to the arena that owns the affected address,
-// so each arena's LiveWords drains back to zero no matter which thread
-// frees. MaterializedWords is the backing actually allocated for the
-// reserved address space: whole granules, so it can exceed ReservedWords.
-type ArenaStats struct {
-	ReservedWords     uint64
-	MaterializedWords uint64
-	LiveWords         uint64
-	RegionAllocs      uint64
-	RegionFrees       uint64
-	ReusedRegions     uint64
-	Steals            uint64
-	SkippedWords      uint64
-}
-
-// Stats is a point-in-time snapshot of heap counters. The scalar
-// fields are sums over all arenas (LiveWords and MaxLiveWords come
-// from a single global counter so the high-water mark is exact).
+// Stats is a point-in-time snapshot of heap counters.
 type Stats struct {
-	ReservedWords     uint64 // address space consumed by the bump pointers
+	ReservedWords     uint64 // address space consumed by the bump pointer
 	MaterializedWords uint64 // backing allocated for it, in whole granules
 	LiveWords         uint64 // words currently allocated to regions
 	MaxLiveWords      uint64 // high-water mark of LiveWords
 	RegionAllocs      uint64
 	RegionFrees       uint64
-	ReusedRegions     uint64
-	Steals            uint64 // allocations served by a non-local arena
-	SkippedWords      uint64
-	Arenas            []ArenaStats // per-arena breakdown, indexed by arena
+	ReusedRegions     uint64 // allocations served from a free-region bin
+	// Steals is always 0: one region allocator has no sibling to steal
+	// from. The field stays while the benchmark's mem.steals_per_kop
+	// reads it.
+	Steals       uint64
+	SkippedWords uint64 // words the bump skipped to a granule or segment boundary
 }
 
 // NewHeap creates a heap with the given configuration.
@@ -308,56 +269,24 @@ func NewHeap(cfg Config) *Heap {
 		segLog:   segLog,
 		segWords: 1 << segLog,
 		maxWords: 1 << totalLog,
+		os:       new(regions),
 	}
-	numSegs := h.maxWords >> segLog
 	h.bases = make([]unsafe.Pointer, h.maxWords>>granLog)
-	arenas := uint64(1)
-	if cfg.Arenas > 1 {
-		arenas = uint64(cfg.Arenas)
-	}
-	if arenas > numSegs {
-		arenas = numSegs
-	}
-	h.numArenas = arenas
-	h.arenas = make([]arenaShard, arenas)
-	for i := range h.arenas {
-		// Arena i starts bumping at the base of segment i, its first
-		// owned segment.
-		h.arenas[i].next.Store(uint64(i) << segLog)
-	}
 	// Reserve the first page so Ptr 0 is never a valid region address.
-	h.arenas[0].next.Store(PageWords)
-	h.arenas[0].stats.reservedWords.Store(PageWords)
+	h.os.next.Store(PageWords)
 	return h
 }
 
 // SegmentWords returns the number of words per segment. Regions never
 // straddle a segment boundary; that any region's words are contiguous in
-// one backing slice is the granule rules' doing (see bumpArena).
+// one backing slice is the granule rules' doing (see bump).
 func (h *Heap) SegmentWords() uint64 { return h.segWords }
 
 // MaxRegionWords returns the largest region the OS layer can serve.
 func (h *Heap) MaxRegionWords() uint64 { return h.segWords }
 
-// Arenas returns the number of arenas the region allocator is sharded
-// into.
-func (h *Heap) Arenas() int { return int(h.numArenas) }
-
-// Arena returns a handle on arena i (taken modulo the arena count, so
-// callers may pass a thread or processor id directly). The handle is a
-// cheap value; all its methods are lock-free and safe for concurrent
-// use.
-func (h *Heap) Arena(i int) Arena {
-	if i < 0 {
-		i = -i
-	}
-	return Arena{h: h, idx: uint64(i) % h.numArenas}
-}
-
-// arenaOf returns the arena owning p's segment.
-func (h *Heap) arenaOf(p Ptr) uint64 {
-	return (uint64(p) >> h.segLog) % h.numArenas
-}
+// TotalWords returns the size of the address space in words.
+func (h *Heap) TotalWords() uint64 { return h.maxWords }
 
 // unmappedError is the panic value of an access to an address whose
 // granule was never materialized. A typed value rather than a formatted
@@ -441,25 +370,39 @@ func (h *Heap) Mapped(p Ptr) bool {
 	return atomic.LoadPointer(&h.bases[uint64(p)>>h.granLog]) != nil
 }
 
-// materialize backs the region [start, start+words) that a just bumped
-// out of its partition. A region within one granule shares the granule's
-// slice with its neighbours: whoever finds the entry nil allocates one
-// and publishes it by CAS, and a racing loser drops its slice, so the
-// entry is checked right before the make and nowhere earlier. A larger
-// region is whole granules no other region can reach (bumpArena), so its
-// entries are its own to store: interior addresses of one slice of
-// exactly its length, contiguous for Words.
-func (h *Heap) materialize(a *arenaShard, start, words uint64) {
+// materialize backs the region [start, start+words) that bump just
+// reserved. A region within one granule shares the granule's slice with
+// its neighbours: whoever finds the entry nil publishes a slice by CAS —
+// the spare one if there is one, else a new one — and a racing loser
+// parks its slice, still zero, in the spare slot for the next fresh
+// granule (dropping it only if the slot is full). The entry is checked
+// right before the slice is taken and nowhere earlier. Both slot
+// operations are single atomics, so a thread that dies between them
+// loses Go memory and blocks nobody. A larger region is whole granules
+// no other region can reach (bump), so its entries are its own to store:
+// interior addresses of one slice of exactly its length, contiguous for
+// Words.
+func (h *Heap) materialize(start, words uint64) {
 	g, gran := start>>h.granLog, h.granMask+1
 	if words > gran {
 		s := make([]uint64, words)
 		for off := uint64(0); off < words; off += gran {
 			atomic.StorePointer(&h.bases[g+off>>h.granLog], unsafe.Pointer(&s[off]))
 		}
-		a.stats.materializedWords.Add(words)
-	} else if atomic.LoadPointer(&h.bases[g]) == nil &&
-		atomic.CompareAndSwapPointer(&h.bases[g], nil, unsafe.Pointer(unsafe.SliceData(make([]uint64, gran)))) {
-		a.stats.materializedWords.Add(gran)
+		h.os.materializedWords.Add(words)
+		return
+	}
+	if atomic.LoadPointer(&h.bases[g]) != nil {
+		return
+	}
+	s := h.spare.Swap(nil)
+	if s == nil {
+		s = unsafe.SliceData(make([]uint64, gran))
+	}
+	if atomic.CompareAndSwapPointer(&h.bases[g], nil, unsafe.Pointer(s)) {
+		h.os.materializedWords.Add(gran)
+	} else {
+		h.spare.CompareAndSwap(nil, s)
 	}
 }
 
@@ -478,47 +421,33 @@ func RegionWords(n uint64) uint64 {
 	return PageWords << bits.Len64(pages-1)
 }
 
-func (a *arenaShard) binFor(words uint64) *atomic.Uint64 {
+func (r *regions) binFor(words uint64) *atomic.Uint64 {
 	pages := words / PageWords
 	if pages <= exactBins {
-		return &a.bins[pages-1]
+		return &r.bins[pages-1]
 	}
-	return &a.log2Bins[bits.Len64(pages)-1]
+	return &r.log2Bins[bits.Len64(pages)-1]
 }
 
 // countFor returns the census counter paired with binFor(words).
-func (a *arenaShard) countFor(words uint64) *atomic.Uint64 {
+func (r *regions) countFor(words uint64) *atomic.Uint64 {
 	pages := words / PageWords
 	if pages <= exactBins {
-		return &a.binRegions[pages-1]
+		return &r.binRegions[pages-1]
 	}
-	return &a.log2BinRegions[bits.Len64(pages)-1]
+	return &r.log2BinRegions[bits.Len64(pages)-1]
 }
-
-// Arena is a handle on one shard of the region allocator. Allocations
-// through an Arena prefer that arena's free bins and address-space
-// partition, falling back to lock-free stealing from sibling arenas;
-// frees always route to the arena owning the freed address, whichever
-// handle they go through.
-type Arena struct {
-	h   *Heap
-	idx uint64
-}
-
-// Index returns the arena's index within the heap.
-func (a Arena) Index() int { return int(a.idx) }
 
 // AllocRegion reserves a region of at least n words and returns its
 // base pointer and actual size in words. It corresponds to the paper's
 // "allocate directly from the OS" (mmap). Lock-free.
-func (a Arena) AllocRegion(n uint64) (Ptr, uint64, error) {
-	h := a.h
+func (h *Heap) AllocRegion(n uint64) (Ptr, uint64, error) {
 	words := RegionWords(n)
 	if words > h.segWords {
 		return 0, 0, fmt.Errorf("mem: region of %d words exceeds segment size %d: %w",
 			words, h.segWords, ErrOutOfMemory)
 	}
-	p, err := h.allocWords(a.idx, words, 1)
+	p, err := h.allocWords(words, 1)
 	if err != nil {
 		return 0, 0, err
 	}
@@ -529,8 +458,7 @@ func (a Arena) AllocRegion(n uint64) (Ptr, uint64, error) {
 // is a multiple of align words (a power of two not exceeding the
 // segment size). Used by the hyperblock layer, which locates a
 // superblock's hyperblock descriptor by address masking. Lock-free.
-func (a Arena) AllocRegionAligned(n, align uint64) (Ptr, error) {
-	h := a.h
+func (h *Heap) AllocRegionAligned(n, align uint64) (Ptr, error) {
 	if align == 0 || align&(align-1) != 0 {
 		return 0, fmt.Errorf("mem: alignment %d is not a power of two", align)
 	}
@@ -542,31 +470,11 @@ func (a Arena) AllocRegionAligned(n, align uint64) (Ptr, error) {
 		return 0, fmt.Errorf("mem: region of %d words exceeds segment size %d: %w",
 			words, h.segWords, ErrOutOfMemory)
 	}
-	return h.allocWords(a.idx, words, align)
-}
-
-// FreeRegion returns a region obtained from any arena of the same heap
-// to the OS layer. The region routes to the arena owning its address,
-// not to a; the method exists so code holding only an Arena handle can
-// free. Lock-free.
-func (a Arena) FreeRegion(p Ptr, n uint64) { a.h.FreeRegion(p, n) }
-
-// AllocRegion reserves a region through arena 0. Convenience for
-// single-arena heaps and callers without a processor identity; with
-// Config.Arenas <= 1 it is the whole region allocator.
-func (h *Heap) AllocRegion(n uint64) (Ptr, uint64, error) {
-	return h.Arena(0).AllocRegion(n)
-}
-
-// AllocRegionAligned reserves an aligned region through arena 0 (see
-// Arena.AllocRegionAligned).
-func (h *Heap) AllocRegionAligned(n, align uint64) (Ptr, error) {
-	return h.Arena(0).AllocRegionAligned(n, align)
+	return h.allocWords(words, align)
 }
 
 // FreeRegion returns a region obtained from AllocRegion(n) (same n) to
-// the OS layer, routing it to the bins of the arena that owns its
-// address. It corresponds to munmap. Lock-free.
+// the OS layer's bins. It corresponds to munmap. Lock-free.
 func (h *Heap) FreeRegion(p Ptr, n uint64) {
 	if memDebug && n != RegionWords(n) {
 		panic(fmt.Sprintf("mem: FreeRegion(%v, %d): size is not region-rounded (RegionWords gives %d)",
@@ -574,90 +482,54 @@ func (h *Heap) FreeRegion(p Ptr, n uint64) {
 	}
 	words := RegionWords(n)
 	h.noteRecycled(p, words)
-	owner := h.arenaOf(p)
-	st := &h.arenas[owner].stats
-	st.regionFrees.Add(1)
-	st.liveWords.Add(^(words - 1)) // subtract
-	h.liveWords.Add(^(words - 1))
-	h.pushRegion(owner, p, words)
+	h.os.frees.Add(1)
+	h.liveWords.Add(^(words - 1)) // subtract
+	h.pushRegion(p, words)
 }
 
 // allocWords implements the allocation policy shared by AllocRegion
-// and AllocRegionAligned: local bins, then the local partition's bump
-// pointer, then — only when the local arena is dry — each sibling's
-// bins and partition in ring order. Stealing prefers siblings' bins
-// over their fresh address space for the same reason local allocation
-// does: reuse keeps the footprint down. Returns ErrOutOfMemory only
-// when every arena is exhausted, so sharding does not change the
-// heap's capacity semantics.
-func (h *Heap) allocWords(ai, words, align uint64) (Ptr, error) {
-	if p := h.popAligned(ai, words, align); !p.IsNil() {
-		h.noteAlloc(ai, ai, words, true, false)
-		return p, nil
-	}
-	if p, ok := h.bumpArena(ai, words, align); ok {
-		h.noteAlloc(ai, ai, words, false, false)
-		return p, nil
-	}
-	for off := uint64(1); off < h.numArenas; off++ {
-		v := (ai + off) % h.numArenas
-		if hook := stealTestHook; hook != nil {
-			hook(int(ai), int(v))
-		}
-		if p := h.popAligned(v, words, align); !p.IsNil() {
-			h.noteAlloc(ai, v, words, true, true)
-			return p, nil
+// and AllocRegionAligned: the size's bin first, because reuse keeps the
+// footprint down, then fresh address space. Returns ErrOutOfMemory only
+// when the bin is empty and the address space exhausted.
+func (h *Heap) allocWords(words, align uint64) (Ptr, error) {
+	p := h.popAligned(words, align)
+	reused := !p.IsNil()
+	if !reused {
+		var ok bool
+		if p, ok = h.bump(words, align); !ok {
+			return 0, ErrOutOfMemory
 		}
 	}
-	for off := uint64(1); off < h.numArenas; off++ {
-		v := (ai + off) % h.numArenas
-		if p, ok := h.bumpArena(v, words, align); ok {
-			h.noteAlloc(ai, v, words, false, true)
-			return p, nil
-		}
-	}
-	return 0, ErrOutOfMemory
-}
-
-// popAligned makes one reuse attempt from arena ai's bin for the size:
-// the bin may hold a region with the right alignment (e.g. a
-// previously released hyperblock). A misaligned pop is pushed back for
-// unaligned callers rather than retried.
-func (h *Heap) popAligned(ai, words, align uint64) Ptr {
-	p := h.popRegion(ai, words)
-	if p.IsNil() || align <= 1 || uint64(p)&(align-1) == 0 {
-		return p
-	}
-	h.pushRegion(ai, p, words)
-	return 0
-}
-
-func (h *Heap) noteAlloc(requester, owner, words uint64, reused, stolen bool) {
-	rs := &h.arenas[requester].stats
-	rs.regionAllocs.Add(1)
+	h.os.allocs.Add(1)
 	if reused {
-		rs.reusedRegions.Add(1)
+		h.os.reused.Add(1)
 	}
-	if stolen {
-		rs.steals.Add(1)
-		if st := h.tele.Load(); st != nil {
-			st.Retry(telemetry.SiteRegionSteal, requester)
-		}
-	}
-	h.arenas[owner].stats.liveWords.Add(words)
 	live := h.liveWords.Add(words)
 	for {
 		max := h.maxLiveWords.Load()
 		if live <= max || h.maxLiveWords.CompareAndSwap(max, live) {
-			break
+			return p, nil
 		}
 	}
 }
 
-// popRegion pops a region from arena ai's freelist bin for the exact
-// size, or returns nil. Classic IBM freelist pop with a tagged head [8].
-func (h *Heap) popRegion(ai, words uint64) Ptr {
-	bin := h.arenas[ai].binFor(words)
+// popAligned makes one reuse attempt from the bin for the size: the bin
+// may hold a region with the right alignment (e.g. a previously
+// released hyperblock). A misaligned pop is pushed back for unaligned
+// callers rather than retried.
+func (h *Heap) popAligned(words, align uint64) Ptr {
+	p := h.popRegion(words)
+	if p.IsNil() || align <= 1 || uint64(p)&(align-1) == 0 {
+		return p
+	}
+	h.pushRegion(p, words)
+	return 0
+}
+
+// popRegion pops a region from the freelist bin for the exact size, or
+// returns nil. Classic IBM freelist pop with a tagged head [8].
+func (h *Heap) popRegion(words uint64) Ptr {
+	bin := h.os.binFor(words)
 	for {
 		oldHead := bin.Load()
 		t := atomicx.UnpackTagged(oldHead)
@@ -667,7 +539,7 @@ func (h *Heap) popRegion(ai, words uint64) Ptr {
 		next := h.Load(Ptr(t.Idx))
 		newHead := atomicx.Tagged{Idx: next, Tag: t.Tag + 1}.Pack()
 		if bin.CompareAndSwap(oldHead, newHead) {
-			h.arenas[ai].countFor(words).Add(^uint64(0)) // census counter: see arenaShard
+			h.os.countFor(words).Add(^uint64(0)) // census counter: see regions
 			return Ptr(t.Idx)
 		}
 		if st := h.tele.Load(); st != nil {
@@ -676,14 +548,13 @@ func (h *Heap) popRegion(ai, words uint64) Ptr {
 	}
 }
 
-// pushRegion pushes a region onto arena ai's freelist bin for its
-// size. ai must be the arena owning p's address.
-func (h *Heap) pushRegion(ai uint64, p Ptr, words uint64) {
-	bin := h.arenas[ai].binFor(words)
+// pushRegion pushes a region onto the freelist bin for its size.
+func (h *Heap) pushRegion(p Ptr, words uint64) {
+	bin := h.os.binFor(words)
 	// Incremented before the CAS so the paired pop's decrement (which
 	// can only follow a successful push) never drives the counter
-	// negative; see arenaShard.
-	h.arenas[ai].countFor(words).Add(1)
+	// negative; see regions.
+	h.os.countFor(words).Add(1)
 	for {
 		oldHead := bin.Load()
 		t := atomicx.UnpackTagged(oldHead)
@@ -699,45 +570,34 @@ func (h *Heap) pushRegion(ai uint64, p Ptr, words uint64) {
 	}
 }
 
-// bumpArena reserves words from arena ai's never-before-used address
-// space, at the given alignment (1 for none). The bump pointer walks
-// only segments the arena owns (segment index ≡ ai mod numArenas),
-// jumping numArenas segments ahead when a request would straddle the
-// current segment's end. Within a segment it keeps the two rules
-// materialize relies on: a region larger than a granule starts on a
-// granule boundary (being a power of two pages, it ends on one too), and
-// a smaller one that would straddle a boundary starts on the next one.
-// Returns false when the arena's partition is exhausted.
-func (h *Heap) bumpArena(ai, words, align uint64) (Ptr, bool) {
-	a := &h.arenas[ai]
+// bump reserves words of never-used address space at the given
+// alignment (1 for none). It keeps the two rules materialize relies on:
+// a region larger than a granule starts on a granule boundary (being a
+// power of two pages, it ends on one too), and a smaller one that would
+// straddle a granule boundary starts on the next one. A region that
+// would straddle a segment boundary starts on the next segment, whose
+// base satisfies every legal alignment. Returns false when the address
+// space is exhausted.
+func (h *Heap) bump(words, align uint64) (Ptr, bool) {
+	r := h.os
 	for {
-		cur := a.next.Load()
+		cur := r.next.Load()
 		start := (cur + align - 1) &^ (align - 1)
 		if words > h.granMask+1 || (start+words-1)>>h.granLog != start>>h.granLog {
 			start = (start + h.granMask) &^ h.granMask // satisfies align: both are powers of two
 		}
-		seg := start >> h.segLog
-		if seg%h.numArenas != ai {
-			// Filling a segment exactly (or aligning past its end)
-			// leaves the pointer at a segment this arena does not own;
-			// advance to the base of the next owned one. Segment bases
-			// satisfy every legal alignment.
-			seg += (ai + h.numArenas - seg%h.numArenas) % h.numArenas
-			start = seg << h.segLog
-		} else if (start+words-1)>>h.segLog != seg {
-			seg += h.numArenas
-			start = seg << h.segLog
+		if seg := start >> h.segLog; (start+words-1)>>h.segLog != seg {
+			start = (seg + 1) << h.segLog
 		}
 		end := start + words
 		if end > h.maxWords {
 			return 0, false
 		}
-		if a.next.CompareAndSwap(cur, end) {
+		if r.next.CompareAndSwap(cur, end) {
 			if start != cur {
-				a.stats.skippedWords.Add(start - cur)
+				r.skippedWords.Add(start - cur)
 			}
-			a.stats.reservedWords.Add(end - cur)
-			h.materialize(a, start, words)
+			h.materialize(start, words)
 			return Ptr(start), true
 		}
 		if st := h.tele.Load(); st != nil {
@@ -748,120 +608,61 @@ func (h *Heap) bumpArena(ai, words, align uint64) (Ptr, bool) {
 
 // Stats returns a snapshot of the heap counters.
 func (h *Heap) Stats() Stats {
-	s := Stats{
-		LiveWords:    h.liveWords.Load(),
-		MaxLiveWords: h.maxLiveWords.Load(),
-		Arenas:       make([]ArenaStats, len(h.arenas)),
+	r := h.os
+	return Stats{
+		ReservedWords:     r.next.Load(),
+		MaterializedWords: r.materializedWords.Load(),
+		LiveWords:         h.liveWords.Load(),
+		MaxLiveWords:      h.maxLiveWords.Load(),
+		RegionAllocs:      r.allocs.Load(),
+		RegionFrees:       r.frees.Load(),
+		ReusedRegions:     r.reused.Load(),
+		SkippedWords:      r.skippedWords.Load(),
 	}
-	for i := range h.arenas {
-		c := &h.arenas[i].stats
-		as := ArenaStats{
-			ReservedWords:     c.reservedWords.Load(),
-			MaterializedWords: c.materializedWords.Load(),
-			LiveWords:         c.liveWords.Load(),
-			RegionAllocs:      c.regionAllocs.Load(),
-			RegionFrees:       c.regionFrees.Load(),
-			ReusedRegions:     c.reusedRegions.Load(),
-			Steals:            c.steals.Load(),
-			SkippedWords:      c.skippedWords.Load(),
-		}
-		s.Arenas[i] = as
-		s.ReservedWords += as.ReservedWords
-		s.MaterializedWords += as.MaterializedWords
-		s.RegionAllocs += as.RegionAllocs
-		s.RegionFrees += as.RegionFrees
-		s.ReusedRegions += as.ReusedRegions
-		s.Steals += as.Steals
-		s.SkippedWords += as.SkippedWords
-	}
-	return s
 }
 
-// BinStat describes one non-empty free-region bin of one arena.
+// BinStat describes one non-empty free-region bin.
 type BinStat struct {
-	Arena       int
 	RegionWords uint64 // exact size of every region in the bin
 	Regions     int    // regions currently on the bin's freelist
 }
 
-// RegionBins walks every arena's free-region bins and reports their
-// occupancy (non-empty bins only, ordered by arena then size). The
-// walk follows freelist links without synchronizing against concurrent
-// pushes and pops, so it must run at a quiescent point; it serves
-// cmd/heapinfo-style inspection, not the allocation path.
+// RegionBins walks the free-region bins and reports their occupancy
+// (non-empty bins only, ordered by size). The walk follows freelist
+// links without synchronizing against concurrent pushes and pops, so it
+// must run at a quiescent point; it serves cmd/heapinfo-style
+// inspection, not the allocation path.
 func (h *Heap) RegionBins() []BinStat {
-	var out []BinStat
-	count := func(head *atomic.Uint64) int {
-		n := 0
+	return h.os.binStats(func(head, _ *atomic.Uint64) uint64 {
+		n := uint64(0)
 		for p := Ptr(atomicx.UnpackTagged(head.Load()).Idx); !p.IsNil(); p = Ptr(h.Load(p)) {
 			n++
 		}
 		return n
+	})
+}
+
+// BinCensus reports the same occupancy as RegionBins from the census
+// counters instead. It is safe to call during churn: each bin's count
+// is one atomic load, transiently high by at most the in-flight pushes
+// (see regions). Counts are exact at quiescence.
+func (h *Heap) BinCensus() []BinStat {
+	return h.os.binStats(func(_, census *atomic.Uint64) uint64 { return census.Load() })
+}
+
+// binStats lists the bins for which count, given the bin's head and
+// its census counter, is not zero, smallest size first.
+func (r *regions) binStats(count func(head, census *atomic.Uint64) uint64) []BinStat {
+	var out []BinStat
+	for b := range r.bins {
+		if n := count(&r.bins[b], &r.binRegions[b]); n > 0 {
+			out = append(out, BinStat{RegionWords: uint64(b+1) * PageWords, Regions: int(n)})
+		}
 	}
-	for i := range h.arenas {
-		a := &h.arenas[i]
-		for b := range a.bins {
-			if n := count(&a.bins[b]); n > 0 {
-				out = append(out, BinStat{Arena: i, RegionWords: uint64(b+1) * PageWords, Regions: n})
-			}
+	for k := range r.log2Bins {
+		if n := count(&r.log2Bins[k], &r.log2BinRegions[k]); n > 0 {
+			out = append(out, BinStat{RegionWords: PageWords << k, Regions: int(n)})
 		}
-		for k := range a.log2Bins {
-			if n := count(&a.log2Bins[k]); n > 0 {
-				out = append(out, BinStat{Arena: i, RegionWords: PageWords << k, Regions: n})
-			}
-		}
-	}
-	return out
-}
-
-// ArenaBins is a live census of one arena's free-region bins, built
-// from the push/pop-maintained counters (never from freelist links, so
-// it is safe — and race-detector-clean — during churn).
-type ArenaBins struct {
-	Arena int
-	// PartitionWords is the arena's address-space partition capacity:
-	// the total words of the segments it owns.
-	PartitionWords uint64
-	// FreeRegions/FreeWords total the regions parked in the arena's
-	// bins awaiting reuse (the external-fragmentation inventory).
-	FreeRegions uint64
-	FreeWords   uint64
-	// Bins lists the non-empty bins, ordered by size.
-	Bins []BinStat
-}
-
-// PartitionWords returns the address-space capacity of arena i's
-// partition (segment index ≡ i mod the arena count).
-func (h *Heap) PartitionWords(i int) uint64 {
-	numSegs := h.maxWords >> h.segLog
-	ai := uint64(i) % h.numArenas
-	return (numSegs - ai + h.numArenas - 1) / h.numArenas * h.segWords
-}
-
-// BinCensus reports every arena's free-region bin occupancy from the
-// census counters. Unlike RegionBins it is safe to call during churn:
-// each bin's count is one atomic load, transiently high by at most the
-// in-flight pushes (see arenaShard). Counts are exact at quiescence.
-func (h *Heap) BinCensus() []ArenaBins {
-	out := make([]ArenaBins, len(h.arenas))
-	for i := range h.arenas {
-		a := &h.arenas[i]
-		ab := ArenaBins{Arena: i, PartitionWords: h.PartitionWords(i)}
-		note := func(regions, regionWords uint64) {
-			if regions == 0 {
-				return
-			}
-			ab.FreeRegions += regions
-			ab.FreeWords += regions * regionWords
-			ab.Bins = append(ab.Bins, BinStat{Arena: i, RegionWords: regionWords, Regions: int(regions)})
-		}
-		for b := range a.binRegions {
-			note(a.binRegions[b].Load(), uint64(b+1)*PageWords)
-		}
-		for k := range a.log2BinRegions {
-			note(a.log2BinRegions[k].Load(), PageWords<<k)
-		}
-		out[i] = ab
 	}
 	return out
 }

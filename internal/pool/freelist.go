@@ -73,8 +73,7 @@ func (b *backendFreelist[T, PT]) alloc(stripe int) (uint64, error) {
 }
 
 // migrate serves a dry stripe by detaching a sibling's entire chain
-// with one CAS — the pool-layer analogue of the region arenas'
-// cross-arena steal. The CAS to (NULL, tag+1) makes the chain
+// with one CAS. The CAS to (NULL, tag+1) makes the chain
 // exclusively ours, so the walk to find its tail races with nothing;
 // the first node is returned to the caller and the remainder spliced
 // into the local stripe.
@@ -101,7 +100,7 @@ func (b *backendFreelist[T, PT]) migrate(local int) (uint64, bool) {
 			migrateTestHook(local, v)
 		}
 		if st := p.tele.Load(); st != nil {
-			// An event count, like region steals, not a CAS retry.
+			// An event count, not a CAS retry.
 			st.Retry(p.cfg.MigrateSite, uint64(v))
 		}
 		first := h.Idx

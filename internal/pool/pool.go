@@ -28,7 +28,7 @@
 // Beyond the paper, the freelist head can be striped: each stripe is a
 // cache-padded independent head, callers pick a stripe by thread id,
 // and a dry stripe pulls a sibling's whole chain with one CAS (batched
-// migration, mirroring the region-arena steal path in internal/mem).
+// migration).
 // With Stripes=1 the pool is behaviour-identical to the original
 // single-head DescAvail freelist.
 package pool

@@ -28,7 +28,7 @@ type RunConfig struct {
 	Allocators []string
 	// Options is what every allocator constructed for an experiment is
 	// built from, whichever backend it is: each reads what it
-	// understands (all of them Processors and HeapConfig.Arenas, the
+	// understands (all of them Processors and HeapConfig, the
 	// lock-free allocator its LockFree shape — magazines, descriptor
 	// stripes and backend). Processors 0 uses the maximum of Threads.
 	// An experiment's variants are edits of a copy.
@@ -273,23 +273,6 @@ func Experiments(cfg RunConfig) []Experiment {
 			}),
 		}, "same binary, same run; magazines batch Active/anchor CAS traffic into refills and flushes"),
 	}, {
-		// The unsharded OS layer (the pre-sharding layout) against
-		// per-processor region arenas, on the two workloads that recycle
-		// superblocks through the region bins hardest.
-		ID:    "arenas",
-		Title: "Region arenas: per-processor OS-layer sharding with lock-free stealing",
-		Paper: "beyond the paper — shards the OS layer's bump pointer and free-region bins; compare region-CAS retries and steals against the unsharded layout",
-		spec: sweep("Region arenas", []subject{
-			{"lockfree", "arenas=1 (global OS layer)", func(o *alloc.Options) { o.HeapConfig.Arenas = 1 }},
-			{"lockfree", fmt.Sprintf("arenas=%d (per-processor)", procs), func(o *alloc.Options) { o.HeapConfig.Arenas = procs }},
-		}, loads{larson, linux}, []column{
-			siteColumn("region retries", false, regionSites...),
-			siteColumn("region retries/op", true, regionSites...),
-			siteColumn("steals", false, telemetry.SiteRegionSteal.String()),
-		},
-			"region retries = failed CASes at the region-pop, region-push, and region-bump sites",
-			"steals = region allocations served from a sibling arena's partition"),
-	}, {
 		// The paper's single DescAvail freelist against per-processor
 		// stripes with batched chain migration, on the two workloads that
 		// churn descriptors hardest (larson recycles superblocks
@@ -397,14 +380,9 @@ func ByID(cfg RunConfig, id string) (Experiment, bool) {
 	return Experiment{}, false
 }
 
-// regionSites are the telemetry sites of the OS layer's lock-free
-// region structures (the free-bin Treiber stacks and the per-arena bump
-// pointers), descSites those of the descriptor pool's striped freelist
-// heads.
-var (
-	regionSites = []string{"region-pop", "region-push", "region-bump"}
-	descSites   = []string{"desc-alloc", "desc-retire"}
-)
+// descSites are the telemetry sites of the descriptor pool's striped
+// freelist heads.
+var descSites = []string{"desc-alloc", "desc-retire"}
 
 var (
 	opsColumn     = column{name: "ops/s", value: func(r, _ bench.Result) float64 { return r.OpsPerSec() }}

@@ -46,21 +46,6 @@ func TestKillAtEveryPointMagazine(t *testing.T) {
 	}
 }
 
-// TestKillAtEveryPointArenas repeats the per-point kill sweep at both
-// ends of the region-arena ablation — the unsharded OS layer
-// (Arenas=1) and more arenas than processors — so victims die with
-// cross-arena stealing and remote-free routing in play on both
-// layouts. A thread killed mid-steal or mid-remote-free must never
-// block other arenas.
-func TestKillAtEveryPointArenas(t *testing.T) {
-	for _, arenas := range []int64{1, 6} {
-		heap := sweepHeap
-		heap.Arenas = int(arenas)
-		sweepLockFree(t, fmt.Sprintf("arenas=%d/", arenas), 10000,
-			func(p int64) int64 { return p + 100*arenas }, core.Config{HeapConfig: heap})
-	}
-}
-
 // TestKillAtEveryPointDescStripes repeats the per-point kill sweep at
 // both ends of the descriptor-pool ablation — the paper's single
 // DescAvail list (DescStripes=1) and more stripes than processors — so

@@ -10,10 +10,8 @@ import (
 
 // TestRunShadowCleanUnderKills runs the kill harness with the oracle
 // attached: kills may leak, but no double hand-out, stale poison, or
-// model divergence may appear, with magazines and sharded arenas on.
+// model divergence may appear, with magazines on.
 func TestRunShadowCleanUnderKills(t *testing.T) {
-	heap := sweepHeap
-	heap.Arenas = 2
 	res, err := Run(Plan{
 		Victims:        3,
 		Survivors:      3,
@@ -21,7 +19,7 @@ func TestRunShadowCleanUnderKills(t *testing.T) {
 		OpsBeforeKill:  100,
 		Seed:           7,
 		Point:          -1,
-	}, lockFree(core.Config{MagazineSize: 8, HeapConfig: heap}, true))
+	}, lockFree(core.Config{MagazineSize: 8, HeapConfig: sweepHeap}, true))
 	if err != nil {
 		t.Fatalf("survivors blocked: %v", err)
 	}

@@ -96,16 +96,11 @@ const (
 	// SiteMagFlush: retries of the batched anchor splice returning a
 	// magazine group to its superblock.
 	SiteMagFlush
-	// SiteRegionBump: retries of a region-arena bump-pointer CAS.
+	// SiteRegionBump: retries of the region bump-pointer CAS.
 	SiteRegionBump
-	// SiteRegionSteal: region allocations served by a sibling arena
-	// because the local arena's bins and partition were dry. Unlike
-	// the other sites this counts events, not CAS retries; it shares
-	// the retry plumbing so steals appear in the same reports.
-	SiteRegionSteal
 	// SitePoolMigrate: pool allocations whose stripe was dry and
 	// pulled a whole freelist chain from a sibling stripe (see
-	// internal/pool). Like SiteRegionSteal this counts events, not
+	// internal/pool). Unlike the other sites this counts events, not
 	// CAS retries; it shares the retry plumbing so migrations appear
 	// in the same reports.
 	SitePoolMigrate
@@ -124,7 +119,7 @@ const (
 	SiteBuddyUnmark
 	// SiteBuddyGrow: buddy-tree growth races lost — a fully built
 	// tree discarded because another thread published its own first.
-	// Counts events, not CAS retries, like SiteRegionSteal.
+	// Counts events, not CAS retries, like SitePoolMigrate.
 	SiteBuddyGrow
 	// NumSites is the number of instrumented sites.
 	NumSites
@@ -150,7 +145,6 @@ var siteNames = [NumSites]string{
 	"mag-refill-pop",
 	"mag-flush",
 	"region-bump",
-	"region-steal",
 	"pool-migrate",
 	"buddy-reserve",
 	"buddy-fragment",
