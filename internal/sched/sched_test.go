@@ -46,6 +46,19 @@ func TestKillAtEveryPointMagazine(t *testing.T) {
 	}
 }
 
+// TestKillAtEveryPointArenas repeats the per-point kill sweep on the
+// one-arena OS layer — the one region allocator every thread shares —
+// with its own seeds and a shorter quota than TestKillAtEveryPoint, so
+// victims die mid-region-alloc and mid-region-free on a second schedule.
+// A thread killed there must never block the threads sharing the
+// region bins and the bump pointer. (The sweep once also ran six
+// arenas; that layout is gone, and arenas=1 keeps its name.)
+func TestKillAtEveryPointArenas(t *testing.T) {
+	const arenas = 1
+	sweepLockFree(t, fmt.Sprintf("arenas=%d/", arenas), 10000,
+		func(p int64) int64 { return p + 100*arenas }, core.Config{HeapConfig: sweepHeap})
+}
+
 // TestKillAtEveryPointDescStripes repeats the per-point kill sweep at
 // both ends of the descriptor-pool ablation — the paper's single
 // DescAvail list (DescStripes=1) and more stripes than processors — so
