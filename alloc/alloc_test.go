@@ -307,12 +307,11 @@ func TestConfigValidation(t *testing.T) {
 		want string // substring of the error; "" = valid
 	}{
 		{"zero value", core.Config{}, ""},
-		{"in range", core.Config{MaxCredits: 64, MagazineSize: 8, DescStripes: 1}, ""},
+		{"in range", core.Config{MaxCredits: 64, MagazineSize: 8, Processors: 1}, ""},
 		{"credits above 64", core.Config{MaxCredits: 100}, "MaxCredits 100"},
 		{"negative credits", core.Config{MaxCredits: -1}, "MaxCredits -1"},
 		{"negative magazine", core.Config{MagazineSize: -1}, "MagazineSize -1"},
 		{"negative processors", core.Config{Processors: -2}, "Processors -2"},
-		{"negative stripes", core.Config{DescStripes: -1}, "DescStripes -1"},
 		{"unknown algo", core.Config{DescAlgo: 7}, "unknown DescAlgo"},
 	}
 	for _, c := range cases {

@@ -88,12 +88,13 @@ stage_smoke() {
 		"$bin/benchmal" -exp "$id" -threads 1,2 -scale 0.002
 	done
 	# Every allocator-shape flag away from its default.
-	for knob in "-magazine 8" "-descstripes 1" "-descalgo consttime"; do
+	for knob in "-magazine 8" "-descalgo consttime"; do
 		"$bin/benchmal" -exp table1 -threads 1,2 -scale 0.002 -allocs lockfree $knob
 	done
-	# A configuration core.Config.Validate rejects must stop every tool.
+	# A knob core.Config.Validate rejects, or a -descalgo that
+	# AllocFlags.Apply cannot parse, must stop every tool.
 	for tool in benchmal mlfstress "allocmon -once" "heapinfo -live"; do
-		for knob in "-magazine -1" "-descstripes -1"; do
+		for knob in "-magazine -1" "-descalgo nosuch"; do
 			if "$bin/"$tool $knob >/dev/null 2>&1; then
 				echo "verify: $tool accepted $knob" >&2
 				exit 1

@@ -5,7 +5,7 @@
 //
 //	benchmal [-exp all|id,id,...] [-threads 1,2,4,8,16] [-scale 0.01]
 //	         [-allocs lockfree,hoard,...] [-procs N] [-telemetry] [-magazine N]
-//	         [-descstripes N] [-descalgo freelist|consttime]
+//	         [-descalgo freelist|consttime]
 //	         [-samplerate N] [-json] [-list] [-v]
 //
 // -list prints the experiment ids; -list -v adds what each one is: its
@@ -30,15 +30,13 @@
 // default, preserving the bare telemetry cost).
 //
 // The shape flags apply to every lock-free allocator built: -magazine N
-// is Config.MagazineSize, -descstripes N the descriptor-pool freelist
-// stripes (0 = one per processor, 1 = the paper's single DescAvail
-// list), -descalgo the pool's recycling backend (freelist = Figure 7,
-// consttime = Blelloch-Wei batches). A contradictory or out-of-range
-// value (core.Config.Validate) exits non-zero with the reason before
-// anything runs. The experiment that compares settings of one of these
-// (magazine, poolstripes, poolalgo; census for -samplerate)
-// sets it per row; a -magazine or -samplerate given is what its "on"
-// row uses.
+// is Config.MagazineSize, -descalgo the descriptor pool's recycling
+// backend (freelist = Figure 7, consttime = Blelloch-Wei batches). A
+// contradictory or out-of-range value (core.Config.Validate) exits
+// non-zero with the reason before anything runs. The experiment that
+// compares settings of one of these (magazine, poolalgo; census for
+// -samplerate) sets it per row; a -magazine or -samplerate given is what
+// its "on" row uses.
 //
 // -json additionally writes every individual measurement to a
 // BENCH_<unixtime>.json file.
@@ -72,7 +70,6 @@ type jsonReport struct {
 	Experiments   []string       `json:"experiments"`
 	Telemetry     bool           `json:"telemetry"`
 	Magazine      int            `json:"magazine,omitempty"`
-	DescStripes   int            `json:"descStripes,omitempty"`
 	DescAlgo      string         `json:"descAlgo,omitempty"`
 	SampleRate    int            `json:"sampleRate,omitempty"`
 	Results       []bench.Result `json:"results"`
@@ -162,7 +159,6 @@ func main() {
 			Experiments:   ids,
 			Telemetry:     *teleFlag,
 			Magazine:      shape.MagazineSize,
-			DescStripes:   shape.DescStripes,
 			DescAlgo:      shape.DescAlgo.String(),
 			SampleRate:    *rateFlag,
 			Results:       results,

@@ -6,8 +6,7 @@
 // Useful for sanity-checking configuration against the paper.
 //
 //	heapinfo [-live] [-alloc lockfree] [-threads 4] [-ops 50000]
-//	         [-samplerate 1024] [-magazine N] [-descstripes N]
-//	         [-descalgo freelist|consttime]
+//	         [-samplerate 1024] [-magazine N] [-descalgo freelist|consttime]
 //
 // With -live, a short multithreaded malloc/free workload (churn.Mixed)
 // is run on a fresh allocator from alloc.New — any registry entry,
@@ -118,8 +117,8 @@ func runLive(out io.Writer, af *bench.BackendFlags, threads, ops, rate int) erro
 	if rep := h.Inspect(0); rep.InvariantErr != nil {
 		return rep.InvariantErr
 	}
-	fmt.Fprintf(out, "Live statistics (%s, %d threads x %d ops; lockfree is built with hyper=%v magazine=%d descstripes=%d descalgo=%s):\n",
-		a.Name(), threads, ops, cfg.Hyperblocks, cfg.MagazineSize, cfg.DescStripes, cfg.DescAlgo)
+	fmt.Fprintf(out, "Live statistics (%s, %d threads x %d ops; lockfree is built with hyper=%v magazine=%d descalgo=%s):\n",
+		a.Name(), threads, ops, cfg.Hyperblocks, cfg.MagazineSize, cfg.DescAlgo)
 	fmt.Fprintln(out, "\nCensus with workload live sets held:")
 	held.WriteText(out)
 	fmt.Fprintln(out, "\nCensus after drain:")

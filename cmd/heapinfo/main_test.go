@@ -81,7 +81,7 @@ func TestLiveEveryBackend(t *testing.T) {
 // TestRejectedConfig: the shared shape flags are validated before any
 // traffic runs.
 func TestRejectedConfig(t *testing.T) {
-	for _, args := range [][]string{{"-descstripes", "-1"}, {"-magazine", "-1"}, {"-alloc", "nosuch"}} {
+	for _, args := range [][]string{{"-descalgo", "nosuch"}, {"-magazine", "-1"}, {"-alloc", "nosuch"}} {
 		var out, errOut bytes.Buffer
 		if code := run(append([]string{"-live"}, args...), &out, &errOut); code != 1 || strings.Contains(out.String(), "Live statistics") {
 			t.Errorf("heapinfo -live %v: exit %d\n%s", args, code, errOut.String())
@@ -126,7 +126,7 @@ totals: # superblocks, blocks used=# free=# resv=# mag=#, carve waste # words
 %s` + osLayerSkeleton + `Region-bin occupancy (free regions awaiting reuse):
 region words regions
 descriptors: # allocated, # on freelist
-desc pool: freelist backend, # stripes, free per stripe [# #]
+desc pool: freelist backend, # stripes, free per stripe [#]
 Live-block ages (# samples at rate #/#): p#=# p#=# oldest=#
 `
 	buddySkeleton = `buddy: # trees x # words, # grows (# lost races), # hint hits, # scans, #/# beyond-tree
@@ -140,12 +140,12 @@ order block words free used
 // -threads 2 -samplerate 1`: the census held, then drained (when no
 // sampled block is left to be wasteful or to have a call site).
 var liveSkeletons = map[string]string{
-	"lockfree": "Live statistics (lockfree, # threads x # ops; lockfree is built with hyper=true magazine=# descstripes=# descalgo=freelist):\n" +
+	"lockfree": "Live statistics (lockfree, # threads x # ops; lockfree is built with hyper=true magazine=# descalgo=freelist):\n" +
 		"Census with workload live sets held:\n" +
 		fmt.Sprintf(lockFreeSkeleton, "sampled internal fragmentation: #\n") +
 		"Top call sites by live sampled bytes:\nlive bytes oldest site\n# # # repro/internal/churn.(*Driver).Step (path)\n" +
 		"Census after drain:\n" + fmt.Sprintf(lockFreeSkeleton, ""),
-	"buddy": "Live statistics (buddy, # threads x # ops; lockfree is built with hyper=true magazine=# descstripes=# descalgo=freelist):\n" +
+	"buddy": "Live statistics (buddy, # threads x # ops; lockfree is built with hyper=true magazine=# descalgo=freelist):\n" +
 		"Census with workload live sets held:\n" + buddySkeleton + "Census after drain:\n" + buddySkeleton,
 }
 
@@ -156,11 +156,11 @@ var liveSkeletons = map[string]string{
 // says where the rest are.
 var parentLines = map[string]map[string]string{
 	"lockfree": {
-		"Live statistics (lockfree, # threads x # ops):":                                        "Live statistics (lockfree, # threads x # ops; lockfree is built with hyper=true magazine=# descstripes=# descalgo=freelist):",
+		"Live statistics (lockfree, # threads x # ops):":                                        "Live statistics (lockfree, # threads x # ops; lockfree is built with hyper=true magazine=# descalgo=freelist):",
 		"paths: active=# partial=# newSB=# raceLoss=# sbFreed=#":                                "",
 		"descriptors: # allocated, # on freelist; heap max-live # KiB":                          "descriptors: # allocated, # on freelist",
 		"hyperblocks: # allocated, # released":                                                  "",
-		"desc pool: freelist backend, # stripes, free per stripe [# #]":                         "",
+		"desc pool: freelist backend, # stripes, free per stripe [# #]":                         "desc pool: freelist backend, # stripes, free per stripe [#]",
 		"heap: # words live, # region allocs / # frees; # large mallocs, # empty-partial skips": "heap: # words live (max-live # KiB), # region allocs / # frees, external fragmentation #",
 		"Region arenas (#):": "OS layer (words):",
 		"arena reserved live skipped allocs frees reused steals":                        "reserved materialized live skipped allocs frees reused free regions free words occupancy ext frag",
@@ -179,7 +179,7 @@ var parentLines = map[string]map[string]string{
 		"# # # repro/internal/churn.(*Driver).Step (path)":                              "",
 	},
 	"buddy": {
-		"Live statistics (buddy, # threads x # ops):":                                             "Live statistics (buddy, # threads x # ops; lockfree is built with hyper=true magazine=# descstripes=# descalgo=freelist):",
+		"Live statistics (buddy, # threads x # ops):":                                             "Live statistics (buddy, # threads x # ops; lockfree is built with hyper=true magazine=# descalgo=freelist):",
 		"buddy: # trees x # words, # grows (# lost races), # hint hits, # scans, #/# beyond-tree": "",
 		"Buddy order census (with workload live sets held): ext frag #, # coal bits":              "Buddy order census: ext frag #, # coal bits",
 		"order block words free used":                                                             "",

@@ -13,8 +13,7 @@ import (
 // knob — and any future one — is registered in one place with one help
 // string instead of being copied per command.
 type AllocFlags struct {
-	Magazine    *int
-	DescStripes *int
+	Magazine *int
 
 	descAlgo *string
 }
@@ -24,9 +23,8 @@ type AllocFlags struct {
 // the handle to read them after fs.Parse.
 func RegisterAllocFlags(fs *flag.FlagSet) *AllocFlags {
 	return &AllocFlags{
-		Magazine:    fs.Int("magazine", 0, "thread-local magazine capacity for lock-free allocators (0 = off)"),
-		DescStripes: fs.Int("descstripes", 0, "descriptor-pool freelist stripes (0 = one per processor, 1 = single DescAvail)"),
-		descAlgo:    fs.String("descalgo", "", "descriptor-pool backend: freelist (default) or consttime (Blelloch-Wei)"),
+		Magazine: fs.Int("magazine", 0, "thread-local magazine capacity for lock-free allocators (0 = off)"),
+		descAlgo: fs.String("descalgo", "", "descriptor-pool backend: freelist (default) or consttime (Blelloch-Wei)"),
 	}
 }
 
@@ -60,7 +58,6 @@ func (f *AllocFlags) Apply(cfg core.Config) (core.Config, error) {
 		return cfg, err
 	}
 	cfg.MagazineSize = *f.Magazine
-	cfg.DescStripes = *f.DescStripes
 	cfg.DescAlgo = algo
 	return cfg, cfg.Validate()
 }

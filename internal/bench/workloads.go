@@ -156,8 +156,7 @@ func (w PassiveFalse) Run(a alloc.Allocator, threads int) Result {
 // large size class (few blocks per superblock) every batch creates and
 // empties whole superblocks, so descriptors churn through the pool
 // backend (DescAlloc/DescRetire) at the highest rate the allocator can
-// sustain — the workload behind the poolstripes and poolalgo
-// experiments.
+// sustain — the workload behind the poolalgo experiment.
 type DescChurn struct {
 	Rounds int    // batches per thread
 	Batch  int    // blocks per batch (paper-default superblocks: 2048 B → 7 blocks/SB)

@@ -16,7 +16,7 @@
 // Every part is assembled entirely from racy-consistent atomic reads —
 // the core walk primitives (Allocator.WalkSuperblocks, WalkActive,
 // MagazineCounts, PartialListLens), the mem bin counters
-// (Heap.BinCensus), the descriptor-pool stripe counters, and the
+// (Heap.BinCensus), the descriptor-pool free counts, and the
 // telemetry allocation sampler — so a walk is safe (and race-detector-
 // clean) while malloc/free churn, and a stalled or killed thread
 // anywhere in the allocator cannot block it, nor it any allocator
@@ -177,7 +177,10 @@ type Superblocks struct {
 type DescPool struct {
 	Algo string `json:"algo"`
 	// Allocated counts descriptors ever carved, OnFreelist those
-	// retired and awaiting reuse, StripeFree the latter per stripe.
+	// retired and awaiting reuse, StripeFree the latter per stripe:
+	// one entry, the DescAvail list, for the freelist backend; one per
+	// batch slot (a slot per processor) for consttime, the shared
+	// stacks counted in slot 0.
 	Allocated  uint64   `json:"allocated"`
 	OnFreelist uint64   `json:"onFreelist"`
 	StripeFree []uint64 `json:"stripeFree"`

@@ -39,17 +39,11 @@ type Config struct {
 	// DefaultProcessors.
 	Processors int
 
-	// DescStripes is the number of freelist stripes in the descriptor
-	// pool (internal/pool): each stripe is an independent DescAvail
-	// head, threads pick one by id, and dry stripes migrate whole
-	// chains from siblings. 0 selects one stripe per processor; 1
-	// reproduces the paper's single DescAvail word.
-	DescStripes int
-
 	// DescAlgo selects the descriptor pool's recycling backend: the
 	// Figure-7 tagged freelist (pool.AlgoFreelist, the zero value) or
-	// the Blelloch–Wei constant-time batch scheme (pool.AlgoConstTime)
-	// — see internal/pool and DESIGN.md.
+	// the Blelloch–Wei constant-time batch scheme (pool.AlgoConstTime),
+	// with one batch slot per processor — see internal/pool and
+	// DESIGN.md.
 	DescAlgo pool.Algo
 
 	// MaxCredits caps blocks reserved through the Active word at once
@@ -111,8 +105,6 @@ func (cfg Config) Validate() error {
 	switch {
 	case cfg.Processors < 0:
 		return fmt.Errorf("core: Processors %d is negative", cfg.Processors)
-	case cfg.DescStripes < 0:
-		return fmt.Errorf("core: DescStripes %d is negative", cfg.DescStripes)
 	case cfg.DescAlgo != pool.AlgoFreelist && cfg.DescAlgo != pool.AlgoConstTime:
 		return fmt.Errorf("core: unknown DescAlgo %v", cfg.DescAlgo)
 	case cfg.MaxCredits < 0 || cfg.MaxCredits > atomicx.MaxCredits:
@@ -167,7 +159,7 @@ type Allocator struct {
 	// phase a 208- or 224-byte slot happens to start at. Growing the
 	// struct within the padding budget cannot change the layout
 	// (layout.go pins the total with compile-time assertions).
-	_ [64]byte
+	_ [72]byte
 }
 
 // scState is the per-size-class state (paper's sizeclass structure).
@@ -215,11 +207,6 @@ func New(cfg Config) *Allocator {
 	if cfg.MaxCredits == 0 {
 		cfg.MaxCredits = atomicx.MaxCredits
 	}
-	if cfg.DescStripes == 0 {
-		// Stripe the descriptor freelist like the processor heaps: one
-		// DescAvail head per processor.
-		cfg.DescStripes = cfg.Processors
-	}
 	h := mem.NewHeap(cfg.HeapConfig)
 	// The superblocks the address space has room for bound both the
 	// descriptor table and the partial lists.
@@ -230,7 +217,7 @@ func New(cfg Config) *Allocator {
 		procs:      uint64(cfg.Processors),
 		maxCredits: uint64(cfg.MaxCredits),
 		classes:    make([]scState, sizeclass.NumClasses()),
-		descs:      newDescPool(maxSuperblocks, cfg.DescStripes, cfg.DescAlgo),
+		descs:      newDescPool(maxSuperblocks, cfg.Processors, cfg.DescAlgo),
 	}
 	if cfg.Hyperblocks {
 		// 64 superblocks per hyperblock = 1 MiB batches (§3.2.5).
@@ -297,9 +284,10 @@ func (a *Allocator) classOf(h *ProcHeap) *scState { return &a.classes[h.cls] }
 // desc returns the descriptor with the given index.
 func (a *Allocator) desc(idx uint64) *Descriptor { return a.descs.Get(idx) }
 
-// stripe is the descriptor-pool stripe this thread allocates from and
-// retires to: a pure function of the thread id, like processor-heap
-// selection (the pool reduces it modulo its stripe count).
+// stripe is the identity this thread passes the descriptor pool: a pure
+// function of the thread id, like processor-heap selection. The
+// constant-time backend reduces it modulo its slot count; the freelist
+// has the one DescAvail head and ignores it.
 func (t *Thread) stripe() int { return int(t.id) }
 
 // allocSB obtains a superblock region from the OS layer, or through the
@@ -573,15 +561,13 @@ func (a *Allocator) PublishStats() {
 	}
 }
 
-// DescStripes returns the number of descriptor-pool freelist stripes.
-func (a *Allocator) DescStripes() int { return a.descs.Stripes() }
-
 // DescAlgo returns the descriptor pool's recycling backend.
 func (a *Allocator) DescAlgo() pool.Algo { return a.descs.Algo() }
 
-// DescStripeFree returns the retired-descriptor count on each
-// descriptor-pool stripe (racy; exact at quiescence). Operators use it
-// to see freelist imbalance next to the region-bin table.
+// DescStripeFree returns the retired-descriptor counts of the
+// descriptor pool (racy; exact at quiescence): one entry, DescAvail's
+// length, for the freelist; one per batch slot for the constant-time
+// backend (pool.Pool.StripeFree).
 func (a *Allocator) DescStripeFree() []uint64 { return a.descs.StripeFree() }
 
 // ID returns the thread id used for processor-heap selection.

@@ -94,44 +94,40 @@ func BenchmarkMallocFreeParallel(b *testing.B) {
 // iteration allocates a batch of seven-a-superblock blocks spanning many
 // superblocks, then frees them all, so every batch retires its
 // superblocks' descriptors and the next batch reallocates them. The
-// stripes=1 variant is the paper's single DescAvail list; the striped
-// variant should show desc-alloc/desc-retire retries per op collapse.
+// freelist variant is the paper's single DescAvail list; consttime has
+// a batch slot per processor.
 func BenchmarkDescChurnParallel(b *testing.B) {
-	cfg := benchConfig()
 	for _, algo := range []pool.Algo{pool.AlgoFreelist, pool.AlgoConstTime} {
-		for _, stripes := range []int{1, cfg.Processors} {
-			b.Run(fmt.Sprintf("algo=%s/stripes=%d", algo, stripes), func(b *testing.B) {
-				cfg := benchConfig()
-				cfg.DescAlgo = algo
-				cfg.DescStripes = stripes
-				rec := NewRecorder(telemetry.Config{})
-				cfg.Telemetry = rec
-				a := New(cfg)
-				// 2048-byte blocks: 7 per superblock, so a 64-block batch
-				// churns ~10 superblocks (descriptors) per iteration.
-				const batch, size = 64, 2048
-				b.RunParallel(func(pb *testing.PB) {
-					th := a.Thread()
-					var ptrs [batch]mem.Ptr
-					for pb.Next() {
-						for j := range ptrs {
-							p, err := th.Malloc(size)
-							if err != nil {
-								b.Fatal(err)
-							}
-							ptrs[j] = p
+		b.Run(fmt.Sprintf("algo=%s", algo), func(b *testing.B) {
+			cfg := benchConfig()
+			cfg.DescAlgo = algo
+			rec := NewRecorder(telemetry.Config{})
+			cfg.Telemetry = rec
+			a := New(cfg)
+			// 2048-byte blocks: 7 per superblock, so a 64-block batch
+			// churns ~10 superblocks (descriptors) per iteration.
+			const batch, size = 64, 2048
+			b.RunParallel(func(pb *testing.PB) {
+				th := a.Thread()
+				var ptrs [batch]mem.Ptr
+				for pb.Next() {
+					for j := range ptrs {
+						p, err := th.Malloc(size)
+						if err != nil {
+							b.Fatal(err)
 						}
-						for j := range ptrs {
-							th.Free(ptrs[j])
-						}
+						ptrs[j] = p
 					}
-				})
-				retries := rec.Snapshot().Retries
-				descRetries := retries[telemetry.SiteDescAlloc.String()] +
-					retries[telemetry.SiteDescRetire.String()]
-				b.ReportMetric(float64(descRetries)/float64(b.N), "desc-retries/op")
-				b.ReportMetric(float64(retries[telemetry.SitePoolMigrate.String()])/float64(b.N), "migrations/op")
+					for j := range ptrs {
+						th.Free(ptrs[j])
+					}
+				}
 			})
-		}
+			retries := rec.Snapshot().Retries
+			descRetries := retries[telemetry.SiteDescAlloc.String()] +
+				retries[telemetry.SiteDescRetire.String()]
+			b.ReportMetric(float64(descRetries)/float64(b.N), "desc-retries/op")
+			b.ReportMetric(float64(retries[telemetry.SitePoolMigrate.String()])/float64(b.N), "migrations/op")
+		})
 	}
 }

@@ -98,13 +98,13 @@ func TestWalkSuperblocksEarlyStop(t *testing.T) {
 // TestCensusConstTimeBackendChurn is the census counterpart of the
 // descriptor-backend ablation: with the Blelloch–Wei pool behind the
 // descriptor table, DescStripeFree and WalkSuperblocks must keep their
-// identities while churn runs — the stripe walk stays bounded and
-// shaped, visited superblocks are internally sane, and at quiescence
+// identities while churn runs — the slot walk stays bounded and has
+// one entry per slot (a slot per processor), visited superblocks are internally sane, and at quiescence
 // the walks reconcile exactly with the retired counter.
 func TestCensusConstTimeBackendChurn(t *testing.T) {
 	cfg := testConfig()
 	cfg.DescAlgo = pool.AlgoConstTime
-	cfg.DescStripes = 3
+	cfg.Processors = 3
 	a := newTestAllocator(t, cfg)
 	stop := make(chan struct{})
 	var churn sync.WaitGroup
@@ -148,8 +148,8 @@ func TestCensusConstTimeBackendChurn(t *testing.T) {
 			default:
 			}
 			free := a.DescStripeFree()
-			if len(free) != a.DescStripes() {
-				t.Errorf("DescStripeFree has %d stripes, want %d", len(free), a.DescStripes())
+			if len(free) != a.Processors() {
+				t.Errorf("DescStripeFree has %d slots, want one per processor, %d", len(free), a.Processors())
 				return
 			}
 			var sum uint64

@@ -11,6 +11,7 @@ import (
 	"repro/internal/mem"
 	"repro/internal/pool"
 	"repro/internal/sizeclass"
+	"repro/internal/telemetry"
 )
 
 func testConfig() Config {
@@ -285,6 +286,52 @@ func TestDescriptorRecycling(t *testing.T) {
 	}
 	if n := a.Stats().DescsAllocated; n > 4*descChunk {
 		t.Errorf("descriptor table grew to %d; recycling is broken", n)
+	}
+}
+
+// TestDescriptorFreelistIsOneHead: the descriptor pool is Figure 7's one
+// DescAvail list. Thread A empties its superblocks, retiring their
+// descriptors; thread B's next superblock, on another processor heap,
+// pops one of them off the same head — no chain moves between heads
+// (pool-migrate) and no new chunk is carved.
+func TestDescriptorFreelistIsOneHead(t *testing.T) {
+	cfg := testConfig()
+	cfg.Processors = 2
+	rec := NewRecorder(telemetry.Config{})
+	cfg.Telemetry = rec
+	a := New(cfg)
+	ta, tb := a.Thread(), a.Thread()
+	var ptrs [64]mem.Ptr
+	for i := range ptrs {
+		p, err := ta.Malloc(2048)
+		if err != nil {
+			t.Fatal(err)
+		}
+		ptrs[i] = p
+	}
+	for _, p := range ptrs {
+		ta.Free(p)
+	}
+	retired, allocated := a.descs.FreeIndices(), a.descs.Allocated()
+	if len(retired) == 0 {
+		t.Fatal("A's empty superblocks retired no descriptor")
+	}
+	p, err := tb.Malloc(2048)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if d := prefixDesc(a.heap.Load(p - 1)); !retired[d] {
+		t.Errorf("B's superblock has descriptor %d, not one A retired", d)
+	}
+	if n := a.descs.Allocated(); n != allocated {
+		t.Errorf("B's superblock grew the descriptor table %d → %d", allocated, n)
+	}
+	if n := rec.Snapshot().Retries[telemetry.SitePoolMigrate.String()]; n != 0 {
+		t.Errorf("%d pool-migrate events, want 0: one DescAvail head has no chain to move", n)
+	}
+	tb.Free(p)
+	if err := a.CheckInvariants(0); err != nil {
+		t.Fatal(err)
 	}
 }
 

@@ -22,10 +22,10 @@ import (
 // OS; retired descriptors are recycled through a lock-free freelist
 // (DescAvail), which since the pool refactor lives in internal/pool —
 // chunk-carve growth (Figure 7), wide-tag ABA prevention in place of
-// the paper's SafeCAS hazard pointers, and striped freelist heads keyed
-// by thread id. Fields that may be written during one lifetime and read
-// during a concurrent stale access from a previous lifetime are atomic,
-// which also keeps the implementation clean under the Go race detector.
+// the paper's SafeCAS hazard pointers, and one DescAvail head. Fields
+// that may be written during one lifetime and read during a concurrent
+// stale access from a previous lifetime are atomic, which also keeps
+// the implementation clean under the Go race detector.
 //
 // A descriptor is exactly one 64-byte cache line (pinned by a
 // compile-time assertion in layout.go) and pool chunks start on a line
@@ -102,8 +102,7 @@ const (
 )
 
 // descPool is the descriptor store: the paper's chunked table plus the
-// DescAvail freelist of Figure 7, provided by the generic pool layer
-// with one freelist stripe per processor.
+// DescAvail freelist of Figure 7, provided by the generic pool layer.
 type descPool = pool.Pool[Descriptor, *Descriptor]
 
 // newDescPool sizes the descriptor table, like the partial lists, for
@@ -112,16 +111,17 @@ type descPool = pool.Pool[Descriptor, *Descriptor]
 // EMPTY, it is still linked in a partial list, and listRemoveEmptyDesc
 // keeps the EMPTY ones under half of each list — at most one for each
 // live superblock. On top of that comes the chunk of reserved index 0,
-// and two chunks a stripe: a dry stripe carves a new chunk although its
-// siblings hold retired descriptors — whenever it loses the migration
-// race (freelist), or while they sit in the siblings' two private
-// batches (consttime). Beyond the table Malloc fails with
-// pool.ErrExhausted.
-func newDescPool(maxSuperblocks uint64, stripes int, algo pool.Algo) *descPool {
+// and two chunks a processor for descriptors that are retired but not
+// where a carving thread looks: with the freelist, a chunk carved by a
+// thread that lost Figure 7's install race (line 9) and is about to be
+// pushed, at most one a processor; with consttime, the two private
+// batches a slot (one slot a processor) that a dry slot may miss. Beyond
+// the table Malloc fails with pool.ErrExhausted.
+func newDescPool(maxSuperblocks uint64, procs int, algo pool.Algo) *descPool {
 	return pool.New[Descriptor, *Descriptor](pool.Config{
 		ChunkLog2:   descChunkLog2,
-		MaxChunks:   min(1+(2*maxSuperblocks+descChunk-1)/descChunk+2*uint64(stripes), maxDescChunks),
-		Stripes:     stripes,
+		MaxChunks:   min(1+(2*maxSuperblocks+descChunk-1)/descChunk+2*uint64(procs), maxDescChunks),
+		Stripes:     procs,
 		Algo:        algo,
 		AllocSite:   telemetry.SiteDescAlloc,
 		RetireSite:  telemetry.SiteDescRetire,

@@ -65,15 +65,15 @@ func (a *Allocator) CheckInvariants(expectLive int64) error {
 	// carved by grow, so the pool's allocated counter must cover the
 	// range exactly; the freelist walk must agree with the retired
 	// counter; and a freelisted descriptor must be EMPTY (or never
-	// initialized) — a live superblock's descriptor can never be on a
-	// freelist stripe.
+	// initialized) — a live superblock's descriptor can never be
+	// retired.
 	freeDescs := a.descs.FreeIndices()
 	limit := a.descs.Limit()
 	if got, want := a.descs.Allocated(), limit-a.descs.First(); got != want {
 		return fmt.Errorf("desc pool: allocated counter %d, index range holds %d", got, want)
 	}
 	if got, want := uint64(len(freeDescs)), a.descs.Retired(); got != want {
-		return fmt.Errorf("desc pool: freelist stripes hold %d descriptors, retired counter says %d", got, want)
+		return fmt.Errorf("desc pool: retired descriptors number %d, retired counter says %d", got, want)
 	}
 
 	var totalAllocated int64

@@ -28,10 +28,10 @@ import (
 //     CAS-retry-free per node.
 //   - Space: each of the P slots pins at most two batches of B words
 //     plus in-flight claims — the paper's O(P²) extra space for B≈P.
-//   - A single tagged overflow freelist (identical to one Figure-7
-//     stripe) is the correctness fallback for the bounded batch table:
-//     if a retire cannot obtain an empty batch it pushes the node
-//     there, and allocs drain it before growing. Free never fails.
+//   - A single tagged overflow freelist (identical to the Figure-7
+//     DescAvail list) is the correctness fallback for the bounded batch
+//     table: if a retire cannot obtain an empty batch it pushes the
+//     node there, and allocs drain it before growing. Free never fails.
 //
 // ABA safety: batches live at stable dense indices in a chunked table
 // (like nodes) and stack heads/links are packed (index:40, tag:24)
@@ -101,8 +101,6 @@ func newBackendConstTime[T any, PT interface {
 	c.nextBatch.Store(1)
 	return c
 }
-
-func (c *backendConstTime[T, PT]) nstripes() int { return len(c.slots) }
 
 func (c *backendConstTime[T, PT]) slotFor(id int) int {
 	return int(uint64(id) % uint64(len(c.slots)))
@@ -192,11 +190,10 @@ func (c *backendConstTime[T, PT]) park(w *atomic.Uint64, bi uint64) {
 	}
 }
 
-// raid claims a sibling slot's parked batch — the constant-time
-// analogue of the freelist backend's chain migration, needed so nodes
-// parked in another slot's private words don't strand the pool in
-// premature exhaustion. Each probe is one wait-free Swap; empty
-// claims are disposed to the empty stack, not dropped.
+// raid claims a sibling slot's parked batch, so that nodes parked in
+// another slot's private words don't strand the pool in premature
+// exhaustion. Each probe is one wait-free Swap; empty claims are
+// disposed to the empty stack, not dropped.
 func (c *backendConstTime[T, PT]) raid(local int) uint64 {
 	n := len(c.slots)
 	for off := 1; off < n; off++ {
@@ -249,9 +246,8 @@ func (c *backendConstTime[T, PT]) alloc(stripe int) (uint64, error) {
 			}
 			if bi != 0 {
 				if st := p.tele.Load(); st != nil {
-					// A batch handoff from another slot: the
-					// constant-time analogue of a chain migration
-					// (event count, not a retry).
+					// A batch handoff from another slot (event
+					// count, not a retry).
 					st.Retry(p.cfg.MigrateSite, bi)
 				}
 			} else {

@@ -9,11 +9,11 @@
 // grows; index 0 is reserved as NULL. Two recycling backends share
 // that table:
 //
-//   - AlgoFreelist (default): retired nodes are recycled through
-//     lock-free Treiber freelists whose heads are packed (index:40,
-//     tag:24) words (atomicx.Tagged). The paper prevents ABA on
-//     DescAvail with hazard pointers (SafeCAS, Figure 7 line 4);
-//     because pool nodes live at stable indices and are never
+//   - AlgoFreelist (default): retired nodes are recycled through one
+//     lock-free Treiber freelist, Figure 7's DescAvail, whose head is a
+//     packed (index:40, tag:24) word (atomicx.Tagged). The paper
+//     prevents ABA on DescAvail with hazard pointers (SafeCAS, Figure 7
+//     line 4); because pool nodes live at stable indices and are never
 //     unmapped, a wide version tag is an equally safe and simpler
 //     choice — see DESIGN.md.
 //
@@ -24,13 +24,6 @@
 //     Swap, so the per-node hot path has no CAS retry loop at all.
 //     Full/partial/empty batches are exchanged through shared tagged
 //     stacks touched once per batchSize operations. See consttime.go.
-//
-// Beyond the paper, the freelist head can be striped: each stripe is a
-// cache-padded independent head, callers pick a stripe by thread id,
-// and a dry stripe pulls a sibling's whole chain with one CAS (batched
-// migration).
-// With Stripes=1 the pool is behaviour-identical to the original
-// single-head DescAvail freelist.
 package pool
 
 import (
@@ -65,8 +58,7 @@ type Node interface {
 type Algo int
 
 const (
-	// AlgoFreelist is the paper's Figure-7 tagged Treiber freelist
-	// (striped, with whole-chain migration).
+	// AlgoFreelist is the paper's Figure-7 tagged Treiber freelist.
 	AlgoFreelist Algo = iota
 	// AlgoConstTime is the Blelloch–Wei batch/stack scheme: O(1)
 	// shared-memory touches per op, no per-node CAS retry loop.
@@ -106,9 +98,9 @@ type Config struct {
 	ChunkLog2 uint
 	// MaxChunks bounds the table; Alloc returns ErrExhausted beyond it.
 	MaxChunks uint64
-	// Stripes is the number of independent freelist heads (freelist
-	// backend) or batch slots (constant-time backend). 0 or 1 selects
-	// the paper's single DescAvail word.
+	// Stripes is the constant-time backend's number of batch slots,
+	// one per processor in Blelloch–Wei; 0 selects 1. The freelist
+	// backend has the paper's one DescAvail head and ignores it.
 	Stripes int
 	// Algo selects the recycling backend; the zero value is the
 	// Figure-7 tagged freelist.
@@ -116,10 +108,9 @@ type Config struct {
 	// AllocSite/RetireSite, when telemetry is attached via
 	// SetTelemetry, receive CAS-retry counts for freelist pops and
 	// pushes (shared-stack pops and pushes for the constant-time
-	// backend); MigrateSite counts cross-stripe chain migrations
-	// (batch handoffs through the shared stacks for the constant-time
-	// backend) — events, not retries. All three are ignored until
-	// SetTelemetry is called.
+	// backend); MigrateSite counts the constant-time backend's batch
+	// hand-offs between slots — events, not retries. All three are
+	// ignored until SetTelemetry is called.
 	AllocSite   telemetry.Site
 	RetireSite  telemetry.Site
 	MigrateSite telemetry.Site
@@ -131,12 +122,6 @@ type stripe struct {
 	_    [7]uint64
 }
 
-// migrateTestHook, when non-nil, runs after a migration detaches a
-// victim stripe's chain and before it is spliced into the local
-// stripe. Tests use it to force deterministic interleavings; it must
-// only be set while the pool is quiescent.
-var migrateTestHook func(local, victim int)
-
 // algoBackend is the recycling strategy behind a Pool: everything
 // except the chunk table, bump growth, and accounting, which are
 // shared. (The exported Backend interface in queue.go is unrelated: it
@@ -144,7 +129,6 @@ var migrateTestHook func(local, victim int)
 type algoBackend interface {
 	alloc(stripe int) (uint64, error)
 	retireChain(stripe int, first, last, n uint64)
-	nstripes() int
 	stripeFree() []uint64
 	freeIndices() map[uint64]bool
 }
@@ -203,7 +187,7 @@ func New[T any, PT interface {
 	case AlgoConstTime:
 		p.be = newBackendConstTime[T, PT](p)
 	default:
-		p.be = newBackendFreelist[T, PT](p)
+		p.be = &backendFreelist[T, PT]{p: p}
 	}
 	return p
 }
@@ -274,24 +258,25 @@ func (p *Pool[T, PT]) retry(site telemetry.Site, key uint64) {
 	}
 }
 
-// Alloc pops a retired node from the caller's stripe (backend
-// dependent: freelist pop + migration, or batch pop) or carves a fresh
-// chunk (DescAlloc, Figure 7). stripe is any non-negative caller
-// identity (typically a thread id); it is reduced modulo the stripe
-// count. Lock-free; wait-free per-node for the constant-time backend.
+// Alloc pops a retired node (backend dependent: freelist pop, or a
+// batch pop from the caller's slot) or carves a fresh chunk (DescAlloc,
+// Figure 7). stripe is any non-negative caller identity (typically a
+// thread id); the constant-time backend reduces it modulo its slot
+// count, the freelist ignores it. Lock-free; wait-free per-node for the
+// constant-time backend.
 func (p *Pool[T, PT]) Alloc(stripe int) (uint64, error) {
 	return p.be.alloc(stripe)
 }
 
-// Retire pushes a node onto the caller's stripe (DescRetire, Figure 7).
-// Lock-free; never fails.
+// Retire pushes a node onto the freelist, or into the caller's slot
+// (DescRetire, Figure 7). Lock-free; never fails.
 func (p *Pool[T, PT]) Retire(stripe int, idx uint64) {
 	p.be.retireChain(stripe, idx, idx, 1)
 }
 
 // RetireChain pushes the chain first..last (already linked node to
-// node via packed link words, except last) of n nodes onto the
-// caller's stripe. Lock-free.
+// node via packed link words, except last) of n nodes, like Retire.
+// Lock-free.
 func (p *Pool[T, PT]) RetireChain(stripe int, first, last, n uint64) {
 	p.be.retireChain(stripe, first, last, n)
 }
@@ -336,7 +321,7 @@ func (p *Pool[T, PT]) grow() (uint64, error) {
 }
 
 // popNode pops one node off a tagged freelist head, or reports the
-// list empty. Shared by the freelist backend's stripes and the
+// list empty. Shared by the freelist backend's DescAvail and the
 // constant-time backend's overflow list.
 func (p *Pool[T, PT]) popNode(s *stripe, site telemetry.Site) (uint64, bool) {
 	for {
@@ -359,7 +344,7 @@ func (p *Pool[T, PT]) popNode(s *stripe, site telemetry.Site) (uint64, bool) {
 
 // spliceChain links last to the head's current chain and installs
 // first as the new head, bumping both tags; it does not touch the
-// retired counter (migration moves chains that are already retired).
+// retired counter, which its callers add to.
 func (p *Pool[T, PT]) spliceChain(s *stripe, first, last uint64) {
 	ln := p.link(last)
 	for {
@@ -407,16 +392,13 @@ func (p *Pool[T, PT]) First() uint64 { return p.chunkSize }
 // in [First, Limit) are exactly the nodes counted by Allocated.
 func (p *Pool[T, PT]) Limit() uint64 { return p.nextIdx.Load() }
 
-// Stripes returns the number of freelist stripes (batch slots for the
-// constant-time backend).
-func (p *Pool[T, PT]) Stripes() int { return p.be.nstripes() }
-
-// StripeFree returns the number of retired nodes per stripe. The walk
-// races with concurrent Alloc/Retire (each step is bounded, so a torn
-// snapshot can only mis-count, not loop); exact results need a
-// quiescent pool. The constant-time backend reports nodes parked in
-// each slot's private batches per stripe and attributes the shared
-// full/partial stacks and the overflow list to stripe 0.
+// StripeFree returns the number of retired nodes: one entry, the
+// freelist's length, for the freelist backend; one entry per slot for
+// the constant-time backend — the nodes parked in that slot's private
+// batches, with the shared full/partial stacks and the overflow list
+// attributed to slot 0. The walk races with concurrent Alloc/Retire
+// (each step is bounded, so a torn snapshot can only mis-count, not
+// loop); exact results need a quiescent pool.
 func (p *Pool[T, PT]) StripeFree() []uint64 { return p.be.stripeFree() }
 
 // FreeIndices returns the set of node indices currently on freelists.

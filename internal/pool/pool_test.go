@@ -35,8 +35,8 @@ func mustAlloc(t *testing.T, p *tpool, stripe int) uint64 {
 }
 
 // forEachAlgo runs a subtest per recycling backend; behaviour-shared
-// tests go through it, backend-specific ones (LIFO order, migration)
-// pin their algo.
+// tests go through it, backend-specific ones (LIFO order) pin their
+// algo.
 func forEachAlgo(t *testing.T, f func(t *testing.T, algo Algo)) {
 	for _, algo := range []Algo{AlgoFreelist, AlgoConstTime} {
 		t.Run(algo.String(), func(t *testing.T) { f(t, algo) })
@@ -169,7 +169,7 @@ func TestRetireChain(t *testing.T) {
 func TestAccountingInvariant(t *testing.T) {
 	forEachAlgo(t, func(t *testing.T, algo Algo) {
 		// allocated == live + retired at every quiescent point, across all
-		// stripes, with FreeIndices agreeing exactly.
+		// of consttime's slots, with FreeIndices agreeing exactly.
 		p := newTestPool(Config{ChunkLog2: 3, MaxChunks: 1 << 10, Stripes: 4, Algo: algo})
 		live := map[uint64]bool{}
 		rng := uint64(1)
@@ -211,92 +211,8 @@ func TestAccountingInvariant(t *testing.T) {
 	})
 }
 
-func TestStripeMigration(t *testing.T) {
-	p := newTestPool(Config{ChunkLog2: 3, MaxChunks: 16, Stripes: 4})
-	// Stripe 2's first alloc grows a chunk; the 7 leftovers land on
-	// stripe 2.
-	first := mustAlloc(t, p, 2)
-	limit := p.Limit()
-	if free := p.StripeFree(); free[2] != 7 {
-		t.Fatalf("stripe 2 free = %v, want 7 on stripe 2", free)
-	}
-	// A dry sibling must migrate stripe 2's chain, not grow.
-	got := mustAlloc(t, p, 0)
-	if p.Limit() != limit {
-		t.Fatalf("migration path grew the pool (%d -> %d)", limit, p.Limit())
-	}
-	if got == first {
-		t.Fatalf("migrated alloc returned live index %d", got)
-	}
-	free := p.StripeFree()
-	if free[2] != 0 || free[0] != 6 {
-		t.Fatalf("after migration StripeFree = %v, want [6 0 0 0]", free)
-	}
-	if got, want := p.Allocated()-p.Retired(), uint64(2); got != want {
-		t.Fatalf("live = %d, want %d", got, want)
-	}
-}
-
-func TestMigrationInterleave(t *testing.T) {
-	// Force the worst interleaving: while a migration holds a detached
-	// chain (between the victim CAS and the local splice), the victim
-	// stripe refills and a third stripe allocates. No index may be
-	// served twice.
-	p := newTestPool(Config{ChunkLog2: 2, MaxChunks: 64, Stripes: 4})
-	seed := make([]uint64, 0, 8)
-	for i := 0; i < 8; i++ {
-		seed = append(seed, mustAlloc(t, p, 1))
-	}
-	for _, idx := range seed {
-		p.Retire(1, idx)
-	}
-
-	var hooked atomic.Bool
-	var hookLocal, hookVictim int
-	served := make(chan uint64, 4)
-	migrateTestHook = func(local, victim int) {
-		if !hooked.CompareAndSwap(false, true) {
-			return // only instrument the outermost migration
-		}
-		hookLocal, hookVictim = local, victim
-		// The chain is detached: the victim looks empty. Concurrent
-		// allocs must either migrate elsewhere or grow — never see the
-		// in-flight chain.
-		idx, err := p.Alloc(victim)
-		if err != nil {
-			t.Error(err)
-			return
-		}
-		served <- idx
-	}
-	defer func() { migrateTestHook = nil }()
-
-	idx, err := p.Alloc(3) // dry stripe: must migrate from stripe 1
-	if err != nil {
-		t.Fatal(err)
-	}
-	served <- idx
-	if !hooked.Load() {
-		t.Fatal("migration hook never fired")
-	}
-	if hookLocal != 3 || hookVictim != 1 {
-		t.Fatalf("migration %d<-%d, want 3<-1", hookLocal, hookVictim)
-	}
-	close(served)
-	seen := map[uint64]bool{}
-	for idx := range served {
-		if seen[idx] {
-			t.Fatalf("index %d served twice across the interleaving", idx)
-		}
-		seen[idx] = true
-	}
-	if got, want := p.Allocated(), uint64(len(seen))+p.Retired(); got != want {
-		t.Fatalf("allocated %d != live %d + retired %d", got, len(seen), p.Retired())
-	}
-}
-
-// TestABARecyclingFuzz hammers Alloc/Retire from many goroutines across
-// stripes, stamping each node at allocation with a CAS from zero: if
+// TestABARecyclingFuzz hammers Alloc/Retire from many goroutines,
+// stamping each node at allocation with a CAS from zero: if
 // recycling ever handed one index to two owners, the loser's stamp CAS
 // fails. Run with -race in CI; covers both backends (for the
 // constant-time one this doubles as the batch claim/park/displacement
@@ -330,8 +246,8 @@ func TestABARecyclingFuzz(t *testing.T) {
 						}
 						held = append(held, idx)
 						if len(held) == cap(held) || i%3 == 0 {
-							// Release in bursts, sometimes to a sibling stripe,
-							// to keep migration in play.
+							// Release in bursts, sometimes to a sibling slot,
+							// to keep batch hand-offs in play.
 							for _, h := range held {
 								p.Get(h).stamp.Store(0)
 								p.Retire(int(g+uint64(len(held)))%4, h)
@@ -447,7 +363,8 @@ func TestExhaustionAccountingReconciliation(t *testing.T) {
 }
 
 // BenchmarkPoolAllocRetire pins backend regressions without the full
-// harness: per backend × stripes {1, P}.
+// harness: per backend × stripes {1, P} (the freelist has one head
+// whatever Stripes is, so only consttime's rows differ).
 func BenchmarkPoolAllocRetire(b *testing.B) {
 	procs := runtime.GOMAXPROCS(0)
 	for _, algo := range []Algo{AlgoFreelist, AlgoConstTime} {

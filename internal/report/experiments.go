@@ -29,8 +29,8 @@ type RunConfig struct {
 	// Options is what every allocator constructed for an experiment is
 	// built from, whichever backend it is: each reads what it
 	// understands (all of them Processors and HeapConfig, the
-	// lock-free allocator its LockFree shape — magazines, descriptor
-	// stripes and backend). Processors 0 uses the maximum of Threads.
+	// lock-free allocator its LockFree shape — magazines and descriptor
+	// backend). Processors 0 uses the maximum of Threads.
 	// An experiment's variants are edits of a copy.
 	Options alloc.Options
 	// Telemetry attaches a fresh telemetry recorder to every allocator
@@ -273,20 +273,6 @@ func Experiments(cfg RunConfig) []Experiment {
 			}),
 		}, "same binary, same run; magazines batch Active/anchor CAS traffic into refills and flushes"),
 	}, {
-		// The paper's single DescAvail freelist against per-processor
-		// stripes with batched chain migration, on the two workloads that
-		// churn descriptors hardest (larson recycles superblocks
-		// continuously; threadtest creates and destroys them in bulk).
-		ID:    "poolstripes",
-		Title: "Descriptor-pool stripes: sharded freelist heads with batched chain migration",
-		Paper: "beyond the paper — stripes the paper's single DescAvail list; compare desc-alloc/desc-retire retries and chain migrations against the unstriped layout",
-		spec: sweep("Descriptor-pool stripes", []subject{
-			lockfree("stripes=1 (single DescAvail)", func(c *core.Config) { c.DescStripes = 1 }),
-			lockfree(fmt.Sprintf("stripes=%d (per-processor)", procs), func(c *core.Config) { c.DescStripes = procs }),
-		}, loads{larson, threadtest}, []column{descRetriesColumn, descRetriesPerOpColumn, migrationsColumn},
-			"desc retries = failed CASes at the desc-alloc and desc-retire freelist sites",
-			"migrations = whole-chain transfers from a sibling stripe to a dry one"),
-	}, {
 		// The descriptor pool's two recycling backends. DescChurn
 		// bottlenecks on descriptor recycling itself; Larson shows the
 		// backend's cost inside a realistic mixed workload. The acceptance
@@ -297,11 +283,11 @@ func Experiments(cfg RunConfig) []Experiment {
 		Title: "Descriptor-pool backend: Figure-7 tagged freelist vs Blelloch-Wei constant-time batches",
 		Paper: "beyond the paper — swaps the DescAvail freelist for the constant-time batch scheme (Blelloch & Wei); compare desc retries/op, malloc p50/p99, and batch handoffs under DescChurn and Larson",
 		spec: sweep("Descriptor-pool backend", []subject{
-			lockfree("freelist (Figure 7, striped)", func(c *core.Config) { c.DescAlgo = pool.AlgoFreelist }),
+			lockfree("freelist (Figure 7)", func(c *core.Config) { c.DescAlgo = pool.AlgoFreelist }),
 			lockfree("consttime (Blelloch-Wei batches)", func(c *core.Config) { c.DescAlgo = pool.AlgoConstTime }),
 		}, loads{descChurn, larson}, []column{descRetriesColumn, descRetriesPerOpColumn, mallocP50Column, mallocP99Column, migrationsColumn},
 			"desc retries = failed CASes at the desc-alloc and desc-retire sites (shared-stack CASes for consttime)",
-			"migrations = chain migrations (freelist) or batch handoffs via the shared stacks (consttime)"),
+			"migrations = batch handoffs via the shared stacks (consttime; the one freelist head has none)"),
 	}, {
 		// The observability tax: sampler off and no walker against
 		// sampler on with a census walker looping beside the workload
@@ -380,8 +366,8 @@ func ByID(cfg RunConfig, id string) (Experiment, bool) {
 	return Experiment{}, false
 }
 
-// descSites are the telemetry sites of the descriptor pool's striped
-// freelist heads.
+// descSites are the telemetry sites of the descriptor pool's freelist
+// (the constant-time backend's shared stacks).
 var descSites = []string{"desc-alloc", "desc-retire"}
 
 var (

@@ -59,20 +59,20 @@ func TestKillAtEveryPointArenas(t *testing.T) {
 		func(p int64) int64 { return p + 100*arenas }, core.Config{HeapConfig: sweepHeap})
 }
 
-// TestKillAtEveryPointDescStripes repeats the per-point kill sweep at
-// both ends of the descriptor-pool ablation — the paper's single
-// DescAvail list (DescStripes=1) and more stripes than processors — so
-// victims die with cross-stripe chain migration in play on both
-// layouts, under both recycling backends. A thread killed between a
-// migration's detach CAS and its splice must never strand the chain
-// where peers can't reach it.
+// TestKillAtEveryPointDescStripes repeats the per-point kill sweep on
+// both descriptor-pool backends: the paper's one DescAvail list
+// (freelist; stripes=1 is the name it had when the list could be
+// striped) and the constant-time backend with one batch slot and with
+// six, its slot count being the processor count. With six, victims die
+// inside raid and park: a batch a dead thread claimed or displaced must
+// never strand the pool.
 func TestKillAtEveryPointDescStripes(t *testing.T) {
-	for _, algo := range []pool.Algo{pool.AlgoFreelist, pool.AlgoConstTime} {
-		for _, stripes := range []int64{1, 6} {
-			sweepLockFree(t, fmt.Sprintf("algo=%s/stripes=%d/", algo, stripes), 10000,
-				func(p int64) int64 { return p + 1000*stripes },
-				core.Config{DescStripes: int(stripes), DescAlgo: algo})
-		}
+	sweepLockFree(t, fmt.Sprintf("algo=%s/stripes=1/", pool.AlgoFreelist), 10000,
+		func(p int64) int64 { return p + 1000 }, core.Config{DescAlgo: pool.AlgoFreelist})
+	for _, slots := range []int64{1, 6} {
+		sweepLockFree(t, fmt.Sprintf("algo=%s/stripes=%d/", pool.AlgoConstTime, slots), 10000,
+			func(p int64) int64 { return p + 1000*slots },
+			core.Config{Processors: int(slots), DescAlgo: pool.AlgoConstTime})
 	}
 }
 

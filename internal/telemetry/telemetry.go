@@ -98,11 +98,12 @@ const (
 	SiteMagFlush
 	// SiteRegionBump: retries of the region bump-pointer CAS.
 	SiteRegionBump
-	// SitePoolMigrate: pool allocations whose stripe was dry and
-	// pulled a whole freelist chain from a sibling stripe (see
-	// internal/pool). Unlike the other sites this counts events, not
-	// CAS retries; it shares the retry plumbing so migrations appear
-	// in the same reports.
+	// SitePoolMigrate: the constant-time descriptor pool's batch
+	// hand-offs — allocations whose slot was dry and took a batch from
+	// the shared stacks or a sibling slot (see internal/pool; the
+	// Figure-7 freelist has one head and never counts here). Unlike the
+	// other sites this counts events, not CAS retries; it shares the
+	// retry plumbing so hand-offs appear in the same reports.
 	SitePoolMigrate
 	// SiteBuddyReserve: failed CAS(FREE->OCC) claiming a buddy-tree
 	// node (internal/buddy try_alloc), counted once per node whose
