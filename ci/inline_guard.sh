@@ -7,7 +7,8 @@
 # budget of 80 nodes; an edit that pushes one of these helpers over it
 # costs a call per word silently. This step asks the compiler and fails
 # loudly. It then counts the locked instructions on the paths that end
-# in a CAS (see the last section).
+# in a CAS, and checks that Heap.Load translates by constants (see the
+# last section).
 #
 # mem's accessors are checked where they are declared. pool.Pool is
 # generic, so the compiler only reports on its methods where they are
@@ -92,5 +93,26 @@ if [ "$(go env GOARCH)" = amd64 ]; then
 			status=1
 		fi
 	done
+	# A heap word's translation shifts and masks by the constant granule:
+	# a shift by CL means the granule came from the Heap at run time, a
+	# load and a register shuffle on every word. The instruction count of
+	# the out-of-line Load's path to its first RET (frame setup included,
+	# panic and stack-growth tails not) is printed for the record.
+	go test -c -o "$bin/mem.test" ./internal/mem
+	load=$(go tool objdump -s '^repro/internal/mem\.\(\*Heap\)\.Load$' "$bin/mem.test" |
+		awk '/^TEXT/ { seen = 1; next } seen && NF && !ret { n++ } /[ \t]RET[ \t]/ { ret = 1 }
+			/[ \t](SH[LR]|SA[LR]|RO[LR])[BWLQ]?[ \t]+CL,/ { cl++ }
+			END { if (seen) print n + 0, cl + 0 }')
+	if [ -z "$load" ]; then
+		echo "inline guard: no code for mem.(*Heap).Load in the test binary" >&2
+		status=1
+	else
+		set -- $load
+		echo "instructions: mem.(*Heap).Load $1 to RET, shifts by CL $2"
+		if [ "$2" -ne 0 ]; then
+			echo "inline guard: mem.(*Heap).Load shifts by CL; the granule must be a constant" >&2
+			status=1
+		fi
+	fi
 fi
 exit "$status"

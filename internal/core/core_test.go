@@ -735,35 +735,26 @@ func TestThreadsMapToDistinctHeaps(t *testing.T) {
 }
 
 // TestNewFootprint pins what constructing an allocator, and serving its
-// first block, costs in Go memory. For the default 2^34-word heap New
-// was 16.9 MB — 28 partial lists with a 512 KiB node-pool chunk table
-// each — which made every test and every explored schedule that builds
-// a fresh allocator pay 7.5 ms for tables it never touched; what
-// remains there is the 2 MiB descriptor table, which that heap's 2^23
-// superblocks need, the OS layer's 512 KiB granule table, and one
-// 72 KiB node pool for all the lists (64 KiB each, 1.8 MB, while every
-// list had its own). The 2^26-word heap sched.Explore builds per
-// schedule paid the same 2 MiB table (2.24 MB in all) until the table
-// followed the heap, then 4 KiB a list. The first Malloc used to add a
-// whole 16 MiB segment whatever the heap; it adds one granule (2 MiB on
-// the default heap, 256 KiB below 2^31 words) and a 4 KiB descriptor
-// chunk. The limits leave room for a few more size classes, not for a
-// table or a pool per class, nor for a second granule.
+// first block, costs in Go memory. On the default 2^31-word heap New is
+// the 256 KiB descriptor table that heap's 2^20 superblocks need, the OS
+// layer's 512 KiB granule table, and some 45 KB that does not grow with
+// the heap: the whole of New on the 2^26-word heap sched.Explore builds
+// per schedule. The first Malloc adds one 256 KiB granule, whatever the
+// heap, and a 4 KiB descriptor chunk. The limits leave room for a few
+// more size classes, not for a table or a pool per class, nor for a
+// second granule.
 //
-// New alone would be under 1 MiB with 512-descriptor chunks (a 256 KiB
-// descriptor table: 878 184 B measured), but every allocator then
-// carves and every CheckInvariants walks 512 descriptors where it uses
-// a handful: sched.Explore's tests took twice as long (0.27 -> 0.55 s
-// each) and `go test ./internal/sched` was slower in 12 of 16
-// alternating runs, so descChunkLog2 stays 6 and the default heap's
-// limits are 2.75 MiB and 5 MiB.
+// descChunkLog2 stays 6: 512-descriptor chunks would shrink the table
+// eightfold, but every allocator then carves and every CheckInvariants
+// walks 512 descriptors where it uses a handful, and sched.Explore's
+// tests took twice as long (0.27 -> 0.55 s each).
 func TestNewFootprint(t *testing.T) {
 	for _, c := range []struct {
 		heap              mem.Config
 		limit, withMalloc uint64
 	}{
-		{mem.Config{}, 2816 << 10, 5 << 20},                   // 2 713 192 B + 2 101 896 B with 37 classes
-		{mem.Config{TotalWordsLog2: 26}, 64 << 10, 384 << 10}, // 50 280 B + 266 888 B
+		{mem.Config{}, 1 << 20, 1280 << 10},                   // 833 288 B + 266 888 B with 37 classes
+		{mem.Config{TotalWordsLog2: 26}, 64 << 10, 384 << 10}, // 45 064 B + 266 888 B
 	} {
 		built, first := uint64(1<<62), uint64(1<<62)
 		for i := 0; i < 3; i++ { // the least of three: other tests' goroutines allocate too
@@ -785,7 +776,7 @@ func TestNewFootprint(t *testing.T) {
 			t.Errorf("core.New and the first Malloc(8) with heap %+v allocate %d bytes, limit %d", c.heap, built+first, c.withMalloc)
 		}
 		// One granule and small change, whatever New cost.
-		if limit := uint64(2304 << 10); first > limit {
+		if limit := uint64(288 << 10); first > limit {
 			t.Errorf("the first Malloc(8) with heap %+v allocates %d bytes, limit %d", c.heap, first, limit)
 		}
 		t.Logf("heap %+v: New %d B, first Malloc(8) %d B", c.heap, built, first)

@@ -96,8 +96,8 @@ const (
 	descChunkLog2 = 6
 	descChunk     = 1 << descChunkLog2
 
-	// maxDescChunks bounds the descriptor table of the largest heaps
-	// (2^24 descriptors, a 2 MiB table).
+	// maxDescChunks bounds the descriptor table (2^24 descriptors, a
+	// 2 MiB table); the largest heap, 2^31 words, needs 2^21.
 	maxDescChunks = 1 << 18
 )
 

@@ -87,4 +87,21 @@ func BenchmarkWordAccess(b *testing.B) {
 			h.CAS(p, h.Load(p), uint64(i))
 		}
 	})
+	// A run of consecutive words, as a kvcache get reads its value: each
+	// word pays its own translation.
+	const run = 128
+	q, _, _ := h.AllocRegion(run)
+	b.Run("load-128", func(b *testing.B) {
+		var sink uint64
+		for i := 0; i < b.N; i++ {
+			for j := uint64(0); j < run; j++ {
+				sink ^= h.Load(q.Add(j))
+			}
+		}
+		wordSink = sink
+		b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*run), "ns/word")
+	})
 }
+
+// wordSink keeps the compiler from dropping a benchmark's loads.
+var wordSink uint64

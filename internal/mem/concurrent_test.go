@@ -51,7 +51,7 @@ func TestMaterializeRace(t *testing.T) {
 	const goroutines = 8
 	for round := 0; round < 16; round++ {
 		h := NewHeap(Config{TotalWordsLog2: 28}) // 256 KiB granules
-		gran := h.granMask + 1
+		gran := uint64(granWords)
 		words := gran / 4
 		var before, after runtime.MemStats
 		runtime.ReadMemStats(&before)

@@ -7,8 +7,8 @@
 // simulates one:
 //
 //   - The address space is word-addressed. A Ptr is a 64-bit word index
-//     into a table of fixed-size granules (2 MiB on the default heap),
-//     each backed by a []uint64 only once a region reaches it: like
+//     into a table of fixed-size granules (256 KiB, a constant), each
+//     backed by a []uint64 only once a region reaches it: like
 //     address space under mmap, a heap costs what it touches. Ptr 0 is
 //     the nil pointer (the first page of granule 0 is never handed out).
 //
@@ -31,14 +31,13 @@
 //
 // Two units divide the address space. The segment
 // (Config.SegmentWordsLog2) is the largest region: no region straddles a
-// segment boundary. The granule, a power-of-two fraction of a segment
-// that NewHeap derives from the heap's size, is the unit of address
-// translation and of backing: a region no larger than a granule lies
-// inside one granule, whose backing slice the first region to reach it
-// allocates; a larger region is whole granules of its own, backed by one
-// slice of exactly its length. Either way a region's words are
-// contiguous in one backing slice (Words), and nothing is allocated or
-// cleared for address space no region has reached.
+// segment boundary. The granule, 2^granLog words on every heap, is the
+// unit of address translation and of backing: a region no larger than a
+// granule lies inside one granule, whose backing slice the first region
+// to reach it allocates; a larger region is whole granules of its own,
+// backed by one slice of exactly its length. Either way a region's words
+// are contiguous in one backing slice (Words), and nothing is allocated
+// or cleared for address space no region has reached.
 //
 // Cache behaviour is real: words of one superblock are contiguous in the
 // backing array, so blocks carved from the same superblock share cache
@@ -81,15 +80,19 @@ const PageWords = 512
 
 const (
 	defaultSegmentWordsLog2 = 21 // 2 Mi words = 16 MiB per segment
-	defaultTotalWordsLog2   = 34 // 16 Gi words = 128 GiB of address space
+	defaultTotalWordsLog2   = 31 // 2 Gi words = 16 GiB of address space
 
-	// A granule is 2^(TotalWordsLog2 - maxTableLog2) words, so the
-	// translation table has at most 2^16 entries (512 KiB, which NewHeap
-	// allocates and clears), but never below 2^minGranuleLog2 words = 64
-	// pages: every region above exactBins pages is then a power of two
-	// pages and so whole granules. The default heap gets 2 MiB granules.
-	maxTableLog2   = 16
-	minGranuleLog2 = 15
+	// A granule is 2^15 words = 256 KiB = exactBins pages, so every
+	// region above exactBins pages is a power of two pages and so whole
+	// granules. It is a constant so that word translates an address with
+	// an immediate shift and mask.
+	granLog   = 15
+	granWords = 1 << granLog
+
+	// maxTotalWordsLog2 bounds the address space so that the translation
+	// table has at most 2^16 entries (512 KiB, which NewHeap allocates
+	// and clears).
+	maxTotalWordsLog2 = granLog + 16
 )
 
 // exactBins is the number of small region bins, one per page count
@@ -112,7 +115,9 @@ type Config struct {
 	// words, 16 MiB).
 	SegmentWordsLog2 uint
 	// TotalWordsLog2 is the log2 of the total addressable words.
-	// 0 selects the default (2^34 words).
+	// 0 selects the default (2^31 words, 16 GiB). It is raised to
+	// SegmentWordsLog2 and to one granule (15) and clamped to 31, so
+	// 2^31 words is also the largest heap; a segment is clamped to it.
 	TotalWordsLog2 uint
 }
 
@@ -122,16 +127,14 @@ type Config struct {
 type Heap struct {
 	// bases is the flat address-translation table: bases[g] is the
 	// address of word 0 of granule g, or nil until the granule is
-	// materialized. With granLog and granMask it is everything word
-	// reads, so a heap word is one table load away from its Ptr. These
+	// materialized. It is everything word reads besides the constant
+	// granLog, so a heap word is one table load away from its Ptr. These
 	// fields are written only by NewHeap (and bases' entries once each,
 	// nil → base, by materialize) and come first so they share the
 	// struct's first cache line with no counter: Heap fills the 128-byte
 	// size class exactly (asserted below), which the Go allocator starts
 	// on a line boundary, so the counters keep to the second line.
-	bases    []unsafe.Pointer
-	granLog  uint
-	granMask uint64 // granule words - 1
+	bases []unsafe.Pointer
 
 	segLog   uint
 	segWords uint64
@@ -166,7 +169,7 @@ type Heap struct {
 	// the fields the word accessors touch.
 	regionHook atomic.Pointer[func(p Ptr, words uint64)]
 
-	_ [16]byte // to the 128-byte size class
+	_ [32]byte // to the 128-byte size class
 }
 
 const (
@@ -255,23 +258,15 @@ func NewHeap(cfg Config) *Heap {
 	if totalLog == 0 {
 		totalLog = defaultTotalWordsLog2
 	}
-	if totalLog < segLog {
-		totalLog = segLog
-	}
-	if totalLog > atomicx.TaggedIdxBits {
-		// Region freelist heads pack pointers into 40 bits.
-		totalLog = atomicx.TaggedIdxBits
-	}
-	granLog := uint(min(max(int(totalLog)-maxTableLog2, minGranuleLog2), int(segLog)))
+	totalLog = min(max(totalLog, segLog, granLog), maxTotalWordsLog2)
+	segLog = min(segLog, totalLog)
 	h := &Heap{
-		granLog:  granLog,
-		granMask: 1<<granLog - 1,
 		segLog:   segLog,
 		segWords: 1 << segLog,
 		maxWords: 1 << totalLog,
 		os:       new(regions),
 	}
-	h.bases = make([]unsafe.Pointer, h.maxWords>>granLog)
+	h.bases = make([]unsafe.Pointer, h.maxWords/granWords)
 	// Reserve the first page so Ptr 0 is never a valid region address.
 	h.os.next.Store(PageWords)
 	return h
@@ -300,17 +295,16 @@ func (e unmappedError) Error() string {
 }
 
 // word translates p to the address of its backing word: one
-// bounds-checked load from the granule table plus a masked offset. An
-// address beyond the heap's total words fails the table's bounds check;
-// one in a granule not yet materialized panics with unmappedError.
-// (Masking the shift count tells the compiler it is below 64, which
-// NewHeap guarantees, and saves the shift's overflow guard.)
+// bounds-checked load from the granule table plus a masked offset, the
+// shift and the mask both immediates. An address beyond the heap's total
+// words fails the table's bounds check; one in a granule not yet
+// materialized panics with unmappedError.
 func (h *Heap) word(p Ptr) *uint64 {
-	base := atomic.LoadPointer(&h.bases[uint64(p)>>(h.granLog&63)])
+	base := atomic.LoadPointer(&h.bases[p>>granLog])
 	if base == nil {
 		panic(unmappedError(p))
 	}
-	return (*uint64)(unsafe.Add(base, (uint64(p)&h.granMask)*WordBytes))
+	return (*uint64)(unsafe.Add(base, (uint64(p)&(granWords-1))*WordBytes))
 }
 
 // Load atomically reads the word at p.
@@ -350,9 +344,9 @@ func (h *Heap) Set(p Ptr, v uint64) { *h.word(p) = v }
 // backing slice of a larger region continues, so every further granule
 // the range enters must translate to where the first one's words run on.
 func (h *Heap) Words(p Ptr, n uint64) []uint64 {
-	w, gran := h.word(p), h.granMask+1
+	w := h.word(p)
 	ok := n <= h.segWords-uint64(p)&(h.segWords-1)
-	for off := gran - uint64(p)&h.granMask; ok && off < n; off += gran {
+	for off := granWords - uint64(p)&(granWords-1); ok && off < n; off += granWords {
 		ok = unsafe.Pointer(h.word(p.Add(off))) == unsafe.Add(unsafe.Pointer(w), off*WordBytes)
 	}
 	if !ok {
@@ -367,7 +361,7 @@ func (h *Heap) Mapped(p Ptr) bool {
 	if uint64(p) >= h.maxWords {
 		return false
 	}
-	return atomic.LoadPointer(&h.bases[uint64(p)>>h.granLog]) != nil
+	return atomic.LoadPointer(&h.bases[p>>granLog]) != nil
 }
 
 // materialize backs the region [start, start+words) that bump just
@@ -383,11 +377,11 @@ func (h *Heap) Mapped(p Ptr) bool {
 // interior addresses of one slice of exactly its length, contiguous for
 // Words.
 func (h *Heap) materialize(start, words uint64) {
-	g, gran := start>>h.granLog, h.granMask+1
-	if words > gran {
+	g := start >> granLog
+	if words > granWords {
 		s := make([]uint64, words)
-		for off := uint64(0); off < words; off += gran {
-			atomic.StorePointer(&h.bases[g+off>>h.granLog], unsafe.Pointer(&s[off]))
+		for off := uint64(0); off < words; off += granWords {
+			atomic.StorePointer(&h.bases[g+off>>granLog], unsafe.Pointer(&s[off]))
 		}
 		h.os.materializedWords.Add(words)
 		return
@@ -397,10 +391,10 @@ func (h *Heap) materialize(start, words uint64) {
 	}
 	s := h.spare.Swap(nil)
 	if s == nil {
-		s = unsafe.SliceData(make([]uint64, gran))
+		s = unsafe.SliceData(make([]uint64, granWords))
 	}
 	if atomic.CompareAndSwapPointer(&h.bases[g], nil, unsafe.Pointer(s)) {
-		h.os.materializedWords.Add(gran)
+		h.os.materializedWords.Add(granWords)
 	} else {
 		h.spare.CompareAndSwap(nil, s)
 	}
@@ -583,8 +577,8 @@ func (h *Heap) bump(words, align uint64) (Ptr, bool) {
 	for {
 		cur := r.next.Load()
 		start := (cur + align - 1) &^ (align - 1)
-		if words > h.granMask+1 || (start+words-1)>>h.granLog != start>>h.granLog {
-			start = (start + h.granMask) &^ h.granMask // satisfies align: both are powers of two
+		if words > granWords || (start+words-1)>>granLog != start>>granLog {
+			start = (start + granWords - 1) &^ (granWords - 1) // satisfies align: both are powers of two
 		}
 		if seg := start >> h.segLog; (start+words-1)>>h.segLog != seg {
 			start = (seg + 1) << h.segLog

@@ -154,7 +154,7 @@ func TestRegionNeverStraddlesSegment(t *testing.T) {
 }
 
 func TestOutOfMemory(t *testing.T) {
-	h := NewHeap(Config{SegmentWordsLog2: 12, TotalWordsLog2: 13})
+	h := NewHeap(Config{SegmentWordsLog2: 12, TotalWordsLog2: 13}) // raised to one granule
 	var allocated int
 	for {
 		_, _, err := h.AllocRegion(PageWords)
@@ -163,7 +163,7 @@ func TestOutOfMemory(t *testing.T) {
 		}
 		allocated++
 		if allocated > 1000 {
-			t.Fatal("never ran out of a 8192-word heap")
+			t.Fatal("never ran out of a 32768-word heap")
 		}
 	}
 	if allocated == 0 {
@@ -436,8 +436,8 @@ func TestLargeRegionIsOneSlice(t *testing.T) {
 		heap  Config
 		bytes []uint64
 	}{
-		{Config{}, []uint64{4 << 20, 16<<20 - WordBytes}},                   // 2 MiB granules; the second is MaxRegionWords
-		{Config{TotalWordsLog2: 28}, []uint64{300 << 10, 1 << 20, 4 << 20}}, // 256 KiB granules
+		{Config{}, []uint64{4 << 20, 16<<20 - WordBytes}}, // the second is MaxRegionWords
+		{Config{TotalWordsLog2: 28}, []uint64{300 << 10, 1 << 20, 4 << 20}},
 	} {
 		h := NewHeap(c.heap)
 		for _, size := range c.bytes {
@@ -446,8 +446,8 @@ func TestLargeRegionIsOneSlice(t *testing.T) {
 				t.Fatalf("%+v: LargeAlloc(%d): %v", c.heap, size, err)
 			}
 			base, n := p-1, SizePrefixWords(h.Load(p-1))
-			if n <= h.granMask || uint64(base)&h.granMask != 0 {
-				t.Fatalf("%+v: LargeAlloc(%d) = %v+%d: not whole granules of %d words", c.heap, size, base, n, h.granMask+1)
+			if n <= granWords || uint64(base)%granWords != 0 {
+				t.Fatalf("%+v: LargeAlloc(%d) = %v+%d: not whole granules of %d words", c.heap, size, base, n, granWords)
 			}
 			w := h.Words(base, n)
 			if uint64(len(w)) != n {
@@ -483,44 +483,84 @@ func TestLargeRegionIsOneSlice(t *testing.T) {
 // TestSmallRegionStaysInOneGranule: a region no larger than a granule
 // that would straddle a granule boundary starts on the next one, the gap
 // is counted as skipped, and only granules a region has reached are
-// mapped — those from their first word to their last.
+// mapped — those from their first word to their last. On a heap whose
+// segments are smaller than a granule the segment is the boundary: many
+// segments share one granule's backing slice.
 func TestSmallRegionStaysInOneGranule(t *testing.T) {
-	h := NewHeap(Config{TotalWordsLog2: 28})
-	gran := h.granMask + 1 // 64 pages
-	words := gran / 4 * 3
-	first, _, err := h.AllocRegion(words) // one page in: [1, 49) pages
-	if err != nil || first != PageWords {
-		t.Fatalf("first region at %v, %v", first, err)
-	}
-	skipped := h.Stats().SkippedWords
-	second, _, err := h.AllocRegion(words)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if second != Ptr(gran) {
-		t.Errorf("second region at %v, want the granule boundary %v", second, Ptr(gran))
-	}
-	if got, gap := h.Stats().SkippedWords-skipped, gran-uint64(first)-words; got != gap {
-		t.Errorf("SkippedWords grew by %d, want the gap of %d", got, gap)
-	}
-	if s := h.Words(second, words); uint64(len(s)) != words {
-		t.Errorf("Words over the second region has %d words", len(s))
-	}
-	for _, p := range []Ptr{1, first, Ptr(gran - 1), Ptr(gran), Ptr(2*gran - 1)} {
-		if !h.Mapped(p) {
-			t.Errorf("%v lies in a materialized granule but is not mapped", p)
+	for _, c := range []struct {
+		heap     Config
+		boundary uint64 // the unit a region may not straddle
+		mapped   uint64 // words materialized once both regions are placed
+	}{
+		{Config{TotalWordsLog2: 28}, granWords, 2 * granWords},
+		{Config{SegmentWordsLog2: 12, TotalWordsLog2: 28}, 1 << 12, granWords},
+	} {
+		h := NewHeap(c.heap)
+		words := c.boundary / 4 * 3
+		first, _, err := h.AllocRegion(words) // one page in
+		if err != nil || first != PageWords {
+			t.Fatalf("%+v: first region at %v, %v", c.heap, first, err)
+		}
+		skipped := h.Stats().SkippedWords
+		second, _, err := h.AllocRegion(words)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if second != Ptr(c.boundary) {
+			t.Errorf("%+v: second region at %v, want the boundary %v", c.heap, second, Ptr(c.boundary))
+		}
+		if got, gap := h.Stats().SkippedWords-skipped, c.boundary-uint64(first)-words; got != gap {
+			t.Errorf("%+v: SkippedWords grew by %d, want the gap of %d", c.heap, got, gap)
+		}
+		s := h.Words(second, words)
+		s[words-1] = 42
+		if uint64(len(s)) != words || h.Load(second.Add(words-1)) != 42 {
+			t.Errorf("%+v: Words over the second region has %d words and does not alias Load", c.heap, len(s))
+		}
+		for _, p := range []Ptr{1, first, Ptr(c.boundary - 1), second, Ptr(c.mapped - 1)} {
+			if !h.Mapped(p) {
+				t.Errorf("%+v: %v lies in a materialized granule but is not mapped", c.heap, p)
+			}
+		}
+		for _, p := range []Ptr{Ptr(c.mapped), Ptr(c.mapped + granWords + 5)} {
+			if h.Mapped(p) {
+				t.Errorf("%+v: %v is mapped although no region has reached its granule", c.heap, p)
+			}
+		}
+		if panicOf(func() { h.Words(second, c.mapped-uint64(second)+1) }) == nil {
+			t.Errorf("%+v: Words running past the second region's segment or granule did not panic", c.heap)
+		}
+		if got := h.Stats().MaterializedWords; got != c.mapped {
+			t.Errorf("%+v: MaterializedWords = %d, want %d", c.heap, got, c.mapped)
 		}
 	}
-	for _, p := range []Ptr{Ptr(2 * gran), Ptr(3*gran + 5), Ptr(h.SegmentWords())} {
-		if h.Mapped(p) {
-			t.Errorf("%v is mapped although no region has reached its granule", p)
+}
+
+// TestTotalWordsEdges: the address space is raised to one granule and to
+// the segment, and clamped to 2^31 words, which also bounds the segment.
+func TestTotalWordsEdges(t *testing.T) {
+	for _, c := range []struct {
+		heap            Config
+		total, segWords uint64
+	}{
+		{Config{}, 1 << 31, 1 << 21},
+		{Config{TotalWordsLog2: 40}, 1 << 31, 1 << 21},
+		{Config{TotalWordsLog2: 32}, 1 << 31, 1 << 21},
+		{Config{TotalWordsLog2: 1}, 1 << 21, 1 << 21},
+		{Config{SegmentWordsLog2: 12, TotalWordsLog2: 13}, 1 << 15, 1 << 12},
+		{Config{SegmentWordsLog2: 34}, 1 << 31, 1 << 31},
+	} {
+		h := NewHeap(c.heap)
+		if h.TotalWords() != c.total || h.SegmentWords() != c.segWords {
+			t.Errorf("%+v: TotalWords %d, SegmentWords %d; want %d, %d",
+				c.heap, h.TotalWords(), h.SegmentWords(), c.total, c.segWords)
 		}
-	}
-	if panicOf(func() { h.Words(second, gran+1) }) == nil {
-		t.Error("Words running on into an unmapped granule did not panic")
-	}
-	if got := h.Stats().MaterializedWords; got != 2*gran {
-		t.Errorf("MaterializedWords = %d, want two granules (%d)", got, 2*gran)
+		if got := uint64(len(h.bases)); got != c.total/granWords || got > 1<<16 {
+			t.Errorf("%+v: %d table entries for %d words", c.heap, got, c.total)
+		}
+		if h.Mapped(Ptr(c.total)) || panicOf(func() { h.Load(Ptr(c.total)) }) == nil {
+			t.Errorf("%+v: the first word past the address space is reachable", c.heap)
+		}
 	}
 }
 

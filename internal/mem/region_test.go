@@ -181,8 +181,8 @@ func TestArenasOneMatchesGlobalLayout(t *testing.T) {
 // so the Go memory allocated stays within the granules mapped plus the
 // one parked.
 func TestSpareGranule(t *testing.T) {
-	h := NewHeap(Config{TotalWordsLog2: 28}) // 256 KiB granules
-	gran := h.granMask + 1
+	h := NewHeap(Config{TotalWordsLog2: 28})
+	gran := uint64(granWords)
 	const granules = 64
 	perGoroutine := (granules*gran/PageWords - 1) / 2 // the first page is never handed out
 	var before, after runtime.MemStats
