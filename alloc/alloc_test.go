@@ -312,7 +312,6 @@ func TestConfigValidation(t *testing.T) {
 		{"negative credits", core.Config{MaxCredits: -1}, "MaxCredits -1"},
 		{"negative magazine", core.Config{MagazineSize: -1}, "MagazineSize -1"},
 		{"negative processors", core.Config{Processors: -2}, "Processors -2"},
-		{"unknown algo", core.Config{DescAlgo: 7}, "unknown DescAlgo"},
 	}
 	for _, c := range cases {
 		t.Run(c.name, func(t *testing.T) {

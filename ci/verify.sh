@@ -88,13 +88,12 @@ stage_smoke() {
 		"$bin/benchmal" -exp "$id" -threads 1,2 -scale 0.002
 	done
 	# Every allocator-shape flag away from its default.
-	for knob in "-magazine 8" "-descalgo consttime"; do
+	for knob in "-magazine 8"; do
 		"$bin/benchmal" -exp table1 -threads 1,2 -scale 0.002 -allocs lockfree $knob
 	done
-	# A knob core.Config.Validate rejects, or a -descalgo that
-	# AllocFlags.Apply cannot parse, must stop every tool.
+	# A knob core.Config.Validate rejects must stop every tool.
 	for tool in benchmal mlfstress "allocmon -once" "heapinfo -live"; do
-		for knob in "-magazine -1" "-descalgo nosuch"; do
+		for knob in "-magazine -1"; do
 			if "$bin/"$tool $knob >/dev/null 2>&1; then
 				echo "verify: $tool accepted $knob" >&2
 				exit 1
@@ -114,9 +113,6 @@ stage_smoke() {
 	for name in $("$bin/heapinfo" | awk '$1 == "backend" && $NF != "kill-points=0" { print $2 }'); do
 		"$bin/mlfstress" -alloc "$name" -threads 4 -ops 5000 -kills 2 -shadow -magazine 8 -telemetry=false
 	done
-	# The other descriptor-pool backend is a shape of the lock-free allocator only.
-	"$bin/mlfstress" -threads 4 -ops 20000 -shadow -magazine 8 -telemetry=false -descalgo consttime
-	"$bin/mlfstress" -threads 4 -ops 5000 -kills 2 -shadow -magazine 8 -telemetry=false -descalgo consttime
 }
 
 # Each Go fuzzer for a fixed budget; a crasher it finds lands in the

@@ -8,7 +8,7 @@
 //
 //	allocmon [-alloc lockfree] [-addr :8723] [-threads 4] [-hyper]
 //	         [-pause 50us] [-interval 1s] [-samplerate 1024]
-//	         [-history 120] [-magazine N] [-descalgo freelist|consttime]
+//	         [-history 120] [-magazine N]
 //	allocmon -once [-warmup 2s]
 //
 // Endpoints:

@@ -335,7 +335,7 @@ func TestBuddyEndpoints(t *testing.T) {
 // TestRejectedConfig: a knob core.Config.Validate rejects, or an unknown
 // backend, stops -once before any workload starts.
 func TestRejectedConfig(t *testing.T) {
-	for _, args := range [][]string{{"-descalgo", "nosuch"}, {"-magazine", "-1"}, {"-alloc", "nosuch"}} {
+	for _, args := range [][]string{{"-magazine", "-1"}, {"-alloc", "nosuch"}} {
 		var out, errOut bytes.Buffer
 		if code := run(append([]string{"-once", "-warmup", "1ms"}, args...), &out, &errOut); code != 1 || out.Len() != 0 {
 			t.Errorf("allocmon -once %v: exit %d, stdout %q, stderr %q", args, code, out.String(), errOut.String())
@@ -382,7 +382,6 @@ sampled internal fragmentation: #
 ` + osLayerSkeleton + `Region-bin occupancy (free regions awaiting reuse):
 region words regions
 descriptors: # allocated, # on freelist
-desc pool: freelist backend, # stripes, free per stripe [#]
 Live-block ages (# samples at rate #/#): p#=# p#=# oldest=#
 Top call sites by live sampled bytes:
 live bytes oldest site
@@ -405,7 +404,7 @@ var parentLines = map[string]map[string]string{
 	"lockfree": {
 		"allocator: mallocs=# frees=# active=# partial=# newSB=#":             "allocator: mallocs=# frees=#; # large mallocs, # empty-partial skips",
 		"heap: live # KiB, max-live # KiB, descriptors # (+# free)":           "heap: # words live (max-live # KiB), # region allocs / # frees, external fragmentation #",
-		"desc pool: freelist backend, # stripes, free per stripe [# #]":       "desc pool: freelist backend, # stripes, free per stripe [#]",
+		"desc pool: freelist backend, # stripes, free per stripe [# #]":       "descriptors: # allocated, # on freelist",
 		"census: # superblocks, blocks used=# free=# magazine=#":              "totals: # superblocks, blocks used=# free=# resv=# mag=#, carve waste # words",
 		"frag: internal # external #; # live samples, age p#=# p#=# oldest=#": "Live-block ages (# samples at rate #/#): p#=# p#=# oldest=#",
 		"frag: external # (sampler off)":                                      "heap: # words live (max-live # KiB), # region allocs / # frees, external fragmentation #",

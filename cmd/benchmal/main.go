@@ -5,7 +5,6 @@
 //
 //	benchmal [-exp all|id,id,...] [-threads 1,2,4,8,16] [-scale 0.01]
 //	         [-allocs lockfree,hoard,...] [-procs N] [-telemetry] [-magazine N]
-//	         [-descalgo freelist|consttime]
 //	         [-samplerate N] [-json] [-list] [-v]
 //
 // -list prints the experiment ids; -list -v adds what each one is: its
@@ -29,14 +28,11 @@
 // fragmentation and live-block ages — to each measurement (0 = off, the
 // default, preserving the bare telemetry cost).
 //
-// The shape flags apply to every lock-free allocator built: -magazine N
-// is Config.MagazineSize, -descalgo the descriptor pool's recycling
-// backend (freelist = Figure 7, consttime = Blelloch-Wei batches). A
-// contradictory or out-of-range value (core.Config.Validate) exits
-// non-zero with the reason before anything runs. The experiment that
-// compares settings of one of these (magazine, poolalgo; census for
-// -samplerate) sets it per row; a -magazine or -samplerate given is what
-// its "on" row uses.
+// The shape flag applies to every lock-free allocator built: -magazine N
+// is Config.MagazineSize. An out-of-range value (core.Config.Validate)
+// exits non-zero with the reason before anything runs. The experiment
+// that compares its settings (magazine; census for -samplerate) sets it
+// per row; a -magazine or -samplerate given is what its "on" row uses.
 //
 // -json additionally writes every individual measurement to a
 // BENCH_<unixtime>.json file.
@@ -70,7 +66,6 @@ type jsonReport struct {
 	Experiments   []string       `json:"experiments"`
 	Telemetry     bool           `json:"telemetry"`
 	Magazine      int            `json:"magazine,omitempty"`
-	DescAlgo      string         `json:"descAlgo,omitempty"`
 	SampleRate    int            `json:"sampleRate,omitempty"`
 	Results       []bench.Result `json:"results"`
 }
@@ -159,7 +154,6 @@ func main() {
 			Experiments:   ids,
 			Telemetry:     *teleFlag,
 			Magazine:      shape.MagazineSize,
-			DescAlgo:      shape.DescAlgo.String(),
 			SampleRate:    *rateFlag,
 			Results:       results,
 		}

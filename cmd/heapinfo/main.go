@@ -6,7 +6,7 @@
 // Useful for sanity-checking configuration against the paper.
 //
 //	heapinfo [-live] [-alloc lockfree] [-threads 4] [-ops 50000]
-//	         [-samplerate 1024] [-magazine N] [-descalgo freelist|consttime]
+//	         [-samplerate 1024] [-magazine N]
 //
 // With -live, a short multithreaded malloc/free workload (churn.Mixed)
 // is run on a fresh allocator from alloc.New — any registry entry,
@@ -20,7 +20,7 @@
 // states and block inventory, descriptor pool, and the sampler's
 // live-block ages and top call sites; for buddy the per-order
 // free/used table — each rendered by internal/census. The telemetry
-// snapshot follows. The shape flags are those of mlfstress and
+// snapshot follows. The shape flag, -magazine, is that of mlfstress and
 // allocmon; -samplerate sets the allocation sampling period (0 =
 // sampler off).
 package main
@@ -117,8 +117,8 @@ func runLive(out io.Writer, af *bench.BackendFlags, threads, ops, rate int) erro
 	if rep := h.Inspect(0); rep.InvariantErr != nil {
 		return rep.InvariantErr
 	}
-	fmt.Fprintf(out, "Live statistics (%s, %d threads x %d ops; lockfree is built with hyper=%v magazine=%d descalgo=%s):\n",
-		a.Name(), threads, ops, cfg.Hyperblocks, cfg.MagazineSize, cfg.DescAlgo)
+	fmt.Fprintf(out, "Live statistics (%s, %d threads x %d ops; lockfree is built with hyper=%v magazine=%d):\n",
+		a.Name(), threads, ops, cfg.Hyperblocks, cfg.MagazineSize)
 	fmt.Fprintln(out, "\nCensus with workload live sets held:")
 	held.WriteText(out)
 	fmt.Fprintln(out, "\nCensus after drain:")

@@ -50,7 +50,7 @@ func TestStaticTables(t *testing.T) {
 func TestLive(t *testing.T) {
 	out := info(t, "-live", "-threads", "2", "-ops", "4000", "-samplerate", "16")
 	wantAll(t, out, "Live statistics (lockfree, 2 threads x 4000 ops; lockfree is built with hyper=true ",
-		"paths: active=", "hyperblocks: ", "desc pool: ", "OS layer (words):",
+		"paths: active=", "hyperblocks: ", "descriptors: ", "OS layer (words):",
 		"Census with workload live sets held:", "totals: ", "Live-block ages", "Census after drain:", "telemetry: ")
 }
 
@@ -81,7 +81,7 @@ func TestLiveEveryBackend(t *testing.T) {
 // TestRejectedConfig: the shared shape flags are validated before any
 // traffic runs.
 func TestRejectedConfig(t *testing.T) {
-	for _, args := range [][]string{{"-descalgo", "nosuch"}, {"-magazine", "-1"}, {"-alloc", "nosuch"}} {
+	for _, args := range [][]string{{"-magazine", "-1"}, {"-alloc", "nosuch"}} {
 		var out, errOut bytes.Buffer
 		if code := run(append([]string{"-live"}, args...), &out, &errOut); code != 1 || strings.Contains(out.String(), "Live statistics") {
 			t.Errorf("heapinfo -live %v: exit %d\n%s", args, code, errOut.String())
@@ -126,7 +126,6 @@ totals: # superblocks, blocks used=# free=# resv=# mag=#, carve waste # words
 %s` + osLayerSkeleton + `Region-bin occupancy (free regions awaiting reuse):
 region words regions
 descriptors: # allocated, # on freelist
-desc pool: freelist backend, # stripes, free per stripe [#]
 Live-block ages (# samples at rate #/#): p#=# p#=# oldest=#
 `
 	buddySkeleton = `buddy: # trees x # words, # grows (# lost races), # hint hits, # scans, #/# beyond-tree
@@ -140,12 +139,12 @@ order block words free used
 // -threads 2 -samplerate 1`: the census held, then drained (when no
 // sampled block is left to be wasteful or to have a call site).
 var liveSkeletons = map[string]string{
-	"lockfree": "Live statistics (lockfree, # threads x # ops; lockfree is built with hyper=true magazine=# descalgo=freelist):\n" +
+	"lockfree": "Live statistics (lockfree, # threads x # ops; lockfree is built with hyper=true magazine=#):\n" +
 		"Census with workload live sets held:\n" +
 		fmt.Sprintf(lockFreeSkeleton, "sampled internal fragmentation: #\n") +
 		"Top call sites by live sampled bytes:\nlive bytes oldest site\n# # # repro/internal/churn.(*Driver).Step (path)\n" +
 		"Census after drain:\n" + fmt.Sprintf(lockFreeSkeleton, ""),
-	"buddy": "Live statistics (buddy, # threads x # ops; lockfree is built with hyper=true magazine=# descalgo=freelist):\n" +
+	"buddy": "Live statistics (buddy, # threads x # ops; lockfree is built with hyper=true magazine=#):\n" +
 		"Census with workload live sets held:\n" + buddySkeleton + "Census after drain:\n" + buddySkeleton,
 }
 
@@ -156,11 +155,11 @@ var liveSkeletons = map[string]string{
 // says where the rest are.
 var parentLines = map[string]map[string]string{
 	"lockfree": {
-		"Live statistics (lockfree, # threads x # ops):":                                        "Live statistics (lockfree, # threads x # ops; lockfree is built with hyper=true magazine=# descalgo=freelist):",
+		"Live statistics (lockfree, # threads x # ops):":                                        "Live statistics (lockfree, # threads x # ops; lockfree is built with hyper=true magazine=#):",
 		"paths: active=# partial=# newSB=# raceLoss=# sbFreed=#":                                "",
 		"descriptors: # allocated, # on freelist; heap max-live # KiB":                          "descriptors: # allocated, # on freelist",
 		"hyperblocks: # allocated, # released":                                                  "",
-		"desc pool: freelist backend, # stripes, free per stripe [# #]":                         "desc pool: freelist backend, # stripes, free per stripe [#]",
+		"desc pool: freelist backend, # stripes, free per stripe [# #]":                         "descriptors: # allocated, # on freelist",
 		"heap: # words live, # region allocs / # frees; # large mallocs, # empty-partial skips": "heap: # words live (max-live # KiB), # region allocs / # frees, external fragmentation #",
 		"Region arenas (#):": "OS layer (words):",
 		"arena reserved live skipped allocs frees reused steals":                        "reserved materialized live skipped allocs frees reused free regions free words occupancy ext frag",
@@ -179,7 +178,7 @@ var parentLines = map[string]map[string]string{
 		"# # # repro/internal/churn.(*Driver).Step (path)":                              "",
 	},
 	"buddy": {
-		"Live statistics (buddy, # threads x # ops):":                                             "Live statistics (buddy, # threads x # ops; lockfree is built with hyper=true magazine=# descalgo=freelist):",
+		"Live statistics (buddy, # threads x # ops):":                                             "Live statistics (buddy, # threads x # ops; lockfree is built with hyper=true magazine=#):",
 		"buddy: # trees x # words, # grows (# lost races), # hint hits, # scans, #/# beyond-tree": "",
 		"Buddy order census (with workload live sets held): ext frag #, # coal bits":              "Buddy order census: ext frag #, # coal bits",
 		"order block words free used":                                                             "",

@@ -5,15 +5,13 @@
 //
 //	mlfstress [-alloc lockfree] [-threads 8] [-ops 200000] [-kills 0]
 //	          [-hyper] [-lifo] [-credits 64] [-seed 1] [-telemetry]
-//	          [-events 16] [-magazine 0] [-descalgo freelist|consttime]
-//	          [-shadow]
+//	          [-events 16] [-magazine 0] [-shadow]
 //
 // -alloc selects the backend under stress from the registry of package
 // alloc (default lockfree, the paper's allocator). Every backend is
 // built by alloc.New and driven by the same churn (internal/churn), in
-// both modes; -hyper, -lifo, -credits and the -magazine/-descalgo
-// shape flags configure the lock-free allocator and are
-// ignored by the others.
+// both modes; -hyper, -lifo, -credits and the -magazine shape flag
+// configure the lock-free allocator and are ignored by the others.
 //
 // Fault injection (-kills N) runs sched.Run against the allocator as
 // configured — every flag above applies, the banner prints the shape
@@ -119,8 +117,8 @@ func run(args []string, stdout, stderr io.Writer) int {
 	// type assertion on a would miss the lock-free allocator behind it.
 	lockFree := a.Name() == "lockfree"
 	if lockFree {
-		shape += fmt.Sprintf(" hyper=%v lifo=%v credits=%d magazine=%d descalgo=%s",
-			cfg.Hyperblocks, cfg.PartialLIFO, cfg.MaxCredits, cfg.MagazineSize, cfg.DescAlgo)
+		shape += fmt.Sprintf(" hyper=%v lifo=%v credits=%d magazine=%d",
+			cfg.Hyperblocks, cfg.PartialLIFO, cfg.MaxCredits, cfg.MagazineSize)
 	}
 
 	var rep alloc.Report

@@ -91,9 +91,8 @@ func TestRejectedConfigStopsBeforeTraffic(t *testing.T) {
 		want string
 	}{
 		{[]string{"-magazine", "-1"}, "MagazineSize"},
-		{[]string{"-descalgo", "nosuch", "-alloc", "hoard"}, `unknown algo "nosuch"`},
+		{[]string{"-magazine", "-1", "-alloc", "hoard"}, "MagazineSize"},
 		{[]string{"-credits", "100", "-kills", "1"}, "MaxCredits"},
-		{[]string{"-descalgo", "bogus"}, "bogus"},
 		{[]string{"-alloc", "bogus"}, "unknown allocator"},
 	} {
 		code, out, errOut := stress(tc.args...)

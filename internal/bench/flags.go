@@ -5,7 +5,6 @@ import (
 
 	"repro/alloc"
 	"repro/internal/core"
-	"repro/internal/pool"
 )
 
 // AllocFlags bundles the allocator-shape flags shared by cmd/benchmal
@@ -14,8 +13,6 @@ import (
 // string instead of being copied per command.
 type AllocFlags struct {
 	Magazine *int
-
-	descAlgo *string
 }
 
 // RegisterAllocFlags registers the shared allocator-shape flags on fs
@@ -24,7 +21,6 @@ type AllocFlags struct {
 func RegisterAllocFlags(fs *flag.FlagSet) *AllocFlags {
 	return &AllocFlags{
 		Magazine: fs.Int("magazine", 0, "thread-local magazine capacity for lock-free allocators (0 = off)"),
-		descAlgo: fs.String("descalgo", "", "descriptor-pool backend: freelist (default) or consttime (Blelloch-Wei)"),
 	}
 }
 
@@ -44,21 +40,11 @@ func RegisterBackendFlags(fs *flag.FlagSet) *BackendFlags {
 	}
 }
 
-// DescAlgo parses the -descalgo flag value.
-func (f *AllocFlags) DescAlgo() (pool.Algo, error) {
-	return pool.ParseAlgo(*f.descAlgo)
-}
-
 // Apply copies the flag values into a core.Config (the caller fills the
-// non-shape fields). It returns an error for an unparsable -descalgo
-// or a resulting configuration that core.Config.Validate rejects.
+// non-shape fields). It returns an error for a resulting configuration
+// that core.Config.Validate rejects.
 func (f *AllocFlags) Apply(cfg core.Config) (core.Config, error) {
-	algo, err := f.DescAlgo()
-	if err != nil {
-		return cfg, err
-	}
 	cfg.MagazineSize = *f.Magazine
-	cfg.DescAlgo = algo
 	return cfg, cfg.Validate()
 }
 

@@ -150,38 +150,3 @@ func (w PassiveFalse) Run(a alloc.Allocator, threads int) Result {
 		return uint64(w.Pairs)
 	})
 }
-
-// DescChurn stresses the descriptor pool: each thread repeatedly
-// allocates a batch of Size-byte blocks and frees them all. With a
-// large size class (few blocks per superblock) every batch creates and
-// empties whole superblocks, so descriptors churn through the pool
-// backend (DescAlloc/DescRetire) at the highest rate the allocator can
-// sustain — the workload behind the poolalgo experiment.
-type DescChurn struct {
-	Rounds int    // batches per thread
-	Batch  int    // blocks per batch (paper-default superblocks: 2048 B → 7 blocks/SB)
-	Size   uint64 // block size in bytes
-}
-
-// Name identifies the workload.
-func (w DescChurn) Name() string { return "desc-churn" }
-
-// Run executes the workload; Ops counts blocks (one malloc + one free).
-func (w DescChurn) Run(a alloc.Allocator, threads int) Result {
-	return measure(w, a, threads, func(_ int, th alloc.Thread) uint64 {
-		blocks := make([]mem.Ptr, w.Batch)
-		for r := 0; r < w.Rounds; r++ {
-			for i := range blocks {
-				p, err := th.Malloc(w.Size)
-				if err != nil {
-					panic(fmt.Sprintf("desc-churn: %v", err))
-				}
-				blocks[i] = p
-			}
-			for i := range blocks {
-				th.Free(blocks[i])
-			}
-		}
-		return uint64(w.Rounds * w.Batch)
-	})
-}

@@ -175,15 +175,10 @@ type Superblocks struct {
 
 // DescPool is the lock-free allocator's descriptor pool.
 type DescPool struct {
-	Algo string `json:"algo"`
 	// Allocated counts descriptors ever carved, OnFreelist those
-	// retired and awaiting reuse, StripeFree the latter per stripe:
-	// one entry, the DescAvail list, for the freelist backend; one per
-	// batch slot (a slot per processor) for consttime, the shared
-	// stacks counted in slot 0.
-	Allocated  uint64   `json:"allocated"`
-	OnFreelist uint64   `json:"onFreelist"`
-	StripeFree []uint64 `json:"stripeFree"`
+	// retired to the DescAvail list and awaiting reuse.
+	Allocated  uint64 `json:"allocated"`
+	OnFreelist uint64 `json:"onFreelist"`
 }
 
 // SiteCensus aggregates live sampled blocks by allocation call site.
@@ -353,12 +348,7 @@ func TakeLockFree(a *core.Allocator) (*Superblocks, *DescPool, *Sampled) {
 		sb.Totals.InternalFragRatio = float64(totSampledWaste) / float64(totSampledClassBytes)
 	}
 
-	dp := &DescPool{
-		Algo:       a.DescAlgo().String(),
-		Allocated:  stats.DescsAllocated,
-		OnFreelist: stats.DescsOnFreelist,
-		StripeFree: a.DescStripeFree(),
-	}
+	dp := &DescPool{Allocated: stats.DescsAllocated, OnFreelist: stats.DescsOnFreelist}
 	return sb, dp, smp
 }
 
@@ -491,14 +481,11 @@ func (dp *DescPool) Key() string { return "descPool" }
 
 func (dp *DescPool) WriteText(w io.Writer) {
 	fmt.Fprintf(w, "descriptors: %d allocated, %d on freelist\n", dp.Allocated, dp.OnFreelist)
-	fmt.Fprintf(w, "desc pool: %s backend, %d stripes, free per stripe %v\n", dp.Algo, len(dp.StripeFree), dp.StripeFree)
 }
 
 func (dp *DescPool) writeMetrics(p *promWriter) {
-	p.header("census_desc_stripe_free", "Retired descriptors per pool stripe.", "gauge")
-	for i, n := range dp.StripeFree {
-		p.sample("census_desc_stripe_free", float64(n), "stripe", strconv.Itoa(i))
-	}
+	p.header("census_desc_free", "Retired descriptors on the DescAvail list.", "gauge")
+	p.sample("census_desc_free", float64(dp.OnFreelist))
 }
 
 func (s *Sampled) Key() string { return "sampler" }

@@ -105,8 +105,8 @@ func TestCensusQuiescent(t *testing.T) {
 	if osl.ReservedWords == 0 || osl.TotalWords == 0 {
 		t.Errorf("ReservedWords = %d of %d despite live superblocks", osl.ReservedWords, osl.TotalWords)
 	}
-	if len(dp.StripeFree) == 0 {
-		t.Error("no descriptor stripes in census")
+	if dp.Allocated == 0 || dp.OnFreelist > dp.Allocated {
+		t.Errorf("descriptor pool: %d on freelist of %d allocated", dp.OnFreelist, dp.Allocated)
 	}
 	if smp.AgeP99NS < smp.AgeP50NS {
 		t.Errorf("age p99 %d < p50 %d", smp.AgeP99NS, smp.AgeP50NS)

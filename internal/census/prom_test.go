@@ -75,7 +75,7 @@ func goldenInputs() (telemetry.Snapshot, *Census) {
 	smp.Ages[17] = 6 // ~0.1 ms
 	smp.Ages[20] = 3 // ~1 ms
 	smp.Ages[21] = 1 // ~2 ms
-	return snap, &Census{Parts: []Part{sb, osl, &DescPool{StripeFree: []uint64{5, 0, 7}}, smp}}
+	return snap, &Census{Parts: []Part{sb, osl, &DescPool{Allocated: 64, OnFreelist: 12}, smp}}
 }
 
 // TestWriteMetricsGolden pins the exposition format byte-for-byte and

@@ -25,7 +25,6 @@ import (
 	"repro/internal/atomicx"
 	"repro/internal/mem"
 	"repro/internal/partial"
-	"repro/internal/pool"
 	"repro/internal/sizeclass"
 	"repro/internal/telemetry"
 )
@@ -38,13 +37,6 @@ type Config struct {
 	// processors). 0 selects GOMAXPROCS at construction time via
 	// DefaultProcessors.
 	Processors int
-
-	// DescAlgo selects the descriptor pool's recycling backend: the
-	// Figure-7 tagged freelist (pool.AlgoFreelist, the zero value) or
-	// the Blelloch–Wei constant-time batch scheme (pool.AlgoConstTime),
-	// with one batch slot per processor — see internal/pool and
-	// DESIGN.md.
-	DescAlgo pool.Algo
 
 	// MaxCredits caps blocks reserved through the Active word at once
 	// (the paper's MAXCREDITS; 0 selects the default and maximum, 64).
@@ -105,8 +97,6 @@ func (cfg Config) Validate() error {
 	switch {
 	case cfg.Processors < 0:
 		return fmt.Errorf("core: Processors %d is negative", cfg.Processors)
-	case cfg.DescAlgo != pool.AlgoFreelist && cfg.DescAlgo != pool.AlgoConstTime:
-		return fmt.Errorf("core: unknown DescAlgo %v", cfg.DescAlgo)
 	case cfg.MaxCredits < 0 || cfg.MaxCredits > atomicx.MaxCredits:
 		return fmt.Errorf("core: MaxCredits %d out of range [0, %d]", cfg.MaxCredits, atomicx.MaxCredits)
 	case cfg.MagazineSize < 0:
@@ -159,7 +149,7 @@ type Allocator struct {
 	// phase a 208- or 224-byte slot happens to start at. Growing the
 	// struct within the padding budget cannot change the layout
 	// (layout.go pins the total with compile-time assertions).
-	_ [72]byte
+	_ [80]byte
 }
 
 // scState is the per-size-class state (paper's sizeclass structure).
@@ -217,7 +207,7 @@ func New(cfg Config) *Allocator {
 		procs:      uint64(cfg.Processors),
 		maxCredits: uint64(cfg.MaxCredits),
 		classes:    make([]scState, sizeclass.NumClasses()),
-		descs:      newDescPool(maxSuperblocks, cfg.Processors, cfg.DescAlgo),
+		descs:      newDescPool(maxSuperblocks, cfg.Processors),
 	}
 	if cfg.Hyperblocks {
 		// 64 superblocks per hyperblock = 1 MiB batches (§3.2.5).
@@ -286,8 +276,8 @@ func (a *Allocator) desc(idx uint64) *Descriptor { return a.descs.Get(idx) }
 
 // stripe is the identity this thread passes the descriptor pool: a pure
 // function of the thread id, like processor-heap selection. The
-// constant-time backend reduces it modulo its slot count; the freelist
-// has the one DescAvail head and ignores it.
+// descriptor pool is the freelist, whose one DescAvail head ignores it;
+// pool's API takes it for its constant-time backend.
 func (t *Thread) stripe() int { return int(t.id) }
 
 // allocSB obtains a superblock region from the OS layer, or through the
@@ -560,15 +550,6 @@ func (a *Allocator) PublishStats() {
 		t.publish()
 	}
 }
-
-// DescAlgo returns the descriptor pool's recycling backend.
-func (a *Allocator) DescAlgo() pool.Algo { return a.descs.Algo() }
-
-// DescStripeFree returns the retired-descriptor counts of the
-// descriptor pool (racy; exact at quiescence): one entry, DescAvail's
-// length, for the freelist; one per batch slot for the constant-time
-// backend (pool.Pool.StripeFree).
-func (a *Allocator) DescStripeFree() []uint64 { return a.descs.StripeFree() }
 
 // ID returns the thread id used for processor-heap selection.
 func (t *Thread) ID() uint64 { return t.id }

@@ -1,11 +1,9 @@
 package core
 
 import (
-	"fmt"
 	"testing"
 
 	"repro/internal/mem"
-	"repro/internal/pool"
 	"repro/internal/telemetry"
 )
 
@@ -90,44 +88,37 @@ func BenchmarkMallocFreeParallel(b *testing.B) {
 	})
 }
 
-// BenchmarkDescChurnParallel stresses the descriptor pool: each
+// BenchmarkDescRecycleParallel stresses the descriptor pool: each
 // iteration allocates a batch of seven-a-superblock blocks spanning many
 // superblocks, then frees them all, so every batch retires its
-// superblocks' descriptors and the next batch reallocates them. The
-// freelist variant is the paper's single DescAvail list; consttime has
-// a batch slot per processor.
-func BenchmarkDescChurnParallel(b *testing.B) {
-	for _, algo := range []pool.Algo{pool.AlgoFreelist, pool.AlgoConstTime} {
-		b.Run(fmt.Sprintf("algo=%s", algo), func(b *testing.B) {
-			cfg := benchConfig()
-			cfg.DescAlgo = algo
-			rec := NewRecorder(telemetry.Config{})
-			cfg.Telemetry = rec
-			a := New(cfg)
-			// 2048-byte blocks: 7 per superblock, so a 64-block batch
-			// churns ~10 superblocks (descriptors) per iteration.
-			const batch, size = 64, 2048
-			b.RunParallel(func(pb *testing.PB) {
-				th := a.Thread()
-				var ptrs [batch]mem.Ptr
-				for pb.Next() {
-					for j := range ptrs {
-						p, err := th.Malloc(size)
-						if err != nil {
-							b.Fatal(err)
-						}
-						ptrs[j] = p
-					}
-					for j := range ptrs {
-						th.Free(ptrs[j])
-					}
+// superblocks' descriptors to the one DescAvail list and the next batch
+// reallocates them.
+func BenchmarkDescRecycleParallel(b *testing.B) {
+	cfg := benchConfig()
+	rec := NewRecorder(telemetry.Config{})
+	cfg.Telemetry = rec
+	a := New(cfg)
+	// 2048-byte blocks: 7 per superblock, so a 64-block batch churns ~10
+	// superblocks (descriptors) per iteration.
+	const batch, size = 64, 2048
+	b.RunParallel(func(pb *testing.PB) {
+		th := a.Thread()
+		var ptrs [batch]mem.Ptr
+		for pb.Next() {
+			for j := range ptrs {
+				p, err := th.Malloc(size)
+				if err != nil {
+					b.Fatal(err)
 				}
-			})
-			retries := rec.Snapshot().Retries
-			descRetries := retries[telemetry.SiteDescAlloc.String()] +
-				retries[telemetry.SiteDescRetire.String()]
-			b.ReportMetric(float64(descRetries)/float64(b.N), "desc-retries/op")
-			b.ReportMetric(float64(retries[telemetry.SitePoolMigrate.String()])/float64(b.N), "migrations/op")
-		})
-	}
+				ptrs[j] = p
+			}
+			for j := range ptrs {
+				th.Free(ptrs[j])
+			}
+		}
+	})
+	retries := rec.Snapshot().Retries
+	descRetries := retries[telemetry.SiteDescAlloc.String()] +
+		retries[telemetry.SiteDescRetire.String()]
+	b.ReportMetric(float64(descRetries)/float64(b.N), "desc-retries/op")
 }

@@ -6,7 +6,6 @@ import (
 
 	"repro/internal/atomicx"
 	"repro/internal/mem"
-	"repro/internal/pool"
 )
 
 // TestWalkAccountingQuiescent checks the census identity the walk
@@ -93,111 +92,6 @@ func TestWalkSuperblocksEarlyStop(t *testing.T) {
 	}
 	th.Free(p1)
 	th.Free(p2)
-}
-
-// TestCensusConstTimeBackendChurn is the census counterpart of the
-// descriptor-backend ablation: with the Blelloch–Wei pool behind the
-// descriptor table, DescStripeFree and WalkSuperblocks must keep their
-// identities while churn runs — the slot walk stays bounded and has
-// one entry per slot (a slot per processor), visited superblocks are internally sane, and at quiescence
-// the walks reconcile exactly with the retired counter.
-func TestCensusConstTimeBackendChurn(t *testing.T) {
-	cfg := testConfig()
-	cfg.DescAlgo = pool.AlgoConstTime
-	cfg.Processors = 3
-	a := newTestAllocator(t, cfg)
-	stop := make(chan struct{})
-	var churn sync.WaitGroup
-	for g := 0; g < 4; g++ {
-		churn.Add(1)
-		go func(g int) {
-			defer churn.Done()
-			th := a.Thread()
-			var held []mem.Ptr
-			// Large-ish blocks (few per superblock) keep descriptors
-			// churning through the constant-time pool.
-			for i := 0; i < 2000; i++ {
-				if len(held) > 12 {
-					for _, p := range held {
-						th.Free(p)
-					}
-					held = held[:0]
-					continue
-				}
-				p, err := th.Malloc(2048)
-				if err != nil {
-					t.Error(err)
-					return
-				}
-				held = append(held, p)
-			}
-			for _, p := range held {
-				th.Free(p)
-			}
-			th.Unregister()
-		}(g)
-	}
-	var walker sync.WaitGroup
-	walker.Add(1)
-	go func() {
-		defer walker.Done()
-		for {
-			select {
-			case <-stop:
-				return
-			default:
-			}
-			free := a.DescStripeFree()
-			if len(free) != a.Processors() {
-				t.Errorf("DescStripeFree has %d slots, want one per processor, %d", len(free), a.Processors())
-				return
-			}
-			var sum uint64
-			for _, n := range free {
-				sum += n
-			}
-			// Racy walk: individual entries may be off by in-flight
-			// batches, but the walk must stay bounded by the table.
-			if sum > 4*(a.descs.Allocated()+1) {
-				t.Errorf("stripe walk unbounded: %d free of %d allocated", sum, a.descs.Allocated())
-				return
-			}
-			var visited uint64
-			a.WalkSuperblocks(func(sb SuperblockInfo) bool {
-				visited++
-				// Limit() is re-read per visit: the pool grows under the
-				// walk, and the walk may legitimately see the new chunk.
-				if limit := a.descs.Limit(); sb.Desc < a.descs.First() || sb.Desc >= limit {
-					t.Errorf("walk visited desc %d outside [%d, %d)", sb.Desc, a.descs.First(), limit)
-					return false
-				}
-				if sb.MaxCount == 0 || sb.FreeCount > sb.MaxCount {
-					t.Errorf("desc %d: free %d / max %d (torn?)", sb.Desc, sb.FreeCount, sb.MaxCount)
-					return false
-				}
-				return true
-			})
-			if visited > a.descs.Allocated() {
-				t.Errorf("walk visited %d descriptors, table holds %d", visited, a.descs.Allocated())
-				return
-			}
-		}
-	}()
-	churn.Wait()
-	close(stop)
-	walker.Wait()
-	// Quiescent: exact identities, including the full CheckInvariants
-	// reconciliation (FreeIndices vs Retired vs Allocated).
-	var sum uint64
-	for _, n := range a.DescStripeFree() {
-		sum += n
-	}
-	if sum != a.descs.Retired() {
-		t.Errorf("quiescent stripe walk %d != retired %d", sum, a.descs.Retired())
-	}
-	if err := a.CheckInvariants(0); err != nil {
-		t.Fatal(err)
-	}
 }
 
 // TestWalkSuperblocksDuringChurn runs the walk concurrently with

@@ -11,7 +11,6 @@ import (
 	"repro/internal/mem"
 	"repro/internal/pool"
 	"repro/internal/sizeclass"
-	"repro/internal/telemetry"
 )
 
 func testConfig() Config {
@@ -292,13 +291,10 @@ func TestDescriptorRecycling(t *testing.T) {
 // TestDescriptorFreelistIsOneHead: the descriptor pool is Figure 7's one
 // DescAvail list. Thread A empties its superblocks, retiring their
 // descriptors; thread B's next superblock, on another processor heap,
-// pops one of them off the same head — no chain moves between heads
-// (pool-migrate) and no new chunk is carved.
+// pops one of them off the same head and no new chunk is carved.
 func TestDescriptorFreelistIsOneHead(t *testing.T) {
 	cfg := testConfig()
 	cfg.Processors = 2
-	rec := NewRecorder(telemetry.Config{})
-	cfg.Telemetry = rec
 	a := New(cfg)
 	ta, tb := a.Thread(), a.Thread()
 	var ptrs [64]mem.Ptr
@@ -325,9 +321,6 @@ func TestDescriptorFreelistIsOneHead(t *testing.T) {
 	}
 	if n := a.descs.Allocated(); n != allocated {
 		t.Errorf("B's superblock grew the descriptor table %d → %d", allocated, n)
-	}
-	if n := rec.Snapshot().Retries[telemetry.SitePoolMigrate.String()]; n != 0 {
-		t.Errorf("%d pool-migrate events, want 0: one DescAvail head has no chain to move", n)
 	}
 	tb.Free(p)
 	if err := a.CheckInvariants(0); err != nil {
@@ -789,33 +782,31 @@ func TestNewFootprint(t *testing.T) {
 // partial lists — and a table that is too small fails Malloc with the
 // pool's wrapped error rather than a panic.
 func TestDescriptorTableFollowsTheHeap(t *testing.T) {
-	for _, algo := range []pool.Algo{pool.AlgoFreelist, pool.AlgoConstTime} {
-		a := New(Config{Processors: 2, DescAlgo: algo, HeapConfig: mem.Config{SegmentWordsLog2: 16, TotalWordsLog2: 20}})
-		th := a.Thread()
-		for round := 0; round < 2; round++ {
-			var held []mem.Ptr
-			var err error
-			for size := uint64(8); err == nil; size = size%2048 + 8 {
-				var p mem.Ptr
-				if p, err = th.Malloc(size); err == nil {
-					held = append(held, p)
-				}
-			}
-			if !errors.Is(err, mem.ErrOutOfMemory) {
-				t.Fatalf("%v round %d: a full heap failed with %v after %d blocks, want mem.ErrOutOfMemory", algo, round, err, len(held))
-			}
-			for _, p := range held {
-				th.Free(p)
+	a := New(Config{Processors: 2, HeapConfig: mem.Config{SegmentWordsLog2: 16, TotalWordsLog2: 20}})
+	th := a.Thread()
+	for round := 0; round < 2; round++ {
+		var held []mem.Ptr
+		var err error
+		for size := uint64(8); err == nil; size = size%2048 + 8 {
+			var p mem.Ptr
+			if p, err = th.Malloc(size); err == nil {
+				held = append(held, p)
 			}
 		}
-		if err := a.CheckInvariants(0); err != nil {
-			t.Fatal(err)
+		if !errors.Is(err, mem.ErrOutOfMemory) {
+			t.Fatalf("round %d: a full heap failed with %v after %d blocks, want mem.ErrOutOfMemory", round, err, len(held))
+		}
+		for _, p := range held {
+			th.Free(p)
 		}
 	}
+	if err := a.CheckInvariants(0); err != nil {
+		t.Fatal(err)
+	}
 
-	a := New(testConfig())
-	a.descs = newDescPool(0, 1, pool.AlgoFreelist) // two usable chunks
-	th := a.Thread()
+	a = New(testConfig())
+	a.descs = newDescPool(0, 1) // two usable chunks
+	th = a.Thread()
 	var err error
 	for n := 0; err == nil && n < 1<<20; n++ {
 		_, err = th.Malloc(sizeclass.MaxPayloadBytes) // few blocks a superblock

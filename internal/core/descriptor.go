@@ -112,19 +112,15 @@ type descPool = pool.Pool[Descriptor, *Descriptor]
 // keeps the EMPTY ones under half of each list — at most one for each
 // live superblock. On top of that comes the chunk of reserved index 0,
 // and two chunks a processor for descriptors that are retired but not
-// where a carving thread looks: with the freelist, a chunk carved by a
-// thread that lost Figure 7's install race (line 9) and is about to be
-// pushed, at most one a processor; with consttime, the two private
-// batches a slot (one slot a processor) that a dry slot may miss. Beyond
-// the table Malloc fails with pool.ErrExhausted.
-func newDescPool(maxSuperblocks uint64, procs int, algo pool.Algo) *descPool {
+// where a carving thread looks: a chunk carved by a thread that lost
+// Figure 7's install race (line 9) and is about to be pushed, at most
+// one a processor, so the second is slack. Beyond the table Malloc
+// fails with pool.ErrExhausted.
+func newDescPool(maxSuperblocks uint64, procs int) *descPool {
 	return pool.New[Descriptor, *Descriptor](pool.Config{
-		ChunkLog2:   descChunkLog2,
-		MaxChunks:   min(1+(2*maxSuperblocks+descChunk-1)/descChunk+2*uint64(procs), maxDescChunks),
-		Stripes:     procs,
-		Algo:        algo,
-		AllocSite:   telemetry.SiteDescAlloc,
-		RetireSite:  telemetry.SiteDescRetire,
-		MigrateSite: telemetry.SitePoolMigrate,
+		ChunkLog2:  descChunkLog2,
+		MaxChunks:  min(1+(2*maxSuperblocks+descChunk-1)/descChunk+2*uint64(procs), maxDescChunks),
+		AllocSite:  telemetry.SiteDescAlloc,
+		RetireSite: telemetry.SiteDescRetire,
 	})
 }

@@ -24,6 +24,9 @@
 //     Swap, so the per-node hot path has no CAS retry loop at all.
 //     Full/partial/empty batches are exchanged through shared tagged
 //     stacks touched once per batchSize operations. See consttime.go.
+//     No allocator or flag selects it: the descriptor pool is the
+//     freelist, and this backend is kept for the perf ledger's
+//     pool.consttime_pair_ns rung, which builds a Pool with it directly.
 package pool
 
 import (
@@ -65,7 +68,7 @@ const (
 	AlgoConstTime
 )
 
-// String returns the flag-friendly name ("freelist", "consttime").
+// String returns the backend's name ("freelist", "consttime").
 func (a Algo) String() string {
 	switch a {
 	case AlgoFreelist:
@@ -74,19 +77,6 @@ func (a Algo) String() string {
 		return "consttime"
 	default:
 		return fmt.Sprintf("Algo(%d)", int(a))
-	}
-}
-
-// ParseAlgo maps a flag string to an Algo. The empty string selects
-// the default freelist backend.
-func ParseAlgo(s string) (Algo, error) {
-	switch s {
-	case "", "freelist":
-		return AlgoFreelist, nil
-	case "consttime":
-		return AlgoConstTime, nil
-	default:
-		return 0, fmt.Errorf("pool: unknown algo %q (want freelist or consttime)", s)
 	}
 }
 
@@ -196,9 +186,6 @@ func New[T any, PT interface {
 // counters recording at the sites named in Config. Safe to call while
 // the pool is in use.
 func (p *Pool[T, PT]) SetTelemetry(st *telemetry.Stripes) { p.tele.Store(st) }
-
-// Algo returns the recycling backend this pool was built with.
-func (p *Pool[T, PT]) Algo() Algo { return p.cfg.Algo }
 
 // unpublishedError is the panic value of a Get for an index whose chunk
 // has not been published: an index Alloc never produced. A typed value

@@ -43,24 +43,6 @@ func forEachAlgo(t *testing.T, f func(t *testing.T, algo Algo)) {
 	}
 }
 
-func TestParseAlgo(t *testing.T) {
-	for _, tc := range []struct {
-		in   string
-		want Algo
-	}{{"", AlgoFreelist}, {"freelist", AlgoFreelist}, {"consttime", AlgoConstTime}} {
-		got, err := ParseAlgo(tc.in)
-		if err != nil || got != tc.want {
-			t.Errorf("ParseAlgo(%q) = %v, %v; want %v", tc.in, got, err, tc.want)
-		}
-	}
-	if _, err := ParseAlgo("bogus"); err == nil {
-		t.Error("ParseAlgo(bogus) succeeded")
-	}
-	if AlgoFreelist.String() != "freelist" || AlgoConstTime.String() != "consttime" {
-		t.Error("Algo.String round-trip broken")
-	}
-}
-
 func TestAllocDistinctAndRecycled(t *testing.T) {
 	forEachAlgo(t, func(t *testing.T, algo Algo) {
 		p := newTestPool(Config{ChunkLog2: 3, MaxChunks: 16, Algo: algo})

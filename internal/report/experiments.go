@@ -11,7 +11,6 @@ import (
 	"repro/alloc"
 	"repro/internal/bench"
 	"repro/internal/core"
-	"repro/internal/pool"
 	"repro/internal/telemetry"
 )
 
@@ -123,10 +122,6 @@ func Experiments(cfg RunConfig) []Experiment {
 		// lock-free size class; 100k churn ops per worker at full scale
 		// shatter and re-coalesce each arena thousands of times.
 		fragChurn = bench.FragChurn{Ops: c.scaleInt(100_000), Slots: 256, MinSize: 16, MaxSize: 8192}
-		// 2048-byte blocks put 7 blocks in each 16 KiB superblock, so every
-		// batch of 64 creates and empties ~10 superblocks: the descriptor
-		// pool is the bottleneck, not block carving.
-		descChurn = bench.DescChurn{Rounds: c.scaleInt(2000), Batch: 64, Size: 2048}
 		prodcons  = func(work int) bench.Workload {
 			return bench.ProducerConsumer{Duration: c.scaleDur(30 * time.Second), Work: work, DBSize: 1 << 20}
 		}
@@ -273,22 +268,6 @@ func Experiments(cfg RunConfig) []Experiment {
 			}),
 		}, "same binary, same run; magazines batch Active/anchor CAS traffic into refills and flushes"),
 	}, {
-		// The descriptor pool's two recycling backends. DescChurn
-		// bottlenecks on descriptor recycling itself; Larson shows the
-		// backend's cost inside a realistic mixed workload. The acceptance
-		// claim: the constant-time backend's desc retries/op is ~0 (its
-		// per-node paths have no CAS loop to retry) with Larson ops/s
-		// within noise of the freelist.
-		ID:    "poolalgo",
-		Title: "Descriptor-pool backend: Figure-7 tagged freelist vs Blelloch-Wei constant-time batches",
-		Paper: "beyond the paper — swaps the DescAvail freelist for the constant-time batch scheme (Blelloch & Wei); compare desc retries/op, malloc p50/p99, and batch handoffs under DescChurn and Larson",
-		spec: sweep("Descriptor-pool backend", []subject{
-			lockfree("freelist (Figure 7)", func(c *core.Config) { c.DescAlgo = pool.AlgoFreelist }),
-			lockfree("consttime (Blelloch-Wei batches)", func(c *core.Config) { c.DescAlgo = pool.AlgoConstTime }),
-		}, loads{descChurn, larson}, []column{descRetriesColumn, descRetriesPerOpColumn, mallocP50Column, mallocP99Column, migrationsColumn},
-			"desc retries = failed CASes at the desc-alloc and desc-retire sites (shared-stack CASes for consttime)",
-			"migrations = batch handoffs via the shared stacks (consttime; the one freelist head has none)"),
-	}, {
 		// The observability tax: sampler off and no walker against
 		// sampler on with a census walker looping beside the workload
 		// (bench.Walked walks where the sampler is on). Both rows have a
@@ -366,10 +345,6 @@ func ByID(cfg RunConfig, id string) (Experiment, bool) {
 	return Experiment{}, false
 }
 
-// descSites are the telemetry sites of the descriptor pool's freelist
-// (the constant-time backend's shared stacks).
-var descSites = []string{"desc-alloc", "desc-retire"}
-
 var (
 	opsColumn     = column{name: "ops/s", value: func(r, _ bench.Result) float64 { return r.OpsPerSec() }}
 	maxLiveColumn = column{name: "maxlive B", value: func(r, _ bench.Result) float64 { return float64(r.MaxLiveBytes) }}
@@ -380,10 +355,7 @@ var (
 	mallocP50Column = telColumn("malloc p50", duration, func(tel *bench.TelemetrySummary) float64 { return positive(tel.MallocP50NS) })
 	mallocP99Column = telColumn("malloc p99", duration, func(tel *bench.TelemetrySummary) float64 { return positive(tel.MallocP99NS) })
 
-	retriesPerOpColumn     = telColumn("retries/op", fixed(4), func(tel *bench.TelemetrySummary) float64 { return tel.RetriesPerOp })
-	descRetriesColumn      = siteColumn("desc retries", false, descSites...)
-	descRetriesPerOpColumn = siteColumn("desc retries/op", true, descSites...)
-	migrationsColumn       = siteColumn("migrations", false, telemetry.SitePoolMigrate.String())
+	retriesPerOpColumn = telColumn("retries/op", fixed(4), func(tel *bench.TelemetrySummary) float64 { return tel.RetriesPerOp })
 )
 
 // positive is v, or for 0 the NaN that prints as "-".
@@ -413,20 +385,4 @@ func censusColumn(name string, show func(float64) string, value func(bench.Resul
 		}
 		return value(r)
 	}, show}
-}
-
-// siteColumn sums the failed CASes at the named telemetry sites, perOp
-// divided by the workload's operation count.
-func siteColumn(name string, perOp bool, sites ...string) column {
-	c := telColumn(name, nil, func(tel *bench.TelemetrySummary) (n float64) {
-		for _, site := range sites {
-			n += float64(tel.RetriesBySite[site])
-		}
-		return n
-	})
-	if perOp {
-		total := c.value
-		c.value, c.show = func(r, ref bench.Result) float64 { return total(r, ref) / float64(r.Ops) }, fixed(6)
-	}
-	return c
 }

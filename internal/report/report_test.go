@@ -165,7 +165,7 @@ func TestMalformedSpecRejected(t *testing.T) {
 // experiment, the ones that name their own included; only the serial
 // reference is measured regardless.
 func TestAllocsHonoured(t *testing.T) {
-	for id, refRuns := range map[string]int{"table1": 3 * scalarReps, "space": 0, "frag": 0, "poolalgo": 0} {
+	for id, refRuns := range map[string]int{"table1": 3 * scalarReps, "space": 0, "frag": 0, "magazine": 0} {
 		t.Run(id, func(t *testing.T) {
 			t.Parallel()
 			var recorded []bench.Result

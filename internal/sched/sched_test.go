@@ -13,7 +13,6 @@ import (
 	"repro/internal/census"
 	"repro/internal/core"
 	"repro/internal/mem"
-	"repro/internal/pool"
 	"repro/internal/sizeclass"
 )
 
@@ -60,20 +59,13 @@ func TestKillAtEveryPointArenas(t *testing.T) {
 }
 
 // TestKillAtEveryPointDescStripes repeats the per-point kill sweep on
-// both descriptor-pool backends: the paper's one DescAvail list
-// (freelist; stripes=1 is the name it had when the list could be
-// striped) and the constant-time backend with one batch slot and with
-// six, its slot count being the processor count. With six, victims die
-// inside raid and park: a batch a dead thread claimed or displaced must
-// never strand the pool.
+// the descriptor pool, the paper's one DescAvail list, with its own
+// seeds and a shorter quota than TestKillAtEveryPoint. (The sweep once
+// also ran a striped list and a constant-time pool; both are gone, and
+// algo=freelist/stripes=1 keeps its name.)
 func TestKillAtEveryPointDescStripes(t *testing.T) {
-	sweepLockFree(t, fmt.Sprintf("algo=%s/stripes=1/", pool.AlgoFreelist), 10000,
-		func(p int64) int64 { return p + 1000 }, core.Config{DescAlgo: pool.AlgoFreelist})
-	for _, slots := range []int64{1, 6} {
-		sweepLockFree(t, fmt.Sprintf("algo=%s/stripes=%d/", pool.AlgoConstTime, slots), 10000,
-			func(p int64) int64 { return p + 1000*slots },
-			core.Config{Processors: int(slots), DescAlgo: pool.AlgoConstTime})
-	}
+	sweepLockFree(t, "algo=freelist/stripes=1/", 10000,
+		func(p int64) int64 { return p + 1000 }, core.Config{})
 }
 
 // TestKillAtEveryPointFewBlockClasses repeats the per-point kill sweep

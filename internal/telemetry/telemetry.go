@@ -77,10 +77,11 @@ const (
 	// SitePartialListGet: retries dequeueing from a size class's
 	// partial list.
 	SitePartialListGet
-	// SiteDescAlloc: retries popping the DescAvail descriptor
-	// freelist (Figure 7).
+	// SiteDescAlloc: retries popping DescAvail, the descriptor pool's
+	// one freelist (Figure 7).
 	SiteDescAlloc
-	// SiteDescRetire: retries pushing onto DescAvail.
+	// SiteDescRetire: retries pushing a descriptor, or a chain of them,
+	// onto DescAvail.
 	SiteDescRetire
 	// SiteRegionPop: retries popping a mem region free-stack bin.
 	SiteRegionPop
@@ -98,12 +99,12 @@ const (
 	SiteMagFlush
 	// SiteRegionBump: retries of the region bump-pointer CAS.
 	SiteRegionBump
-	// SitePoolMigrate: the constant-time descriptor pool's batch
-	// hand-offs — allocations whose slot was dry and took a batch from
-	// the shared stacks or a sibling slot (see internal/pool; the
-	// Figure-7 freelist has one head and never counts here). Unlike the
-	// other sites this counts events, not CAS retries; it shares the
-	// retry plumbing so hand-offs appear in the same reports.
+	// SitePoolMigrate: batch hand-offs of internal/pool's constant-time
+	// backend, for a pool built with it and this site as MigrateSite.
+	// No allocator records here: the descriptor pool is Figure 7's one
+	// freelist, which never counts here. The site stays for the perf
+	// ledger, whose pool.migrations_per_kop reads it and is therefore 0.
+	// Unlike the other sites this counts events, not CAS retries.
 	SitePoolMigrate
 	// SiteBuddyReserve: failed CAS(FREE->OCC) claiming a buddy-tree
 	// node (internal/buddy try_alloc), counted once per node whose
