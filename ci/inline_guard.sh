@@ -7,8 +7,9 @@
 # budget of 80 nodes; an edit that pushes one of these helpers over it
 # costs a call per word silently. This step asks the compiler and fails
 # loudly. It then counts the locked instructions on the paths that end
-# in a CAS, and checks that Heap.Load translates by constants (see the
-# last section).
+# in a CAS, checks that a magazine hit takes none and that recording an
+# operation divides nothing, and checks that Heap.Load translates by
+# constants (see the last sections).
 #
 # mem's accessors are checked where they are declared. pool.Pool is
 # generic, so the compiler only reports on its methods where they are
@@ -16,7 +17,7 @@
 set -eu
 cd "$(dirname "$0")/.."
 
-out=$(go build -gcflags=-m ./internal/mem ./internal/core 2>&1)
+out=$(go build -gcflags=-m ./internal/atomicx ./internal/mem ./internal/core 2>&1)
 status=0
 need() {
 	if ! printf '%s\n' "$out" | grep -Eq "$1"; then
@@ -27,6 +28,9 @@ need() {
 for fn in word Load Store CAS Get Set; do
 	need "can inline \(\*Heap\)\.$fn( |\$)" "can inline (*Heap).$fn"
 done
+# The single-writer store behind Heap.Store and the magazine count.
+need 'can inline PlainStore( |$)' 'can inline atomicx.PlainStore'
+need 'mem\.go:[0-9:]+ inlining call to atomicx\.PlainStore( |$)' 'inlining call to atomicx.PlainStore in (*Heap).Store'
 need 'can inline \(\*Allocator\)\.desc( |$)' 'can inline (*Allocator).desc'
 need 'allocator\.go:[0-9:]+ inlining call to pool\.\(\*Pool\[.*\]\)\.Get( |$)' \
 	'inlining call to pool.(*Pool[...]).Get in (*Allocator).desc'
@@ -59,7 +63,7 @@ inlined_within() {
 inlined_within release release withLink
 inlined_within release release smallPrefix
 if [ "$status" -eq 0 ]; then
-	echo "inline guard: mem.(*Heap).{word,Load,Store,CAS,Get,Set}, pool.(*Pool).Get, core.(*Allocator).desc, (*Thread).bump and the prefix helpers all inline, withLink and smallPrefix inside release"
+	echo "inline guard: atomicx.PlainStore, mem.(*Heap).{word,Load,Store,CAS,Get,Set}, pool.(*Pool).Get, core.(*Allocator).desc, (*Thread).bump and the prefix helpers all inline, withLink and smallPrefix inside release"
 fi
 
 # Locked-instruction count, from the disassembly of a non-race build
@@ -93,6 +97,59 @@ if [ "$(go env GOARCH)" = amd64 ]; then
 			status=1
 		fi
 	done
+	# A magazine hit pair is pop, inlined into malloc, and magazinePut up
+	# to its flush call: the count is the owner's plain store, so neither
+	# may hold a locked instruction. pop's instructions in malloc are those
+	# on pop's lines of magazine.go and the runs of inlined non-core code
+	# (the store helper) that follow them.
+	magazine_locked() { # prints "<xchg> <lock>" on the hit path, or nothing if absent
+		ps=$(grep -n '^func (m \*magazine) pop(' internal/core/magazine.go | cut -d: -f1)
+		pe=$(awk -v s="$ps" 'NR > s && /^}/ { print NR; exit }' internal/core/magazine.go)
+		corefiles=$(cd internal/core && ls *.go | tr '\n' ' ')
+		{
+			go tool objdump -s '^repro/internal/core\.\(\*Thread\)\.malloc$' "$bin/core.test" | sed 's/^/malloc /'
+			go tool objdump -s '^repro/internal/core\.\(\*Thread\)\.magazinePut$' "$bin/core.test" | sed 's/^/put /'
+		} | awk -v ps="$ps" -v pe="$pe" -v core="$corefiles" '
+			BEGIN { n = split(core, f, " "); for (i = 1; i <= n; i++) iscore[f[i]] = 1 }
+			$2 == "TEXT" { seen[$1] = 1; next }
+			{ split($2, loc, ":"); locked = $0 ~ /[ \t](XCHG[BWLQ]?|LOCK)[ \t]/ }
+			$1 == "malloc" {
+				if (loc[1] == "magazine.go" && loc[2] >= ps && loc[2] <= pe) inpop = 1
+				else if (loc[1] in iscore) inpop = 0
+				if (inpop && locked) { if ($0 ~ /XCHG/) x++; else l++ }
+			}
+			$1 == "put" && !flushed {
+				if ($0 ~ /CALL .*flushMagazine/) flushed = 1
+				else if (locked) { if ($0 ~ /XCHG/) x++; else l++ }
+			}
+			END { if (seen["malloc"] && seen["put"]) print x + 0, l + 0 }'
+	}
+	counts=$(magazine_locked)
+	if [ -z "$counts" ]; then
+		echo "inline guard: no code for core.(*Thread).malloc or magazinePut in the test binary" >&2
+		status=1
+	else
+		set -- $counts
+		echo "locked instructions: magazine hit path (pop in malloc, magazinePut to its flush) XCHG=$1 LOCK=$2"
+		if [ "$1" -ne 0 ] || [ "$2" -ne 0 ]; then
+			echo "inline guard: the magazine hit path has $1 XCHG and $2 LOCK; its count store must be plain" >&2
+			status=1
+		fi
+	fi
+	# Recording an operation samples the flight recorder with a mask, not
+	# a modulus: a DIV there is paid on every telemetered malloc and free.
+	divs=$(go tool objdump -s '^repro/internal/telemetry\.\(\*ThreadShard\)\.endOp$' "$bin/core.test" |
+		awk '/^TEXT/ { seen = 1 } /[ \t]I?DIV[BWLQ]?[ \t]/ { d++ } END { if (seen) print d + 0 }')
+	if [ -z "$divs" ]; then
+		echo "inline guard: no code for telemetry.(*ThreadShard).endOp in the test binary" >&2
+		status=1
+	else
+		echo "divisions: telemetry.(*ThreadShard).endOp DIV=$divs"
+		if [ "$divs" -ne 0 ]; then
+			echo "inline guard: telemetry.(*ThreadShard).endOp divides; ring sampling must be a mask" >&2
+			status=1
+		fi
+	fi
 	# A heap word's translation shifts and masks by the constant granule:
 	# a shift by CL means the granule came from the Heap at run time, a
 	# load and a register shuffle on every word. The instruction count of

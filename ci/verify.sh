@@ -119,7 +119,7 @@ stage_smoke() {
 # package's testdata/fuzz and fails the stage (and, committed with its
 # fix, every later `go test`).
 stage_fuzz() {
-	for target in core:FuzzMallocFreeSequence core:FuzzReallocSequence core:FuzzMagazine \
+	for target in core:FuzzMallocFreeSequence core:FuzzMagazine \
 		buddy:FuzzModel chunkheap:FuzzChunkOps; do
 		go test -run=NONE -fuzz="^${target#*:}\$" -fuzztime=10s "./internal/${target%%:*}"
 	done

@@ -11,7 +11,7 @@
 //
 // This package implements those encodings with explicit bit layouts that
 // match the paper's Figure 3, plus a documented stand-in for memory
-// fences.
+// fences, and the one single-writer plain store (PlainStore).
 //
 // Memory fences: the paper targets PowerPC and inserts sync/isync/eieio
 // instructions at specific points (Figure 4 line 12, Figure 6 lines 14
@@ -22,6 +22,8 @@
 // The fence call sites are kept (as Fence calls that compile to
 // nothing) so the correspondence with the paper's code remains visible.
 package atomicx
+
+import "sync/atomic"
 
 // Superblock states, exactly the paper's codes (Figure 3).
 const (
@@ -192,3 +194,21 @@ func Fence() {}
 // a subsequent CAS (free(), Figure 6 line 14). As with Fence, the load
 // and the CAS are Go atomics, which already keep that order.
 func InstructionFence() {}
+
+// PlainStore writes the word at p with a plain store: a MOV on amd64,
+// no barrier of its own. It is for a word that one thread writes and
+// others only read, where the reader needs a value the writer stored,
+// not an ordering with other words: a heap link word that the writer's
+// next CAS publishes (mem.Heap.Store), or a magazine's count that the
+// census sums. Go's memory model makes a racy word-sized read return
+// some value that was written, never a torn one. Under -race it is
+// atomic.StoreUint64, so the detector, which cannot see either
+// argument, does not report the reader (see raceBuild). It must inline
+// (ci/inline_guard.sh).
+func PlainStore(p *uint64, v uint64) {
+	if raceBuild {
+		atomic.StoreUint64(p, v)
+		return
+	}
+	*p = v
+}

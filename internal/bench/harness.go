@@ -15,6 +15,7 @@ import (
 
 	"repro/alloc"
 	"repro/internal/census"
+	"repro/internal/core"
 	"repro/internal/telemetry"
 )
 
@@ -68,24 +69,26 @@ type TelemetrySummary struct {
 	FreeP50NS     uint64            `json:"freeP50NS"`
 	FreeP99NS     uint64            `json:"freeP99NS"`
 
-	// Magazine-layer counters for the interval; all zero when the
-	// magazine layer is off.
+	// Magazine-layer counters for the interval, the lock-free
+	// allocator's core.OpStats deltas; all zero when the magazine layer
+	// is off.
 	MagHits    uint64  `json:"magHits,omitempty"`
 	MagMisses  uint64  `json:"magMisses,omitempty"`
 	MagHitRate float64 `json:"magHitRate,omitempty"`
 	MagFlushes uint64  `json:"magFlushes,omitempty"`
 }
 
-// SummarizeTelemetry digests a snapshot (typically an interval delta
-// from Snapshot.Sub) into the benchmark-row summary.
-func SummarizeTelemetry(s telemetry.Snapshot) *TelemetrySummary {
+// SummarizeTelemetry digests a snapshot and the allocator's operation
+// counters, both interval deltas (Snapshot.Sub, core.OpStats taken
+// before and after), into the benchmark-row summary.
+func SummarizeTelemetry(s telemetry.Snapshot, base, ops core.OpStats) *TelemetrySummary {
 	sites := make(map[string]uint64)
 	for name, n := range s.Retries {
 		if n > 0 {
 			sites[name] = n
 		}
 	}
-	return &TelemetrySummary{
+	tel := &TelemetrySummary{
 		TotalRetries:  s.TotalRetries,
 		RetriesPerOp:  s.RetriesPerOp(),
 		RetriesBySite: sites,
@@ -93,11 +96,14 @@ func SummarizeTelemetry(s telemetry.Snapshot) *TelemetrySummary {
 		MallocP99NS:   s.Malloc.P99NS,
 		FreeP50NS:     s.Free.P50NS,
 		FreeP99NS:     s.Free.P99NS,
-		MagHits:       s.MagHits,
-		MagMisses:     s.MagMisses,
-		MagHitRate:    s.MagHitRate(),
-		MagFlushes:    s.MagFlushes,
+		MagHits:       ops.MagazineHits - base.MagazineHits,
+		MagMisses:     ops.MagazineMisses - base.MagazineMisses,
+		MagFlushes:    ops.MagazineFlushes - base.MagazineFlushes,
 	}
+	if n := tel.MagHits + tel.MagMisses; n > 0 {
+		tel.MagHitRate = float64(tel.MagHits) / float64(n)
+	}
+	return tel
 }
 
 // OpsPerSec returns the throughput.
@@ -230,8 +236,13 @@ func measure(w Workload, a alloc.Allocator, threads int, fn func(id int, th allo
 	h := alloc.HarnessOf(a)
 	rec := h.Recorder()
 	var base telemetry.Snapshot
+	var baseOps core.OpStats
+	ca, isCore := a.(alloc.CoreAccessor)
 	if rec != nil {
 		base = rec.Snapshot()
+		if isCore {
+			baseOps = ca.Core().Stats().Ops
+		}
 	}
 	a.Heap().ResetMaxLive()
 	ops, elapsed := runWorkers(a, threads, fn)
@@ -244,7 +255,11 @@ func measure(w Workload, a alloc.Allocator, threads int, fn func(id int, th allo
 		MaxLiveBytes: a.Heap().Stats().MaxLiveWords * 8,
 	}
 	if rec != nil {
-		r.Telemetry = SummarizeTelemetry(rec.Snapshot().Sub(base))
+		var afterOps core.OpStats
+		if isCore {
+			afterOps = ca.Core().Stats().Ops
+		}
+		r.Telemetry = SummarizeTelemetry(rec.Snapshot().Sub(base), baseOps, afterOps)
 		if rec.Sampler() != nil {
 			s := h.Census().Summary()
 			r.Census = &s

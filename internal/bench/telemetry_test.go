@@ -86,3 +86,28 @@ func TestWalkedWalksOnlyUnderCensus(t *testing.T) {
 		}
 	}
 }
+
+// TestResultMagazineDeltas: a row's magazine columns are the lock-free
+// allocator's core.OpStats over that run alone — every small malloc is
+// a hit or a miss, and the handle's Unregister flush falls inside the
+// interval — so a second run on the same allocator starts from zero.
+func TestResultMagazineDeltas(t *testing.T) {
+	opt := testOptions()
+	opt.LockFree.MagazineSize = 8
+	opt.LockFree.Telemetry = core.NewRecorder(telemetry.Config{})
+	a := alloc.NewLockFree(opt)
+	w := LinuxScalability{Pairs: 2000, Size: 8}
+	for run := 0; run < 2; run++ {
+		tel := w.Run(a, 1).Telemetry
+		if tel == nil {
+			t.Fatal("Result.Telemetry is nil with a recorder attached")
+		}
+		if tel.MagHits+tel.MagMisses != 2000 || tel.MagFlushes == 0 {
+			t.Errorf("run %d: %d hits + %d misses, %d flushes; want 2000 mallocs and the Unregister flush",
+				run, tel.MagHits, tel.MagMisses, tel.MagFlushes)
+		}
+		if want := float64(tel.MagHits) / 2000; tel.MagHitRate != want || want < 0.99 {
+			t.Errorf("run %d: hit rate %v, want %v (>= 0.99 on a pair loop)", run, tel.MagHitRate, want)
+		}
+	}
+}

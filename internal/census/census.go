@@ -429,6 +429,15 @@ var stateLabels = [4]string{
 }
 
 func (sb *Superblocks) writeMetrics(p *promWriter) {
+	// Magazine traffic is core.OpStats', the one count of it; hits are
+	// published in batches (Allocator.Stats).
+	p.header("alloc_magazine_hits_total", "Mallocs served from thread-local magazines.", "counter")
+	p.sample("alloc_magazine_hits_total", float64(sb.Ops.MagazineHits))
+	p.header("alloc_magazine_misses_total", "Mallocs that found their magazine empty.", "counter")
+	p.sample("alloc_magazine_misses_total", float64(sb.Ops.MagazineMisses))
+	p.header("alloc_magazine_flushes_total", "Magazine flush batches spliced back.", "counter")
+	p.sample("alloc_magazine_flushes_total", float64(sb.Ops.MagazineFlushes))
+
 	p.header("census_superblocks", "Superblock descriptors by size class and anchor state.", "gauge")
 	for _, cc := range sb.Classes {
 		cls := strconv.Itoa(cc.Class)

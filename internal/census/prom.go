@@ -103,13 +103,6 @@ func WriteMetrics(w io.Writer, snap telemetry.Snapshot, c *Census) error {
 		p.sample("alloc_latency_ns", float64(row.h.P99NS), "op", row.op, "quantile", "0.99")
 	}
 
-	p.header("alloc_magazine_hits_total", "Mallocs served from thread-local magazines.", "counter")
-	p.sample("alloc_magazine_hits_total", float64(snap.MagHits))
-	p.header("alloc_magazine_misses_total", "Mallocs that found their magazine empty.", "counter")
-	p.sample("alloc_magazine_misses_total", float64(snap.MagMisses))
-	p.header("alloc_magazine_flushes_total", "Magazine flush batches spliced back.", "counter")
-	p.sample("alloc_magazine_flushes_total", float64(snap.MagFlushes))
-
 	if c != nil {
 		for _, part := range c.Parts {
 			part.writeMetrics(p)

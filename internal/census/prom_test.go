@@ -24,9 +24,6 @@ func goldenInputs() (telemetry.Snapshot, *Census) {
 		Threads:      3,
 		Retries:      map[string]uint64{"malloc.active": 7, "free.anchor": 3, "partial.pop": 0},
 		TotalRetries: 10,
-		MagHits:      1200,
-		MagMisses:    80,
-		MagFlushes:   5,
 		Malloc:       telemetry.HistSummary{Count: 1500, P50NS: 96, P90NS: 384, P99NS: 1536},
 		Free:         telemetry.HistSummary{Count: 1400, P50NS: 48, P90NS: 192, P99NS: 768},
 	}
@@ -51,6 +48,7 @@ func goldenInputs() (telemetry.Snapshot, *Census) {
 			BlocksReserved: 32, MagazineCached: 48, CarveWasteWords: 12,
 			InternalFragRatio: 0.25,
 		},
+		Ops: core.OpStats{MagazineHits: 1200, MagazineMisses: 80, MagazineFlushes: 5},
 	}
 	osl := &OSLayer{
 		Stats:      mem.Stats{ReservedWords: 1 << 16, MaterializedWords: 1 << 18, LiveWords: 3 << 14, SkippedWords: 128},

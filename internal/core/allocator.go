@@ -384,7 +384,7 @@ type Thread struct {
 
 	// Pad into the 320-byte size class, a whole number of lines: every
 	// Thread starts on a line boundary (layout.go pins size and phase).
-	_ [56]byte
+	_ [48]byte
 }
 
 // pubBatch is how many events of one batched counter pass between two
@@ -430,6 +430,7 @@ type opCounters struct {
 	magHits           atomic.Uint64
 	magMisses         atomic.Uint64
 	magFlushes        atomic.Uint64
+	magFlushedBlocks  atomic.Uint64
 	partialListDrops  atomic.Uint64
 }
 
@@ -439,20 +440,21 @@ func (c *opCounters) snapshot() OpStats {
 	fa, fp, fn := c.fromActive.Load(), c.fromPartial.Load(), c.fromNewSB.Load()
 	mh := c.magHits.Load()
 	return OpStats{
-		Mallocs:           mh + fa + fp + fn,
-		Frees:             c.frees.Load(),
-		LargeMallocs:      c.largeMallocs.Load(),
-		LargeFrees:        c.largeFrees.Load(),
-		FromActive:        fa,
-		FromPartial:       fp,
-		FromNewSB:         fn,
-		NewSBRaceLoss:     c.newSBRaceLoss.Load(),
-		EmptySBFreed:      c.emptySBFreed.Load(),
-		EmptyPartialSkips: c.emptyPartialSkips.Load(),
-		MagazineHits:      mh,
-		MagazineMisses:    c.magMisses.Load(),
-		MagazineFlushes:   c.magFlushes.Load(),
-		PartialListDrops:  c.partialListDrops.Load(),
+		Mallocs:               mh + fa + fp + fn,
+		Frees:                 c.frees.Load(),
+		LargeMallocs:          c.largeMallocs.Load(),
+		LargeFrees:            c.largeFrees.Load(),
+		FromActive:            fa,
+		FromPartial:           fp,
+		FromNewSB:             fn,
+		NewSBRaceLoss:         c.newSBRaceLoss.Load(),
+		EmptySBFreed:          c.emptySBFreed.Load(),
+		EmptyPartialSkips:     c.emptyPartialSkips.Load(),
+		MagazineHits:          mh,
+		MagazineMisses:        c.magMisses.Load(),
+		MagazineFlushes:       c.magFlushes.Load(),
+		MagazineFlushedBlocks: c.magFlushedBlocks.Load(),
+		PartialListDrops:      c.partialListDrops.Load(),
 	}
 }
 
@@ -479,8 +481,10 @@ type OpStats struct {
 	MagazineHits   uint64
 	MagazineMisses uint64
 	// MagazineFlushes counts superblock groups spliced back into
-	// anchors by magazine flushes (one CAS each).
-	MagazineFlushes uint64
+	// anchors by magazine flushes (one CAS each), and
+	// MagazineFlushedBlocks the blocks those groups carried.
+	MagazineFlushes       uint64
+	MagazineFlushedBlocks uint64
 	// PartialListDrops counts descriptors dropped because the partial
 	// list could not accept them (node-pool exhaustion — a bounded
 	// leak of superblock capacity in place of the pre-pool panic;
@@ -502,6 +506,7 @@ func (s *OpStats) add(o OpStats) {
 	s.MagazineHits += o.MagazineHits
 	s.MagazineMisses += o.MagazineMisses
 	s.MagazineFlushes += o.MagazineFlushes
+	s.MagazineFlushedBlocks += o.MagazineFlushedBlocks
 	s.PartialListDrops += o.PartialListDrops
 }
 

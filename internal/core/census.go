@@ -9,7 +9,11 @@ package core
 // maxcount summed with Active reservations) hold exactly only at
 // quiescence; a live walk can be off by in-flight operations.
 
-import "repro/internal/atomicx"
+import (
+	"sync/atomic"
+
+	"repro/internal/atomicx"
+)
 
 // SuperblockInfo describes one initialized superblock descriptor as
 // observed by WalkSuperblocks.
@@ -98,17 +102,17 @@ func (a *Allocator) WalkActive(visit func(ActiveInfo)) {
 }
 
 // MagazineCounts returns the number of magazine-cached blocks per size
-// class, summed over all registered threads. Each magazine's count is a
-// single-writer atomic maintained by its owning thread, so the sum is
-// safe (and exact per magazine) during churn; the thread-list mutex is
-// held only to stabilize the registry slice.
+// class, summed over all registered threads. Each magazine's count is
+// its stack index, stored only by its owning thread and loaded here
+// atomically, so the sum is safe (and exact per magazine) during churn;
+// the thread-list mutex is held only to stabilize the registry slice.
 func (a *Allocator) MagazineCounts() []uint64 {
 	out := make([]uint64, len(a.classes))
 	a.mu.Lock()
 	defer a.mu.Unlock()
 	for _, t := range a.threads {
 		for cls := range t.mags {
-			out[cls] += t.mags[cls].n.Load()
+			out[cls] += atomic.LoadUint64(&t.mags[cls].n)
 		}
 	}
 	return out

@@ -107,53 +107,6 @@ func FuzzMallocFreeSequence(f *testing.F) {
 	})
 }
 
-// FuzzReallocSequence drives Realloc with arbitrary grow/shrink
-// patterns, verifying the preserved prefix every step.
-func FuzzReallocSequence(f *testing.F) {
-	f.Add([]byte{1, 200, 3, 255, 0, 9})
-	f.Add([]byte{255, 254, 253, 1, 2, 3})
-	f.Fuzz(func(t *testing.T, data []byte) {
-		if len(data) > 512 {
-			data = data[:512]
-		}
-		a := New(Config{
-			Processors: 1,
-			HeapConfig: mem.Config{SegmentWordsLog2: 16, TotalWordsLog2: 26},
-		})
-		th := a.Thread()
-		p, err := th.MallocZeroed(8)
-		if err != nil {
-			t.Fatal(err)
-		}
-		knownWords := uint64(1)
-		a.heap.Set(p, 42)
-		for i, b := range data {
-			newSize := (uint64(b) + 1) * 16 // 16..4096 bytes
-			np, err := th.Realloc(p, newSize)
-			if err != nil {
-				t.Fatalf("op %d: realloc(%d): %v", i, newSize, err)
-			}
-			p = np
-			keep := knownWords
-			if w := newSize / mem.WordBytes; w < keep {
-				keep = w
-			}
-			if keep > 0 && a.heap.Get(p) != 42 {
-				t.Fatalf("op %d: first word lost", i)
-			}
-			knownWords = newSize / mem.WordBytes
-			if knownWords == 0 {
-				knownWords = 1
-			}
-			a.heap.Set(p, 42)
-		}
-		th.Free(p)
-		if err := a.CheckInvariants(0); err != nil {
-			t.Fatal(err)
-		}
-	})
-}
-
 // FuzzMagazine drives a magazine-enabled allocator with a byte-coded
 // op sequence — the first byte picks the magazine size, every 0x7f
 // byte forces a full flush at an arbitrary point — and proves payload

@@ -3,6 +3,7 @@ package core
 import (
 	"fmt"
 	"math/bits"
+	"sync/atomic"
 
 	"repro/internal/atomicx"
 )
@@ -134,10 +135,8 @@ func (a *Allocator) magazineScan() (magBlocks map[uint64]map[uint64]bool, totalM
 	defer a.mu.Unlock()
 	for _, t := range a.threads {
 		for cls := range t.mags {
-			if got, want := t.mags[cls].n.Load(), uint64(len(t.mags[cls].blocks)); got != want {
-				return nil, 0, fmt.Errorf("thread %d magazine class %d: census count %d, slice holds %d", t.id, cls, got, want)
-			}
-			for _, p := range t.mags[cls].blocks {
+			mag := &t.mags[cls]
+			for _, p := range mag.buf[:atomic.LoadUint64(&mag.n)] {
 				prefix := a.heap.Load(p - 1)
 				if prefixIsLarge(prefix) {
 					return nil, 0, fmt.Errorf("thread %d magazine class %d caches %#x with large-block prefix", t.id, cls, p)

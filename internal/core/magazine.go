@@ -34,48 +34,50 @@ package core
 
 import (
 	"math/bits"
-	"sync/atomic"
 
 	"repro/internal/atomicx"
 	"repro/internal/mem"
 	"repro/internal/telemetry"
 )
 
-// magazine is one thread's private cache of blocks for one size class.
-// Only the owning thread touches it; blocks it holds are, from the
-// shared structures' point of view, simply allocated.
+// magazine is one thread's private cache of blocks for one size class:
+// a LIFO stack, buf[:n], so the most recently freed block is reused
+// first. Only the owning thread touches it; blocks it holds are, from
+// the shared structures' point of view, simply allocated.
+//
+// n is the stack index and the only count of cached blocks. The owner
+// stores it with atomicx.PlainStore once per mutation, after the slots
+// it covers are written, and the census loads it atomically: a reader
+// needs some count the owner stored, not an ordering with the slots,
+// so a magazine hit pair takes no locked instruction.
 type magazine struct {
-	blocks []mem.Ptr // LIFO: the most recently freed block is reused first
-
-	// n mirrors len(blocks) for concurrent readers (the heap census).
-	// Single-writer: only the owning thread stores it, immediately
-	// after every mutation of blocks, so at any hook point n matches
-	// the slice exactly (CheckInvariants cross-checks).
-	n atomic.Uint64
+	buf []mem.Ptr // MagazineSize slots, allocated on first use
+	n   uint64
 }
 
-// magPop takes the hottest cached block, or 0.
+// pop takes the hottest cached block, or 0.
 func (m *magazine) pop() mem.Ptr {
-	n := len(m.blocks)
+	n := m.n
 	if n == 0 {
 		return 0
 	}
-	p := m.blocks[n-1]
-	m.blocks = m.blocks[:n-1]
-	m.n.Store(uint64(n - 1))
-	return p
+	n--
+	atomicx.PlainStore(&m.n, n)
+	return m.buf[n]
 }
 
 // magazinePut caches a freed block, flushing half the magazine back to
 // the shared structures when the high watermark is reached.
 func (t *Thread) magazinePut(cls int, ptr mem.Ptr) {
 	mag := &t.mags[cls]
-	if mag.blocks == nil {
-		mag.blocks = make([]mem.Ptr, 0, t.magCap)
+	if mag.buf == nil {
+		mag.buf = make([]mem.Ptr, t.magCap)
 	}
-	mag.blocks = append(mag.blocks, ptr)
-	mag.n.Store(uint64(len(mag.blocks)))
-	if len(mag.blocks) >= t.magCap {
+	n := mag.n
+	mag.buf[n] = ptr
+	n++
+	atomicx.PlainStore(&mag.n, n)
+	if n >= uint64(t.magCap) {
 		t.flushMagazine(cls, t.magCap/2)
 	}
 }
@@ -123,14 +125,14 @@ func (t *Thread) refillFromActive(h *ProcHeap, mag *magazine) mem.Ptr {
 	sz := desc.Size()
 	tookLast := k == oldActive.Credits+1
 
-	if mag.blocks == nil {
-		mag.blocks = make([]mem.Ptr, 0, t.magCap)
+	if mag.buf == nil {
+		mag.buf = make([]mem.Ptr, t.magCap)
 	}
-	// The pops fill a local slice header over the magazine's spare
-	// capacity; the magazine itself is published once, after the last
-	// pop, so a kill at a hook point in between leaks the popped blocks
-	// exactly as it leaks the reservations, with n == len(blocks).
-	blocks := mag.blocks
+	// The pops fill the slots above the stack index; n is stored once,
+	// after the last pop, so a kill at a hook point in between leaks the
+	// popped blocks exactly as it leaks the reservations, and the census
+	// never counts a slot that is not yet the magazine's.
+	n := mag.n
 	var ret mem.Ptr
 	for i := uint64(0); i < k; i++ {
 		var addr mem.Ptr
@@ -156,11 +158,11 @@ func (t *Thread) refillFromActive(h *ProcHeap, mag *magazine) mem.Ptr {
 		if i == 0 {
 			ret = addr.Add(1)
 		} else {
-			blocks = append(blocks, addr.Add(1))
+			mag.buf[n] = addr.Add(1)
+			n++
 		}
 	}
-	mag.blocks = blocks
-	mag.n.Store(uint64(len(blocks)))
+	atomicx.PlainStore(&mag.n, n)
 	// One user-visible malloc was satisfied from the active superblock;
 	// the cached remainder surfaces later as magazine hits.
 	t.bump(&t.fromActive, &t.ops.fromActive)
@@ -175,27 +177,27 @@ func (t *Thread) refillFromActive(h *ProcHeap, mag *magazine) mem.Ptr {
 func (t *Thread) flushMagazine(cls, keep int) {
 	a := t.a
 	mag := &t.mags[cls]
-	for len(mag.blocks) > keep {
-		n := len(mag.blocks) - keep
-		descIdx := prefixDesc(a.heap.Load(mag.blocks[0] - 1))
+	for mag.n > uint64(keep) {
+		blocks := mag.buf[:mag.n]
+		n := len(blocks) - keep
+		descIdx := prefixDesc(a.heap.Load(blocks[0] - 1))
 		// Collect the group (same superblock, within the flush window)
 		// and compact the survivors in place. The group is removed from
 		// the magazine before the splice so that a thread killed
 		// mid-splice leaks the group instead of double-accounting it.
 		group := t.magScratch[:0]
-		rest := mag.blocks[:0]
-		for i, p := range mag.blocks {
+		rest := blocks[:0]
+		for i, p := range blocks {
 			if i < n && prefixDesc(a.heap.Load(p-1)) == descIdx {
 				group = append(group, p)
 			} else {
 				rest = append(rest, p)
 			}
 		}
-		mag.blocks = rest
-		// Count updated before the splice: a thread killed inside
-		// spliceGroup leaves n == len(blocks), so a concurrent census
-		// never double-counts the in-flight group.
-		mag.n.Store(uint64(len(mag.blocks)))
+		// Count stored before the splice: a thread killed inside
+		// spliceGroup leaves the group outside buf[:n], so a concurrent
+		// census never double-counts the in-flight group.
+		atomicx.PlainStore(&mag.n, uint64(len(rest)))
 		t.magScratch = group[:0] // retain scratch capacity across flushes
 		t.spliceGroup(descIdx, group)
 	}
@@ -221,9 +223,7 @@ func (t *Thread) spliceGroup(descIdx uint64, group []mem.Ptr) {
 	m := uint64(len(group))
 	t.release(descIdx, idxOf(group[0]), group[m-1]-1, m, HookMagFlushBeforeSplice, telemetry.SiteMagFlush)
 	t.ops.magFlushes.Add(1)
-	if t.rec != nil {
-		t.rec.MagFlush(m)
-	}
+	t.ops.magFlushedBlocks.Add(m)
 }
 
 // FlushMagazines returns every magazine-cached block to its superblock
@@ -232,7 +232,7 @@ func (t *Thread) spliceGroup(descIdx uint64, group []mem.Ptr) {
 // Malloc and Free it must only be called by the owning goroutine.
 func (t *Thread) FlushMagazines() {
 	for cls := range t.mags {
-		if len(t.mags[cls].blocks) > 0 {
+		if t.mags[cls].n > 0 {
 			t.flushMagazine(cls, 0)
 		}
 	}

@@ -104,14 +104,14 @@ func TestMagazineUnregisterFlush(t *testing.T) {
 	}
 	cached := 0
 	for cls := range th.mags {
-		cached += len(th.mags[cls].blocks)
+		cached += int(th.mags[cls].n)
 	}
 	if cached == 0 {
 		t.Fatal("no blocks cached before Unregister")
 	}
 	th.Unregister()
 	for cls := range th.mags {
-		if n := len(th.mags[cls].blocks); n != 0 {
+		if n := th.mags[cls].n; n != 0 {
 			t.Errorf("class %d still caches %d blocks after Unregister", cls, n)
 		}
 	}
@@ -373,8 +373,67 @@ func TestMagazineDisabledUnchanged(t *testing.T) {
 	}
 	th.Unregister()
 	ops := a.Stats().Ops
-	if ops.MagazineHits+ops.MagazineMisses+ops.MagazineFlushes != 0 {
+	if ops.MagazineHits+ops.MagazineMisses+ops.MagazineFlushes+ops.MagazineFlushedBlocks != 0 {
 		t.Errorf("magazine counters moved with layer disabled: %+v", ops)
+	}
+	if err := a.CheckInvariants(0); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// TestMagazineOpStatsExact scripts one thread through a magazine of 8
+// and checks core.OpStats, the only count of magazine traffic, at every
+// step, with the census count beside it. 8-byte blocks of one fresh
+// superblock: a refill takes 8/2+1 blocks and caches 4, the 8th cached
+// block flushes the 4 oldest, and every flush is one group.
+func TestMagazineOpStatsExact(t *testing.T) {
+	a := newTestAllocator(t, magConfig(8))
+	th := a.Thread()
+	cls := a.classes[0].class.Index
+	check := func(step string, hits, misses, flushes, flushed, cached uint64) {
+		t.Helper()
+		a.PublishStats()
+		o := a.Stats().Ops
+		if o.MagazineHits != hits || o.MagazineMisses != misses || o.MagazineFlushes != flushes || o.MagazineFlushedBlocks != flushed {
+			t.Fatalf("%s: hits/misses/flushes/flushed blocks = %d/%d/%d/%d, want %d/%d/%d/%d", step,
+				o.MagazineHits, o.MagazineMisses, o.MagazineFlushes, o.MagazineFlushedBlocks, hits, misses, flushes, flushed)
+		}
+		if got := a.MagazineCounts()[cls]; got != cached {
+			t.Fatalf("%s: census counts %d cached blocks, want %d", step, got, cached)
+		}
+	}
+	var ptrs []mem.Ptr
+	malloc := func() {
+		p, err := th.Malloc(8)
+		if err != nil {
+			t.Fatal(err)
+		}
+		ptrs = append(ptrs, p)
+	}
+	malloc() // miss, Active NULL: a new superblock serves it
+	check("first malloc", 0, 1, 0, 0, 0)
+	malloc() // miss: the refill returns one block and caches 4
+	check("second malloc", 0, 2, 0, 0, 4)
+	for i := 0; i < 4; i++ {
+		malloc()
+	}
+	check("four hits", 4, 2, 0, 0, 0)
+	malloc()
+	check("third miss", 4, 3, 0, 0, 4)
+	for i, p := range ptrs {
+		th.Free(p)
+		if i == 3 {
+			check("8th cached block", 4, 3, 1, 4, 4)
+		}
+	}
+	check("all freed", 4, 3, 1, 4, 7)
+	if err := a.CheckInvariants(0); err != nil {
+		t.Fatal(err)
+	}
+	th.Unregister()
+	check("unregistered", 4, 3, 2, 11, 0)
+	if o := a.Stats().Ops; o.Mallocs != 7 || o.Frees != 7 {
+		t.Errorf("Mallocs/Frees = %d/%d, want 7/7", o.Mallocs, o.Frees)
 	}
 	if err := a.CheckInvariants(0); err != nil {
 		t.Fatal(err)

@@ -45,15 +45,9 @@ func (t *Thread) malloc(size uint64) (mem.Ptr, int, error) {
 			// Magazine hit: the block is thread-private and its prefix
 			// is still in place — no shared word is touched.
 			t.bump(&t.magHits, &t.ops.magHits)
-			if t.rec != nil {
-				t.rec.MagHit()
-			}
 			return p, cls, nil
 		}
 		t.ops.magMisses.Add(1)
-		if t.rec != nil {
-			t.rec.MagMiss()
-		}
 		if p := t.refillFromActive(t.findHeap(sc), mag); !p.IsNil() {
 			return p, cls, nil
 		}

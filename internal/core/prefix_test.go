@@ -112,7 +112,7 @@ func TestMallocWritesNoHeapWord(t *testing.T) {
 	a, th = newThread(4)
 	p = malloc(th) // magazine miss, Active NULL: carves
 	unwritten("magazine refill", a, th, p)
-	if n := len(th.mags[cls.Index].blocks); th.fromActive != 1 || n == 0 {
+	if n := th.mags[cls.Index].n; th.fromActive != 1 || n == 0 {
 		t.Fatalf("second malloc was not a batched refill (fromActive = %d, %d blocks cached)", th.fromActive, n)
 	}
 }

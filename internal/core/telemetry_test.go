@@ -19,7 +19,7 @@ import (
 func TestTelemetryIntegration(t *testing.T) {
 	cfg := testConfig()
 	cfg.Processors = 2 // force heap sharing so retries actually occur
-	rec := NewRecorder(telemetry.Config{RingSize: 256, RingSample: 4})
+	rec := NewRecorder(telemetry.Config{})
 	cfg.Telemetry = rec
 	a := New(cfg)
 	if a.Telemetry() != rec {

@@ -18,7 +18,7 @@
 //     heap: Load is an atomic read (a plain MOV on amd64), Store the
 //     paper's plain store, which the caller's next CAS publishes, and
 //     CAS a locked instruction. Under -race Store is atomic too (see
-//     raceBuild). Payload accesses may use Get and Set.
+//     atomicx.PlainStore). Payload accesses may use Get and Set.
 //
 //   - The OS layer (AllocRegion/FreeRegion) hands out page-granular
 //     regions, exactly the role mmap/munmap play in the paper: it serves
@@ -315,14 +315,8 @@ func (h *Heap) Load(p Ptr) uint64 { return atomic.LoadUint64(h.word(p)) }
 // thread publishes it, as every caller does with a CAS (or a lock
 // release) after its stores; on amd64 that saves a locked XCHG per
 // word. Under -race it is atomic.StoreUint64, so the detector does not
-// report a stale reader's Load racing with it (see raceBuild).
-func (h *Heap) Store(p Ptr, v uint64) {
-	if raceBuild {
-		atomic.StoreUint64(h.word(p), v)
-		return
-	}
-	*h.word(p) = v
-}
+// report a stale reader's Load racing with it (atomicx.PlainStore).
+func (h *Heap) Store(p Ptr, v uint64) { atomicx.PlainStore(h.word(p), v) }
 
 // CAS performs a compare-and-swap on the word at p.
 func (h *Heap) CAS(p Ptr, old, new uint64) bool {

@@ -199,12 +199,6 @@ func NewWith(a *core.Allocator, cores, batch int) *Engine {
 // Allocator returns the underlying core allocator.
 func (e *Engine) Allocator() *core.Allocator { return e.a }
 
-// Cores returns the configured allocation-core count.
-func (e *Engine) Cores() int { return e.cores }
-
-// Batch returns the refill/free batch size.
-func (e *Engine) Batch() int { return e.batch }
-
 // SetQueueBound overrides the queue-depth backpressure bound (in
 // requests). Tests use a tiny bound to force the fallback path.
 func (e *Engine) SetQueueBound(n int) { e.bound.Store(int64(n)) }

@@ -35,7 +35,7 @@ type Oracle struct {
 	freed       map[mem.Ptr]*blockRec // most recent free per address
 	livePages   map[uint64][]*blockRec
 	poisonPages map[uint64][]*blockRec
-	viol        []Violation
+	first       Violation // the first violation recorded, for Err
 	nViol       uint64
 }
 
@@ -255,16 +255,7 @@ func (o *Oracle) Err() error {
 	if o.nViol == 0 {
 		return nil
 	}
-	return fmt.Errorf("shadow: %d violation(s), first: %w", o.nViol, o.viol[0])
-}
-
-// Violations returns the retained violations (at most maxViolations).
-func (o *Oracle) Violations() []Violation {
-	o.mu.Lock()
-	defer o.mu.Unlock()
-	out := make([]Violation, len(o.viol))
-	copy(out, o.viol)
-	return out
+	return fmt.Errorf("shadow: %d violation(s), first: %w", o.nViol, o.first)
 }
 
 // LiveBlocks returns the number of blocks the model believes live.
@@ -338,12 +329,10 @@ func (o *Oracle) containing(p mem.Ptr) *blockRec {
 }
 
 func (o *Oracle) recordLocked(vs []Violation) {
-	for _, v := range vs {
-		if len(o.viol) < maxViolations {
-			o.viol = append(o.viol, v)
-		}
-		o.nViol++
+	if len(vs) > 0 && o.nViol == 0 {
+		o.first = vs[0]
 	}
+	o.nViol += uint64(len(vs))
 }
 
 // report delivers violations outside the model lock: to OnViolation in

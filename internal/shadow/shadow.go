@@ -60,10 +60,6 @@ const PoisonWord = 0xdeadbeefcafef00d
 // the canary immediately anyway).
 const maxPoisonWords = 4096
 
-// maxViolations bounds how many violations are retained for
-// Violations()/Err() (the count is always exact).
-const maxViolations = 64
-
 // Config parameterizes an Oracle.
 type Config struct {
 	// Name identifies the allocator under test in violation reports
@@ -97,7 +93,7 @@ type Config struct {
 	// OnViolation, when non-nil, receives each violation instead of the
 	// default behaviour (panic with the full report and, when Telemetry
 	// is set, a flight-recorder dump). Harnesses that want to finish the
-	// run and inspect Violations()/Err() set a collecting func here.
+	// run and inspect Err() set a collecting func here.
 	OnViolation func(Violation)
 
 	// Telemetry, when set, contributes a flight-recorder tail to

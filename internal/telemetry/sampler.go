@@ -55,9 +55,6 @@ type sampleSlot struct {
 }
 
 func newSampler(rate, slots int) *Sampler {
-	if slots <= 0 {
-		slots = 2048
-	}
 	n := 1
 	for n < slots {
 		n <<= 1

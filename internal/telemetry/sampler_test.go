@@ -72,7 +72,7 @@ func TestSamplerEviction(t *testing.T) {
 }
 
 func TestShardSampleRate(t *testing.T) {
-	r := New(Config{SampleRate: 4, SampleSlots: 64})
+	r := New(Config{SampleRate: 4})
 	if r.Sampler() == nil {
 		t.Fatal("no sampler with SampleRate set")
 	}

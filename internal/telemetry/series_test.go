@@ -11,11 +11,11 @@ import (
 // other.
 func snapAt(n uint64) Snapshot {
 	return Snapshot{
-		TakenUnixNano: int64(n),
-		TotalRetries:  n,
-		MagHits:       n,
-		Retries:       map[string]uint64{"site": n},
-		Malloc:        HistSummary{Count: n},
+		TakenUnixNano:  int64(n),
+		TotalRetries:   n,
+		EventsRecorded: n,
+		Retries:        map[string]uint64{"site": n},
+		Malloc:         HistSummary{Count: n},
 	}
 }
 
@@ -125,7 +125,7 @@ func TestSeriesConcurrentChurn(t *testing.T) {
 func checkPoint(t *testing.T, pt SeriesPoint) {
 	t.Helper()
 	n := pt.Snapshot.TotalRetries
-	if pt.Snapshot.MagHits != n || pt.Snapshot.Retries["site"] != n ||
+	if pt.Snapshot.EventsRecorded != n || pt.Snapshot.Retries["site"] != n ||
 		pt.Snapshot.Malloc.Count != n || pt.TakenUnixNano != int64(n) {
 		t.Errorf("torn point seq %d: %+v", pt.Seq, pt.Snapshot)
 	}
@@ -153,7 +153,6 @@ func TestSnapshotSubConcurrentRecorder(t *testing.T) {
 				}
 				sh.BeginOp()
 				sh.Retry(SiteActivePop)
-				sh.MagHit()
 				sh.EndMalloc(i%4, time.Nanosecond, uint64(i))
 			}
 		}(uint64(w))
@@ -165,7 +164,7 @@ func TestSnapshotSubConcurrentRecorder(t *testing.T) {
 		// Counters only grow, so every field of the delta is >= 0 in
 		// uint space; a race or aliased map would show up as a huge
 		// wrapped value or as the detector firing.
-		if d.TotalRetries > 1<<62 || d.MagHits > 1<<62 || d.Malloc.Count > 1<<62 {
+		if d.TotalRetries > 1<<62 || d.Malloc.Count > 1<<62 {
 			t.Fatalf("negative interval delta: %+v", d)
 		}
 		// The delta aliasing nothing: mutating it must not disturb the

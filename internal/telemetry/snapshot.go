@@ -54,15 +54,6 @@ type Snapshot struct {
 	// TotalRetries is the sum over all sites.
 	TotalRetries uint64 `json:"totalRetries"`
 
-	// Magazine-layer counters, summed over thread shards (all zero
-	// when Config.MagazineSize is 0): mallocs served from thread-local
-	// magazines, misses that triggered a batched refill, flush batches
-	// spliced back, and blocks those batches returned.
-	MagHits          uint64 `json:"magHits,omitempty"`
-	MagMisses        uint64 `json:"magMisses,omitempty"`
-	MagFlushes       uint64 `json:"magFlushes,omitempty"`
-	MagFlushedBlocks uint64 `json:"magFlushedBlocks,omitempty"`
-
 	// Malloc and Free aggregate latency over all size classes
 	// (including large blocks).
 	Malloc HistSummary `json:"malloc"`
@@ -95,10 +86,6 @@ func (r *Recorder) Snapshot() Snapshot {
 		for i := range sh.retries {
 			siteTotals[i] += sh.retries[i].Load()
 		}
-		s.MagHits += sh.magHits.Load()
-		s.MagMisses += sh.magMisses.Load()
-		s.MagFlushes += sh.magFlushes.Load()
-		s.MagFlushedBlocks += sh.magFlushed.Load()
 	}
 	for i := range r.stripes.stripes {
 		st := &r.stripes.stripes[i]
@@ -167,16 +154,6 @@ func (s Snapshot) Sub(base Snapshot) Snapshot {
 		out.Retries[k] = d
 		out.TotalRetries += d
 	}
-	sub := func(a, b uint64) uint64 {
-		if b > a {
-			return 0
-		}
-		return a - b
-	}
-	out.MagHits = sub(s.MagHits, base.MagHits)
-	out.MagMisses = sub(s.MagMisses, base.MagMisses)
-	out.MagFlushes = sub(s.MagFlushes, base.MagFlushes)
-	out.MagFlushedBlocks = sub(s.MagFlushedBlocks, base.MagFlushedBlocks)
 	subSummary := func(a, b HistSummary) HistSummary {
 		bk := a.Buckets
 		bk.Sub(b.Buckets)
@@ -206,16 +183,6 @@ func (s Snapshot) RetriesPerOp() float64 {
 	return float64(s.TotalRetries) / float64(ops)
 }
 
-// MagHitRate returns the fraction of magazine-eligible mallocs served
-// from a thread-local magazine, or 0 when magazines were off.
-func (s Snapshot) MagHitRate() float64 {
-	total := s.MagHits + s.MagMisses
-	if total == 0 {
-		return 0
-	}
-	return float64(s.MagHits) / float64(total)
-}
-
 // JSON renders the snapshot as indented JSON.
 func (s Snapshot) JSON() ([]byte, error) {
 	return json.MarshalIndent(s, "", "  ")
@@ -231,10 +198,6 @@ func (s Snapshot) Text(maxEvents int) string {
 		s.Threads, s.Ops(), s.Malloc.Count, s.Free.Count)
 	fmt.Fprintf(&b, "contention: %d CAS retries total (%.4f retries/op)\n",
 		s.TotalRetries, s.RetriesPerOp())
-	if s.MagHits+s.MagMisses > 0 {
-		fmt.Fprintf(&b, "magazines: %.1f%% hit rate (%d hits / %d misses), %d flushes (%d blocks)\n",
-			100*s.MagHitRate(), s.MagHits, s.MagMisses, s.MagFlushes, s.MagFlushedBlocks)
-	}
 
 	type kv struct {
 		name string

@@ -146,16 +146,6 @@ func TestSnapshotSubPerClass(t *testing.T) {
 	}
 }
 
-func TestSnapshotSubMagCounters(t *testing.T) {
-	s := Snapshot{MagHits: 10, MagMisses: 5, MagFlushes: 3, MagFlushedBlocks: 24}
-	base := Snapshot{MagHits: 4, MagMisses: 7, MagFlushes: 1, MagFlushedBlocks: 8}
-	d := s.Sub(base)
-	if d.MagHits != 6 || d.MagMisses != 0 || d.MagFlushes != 2 || d.MagFlushedBlocks != 16 {
-		t.Errorf("mag deltas = %d/%d/%d/%d, want 6/0/2/16",
-			d.MagHits, d.MagMisses, d.MagFlushes, d.MagFlushedBlocks)
-	}
-}
-
 // TestSnapshotSubLive subtracts two real snapshots from one recorder —
 // the documented use — and checks the interval accounting.
 func TestSnapshotSubLive(t *testing.T) {

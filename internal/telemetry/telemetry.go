@@ -167,36 +167,32 @@ type Config struct {
 	// Classes is the number of small size classes; histograms get one
 	// row per class per op kind, plus one row for large blocks.
 	Classes int
-	// RingSize is the flight-recorder capacity in events, rounded up
-	// to a power of two. 0 selects 4096.
-	RingSize int
-	// RingSample records every Nth malloc and free per thread into the
-	// flight recorder (structural events — new superblocks, race
-	// losses, superblock retirements, hook firings — are always
-	// recorded). 0 selects 64; 1 records every operation. Sampling
-	// keeps the ring's shared bump counter off the per-op hot path.
-	RingSample int
 	// SampleRate enables the allocation sampler behind the heap
 	// census's fragmentation, call-site, and live-age reporting: every
 	// Nth malloc per thread is sampled (1 samples every allocation).
 	// 0 disables the sampler entirely, reducing its malloc-path cost
 	// to one plain field check.
 	SampleRate int
-	// SampleSlots is the sampler's live-sample table capacity, rounded
-	// up to a power of two. 0 selects 2048. Ignored when SampleRate is
-	// 0.
-	SampleSlots int
 }
+
+const (
+	// ringSize is the flight-recorder capacity in events.
+	ringSize = 4096
+	// ringSample: every ringSample-th malloc and free per thread goes
+	// into the flight recorder, and so does every operation that
+	// retried a CAS; structural events (new superblocks, race losses,
+	// superblock retirements, hook firings) always do. Sampling keeps
+	// the ring's shared bump counter off the per-op hot path; a power
+	// of two, so the test is a mask.
+	ringSample = 64
+	// sampleSlots is the allocation sampler's live-sample table
+	// capacity.
+	sampleSlots = 2048
+)
 
 func (c Config) withDefaults() Config {
 	if c.Classes < 0 {
 		c.Classes = 0
-	}
-	if c.RingSize <= 0 {
-		c.RingSize = 4096
-	}
-	if c.RingSample <= 0 {
-		c.RingSample = 64
 	}
 	if c.SampleRate < 0 {
 		c.SampleRate = 0
@@ -231,9 +227,9 @@ type Recorder struct {
 func New(cfg Config) *Recorder {
 	cfg = cfg.withDefaults()
 	r := &Recorder{cfg: cfg, started: time.Now()}
-	r.ring.init(cfg.RingSize)
+	r.ring.init(ringSize)
 	if cfg.SampleRate > 0 {
-		r.smp = newSampler(cfg.SampleRate, cfg.SampleSlots)
+		r.smp = newSampler(cfg.SampleRate, sampleSlots)
 	}
 	empty := []*ThreadShard{}
 	r.shards.Store(&empty)
@@ -262,7 +258,6 @@ func (r *Recorder) NewShard(id uint64) *ThreadShard {
 		classes: r.cfg.Classes,
 		hist:    make([]Histogram, 2*(r.cfg.Classes+1)),
 		ring:    &r.ring,
-		sample:  uint64(r.cfg.RingSample),
 		smp:     r.smp,
 	}
 	if r.smp != nil {
@@ -291,22 +286,13 @@ type ThreadShard struct {
 
 	retries [NumSites]atomic.Uint64
 
-	// Magazine-layer counters: hits/misses on the thread's private
-	// block caches and flush batches returned to the shared
-	// structures. All zero when the layer is disabled.
-	magHits    atomic.Uint64
-	magMisses  atomic.Uint64
-	magFlushes atomic.Uint64
-	magFlushed atomic.Uint64 // blocks returned across all flushes
-
 	// hist rows: [op][class] flattened as op*(classes+1)+class, with
 	// op 0 = malloc, 1 = free, and class `classes` = large blocks.
 	hist    []Histogram
 	classes int
 
-	ring   *Ring
-	id     uint64
-	sample uint64
+	ring *Ring
+	id   uint64
 
 	// opRetries accumulates this thread's retries within the current
 	// operation (for the flight-recorder event); opSeq drives ring
@@ -337,19 +323,6 @@ func (s *ThreadShard) Retry(site Site) {
 	s.opRetries++
 }
 
-// MagHit records a malloc satisfied from a thread-local magazine.
-func (s *ThreadShard) MagHit() { s.magHits.Add(1) }
-
-// MagMiss records a malloc that found its magazine empty.
-func (s *ThreadShard) MagMiss() { s.magMisses.Add(1) }
-
-// MagFlush records one flush batch of n blocks spliced back into a
-// superblock's free list.
-func (s *ThreadShard) MagFlush(n uint64) {
-	s.magFlushes.Add(1)
-	s.magFlushed.Add(n)
-}
-
 // histRow returns the histogram for (op, class), clamping class into
 // range (class < 0 or >= classes selects the large-block row).
 func (s *ThreadShard) histRow(op, class int) *Histogram {
@@ -374,7 +347,7 @@ func (s *ThreadShard) EndFree(class int, d time.Duration, ptr uint64) {
 func (s *ThreadShard) endOp(kind EventKind, op, class int, d time.Duration, ptr uint64) {
 	s.histRow(op, class).Record(d)
 	s.opSeq++
-	if s.opRetries > 0 || s.opSeq%s.sample == 0 {
+	if s.opRetries > 0 || s.opSeq&(ringSample-1) == 0 {
 		s.ring.Record(Event{
 			Kind:    kind,
 			Class:   class,

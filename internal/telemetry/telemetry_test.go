@@ -60,7 +60,7 @@ func TestConcurrentMergeProperty(t *testing.T) {
 		workers = 8
 		perW    = 5000
 	)
-	r := New(Config{Classes: 4, RingSize: 256, RingSample: 1})
+	r := New(Config{Classes: 4})
 	stop := make(chan struct{})
 	var snaps sync.WaitGroup
 	snaps.Add(1)
@@ -208,7 +208,7 @@ func TestRingConcurrent(t *testing.T) {
 }
 
 func TestSnapshotSub(t *testing.T) {
-	r := New(Config{Classes: 2, RingSample: 1})
+	r := New(Config{Classes: 2})
 	sh := r.NewShard(0)
 	sh.BeginOp()
 	sh.Retry(SiteActivePop)
@@ -236,7 +236,7 @@ func TestSnapshotSub(t *testing.T) {
 }
 
 func TestSnapshotJSONAndText(t *testing.T) {
-	r := New(Config{Classes: 3, RingSample: 1})
+	r := New(Config{Classes: 3})
 	sh := r.NewShard(7)
 	sh.BeginOp()
 	sh.Retry(SitePartialPop)
@@ -294,38 +294,28 @@ func indexOf(s, sub string) int {
 	return -1
 }
 
-func TestSnapshotMagazineCounters(t *testing.T) {
-	r := New(Config{Classes: 2})
+// TestRingSampling: the flight recorder takes every ringSample-th
+// operation of a shard, every operation that retried a CAS, and every
+// structural event.
+func TestRingSampling(t *testing.T) {
+	r := New(Config{Classes: 1})
 	sh := r.NewShard(0)
-	for i := 0; i < 3; i++ {
-		sh.MagHit()
+	for i := 0; i < 2*ringSample; i++ {
+		sh.BeginOp()
+		sh.EndMalloc(0, 100, uint64(i))
 	}
-	sh.MagMiss()
-	sh.MagFlush(8)
-	base := r.Snapshot()
-	if base.MagHits != 3 || base.MagMisses != 1 || base.MagFlushes != 1 || base.MagFlushedBlocks != 8 {
-		t.Fatalf("snapshot counters = %d/%d/%d/%d, want 3/1/1/8",
-			base.MagHits, base.MagMisses, base.MagFlushes, base.MagFlushedBlocks)
+	if got := r.Ring().Recorded(); got != 2 {
+		t.Fatalf("%d quiet ops recorded %d events, want 2", 2*ringSample, got)
 	}
-	if got := base.MagHitRate(); got != 0.75 {
-		t.Errorf("hit rate = %v, want 0.75", got)
+	sh.BeginOp()
+	sh.Retry(SiteFreeFast)
+	sh.EndFree(0, 100, 1)
+	sh.Note(EvNewSB, 0, 4096)
+	evs := r.Ring().Events(0)
+	if len(evs) != 4 || evs[2].Kind != EvFree || evs[2].Retries != 1 || evs[3].Kind != EvNewSB {
+		t.Errorf("a retried op and a structural event must both be recorded: %+v", evs)
 	}
-	if txt := base.Text(0); !contains(txt, "magazines: 75.0% hit rate") {
-		t.Errorf("Text missing magazine line:\n%s", txt)
-	}
-	sh.MagHit()
-	sh.MagFlush(4)
-	delta := r.Snapshot().Sub(base)
-	if delta.MagHits != 1 || delta.MagMisses != 0 || delta.MagFlushes != 1 || delta.MagFlushedBlocks != 4 {
-		t.Errorf("delta counters = %d/%d/%d/%d, want 1/0/1/4",
-			delta.MagHits, delta.MagMisses, delta.MagFlushes, delta.MagFlushedBlocks)
-	}
-	if got := delta.MagHitRate(); got != 1 {
-		t.Errorf("delta hit rate = %v, want 1", got)
-	}
-	// A recorder with no magazine traffic shows neither counters nor line.
-	quiet := New(Config{Classes: 2}).Snapshot()
-	if quiet.MagHitRate() != 0 || contains(quiet.Text(0), "magazines:") {
-		t.Error("magazine line leaked into magazine-free snapshot")
+	if evs[1].Ptr != 2*ringSample-1 {
+		t.Errorf("second sampled malloc has ptr %d, want %d", evs[1].Ptr, 2*ringSample-1)
 	}
 }
