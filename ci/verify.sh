@@ -25,6 +25,17 @@ stage_lint() {
 		echo "verify: staticcheck not on PATH, skipped" >&2
 	fi
 	./ci/inline_guard.sh
+	# Every package is reached from a command, an example or the ledger:
+	# one that none of them imports is dead code. The root package is
+	# documentation only.
+	reached=$(go list -deps ./cmd/... ./examples/... ./benchmark)
+	for pkg in $(go list ./...); do
+		case $pkg in repro) continue ;; esac
+		if ! echo "$reached" | grep -qx "$pkg"; then
+			echo "verify: $pkg is imported by no command, example or the ledger" >&2
+			exit 1
+		fi
+	done
 }
 
 stage_test() {
@@ -36,7 +47,7 @@ stage_race() {
 	# walker (bench.Walked), the one goroutine of the measuring layer that
 	# is not a workload's worker.
 	go test -race ./alloc ./cmd/allocmon ./cmd/benchmal ./cmd/heapinfo ./cmd/mlfstress \
-		./internal/baseline/... ./internal/bench ./internal/buddy ./internal/census \
+		./examples/quickstart ./internal/baseline/... ./internal/bench ./internal/buddy ./internal/census \
 		./internal/churn ./internal/core ./internal/lfqueue ./internal/mem \
 		./internal/offload ./internal/partial ./internal/pool/... ./internal/report \
 		./internal/sched ./internal/shadow ./internal/telemetry
@@ -92,7 +103,7 @@ stage_smoke() {
 		"$bin/benchmal" -exp table1 -threads 1,2 -scale 0.002 -allocs lockfree $knob
 	done
 	# A knob core.Config.Validate rejects must stop every tool.
-	for tool in benchmal mlfstress "allocmon -once" "heapinfo -live"; do
+	for tool in benchmal mlfstress "allocmon -once"; do
 		for knob in "-magazine -1"; do
 			if "$bin/"$tool $knob >/dev/null 2>&1; then
 				echo "verify: $tool accepted $knob" >&2
@@ -100,14 +111,22 @@ stage_smoke() {
 			fi
 		done
 	done
+	# So must a workload of no threads or no operations, and a sampling
+	# interval of zero (the server must not start listening).
+	for cmd in "mlfstress -threads 0" "mlfstress -ops 0" "allocmon -once -threads 0" \
+		"allocmon -interval 0 -addr 127.0.0.1:0"; do
+		if "$bin/"$cmd >/dev/null 2>&1; then
+			echo "verify: $cmd exited 0" >&2
+			exit 1
+		fi
+	done
 
 	# Every registered backend (heapinfo prints the registry, one
 	# "backend <name> ... kill-points=<n>" line per entry, so a new one is
-	# smoked without a new line here): both diagnostic tools, stress under
-	# the shadow oracle, and a kill sweep on each entry with kill points.
+	# smoked without a new line here): the live census, stress under the
+	# shadow oracle, and a kill sweep on each entry with kill points.
 	for name in $("$bin/heapinfo" | awk '$1 == "backend" { print $2 }'); do
 		"$bin/allocmon" -once -warmup 200ms -threads 2 -alloc "$name" >/dev/null
-		"$bin/heapinfo" -live -threads 2 -ops 20000 -alloc "$name" >/dev/null
 		"$bin/mlfstress" -alloc "$name" -threads 4 -ops 20000 -shadow -magazine 8 -telemetry=false
 	done
 	for name in $("$bin/heapinfo" | awk '$1 == "backend" && $NF != "kill-points=0" { print $2 }'); do

@@ -16,7 +16,6 @@
 //	/            text dashboard (telemetry snapshot + census)
 //	/stats.json  full telemetry snapshot as JSON; ?base=<seq|last>
 //	             subtracts an earlier series point (interval delta)
-//	/events      flight-recorder events only, as JSON
 //	/census.json latest full census as JSON, one key per part
 //	/series.json the sampled census+snapshot ring, oldest first
 //	/metrics     Prometheus text format (version 0.0.4)
@@ -28,6 +27,10 @@
 //
 // -once skips the server: it warms up, prints the text dashboard to
 // stdout, and exits (useful for smoke tests).
+//
+// A knob core.Config.Validate rejects, an unknown backend, -threads
+// below 1 or a non-positive -interval exits 1 with the reason before
+// the allocator is built.
 package main
 
 import (
@@ -84,7 +87,7 @@ func (m *monitor) dashboard(w io.Writer) {
 // the ring at /series.json is the lossless record).
 func (m *monitor) sampleOnce() telemetry.SeriesPoint {
 	snap := m.rec.Snapshot()
-	snap.Events = nil // the series is numeric; /events serves the ring
+	snap.Events = nil // the series is numeric; /stats.json serves the ring
 	pt := m.series.Add(snap, m.h.Census())
 	m.mu.Lock()
 	for ch := range m.subs {
@@ -153,13 +156,6 @@ func (m *monitor) mux() *http.ServeMux {
 		}
 		w.Header().Set("Content-Type", "application/json")
 		w.Write(append(data, '\n'))
-	})
-	mux.HandleFunc("/events", func(w http.ResponseWriter, r *http.Request) {
-		snap := m.rec.Snapshot()
-		writeJSON(w, map[string]any{
-			"eventsRecorded": snap.EventsRecorded,
-			"events":         snap.Events,
-		})
 	})
 	mux.HandleFunc("/census.json", func(w http.ResponseWriter, r *http.Request) {
 		writeJSON(w, m.h.Census())
@@ -254,6 +250,9 @@ func run(args []string, stdout, stderr io.Writer) int {
 	fail := func(err error) int {
 		fmt.Fprintf(stderr, "allocmon: %v\n", err)
 		return 1
+	}
+	if *threads < 1 || *interval <= 0 {
+		return fail(fmt.Errorf("-threads must be at least 1 and -interval positive, got %d and %v", *threads, *interval))
 	}
 
 	rec := core.NewRecorder(telemetry.Config{SampleRate: *sampleRate})

@@ -81,7 +81,6 @@ func TestEndpointsContentTypes(t *testing.T) {
 	for path, want := range map[string]string{
 		"/":            "text/plain; charset=utf-8",
 		"/stats.json":  "application/json",
-		"/events":      "application/json",
 		"/census.json": "application/json",
 		"/series.json": "application/json",
 		"/metrics":     census.ContentType,
@@ -332,13 +331,23 @@ func TestBuddyEndpoints(t *testing.T) {
 	}
 }
 
-// TestRejectedConfig: a knob core.Config.Validate rejects, or an unknown
-// backend, stops -once before any workload starts.
+// TestRejectedConfig: a knob core.Config.Validate rejects, an unknown
+// backend, no workload thread or a non-positive sampling interval stops
+// the command before any workload starts — also in server mode, which
+// must return instead of listening.
 func TestRejectedConfig(t *testing.T) {
-	for _, args := range [][]string{{"-magazine", "-1"}, {"-alloc", "nosuch"}} {
+	once := func(args ...string) []string { return append([]string{"-once", "-warmup", "1ms"}, args...) }
+	for _, args := range [][]string{
+		once("-magazine", "-1"),
+		once("-alloc", "nosuch"),
+		once("-threads", "0"),
+		once("-interval", "0"),
+		{"-interval", "0", "-addr", "127.0.0.1:0"},
+		{"-threads", "-1", "-addr", "127.0.0.1:0"},
+	} {
 		var out, errOut bytes.Buffer
-		if code := run(append([]string{"-once", "-warmup", "1ms"}, args...), &out, &errOut); code != 1 || out.Len() != 0 {
-			t.Errorf("allocmon -once %v: exit %d, stdout %q, stderr %q", args, code, out.String(), errOut.String())
+		if code := run(args, &out, &errOut); code != 1 || out.Len() != 0 || errOut.Len() == 0 {
+			t.Errorf("allocmon %v: exit %d, stdout %q, stderr %q", args, code, out.String(), errOut.String())
 		}
 	}
 }

@@ -5,24 +5,11 @@
 // alloc.Backends: aliases, shadow-oracle policy, number of kill points).
 // Useful for sanity-checking configuration against the paper.
 //
-//	heapinfo [-live] [-alloc lockfree] [-threads 4] [-ops 50000]
-//	         [-samplerate 1024] [-magazine N]
+//	heapinfo
 //
-// With -live, a short multithreaded malloc/free workload (churn.Mixed)
-// is run on a fresh allocator from alloc.New — any registry entry,
-// -alloc names it; the lock-free one is built with the hyperblock layer
-// on — the backend's strict check is run on the drained allocator, and
-// the allocator's census (alloc.Harness.Census) is printed twice: as
-// taken while the workload's final live set was still held, and again
-// after the drain. A census has the parts the backend has — the OS
-// layer for all six (region counters, bin occupancy, external
-// fragmentation); for lockfree its path counters, per-class superblock
-// states and block inventory, descriptor pool, and the sampler's
-// live-block ages and top call sites; for buddy the per-order
-// free/used table — each rendered by internal/census. The telemetry
-// snapshot follows. The shape flag, -magazine, is that of mlfstress and
-// allocmon; -samplerate sets the allocation sampling period (0 =
-// sampler off).
+// It runs no workload. For the census of a running allocator use
+// allocmon (allocmon -once prints one dashboard and exits); for the
+// census after a run and the backend's strict check, mlfstress.
 package main
 
 import (
@@ -34,13 +21,8 @@ import (
 
 	"repro/alloc"
 	"repro/internal/atomicx"
-	"repro/internal/bench"
-	"repro/internal/census"
-	"repro/internal/churn"
-	"repro/internal/core"
 	"repro/internal/mem"
 	"repro/internal/sizeclass"
-	"repro/internal/telemetry"
 )
 
 func main() { os.Exit(run(os.Args[1:], os.Stdout, os.Stderr)) }
@@ -48,13 +30,6 @@ func main() { os.Exit(run(os.Args[1:], os.Stdout, os.Stderr)) }
 func run(args []string, stdout, stderr io.Writer) int {
 	fs := flag.NewFlagSet("heapinfo", flag.ContinueOnError)
 	fs.SetOutput(stderr)
-	var (
-		live    = fs.Bool("live", false, "run a short workload and print live allocator statistics")
-		threads = fs.Int("threads", 4, "workload goroutines (-live)")
-		ops     = fs.Int("ops", 50000, "operations per goroutine (-live)")
-		rate    = fs.Int("samplerate", 1024, "allocation sampling period for the census (-live; 0 = off)")
-		af      = bench.RegisterBackendFlags(fs)
-	)
 	if err := fs.Parse(args); err != nil {
 		return 2
 	}
@@ -88,41 +63,5 @@ func run(args []string, stdout, stderr io.Writer) int {
 		fmt.Fprintf(stdout, "backend %s aliases=%v verify-on-reuse=%v header-mask=%#x kill-points=%d\n",
 			b.Name, b.Aliases, b.VerifyOnReuse, b.PrefixIgnoreMask, len(b.HookPoints))
 	}
-
-	if *live {
-		fmt.Fprintln(stdout)
-		if err := runLive(stdout, af, *threads, *ops, *rate); err != nil {
-			fmt.Fprintf(stderr, "heapinfo: %v\n", err)
-			return 1
-		}
-	}
 	return 0
-}
-
-// runLive exercises a fresh allocator and prints its census as taken
-// between churn finishing and the workers releasing their final live
-// sets — so it has real live blocks to inventory — and again drained.
-func runLive(out io.Writer, af *bench.BackendFlags, threads, ops, rate int) error {
-	rec := core.NewRecorder(telemetry.Config{SampleRate: rate})
-	a, cfg, err := af.New(core.Config{Processors: threads, Hyperblocks: true, Telemetry: rec}, alloc.Options{})
-	if err != nil {
-		return err
-	}
-	h := alloc.HarnessOf(a)
-	var held *census.Census
-	if _, _, err := churn.Run(threads, ops, 0, churn.Mixed, a.NewThread, func() { held = h.Census() }); err != nil {
-		return fmt.Errorf("malloc: %w", err)
-	}
-	// Everything is freed again, so the backend's strict check applies.
-	if rep := h.Inspect(0); rep.InvariantErr != nil {
-		return rep.InvariantErr
-	}
-	fmt.Fprintf(out, "Live statistics (%s, %d threads x %d ops; lockfree is built with hyper=%v magazine=%d):\n",
-		a.Name(), threads, ops, cfg.Hyperblocks, cfg.MagazineSize)
-	fmt.Fprintln(out, "\nCensus with workload live sets held:")
-	held.WriteText(out)
-	fmt.Fprintln(out, "\nCensus after drain:")
-	h.Census().WriteText(out)
-	fmt.Fprintf(out, "\n%s", rec.Snapshot().Text(8))
-	return nil
 }

@@ -18,10 +18,18 @@
 // under test — and needs a backend whose registry entry has hook
 // points (lockfree, buddy); for any other it exits non-zero saying so.
 //
-// With -telemetry, the observability layer is attached: the run ends
+// With -telemetry, the observability layer is attached, its allocation
+// sampler at allocmon's default rate (one malloc in 1024): the run ends
 // with a contention/latency summary, and in fault-injection mode the
 // flight recorder's tail is dumped, showing the events leading up to
 // each kill.
+//
+// Either way the run ends with the backend's census (alloc.Harness.Census)
+// taken after every surviving block was freed: the OS layer for every
+// backend; for lockfree its path counters, superblock inventory,
+// descriptor pool and, with -telemetry, the sampler's part; for buddy
+// the per-order table. allocmon prints the same census while a workload
+// runs.
 //
 // With -shadow every malloc/free, of whichever backend, is mirrored
 // into a shadow-heap oracle that detects double-free, invalid free,
@@ -31,8 +39,9 @@
 // ids, and the flight recorder's tail. (Under -kills violations are
 // collected and reported after the sweep.)
 //
-// A contradictory or out-of-range knob (core.Config.Validate) exits
-// non-zero with the reason before any traffic runs.
+// A contradictory or out-of-range knob (core.Config.Validate), and
+// -threads or -ops below 1, exit non-zero with the reason before any
+// traffic runs.
 package main
 
 import (
@@ -83,12 +92,15 @@ func run(args []string, stdout, stderr io.Writer) int {
 		return 1
 	}
 
+	if *threads < 1 || *ops < 1 {
+		return fail("-threads and -ops must be at least 1, got %d and %d", *threads, *ops)
+	}
 	if *threads > runtime.GOMAXPROCS(0) {
 		runtime.GOMAXPROCS(*threads)
 	}
 	var rec *telemetry.Recorder
 	if *tele {
-		rec = core.NewRecorder(telemetry.Config{})
+		rec = core.NewRecorder(telemetry.Config{SampleRate: 1024})
 	}
 	// Without an OnViolation handler the first violation panics with the
 	// attribution line and the flight recorder's tail. A kill sweep
@@ -149,7 +161,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 	} else {
 		fmt.Fprintf(stdout, "mlfstress: %d threads x %d ops (%s)\n", *threads, *ops, shape)
 		start := time.Now()
-		mallocs, frees, err := churn.Run(*threads, *ops, *seed, churn.Mixed, func() alloc.Thread { return newThread(a) }, nil)
+		mallocs, frees, err := churn.Run(*threads, *ops, *seed, churn.Mixed, func() alloc.Thread { return newThread(a) })
 		elapsed := time.Since(start)
 		if err != nil {
 			return fail("malloc: %v", err)

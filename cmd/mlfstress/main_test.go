@@ -3,6 +3,7 @@ package main
 import (
 	"bytes"
 	"fmt"
+	"regexp"
 	"strings"
 	"sync/atomic"
 	"testing"
@@ -27,12 +28,90 @@ func TestPlainRunEveryBackend(t *testing.T) {
 			if code != 0 {
 				t.Fatalf("exit %d\n%s%s", code, out, errOut)
 			}
-			for _, want := range []string{"alloc=" + name, "4000 ops", "invariants OK"} {
-				if !strings.Contains(out, want) {
-					t.Errorf("output lacks %q:\n%s", want, out)
+			want := []string{"alloc=" + name, "4000 ops", "telemetry: ", "OS layer (words):", "invariants OK"}
+			if name == "buddy" {
+				// Drained, every tree is one free block again.
+				want = append(want, "Buddy order census: ext frag 0.0%, 0 coal bits")
+			}
+			for _, w := range want {
+				if !strings.Contains(out, w) {
+					t.Errorf("output lacks %q:\n%s", w, out)
 				}
 			}
+			if name != "lockfree" && strings.Contains(out, "Size classes") {
+				t.Errorf("the %s run printed the lock-free census:\n%s", name, out)
+			}
 		})
+	}
+}
+
+var (
+	pathInParens = regexp.MustCompile(`\(/[^)]*\)`)
+	numeral      = regexp.MustCompile(`0x[0-9a-f]+|[0-9][0-9.]*(ns|µs|ms|s|%)?`)
+)
+
+// skeleton reduces a plain run to the line structure of what follows
+// the telemetry snapshot (internal/telemetry's text, which has no blank
+// line): the drained census and the verdict. Every numeral is masked as
+// "#" (a lone "-" cell too), file paths as "(path)", column padding
+// squeezed; table rows — lines of nothing but masks — and blank lines
+// are dropped.
+func skeleton(out string) string {
+	_, out, _ = strings.Cut(out, "\ntelemetry: ")
+	_, out, _ = strings.Cut(out, "\n\n")
+	var b strings.Builder
+	for _, line := range strings.Split(out, "\n") {
+		line = numeral.ReplaceAllString(pathInParens.ReplaceAllString(line, "(path)"), "#")
+		line = strings.Join(strings.Fields(line), " ")
+		if strings.Trim(line, "#- ") != "" {
+			b.WriteString(line + "\n")
+		}
+	}
+	return b.String()
+}
+
+const osLayerSkeleton = `heap: # words live (max-live # KiB), # region allocs / # frees, external fragmentation #
+OS layer (words):
+reserved materialized live skipped allocs frees reused free regions free words occupancy ext frag
+`
+
+// censusSkeletons is the line structure of the census and verdict of
+// `mlfstress -hyper -alloc <name> -threads 2 -ops 4000`: every block
+// freed, so the sampler's part has ages but no live sample to be
+// wasteful or to have a call site.
+var censusSkeletons = map[string]string{
+	"lockfree": `allocator: mallocs=# frees=#; # large mallocs, # empty-partial skips
+paths: active=# partial=# newSB=# raceLoss=# sbFreed=#
+hyperblocks: # allocated, # released
+Size classes (superblocks by anchor state, block inventory):
+class A F P E used free resv mag partial int frag
+totals: # superblocks, blocks used=# free=# resv=# mag=#, carve waste # words
+` + osLayerSkeleton + `Region-bin occupancy (free regions awaiting reuse):
+region words regions
+descriptors: # allocated, # on freelist
+Live-block ages (# samples at rate #/#): p#=# p#=# oldest=#
+retained superblock cache # KiB (bound # KiB)
+invariants OK
+`,
+	"buddy": `buddy: # trees x # words, # grows (# lost races), # hint hits, # scans, #/# beyond-tree
+Buddy order census: ext frag #, # coal bits
+order block words free used
+` + osLayerSkeleton + `Region bins: empty (no free regions awaiting reuse)
+invariants OK
+`,
+}
+
+// TestCensusSkeleton pins the line structure of the drained census for
+// the two backends whose census has parts of its own.
+func TestCensusSkeleton(t *testing.T) {
+	for name, want := range censusSkeletons {
+		code, out, errOut := stress("-hyper", "-alloc", name, "-threads", "2", "-ops", "4000")
+		if code != 0 {
+			t.Fatalf("%s: exit %d\n%s%s", name, code, out, errOut)
+		}
+		if got := skeleton(out); got != want {
+			t.Errorf("%s: skeleton changed\n--- got ---\n%s--- want ---\n%s", name, got, want)
+		}
 	}
 }
 
@@ -94,6 +173,9 @@ func TestRejectedConfigStopsBeforeTraffic(t *testing.T) {
 		{[]string{"-magazine", "-1", "-alloc", "hoard"}, "MagazineSize"},
 		{[]string{"-credits", "100", "-kills", "1"}, "MaxCredits"},
 		{[]string{"-alloc", "bogus"}, "unknown allocator"},
+		{[]string{"-threads", "0"}, "must be at least 1"},
+		{[]string{"-ops", "-5"}, "must be at least 1"},
+		{[]string{"-ops", "0", "-kills", "1"}, "must be at least 1"},
 	} {
 		code, out, errOut := stress(tc.args...)
 		if code == 0 || !strings.Contains(errOut, tc.want) {

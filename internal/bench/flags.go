@@ -25,8 +25,7 @@ func RegisterAllocFlags(fs *flag.FlagSet) *AllocFlags {
 }
 
 // BackendFlags is AllocFlags plus -alloc, for a command that runs one
-// backend of the alloc registry (cmd/mlfstress, cmd/allocmon,
-// cmd/heapinfo).
+// backend of the alloc registry (cmd/mlfstress, cmd/allocmon).
 type BackendFlags struct {
 	*AllocFlags
 	name *string

@@ -1,9 +1,9 @@
 // Package churn is the repository's one random malloc/free loop. The
-// kill harness (internal/sched), mlfstress, heapinfo -live and allocmon
-// all need the same thing — a goroutine that keeps a bounded, randomly
-// turned-over set of blocks of mixed sizes alive on one alloc.Thread —
-// and differ only in the mix and in what happens around the loop, so
-// the loop lives here and they drive it a step at a time.
+// kill harness (internal/sched), mlfstress and allocmon all need the
+// same thing — a goroutine that keeps a bounded, randomly turned-over
+// set of blocks of mixed sizes alive on one alloc.Thread — and differ
+// only in the mix and in what happens around the loop, so the loop
+// lives here and they drive it a step at a time.
 package churn
 
 import (
@@ -112,37 +112,26 @@ func (d *Driver) Mallocs() uint64 { return d.mallocs.Load() }
 func (d *Driver) Frees() uint64   { return d.frees.Load() }
 
 // Run churns workers goroutines for ops steps each on handles from
-// newThread, worker i seeded seed+i. When all of them have stepped, and
-// with every live set still held, it calls held (if non-nil) once — the
-// moment to take a census that has real blocks to count — and then the
-// workers drain. It returns the completed mallocs and frees and the
-// first Malloc error, which stops that worker's stepping early.
-func Run(workers, ops int, seed int64, mix Mix, newThread func() alloc.Thread, held func()) (mallocs, frees uint64, err error) {
-	var stepped, drained sync.WaitGroup
-	release := make(chan struct{})
+// newThread, worker i seeded seed+i; each worker then drains. It
+// returns the completed mallocs and frees and the first Malloc error,
+// which stops that worker's stepping early.
+func Run(workers, ops int, seed int64, mix Mix, newThread func() alloc.Thread) (mallocs, frees uint64, err error) {
+	var wg sync.WaitGroup
 	drivers := make([]*Driver, workers)
 	errs := make([]error, workers)
 	for i := range drivers {
 		d := New(newThread(), seed+int64(i), mix)
 		drivers[i] = d
-		stepped.Add(1)
-		drained.Add(1)
+		wg.Add(1)
 		go func(i int) {
-			defer drained.Done()
+			defer wg.Done()
 			for n := 0; n < ops && errs[i] == nil; n++ {
 				errs[i] = d.Step()
 			}
-			stepped.Done()
-			<-release
 			d.Drain()
 		}(i)
 	}
-	stepped.Wait()
-	if held != nil {
-		held()
-	}
-	close(release)
-	drained.Wait()
+	wg.Wait()
 	for i, d := range drivers {
 		mallocs += d.Mallocs()
 		frees += d.Frees()
