@@ -48,7 +48,7 @@ stage_race() {
 	# is not a workload's worker.
 	go test -race ./alloc ./cmd/allocmon ./cmd/benchmal ./cmd/heapinfo ./cmd/mlfstress \
 		./examples/quickstart ./internal/baseline/... ./internal/bench ./internal/buddy ./internal/census \
-		./internal/churn ./internal/core ./internal/lfqueue ./internal/mem \
+		./internal/churn ./internal/core ./internal/lfqueue ./internal/lfstack ./internal/mem \
 		./internal/offload ./internal/partial ./internal/pool/... ./internal/report \
 		./internal/sched ./internal/shadow ./internal/telemetry
 	go test -race -tags memdebug ./internal/mem ./internal/pool
@@ -139,7 +139,7 @@ stage_smoke() {
 # fix, every later `go test`).
 stage_fuzz() {
 	for target in core:FuzzMallocFreeSequence core:FuzzMagazine \
-		buddy:FuzzModel chunkheap:FuzzChunkOps; do
+		buddy:FuzzModel chunkheap:FuzzChunkOps lfstack:FuzzStack; do
 		go test -run=NONE -fuzz="^${target#*:}\$" -fuzztime=10s "./internal/${target%%:*}"
 	done
 }

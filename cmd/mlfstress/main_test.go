@@ -161,6 +161,52 @@ func TestKillSweepRunsTheShapeTheFlagsDescribe(t *testing.T) {
 	}
 }
 
+// TestCensusCountsMagazineMallocs: with magazines on, the drained census
+// prints a magazines line whose hits close the path identity
+// active+partial+newSB+hits = mallocs; with them off it prints none.
+func TestCensusCountsMagazineMallocs(t *testing.T) {
+	code, out, errOut := stress("-threads", "2", "-ops", "4000", "-magazine", "8")
+	if code != 0 {
+		t.Fatalf("exit %d\n%s%s", code, out, errOut)
+	}
+	var mallocs, frees, large, skips, active, partial, newSB, raceLoss, sbFreed, hits, misses, flushes, blocks uint64
+	for _, f := range []struct {
+		format string
+		args   []any
+	}{
+		{"allocator: mallocs=%d frees=%d; %d large mallocs, %d empty-partial skips", []any{&mallocs, &frees, &large, &skips}},
+		{"paths: active=%d partial=%d newSB=%d raceLoss=%d sbFreed=%d", []any{&active, &partial, &newSB, &raceLoss, &sbFreed}},
+		{"magazines: hits=%d misses=%d flushes=%d (%d blocks)", []any{&hits, &misses, &flushes, &blocks}},
+	} {
+		prefix, _, _ := strings.Cut(f.format, " ")
+		found := false
+		for _, line := range strings.Split(out, "\n") {
+			if strings.HasPrefix(line, prefix+" ") {
+				if _, err := fmt.Sscanf(line, f.format, f.args...); err != nil {
+					t.Fatalf("%q: %v", line, err)
+				}
+				found = true
+				break
+			}
+		}
+		if !found {
+			t.Fatalf("output lacks a %q line:\n%s", prefix, out)
+		}
+	}
+	if hits == 0 || active+partial+newSB+hits != mallocs {
+		t.Errorf("active %d + partial %d + newSB %d + magazine hits %d != mallocs %d",
+			active, partial, newSB, hits, mallocs)
+	}
+
+	code, out, errOut = stress("-threads", "2", "-ops", "4000")
+	if code != 0 {
+		t.Fatalf("exit %d\n%s%s", code, out, errOut)
+	}
+	if strings.Contains(out, "magazines: ") {
+		t.Errorf("a run without magazines prints a magazines line:\n%s", out)
+	}
+}
+
 // TestRejectedConfigStopsBeforeTraffic: what core.Config.Validate
 // rejects, and an unknown backend, exit non-zero with the reason and no
 // banner.

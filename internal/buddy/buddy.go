@@ -36,7 +36,7 @@
 // argument.
 //
 // On top of the paper's tree, free nodes are remembered in per-order
-// lock-free hint stacks (lfstack.Tagged with Go-side links and a
+// lock-free hint stacks (lfstack.Stack over Go-side links, with a
 // per-node claim flag), so the common allocation validates a hint
 // instead of scanning its level; a per-level rotor bounds the scan
 // fallback. Requests larger than a tree fall back to the shared
@@ -117,7 +117,7 @@ type tree struct {
 	status []atomic.Uint32 // 1-indexed node status words
 	links  []atomic.Uint64 // intrusive hint-stack links, per node
 	claim  []atomic.Uint32 // 1 while the node sits on a hint stack
-	stacks []*lfstack.Tagged
+	stacks []lfstack.Stack
 	rotor  []atomic.Uint64 // per-level scan start
 	used   []atomic.Int64  // per-level count of occ nodes
 }
@@ -125,8 +125,8 @@ type tree struct {
 // treeLinks adapts a tree's link words to lfstack.Links.
 type treeLinks struct{ tr *tree }
 
-func (l treeLinks) LoadLink(idx uint64) uint64 { return l.tr.links[idx].Load() }
-func (l treeLinks) StoreLink(idx, next uint64) { l.tr.links[idx].Store(next) }
+func (l treeLinks) Next(idx uint64) uint64   { return l.tr.links[idx].Load() }
+func (l treeLinks) SetNext(idx, next uint64) { l.tr.links[idx].Store(next) }
 
 // Allocator is the non-blocking buddy allocator. All methods are safe
 // for concurrent use through per-goroutine Thread handles.
@@ -306,10 +306,9 @@ func (a *Allocator) treeIndex(tr *tree, trees []*tree) uint64 {
 // its rotor. Returns ok=false when the whole level is exhausted.
 func (tr *tree) allocAt(level int, t *Thread) (uint64, bool) {
 	a := t.a
-	st := tr.stacks[level]
 	for tries := 0; tries < hintTries; tries++ {
-		node, ok := st.Pop()
-		if !ok {
+		node, _ := tr.stacks[level].Pop(treeLinks{tr})
+		if node == 0 {
 			break
 		}
 		tr.claim[node].Store(0)
@@ -464,7 +463,7 @@ func (t *Thread) Free(p mem.Ptr) {
 	// node on at most one stack at a time; a stale hint (the node
 	// re-allocated or merged away meanwhile) is rejected by tryAlloc.
 	if tr.claim[node].CompareAndSwap(0, 1) {
-		tr.stacks[level].Push(node)
+		tr.stacks[level].Push(treeLinks{tr}, node, node)
 	}
 	t.hook(HookFreeDone)
 }
@@ -497,12 +496,9 @@ func (a *Allocator) newTree() (*tree, error) {
 		status: make([]atomic.Uint32, n),
 		links:  make([]atomic.Uint64, n),
 		claim:  make([]atomic.Uint32, n),
-		stacks: make([]*lfstack.Tagged, a.depth+1),
+		stacks: make([]lfstack.Stack, a.depth+1),
 		rotor:  make([]atomic.Uint64, a.depth+1),
 		used:   make([]atomic.Int64, a.depth+1),
-	}
-	for l := range tr.stacks {
-		tr.stacks[l] = lfstack.NewTagged(treeLinks{tr})
 	}
 	return tr, nil
 }

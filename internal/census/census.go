@@ -392,6 +392,12 @@ func (sb *Superblocks) WriteText(w io.Writer) {
 		o.Mallocs, o.Frees, o.LargeMallocs, o.EmptyPartialSkips)
 	fmt.Fprintf(w, "paths: active=%d partial=%d newSB=%d raceLoss=%d sbFreed=%d\n",
 		o.FromActive, o.FromPartial, o.FromNewSB, o.NewSBRaceLoss, o.EmptySBFreed)
+	// Magazine hits are the mallocs the paths above do not serve:
+	// active+partial+newSB+hits = mallocs.
+	if o.MagazineHits+o.MagazineMisses+o.MagazineFlushes > 0 {
+		fmt.Fprintf(w, "magazines: hits=%d misses=%d flushes=%d (%d blocks)\n",
+			o.MagazineHits, o.MagazineMisses, o.MagazineFlushes, o.MagazineFlushedBlocks)
+	}
 	if sb.Hyper.HyperAllocs > 0 {
 		fmt.Fprintf(w, "hyperblocks: %d allocated, %d released\n", sb.Hyper.HyperAllocs, sb.Hyper.HyperReleases)
 	}

@@ -4,8 +4,10 @@ import (
 	"errors"
 	"math/rand"
 	"runtime"
+	"strings"
 	"sync"
 	"testing"
+	"time"
 
 	"repro/internal/atomicx"
 	"repro/internal/mem"
@@ -292,6 +294,35 @@ func TestDescriptorRecycling(t *testing.T) {
 // DescAvail list. Thread A empties its superblocks, retiring their
 // descriptors; thread B's next superblock, on another processor heap,
 // pops one of them off the same head and no new chunk is carved.
+// TestCheckInvariantsReportsCyclicDescAvail retires two descriptors and
+// links the lower one back to the top, making DescAvail cyclic: the
+// checker must return an error naming a descriptor, not loop.
+func TestCheckInvariantsReportsCyclicDescAvail(t *testing.T) {
+	a := New(testConfig())
+	lo, err := a.descs.Alloc(0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	hi, err := a.descs.Alloc(0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	a.descs.Retire(0, lo)
+	a.descs.Retire(0, hi) // DescAvail is hi -> lo -> the chunk's rest
+	a.desc(lo).PoolNext().Store(atomicx.Tagged{Idx: hi, Tag: 1 << 20}.Pack())
+	done := make(chan error, 1)
+	go func() { done <- a.CheckInvariants(0) }()
+	select {
+	case err := <-done:
+		if err == nil || !strings.Contains(err.Error(), "is free twice") {
+			t.Fatalf("CheckInvariants on a cyclic DescAvail: %v, want the descriptor named", err)
+		}
+		t.Log(err)
+	case <-time.After(time.Second):
+		t.Fatal("CheckInvariants on a cyclic DescAvail did not return within 1 s")
+	}
+}
+
 func TestDescriptorFreelistIsOneHead(t *testing.T) {
 	cfg := testConfig()
 	cfg.Processors = 2
@@ -308,7 +339,11 @@ func TestDescriptorFreelistIsOneHead(t *testing.T) {
 	for _, p := range ptrs {
 		ta.Free(p)
 	}
-	retired, allocated := a.descs.FreeIndices(), a.descs.Allocated()
+	retired, err := a.descs.FreeIndices()
+	if err != nil {
+		t.Fatal(err)
+	}
+	allocated := a.descs.Allocated()
 	if len(retired) == 0 {
 		t.Fatal("A's empty superblocks retired no descriptor")
 	}

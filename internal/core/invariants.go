@@ -67,8 +67,12 @@ func (a *Allocator) CheckInvariants(expectLive int64) error {
 	// range exactly; the freelist walk must agree with the retired
 	// counter; and a freelisted descriptor must be EMPTY (or never
 	// initialized) — a live superblock's descriptor can never be
-	// retired.
-	freeDescs := a.descs.FreeIndices()
+	// retired. A descriptor found on the freelist twice (a cycle in its
+	// links) ends the walk with an error.
+	freeDescs, err := a.descs.FreeIndices()
+	if err != nil {
+		return fmt.Errorf("descriptor freelist: %w", err)
+	}
 	limit := a.descs.Limit()
 	if got, want := a.descs.Allocated(), limit-a.descs.First(); got != want {
 		return fmt.Errorf("desc pool: allocated counter %d, index range holds %d", got, want)

@@ -21,7 +21,7 @@ func TestBinCensusMatchesRegionBins(t *testing.T) {
 	h.FreeRegion(p2, w2)
 	h.FreeRegion(p3, w3)
 
-	census, walk := h.BinCensus(), h.RegionBins()
+	census, walk := h.BinCensus(), regionBins(t, h)
 	want := []BinStat{{RegionWords: PageWords, Regions: 2}, {RegionWords: 3 * PageWords, Regions: 1}}
 	if len(census) != len(want) || len(walk) != len(want) {
 		t.Fatalf("census bins %+v, walk bins %+v, want %+v", census, walk, want)
@@ -85,7 +85,7 @@ func TestBinCensusConcurrent(t *testing.T) {
 	for _, b := range h.BinCensus() {
 		censusRegions += b.Regions
 	}
-	for _, b := range h.RegionBins() {
+	for _, b := range regionBins(t, h) {
 		walkRegions += b.Regions
 	}
 	if censusRegions != walkRegions {

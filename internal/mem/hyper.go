@@ -5,6 +5,7 @@ import (
 	"sync/atomic"
 
 	"repro/internal/atomicx"
+	"repro/internal/lfstack"
 )
 
 // Hyper implements the paper's §3.2.5 hyperblock extension: "in order
@@ -39,9 +40,9 @@ type Hyper struct {
 	// handed out of it.
 	current atomic.Uint64
 
-	// free is the tagged head of the global stack of freed
-	// superblocks, linked through their first word.
-	free atomic.Uint64
+	// free is the global stack of freed superblocks, linked through
+	// their first word (regionLinks).
+	free lfstack.Stack
 
 	// descs maps hyperblock index (base >> hypLog) to its descriptor.
 	descs []atomic.Pointer[hyperDesc]
@@ -146,29 +147,11 @@ func (hy *Hyper) Free(sb Ptr) {
 }
 
 func (hy *Hyper) popFree() Ptr {
-	for {
-		oldHead := hy.free.Load()
-		t := atomicx.UnpackTagged(oldHead)
-		if t.Idx == 0 {
-			return 0
-		}
-		next := hy.heap.Load(Ptr(t.Idx))
-		if hy.free.CompareAndSwap(oldHead, atomicx.Tagged{Idx: next, Tag: t.Tag + 1}.Pack()) {
-			return Ptr(t.Idx)
-		}
-	}
+	sb, _ := hy.free.Pop(regionLinks{hy.heap})
+	return Ptr(sb)
 }
 
-func (hy *Hyper) pushFree(sb Ptr) {
-	for {
-		oldHead := hy.free.Load()
-		t := atomicx.UnpackTagged(oldHead)
-		hy.heap.Store(sb, t.Idx)
-		if hy.free.CompareAndSwap(oldHead, atomicx.Tagged{Idx: uint64(sb), Tag: t.Tag + 1}.Pack()) {
-			return
-		}
-	}
-}
+func (hy *Hyper) pushFree(sb Ptr) { hy.free.Push(regionLinks{hy.heap}, uint64(sb), uint64(sb)) }
 
 func (hy *Hyper) newHyperblock() (Ptr, error) {
 	base, err := hy.heap.AllocRegionAligned(hy.hypWords, hy.hypWords)

@@ -26,8 +26,8 @@
 //     superblock allocation. It is one lock-free region allocator shared
 //     by every thread, as the paper's OS is: an atomic bump pointer over
 //     never-used address space and per-size lock-free freelists of
-//     returned regions (Treiber stacks threaded through the first word of
-//     each free region, with tagged heads for ABA safety).
+//     returned regions (lfstack stacks threaded through the first word of
+//     each free region, regionLinks).
 //
 // Two units divide the address space. The segment
 // (Config.SegmentWordsLog2) is the largest region: no region straddles a
@@ -53,6 +53,7 @@ import (
 	"unsafe"
 
 	"repro/internal/atomicx"
+	"repro/internal/lfstack"
 	"repro/internal/telemetry"
 )
 
@@ -185,8 +186,8 @@ type regions struct {
 
 	// Free-region bins. bins[0..exactBins-1] hold regions of exactly
 	// i+1 pages; log2Bins[k] holds regions of exactly 2^k pages.
-	bins     [exactBins]atomic.Uint64
-	log2Bins [maxLog2Bins]atomic.Uint64
+	bins     [exactBins]lfstack.Stack
+	log2Bins [maxLog2Bins]lfstack.Stack
 
 	// binRegions/log2BinRegions mirror the bins' populations with plain
 	// counters so a live census (BinCensus) never has to walk freelist
@@ -409,7 +410,16 @@ func RegionWords(n uint64) uint64 {
 	return PageWords << bits.Len64(pages-1)
 }
 
-func (r *regions) binFor(words uint64) *atomic.Uint64 {
+// regionLinks is the link storage of the region bins and the hyperblock
+// free stack: a free region's first heap word holds the next region's
+// address, written with Store, the plain store the stack's head CAS
+// publishes.
+type regionLinks struct{ h *Heap }
+
+func (l regionLinks) Next(p uint64) uint64   { return l.h.Load(Ptr(p)) }
+func (l regionLinks) SetNext(p, next uint64) { l.h.Store(Ptr(p), next) }
+
+func (r *regions) binFor(words uint64) *lfstack.Stack {
 	pages := words / PageWords
 	if pages <= exactBins {
 		return &r.bins[pages-1]
@@ -515,45 +525,30 @@ func (h *Heap) popAligned(words, align uint64) Ptr {
 }
 
 // popRegion pops a region from the freelist bin for the exact size, or
-// returns nil. Classic IBM freelist pop with a tagged head [8].
+// returns nil.
 func (h *Heap) popRegion(words uint64) Ptr {
-	bin := h.os.binFor(words)
-	for {
-		oldHead := bin.Load()
-		t := atomicx.UnpackTagged(oldHead)
-		if t.Idx == 0 {
-			return 0
-		}
-		next := h.Load(Ptr(t.Idx))
-		newHead := atomicx.Tagged{Idx: next, Tag: t.Tag + 1}.Pack()
-		if bin.CompareAndSwap(oldHead, newHead) {
-			h.os.countFor(words).Add(^uint64(0)) // census counter: see regions
-			return Ptr(t.Idx)
-		}
-		if st := h.tele.Load(); st != nil {
-			st.Retry(telemetry.SiteRegionPop, t.Idx)
-		}
+	p, fails := h.os.binFor(words).Pop(regionLinks{h})
+	h.retry(telemetry.SiteRegionPop, p, fails)
+	if p != 0 {
+		h.os.countFor(words).Add(^uint64(0)) // census counter: see regions
 	}
+	return Ptr(p)
 }
 
 // pushRegion pushes a region onto the freelist bin for its size.
 func (h *Heap) pushRegion(p Ptr, words uint64) {
-	bin := h.os.binFor(words)
-	// Incremented before the CAS so the paired pop's decrement (which
+	// Incremented before the push so the paired pop's decrement (which
 	// can only follow a successful push) never drives the counter
 	// negative; see regions.
 	h.os.countFor(words).Add(1)
-	for {
-		oldHead := bin.Load()
-		t := atomicx.UnpackTagged(oldHead)
-		h.Store(p, t.Idx)
-		atomicx.Fence() // paper Fig 7 line 3: order link store before head CAS
-		newHead := atomicx.Tagged{Idx: uint64(p), Tag: t.Tag + 1}.Pack()
-		if bin.CompareAndSwap(oldHead, newHead) {
-			return
-		}
-		if st := h.tele.Load(); st != nil {
-			st.Retry(telemetry.SiteRegionPush, uint64(p))
+	h.retry(telemetry.SiteRegionPush, uint64(p), h.os.binFor(words).Push(regionLinks{h}, uint64(p), uint64(p)))
+}
+
+// retry records n failed CASes at site, if telemetry is attached.
+func (h *Heap) retry(site telemetry.Site, key uint64, n int) {
+	if st := h.tele.Load(); st != nil {
+		for ; n > 0; n-- {
+			st.Retry(site, key)
 		}
 	}
 }
@@ -588,9 +583,7 @@ func (h *Heap) bump(words, align uint64) (Ptr, bool) {
 			h.materialize(start, words)
 			return Ptr(start), true
 		}
-		if st := h.tele.Load(); st != nil {
-			st.Retry(telemetry.SiteRegionBump, cur)
-		}
+		h.retry(telemetry.SiteRegionBump, cur, 1)
 	}
 }
 
@@ -616,18 +609,20 @@ type BinStat struct {
 }
 
 // RegionBins walks the free-region bins and reports their occupancy
-// (non-empty bins only, ordered by size). The walk follows freelist
-// links without synchronizing against concurrent pushes and pops, so it
-// must run at a quiescent point; it serves cmd/heapinfo-style
-// inspection, not the allocation path.
-func (h *Heap) RegionBins() []BinStat {
-	return h.os.binStats(func(head, _ *atomic.Uint64) uint64 {
+// (non-empty bins only, ordered by size), or an error naming a bin whose
+// links form a cycle. The walk follows freelist links without
+// synchronizing against concurrent pushes and pops, so it must run at a
+// quiescent point; it serves inspection, not the allocation path.
+func (h *Heap) RegionBins() ([]BinStat, error) {
+	var err error
+	bins := h.os.binStats(func(bin *lfstack.Stack, _ *atomic.Uint64) uint64 {
 		n := uint64(0)
-		for p := Ptr(atomicx.UnpackTagged(head.Load()).Idx); !p.IsNil(); p = Ptr(h.Load(p)) {
-			n++
+		if e := bin.Walk(regionLinks{h}, h.maxWords/PageWords, func(uint64) { n++ }); e != nil && err == nil {
+			err = fmt.Errorf("mem: region bin: %w", e)
 		}
 		return n
 	})
+	return bins, err
 }
 
 // BinCensus reports the same occupancy as RegionBins from the census
@@ -635,12 +630,12 @@ func (h *Heap) RegionBins() []BinStat {
 // is one atomic load, transiently high by at most the in-flight pushes
 // (see regions). Counts are exact at quiescence.
 func (h *Heap) BinCensus() []BinStat {
-	return h.os.binStats(func(_, census *atomic.Uint64) uint64 { return census.Load() })
+	return h.os.binStats(func(_ *lfstack.Stack, census *atomic.Uint64) uint64 { return census.Load() })
 }
 
 // binStats lists the bins for which count, given the bin's head and
 // its census counter, is not zero, smallest size first.
-func (r *regions) binStats(count func(head, census *atomic.Uint64) uint64) []BinStat {
+func (r *regions) binStats(count func(bin *lfstack.Stack, census *atomic.Uint64) uint64) []BinStat {
 	var out []BinStat
 	for b := range r.bins {
 		if n := count(&r.bins[b], &r.binRegions[b]); n > 0 {

@@ -314,11 +314,16 @@ func TestConcurrentBinContention(t *testing.T) {
 
 // accessors is every way to reach one heap word; the translation tests
 // below hold for each of them alike.
+// load is Load through a func value, so the test binary keeps the
+// out-of-line Load whose code ci/inline_guard.sh checks for a shift by
+// the constant granule (every other call inlines it).
+var load = (*Heap).Load
+
 var accessors = []struct {
 	name string
 	do   func(h *Heap, p Ptr)
 }{
-	{"Load", func(h *Heap, p Ptr) { h.Load(p) }},
+	{"Load", func(h *Heap, p Ptr) { load(h, p) }},
 	{"Store", func(h *Heap, p Ptr) { h.Store(p, 1) }},
 	{"CAS", func(h *Heap, p Ptr) { h.CAS(p, 0, 1) }},
 	{"Get", func(h *Heap, p Ptr) { h.Get(p) }},

@@ -5,6 +5,7 @@ import (
 	"runtime"
 	"sync"
 	"testing"
+	"time"
 )
 
 // TestCapacitySemantics fills a heap of 16 segments of 2^14 words with
@@ -101,7 +102,7 @@ func TestConcurrentAlignedVsFreeStress(t *testing.T) {
 // TestRegionBins checks the quiescent bin-occupancy walk.
 func TestRegionBins(t *testing.T) {
 	h := NewHeap(Config{SegmentWordsLog2: 14, TotalWordsLog2: 18})
-	if bins := h.RegionBins(); len(bins) != 0 {
+	if bins := regionBins(t, h); len(bins) != 0 {
 		t.Fatalf("fresh heap has non-empty bins: %+v", bins)
 	}
 	p1, w1, _ := h.AllocRegion(PageWords)
@@ -110,7 +111,7 @@ func TestRegionBins(t *testing.T) {
 	h.FreeRegion(p1, w1)
 	h.FreeRegion(p2, w2)
 	h.FreeRegion(p3, w3)
-	bins := h.RegionBins()
+	bins := regionBins(t, h)
 	want := []BinStat{
 		{RegionWords: PageWords, Regions: 2},
 		{RegionWords: 3 * PageWords, Regions: 1},
@@ -212,5 +213,58 @@ func TestSpareGranule(t *testing.T) {
 	if grew, limit := after.TotalAlloc-before.TotalAlloc, (granules+1)*gran*WordBytes+slack; grew > limit {
 		t.Errorf("mapping %d granules allocated %d bytes (%.1f granules), limit %d",
 			granules, grew, float64(grew)/float64(gran*WordBytes), limit)
+	}
+}
+
+// regionBins is RegionBins on a heap whose bins must be well formed.
+func regionBins(t *testing.T, h *Heap) []BinStat {
+	t.Helper()
+	bins, err := h.RegionBins()
+	if err != nil {
+		t.Fatal(err)
+	}
+	return bins
+}
+
+// TestRegionBinsReportsCycle links a bin's last region back to its head:
+// the walk must end with an error instead of looping.
+func TestRegionBinsReportsCycle(t *testing.T) {
+	h := NewHeap(Config{SegmentWordsLog2: 14, TotalWordsLog2: 18})
+	p1, w, _ := h.AllocRegion(PageWords)
+	p2, _, _ := h.AllocRegion(PageWords)
+	h.FreeRegion(p1, w)
+	h.FreeRegion(p2, w) // the bin is p2 -> p1 -> nil
+	h.Store(p1, uint64(p2))
+	done := make(chan error, 1)
+	go func() {
+		_, err := h.RegionBins()
+		done <- err
+	}()
+	select {
+	case err := <-done:
+		if err == nil {
+			t.Fatal("RegionBins on a cyclic bin returned no error")
+		}
+		t.Log(err)
+	case <-time.After(time.Second):
+		t.Fatal("RegionBins on a cyclic bin did not return within 1 s")
+	}
+}
+
+// TestRegionPairAllocatesNothing pins that a region alloc/free pair
+// served from a bin costs no Go allocation: the bins' link storage is
+// passed by value.
+func TestRegionPairAllocatesNothing(t *testing.T) {
+	h := NewHeap(Config{})
+	p, w, _ := h.AllocRegion(PageWords)
+	h.FreeRegion(p, w)
+	if n := testing.AllocsPerRun(100, func() {
+		p, w, err := h.AllocRegion(PageWords)
+		if err != nil {
+			t.Fatal(err)
+		}
+		h.FreeRegion(p, w)
+	}); n != 0 {
+		t.Errorf("AllocRegion/FreeRegion pair: %v allocations, want 0", n)
 	}
 }

@@ -10,7 +10,7 @@
 // over the shared pool layer: nodes live at stable indices in an
 // internal/pool chunked pool, head/tail/next are packed (index, tag)
 // words, and freed nodes are recycled through the pool's tagged
-// freelist. The LIFO alternative (a Treiber stack) is also provided
+// freelist. The LIFO alternative (an lfstack.Stack) is also provided
 // for the ablation benchmark.
 package partial
 
@@ -18,7 +18,7 @@ import (
 	"math/bits"
 	"sync/atomic"
 
-	"repro/internal/atomicx"
+	"repro/internal/lfstack"
 	"repro/internal/pool"
 	"repro/internal/telemetry"
 )
@@ -144,12 +144,14 @@ func (q *FIFO) Len() int { return q.q.Len() }
 
 // LIFO is the Treiber-stack alternative partial list (the paper's
 // simpler variant, kept for the FIFO-vs-LIFO ablation). Values are
-// stored in pool nodes, with a tagged head for ABA safety.
+// stored in pool nodes, linked through the node's pool link word, with
+// a tagged head for ABA safety.
 type LIFO struct {
-	pool *nodePool
-	head atomic.Uint64 // packed (index, tag)
-	size atomic.Int64
-	tele atomic.Pointer[telemetry.Stripes]
+	pool  *nodePool
+	stack lfstack.Stack
+	links lfstack.TagLinks
+	size  atomic.Int64
+	tele  atomic.Pointer[telemetry.Stripes]
 }
 
 // Instrument implements List.
@@ -160,7 +162,20 @@ func (s *LIFO) Instrument(st *telemetry.Stripes) { s.tele.Store(st) }
 func NewLIFO() *LIFO { return NewNodes(DefaultNodes).NewLIFO() }
 
 // NewLIFO creates an empty LIFO list over the shared pool.
-func (n *Nodes) NewLIFO() *LIFO { return &LIFO{pool: n.pool} }
+func (n *Nodes) NewLIFO() *LIFO {
+	s := &LIFO{pool: n.pool}
+	s.links = func(idx uint64) *atomic.Uint64 { return &s.pool.Get(idx).next }
+	return s
+}
+
+// retry records n failed CASes at site, if telemetry is attached.
+func (s *LIFO) retry(site telemetry.Site, key uint64, n int) {
+	if st := s.tele.Load(); st != nil {
+		for ; n > 0; n-- {
+			st.Retry(site, key)
+		}
+	}
+}
 
 // Put pushes v.
 func (s *LIFO) Put(v uint64) error {
@@ -171,43 +186,23 @@ func (s *LIFO) Put(v uint64) error {
 	if err != nil {
 		return err
 	}
-	nd := s.pool.Get(n)
-	nd.value.Store(v)
-	for {
-		oldHead := s.head.Load()
-		h := atomicx.UnpackTagged(oldHead)
-		old := atomicx.UnpackTagged(nd.next.Load())
-		nd.next.Store(atomicx.Tagged{Idx: h.Idx, Tag: old.Tag + 1}.Pack())
-		if s.head.CompareAndSwap(oldHead, atomicx.Tagged{Idx: n, Tag: h.Tag + 1}.Pack()) {
-			s.size.Add(1)
-			return nil
-		}
-		if st := s.tele.Load(); st != nil {
-			st.Retry(telemetry.SitePartialListPut, v)
-		}
-	}
+	s.pool.Get(n).value.Store(v)
+	s.retry(telemetry.SitePartialListPut, v, s.stack.Push(s.links, n, n))
+	s.size.Add(1)
+	return nil
 }
 
 // Get pops the most recently pushed value.
 func (s *LIFO) Get() (uint64, bool) {
-	for {
-		oldHead := s.head.Load()
-		h := atomicx.UnpackTagged(oldHead)
-		if h.Idx == 0 {
-			return 0, false
-		}
-		nd := s.pool.Get(h.Idx)
-		next := atomicx.UnpackTagged(nd.next.Load())
-		if s.head.CompareAndSwap(oldHead, atomicx.Tagged{Idx: next.Idx, Tag: h.Tag + 1}.Pack()) {
-			v := nd.value.Load()
-			s.pool.Retire(0, h.Idx)
-			s.size.Add(-1)
-			return v, true
-		}
-		if st := s.tele.Load(); st != nil {
-			st.Retry(telemetry.SitePartialListGet, h.Idx)
-		}
+	n, fails := s.stack.Pop(s.links)
+	s.retry(telemetry.SitePartialListGet, n, fails)
+	if n == 0 {
+		return 0, false
 	}
+	v := s.pool.Get(n).value.Load()
+	s.pool.Retire(0, n)
+	s.size.Add(-1)
+	return v, true
 }
 
 // Len returns a racy size estimate.

@@ -3,7 +3,7 @@ package pool
 import (
 	"sync/atomic"
 
-	"repro/internal/atomicx"
+	"repro/internal/lfstack"
 )
 
 // This file implements the Blelloch–Wei constant-time recycling
@@ -20,7 +20,7 @@ import (
 //     Swap. If the parking Swap displaces a batch some concurrent
 //     sibling parked meanwhile, the displaced batch is disposed onto a
 //     shared stack by fullness; nothing is lost and nobody retries.
-//   - Three shared tagged Treiber stacks (full, partial, empty) hold
+//   - Three shared lfstack stacks (full, partial, empty) hold
 //     batches no slot currently owns. The per-node hot path never
 //     touches them; they are visited at most once per batchSize
 //     operations (when a claimed batch runs dry or fills up), which is
@@ -28,14 +28,15 @@ import (
 //     CAS-retry-free per node.
 //   - Space: each of the P slots pins at most two batches of B words
 //     plus in-flight claims — the paper's O(P²) extra space for B≈P.
-//   - A single tagged overflow freelist (identical to the Figure-7
+//   - A single overflow freelist (the same lfstack.Stack as the Figure-7
 //     DescAvail list) is the correctness fallback for the bounded batch
 //     table: if a retire cannot obtain an empty batch it pushes the
 //     node there, and allocs drain it before growing. Free never fails.
 //
 // ABA safety: batches live at stable dense indices in a chunked table
 // (like nodes) and stack heads/links are packed (index:40, tag:24)
-// words, the same wide-tag argument as the freelist backend.
+// words (lfstack.TagLinks), the same wide-tag argument as the freelist
+// backend.
 
 // batchChunkLog2 is the log2 of batches per batch-table chunk.
 const batchChunkLog2 = 6
@@ -45,15 +46,9 @@ const batchChunkLog2 = 6
 // or stack pop, so ownership transfer is an atomic release/acquire
 // edge); n is atomic so racy census walks can read occupancy.
 type ctBatch struct {
-	next  atomic.Uint64 // packed (batch index, tag) shared-stack link
+	next  atomic.Uint64 // packed (batch index, tag) shared-stack link (lfstack.TagLinks)
 	n     atomic.Uint64 // occupancy in [0, batchSize]
 	nodes []uint64
-}
-
-// ctStack is a cache-padded tagged Treiber stack of batches.
-type ctStack struct {
-	head atomic.Uint64
-	_    [7]uint64
 }
 
 // ctSlot is one stripe's pair of batch words. 0 means "no batch";
@@ -71,12 +66,13 @@ type backendConstTime[T any, PT interface {
 }] struct {
 	p     *Pool[T, PT]
 	slots []ctSlot
+	links lfstack.TagLinks // the batches' shared-stack links
 
-	full    ctStack // batches with batchSize nodes
-	partial ctStack // batches with 1..batchSize-1 nodes
-	empty   ctStack // batches with 0 nodes
+	full    paddedStack // batches with batchSize nodes
+	partial paddedStack // batches with 1..batchSize-1 nodes
+	empty   paddedStack // batches with 0 nodes
 
-	overflow stripe // Figure-7 fallback when the batch table is capped
+	overflow paddedStack // Figure-7 fallback when the batch table is capped
 
 	batchChunks []atomic.Pointer[[]ctBatch]
 	nextBatch   atomic.Uint64 // bump counter; batch index 0 reserved
@@ -98,6 +94,7 @@ func newBackendConstTime[T any, PT interface {
 		batchChunks: make([]atomic.Pointer[[]ctBatch], (maxBatches>>batchChunkLog2)+1),
 		maxBatches:  maxBatches,
 	}
+	c.links = func(bi uint64) *atomic.Uint64 { return &c.batch(bi).next }
 	c.nextBatch.Store(1)
 	return c
 }
@@ -137,36 +134,17 @@ func (c *backendConstTime[T, PT]) newBatch() uint64 {
 	}
 }
 
-// pushStack pushes a batch onto a shared stack, bumping head and link
-// tags (the only CAS loop in this backend; visited once per batchSize
-// node operations).
-func (c *backendConstTime[T, PT]) pushStack(st *ctStack, bi uint64) {
-	b := c.batch(bi)
-	for {
-		oldHead := st.head.Load()
-		h := atomicx.UnpackTagged(oldHead)
-		old := atomicx.UnpackTagged(b.next.Load())
-		b.next.Store(atomicx.Tagged{Idx: h.Idx, Tag: old.Tag + 1}.Pack())
-		if st.head.CompareAndSwap(oldHead, atomicx.Tagged{Idx: bi, Tag: h.Tag + 1}.Pack()) {
-			return
-		}
-		c.p.retry(c.p.cfg.RetireSite, bi)
-	}
+// pushStack pushes a batch onto a shared stack (the only CAS loops in
+// this backend, with popStack; visited once per batchSize node
+// operations).
+func (c *backendConstTime[T, PT]) pushStack(st *paddedStack, bi uint64) {
+	c.p.retry(c.p.cfg.RetireSite, bi, st.Push(c.links, bi, bi))
 }
 
-func (c *backendConstTime[T, PT]) popStack(st *ctStack) uint64 {
-	for {
-		oldHead := st.head.Load()
-		h := atomicx.UnpackTagged(oldHead)
-		if h.Idx == 0 {
-			return 0
-		}
-		next := atomicx.UnpackTagged(c.batch(h.Idx).next.Load()).Idx
-		if st.head.CompareAndSwap(oldHead, atomicx.Tagged{Idx: next, Tag: h.Tag + 1}.Pack()) {
-			return h.Idx
-		}
-		c.p.retry(c.p.cfg.AllocSite, h.Idx)
-	}
+func (c *backendConstTime[T, PT]) popStack(st *paddedStack) uint64 {
+	bi, fails := st.Pop(c.links)
+	c.p.retry(c.p.cfg.AllocSite, bi, fails)
+	return bi
 }
 
 // dispose files an unowned batch onto the stack matching its fullness.
@@ -251,7 +229,7 @@ func (c *backendConstTime[T, PT]) alloc(stripe int) (uint64, error) {
 					st.Retry(p.cfg.MigrateSite, bi)
 				}
 			} else {
-				if idx, ok := p.popNode(&c.overflow, p.cfg.AllocSite); ok {
+				if idx := p.popNode(&c.overflow, p.cfg.AllocSite); idx != 0 {
 					p.retired.Add(^uint64(0))
 					return idx, nil
 				}
@@ -340,21 +318,18 @@ func (c *backendConstTime[T, PT]) retireChain(stripe int, first, _, n uint64) {
 }
 
 // stackFree sums batch occupancy along one shared stack (racy walk,
-// bounded by the number of batches ever created).
-func (c *backendConstTime[T, PT]) stackFree(st *ctStack) uint64 {
-	total := c.nextBatch.Load()
+// bounded by the number of batches ever created; an error is a torn
+// chain, and the bounded sum is the result, as in stripeFree).
+func (c *backendConstTime[T, PT]) stackFree(st *paddedStack) uint64 {
 	var sum uint64
-	bi := atomicx.UnpackTagged(st.head.Load()).Idx
-	for steps := uint64(0); bi != 0 && steps < total; steps++ {
-		sum += c.count(bi)
-		bi = atomicx.UnpackTagged(c.batch(bi).next.Load()).Idx
-	}
+	_ = st.Walk(c.links, c.nextBatch.Load(), func(bi uint64) { sum += c.count(bi) })
 	return sum
 }
 
 // stripeFree reports nodes parked in each slot's cur/spare batches,
 // with the shared stacks and the overflow list attributed to stripe 0.
-// See Pool.StripeFree for the consistency model.
+// See Pool.StripeFree for the consistency model: a walk error is a torn
+// chain, and the bounded count is the result.
 func (c *backendConstTime[T, PT]) stripeFree() []uint64 {
 	p := c.p
 	out := make([]uint64, len(c.slots))
@@ -367,27 +342,20 @@ func (c *backendConstTime[T, PT]) stripeFree() []uint64 {
 		}
 	}
 	out[0] += c.stackFree(&c.full) + c.stackFree(&c.partial)
-	bound := p.Allocated()
-	idx := atomicx.UnpackTagged(c.overflow.head.Load()).Idx
-	for n := uint64(0); idx != 0 && n < bound; n++ {
-		out[0]++
-		idx = atomicx.UnpackTagged(p.link(idx).Load()).Idx
-	}
+	_ = c.overflow.Walk(p.links, p.Allocated(), func(uint64) { out[0]++ })
 	return out
 }
 
-// freeIndices collects every parked node index: slot batches, the
+// freeIndices calls add for every parked node index: slot batches, the
 // shared stacks, and the overflow chain. Quiescent callers only.
-func (c *backendConstTime[T, PT]) freeIndices() map[uint64]bool {
-	p := c.p
-	out := make(map[uint64]bool)
+func (c *backendConstTime[T, PT]) freeIndices(add func(idx uint64)) error {
 	collect := func(bi uint64) {
 		if bi == 0 {
 			return
 		}
 		b := c.batch(bi)
 		for i := uint64(0); i < b.n.Load(); i++ {
-			out[b.nodes[i]] = true
+			add(b.nodes[i])
 		}
 	}
 	for i := range c.slots {
@@ -395,18 +363,10 @@ func (c *backendConstTime[T, PT]) freeIndices() map[uint64]bool {
 		collect(c.slots[i].spare.Load())
 	}
 	total := c.nextBatch.Load()
-	for _, st := range []*ctStack{&c.full, &c.partial, &c.empty} {
-		bi := atomicx.UnpackTagged(st.head.Load()).Idx
-		for steps := uint64(0); bi != 0 && steps < total; steps++ {
-			collect(bi)
-			bi = atomicx.UnpackTagged(c.batch(bi).next.Load()).Idx
+	for _, st := range []*paddedStack{&c.full, &c.partial, &c.empty} {
+		if err := st.Walk(c.links, total, collect); err != nil {
+			return err
 		}
 	}
-	bound := p.Allocated()
-	idx := atomicx.UnpackTagged(c.overflow.head.Load()).Idx
-	for uint64(len(out)) <= bound && idx != 0 {
-		out[idx] = true
-		idx = atomicx.UnpackTagged(p.link(idx).Load()).Idx
-	}
-	return out
+	return c.overflow.Walk(c.p.links, c.p.Allocated(), add)
 }

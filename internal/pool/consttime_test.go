@@ -46,7 +46,7 @@ func TestConstTimeBatchLifecycle(t *testing.T) {
 	if got := p.Retired(); got != 4 {
 		t.Fatalf("after retiring all Retired = %d, want 4", got)
 	}
-	free := p.FreeIndices()
+	free := freeIndices(t, p)
 	for _, idx := range idxs {
 		if !free[idx] {
 			t.Fatalf("index %d lost by the batch machinery", idx)
@@ -106,7 +106,7 @@ func TestConstTimeOverflowFallback(t *testing.T) {
 	for idx := range live {
 		p.Retire(0, idx)
 	}
-	if free := p.FreeIndices(); uint64(len(free)) != p.Retired() {
+	if free := freeIndices(t, p); uint64(len(free)) != p.Retired() {
 		t.Fatalf("overflow freelist holds %d, retired %d", len(free), p.Retired())
 	}
 }
@@ -143,7 +143,7 @@ func TestConstTimeDisplacement(t *testing.T) {
 		t.Fatalf("displaced batch holds %d nodes on the stacks, want 4", got)
 	}
 	// Nothing lost: the full reconciliation still holds.
-	if free := p.FreeIndices(); uint64(len(free)) != p.Retired() {
+	if free := freeIndices(t, p); uint64(len(free)) != p.Retired() {
 		t.Fatalf("after displacement freelists hold %d, retired %d", len(free), p.Retired())
 	}
 	// And the displaced batch is drainable: alloc everything back.
@@ -219,7 +219,7 @@ func TestConstTimeConcurrentOverflow(t *testing.T) {
 	if got, want := p.Allocated(), p.Retired(); got != want {
 		t.Fatalf("quiescent: allocated %d != retired %d", got, want)
 	}
-	if free := p.FreeIndices(); uint64(len(free)) != p.Retired() {
+	if free := freeIndices(t, p); uint64(len(free)) != p.Retired() {
 		t.Fatalf("freelists hold %d, retired %d", len(free), p.Retired())
 	}
 }

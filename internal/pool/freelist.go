@@ -1,18 +1,13 @@
 package pool
 
-import (
-	"repro/internal/atomicx"
-)
-
 // backendFreelist is the paper's Figure-7 recycling strategy: one
-// tagged Treiber freelist head, DescAvail, threaded through the nodes'
-// link words.
+// freelist, DescAvail, threaded through the nodes' link words.
 type backendFreelist[T any, PT interface {
 	*T
 	Node
 }] struct {
 	p     *Pool[T, PT]
-	avail stripe
+	avail paddedStack
 }
 
 // alloc pops a retired node, or carves a fresh chunk when the list is
@@ -20,36 +15,31 @@ type backendFreelist[T any, PT interface {
 // head, so the caller's stripe is ignored.
 func (b *backendFreelist[T, PT]) alloc(int) (uint64, error) {
 	p := b.p
-	s := &b.avail
 	for {
-		oldHead := s.head.Load()
-		h := atomicx.UnpackTagged(oldHead)
-		if h.Idx != 0 {
-			if idx, ok := p.popNode(s, p.cfg.AllocSite); ok {
-				p.retired.Add(^uint64(0))
-				return idx, nil
-			}
-			continue
+		if idx := p.popNode(&b.avail, p.cfg.AllocSite); idx != 0 {
+			p.retired.Add(^uint64(0))
+			return idx, nil
 		}
 		// Empty: allocate a node superblock (a chunk), take its first
-		// node, and install the rest. The paper frees the chunk if
-		// another thread repopulated the freelist first (Figure 7 lines
-		// 8-9); table chunks cannot be unmapped, so on that race the
+		// node, and install the rest if the list is still empty. The
+		// paper frees the chunk if another thread repopulated the list
+		// first; table chunks cannot be unmapped, so on that race the
 		// loser pushes its whole chain instead — a bounded
 		// over-allocation noted in DESIGN.md.
 		first, err := p.grow()
 		if err != nil {
 			return 0, err
 		}
-		rest := atomicx.UnpackTagged(p.link(first).Load()).Idx
-		atomicx.Fence() // Figure 7 line 7
-		newHead := atomicx.Tagged{Idx: rest, Tag: h.Tag + 1}.Pack()
-		if s.head.CompareAndSwap(oldHead, newHead) {
-			p.retired.Add(p.chunkSize - 1) // the rest of the chunk is now available
+		last := first + p.chunkSize - 1
+		if first == last {
+			return first, nil // a one-node chunk has no remainder
+		}
+		if b.avail.Install(p.links, first+1, last) {
+			p.retired.Add(p.chunkSize - 1)
 			return first, nil
 		}
-		p.retry(p.cfg.AllocSite, first)
-		b.retireChain(0, first, first+p.chunkSize-1, p.chunkSize)
+		p.retry(p.cfg.AllocSite, first, 1)
+		b.retireChain(0, first, last, p.chunkSize)
 	}
 }
 
@@ -61,27 +51,16 @@ func (b *backendFreelist[T, PT]) retireChain(_ int, first, last, n uint64) {
 }
 
 // stripeFree counts the retired nodes by walking the list: one entry.
-// See Pool.StripeFree for the consistency model.
+// See Pool.StripeFree for the consistency model: a walk error there is a
+// torn chain, and the bounded count is the result.
 func (b *backendFreelist[T, PT]) stripeFree() []uint64 {
-	p := b.p
-	bound := p.Allocated()
 	var n uint64
-	for idx := atomicx.UnpackTagged(b.avail.head.Load()).Idx; idx != 0 && n < bound; n++ {
-		idx = atomicx.UnpackTagged(p.link(idx).Load()).Idx
-	}
+	_ = b.avail.Walk(b.p.links, b.p.Allocated(), func(uint64) { n++ })
 	return []uint64{n}
 }
 
-// freeIndices collects the set of node indices on the list. Quiescent
+// freeIndices calls add for each node index on the list. Quiescent
 // callers only.
-func (b *backendFreelist[T, PT]) freeIndices() map[uint64]bool {
-	p := b.p
-	out := make(map[uint64]bool)
-	bound := p.Allocated()
-	idx := atomicx.UnpackTagged(b.avail.head.Load()).Idx
-	for idx != 0 && uint64(len(out)) <= bound {
-		out[idx] = true
-		idx = atomicx.UnpackTagged(p.link(idx).Load()).Idx
-	}
-	return out
+func (b *backendFreelist[T, PT]) freeIndices(add func(idx uint64)) error {
+	return b.avail.Walk(b.p.links, b.p.Allocated(), add)
 }

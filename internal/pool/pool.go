@@ -10,8 +10,8 @@
 // that table:
 //
 //   - AlgoFreelist (default): retired nodes are recycled through one
-//     lock-free Treiber freelist, Figure 7's DescAvail, whose head is a
-//     packed (index:40, tag:24) word (atomicx.Tagged). The paper
+//     lock-free freelist, Figure 7's DescAvail, an lfstack.Stack whose
+//     head is a packed (index:40, tag:24) word (atomicx.Tagged). The paper
 //     prevents ABA on DescAvail with hazard pointers (SafeCAS, Figure 7
 //     line 4); because pool nodes live at stable indices and are never
 //     unmapped, a wide version tag is an equally safe and simpler
@@ -22,7 +22,7 @@
 //     Retired indices are grouped into fixed-size batches; each slot
 //     (stripe) privatizes up to two batches with a single wait-free
 //     Swap, so the per-node hot path has no CAS retry loop at all.
-//     Full/partial/empty batches are exchanged through shared tagged
+//     Full/partial/empty batches are exchanged through shared lfstack
 //     stacks touched once per batchSize operations. See consttime.go.
 //     No allocator or flag selects it: the descriptor pool is the
 //     freelist, and this backend is kept for the perf ledger's
@@ -36,6 +36,7 @@ import (
 	"unsafe"
 
 	"repro/internal/atomicx"
+	"repro/internal/lfstack"
 	"repro/internal/telemetry"
 )
 
@@ -106,10 +107,10 @@ type Config struct {
 	MigrateSite telemetry.Site
 }
 
-// stripe is one cache-padded freelist head: a packed (index, tag) word.
-type stripe struct {
-	head atomic.Uint64
-	_    [7]uint64
+// paddedStack is a freelist alone on its cache line.
+type paddedStack struct {
+	lfstack.Stack
+	_ [7]uint64
 }
 
 // algoBackend is the recycling strategy behind a Pool: everything
@@ -120,7 +121,7 @@ type algoBackend interface {
 	alloc(stripe int) (uint64, error)
 	retireChain(stripe int, first, last, n uint64)
 	stripeFree() []uint64
-	freeIndices() map[uint64]bool
+	freeIndices(add func(idx uint64)) error
 }
 
 // Pool is a generic chunked tagged-index pool. T is the node type; PT
@@ -141,6 +142,11 @@ type Pool[T any, PT interface {
 	chunkSize uint64
 
 	be algoBackend
+
+	// links reads and writes the nodes' link words for the freelists
+	// (lfstack.TagLinks over PoolNext), made once so that passing it
+	// costs no allocation.
+	links lfstack.TagLinks
 
 	cfg Config
 
@@ -173,6 +179,7 @@ func New[T any, PT interface {
 		chunkMask: 1<<cfg.ChunkLog2 - 1,
 	}
 	p.nextIdx.Store(p.chunkSize)
+	p.links = func(idx uint64) *atomic.Uint64 { return p.Get(idx).PoolNext() }
 	switch cfg.Algo {
 	case AlgoConstTime:
 		p.be = newBackendConstTime[T, PT](p)
@@ -235,13 +242,12 @@ func (p *Pool[T, PT]) TryGet(idx uint64) PT {
 	return p.nodeAt(base, idx)
 }
 
-func (p *Pool[T, PT]) link(idx uint64) *atomic.Uint64 {
-	return p.Get(idx).PoolNext()
-}
-
-func (p *Pool[T, PT]) retry(site telemetry.Site, key uint64) {
+// retry records n failed CASes at site, if telemetry is attached.
+func (p *Pool[T, PT]) retry(site telemetry.Site, key uint64, n int) {
 	if st := p.tele.Load(); st != nil {
-		st.Retry(site, key)
+		for ; n > 0; n-- {
+			st.Retry(site, key)
+		}
 	}
 }
 
@@ -307,45 +313,19 @@ func (p *Pool[T, PT]) grow() (uint64, error) {
 	}
 }
 
-// popNode pops one node off a tagged freelist head, or reports the
-// list empty. Shared by the freelist backend's DescAvail and the
-// constant-time backend's overflow list.
-func (p *Pool[T, PT]) popNode(s *stripe, site telemetry.Site) (uint64, bool) {
-	for {
-		oldHead := s.head.Load()
-		h := atomicx.UnpackTagged(oldHead)
-		if h.Idx == 0 {
-			return 0, false
-		}
-		next := atomicx.UnpackTagged(p.link(h.Idx).Load()).Idx
-		newHead := atomicx.Tagged{Idx: next, Tag: h.Tag + 1}.Pack()
-		// The paper uses SafeCAS (hazard-pointer protected); the
-		// tagged head provides the same ABA safety for index-addressed
-		// nodes.
-		if s.head.CompareAndSwap(oldHead, newHead) {
-			return h.Idx, true
-		}
-		p.retry(site, h.Idx)
-	}
+// popNode pops one node off a freelist, or returns 0 if it is empty.
+// The paper pops DescAvail with SafeCAS (hazard-pointer protected); the
+// tagged head gives the same ABA safety for index-addressed nodes.
+func (p *Pool[T, PT]) popNode(s *paddedStack, site telemetry.Site) uint64 {
+	idx, fails := s.Pop(p.links)
+	p.retry(site, idx, fails)
+	return idx
 }
 
-// spliceChain links last to the head's current chain and installs
-// first as the new head, bumping both tags; it does not touch the
-// retired counter, which its callers add to.
-func (p *Pool[T, PT]) spliceChain(s *stripe, first, last uint64) {
-	ln := p.link(last)
-	for {
-		oldHead := s.head.Load()
-		h := atomicx.UnpackTagged(oldHead)
-		old := atomicx.UnpackTagged(ln.Load())
-		ln.Store(atomicx.Tagged{Idx: h.Idx, Tag: old.Tag + 1}.Pack())
-		atomicx.Fence() // Figure 7 line 3
-		newHead := atomicx.Tagged{Idx: first, Tag: h.Tag + 1}.Pack()
-		if s.head.CompareAndSwap(oldHead, newHead) {
-			return
-		}
-		p.retry(p.cfg.RetireSite, first)
-	}
+// spliceChain pushes the chain first..last onto a freelist; it does not
+// touch the retired counter, which its callers add to.
+func (p *Pool[T, PT]) spliceChain(s *paddedStack, first, last uint64) {
+	p.retry(p.cfg.RetireSite, first, s.Push(p.links, first, last))
 }
 
 // chainWalk calls visit for each index of the chain starting at first,
@@ -353,7 +333,7 @@ func (p *Pool[T, PT]) spliceChain(s *stripe, first, last uint64) {
 func (p *Pool[T, PT]) chainWalk(first, n uint64, visit func(idx uint64)) {
 	idx := first
 	for i := uint64(0); i < n && idx != 0; i++ {
-		next := atomicx.UnpackTagged(p.link(idx).Load()).Idx
+		next := p.links.Next(idx)
 		visit(idx)
 		idx = next
 	}
@@ -384,10 +364,26 @@ func (p *Pool[T, PT]) Limit() uint64 { return p.nextIdx.Load() }
 // the constant-time backend — the nodes parked in that slot's private
 // batches, with the shared full/partial stacks and the overflow list
 // attributed to slot 0. The walk races with concurrent Alloc/Retire
-// (each step is bounded, so a torn snapshot can only mis-count, not
-// loop); exact results need a quiescent pool.
+// (every walk is step-bounded, so a torn snapshot can only mis-count,
+// not loop); exact results need a quiescent pool.
 func (p *Pool[T, PT]) StripeFree() []uint64 { return p.be.stripeFree() }
 
-// FreeIndices returns the set of node indices currently on freelists.
-// Quiescent callers only (invariant checkers, tests).
-func (p *Pool[T, PT]) FreeIndices() map[uint64]bool { return p.be.freeIndices() }
+// FreeIndices returns the set of node indices currently on freelists,
+// or an error naming an index found free twice (a cycle in a freelist's
+// links, or a node both listed and batched). Every walk is
+// step-bounded, so corrupt links end it. Quiescent callers only
+// (invariant checkers, tests).
+func (p *Pool[T, PT]) FreeIndices() (map[uint64]bool, error) {
+	out := make(map[uint64]bool)
+	var dup error
+	err := p.be.freeIndices(func(idx uint64) {
+		if out[idx] && dup == nil {
+			dup = fmt.Errorf("pool: index %d is free twice", idx)
+		}
+		out[idx] = true
+	})
+	if dup != nil {
+		err = dup
+	}
+	return out, err
+}

@@ -7,6 +7,7 @@ import (
 	"sync"
 	"sync/atomic"
 	"testing"
+	"time"
 	"unsafe"
 
 	"repro/internal/atomicx"
@@ -24,6 +25,17 @@ func (n *tnode) PoolNext() *atomic.Uint64 { return &n.next }
 type tpool = Pool[tnode, *tnode]
 
 func newTestPool(cfg Config) *tpool { return New[tnode, *tnode](cfg) }
+
+// freeIndices is FreeIndices on a pool whose freelists must be well
+// formed.
+func freeIndices(t *testing.T, p *tpool) map[uint64]bool {
+	t.Helper()
+	free, err := p.FreeIndices()
+	if err != nil {
+		t.Fatal(err)
+	}
+	return free
+}
 
 func mustAlloc(t *testing.T, p *tpool, stripe int) uint64 {
 	t.Helper()
@@ -174,7 +186,7 @@ func TestAccountingInvariant(t *testing.T) {
 		if got, want := p.Allocated(), uint64(len(live))+p.Retired(); got != want {
 			t.Fatalf("allocated %d != live %d + retired %d", got, len(live), p.Retired())
 		}
-		free := p.FreeIndices()
+		free := freeIndices(t, p)
 		if uint64(len(free)) != p.Retired() {
 			t.Fatalf("freelists hold %d, retired counter %d", len(free), p.Retired())
 		}
@@ -250,7 +262,7 @@ func TestABARecyclingFuzz(t *testing.T) {
 			if got, want := p.Allocated(), p.Retired(); got != want {
 				t.Fatalf("stripes=%d quiescent: allocated %d != retired %d (all nodes released)", stripes, got, want)
 			}
-			if free := p.FreeIndices(); uint64(len(free)) != p.Retired() {
+			if free := freeIndices(t, p); uint64(len(free)) != p.Retired() {
 				t.Fatalf("stripes=%d: freelists hold %d, retired counter %d", stripes, len(free), p.Retired())
 			}
 		}
@@ -338,8 +350,53 @@ func TestExhaustionAccountingReconciliation(t *testing.T) {
 		if got, want := p.Allocated(), p.Retired(); got != want {
 			t.Fatalf("quiescent: allocated %d != retired %d", got, want)
 		}
-		if free := p.FreeIndices(); uint64(len(free)) != p.Retired() {
+		if free := freeIndices(t, p); uint64(len(free)) != p.Retired() {
 			t.Fatalf("quiescent: freelists hold %d, retired %d", len(free), p.Retired())
+		}
+	})
+}
+
+// TestFreeIndicesReportsCycle retires two nodes of a ChunkLog2: 3 pool
+// onto a freelist (the constant-time backend's overflow list, its batch
+// table capped) and links the lower one back to the top: FreeIndices
+// must end with an error naming a node, not loop.
+func TestFreeIndicesReportsCycle(t *testing.T) {
+	forEachAlgo(t, func(t *testing.T, algo Algo) {
+		p := newTestPool(Config{ChunkLog2: 3, MaxChunks: 16, Algo: algo})
+		if algo == AlgoConstTime {
+			c := ctBackend(t, p)
+			c.maxBatches = c.nextBatch.Load()
+		}
+		lo, hi := mustAlloc(t, p, 0), mustAlloc(t, p, 0)
+		p.Retire(0, lo)
+		p.Retire(0, hi) // the list is hi -> lo -> the chunk's rest
+		p.Get(lo).next.Store(atomicx.Tagged{Idx: hi, Tag: 1 << 20}.Pack())
+		done := make(chan error, 1)
+		go func() {
+			_, err := p.FreeIndices()
+			done <- err
+		}()
+		select {
+		case err := <-done:
+			if err == nil || !strings.Contains(err.Error(), "twice") {
+				t.Fatalf("FreeIndices on a cyclic list: %v, want an index free twice", err)
+			}
+			t.Log(err)
+		case <-time.After(time.Second):
+			t.Fatal("FreeIndices on a cyclic list did not return within 1 s")
+		}
+	})
+}
+
+// TestAllocRetirePairAllocatesNothing pins that a warm Alloc/Retire
+// pair costs no Go allocation: the freelists' link storage is made once,
+// in New.
+func TestAllocRetirePairAllocatesNothing(t *testing.T) {
+	forEachAlgo(t, func(t *testing.T, algo Algo) {
+		p := newTestPool(Config{ChunkLog2: 3, MaxChunks: 16, Algo: algo})
+		p.Retire(0, mustAlloc(t, p, 0))
+		if n := testing.AllocsPerRun(100, func() { p.Retire(0, mustAlloc(t, p, 0)) }); n != 0 {
+			t.Errorf("Alloc/Retire pair: %v allocations, want 0", n)
 		}
 	})
 }
