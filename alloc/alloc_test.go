@@ -8,6 +8,7 @@ import (
 
 	"repro/internal/core"
 	"repro/internal/mem"
+	"repro/internal/shadow"
 )
 
 func testOptions() Options {
@@ -56,6 +57,7 @@ func TestConformance(t *testing.T) {
 			t.Run("freeNil", func(t *testing.T) { a.NewThread().Free(0) })
 			t.Run("crossThreadFree", func(t *testing.T) { conformCrossFree(t, a) })
 			t.Run("integrityStress", func(t *testing.T) { conformStress(t, a) })
+			t.Run("integrityStressShadow", func(t *testing.T) { conformStressShadow(t, name) })
 		})
 	}
 }
@@ -210,6 +212,36 @@ func conformStress(t *testing.T, a Allocator) {
 		}(int64(g) + 1)
 	}
 	wg.Wait()
+}
+
+// conformStressShadow is integrityStress on a fresh allocator of the
+// same backend under the shadow oracle, which fails the test on any
+// violation. Heap words are not Go memory, so the race detector does not
+// see payload accesses: the oracle is what catches two owners of one
+// block (a Malloc of a block still live) and, where the backend allows
+// reuse verification, a write into a freed one, and it does so in every
+// build.
+func conformStressShadow(t *testing.T, name string) {
+	var mu sync.Mutex
+	var vs []shadow.Violation
+	opt := testOptions()
+	opt.Shadow = true
+	opt.ShadowConfig.OnViolation = func(v shadow.Violation) {
+		mu.Lock()
+		vs = append(vs, v)
+		mu.Unlock()
+	}
+	a, err := New(name, opt)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer HarnessOf(a).Oracle().Close()
+	conformStress(t, a)
+	mu.Lock()
+	defer mu.Unlock()
+	if len(vs) != 0 {
+		t.Fatalf("%d violations, the first: %v", len(vs), vs[0])
+	}
 }
 
 func TestCoreAccessor(t *testing.T) {

@@ -8,8 +8,8 @@
 # costs a call per word silently. This step asks the compiler and fails
 # loudly. It then counts the locked instructions on the paths that end
 # in a CAS, checks that a magazine hit takes none and that recording an
-# operation divides nothing, and checks that Heap.Load translates by
-# constants (see the last sections).
+# operation divides nothing, and checks that Heap.Load translates with
+# one compare (see the last sections).
 #
 # mem's accessors are checked where they are declared. pool.Pool is
 # generic, so the compiler only reports on its methods where they are
@@ -25,12 +25,15 @@ need() {
 		status=1
 	fi
 }
-for fn in word Load Store CAS Get Set; do
+for fn in Mapped word Load Store CAS Get Set; do
 	need "can inline \(\*Heap\)\.$fn( |\$)" "can inline (*Heap).$fn"
 done
-# The single-writer store behind Heap.Store and the magazine count.
+# The single-writer store behind Heap.Store and the magazine count, and
+# the plain load of the bump pointer behind every heap-word access.
 need 'can inline PlainStore( |$)' 'can inline atomicx.PlainStore'
 need 'mem\.go:[0-9:]+ inlining call to atomicx\.PlainStore( |$)' 'inlining call to atomicx.PlainStore in (*Heap).Store'
+need 'can inline PlainLoad( |$)' 'can inline atomicx.PlainLoad'
+need 'mem\.go:[0-9:]+ inlining call to atomicx\.PlainLoad( |$)' 'inlining call to atomicx.PlainLoad in (*Heap).Mapped'
 need 'can inline \(\*Allocator\)\.desc( |$)' 'can inline (*Allocator).desc'
 need 'allocator\.go:[0-9:]+ inlining call to pool\.\(\*Pool\[.*\]\)\.Get( |$)' \
 	'inlining call to pool.(*Pool[...]).Get in (*Allocator).desc'
@@ -63,7 +66,7 @@ inlined_within() {
 inlined_within release release withLink
 inlined_within release release smallPrefix
 if [ "$status" -eq 0 ]; then
-	echo "inline guard: atomicx.PlainStore, mem.(*Heap).{word,Load,Store,CAS,Get,Set}, pool.(*Pool).Get, core.(*Allocator).desc, (*Thread).bump and the prefix helpers all inline, withLink and smallPrefix inside release"
+	echo "inline guard: atomicx.PlainStore, atomicx.PlainLoad, mem.(*Heap).{Mapped,word,Load,Store,CAS,Get,Set}, pool.(*Pool).Get, core.(*Allocator).desc, (*Thread).bump and the prefix helpers all inline, withLink and smallPrefix inside release"
 fi
 
 # Locked-instruction count, from the disassembly of a non-race build
@@ -150,24 +153,26 @@ if [ "$(go env GOARCH)" = amd64 ]; then
 			status=1
 		fi
 	fi
-	# A heap word's translation shifts and masks by the constant granule:
-	# a shift by CL means the granule came from the Heap at run time, a
-	# load and a register shuffle on every word. The instruction count of
-	# the out-of-line Load's path to its first RET (frame setup included,
-	# panic and stack-growth tails not) is printed for the record.
+	# A heap word's translation is one unsigned compare of the address
+	# against the bump pointer, then base + 8*p: the out-of-line Load's
+	# path to its first RET (frame setup included, panic and stack-growth
+	# tails not) has one conditional branch, not counting a stack check's,
+	# and at most 14 instructions. A lookup table between address and
+	# word would add a dependent load and a branch.
 	go test -c -o "$bin/mem.test" ./internal/mem
 	load=$(go tool objdump -s '^repro/internal/mem\.\(\*Heap\)\.Load$' "$bin/mem.test" |
 		awk '/^TEXT/ { seen = 1; next } seen && NF && !ret { n++ } /[ \t]RET[ \t]/ { ret = 1 }
-			/[ \t](SH[LR]|SA[LR]|RO[LR])[BWLQ]?[ \t]+CL,/ { cl++ }
-			END { if (seen) print n + 0, cl + 0 }')
+			!ret && /[ \t]J[A-Z]+[ \t]/ && !/[ \t]JMP[ \t]/ && prev !~ /[ \t]CMPQ[ \t]+SP,/ { jcc++ }
+			{ prev = $0 }
+			END { if (seen) print n + 0, jcc + 0 }')
 	if [ -z "$load" ]; then
 		echo "inline guard: no code for mem.(*Heap).Load in the test binary" >&2
 		status=1
 	else
 		set -- $load
-		echo "instructions: mem.(*Heap).Load $1 to RET, shifts by CL $2"
-		if [ "$2" -ne 0 ]; then
-			echo "inline guard: mem.(*Heap).Load shifts by CL; the granule must be a constant" >&2
+		echo "instructions: mem.(*Heap).Load $1 to RET, conditional branches $2"
+		if [ "$1" -gt 14 ] || [ "$2" -ne 1 ]; then
+			echo "inline guard: mem.(*Heap).Load has $1 instructions and $2 conditional branches to RET, want at most 14 and exactly 1" >&2
 			status=1
 		fi
 	fi

@@ -376,7 +376,7 @@ func skeleton(out string) []string {
 
 const osLayerSkeleton = `heap: # words live (max-live # KiB), # region allocs / # frees, external fragmentation #
 OS layer (words):
-reserved materialized live skipped allocs frees reused free regions free words occupancy ext frag
+reserved live skipped allocs frees reused free regions free words occupancy ext frag
 `
 
 // onceSkeletons is the line structure of the census on `allocmon -once

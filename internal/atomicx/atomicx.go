@@ -11,7 +11,8 @@
 //
 // This package implements those encodings with explicit bit layouts that
 // match the paper's Figure 3, plus a documented stand-in for memory
-// fences, and the one single-writer plain store (PlainStore).
+// fences, the one single-writer plain store (PlainStore) and the one
+// plain load of a growing word (PlainLoad).
 //
 // Memory fences: the paper targets PowerPC and inserts sync/isync/eieio
 // instructions at specific points (Figure 4 line 12, Figure 6 lines 14
@@ -211,4 +212,17 @@ func PlainStore(p *uint64, v uint64) {
 		return
 	}
 	*p = v
+}
+
+// PlainLoad reads the word at p with a plain load, which the compiler may
+// fold into a compare. It is for a word that only grows, read by threads
+// that need no value newer than what synchronized them with its writer:
+// mem.Heap's bump pointer, which every heap-word access compares against.
+// Under -race it is atomic.LoadUint64 (see raceBuild). It must inline
+// (ci/inline_guard.sh).
+func PlainLoad(p *uint64) uint64 {
+	if raceBuild {
+		return atomic.LoadUint64(p)
+	}
+	return *p
 }

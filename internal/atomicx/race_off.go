@@ -2,6 +2,6 @@
 
 package atomicx
 
-// raceBuild is false in normal builds, where PlainStore is a plain
-// word write.
+// raceBuild is false in normal builds, where PlainStore and PlainLoad
+// are plain word accesses.
 const raceBuild = false

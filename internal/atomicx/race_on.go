@@ -2,11 +2,11 @@
 
 package atomicx
 
-// raceBuild keeps PlainStore atomic under the race detector, which
-// cannot see what publishes a plain store: the CAS following a heap
-// link store (a speculative pop's Load of a link word another thread
-// is rewriting is the benign race the anchor's tag resolves), or
-// nothing at all for a magazine count the census reads while its owner
-// churns. The detector would report both. The toolchain sets the tag
-// with -race.
+// raceBuild keeps PlainStore and PlainLoad atomic under the race
+// detector, which would report a plain access racing with an atomic one
+// on a Go word: a magazine count the census reads while its owner
+// churns, or the heap's bump pointer, which every heap-word access reads
+// while another thread's bump swings it by CAS. (Heap words themselves
+// are not Go memory, so the detector does not see Heap.Store's.) The
+// toolchain sets the tag with -race.
 const raceBuild = true

@@ -55,9 +55,9 @@ func (o *OSLayer) WriteText(w io.Writer) {
 		o.LiveWords, o.MaxLiveWords*mem.WordBytes/1024, o.RegionAllocs, o.RegionFrees, 100*o.ExternalFragRatio)
 	fmt.Fprintln(w, "\nOS layer (words):")
 	tw := table(w, tabwriter.AlignRight,
-		"reserved\tmaterialized\tlive\tskipped\tallocs\tfrees\treused\tfree regions\tfree words\toccupancy\text frag\t")
-	fmt.Fprintf(tw, "%d\t%d\t%d\t%d\t%d\t%d\t%d\t%d\t%d\t%.1f%%\t%.1f%%\t\n",
-		o.ReservedWords, o.MaterializedWords, o.LiveWords, o.SkippedWords,
+		"reserved\tlive\tskipped\tallocs\tfrees\treused\tfree regions\tfree words\toccupancy\text frag\t")
+	fmt.Fprintf(tw, "%d\t%d\t%d\t%d\t%d\t%d\t%d\t%d\t%.1f%%\t%.1f%%\t\n",
+		o.ReservedWords, o.LiveWords, o.SkippedWords,
 		o.RegionAllocs, o.RegionFrees, o.ReusedRegions,
 		o.FreeRegions, o.FreeWords, 100*o.BumpOccupancy, 100*o.ExternalFragRatio)
 	tw.Flush()
@@ -79,7 +79,6 @@ func (o *OSLayer) writeMetrics(p *promWriter) {
 	p.header("census_external_frag_ratio", "Free-bin words over reserved words.", "gauge")
 	p.sample("census_os_words", float64(o.TotalWords), "kind", "total")
 	p.sample("census_os_words", float64(o.ReservedWords), "kind", "reserved")
-	p.sample("census_os_words", float64(o.MaterializedWords), "kind", "materialized")
 	p.sample("census_os_words", float64(o.LiveWords), "kind", "live")
 	p.sample("census_os_words", float64(o.FreeWords), "kind", "free")
 	p.sample("census_os_free_regions", float64(o.FreeRegions))

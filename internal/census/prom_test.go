@@ -51,7 +51,7 @@ func goldenInputs() (telemetry.Snapshot, *Census) {
 		Ops: core.OpStats{MagazineHits: 1200, MagazineMisses: 80, MagazineFlushes: 5},
 	}
 	osl := &OSLayer{
-		Stats:      mem.Stats{ReservedWords: 1 << 16, MaterializedWords: 1 << 18, LiveWords: 3 << 14, SkippedWords: 128},
+		Stats:      mem.Stats{ReservedWords: 1 << 16, LiveWords: 3 << 14, SkippedWords: 128},
 		TotalWords: 1 << 20, FreeRegions: 4, FreeWords: 1 << 13,
 		BumpOccupancy: 0.0625, ExternalFragRatio: 0.125,
 	}

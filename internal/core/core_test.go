@@ -764,13 +764,13 @@ func TestThreadsMapToDistinctHeaps(t *testing.T) {
 
 // TestNewFootprint pins what constructing an allocator, and serving its
 // first block, costs in Go memory. On the default 2^31-word heap New is
-// the 256 KiB descriptor table that heap's 2^20 superblocks need, the OS
-// layer's 512 KiB granule table, and some 45 KB that does not grow with
-// the heap: the whole of New on the 2^26-word heap sched.Explore builds
-// per schedule. The first Malloc adds one 256 KiB granule, whatever the
-// heap, and a 4 KiB descriptor chunk. The limits leave room for a few
-// more size classes, not for a table or a pool per class, nor for a
-// second granule.
+// the 256 KiB descriptor table that heap's 2^20 superblocks need and
+// some 27 KB that does not grow with the heap: the whole of New on the
+// 2^26-word heap sched.Explore builds per schedule. The heap's words are
+// an OS mapping, not Go memory, so the first Malloc adds only a 4 KiB
+// descriptor chunk, whatever the heap. The limits leave room for a few
+// more size classes, not for a table or a pool per class, nor for any
+// backing of heap words in Go memory.
 //
 // descChunkLog2 stays 6: 512-descriptor chunks would shrink the table
 // eightfold, but every allocator then carves and every CheckInvariants
@@ -781,8 +781,8 @@ func TestNewFootprint(t *testing.T) {
 		heap              mem.Config
 		limit, withMalloc uint64
 	}{
-		{mem.Config{}, 1 << 20, 1280 << 10},                   // 833 288 B + 266 888 B with 37 classes
-		{mem.Config{TotalWordsLog2: 26}, 64 << 10, 384 << 10}, // 45 064 B + 266 888 B
+		{mem.Config{}, 384 << 10, 400 << 10},                 // 309 104 B + 4 744 B with 37 classes
+		{mem.Config{TotalWordsLog2: 26}, 48 << 10, 64 << 10}, // 26 736 B + 4 744 B
 	} {
 		built, first := uint64(1<<62), uint64(1<<62)
 		for i := 0; i < 3; i++ { // the least of three: other tests' goroutines allocate too
@@ -803,8 +803,8 @@ func TestNewFootprint(t *testing.T) {
 		if built+first > c.withMalloc {
 			t.Errorf("core.New and the first Malloc(8) with heap %+v allocate %d bytes, limit %d", c.heap, built+first, c.withMalloc)
 		}
-		// One granule and small change, whatever New cost.
-		if limit := uint64(288 << 10); first > limit {
+		// One descriptor chunk and small change, whatever New cost.
+		if limit := uint64(16 << 10); first > limit {
 			t.Errorf("the first Malloc(8) with heap %+v allocates %d bytes, limit %d", c.heap, first, limit)
 		}
 		t.Logf("heap %+v: New %d B, first Malloc(8) %d B", c.heap, built, first)

@@ -5,13 +5,11 @@ import (
 	"sync"
 	"sync/atomic"
 	"testing"
-	"unsafe"
 )
 
-// TestConcurrentSegmentMaterialization hammers the lazy segment
-// installation from many goroutines: every allocated region must be
-// usable even when two goroutines race to materialize the same
-// segment (one make() wins, the loser parks its slice as the spare).
+// TestConcurrentSegmentMaterialization hammers the bump pointer from
+// many goroutines across many tiny segments: every region must be usable
+// at once by the goroutine whose bump reserved it, first touch included.
 func TestConcurrentSegmentMaterialization(t *testing.T) {
 	h := NewHeap(Config{SegmentWordsLog2: 12, TotalWordsLog2: 24}) // many tiny segments
 	const goroutines = 8
@@ -29,7 +27,7 @@ func TestConcurrentSegmentMaterialization(t *testing.T) {
 				h.Store(p, id)
 				h.Store(p.Add(w-1), id)
 				if h.Load(p) != id || h.Load(p.Add(w-1)) != id {
-					t.Error("segment materialization lost a write")
+					t.Error("a fresh region lost a write")
 					return
 				}
 				h.FreeRegion(p, PageWords)
@@ -37,77 +35,6 @@ func TestConcurrentSegmentMaterialization(t *testing.T) {
 		}(uint64(g))
 	}
 	wg.Wait()
-}
-
-// TestMaterializeRace releases 8 goroutines from one barrier onto a
-// fresh heap, each bumping one quarter-granule region, so that every
-// granule they reach is reached by several of them at once. Whoever
-// loses the race for a table entry has allocated one granule for
-// nothing and no more: each goroutine materializes at most once, so the
-// Go memory allocated stays within (granules touched + 8) granules.
-// Every entry is published once: the backing address a goroutine saw
-// for its region is the one the heap still translates to at the end.
-func TestMaterializeRace(t *testing.T) {
-	const goroutines = 8
-	for round := 0; round < 16; round++ {
-		h := NewHeap(Config{TotalWordsLog2: 28}) // 256 KiB granules
-		gran := uint64(granWords)
-		words := gran / 4
-		var before, after runtime.MemStats
-		runtime.ReadMemStats(&before)
-		var wg sync.WaitGroup
-		start := make(chan struct{})
-		regions := make([]Ptr, goroutines)
-		backing := make([]*uint64, goroutines)
-		for g := 0; g < goroutines; g++ {
-			wg.Add(1)
-			go func(g int) {
-				defer wg.Done()
-				<-start
-				p, w, err := h.AllocRegion(words)
-				if err != nil || w != words {
-					t.Errorf("AllocRegion(%d) = %v, %d, %v", words, p, w, err)
-					return
-				}
-				regions[g] = p
-				for i := uint64(0); i < w; i++ {
-					h.Store(p.Add(i), uint64(g)<<32|i)
-				}
-				s := h.Words(p, w)
-				backing[g] = unsafe.SliceData(s)
-				for i := uint64(0); i < w; i++ {
-					if want := uint64(g)<<32 | i; h.Load(p.Add(i)) != want || s[i] != want {
-						t.Errorf("goroutine %d word %d: Load %#x, Words %#x, want %#x", g, i, h.Load(p.Add(i)), s[i], want)
-						return
-					}
-				}
-			}(g)
-		}
-		close(start)
-		wg.Wait()
-		runtime.ReadMemStats(&after)
-		if t.Failed() {
-			return
-		}
-
-		touched := uint64(0)
-		for g := range h.bases {
-			if h.bases[g] != nil {
-				touched++
-			}
-		}
-		for g, p := range regions {
-			if got := unsafe.SliceData(h.Words(p, words)); got != backing[g] {
-				t.Errorf("region %v moved from %p to %p: its table entry was published twice", p, backing[g], got)
-			}
-		}
-		if got := h.Stats().MaterializedWords; got != touched*gran {
-			t.Errorf("MaterializedWords = %d with %d granules mapped, want %d", got, touched, touched*gran)
-		}
-		if grew, limit := after.TotalAlloc-before.TotalAlloc, (touched+goroutines)*gran*WordBytes; grew > limit {
-			t.Errorf("%d goroutines reaching %d granules allocated %d bytes, limit %d", goroutines, touched, grew, limit)
-		}
-	}
 }
 
 // TestConcurrentAlignedAlloc races aligned and unaligned allocations;

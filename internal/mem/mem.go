@@ -6,11 +6,10 @@
 // reproduction cannot take over the process heap, so this package
 // simulates one:
 //
-//   - The address space is word-addressed. A Ptr is a 64-bit word index
-//     into a table of fixed-size granules (256 KiB, a constant), each
-//     backed by a []uint64 only once a region reaches it: like
-//     address space under mmap, a heap costs what it touches. Ptr 0 is
-//     the nil pointer (the first page of granule 0 is never handed out).
+//   - The address space is word-addressed: a Ptr indexes one anonymous
+//     mapping of TotalWords words whose pages the OS backs on first
+//     touch, so a heap costs what it touches. Ptr 0 is nil (the first
+//     page is never handed out, nor accessible).
 //
 //   - Allocator-metadata accesses to heap words (block prefixes,
 //     free-list links) go through Load, Store and CAS, as the C
@@ -18,7 +17,9 @@
 //     heap: Load is an atomic read (a plain MOV on amd64), Store the
 //     paper's plain store, which the caller's next CAS publishes, and
 //     CAS a locked instruction. Under -race Store is atomic too (see
-//     atomicx.PlainStore). Payload accesses may use Get and Set.
+//     atomicx.PlainStore). Payload accesses may use Get and Set. The
+//     mapping is not Go memory, so the race detector does not see these
+//     accesses.
 //
 //   - The OS layer (AllocRegion/FreeRegion) hands out page-granular
 //     regions, exactly the role mmap/munmap play in the paper: it serves
@@ -29,26 +30,20 @@
 //     returned regions (lfstack stacks threaded through the first word of
 //     each free region, regionLinks).
 //
-// Two units divide the address space. The segment
-// (Config.SegmentWordsLog2) is the largest region: no region straddles a
-// segment boundary. The granule, 2^granLog words on every heap, is the
-// unit of address translation and of backing: a region no larger than a
-// granule lies inside one granule, whose backing slice the first region
-// to reach it allocates; a larger region is whole granules of its own,
-// backed by one slice of exactly its length. Either way a region's words
-// are contiguous in one backing slice (Words), and nothing is allocated
-// or cleared for address space no region has reached.
+// The segment (Config.SegmentWordsLog2) is the largest region: no region
+// straddles a segment boundary.
 //
 // Cache behaviour is real: words of one superblock are contiguous in the
-// backing array, so blocks carved from the same superblock share cache
-// lines, which is what makes the paper's false-sharing benchmarks
-// meaningful in this simulation.
+// mapping, so blocks carved from the same superblock share cache lines,
+// which is what makes the paper's false-sharing benchmarks meaningful in
+// this simulation.
 package mem
 
 import (
 	"errors"
 	"fmt"
 	"math/bits"
+	"runtime"
 	"sync/atomic"
 	"unsafe"
 
@@ -83,17 +78,11 @@ const (
 	defaultSegmentWordsLog2 = 21 // 2 Mi words = 16 MiB per segment
 	defaultTotalWordsLog2   = 31 // 2 Gi words = 16 GiB of address space
 
-	// A granule is 2^15 words = 256 KiB = exactBins pages, so every
-	// region above exactBins pages is a power of two pages and so whole
-	// granules. It is a constant so that word translates an address with
-	// an immediate shift and mask.
-	granLog   = 15
-	granWords = 1 << granLog
-
-	// maxTotalWordsLog2 bounds the address space so that the translation
-	// table has at most 2^16 entries (512 KiB, which NewHeap allocates
-	// and clears).
-	maxTotalWordsLog2 = granLog + 16
+	// The address space holds at least exactBins pages, so every exact
+	// bin's size can be served, and at most 2^31 words, which bounds the
+	// descriptor indexes the allocators derive from it.
+	minTotalWordsLog2 = 15
+	maxTotalWordsLog2 = 31
 )
 
 // exactBins is the number of small region bins, one per page count
@@ -111,14 +100,14 @@ var ErrOutOfMemory = errors.New("mem: simulated address space exhausted")
 // Config parameterizes a Heap.
 type Config struct {
 	// SegmentWordsLog2 is the log2 of words per segment, the largest
-	// region. It costs nothing until used: backing is materialized a
-	// granule at a time (see NewHeap). 0 selects the default (2^21
-	// words, 16 MiB).
+	// region. It costs nothing until used: the OS backs pages on first
+	// touch (see NewHeap). 0 selects the default (2^21 words, 16 MiB).
 	SegmentWordsLog2 uint
-	// TotalWordsLog2 is the log2 of the total addressable words.
-	// 0 selects the default (2^31 words, 16 GiB). It is raised to
-	// SegmentWordsLog2 and to one granule (15) and clamped to 31, so
-	// 2^31 words is also the largest heap; a segment is clamped to it.
+	// TotalWordsLog2 is the log2 of the total addressable words, the
+	// size of the reservation. 0 selects the default (2^31 words,
+	// 16 GiB). It is raised to SegmentWordsLog2 and to 15 and clamped
+	// to 31, so 2^31 words is also the largest heap; a segment is
+	// clamped to it.
 	TotalWordsLog2 uint
 }
 
@@ -126,31 +115,28 @@ type Config struct {
 // region allocator. All methods are safe for concurrent use; the region
 // allocator is lock-free.
 type Heap struct {
-	// bases is the flat address-translation table: bases[g] is the
-	// address of word 0 of granule g, or nil until the granule is
-	// materialized. It is everything word reads besides the constant
-	// granLog, so a heap word is one table load away from its Ptr. These
-	// fields are written only by NewHeap (and bases' entries once each,
-	// nil → base, by materialize) and come first so they share the
+	// base is the address of word 0 of the mapping and top the bump
+	// pointer counted from the first page past nil (the next unreserved
+	// word is PageWords+top): everything word reads. They share the
 	// struct's first cache line with no counter: Heap fills the 128-byte
 	// size class exactly (asserted below), which the Go allocator starts
-	// on a line boundary, so the counters keep to the second line.
-	bases []unsafe.Pointer
+	// on a line boundary. Only a bump into fresh address space writes the
+	// line; a region reused from a bin does not.
+	base unsafe.Pointer
+	top  uint64 // CAS by bump, atomicx.PlainLoad by Mapped
 
 	segLog   uint
 	segWords uint64
 	maxWords uint64
 
-	// os is the region allocator: bump pointer, free-region bins and
-	// their counters, behind a pointer so Heap stays two lines.
+	// os is the region allocator: free-region bins and their counters,
+	// behind a pointer so Heap stays two lines.
 	os *regions
 
-	// spare is a granule-sized backing slice whose materialize lost the
-	// race to publish it: never handed out, so still zero, and the next
-	// materialize takes it instead of allocating one. Threads bumping
-	// one pointer reach each fresh granule together, so losers are
-	// common.
-	spare atomic.Pointer[uint64]
+	// res owns the mapping; its finalizer unmaps it. Not the Heap
+	// itself: a region hook may hold the Heap in a cycle, and a finalizer
+	// on an object in a cycle never runs.
+	res *reservation
 
 	// tele, when set, receives CAS-retry counts for the region
 	// free-stack bins and the bump pointer. An atomic pointer so
@@ -166,24 +152,19 @@ type Heap struct {
 	// superblock free stack — *before* the words become reusable, so an
 	// observer (the shadow-heap oracle) can drop any expectations it
 	// holds about their contents. Loaded atomically; nil when unused.
-	// Last field so the hook's presence does not shift the offsets of
-	// the fields the word accessors touch.
 	regionHook atomic.Pointer[func(p Ptr, words uint64)]
 
-	_ [32]byte // to the 128-byte size class
+	_ [40]byte // to the 128-byte size class
 }
 
 const (
 	_ = 128 - unsafe.Sizeof(Heap{}) // either overflowing is a negative constant: no compile
 	_ = unsafe.Sizeof(Heap{}) - 128
+	_ = 64 - unsafe.Offsetof(Heap{}.tele) - 8 // the first line ends with tele
 )
 
 // regions is the region allocator's state.
 type regions struct {
-	// next is the bump pointer, the word index of the next unreserved
-	// word: it is also the address space reserved so far.
-	next atomic.Uint64
-
 	// Free-region bins. bins[0..exactBins-1] hold regions of exactly
 	// i+1 pages; log2Bins[k] holds regions of exactly 2^k pages.
 	bins     [exactBins]lfstack.Stack
@@ -199,11 +180,10 @@ type regions struct {
 	binRegions     [exactBins]atomic.Uint64
 	log2BinRegions [maxLog2Bins]atomic.Uint64
 
-	allocs            atomic.Uint64 // regions handed out
-	frees             atomic.Uint64 // regions returned
-	reused            atomic.Uint64 // allocations served from a bin
-	skippedWords      atomic.Uint64 // words the bump skipped to a granule or segment boundary
-	materializedWords atomic.Uint64 // backing allocated for reserved granules
+	allocs       atomic.Uint64 // regions handed out
+	frees        atomic.Uint64 // regions returned
+	reused       atomic.Uint64 // allocations served from a bin
+	skippedWords atomic.Uint64 // words the bump skipped to an alignment or segment boundary
 }
 
 // SetTelemetry attaches striped retry counters to the region
@@ -235,21 +215,22 @@ func (h *Heap) noteRecycled(p Ptr, words uint64) {
 
 // Stats is a point-in-time snapshot of heap counters.
 type Stats struct {
-	ReservedWords     uint64 // address space consumed by the bump pointer
-	MaterializedWords uint64 // backing allocated for it, in whole granules
-	LiveWords         uint64 // words currently allocated to regions
-	MaxLiveWords      uint64 // high-water mark of LiveWords
-	RegionAllocs      uint64
-	RegionFrees       uint64
-	ReusedRegions     uint64 // allocations served from a free-region bin
+	ReservedWords uint64 // address space consumed by the bump pointer
+	LiveWords     uint64 // words currently allocated to regions
+	MaxLiveWords  uint64 // high-water mark of LiveWords
+	RegionAllocs  uint64
+	RegionFrees   uint64
+	ReusedRegions uint64 // allocations served from a free-region bin
 	// Steals is always 0: one region allocator has no sibling to steal
 	// from. The field stays while the benchmark's mem.steals_per_kop
 	// reads it.
 	Steals       uint64
-	SkippedWords uint64 // words the bump skipped to a granule or segment boundary
+	SkippedWords uint64 // words the bump skipped to an alignment or segment boundary
 }
 
-// NewHeap creates a heap with the given configuration.
+// NewHeap creates a heap with the given configuration: one mapping of
+// TotalWords words. It panics with an error wrapping ErrOutOfMemory if
+// the OS refuses the reservation.
 func NewHeap(cfg Config) *Heap {
 	segLog := cfg.SegmentWordsLog2
 	if segLog == 0 {
@@ -259,23 +240,43 @@ func NewHeap(cfg Config) *Heap {
 	if totalLog == 0 {
 		totalLog = defaultTotalWordsLog2
 	}
-	totalLog = min(max(totalLog, segLog, granLog), maxTotalWordsLog2)
+	totalLog = min(max(totalLog, segLog, minTotalWordsLog2), maxTotalWordsLog2)
 	segLog = min(segLog, totalLog)
-	h := &Heap{
+	bytes := uint64(WordBytes) << totalLog
+	b, err := mmap(bytes)
+	if err != nil {
+		panic(fmt.Errorf("mem: the OS refused a reservation of %d bytes: %w: %w", bytes, err, ErrOutOfMemory))
+	}
+	// Huge pages beyond the first segment, if segments are default-sized
+	// or larger: small heaps, and the scattered regions of small-segment
+	// ones, would leave most of a 2 MiB page untouched.
+	if seg := uint64(WordBytes) << segLog; hugePages != nil && segLog >= defaultSegmentWordsLog2 && seg < bytes {
+		hugePages(b[seg:])
+	}
+	liveReservations.Add(1)
+	res := &reservation{b}
+	runtime.SetFinalizer(res, func(r *reservation) {
+		munmap(r.mem)
+		liveReservations.Add(-1)
+	})
+	return &Heap{
+		base:     unsafe.Pointer(unsafe.SliceData(b)),
 		segLog:   segLog,
 		segWords: 1 << segLog,
 		maxWords: 1 << totalLog,
 		os:       new(regions),
+		res:      res,
 	}
-	h.bases = make([]unsafe.Pointer, h.maxWords/granWords)
-	// Reserve the first page so Ptr 0 is never a valid region address.
-	h.os.next.Store(PageWords)
-	return h
 }
 
+// reservation owns a heap's mapping, and liveReservations counts those
+// not yet unmapped.
+type reservation struct{ mem []byte }
+
+var liveReservations atomic.Int64
+
 // SegmentWords returns the number of words per segment. Regions never
-// straddle a segment boundary; that any region's words are contiguous in
-// one backing slice is the granule rules' doing (see bump).
+// straddle a segment boundary.
 func (h *Heap) SegmentWords() uint64 { return h.segWords }
 
 // MaxRegionWords returns the largest region the OS layer can serve.
@@ -284,116 +285,82 @@ func (h *Heap) MaxRegionWords() uint64 { return h.segWords }
 // TotalWords returns the size of the address space in words.
 func (h *Heap) TotalWords() uint64 { return h.maxWords }
 
-// unmappedError is the panic value of an access to an address whose
-// granule was never materialized. A typed value rather than a formatted
-// string so that raising it costs the accessors no call and they stay
-// within the inliner's budget; the message is built only if the panic is
-// printed.
+// unmappedError is the panic value of an access to an address outside
+// the reserved range. A typed value rather than a formatted string so
+// that raising it costs the accessors no call and they stay within the
+// inliner's budget; the message is built only if the panic is printed.
 type unmappedError Ptr
 
 func (e unmappedError) Error() string {
 	return fmt.Sprintf("mem: access to unmapped address %v", Ptr(e))
 }
 
-// word translates p to the address of its backing word: one
-// bounds-checked load from the granule table plus a masked offset, the
-// shift and the mask both immediates. An address beyond the heap's total
-// words fails the table's bounds check; one in a granule not yet
-// materialized panics with unmappedError.
+// word translates a mapped p to base + 8·p, inside the mapping since
+// PageWords+top ≤ TotalWords, and panics with unmappedError for any other
+// p. The accessors keep h, and so the mapping, alive across the access
+// (runtime.KeepAlive) and omit the stack check (go:nosplit): their frame
+// is the panic path's, whose runtime calls check the stack themselves.
 func (h *Heap) word(p Ptr) *uint64 {
-	base := atomic.LoadPointer(&h.bases[p>>granLog])
-	if base == nil {
+	if !h.Mapped(p) {
 		panic(unmappedError(p))
 	}
-	return (*uint64)(unsafe.Add(base, (uint64(p)&(granWords-1))*WordBytes))
+	return (*uint64)(unsafe.Add(h.base, uint64(p)*WordBytes))
 }
 
 // Load atomically reads the word at p.
-func (h *Heap) Load(p Ptr) uint64 { return atomic.LoadUint64(h.word(p)) }
+//
+//go:nosplit
+func (h *Heap) Load(p Ptr) uint64 { v := atomic.LoadUint64(h.word(p)); runtime.KeepAlive(h); return v }
 
 // Store writes the word at p with the paper's plain store (Figure 6
 // line 8): no barrier of its own. Whoever hands the word to another
 // thread publishes it, as every caller does with a CAS (or a lock
 // release) after its stores; on amd64 that saves a locked XCHG per
-// word. Under -race it is atomic.StoreUint64, so the detector does not
-// report a stale reader's Load racing with it (atomicx.PlainStore).
-func (h *Heap) Store(p Ptr, v uint64) { atomicx.PlainStore(h.word(p), v) }
+// word. Under -race it is atomic.StoreUint64 (atomicx.PlainStore).
+//
+//go:nosplit
+func (h *Heap) Store(p Ptr, v uint64) { atomicx.PlainStore(h.word(p), v); runtime.KeepAlive(h) }
 
 // CAS performs a compare-and-swap on the word at p.
+//
+//go:nosplit
 func (h *Heap) CAS(p Ptr, old, new uint64) bool {
-	return atomic.CompareAndSwapUint64(h.word(p), old, new)
+	ok := atomic.CompareAndSwapUint64(h.word(p), old, new)
+	runtime.KeepAlive(h)
+	return ok
 }
 
 // Get reads the word at p without atomicity. Intended for payload
 // access by application code that owns the block.
-func (h *Heap) Get(p Ptr) uint64 { return *h.word(p) }
+//
+//go:nosplit
+func (h *Heap) Get(p Ptr) uint64 { v := *h.word(p); runtime.KeepAlive(h); return v }
 
 // Set writes the word at p without atomicity. Intended for payload
 // access by application code that owns the block. It compiles to the
 // same write as Store and differs from it only under -race, where Store
 // stays atomic.
-func (h *Heap) Set(p Ptr, v uint64) { *h.word(p) = v }
+//
+//go:nosplit
+func (h *Heap) Set(p Ptr, v uint64) { *h.word(p) = v; runtime.KeepAlive(h) }
 
-// Words returns a slice aliasing the n words starting at p. The range
-// must lie within one region: past the end of p's granule only the
-// backing slice of a larger region continues, so every further granule
-// the range enters must translate to where the first one's words run on.
+// Words returns a slice aliasing the n words starting at p, which must
+// lie within one segment. The slice points into the heap's mapping, not
+// Go memory: it is valid only while the heap is reachable.
 func (h *Heap) Words(p Ptr, n uint64) []uint64 {
 	w := h.word(p)
-	ok := n <= h.segWords-uint64(p)&(h.segWords-1)
-	for off := granWords - uint64(p)&(granWords-1); ok && off < n; off += granWords {
-		ok = unsafe.Pointer(h.word(p.Add(off))) == unsafe.Add(unsafe.Pointer(w), off*WordBytes)
-	}
-	if !ok {
-		panic(fmt.Sprintf("mem: Words(%v, %d) straddles a segment boundary or two backing slices", p, n))
+	if n > h.segWords-uint64(p)&(h.segWords-1) {
+		panic(fmt.Sprintf("mem: Words(%v, %d) straddles a segment boundary", p, n))
 	}
 	return unsafe.Slice(w, n)
 }
 
-// Mapped reports whether p lies in a materialized granule (and is thus
-// safe to access). The nil pointer is not mapped.
-func (h *Heap) Mapped(p Ptr) bool {
-	if uint64(p) >= h.maxWords {
-		return false
-	}
-	return atomic.LoadPointer(&h.bases[p>>granLog]) != nil
-}
-
-// materialize backs the region [start, start+words) that bump just
-// reserved. A region within one granule shares the granule's slice with
-// its neighbours: whoever finds the entry nil publishes a slice by CAS —
-// the spare one if there is one, else a new one — and a racing loser
-// parks its slice, still zero, in the spare slot for the next fresh
-// granule (dropping it only if the slot is full). The entry is checked
-// right before the slice is taken and nowhere earlier. Both slot
-// operations are single atomics, so a thread that dies between them
-// loses Go memory and blocks nobody. A larger region is whole granules
-// no other region can reach (bump), so its entries are its own to store:
-// interior addresses of one slice of exactly its length, contiguous for
-// Words.
-func (h *Heap) materialize(start, words uint64) {
-	g := start >> granLog
-	if words > granWords {
-		s := make([]uint64, words)
-		for off := uint64(0); off < words; off += granWords {
-			atomic.StorePointer(&h.bases[g+off>>granLog], unsafe.Pointer(&s[off]))
-		}
-		h.os.materializedWords.Add(words)
-		return
-	}
-	if atomic.LoadPointer(&h.bases[g]) != nil {
-		return
-	}
-	s := h.spare.Swap(nil)
-	if s == nil {
-		s = unsafe.SliceData(make([]uint64, granWords))
-	}
-	if atomic.CompareAndSwapPointer(&h.bases[g], nil, unsafe.Pointer(s)) {
-		h.os.materializedWords.Add(granWords)
-	} else {
-		h.spare.CompareAndSwap(nil, s)
-	}
-}
+// Mapped reports whether p lies in the reserved range [PageWords,
+// PageWords+top), and is thus safe to access: one unsigned compare, which
+// the nil page and every address the bump pointer has not reached, up to
+// ^0, fail. top only grows, so a plain load of it serves: any Ptr a
+// thread holds was reserved before whatever handed it over.
+func (h *Heap) Mapped(p Ptr) bool { return uint64(p)-PageWords < atomicx.PlainLoad(&h.top) }
 
 // RegionWords returns the actual number of words the OS layer reserves
 // for a request of n words: page-rounded, and above exactBins pages
@@ -554,21 +521,14 @@ func (h *Heap) retry(site telemetry.Site, key uint64, n int) {
 }
 
 // bump reserves words of never-used address space at the given
-// alignment (1 for none). It keeps the two rules materialize relies on:
-// a region larger than a granule starts on a granule boundary (being a
-// power of two pages, it ends on one too), and a smaller one that would
-// straddle a granule boundary starts on the next one. A region that
-// would straddle a segment boundary starts on the next segment, whose
-// base satisfies every legal alignment. Returns false when the address
-// space is exhausted.
+// alignment (1 for none); the first page is never reserved, so Ptr 0 is
+// never a region address. A region that would straddle a segment
+// boundary starts on the next segment, whose base satisfies every legal
+// alignment. Returns false when the address space is exhausted.
 func (h *Heap) bump(words, align uint64) (Ptr, bool) {
-	r := h.os
 	for {
-		cur := r.next.Load()
+		cur := PageWords + atomic.LoadUint64(&h.top)
 		start := (cur + align - 1) &^ (align - 1)
-		if words > granWords || (start+words-1)>>granLog != start>>granLog {
-			start = (start + granWords - 1) &^ (granWords - 1) // satisfies align: both are powers of two
-		}
 		if seg := start >> h.segLog; (start+words-1)>>h.segLog != seg {
 			start = (seg + 1) << h.segLog
 		}
@@ -576,11 +536,10 @@ func (h *Heap) bump(words, align uint64) (Ptr, bool) {
 		if end > h.maxWords {
 			return 0, false
 		}
-		if r.next.CompareAndSwap(cur, end) {
+		if atomic.CompareAndSwapUint64(&h.top, cur-PageWords, end-PageWords) {
 			if start != cur {
-				r.skippedWords.Add(start - cur)
+				h.os.skippedWords.Add(start - cur)
 			}
-			h.materialize(start, words)
 			return Ptr(start), true
 		}
 		h.retry(telemetry.SiteRegionBump, cur, 1)
@@ -591,14 +550,13 @@ func (h *Heap) bump(words, align uint64) (Ptr, bool) {
 func (h *Heap) Stats() Stats {
 	r := h.os
 	return Stats{
-		ReservedWords:     r.next.Load(),
-		MaterializedWords: r.materializedWords.Load(),
-		LiveWords:         h.liveWords.Load(),
-		MaxLiveWords:      h.maxLiveWords.Load(),
-		RegionAllocs:      r.allocs.Load(),
-		RegionFrees:       r.frees.Load(),
-		ReusedRegions:     r.reused.Load(),
-		SkippedWords:      r.skippedWords.Load(),
+		ReservedWords: PageWords + atomic.LoadUint64(&h.top),
+		LiveWords:     h.liveWords.Load(),
+		MaxLiveWords:  h.maxLiveWords.Load(),
+		RegionAllocs:  r.allocs.Load(),
+		RegionFrees:   r.frees.Load(),
+		ReusedRegions: r.reused.Load(),
+		SkippedWords:  r.skippedWords.Load(),
 	}
 }
 

@@ -154,7 +154,7 @@ func TestRegionNeverStraddlesSegment(t *testing.T) {
 }
 
 func TestOutOfMemory(t *testing.T) {
-	h := NewHeap(Config{SegmentWordsLog2: 12, TotalWordsLog2: 13}) // raised to one granule
+	h := NewHeap(Config{SegmentWordsLog2: 12, TotalWordsLog2: 13}) // raised to 2^15 words
 	var allocated int
 	for {
 		_, _, err := h.AllocRegion(PageWords)
@@ -180,10 +180,8 @@ func TestOversizeRegionRejected(t *testing.T) {
 
 func TestMapped(t *testing.T) {
 	h := newTestHeap()
-	if h.Mapped(0) {
-		// Address 0 lies in segment 0 which is materialized at first
-		// bump; before any allocation nothing is mapped.
-		t.Error("address 0 mapped before any allocation")
+	if h.Mapped(PageWords) {
+		t.Error("the first page past nil mapped before any allocation")
 	}
 	p, _, err := h.AllocRegion(10)
 	if err != nil {
@@ -315,8 +313,8 @@ func TestConcurrentBinContention(t *testing.T) {
 // accessors is every way to reach one heap word; the translation tests
 // below hold for each of them alike.
 // load is Load through a func value, so the test binary keeps the
-// out-of-line Load whose code ci/inline_guard.sh checks for a shift by
-// the constant granule (every other call inlines it).
+// out-of-line Load whose branches and instructions ci/inline_guard.sh
+// counts (every other call inlines it).
 var load = (*Heap).Load
 
 var accessors = []struct {
@@ -357,33 +355,42 @@ func TestWordsPanicsOnStraddle(t *testing.T) {
 	}
 }
 
-// TestAccessUnmappedPanics: an address inside the address space whose
-// segment was never materialized panics with the same message through
-// every accessor, while a neighbouring segment is mapped.
+// TestAccessUnmappedPanics: the nil page, the bump pointer's frontier
+// and every address past it lie outside the reserved range. On a default
+// heap with one region reserved, each accessor panics there with the
+// same message and Mapped is false, while the first and last reserved
+// words are mapped.
 func TestAccessUnmappedPanics(t *testing.T) {
-	h := newTestHeap()
-	if _, _, err := h.AllocRegion(8); err != nil { // maps segment 0 only
+	h := NewHeap(Config{})
+	if _, _, err := h.AllocRegion(8); err != nil {
 		t.Fatal(err)
 	}
-	p := Ptr(1 << 22)
-	want := fmt.Sprintf("mem: access to unmapped address %v", p)
+	frontier := Ptr(h.Stats().ReservedWords)
+	if !h.Mapped(PageWords) || !h.Mapped(frontier-1) {
+		t.Errorf("the reserved range [%v, %v) is not mapped", Ptr(PageWords), frontier)
+	}
+	unmapped := []Ptr{0, PageWords - 1, frontier, Ptr(h.TotalWords()), ^Ptr(0)}
+	for _, p := range unmapped {
+		if h.Mapped(p) {
+			t.Errorf("Mapped(%v) = true", p)
+		}
+	}
 	for _, acc := range accessors {
 		t.Run(acc.name, func(t *testing.T) {
-			v := panicOf(func() { acc.do(h, p) })
-			if v == nil {
-				t.Fatalf("%s of unmapped address did not panic", acc.name)
-			}
-			err, ok := v.(error)
-			if !ok || err.Error() != want {
-				t.Errorf("%s panicked with %#v, want an error reading %q", acc.name, v, want)
+			for _, p := range unmapped {
+				want := fmt.Sprintf("mem: access to unmapped address %v", p)
+				v := panicOf(func() { acc.do(h, p) })
+				if err, ok := v.(error); !ok || err.Error() != want {
+					t.Errorf("%s(%v) panicked with %#v, want an error reading %q", acc.name, p, v, want)
+				}
 			}
 		})
 	}
 }
 
 // TestAccessBeyondAddressSpacePanics: an address at or past the heap's
-// total words has no table entry at all; every accessor panics rather
-// than wrap around or touch foreign memory.
+// total words lies past the mapping; every accessor panics rather than
+// wrap around or touch foreign memory.
 func TestAccessBeyondAddressSpacePanics(t *testing.T) {
 	h := newTestHeap()
 	total := Ptr(1 << 24)
@@ -398,8 +405,8 @@ func TestAccessBeyondAddressSpacePanics(t *testing.T) {
 
 // TestTranslationAcrossSegments writes a distinct value to the first
 // and last word of regions in several segments through one accessor and
-// reads it back through the others: the table entry and the masked
-// offset must agree for every segment, not just segment 0.
+// reads it back through the others: every accessor must translate every
+// segment alike, not just segment 0.
 func TestTranslationAcrossSegments(t *testing.T) {
 	h := newTestHeap()
 	seg := h.SegmentWords()
@@ -432,10 +439,9 @@ func TestTranslationAcrossSegments(t *testing.T) {
 	}
 }
 
-// TestLargeRegionIsOneSlice: a region larger than a granule is backed by
-// one slice of its own, so Words spans it although its addresses
-// translate through several table entries; it recycles like any other
-// region, and the address space after it is served as before.
+// TestLargeRegionIsOneSlice: Words spans a large region whole and
+// aliases the accessors; the region recycles like any other, and the
+// address space after it is served as before.
 func TestLargeRegionIsOneSlice(t *testing.T) {
 	for _, c := range []struct {
 		heap  Config
@@ -451,9 +457,6 @@ func TestLargeRegionIsOneSlice(t *testing.T) {
 				t.Fatalf("%+v: LargeAlloc(%d): %v", c.heap, size, err)
 			}
 			base, n := p-1, SizePrefixWords(h.Load(p-1))
-			if n <= granWords || uint64(base)%granWords != 0 {
-				t.Fatalf("%+v: LargeAlloc(%d) = %v+%d: not whole granules of %d words", c.heap, size, base, n, granWords)
-			}
 			w := h.Words(base, n)
 			if uint64(len(w)) != n {
 				t.Fatalf("Words(%v, %d) has %d words", base, n, len(w))
@@ -468,8 +471,8 @@ func TestLargeRegionIsOneSlice(t *testing.T) {
 			if q, err := h.LargeAlloc(size, SizePrefix); err != nil || q != p {
 				t.Errorf("%+v: LargeAlloc(%d) after free = %v, %v; want %v again", c.heap, size, q, err, p)
 			}
-			// The bump pointer stands at the large region's end, a granule
-			// boundary: the next small region opens that granule.
+			// The bump pointer stands at the large region's end: the next
+			// small region starts there.
 			small, sw, err := h.AllocRegion(PageWords)
 			if err != nil || !h.Mapped(small) || !h.Mapped(small.Add(sw-1)) {
 				t.Fatalf("%+v: small region after a large one: %v, %v, mapped %v", c.heap, small, err, h.Mapped(small))
@@ -485,64 +488,9 @@ func TestLargeRegionIsOneSlice(t *testing.T) {
 	}
 }
 
-// TestSmallRegionStaysInOneGranule: a region no larger than a granule
-// that would straddle a granule boundary starts on the next one, the gap
-// is counted as skipped, and only granules a region has reached are
-// mapped — those from their first word to their last. On a heap whose
-// segments are smaller than a granule the segment is the boundary: many
-// segments share one granule's backing slice.
-func TestSmallRegionStaysInOneGranule(t *testing.T) {
-	for _, c := range []struct {
-		heap     Config
-		boundary uint64 // the unit a region may not straddle
-		mapped   uint64 // words materialized once both regions are placed
-	}{
-		{Config{TotalWordsLog2: 28}, granWords, 2 * granWords},
-		{Config{SegmentWordsLog2: 12, TotalWordsLog2: 28}, 1 << 12, granWords},
-	} {
-		h := NewHeap(c.heap)
-		words := c.boundary / 4 * 3
-		first, _, err := h.AllocRegion(words) // one page in
-		if err != nil || first != PageWords {
-			t.Fatalf("%+v: first region at %v, %v", c.heap, first, err)
-		}
-		skipped := h.Stats().SkippedWords
-		second, _, err := h.AllocRegion(words)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if second != Ptr(c.boundary) {
-			t.Errorf("%+v: second region at %v, want the boundary %v", c.heap, second, Ptr(c.boundary))
-		}
-		if got, gap := h.Stats().SkippedWords-skipped, c.boundary-uint64(first)-words; got != gap {
-			t.Errorf("%+v: SkippedWords grew by %d, want the gap of %d", c.heap, got, gap)
-		}
-		s := h.Words(second, words)
-		s[words-1] = 42
-		if uint64(len(s)) != words || h.Load(second.Add(words-1)) != 42 {
-			t.Errorf("%+v: Words over the second region has %d words and does not alias Load", c.heap, len(s))
-		}
-		for _, p := range []Ptr{1, first, Ptr(c.boundary - 1), second, Ptr(c.mapped - 1)} {
-			if !h.Mapped(p) {
-				t.Errorf("%+v: %v lies in a materialized granule but is not mapped", c.heap, p)
-			}
-		}
-		for _, p := range []Ptr{Ptr(c.mapped), Ptr(c.mapped + granWords + 5)} {
-			if h.Mapped(p) {
-				t.Errorf("%+v: %v is mapped although no region has reached its granule", c.heap, p)
-			}
-		}
-		if panicOf(func() { h.Words(second, c.mapped-uint64(second)+1) }) == nil {
-			t.Errorf("%+v: Words running past the second region's segment or granule did not panic", c.heap)
-		}
-		if got := h.Stats().MaterializedWords; got != c.mapped {
-			t.Errorf("%+v: MaterializedWords = %d, want %d", c.heap, got, c.mapped)
-		}
-	}
-}
-
-// TestTotalWordsEdges: the address space is raised to one granule and to
-// the segment, and clamped to 2^31 words, which also bounds the segment.
+// TestTotalWordsEdges: the address space is raised to 2^15 words and to
+// the segment, and clamped to 2^31 words, which also bounds the segment;
+// the reservation is exactly the address space.
 func TestTotalWordsEdges(t *testing.T) {
 	for _, c := range []struct {
 		heap            Config
@@ -560,8 +508,8 @@ func TestTotalWordsEdges(t *testing.T) {
 			t.Errorf("%+v: TotalWords %d, SegmentWords %d; want %d, %d",
 				c.heap, h.TotalWords(), h.SegmentWords(), c.total, c.segWords)
 		}
-		if got := uint64(len(h.bases)); got != c.total/granWords || got > 1<<16 {
-			t.Errorf("%+v: %d table entries for %d words", c.heap, got, c.total)
+		if got := uint64(len(h.res.mem)); got != c.total*WordBytes {
+			t.Errorf("%+v: a reservation of %d bytes for %d words", c.heap, got, c.total)
 		}
 		if h.Mapped(Ptr(c.total)) || panicOf(func() { h.Load(Ptr(c.total)) }) == nil {
 			t.Errorf("%+v: the first word past the address space is reachable", c.heap)
@@ -569,11 +517,11 @@ func TestTotalWordsEdges(t *testing.T) {
 	}
 }
 
-// TestAlignedRegionAcrossGranules: a hyperblock-sized aligned region on a
-// heap whose granules are smaller is still one contiguous run of words.
+// TestAlignedRegionAcrossGranules: a hyperblock-sized aligned region is
+// one contiguous run of words.
 func TestAlignedRegionAcrossGranules(t *testing.T) {
 	h := NewHeap(Config{TotalWordsLog2: 28})
-	const words = 1 << 17 // 1 MiB, four granules
+	const words = 1 << 17 // 1 MiB
 	p, err := h.AllocRegionAligned(words, words)
 	if err != nil || uint64(p)%words != 0 {
 		t.Fatalf("AllocRegionAligned = %v, %v", p, err)

@@ -21,8 +21,9 @@ func TestMain(m *testing.M) {
 	os.Exit(m.Run())
 }
 
-// sweepHeap is the address space of the kill sweeps: small segments, so
-// a run materializes little memory.
+// sweepHeap is the address space of the kill sweeps: small segments, for
+// which the OS layer asks for no huge pages, so a run's scattered regions
+// commit only the pages they touch.
 var sweepHeap = mem.Config{SegmentWordsLog2: 18, TotalWordsLog2: 28}
 
 // collecting is the oracle configuration of every target here: an empty
