@@ -28,7 +28,9 @@ import (
 type Thread interface {
 	// Malloc allocates a block with at least size payload bytes and
 	// returns a pointer to the payload. The word preceding the payload
-	// is the allocator's block prefix and must not be written.
+	// is the allocator's block prefix and must not be written. Any size
+	// the backend cannot serve, 2^64-1 included, returns an error
+	// wrapping mem.ErrOutOfMemory, never a smaller block.
 	Malloc(size uint64) (mem.Ptr, error)
 	// Free releases a block returned by any Thread of the same
 	// Allocator (cross-thread free is allowed by all allocators here).

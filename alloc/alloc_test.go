@@ -264,70 +264,6 @@ func TestCoreAccessor(t *testing.T) {
 	}
 }
 
-func TestSharedWorkloadDifferential(t *testing.T) {
-	// Replay one deterministic trace against all allocators; the
-	// liveness behaviour (which indices are live at each step) must be
-	// identical, and each allocator must preserve payload integrity.
-	type op struct {
-		malloc bool
-		size   uint64
-		idx    int
-	}
-	rng := rand.New(rand.NewSource(99))
-	var trace []op
-	liveCount := 0
-	for i := 0; i < 20000; i++ {
-		if liveCount > 0 && (rng.Intn(2) == 0 || liveCount > 100) {
-			trace = append(trace, op{malloc: false, idx: rng.Intn(liveCount)})
-			liveCount--
-		} else {
-			trace = append(trace, op{malloc: true, size: uint64(8 << rng.Intn(9))})
-			liveCount++
-		}
-	}
-	for _, name := range Names() {
-		a, err := New(name, testOptions())
-		if err != nil {
-			t.Fatal(err)
-		}
-		heap := a.Heap()
-		th := a.NewThread()
-		type held struct {
-			p   mem.Ptr
-			w   uint64
-			tag uint64
-		}
-		var live []held
-		for i, o := range trace {
-			if o.malloc {
-				p, err := th.Malloc(o.size)
-				if err != nil {
-					t.Fatalf("%s op %d: %v", name, i, err)
-				}
-				w := o.size / 8
-				tag := uint64(i) << 20
-				for j := uint64(0); j < w; j++ {
-					heap.Set(p.Add(j), tag+j)
-				}
-				live = append(live, held{p, w, tag})
-			} else {
-				h := live[o.idx]
-				for j := uint64(0); j < h.w; j++ {
-					if heap.Get(h.p.Add(j)) != h.tag+j {
-						t.Fatalf("%s op %d: corruption", name, i)
-					}
-				}
-				th.Free(h.p)
-				live[o.idx] = live[len(live)-1]
-				live = live[:len(live)-1]
-			}
-		}
-		for _, h := range live {
-			th.Free(h.p)
-		}
-	}
-}
-
 // TestConfigValidation: a contradictory or out-of-range lock-free
 // configuration is an error from core.Config.Validate and from New, and
 // a panic from the constructors whose signatures have no error; zero

@@ -1,6 +1,7 @@
 package alloc_test
 
 import (
+	"errors"
 	"testing"
 
 	"repro/alloc"
@@ -23,11 +24,17 @@ var boundarySizes = []uint64{
 	32752, 32760, 32768, 32776, // around the chunk heaps' OS threshold
 }
 
+// unservableSizes are requests no backend can serve, where rounding up
+// to words would wrap to a one-word block if done as (size+7)/8.
+var unservableSizes = []uint64{^uint64(0), ^uint64(0) - 6}
+
 // TestBoundaryConformance drives every registered allocator across the
 // small/large boundary sizes: each block must hold at least the
 // requested bytes (checked via the handle's UsableWords), its first and
 // last requested words must be writable without clobbering any other
 // live block, and free must round-trip so the size can be served again.
+// A size no heap can hold is an error wrapping mem.ErrOutOfMemory, never
+// a smaller block.
 func TestBoundaryConformance(t *testing.T) {
 	for _, name := range alloc.Names() {
 		t.Run(name, func(t *testing.T) {
@@ -57,10 +64,7 @@ func TestBoundaryConformance(t *testing.T) {
 				if err != nil {
 					t.Fatalf("Malloc(%d): %v", sz, err)
 				}
-				words := (sz + mem.WordBytes - 1) / mem.WordBytes
-				if words == 0 {
-					words = 1 // even Malloc(0) returns a usable pointer
-				}
+				words := mem.PayloadWords(sz) // even Malloc(0) returns a usable pointer
 				if u := sizer.UsableWords(p); u < words {
 					t.Fatalf("Malloc(%d): usable %d words < requested %d", sz, u, words)
 				}
@@ -92,6 +96,11 @@ func TestBoundaryConformance(t *testing.T) {
 					t.Fatalf("second Malloc(%d): %v", sz, err)
 				}
 				th.Free(p)
+			}
+			for _, sz := range unservableSizes {
+				if p, err := th.Malloc(sz); !errors.Is(err, mem.ErrOutOfMemory) {
+					t.Errorf("Malloc(%#x) = %v, %v; want an error wrapping mem.ErrOutOfMemory", sz, p, err)
+				}
 			}
 			if u, ok := th.(alloc.Unregisterer); ok {
 				u.Unregister()

@@ -43,10 +43,7 @@ type chunkThread struct{ a *chunkAlloc }
 // Malloc allocates size payload bytes.
 func (t *chunkThread) Malloc(size uint64) (mem.Ptr, error) {
 	a := t.a
-	words := (size + mem.WordBytes - 1) / mem.WordBytes
-	if words == 0 {
-		words = 1
-	}
+	words := mem.PayloadWords(size)
 	if words >= chunkLargeThresholdWords {
 		// The header records the rounded region size for the free path.
 		return a.heap.LargeAlloc(size, chunkheap.MakeLargeHeader)

@@ -34,6 +34,9 @@ need 'can inline PlainStore( |$)' 'can inline atomicx.PlainStore'
 need 'mem\.go:[0-9:]+ inlining call to atomicx\.PlainStore( |$)' 'inlining call to atomicx.PlainStore in (*Heap).Store'
 need 'can inline PlainLoad( |$)' 'can inline atomicx.PlainLoad'
 need 'mem\.go:[0-9:]+ inlining call to atomicx\.PlainLoad( |$)' 'inlining call to atomicx.PlainLoad in (*Heap).Mapped'
+# The payload round-up of every backend's Malloc and of the large path.
+need 'can inline PayloadWords( |$)' 'can inline mem.PayloadWords'
+need 'largeobj\.go:[0-9:]+ inlining call to PayloadWords( |$)' 'inlining call to mem.PayloadWords in (*Heap).LargeAlloc'
 need 'can inline \(\*Allocator\)\.desc( |$)' 'can inline (*Allocator).desc'
 need 'allocator\.go:[0-9:]+ inlining call to pool\.\(\*Pool\[.*\]\)\.Get( |$)' \
 	'inlining call to pool.(*Pool[...]).Get in (*Allocator).desc'
@@ -66,7 +69,7 @@ inlined_within() {
 inlined_within release release withLink
 inlined_within release release smallPrefix
 if [ "$status" -eq 0 ]; then
-	echo "inline guard: atomicx.PlainStore, atomicx.PlainLoad, mem.(*Heap).{Mapped,word,Load,Store,CAS,Get,Set}, pool.(*Pool).Get, core.(*Allocator).desc, (*Thread).bump and the prefix helpers all inline, withLink and smallPrefix inside release"
+	echo "inline guard: atomicx.PlainStore, atomicx.PlainLoad, mem.(*Heap).{Mapped,word,Load,Store,CAS,Get,Set}, mem.PayloadWords, pool.(*Pool).Get, core.(*Allocator).desc, (*Thread).bump and the prefix helpers all inline, withLink and smallPrefix inside release"
 fi
 
 # Locked-instruction count, from the disassembly of a non-race build

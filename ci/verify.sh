@@ -134,13 +134,14 @@ stage_smoke() {
 	done
 }
 
-# Each Go fuzzer for a fixed budget; a crasher it finds lands in the
-# package's testdata/fuzz and fails the stage (and, committed with its
-# fix, every later `go test`).
+# Each Go fuzzer, named package path:fuzzer, for a fixed budget; a
+# crasher it finds lands in the package's testdata/fuzz and fails the
+# stage (and, committed with its fix, every later `go test`).
 stage_fuzz() {
-	for target in core:FuzzMallocFreeSequence core:FuzzMagazine \
-		buddy:FuzzModel chunkheap:FuzzChunkOps lfstack:FuzzStack; do
-		go test -run=NONE -fuzz="^${target#*:}\$" -fuzztime=10s "./internal/${target%%:*}"
+	for target in ./alloc:FuzzDifferential ./internal/core:FuzzMallocFreeSequence \
+		./internal/core:FuzzMagazine ./internal/buddy:FuzzModel \
+		./internal/chunkheap:FuzzChunkOps ./internal/lfstack:FuzzStack; do
+		go test -run=NONE -fuzz="^${target#*:}\$" -fuzztime=10s "${target%%:*}"
 	done
 }
 

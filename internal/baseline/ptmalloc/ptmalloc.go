@@ -102,10 +102,7 @@ type Thread struct {
 // Malloc allocates size payload bytes.
 func (t *Thread) Malloc(size uint64) (mem.Ptr, error) {
 	a := t.a
-	words := (size + mem.WordBytes - 1) / mem.WordBytes
-	if words == 0 {
-		words = 1
-	}
+	words := mem.PayloadWords(size)
 	if words >= largeThresholdWords {
 		// The header records the rounded region size for the free path.
 		return a.heap.LargeAlloc(size, chunkheap.MakeLargeHeader)

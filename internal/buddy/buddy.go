@@ -253,11 +253,7 @@ func (a *Allocator) nodeBase(tr *tree, n uint64) mem.Ptr {
 // than a tree, the region size via mem.SizePrefix).
 func (t *Thread) Malloc(size uint64) (mem.Ptr, error) {
 	a := t.a
-	payloadWords := (size + mem.WordBytes - 1) / mem.WordBytes
-	if payloadWords == 0 {
-		payloadWords = 1
-	}
-	totalWords := payloadWords + 1
+	totalWords := mem.PayloadWords(size) + 1
 	if totalWords > a.treeWords {
 		p, err := a.heap.LargeAlloc(size, mem.SizePrefix)
 		if err == nil {

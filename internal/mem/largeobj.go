@@ -15,6 +15,14 @@ import "fmt"
 // ErrOutOfMemory so existing errors.Is checks keep matching.
 var ErrRegionOverflow = fmt.Errorf("mem: allocation size exceeds maximum region: %w", ErrOutOfMemory)
 
+// PayloadWords is the number of words a request of size bytes occupies:
+// size rounded up to words, and at least one, since even a zero-size
+// request gets a usable pointer. It cannot wrap, so a size near 2^64
+// asks for about 2^61 words, which no heap serves, rather than for one.
+func PayloadWords(size uint64) uint64 {
+	return max(size/WordBytes+(size%WordBytes+WordBytes-1)/WordBytes, 1)
+}
+
 // SizePrefix encodes a canonical region size as a large-block prefix
 // word: regionWords<<1 with bit 0 set. Bit 0 distinguishes large
 // blocks from small-block prefixes (descriptor or superblock indexes,
@@ -35,11 +43,7 @@ func SizePrefixWords(prefix uint64) uint64 { return prefix >> 1 }
 // size to LargeFree, which asserts the round trip under the memdebug
 // build tag.
 func (h *Heap) LargeAlloc(size uint64, encode func(regionWords uint64) uint64) (Ptr, error) {
-	payloadWords := (size + WordBytes - 1) / WordBytes
-	if payloadWords == 0 {
-		payloadWords = 1
-	}
-	totalWords := payloadWords + 1
+	totalWords := PayloadWords(size) + 1
 	if totalWords > h.MaxRegionWords() {
 		return 0, ErrRegionOverflow
 	}

@@ -345,12 +345,17 @@ func (h *Heap) Get(p Ptr) uint64 { v := *h.word(p); runtime.KeepAlive(h); return
 func (h *Heap) Set(p Ptr, v uint64) { *h.word(p) = v; runtime.KeepAlive(h) }
 
 // Words returns a slice aliasing the n words starting at p, which must
-// lie within one segment. The slice points into the heap's mapping, not
-// Go memory: it is valid only while the heap is reachable.
+// lie within one segment and below the bump pointer, like any word an
+// accessor reaches. The slice points into the heap's mapping, not Go
+// memory: it is valid only while the heap is reachable.
 func (h *Heap) Words(p Ptr, n uint64) []uint64 {
 	w := h.word(p)
 	if n > h.segWords-uint64(p)&(h.segWords-1) {
 		panic(fmt.Sprintf("mem: Words(%v, %d) straddles a segment boundary", p, n))
+	}
+	// Within the segment p+n cannot wrap, so its last word is p+n-1.
+	if last := p.Add(n - 1); n > 1 && !h.Mapped(last) {
+		panic(unmappedError(last))
 	}
 	return unsafe.Slice(w, n)
 }

@@ -348,7 +348,13 @@ func TestWordsPanicsOnStraddle(t *testing.T) {
 			t.Errorf("Words(%v, %d) panicked with %q", p, n, msg)
 		}
 	}
-	// Up to the last word of the segment is one slice, of exactly n words.
+	// Up to the last word of the segment is one slice, of exactly n words,
+	// once the bump pointer has passed that word.
+	for !h.Mapped(Ptr(h.SegmentWords() - 1)) {
+		if _, _, err := h.AllocRegion(PageWords); err != nil {
+			t.Fatal(err)
+		}
+	}
 	n := h.SegmentWords() - uint64(p)
 	if w := h.Words(p, n); uint64(len(w)) != n || uint64(cap(w)) != n {
 		t.Errorf("Words(%v, %d): len %d cap %d", p, n, len(w), cap(w))
@@ -385,6 +391,13 @@ func TestAccessUnmappedPanics(t *testing.T) {
 				}
 			}
 		})
+	}
+	// A slice may not reach past the frontier either: the last reserved
+	// word is mapped, the one after it is not.
+	last := frontier - 1
+	want := fmt.Sprintf("mem: access to unmapped address %v", frontier)
+	if v := panicOf(func() { h.Words(last, 2) }); fmt.Sprint(v) != want {
+		t.Errorf("Words(%v, 2) panicked with %#v, want %q", last, v, want)
 	}
 }
 
