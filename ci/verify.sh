@@ -111,10 +111,12 @@ stage_smoke() {
 			fi
 		done
 	done
-	# So must a workload of no threads or no operations, and a sampling
-	# interval of zero (the server must not start listening).
+	# So must a workload of no threads or no operations, a sampling
+	# interval of zero (the server must not start listening), a benchmark
+	# scale that is not above 0, and an experiment id that does not exist.
 	for cmd in "mlfstress -threads 0" "mlfstress -ops 0" "allocmon -once -threads 0" \
-		"allocmon -interval 0 -addr 127.0.0.1:0"; do
+		"allocmon -interval 0 -addr 127.0.0.1:0" \
+		"benchmal -scale 0" "benchmal -scale -1" "benchmal -exp nosuch"; do
 		if "$bin/"$cmd >/dev/null 2>&1; then
 			echo "verify: $cmd exited 0" >&2
 			exit 1

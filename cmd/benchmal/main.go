@@ -29,10 +29,14 @@
 // default, preserving the bare telemetry cost).
 //
 // The shape flag applies to every lock-free allocator built: -magazine N
-// is Config.MagazineSize. An out-of-range value (core.Config.Validate)
-// exits non-zero with the reason before anything runs. The experiment
-// that compares its settings (magazine; census for -samplerate) sets it
-// per row; a -magazine or -samplerate given is what its "on" row uses.
+// is Config.MagazineSize. The experiment that compares its settings
+// (magazine; census for -samplerate) sets it per row; a -magazine or
+// -samplerate given is what its "on" row uses.
+//
+// An out-of-range value (core.Config.Validate), a -scale that is not a
+// finite number above 0, a negative -samplerate and an unknown -exp id
+// exit non-zero before anything runs, with the reason on stderr and
+// nothing on stdout.
 //
 // -json additionally writes every individual measurement to a
 // BENCH_<unixtime>.json file.
@@ -43,6 +47,7 @@ import (
 	"flag"
 	"fmt"
 	"io"
+	"math"
 	"os"
 	"runtime"
 	"strconv"
@@ -70,30 +75,46 @@ type jsonReport struct {
 	Results       []bench.Result `json:"results"`
 }
 
-func main() {
+func main() { os.Exit(run(os.Args[1:], os.Stdout, os.Stderr)) }
+
+func run(args []string, stdout, stderr io.Writer) int {
+	fs := flag.NewFlagSet("benchmal", flag.ContinueOnError)
+	fs.SetOutput(stderr)
 	var (
-		expFlag     = flag.String("exp", "all", "experiment id (or comma list, or 'all')")
-		threadsFlag = flag.String("threads", "1,2,4,8,16", "comma-separated thread counts")
-		scaleFlag   = flag.Float64("scale", 0.01, "fraction of the paper's full parameters (1.0 = full)")
-		allocsFlag  = flag.String("allocs", "", "comma-separated allocators (default: all)")
-		procsFlag   = flag.Int("procs", 0, "processor heaps per allocator (default: max threads)")
-		teleFlag    = flag.Bool("telemetry", true, "hand every allocator a telemetry recorder (retries/op and latency per lock-free row, CAS-retry sites per buddy row)")
-		allocFlags  = bench.RegisterAllocFlags(flag.CommandLine)
-		rateFlag    = flag.Int("samplerate", 0, "allocation sampling period for census columns (0 = sampler off)")
-		jsonFlag    = flag.Bool("json", false, "write all measurements to a BENCH_<unixtime>.json file")
-		listFlag    = flag.Bool("list", false, "list experiments and exit")
-		verboseFlag = flag.Bool("v", false, "print every individual measurement; with -list, what each experiment measures")
+		expFlag     = fs.String("exp", "all", "experiment id (or comma list, or 'all')")
+		threadsFlag = fs.String("threads", "1,2,4,8,16", "comma-separated thread counts")
+		scaleFlag   = fs.Float64("scale", 0.01, "fraction of the paper's full parameters (1.0 = full)")
+		allocsFlag  = fs.String("allocs", "", "comma-separated allocators (default: all)")
+		procsFlag   = fs.Int("procs", 0, "processor heaps per allocator (default: max threads)")
+		teleFlag    = fs.Bool("telemetry", true, "hand every allocator a telemetry recorder (retries/op and latency per lock-free row, CAS-retry sites per buddy row)")
+		allocFlags  = bench.RegisterAllocFlags(fs)
+		rateFlag    = fs.Int("samplerate", 0, "allocation sampling period for census columns (0 = sampler off)")
+		jsonFlag    = fs.Bool("json", false, "write all measurements to a BENCH_<unixtime>.json file")
+		listFlag    = fs.Bool("list", false, "list experiments and exit")
+		verboseFlag = fs.Bool("v", false, "print every individual measurement; with -list, what each experiment measures")
 	)
-	flag.Parse()
+	if err := fs.Parse(args); err != nil {
+		return 2
+	}
+	fail := func(format string, args ...any) int {
+		fmt.Fprintf(stderr, "benchmal: "+format+"\n", args...)
+		return 1
+	}
 
 	shape, err := allocFlags.Apply(core.Config{Processors: *procsFlag})
 	if err != nil {
-		fatal("%v", err)
+		return fail("%v", err)
 	}
-
 	threads, err := parseInts(*threadsFlag)
 	if err != nil {
-		fatal("invalid -threads: %v", err)
+		return fail("invalid -threads: %v", err)
+	}
+	// !(x > 0) is also true of NaN.
+	if !(*scaleFlag > 0) || math.IsInf(*scaleFlag, 0) {
+		return fail("invalid -scale %g: want a finite fraction > 0", *scaleFlag)
+	}
+	if *rateFlag < 0 {
+		return fail("invalid -samplerate %d: want 0 (off) or a period >= 1", *rateFlag)
 	}
 	cfg := report.RunConfig{
 		Threads:    threads,
@@ -105,46 +126,49 @@ func main() {
 	if *allocsFlag != "" {
 		cfg.Allocators = strings.Split(*allocsFlag, ",")
 	}
-
-	if *listFlag {
-		list(os.Stdout, report.Experiments(cfg), *verboseFlag)
-		return
-	}
-
 	var results []bench.Result
 	cfg.Record = func(r bench.Result) {
 		results = append(results, r)
 		if *verboseFlag {
-			fmt.Printf("# %s\n", r)
+			fmt.Fprintf(stdout, "# %s\n", r)
 		}
 	}
 
-	var ids []string
+	var exps []report.Experiment
 	if *expFlag == "all" {
-		for _, e := range report.Experiments(cfg) {
-			ids = append(ids, e.ID)
-		}
+		exps = report.Experiments(cfg)
 	} else {
-		ids = strings.Split(*expFlag, ",")
+		for _, id := range strings.Split(*expFlag, ",") {
+			e, ok := report.ByID(cfg, strings.TrimSpace(id))
+			if !ok {
+				return fail("unknown experiment %q (use -list)", id)
+			}
+			exps = append(exps, e)
+		}
 	}
 
-	fmt.Printf("benchmal: GOMAXPROCS=%d NumCPU=%d scale=%g threads=%v\n\n",
+	if *listFlag {
+		list(stdout, report.Experiments(cfg), *verboseFlag)
+		return 0
+	}
+
+	fmt.Fprintf(stdout, "benchmal: GOMAXPROCS=%d NumCPU=%d scale=%g threads=%v\n\n",
 		runtime.GOMAXPROCS(0), runtime.NumCPU(), *scaleFlag, threads)
 
-	for _, id := range ids {
-		e, ok := report.ByID(cfg, strings.TrimSpace(id))
-		if !ok {
-			fatal("unknown experiment %q (use -list)", id)
+	for _, e := range exps {
+		fmt.Fprintf(stdout, "==== %s: %s ====\n", e.ID, e.Title)
+		fmt.Fprintf(stdout, "paper: %s\n\n", e.Paper)
+		if err := e.Run(stdout); err != nil {
+			return fail("%s: %v", e.ID, err)
 		}
-		fmt.Printf("==== %s: %s ====\n", e.ID, e.Title)
-		fmt.Printf("paper: %s\n\n", e.Paper)
-		if err := e.Run(os.Stdout); err != nil {
-			fatal("%s: %v", e.ID, err)
-		}
-		fmt.Println()
+		fmt.Fprintln(stdout)
 	}
 
 	if *jsonFlag {
+		ids := make([]string, len(exps))
+		for i, e := range exps {
+			ids[i] = e.ID
+		}
 		rep := jsonReport{
 			TakenUnixNano: time.Now().UnixNano(),
 			GoMaxProcs:    runtime.GOMAXPROCS(0),
@@ -159,14 +183,15 @@ func main() {
 		}
 		data, err := json.MarshalIndent(rep, "", "  ")
 		if err != nil {
-			fatal("marshal results: %v", err)
+			return fail("marshal results: %v", err)
 		}
 		name := fmt.Sprintf("BENCH_%d.json", time.Now().Unix())
 		if err := os.WriteFile(name, append(data, '\n'), 0o644); err != nil {
-			fatal("write %s: %v", name, err)
+			return fail("write %s: %v", name, err)
 		}
-		fmt.Printf("wrote %d measurements to %s\n", len(results), name)
+		fmt.Fprintf(stdout, "wrote %d measurements to %s\n", len(results), name)
 	}
+	return 0
 }
 
 // list prints one line per experiment, and under it, if verbose, what
@@ -193,9 +218,4 @@ func parseInts(s string) ([]int, error) {
 		out = append(out, n)
 	}
 	return out, nil
-}
-
-func fatal(format string, args ...any) {
-	fmt.Fprintf(os.Stderr, "benchmal: "+format+"\n", args...)
-	os.Exit(1)
 }

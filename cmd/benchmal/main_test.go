@@ -30,3 +30,26 @@ func TestListVerbose(t *testing.T) {
 		}
 	}
 }
+
+// TestRejectsBeforeAnyOutput: an argument benchmal cannot honour exits
+// non-zero with the reason on stderr, before the header or any traffic.
+func TestRejectsBeforeAnyOutput(t *testing.T) {
+	for _, args := range [][]string{
+		{"-scale", "0"},
+		{"-scale", "-1"},
+		{"-scale", "NaN"},
+		{"-scale", "+Inf"},
+		{"-samplerate", "-5"},
+		{"-exp", "nosuch"},
+		{"-exp", "table1,nosuch"},
+		{"-threads", "0"},
+		{"-magazine", "-1"},
+	} {
+		var stdout, stderr bytes.Buffer
+		code := run(args, &stdout, &stderr)
+		if code == 0 || stdout.Len() != 0 || !strings.HasPrefix(stderr.String(), "benchmal: ") {
+			t.Errorf("benchmal %s: exit %d, stdout %q, stderr %q; want a non-zero exit, the reason on stderr and no stdout",
+				strings.Join(args, " "), code, stdout.String(), stderr.String())
+		}
+	}
+}

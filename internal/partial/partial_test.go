@@ -386,11 +386,15 @@ func TestUpFrontFootprint(t *testing.T) {
 		maxNodes uint64
 		limit    uint64 // bytes
 	}{{DefaultNodes, 100 << 10}, {1 << 23, 68 << 10}, {1 << 15, 6 << 10}, {64, 2 << 10}} {
-		var before, after runtime.MemStats
-		runtime.ReadMemStats(&before)
-		NewNodes(tc.maxNodes).NewFIFO()
-		runtime.ReadMemStats(&after)
-		if got := after.TotalAlloc - before.TotalAlloc; got > tc.limit {
+		got := uint64(1 << 62)
+		for i := 0; i < 3; i++ { // the least of three: other tests' goroutines allocate too
+			var before, after runtime.MemStats
+			runtime.ReadMemStats(&before)
+			NewNodes(tc.maxNodes).NewFIFO()
+			runtime.ReadMemStats(&after)
+			got = min(got, after.TotalAlloc-before.TotalAlloc)
+		}
+		if got > tc.limit {
 			t.Errorf("NewNodes(%d).NewFIFO() allocates %d bytes, limit %d", tc.maxNodes, got, tc.limit)
 		}
 	}
