@@ -112,10 +112,12 @@ stage_smoke() {
 		done
 	done
 	# So must a workload of no threads or no operations, a sampling
-	# interval of zero (the server must not start listening), a benchmark
+	# interval of zero or an empty series ring (the server must not start
+	# listening), a negative sampling period or event count, a benchmark
 	# scale that is not above 0, and an experiment id that does not exist.
 	for cmd in "mlfstress -threads 0" "mlfstress -ops 0" "allocmon -once -threads 0" \
-		"allocmon -interval 0 -addr 127.0.0.1:0" \
+		"allocmon -interval 0 -addr 127.0.0.1:0" "allocmon -history 0 -addr 127.0.0.1:0" \
+		"allocmon -once -samplerate -1" "allocmon -once -events -1" \
 		"benchmal -scale 0" "benchmal -scale -1" "benchmal -exp nosuch"; do
 		if "$bin/"$cmd >/dev/null 2>&1; then
 			echo "verify: $cmd exited 0" >&2

@@ -3,8 +3,7 @@
 // telemetry layer and allocation sampler attached, and serves live
 // observability over HTTP: telemetry snapshots, censuses (the OS layer
 // for every backend; fragmentation, live-block ages and call sites for
-// lockfree; the order table for buddy), a Prometheus scrape endpoint,
-// and a server-sent-event stream of periodic samples.
+// lockfree; the order table for buddy) and a ring of periodic samples.
 //
 //	allocmon [-alloc lockfree] [-addr :8723] [-threads 4] [-hyper]
 //	         [-pause 50us] [-interval 1s] [-samplerate 1024]
@@ -18,8 +17,6 @@
 //	             subtracts an earlier series point (interval delta)
 //	/census.json latest full census as JSON, one key per part
 //	/series.json the sampled census+snapshot ring, oldest first
-//	/metrics     Prometheus text format (version 0.0.4)
-//	/stream      server-sent events: one series point per sample tick
 //
 // What a census holds is up to the backend (alloc.Harness.Census) and
 // how a part looks up to the part (internal/census); to watch two
@@ -29,8 +26,9 @@
 // stdout, and exits (useful for smoke tests).
 //
 // A knob core.Config.Validate rejects, an unknown backend, -threads
-// below 1 or a non-positive -interval exits 1 with the reason before
-// the allocator is built.
+// below 1, a non-positive -interval, -history below 1, or a negative
+// -samplerate or -events exits 1 with the reason before the allocator
+// is built.
 package main
 
 import (
@@ -46,7 +44,6 @@ import (
 
 	"repro/alloc"
 	"repro/internal/bench"
-	"repro/internal/census"
 	"repro/internal/churn"
 	"repro/internal/core"
 	"repro/internal/telemetry"
@@ -59,9 +56,6 @@ type monitor struct {
 	h      alloc.Harness
 	series *telemetry.Series
 	events int // flight-recorder events on the text dashboard
-
-	mu   sync.Mutex
-	subs map[chan telemetry.SeriesPoint]struct{}
 }
 
 func newMonitor(rec *telemetry.Recorder, a alloc.Allocator, history, events int) *monitor {
@@ -70,7 +64,6 @@ func newMonitor(rec *telemetry.Recorder, a alloc.Allocator, history, events int)
 		h:      alloc.HarnessOf(a),
 		series: telemetry.NewSeries(history),
 		events: events,
-		subs:   make(map[chan telemetry.SeriesPoint]struct{}),
 	}
 }
 
@@ -82,36 +75,10 @@ func (m *monitor) dashboard(w io.Writer) {
 	m.h.Census().WriteText(w)
 }
 
-// sampleOnce takes one snapshot+census pair, appends it to the series,
-// and fans it out to /stream subscribers (dropping on slow consumers —
-// the ring at /series.json is the lossless record).
+// sampleOnce takes one snapshot+census pair and appends it to the
+// series.
 func (m *monitor) sampleOnce() telemetry.SeriesPoint {
-	snap := m.rec.Snapshot()
-	snap.Events = nil // the series is numeric; /stats.json serves the ring
-	pt := m.series.Add(snap, m.h.Census())
-	m.mu.Lock()
-	for ch := range m.subs {
-		select {
-		case ch <- pt:
-		default:
-		}
-	}
-	m.mu.Unlock()
-	return pt
-}
-
-func (m *monitor) subscribe() chan telemetry.SeriesPoint {
-	ch := make(chan telemetry.SeriesPoint, 8)
-	m.mu.Lock()
-	m.subs[ch] = struct{}{}
-	m.mu.Unlock()
-	return ch
-}
-
-func (m *monitor) unsubscribe(ch chan telemetry.SeriesPoint) {
-	m.mu.Lock()
-	delete(m.subs, ch)
-	m.mu.Unlock()
+	return m.series.Add(m.rec.Snapshot(), m.h.Census())
 }
 
 // run samples every interval until stop closes.
@@ -163,41 +130,6 @@ func (m *monitor) mux() *http.ServeMux {
 	mux.HandleFunc("/series.json", func(w http.ResponseWriter, r *http.Request) {
 		writeJSON(w, m.series.Points())
 	})
-	mux.HandleFunc("/metrics", func(w http.ResponseWriter, r *http.Request) {
-		w.Header().Set("Content-Type", census.ContentType)
-		snap := m.rec.Snapshot()
-		if err := census.WriteMetrics(w, snap, m.h.Census()); err != nil {
-			http.Error(w, err.Error(), http.StatusInternalServerError)
-		}
-	})
-	mux.HandleFunc("/stream", func(w http.ResponseWriter, r *http.Request) {
-		fl, ok := w.(http.Flusher)
-		if !ok {
-			http.Error(w, "streaming unsupported", http.StatusServiceUnavailable)
-			return
-		}
-		w.Header().Set("Content-Type", "text/event-stream")
-		w.Header().Set("Cache-Control", "no-cache")
-		ch := m.subscribe()
-		defer m.unsubscribe(ch)
-		// Send the latest point immediately so a fresh client sees data
-		// before the next tick.
-		if last, ok := m.series.Last(); ok {
-			if !sendEvent(w, fl, last) {
-				return
-			}
-		}
-		for {
-			select {
-			case <-r.Context().Done():
-				return
-			case pt := <-ch:
-				if !sendEvent(w, fl, pt) {
-					return
-				}
-			}
-		}
-	})
 	return mux
 }
 
@@ -214,18 +146,6 @@ func (m *monitor) basePoint(base string) (telemetry.SeriesPoint, bool) {
 	return m.series.Get(seq)
 }
 
-func sendEvent(w http.ResponseWriter, fl http.Flusher, pt telemetry.SeriesPoint) bool {
-	data, err := json.Marshal(pt)
-	if err != nil {
-		return false
-	}
-	if _, err := fmt.Fprintf(w, "data: %s\n\n", data); err != nil {
-		return false
-	}
-	fl.Flush()
-	return true
-}
-
 func main() { os.Exit(run(os.Args[1:], os.Stdout, os.Stderr)) }
 
 func run(args []string, stdout, stderr io.Writer) int {
@@ -239,7 +159,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 		once       = fs.Bool("once", false, "print one dashboard after -warmup and exit (no server)")
 		warmup     = fs.Duration("warmup", 2*time.Second, "workload warmup before -once prints")
 		events     = fs.Int("events", 16, "flight-recorder events shown on the text dashboard")
-		interval   = fs.Duration("interval", time.Second, "census sampling interval for /series.json and /stream")
+		interval   = fs.Duration("interval", time.Second, "census sampling interval for /series.json")
 		sampleRate = fs.Int("samplerate", 1024, "allocation sampling period (mallocs per sample, 0 = off)")
 		history    = fs.Int("history", 120, "series points retained")
 		af         = bench.RegisterBackendFlags(fs)
@@ -251,8 +171,17 @@ func run(args []string, stdout, stderr io.Writer) int {
 		fmt.Fprintf(stderr, "allocmon: %v\n", err)
 		return 1
 	}
-	if *threads < 1 || *interval <= 0 {
-		return fail(fmt.Errorf("-threads must be at least 1 and -interval positive, got %d and %v", *threads, *interval))
+	switch {
+	case *threads < 1:
+		return fail(fmt.Errorf("-threads must be at least 1, got %d", *threads))
+	case *interval <= 0:
+		return fail(fmt.Errorf("-interval must be positive, got %v", *interval))
+	case *history < 1:
+		return fail(fmt.Errorf("-history must be at least 1, got %d", *history))
+	case *sampleRate < 0:
+		return fail(fmt.Errorf("-samplerate must not be negative, got %d", *sampleRate))
+	case *events < 0:
+		return fail(fmt.Errorf("-events must not be negative, got %d", *events))
 	}
 
 	rec := core.NewRecorder(telemetry.Config{SampleRate: *sampleRate})

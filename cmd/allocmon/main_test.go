@@ -1,7 +1,6 @@
 package main
 
 import (
-	"bufio"
 	"bytes"
 	"encoding/json"
 	"fmt"
@@ -83,85 +82,11 @@ func TestEndpointsContentTypes(t *testing.T) {
 		"/stats.json":  "application/json",
 		"/census.json": "application/json",
 		"/series.json": "application/json",
-		"/metrics":     census.ContentType,
 	} {
 		_, ct := get(t, srv, path)
 		if ct != want {
 			t.Errorf("GET %s: Content-Type = %q, want %q", path, ct, want)
 		}
-	}
-}
-
-// TestMetricsEndpoint: /metrics must serve valid Prometheus text format
-// with live census series (fragmentation, ages).
-func TestMetricsEndpoint(t *testing.T) {
-	m, _ := newTestMonitor(t, 200)
-	srv := httptest.NewServer(m.mux())
-	defer srv.Close()
-
-	body, _ := get(t, srv, "/metrics")
-	if err := census.ValidateMetrics([]byte(body)); err != nil {
-		t.Fatalf("/metrics invalid: %v", err)
-	}
-	for _, want := range []string{
-		"census_superblocks", "census_internal_frag_ratio",
-		"census_external_frag_ratio", "census_live_age_seconds_bucket",
-		"census_site_live_bytes", "alloc_ops_total",
-	} {
-		if !strings.Contains(body, want) {
-			t.Errorf("/metrics missing %s", want)
-		}
-	}
-}
-
-// TestStreamEndpoint: /stream delivers a series point as an SSE data
-// frame with census fields populated.
-func TestStreamEndpoint(t *testing.T) {
-	m, _ := newTestMonitor(t, 200)
-	m.sampleOnce() // Last() exists, sent on connect
-	srv := httptest.NewServer(m.mux())
-	defer srv.Close()
-
-	resp, err := srv.Client().Get(srv.URL + "/stream")
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer resp.Body.Close()
-	if ct := resp.Header.Get("Content-Type"); ct != "text/event-stream" {
-		t.Fatalf("Content-Type = %q", ct)
-	}
-	sc := bufio.NewScanner(resp.Body)
-	sc.Buffer(make([]byte, 0, 1<<20), 1<<20)
-	var data string
-	for sc.Scan() {
-		if strings.HasPrefix(sc.Text(), "data: ") {
-			data = strings.TrimPrefix(sc.Text(), "data: ")
-			break
-		}
-	}
-	if data == "" {
-		t.Fatalf("no SSE data frame: %v", sc.Err())
-	}
-	var pt struct {
-		Seq      uint64             `json:"seq"`
-		Snapshot telemetry.Snapshot `json:"snapshot"`
-		Census   *struct {
-			Superblocks census.Superblocks `json:"superblocks"`
-			Sampler     census.Sampled     `json:"sampler"`
-		} `json:"census"`
-		Delta telemetry.Snapshot `json:"delta"`
-	}
-	if err := json.Unmarshal([]byte(data), &pt); err != nil {
-		t.Fatalf("bad SSE JSON: %v", err)
-	}
-	if pt.Snapshot.Malloc.Count == 0 {
-		t.Error("streamed snapshot has no mallocs")
-	}
-	if pt.Census == nil || pt.Census.Superblocks.Totals.Superblocks == 0 {
-		t.Errorf("streamed census empty: %+v", pt.Census)
-	}
-	if pt.Census != nil && pt.Census.Sampler.Ages.Count() == 0 {
-		t.Error("streamed census has no live-age samples")
 	}
 }
 
@@ -257,9 +182,9 @@ func TestDashboardCensusSummary(t *testing.T) {
 	}
 }
 
-// TestEveryBackend: each registry entry can be watched — a dashboard,
-// scrapeable /metrics, a /census.json that carries at least the OS-layer
-// part with the regions the traffic drew, and a -once run that exits 0.
+// TestEveryBackend: each registry entry can be watched — a dashboard, a
+// /census.json that carries at least the OS-layer part with the regions
+// the traffic drew, and a -once run that exits 0.
 func TestEveryBackend(t *testing.T) {
 	for _, name := range alloc.Names() {
 		t.Run(name, func(t *testing.T) {
@@ -269,13 +194,6 @@ func TestEveryBackend(t *testing.T) {
 
 			if body, _ := get(t, srv, "/"); !strings.Contains(body, "telemetry: ") || !strings.Contains(body, "OS layer (words):") {
 				t.Errorf("dashboard lacks the snapshot or the census:\n%s", body)
-			}
-			metrics, _ := get(t, srv, "/metrics")
-			if err := census.ValidateMetrics([]byte(metrics)); err != nil {
-				t.Errorf("/metrics invalid: %v", err)
-			}
-			if !strings.Contains(metrics, "census_os_words{kind=") {
-				t.Error("/metrics lacks the OS-layer families")
 			}
 			body, _ := get(t, srv, "/census.json")
 			var c struct {
@@ -300,7 +218,7 @@ func TestEveryBackend(t *testing.T) {
 }
 
 // TestBuddyEndpoints: watching the buddy, /census.json carries its order
-// table and /metrics its buddy_* families.
+// table.
 func TestBuddyEndpoints(t *testing.T) {
 	m, _ := newBackendMonitor(t, "buddy", 100)
 	srv := httptest.NewServer(m.mux())
@@ -323,16 +241,130 @@ func TestBuddyEndpoints(t *testing.T) {
 	if used != 50 { // newBackendMonitor frees every other of its 100 blocks
 		t.Fatalf("buddy census counts %d used blocks, want 50", used)
 	}
-	metrics, _ := get(t, srv, "/metrics")
-	for _, want := range []string{"buddy_order_blocks", "buddy_external_frag_ratio", "buddy_trees"} {
-		if !strings.Contains(metrics, want) {
-			t.Errorf("/metrics missing %s", want)
+}
+
+// servedFields are the /stats.json and /census.json fields, as dotted
+// paths ("[]" steps into every element of an array), that carry the
+// numbers of the telemetry snapshot and of each backend's census parts:
+// the OS layer for every backend, then lockfree's and buddy's own.
+var servedFields = map[string][]string{
+	"/stats.json": {
+		"uptimeNS", "threads", "retries", "totalRetries",
+		"malloc.count", "malloc.p50ns", "malloc.p90ns", "malloc.p99ns",
+		"free.count", "free.p50ns", "free.p90ns", "free.p99ns",
+	},
+	"os": {
+		"os.totalWords", "os.ReservedWords", "os.LiveWords", "os.freeWords",
+		"os.freeRegions", "os.externalFragRatio",
+	},
+	"lockfree": {
+		"superblocks.classes[].superblocks", "superblocks.classes[].blocksUsed",
+		"superblocks.classes[].blocksFree", "superblocks.classes[].blocksReserved",
+		"superblocks.classes[].magazineCached", "superblocks.classes[].partialList",
+		"superblocks.classes[].carveWasteWords", "superblocks.classes[].internalFragRatio",
+		"superblocks.totals.internalFragRatio",
+		"superblocks.ops.MagazineHits", "superblocks.ops.MagazineMisses", "superblocks.ops.MagazineFlushes",
+		"descPool.onFreelist",
+		"sampler.ages", "sampler.ageP50NS", "sampler.ageP99NS",
+		"sampler.sites[].live", "sampler.sites[].liveBytes",
+		"sampler.sampled", "sampler.evicted", "sampler.collisions", "sampler.matchedFrees", "sampler.rate",
+	},
+	"buddy": {
+		"buddy.stats.Trees", "buddy.stats.TreeWords",
+		"buddy.orders[].order", "buddy.orders[].blockWords", "buddy.orders[].free", "buddy.orders[].used",
+		"buddy.freeWords", "buddy.usedWords", "buddy.externalFragRatio", "buddy.coalBits",
+		"buddy.stats.Mallocs", "buddy.stats.Frees", "buddy.stats.LargeMallocs", "buddy.stats.LargeFrees",
+		"buddy.stats.Grows", "buddy.stats.GrowRaces", "buddy.stats.HintHits", "buddy.stats.Scans",
+	},
+}
+
+// lookup reports the values at a dotted path of a decoded JSON
+// document, one per array element stepped through, and what it found
+// missing: a key, an empty array or a null.
+func lookup(v any, path string) ([]any, error) {
+	vals := []any{v}
+	for _, step := range strings.Split(path, ".") {
+		key, each := strings.CutSuffix(step, "[]")
+		var next []any
+		for _, v := range vals {
+			obj, ok := v.(map[string]any)
+			if !ok {
+				return nil, fmt.Errorf("%s: not an object above %q", path, key)
+			}
+			f, ok := obj[key]
+			if !ok || f == nil {
+				return nil, fmt.Errorf("%s: no %q", path, key)
+			}
+			if !each {
+				next = append(next, f)
+				continue
+			}
+			arr, _ := f.([]any)
+			if len(arr) == 0 {
+				return nil, fmt.Errorf("%s: %q is not a non-empty array", path, key)
+			}
+			next = append(next, arr...)
 		}
+		vals = next
+	}
+	return vals, nil
+}
+
+// TestNoNumberLost: for lockfree with the sampler on and for buddy,
+// /stats.json and /census.json carry every field in servedFields, the
+// one machine-readable copy of each number; /metrics and /stream are
+// not served.
+func TestNoNumberLost(t *testing.T) {
+	for _, name := range []string{"lockfree", "buddy"} {
+		t.Run(name, func(t *testing.T) {
+			m, _ := newBackendMonitor(t, name, 200)
+			srv := httptest.NewServer(m.mux())
+			defer srv.Close()
+
+			docs := map[string]any{}
+			for _, path := range []string{"/stats.json", "/census.json"} {
+				body, _ := get(t, srv, path)
+				var doc any
+				if err := json.Unmarshal([]byte(body), &doc); err != nil {
+					t.Fatalf("%s: %v", path, err)
+				}
+				docs[path] = doc
+			}
+			for group, paths := range map[string][]string{
+				"/stats.json":  servedFields["/stats.json"],
+				"/census.json": append(slices.Clone(servedFields["os"]), servedFields[name]...),
+			} {
+				for _, p := range paths {
+					if _, err := lookup(docs[group], p); err != nil {
+						t.Errorf("%s %v", group, err)
+					}
+				}
+			}
+			// The sampler counted the traffic, not just named its fields.
+			if name == "lockfree" {
+				ages, _ := lookup(docs["/census.json"], "sampler.ages")
+				if len(ages) != 1 || !slices.ContainsFunc(ages[0].([]any), func(n any) bool { return n.(float64) > 0 }) {
+					t.Errorf("sampler.ages = %v: no live sample", ages)
+				}
+			}
+
+			for _, gone := range []string{"/metrics", "/stream"} {
+				resp, err := srv.Client().Get(srv.URL + gone)
+				if err != nil {
+					t.Fatal(err)
+				}
+				resp.Body.Close()
+				if resp.StatusCode != 404 {
+					t.Errorf("GET %s: status %d, want 404", gone, resp.StatusCode)
+				}
+			}
+		})
 	}
 }
 
 // TestRejectedConfig: a knob core.Config.Validate rejects, an unknown
-// backend, no workload thread or a non-positive sampling interval stops
+// backend, no workload thread, a non-positive sampling interval, an
+// empty series ring, or a negative sampling period or event count stops
 // the command before any workload starts — also in server mode, which
 // must return instead of listening.
 func TestRejectedConfig(t *testing.T) {
@@ -344,6 +376,12 @@ func TestRejectedConfig(t *testing.T) {
 		once("-interval", "0"),
 		{"-interval", "0", "-addr", "127.0.0.1:0"},
 		{"-threads", "-1", "-addr", "127.0.0.1:0"},
+		once("-samplerate", "-1"),
+		once("-samplerate", "-5"),
+		once("-events", "-1"),
+		once("-history", "0"),
+		{"-history", "0", "-addr", "127.0.0.1:0"},
+		{"-history", "-4", "-addr", "127.0.0.1:0"},
 	} {
 		var out, errOut bytes.Buffer
 		if code := run(args, &out, &errOut); code != 1 || out.Len() != 0 || errOut.Len() == 0 {

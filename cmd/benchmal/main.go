@@ -10,7 +10,8 @@
 // -list prints the experiment ids; -list -v adds what each one is: its
 // thread counts and reference, and its workloads (parameters at the
 // given -scale), subjects and columns. Every number printed is the best
-// of three runs on fresh allocators; -v prints each run as it is taken.
+// of three runs on fresh allocators, taken in three rounds over all the
+// experiment's cells; -v prints each run as it is taken.
 // -allocs narrows every experiment to the named allocators, those that
 // name their own subjects included (the serial reference of a speedup
 // always runs).

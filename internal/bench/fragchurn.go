@@ -5,6 +5,7 @@ import (
 	"math"
 	"math/rand"
 	"sync"
+	"sync/atomic"
 	"time"
 
 	"repro/alloc"
@@ -28,10 +29,10 @@ import (
 // quantity coalescing exists to bound. The ratio lands in
 // Result.ExternalFragRatio.
 type FragChurn struct {
-	Ops     int    // churn operations per worker
-	Slots   int    // live-set slots per worker (default 256)
-	MinSize uint64 // smallest request, bytes (default 16)
-	MaxSize uint64 // largest request, bytes (default 8192)
+	Duration time.Duration // timed churn phase
+	Slots    int           // live-set slots per worker (default 256)
+	MinSize  uint64        // smallest request, bytes (default 16)
+	MaxSize  uint64        // largest request, bytes (default 8192)
 }
 
 // Name identifies the workload.
@@ -58,6 +59,8 @@ func (w FragChurn) Run(a alloc.Allocator, threads int) Result {
 	}
 	held := make([][]mem.Ptr, threads)
 	sizes := make([][]uint64, threads)
+	var stop atomic.Bool
+	var ops atomic.Uint64
 
 	start := make(chan struct{})
 	parked := make(chan struct{})
@@ -75,19 +78,25 @@ func (w FragChurn) Run(a alloc.Allocator, threads int) Result {
 			held[id] = make([]mem.Ptr, slots)
 			sizes[id] = make([]uint64, slots)
 			<-start
-			for i := 0; i < w.Ops; i++ {
-				k := rng.Intn(slots)
-				if !held[id][k].IsNil() {
-					th.Free(held[id][k])
+			var n uint64
+			for !stop.Load() {
+				// Batch between stop checks to keep the flag off the hot path.
+				for i := 0; i < 64; i++ {
+					k := rng.Intn(slots)
+					if !held[id][k].IsNil() {
+						th.Free(held[id][k])
+					}
+					sz := draw()
+					p, err := th.Malloc(sz)
+					if err != nil {
+						panic(fmt.Sprintf("fragchurn: malloc(%d): %v", sz, err))
+					}
+					held[id][k] = p
+					sizes[id][k] = sz
 				}
-				sz := draw()
-				p, err := th.Malloc(sz)
-				if err != nil {
-					panic(fmt.Sprintf("fragchurn: malloc(%d): %v", sz, err))
-				}
-				held[id][k] = p
-				sizes[id][k] = sz
+				n += 64
 			}
+			ops.Add(n)
 			churned.Done()
 			<-parked // hold the live set while the harness measures
 			for _, p := range held[id] {
@@ -103,6 +112,7 @@ func (w FragChurn) Run(a alloc.Allocator, threads int) Result {
 
 	a.Heap().ResetMaxLive()
 	t0 := time.Now()
+	time.AfterFunc(w.Duration, func() { stop.Store(true) })
 	close(start)
 	churned.Wait()
 	elapsed := time.Since(t0)
@@ -134,7 +144,7 @@ func (w FragChurn) Run(a alloc.Allocator, threads int) Result {
 		Workload:     w.Name(),
 		Allocator:    a.Name(),
 		Threads:      threads,
-		Ops:          uint64(threads * w.Ops),
+		Ops:          ops.Load(),
 		Elapsed:      elapsed,
 		MaxLiveBytes: a.Heap().Stats().MaxLiveWords * mem.WordBytes,
 		HeldBytes:    heldWords * mem.WordBytes,

@@ -3,7 +3,6 @@ package census
 import (
 	"fmt"
 	"io"
-	"strconv"
 	"text/tabwriter"
 
 	"repro/internal/buddy"
@@ -86,43 +85,4 @@ func (bc *Buddy) WriteText(w io.Writer) {
 		fmt.Fprintf(tw, "%d\t%d\t%d\t%d\t\n", o.Order, o.BlockWords, o.Free, o.Used)
 	}
 	tw.Flush()
-}
-
-func (bc *Buddy) writeMetrics(p *promWriter) {
-	p.header("buddy_trees", "Published buddy tree regions.", "gauge")
-	p.sample("buddy_trees", float64(bc.Stats.Trees))
-	p.header("buddy_tree_words", "Words per buddy tree region.", "gauge")
-	p.sample("buddy_tree_words", float64(bc.Stats.TreeWords))
-
-	p.header("buddy_order_blocks", "Buddy block inventory by order (maximal free and allocated blocks).", "gauge")
-	for _, o := range bc.Orders {
-		words := strconv.FormatUint(o.BlockWords, 10)
-		p.sample("buddy_order_blocks", float64(o.Free), "order", strconv.Itoa(o.Order), "words", words, "kind", "free")
-		p.sample("buddy_order_blocks", float64(o.Used), "order", strconv.Itoa(o.Order), "words", words, "kind", "used")
-	}
-
-	p.header("buddy_words", "Buddy forest words by state.", "gauge")
-	p.sample("buddy_words", float64(bc.FreeWords), "kind", "free")
-	p.sample("buddy_words", float64(bc.UsedWords), "kind", "used")
-
-	p.header("buddy_external_frag_ratio", "1 - largest free block over total free words.", "gauge")
-	p.sample("buddy_external_frag_ratio", bc.ExternalFragRatio)
-
-	p.header("buddy_coal_bits", "In-flight or stranded coalescing marks.", "gauge")
-	p.sample("buddy_coal_bits", float64(bc.CoalBits))
-
-	p.header("buddy_ops_total", "Completed buddy operations.", "counter")
-	p.sample("buddy_ops_total", float64(bc.Stats.Mallocs), "op", "malloc")
-	p.sample("buddy_ops_total", float64(bc.Stats.Frees), "op", "free")
-	p.sample("buddy_ops_total", float64(bc.Stats.LargeMallocs), "op", "malloc_large")
-	p.sample("buddy_ops_total", float64(bc.Stats.LargeFrees), "op", "free_large")
-
-	p.header("buddy_grows_total", "Tree regions published under demand.", "counter")
-	p.sample("buddy_grows_total", float64(bc.Stats.Grows))
-	p.header("buddy_grow_races_total", "Tree regions discarded to a lost publish race.", "counter")
-	p.sample("buddy_grow_races_total", float64(bc.Stats.GrowRaces))
-	p.header("buddy_hint_hits_total", "Allocations served by a free-stack hint.", "counter")
-	p.sample("buddy_hint_hits_total", float64(bc.Stats.HintHits))
-	p.header("buddy_scans_total", "Allocations that fell back to a level scan.", "counter")
-	p.sample("buddy_scans_total", float64(bc.Stats.Scans))
 }

@@ -1,13 +1,11 @@
 package census
 
 import (
-	"bytes"
 	"encoding/json"
 	"testing"
 
 	"repro/internal/buddy"
 	"repro/internal/mem"
-	"repro/internal/telemetry"
 )
 
 func newBuddy(t *testing.T) (*buddy.Allocator, *buddy.Thread) {
@@ -69,36 +67,5 @@ func TestTakeBuddy(t *testing.T) {
 	}
 	if back.Buddy == nil || back.Buddy.Stats.Trees != bc.Stats.Trees || back.OS == nil || back.OS.RegionAllocs == 0 {
 		t.Fatalf("parts did not survive the JSON round trip: %s", data)
-	}
-}
-
-func TestWriteBuddyMetricsValidates(t *testing.T) {
-	a, th := newBuddy(t)
-	var ptrs []mem.Ptr
-	for _, sz := range []uint64{8, 100, 1000, 20000} {
-		p, err := th.Malloc(sz)
-		if err != nil {
-			t.Fatal(err)
-		}
-		ptrs = append(ptrs, p)
-	}
-	bc := TakeBuddy(a)
-	var buf bytes.Buffer
-	if err := WriteMetrics(&buf, telemetry.Snapshot{}, New(bc, TakeOS(a.Heap()))); err != nil {
-		t.Fatal(err)
-	}
-	if err := ValidateMetrics(buf.Bytes()); err != nil {
-		t.Fatalf("buddy exposition not scrapeable: %v\n%s", err, buf.Bytes())
-	}
-	for _, want := range []string{
-		"buddy_order_blocks{order=", `kind="free"`, `kind="used"`,
-		"buddy_external_frag_ratio", "buddy_trees", "buddy_ops_total", "census_os_words{kind=",
-	} {
-		if !bytes.Contains(buf.Bytes(), []byte(want)) {
-			t.Fatalf("exposition missing %q:\n%s", want, buf.Bytes())
-		}
-	}
-	for _, p := range ptrs {
-		th.Free(p)
 	}
 }

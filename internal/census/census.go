@@ -9,9 +9,9 @@
 // top-down: the backend's own structures where a walker exists (the
 // lock-free allocator's superblocks, descriptor pool and allocation
 // sampler; the buddy forest) above the OS layer (mem.Heap: bump
-// pointer, region bins), which every backend has. A part is plain data — JSON by
-// its struct tags — that renders itself as text and as Prometheus
-// families; nothing outside this package formats a part's numbers.
+// pointer, region bins), which every backend has. A part is plain data:
+// JSON by its struct tags, text by its WriteText; nothing outside this
+// package formats a part's numbers.
 //
 // Every part is assembled entirely from racy-consistent atomic reads —
 // the core walk primitives (Allocator.WalkSuperblocks, WalkActive,
@@ -50,7 +50,6 @@ import (
 	"io"
 	"runtime"
 	"sort"
-	"strconv"
 	"strings"
 	"text/tabwriter"
 	"time"
@@ -62,15 +61,13 @@ import (
 	"repro/internal/telemetry"
 )
 
-// Part is one layer's share of a census: plain data that knows its
-// renderings.
+// Part is one layer's share of a census: plain data, rendered as JSON
+// by its struct tags and as text by WriteText.
 type Part interface {
 	// Key names the part in the census's JSON object.
 	Key() string
 	// WriteText renders the part for a terminal.
 	WriteText(w io.Writer)
-	// writeMetrics renders it as Prometheus families.
-	writeMetrics(p *promWriter)
 }
 
 // Census is one point-in-time inventory: the parts of the allocator's
@@ -194,14 +191,6 @@ type SiteCensus struct {
 	Live      uint64 `json:"live"`
 	LiveBytes uint64 `json:"liveBytes"`
 	OldestNS  int64  `json:"oldestNS"`
-}
-
-// label names the site in a rendering.
-func (sc SiteCensus) label() string {
-	if sc.Func == "" {
-		return fmt.Sprintf("pc=%#x", sc.PC)
-	}
-	return sc.Func
 }
 
 // Sampled is what the allocation sampler knows of the live blocks; the
@@ -427,80 +416,10 @@ func (sb *Superblocks) WriteText(w io.Writer) {
 	}
 }
 
-var stateLabels = [4]string{
-	atomicx.StateActive:  "active",
-	atomicx.StateFull:    "full",
-	atomicx.StatePartial: "partial",
-	atomicx.StateEmpty:   "empty",
-}
-
-func (sb *Superblocks) writeMetrics(p *promWriter) {
-	// Magazine traffic is core.OpStats', the one count of it; hits are
-	// published in batches (Allocator.Stats).
-	p.header("alloc_magazine_hits_total", "Mallocs served from thread-local magazines.", "counter")
-	p.sample("alloc_magazine_hits_total", float64(sb.Ops.MagazineHits))
-	p.header("alloc_magazine_misses_total", "Mallocs that found their magazine empty.", "counter")
-	p.sample("alloc_magazine_misses_total", float64(sb.Ops.MagazineMisses))
-	p.header("alloc_magazine_flushes_total", "Magazine flush batches spliced back.", "counter")
-	p.sample("alloc_magazine_flushes_total", float64(sb.Ops.MagazineFlushes))
-
-	p.header("census_superblocks", "Superblock descriptors by size class and anchor state.", "gauge")
-	for _, cc := range sb.Classes {
-		cls := strconv.Itoa(cc.Class)
-		for st, n := range cc.Superblocks {
-			if n > 0 {
-				p.sample("census_superblocks", float64(n), "class", cls, "state", stateLabels[st])
-			}
-		}
-	}
-
-	p.header("census_blocks", "Block inventory by size class.", "gauge")
-	for _, cc := range sb.Classes {
-		if cc.BlocksUsed+cc.BlocksFree+cc.BlocksReserved+cc.MagazineCached == 0 {
-			continue
-		}
-		cls := strconv.Itoa(cc.Class)
-		p.sample("census_blocks", float64(cc.BlocksUsed), "class", cls, "kind", "used")
-		p.sample("census_blocks", float64(cc.BlocksFree), "class", cls, "kind", "free")
-		p.sample("census_blocks", float64(cc.BlocksReserved), "class", cls, "kind", "reserved")
-		p.sample("census_blocks", float64(cc.MagazineCached), "class", cls, "kind", "magazine")
-	}
-
-	p.header("census_partial_list_len", "Partial-list length by size class.", "gauge")
-	for _, cc := range sb.Classes {
-		if cc.PartialList > 0 {
-			p.sample("census_partial_list_len", float64(cc.PartialList), "class", strconv.Itoa(cc.Class))
-		}
-	}
-
-	p.header("census_carve_waste_words", "Superblock carving remainder words by size class.", "gauge")
-	for _, cc := range sb.Classes {
-		if cc.CarveWasteWords > 0 {
-			p.sample("census_carve_waste_words", float64(cc.CarveWasteWords), "class", strconv.Itoa(cc.Class))
-		}
-	}
-
-	p.header("census_internal_frag_ratio", "Sampled internal fragmentation by size class (waste/class bytes).", "gauge")
-	for _, cc := range sb.Classes {
-		if cc.SampledLive > 0 {
-			p.sample("census_internal_frag_ratio", cc.InternalFragRatio, "class", strconv.Itoa(cc.Class))
-		}
-	}
-	if sb.Totals.InternalFragRatio >= 0 {
-		p.header("census_total_internal_frag_ratio", "Sampled internal fragmentation across all classes.", "gauge")
-		p.sample("census_total_internal_frag_ratio", sb.Totals.InternalFragRatio)
-	}
-}
-
 func (dp *DescPool) Key() string { return "descPool" }
 
 func (dp *DescPool) WriteText(w io.Writer) {
 	fmt.Fprintf(w, "descriptors: %d allocated, %d on freelist\n", dp.Allocated, dp.OnFreelist)
-}
-
-func (dp *DescPool) writeMetrics(p *promWriter) {
-	p.header("census_desc_free", "Retired descriptors on the DescAvail list.", "gauge")
-	p.sample("census_desc_free", float64(dp.OnFreelist))
 }
 
 func (s *Sampled) Key() string { return "sampler" }
@@ -522,67 +441,13 @@ func (s *Sampled) WriteText(w io.Writer) {
 		if i == 5 {
 			break
 		}
-		site := sc.label()
+		site := fmt.Sprintf("pc=%#x", sc.PC)
 		if sc.Func != "" {
-			site += fmt.Sprintf(" (%s:%d)", sc.File, sc.Line)
+			site = fmt.Sprintf("%s (%s:%d)", sc.Func, sc.File, sc.Line)
 		}
 		fmt.Fprintf(tw, "%d\t%d\t%v\t%s\t\n", sc.Live, sc.LiveBytes, time.Duration(sc.OldestNS), site)
 	}
 	tw.Flush()
-}
-
-func (s *Sampled) writeMetrics(p *promWriter) {
-	// Live-age histogram: cumulative le buckets in seconds. Bucket i of
-	// the telemetry vector covers ages below 2^i ns.
-	p.header("census_live_age_seconds", "Ages of live sampled allocations.", "histogram")
-	var cum uint64
-	var sumNS float64
-	top := 0
-	for i, n := range s.Ages {
-		if n > 0 {
-			top = i
-		}
-	}
-	for i := 0; i <= top; i++ {
-		cum += s.Ages[i]
-		sumNS += float64(s.Ages[i]) * float64(bucketMidNS(i))
-		le := strconv.FormatFloat(float64(uint64(1)<<uint(i))/1e9, 'g', -1, 64)
-		p.sample("census_live_age_seconds_bucket", float64(cum), "le", le)
-	}
-	p.sample("census_live_age_seconds_bucket", float64(s.Ages.Count()), "le", "+Inf")
-	p.sample("census_live_age_seconds_sum", sumNS/1e9)
-	p.sample("census_live_age_seconds_count", float64(s.Ages.Count()))
-
-	p.header("census_site_live_blocks", "Live sampled blocks by allocation site.", "gauge")
-	p.header("census_site_live_bytes", "Live sampled requested bytes by allocation site.", "gauge")
-	for _, sc := range s.Sites {
-		p.sample("census_site_live_blocks", float64(sc.Live), "site", sc.label())
-		p.sample("census_site_live_bytes", float64(sc.LiveBytes), "site", sc.label())
-	}
-
-	p.header("census_sampler_sampled_total", "Allocation samples deposited.", "counter")
-	p.sample("census_sampler_sampled_total", float64(s.Sampled))
-	p.header("census_sampler_evicted_total", "Samples overwritten before their free was seen.", "counter")
-	p.sample("census_sampler_evicted_total", float64(s.Evicted))
-	p.header("census_sampler_collisions_total", "Samples dropped to a concurrent slot writer.", "counter")
-	p.sample("census_sampler_collisions_total", float64(s.Collisions))
-	p.header("census_sampler_matched_frees_total", "Frees matched against a live sample.", "counter")
-	p.sample("census_sampler_matched_frees_total", float64(s.MatchedFrees))
-	p.header("census_sample_rate", "Sampling period (mallocs per sample, 0 = off).", "gauge")
-	p.sample("census_sample_rate", float64(s.Rate))
-}
-
-// bucketMidNS mirrors the telemetry histogram's representative bucket
-// values (midpoint of [2^(i-1), 2^i)).
-func bucketMidNS(i int) uint64 {
-	switch i {
-	case 0:
-		return 0
-	case 1:
-		return 1
-	default:
-		return 3 << (i - 2)
-	}
 }
 
 // Summary is the compact census digest embedded in benchmark results

@@ -72,15 +72,3 @@ func (o *OSLayer) WriteText(w io.Writer) {
 	}
 	tw.Flush()
 }
-
-func (o *OSLayer) writeMetrics(p *promWriter) {
-	p.header("census_os_words", "OS-layer word inventory.", "gauge")
-	p.header("census_os_free_regions", "Free regions parked in the OS layer's bins.", "gauge")
-	p.header("census_external_frag_ratio", "Free-bin words over reserved words.", "gauge")
-	p.sample("census_os_words", float64(o.TotalWords), "kind", "total")
-	p.sample("census_os_words", float64(o.ReservedWords), "kind", "reserved")
-	p.sample("census_os_words", float64(o.LiveWords), "kind", "live")
-	p.sample("census_os_words", float64(o.FreeWords), "kind", "free")
-	p.sample("census_os_free_regions", float64(o.FreeRegions))
-	p.sample("census_external_frag_ratio", o.ExternalFragRatio)
-}

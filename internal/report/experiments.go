@@ -119,9 +119,9 @@ func Experiments(cfg RunConfig) []Experiment {
 		passiveFalse = bench.PassiveFalse{Pairs: falsePairs, WritesPerWord: 1000, Size: 8}
 		larson       = bench.Larson{Duration: c.scaleDur(30 * time.Second), BlocksPerThread: 1024, MinSize: 16, MaxSize: 80}
 		// Log-uniform 16 B..8 KiB requests span ten buddy orders and every
-		// lock-free size class; 100k churn ops per worker at full scale
-		// shatter and re-coalesce each arena thousands of times.
-		fragChurn = bench.FragChurn{Ops: c.scaleInt(100_000), Slots: 256, MinSize: 16, MaxSize: 8192}
+		// lock-free size class; timed like Larson, so a cell lasts long
+		// enough to order the allocators by ops/s.
+		fragChurn = bench.FragChurn{Duration: c.scaleDur(30 * time.Second), Slots: 256, MinSize: 16, MaxSize: 8192}
 		prodcons  = func(work int) bench.Workload {
 			return bench.ProducerConsumer{Duration: c.scaleDur(30 * time.Second), Work: work, DBSize: 1 << 20}
 		}

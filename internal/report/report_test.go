@@ -3,6 +3,7 @@ package report
 import (
 	"bytes"
 	"io"
+	"slices"
 	"strings"
 	"testing"
 
@@ -128,6 +129,25 @@ func TestExperimentRegistry(t *testing.T) {
 	}
 	if _, ok := ByID(RunConfig{}, "nope"); ok {
 		t.Error("ByID(nope) succeeded")
+	}
+}
+
+// TestRunRoundRobin: run takes a cell's repetitions in rounds over all
+// the cells of a spec, the reference included, never back to back.
+func TestRunRoundRobin(t *testing.T) {
+	var order []string
+	cfg := RunConfig{Threads: []int{1}, Scale: 0.0002}.withDefaults()
+	cfg.Record = func(r bench.Result) { order = append(order, r.Allocator) }
+	s := spec{
+		layout: bySubject, subjects: []subject{{name: "lockfree"}, {name: "hoard"}},
+		workloads: []bench.Workload{bench.LinuxScalability{Pairs: 100, Size: 8}}, threads: []int{1}, ref: libc, columns: []column{opsColumn},
+	}
+	if err := run(cfg, s, io.Discard); err != nil {
+		t.Fatal(err)
+	}
+	round := []string{"serial", "lockfree", "hoard"}
+	if want := slices.Concat(round, round, round); !slices.Equal(order, want) {
+		t.Errorf("runs in order %v, want %v", order, want)
 	}
 }
 

@@ -159,35 +159,58 @@ func (s spec) row(label string, r, ref bench.Result) []string {
 // oversubscribed host jitter by up to 2x, so best-of-N is reported.
 const scalarReps = 3
 
-// best is the one measuring loop: scalarReps runs of w, each on a fresh
-// allocator — sub's registry entry built from a copy of cfg.Options
-// with sub's edit applied and, under cfg.Telemetry, a fresh recorder —
-// the previous run's heap collected outside the timed region. The run
-// with the highest throughput is the cell, and every run is recorded.
-func (cfg RunConfig) best(sub subject, w bench.Workload, threads int) (bench.Result, error) {
-	var best bench.Result
-	for i := 0; i < scalarReps; i++ {
-		opt := cfg.Options
-		if cfg.Telemetry {
-			opt.LockFree.Telemetry = core.NewRecorder(telemetry.Config{SampleRate: cfg.SampleRate})
-		}
-		if sub.edit != nil {
-			sub.edit(&opt)
-		}
-		a, err := alloc.New(sub.name, opt)
-		if err != nil {
-			return bench.Result{}, err
-		}
-		runtime.GC()
-		r := w.Run(a, threads)
-		if cfg.Record != nil {
-			cfg.Record(r)
-		}
-		if r.OpsPerSec() > best.OpsPerSec() {
-			best = r
+// cell is what one reported number measures: a subject on a workload
+// at a thread count.
+type cell struct {
+	sub     subject
+	w       bench.Workload
+	threads int
+}
+
+// measure is the one measuring loop: scalarReps rounds over cells, each
+// round one run of every cell, so a transient slowdown of the host costs
+// a cell one of its runs, not all of them. (On a 2-vCPU VM two
+// goroutines read the clock at half speed for about a second after an
+// idle spell, and the first cell of a process read 3.1-3.3 M ops/s where
+// later runs read 5-6 M.) Every run is recorded; a cell's result is its
+// run with the highest throughput.
+func (cfg RunConfig) measure(cells []cell) ([]bench.Result, error) {
+	best := make([]bench.Result, len(cells))
+	for range scalarReps {
+		for i, c := range cells {
+			r, err := cfg.once(c)
+			if err != nil {
+				return nil, err
+			}
+			if cfg.Record != nil {
+				cfg.Record(r)
+			}
+			if r.OpsPerSec() > best[i].OpsPerSec() {
+				best[i] = r
+			}
 		}
 	}
 	return best, nil
+}
+
+// once is one run of c on a fresh allocator — its subject's registry
+// entry built from a copy of cfg.Options with the subject's edit applied
+// and, under cfg.Telemetry, a fresh recorder — the previous run's heap
+// collected outside the timed region.
+func (cfg RunConfig) once(c cell) (bench.Result, error) {
+	opt := cfg.Options
+	if cfg.Telemetry {
+		opt.LockFree.Telemetry = core.NewRecorder(telemetry.Config{SampleRate: cfg.SampleRate})
+	}
+	if c.sub.edit != nil {
+		c.sub.edit(&opt)
+	}
+	a, err := alloc.New(c.sub.name, opt)
+	if err != nil {
+		return bench.Result{}, err
+	}
+	runtime.GC()
+	return c.w.Run(a, c.threads), nil
 }
 
 // run measures every cell of s — subject × workload × thread count, and
@@ -202,24 +225,31 @@ func run(cfg RunConfig, s spec, out io.Writer) error {
 		fmt.Fprintln(out, "(no allocator of this experiment is among the selected ones)")
 		return nil
 	}
+	ownRef := s.ref != "" && s.ref != firstRow
+	var all []cell // per workload: the reference, then subject × thread count
+	for _, w := range s.workloads {
+		if ownRef {
+			all = append(all, cell{subject{name: s.ref}, w, 1})
+		}
+		for _, sub := range subs {
+			for _, t := range s.threads {
+				all = append(all, cell{sub, w, t})
+			}
+		}
+	}
+	results, err := cfg.measure(all)
+	if err != nil {
+		return err
+	}
 	var rows [][]string // byWorkload: one per workload, the table printed after the last
 	for _, w := range s.workloads {
 		var ref bench.Result
-		if s.ref != "" && s.ref != firstRow {
-			var err error
-			if ref, err = cfg.best(subject{name: s.ref}, w, 1); err != nil {
-				return err
-			}
+		if ownRef {
+			ref, results = results[0], results[1:]
 		}
 		cells := make([][]bench.Result, len(subs)) // [subject][thread count]
-		for i, sub := range subs {
-			for _, t := range s.threads {
-				r, err := cfg.best(sub, w, t)
-				if err != nil {
-					return err
-				}
-				cells[i] = append(cells[i], r)
-			}
+		for i := range subs {
+			cells[i], results = results[:len(s.threads)], results[len(s.threads):]
 		}
 		if s.ref == firstRow {
 			ref = cells[0][0]

@@ -1,6 +1,7 @@
 package telemetry
 
 import (
+	"math"
 	"math/bits"
 	"sync/atomic"
 	"time"
@@ -102,7 +103,7 @@ func (b HistBuckets) Quantile(q float64) uint64 {
 	if total == 0 {
 		return 0
 	}
-	target := uint64(q * float64(total))
+	target := uint64(math.Ceil(q * float64(total)))
 	if target == 0 {
 		target = 1
 	}

@@ -36,12 +36,9 @@ type Series struct {
 	seq    uint64
 }
 
-// NewSeries creates a Series holding up to capacity points (minimum 1;
-// 0 or negative selects 64).
+// NewSeries creates a Series holding up to capacity points; capacity
+// must be at least 1.
 func NewSeries(capacity int) *Series {
-	if capacity < 1 {
-		capacity = 64
-	}
 	return &Series{points: make([]SeriesPoint, capacity)}
 }
 

@@ -52,6 +52,41 @@ func TestHistogramQuantiles(t *testing.T) {
 	}
 }
 
+// TestQuantileRank: the q-quantile is the bucket of the
+// ceil(q*count)-th observation, so a rank that falls between two
+// observations rounds up to the later one.
+func TestQuantileRank(t *testing.T) {
+	const us, ms = time.Microsecond, time.Millisecond
+	repeat := func(d time.Duration, n int) []time.Duration {
+		ds := make([]time.Duration, n)
+		for i := range ds {
+			ds[i] = d
+		}
+		return ds
+	}
+	for _, c := range []struct {
+		obs  []time.Duration
+		q    float64
+		want uint64
+	}{
+		{[]time.Duration{1, us, ms}, 0.50, 768},                  // rank 2 of 3, not 1
+		{append(repeat(us, 50), ms), 0.99, 786_432},              // rank 51 of 51, not 50
+		{[]time.Duration{1, us}, 0.50, 1},                        // rank 1 of 2 exactly
+		{[]time.Duration{1, us}, 1, 768},                         // the last observation
+		{[]time.Duration{ms}, 0.01, 786_432},                     // rank 1 of 1
+		{append(repeat(100, 90), repeat(5000, 10)...), 0.90, 96}, // rank 90 of 100 exactly
+		{append(repeat(100, 90), repeat(5000, 10)...), 0.91, 6144},
+	} {
+		var b HistBuckets
+		for _, d := range c.obs {
+			b.Observe(d)
+		}
+		if got := b.Quantile(c.q); got != c.want {
+			t.Errorf("Quantile(%v) of %d observations = %d, want %d", c.q, len(c.obs), got, c.want)
+		}
+	}
+}
+
 // TestConcurrentMergeProperty is the satellite property test: under
 // concurrent recording (with live snapshots racing the writers), the
 // final merged counts equal the sum of what each shard recorded.
