@@ -7,9 +7,10 @@
 # budget of 80 nodes; an edit that pushes one of these helpers over it
 # costs a call per word silently. This step asks the compiler and fails
 # loudly. It then counts the locked instructions on the paths that end
-# in a CAS, checks that a magazine hit takes none and that recording an
-# operation divides nothing, and checks that Heap.Load translates with
-# one compare (see the last sections).
+# in a CAS, checks that a magazine hit takes none, that only the timed
+# helpers read the clock and that recording an operation divides
+# nothing, and checks that Heap.Load translates with one compare (see
+# the last sections).
 #
 # mem's accessors are checked where they are declared. pool.Pool is
 # generic, so the compiler only reports on its methods where they are
@@ -68,8 +69,15 @@ inlined_within() {
 }
 inlined_within release release withLink
 inlined_within release release smallPrefix
+# With a recorder attached, an untimed Malloc or Free costs it one
+# countdown and one count: both must inline where they run.
+for fn in Malloc Free; do
+	file=$(echo "$fn" | tr A-Z a-z)
+	inlined_within "$file" "$fn" '\(\*Thread\)\.due'
+	inlined_within "$file" "$fn" 'telemetry\.\(\*ThreadShard\)\.Count'
+done
 if [ "$status" -eq 0 ]; then
-	echo "inline guard: atomicx.PlainStore, atomicx.PlainLoad, mem.(*Heap).{Mapped,word,Load,Store,CAS,Get,Set}, mem.PayloadWords, pool.(*Pool).Get, core.(*Allocator).desc, (*Thread).bump and the prefix helpers all inline, withLink and smallPrefix inside release"
+	echo "inline guard: atomicx.PlainStore, atomicx.PlainLoad, mem.(*Heap).{Mapped,word,Load,Store,CAS,Get,Set}, mem.PayloadWords, pool.(*Pool).Get, core.(*Allocator).desc, (*Thread).bump and the prefix helpers all inline, withLink and smallPrefix inside release, the recorder's countdown and count inside Malloc and Free"
 fi
 
 # Locked-instruction count, from the disassembly of a non-race build
@@ -142,8 +150,32 @@ if [ "$(go env GOARCH)" = amd64 ]; then
 			status=1
 		fi
 	fi
-	# Recording an operation samples the flight recorder with a mask, not
-	# a modulus: a DIV there is paid on every telemetered malloc and free.
+	# Only the outlined helpers read the clock: Malloc's and Free's own
+	# code calls neither the clock behind telemetry.Now (runtime.nanotime)
+	# nor time.Now, and mallocTimed and freeTimed do.
+	for fn in Malloc Free mallocTimed freeTimed; do
+		clocks=$(go tool objdump -s "^repro/internal/core\.\(\*Thread\)\.$fn\$" "$bin/core.test" |
+			awk '/^TEXT/ { seen = 1 } /CALL (runtime\.nanotime|time\.Now|time\.Since)/ { c++ } END { if (seen) print c + 0 }')
+		if [ -z "$clocks" ]; then
+			echo "inline guard: no code for core.(*Thread).$fn in the test binary" >&2
+			status=1
+			continue
+		fi
+		echo "clock reads: core.(*Thread).$fn $clocks"
+		case "$fn:$clocks" in
+		Malloc:0 | Free:0) ;;
+		Malloc:* | Free:*)
+			echo "inline guard: core.(*Thread).$fn reads the clock; only mallocTimed and freeTimed may" >&2
+			status=1
+			;;
+		*:0)
+			echo "inline guard: core.(*Thread).$fn reads no clock; the timed path has moved" >&2
+			status=1
+			;;
+		esac
+	done
+	# Recording a timed operation divides nothing: a DIV in endOp is paid
+	# on every timed malloc and free.
 	divs=$(go tool objdump -s '^repro/internal/telemetry\.\(\*ThreadShard\)\.endOp$' "$bin/core.test" |
 		awk '/^TEXT/ { seen = 1 } /[ \t]I?DIV[BWLQ]?[ \t]/ { d++ } END { if (seen) print d + 0 }')
 	if [ -z "$divs" ]; then
@@ -152,7 +184,7 @@ if [ "$(go env GOARCH)" = amd64 ]; then
 	else
 		echo "divisions: telemetry.(*ThreadShard).endOp DIV=$divs"
 		if [ "$divs" -ne 0 ]; then
-			echo "inline guard: telemetry.(*ThreadShard).endOp divides; ring sampling must be a mask" >&2
+			echo "inline guard: telemetry.(*ThreadShard).endOp divides" >&2
 			status=1
 		fi
 	fi

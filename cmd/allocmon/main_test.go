@@ -113,8 +113,8 @@ func TestStatsBaseDelta(t *testing.T) {
 	if err := json.Unmarshal([]byte(body), &delta); err != nil {
 		t.Fatal(err)
 	}
-	if delta.Malloc.Count != extra {
-		t.Errorf("delta mallocs = %d, want %d", delta.Malloc.Count, extra)
+	if delta.Mallocs != extra {
+		t.Errorf("delta mallocs = %d, want %d", delta.Mallocs, extra)
 	}
 
 	// base=last resolves the newest point.
@@ -122,8 +122,8 @@ func TestStatsBaseDelta(t *testing.T) {
 	if err := json.Unmarshal([]byte(body), &delta); err != nil {
 		t.Fatal(err)
 	}
-	if delta.Malloc.Count != extra {
-		t.Errorf("base=last delta mallocs = %d, want %d", delta.Malloc.Count, extra)
+	if delta.Mallocs != extra {
+		t.Errorf("base=last delta mallocs = %d, want %d", delta.Mallocs, extra)
 	}
 
 	// Bogus bases are a client error.
@@ -164,9 +164,9 @@ func TestSeriesEndpoint(t *testing.T) {
 	if len(pts) != 2 {
 		t.Fatalf("series has %d points, want 2", len(pts))
 	}
-	if pts[1].Delta.Malloc.Count != 1 || pts[1].Delta.Free.Count != 1 {
+	if pts[1].Delta.Mallocs != 1 || pts[1].Delta.Frees != 1 {
 		t.Errorf("second point delta = %d mallocs / %d frees, want 1/1",
-			pts[1].Delta.Malloc.Count, pts[1].Delta.Free.Count)
+			pts[1].Delta.Mallocs, pts[1].Delta.Frees)
 	}
 }
 

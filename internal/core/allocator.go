@@ -83,10 +83,11 @@ type Config struct {
 
 	// Telemetry, when non-nil, attaches the lock-free observability
 	// layer: CAS-retry counters at every contention site, per-class
-	// malloc/free latency histograms, and the flight recorder. Create
-	// one with NewRecorder so histogram rows match the size-class
-	// table. When nil (the default), the only cost is a nil check per
-	// instrumented branch.
+	// operation counts and malloc/free latency histograms (one
+	// operation in telemetry.Interval timed), and the flight recorder.
+	// Create one with NewRecorder so its rows match the size-class
+	// table. When nil (the default), Malloc and Free take the bare path
+	// and every other instrumented site costs one nil check.
 	Telemetry *telemetry.Recorder
 }
 
@@ -330,6 +331,8 @@ func (a *Allocator) Thread() *Thread {
 	t := &Thread{a: a, id: a.nextThread.Add(1) - 1, pubMask: pubBatch - 1}
 	if a.tele != nil {
 		t.rec = a.tele.NewShard(t.id)
+		t.mallocTick = t.rec.Countdown(telemetry.OpMalloc)
+		t.freeTick = t.rec.Countdown(telemetry.OpFree)
 	}
 	if a.cfg.MagazineSize > 0 {
 		t.magCap = a.cfg.MagazineSize
@@ -367,12 +370,14 @@ type Thread struct {
 	// caches per size class) and the counters that change on every
 	// operation — plain words of the owning goroutine, where a LOCK XADD
 	// each was a fifth of an uncontended pair, copied into ops by bump
-	// every pubBatch-th event and by publish exactly.
+	// every pubBatch-th event and by publish exactly — and the
+	// recorder's countdowns to its next due malloc and free (due).
 	mags       []magazine
 	frees      uint64
 	fromActive uint64
 	magHits    uint64
-	_          [16]byte // keeps id at the third line
+	mallocTick uint64
+	freeTick   uint64
 
 	id         uint64
 	magScratch []mem.Ptr // reused flush-group buffer

@@ -11,9 +11,18 @@ func benchConfig() Config {
 	return Config{Processors: 4}
 }
 
-func BenchmarkMallocFreePair(b *testing.B) {
-	a := New(benchConfig())
-	th := a.Thread()
+func BenchmarkMallocFreePair(b *testing.B) { benchPair(b, benchConfig()) }
+
+// BenchmarkMallocFreePairTelemetry is the pair with a recorder attached:
+// its excess over BenchmarkMallocFreePair is the recorder's cost.
+func BenchmarkMallocFreePairTelemetry(b *testing.B) {
+	cfg := benchConfig()
+	cfg.Telemetry = NewRecorder(telemetry.Config{})
+	benchPair(b, cfg)
+}
+
+func benchPair(b *testing.B, cfg Config) {
+	th := New(cfg).Thread()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		p, err := th.Malloc(8)
@@ -46,16 +55,7 @@ func BenchmarkMallocFreeBatch100(b *testing.B) {
 func BenchmarkMallocFreePairMagazine(b *testing.B) {
 	cfg := benchConfig()
 	cfg.MagazineSize = 64
-	a := New(cfg)
-	th := a.Thread()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		p, err := th.Malloc(8)
-		if err != nil {
-			b.Fatal(err)
-		}
-		th.Free(p)
-	}
+	benchPair(b, cfg)
 }
 
 func BenchmarkMallocFreeParallelMagazine(b *testing.B) {

@@ -17,34 +17,62 @@ func sizeclassFor(size uint64) (int, bool) {
 
 // Free returns a block allocated by Malloc (paper Figure 6). Freeing
 // the nil pointer is a no-op. Free is lock-free and may be called by
-// any thread, not just the allocating one.
+// any thread, not just the allocating one. Like Malloc, with a recorder
+// attached it counts every free by its size class, and hands the one the
+// recorder is due on to freeTimed.
 func (t *Thread) Free(ptr mem.Ptr) {
 	if ptr.IsNil() { // line 1
 		return
 	}
-	prefix := t.a.heap.Load(ptr - 1) // line 2: get prefix, resolved once
 	if t.rec == nil {
-		t.free(ptr, prefix)
+		t.free(ptr, t.a.heap.Load(ptr-1)) // line 2: get prefix
 		return
 	}
-	// Telemetry path: resolve the size class from the already-loaded
-	// prefix (before the block is recycled), then time the operation.
-	cls := -1
-	if !prefixIsLarge(prefix) {
-		cls = t.a.desc(prefixDesc(prefix)).ClassIndex()
+	if t.due(&t.freeTick) {
+		t.freeTimed(ptr)
+		return
 	}
+	prefix := t.a.heap.Load(ptr - 1)
+	cls := t.a.prefixClass(prefix)
+	t.free(ptr, prefix)
+	if t.rec.Count(telemetry.OpFree, cls) {
+		t.rec.Retried(telemetry.OpFree, cls, uint64(ptr))
+	}
+}
+
+// freeTimed is Free on a free the recorder is due on.
+func (t *Thread) freeTimed(ptr mem.Ptr) {
+	timed, _, next := t.rec.Due(telemetry.OpFree)
+	t.freeTick = next
 	// Match against the allocation sampler before the block can be
 	// recycled (and outside the timed window, so sampling never skews
 	// the free latency histogram).
 	t.rec.SampleFree(uint64(ptr))
-	t.rec.BeginOp()
-	start := time.Now()
+	var start int64
+	if timed {
+		start = telemetry.Now()
+	}
+	prefix := t.a.heap.Load(ptr - 1)
+	cls := t.a.prefixClass(prefix)
 	t.free(ptr, prefix)
-	t.rec.EndFree(cls, time.Since(start), uint64(ptr))
+	if timed {
+		t.rec.EndFree(cls, time.Duration(telemetry.Now()-start), uint64(ptr))
+	} else if t.rec.Count(telemetry.OpFree, cls) {
+		t.rec.Retried(telemetry.OpFree, cls, uint64(ptr))
+	}
+}
+
+// prefixClass is the size class of the block whose prefix this is, -1
+// for a large block; read before the block can be recycled.
+func (a *Allocator) prefixClass(prefix uint64) int {
+	if prefixIsLarge(prefix) {
+		return -1
+	}
+	return a.desc(prefixDesc(prefix)).ClassIndex()
 }
 
 // free releases a non-nil block whose prefix the caller has already
-// loaded (Free and the telemetry wrapper resolve it exactly once).
+// loaded (Free and freeTimed resolve it exactly once).
 func (t *Thread) free(ptr mem.Ptr, prefix uint64) {
 	a := t.a
 	block := ptr - 1
@@ -86,9 +114,7 @@ func (t *Thread) free(ptr mem.Ptr, prefix uint64) {
 			t.bump(&t.frees, &t.ops.frees)
 			return
 		}
-		if t.rec != nil {
-			t.rec.Retry(telemetry.SiteFreeFast)
-		}
+		t.rec.Retry(telemetry.SiteFreeFast)
 	}
 
 	t.release(descIdx, idx, block, 1, HookFreeBeforeCAS, telemetry.SiteFreeSlow)
@@ -114,9 +140,7 @@ func (t *Thread) heapPutPartial(descIdx uint64) {
 		if h.Partial.CompareAndSwap(prev, descIdx) {
 			break
 		}
-		if t.rec != nil {
-			t.rec.Retry(telemetry.SitePartialSlot)
-		}
+		t.rec.Retry(telemetry.SitePartialSlot)
 	}
 	if prev != 0 { // line 3
 		t.listPutPartial(sc, prev) // ListPutPartial

@@ -114,8 +114,6 @@ func (t *Thread) hook(p HookPoint) {
 // kill (a hook that panics), the ring's tail shows exactly where the
 // thread died and what it was doing.
 func (t *Thread) hookSlow(p HookPoint) {
-	if t.rec != nil {
-		t.rec.NoteHook(int(p))
-	}
+	t.rec.NoteHook(int(p))
 	t.hookFn(p)
 }

@@ -114,9 +114,7 @@ func (t *Thread) refillFromActive(h *ProcHeap, mag *magazine) mem.Ptr {
 		if h.Active.CompareAndSwap(oldWord, newWord) {
 			break
 		}
-		if t.rec != nil {
-			t.rec.Retry(telemetry.SiteMagRefillReserve)
-		}
+		t.rec.Retry(telemetry.SiteMagRefillReserve)
 	}
 	oldActive := atomicx.UnpackActive(oldWord)
 	t.hook(HookMagRefillAfterReserve)
@@ -150,9 +148,7 @@ func (t *Thread) refillFromActive(h *ProcHeap, mag *magazine) mem.Ptr {
 				if desc.Anchor.CompareAndSwap(w, nw) {
 					break
 				}
-				if t.rec != nil {
-					t.rec.Retry(telemetry.SiteMagRefillPop)
-				}
+				t.rec.Retry(telemetry.SiteMagRefillPop)
 			}
 		}
 		if i == 0 {

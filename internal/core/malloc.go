@@ -12,22 +12,56 @@ import (
 // a pointer to the payload (paper Figure 4). The returned pointer is
 // word-aligned; the word before it is the block prefix identifying the
 // block's superblock descriptor (or, for large blocks, its size).
+//
+// With a recorder attached, every malloc is counted by the size class
+// malloc resolved (retry-site counters accumulate inside t.malloc), and
+// the one at which the thread's countdown runs out goes to mallocTimed.
 func (t *Thread) Malloc(size uint64) (mem.Ptr, error) {
 	if t.rec == nil {
 		p, _, err := t.malloc(size)
 		return p, err
 	}
-	// Telemetry path: time the operation and attribute it to the size
-	// class malloc already resolved (retry-site counters accumulate
-	// inside t.malloc).
-	t.rec.BeginOp()
-	start := time.Now()
+	if t.due(&t.mallocTick) {
+		return t.mallocTimed(size)
+	}
 	p, cls, err := t.malloc(size)
-	if err == nil {
-		t.rec.EndMalloc(cls, time.Since(start), uint64(p))
-		t.rec.SampleMalloc(uint64(p), size, cls)
+	if err == nil && t.rec.Count(telemetry.OpMalloc, cls) {
+		t.rec.Retried(telemetry.OpMalloc, cls, uint64(p))
 	}
 	return p, err
+}
+
+// due counts down one operation of a kind and reports whether the
+// recorder is due on it (telemetry.ThreadShard.Due): the Interval-th
+// since the last timed one, or one the allocation sampler takes. It must
+// inline into Malloc and Free (ci/inline_guard.sh).
+func (t *Thread) due(countdown *uint64) bool {
+	*countdown--
+	return *countdown == 0
+}
+
+// mallocTimed is Malloc on a malloc the recorder is due on: the one
+// place, with freeTimed, that reads the clock.
+func (t *Thread) mallocTimed(size uint64) (mem.Ptr, error) {
+	timed, sampled, next := t.rec.Due(telemetry.OpMalloc)
+	t.mallocTick = next
+	var start int64
+	if timed {
+		start = telemetry.Now()
+	}
+	p, cls, err := t.malloc(size)
+	if err != nil {
+		return p, err
+	}
+	if timed {
+		t.rec.EndMalloc(cls, time.Duration(telemetry.Now()-start), uint64(p))
+	} else if t.rec.Count(telemetry.OpMalloc, cls) {
+		t.rec.Retried(telemetry.OpMalloc, cls, uint64(p))
+	}
+	if sampled {
+		t.rec.Sample(uint64(p), size, cls)
+	}
+	return p, nil
 }
 
 // malloc allocates a block and reports the size class it was served
@@ -119,9 +153,7 @@ func (t *Thread) mallocFromActive(h *ProcHeap) mem.Ptr {
 		if h.Active.CompareAndSwap(oldWord, newWord) {
 			break
 		}
-		if t.rec != nil {
-			t.rec.Retry(telemetry.SiteActiveReserve)
-		}
+		t.rec.Retry(telemetry.SiteActiveReserve)
 	}
 	oldActive := atomicx.UnpackActive(oldWord)
 	t.hook(HookMallocAfterReserve)
@@ -147,9 +179,7 @@ func (t *Thread) mallocFromActive(h *ProcHeap) mem.Ptr {
 			if desc.Anchor.CompareAndSwap(w, nw) {
 				break
 			}
-			if t.rec != nil {
-				t.rec.Retry(telemetry.SiteActivePop)
-			}
+			t.rec.Retry(telemetry.SiteActivePop)
 		}
 	} else {
 		addr = t.popLastCredit(h, desc, oldActive.Desc, telemetry.SiteActivePop)
@@ -190,9 +220,7 @@ func (t *Thread) popLastCredit(h *ProcHeap, desc *Descriptor, descIdx uint64, si
 		if desc.Anchor.CompareAndSwap(oldAnchor, na.Pack()) {
 			break
 		}
-		if t.rec != nil {
-			t.rec.Retry(site)
-		}
+		t.rec.Retry(site)
 	}
 	if morecredits > 0 { // line 19
 		t.hook(HookMallocBeforeUpdateActive)
@@ -210,9 +238,7 @@ func (t *Thread) updateActive(h *ProcHeap, descIdx, morecredits uint64) {
 	if h.Active.CompareAndSwap(0, newActive) { // line 3
 		return
 	}
-	if t.rec != nil {
-		t.rec.Retry(telemetry.SiteActiveInstall)
-	}
+	t.rec.Retry(telemetry.SiteActiveInstall)
 	t.returnCredits(descIdx, morecredits)
 }
 
@@ -230,9 +256,7 @@ func (t *Thread) returnCredits(descIdx, credits uint64) {
 		if desc.Anchor.CompareAndSwap(oldWord, na.Pack()) {
 			break
 		}
-		if t.rec != nil {
-			t.rec.Retry(telemetry.SiteUpdateActive)
-		}
+		t.rec.Retry(telemetry.SiteUpdateActive)
 	}
 	t.heapPutPartial(descIdx)
 }
@@ -272,9 +296,7 @@ retry:
 		if desc.Anchor.CompareAndSwap(oldWord, na.Pack()) {
 			break
 		}
-		if t.rec != nil {
-			t.rec.Retry(telemetry.SitePartialReserve)
-		}
+		t.rec.Retry(telemetry.SitePartialReserve)
 	}
 	t.hook(HookPartialAfterReserve)
 
@@ -291,9 +313,7 @@ retry:
 		if desc.Anchor.CompareAndSwap(oldWord, na.Pack()) {
 			break
 		}
-		if t.rec != nil {
-			t.rec.Retry(telemetry.SitePartialPop)
-		}
+		t.rec.Retry(telemetry.SitePartialPop)
 	}
 	if morecredits > 0 {
 		t.updateActive(h, descIdx, morecredits) // lines 16-17
@@ -313,9 +333,7 @@ func (t *Thread) heapGetPartial(h *ProcHeap) uint64 {
 		if h.Partial.CompareAndSwap(descIdx, 0) {
 			return descIdx
 		}
-		if t.rec != nil {
-			t.rec.Retry(telemetry.SitePartialSlot)
-		}
+		t.rec.Retry(telemetry.SitePartialSlot)
 	}
 	if v, ok := t.a.classOf(h).partial.Get(); ok { // ListGetPartial
 		return v
@@ -378,14 +396,10 @@ func (t *Thread) mallocFromNewSB(h *ProcHeap) (mem.Ptr, error) {
 	t.hook(HookNewSBBeforeInstall)
 
 	if h.Active.CompareAndSwap(0, newActive) { // line 13
-		if t.rec != nil {
-			t.rec.Note(telemetry.EvNewSB, cls.Index, uint64(sb))
-		}
+		t.rec.Note(telemetry.EvNewSB, cls.Index, uint64(sb))
 		return sb.Add(1), nil
 	}
-	if t.rec != nil {
-		t.rec.Retry(telemetry.SiteActiveInstall)
-	}
+	t.rec.Retry(telemetry.SiteActiveInstall)
 
 	// Lost the race: another thread installed an active superblock.
 	if a.cfg.KeepNewSBOnRaceLoss {
@@ -403,8 +417,6 @@ func (t *Thread) mallocFromNewSB(h *ProcHeap) (mem.Ptr, error) {
 	a.freeSB(sb, cls.SBWords)
 	a.descs.Retire(t.stripe(), descIdx)
 	t.ops.newSBRaceLoss.Add(1)
-	if t.rec != nil {
-		t.rec.Note(telemetry.EvRaceLoss, cls.Index, uint64(sb))
-	}
+	t.rec.Note(telemetry.EvRaceLoss, cls.Index, uint64(sb))
 	return 0, nil
 }

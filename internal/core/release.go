@@ -47,9 +47,7 @@ func (t *Thread) release(descIdx, first uint64, tail mem.Ptr, m uint64, hook Hoo
 		if desc.Anchor.CompareAndSwap(oldWord, newAnchor.Pack()) { // line 18
 			break
 		}
-		if t.rec != nil {
-			t.rec.Retry(site)
-		}
+		t.rec.Retry(site)
 	}
 
 	if newAnchor.State == atomicx.StateEmpty { // lines 19-21
@@ -57,9 +55,7 @@ func (t *Thread) release(descIdx, first uint64, tail mem.Ptr, m uint64, hook Hoo
 		// is EMPTY and safe to return to the OS.
 		a.freeSB(sb, a.classes[desc.ClassIndex()].class.SBWords)
 		t.ops.emptySBFreed.Add(1)
-		if t.rec != nil {
-			t.rec.Note(telemetry.EvSBRetire, desc.ClassIndex(), uint64(sb))
-		}
+		t.rec.Note(telemetry.EvSBRetire, desc.ClassIndex(), uint64(sb))
 		t.hook(HookFreeBeforeRetire)
 		if oldAnchor.State == atomicx.StateFull {
 			// The chain was the whole superblock, a transition one block

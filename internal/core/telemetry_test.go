@@ -2,11 +2,14 @@ package core
 
 import (
 	"fmt"
+	"math/bits"
 	"math/rand"
 	"runtime"
+	"strings"
 	"sync"
 	"sync/atomic"
 	"testing"
+	"time"
 
 	"repro/internal/mem"
 	"repro/internal/telemetry"
@@ -14,8 +17,9 @@ import (
 
 // TestTelemetryIntegration runs a real malloc/free workload with the
 // telemetry layer attached and checks that the snapshot is internally
-// consistent: operation counts match the work done, retry sites carry
-// only known names, and the flight recorder captured events.
+// consistent: operation counts match the work done, one operation in
+// telemetry.Interval per thread is timed, retry sites carry only known
+// names, and the flight recorder captured events.
 func TestTelemetryIntegration(t *testing.T) {
 	cfg := testConfig()
 	cfg.Processors = 2 // force heap sharing so retries actually occur
@@ -59,12 +63,12 @@ func TestTelemetryIntegration(t *testing.T) {
 	wg.Wait()
 
 	snap := rec.Snapshot()
-	const total = workers * iters
-	if snap.Malloc.Count != total {
-		t.Errorf("snapshot malloc count = %d, want %d", snap.Malloc.Count, total)
+	const total, timed = workers * iters, workers * (iters / telemetry.Interval)
+	if snap.Mallocs != total || snap.Frees != total {
+		t.Errorf("snapshot counts %d mallocs, %d frees, want %d each", snap.Mallocs, snap.Frees, total)
 	}
-	if snap.Free.Count != total {
-		t.Errorf("snapshot free count = %d, want %d", snap.Free.Count, total)
+	if snap.Malloc.Count != timed || snap.Free.Count != timed {
+		t.Errorf("snapshot timed %d mallocs, %d frees, want %d each", snap.Malloc.Count, snap.Free.Count, timed)
 	}
 	if snap.Threads != workers {
 		t.Errorf("snapshot threads = %d, want %d", snap.Threads, workers)
@@ -81,15 +85,17 @@ func TestTelemetryIntegration(t *testing.T) {
 			t.Errorf("snapshot contains unknown retry site %q", site)
 		}
 	}
-	// Per-class histogram rows must sum to the aggregate.
-	var perClassMallocs uint64
+	// Per-class rows must sum to the aggregates.
+	var perClassMallocs, perClassTimed uint64
 	for _, row := range snap.PerClass {
 		if row.Op == "malloc" {
-			perClassMallocs += row.Count
+			perClassMallocs += row.Ops
+			perClassTimed += row.Count
 		}
 	}
-	if perClassMallocs != snap.Malloc.Count {
-		t.Errorf("per-class malloc rows sum to %d, want %d", perClassMallocs, snap.Malloc.Count)
+	if perClassMallocs != snap.Mallocs || perClassTimed != snap.Malloc.Count {
+		t.Errorf("per-class malloc rows sum to %d counted, %d timed; want %d, %d",
+			perClassMallocs, perClassTimed, snap.Mallocs, snap.Malloc.Count)
 	}
 	if snap.EventsRecorded == 0 {
 		t.Error("flight recorder captured no events")
@@ -225,47 +231,223 @@ func statsLiveSampling(t *testing.T, a *Allocator) {
 	}
 }
 
-// TestTelemetryRetrySitesUnderContention hammers two threads on one
-// processor heap so Active-word CAS failures are likely, then checks
-// that retries were observed and attributed to known hot sites.
+// TestTelemetryRetrySitesUnderContention forces a retry instead of
+// hoping for one: thread A's hook, between its anchor load and its CAS in
+// MallocFromActive's pop, has thread B free a block into the same
+// superblock, so A's CAS fails once. The retry is A's first malloc, an
+// untimed one: it must still be counted at its site, and get its
+// flight-recorder entry.
 func TestTelemetryRetrySitesUnderContention(t *testing.T) {
 	cfg := testConfig()
-	cfg.Processors = 1 // all threads share every processor heap
+	cfg.Processors = 1 // A and B share every processor heap
 	rec := NewRecorder(telemetry.Config{})
 	cfg.Telemetry = rec
 	a := New(cfg)
-
-	const workers = 8
-	var wg sync.WaitGroup
-	for g := 0; g < workers; g++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			th := a.Thread()
-			for i := 0; i < 20000; i++ {
-				p, err := th.Malloc(16)
-				if err != nil {
-					t.Error(err)
-					return
-				}
-				th.Free(p)
-			}
-		}()
+	ta, tb := a.Thread(), a.Thread()
+	p, err := tb.Malloc(16)
+	if err != nil {
+		t.Fatal(err)
 	}
-	wg.Wait()
+	fired := false
+	ta.SetHook(func(hp HookPoint) {
+		if hp == HookMallocDuringPop && !fired {
+			fired = true
+			tb.Free(p)
+		}
+	})
+	q, err := ta.Malloc(16)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ta.SetHook(nil)
+	if !fired {
+		t.Fatal("A's malloc never reached its anchor pop")
+	}
 
 	snap := rec.Snapshot()
-	if snap.TotalRetries == 0 {
-		t.Skip("no CAS retries observed (machine too serial); nothing to attribute")
+	if got := snap.Retries[telemetry.SiteActivePop.String()]; got < 1 {
+		t.Errorf("%s retries = %d, want >= 1", telemetry.SiteActivePop, got)
 	}
 	var sum uint64
 	for _, v := range snap.Retries {
 		sum += v
 	}
-	if sum != snap.TotalRetries {
-		t.Errorf("retry site sum %d != TotalRetries %d", sum, snap.TotalRetries)
+	if sum != snap.TotalRetries || sum == 0 {
+		t.Errorf("retry site sum %d, TotalRetries %d; want equal and > 0", sum, snap.TotalRetries)
+	}
+	if snap.Mallocs != 2 || snap.Frees != 1 || snap.Malloc.Count != 0 {
+		t.Errorf("%d mallocs (%d timed), %d frees; want 2 untimed mallocs and 1 free", snap.Mallocs, snap.Malloc.Count, snap.Frees)
 	}
 	if snap.RetriesPerOp() <= 0 {
 		t.Errorf("RetriesPerOp = %v, want > 0", snap.RetriesPerOp())
 	}
+	var entry bool
+	for _, ev := range snap.Events {
+		entry = entry || ev.Kind == telemetry.EvMalloc && ev.Ptr == uint64(q) && ev.Retries >= 1 && ev.Nanos == 0
+	}
+	if !entry {
+		t.Errorf("no flight-recorder entry for A's retried, untimed malloc: %+v", snap.Events)
+	}
+	ta.Free(q)
+	if err := a.CheckInvariants(0); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// TestTelemetryCountsEveryOperation: the recorder times one operation
+// in telemetry.Interval, but counts all of them, by op and size class.
+// A recorder that counted only what it timed would read 2N/Interval.
+func TestTelemetryCountsEveryOperation(t *testing.T) {
+	for _, magazine := range []int{0, 8} {
+		cfg := testConfig()
+		cfg.MagazineSize = magazine
+		rec := NewRecorder(telemetry.Config{SampleRate: 3})
+		cfg.Telemetry = rec
+		a := New(cfg)
+		th := a.Thread()
+		sizes := []uint64{8, 100, 1000, 40000} // the last a large block
+		const n = 1000                         // per size: not a multiple of Interval
+		want := map[int]uint64{}
+		var ptrs []mem.Ptr
+		for _, size := range sizes {
+			cls := -1
+			if c, ok := sizeclassFor(size); ok {
+				cls = c
+			}
+			want[cls] = n
+			for i := 0; i < n; i++ {
+				p, err := th.Malloc(size)
+				if err != nil {
+					t.Fatal(err)
+				}
+				ptrs = append(ptrs, p)
+			}
+		}
+		// A sample's call site is Malloc's caller.
+		if live := rec.Sampler().Live(); len(live) == 0 ||
+			!strings.HasSuffix(runtime.FuncForPC(uintptr(live[0].PC)).Name(), "TestTelemetryCountsEveryOperation") {
+			t.Errorf("magazine %d: sample call site is not this test: %+v", magazine, live[:min(len(live), 1)])
+		}
+		for _, p := range ptrs {
+			th.Free(p)
+		}
+		snap := rec.Snapshot()
+		total := uint64(len(ptrs))
+		if snap.Ops() != 2*total || snap.Mallocs != total || snap.Frees != total {
+			t.Errorf("magazine %d: Ops() = %d (%d mallocs, %d frees), want %d", magazine, snap.Ops(), snap.Mallocs, snap.Frees, 2*total)
+		}
+		if wantTimed := total / telemetry.Interval; snap.Free.Count != wantTimed {
+			t.Errorf("magazine %d: %d frees timed, want %d", magazine, snap.Free.Count, wantTimed)
+		}
+		for _, row := range snap.PerClass {
+			if row.Ops != want[row.Class] {
+				t.Errorf("magazine %d: %s class %d counted %d, want %d", magazine, row.Op, row.Class, row.Ops, want[row.Class])
+			}
+		}
+		if got := rec.Sampler().Stats().Sampled; got != total/3 {
+			t.Errorf("magazine %d: sampler took %d mallocs, want every third: %d", magazine, got, total/3)
+		}
+	}
+}
+
+// TestTimedQuantilesMatchEveryOperation: on a Larson-shaped and a
+// kvcache-shaped one-thread stream, the quantiles of the recorder's
+// timed operations (one in telemetry.Interval) land within one log2
+// bucket of those of every operation, which the test times itself with
+// the same clock. The operations the recorder times are left out of the
+// test's histograms: the thread's countdown says which they are, and
+// the test's window around them holds the recorder's own two clock
+// reads and its recording, 1.6 % of the operations that would otherwise
+// decide the test's p99.
+func TestTimedQuantilesMatchEveryOperation(t *testing.T) {
+	type step struct {
+		size  uint64 // 0: free instead
+		index int    // slot of the live set
+	}
+	larson := func(rng *rand.Rand, n int) []step { // random sizes 16..80 B, random slots
+		var s []step
+		for i := 0; i < n; i++ {
+			k := rng.Intn(1024)
+			s = append(s, step{0, k}, step{uint64(16 + rng.Intn(65)), k})
+		}
+		return s
+	}
+	kvcache := func(rng *rand.Rand, n int) []step { // a serving mix, evicted in FIFO order
+		var s []step
+		for i := 0; i < n; i++ {
+			size := uint64(16 + rng.Intn(112))
+			switch r := rng.Intn(100); {
+			case r >= 95:
+				size = uint64(4096 + rng.Intn(4096))
+			case r >= 70:
+				size = uint64(256 + rng.Intn(1792))
+			}
+			k := i % 4096
+			s = append(s, step{0, k}, step{size, k})
+		}
+		return s
+	}
+	for _, c := range []struct {
+		name     string
+		magazine int
+		stream   func(*rand.Rand, int) []step
+		slots    int
+	}{{"larson", 0, larson, 1024}, {"kvcache", 64, kvcache, 4096}} {
+		t.Run(c.name, func(t *testing.T) {
+			cfg := testConfig()
+			cfg.MagazineSize = c.magazine
+			rec := NewRecorder(telemetry.Config{})
+			cfg.Telemetry = rec
+			th := New(cfg).Thread()
+			live := make([]mem.Ptr, c.slots)
+			var mallocs, frees telemetry.HistBuckets
+			for _, st := range c.stream(rand.New(rand.NewSource(1)), 200_000) {
+				if st.size == 0 {
+					timed := th.freeTick == 1
+					start := telemetry.Now()
+					th.Free(live[st.index])
+					if d := telemetry.Now() - start; !timed {
+						frees.Observe(time.Duration(d))
+					}
+					continue
+				}
+				timed := th.mallocTick == 1
+				start := telemetry.Now()
+				p, err := th.Malloc(st.size)
+				if d := telemetry.Now() - start; !timed {
+					mallocs.Observe(time.Duration(d))
+				}
+				if err != nil {
+					t.Fatal(err)
+				}
+				live[st.index] = p
+			}
+			snap := rec.Snapshot()
+			for _, q := range []struct {
+				name      string
+				all, some telemetry.HistSummary
+			}{
+				{"malloc", summarize(mallocs), snap.Malloc},
+				{"free", summarize(frees), snap.Free},
+			} {
+				for _, v := range [][3]uint64{{50, q.all.P50NS, q.some.P50NS}, {99, q.all.P99NS, q.some.P99NS}} {
+					if d := bits.Len64(v[1]) - bits.Len64(v[2]); d < -1 || d > 1 {
+						t.Errorf("%s p%d: every op %v, timed ops %v: %d buckets apart", q.name, v[0],
+							time.Duration(v[1]), time.Duration(v[2]), d)
+					}
+				}
+				t.Logf("%s: every op p50 %v p99 %v; %d timed p50 %v p99 %v", q.name,
+					time.Duration(q.all.P50NS), time.Duration(q.all.P99NS), q.some.Count,
+					time.Duration(q.some.P50NS), time.Duration(q.some.P99NS))
+			}
+			for _, p := range live {
+				th.Free(p)
+			}
+		})
+	}
+}
+
+// summarize is the quantile summary a Snapshot gives a histogram.
+func summarize(b telemetry.HistBuckets) telemetry.HistSummary {
+	return telemetry.HistSummary{Count: b.Count(), P50NS: b.Quantile(0.5), P99NS: b.Quantile(0.99)}
 }

@@ -231,7 +231,7 @@ func Experiments(cfg RunConfig) []Experiment {
 				{"lockfree", "heaps=1", func(o *alloc.Options) { o.Processors = 1 }},
 			},
 			workloads: loads{linux}, threads: one, ref: firstRow,
-			columns: []column{opsColumn, {"vs multi-heap", bench.Result.SpeedupOver, fixed(2)}},
+			columns: []column{opsColumn, {name: "vs multi-heap", value: bench.Result.SpeedupOver, show: fixed(2)}},
 			notes:   []string{"paper: +15% contention-free speedup on POWER3 (§4.2.4)"},
 		},
 	}, {
@@ -284,7 +284,7 @@ func Experiments(cfg RunConfig) []Experiment {
 			workloads: loads{bench.Walked{Workload: larson}}, threads: most, ref: firstRow, telemetry: true,
 			columns: []column{
 				opsColumn,
-				{"vs off", bench.Result.SpeedupOver, fixed(3)},
+				{name: "vs off", value: bench.Result.SpeedupOver, show: fixed(3)},
 				censusColumn("walks", nil, func(r bench.Result) float64 { return float64(r.CensusWalks) }),
 				censusColumn("live samples", nil, func(r bench.Result) float64 { return float64(r.Census.LiveSamples) }),
 				censusColumn("int frag", percent, func(r bench.Result) float64 {
@@ -304,27 +304,27 @@ func Experiments(cfg RunConfig) []Experiment {
 	}, {
 		// Mixed-size churn on the three allocators with a structurally
 		// different answer to fragmentation — buddy (lock-free coalescing),
-		// chunkheap (serialized boundary-tag coalescing), lockfree
+		// ptmalloc (boundary-tag coalescing in locked arenas), lockfree
 		// (size-class heaps, no coalescing below the superblock): external
 		// fragmentation with the live set held, next to the throughput
 		// each paid for it.
 		ID:    "frag",
-		Title: "Fragmentation vs throughput: non-blocking buddy vs chunk heap vs lock-free size classes",
+		Title: "Fragmentation vs throughput: non-blocking buddy vs ptmalloc vs lock-free size classes",
 		Paper: "beyond the paper — §2 dismisses coalescing for the hot path; the buddy backend (Marotta et al.) adds lock-free coalescing, and this measures what it buys: external fragmentation (free-but-unreturnable space while a mixed-size live set is held) against the ops/s it costs",
 		spec: spec{
 			layout: bySubject, title: fmt.Sprintf("External fragmentation under mixed-size churn (16 B..8 KiB log-uniform, %d threads)", most[0]), head: "allocator",
-			subjects:  []subject{{name: "buddy"}, {name: "chunkheap"}, {name: "lockfree"}},
+			subjects:  []subject{{name: "buddy"}, {name: "ptmalloc"}, {name: "lockfree"}},
 			workloads: loads{fragChurn}, threads: most,
 			columns: []column{
 				opsColumn,
-				{name: "held KiB", value: func(r, _ bench.Result) float64 { return float64(r.HeldBytes / 1024) }},
-				{name: "in use KiB", value: func(r, _ bench.Result) float64 { return float64(r.InUseBytes / 1024) }},
-				{"ext frag", func(r, _ bench.Result) float64 { return 100 * r.ExternalFragRatio }, percent},
+				{name: "held KiB", value: func(r, _ bench.Result) float64 { return float64(r.HeldBytes / 1024) }, space: true},
+				{name: "in use KiB", value: func(r, _ bench.Result) float64 { return float64(r.InUseBytes / 1024) }, space: true},
+				{name: "ext frag", value: func(r, _ bench.Result) float64 { return 100 * r.ExternalFragRatio }, show: percent, space: true},
 			},
 			notes: []string{
 				"ext frag = 1 - inUse/held with the final live set still allocated: the fraction of",
 				"allocator-held memory backing no live block (free lists, partial superblocks, holes)",
-				"held also bounds blowup: the buddy and chunk heap coalesce neighbors and reuse any",
+				"held also bounds blowup: the buddy and ptmalloc's arenas coalesce neighbors and reuse any",
 				"fit, the size-class heaps can only reuse a block for its own class",
 			},
 		},
@@ -347,8 +347,8 @@ func ByID(cfg RunConfig, id string) (Experiment, bool) {
 
 var (
 	opsColumn     = column{name: "ops/s", value: func(r, _ bench.Result) float64 { return r.OpsPerSec() }}
-	maxLiveColumn = column{name: "maxlive B", value: func(r, _ bench.Result) float64 { return float64(r.MaxLiveBytes) }}
-	speedupColumn = column{"speedup over contention-free serial", bench.Result.SpeedupOver, fixed(2)}
+	maxLiveColumn = column{name: "maxlive B", value: func(r, _ bench.Result) float64 { return float64(r.MaxLiveBytes) }, space: true}
+	speedupColumn = column{name: "speedup over contention-free serial", value: bench.Result.SpeedupOver, show: fixed(2)}
 
 	// A quantile of 0 ns is a recorder that timed nothing: the buddy's
 	// counts CAS retries alone.
@@ -370,19 +370,19 @@ func positive(v uint64) float64 {
 // censusColumn one from the digest of the census taken after its run;
 // the cell is "-" for a row without one.
 func telColumn(name string, show func(float64) string, value func(*bench.TelemetrySummary) float64) column {
-	return column{name, func(r, _ bench.Result) float64 {
+	return column{name: name, show: show, value: func(r, _ bench.Result) float64 {
 		if r.Telemetry == nil || r.Ops == 0 {
 			return math.NaN()
 		}
 		return value(r.Telemetry)
-	}, show}
+	}}
 }
 
 func censusColumn(name string, show func(float64) string, value func(bench.Result) float64) column {
-	return column{name, func(r, _ bench.Result) float64 {
+	return column{name: name, show: show, value: func(r, _ bench.Result) float64 {
 		if r.Census == nil {
 			return math.NaN()
 		}
 		return value(r)
-	}, show}
+	}}
 }

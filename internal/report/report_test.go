@@ -6,6 +6,7 @@ import (
 	"slices"
 	"strings"
 	"testing"
+	"time"
 
 	"repro/alloc"
 	"repro/internal/bench"
@@ -148,6 +149,46 @@ func TestRunRoundRobin(t *testing.T) {
 	round := []string{"serial", "lockfree", "hoard"}
 	if want := slices.Concat(round, round, round); !slices.Equal(order, want) {
 		t.Errorf("runs in order %v, want %v", order, want)
+	}
+}
+
+// scripted is a workload whose runs return the next result of a script.
+type scripted struct {
+	runs []bench.Result
+	next *int
+}
+
+func (w scripted) Name() string { return "scripted" }
+
+func (w scripted) Run(a alloc.Allocator, threads int) bench.Result {
+	r := w.runs[*w.next%len(w.runs)]
+	*w.next++
+	r.Workload, r.Allocator, r.Threads = w.Name(), a.Name(), threads
+	return r
+}
+
+// TestSpaceColumnsTakeTheMedian: a cell's ops/s is its fastest run's,
+// its space columns the median of its runs with their min–max, whichever
+// run was fastest — here the one with the least memory.
+func TestSpaceColumnsTakeTheMedian(t *testing.T) {
+	w := scripted{next: new(int), runs: []bench.Result{
+		{Ops: 3000, Elapsed: time.Second, MaxLiveBytes: 100, HeldBytes: 10 << 10},
+		{Ops: 1000, Elapsed: time.Second, MaxLiveBytes: 300, HeldBytes: 30 << 10},
+		{Ops: 2000, Elapsed: time.Second, MaxLiveBytes: 200, HeldBytes: 20 << 10},
+	}}
+	held := column{name: "held KiB", value: func(r, _ bench.Result) float64 { return float64(r.HeldBytes / 1024) }, space: true}
+	s := spec{
+		layout: bySubject, head: "allocator", subjects: []subject{{name: "lockfree"}},
+		workloads: []bench.Workload{w}, threads: []int{1}, columns: []column{opsColumn, maxLiveColumn, held},
+	}
+	var buf bytes.Buffer
+	if err := run(RunConfig{Threads: []int{1}, Scale: 0.0002}.withDefaults(), s, &buf); err != nil {
+		t.Fatal(err)
+	}
+	for _, want := range []string{"3000", "200 (100–300)", "20 (10–30)"} {
+		if !strings.Contains(buf.String(), want) {
+			t.Errorf("table lacks %q:\n%s", want, buf.String())
+		}
 	}
 }
 

@@ -83,6 +83,36 @@ type column struct {
 	name  string
 	value func(r, ref bench.Result) float64
 	show  func(float64) string // nil: fixed(0)
+	// space: the number is the median of the cell's runs, printed with
+	// their min–max, not the fastest run's. A run's speed says nothing
+	// about its space.
+	space bool
+}
+
+// over is c's number over one cell's runs, and its text.
+func (c column) over(runs []bench.Result, ref bench.Result) (float64, string) {
+	if !c.space {
+		v := c.value(fastest(runs), ref)
+		return v, c.text(v)
+	}
+	vs := make([]float64, len(runs))
+	for i, r := range runs {
+		vs[i] = c.value(r, ref)
+	}
+	slices.Sort(vs)
+	median := vs[len(vs)/2]
+	return median, fmt.Sprintf("%s (%s–%s)", c.text(median), c.text(vs[0]), c.text(vs[len(vs)-1]))
+}
+
+// fastest is the run with the highest throughput.
+func fastest(runs []bench.Result) bench.Result {
+	var best bench.Result
+	for _, r := range runs {
+		if r.OpsPerSec() > best.OpsPerSec() {
+			best = r
+		}
+	}
+	return best
 }
 
 func (c column) text(v float64) string {
@@ -147,16 +177,18 @@ func (s spec) titleOf(w bench.Workload) string {
 	return fmt.Sprintf("%s: %s at %d threads", s.title, w.Name(), s.threads[0])
 }
 
-func (s spec) row(label string, r, ref bench.Result) []string {
+func (s spec) row(label string, runs []bench.Result, ref bench.Result) []string {
 	cells := []string{label}
 	for _, c := range s.columns {
-		cells = append(cells, c.text(c.value(r, ref)))
+		_, text := c.over(runs, ref)
+		cells = append(cells, text)
 	}
 	return cells
 }
 
 // repetitions behind every reported number; single runs on an
-// oversubscribed host jitter by up to 2x, so best-of-N is reported.
+// oversubscribed host jitter by up to 2x, so a throughput is the best of
+// them and a space number their median (column.space).
 const scalarReps = 3
 
 // cell is what one reported number measures: a subject on a workload
@@ -172,10 +204,9 @@ type cell struct {
 // a cell one of its runs, not all of them. (On a 2-vCPU VM two
 // goroutines read the clock at half speed for about a second after an
 // idle spell, and the first cell of a process read 3.1-3.3 M ops/s where
-// later runs read 5-6 M.) Every run is recorded; a cell's result is its
-// run with the highest throughput.
-func (cfg RunConfig) measure(cells []cell) ([]bench.Result, error) {
-	best := make([]bench.Result, len(cells))
+// later runs read 5-6 M.) Every run is recorded and returned, by cell.
+func (cfg RunConfig) measure(cells []cell) ([][]bench.Result, error) {
+	runs := make([][]bench.Result, len(cells))
 	for range scalarReps {
 		for i, c := range cells {
 			r, err := cfg.once(c)
@@ -185,12 +216,10 @@ func (cfg RunConfig) measure(cells []cell) ([]bench.Result, error) {
 			if cfg.Record != nil {
 				cfg.Record(r)
 			}
-			if r.OpsPerSec() > best[i].OpsPerSec() {
-				best[i] = r
-			}
+			runs[i] = append(runs[i], r)
 		}
 	}
-	return best, nil
+	return runs, nil
 }
 
 // once is one run of c on a fresh allocator — its subject's registry
@@ -245,14 +274,14 @@ func run(cfg RunConfig, s spec, out io.Writer) error {
 	for _, w := range s.workloads {
 		var ref bench.Result
 		if ownRef {
-			ref, results = results[0], results[1:]
+			ref, results = fastest(results[0]), results[1:]
 		}
-		cells := make([][]bench.Result, len(subs)) // [subject][thread count]
+		cells := make([][][]bench.Result, len(subs)) // [subject][thread count][run]
 		for i := range subs {
 			cells[i], results = results[:len(s.threads)], results[len(s.threads):]
 		}
 		if s.ref == firstRow {
-			ref = cells[0][0]
+			ref = fastest(cells[0][0])
 		}
 		switch s.layout {
 		case bySubject:
@@ -265,16 +294,16 @@ func run(cfg RunConfig, s spec, out io.Writer) error {
 			}
 			if s.extra != nil {
 				for _, r := range s.extra() {
-					t.Rows = append(t.Rows, s.row(r.Allocator, r, ref))
+					t.Rows = append(t.Rows, s.row(r.Allocator, []bench.Result{r}, ref))
 				}
 			}
 			fmt.Fprint(out, "\n", t.Render())
 		case byWorkload:
 			row, byName := []string{w.Name()}, map[string]float64{}
 			for i, sub := range subs {
-				v := s.columns[0].value(cells[i][0], ref)
+				v, text := s.columns[0].over(cells[i][0], ref)
 				byName[sub.name] = v
-				row = append(row, s.columns[0].text(v))
+				row = append(row, text)
 			}
 			if s.last != nil {
 				row = append(row, s.last.cell(w, byName))
@@ -285,7 +314,8 @@ func run(cfg RunConfig, s spec, out io.Writer) error {
 			for i, sub := range subs {
 				series := Series{Name: sub.String()}
 				for j, t := range s.threads {
-					series.Points = append(series.Points, Point{Threads: t, Value: s.columns[0].value(cells[i][j], ref)})
+					v, _ := s.columns[0].over(cells[i][j], ref)
+					series.Points = append(series.Points, Point{Threads: t, Value: v})
 				}
 				fig.Series = append(fig.Series, series)
 			}

@@ -9,12 +9,16 @@ import (
 )
 
 var (
-	cellGap     = regexp.MustCompile(`\s{2,}`)
-	numericCell = regexp.MustCompile(`^(-|[0-9][0-9.]*(ns|µs|ms|s|%)?)$`)
+	cellGap = regexp.MustCompile(`\s{2,}`)
+	// numericCell is a number, or a space column's median with its
+	// runs' min–max: "200 (100–300)".
+	numericCell = regexp.MustCompile(`^(-|` + number + `( \(` + number + `–` + number + `\))?)$`)
 	// plotLine matches what a figure's ASCII plot draws from the
 	// measured values: the y-axis rows, the x-axis rule and its ticks.
 	plotLine = regexp.MustCompile(`^\s*([0-9.]+ )?\||^\s*\+-+$|^[\s0-9]+$`)
 )
+
+const number = `[0-9][0-9.]*(ns|µs|ms|s|%)?`
 
 // skeleton reduces rendered tables and figures to what does not depend
 // on the measurement: titles, column headers, row labels, plot legends

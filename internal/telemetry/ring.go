@@ -73,6 +73,8 @@ type ringSlot struct {
 // same atomic-bump discipline as the allocator's free stacks) and are
 // wait-free; readers drop slots whose sequence word changed under
 // them. A reader can therefore never block a writer and vice versa.
+// The slots are allocated a page at a time, by the first writer to
+// reach the page: a recorder that has logged one event holds one page.
 //
 // Validation is best-effort in one rare case: if a writer wraps the
 // entire ring while another writer is mid-publish on the same slot,
@@ -81,8 +83,13 @@ type ringSlot struct {
 type Ring struct {
 	mask   uint64
 	cursor atomic.Uint64
-	slots  []ringSlot
+	pages  []atomic.Pointer[ringPage]
 }
+
+// ringPage is the ring's unit of allocation, 4 KiB of slots.
+type ringPage [pageSlots]ringSlot
+
+const pageSlots = 128
 
 func (r *Ring) init(size int) {
 	n := 1
@@ -90,11 +97,19 @@ func (r *Ring) init(size int) {
 		n <<= 1
 	}
 	r.mask = uint64(n - 1)
-	r.slots = make([]ringSlot, n)
+	r.pages = make([]atomic.Pointer[ringPage], (n+pageSlots-1)/pageSlots)
+}
+
+// slot returns slot i's address, or nil while its page is unwritten.
+func (r *Ring) slot(i uint64) *ringSlot {
+	if pg := r.pages[i/pageSlots].Load(); pg != nil {
+		return &pg[i%pageSlots]
+	}
+	return nil
 }
 
 // Cap returns the ring capacity in events.
-func (r *Ring) Cap() int { return len(r.slots) }
+func (r *Ring) Cap() int { return int(r.mask + 1) }
 
 // Recorded returns the total number of events ever recorded.
 func (r *Ring) Recorded() uint64 { return r.cursor.Load() }
@@ -127,7 +142,14 @@ func unpackA(a uint64, ev *Event) {
 // Record appends an event. Wait-free.
 func (r *Ring) Record(ev Event) {
 	seq := r.cursor.Add(1)
-	s := &r.slots[(seq-1)&r.mask]
+	i := (seq - 1) & r.mask
+	s := r.slot(i)
+	if s == nil {
+		// The page's first writer: one that loses the install race
+		// writes into the winner's page.
+		r.pages[i/pageSlots].CompareAndSwap(nil, new(ringPage))
+		s = r.slot(i)
+	}
 	s.seq.Store(0) // invalidate for readers
 	s.a.Store(packA(ev))
 	s.b.Store(ev.Ptr)
@@ -139,8 +161,8 @@ func (r *Ring) Record(ev Event) {
 // first). Slots overwritten or mid-write during the scan are skipped.
 func (r *Ring) Events(max int) []Event {
 	cur := r.cursor.Load()
-	if max <= 0 || max > len(r.slots) {
-		max = len(r.slots)
+	if max <= 0 || max > r.Cap() {
+		max = r.Cap()
 	}
 	lo := uint64(1)
 	if cur > uint64(max) {
@@ -148,8 +170,8 @@ func (r *Ring) Events(max int) []Event {
 	}
 	out := make([]Event, 0, cur-lo+1)
 	for seq := lo; seq <= cur; seq++ {
-		s := &r.slots[(seq-1)&r.mask]
-		if s.seq.Load() != seq {
+		s := r.slot((seq - 1) & r.mask)
+		if s == nil || s.seq.Load() != seq {
 			continue
 		}
 		var ev Event

@@ -209,32 +209,14 @@ func (s *Sampler) Stats() SamplerStats {
 	}
 }
 
-// SampleMalloc feeds the allocation sampler after a completed malloc.
-// With the sampler disabled (Config.SampleRate 0) the cost is one
-// plain field load and branch; an enabled sampler adds a counter
-// decrement per malloc and pays the capture cost (stack PCs, one CAS)
-// only on every SampleRate-th call.
-func (s *ThreadShard) SampleMalloc(ptr, reqBytes uint64, class int) {
-	if s.smpEvery == 0 {
-		return
-	}
-	s.smpSeq++
-	if s.smpSeq < s.smpEvery {
-		return
-	}
-	s.smpSeq = 0
-	s.sampleSlow(ptr, reqBytes, class)
-}
-
-// sampleSlow captures the call site and deposits the sample. Kept out
-// of SampleMalloc so the per-malloc guard stays inlinable.
-func (s *ThreadShard) sampleSlow(ptr, reqBytes uint64, class int) {
-	// Skip runtime.Callers, sampleSlow, SampleMalloc, and the
-	// allocator's Malloc itself: the first recorded PC is Malloc's
-	// caller, the second its caller (kept so wrapper facades can be
-	// skipped at resolution time). runtime.Callers counts logical
-	// frames, so inlining SampleMalloc into Malloc does not shift the
-	// attribution.
+// Sample captures the call site of a malloc that Due chose for the
+// allocation sampler and deposits the sample.
+func (s *ThreadShard) Sample(ptr, reqBytes uint64, class int) {
+	// Skip runtime.Callers, Sample, and the allocator's timed helper
+	// and Malloc: the first recorded PC is Malloc's caller, the second
+	// its caller (kept so wrapper facades can be skipped at resolution
+	// time). runtime.Callers counts logical frames, so inlining does not
+	// shift the attribution.
 	var pcs [2]uintptr
 	n := runtime.Callers(4, pcs[:])
 	var pc, pc2 uint64
@@ -248,7 +230,7 @@ func (s *ThreadShard) sampleSlow(ptr, reqBytes uint64, class int) {
 }
 
 // SampleFree matches a pointer about to be freed against the sampler's
-// live table. One nil check when the sampler is off.
+// live table; a no-op with the sampler off.
 func (s *ThreadShard) SampleFree(ptr uint64) {
 	if s.smp == nil {
 		return

@@ -77,11 +77,32 @@ func TestShardSampleRate(t *testing.T) {
 		t.Fatal("no sampler with SampleRate set")
 	}
 	sh := r.NewShard(0)
-	for i := uint64(0); i < 40; i++ {
-		sh.SampleMalloc(0x1000+i*8, 16, 1)
+	// The owner's side of the countdown, as core.Thread.Malloc runs it.
+	countdown, timed := sh.Countdown(OpMalloc), 0
+	for i := uint64(0); i < 2*Interval; i++ {
+		if countdown--; countdown != 0 {
+			continue
+		}
+		var isTimed, sampled bool
+		isTimed, sampled, countdown = sh.Due(OpMalloc)
+		if isTimed {
+			timed++
+		}
+		if sampled {
+			sh.Sample(0x1000+i*8, 16, 1)
+		}
 	}
-	if got := r.Sampler().Stats().Sampled; got != 10 {
-		t.Errorf("Sampled = %d after 40 mallocs at rate 4, want 10", got)
+	if got := r.Sampler().Stats().Sampled; got != 2*Interval/4 || timed != 2 {
+		t.Errorf("Sampled = %d, timed %d after %d mallocs at rate 4, want %d and 2", got, timed, 2*Interval, 2*Interval/4)
+	}
+	// With the sampler on, every free is due and one in Interval timed.
+	for i := 1; i <= Interval; i++ {
+		if c := sh.Countdown(OpFree); c != 1 {
+			t.Fatalf("free countdown %d with the sampler on, want 1", c)
+		}
+		if isTimed, _, _ := sh.Due(OpFree); isTimed != (i == Interval) {
+			t.Fatalf("free %d timed = %v", i, isTimed)
+		}
 	}
 }
 
@@ -91,8 +112,16 @@ func TestSamplerDisabled(t *testing.T) {
 		t.Fatal("sampler attached with SampleRate 0")
 	}
 	sh := r.NewShard(0)
-	// Both paths must be cheap no-ops, not panics.
-	sh.SampleMalloc(0x1000, 8, 0)
+	// Without a sampler the countdowns run to the timed operations
+	// alone, no malloc is sampled, and SampleFree is a no-op.
+	for _, op := range []Op{OpMalloc, OpFree} {
+		if c := sh.Countdown(op); c != Interval {
+			t.Errorf("op %d: countdown %d, want %d", op, c, Interval)
+		}
+		if timed, sampled, next := sh.Due(op); !timed || sampled || next != Interval {
+			t.Errorf("op %d: Due = %v, %v, %d; want timed, unsampled, %d", op, timed, sampled, next, Interval)
+		}
+	}
 	sh.SampleFree(0x1000)
 }
 

@@ -151,7 +151,6 @@ func TestSnapshotSubConcurrentRecorder(t *testing.T) {
 					return
 				default:
 				}
-				sh.BeginOp()
 				sh.Retry(SiteActivePop)
 				sh.EndMalloc(i%4, time.Nanosecond, uint64(i))
 			}

@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"sort"
 	"strings"
+	"sync/atomic"
 	"time"
 )
 
@@ -29,10 +30,12 @@ func summarize(b HistBuckets) HistSummary {
 	}
 }
 
-// OpHist is one (op, size class) histogram row.
+// OpHist is one (op, size class) row: the exact operation count, and
+// the histogram of the timed ones.
 type OpHist struct {
 	Op    string `json:"op"`    // "malloc" or "free"
 	Class int    `json:"class"` // size-class index, -1 for large blocks
+	Ops   uint64 `json:"ops"`
 	HistSummary
 }
 
@@ -54,8 +57,12 @@ type Snapshot struct {
 	// TotalRetries is the sum over all sites.
 	TotalRetries uint64 `json:"totalRetries"`
 
+	// Mallocs and Frees count every operation, exactly.
+	Mallocs uint64 `json:"mallocs"`
+	Frees   uint64 `json:"frees"`
 	// Malloc and Free aggregate latency over all size classes
-	// (including large blocks).
+	// (including large blocks), from the timed operations: one in
+	// Interval of each thread's, so their Count is about Mallocs/Interval.
 	Malloc HistSummary `json:"malloc"`
 	Free   HistSummary `json:"free"`
 	// PerClass holds every (op, class) row, including empty ones so
@@ -100,20 +107,27 @@ func (r *Recorder) Snapshot() Snapshot {
 
 	rows := 2 * (r.cfg.Classes + 1)
 	merged := make([]HistBuckets, rows)
+	ops := make([]uint64, rows)
 	for _, sh := range shards {
-		for i := range sh.hist {
-			b := sh.hist[i].Load()
-			merged[i].Add(b)
+		for i := range sh.counts {
+			ops[i] += atomic.LoadUint64(&sh.counts[i])
+		}
+		if h := sh.hist.Load(); h != nil {
+			for i := range *h {
+				merged[i].Add((*h)[i].Load())
+			}
 		}
 	}
 	s.PerClass = make([]OpHist, rows)
 	var mallocAll, freeAll HistBuckets
 	for i := range merged {
 		op, class := rowOpClass(i, r.cfg.Classes)
-		s.PerClass[i] = OpHist{Op: op, Class: class, HistSummary: summarize(merged[i])}
+		s.PerClass[i] = OpHist{Op: op, Class: class, Ops: ops[i], HistSummary: summarize(merged[i])}
 		if op == "malloc" {
+			s.Mallocs += ops[i]
 			mallocAll.Add(merged[i])
 		} else {
+			s.Frees += ops[i]
 			freeAll.Add(merged[i])
 		}
 	}
@@ -139,18 +153,18 @@ func rowOpClass(row, classes int) (string, int) {
 }
 
 // Sub returns the delta snapshot s minus an earlier baseline from the
-// same Recorder: retry counts and histogram buckets are subtracted and
-// quantiles recomputed, so a benchmark can report only its own
-// interval. Events and EventsRecorded are taken from s unchanged.
+// same Recorder: retry and operation counts and histogram buckets are
+// subtracted (each clamped at zero) and quantiles recomputed, so a
+// benchmark can report only its own interval. Events and EventsRecorded
+// are taken from s unchanged.
 func (s Snapshot) Sub(base Snapshot) Snapshot {
 	out := s
+	out.Mallocs = sub(s.Mallocs, base.Mallocs)
+	out.Frees = sub(s.Frees, base.Frees)
 	out.Retries = make(map[string]uint64, len(s.Retries))
 	out.TotalRetries = 0
 	for k, v := range s.Retries {
-		d := v - base.Retries[k]
-		if base.Retries[k] > v {
-			d = 0
-		}
+		d := sub(v, base.Retries[k])
 		out.Retries[k] = d
 		out.TotalRetries += d
 	}
@@ -165,14 +179,23 @@ func (s Snapshot) Sub(base Snapshot) Snapshot {
 	for i := range s.PerClass {
 		out.PerClass[i] = s.PerClass[i]
 		if i < len(base.PerClass) {
+			out.PerClass[i].Ops = sub(s.PerClass[i].Ops, base.PerClass[i].Ops)
 			out.PerClass[i].HistSummary = subSummary(s.PerClass[i].HistSummary, base.PerClass[i].HistSummary)
 		}
 	}
 	return out
 }
 
+// sub is a - b, clamped at zero so a racy baseline cannot wrap.
+func sub(a, b uint64) uint64 {
+	if b > a {
+		return 0
+	}
+	return a - b
+}
+
 // Ops returns the total operations (mallocs + frees) observed.
-func (s Snapshot) Ops() uint64 { return s.Malloc.Count + s.Free.Count }
+func (s Snapshot) Ops() uint64 { return s.Mallocs + s.Frees }
 
 // RetriesPerOp returns TotalRetries normalized by operations.
 func (s Snapshot) RetriesPerOp() float64 {
@@ -195,7 +218,7 @@ func (s Snapshot) Text(maxEvents int) string {
 	var b strings.Builder
 	fmt.Fprintf(&b, "telemetry: uptime %v, %d threads, %d ops (%d malloc / %d free)\n",
 		time.Duration(s.UptimeNS).Round(time.Millisecond),
-		s.Threads, s.Ops(), s.Malloc.Count, s.Free.Count)
+		s.Threads, s.Ops(), s.Mallocs, s.Frees)
 	fmt.Fprintf(&b, "contention: %d CAS retries total (%.4f retries/op)\n",
 		s.TotalRetries, s.RetriesPerOp())
 
@@ -220,7 +243,7 @@ func (s Snapshot) Text(maxEvents int) string {
 	}
 
 	fmtLat := func(name string, h HistSummary) {
-		fmt.Fprintf(&b, "%-8s n=%-10d p50=%-8s p90=%-8s p99=%-8s max=%s\n",
+		fmt.Fprintf(&b, "%-8s timed=%-10d p50=%-8s p90=%-8s p99=%-8s max=%s\n",
 			name, h.Count, ns(h.P50NS), ns(h.P90NS), ns(h.P99NS), ns(h.MaxNS))
 	}
 	fmtLat("malloc", s.Malloc)
@@ -228,10 +251,10 @@ func (s Snapshot) Text(maxEvents int) string {
 
 	// Busiest classes, by op count.
 	rows := append([]OpHist(nil), s.PerClass...)
-	sort.Slice(rows, func(i, j int) bool { return rows[i].Count > rows[j].Count })
+	sort.Slice(rows, func(i, j int) bool { return rows[i].Ops > rows[j].Ops })
 	shown := 0
 	for _, row := range rows {
-		if row.Count == 0 || shown >= 8 {
+		if row.Ops == 0 || shown >= 8 {
 			break
 		}
 		cls := fmt.Sprintf("class %d", row.Class)
@@ -239,7 +262,7 @@ func (s Snapshot) Text(maxEvents int) string {
 			cls = "large"
 		}
 		fmt.Fprintf(&b, "  %-6s %-9s n=%-10d p50=%-8s p99=%s\n",
-			row.Op, cls, row.Count, ns(row.P50NS), ns(row.P99NS))
+			row.Op, cls, row.Ops, ns(row.P50NS), ns(row.P99NS))
 		shown++
 	}
 

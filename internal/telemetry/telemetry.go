@@ -1,16 +1,22 @@
 // Package telemetry is the lock-free observability layer for the
 // allocators in this repository: contention counters at every CAS
-// retry site, log2-bucketed latency histograms for malloc/free keyed
-// by size class, and a fixed-size flight recorder of recent events.
+// retry site, exact operation counts and log2-bucketed latency
+// histograms for malloc/free keyed by size class, and a fixed-size
+// flight recorder of recent events.
 //
 // The design discipline is the allocator's own (the paper's §2:
 // "lock-free"): recording never takes a lock, never blocks a recording
 // thread on another, and never blocks snapshot readers on writers.
 //
-//   - Retry counters and histograms are sharded per thread
-//     (ThreadShard, cache-padded) so the hot path touches only memory
-//     owned by its thread; shards are merged on Snapshot with plain
-//     atomic loads.
+//   - Retry counters, operation counts and histograms are sharded per
+//     thread (ThreadShard, cache-padded) so the hot path touches only
+//     memory owned by its thread; shards are merged on Snapshot with
+//     plain atomic loads.
+//
+//   - Every operation is counted and every retry recorded; one malloc
+//     in Interval and one free in Interval per thread is timed. The
+//     owner keeps the countdown to the next timed operation (Due), so
+//     an untimed one reads no clock and touches no histogram.
 //
 //   - Contexts without a thread handle (the mem region free stacks,
 //     the partial-list node pools, the descriptor freelist) record
@@ -24,15 +30,16 @@
 //     wait-free; readers validate each slot's sequence word and drop
 //     torn slots instead of waiting.
 //
-// A disabled telemetry layer costs the allocator exactly one nil check
-// per instrumented branch (and the retry-site checks sit on CAS
-// *failure* paths, which the contention-free fast path never takes).
+// The retry-site counters sit on CAS *failure* paths, which the
+// contention-free fast path never takes.
 package telemetry
 
 import (
 	"sync"
 	"sync/atomic"
 	"time"
+
+	"repro/internal/atomicx"
 )
 
 // Site identifies one instrumented CAS retry site. A site's counter is
@@ -170,21 +177,21 @@ type Config struct {
 	// SampleRate enables the allocation sampler behind the heap
 	// census's fragmentation, call-site, and live-age reporting: every
 	// Nth malloc per thread is sampled (1 samples every allocation).
-	// 0 disables the sampler entirely, reducing its malloc-path cost
-	// to one plain field check.
+	// 0 disables the sampler entirely. Its countdown is the timing
+	// countdown's (ThreadShard.Due), so it adds no per-malloc branch.
 	SampleRate int
 }
 
 const (
+	// Interval: every Interval-th malloc and every Interval-th free of a
+	// thread is timed and goes into the flight recorder; so does every
+	// operation that retried a CAS, and every structural event (new
+	// superblocks, race losses, superblock retirements, hook firings).
+	// Timing one operation in Interval keeps two clock reads, a
+	// histogram add and the ring's shared bump counter off all others.
+	Interval = 64
 	// ringSize is the flight-recorder capacity in events.
 	ringSize = 4096
-	// ringSample: every ringSample-th malloc and free per thread goes
-	// into the flight recorder, and so does every operation that
-	// retried a CAS; structural events (new superblocks, race losses,
-	// superblock retirements, hook firings) always do. Sampling keeps
-	// the ring's shared bump counter off the per-op hot path; a power
-	// of two, so the test is a mask.
-	ringSample = 64
 	// sampleSlots is the allocation sampler's live-sample table
 	// capacity.
 	sampleSlots = 2048
@@ -254,14 +261,18 @@ func (r *Recorder) Sampler() *Sampler { return r.smp }
 // shard's flight-recorder events (the allocator passes its thread id).
 func (r *Recorder) NewShard(id uint64) *ThreadShard {
 	s := &ThreadShard{
-		id:      id,
-		classes: r.cfg.Classes,
-		hist:    make([]Histogram, 2*(r.cfg.Classes+1)),
-		ring:    &r.ring,
-		smp:     r.smp,
+		id:         id,
+		classes:    r.cfg.Classes,
+		counts:     make([]uint64, 2*(r.cfg.Classes+1)),
+		ring:       &r.ring,
+		smp:        r.smp,
+		untilTimed: [2]uint64{Interval, Interval},
+		armed:      [2]uint64{Interval, Interval},
 	}
 	if r.smp != nil {
 		s.smpEvery = uint64(r.cfg.SampleRate)
+		s.untilSample = s.smpEvery
+		s.armed = [2]uint64{min(Interval, s.smpEvery), 1}
 	}
 	r.mu.Lock()
 	old := *r.shards.Load()
@@ -276,36 +287,53 @@ func (r *Recorder) NewShard(id uint64) *ThreadShard {
 // pad is one cache line of padding.
 type pad [64]byte
 
-// ThreadShard is one thread's private telemetry state: retry counters
-// and latency histograms. The owning thread is the only writer; all
-// fields read by Snapshot are atomic, so live merging is
-// race-detector-clean. The struct is padded so two shards never share
-// a cache line.
+// Op is the kind of operation a shard counts and times.
+type Op int
+
+const (
+	OpMalloc Op = iota
+	OpFree
+)
+
+// ThreadShard is one thread's private telemetry state: retry counters,
+// operation counts and latency histograms. The owning thread is the
+// only writer; all fields read by Snapshot are loaded atomically, so
+// live merging is race-detector-clean. The struct is padded so two
+// shards never share a cache line.
 type ThreadShard struct {
 	_ pad
 
 	retries [NumSites]atomic.Uint64
 
-	// hist rows: [op][class] flattened as op*(classes+1)+class, with
-	// op 0 = malloc, 1 = free, and class `classes` = large blocks.
-	hist    []Histogram
+	// counts holds every operation, exactly, by (op, class) row: the
+	// owner's plain stores (atomicx.PlainStore), Snapshot's atomic
+	// loads. hist holds the timed operations by the same rows, allocated
+	// on the first. Rows are op*(classes+1)+class, class `classes` being
+	// large blocks.
+	counts  []uint64
+	hist    atomic.Pointer[[]Histogram]
 	classes int
 
 	ring *Ring
 	id   uint64
 
 	// opRetries accumulates this thread's retries within the current
-	// operation (for the flight-recorder event); opSeq drives ring
-	// sampling. Plain fields: single-writer, never read by Snapshot.
+	// operation, for its flight-recorder entry, which resets it; a
+	// failed malloc has no entry, so its retries go to the next one's.
+	// Plain: single-writer, never read by Snapshot.
 	opRetries uint64
-	opSeq     uint64
 
-	// smp is the recorder's allocation sampler (nil when disabled);
-	// smpEvery/smpSeq drive the per-thread sampling countdown. Plain
-	// fields: single-writer.
+	// The countdowns behind Due: operations of each kind left until the
+	// next timed one, mallocs left until the next sample, as of the
+	// countdown last handed to the owner (armed). Plain, single-writer.
+	untilTimed  [2]uint64
+	untilSample uint64
+	armed       [2]uint64
+
+	// smp is the recorder's allocation sampler (nil when disabled),
+	// sampling every smpEvery-th malloc.
 	smp      *Sampler
 	smpEvery uint64
-	smpSeq   uint64
 
 	_ pad
 }
@@ -313,56 +341,118 @@ type ThreadShard struct {
 // ID returns the thread id the shard was registered with.
 func (s *ThreadShard) ID() uint64 { return s.id }
 
-// BeginOp marks the start of a Malloc or Free, resetting the per-op
-// retry accumulator.
-func (s *ThreadShard) BeginOp() { s.opRetries = 0 }
-
-// Retry records one failed CAS at site.
+// Retry records one failed CAS at site. Retry, Note and NoteHook are
+// no-ops on a nil shard: the allocator's thread handle without a
+// recorder.
 func (s *ThreadShard) Retry(site Site) {
+	if s == nil {
+		return
+	}
 	s.retries[site].Add(1)
 	s.opRetries++
 }
 
-// histRow returns the histogram for (op, class), clamping class into
-// range (class < 0 or >= classes selects the large-block row).
-func (s *ThreadShard) histRow(op, class int) *Histogram {
-	if class < 0 || class > s.classes {
+// Countdown is how many operations of kind op the owner runs before its
+// first call to Due.
+func (s *ThreadShard) Countdown(op Op) uint64 { return s.armed[op] }
+
+// Due is the owner's call on the operation at which its countdown for
+// op ran out. It reports whether the operation is timed (the
+// Interval-th of its kind since the last) and, for a malloc, whether the
+// allocation sampler takes it, and returns the countdown to the next
+// call. With the sampler on, every free is due, so the owner matches it
+// against the samples (SampleFree) before the block can be recycled.
+func (s *ThreadShard) Due(op Op) (timed, sampled bool, next uint64) {
+	n := s.armed[op]
+	s.untilTimed[op] -= n
+	if timed = s.untilTimed[op] == 0; timed {
+		s.untilTimed[op] = Interval
+	}
+	next = s.untilTimed[op]
+	if s.smp != nil {
+		if op == OpFree {
+			next = 1
+		} else {
+			s.untilSample -= n
+			if sampled = s.untilSample == 0; sampled {
+				s.untilSample = s.smpEvery
+			}
+			next = min(next, s.untilSample)
+		}
+	}
+	s.armed[op] = next
+	return timed, sampled, next
+}
+
+// row is the (op, class) row, class < 0 or >= classes selecting large
+// blocks.
+func (s *ThreadShard) row(op Op, class int) int {
+	if uint(class) >= uint(s.classes) {
 		class = s.classes
 	}
-	return &s.hist[op*(s.classes+1)+class]
+	return int(op)*(s.classes+1) + class
 }
 
-// EndMalloc records a completed Malloc: latency into the class's
-// histogram and (sampled) an event into the flight recorder. class is
-// the size-class index, or -1 for a large block.
+// Count counts one untimed operation and reports whether it retried a
+// CAS, in which case the owner hands it to Retried for its
+// flight-recorder entry. It must inline (ci/inline_guard.sh): it runs on
+// every operation.
+func (s *ThreadShard) Count(op Op, class int) bool {
+	n := &s.counts[s.row(op, class)]
+	atomicx.PlainStore(n, *n+1)
+	return s.opRetries != 0
+}
+
+// Retried writes the flight-recorder entry of an untimed operation that
+// retried a CAS.
+func (s *ThreadShard) Retried(op Op, class int, ptr uint64) { s.record(op, class, 0, ptr) }
+
+// EndMalloc records a timed Malloc: its count, its latency into the
+// class's histogram and its flight-recorder entry. class is the
+// size-class index, or -1 for a large block.
 func (s *ThreadShard) EndMalloc(class int, d time.Duration, ptr uint64) {
-	s.endOp(EvMalloc, 0, class, d, ptr)
+	s.endOp(OpMalloc, class, d, ptr)
 }
 
-// EndFree records a completed Free.
+// EndFree records a timed Free.
 func (s *ThreadShard) EndFree(class int, d time.Duration, ptr uint64) {
-	s.endOp(EvFree, 1, class, d, ptr)
+	s.endOp(OpFree, class, d, ptr)
 }
 
-func (s *ThreadShard) endOp(kind EventKind, op, class int, d time.Duration, ptr uint64) {
-	s.histRow(op, class).Record(d)
-	s.opSeq++
-	if s.opRetries > 0 || s.opSeq&(ringSample-1) == 0 {
-		s.ring.Record(Event{
-			Kind:    kind,
-			Class:   class,
-			Hook:    -1,
-			Thread:  s.id,
-			Retries: s.opRetries,
-			Ptr:     ptr,
-			Nanos:   uint64(d.Nanoseconds()),
-		})
+func (s *ThreadShard) endOp(op Op, class int, d time.Duration, ptr uint64) {
+	row := s.row(op, class)
+	atomicx.PlainStore(&s.counts[row], s.counts[row]+1)
+	h := s.hist.Load()
+	if h == nil {
+		rows := make([]Histogram, len(s.counts))
+		h = &rows
+		s.hist.Store(h)
 	}
+	(*h)[row].Record(d)
+	s.record(op, class, d, ptr)
+}
+
+// record writes an operation's flight-recorder entry and closes its
+// retry count.
+func (s *ThreadShard) record(op Op, class int, d time.Duration, ptr uint64) {
+	s.ring.Record(Event{
+		Kind:    EvMalloc + EventKind(op),
+		Class:   class,
+		Hook:    -1,
+		Thread:  s.id,
+		Retries: s.opRetries,
+		Ptr:     ptr,
+		Nanos:   uint64(d.Nanoseconds()),
+	})
+	s.opRetries = 0
 }
 
 // Note records a structural event (new superblock, race loss,
 // superblock retirement) into the flight recorder, unsampled.
 func (s *ThreadShard) Note(kind EventKind, class int, ptr uint64) {
+	if s == nil {
+		return
+	}
 	s.ring.Record(Event{
 		Kind:    kind,
 		Class:   class,
@@ -376,6 +466,9 @@ func (s *ThreadShard) Note(kind EventKind, class int, ptr uint64) {
 // NoteHook records a hook firing (fault-injection instrumentation)
 // into the flight recorder, unsampled.
 func (s *ThreadShard) NoteHook(hook int) {
+	if s == nil {
+		return
+	}
 	s.ring.Record(Event{
 		Kind:    EvHook,
 		Class:   -1,

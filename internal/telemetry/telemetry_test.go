@@ -122,7 +122,6 @@ func TestConcurrentMergeProperty(t *testing.T) {
 			defer wg.Done()
 			sh := r.NewShard(uint64(w))
 			for i := 0; i < perW; i++ {
-				sh.BeginOp()
 				if i%3 == 0 {
 					sh.Retry(SiteActiveReserve)
 				}
@@ -130,7 +129,6 @@ func TestConcurrentMergeProperty(t *testing.T) {
 					sh.Retry(SiteFreeFast)
 				}
 				sh.EndMalloc(i%5-1, time.Duration(i%2000), uint64(i)) // class -1..3
-				sh.BeginOp()
 				sh.EndFree(i%5-1, time.Duration(i%100), uint64(i))
 				r.Stripes().Retry(SiteRegionPush, uint64(i))
 			}
@@ -245,12 +243,10 @@ func TestRingConcurrent(t *testing.T) {
 func TestSnapshotSub(t *testing.T) {
 	r := New(Config{Classes: 2})
 	sh := r.NewShard(0)
-	sh.BeginOp()
 	sh.Retry(SiteActivePop)
 	sh.EndMalloc(0, 100, 1)
 	base := r.Snapshot()
 	for i := 0; i < 9; i++ {
-		sh.BeginOp()
 		sh.Retry(SiteActivePop)
 		sh.Retry(SiteActivePop)
 		sh.EndMalloc(1, 5000, 2)
@@ -273,7 +269,6 @@ func TestSnapshotSub(t *testing.T) {
 func TestSnapshotJSONAndText(t *testing.T) {
 	r := New(Config{Classes: 3})
 	sh := r.NewShard(7)
-	sh.BeginOp()
 	sh.Retry(SitePartialPop)
 	sh.EndMalloc(2, 300, 42)
 	sh.Note(EvNewSB, 2, 4096)
@@ -329,28 +324,60 @@ func indexOf(s, sub string) int {
 	return -1
 }
 
-// TestRingSampling: the flight recorder takes every ringSample-th
-// operation of a shard, every operation that retried a CAS, and every
-// structural event.
+// TestRingSampling: the flight recorder takes every timed operation,
+// every untimed operation that retried a CAS, and every structural
+// event; a quiet untimed operation is only counted.
 func TestRingSampling(t *testing.T) {
 	r := New(Config{Classes: 1})
 	sh := r.NewShard(0)
-	for i := 0; i < 2*ringSample; i++ {
-		sh.BeginOp()
-		sh.EndMalloc(0, 100, uint64(i))
+	for i := 0; i < 2*Interval; i++ {
+		if sh.Count(OpMalloc, 0) {
+			t.Fatal("a quiet operation reported a retry")
+		}
 	}
-	if got := r.Ring().Recorded(); got != 2 {
-		t.Fatalf("%d quiet ops recorded %d events, want 2", 2*ringSample, got)
+	if got := r.Ring().Recorded(); got != 0 {
+		t.Fatalf("%d quiet untimed ops recorded %d events, want 0", 2*Interval, got)
 	}
-	sh.BeginOp()
+	sh.EndMalloc(0, 100, 7)
 	sh.Retry(SiteFreeFast)
-	sh.EndFree(0, 100, 1)
+	if !sh.Count(OpFree, 0) {
+		t.Fatal("a retried operation did not report its retry")
+	}
+	sh.Retried(OpFree, 0, 1)
+	if sh.Count(OpFree, 0) {
+		t.Error("the retry count outlived its operation's entry")
+	}
 	sh.Note(EvNewSB, 0, 4096)
 	evs := r.Ring().Events(0)
-	if len(evs) != 4 || evs[2].Kind != EvFree || evs[2].Retries != 1 || evs[3].Kind != EvNewSB {
-		t.Errorf("a retried op and a structural event must both be recorded: %+v", evs)
+	if len(evs) != 3 || evs[0].Kind != EvMalloc || evs[0].Nanos != 100 || evs[0].Ptr != 7 ||
+		evs[1].Kind != EvFree || evs[1].Retries != 1 || evs[2].Kind != EvNewSB {
+		t.Errorf("a timed op, a retried op and a structural event must each be recorded: %+v", evs)
 	}
-	if evs[1].Ptr != 2*ringSample-1 {
-		t.Errorf("second sampled malloc has ptr %d, want %d", evs[1].Ptr, 2*ringSample-1)
+	s := r.Snapshot()
+	if s.Mallocs != 2*Interval+1 || s.Frees != 2 || s.Malloc.Count != 1 || s.Free.Count != 0 {
+		t.Errorf("counts %d/%d, timed %d/%d; want %d/2 counted, 1/0 timed",
+			s.Mallocs, s.Frees, s.Malloc.Count, s.Free.Count, 2*Interval+1)
+	}
+}
+
+// TestRingPages: a ring holds no slot before its first event and one
+// page after it.
+func TestRingPages(t *testing.T) {
+	var r Ring
+	r.init(1024)
+	pages := func() (n int) {
+		for i := range r.pages {
+			if r.pages[i].Load() != nil {
+				n++
+			}
+		}
+		return n
+	}
+	if r.Cap() != 1024 || pages() != 0 || len(r.Events(0)) != 0 {
+		t.Fatalf("fresh ring: Cap %d, %d pages", r.Cap(), pages())
+	}
+	r.Record(Event{Kind: EvNewSB})
+	if pages() != 1 || len(r.Events(0)) != 1 {
+		t.Fatalf("one event: %d pages, %d events", pages(), len(r.Events(0)))
 	}
 }
