@@ -38,10 +38,9 @@ type Thread interface {
 }
 
 // Unregisterer is optionally implemented by Thread handles that hold
-// per-thread state (the lock-free allocator's magazines and batched
-// operation counters): Unregister returns the cached blocks to the
-// shared structures and makes the allocator's counters exact for the
-// handle. Call it when the owning goroutine stops using the handle;
+// per-thread state (the lock-free allocator's magazines, the offload
+// worker's stash): Unregister returns the cached blocks to the shared
+// structures. Call it when the owning goroutine stops using the handle;
 // callers may type-assert and invoke it unconditionally.
 type Unregisterer interface {
 	Unregister()

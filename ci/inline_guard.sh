@@ -1,9 +1,9 @@
 #!/bin/sh
 # Inlining guard: every heap word access and every descriptor lookup on
 # the malloc/free paths is meant to compile to a table load in the
-# caller, not a call, and every counter bump and prefix decode to a few
-# register instructions (an outlined bump hands back, as a call, what
-# replacing the atomic add saved). The Go inliner gives a function a
+# caller, not a call, and the operation count and every prefix decode to
+# a few register instructions (an outlined count hands back, as a call,
+# what replacing the atomic add saved). The Go inliner gives a function a
 # budget of 80 nodes; an edit that pushes one of these helpers over it
 # costs a call per word silently. This step asks the compiler and fails
 # loudly. It then counts the locked instructions on the paths that end
@@ -41,16 +41,13 @@ need 'largeobj\.go:[0-9:]+ inlining call to PayloadWords( |$)' 'inlining call to
 need 'can inline \(\*Allocator\)\.desc( |$)' 'can inline (*Allocator).desc'
 need 'allocator\.go:[0-9:]+ inlining call to pool\.\(\*Pool\[.*\]\)\.Get( |$)' \
 	'inlining call to pool.(*Pool[...]).Get in (*Allocator).desc'
-# The counter bump must inline where malloc, the magazine refill and
-# free count an operation; the prefix helpers where malloc's pop loops
+# The prefix helpers must inline where malloc's pop loops
 # (mallocFromActive, mallocFromPartial) and free read word 0.
 inlined() {
 	need "$1\\.go:[0-9:]+ inlining call to $2( |\$)" "inlining call to $3 in core/$1.go"
 }
-for file in malloc magazine free; do
-	inlined "$file" '\(\*Thread\)\.bump' '(*Thread).bump'
-done
 inlined free prefixDesc prefixDesc
+inlined free prefixClass prefixClass
 inlined free withLink withLink
 inlined malloc prefixLink prefixLink
 inlined magazine prefixDesc prefixDesc
@@ -69,15 +66,17 @@ inlined_within() {
 }
 inlined_within release release withLink
 inlined_within release release smallPrefix
-# With a recorder attached, an untimed Malloc or Free costs it one
-# countdown and one count: both must inline where they run.
+# An untimed Malloc or Free costs the recorder one countdown, inlined
+# where Malloc and Free run it, and one count store, inlined where malloc
+# and free serve the operation: the only count of it, which Stats reads.
 for fn in Malloc Free; do
 	file=$(echo "$fn" | tr A-Z a-z)
 	inlined_within "$file" "$fn" '\(\*Thread\)\.due'
-	inlined_within "$file" "$fn" 'telemetry\.\(\*ThreadShard\)\.Count'
 done
+inlined_within malloc malloc 'telemetry\.\(\*ThreadShard\)\.Count'
+inlined_within free free 'telemetry\.\(\*ThreadShard\)\.Count'
 if [ "$status" -eq 0 ]; then
-	echo "inline guard: atomicx.PlainStore, atomicx.PlainLoad, mem.(*Heap).{Mapped,word,Load,Store,CAS,Get,Set}, mem.PayloadWords, pool.(*Pool).Get, core.(*Allocator).desc, (*Thread).bump and the prefix helpers all inline, withLink and smallPrefix inside release, the recorder's countdown and count inside Malloc and Free"
+	echo "inline guard: atomicx.PlainStore, atomicx.PlainLoad, mem.(*Heap).{Mapped,word,Load,Store,CAS,Get,Set}, mem.PayloadWords, pool.(*Pool).Get, core.(*Allocator).desc and the prefix helpers all inline, withLink and smallPrefix inside release, the recorder's countdown inside Malloc and Free and its count inside malloc and free"
 fi
 
 # Locked-instruction count, from the disassembly of a non-race build

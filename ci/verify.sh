@@ -43,14 +43,10 @@ stage_test() {
 }
 
 stage_race() {
-	# internal/bench, internal/report and cmd/benchmal for the census
-	# walker (bench.Walked), the one goroutine of the measuring layer that
-	# is not a workload's worker.
-	go test -race ./alloc ./cmd/allocmon ./cmd/benchmal ./cmd/heapinfo ./cmd/mlfstress \
-		./examples/quickstart ./internal/baseline/... ./internal/bench ./internal/buddy ./internal/census \
-		./internal/churn ./internal/core ./internal/lfqueue ./internal/lfstack ./internal/mem \
-		./internal/offload ./internal/partial ./internal/pool/... ./internal/report \
-		./internal/sched ./internal/shadow ./internal/telemetry
+	# Every package but the ledger, whose tests are not yet green under
+	# -race (ROADMAP.md direction 1(b)), so a new package is raced without
+	# a new line here.
+	go test -race $(go list ./... | grep -vx 'repro/benchmark')
 	go test -race -tags memdebug ./internal/mem ./internal/pool
 }
 
@@ -68,7 +64,7 @@ stage_smoke() {
 
 	# The ledger's in-run checks (a canary on every block, CheckInvariants
 	# and Mallocs == Frees after every round; a failure exits 1) over the
-	# block layout and publish-at-Unregister, with magazines off (larson)
+	# block layout and the operation counts, with magazines off (larson)
 	# and on (kvcache). The last line of output is the report.
 	for workload in larson kvcache; do
 		go run ./benchmark -workload "$workload" -seconds 2 -rounds 2 -trace 0 >"$bin/$workload.out"
@@ -131,10 +127,10 @@ stage_smoke() {
 	# shadow oracle, and a kill sweep on each entry with kill points.
 	for name in $("$bin/heapinfo" | awk '$1 == "backend" { print $2 }'); do
 		"$bin/allocmon" -once -warmup 200ms -threads 2 -alloc "$name" >/dev/null
-		"$bin/mlfstress" -alloc "$name" -threads 4 -ops 20000 -shadow -magazine 8 -telemetry=false
+		"$bin/mlfstress" -alloc "$name" -threads 4 -ops 20000 -shadow -magazine 8
 	done
 	for name in $("$bin/heapinfo" | awk '$1 == "backend" && $NF != "kill-points=0" { print $2 }'); do
-		"$bin/mlfstress" -alloc "$name" -threads 4 -ops 5000 -kills 2 -shadow -magazine 8 -telemetry=false
+		"$bin/mlfstress" -alloc "$name" -threads 4 -ops 5000 -kills 2 -shadow -magazine 8
 	done
 }
 

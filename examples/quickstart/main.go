@@ -80,7 +80,7 @@ func main() {
 
 // release is what a goroutine does with its handle when it is done
 // (the pthread-exit analogue): the lock-free allocator then returns the
-// handle's cached blocks and makes its operation counters exact.
+// handle's cached blocks.
 func release(th alloc.Thread) {
 	if u, ok := th.(alloc.Unregisterer); ok {
 		u.Unregister()

@@ -46,7 +46,6 @@ func TestCensusQuiescent(t *testing.T) {
 	th.Free(ptrs[2])
 	held := uint64(len(sizes) - 2)
 
-	a.PublishStats() // th is still in use: its batched counters are exact only once published
 	c, dp, smp := TakeLockFree(a)
 	osl := TakeOS(a.Heap())
 

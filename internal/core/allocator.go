@@ -81,13 +81,15 @@ type Config struct {
 	// creates.
 	HeapConfig mem.Config
 
-	// Telemetry, when non-nil, attaches the lock-free observability
-	// layer: CAS-retry counters at every contention site, per-class
-	// operation counts and malloc/free latency histograms (one
-	// operation in telemetry.Interval timed), and the flight recorder.
+	// Telemetry, when non-nil, is the lock-free observability layer the
+	// allocator records into: the operation counts Stats reads, by path
+	// and size class, CAS-retry counters at every contention site,
+	// malloc/free latency histograms (one operation in
+	// telemetry.Interval timed, on average), and the flight recorder.
 	// Create one with NewRecorder so its rows match the size-class
-	// table. When nil (the default), Malloc and Free take the bare path
-	// and every other instrumented site costs one nil check.
+	// table. When nil (the default), New makes a recorder of its own,
+	// which the counts go to and which times nothing: Malloc and Free
+	// run the same code, with countdowns that never come due (untimed).
 	Telemetry *telemetry.Recorder
 }
 
@@ -129,7 +131,7 @@ type Allocator struct {
 	// say) cannot push them across a cache-line boundary.
 	heap  *mem.Heap
 	hyper *mem.Hyper          // non-nil when cfg.Hyperblocks
-	tele  *telemetry.Recorder // non-nil when cfg.Telemetry
+	tele  *telemetry.Recorder // Config.Telemetry, or New's own
 	procs uint64
 
 	maxCredits uint64
@@ -218,13 +220,13 @@ func New(cfg Config) *Allocator {
 	// shards (attached in Thread); the thread-less structures — region
 	// free stacks, descriptor freelist, partial-list pools — share the
 	// recorder's stripes.
-	var stripes *telemetry.Stripes
-	if cfg.Telemetry != nil {
-		a.tele = cfg.Telemetry
-		stripes = cfg.Telemetry.Stripes()
-		a.descs.SetTelemetry(stripes)
-		h.SetTelemetry(stripes)
+	a.tele = cfg.Telemetry
+	if a.tele == nil {
+		a.tele = NewRecorder(telemetry.Config{})
 	}
+	stripes := a.tele.Stripes()
+	a.descs.SetTelemetry(stripes)
+	h.SetTelemetry(stripes)
 	// The partial lists link descriptors of live superblocks, each at
 	// most once and in one class's list at a time, so all of them draw
 	// their nodes from one pool, sized for the superblocks the address
@@ -243,9 +245,7 @@ func New(cfg Config) *Allocator {
 		} else {
 			sc.partial = nodes.NewFIFO()
 		}
-		if stripes != nil {
-			sc.partial.Instrument(stripes)
-		}
+		sc.partial.Instrument(stripes)
 		for p := range sc.heaps {
 			sc.heaps[p].id = uint64(i)*a.procs + uint64(p)
 			sc.heaps[p].cls = uint32(i)
@@ -319,20 +319,21 @@ func (a *Allocator) HyperStats() mem.HyperStats {
 	return a.hyper.Stats()
 }
 
-// Telemetry returns the attached telemetry recorder (nil when the
-// layer is disabled).
-func (a *Allocator) Telemetry() *telemetry.Recorder { return a.tele }
+// Telemetry returns the recorder handed in Config.Telemetry, nil
+// without one.
+func (a *Allocator) Telemetry() *telemetry.Recorder { return a.cfg.Telemetry }
 
 // Thread registers a new thread (goroutine) with the allocator and
 // returns its handle. The handle is not safe for concurrent use; each
 // worker goroutine should hold its own, as each OS thread does in the
 // paper's pthread environment.
 func (a *Allocator) Thread() *Thread {
-	t := &Thread{a: a, id: a.nextThread.Add(1) - 1, pubMask: pubBatch - 1}
-	if a.tele != nil {
-		t.rec = a.tele.NewShard(t.id)
-		t.mallocTick = t.rec.Countdown(telemetry.OpMalloc)
-		t.freeTick = t.rec.Countdown(telemetry.OpFree)
+	t := &Thread{a: a, id: a.nextThread.Add(1) - 1}
+	t.rec = a.tele.NewShard(t.id)
+	t.mallocTick, t.freeTick = untimed, untimed
+	if a.cfg.Telemetry != nil {
+		t.mallocTick = uint32(t.rec.Countdown(telemetry.OpMalloc))
+		t.freeTick = uint32(t.rec.Countdown(telemetry.OpFree))
 	}
 	if a.cfg.MagazineSize > 0 {
 		t.magCap = a.cfg.MagazineSize
@@ -360,95 +361,63 @@ type Thread struct {
 	a      *Allocator
 	heaps  []*ProcHeap // per-size-class processor heap for this thread
 	hookFn func(HookPoint)
-	rec    *telemetry.ThreadShard // non-nil when telemetry is attached
-	magCap int                    // high watermark of every magazine; 0 = layer disabled
-	// pubMask batches the counters below: pubBatch-1, or 0 once
-	// Unregister has run, so a straggling operation publishes itself.
-	pubMask uint64
+	// rec holds every operation's one count (by path and size class),
+	// the retries and the timed operations' latencies. Its counts are
+	// plain words of the owning goroutine: a LOCK XADD each was a fifth
+	// of an uncontended pair.
+	rec    *telemetry.ThreadShard
+	magCap int // high watermark of every magazine; 0 = layer disabled
+	// The recorder's countdowns to its next due malloc and free (due):
+	// never above 3*telemetry.Interval/2, or untimed.
+	mallocTick, freeTick uint32
 
 	// Second line: the magazines (Config.MagazineSize > 0; private block
-	// caches per size class) and the counters that change on every
-	// operation — plain words of the owning goroutine, where a LOCK XADD
-	// each was a fifth of an uncontended pair, copied into ops by bump
-	// every pubBatch-th event and by publish exactly — and the
-	// recorder's countdowns to its next due malloc and free (due).
+	// caches per size class) and what the slow paths use.
 	mags       []magazine
-	frees      uint64
-	fromActive uint64
-	magHits    uint64
-	mallocTick uint64
-	freeTick   uint64
-
 	id         uint64
 	magScratch []mem.Ptr // reused flush-group buffer
+	_          uint64
 
-	// ops is what Stats and OpStats load, from any goroutine: the three
-	// batched counters as last published, and the ten whose paths
-	// already cost a superblock, a flush or an OS call, added in place.
+	// ops is what Stats and OpStats load, from any goroutine, beside the
+	// operation counts: the events whose paths already cost a
+	// superblock, a flush or an OS call, added in place.
 	ops opCounters
 
-	// Pad into the 320-byte size class, a whole number of lines: every
+	// Pad into the 192-byte size class, a whole number of lines: every
 	// Thread starts on a line boundary (layout.go pins size and phase).
-	_ [48]byte
+	_ [8]byte
 }
 
-// pubBatch is how many events of one batched counter pass between two
-// publications: a power of two, so the test is a mask. Publication
-// depends on the handle's own event count and nothing else — not time,
-// not other threads — so a one-thread run's Stats repeat exactly.
-const pubBatch = 64
-
-// bump counts one event on an owner-only counter and publishes it every
-// pubBatch-th time. It must stay inlinable: outlined, the call costs
-// what the atomic add it replaces did (ci/inline_guard.sh).
-func (t *Thread) bump(n *uint64, pub *atomic.Uint64) {
-	*n++
-	if *n&t.pubMask == 0 {
-		pub.Store(*n)
-	}
-}
-
-// publish makes Stats exact for this handle. Owner-only like Malloc and
-// Free, or any goroutine once the allocator is quiescent.
-func (t *Thread) publish() {
-	t.ops.frees.Store(t.frees)
-	t.ops.fromActive.Store(t.fromActive)
-	t.ops.magHits.Store(t.magHits)
-}
-
-// opCounters is the per-thread block Stats loads atomically. frees,
-// fromActive and magHits are stored from the handle's plain words by
-// bump and publish; the rest are atomic adds. The total malloc count is
-// not stored: every successful small malloc takes exactly one of the
-// four paths (magazine hit, active, partial, new superblock), so
-// snapshot derives Mallocs = magHits+fromActive+fromPartial+fromNewSB.
+// opCounters is the per-thread block of event counters Stats loads
+// atomically. Operation counts are not here: each is one count in the
+// thread's recorder shard, by the path that served it (snapshot).
 type opCounters struct {
-	frees             atomic.Uint64
-	largeMallocs      atomic.Uint64
-	largeFrees        atomic.Uint64
-	fromActive        atomic.Uint64
-	fromPartial       atomic.Uint64
-	fromNewSB         atomic.Uint64
 	newSBRaceLoss     atomic.Uint64
 	emptySBFreed      atomic.Uint64
 	emptyPartialSkips atomic.Uint64
-	magHits           atomic.Uint64
 	magMisses         atomic.Uint64
 	magFlushes        atomic.Uint64
 	magFlushedBlocks  atomic.Uint64
 	partialListDrops  atomic.Uint64
 }
 
-// snapshot loads every counter. Loads are individually atomic but not
-// mutually consistent (see Stats).
-func (c *opCounters) snapshot() OpStats {
-	fa, fp, fn := c.fromActive.Load(), c.fromPartial.Load(), c.fromNewSB.Load()
-	mh := c.magHits.Load()
+// snapshot loads every counter of the thread. Loads are individually
+// atomic but not mutually consistent (see Stats). Every successful
+// small malloc is counted on exactly one of the four paths (magazine
+// hit, active, partial, new superblock), so Mallocs is their sum.
+func (t *Thread) snapshot() OpStats {
+	c := &t.ops
+	mh, _ := t.rec.Counted(telemetry.PathMagazine)
+	fa, _ := t.rec.Counted(telemetry.PathActive)
+	fp, _ := t.rec.Counted(telemetry.PathPartial)
+	fn, _ := t.rec.Counted(telemetry.PathNewSB)
+	_, lm := t.rec.Counted(telemetry.PathLarge)
+	frees, lf := t.rec.Counted(telemetry.PathFree)
 	return OpStats{
 		Mallocs:               mh + fa + fp + fn,
-		Frees:                 c.frees.Load(),
-		LargeMallocs:          c.largeMallocs.Load(),
-		LargeFrees:            c.largeFrees.Load(),
+		Frees:                 frees,
+		LargeMallocs:          lm,
+		LargeFrees:            lf,
 		FromActive:            fa,
 		FromPartial:           fp,
 		FromNewSB:             fn,
@@ -527,38 +496,23 @@ type Stats struct {
 // It is safe to call at any time, including while worker threads run.
 //
 // Snapshot semantics: every counter is read with an atomic load, so
-// values are never torn and each is monotone. Frees, FromActive and
-// MagazineHits (and Mallocs, derived from them) are published in
-// batches: each lags a handle still in use by fewer than pubBatch (64)
-// events and is exact for a handle whose last call was Unregister or
-// FlushMagazines, and for all handles after PublishStats. The loads
-// happen at slightly different instants, so cross-counter identities
-// (Mallocs == Frees) hold exactly only at quiescence, every handle
-// published. Mallocs == MagazineHits+FromActive+FromPartial+FromNewSB
+// values are never torn and each is monotone; each counts every event
+// of its kind that completed before the load, handles still in use
+// included. The loads happen at slightly different instants, so
+// cross-counter identities (Mallocs == Frees) hold exactly only at
+// quiescence. Mallocs == MagazineHits+FromActive+FromPartial+FromNewSB
 // holds by construction: snapshot derives the total.
 func (a *Allocator) Stats() Stats {
 	var s Stats
 	a.mu.Lock()
 	for _, t := range a.threads {
-		s.Ops.add(t.ops.snapshot())
+		s.Ops.add(t.snapshot())
 	}
 	a.mu.Unlock()
 	s.DescsAllocated = a.descs.Allocated()
 	s.DescsOnFreelist = a.descs.Retired()
 	s.Heap = a.heap.Stats()
 	return s
-}
-
-// PublishStats makes the next Stats exact for every handle, those
-// nobody unregistered and those whose goroutine died mid-operation
-// included. Quiescent callers only, like CheckInvariants. It flushes no
-// magazine: a dead thread's cached blocks stay leaked and counted.
-func (a *Allocator) PublishStats() {
-	a.mu.Lock()
-	defer a.mu.Unlock()
-	for _, t := range a.threads {
-		t.publish()
-	}
 }
 
 // ID returns the thread id used for processor-heap selection.
@@ -569,7 +523,7 @@ func (t *Thread) Allocator() *Allocator { return t.a }
 
 // OpStats returns this thread's own operation counters. Safe to call
 // from any goroutine; same snapshot semantics as Allocator.Stats.
-func (t *Thread) OpStats() OpStats { return t.ops.snapshot() }
+func (t *Thread) OpStats() OpStats { return t.snapshot() }
 
 // BlockIsLarge reports whether a block returned by Malloc is a large
 // block (allocated directly from the OS layer) by inspecting its
@@ -587,29 +541,44 @@ func (t *Thread) findHeap(sc *scState) *ProcHeap {
 // mem.SizePrefix(regionWords): the region's rounded word count <<1|1
 // (the paper's "desc holds sz+1" with the large-block bit set; rounded
 // so the free path passes FreeRegion the canonical region size). A small
-// block's has bit 0 clear and two fields: the descriptor index below
-// linkShift, written when the superblock is carved and never changed,
-// and above it the free-list link — the index of the next free block,
-// meaningful while this one is free and stale while it is allocated.
-// The carve loop, free and the magazine flush store both at once
-// (withLink); malloc stores neither, so serving a block writes no heap
-// word. Every reader goes through prefixIsLarge, prefixDesc, prefixLink.
+// block's has bit 0 clear and three fields: the size class in the
+// classBits above it and the descriptor index above that, both written
+// when the superblock is carved and never changed, and above linkShift
+// the free-list link — the index of the next free block, meaningful
+// while this one is free and stale while it is allocated. The carve
+// loop, free and the magazine flush store the link with the rest
+// (withLink); malloc stores nothing, so serving a block writes no heap
+// word. Free reads the class from the prefix it loads, so a free into a
+// magazine loads no descriptor. Every reader goes through
+// prefixIsLarge, prefixClass, prefixDesc, prefixLink.
 const (
 	linkShift  = 64 - atomicx.AnchorAvailBits
 	prefixMask = 1<<linkShift - 1
+	classBits  = 6
+	descShift  = 1 + classBits
 
-	// Every descriptor index fits below the link field and every block
-	// index in it (else the unsigned constant is negative: no compile).
-	_ = uint64(1<<(linkShift-1)) - maxDescChunks<<descChunkLog2
+	// Every descriptor index fits between the class and the link field
+	// and every block index in it (else the unsigned constant is
+	// negative: no compile).
+	_ = uint64(1<<(linkShift-descShift)) - maxDescChunks<<descChunkLog2
 	_ = uint64(1<<(64-linkShift)) - atomicx.MaxBlocksPerSuperblock
 )
 
-func smallPrefix(descIdx uint64) uint64 { return descIdx << 1 }
+func init() {
+	if n := sizeclass.NumClasses(); n > 1<<classBits {
+		panic(fmt.Sprintf("core: %d size classes do not fit the prefix's %d class bits", n, classBits))
+	}
+}
+
+func smallPrefix(descIdx uint64, cls int) uint64 { return descIdx<<descShift | uint64(cls)<<1 }
 
 func prefixIsLarge(p uint64) bool { return p&1 != 0 }
 
+// prefixClass is the size class in a small block's word 0.
+func prefixClass(p uint64) int { return int(p >> 1 & (1<<classBits - 1)) }
+
 // prefixDesc is the descriptor index in a small block's word 0.
-func prefixDesc(p uint64) uint64 { return (p & prefixMask) >> 1 }
+func prefixDesc(p uint64) uint64 { return (p & prefixMask) >> descShift }
 
 // prefixLink is the free-list link in a free small block's word 0.
 func prefixLink(p uint64) uint64 { return p >> linkShift }

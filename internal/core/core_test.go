@@ -401,7 +401,6 @@ func TestCrossThreadFree(t *testing.T) {
 	if err := a.CheckInvariants(0); err != nil {
 		t.Fatal(err)
 	}
-	a.PublishStats()
 	s := a.Stats()
 	if s.Ops.Mallocs != n || s.Ops.Frees != n {
 		t.Errorf("ops = %d/%d, want %d/%d", s.Ops.Mallocs, s.Ops.Frees, n, n)
@@ -475,7 +474,7 @@ func stress(t *testing.T, cfg Config, goroutines, iters int) {
 	if err := a.CheckInvariants(0); err != nil {
 		t.Fatal(err)
 	}
-	a.PublishStats() // the workers dropped their handles without Unregister
+	// The workers dropped their handles without Unregister.
 	s := a.Stats()
 	if s.Ops.Mallocs != s.Ops.Frees {
 		t.Errorf("mallocs %d != frees %d", s.Ops.Mallocs, s.Ops.Frees)
@@ -690,7 +689,6 @@ func TestStatsAttribution(t *testing.T) {
 		}
 		th.Free(p)
 	}
-	a.PublishStats()
 	s := a.Stats()
 	if s.Ops.Mallocs != n {
 		t.Errorf("Mallocs = %d", s.Ops.Mallocs)

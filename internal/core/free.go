@@ -17,33 +17,32 @@ func sizeclassFor(size uint64) (int, bool) {
 
 // Free returns a block allocated by Malloc (paper Figure 6). Freeing
 // the nil pointer is a no-op. Free is lock-free and may be called by
-// any thread, not just the allocating one. Like Malloc, with a recorder
-// attached it counts every free by its size class, and hands the one the
-// recorder is due on to freeTimed.
+// any thread, not just the allocating one. Like Malloc, it counts every
+// free by its size class (free does, from the block's prefix), and
+// hands the one the recorder is due on to freeTimed.
 func (t *Thread) Free(ptr mem.Ptr) {
 	if ptr.IsNil() { // line 1
-		return
-	}
-	if t.rec == nil {
-		t.free(ptr, t.a.heap.Load(ptr-1)) // line 2: get prefix
 		return
 	}
 	if t.due(&t.freeTick) {
 		t.freeTimed(ptr)
 		return
 	}
-	prefix := t.a.heap.Load(ptr - 1)
-	cls := t.a.prefixClass(prefix)
-	t.free(ptr, prefix)
-	if t.rec.Count(telemetry.OpFree, cls) {
+	cls := t.free(ptr, t.a.heap.Load(ptr-1)) // line 2: get prefix
+	if t.rec.Retrying() {
 		t.rec.Retried(telemetry.OpFree, cls, uint64(ptr))
 	}
 }
 
 // freeTimed is Free on a free the recorder is due on.
 func (t *Thread) freeTimed(ptr mem.Ptr) {
+	if t.a.cfg.Telemetry == nil {
+		t.freeTick = untimed
+		t.free(ptr, t.a.heap.Load(ptr-1))
+		return
+	}
 	timed, _, next := t.rec.Due(telemetry.OpFree)
-	t.freeTick = next
+	t.freeTick = uint32(next)
 	// Match against the allocation sampler before the block can be
 	// recycled (and outside the timed window, so sampling never skews
 	// the free latency histogram).
@@ -52,46 +51,37 @@ func (t *Thread) freeTimed(ptr mem.Ptr) {
 	if timed {
 		start = telemetry.Now()
 	}
-	prefix := t.a.heap.Load(ptr - 1)
-	cls := t.a.prefixClass(prefix)
-	t.free(ptr, prefix)
+	cls := t.free(ptr, t.a.heap.Load(ptr-1))
 	if timed {
 		t.rec.EndFree(cls, time.Duration(telemetry.Now()-start), uint64(ptr))
-	} else if t.rec.Count(telemetry.OpFree, cls) {
+	} else if t.rec.Retrying() {
 		t.rec.Retried(telemetry.OpFree, cls, uint64(ptr))
 	}
 }
 
-// prefixClass is the size class of the block whose prefix this is, -1
-// for a large block; read before the block can be recycled.
-func (a *Allocator) prefixClass(prefix uint64) int {
-	if prefixIsLarge(prefix) {
-		return -1
-	}
-	return a.desc(prefixDesc(prefix)).ClassIndex()
-}
-
 // free releases a non-nil block whose prefix the caller has already
-// loaded (Free and freeTimed resolve it exactly once).
-func (t *Thread) free(ptr mem.Ptr, prefix uint64) {
+// loaded (Free and freeTimed resolve it exactly once), counts it, and
+// returns its size class (-1 for a large block).
+func (t *Thread) free(ptr mem.Ptr, prefix uint64) int {
 	a := t.a
 	block := ptr - 1
 	if prefixIsLarge(prefix) { // line 4
 		// Large block: return directly to the OS layer (line 5).
 		a.heap.LargeFree(ptr, mem.SizePrefixWords(prefix))
-		t.ops.largeFrees.Add(1)
-		return
+		t.rec.Count(telemetry.PathFree, -1)
+		return -1
 	}
-	descIdx := prefixDesc(prefix)
-	desc := a.desc(descIdx) // line 3
+	cls := prefixClass(prefix)
 	if t.magCap != 0 {
 		// Magazine path: cache the block thread-locally; the shared
 		// anchor is only touched when a flush splices a whole batch.
-		t.magazinePut(desc.ClassIndex(), ptr)
-		t.bump(&t.frees, &t.ops.frees)
-		return
+		t.magazinePut(cls, ptr)
+		t.rec.Count(telemetry.PathFree, cls)
+		return cls
 	}
-	sb := desc.SB() // line 6
+	descIdx := prefixDesc(prefix)
+	desc := a.desc(descIdx) // line 3
+	sb := desc.SB()         // line 6
 	maxcount := desc.MaxCount()
 	// line 9: this block's index, offset/size via the precomputed
 	// reciprocal (exact within a superblock).
@@ -111,14 +101,15 @@ func (t *Thread) free(ptr mem.Ptr, prefix uint64) {
 		nw += 1 << atomicx.AnchorCountShift // count++
 		t.hook(HookFreeBeforeCAS)
 		if desc.Anchor.CompareAndSwap(w, nw) {
-			t.bump(&t.frees, &t.ops.frees)
-			return
+			t.rec.Count(telemetry.PathFree, cls)
+			return cls
 		}
 		t.rec.Retry(telemetry.SiteFreeFast)
 	}
 
 	t.release(descIdx, idx, block, 1, HookFreeBeforeCAS, telemetry.SiteFreeSlow)
-	t.bump(&t.frees, &t.ops.frees)
+	t.rec.Count(telemetry.PathFree, cls)
+	return cls
 }
 
 // heapPutPartial is Figure 6's HeapPutPartial: atomically swap the

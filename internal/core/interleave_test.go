@@ -90,7 +90,7 @@ func TestUpdateActiveRace(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got := B.ops.fromNewSB.Load(); got != 1 {
+	if got := B.OpStats().FromNewSB; got != 1 {
 		t.Fatalf("B allocated via FromNewSB=%d, want 1 (Active was NULL)", got)
 	}
 	close(st.release)
@@ -150,7 +150,7 @@ func TestNewSBInstallRace(t *testing.T) {
 	if got := A.ops.newSBRaceLoss.Load(); got != 1 {
 		t.Errorf("A race losses = %d, want 1", got)
 	}
-	if got := A.fromActive; got != 1 {
+	if got := A.OpStats().FromActive; got != 1 {
 		t.Errorf("A must retry via the active superblock, FromActive = %d", got)
 	}
 	if a.heap.Stats().RegionFrees != regionFreesBefore+1 {

@@ -159,9 +159,6 @@ func (t *Thread) refillFromActive(h *ProcHeap, mag *magazine) mem.Ptr {
 		}
 	}
 	atomicx.PlainStore(&mag.n, n)
-	// One user-visible malloc was satisfied from the active superblock;
-	// the cached remainder surfaces later as magazine hits.
-	t.bump(&t.fromActive, &t.ops.fromActive)
 	return ret
 }
 
@@ -212,7 +209,7 @@ func (t *Thread) spliceGroup(descIdx uint64, group []mem.Ptr) {
 		hi, _ := bits.Mul64((p - 1).Sub(sb), magic)
 		return hi
 	}
-	prefix := smallPrefix(descIdx)
+	prefix := smallPrefix(descIdx, desc.ClassIndex())
 	for j := 0; j < len(group)-1; j++ {
 		a.heap.Store(group[j]-1, withLink(prefix, idxOf(group[j+1])))
 	}
@@ -222,37 +219,32 @@ func (t *Thread) spliceGroup(descIdx uint64, group []mem.Ptr) {
 	t.ops.magFlushedBlocks.Add(m)
 }
 
-// FlushMagazines returns every magazine-cached block to its superblock
-// and publishes the handle's batched counters, so Stats is exact for it
-// until its next operation. Useful before a long quiet period. Like
-// Malloc and Free it must only be called by the owning goroutine.
+// FlushMagazines returns every magazine-cached block to its superblock.
+// Useful before a long quiet period. Like Malloc and Free it must only
+// be called by the owning goroutine.
 func (t *Thread) FlushMagazines() {
 	for cls := range t.mags {
 		if t.mags[cls].n > 0 {
 			t.flushMagazine(cls, 0)
 		}
 	}
-	t.publish()
 }
 
 // Unregister releases the thread handle: all magazine-cached blocks
-// return to the shared structures, the magazine layer is disabled for
-// this handle, and its operation counters, which stay visible in
-// Allocator.Stats, become exact. Call it when the owning goroutine
-// stops using the handle (the pthread-exit analogue) — with or without
-// magazines: a handle dropped without it leaves Stats short of up to
-// pubBatch-1 events of each batched counter.
+// return to the shared structures and the magazine layer is disabled
+// for this handle; its operation counters stay visible in
+// Allocator.Stats. Call it when the owning goroutine stops using the
+// handle (the pthread-exit analogue): a handle dropped with magazines
+// holding blocks strands them.
 //
 // Unregister is idempotent, and the handle remains usable afterwards:
-// subsequent Malloc/Free bypass the magazines, go straight to the
-// shared structures and publish every event they count, so a straggling
-// Free can neither strand a block in a cache nobody will ever flush nor
-// leave Stats behind.
+// subsequent Malloc/Free bypass the magazines and go straight to the
+// shared structures, so a straggling Free cannot strand a block in a
+// cache nobody will ever flush.
 func (t *Thread) Unregister() {
 	t.FlushMagazines()
 	// Disabling the layer (rather than leaving the empty magazines
 	// armed) makes double-Unregister and use-after-Unregister safe by
 	// construction: there is no cache left to corrupt or leak into.
 	t.magCap = 0
-	t.pubMask = 0
 }

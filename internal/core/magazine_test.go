@@ -33,7 +33,6 @@ func TestMagazineRoundTrip(t *testing.T) {
 	if q != p {
 		t.Errorf("magazine returned %v, freed %v", q, p)
 	}
-	a.PublishStats()
 	ops := a.Stats().Ops
 	if ops.MagazineHits != 1 {
 		t.Errorf("MagazineHits = %d, want 1", ops.MagazineHits)
@@ -66,7 +65,6 @@ func TestMagazineRefillBatches(t *testing.T) {
 		}
 		ptrs = append(ptrs, p)
 	}
-	a.PublishStats()
 	ops := a.Stats().Ops
 	// First malloc misses into MallocFromNewSB (Active NULL); the
 	// second miss batch-refills; the rest must be mostly hits.
@@ -392,7 +390,6 @@ func TestMagazineOpStatsExact(t *testing.T) {
 	cls := a.classes[0].class.Index
 	check := func(step string, hits, misses, flushes, flushed, cached uint64) {
 		t.Helper()
-		a.PublishStats()
 		o := a.Stats().Ops
 		if o.MagazineHits != hits || o.MagazineMisses != misses || o.MagazineFlushes != flushes || o.MagazineFlushedBlocks != flushed {
 			t.Fatalf("%s: hits/misses/flushes/flushed blocks = %d/%d/%d/%d, want %d/%d/%d/%d", step,

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"math"
 	"time"
 
 	"repro/internal/atomicx"
@@ -13,29 +14,30 @@ import (
 // word-aligned; the word before it is the block prefix identifying the
 // block's superblock descriptor (or, for large blocks, its size).
 //
-// With a recorder attached, every malloc is counted by the size class
-// malloc resolved (retry-site counters accumulate inside t.malloc), and
-// the one at which the thread's countdown runs out goes to mallocTimed.
+// malloc counts every malloc by the path that served it and its size
+// class (retry-site counters accumulate inside it); the one at which
+// the thread's countdown runs out goes to mallocTimed.
 func (t *Thread) Malloc(size uint64) (mem.Ptr, error) {
-	if t.rec == nil {
-		p, _, err := t.malloc(size)
-		return p, err
-	}
 	if t.due(&t.mallocTick) {
 		return t.mallocTimed(size)
 	}
 	p, cls, err := t.malloc(size)
-	if err == nil && t.rec.Count(telemetry.OpMalloc, cls) {
+	if err == nil && t.rec.Retrying() {
 		t.rec.Retried(telemetry.OpMalloc, cls, uint64(p))
 	}
 	return p, err
 }
 
+// untimed is the countdown of an allocator without a recorder handed
+// in: it comes due once in 2^32 operations, and mallocTimed and
+// freeTimed only re-arm it.
+const untimed = math.MaxUint32
+
 // due counts down one operation of a kind and reports whether the
-// recorder is due on it (telemetry.ThreadShard.Due): the Interval-th
-// since the last timed one, or one the allocation sampler takes. It must
-// inline into Malloc and Free (ci/inline_guard.sh).
-func (t *Thread) due(countdown *uint64) bool {
+// recorder is due on it (telemetry.ThreadShard.Due): the last of a
+// drawn interval, or one the allocation sampler takes. It must inline
+// into Malloc and Free (ci/inline_guard.sh).
+func (t *Thread) due(countdown *uint32) bool {
 	*countdown--
 	return *countdown == 0
 }
@@ -43,8 +45,13 @@ func (t *Thread) due(countdown *uint64) bool {
 // mallocTimed is Malloc on a malloc the recorder is due on: the one
 // place, with freeTimed, that reads the clock.
 func (t *Thread) mallocTimed(size uint64) (mem.Ptr, error) {
+	if t.a.cfg.Telemetry == nil {
+		t.mallocTick = untimed
+		p, _, err := t.malloc(size)
+		return p, err
+	}
 	timed, sampled, next := t.rec.Due(telemetry.OpMalloc)
-	t.mallocTick = next
+	t.mallocTick = uint32(next)
 	var start int64
 	if timed {
 		start = telemetry.Now()
@@ -55,7 +62,7 @@ func (t *Thread) mallocTimed(size uint64) (mem.Ptr, error) {
 	}
 	if timed {
 		t.rec.EndMalloc(cls, time.Duration(telemetry.Now()-start), uint64(p))
-	} else if t.rec.Count(telemetry.OpMalloc, cls) {
+	} else if t.rec.Retrying() {
 		t.rec.Retried(telemetry.OpMalloc, cls, uint64(p))
 	}
 	if sampled {
@@ -64,12 +71,21 @@ func (t *Thread) mallocTimed(size uint64) (mem.Ptr, error) {
 	return p, nil
 }
 
-// malloc allocates a block and reports the size class it was served
-// from (-1 for large blocks), so callers need no second class lookup.
+// malloc allocates a block, counts it by the path that served it, and
+// reports the size class it was served from (-1 for large blocks), so
+// callers need no second class lookup.
 func (t *Thread) malloc(size uint64) (mem.Ptr, int, error) {
 	sc, small := t.a.classFor(size)
 	if !small {
-		p, err := t.mallocLarge(size)
+		// A large block is allocated directly from the OS layer (paper:
+		// "If the block size is large, then the block is allocated
+		// directly from the OS and its prefix is set to indicate the
+		// block's size"). The prefix records the region's actual
+		// (rounded) size, so free hands FreeRegion the canonical size.
+		p, err := t.a.heap.LargeAlloc(size, mem.SizePrefix)
+		if err == nil {
+			t.rec.Count(telemetry.PathLarge, -1)
+		}
 		return p, -1, err
 	}
 	cls := sc.class.Index
@@ -78,11 +94,14 @@ func (t *Thread) malloc(size uint64) (mem.Ptr, int, error) {
 		if p := mag.pop(); !p.IsNil() {
 			// Magazine hit: the block is thread-private and its prefix
 			// is still in place — no shared word is touched.
-			t.bump(&t.magHits, &t.ops.magHits)
+			t.rec.Count(telemetry.PathMagazine, cls)
 			return p, cls, nil
 		}
 		t.ops.magMisses.Add(1)
 		if p := t.refillFromActive(t.findHeap(sc), mag); !p.IsNil() {
+			// One malloc was served from the active superblock; the
+			// cached remainder surfaces later as magazine hits.
+			t.rec.Count(telemetry.PathActive, cls)
 			return p, cls, nil
 		}
 		// Active was NULL: fall through to the paper's partial and
@@ -92,11 +111,11 @@ func (t *Thread) malloc(size uint64) (mem.Ptr, int, error) {
 	heap := t.findHeap(sc)
 	for {
 		if addr := t.mallocFromActive(heap); !addr.IsNil() {
-			t.bump(&t.fromActive, &t.ops.fromActive)
+			t.rec.Count(telemetry.PathActive, cls)
 			return addr, cls, nil
 		}
 		if addr := t.mallocFromPartial(heap); !addr.IsNil() {
-			t.ops.fromPartial.Add(1)
+			t.rec.Count(telemetry.PathPartial, cls)
 			return addr, cls, nil
 		}
 		addr, err := t.mallocFromNewSB(heap)
@@ -104,7 +123,7 @@ func (t *Thread) malloc(size uint64) (mem.Ptr, int, error) {
 			return 0, cls, err
 		}
 		if !addr.IsNil() {
-			t.ops.fromNewSB.Add(1)
+			t.rec.Count(telemetry.PathNewSB, cls)
 			return addr, cls, nil
 		}
 	}
@@ -116,20 +135,6 @@ func (a *Allocator) classFor(size uint64) (*scState, bool) {
 		return nil, false
 	}
 	return &a.classes[cls], true
-}
-
-// mallocLarge allocates a block directly from the OS layer (paper:
-// "If the block size is large, then the block is allocated directly
-// from the OS and its prefix is set to indicate the block's size").
-// The prefix records the region's actual (rounded) size, so the free
-// path hands FreeRegion the canonical region size.
-func (t *Thread) mallocLarge(size uint64) (mem.Ptr, error) {
-	p, err := t.a.heap.LargeAlloc(size, mem.SizePrefix)
-	if err != nil {
-		return 0, err
-	}
-	t.ops.largeMallocs.Add(1)
-	return p, nil
 }
 
 // mallocFromActive is Figure 4's MallocFromActive: reserve a block by
@@ -368,7 +373,7 @@ func (t *Thread) mallocFromNewSB(h *ProcHeap) (mem.Ptr, error) {
 	// thread; blocks 1..maxcount-1 form the free list (block i links to
 	// i+1; the last block's link, which need not even fit its field, is
 	// never followed before a free, per the paper's footnote 1).
-	prefix := smallPrefix(descIdx)
+	prefix := smallPrefix(descIdx, cls.Index)
 	for i := uint64(0); i < cls.MaxCount; i++ {
 		a.heap.Store(sb.Add(i*cls.BlockWords), withLink(prefix, i+1))
 	}

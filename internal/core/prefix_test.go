@@ -94,8 +94,8 @@ func TestMallocWritesNoHeapWord(t *testing.T) {
 	a, th := newThread(0)
 	p := malloc(th) // carves the superblock and installs it as Active
 	unwritten("from Active", a, th, p)
-	if th.fromActive != 1 {
-		t.Fatalf("second malloc was not served from Active (fromActive = %d)", th.fromActive)
+	if got := th.OpStats().FromActive; got != 1 {
+		t.Fatalf("second malloc was not served from Active (fromActive = %d)", got)
 	}
 
 	a, th = newThread(0)
@@ -105,14 +105,14 @@ func TestMallocWritesNoHeapWord(t *testing.T) {
 	}
 	th.Free(ptrs[0]) // FULL -> PARTIAL, into the heap's Partial slot
 	unwritten("from Partial", a, th, ptrs[1])
-	if got := th.ops.fromPartial.Load(); got != 1 {
+	if got := th.OpStats().FromPartial; got != 1 {
 		t.Fatalf("malloc after the free was not served from the partial superblock (fromPartial = %d)", got)
 	}
 
 	a, th = newThread(4)
 	p = malloc(th) // magazine miss, Active NULL: carves
 	unwritten("magazine refill", a, th, p)
-	if n := th.mags[cls.Index].n; th.fromActive != 1 || n == 0 {
-		t.Fatalf("second malloc was not a batched refill (fromActive = %d, %d blocks cached)", th.fromActive, n)
+	if n, got := th.mags[cls.Index].n, th.OpStats().FromActive; got != 1 || n == 0 {
+		t.Fatalf("second malloc was not a batched refill (fromActive = %d, %d blocks cached)", got, n)
 	}
 }

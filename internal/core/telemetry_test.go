@@ -17,9 +17,10 @@ import (
 
 // TestTelemetryIntegration runs a real malloc/free workload with the
 // telemetry layer attached and checks that the snapshot is internally
-// consistent: operation counts match the work done, one operation in
-// telemetry.Interval per thread is timed, retry sites carry only known
-// names, and the flight recorder captured events.
+// consistent: operation counts match the work done, the operations each
+// thread's drawn intervals select (about one in telemetry.Interval) are
+// timed, retry sites carry only known names, and the flight recorder
+// captured events.
 func TestTelemetryIntegration(t *testing.T) {
 	cfg := testConfig()
 	cfg.Processors = 2 // force heap sharing so retries actually occur
@@ -63,12 +64,17 @@ func TestTelemetryIntegration(t *testing.T) {
 	wg.Wait()
 
 	snap := rec.Snapshot()
-	const total, timed = workers * iters, workers * (iters / telemetry.Interval)
+	const total = workers * iters
+	var timedMallocs, timedFrees uint64
+	for id := uint64(0); id < workers; id++ {
+		timedMallocs += timedOf(telemetry.Config{}, id, telemetry.OpMalloc, iters)
+		timedFrees += timedOf(telemetry.Config{}, id, telemetry.OpFree, iters)
+	}
 	if snap.Mallocs != total || snap.Frees != total {
 		t.Errorf("snapshot counts %d mallocs, %d frees, want %d each", snap.Mallocs, snap.Frees, total)
 	}
-	if snap.Malloc.Count != timed || snap.Free.Count != timed {
-		t.Errorf("snapshot timed %d mallocs, %d frees, want %d each", snap.Malloc.Count, snap.Free.Count, timed)
+	if snap.Malloc.Count != timedMallocs || snap.Free.Count != timedFrees {
+		t.Errorf("snapshot timed %d mallocs, %d frees, want %d, %d", snap.Malloc.Count, snap.Free.Count, timedMallocs, timedFrees)
 	}
 	if snap.Threads != workers {
 		t.Errorf("snapshot threads = %d, want %d", snap.Threads, workers)
@@ -106,13 +112,43 @@ func TestTelemetryIntegration(t *testing.T) {
 	}
 }
 
-// TestStatsLiveSampling is the contract test of Stats under batched
-// publication, with magazines off and on: Stats may be called from any
+// TestUntimedWithoutRecorder: with no recorder handed in, Stats counts
+// every operation through the allocator's own recorder, which times
+// none, also when a countdown comes due, as it does once in 2^32
+// operations.
+func TestUntimedWithoutRecorder(t *testing.T) {
+	a := New(testConfig())
+	if a.Telemetry() != nil {
+		t.Fatal("Telemetry() returned a recorder nobody handed in")
+	}
+	th := a.Thread()
+	const n = 1000
+	for i := 0; i < n; i++ {
+		if i == n/2 {
+			th.mallocTick, th.freeTick = 1, 1
+		}
+		p, err := th.Malloc(64)
+		if err != nil {
+			t.Fatal(err)
+		}
+		th.Free(p)
+	}
+	snap := a.tele.Snapshot()
+	if ops := a.Stats().Ops; ops.Mallocs != n || ops.Frees != n || snap.Mallocs != n {
+		t.Errorf("counted %d mallocs, %d frees (snapshot %d), want %d each", ops.Mallocs, ops.Frees, snap.Mallocs, n)
+	}
+	if snap.Malloc.Count != 0 || snap.Free.Count != 0 || th.mallocTick < untimed-n || th.freeTick < untimed-n {
+		t.Errorf("timed %d mallocs and %d frees, countdowns %d and %d; want none timed, both re-armed",
+			snap.Malloc.Count, snap.Free.Count, th.mallocTick, th.freeTick)
+	}
+}
+
+// TestStatsLiveSampling is the contract test of Stats over the owners'
+// counts, with magazines off and on: Stats may be called from any
 // goroutine while workers are mid-operation (race-detector clean) and
-// every sampled counter is monotone; a handle still in use is behind by
-// fewer than pubBatch events per batched counter — exactly: the owner's
-// count rounded down to the batch, a function of the handle's own event
-// count alone; and after Unregister every identity holds exactly.
+// every sampled counter is monotone; a handle parked while still in use
+// is counted exactly, with no Unregister; and after Unregister every
+// identity still holds exactly.
 func TestStatsLiveSampling(t *testing.T) {
 	for _, magazine := range []int{0, 8} {
 		t.Run(fmt.Sprintf("magazine=%d", magazine), func(t *testing.T) {
@@ -125,7 +161,7 @@ func TestStatsLiveSampling(t *testing.T) {
 
 func statsLiveSampling(t *testing.T, a *Allocator) {
 	const workers = 2
-	const iters = 5001 // not a multiple of pubBatch: the handles end mid-batch
+	const iters = 5001
 
 	stop := make(chan struct{})
 	var sampler sync.WaitGroup
@@ -198,18 +234,10 @@ func statsLiveSampling(t *testing.T, a *Allocator) {
 		t.Fatal("sampler never ran")
 	}
 
-	const mask = pubBatch - 1
 	for _, th := range ths {
 		got := th.OpStats()
-		if th.frees != iters {
-			t.Errorf("thread %d counted %d frees, performed %d", th.id, th.frees, iters)
-		}
-		if n := th.magHits + th.fromActive + got.FromPartial + got.FromNewSB; n != iters {
-			t.Errorf("thread %d counted %d mallocs, performed %d", th.id, n, iters)
-		}
-		if got.Frees != th.frees&^mask || got.FromActive != th.fromActive&^mask || got.MagazineHits != th.magHits&^mask {
-			t.Errorf("thread %d in use: Stats has frees/active/hits %d/%d/%d, want the owner's %d/%d/%d rounded down to %d",
-				th.id, got.Frees, got.FromActive, got.MagazineHits, th.frees, th.fromActive, th.magHits, pubBatch)
+		if got.Frees != iters || got.Mallocs != iters {
+			t.Errorf("thread %d in use: Stats has %d mallocs, %d frees, performed %d each", th.id, got.Mallocs, got.Frees, iters)
 		}
 	}
 
@@ -295,59 +323,149 @@ func TestTelemetryRetrySitesUnderContention(t *testing.T) {
 }
 
 // TestTelemetryCountsEveryOperation: the recorder times one operation
-// in telemetry.Interval, but counts all of them, by op and size class.
-// A recorder that counted only what it timed would read 2N/Interval.
+// in telemetry.Interval, but counts all of them, by path and size
+// class, and its counts are the ones Stats reads. With magazines off and
+// at 8 the test drives every path — active, partial, new superblock,
+// large, magazine hit, refill, flush and a remote free — and at
+// quiescence, with no Unregister, the per-class rows must sum exactly to
+// the operations the test performed and to Stats: a path that counted
+// nothing, or counted twice, shows in both. A recorder that counted only
+// what it timed would read 2N/Interval.
 func TestTelemetryCountsEveryOperation(t *testing.T) {
 	for _, magazine := range []int{0, 8} {
-		cfg := testConfig()
-		cfg.MagazineSize = magazine
-		rec := NewRecorder(telemetry.Config{SampleRate: 3})
-		cfg.Telemetry = rec
-		a := New(cfg)
-		th := a.Thread()
-		sizes := []uint64{8, 100, 1000, 40000} // the last a large block
-		const n = 1000                         // per size: not a multiple of Interval
-		want := map[int]uint64{}
-		var ptrs []mem.Ptr
-		for _, size := range sizes {
-			cls := -1
-			if c, ok := sizeclassFor(size); ok {
-				cls = c
-			}
-			want[cls] = n
-			for i := 0; i < n; i++ {
+		t.Run(fmt.Sprintf("magazine=%d", magazine), func(t *testing.T) {
+			cfg := testConfig()
+			cfg.MagazineSize = magazine
+			rec := NewRecorder(telemetry.Config{SampleRate: 3})
+			cfg.Telemetry = rec
+			a := New(cfg)
+			th, other := a.Thread(), a.Thread()
+			sizes := []uint64{8, 100, 1000, 40000} // the last a large block
+			const n = 1000                         // per size: not a multiple of Interval
+			want := map[string]uint64{}            // "op class" -> operations performed
+			freesBy := map[*Thread]uint64{}
+			var ptrs []mem.Ptr
+			malloc := func(size uint64) {
 				p, err := th.Malloc(size)
 				if err != nil {
 					t.Fatal(err)
 				}
 				ptrs = append(ptrs, p)
+				cls := -1
+				if c, ok := sizeclassFor(size); ok {
+					cls = c
+				}
+				want[fmt.Sprint("malloc ", cls)]++
 			}
-		}
-		// A sample's call site is Malloc's caller.
-		if live := rec.Sampler().Live(); len(live) == 0 ||
-			!strings.HasSuffix(runtime.FuncForPC(uintptr(live[0].PC)).Name(), "TestTelemetryCountsEveryOperation") {
-			t.Errorf("magazine %d: sample call site is not this test: %+v", magazine, live[:min(len(live), 1)])
-		}
-		for _, p := range ptrs {
-			th.Free(p)
-		}
-		snap := rec.Snapshot()
-		total := uint64(len(ptrs))
-		if snap.Ops() != 2*total || snap.Mallocs != total || snap.Frees != total {
-			t.Errorf("magazine %d: Ops() = %d (%d mallocs, %d frees), want %d", magazine, snap.Ops(), snap.Mallocs, snap.Frees, 2*total)
-		}
-		if wantTimed := total / telemetry.Interval; snap.Free.Count != wantTimed {
-			t.Errorf("magazine %d: %d frees timed, want %d", magazine, snap.Free.Count, wantTimed)
-		}
-		for _, row := range snap.PerClass {
-			if row.Ops != want[row.Class] {
-				t.Errorf("magazine %d: %s class %d counted %d, want %d", magazine, row.Op, row.Class, row.Ops, want[row.Class])
+			free := func(by *Thread, p mem.Ptr) {
+				cls := -1
+				if prefix := a.heap.Load(p - 1); !prefixIsLarge(prefix) {
+					cls = prefixClass(prefix)
+				}
+				by.Free(p)
+				want[fmt.Sprint("free ", cls)]++
+				freesBy[by]++
 			}
-		}
-		if got := rec.Sampler().Stats().Sampled; got != total/3 {
-			t.Errorf("magazine %d: sampler took %d mallocs, want every third: %d", magazine, got, total/3)
+			for _, size := range sizes {
+				for i := 0; i < n; i++ {
+					malloc(size)
+				}
+			}
+			// A sample's call site is Malloc's caller.
+			if live := rec.Sampler().Live(); len(live) == 0 ||
+				!strings.Contains(runtime.FuncForPC(uintptr(live[0].PC)).Name(), "TestTelemetryCountsEveryOperation") {
+				t.Errorf("sample call site is not this test: %+v", live[:min(len(live), 1)])
+			}
+			// Every other block back, half of them by another thread: full
+			// superblocks turn partial, and the next mallocs find them.
+			var kept []mem.Ptr
+			for i, p := range ptrs {
+				switch i % 4 {
+				case 0:
+					free(th, p)
+				case 2:
+					free(other, p)
+				default:
+					kept = append(kept, p)
+				}
+			}
+			ptrs = kept
+			for _, size := range sizes[:3] {
+				for i := 0; i < n; i++ {
+					malloc(size)
+				}
+			}
+			for i, p := range ptrs {
+				if i%2 == 0 {
+					free(th, p)
+				} else {
+					free(other, p)
+				}
+			}
+
+			ops := a.Stats().Ops
+			paths := map[string]uint64{"active": ops.FromActive, "partial": ops.FromPartial,
+				"new superblock": ops.FromNewSB, "large": ops.LargeMallocs}
+			if magazine != 0 {
+				paths["magazine hit"], paths["refill"], paths["flush"] = ops.MagazineHits, ops.MagazineMisses, ops.MagazineFlushes
+			}
+			for path, got := range paths {
+				if got == 0 {
+					t.Errorf("no operation took the %s path: %+v", path, ops)
+				}
+			}
+			snap := rec.Snapshot()
+			var rows [2][2]uint64 // [malloc, free][small, large]
+			for _, row := range snap.PerClass {
+				if got, w := row.Ops, want[fmt.Sprint(row.Op, " ", row.Class)]; got != w {
+					t.Errorf("%s class %d counted %d, performed %d", row.Op, row.Class, got, w)
+				}
+				rows[b2i(row.Op == "free")][b2i(row.Class < 0)] += row.Ops
+			}
+			if stats := [2][2]uint64{{ops.Mallocs, ops.LargeMallocs}, {ops.Frees, ops.LargeFrees}}; rows != stats {
+				t.Errorf("per-class rows sum to %v (malloc, free × small, large), Stats reads %v", rows, stats)
+			}
+			mallocs, frees := want["malloc -1"], want["free -1"]
+			for cls := 0; cls < len(a.classes); cls++ {
+				mallocs += want[fmt.Sprint("malloc ", cls)]
+				frees += want[fmt.Sprint("free ", cls)]
+			}
+			if snap.Mallocs != mallocs || snap.Frees != frees || mallocs != frees {
+				t.Errorf("snapshot counts %d mallocs, %d frees; performed %d, %d", snap.Mallocs, snap.Frees, mallocs, frees)
+			}
+			if timed := timedOf(telemetry.Config{SampleRate: 3}, th.id, telemetry.OpFree, freesBy[th]) +
+				timedOf(telemetry.Config{SampleRate: 3}, other.id, telemetry.OpFree, freesBy[other]); snap.Free.Count != timed {
+				t.Errorf("%d frees timed, want the %d the threads' countdowns select", snap.Free.Count, timed)
+			}
+			if got := rec.Sampler().Stats().Sampled; got != mallocs/3 {
+				t.Errorf("sampler took %d mallocs, want every third: %d", got, mallocs/3)
+			}
+		})
+	}
+}
+
+// timedOf is how many of the first n operations of kind op the
+// recorder times on the thread with id: its countdown replayed on a
+// fresh shard of the same configuration.
+func timedOf(cfg telemetry.Config, id uint64, op telemetry.Op, n uint64) uint64 {
+	sh := NewRecorder(cfg).NewShard(id)
+	var timed uint64
+	for countdown, i := sh.Countdown(op), uint64(0); i < n; i++ {
+		if countdown--; countdown == 0 {
+			var isTimed bool
+			if isTimed, _, countdown = sh.Due(op); isTimed {
+				timed++
+			}
 		}
 	}
+	return timed
+}
+
+func b2i(b bool) int {
+	if b {
+		return 1
+	}
+	return 0
 }
 
 // TestTimedQuantilesMatchEveryOperation: on a Larson-shaped and a
