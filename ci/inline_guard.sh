@@ -47,7 +47,6 @@ inlined() {
 	need "$1\\.go:[0-9:]+ inlining call to $2( |\$)" "inlining call to $3 in core/$1.go"
 }
 inlined free prefixDesc prefixDesc
-inlined free prefixClass prefixClass
 inlined free withLink withLink
 inlined malloc prefixLink prefixLink
 inlined magazine prefixDesc prefixDesc
@@ -66,17 +65,18 @@ inlined_within() {
 }
 inlined_within release release withLink
 inlined_within release release smallPrefix
-# An untimed Malloc or Free costs the recorder one countdown, inlined
-# where Malloc and Free run it, and one count store, inlined where malloc
-# and free serve the operation: the only count of it, which Stats reads.
+# Every Malloc or Free does one count store, inlined where malloc and
+# free serve the operation: the only count of it, which Stats reads. With
+# a recorder attached, an untimed one adds one countdown, inlined where
+# Malloc and Free run it.
 for fn in Malloc Free; do
 	file=$(echo "$fn" | tr A-Z a-z)
 	inlined_within "$file" "$fn" '\(\*Thread\)\.due'
 done
-inlined_within malloc malloc 'telemetry\.\(\*ThreadShard\)\.Count'
-inlined_within free free 'telemetry\.\(\*ThreadShard\)\.Count'
+inlined_within malloc malloc 'telemetry\.Counts\.Count'
+inlined_within free free 'telemetry\.Counts\.Count'
 if [ "$status" -eq 0 ]; then
-	echo "inline guard: atomicx.PlainStore, atomicx.PlainLoad, mem.(*Heap).{Mapped,word,Load,Store,CAS,Get,Set}, mem.PayloadWords, pool.(*Pool).Get, core.(*Allocator).desc and the prefix helpers all inline, withLink and smallPrefix inside release, the recorder's countdown inside Malloc and Free and its count inside malloc and free"
+	echo "inline guard: atomicx.PlainStore, atomicx.PlainLoad, mem.(*Heap).{Mapped,word,Load,Store,CAS,Get,Set}, mem.PayloadWords, pool.(*Pool).Get, core.(*Allocator).desc and the prefix helpers all inline, withLink and smallPrefix inside release, the count inside malloc and free and the recorder's countdown inside Malloc and Free"
 fi
 
 # Locked-instruction count, from the disassembly of a non-race build

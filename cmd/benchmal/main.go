@@ -23,8 +23,8 @@
 // -telemetry (default on) hands every allocator a telemetry recorder:
 // the lock-free allocator's measurement lines then carry CAS retries/op
 // and malloc latency quantiles, the buddy's its CAS-retry sites, and
-// the lock-based baselines ignore it; with -telemetry=false the
-// lock-free allocator counts every operation but times none. -samplerate N enables the allocation sampler (one
+// the lock-based baselines ignore it; -telemetry=false measures the
+// bare allocator. -samplerate N enables the allocation sampler (one
 // sample per N mallocs) on every recorder, adding a census digest —
 // fragmentation and live-block ages — to each measurement (0 = off, the
 // default, preserving the bare telemetry cost).

@@ -81,15 +81,14 @@ type Config struct {
 	// creates.
 	HeapConfig mem.Config
 
-	// Telemetry, when non-nil, is the lock-free observability layer the
-	// allocator records into: the operation counts Stats reads, by path
-	// and size class, CAS-retry counters at every contention site,
-	// malloc/free latency histograms (one operation in
-	// telemetry.Interval timed, on average), and the flight recorder.
-	// Create one with NewRecorder so its rows match the size-class
-	// table. When nil (the default), New makes a recorder of its own,
-	// which the counts go to and which times nothing: Malloc and Free
-	// run the same code, with countdowns that never come due (untimed).
+	// Telemetry, when non-nil, attaches the lock-free observability
+	// layer: CAS-retry counters at every contention site, malloc/free
+	// latency histograms (one operation in telemetry.Interval timed),
+	// the flight recorder, and a view of the operation counts Stats
+	// reads. Create one with NewRecorder so its rows match the
+	// size-class table. When nil (the default), Malloc and Free take the
+	// bare path, which only counts, and every other instrumented site
+	// costs one nil check.
 	Telemetry *telemetry.Recorder
 }
 
@@ -131,7 +130,7 @@ type Allocator struct {
 	// say) cannot push them across a cache-line boundary.
 	heap  *mem.Heap
 	hyper *mem.Hyper          // non-nil when cfg.Hyperblocks
-	tele  *telemetry.Recorder // Config.Telemetry, or New's own
+	tele  *telemetry.Recorder // non-nil when cfg.Telemetry
 	procs uint64
 
 	maxCredits uint64
@@ -220,13 +219,13 @@ func New(cfg Config) *Allocator {
 	// shards (attached in Thread); the thread-less structures — region
 	// free stacks, descriptor freelist, partial-list pools — share the
 	// recorder's stripes.
-	a.tele = cfg.Telemetry
-	if a.tele == nil {
-		a.tele = NewRecorder(telemetry.Config{})
+	var stripes *telemetry.Stripes
+	if cfg.Telemetry != nil {
+		a.tele = cfg.Telemetry
+		stripes = cfg.Telemetry.Stripes()
+		a.descs.SetTelemetry(stripes)
+		h.SetTelemetry(stripes)
 	}
-	stripes := a.tele.Stripes()
-	a.descs.SetTelemetry(stripes)
-	h.SetTelemetry(stripes)
 	// The partial lists link descriptors of live superblocks, each at
 	// most once and in one class's list at a time, so all of them draw
 	// their nodes from one pool, sized for the superblocks the address
@@ -245,7 +244,9 @@ func New(cfg Config) *Allocator {
 		} else {
 			sc.partial = nodes.NewFIFO()
 		}
-		sc.partial.Instrument(stripes)
+		if stripes != nil {
+			sc.partial.Instrument(stripes)
+		}
 		for p := range sc.heaps {
 			sc.heaps[p].id = uint64(i)*a.procs + uint64(p)
 			sc.heaps[p].cls = uint32(i)
@@ -319,9 +320,9 @@ func (a *Allocator) HyperStats() mem.HyperStats {
 	return a.hyper.Stats()
 }
 
-// Telemetry returns the recorder handed in Config.Telemetry, nil
-// without one.
-func (a *Allocator) Telemetry() *telemetry.Recorder { return a.cfg.Telemetry }
+// Telemetry returns the attached telemetry recorder (nil when the
+// layer is disabled).
+func (a *Allocator) Telemetry() *telemetry.Recorder { return a.tele }
 
 // Thread registers a new thread (goroutine) with the allocator and
 // returns its handle. The handle is not safe for concurrent use; each
@@ -329,11 +330,13 @@ func (a *Allocator) Telemetry() *telemetry.Recorder { return a.cfg.Telemetry }
 // paper's pthread environment.
 func (a *Allocator) Thread() *Thread {
 	t := &Thread{a: a, id: a.nextThread.Add(1) - 1}
-	t.rec = a.tele.NewShard(t.id)
-	t.mallocTick, t.freeTick = untimed, untimed
-	if a.cfg.Telemetry != nil {
-		t.mallocTick = uint32(t.rec.Countdown(telemetry.OpMalloc))
-		t.freeTick = uint32(t.rec.Countdown(telemetry.OpFree))
+	if a.tele != nil {
+		t.rec = a.tele.NewShard(t.id)
+		t.counts = t.rec.Counts()
+		t.mallocTick = t.rec.Countdown(telemetry.OpMalloc)
+		t.freeTick = t.rec.Countdown(telemetry.OpFree)
+	} else {
+		t.counts = telemetry.NewCounts(len(a.classes))
 	}
 	if a.cfg.MagazineSize > 0 {
 		t.magCap = a.cfg.MagazineSize
@@ -357,40 +360,40 @@ func (a *Allocator) Thread() *Thread {
 // paper's malloc/free; the thread id selects processor heaps the way
 // pthread ids do in the paper.
 type Thread struct {
-	// First cache line: what every Malloc and Free reads.
+	// First cache line: what every Malloc and Free reads. counts is
+	// every operation's one count, which Stats reads, in plain words of
+	// the owner: a LOCK XADD each was a fifth of an uncontended pair.
 	a      *Allocator
 	heaps  []*ProcHeap // per-size-class processor heap for this thread
-	hookFn func(HookPoint)
-	// rec holds every operation's one count (by path and size class),
-	// the retries and the timed operations' latencies. Its counts are
-	// plain words of the owning goroutine: a LOCK XADD each was a fifth
-	// of an uncontended pair.
-	rec    *telemetry.ThreadShard
-	magCap int // high watermark of every magazine; 0 = layer disabled
-	// The recorder's countdowns to its next due malloc and free (due):
-	// never above 3*telemetry.Interval/2, or untimed.
-	mallocTick, freeTick uint32
+	counts telemetry.Counts
+	rec    *telemetry.ThreadShard // non-nil when telemetry is attached
 
-	// Second line: the magazines (Config.MagazineSize > 0; private block
-	// caches per size class) and what the slow paths use.
-	mags       []magazine
-	id         uint64
+	// Second line: the rest of what they read, the magazines among it
+	// (Config.MagazineSize > 0; private block caches per size class).
+	hookFn func(HookPoint)
+	magCap int // high watermark of every magazine; 0 = layer disabled
+	// The recorder's countdowns to its next due malloc and free (due).
+	mallocTick, freeTick uint64
+	mags                 []magazine
+	id                   uint64
+
+	// Third line: what the slow paths use.
 	magScratch []mem.Ptr // reused flush-group buffer
-	_          uint64
+	_          [40]byte
 
 	// ops is what Stats and OpStats load, from any goroutine, beside the
 	// operation counts: the events whose paths already cost a
 	// superblock, a flush or an OS call, added in place.
 	ops opCounters
 
-	// Pad into the 192-byte size class, a whole number of lines: every
+	// Pad into the 256-byte size class, a whole number of lines: every
 	// Thread starts on a line boundary (layout.go pins size and phase).
 	_ [8]byte
 }
 
 // opCounters is the per-thread block of event counters Stats loads
 // atomically. Operation counts are not here: each is one count in the
-// thread's recorder shard, by the path that served it (snapshot).
+// thread's counts, by the path that served it (snapshot).
 type opCounters struct {
 	newSBRaceLoss     atomic.Uint64
 	emptySBFreed      atomic.Uint64
@@ -407,12 +410,12 @@ type opCounters struct {
 // hit, active, partial, new superblock), so Mallocs is their sum.
 func (t *Thread) snapshot() OpStats {
 	c := &t.ops
-	mh, _ := t.rec.Counted(telemetry.PathMagazine)
-	fa, _ := t.rec.Counted(telemetry.PathActive)
-	fp, _ := t.rec.Counted(telemetry.PathPartial)
-	fn, _ := t.rec.Counted(telemetry.PathNewSB)
-	_, lm := t.rec.Counted(telemetry.PathLarge)
-	frees, lf := t.rec.Counted(telemetry.PathFree)
+	mh, _ := t.counts.Counted(telemetry.PathMagazine)
+	fa, _ := t.counts.Counted(telemetry.PathActive)
+	fp, _ := t.counts.Counted(telemetry.PathPartial)
+	fn, _ := t.counts.Counted(telemetry.PathNewSB)
+	_, lm := t.counts.Counted(telemetry.PathLarge)
+	frees, lf := t.counts.Counted(telemetry.PathFree)
 	return OpStats{
 		Mallocs:               mh + fa + fp + fn,
 		Frees:                 frees,
@@ -541,44 +544,29 @@ func (t *Thread) findHeap(sc *scState) *ProcHeap {
 // mem.SizePrefix(regionWords): the region's rounded word count <<1|1
 // (the paper's "desc holds sz+1" with the large-block bit set; rounded
 // so the free path passes FreeRegion the canonical region size). A small
-// block's has bit 0 clear and three fields: the size class in the
-// classBits above it and the descriptor index above that, both written
-// when the superblock is carved and never changed, and above linkShift
-// the free-list link — the index of the next free block, meaningful
-// while this one is free and stale while it is allocated. The carve
-// loop, free and the magazine flush store the link with the rest
-// (withLink); malloc stores nothing, so serving a block writes no heap
-// word. Free reads the class from the prefix it loads, so a free into a
-// magazine loads no descriptor. Every reader goes through
-// prefixIsLarge, prefixClass, prefixDesc, prefixLink.
+// block's has bit 0 clear and two fields: the descriptor index below
+// linkShift, written when the superblock is carved and never changed,
+// and above it the free-list link — the index of the next free block,
+// meaningful while this one is free and stale while it is allocated.
+// The carve loop, free and the magazine flush store both at once
+// (withLink); malloc stores neither, so serving a block writes no heap
+// word. Every reader goes through prefixIsLarge, prefixDesc, prefixLink.
 const (
 	linkShift  = 64 - atomicx.AnchorAvailBits
 	prefixMask = 1<<linkShift - 1
-	classBits  = 6
-	descShift  = 1 + classBits
 
-	// Every descriptor index fits between the class and the link field
-	// and every block index in it (else the unsigned constant is
-	// negative: no compile).
-	_ = uint64(1<<(linkShift-descShift)) - maxDescChunks<<descChunkLog2
+	// Every descriptor index fits below the link field and every block
+	// index in it (else the unsigned constant is negative: no compile).
+	_ = uint64(1<<(linkShift-1)) - maxDescChunks<<descChunkLog2
 	_ = uint64(1<<(64-linkShift)) - atomicx.MaxBlocksPerSuperblock
 )
 
-func init() {
-	if n := sizeclass.NumClasses(); n > 1<<classBits {
-		panic(fmt.Sprintf("core: %d size classes do not fit the prefix's %d class bits", n, classBits))
-	}
-}
-
-func smallPrefix(descIdx uint64, cls int) uint64 { return descIdx<<descShift | uint64(cls)<<1 }
+func smallPrefix(descIdx uint64) uint64 { return descIdx << 1 }
 
 func prefixIsLarge(p uint64) bool { return p&1 != 0 }
 
-// prefixClass is the size class in a small block's word 0.
-func prefixClass(p uint64) int { return int(p >> 1 & (1<<classBits - 1)) }
-
 // prefixDesc is the descriptor index in a small block's word 0.
-func prefixDesc(p uint64) uint64 { return (p & prefixMask) >> descShift }
+func prefixDesc(p uint64) uint64 { return (p & prefixMask) >> 1 }
 
 // prefixLink is the free-list link in a free small block's word 0.
 func prefixLink(p uint64) uint64 { return p >> linkShift }

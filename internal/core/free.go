@@ -18,17 +18,21 @@ func sizeclassFor(size uint64) (int, bool) {
 // Free returns a block allocated by Malloc (paper Figure 6). Freeing
 // the nil pointer is a no-op. Free is lock-free and may be called by
 // any thread, not just the allocating one. Like Malloc, it counts every
-// free by its size class (free does, from the block's prefix), and
-// hands the one the recorder is due on to freeTimed.
+// free by its size class, and with a recorder attached hands the one
+// the recorder is due on to freeTimed.
 func (t *Thread) Free(ptr mem.Ptr) {
 	if ptr.IsNil() { // line 1
+		return
+	}
+	if t.rec == nil {
+		t.free(ptr, t.a.heap.Load(ptr-1)) // line 2: get prefix
 		return
 	}
 	if t.due(&t.freeTick) {
 		t.freeTimed(ptr)
 		return
 	}
-	cls := t.free(ptr, t.a.heap.Load(ptr-1)) // line 2: get prefix
+	cls := t.free(ptr, t.a.heap.Load(ptr-1))
 	if t.rec.Retrying() {
 		t.rec.Retried(telemetry.OpFree, cls, uint64(ptr))
 	}
@@ -36,13 +40,8 @@ func (t *Thread) Free(ptr mem.Ptr) {
 
 // freeTimed is Free on a free the recorder is due on.
 func (t *Thread) freeTimed(ptr mem.Ptr) {
-	if t.a.cfg.Telemetry == nil {
-		t.freeTick = untimed
-		t.free(ptr, t.a.heap.Load(ptr-1))
-		return
-	}
 	timed, _, next := t.rec.Due(telemetry.OpFree)
-	t.freeTick = uint32(next)
+	t.freeTick = next
 	// Match against the allocation sampler before the block can be
 	// recycled (and outside the timed window, so sampling never skews
 	// the free latency histogram).
@@ -68,20 +67,20 @@ func (t *Thread) free(ptr mem.Ptr, prefix uint64) int {
 	if prefixIsLarge(prefix) { // line 4
 		// Large block: return directly to the OS layer (line 5).
 		a.heap.LargeFree(ptr, mem.SizePrefixWords(prefix))
-		t.rec.Count(telemetry.PathFree, -1)
+		t.counts.Count(telemetry.PathFree, -1)
 		return -1
 	}
-	cls := prefixClass(prefix)
+	descIdx := prefixDesc(prefix)
+	desc := a.desc(descIdx) // line 3
+	cls := desc.ClassIndex()
 	if t.magCap != 0 {
 		// Magazine path: cache the block thread-locally; the shared
 		// anchor is only touched when a flush splices a whole batch.
 		t.magazinePut(cls, ptr)
-		t.rec.Count(telemetry.PathFree, cls)
+		t.counts.Count(telemetry.PathFree, cls)
 		return cls
 	}
-	descIdx := prefixDesc(prefix)
-	desc := a.desc(descIdx) // line 3
-	sb := desc.SB()         // line 6
+	sb := desc.SB() // line 6
 	maxcount := desc.MaxCount()
 	// line 9: this block's index, offset/size via the precomputed
 	// reciprocal (exact within a superblock).
@@ -101,14 +100,14 @@ func (t *Thread) free(ptr mem.Ptr, prefix uint64) int {
 		nw += 1 << atomicx.AnchorCountShift // count++
 		t.hook(HookFreeBeforeCAS)
 		if desc.Anchor.CompareAndSwap(w, nw) {
-			t.rec.Count(telemetry.PathFree, cls)
+			t.counts.Count(telemetry.PathFree, cls)
 			return cls
 		}
 		t.rec.Retry(telemetry.SiteFreeFast)
 	}
 
 	t.release(descIdx, idx, block, 1, HookFreeBeforeCAS, telemetry.SiteFreeSlow)
-	t.rec.Count(telemetry.PathFree, cls)
+	t.counts.Count(telemetry.PathFree, cls)
 	return cls
 }
 

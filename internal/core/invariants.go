@@ -147,7 +147,7 @@ func (a *Allocator) magazineScan() (magBlocks map[uint64]map[uint64]bool, totalM
 				}
 				descIdx := prefixDesc(prefix)
 				desc := a.desc(descIdx)
-				if desc.ClassIndex() != cls || prefixClass(prefix) != cls {
+				if desc.ClassIndex() != cls {
 					return nil, 0, fmt.Errorf("thread %d magazine class %d caches %#x of class %d", t.id, cls, p, desc.ClassIndex())
 				}
 				hi, _ := bits.Mul64((p - 1).Sub(desc.SB()), desc.szMagic.Load())
@@ -188,7 +188,7 @@ func (a *Allocator) walkFreeList(idx uint64, desc *Descriptor, anchor atomicx.An
 		// Malloc hands the block out without writing it, so the prefix
 		// it will be freed through must already be in place.
 		w := a.heap.Load(sb.Add(cur * sz))
-		if prefixIsLarge(w) || prefixDesc(w) != idx || prefixClass(w) != desc.ClassIndex() {
+		if prefixIsLarge(w) || prefixDesc(w) != idx {
 			return fmt.Errorf("desc %d: free block %d carries prefix %#x, not its descriptor's", idx, cur, w)
 		}
 		cur = prefixLink(w)

@@ -209,7 +209,7 @@ func (t *Thread) spliceGroup(descIdx uint64, group []mem.Ptr) {
 		hi, _ := bits.Mul64((p - 1).Sub(sb), magic)
 		return hi
 	}
-	prefix := smallPrefix(descIdx, desc.ClassIndex())
+	prefix := smallPrefix(descIdx)
 	for j := 0; j < len(group)-1; j++ {
 		a.heap.Store(group[j]-1, withLink(prefix, idxOf(group[j+1])))
 	}

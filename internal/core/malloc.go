@@ -1,7 +1,6 @@
 package core
 
 import (
-	"math"
 	"time"
 
 	"repro/internal/atomicx"
@@ -14,10 +13,15 @@ import (
 // word-aligned; the word before it is the block prefix identifying the
 // block's superblock descriptor (or, for large blocks, its size).
 //
-// malloc counts every malloc by the path that served it and its size
-// class (retry-site counters accumulate inside it); the one at which
-// the thread's countdown runs out goes to mallocTimed.
+// Every malloc is counted, by the path that served it and its size
+// class. With a recorder attached, retry-site counters accumulate inside
+// t.malloc, and the malloc at which the thread's countdown runs out goes
+// to mallocTimed.
 func (t *Thread) Malloc(size uint64) (mem.Ptr, error) {
+	if t.rec == nil {
+		p, _, err := t.malloc(size)
+		return p, err
+	}
 	if t.due(&t.mallocTick) {
 		return t.mallocTimed(size)
 	}
@@ -28,16 +32,11 @@ func (t *Thread) Malloc(size uint64) (mem.Ptr, error) {
 	return p, err
 }
 
-// untimed is the countdown of an allocator without a recorder handed
-// in: it comes due once in 2^32 operations, and mallocTimed and
-// freeTimed only re-arm it.
-const untimed = math.MaxUint32
-
 // due counts down one operation of a kind and reports whether the
-// recorder is due on it (telemetry.ThreadShard.Due): the last of a
-// drawn interval, or one the allocation sampler takes. It must inline
-// into Malloc and Free (ci/inline_guard.sh).
-func (t *Thread) due(countdown *uint32) bool {
+// recorder is due on it (telemetry.ThreadShard.Due): the Interval-th
+// since the last timed one, or one the allocation sampler takes. It must
+// inline into Malloc and Free (ci/inline_guard.sh).
+func (t *Thread) due(countdown *uint64) bool {
 	*countdown--
 	return *countdown == 0
 }
@@ -45,13 +44,8 @@ func (t *Thread) due(countdown *uint32) bool {
 // mallocTimed is Malloc on a malloc the recorder is due on: the one
 // place, with freeTimed, that reads the clock.
 func (t *Thread) mallocTimed(size uint64) (mem.Ptr, error) {
-	if t.a.cfg.Telemetry == nil {
-		t.mallocTick = untimed
-		p, _, err := t.malloc(size)
-		return p, err
-	}
 	timed, sampled, next := t.rec.Due(telemetry.OpMalloc)
-	t.mallocTick = uint32(next)
+	t.mallocTick = next
 	var start int64
 	if timed {
 		start = telemetry.Now()
@@ -84,7 +78,7 @@ func (t *Thread) malloc(size uint64) (mem.Ptr, int, error) {
 		// (rounded) size, so free hands FreeRegion the canonical size.
 		p, err := t.a.heap.LargeAlloc(size, mem.SizePrefix)
 		if err == nil {
-			t.rec.Count(telemetry.PathLarge, -1)
+			t.counts.Count(telemetry.PathLarge, -1)
 		}
 		return p, -1, err
 	}
@@ -94,14 +88,14 @@ func (t *Thread) malloc(size uint64) (mem.Ptr, int, error) {
 		if p := mag.pop(); !p.IsNil() {
 			// Magazine hit: the block is thread-private and its prefix
 			// is still in place — no shared word is touched.
-			t.rec.Count(telemetry.PathMagazine, cls)
+			t.counts.Count(telemetry.PathMagazine, cls)
 			return p, cls, nil
 		}
 		t.ops.magMisses.Add(1)
 		if p := t.refillFromActive(t.findHeap(sc), mag); !p.IsNil() {
 			// One malloc was served from the active superblock; the
 			// cached remainder surfaces later as magazine hits.
-			t.rec.Count(telemetry.PathActive, cls)
+			t.counts.Count(telemetry.PathActive, cls)
 			return p, cls, nil
 		}
 		// Active was NULL: fall through to the paper's partial and
@@ -111,11 +105,11 @@ func (t *Thread) malloc(size uint64) (mem.Ptr, int, error) {
 	heap := t.findHeap(sc)
 	for {
 		if addr := t.mallocFromActive(heap); !addr.IsNil() {
-			t.rec.Count(telemetry.PathActive, cls)
+			t.counts.Count(telemetry.PathActive, cls)
 			return addr, cls, nil
 		}
 		if addr := t.mallocFromPartial(heap); !addr.IsNil() {
-			t.rec.Count(telemetry.PathPartial, cls)
+			t.counts.Count(telemetry.PathPartial, cls)
 			return addr, cls, nil
 		}
 		addr, err := t.mallocFromNewSB(heap)
@@ -123,7 +117,7 @@ func (t *Thread) malloc(size uint64) (mem.Ptr, int, error) {
 			return 0, cls, err
 		}
 		if !addr.IsNil() {
-			t.rec.Count(telemetry.PathNewSB, cls)
+			t.counts.Count(telemetry.PathNewSB, cls)
 			return addr, cls, nil
 		}
 	}
@@ -373,7 +367,7 @@ func (t *Thread) mallocFromNewSB(h *ProcHeap) (mem.Ptr, error) {
 	// thread; blocks 1..maxcount-1 form the free list (block i links to
 	// i+1; the last block's link, which need not even fit its field, is
 	// never followed before a free, per the paper's footnote 1).
-	prefix := smallPrefix(descIdx, cls.Index)
+	prefix := smallPrefix(descIdx)
 	for i := uint64(0); i < cls.MaxCount; i++ {
 		a.heap.Store(sb.Add(i*cls.BlockWords), withLink(prefix, i+1))
 	}

@@ -16,7 +16,7 @@ func (t *Thread) release(descIdx, first uint64, tail mem.Ptr, m uint64, hook Hoo
 	desc := a.desc(descIdx)
 	sb := desc.SB()
 	maxcount := desc.MaxCount()
-	prefix := smallPrefix(descIdx, desc.ClassIndex())
+	prefix := smallPrefix(descIdx)
 
 	var oldAnchor, newAnchor atomicx.Anchor
 	var heapID uint64

@@ -17,10 +17,9 @@ import (
 
 // TestTelemetryIntegration runs a real malloc/free workload with the
 // telemetry layer attached and checks that the snapshot is internally
-// consistent: operation counts match the work done, the operations each
-// thread's drawn intervals select (about one in telemetry.Interval) are
-// timed, retry sites carry only known names, and the flight recorder
-// captured events.
+// consistent: operation counts match the work done, one operation in
+// telemetry.Interval per thread is timed, retry sites carry only known
+// names, and the flight recorder captured events.
 func TestTelemetryIntegration(t *testing.T) {
 	cfg := testConfig()
 	cfg.Processors = 2 // force heap sharing so retries actually occur
@@ -64,17 +63,12 @@ func TestTelemetryIntegration(t *testing.T) {
 	wg.Wait()
 
 	snap := rec.Snapshot()
-	const total = workers * iters
-	var timedMallocs, timedFrees uint64
-	for id := uint64(0); id < workers; id++ {
-		timedMallocs += timedOf(telemetry.Config{}, id, telemetry.OpMalloc, iters)
-		timedFrees += timedOf(telemetry.Config{}, id, telemetry.OpFree, iters)
-	}
+	const total, timed = workers * iters, workers * (iters / telemetry.Interval)
 	if snap.Mallocs != total || snap.Frees != total {
 		t.Errorf("snapshot counts %d mallocs, %d frees, want %d each", snap.Mallocs, snap.Frees, total)
 	}
-	if snap.Malloc.Count != timedMallocs || snap.Free.Count != timedFrees {
-		t.Errorf("snapshot timed %d mallocs, %d frees, want %d, %d", snap.Malloc.Count, snap.Free.Count, timedMallocs, timedFrees)
+	if snap.Malloc.Count != timed || snap.Free.Count != timed {
+		t.Errorf("snapshot timed %d mallocs, %d frees, want %d each", snap.Malloc.Count, snap.Free.Count, timed)
 	}
 	if snap.Threads != workers {
 		t.Errorf("snapshot threads = %d, want %d", snap.Threads, workers)
@@ -109,37 +103,6 @@ func TestTelemetryIntegration(t *testing.T) {
 	if snap.Malloc.P50NS == 0 || snap.Malloc.P99NS < snap.Malloc.P50NS {
 		t.Errorf("implausible malloc latency quantiles: p50=%d p99=%d",
 			snap.Malloc.P50NS, snap.Malloc.P99NS)
-	}
-}
-
-// TestUntimedWithoutRecorder: with no recorder handed in, Stats counts
-// every operation through the allocator's own recorder, which times
-// none, also when a countdown comes due, as it does once in 2^32
-// operations.
-func TestUntimedWithoutRecorder(t *testing.T) {
-	a := New(testConfig())
-	if a.Telemetry() != nil {
-		t.Fatal("Telemetry() returned a recorder nobody handed in")
-	}
-	th := a.Thread()
-	const n = 1000
-	for i := 0; i < n; i++ {
-		if i == n/2 {
-			th.mallocTick, th.freeTick = 1, 1
-		}
-		p, err := th.Malloc(64)
-		if err != nil {
-			t.Fatal(err)
-		}
-		th.Free(p)
-	}
-	snap := a.tele.Snapshot()
-	if ops := a.Stats().Ops; ops.Mallocs != n || ops.Frees != n || snap.Mallocs != n {
-		t.Errorf("counted %d mallocs, %d frees (snapshot %d), want %d each", ops.Mallocs, ops.Frees, snap.Mallocs, n)
-	}
-	if snap.Malloc.Count != 0 || snap.Free.Count != 0 || th.mallocTick < untimed-n || th.freeTick < untimed-n {
-		t.Errorf("timed %d mallocs and %d frees, countdowns %d and %d; want none timed, both re-armed",
-			snap.Malloc.Count, snap.Free.Count, th.mallocTick, th.freeTick)
 	}
 }
 
@@ -325,140 +288,142 @@ func TestTelemetryRetrySitesUnderContention(t *testing.T) {
 // TestTelemetryCountsEveryOperation: the recorder times one operation
 // in telemetry.Interval, but counts all of them, by path and size
 // class, and its counts are the ones Stats reads. With magazines off and
-// at 8 the test drives every path — active, partial, new superblock,
-// large, magazine hit, refill, flush and a remote free — and at
-// quiescence, with no Unregister, the per-class rows must sum exactly to
-// the operations the test performed and to Stats: a path that counted
-// nothing, or counted twice, shows in both. A recorder that counted only
-// what it timed would read 2N/Interval.
+// at 8, with a recorder and on the bare path, the test drives every
+// path — active, partial, new superblock, large, magazine hit, refill,
+// flush and a remote free — and at quiescence, with no Unregister,
+// Stats must count exactly the operations the test performed, and the
+// recorder's per-class rows must sum to them and to Stats: a path that
+// counted nothing, or counted twice, shows. A recorder that counted
+// only what it timed would read 2N/Interval.
 func TestTelemetryCountsEveryOperation(t *testing.T) {
 	for _, magazine := range []int{0, 8} {
-		t.Run(fmt.Sprintf("magazine=%d", magazine), func(t *testing.T) {
-			cfg := testConfig()
-			cfg.MagazineSize = magazine
-			rec := NewRecorder(telemetry.Config{SampleRate: 3})
-			cfg.Telemetry = rec
-			a := New(cfg)
-			th, other := a.Thread(), a.Thread()
-			sizes := []uint64{8, 100, 1000, 40000} // the last a large block
-			const n = 1000                         // per size: not a multiple of Interval
-			want := map[string]uint64{}            // "op class" -> operations performed
-			freesBy := map[*Thread]uint64{}
-			var ptrs []mem.Ptr
-			malloc := func(size uint64) {
-				p, err := th.Malloc(size)
-				if err != nil {
-					t.Fatal(err)
-				}
-				ptrs = append(ptrs, p)
-				cls := -1
-				if c, ok := sizeclassFor(size); ok {
-					cls = c
-				}
-				want[fmt.Sprint("malloc ", cls)]++
-			}
-			free := func(by *Thread, p mem.Ptr) {
-				cls := -1
-				if prefix := a.heap.Load(p - 1); !prefixIsLarge(prefix) {
-					cls = prefixClass(prefix)
-				}
-				by.Free(p)
-				want[fmt.Sprint("free ", cls)]++
-				freesBy[by]++
-			}
-			for _, size := range sizes {
-				for i := 0; i < n; i++ {
-					malloc(size)
-				}
-			}
-			// A sample's call site is Malloc's caller.
-			if live := rec.Sampler().Live(); len(live) == 0 ||
-				!strings.Contains(runtime.FuncForPC(uintptr(live[0].PC)).Name(), "TestTelemetryCountsEveryOperation") {
-				t.Errorf("sample call site is not this test: %+v", live[:min(len(live), 1)])
-			}
-			// Every other block back, half of them by another thread: full
-			// superblocks turn partial, and the next mallocs find them.
-			var kept []mem.Ptr
-			for i, p := range ptrs {
-				switch i % 4 {
-				case 0:
-					free(th, p)
-				case 2:
-					free(other, p)
-				default:
-					kept = append(kept, p)
-				}
-			}
-			ptrs = kept
-			for _, size := range sizes[:3] {
-				for i := 0; i < n; i++ {
-					malloc(size)
-				}
-			}
-			for i, p := range ptrs {
-				if i%2 == 0 {
-					free(th, p)
-				} else {
-					free(other, p)
-				}
-			}
-
-			ops := a.Stats().Ops
-			paths := map[string]uint64{"active": ops.FromActive, "partial": ops.FromPartial,
-				"new superblock": ops.FromNewSB, "large": ops.LargeMallocs}
-			if magazine != 0 {
-				paths["magazine hit"], paths["refill"], paths["flush"] = ops.MagazineHits, ops.MagazineMisses, ops.MagazineFlushes
-			}
-			for path, got := range paths {
-				if got == 0 {
-					t.Errorf("no operation took the %s path: %+v", path, ops)
-				}
-			}
-			snap := rec.Snapshot()
-			var rows [2][2]uint64 // [malloc, free][small, large]
-			for _, row := range snap.PerClass {
-				if got, w := row.Ops, want[fmt.Sprint(row.Op, " ", row.Class)]; got != w {
-					t.Errorf("%s class %d counted %d, performed %d", row.Op, row.Class, got, w)
-				}
-				rows[b2i(row.Op == "free")][b2i(row.Class < 0)] += row.Ops
-			}
-			if stats := [2][2]uint64{{ops.Mallocs, ops.LargeMallocs}, {ops.Frees, ops.LargeFrees}}; rows != stats {
-				t.Errorf("per-class rows sum to %v (malloc, free × small, large), Stats reads %v", rows, stats)
-			}
-			mallocs, frees := want["malloc -1"], want["free -1"]
-			for cls := 0; cls < len(a.classes); cls++ {
-				mallocs += want[fmt.Sprint("malloc ", cls)]
-				frees += want[fmt.Sprint("free ", cls)]
-			}
-			if snap.Mallocs != mallocs || snap.Frees != frees || mallocs != frees {
-				t.Errorf("snapshot counts %d mallocs, %d frees; performed %d, %d", snap.Mallocs, snap.Frees, mallocs, frees)
-			}
-			if timed := timedOf(telemetry.Config{SampleRate: 3}, th.id, telemetry.OpFree, freesBy[th]) +
-				timedOf(telemetry.Config{SampleRate: 3}, other.id, telemetry.OpFree, freesBy[other]); snap.Free.Count != timed {
-				t.Errorf("%d frees timed, want the %d the threads' countdowns select", snap.Free.Count, timed)
-			}
-			if got := rec.Sampler().Stats().Sampled; got != mallocs/3 {
-				t.Errorf("sampler took %d mallocs, want every third: %d", got, mallocs/3)
-			}
-		})
+		for _, recorded := range []bool{false, true} {
+			t.Run(fmt.Sprintf("magazine=%d/recorder=%v", magazine, recorded), func(t *testing.T) {
+				countsEveryOperation(t, magazine, recorded)
+			})
+		}
 	}
 }
 
-// timedOf is how many of the first n operations of kind op the
-// recorder times on the thread with id: its countdown replayed on a
-// fresh shard of the same configuration.
-func timedOf(cfg telemetry.Config, id uint64, op telemetry.Op, n uint64) uint64 {
-	sh := NewRecorder(cfg).NewShard(id)
-	var timed uint64
-	for countdown, i := sh.Countdown(op), uint64(0); i < n; i++ {
-		if countdown--; countdown == 0 {
-			var isTimed bool
-			if isTimed, _, countdown = sh.Due(op); isTimed {
-				timed++
-			}
+func countsEveryOperation(t *testing.T, magazine int, recorded bool) {
+	cfg := testConfig()
+	cfg.MagazineSize = magazine
+	var rec *telemetry.Recorder
+	if recorded {
+		rec = NewRecorder(telemetry.Config{SampleRate: 3})
+		cfg.Telemetry = rec
+	}
+	a := New(cfg)
+	th, other := a.Thread(), a.Thread()
+	sizes := []uint64{8, 100, 1000, 40000} // the last a large block
+	const n = 1000                         // per size: not a multiple of Interval
+	var want [2][2]uint64                  // [malloc, free][small, large] performed
+	perClass := map[string]uint64{}        // "op class" -> operations performed
+	freesBy := map[*Thread]uint64{}
+	var ptrs []mem.Ptr
+	malloc := func(size uint64) {
+		p, err := th.Malloc(size)
+		if err != nil {
+			t.Fatal(err)
+		}
+		ptrs = append(ptrs, p)
+		cls := -1
+		if c, ok := sizeclassFor(size); ok {
+			cls = c
+		}
+		want[0][b2i(cls < 0)]++
+		perClass[fmt.Sprint("malloc ", cls)]++
+	}
+	free := func(by *Thread, p mem.Ptr) {
+		cls := -1
+		if prefix := a.heap.Load(p - 1); !prefixIsLarge(prefix) {
+			cls = a.desc(prefixDesc(prefix)).ClassIndex()
+		}
+		by.Free(p)
+		want[1][b2i(cls < 0)]++
+		perClass[fmt.Sprint("free ", cls)]++
+		freesBy[by]++
+	}
+	for _, size := range sizes {
+		for i := 0; i < n; i++ {
+			malloc(size)
 		}
 	}
-	return timed
+	// A sample's call site is Malloc's caller.
+	if recorded {
+		if live := rec.Sampler().Live(); len(live) == 0 ||
+			!strings.Contains(runtime.FuncForPC(uintptr(live[0].PC)).Name(), "countsEveryOperation") {
+			t.Errorf("sample call site is not this test: %+v", live[:min(len(live), 1)])
+		}
+	}
+	// Every other block back, half of them by another thread: full
+	// superblocks turn partial, and the next mallocs find them.
+	var kept []mem.Ptr
+	for i, p := range ptrs {
+		switch i % 4 {
+		case 0:
+			free(th, p)
+		case 2:
+			free(other, p)
+		default:
+			kept = append(kept, p)
+		}
+	}
+	ptrs = kept
+	for _, size := range sizes[:3] {
+		for i := 0; i < n; i++ {
+			malloc(size)
+		}
+	}
+	for i, p := range ptrs {
+		if i%2 == 0 {
+			free(th, p)
+		} else {
+			free(other, p)
+		}
+	}
+
+	ops := a.Stats().Ops
+	paths := map[string]uint64{"active": ops.FromActive, "partial": ops.FromPartial,
+		"new superblock": ops.FromNewSB, "large": ops.LargeMallocs}
+	if magazine != 0 {
+		paths["magazine hit"], paths["refill"], paths["flush"] = ops.MagazineHits, ops.MagazineMisses, ops.MagazineFlushes
+	}
+	for path, got := range paths {
+		if got == 0 {
+			t.Errorf("no operation took the %s path: %+v", path, ops)
+		}
+	}
+	stats := [2][2]uint64{{ops.Mallocs, ops.LargeMallocs}, {ops.Frees, ops.LargeFrees}}
+	if stats != want || want[0] != want[1] {
+		t.Errorf("Stats counts %v (malloc, free × small, large), performed %v", stats, want)
+	}
+	if !recorded {
+		return
+	}
+	snap := rec.Snapshot()
+	var rows [2][2]uint64
+	for _, row := range snap.PerClass {
+		if got, w := row.Ops, perClass[fmt.Sprint(row.Op, " ", row.Class)]; got != w {
+			t.Errorf("%s class %d counted %d, performed %d", row.Op, row.Class, got, w)
+		}
+		rows[b2i(row.Op == "free")][b2i(row.Class < 0)] += row.Ops
+	}
+	if rows != stats {
+		t.Errorf("per-class rows sum to %v, Stats reads %v", rows, stats)
+	}
+	mallocs := want[0][0] + want[0][1]
+	if snap.Mallocs != mallocs || snap.Frees != mallocs {
+		t.Errorf("snapshot counts %d mallocs, %d frees; performed %d each", snap.Mallocs, snap.Frees, mallocs)
+	}
+	// With the sampler on every free is due, and every Interval-th of a
+	// thread's is timed.
+	if timed := freesBy[th]/telemetry.Interval + freesBy[other]/telemetry.Interval; snap.Free.Count != timed {
+		t.Errorf("%d frees timed, want %d", snap.Free.Count, timed)
+	}
+	if got := rec.Sampler().Stats().Sampled; got != mallocs/3 {
+		t.Errorf("sampler took %d mallocs, want every third: %d", got, mallocs/3)
+	}
 }
 
 func b2i(b bool) int {

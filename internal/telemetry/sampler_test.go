@@ -78,9 +78,8 @@ func TestShardSampleRate(t *testing.T) {
 	}
 	sh := r.NewShard(0)
 	// The owner's side of the countdown, as core.Thread.Malloc runs it.
-	const n = 64 * Interval
 	countdown, timed := sh.Countdown(OpMalloc), 0
-	for i := uint64(0); i < n; i++ {
+	for i := uint64(0); i < 2*Interval; i++ {
 		if countdown--; countdown != 0 {
 			continue
 		}
@@ -93,27 +92,17 @@ func TestShardSampleRate(t *testing.T) {
 			sh.Sample(0x1000+i*8, 16, 1)
 		}
 	}
-	// The timed ones are one in Interval on average: 64 here, each
-	// interval drawn from [Interval/2, 3*Interval/2].
-	if got := r.Sampler().Stats().Sampled; got != n/4 || timed < 54 || timed > 74 {
-		t.Errorf("Sampled = %d, timed %d after %d mallocs at rate 4, want %d and about 64", got, timed, n, n/4)
+	if got := r.Sampler().Stats().Sampled; got != 2*Interval/4 || timed != 2 {
+		t.Errorf("Sampled = %d, timed %d after %d mallocs at rate 4, want %d and 2", got, timed, 2*Interval, 2*Interval/4)
 	}
-	// With the sampler on, every free is due and one in Interval timed,
-	// never two within Interval/2 of each other.
-	timed, last := 0, 0
-	for i := 1; i <= n; i++ {
+	// With the sampler on, every free is due and one in Interval timed.
+	for i := 1; i <= Interval; i++ {
 		if c := sh.Countdown(OpFree); c != 1 {
 			t.Fatalf("free countdown %d with the sampler on, want 1", c)
 		}
-		if isTimed, _, _ := sh.Due(OpFree); isTimed {
-			if timed++; i-last < Interval/2 || i-last > 3*Interval/2 {
-				t.Fatalf("frees %d and %d timed", last, i)
-			}
-			last = i
+		if isTimed, _, _ := sh.Due(OpFree); isTimed != (i == Interval) {
+			t.Fatalf("free %d timed = %v", i, isTimed)
 		}
-	}
-	if timed < 54 || timed > 74 {
-		t.Errorf("%d of %d frees timed, want about 64", timed, n)
 	}
 }
 
@@ -125,13 +114,12 @@ func TestSamplerDisabled(t *testing.T) {
 	sh := r.NewShard(0)
 	// Without a sampler the countdowns run to the timed operations
 	// alone, no malloc is sampled, and SampleFree is a no-op.
-	inRange := func(c uint64) bool { return c >= Interval/2 && c <= 3*Interval/2 }
 	for _, op := range []Op{OpMalloc, OpFree} {
-		if c := sh.Countdown(op); !inRange(c) {
-			t.Errorf("op %d: countdown %d, want one in [%d, %d]", op, c, Interval/2, 3*Interval/2)
+		if c := sh.Countdown(op); c != Interval {
+			t.Errorf("op %d: countdown %d, want %d", op, c, Interval)
 		}
-		if timed, sampled, next := sh.Due(op); !timed || sampled || !inRange(next) {
-			t.Errorf("op %d: Due = %v, %v, %d; want timed, unsampled, a countdown in range", op, timed, sampled, next)
+		if timed, sampled, next := sh.Due(op); !timed || sampled || next != Interval {
+			t.Errorf("op %d: Due = %v, %v, %d; want timed, unsampled, %d", op, timed, sampled, next, Interval)
 		}
 	}
 	sh.SampleFree(0x1000)

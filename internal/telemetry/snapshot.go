@@ -62,8 +62,7 @@ type Snapshot struct {
 	Frees   uint64 `json:"frees"`
 	// Malloc and Free aggregate latency over all size classes
 	// (including large blocks), from the timed operations: one in
-	// Interval of each thread's on average, so their Count is about
-	// Mallocs/Interval.
+	// Interval of each thread's, so their Count is about Mallocs/Interval.
 	Malloc HistSummary `json:"malloc"`
 	Free   HistSummary `json:"free"`
 	// PerClass holds every (op, class) row, including empty ones so
@@ -111,15 +110,10 @@ func (r *Recorder) Snapshot() Snapshot {
 	merged := make([]HistBuckets, rows)
 	ops := make([]uint64, rows)
 	for _, sh := range shards {
-		for i := range sh.counts {
-			p, col := Path(i%pathStride), i/pathStride-1
-			if p >= NumPaths {
-				continue
+		for i := range sh.counts { // row 0, large blocks, is column Classes
+			if p, col := Path(i%pathStride), (i/pathStride+r.cfg.Classes)%cols; p < NumPaths {
+				ops[int(p.Op())*cols+col] += atomic.LoadUint64(&sh.counts[i])
 			}
-			if col < 0 {
-				col = r.cfg.Classes // large
-			}
-			ops[int(p.Op())*cols+col] += atomic.LoadUint64(&sh.counts[i])
 		}
 		if h := sh.hist.Load(); h != nil {
 			for i := range *h {

@@ -14,11 +14,10 @@
 //     plain atomic loads.
 //
 //   - Every operation is counted, by the path that served it and its
-//     size class (Path), and every retry recorded; one malloc in
-//     Interval and one free in Interval per thread is timed, on
-//     average. The owner keeps the countdown to the next timed
-//     operation (Due), so an untimed one reads no clock and touches no
-//     histogram.
+//     size class (Counts), and every retry recorded; every Interval-th
+//     malloc and every Interval-th free of a thread is timed. The owner
+//     keeps the countdown to the next timed operation (Due), so an
+//     untimed one reads no clock and touches no histogram.
 //
 //   - Contexts without a thread handle (the mem region free stacks,
 //     the partial-list node pools, the descriptor freelist) record
@@ -185,15 +184,16 @@ type Config struct {
 }
 
 const (
-	// Interval: one malloc and one free in Interval of a thread, on
-	// average (ThreadShard.interval), is timed and goes into the flight
-	// recorder; so does every operation that retried a CAS, and every
-	// structural event (new superblocks, race losses, superblock
-	// retirements, hook firings). Timing one operation in Interval
-	// keeps two clock reads, a histogram add and the ring's shared bump
-	// counter off all others: at 256 the two clock reads of a timed
-	// pair cost an untimed one under 1 ns where a read costs 48 ns.
-	Interval = 256
+	// Interval: every Interval-th malloc and every Interval-th free of a
+	// thread is timed and goes into the flight recorder; so does every
+	// operation that retried a CAS, and every structural event (new
+	// superblocks, race losses, superblock retirements, hook firings).
+	// Timing one operation in Interval keeps two clock reads, a
+	// histogram add and the ring's shared bump counter off all others.
+	// Interval is prime, so it cannot phase-lock with a caller timing
+	// every 2^k-th of its own operations, as 256 did with a harness
+	// timing every 64th malloc/free unit.
+	Interval = 257
 	// ringSize is the flight-recorder capacity in events.
 	ringSize = 4096
 	// sampleSlots is the allocation sampler's live-sample table
@@ -265,18 +265,18 @@ func (r *Recorder) Sampler() *Sampler { return r.smp }
 // shard's flight-recorder events (the allocator passes its thread id).
 func (r *Recorder) NewShard(id uint64) *ThreadShard {
 	s := &ThreadShard{
-		id:      id,
-		classes: r.cfg.Classes,
-		counts:  make([]uint64, (r.cfg.Classes+1)*pathStride),
-		ring:    &r.ring,
-		smp:     r.smp,
+		id:         id,
+		classes:    r.cfg.Classes,
+		counts:     NewCounts(r.cfg.Classes),
+		ring:       &r.ring,
+		smp:        r.smp,
+		untilTimed: [2]uint64{Interval, Interval},
+		armed:      [2]uint64{Interval, Interval},
 	}
-	s.untilTimed = [2]uint64{s.interval(OpMalloc), s.interval(OpFree)}
-	s.armed = s.untilTimed
 	if r.smp != nil {
 		s.smpEvery = uint64(r.cfg.SampleRate)
 		s.untilSample = s.smpEvery
-		s.armed = [2]uint64{min(s.untilTimed[OpMalloc], s.smpEvery), 1}
+		s.armed = [2]uint64{min(Interval, s.smpEvery), 1}
 	}
 	r.mu.Lock()
 	old := *r.shards.Load()
@@ -314,9 +314,9 @@ const (
 	NumPaths
 )
 
-// pathStride is the slots a class has in a shard's counts: NumPaths
-// rounded up to a power of two, so a count's index is a shift and an
-// add, and one class's counts share a cache line.
+// pathStride is the slots a class has in Counts: NumPaths rounded up
+// to a power of two, so a count's index is a shift and an add, and one
+// class's counts share a cache line.
 const pathStride = 8
 
 var _ [pathStride - NumPaths]struct{} // NumPaths <= pathStride
@@ -329,24 +329,46 @@ func (p Path) Op() Op {
 	return OpMalloc
 }
 
+// Counts is one thread's operation counts, the only count of an
+// operation: every one, at (class+1)*pathStride + path, class -1 being
+// large blocks. The owner counts with plain stores, readers load
+// atomically. A core.Thread keeps one, its shard's if it has one.
+type Counts []uint64
+
+// NewCounts returns zero counts for classes small size classes.
+func NewCounts(classes int) Counts { return make(Counts, (classes+1)*pathStride) }
+
+// Count counts one operation served by path p for a block of class (-1
+// for a large block). It must inline where the allocator serves one
+// (ci/inline_guard.sh).
+func (c Counts) Count(p Path, class int) {
+	n := &c[(class+1)*pathStride+int(p)]
+	atomicx.PlainStore(n, *n+1)
+}
+
+// Counted returns path p's counts summed over the small classes, and
+// its large-block count. Safe from any goroutine.
+func (c Counts) Counted(p Path) (small, large uint64) {
+	for i := pathStride + int(p); i < len(c); i += pathStride {
+		small += atomic.LoadUint64(&c[i])
+	}
+	return small, atomic.LoadUint64(&c[p])
+}
+
 // ThreadShard is one thread's private telemetry state: retry counters,
-// operation counts and latency histograms. The operation counts are
-// the allocator's own (core.OpStats reads them): there is no other
-// count of an operation. The owning thread is the only writer; all
-// fields read by Snapshot are loaded atomically, so live merging is
-// race-detector-clean. The struct is padded so two shards never share a
-// cache line.
+// operation counts and latency histograms. The owning thread is the
+// only writer; all fields read by Snapshot are loaded atomically, so
+// live merging is race-detector-clean. The struct is padded so two
+// shards never share a cache line.
 type ThreadShard struct {
 	_ pad
 
 	retries [NumSites]atomic.Uint64
 
-	// counts holds every operation, exactly, at (class+1)*pathStride +
-	// path, class -1 being large blocks: the owner's plain stores
-	// (atomicx.PlainStore), readers' atomic loads. hist holds the timed
-	// operations at op*(classes+1) + class, class `classes` being large
-	// blocks, allocated on the first.
-	counts  []uint64
+	// counts holds every operation; hist holds the timed ones at
+	// op*(classes+1) + class, class `classes` being large blocks,
+	// allocated on the first.
+	counts  Counts
 	hist    atomic.Pointer[[]Histogram]
 	classes int
 
@@ -365,7 +387,6 @@ type ThreadShard struct {
 	untilTimed  [2]uint64
 	untilSample uint64
 	armed       [2]uint64
-	draws       [2]uint64 // intervals drawn so far, by op
 
 	// smp is the recorder's allocation sampler (nil when disabled),
 	// sampling every smpEvery-th malloc.
@@ -378,8 +399,13 @@ type ThreadShard struct {
 // ID returns the thread id the shard was registered with.
 func (s *ThreadShard) ID() uint64 { return s.id }
 
-// Retry records one failed CAS at site.
+// Retry records one failed CAS at site. Retry, Note and NoteHook are
+// no-ops on a nil shard: the allocator's thread handle without a
+// recorder.
 func (s *ThreadShard) Retry(site Site) {
+	if s == nil {
+		return
+	}
 	s.retries[site].Add(1)
 	s.opRetries++
 }
@@ -388,31 +414,17 @@ func (s *ThreadShard) Retry(site Site) {
 // first call to Due.
 func (s *ThreadShard) Countdown(op Op) uint64 { return s.armed[op] }
 
-// interval is how many operations of kind op pass from one timed
-// operation to the next: uniform on [Interval/2, 3*Interval/2], mean
-// Interval, a hash of the shard's id and the draw's index, so a
-// thread's run repeats. A fixed period phase-locks with a caller that
-// times its own operations periodically: a harness timing every 64th
-// malloc/free unit found a timed malloc and a timed free in every
-// fourth of its samples. A drawn one lands in such a sample at the rate
-// it lands anywhere.
-func (s *ThreadShard) interval(op Op) uint64 {
-	s.draws[op]++
-	return Interval/2 + mix((s.id<<1|uint64(op))+s.draws[op]*0x9e3779b97f4a7c15)%(Interval+1)
-}
-
 // Due is the owner's call on the operation at which its countdown for
-// op ran out. It reports whether the operation is timed (the last of
-// its interval) and, for a malloc, whether the allocation sampler takes
-// it, and returns the countdown to the next call, never above
-// 3*Interval/2. With the sampler on, every free is due, so the owner
-// matches it against the samples (SampleFree) before the block can be
-// recycled.
+// op ran out. It reports whether the operation is timed (the
+// Interval-th of its kind since the last) and, for a malloc, whether the
+// allocation sampler takes it, and returns the countdown to the next
+// call. With the sampler on, every free is due, so the owner matches it
+// against the samples (SampleFree) before the block can be recycled.
 func (s *ThreadShard) Due(op Op) (timed, sampled bool, next uint64) {
 	n := s.armed[op]
 	s.untilTimed[op] -= n
 	if timed = s.untilTimed[op] == 0; timed {
-		s.untilTimed[op] = s.interval(op)
+		s.untilTimed[op] = Interval
 	}
 	next = s.untilTimed[op]
 	if s.smp != nil {
@@ -439,23 +451,8 @@ func (s *ThreadShard) column(class int) int {
 	return class
 }
 
-// Count counts one operation served by path p for a block of class (-1
-// for a large block). It is the only count of an operation, timed or
-// not, and must inline where the allocator serves one
-// (ci/inline_guard.sh).
-func (s *ThreadShard) Count(p Path, class int) {
-	n := &s.counts[(class+1)*pathStride+int(p)]
-	atomicx.PlainStore(n, *n+1)
-}
-
-// Counted returns path p's counts summed over the small classes, and
-// its large-block count. Safe from any goroutine.
-func (s *ThreadShard) Counted(p Path) (small, large uint64) {
-	for i := pathStride + int(p); i < len(s.counts); i += pathStride {
-		small += atomic.LoadUint64(&s.counts[i])
-	}
-	return small, atomic.LoadUint64(&s.counts[p])
-}
+// Counts is the thread's operation counts.
+func (s *ThreadShard) Counts() Counts { return s.counts }
 
 // Retrying reports whether the operation in progress retried a CAS, in
 // which case the owner hands it to Retried for its flight-recorder
@@ -507,6 +504,9 @@ func (s *ThreadShard) record(op Op, class int, d time.Duration, ptr uint64) {
 // Note records a structural event (new superblock, race loss,
 // superblock retirement) into the flight recorder, unsampled.
 func (s *ThreadShard) Note(kind EventKind, class int, ptr uint64) {
+	if s == nil {
+		return
+	}
 	s.ring.Record(Event{
 		Kind:    kind,
 		Class:   class,
@@ -520,6 +520,9 @@ func (s *ThreadShard) Note(kind EventKind, class int, ptr uint64) {
 // NoteHook records a hook firing (fault-injection instrumentation)
 // into the flight recorder, unsampled.
 func (s *ThreadShard) NoteHook(hook int) {
+	if s == nil {
+		return
+	}
 	s.ring.Record(Event{
 		Kind:    EvHook,
 		Class:   -1,

@@ -249,7 +249,7 @@ func TestSnapshotSub(t *testing.T) {
 	for i := 0; i < 9; i++ {
 		sh.Retry(SiteActivePop)
 		sh.Retry(SiteActivePop)
-		sh.Count(PathActive, 1)
+		sh.Counts().Count(PathActive, 1)
 		sh.EndMalloc(1, 5000, 2)
 	}
 	delta := r.Snapshot().Sub(base)
@@ -332,21 +332,21 @@ func TestRingSampling(t *testing.T) {
 	r := New(Config{Classes: 1})
 	sh := r.NewShard(0)
 	for i := 0; i < 2*Interval; i++ {
-		if sh.Count(PathActive, 0); sh.Retrying() {
+		if sh.Counts().Count(PathActive, 0); sh.Retrying() {
 			t.Fatal("a quiet operation reported a retry")
 		}
 	}
 	if got := r.Ring().Recorded(); got != 0 {
 		t.Fatalf("%d quiet untimed ops recorded %d events, want 0", 2*Interval, got)
 	}
-	sh.Count(PathMagazine, 0)
+	sh.Counts().Count(PathMagazine, 0)
 	sh.EndMalloc(0, 100, 7)
 	sh.Retry(SiteFreeFast)
-	if sh.Count(PathFree, 0); !sh.Retrying() {
+	if sh.Counts().Count(PathFree, 0); !sh.Retrying() {
 		t.Fatal("a retried operation did not report its retry")
 	}
 	sh.Retried(OpFree, 0, 1)
-	if sh.Count(PathFree, 0); sh.Retrying() {
+	if sh.Counts().Count(PathFree, 0); sh.Retrying() {
 		t.Error("the retry count outlived its operation's entry")
 	}
 	sh.Note(EvNewSB, 0, 4096)
