@@ -1,8 +1,9 @@
 // Command heapinfo prints the allocator's compile-time geometry: the
-// size-class table (payload, block words, blocks per superblock), the
-// packed-word layouts of Figure 3, the large-allocation threshold, and
-// the allocator registry (one "backend <name> ..." line per entry of
-// alloc.Backends: aliases, shadow-oracle policy, number of kill points).
+// size-class table (payload, block words, superblock words, blocks per
+// superblock), the packed-word layouts of Figure 3, the
+// large-allocation threshold, and the allocator registry (one
+// "backend <name> ..." line per entry of alloc.Backends: aliases,
+// shadow-oracle policy, number of kill points).
 // Useful for sanity-checking configuration against the paper.
 //
 //	heapinfo
@@ -42,17 +43,16 @@ func run(args []string, stdout, stderr io.Writer) int {
 	fmt.Fprintf(stdout, "  tagged index: idx:%d tag:%d\n\n",
 		atomicx.TaggedIdxBits, atomicx.TaggedTagBits)
 
-	fmt.Fprintf(stdout, "Superblock: %d words (%d KiB); word = %d bytes (block prefix)\n",
-		sizeclass.SuperblockWords, sizeclass.SuperblockWords*mem.WordBytes/1024, mem.WordBytes)
+	fmt.Fprintf(stdout, "Word = %d bytes (block prefix)\n", mem.WordBytes)
 	fmt.Fprintf(stdout, "Large-allocation threshold: > %d payload bytes -> direct OS region\n\n",
 		sizeclass.MaxPayloadBytes)
 
 	w := tabwriter.NewWriter(stdout, 0, 4, 2, ' ', tabwriter.AlignRight)
-	fmt.Fprintln(w, "class\tpayload B\tblock words\tblocks/SB\twaste/SB words\t")
+	fmt.Fprintln(w, "class\tpayload B\tblock words\tSB words\tblocks/SB\twaste/SB words\t")
 	for _, c := range sizeclass.All() {
 		waste := c.SBWords - c.MaxCount*c.BlockWords
-		fmt.Fprintf(w, "%d\t%d\t%d\t%d\t%d\t\n",
-			c.Index, c.PayloadBytes, c.BlockWords, c.MaxCount, waste)
+		fmt.Fprintf(w, "%d\t%d\t%d\t%d\t%d\t%d\t\n",
+			c.Index, c.PayloadBytes, c.BlockWords, c.SBWords, c.MaxCount, waste)
 	}
 	w.Flush()
 

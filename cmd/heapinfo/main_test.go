@@ -16,7 +16,7 @@ func TestStaticTables(t *testing.T) {
 	if code := run(nil, &out, &errOut); code != 0 {
 		t.Fatalf("heapinfo: exit %d\n%s", code, errOut.String())
 	}
-	wants := []string{"Packed word layouts", "blocks/SB", "Large-allocation threshold",
+	wants := []string{"Packed word layouts", "SB words", "blocks/SB", "Large-allocation threshold",
 		"backend lockfree aliases=[new] verify-on-reuse=true header-mask=0x0 kill-points=12",
 		"backend serial aliases=[libc] verify-on-reuse=false header-mask=0x2 kill-points=0",
 		"backend buddy aliases=[] verify-on-reuse=false header-mask=0x0 kill-points=7"}

@@ -352,9 +352,10 @@ func (t *Thread) Free(p mem.Ptr) {
 		h.mu.Unlock()
 		return
 	}
-	// Emptiness invariant: u ≥ a − K·S and u ≥ (1−f)·a; on violation
-	// move the emptiest superblock of some class to the global heap.
-	if h.u+slack*sizeclass.SuperblockWords < h.a &&
+	// Emptiness invariant: u ≥ a − K·S and u ≥ (1−f)·a, S the freed
+	// block's superblock size; on violation move the emptiest superblock
+	// of some class to the global heap.
+	if h.u+slack*sb.class.SBWords < h.a &&
 		h.u*emptyFractionDen < h.a*(emptyFractionDen-emptyFractionNum) {
 		if victim := h.emptiest(); victim != nil {
 			cap := victim.class.MaxCount * victim.class.BlockWords

@@ -103,6 +103,46 @@ func TestEmptinessInvariant(t *testing.T) {
 	}
 }
 
+// TestEmptinessSlackPerClass: the slack K·S counts S in the freed
+// block's own superblock size. Freeing every block of eight two-block
+// 12 KiB superblocks sheds them to the global heap until no more than K
+// stay on the processor heap; measured in 16 KiB superblocks the slack
+// would keep five.
+func TestEmptinessSlackPerClass(t *testing.T) {
+	a := newTest()
+	th := a.Thread()
+	cls, _ := sizeclass.For(6136)
+	if cls.SBWords == sizeclass.SuperblockWords {
+		t.Fatalf("the 6136 B class is on a %d-word superblock, want a 12 KiB one", cls.SBWords)
+	}
+	ptrs := make([]mem.Ptr, int(cls.MaxCount)*8)
+	for i := range ptrs {
+		p, err := th.Malloc(cls.PayloadBytes)
+		if err != nil {
+			t.Fatal(err)
+		}
+		ptrs[i] = p
+	}
+	for _, p := range ptrs {
+		th.Free(p)
+	}
+	h := &a.heaps[th.heapIndex()]
+	h.mu.Lock()
+	u, capa := h.u, h.a
+	h.mu.Unlock()
+	if u+slack*cls.SBWords < capa {
+		t.Errorf("emptiness invariant violated: u=%d a=%d, %d superblocks of %d words kept", u, capa,
+			capa/(cls.MaxCount*cls.BlockWords), cls.SBWords)
+	}
+	g0 := &a.heaps[0]
+	g0.mu.Lock()
+	shed := g0.a
+	g0.mu.Unlock()
+	if shed < cls.MaxCount*cls.BlockWords {
+		t.Errorf("no 12 KiB superblock reached the global heap: its capacity is %d words", shed)
+	}
+}
+
 // TestGlobalHeapRefill verifies a second thread reuses superblocks
 // shed to the global heap instead of growing the OS footprint.
 func TestGlobalHeapRefill(t *testing.T) {

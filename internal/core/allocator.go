@@ -3,13 +3,15 @@
 // (PLDI 2004), over the simulated address space of internal/mem.
 //
 // The structure follows the paper exactly (§3): the heap is composed of
-// 16 KiB superblocks divided into equal-size blocks; superblocks are
-// distributed among size classes; each size class has one processor
-// heap per processor; a processor heap holds at most one ACTIVE
-// superblock (through its Active word) and one most-recently-used
-// PARTIAL superblock (through its Partial slot); each size class keeps
-// a lock-free FIFO list of further partial superblocks. Large blocks
-// bypass all of this and go straight to the OS layer.
+// superblocks divided into equal-size blocks, of 16 KiB or, for nine
+// classes above 896 B, 12 KiB (each size class has its own superblock
+// size, the paper's sbsize); superblocks are distributed among size
+// classes; each size class has one processor heap per processor; a
+// processor heap holds at most one ACTIVE superblock (through its
+// Active word) and one most-recently-used PARTIAL superblock (through
+// its Partial slot); each size class keeps a lock-free FIFO list of
+// further partial superblocks. Large blocks bypass all of this and go
+// straight to the OS layer.
 //
 // Every operation is lock-free: a thread delayed (or stopped forever —
 // see internal/sched's kill-tolerance tests) at any point between
@@ -201,8 +203,13 @@ func New(cfg Config) *Allocator {
 	}
 	h := mem.NewHeap(cfg.HeapConfig)
 	// The superblocks the address space has room for bound both the
-	// descriptor table and the partial lists.
-	maxSuperblocks := h.TotalWords() / sizeclass.SuperblockWords
+	// descriptor table and the partial lists: as many as the smallest
+	// superblock of the table fits.
+	minSBWords := uint64(sizeclass.SuperblockWords)
+	for _, c := range sizeclass.All() {
+		minSBWords = min(minSBWords, c.SBWords)
+	}
+	maxSuperblocks := h.TotalWords() / minSBWords
 	a := &Allocator{
 		heap:       h,
 		cfg:        cfg,
@@ -212,7 +219,9 @@ func New(cfg Config) *Allocator {
 		descs:      newDescPool(maxSuperblocks, cfg.Processors),
 	}
 	if cfg.Hyperblocks {
-		// 64 superblocks per hyperblock = 1 MiB batches (§3.2.5).
+		// 64 superblocks per hyperblock = 1 MiB batches (§3.2.5), of
+		// 16 KiB superblocks only: allocSB and freeSB send the others
+		// to the OS layer's regions.
 		a.hyper = mem.NewHyper(h, sizeclass.SuperblockWords, 64)
 	}
 	// Telemetry wiring: thread-context sites record through per-thread
@@ -228,13 +237,15 @@ func New(cfg Config) *Allocator {
 	}
 	// The partial lists link descriptors of live superblocks, each at
 	// most once and in one class's list at a time, so all of them draw
-	// their nodes from one pool, sized for the superblocks the address
-	// space has room for rather than for the whole descriptor table, plus
-	// a FIFO's dummy node per list. (EMPTY descriptors awaiting removal
-	// can add to that; listRemoveEmptyDesc keeps them under half of each
-	// list, and a Put beyond the bound is dropped and counted exactly as
-	// at pool exhaustion.)
-	nodes := partial.NewNodes(maxSuperblocks + uint64(len(a.classes)))
+	// their nodes from one pool, plus a FIFO's dummy node per list.
+	// EMPTY descriptors awaiting removal add to the live ones, and
+	// listRemoveEmptyDesc keeps them under half of each list: the pool
+	// is sized, like the descriptor table, for two descriptors for each
+	// superblock the address space has room for, which also covers the
+	// chunk of indices a node pool keeps back (partial.NewNodes). A Put
+	// beyond the bound is dropped and counted exactly as at pool
+	// exhaustion.
+	nodes := partial.NewNodes(2*maxSuperblocks + uint64(len(a.classes)))
 	for i := range a.classes {
 		sc := &a.classes[i]
 		sc.class = sizeclass.ByIndex(i)
@@ -329,7 +340,8 @@ func (a *Allocator) Telemetry() *telemetry.Recorder { return a.tele }
 // worker goroutine should hold its own, as each OS thread does in the
 // paper's pthread environment.
 func (a *Allocator) Thread() *Thread {
-	t := &Thread{a: a, id: a.nextThread.Add(1) - 1}
+	id := a.nextThread.Add(1) - 1
+	t := &Thread{a: a, id: id, proc: id % a.procs}
 	if a.tele != nil {
 		t.rec = a.tele.NewShard(t.id)
 		t.counts = t.rec.Counts()
@@ -341,14 +353,6 @@ func (a *Allocator) Thread() *Thread {
 	if a.cfg.MagazineSize > 0 {
 		t.magCap = a.cfg.MagazineSize
 		t.mags = make([]magazine, len(a.classes))
-	}
-	// Resolve this thread's processor heap per size class once (the
-	// paper's find_heap computes heap = f(sz, thread id) per malloc;
-	// the function is pure, so caching it is behaviour-preserving).
-	t.heaps = make([]*ProcHeap, len(a.classes))
-	for i := range a.classes {
-		sc := &a.classes[i]
-		t.heaps[i] = &sc.heaps[t.id%a.procs]
 	}
 	a.mu.Lock()
 	a.threads = append(a.threads, t)
@@ -364,9 +368,10 @@ type Thread struct {
 	// every operation's one count, which Stats reads, in plain words of
 	// the owner: a LOCK XADD each was a fifth of an uncontended pair.
 	a      *Allocator
-	heaps  []*ProcHeap // per-size-class processor heap for this thread
+	proc   uint64 // processor index: this thread's heap in every class
 	counts telemetry.Counts
 	rec    *telemetry.ThreadShard // non-nil when telemetry is attached
+	_      [16]byte
 
 	// Second line: the rest of what they read, the magazines among it
 	// (Config.MagazineSize > 0; private block caches per size class).
@@ -535,9 +540,10 @@ func (t *Thread) OpStats() OpStats { return t.snapshot() }
 func (a *Allocator) BlockIsLarge(p mem.Ptr) bool { return prefixIsLarge(a.heap.Load(p - 1)) }
 
 // findHeap maps (size class, thread id) to a processor heap (paper:
-// "Use sz and thread id to find heap").
+// "Use sz and thread id to find heap"); the processor index is the
+// thread id modulo the processors, taken once in Thread.
 func (t *Thread) findHeap(sc *scState) *ProcHeap {
-	return t.heaps[sc.class.Index]
+	return &sc.heaps[t.proc]
 }
 
 // Word 0 of a block, the prefix. A large block's is

@@ -779,8 +779,8 @@ func TestNewFootprint(t *testing.T) {
 		heap              mem.Config
 		limit, withMalloc uint64
 	}{
-		{mem.Config{}, 384 << 10, 400 << 10},                 // 309 104 B + 4 744 B with 37 classes
-		{mem.Config{TotalWordsLog2: 26}, 48 << 10, 64 << 10}, // 26 736 B + 4 744 B
+		{mem.Config{}, 384 << 10, 400 << 10},                 // 238 896 B + 11 528 B with 46 classes
+		{mem.Config{TotalWordsLog2: 26}, 48 << 10, 64 << 10}, // 31 024 B + 11 528 B
 	} {
 		built, first := uint64(1<<62), uint64(1<<62)
 		for i := 0; i < 3; i++ { // the least of three: other tests' goroutines allocate too
@@ -846,5 +846,49 @@ func TestDescriptorTableFollowsTheHeap(t *testing.T) {
 	}
 	if !errors.Is(err, pool.ErrExhausted) {
 		t.Fatalf("a full descriptor table failed Malloc with %v, want pool.ErrExhausted", err)
+	}
+}
+
+// TestBoundsFollowTheSmallestSuperblock: the descriptor table and the
+// partial-node pool count the superblocks a heap has room for in its
+// smallest superblocks, the 12 KiB ones, which fit 4/3 as often as
+// 16 KiB ones. A heap filled with two-block 12 KiB superblocks runs out
+// of address space, not of descriptors; with one block of each freed,
+// every superblock is PARTIAL at once and the partial list takes them
+// all, dropping none; freeing the rest leaves a clean structure.
+func TestBoundsFollowTheSmallestSuperblock(t *testing.T) {
+	cls, _ := sizeclass.For(6136)
+	if cls.SBWords == sizeclass.SuperblockWords || cls.MaxCount != 2 {
+		t.Fatalf("the 6136 B class is %+v, want two blocks a 12 KiB superblock", cls)
+	}
+	a := New(Config{Processors: 1, HeapConfig: mem.Config{SegmentWordsLog2: 16, TotalWordsLog2: 20}})
+	th := a.Thread()
+	var held []mem.Ptr
+	var err error
+	for err == nil {
+		var p mem.Ptr
+		if p, err = th.Malloc(cls.PayloadBytes); err == nil {
+			held = append(held, p)
+		}
+	}
+	if !errors.Is(err, mem.ErrOutOfMemory) {
+		t.Fatalf("a heap full of 12 KiB superblocks failed with %v after %d blocks, want mem.ErrOutOfMemory", err, len(held))
+	}
+	// Blocks 2i and 2i+1 share a superblock: the first carves it, the
+	// second takes its last credit.
+	for i := 0; i < len(held); i += 2 {
+		th.Free(held[i])
+	}
+	if listed, want := a.PartialListLens()[cls.Index], len(held)/2-1; listed < want {
+		t.Fatalf("%d superblocks listed PARTIAL, want at least %d", listed, want)
+	}
+	for i := 1; i < len(held); i += 2 {
+		th.Free(held[i])
+	}
+	if drops := a.Stats().Ops.PartialListDrops; drops != 0 {
+		t.Errorf("%d partial-list Puts dropped", drops)
+	}
+	if err := a.CheckInvariants(0); err != nil {
+		t.Fatal(err)
 	}
 }

@@ -93,11 +93,11 @@ const (
 	// DESCSBSIZE). A larger chunk shrinks the table New clears but is
 	// carved and walked whole by allocators that use a handful of
 	// descriptors; TestNewFootprint records the trial of 9.
-	descChunkLog2 = 6
+	descChunkLog2 = 7
 	descChunk     = 1 << descChunkLog2
 
-	// maxDescChunks bounds the descriptor table (2^24 descriptors, a
-	// 2 MiB table); the largest heap, 2^31 words, needs 2^21.
+	// maxDescChunks bounds the descriptor table (2^25 descriptors, a
+	// 2 MiB table); the largest heap, 2^31 words, needs under 2^22.
 	maxDescChunks = 1 << 18
 )
 

@@ -10,22 +10,34 @@ import (
 	"repro/internal/sizeclass"
 )
 
-// fewBlockClasses are the classes of two and three blocks a superblock,
+// fewBlockClasses are the classes of two and three blocks a superblock
+// (5448 B with three, 6136 B on 12 KiB and 8184 B on 16 KiB with two),
 // where the credit arithmetic runs at its edge: MallocFromNewSB takes
 // block 0 and installs the other n−1 as Active, so for n = 2 Active
 // carries no credit beyond the one every non-NULL Active word stands
 // for, and each malloc from it takes the last.
 func fewBlockClasses(t *testing.T) []sizeclass.Class {
 	var out []sizeclass.Class
+	counts := map[uint64]bool{}
 	for _, c := range sizeclass.All() {
 		if c.MaxCount <= 3 {
 			out = append(out, c)
+			counts[c.MaxCount] = true
 		}
 	}
-	if len(out) != 2 || out[0].MaxCount != 3 || out[1].MaxCount != 2 {
-		t.Fatalf("classes of at most 3 blocks a superblock: %+v, want one of 3 and one of 2", out)
+	if !counts[2] || !counts[3] {
+		t.Fatalf("classes of at most 3 blocks a superblock: %+v, want some of 3 and of 2", out)
 	}
 	return out
+}
+
+// className names a class in a subtest by its block count, and its
+// superblock size where that is not the 16 KiB of most classes.
+func className(cls sizeclass.Class) string {
+	if cls.SBWords == sizeclass.SuperblockWords {
+		return fmt.Sprintf("n=%d", cls.MaxCount)
+	}
+	return fmt.Sprintf("n=%d/sb=%d", cls.MaxCount, cls.SBWords)
 }
 
 // TestFewBlockClasses walks one superblock of each through every state:
@@ -37,7 +49,7 @@ func TestFewBlockClasses(t *testing.T) {
 	for _, cls := range fewBlockClasses(t) {
 		for _, mag := range []int{0, 8} {
 			for _, remote := range []bool{false, true} {
-				t.Run(fmt.Sprintf("n=%d/magazine=%d/remote=%v", cls.MaxCount, mag, remote), func(t *testing.T) {
+				t.Run(fmt.Sprintf("%s/magazine=%d/remote=%v", className(cls), mag, remote), func(t *testing.T) {
 					walkFewBlockClass(t, cls, mag, remote)
 				})
 			}
@@ -56,7 +68,7 @@ func walkFewBlockClass(t *testing.T, cls sizeclass.Class, mag int, remote bool) 
 		freer = a.Thread() // the other processor heap
 	}
 	n := cls.MaxCount
-	heap := owner.heaps[cls.Index]
+	heap := owner.findHeap(&a.classes[cls.Index])
 	malloc := func() mem.Ptr {
 		t.Helper()
 		p, err := owner.Malloc(cls.PayloadBytes)
@@ -170,8 +182,8 @@ func walkFewBlockClass(t *testing.T, cls sizeclass.Class, mag int, remote bool) 
 	}
 }
 
-// TestFewBlockClassesConcurrent: two handles allocate from both classes
-// and hand every other block to each other to free, so installs,
+// TestFewBlockClassesConcurrent: two handles allocate from every one of
+// the classes and hand every other block to each other to free, so installs,
 // last-credit pops, FULL/PARTIAL/EMPTY transitions and remote frees of
 // two-block superblocks race — magazines off and at 8.
 func TestFewBlockClassesConcurrent(t *testing.T) {

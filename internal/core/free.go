@@ -152,10 +152,21 @@ func (t *Thread) listPutPartial(sc *scState, descIdx uint64) {
 // removeEmptyDesc is Figure 6's RemoveEmptyDesc: retire the descriptor
 // if it can be removed from the heap's Partial slot with a single CAS;
 // otherwise ask the size class's list to shed an empty descriptor.
+//
+// The slot CAS compares an index, not a lifetime: between this thread's
+// EMPTY transition and the CAS, a malloc can take the descriptor from
+// the slot, retire it (Figure 4's MallocFromPartial line 6), and a new
+// superblock reuse it and land PARTIAL in the same slot. A descriptor
+// the CAS took that is not EMPTY is that new superblock's, and goes
+// back instead of being retired under its live blocks.
 func (t *Thread) removeEmptyDesc(heapID, descIdx uint64) {
 	a := t.a
 	h := a.procHeap(heapID)
 	if !a.cfg.NoPartialSlot && h.Partial.CompareAndSwap(descIdx, 0) { // line 1
+		if atomicx.UnpackAnchor(a.desc(descIdx).Anchor.Load()).State != atomicx.StateEmpty {
+			t.heapPutPartial(descIdx)
+			return
+		}
 		a.descs.Retire(t.stripe(), descIdx) // line 2
 		return
 	}

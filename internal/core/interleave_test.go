@@ -62,7 +62,7 @@ func TestUpdateActiveRace(t *testing.T) {
 	// Warm up: install an active superblock, then drain its credits so
 	// that A's next malloc takes the last credit (UpdateActive path).
 	var warm []mem.Ptr
-	h0 := A.heaps[0]
+	h0 := A.findHeap(&a.classes[0])
 	for {
 		act := atomicx.UnpackActive(h0.Active.Load())
 		if !act.IsNull() && act.Credits == 0 {
@@ -103,7 +103,7 @@ func TestUpdateActiveRace(t *testing.T) {
 	if st := atomicx.UnpackAnchor(descA.Anchor.Load()).State; st != atomicx.StatePartial {
 		t.Errorf("A's superblock state = %s, want PARTIAL", atomicx.StateName(st))
 	}
-	h := A.heaps[0]
+	h := A.findHeap(&a.classes[0])
 	if h.Partial.Load() == 0 && a.classOf(h).partial.Len() == 0 {
 		t.Error("A's superblock is linked nowhere")
 	}
@@ -393,6 +393,65 @@ func TestFreeBeforePutPartialStall(t *testing.T) {
 	for _, b := range blocks[1:] {
 		M.Free(b)
 	}
+	if err := a.CheckInvariants(0); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// TestRemoveEmptyDescSlotABA: A empties a superblock whose descriptor
+// sits in the heap's Partial slot and stalls before RemoveEmptyDesc. B's
+// malloc takes the descriptor from the slot, retires it as EMPTY
+// (MallocFromPartial line 6) and reuses it for a new superblock, which
+// one free leaves PARTIAL in the same slot. A's slot CAS then matches
+// the index of a live superblock: A must put it back, not retire it
+// under B's block.
+func TestRemoveEmptyDescSlotABA(t *testing.T) {
+	cfg := testConfig()
+	cfg.Processors = 1
+	a := New(cfg)
+	A := a.Thread()
+	B := a.Thread()
+	cls, _ := sizeclass.For(sizeclass.MaxPayloadBytes) // two blocks a superblock
+	malloc := func(th *Thread) mem.Ptr {
+		t.Helper()
+		p, err := th.Malloc(cls.PayloadBytes)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return p
+	}
+	p0, p1 := malloc(A), malloc(A) // carve, then the last credit: FULL
+	x := prefixDesc(a.heap.Load(p0 - 1))
+	A.Free(p0) // FULL -> PARTIAL: into the slot
+	h := A.findHeap(&a.classes[cls.Index])
+	if h.Partial.Load() != x {
+		t.Fatalf("Partial slot holds %d, want descriptor %d", h.Partial.Load(), x)
+	}
+
+	st := newStaller(A, HookFreeBeforeRetire, 0)
+	done := make(chan struct{})
+	go func() {
+		A.Free(p1) // EMPTY; stalls before RemoveEmptyDesc
+		close(done)
+	}()
+	<-st.stalled
+	q0 := malloc(B)
+	if got := prefixDesc(a.heap.Load(q0 - 1)); got != x {
+		t.Fatalf("B's new superblock has descriptor %d, want the retired %d", got, x)
+	}
+	q1 := malloc(B)
+	B.Free(q0) // FULL -> PARTIAL: the reused descriptor back in the slot
+	close(st.release)
+	<-done
+	A.SetHook(nil)
+
+	if got := h.Partial.Load(); got != x {
+		t.Fatalf("Partial slot holds %d after A's RemoveEmptyDesc, want the live descriptor %d", got, x)
+	}
+	if err := a.CheckInvariants(1); err != nil {
+		t.Fatal(err)
+	}
+	B.Free(q1)
 	if err := a.CheckInvariants(0); err != nil {
 		t.Fatal(err)
 	}

@@ -14,8 +14,13 @@ import (
 func (t *Thread) release(descIdx, first uint64, tail mem.Ptr, m uint64, hook HookPoint, site telemetry.Site) {
 	a := t.a
 	desc := a.desc(descIdx)
+	// Read while the chain keeps the superblock live: once this CAS
+	// makes it EMPTY, a malloc that finds the descriptor in a partial
+	// list may retire it and a new superblock of another class, with
+	// another superblock size, reuse it.
 	sb := desc.SB()
 	maxcount := desc.MaxCount()
+	cls := desc.ClassIndex()
 	prefix := smallPrefix(descIdx)
 
 	var oldAnchor, newAnchor atomicx.Anchor
@@ -53,9 +58,9 @@ func (t *Thread) release(descIdx, first uint64, tail mem.Ptr, m uint64, hook Hoo
 	if newAnchor.State == atomicx.StateEmpty { // lines 19-21
 		// This thread freed the last allocated block: the superblock
 		// is EMPTY and safe to return to the OS.
-		a.freeSB(sb, a.classes[desc.ClassIndex()].class.SBWords)
+		a.freeSB(sb, a.classes[cls].class.SBWords)
 		t.ops.emptySBFreed.Add(1)
-		t.rec.Note(telemetry.EvSBRetire, desc.ClassIndex(), uint64(sb))
+		t.rec.Note(telemetry.EvSBRetire, cls, uint64(sb))
 		t.hook(HookFreeBeforeRetire)
 		if oldAnchor.State == atomicx.StateFull {
 			// The chain was the whole superblock, a transition one block

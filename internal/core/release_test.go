@@ -46,7 +46,7 @@ func TestReleaseSingleAndGroupAgree(t *testing.T) {
 			{"partial-to-empty", []int{1, n - 1}, atomicx.StateEmpty},
 			{"full-to-empty", []int{n}, atomicx.StateEmpty},
 		} {
-			t.Run(fmt.Sprintf("n=%d/%s", n, row.name), func(t *testing.T) {
+			t.Run(fmt.Sprintf("%s/%s", className(cls), row.name), func(t *testing.T) {
 				single := releaseSteps(t, cls, 0, row.steps)
 				// A magazine one larger than the superblock never reaches
 				// its watermark: every step is one flush group.
@@ -107,7 +107,7 @@ func releaseSteps(t *testing.T, cls sizeclass.Class, magazine int, steps []int) 
 	return releaseOutcome{
 		state:     an.State,
 		count:     an.Count,
-		inSlot:    owner.heaps[cls.Index].Partial.Load() == descIdx,
+		inSlot:    owner.findHeap(&a.classes[cls.Index]).Partial.Load() == descIdx,
 		listed:    a.PartialListLens()[cls.Index],
 		liveDescs: st.DescsAllocated - st.DescsOnFreelist,
 		emptied:   st.Ops.EmptySBFreed,

@@ -162,8 +162,10 @@ func TestExploreSuperblockDrain(t *testing.T) {
 		{2048, 4},
 		// 2 per superblock: no malloc finds a credit to leave behind, so
 		// each one carves a superblock, takes a last credit or goes to
-		// a PARTIAL one, and every second free empties a superblock.
+		// a PARTIAL one, and every second free empties a superblock —
+		// on 16 KiB and on 12 KiB superblocks.
 		{sizeclass.MaxPayloadBytes, 2},
+		{6136, 2},
 	} {
 		script := func(th alloc.Thread) {
 			var ps []mem.Ptr

@@ -70,11 +70,11 @@ func TestKillAtEveryPointDescStripes(t *testing.T) {
 
 // TestKillAtEveryPointFewBlockClasses repeats the per-point kill sweep
 // with one malloc in 16 between 4096 and sizeclass.MaxPayloadBytes
-// (8184 B): the classes of three and two blocks a superblock, where a
-// fresh superblock installs Active with one credit or none, every other
-// malloc takes a last credit, and a victim dies holding half a
-// superblock — without magazines and with a magazine a refill cannot
-// half fill.
+// (8184 B): the classes of three and two blocks a superblock (5448 B;
+// 6136 B on 12 KiB and 8184 B on 16 KiB), where a fresh superblock
+// installs Active with one credit or none, every other malloc takes a
+// last credit, and a victim dies holding half a superblock — without
+// magazines and with a magazine a refill cannot half fill.
 func TestKillAtEveryPointFewBlockClasses(t *testing.T) {
 	for _, mag := range []int{0, 8} {
 		sweepLockFreePlan(t, fmt.Sprintf("magazine=%d/", mag),

@@ -121,14 +121,16 @@ func TestEightByteClassIsFirst(t *testing.T) {
 }
 
 func TestInternalFragmentationBounded(t *testing.T) {
-	// Spacing guarantee. Up to the first class defined by its block
-	// count (1080 B, 15 a superblock), waste within a class is below 8
-	// bytes absolute (word rounding) or 30% relative, whichever is
-	// larger. Above it no relative bound can hold with whole blocks in
-	// one superblock size (4088 → 5448 → 8184 B is a third and a half);
-	// the guarantee there is that the class is the tightest the
-	// superblock allows: the request's own block, prefix included,
-	// would fit no more often than the class's does.
+	// Spacing guarantee. Up to the first four-page count class (1080 B,
+	// 15 a superblock), waste within a class is below 8 bytes absolute
+	// (word rounding) or 30% relative, whichever is larger. Above the
+	// listed classes no relative bound can hold with whole blocks in
+	// three- or four-page superblocks (4088 → 5448 → 6136 → 8184 B); the
+	// guarantee there is that the class is the tightest those
+	// superblocks allow: the request's own block, prefix included, cut
+	// at most 15 times from either size, costs no smaller a share of its
+	// superblock (SBWords/MaxCount, compared cross-multiplied) than the
+	// class's block does of the class's.
 	firstCountBytes := uint64(SuperblockWords/firstCountClass-1) * mem.WordBytes
 	for sz := uint64(1); sz <= MaxPayloadBytes; sz++ {
 		c, _ := For(sz)
@@ -138,23 +140,24 @@ func TestInternalFragmentationBounded(t *testing.T) {
 				t.Fatalf("size %d maps to class payload %d: %d%% waste",
 					sz, c.PayloadBytes, waste*100/sz)
 			}
+		}
+		if sz <= listedMaxBytes {
 			continue
 		}
 		words := (sz + mem.WordBytes - 1) / mem.WordBytes
-		if fit := SuperblockWords / (words + 1); fit != c.MaxCount {
-			t.Fatalf("size %d maps to a class of %d blocks a superblock; its own block would fit %d times",
-				sz, c.MaxCount, fit)
+		for _, sb := range []uint64{3 * mem.PageWords, 4 * mem.PageWords} {
+			if fit := min(sb/(words+1), firstCountClass); sb*c.MaxCount < c.SBWords*fit {
+				t.Fatalf("size %d maps to a class of %d blocks a %d-word superblock; its own block would fit %d times in %d words",
+					sz, c.MaxCount, c.SBWords, fit, sb)
+			}
 		}
 	}
 }
 
-// listedMaxBytes is the largest hand-listed class; above it a class is
-// defined by its block count.
-const listedMaxBytes = 896
-
 // previousPayloads is the table this one replaced (up to PR 17), the
 // reference of the two tests below: 256-byte steps from 1024 to 2048 B,
-// everything larger a page-rounded region from the OS layer.
+// everything larger a page-rounded region from the OS layer, every
+// superblock 16 KiB.
 var previousPayloads = []uint64{
 	8, 16, 24, 32, 40, 48, 56, 64,
 	80, 96, 112, 128,
@@ -167,7 +170,8 @@ var previousPayloads = []uint64{
 // TestDominatesPreviousTable: for every size the table serves, a block
 // takes no larger a share of the address space than it did under the
 // previous table, so the change of table can only lower a footprint.
-// Shares are compared as blocks per superblock, without rounding.
+// Shares are compared as SBWords/MaxCount, cross-multiplied, without
+// rounding.
 func TestDominatesPreviousTable(t *testing.T) {
 	oi := 0
 	for sz := uint64(1); sz <= MaxPayloadBytes; sz++ {
@@ -186,7 +190,7 @@ func TestDominatesPreviousTable(t *testing.T) {
 			oi++
 		}
 		oldCount := SuperblockWords / (previousPayloads[oi]/mem.WordBytes + 1)
-		if c.SBWords != SuperblockWords || c.MaxCount < oldCount {
+		if c.SBWords*oldCount > SuperblockWords*c.MaxCount {
 			t.Fatalf("size %d: %d blocks a %d-word superblock, was %d a %d-word one",
 				sz, c.MaxCount, c.SBWords, oldCount, SuperblockWords)
 		}
@@ -211,25 +215,59 @@ func TestListedClassesUnchanged(t *testing.T) {
 	}
 }
 
-// TestCountClasses: above the listed classes there is exactly one class
-// per block count, 15 down to 2, and each wastes fewer words of its
-// superblock than it has blocks.
+// TestCountClasses: above the listed classes the table is the frontier
+// of the three- and four-page candidates, the blocks SB/n words for
+// each superblock size SB and n = 15 … 2: no candidate holding at least
+// a class's block costs a smaller share of its superblock, nor the same
+// share with a larger block; a three-page candidate that ties a
+// four-page class in both loses to it (1352, 2040 and 4088 B stay on
+// 16 KiB); so the fourteen 16 KiB classes stay and nine 12 KiB ones join
+// them. Each class is the largest block that fits its count and wastes
+// fewer words of its superblock than it has blocks.
 func TestCountClasses(t *testing.T) {
-	want := uint64(firstCountClass)
+	const three, four = 3 * mem.PageWords, 4 * mem.PageWords
+	want := map[uint64]uint64{ // payload B: superblock words
+		936: three, 1016: three, 1080: four, 1104: three, 1160: four, 1216: three,
+		1248: four, 1352: four, 1480: four, 1528: three, 1624: four, 1744: three,
+		1808: four, 2040: four, 2328: four, 2448: three, 2720: four, 3064: three,
+		3264: four, 4088: four, 5448: four, 6136: three, 8184: four,
+	}
+	seen := 0
 	for _, c := range All() {
 		if c.PayloadBytes <= listedMaxBytes {
 			continue
 		}
-		if c.MaxCount != want {
-			t.Errorf("class %d (%d B) has %d blocks a superblock, want %d", c.Index, c.PayloadBytes, c.MaxCount, want)
+		seen++
+		if sb, ok := want[c.PayloadBytes]; !ok || c.SBWords != sb {
+			t.Errorf("class %d (%d B) on a %d-word superblock; want %v", c.Index, c.PayloadBytes, c.SBWords, want[c.PayloadBytes])
+		}
+		if c.BlockWords != c.SBWords/c.MaxCount || c.MaxCount > firstCountClass {
+			t.Errorf("class %d (%d B): %d blocks of %d words is no candidate of its %d-word superblock",
+				c.Index, c.PayloadBytes, c.MaxCount, c.BlockWords, c.SBWords)
 		}
 		if slack := c.SBWords - c.MaxCount*c.BlockWords; slack >= c.MaxCount {
 			t.Errorf("class %d (%d B) leaves %d words of its superblock unused", c.Index, c.PayloadBytes, slack)
 		}
-		want--
+		for _, sb := range []uint64{three, four} {
+			for n := uint64(2); n <= firstCountClass; n++ {
+				bw := sb / n
+				if bw < c.BlockWords {
+					continue
+				}
+				cand, class := sb*c.MaxCount, c.SBWords*(sb/bw) // share of a superblock, cross-multiplied
+				switch {
+				case cand < class:
+					t.Errorf("class %d (%d B): a %d-word block cut %d times from %d words costs less", c.Index, c.PayloadBytes, bw, sb/bw, sb)
+				case cand == class && bw > c.BlockWords:
+					t.Errorf("class %d (%d B): a larger %d-word block costs the same", c.Index, c.PayloadBytes, bw)
+				case cand == class && sb > c.SBWords:
+					t.Errorf("class %d (%d B): a tie went to %d words, not %d", c.Index, c.PayloadBytes, c.SBWords, sb)
+				}
+			}
+		}
 	}
-	if want != 1 {
-		t.Errorf("count classes stop at %d blocks a superblock, want 2", want+1)
+	if seen != len(want) {
+		t.Errorf("%d count classes, want %d", seen, len(want))
 	}
 	if got := ByIndex(NumClasses() - 1).PayloadBytes; got != MaxPayloadBytes {
 		t.Errorf("last class serves %d B, MaxPayloadBytes is %d", got, MaxPayloadBytes)
@@ -239,13 +277,14 @@ func TestCountClasses(t *testing.T) {
 // TestBuildClassesRejects: a table the rest of the repository could not
 // represent stops the program at start-up.
 func TestBuildClassesRejects(t *testing.T) {
-	tooMany := make([]uint64, math.MaxInt8+2) // lookup holds int8 indices
+	tooMany := make([]shape, math.MaxInt8+2) // lookup holds int8 indices
 	for i := range tooMany {
-		tooMany[i] = uint64(i+1) * mem.WordBytes
+		tooMany[i] = shape{uint64(i + 2), SuperblockWords}
 	}
-	for name, payloads := range map[string][]uint64{
-		"more classes than int8": tooMany,
-		"one block a superblock": {SuperblockWords / 2 * mem.WordBytes},
+	for name, shapes := range map[string][]shape{
+		"more classes than int8":  tooMany,
+		"one block a superblock":  {{SuperblockWords/2 + 1, SuperblockWords}},
+		"superblock above 16 KiB": {{2, 2 * SuperblockWords}},
 	} {
 		func() {
 			defer func() {
@@ -253,12 +292,11 @@ func TestBuildClassesRejects(t *testing.T) {
 					t.Errorf("%s: buildClasses did not panic", name)
 				}
 			}()
-			buildClasses(payloads)
+			buildClasses(shapes)
 		}()
 	}
 	buildClasses(tooMany[:math.MaxInt8+1]) // the most that fit
 }
-
 func TestAllReturnsCopy(t *testing.T) {
 	a := All()
 	a[0].PayloadBytes = 999999
