@@ -81,9 +81,8 @@ type Options struct {
 	// allocator is reached through HarnessOf (oracle verdict, hooked
 	// threads, census, recorder), like a bare one.
 	Shadow bool
-	// ShadowConfig tunes the oracle (violation handler, telemetry
-	// recorder for flight-recorder dumps, poison limits). Name, Heap,
-	// VerifyOnReuse, and CrossCheck are set by the constructor and
-	// ignored here.
+	// ShadowConfig tunes the oracle: its violation handler. Name, Heap,
+	// VerifyOnReuse, PrefixIgnoreMask and CrossCheck are set by the
+	// constructor from the registry entry and ignored here.
 	ShadowConfig shadow.Config
 }

@@ -8,9 +8,9 @@
 # costs a call per word silently. This step asks the compiler and fails
 # loudly. It then counts the locked instructions on the paths that end
 # in a CAS, checks that a magazine hit takes none, that only the timed
-# helpers read the clock and that recording an operation divides
-# nothing, and checks that Heap.Load translates with one compare (see
-# the last sections).
+# helpers read the clock or call the recorder and that recording an
+# operation divides nothing, and checks that Heap.Load translates with
+# one compare (see the last sections).
 #
 # mem's accessors are checked where they are declared. pool.Pool is
 # generic, so the compiler only reports on its methods where they are
@@ -75,8 +75,11 @@ for fn in Malloc Free; do
 done
 inlined_within malloc malloc 'telemetry\.Counts\.Count'
 inlined_within free free 'telemetry\.Counts\.Count'
+# A thread without a hook pays the hook's nil check, not a call, at every
+# kill point of the Active pop.
+inlined_within malloc mallocFromActive '\(\*Thread\)\.hook'
 if [ "$status" -eq 0 ]; then
-	echo "inline guard: atomicx.PlainStore, atomicx.PlainLoad, mem.(*Heap).{Mapped,word,Load,Store,CAS,Get,Set}, mem.PayloadWords, pool.(*Pool).Get, core.(*Allocator).desc and the prefix helpers all inline, withLink and smallPrefix inside release, the count inside malloc and free and the recorder's countdown inside Malloc and Free"
+	echo "inline guard: atomicx.PlainStore, atomicx.PlainLoad, mem.(*Heap).{Mapped,word,Load,Store,CAS,Get,Set}, mem.PayloadWords, pool.(*Pool).Get, core.(*Allocator).desc and the prefix helpers all inline, withLink and smallPrefix inside release, the count inside malloc and free, the recorder's countdown inside Malloc and Free and the hook inside mallocFromActive"
 fi
 
 # Locked-instruction count, from the disassembly of a non-race build
@@ -161,6 +164,19 @@ if [ "$(go env GOARCH)" = amd64 ]; then
 			continue
 		fi
 		echo "clock reads: core.(*Thread).$fn $clocks"
+		# An untimed operation leaves the recorder alone: Malloc's and
+		# Free's own code makes no call into the telemetry package.
+		case $fn in
+		Malloc | Free)
+			tcalls=$(go tool objdump -s "^repro/internal/core\.\(\*Thread\)\.$fn\$" "$bin/core.test" |
+				awk '/CALL repro\/internal\/telemetry\./ { c++ } END { print c + 0 }')
+			echo "telemetry calls: core.(*Thread).$fn $tcalls"
+			if [ "$tcalls" -ne 0 ]; then
+				echo "inline guard: core.(*Thread).$fn calls into the telemetry package; only mallocTimed and freeTimed may" >&2
+				status=1
+			fi
+			;;
+		esac
 		case "$fn:$clocks" in
 		Malloc:0 | Free:0) ;;
 		Malloc:* | Free:*)

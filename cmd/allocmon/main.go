@@ -27,8 +27,7 @@
 //
 // A knob core.Config.Validate rejects, an unknown backend, -threads
 // below 1, a non-positive -interval, -history below 1, or a negative
-// -samplerate or -events exits 1 with the reason before the allocator
-// is built.
+// -samplerate exits 1 with the reason before the allocator is built.
 package main
 
 import (
@@ -55,22 +54,20 @@ type monitor struct {
 	rec    *telemetry.Recorder
 	h      alloc.Harness
 	series *telemetry.Series
-	events int // flight-recorder events on the text dashboard
 }
 
-func newMonitor(rec *telemetry.Recorder, a alloc.Allocator, history, events int) *monitor {
+func newMonitor(rec *telemetry.Recorder, a alloc.Allocator, history int) *monitor {
 	return &monitor{
 		rec:    rec,
 		h:      alloc.HarnessOf(a),
 		series: telemetry.NewSeries(history),
-		events: events,
 	}
 }
 
 // dashboard writes the text dashboard: the telemetry snapshot, then the
 // census.
 func (m *monitor) dashboard(w io.Writer) {
-	fmt.Fprint(w, m.rec.Snapshot().Text(m.events))
+	fmt.Fprint(w, m.rec.Snapshot().Text())
 	fmt.Fprintln(w, "\nCensus:")
 	m.h.Census().WriteText(w)
 }
@@ -158,7 +155,6 @@ func run(args []string, stdout, stderr io.Writer) int {
 		pause      = fs.Duration("pause", 50*time.Microsecond, "sleep between workload ops (0 = full speed)")
 		once       = fs.Bool("once", false, "print one dashboard after -warmup and exit (no server)")
 		warmup     = fs.Duration("warmup", 2*time.Second, "workload warmup before -once prints")
-		events     = fs.Int("events", 16, "flight-recorder events shown on the text dashboard")
 		interval   = fs.Duration("interval", time.Second, "census sampling interval for /series.json")
 		sampleRate = fs.Int("samplerate", 1024, "allocation sampling period (mallocs per sample, 0 = off)")
 		history    = fs.Int("history", 120, "series points retained")
@@ -180,8 +176,6 @@ func run(args []string, stdout, stderr io.Writer) int {
 		return fail(fmt.Errorf("-history must be at least 1, got %d", *history))
 	case *sampleRate < 0:
 		return fail(fmt.Errorf("-samplerate must not be negative, got %d", *sampleRate))
-	case *events < 0:
-		return fail(fmt.Errorf("-events must not be negative, got %d", *events))
 	}
 
 	rec := core.NewRecorder(telemetry.Config{SampleRate: *sampleRate})
@@ -189,7 +183,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 	if err != nil {
 		return fail(err)
 	}
-	m := newMonitor(rec, a, *history, *events)
+	m := newMonitor(rec, a, *history)
 
 	// The embedded workload runs until run returns; the first error, a
 	// worker's Malloc or the server's, ends the command.

@@ -49,7 +49,7 @@ func newBackendMonitor(t *testing.T, name string, ops int) (*monitor, alloc.Thre
 			th.Free(p)
 		}
 	}
-	return newMonitor(rec, a, 16, 4), th
+	return newMonitor(rec, a, 16), th
 }
 
 func get(t *testing.T, srv *httptest.Server, path string) (string, string) {
@@ -364,7 +364,7 @@ func TestNoNumberLost(t *testing.T) {
 
 // TestRejectedConfig: a knob core.Config.Validate rejects, an unknown
 // backend, no workload thread, a non-positive sampling interval, an
-// empty series ring, or a negative sampling period or event count stops
+// empty series ring, or a negative sampling period stops
 // the command before any workload starts — also in server mode, which
 // must return instead of listening.
 func TestRejectedConfig(t *testing.T) {
@@ -378,7 +378,6 @@ func TestRejectedConfig(t *testing.T) {
 		{"-threads", "-1", "-addr", "127.0.0.1:0"},
 		once("-samplerate", "-1"),
 		once("-samplerate", "-5"),
-		once("-events", "-1"),
 		once("-history", "0"),
 		{"-history", "0", "-addr", "127.0.0.1:0"},
 		{"-history", "-4", "-addr", "127.0.0.1:0"},

@@ -5,7 +5,7 @@
 //
 //	mlfstress [-alloc lockfree] [-threads 8] [-ops 200000] [-kills 0]
 //	          [-hyper] [-lifo] [-credits 64] [-seed 1] [-telemetry]
-//	          [-events 16] [-magazine 0] [-shadow]
+//	          [-magazine 0] [-shadow]
 //
 // -alloc selects the backend under stress from the registry of package
 // alloc (default lockfree, the paper's allocator). Every backend is
@@ -20,9 +20,8 @@
 //
 // With -telemetry, the observability layer is attached, its allocation
 // sampler at allocmon's default rate (one malloc in 1024): the run ends
-// with a contention/latency summary, and in fault-injection mode the
-// flight recorder's tail is dumped, showing the events leading up to
-// each kill.
+// with a contention/latency summary, in both modes. Where each kill
+// struck is in the sweep's own report (sched.Result, "kills=").
 //
 // Either way the run ends with the backend's census (alloc.Harness.Census)
 // taken after every surviving block was freed: the OS layer for every
@@ -35,9 +34,9 @@
 // into a shadow-heap oracle that detects double-free, invalid free,
 // overlapping live blocks, and write-after-free via poison-on-free
 // (where the registry entry allows it); the first violation aborts the
-// run with the offending pointer, the allocating and freeing thread
-// ids, and the flight recorder's tail. (Under -kills violations are
-// collected and reported after the sweep.)
+// run with the offending pointer and the allocating and freeing thread
+// ids. (Under -kills violations are collected and reported after the
+// sweep.)
 //
 // A contradictory or out-of-range knob (core.Config.Validate), and
 // -threads or -ops below 1, exit non-zero with the reason before any
@@ -79,8 +78,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 		lifo    = fs.Bool("lifo", false, "LIFO partial lists")
 		credits = fs.Int("credits", 0, "MAXCREDITS (default 64)")
 		seed    = fs.Int64("seed", 1, "PRNG seed")
-		tele    = fs.Bool("telemetry", true, "attach the telemetry layer (contention/latency summary, flight recorder)")
-		events  = fs.Int("events", 16, "flight-recorder events to dump (telemetry mode)")
+		tele    = fs.Bool("telemetry", true, "attach the telemetry layer (contention/latency summary)")
 		af      = bench.RegisterBackendFlags(fs)
 		shadowF = fs.Bool("shadow", false, "attach the shadow-heap oracle; first violation aborts the run")
 	)
@@ -102,10 +100,10 @@ func run(args []string, stdout, stderr io.Writer) int {
 	if *tele {
 		rec = core.NewRecorder(telemetry.Config{SampleRate: 1024})
 	}
-	// Without an OnViolation handler the first violation panics with the
-	// attribution line and the flight recorder's tail. A kill sweep
-	// collects instead: its victims unwind by panicking.
-	oracle := shadow.Config{Telemetry: rec, DumpEvents: *events}
+	// Without an OnViolation handler the first violation panics with its
+	// attribution line. A kill sweep collects instead: its victims unwind
+	// by panicking.
+	var oracle shadow.Config
 	if *kills > 0 {
 		oracle.OnViolation = func(shadow.Violation) {}
 	}
@@ -148,11 +146,6 @@ func run(args []string, stdout, stderr io.Writer) int {
 			Seed:           *seed,
 			Point:          -1,
 		}, h)
-		if rec != nil {
-			// Dump even when survivors blocked: the flight recorder's tail
-			// is the post-mortem, showing each victim's final hook firings.
-			fmt.Fprintf(stdout, "\n%s", rec.Snapshot().Text(*events))
-		}
 		if err != nil {
 			return fail("%v", err)
 		}
@@ -168,11 +161,11 @@ func run(args []string, stdout, stderr io.Writer) int {
 		}
 		fmt.Fprintf(stdout, "done in %v: %d mallocs (%.0f ops/s), %d frees\n",
 			elapsed.Round(time.Millisecond), mallocs, float64(mallocs+frees)/elapsed.Seconds(), frees)
-		if rec != nil {
-			fmt.Fprintf(stdout, "\n%s", rec.Snapshot().Text(0))
-		}
 		shadowErr = h.ShadowErr()
 		rep = h.Inspect(0)
+	}
+	if rec != nil {
+		fmt.Fprintf(stdout, "\n%s", rec.Snapshot().Text())
 	}
 	// The backend's counters and inventory as the run left them, every
 	// surviving block freed: what it retains, and what the kills cost.

@@ -123,7 +123,7 @@ func TestKillSweepEveryHookableBackend(t *testing.T) {
 		t.Run(b.Name, func(t *testing.T) {
 			// Seed 2: neither victim draws the buddy's grow-before-publish,
 			// which takes seconds to reach in a default-sized tree.
-			code, out, errOut := stress("-alloc", b.Name, "-kills", "2", "-threads", "2", "-ops", "3000", "-seed", "2", "-events", "4")
+			code, out, errOut := stress("-alloc", b.Name, "-kills", "2", "-threads", "2", "-ops", "3000", "-seed", "2")
 			if len(b.HookPoints) == 0 {
 				if code == 0 || !strings.Contains(errOut, b.Name+" has none") {
 					t.Fatalf("exit %d, stderr %q; want a refusal naming the backend", code, errOut)
@@ -292,8 +292,7 @@ func (d *doubleFreer) Unregister() {
 }
 
 // TestShadowCatchesAnInjectedDoubleFree: the run fails with the
-// oracle's verdict, and the abort message carries the attribution and
-// the flight recorder's tail.
+// oracle's verdict, and the abort message carries the attribution.
 func TestShadowCatchesAnInjectedDoubleFree(t *testing.T) {
 	for _, name := range []string{"lockfree", "hoard", "buddy"} {
 		t.Run(name, func(t *testing.T) {
@@ -313,7 +312,7 @@ func TestShadowCatchesAnInjectedDoubleFree(t *testing.T) {
 				t.Fatalf("exit %d, stderr %q; want the oracle's double-free verdict\n%s", code, errOut, out)
 			}
 			msg, _ := report.Load().(string)
-			for _, want := range []string{"shadow[" + name + "]: double-free", "op thread 0", "flight recorder tail"} {
+			for _, want := range []string{"shadow[" + name + "]: double-free", "op thread 0"} {
 				if !strings.Contains(msg, want) {
 					t.Errorf("abort message lacks %q:\n%s", want, msg)
 				}

@@ -85,12 +85,11 @@ type Config struct {
 
 	// Telemetry, when non-nil, attaches the lock-free observability
 	// layer: CAS-retry counters at every contention site, malloc/free
-	// latency histograms (one operation in telemetry.Interval timed),
-	// the flight recorder, and a view of the operation counts Stats
-	// reads. Create one with NewRecorder so its rows match the
-	// size-class table. When nil (the default), Malloc and Free take the
-	// bare path, which only counts, and every other instrumented site
-	// costs one nil check.
+	// latency histograms (one operation in telemetry.Interval timed)
+	// and a view of the operation counts Stats reads. Create one with
+	// NewRecorder so its rows match the size-class table. When nil (the
+	// default), Malloc and Free take the bare path, which only counts,
+	// and every other instrumented site costs one nil check.
 	Telemetry *telemetry.Recorder
 }
 
@@ -343,7 +342,7 @@ func (a *Allocator) Thread() *Thread {
 	id := a.nextThread.Add(1) - 1
 	t := &Thread{a: a, id: id, proc: id % a.procs}
 	if a.tele != nil {
-		t.rec = a.tele.NewShard(t.id)
+		t.rec = a.tele.NewShard()
 		t.counts = t.rec.Counts()
 		t.mallocTick = t.rec.Countdown(telemetry.OpMalloc)
 		t.freeTick = t.rec.Countdown(telemetry.OpFree)

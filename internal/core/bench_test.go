@@ -58,6 +58,16 @@ func BenchmarkMallocFreePairMagazine(b *testing.B) {
 	benchPair(b, cfg)
 }
 
+// BenchmarkMallocFreePairMagazineTelemetry is the magazine pair with a
+// recorder attached: its excess over BenchmarkMallocFreePairMagazine is
+// the recorder's cost on a magazine hit, the countdown.
+func BenchmarkMallocFreePairMagazineTelemetry(b *testing.B) {
+	cfg := benchConfig()
+	cfg.MagazineSize = 64
+	cfg.Telemetry = NewRecorder(telemetry.Config{})
+	benchPair(b, cfg)
+}
+
 func BenchmarkMallocFreeParallelMagazine(b *testing.B) {
 	cfg := benchConfig()
 	cfg.MagazineSize = 64

@@ -32,10 +32,7 @@ func (t *Thread) Free(ptr mem.Ptr) {
 		t.freeTimed(ptr)
 		return
 	}
-	cls := t.free(ptr, t.a.heap.Load(ptr-1))
-	if t.rec.Retrying() {
-		t.rec.Retried(telemetry.OpFree, cls, uint64(ptr))
-	}
+	t.free(ptr, t.a.heap.Load(ptr-1))
 }
 
 // freeTimed is Free on a free the recorder is due on.
@@ -52,9 +49,7 @@ func (t *Thread) freeTimed(ptr mem.Ptr) {
 	}
 	cls := t.free(ptr, t.a.heap.Load(ptr-1))
 	if timed {
-		t.rec.EndFree(cls, time.Duration(telemetry.Now()-start), uint64(ptr))
-	} else if t.rec.Retrying() {
-		t.rec.Retried(telemetry.OpFree, cls, uint64(ptr))
+		t.rec.EndFree(cls, time.Duration(telemetry.Now()-start))
 	}
 }
 

@@ -101,19 +101,11 @@ func (p HookPoint) String() string {
 func (t *Thread) SetHook(f func(HookPoint)) { t.hookFn = f }
 
 // hook invokes the thread's hook, if any. The nil check is the only
-// cost on unhooked threads; the body below must stay a single call so
-// hook itself remains inlinable at every malloc/free call site.
+// cost on unhooked threads; the body must stay that check and one call
+// so hook itself inlines at every malloc/free call site
+// (ci/inline_guard.sh).
 func (t *Thread) hook(p HookPoint) {
 	if t.hookFn != nil {
-		t.hookSlow(p)
+		t.hookFn(p)
 	}
-}
-
-// hookSlow is the hooked path. When telemetry is attached, each firing
-// is also recorded in the flight recorder — so after a fault-injection
-// kill (a hook that panics), the ring's tail shows exactly where the
-// thread died and what it was doing.
-func (t *Thread) hookSlow(p HookPoint) {
-	t.rec.NoteHook(int(p))
-	t.hookFn(p)
 }

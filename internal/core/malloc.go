@@ -25,10 +25,7 @@ func (t *Thread) Malloc(size uint64) (mem.Ptr, error) {
 	if t.due(&t.mallocTick) {
 		return t.mallocTimed(size)
 	}
-	p, cls, err := t.malloc(size)
-	if err == nil && t.rec.Retrying() {
-		t.rec.Retried(telemetry.OpMalloc, cls, uint64(p))
-	}
+	p, _, err := t.malloc(size)
 	return p, err
 }
 
@@ -55,9 +52,7 @@ func (t *Thread) mallocTimed(size uint64) (mem.Ptr, error) {
 		return p, err
 	}
 	if timed {
-		t.rec.EndMalloc(cls, time.Duration(telemetry.Now()-start), uint64(p))
-	} else if t.rec.Retrying() {
-		t.rec.Retried(telemetry.OpMalloc, cls, uint64(p))
+		t.rec.EndMalloc(cls, time.Duration(telemetry.Now()-start))
 	}
 	if sampled {
 		t.rec.Sample(uint64(p), size, cls)
@@ -395,7 +390,6 @@ func (t *Thread) mallocFromNewSB(h *ProcHeap) (mem.Ptr, error) {
 	t.hook(HookNewSBBeforeInstall)
 
 	if h.Active.CompareAndSwap(0, newActive) { // line 13
-		t.rec.Note(telemetry.EvNewSB, cls.Index, uint64(sb))
 		return sb.Add(1), nil
 	}
 	t.rec.Retry(telemetry.SiteActiveInstall)
@@ -416,6 +410,5 @@ func (t *Thread) mallocFromNewSB(h *ProcHeap) (mem.Ptr, error) {
 	a.freeSB(sb, cls.SBWords)
 	a.descs.Retire(t.stripe(), descIdx)
 	t.ops.newSBRaceLoss.Add(1)
-	t.rec.Note(telemetry.EvRaceLoss, cls.Index, uint64(sb))
 	return 0, nil
 }

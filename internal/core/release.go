@@ -60,7 +60,6 @@ func (t *Thread) release(descIdx, first uint64, tail mem.Ptr, m uint64, hook Hoo
 		// is EMPTY and safe to return to the OS.
 		a.freeSB(sb, a.classes[cls].class.SBWords)
 		t.ops.emptySBFreed.Add(1)
-		t.rec.Note(telemetry.EvSBRetire, cls, uint64(sb))
 		t.hook(HookFreeBeforeRetire)
 		if oldAnchor.State == atomicx.StateFull {
 			// The chain was the whole superblock, a transition one block

@@ -18,8 +18,8 @@ import (
 // TestTelemetryIntegration runs a real malloc/free workload with the
 // telemetry layer attached and checks that the snapshot is internally
 // consistent: operation counts match the work done, one operation in
-// telemetry.Interval per thread is timed, retry sites carry only known
-// names, and the flight recorder captured events.
+// telemetry.Interval per thread is timed, and retry sites carry only
+// known names.
 func TestTelemetryIntegration(t *testing.T) {
 	cfg := testConfig()
 	cfg.Processors = 2 // force heap sharing so retries actually occur
@@ -96,9 +96,6 @@ func TestTelemetryIntegration(t *testing.T) {
 	if perClassMallocs != snap.Mallocs || perClassTimed != snap.Malloc.Count {
 		t.Errorf("per-class malloc rows sum to %d counted, %d timed; want %d, %d",
 			perClassMallocs, perClassTimed, snap.Mallocs, snap.Malloc.Count)
-	}
-	if snap.EventsRecorded == 0 {
-		t.Error("flight recorder captured no events")
 	}
 	if snap.Malloc.P50NS == 0 || snap.Malloc.P99NS < snap.Malloc.P50NS {
 		t.Errorf("implausible malloc latency quantiles: p50=%d p99=%d",
@@ -226,8 +223,7 @@ func statsLiveSampling(t *testing.T, a *Allocator) {
 // hoping for one: thread A's hook, between its anchor load and its CAS in
 // MallocFromActive's pop, has thread B free a block into the same
 // superblock, so A's CAS fails once. The retry is A's first malloc, an
-// untimed one: it must still be counted at its site, and get its
-// flight-recorder entry.
+// untimed one: it must still be counted at its site.
 func TestTelemetryRetrySitesUnderContention(t *testing.T) {
 	cfg := testConfig()
 	cfg.Processors = 1 // A and B share every processor heap
@@ -271,13 +267,6 @@ func TestTelemetryRetrySitesUnderContention(t *testing.T) {
 	}
 	if snap.RetriesPerOp() <= 0 {
 		t.Errorf("RetriesPerOp = %v, want > 0", snap.RetriesPerOp())
-	}
-	var entry bool
-	for _, ev := range snap.Events {
-		entry = entry || ev.Kind == telemetry.EvMalloc && ev.Ptr == uint64(q) && ev.Retries >= 1 && ev.Nanos == 0
-	}
-	if !entry {
-		t.Errorf("no flight-recorder entry for A's retried, untimed malloc: %+v", snap.Events)
 	}
 	ta.Free(q)
 	if err := a.CheckInvariants(0); err != nil {

@@ -165,6 +165,11 @@ const (
 
 // regions is the region allocator's state.
 type regions struct {
+	// live is the memdebug build's ledger of the regions handed out
+	// (memdebug_on.go); empty otherwise. First, so that its zero size
+	// adds no padding.
+	live liveRegions
+
 	// Free-region bins. bins[0..exactBins-1] hold regions of exactly
 	// i+1 pages; log2Bins[k] holds regions of exactly 2^k pages.
 	bins     [exactBins]lfstack.Stack
@@ -444,13 +449,16 @@ func (h *Heap) AllocRegionAligned(n, align uint64) (Ptr, error) {
 }
 
 // FreeRegion returns a region obtained from AllocRegion(n) (same n) to
-// the OS layer's bins. It corresponds to munmap. Lock-free.
+// the OS layer's bins. It corresponds to munmap. Lock-free. Under the
+// memdebug build tag it panics on a base that is not live or a size
+// other than the one allocated.
 func (h *Heap) FreeRegion(p Ptr, n uint64) {
 	if memDebug && n != RegionWords(n) {
 		panic(fmt.Sprintf("mem: FreeRegion(%v, %d): size is not region-rounded (RegionWords gives %d)",
 			p, n, RegionWords(n)))
 	}
 	words := RegionWords(n)
+	h.os.live.remove(p, words)
 	h.noteRecycled(p, words)
 	h.os.frees.Add(1)
 	h.liveWords.Add(^(words - 1)) // subtract
@@ -470,6 +478,7 @@ func (h *Heap) allocWords(words, align uint64) (Ptr, error) {
 			return 0, ErrOutOfMemory
 		}
 	}
+	h.os.live.add(p, words)
 	h.os.allocs.Add(1)
 	if reused {
 		h.os.reused.Add(1)

@@ -65,11 +65,13 @@ type nodePool = pool.Pool[node, *node]
 // to the list.
 type Nodes struct{ pool *nodePool }
 
-// NewNodes builds a node pool with room for maxNodes nodes (at least
-// 64); beyond it the lists' Put returns pool.ErrExhausted. A caller that
-// knows how many values can exist at once — the core knows how many
-// superblocks its heap has room for — passes that instead of paying for
-// DefaultNodes worth of chunk table.
+// NewNodes builds a node pool that holds maxNodes rounded up to whole
+// chunks, less one chunk, and at least 64 nodes: NewNodes(728) holds 704
+// (chunks of 64), and a Put beyond that returns pool.ErrExhausted. A
+// caller that knows how many values can exist at once — the core knows
+// how many superblocks its heap has room for — passes that, with a
+// chunk to spare, instead of paying for DefaultNodes worth of chunk
+// table.
 //
 // A pool pays for two things up front — one chunk of nodes (16 bytes
 // each, linked one by one; a FIFO's dummy node forces it) and the flat

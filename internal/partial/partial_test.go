@@ -379,6 +379,28 @@ func TestListsShareNodes(t *testing.T) {
 	}
 }
 
+// TestNodesCapacity: a pool holds what NewNodes's doc says, maxNodes
+// rounded up to whole chunks less one chunk, and not one node more; a
+// FIFO's dummy takes one of them.
+func TestNodesCapacity(t *testing.T) {
+	for _, tc := range []struct{ maxNodes, holds int }{{728, 704}, {64, 64}, {1000, 960}} {
+		for name, l := range map[string]List{"lifo": NewNodes(uint64(tc.maxNodes)).NewLIFO(), "fifo": NewNodes(uint64(tc.maxNodes)).NewFIFO()} {
+			want := tc.holds
+			if name == "fifo" {
+				want--
+			}
+			for i := 0; i < want; i++ {
+				if err := l.Put(uint64(i + 1)); err != nil {
+					t.Fatalf("NewNodes(%d) %s: Put %d of %d: %v", tc.maxNodes, name, i+1, want, err)
+				}
+			}
+			if err := l.Put(1); !errors.Is(err, pool.ErrExhausted) {
+				t.Errorf("NewNodes(%d) %s: Put %d = %v, want pool.ErrExhausted", tc.maxNodes, name, want+1, err)
+			}
+		}
+	}
+}
+
 // TestUpFrontFootprint pins what an empty list allocates: the node-pool
 // chunk table used to be 512 KiB a list whatever the capacity.
 func TestUpFrontFootprint(t *testing.T) {

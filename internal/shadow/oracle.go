@@ -48,9 +48,6 @@ var (
 // region-recycle hook that invalidates stale poison there, so it must
 // run before the first mirrored operation.
 func New(cfg Config) *Oracle {
-	if cfg.DumpEvents == 0 {
-		cfg.DumpEvents = 16
-	}
 	o := &Oracle{
 		cfg:         cfg,
 		live:        map[mem.Ptr]*blockRec{},
@@ -336,19 +333,14 @@ func (o *Oracle) recordLocked(vs []Violation) {
 }
 
 // report delivers violations outside the model lock: to OnViolation in
-// collecting mode, else by panicking with the full report plus a
-// flight-recorder tail when telemetry is attached.
+// collecting mode, else by panicking with the violation's report.
 func (o *Oracle) report(vs []Violation) {
 	for _, v := range vs {
 		if o.cfg.OnViolation != nil {
 			o.cfg.OnViolation(v)
 			continue
 		}
-		msg := v.Error()
-		if o.cfg.Telemetry != nil {
-			msg += "\nflight recorder tail:\n" + o.cfg.Telemetry.Snapshot().Text(o.cfg.DumpEvents)
-		}
-		panic(msg)
+		panic(v.Error())
 	}
 }
 

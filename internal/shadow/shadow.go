@@ -46,7 +46,6 @@ import (
 	"strconv"
 
 	"repro/internal/mem"
-	"repro/internal/telemetry"
 )
 
 // PoisonWord is the canary pattern written over every payload word of a
@@ -91,19 +90,11 @@ type Config struct {
 	CrossCheck bool
 
 	// OnViolation, when non-nil, receives each violation instead of the
-	// default behaviour (panic with the full report and, when Telemetry
-	// is set, a flight-recorder dump). Harnesses that want to finish the
-	// run and inspect Err() set a collecting func here.
+	// default behaviour (panic with the violation's report, which names
+	// the pointer and the allocating and freeing threads). Harnesses
+	// that want to finish the run and inspect Err() set a collecting
+	// func here.
 	OnViolation func(Violation)
-
-	// Telemetry, when set, contributes a flight-recorder tail to
-	// panicking violation reports, showing the events leading up to the
-	// corruption.
-	Telemetry *telemetry.Recorder
-
-	// DumpEvents is how many flight-recorder events the report includes
-	// (0 selects 16).
-	DumpEvents int
 }
 
 // Kind classifies a violation.

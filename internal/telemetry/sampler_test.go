@@ -76,7 +76,7 @@ func TestShardSampleRate(t *testing.T) {
 	if r.Sampler() == nil {
 		t.Fatal("no sampler with SampleRate set")
 	}
-	sh := r.NewShard(0)
+	sh := r.NewShard()
 	// The owner's side of the countdown, as core.Thread.Malloc runs it.
 	countdown, timed := sh.Countdown(OpMalloc), 0
 	for i := uint64(0); i < 2*Interval; i++ {
@@ -111,7 +111,7 @@ func TestSamplerDisabled(t *testing.T) {
 	if r.Sampler() != nil {
 		t.Fatal("sampler attached with SampleRate 0")
 	}
-	sh := r.NewShard(0)
+	sh := r.NewShard()
 	// Without a sampler the countdowns run to the timed operations
 	// alone, no malloc is sampled, and SampleFree is a no-op.
 	for _, op := range []Op{OpMalloc, OpFree} {

@@ -44,10 +44,8 @@ func NewSeries(capacity int) *Series {
 
 // Add appends a sample, computing its delta against the previous point
 // (the first point's delta is the snapshot itself — Sub against a zero
-// Snapshot is the identity). The snapshot's flight-recorder events are
-// dropped to keep the ring light. Returns the stored point.
+// Snapshot is the identity). Returns the stored point.
 func (s *Series) Add(snap Snapshot, census any) SeriesPoint {
-	snap.Events = nil
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	pt := SeriesPoint{

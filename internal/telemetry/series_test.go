@@ -11,11 +11,11 @@ import (
 // other.
 func snapAt(n uint64) Snapshot {
 	return Snapshot{
-		TakenUnixNano:  int64(n),
-		TotalRetries:   n,
-		EventsRecorded: n,
-		Retries:        map[string]uint64{"site": n},
-		Malloc:         HistSummary{Count: n},
+		TakenUnixNano: int64(n),
+		TotalRetries:  n,
+		Mallocs:       n,
+		Retries:       map[string]uint64{"site": n},
+		Malloc:        HistSummary{Count: n},
 	}
 }
 
@@ -125,7 +125,7 @@ func TestSeriesConcurrentChurn(t *testing.T) {
 func checkPoint(t *testing.T, pt SeriesPoint) {
 	t.Helper()
 	n := pt.Snapshot.TotalRetries
-	if pt.Snapshot.EventsRecorded != n || pt.Snapshot.Retries["site"] != n ||
+	if pt.Snapshot.Mallocs != n || pt.Snapshot.Retries["site"] != n ||
 		pt.Snapshot.Malloc.Count != n || pt.TakenUnixNano != int64(n) {
 		t.Errorf("torn point seq %d: %+v", pt.Seq, pt.Snapshot)
 	}
@@ -142,9 +142,9 @@ func TestSnapshotSubConcurrentRecorder(t *testing.T) {
 	var wg sync.WaitGroup
 	for w := 0; w < 3; w++ {
 		wg.Add(1)
-		go func(id uint64) {
+		go func() {
 			defer wg.Done()
-			sh := rec.NewShard(id)
+			sh := rec.NewShard()
 			for i := 0; ; i++ {
 				select {
 				case <-stop:
@@ -152,9 +152,9 @@ func TestSnapshotSubConcurrentRecorder(t *testing.T) {
 				default:
 				}
 				sh.Retry(SiteActivePop)
-				sh.EndMalloc(i%4, time.Nanosecond, uint64(i))
+				sh.EndMalloc(i%4, time.Nanosecond)
 			}
-		}(uint64(w))
+		}()
 	}
 	base := rec.Snapshot()
 	for i := 0; i < 200; i++ {

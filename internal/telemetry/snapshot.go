@@ -68,16 +68,9 @@ type Snapshot struct {
 	// PerClass holds every (op, class) row, including empty ones so
 	// two snapshots from the same recorder subtract positionally.
 	PerClass []OpHist `json:"perClass"`
-
-	// Events are the most recent flight-recorder events, oldest
-	// first.
-	Events []Event `json:"events,omitempty"`
-	// EventsRecorded is the total number of events ever recorded
-	// (Events holds at most the ring capacity).
-	EventsRecorded uint64 `json:"eventsRecorded"`
 }
 
-// Snapshot merges all shards, stripes, and the flight recorder.
+// Snapshot merges all shards and stripes.
 func (r *Recorder) Snapshot() Snapshot {
 	shards := *r.shards.Load()
 	now := time.Now()
@@ -136,9 +129,6 @@ func (r *Recorder) Snapshot() Snapshot {
 	}
 	s.Malloc = summarize(mallocAll)
 	s.Free = summarize(freeAll)
-
-	s.Events = r.ring.Events(0)
-	s.EventsRecorded = r.ring.Recorded()
 	return s
 }
 
@@ -158,8 +148,7 @@ func rowOpClass(row, classes int) (string, int) {
 // Sub returns the delta snapshot s minus an earlier baseline from the
 // same Recorder: retry and operation counts and histogram buckets are
 // subtracted (each clamped at zero) and quantiles recomputed, so a
-// benchmark can report only its own interval. Events and EventsRecorded
-// are taken from s unchanged.
+// benchmark can report only its own interval.
 func (s Snapshot) Sub(base Snapshot) Snapshot {
 	out := s
 	out.Mallocs = sub(s.Mallocs, base.Mallocs)
@@ -215,9 +204,8 @@ func (s Snapshot) JSON() ([]byte, error) {
 }
 
 // Text renders a human-readable dashboard: retry counters (non-zero
-// sites, descending), latency summaries, the busiest per-class rows,
-// and the tail of the flight recorder.
-func (s Snapshot) Text(maxEvents int) string {
+// sites, descending), latency summaries and the busiest per-class rows.
+func (s Snapshot) Text() string {
 	var b strings.Builder
 	fmt.Fprintf(&b, "telemetry: uptime %v, %d threads, %d ops (%d malloc / %d free)\n",
 		time.Duration(s.UptimeNS).Round(time.Millisecond),
@@ -269,25 +257,6 @@ func (s Snapshot) Text(maxEvents int) string {
 		shown++
 	}
 
-	if maxEvents != 0 && len(s.Events) > 0 {
-		ev := s.Events
-		if maxEvents > 0 && len(ev) > maxEvents {
-			ev = ev[len(ev)-maxEvents:]
-		}
-		fmt.Fprintf(&b, "flight recorder: %d events recorded, last %d:\n",
-			s.EventsRecorded, len(ev))
-		for _, e := range ev {
-			fmt.Fprintf(&b, "  #%-8d t%-4d %-9s class=%-3d retries=%-4d ptr=%#x",
-				e.Seq, e.Thread, e.Kind, e.Class, e.Retries, e.Ptr)
-			if e.Nanos > 0 {
-				fmt.Fprintf(&b, " %s", ns(e.Nanos))
-			}
-			if e.Hook >= 0 {
-				fmt.Fprintf(&b, " hook=%d", e.Hook)
-			}
-			b.WriteByte('\n')
-		}
-	}
 	return b.String()
 }
 

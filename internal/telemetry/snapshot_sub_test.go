@@ -150,14 +150,14 @@ func TestSnapshotSubPerClass(t *testing.T) {
 // the documented use — and checks the interval accounting.
 func TestSnapshotSubLive(t *testing.T) {
 	r := New(Config{Classes: 4})
-	sh := r.NewShard(0)
+	sh := r.NewShard()
 	for i := 0; i < 10; i++ {
-		sh.EndMalloc(1, time.Microsecond, 0x1000)
+		sh.EndMalloc(1, time.Microsecond)
 	}
 	sh.Retry(SiteActiveReserve)
 	base := r.Snapshot()
 	for i := 0; i < 7; i++ {
-		sh.EndMalloc(1, time.Microsecond, 0x1000)
+		sh.EndMalloc(1, time.Microsecond)
 	}
 	sh.Retry(SiteActiveReserve)
 	sh.Retry(SiteActiveReserve)
@@ -227,18 +227,6 @@ func TestSeriesFirstPointDelta(t *testing.T) {
 	if pt.Delta.TotalRetries != 5 || pt.Delta.Malloc.Count != 3 {
 		t.Errorf("first point delta = retries %d mallocs %d, want the snapshot itself (5, 3)",
 			pt.Delta.TotalRetries, pt.Delta.Malloc.Count)
-	}
-}
-
-func TestSeriesDropsEvents(t *testing.T) {
-	se := NewSeries(2)
-	s := Snapshot{Events: []Event{{Seq: 1}}, EventsRecorded: 1}
-	pt := se.Add(s, nil)
-	if pt.Snapshot.Events != nil {
-		t.Error("series retained flight-recorder events")
-	}
-	if pt.Snapshot.EventsRecorded != 1 {
-		t.Error("EventsRecorded dropped along with Events")
 	}
 }
 

@@ -1,8 +1,8 @@
 // Package telemetry is the lock-free observability layer for the
 // allocators in this repository: contention counters at every CAS
 // retry site, exact operation counts and log2-bucketed latency
-// histograms for malloc/free keyed by size class, and a fixed-size
-// flight recorder of recent events.
+// histograms for malloc/free keyed by size class, and the allocation
+// sampler.
 //
 // The design discipline is the allocator's own (the paper's §2:
 // "lock-free"): recording never takes a lock, never blocks a recording
@@ -24,12 +24,6 @@
 //     into a small set of cache-padded stripes (Stripes), indexed by a
 //     hash of the contended operand so unrelated CAS sites do not
 //     share a counter cache line.
-//
-//   - The flight recorder (Ring) is a power-of-two ring of seqlock
-//     slots claimed with one atomic fetch-add — the same atomic bump
-//     discipline as the allocator's own free stacks. Writers are
-//     wait-free; readers validate each slot's sequence word and drop
-//     torn slots instead of waiting.
 //
 // The retry-site counters sit on CAS *failure* paths, which the
 // contention-free fast path never takes.
@@ -185,17 +179,12 @@ type Config struct {
 
 const (
 	// Interval: every Interval-th malloc and every Interval-th free of a
-	// thread is timed and goes into the flight recorder; so does every
-	// operation that retried a CAS, and every structural event (new
-	// superblocks, race losses, superblock retirements, hook firings).
-	// Timing one operation in Interval keeps two clock reads, a
-	// histogram add and the ring's shared bump counter off all others.
+	// thread is timed. Timing one operation in Interval keeps two clock
+	// reads and a histogram add off all others.
 	// Interval is prime, so it cannot phase-lock with a caller timing
 	// every 2^k-th of its own operations, as 256 did with a harness
 	// timing every 64th malloc/free unit.
 	Interval = 257
-	// ringSize is the flight-recorder capacity in events.
-	ringSize = 4096
 	// sampleSlots is the allocation sampler's live-sample table
 	// capacity.
 	sampleSlots = 2048
@@ -211,14 +200,13 @@ func (c Config) withDefaults() Config {
 	return c
 }
 
-// Recorder is the telemetry hub for one allocator: it owns the flight
-// recorder, the shared stripes, and the registry of per-thread shards.
+// Recorder is the telemetry hub for one allocator: it owns the shared
+// stripes, the allocation sampler and the registry of per-thread shards.
 // All methods are safe for concurrent use; NewShard uses a mutex
 // (registration happens once per thread, off the malloc/free paths),
 // everything else is lock-free.
 type Recorder struct {
 	cfg     Config
-	ring    Ring
 	stripes Stripes
 
 	// shards is a copy-on-write slice so Snapshot never takes the
@@ -238,7 +226,6 @@ type Recorder struct {
 func New(cfg Config) *Recorder {
 	cfg = cfg.withDefaults()
 	r := &Recorder{cfg: cfg, started: time.Now()}
-	r.ring.init(ringSize)
 	if cfg.SampleRate > 0 {
 		r.smp = newSampler(cfg.SampleRate, sampleSlots)
 	}
@@ -247,28 +234,19 @@ func New(cfg Config) *Recorder {
 	return r
 }
 
-// Config returns the recorder's (defaulted) configuration.
-func (r *Recorder) Config() Config { return r.cfg }
-
 // Stripes returns the shared striped counters for contexts without a
 // thread handle.
 func (r *Recorder) Stripes() *Stripes { return &r.stripes }
-
-// Ring returns the flight recorder.
-func (r *Recorder) Ring() *Ring { return &r.ring }
 
 // Sampler returns the allocation sampler, or nil when Config.SampleRate
 // is 0.
 func (r *Recorder) Sampler() *Sampler { return r.smp }
 
-// NewShard registers and returns a per-thread shard. id labels the
-// shard's flight-recorder events (the allocator passes its thread id).
-func (r *Recorder) NewShard(id uint64) *ThreadShard {
+// NewShard registers and returns a per-thread shard.
+func (r *Recorder) NewShard() *ThreadShard {
 	s := &ThreadShard{
-		id:         id,
 		classes:    r.cfg.Classes,
 		counts:     NewCounts(r.cfg.Classes),
-		ring:       &r.ring,
 		smp:        r.smp,
 		untilTimed: [2]uint64{Interval, Interval},
 		armed:      [2]uint64{Interval, Interval},
@@ -372,15 +350,6 @@ type ThreadShard struct {
 	hist    atomic.Pointer[[]Histogram]
 	classes int
 
-	ring *Ring
-	id   uint64
-
-	// opRetries accumulates this thread's retries within the current
-	// operation, for its flight-recorder entry, which resets it; a
-	// failed malloc has no entry, so its retries go to the next one's.
-	// Plain: single-writer, never read by Snapshot.
-	opRetries uint64
-
 	// The countdowns behind Due: operations of each kind left until the
 	// next timed one, mallocs left until the next sample, as of the
 	// countdown last handed to the owner (armed). Plain, single-writer.
@@ -396,18 +365,13 @@ type ThreadShard struct {
 	_ pad
 }
 
-// ID returns the thread id the shard was registered with.
-func (s *ThreadShard) ID() uint64 { return s.id }
-
-// Retry records one failed CAS at site. Retry, Note and NoteHook are
-// no-ops on a nil shard: the allocator's thread handle without a
-// recorder.
+// Retry records one failed CAS at site. It is a no-op on a nil shard:
+// the allocator's thread handle without a recorder.
 func (s *ThreadShard) Retry(site Site) {
 	if s == nil {
 		return
 	}
 	s.retries[site].Add(1)
-	s.opRetries++
 }
 
 // Countdown is how many operations of kind op the owner runs before its
@@ -454,28 +418,15 @@ func (s *ThreadShard) column(class int) int {
 // Counts is the thread's operation counts.
 func (s *ThreadShard) Counts() Counts { return s.counts }
 
-// Retrying reports whether the operation in progress retried a CAS, in
-// which case the owner hands it to Retried for its flight-recorder
-// entry.
-func (s *ThreadShard) Retrying() bool { return s.opRetries != 0 }
-
-// Retried writes the flight-recorder entry of an untimed operation that
-// retried a CAS.
-func (s *ThreadShard) Retried(op Op, class int, ptr uint64) { s.record(op, class, 0, ptr) }
-
 // EndMalloc records a timed Malloc, counted already: its latency into
-// the class's histogram and its flight-recorder entry. class is the
-// size-class index, or -1 for a large block.
-func (s *ThreadShard) EndMalloc(class int, d time.Duration, ptr uint64) {
-	s.endOp(OpMalloc, class, d, ptr)
-}
+// the class's histogram. class is the size-class index, or -1 for a
+// large block.
+func (s *ThreadShard) EndMalloc(class int, d time.Duration) { s.endOp(OpMalloc, class, d) }
 
 // EndFree records a timed Free.
-func (s *ThreadShard) EndFree(class int, d time.Duration, ptr uint64) {
-	s.endOp(OpFree, class, d, ptr)
-}
+func (s *ThreadShard) EndFree(class int, d time.Duration) { s.endOp(OpFree, class, d) }
 
-func (s *ThreadShard) endOp(op Op, class int, d time.Duration, ptr uint64) {
+func (s *ThreadShard) endOp(op Op, class int, d time.Duration) {
 	h := s.hist.Load()
 	if h == nil {
 		rows := make([]Histogram, 2*(s.classes+1))
@@ -483,53 +434,6 @@ func (s *ThreadShard) endOp(op Op, class int, d time.Duration, ptr uint64) {
 		s.hist.Store(h)
 	}
 	(*h)[int(op)*(s.classes+1)+s.column(class)].Record(d)
-	s.record(op, class, d, ptr)
-}
-
-// record writes an operation's flight-recorder entry and closes its
-// retry count.
-func (s *ThreadShard) record(op Op, class int, d time.Duration, ptr uint64) {
-	s.ring.Record(Event{
-		Kind:    EvMalloc + EventKind(op),
-		Class:   class,
-		Hook:    -1,
-		Thread:  s.id,
-		Retries: s.opRetries,
-		Ptr:     ptr,
-		Nanos:   uint64(d.Nanoseconds()),
-	})
-	s.opRetries = 0
-}
-
-// Note records a structural event (new superblock, race loss,
-// superblock retirement) into the flight recorder, unsampled.
-func (s *ThreadShard) Note(kind EventKind, class int, ptr uint64) {
-	if s == nil {
-		return
-	}
-	s.ring.Record(Event{
-		Kind:    kind,
-		Class:   class,
-		Hook:    -1,
-		Thread:  s.id,
-		Retries: s.opRetries,
-		Ptr:     ptr,
-	})
-}
-
-// NoteHook records a hook firing (fault-injection instrumentation)
-// into the flight recorder, unsampled.
-func (s *ThreadShard) NoteHook(hook int) {
-	if s == nil {
-		return
-	}
-	s.ring.Record(Event{
-		Kind:    EvHook,
-		Class:   -1,
-		Hook:    hook,
-		Thread:  s.id,
-		Retries: s.opRetries,
-	})
 }
 
 // stripeCount is the number of shared-counter stripes. Retries through

@@ -120,7 +120,7 @@ func TestConcurrentMergeProperty(t *testing.T) {
 		wg.Add(1)
 		go func(w int) {
 			defer wg.Done()
-			sh := r.NewShard(uint64(w))
+			sh := r.NewShard()
 			for i := 0; i < perW; i++ {
 				if i%3 == 0 {
 					sh.Retry(SiteActiveReserve)
@@ -128,8 +128,8 @@ func TestConcurrentMergeProperty(t *testing.T) {
 				if i%7 == 0 {
 					sh.Retry(SiteFreeFast)
 				}
-				sh.EndMalloc(i%5-1, time.Duration(i%2000), uint64(i)) // class -1..3
-				sh.EndFree(i%5-1, time.Duration(i%100), uint64(i))
+				sh.EndMalloc(i%5-1, time.Duration(i%2000)) // class -1..3
+				sh.EndFree(i%5-1, time.Duration(i%100))
 				r.Stripes().Retry(SiteRegionPush, uint64(i))
 			}
 		}(w)
@@ -171,86 +171,17 @@ func TestConcurrentMergeProperty(t *testing.T) {
 	}
 }
 
-func TestRingWrapAndOrder(t *testing.T) {
-	var r Ring
-	r.init(64)
-	if r.Cap() != 64 {
-		t.Fatalf("Cap = %d", r.Cap())
-	}
-	for i := 1; i <= 200; i++ {
-		r.Record(Event{Kind: EvMalloc, Class: i % 7, Thread: 3, Retries: uint64(i), Ptr: uint64(i), Nanos: uint64(i)})
-	}
-	evs := r.Events(0)
-	if len(evs) != 64 {
-		t.Fatalf("Events returned %d, want 64", len(evs))
-	}
-	for i, e := range evs {
-		wantSeq := uint64(200 - 64 + 1 + i)
-		if e.Seq != wantSeq {
-			t.Fatalf("event %d: seq %d, want %d", i, e.Seq, wantSeq)
-		}
-		if e.Ptr != wantSeq || e.Retries != wantSeq || e.Thread != 3 {
-			t.Errorf("event %d: fields %+v do not match seq %d", i, e, wantSeq)
-		}
-	}
-	// Limited read.
-	last := r.Events(5)
-	if len(last) != 5 || last[4].Seq != 200 {
-		t.Errorf("Events(5) = %d events ending at %d", len(last), last[len(last)-1].Seq)
-	}
-}
-
-func TestRingConcurrent(t *testing.T) {
-	var r Ring
-	r.init(128)
-	var wg sync.WaitGroup
-	stop := make(chan struct{})
-	wg.Add(1)
-	go func() { // reader racing writers: events must be well-formed
-		defer wg.Done()
-		for {
-			select {
-			case <-stop:
-				return
-			default:
-				for _, e := range r.Events(0) {
-					if e.Thread >= 4 || e.Kind >= numEventKinds {
-						t.Errorf("torn event leaked: %+v", e)
-						return
-					}
-				}
-			}
-		}
-	}()
-	var ww sync.WaitGroup
-	for w := 0; w < 4; w++ {
-		ww.Add(1)
-		go func(w int) {
-			defer ww.Done()
-			for i := 0; i < 20000; i++ {
-				r.Record(Event{Kind: EventKind(i % int(numEventKinds)), Class: -1, Hook: -1, Thread: uint64(w), Ptr: uint64(i)})
-			}
-		}(w)
-	}
-	ww.Wait()
-	close(stop)
-	wg.Wait()
-	if got := r.Recorded(); got != 80000 {
-		t.Errorf("Recorded = %d, want 80000", got)
-	}
-}
-
 func TestSnapshotSub(t *testing.T) {
 	r := New(Config{Classes: 2})
-	sh := r.NewShard(0)
+	sh := r.NewShard()
 	sh.Retry(SiteActivePop)
-	sh.EndMalloc(0, 100, 1)
+	sh.EndMalloc(0, 100)
 	base := r.Snapshot()
 	for i := 0; i < 9; i++ {
 		sh.Retry(SiteActivePop)
 		sh.Retry(SiteActivePop)
 		sh.Counts().Count(PathActive, 1)
-		sh.EndMalloc(1, 5000, 2)
+		sh.EndMalloc(1, 5000)
 	}
 	delta := r.Snapshot().Sub(base)
 	if delta.Malloc.Count != 9 {
@@ -269,11 +200,10 @@ func TestSnapshotSub(t *testing.T) {
 
 func TestSnapshotJSONAndText(t *testing.T) {
 	r := New(Config{Classes: 3})
-	sh := r.NewShard(7)
+	sh := r.NewShard()
 	sh.Retry(SitePartialPop)
-	sh.EndMalloc(2, 300, 42)
-	sh.Note(EvNewSB, 2, 4096)
-	sh.NoteHook(5)
+	sh.Counts().Count(PathPartial, 2)
+	sh.EndMalloc(2, 300)
 	s := r.Snapshot()
 
 	data, err := s.JSON()
@@ -284,12 +214,12 @@ func TestSnapshotJSONAndText(t *testing.T) {
 	if err := json.Unmarshal(data, &back); err != nil {
 		t.Fatalf("round-trip: %v", err)
 	}
-	if back.Malloc.Count != 1 || back.TotalRetries != 1 {
+	if back.Mallocs != 1 || back.Malloc.Count != 1 || back.TotalRetries != 1 {
 		t.Errorf("round-tripped snapshot lost data: %+v", back)
 	}
 
-	txt := s.Text(10)
-	for _, want := range []string{"partial-pop", "malloc", "flight recorder", "new-sb", "hook=5"} {
+	txt := s.Text()
+	for _, want := range []string{"partial-pop", "malloc", "timed=1", "class 2"} {
 		if !contains(txt, want) {
 			t.Errorf("Text missing %q:\n%s", want, txt)
 		}
@@ -304,11 +234,6 @@ func TestSiteNamesComplete(t *testing.T) {
 			t.Errorf("site %d has bad or duplicate name %q", s, n)
 		}
 		seen[n] = true
-	}
-	for k := EventKind(0); k < numEventKinds; k++ {
-		if k.String() == "invalid-event" {
-			t.Errorf("event kind %d unnamed", k)
-		}
 	}
 }
 
@@ -325,61 +250,27 @@ func indexOf(s, sub string) int {
 	return -1
 }
 
-// TestRingSampling: the flight recorder takes every timed operation,
-// every untimed operation that retried a CAS, and every structural
-// event; a quiet untimed operation is only counted.
+// TestRingSampling: every operation is counted, a timed one is also in
+// its histogram, and a retry is counted at its site whether or not its
+// operation is timed.
 func TestRingSampling(t *testing.T) {
 	r := New(Config{Classes: 1})
-	sh := r.NewShard(0)
+	sh := r.NewShard()
 	for i := 0; i < 2*Interval; i++ {
-		if sh.Counts().Count(PathActive, 0); sh.Retrying() {
-			t.Fatal("a quiet operation reported a retry")
-		}
-	}
-	if got := r.Ring().Recorded(); got != 0 {
-		t.Fatalf("%d quiet untimed ops recorded %d events, want 0", 2*Interval, got)
+		sh.Counts().Count(PathActive, 0)
 	}
 	sh.Counts().Count(PathMagazine, 0)
-	sh.EndMalloc(0, 100, 7)
+	sh.EndMalloc(0, 100)
 	sh.Retry(SiteFreeFast)
-	if sh.Counts().Count(PathFree, 0); !sh.Retrying() {
-		t.Fatal("a retried operation did not report its retry")
-	}
-	sh.Retried(OpFree, 0, 1)
-	if sh.Counts().Count(PathFree, 0); sh.Retrying() {
-		t.Error("the retry count outlived its operation's entry")
-	}
-	sh.Note(EvNewSB, 0, 4096)
-	evs := r.Ring().Events(0)
-	if len(evs) != 3 || evs[0].Kind != EvMalloc || evs[0].Nanos != 100 || evs[0].Ptr != 7 ||
-		evs[1].Kind != EvFree || evs[1].Retries != 1 || evs[2].Kind != EvNewSB {
-		t.Errorf("a timed op, a retried op and a structural event must each be recorded: %+v", evs)
-	}
+	sh.Counts().Count(PathFree, 0)
+	sh.Counts().Count(PathFree, 0)
 	s := r.Snapshot()
 	if s.Mallocs != 2*Interval+1 || s.Frees != 2 || s.Malloc.Count != 1 || s.Free.Count != 0 {
 		t.Errorf("counts %d/%d, timed %d/%d; want %d/2 counted, 1/0 timed",
 			s.Mallocs, s.Frees, s.Malloc.Count, s.Free.Count, 2*Interval+1)
 	}
-}
-
-// TestRingPages: a ring holds no slot before its first event and one
-// page after it.
-func TestRingPages(t *testing.T) {
-	var r Ring
-	r.init(1024)
-	pages := func() (n int) {
-		for i := range r.pages {
-			if r.pages[i].Load() != nil {
-				n++
-			}
-		}
-		return n
-	}
-	if r.Cap() != 1024 || pages() != 0 || len(r.Events(0)) != 0 {
-		t.Fatalf("fresh ring: Cap %d, %d pages", r.Cap(), pages())
-	}
-	r.Record(Event{Kind: EvNewSB})
-	if pages() != 1 || len(r.Events(0)) != 1 {
-		t.Fatalf("one event: %d pages, %d events", pages(), len(r.Events(0)))
+	if s.Malloc.MaxNS == 0 || s.Retries[SiteFreeFast.String()] != 1 {
+		t.Errorf("timed malloc max %d ns, free-fast retries %d; want a latency and 1",
+			s.Malloc.MaxNS, s.Retries[SiteFreeFast.String()])
 	}
 }
