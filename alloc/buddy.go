@@ -17,21 +17,13 @@ import (
 // merges freed blocks back into larger ones with per-node CAS only.
 type buddyAlloc struct {
 	a *buddy.Allocator
-	// rec is the recorder whose stripes count the CAS retries; nil for
-	// an adopted allocator (FromBuddy), which wires its own.
+	// rec is the recorder whose stripes count the CAS retries, if any.
 	rec *telemetry.Recorder
 }
 
 func (w buddyAlloc) Name() string      { return w.a.Name() }
 func (w buddyAlloc) NewThread() Thread { return w.a.Thread() }
 func (w buddyAlloc) Heap() *mem.Heap   { return w.a.Heap() }
-
-// FromBuddy adopts an already-constructed buddy allocator — one with a
-// tree geometry or telemetry stripes Options cannot express — as the
-// registry's "buddy" backend, oracle policy included.
-func FromBuddy(b *buddy.Allocator, opt Options) Allocator {
-	return lookup("buddy").shadowWrap(buddyAlloc{a: b}, opt)
-}
 
 func buildBuddy(_ *Backend, opt Options) (Allocator, error) {
 	cfg := buddy.Config{HeapConfig: opt.HeapConfig}

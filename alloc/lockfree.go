@@ -57,8 +57,8 @@ func (w lockFree) hookedThread(hook func(point int)) Thread {
 }
 
 func (w lockFree) census() []census.Part {
-	sb, descs, sampled := census.TakeLockFree(w.a)
-	return []census.Part{sb, census.TakeOS(w.a.Heap()), descs, sampled}
+	sb, descs := census.TakeLockFree(w.a)
+	return []census.Part{sb, census.TakeOS(w.a.Heap()), descs}
 }
 
 func (w lockFree) recorder() *telemetry.Recorder { return w.a.Telemetry() }

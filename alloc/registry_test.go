@@ -170,26 +170,3 @@ func TestInspectCatchesWhatItIsFor(t *testing.T) {
 		}
 	}
 }
-
-// TestFromBuddyAdoptsTheCallersTrees: a buddy built with its own
-// geometry is still the registry's buddy backend.
-func TestFromBuddyAdoptsTheCallersTrees(t *testing.T) {
-	b := buddy.New(buddy.Config{HeapConfig: testOptions().HeapConfig, TreeWordsLog2: 12})
-	a := FromBuddy(b, Options{})
-	h := HarnessOf(a)
-	if a.Name() != "buddy" || len(h.HookPoints()) != int(buddy.NumHookPoints) {
-		t.Fatalf("FromBuddy gave %q with %d hook points", a.Name(), len(h.HookPoints()))
-	}
-	th := a.NewThread()
-	p, err := th.Malloc(64)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if bc, ok := h.Census().Parts[0].(*census.Buddy); !ok || bc.Stats.TreeWords != 1<<12 {
-		t.Errorf("census sees %+v, want trees of the caller's 4096 words", h.Census().Parts[0])
-	}
-	th.Free(p)
-	if rep := h.Inspect(0); rep.InvariantErr != nil {
-		t.Error(rep.InvariantErr)
-	}
-}

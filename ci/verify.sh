@@ -51,8 +51,11 @@ stage_race() {
 }
 
 stage_tags() {
+	# The memdebug region ledger under every user of regions: the kill
+	# sweeps (sched) and every backend (alloc) among them.
 	go test -tags memdebug ./internal/mem ./internal/core ./internal/chunkheap \
-		./internal/buddy ./internal/baseline/...
+		./internal/buddy ./internal/baseline/... ./internal/sched ./alloc \
+		./internal/pool ./internal/partial
 }
 
 stage_smoke() {
@@ -110,11 +113,10 @@ stage_smoke() {
 	done
 	# So must a workload of no threads or no operations, a sampling
 	# interval of zero or an empty series ring (the server must not start
-	# listening), a negative sampling period, a benchmark
-	# scale that is not above 0, and an experiment id that does not exist.
+	# listening), a benchmark scale that is not above 0, and an
+	# experiment id that does not exist.
 	for cmd in "mlfstress -threads 0" "mlfstress -ops 0" "allocmon -once -threads 0" \
 		"allocmon -interval 0 -addr 127.0.0.1:0" "allocmon -history 0 -addr 127.0.0.1:0" \
-		"allocmon -once -samplerate -1" \
 		"benchmal -scale 0" "benchmal -scale -1" "benchmal -exp nosuch"; do
 		if "$bin/"$cmd >/dev/null 2>&1; then
 			echo "verify: $cmd exited 0" >&2

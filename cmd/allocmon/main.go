@@ -1,13 +1,12 @@
 // Command allocmon runs a continuous malloc/free workload (churn.Mixed,
 // as mlfstress) on one backend of the alloc registry, with the
-// telemetry layer and allocation sampler attached, and serves live
-// observability over HTTP: telemetry snapshots, censuses (the OS layer
-// for every backend; fragmentation, live-block ages and call sites for
-// lockfree; the order table for buddy) and a ring of periodic samples.
+// telemetry layer attached, and serves live observability over HTTP:
+// telemetry snapshots, censuses (the OS layer for every backend; the
+// superblocks by class and state and the descriptor pool for lockfree;
+// the order table for buddy) and a ring of periodic samples.
 //
 //	allocmon [-alloc lockfree] [-addr :8723] [-threads 4] [-hyper]
-//	         [-pause 50us] [-interval 1s] [-samplerate 1024]
-//	         [-history 120] [-magazine N]
+//	         [-pause 50us] [-interval 1s] [-history 120] [-magazine N]
 //	allocmon -once [-warmup 2s]
 //
 // Endpoints:
@@ -26,8 +25,8 @@
 // stdout, and exits (useful for smoke tests).
 //
 // A knob core.Config.Validate rejects, an unknown backend, -threads
-// below 1, a non-positive -interval, -history below 1, or a negative
-// -samplerate exits 1 with the reason before the allocator is built.
+// below 1, a non-positive -interval or -history below 1 exits 1 with
+// the reason before the allocator is built.
 package main
 
 import (
@@ -149,16 +148,15 @@ func run(args []string, stdout, stderr io.Writer) int {
 	fs := flag.NewFlagSet("allocmon", flag.ContinueOnError)
 	fs.SetOutput(stderr)
 	var (
-		addr       = fs.String("addr", ":8723", "HTTP listen address")
-		threads    = fs.Int("threads", 4, "workload goroutines")
-		hyper      = fs.Bool("hyper", false, "enable the hyperblock layer")
-		pause      = fs.Duration("pause", 50*time.Microsecond, "sleep between workload ops (0 = full speed)")
-		once       = fs.Bool("once", false, "print one dashboard after -warmup and exit (no server)")
-		warmup     = fs.Duration("warmup", 2*time.Second, "workload warmup before -once prints")
-		interval   = fs.Duration("interval", time.Second, "census sampling interval for /series.json")
-		sampleRate = fs.Int("samplerate", 1024, "allocation sampling period (mallocs per sample, 0 = off)")
-		history    = fs.Int("history", 120, "series points retained")
-		af         = bench.RegisterBackendFlags(fs)
+		addr     = fs.String("addr", ":8723", "HTTP listen address")
+		threads  = fs.Int("threads", 4, "workload goroutines")
+		hyper    = fs.Bool("hyper", false, "enable the hyperblock layer")
+		pause    = fs.Duration("pause", 50*time.Microsecond, "sleep between workload ops (0 = full speed)")
+		once     = fs.Bool("once", false, "print one dashboard after -warmup and exit (no server)")
+		warmup   = fs.Duration("warmup", 2*time.Second, "workload warmup before -once prints")
+		interval = fs.Duration("interval", time.Second, "census sampling interval for /series.json")
+		history  = fs.Int("history", 120, "series points retained")
+		af       = bench.RegisterBackendFlags(fs)
 	)
 	if err := fs.Parse(args); err != nil {
 		return 2
@@ -174,11 +172,9 @@ func run(args []string, stdout, stderr io.Writer) int {
 		return fail(fmt.Errorf("-interval must be positive, got %v", *interval))
 	case *history < 1:
 		return fail(fmt.Errorf("-history must be at least 1, got %d", *history))
-	case *sampleRate < 0:
-		return fail(fmt.Errorf("-samplerate must not be negative, got %d", *sampleRate))
 	}
 
-	rec := core.NewRecorder(telemetry.Config{SampleRate: *sampleRate})
+	rec := core.NewRecorder(telemetry.Config{})
 	a, _, err := af.New(core.Config{Processors: *threads, Hyperblocks: *hyper, Telemetry: rec}, alloc.Options{})
 	if err != nil {
 		return fail(err)
@@ -217,8 +213,8 @@ func run(args []string, stdout, stderr io.Writer) int {
 
 	go m.run(*interval, stop)
 	go func() { errs <- http.ListenAndServe(*addr, m.mux()) }()
-	fmt.Fprintf(stdout, "allocmon: %s, %d workload threads (hyper=%v pause=%v samplerate=%d), serving on %s\n",
-		a.Name(), *threads, *hyper, *pause, *sampleRate, *addr)
+	fmt.Fprintf(stdout, "allocmon: %s, %d workload threads (hyper=%v pause=%v), serving on %s\n",
+		a.Name(), *threads, *hyper, *pause, *addr)
 	return fail(<-errs)
 }
 

@@ -18,15 +18,15 @@ import (
 	"repro/internal/telemetry"
 )
 
-// newTestMonitor builds a monitor over a small allocator with the
-// sampler on and some deterministic traffic already applied.
+// newTestMonitor builds a monitor over a small allocator with a
+// recorder and some deterministic traffic already applied.
 func newTestMonitor(t *testing.T, ops int) (*monitor, alloc.Thread) {
 	return newBackendMonitor(t, "lockfree", ops)
 }
 
 func newBackendMonitor(t *testing.T, name string, ops int) (*monitor, alloc.Thread) {
 	t.Helper()
-	rec := core.NewRecorder(telemetry.Config{SampleRate: 1})
+	rec := core.NewRecorder(telemetry.Config{})
 	a, err := alloc.New(name, alloc.Options{
 		Processors: 2,
 		HeapConfig: mem.Config{TotalWordsLog2: 28},
@@ -175,7 +175,7 @@ func TestDashboardCensusSummary(t *testing.T) {
 	srv := httptest.NewServer(m.mux())
 	defer srv.Close()
 	body, _ := get(t, srv, "/")
-	for _, want := range []string{"totals: ", "sampled internal fragmentation: ", "external fragmentation "} {
+	for _, want := range []string{"totals: ", "carve waste ", "external fragmentation "} {
 		if !strings.Contains(body, want) {
 			t.Errorf("dashboard missing %q", want)
 		}
@@ -261,13 +261,10 @@ var servedFields = map[string][]string{
 		"superblocks.classes[].superblocks", "superblocks.classes[].blocksUsed",
 		"superblocks.classes[].blocksFree", "superblocks.classes[].blocksReserved",
 		"superblocks.classes[].magazineCached", "superblocks.classes[].partialList",
-		"superblocks.classes[].carveWasteWords", "superblocks.classes[].internalFragRatio",
-		"superblocks.totals.internalFragRatio",
+		"superblocks.classes[].carveWasteWords", "superblocks.totals.carveWasteWords",
+		"superblocks.totals.blocksUsed",
 		"superblocks.ops.MagazineHits", "superblocks.ops.MagazineMisses", "superblocks.ops.MagazineFlushes",
-		"descPool.onFreelist",
-		"sampler.ages", "sampler.ageP50NS", "sampler.ageP99NS",
-		"sampler.sites[].live", "sampler.sites[].liveBytes",
-		"sampler.sampled", "sampler.evicted", "sampler.collisions", "sampler.matchedFrees", "sampler.rate",
+		"descPool.allocated", "descPool.onFreelist",
 	},
 	"buddy": {
 		"buddy.stats.Trees", "buddy.stats.TreeWords",
@@ -310,7 +307,7 @@ func lookup(v any, path string) ([]any, error) {
 	return vals, nil
 }
 
-// TestNoNumberLost: for lockfree with the sampler on and for buddy,
+// TestNoNumberLost: for lockfree and for buddy,
 // /stats.json and /census.json carry every field in servedFields, the
 // one machine-readable copy of each number; /metrics and /stream are
 // not served.
@@ -340,11 +337,12 @@ func TestNoNumberLost(t *testing.T) {
 					}
 				}
 			}
-			// The sampler counted the traffic, not just named its fields.
+			// The walk counted the traffic, not just named its fields:
+			// newBackendMonitor holds 100 of its 200 blocks.
 			if name == "lockfree" {
-				ages, _ := lookup(docs["/census.json"], "sampler.ages")
-				if len(ages) != 1 || !slices.ContainsFunc(ages[0].([]any), func(n any) bool { return n.(float64) > 0 }) {
-					t.Errorf("sampler.ages = %v: no live sample", ages)
+				used, _ := lookup(docs["/census.json"], "superblocks.totals.blocksUsed")
+				if len(used) != 1 || used[0].(float64) < 100 {
+					t.Errorf("superblocks.totals.blocksUsed = %v, want at least the 100 held blocks", used)
 				}
 			}
 
@@ -363,10 +361,9 @@ func TestNoNumberLost(t *testing.T) {
 }
 
 // TestRejectedConfig: a knob core.Config.Validate rejects, an unknown
-// backend, no workload thread, a non-positive sampling interval, an
-// empty series ring, or a negative sampling period stops
-// the command before any workload starts — also in server mode, which
-// must return instead of listening.
+// backend, no workload thread, a non-positive sampling interval or an
+// empty series ring stops the command before any workload starts — also
+// in server mode, which must return instead of listening.
 func TestRejectedConfig(t *testing.T) {
 	once := func(args ...string) []string { return append([]string{"-once", "-warmup", "1ms"}, args...) }
 	for _, args := range [][]string{
@@ -376,8 +373,6 @@ func TestRejectedConfig(t *testing.T) {
 		once("-interval", "0"),
 		{"-interval", "0", "-addr", "127.0.0.1:0"},
 		{"-threads", "-1", "-addr", "127.0.0.1:0"},
-		once("-samplerate", "-1"),
-		once("-samplerate", "-5"),
 		once("-history", "0"),
 		{"-history", "0", "-addr", "127.0.0.1:0"},
 		{"-history", "-4", "-addr", "127.0.0.1:0"},
@@ -417,21 +412,16 @@ reserved live skipped allocs frees reused free regions free words occupancy ext 
 `
 
 // onceSkeletons is the line structure of the census on `allocmon -once
-// -alloc <name> -threads 2 -samplerate 1`.
+// -alloc <name> -threads 2`.
 var onceSkeletons = map[string]string{
 	"lockfree": `allocator: mallocs=# frees=#; # large mallocs, # empty-partial skips
 paths: active=# partial=# newSB=# raceLoss=# sbFreed=#
 Size classes (superblocks by anchor state, block inventory):
-class A F P E used free resv mag partial int frag
+class A F P E used free resv mag partial
 totals: # superblocks, blocks used=# free=# resv=# mag=#, carve waste # words
-sampled internal fragmentation: #
 ` + osLayerSkeleton + `Region-bin occupancy (free regions awaiting reuse):
 region words regions
 descriptors: # allocated, # on freelist
-Live-block ages (# samples at rate #/#): p#=# p#=# oldest=#
-Top call sites by live sampled bytes:
-live bytes oldest site
-# # # repro/internal/churn.(*Driver).Step (path)
 `,
 	"buddy": `buddy: # trees x # words, # grows (# lost races), # hint hits, # scans, #/# beyond-tree
 Buddy order census: ext frag #, # coal bits
@@ -445,14 +435,16 @@ order block words free used
 // used to hold; -buddy appended its lines to the lock-free ones) to the
 // shape that carries its numbers now; a parent line that was split names
 // the one its first numbers went to, and CHANGES.md (PR 16) says where
-// the rest are.
+// the rest are. The allocation sampler's numbers (internal fragmentation,
+// live samples, ages) are gone with it, so its line maps to the one that
+// carries its external fragmentation.
 var parentLines = map[string]map[string]string{
 	"lockfree": {
 		"allocator: mallocs=# frees=# active=# partial=# newSB=#":             "allocator: mallocs=# frees=#; # large mallocs, # empty-partial skips",
 		"heap: live # KiB, max-live # KiB, descriptors # (+# free)":           "heap: # words live (max-live # KiB), # region allocs / # frees, external fragmentation #",
 		"desc pool: freelist backend, # stripes, free per stripe [# #]":       "descriptors: # allocated, # on freelist",
 		"census: # superblocks, blocks used=# free=# magazine=#":              "totals: # superblocks, blocks used=# free=# resv=# mag=#, carve waste # words",
-		"frag: internal # external #; # live samples, age p#=# p#=# oldest=#": "Live-block ages (# samples at rate #/#): p#=# p#=# oldest=#",
+		"frag: internal # external #; # live samples, age p#=# p#=# oldest=#": "heap: # words live (max-live # KiB), # region allocs / # frees, external fragmentation #",
 		"frag: external # (sampler off)":                                      "heap: # words live (max-live # KiB), # region allocs / # frees, external fragmentation #",
 	},
 	"buddy": {
@@ -469,7 +461,7 @@ func TestOnceSkeleton(t *testing.T) {
 		var out, errOut bytes.Buffer
 		// Full speed, so that 200 ms is sure to have freed a large block
 		// into the region bins.
-		if code := run([]string{"-once", "-warmup", "200ms", "-pause", "0", "-threads", "2", "-samplerate", "1", "-alloc", name}, &out, &errOut); code != 0 {
+		if code := run([]string{"-once", "-warmup", "200ms", "-pause", "0", "-threads", "2", "-alloc", name}, &out, &errOut); code != 0 {
 			t.Fatalf("%s: exit %d\n%s", name, code, errOut.String())
 		}
 		got := skeleton(out.String())

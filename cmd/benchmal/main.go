@@ -5,7 +5,7 @@
 //
 //	benchmal [-exp all|id,id,...] [-threads 1,2,4,8,16] [-scale 0.01]
 //	         [-allocs lockfree,hoard,...] [-procs N] [-telemetry] [-magazine N]
-//	         [-samplerate N] [-json] [-list] [-v]
+//	         [-json] [-list] [-v]
 //
 // -list prints the experiment ids; -list -v adds what each one is: its
 // thread counts and reference, and its workloads (parameters at the
@@ -24,20 +24,16 @@
 // the lock-free allocator's measurement lines then carry CAS retries/op
 // and malloc latency quantiles, the buddy's its CAS-retry sites, and
 // the lock-based baselines ignore it; -telemetry=false measures the
-// bare allocator. -samplerate N enables the allocation sampler (one
-// sample per N mallocs) on every recorder, adding a census digest —
-// fragmentation and live-block ages — to each measurement (0 = off, the
-// default, preserving the bare telemetry cost).
+// bare allocator.
 //
 // The shape flag applies to every lock-free allocator built: -magazine N
 // is Config.MagazineSize. The experiment that compares its settings
-// (magazine; census for -samplerate) sets it per row; a -magazine or
-// -samplerate given is what its "on" row uses.
+// (magazine) sets it per row; a -magazine given is what its "on" row
+// uses.
 //
 // An out-of-range value (core.Config.Validate), a -scale that is not a
-// finite number above 0, a negative -samplerate and an unknown -exp id
-// exit non-zero before anything runs, with the reason on stderr and
-// nothing on stdout.
+// finite number above 0 and an unknown -exp id exit non-zero before
+// anything runs, with the reason on stderr and nothing on stdout.
 //
 // -json additionally writes every individual measurement to a
 // BENCH_<unixtime>.json file.
@@ -72,7 +68,6 @@ type jsonReport struct {
 	Experiments   []string       `json:"experiments"`
 	Telemetry     bool           `json:"telemetry"`
 	Magazine      int            `json:"magazine,omitempty"`
-	SampleRate    int            `json:"sampleRate,omitempty"`
 	Results       []bench.Result `json:"results"`
 }
 
@@ -89,7 +84,6 @@ func run(args []string, stdout, stderr io.Writer) int {
 		procsFlag   = fs.Int("procs", 0, "processor heaps per allocator (default: max threads)")
 		teleFlag    = fs.Bool("telemetry", true, "hand every allocator a telemetry recorder (retries/op and latency per lock-free row, CAS-retry sites per buddy row)")
 		allocFlags  = bench.RegisterAllocFlags(fs)
-		rateFlag    = fs.Int("samplerate", 0, "allocation sampling period for census columns (0 = sampler off)")
 		jsonFlag    = fs.Bool("json", false, "write all measurements to a BENCH_<unixtime>.json file")
 		listFlag    = fs.Bool("list", false, "list experiments and exit")
 		verboseFlag = fs.Bool("v", false, "print every individual measurement; with -list, what each experiment measures")
@@ -114,15 +108,11 @@ func run(args []string, stdout, stderr io.Writer) int {
 	if !(*scaleFlag > 0) || math.IsInf(*scaleFlag, 0) {
 		return fail("invalid -scale %g: want a finite fraction > 0", *scaleFlag)
 	}
-	if *rateFlag < 0 {
-		return fail("invalid -samplerate %d: want 0 (off) or a period >= 1", *rateFlag)
-	}
 	cfg := report.RunConfig{
-		Threads:    threads,
-		Scale:      *scaleFlag,
-		Options:    alloc.Options{Processors: *procsFlag, HeapConfig: shape.HeapConfig, LockFree: shape},
-		Telemetry:  *teleFlag,
-		SampleRate: *rateFlag,
+		Threads:   threads,
+		Scale:     *scaleFlag,
+		Options:   alloc.Options{Processors: *procsFlag, HeapConfig: shape.HeapConfig, LockFree: shape},
+		Telemetry: *teleFlag,
 	}
 	if *allocsFlag != "" {
 		cfg.Allocators = strings.Split(*allocsFlag, ",")
@@ -179,7 +169,6 @@ func run(args []string, stdout, stderr io.Writer) int {
 			Experiments:   ids,
 			Telemetry:     *teleFlag,
 			Magazine:      shape.MagazineSize,
-			SampleRate:    *rateFlag,
 			Results:       results,
 		}
 		data, err := json.MarshalIndent(rep, "", "  ")

@@ -39,7 +39,6 @@ func TestRejectsBeforeAnyOutput(t *testing.T) {
 		{"-scale", "-1"},
 		{"-scale", "NaN"},
 		{"-scale", "+Inf"},
-		{"-samplerate", "-5"},
 		{"-exp", "nosuch"},
 		{"-exp", "table1,nosuch"},
 		{"-threads", "0"},

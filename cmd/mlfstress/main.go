@@ -18,17 +18,15 @@
 // under test — and needs a backend whose registry entry has hook
 // points (lockfree, buddy); for any other it exits non-zero saying so.
 //
-// With -telemetry, the observability layer is attached, its allocation
-// sampler at allocmon's default rate (one malloc in 1024): the run ends
+// With -telemetry, the observability layer is attached: the run ends
 // with a contention/latency summary, in both modes. Where each kill
 // struck is in the sweep's own report (sched.Result, "kills=").
 //
 // Either way the run ends with the backend's census (alloc.Harness.Census)
 // taken after every surviving block was freed: the OS layer for every
-// backend; for lockfree its path counters, superblock inventory,
-// descriptor pool and, with -telemetry, the sampler's part; for buddy
-// the per-order table. allocmon prints the same census while a workload
-// runs.
+// backend; for lockfree its path counters, superblock inventory and
+// descriptor pool; for buddy the per-order table. allocmon prints the
+// same census while a workload runs.
 //
 // With -shadow every malloc/free, of whichever backend, is mirrored
 // into a shadow-heap oracle that detects double-free, invalid free,
@@ -98,7 +96,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 	}
 	var rec *telemetry.Recorder
 	if *tele {
-		rec = core.NewRecorder(telemetry.Config{SampleRate: 1024})
+		rec = core.NewRecorder(telemetry.Config{})
 	}
 	// Without an OnViolation handler the first violation panics with its
 	// attribution line. A kill sweep collects instead: its victims unwind

@@ -77,19 +77,17 @@ reserved live skipped allocs frees reused free regions free words occupancy ext 
 
 // censusSkeletons is the line structure of the census and verdict of
 // `mlfstress -hyper -alloc <name> -threads 2 -ops 4000`: every block
-// freed, so the sampler's part has ages but no live sample to be
-// wasteful or to have a call site.
+// freed.
 var censusSkeletons = map[string]string{
 	"lockfree": `allocator: mallocs=# frees=#; # large mallocs, # empty-partial skips
 paths: active=# partial=# newSB=# raceLoss=# sbFreed=#
 hyperblocks: # allocated, # released
 Size classes (superblocks by anchor state, block inventory):
-class A F P E used free resv mag partial int frag
+class A F P E used free resv mag partial
 totals: # superblocks, blocks used=# free=# resv=# mag=#, carve waste # words
 ` + osLayerSkeleton + `Region-bin occupancy (free regions awaiting reuse):
 region words regions
 descriptors: # allocated, # on freelist
-Live-block ages (# samples at rate #/#): p#=# p#=# oldest=#
 retained superblock cache # KiB (bound # KiB)
 invariants OK
 `,

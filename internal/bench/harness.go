@@ -47,10 +47,9 @@ type Result struct {
 	// allocator has no recorder attached.
 	Telemetry *TelemetrySummary `json:"telemetry,omitempty"`
 
-	// Census digests a census taken right after the run — fragmentation
-	// and live-block ages, from whichever parts the backend's census has;
-	// nil unless the allocator has a recorder with the allocation sampler
-	// enabled.
+	// Census digests a census taken right after the run, from whichever
+	// parts the backend's census has; nil unless a census walker ran
+	// beside the workload (Walked).
 	Census *census.Summary `json:"census,omitempty"`
 	// CensusWalks counts the walks a concurrent census walker completed
 	// during the run (Walked).
@@ -137,8 +136,8 @@ func (r Result) String() string {
 		}
 		s += "]"
 	}
-	if c := r.Census; c != nil && c.InternalFragPct >= 0 {
-		s += fmt.Sprintf(" [frag int %.1f%% ext %.1f%%]", c.InternalFragPct, c.ExternalFragPct)
+	if c := r.Census; c != nil {
+		s += fmt.Sprintf(" [%d walks, ext frag %.1f%%]", r.CensusWalks, c.ExternalFragPct)
 	}
 	return s
 }
@@ -152,19 +151,19 @@ type Workload interface {
 }
 
 // Walked runs a workload the way allocmon watches a live heap: on an
-// allocator whose recorder samples allocations — the same condition
-// under which a Result carries a Census — a walker takes a census every
-// 2 ms for as long as the workload runs. On any other allocator the
-// workload runs alone.
+// allocator with a census walker of its own structures (the lock-free
+// allocator and the buddy), a walker takes a census every 2 ms for as
+// long as the workload runs, and the result carries the digest of one
+// more taken after it. On any other allocator the workload runs alone.
 type Walked struct{ Workload }
 
 func (w Walked) String() string { return fmt.Sprintf("%+v + census walker", w.Workload) }
 
 // Run executes the inner workload, with the walker beside it if the
-// allocator is under census.
+// allocator has one.
 func (w Walked) Run(a alloc.Allocator, threads int) Result {
 	h := alloc.HarnessOf(a)
-	if rec := h.Recorder(); rec == nil || rec.Sampler() == nil {
+	if len(h.Census().Parts) == 1 { // the OS layer alone: no walker
 		return w.Workload.Run(a, threads)
 	}
 	var stop atomic.Bool
@@ -180,6 +179,8 @@ func (w Walked) Run(a alloc.Allocator, threads int) Result {
 	r := w.Workload.Run(a, threads)
 	stop.Store(true)
 	r.CensusWalks = <-walked
+	s := h.Census().Summary()
+	r.Census = &s
 	return r
 }
 
@@ -260,10 +261,6 @@ func measure(w Workload, a alloc.Allocator, threads int, fn func(id int, th allo
 			afterOps = ca.Core().Stats().Ops
 		}
 		r.Telemetry = SummarizeTelemetry(rec.Snapshot().Sub(base), baseOps, afterOps)
-		if rec.Sampler() != nil {
-			s := h.Census().Summary()
-			r.Census = &s
-		}
 	}
 	return r
 }

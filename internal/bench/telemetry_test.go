@@ -66,23 +66,34 @@ func TestResultTelemetrySummary(t *testing.T) {
 }
 
 // TestWalkedWalksOnlyUnderCensus: Walked adds its concurrent census
-// walker exactly where a Result carries a Census — on an allocator whose
-// recorder samples allocations — and runs the workload alone elsewhere.
+// walker, and a Result its Census, exactly on an allocator with a walker
+// of its own structures, recorder or not, and runs the workload alone
+// elsewhere. A plain Larson run carries no Census.
 func TestWalkedWalksOnlyUnderCensus(t *testing.T) {
-	w := Walked{Larson{Duration: 50 * time.Millisecond, BlocksPerThread: 64, MinSize: 16, MaxSize: 80}}
-	for rate, wantWalks := range map[int]bool{0: false, 64: true} {
+	larson := Larson{Duration: 50 * time.Millisecond, BlocksPerThread: 64, MinSize: 16, MaxSize: 80}
+	for _, c := range []struct {
+		name     string
+		recorded bool
+		walks    bool
+	}{{"lockfree", true, true}, {"lockfree", false, true}, {"buddy", false, true}, {"serial", false, false}} {
 		opt := testOptions()
-		opt.LockFree.Telemetry = core.NewRecorder(telemetry.Config{SampleRate: rate})
-		a, err := alloc.New("lockfree", opt)
+		if c.recorded {
+			opt.LockFree.Telemetry = core.NewRecorder(telemetry.Config{})
+		}
+		a, err := alloc.New(c.name, opt)
 		if err != nil {
 			t.Fatal(err)
 		}
-		r := w.Run(a, 2)
+		r := Walked{larson}.Run(a, 2)
 		if r.Workload != "larson" || r.Ops == 0 {
-			t.Errorf("rate %d: result %+v is not the inner workload's", rate, r)
+			t.Errorf("%s: result %+v is not the inner workload's", c.name, r)
 		}
-		if (r.CensusWalks > 0) != wantWalks || (r.Census != nil) != wantWalks {
-			t.Errorf("rate %d: %d walks, census %v; want both present = %v", rate, r.CensusWalks, r.Census, wantWalks)
+		if (r.CensusWalks > 0) != c.walks || (r.Census != nil) != c.walks {
+			t.Errorf("%s (recorder %v): %d walks, census %v; want both present = %v",
+				c.name, c.recorded, r.CensusWalks, r.Census, c.walks)
+		}
+		if r := larson.Run(a, 2); r.Census != nil || r.CensusWalks != 0 {
+			t.Errorf("%s: a run without a walker carries census %v, %d walks", c.name, r.Census, r.CensusWalks)
 		}
 	}
 }

@@ -344,8 +344,7 @@ func (a *Allocator) Thread() *Thread {
 	if a.tele != nil {
 		t.rec = a.tele.NewShard()
 		t.counts = t.rec.Counts()
-		t.mallocTick = t.rec.Countdown(telemetry.OpMalloc)
-		t.freeTick = t.rec.Countdown(telemetry.OpFree)
+		t.mallocTick, t.freeTick = telemetry.Interval, telemetry.Interval
 	} else {
 		t.counts = telemetry.NewCounts(len(a.classes))
 	}
@@ -376,7 +375,7 @@ type Thread struct {
 	// (Config.MagazineSize > 0; private block caches per size class).
 	hookFn func(HookPoint)
 	magCap int // high watermark of every magazine; 0 = layer disabled
-	// The recorder's countdowns to its next due malloc and free (due).
+	// The countdowns to the next timed malloc and free (due).
 	mallocTick, freeTick uint64
 	mags                 []magazine
 	id                   uint64

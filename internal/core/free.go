@@ -19,7 +19,7 @@ func sizeclassFor(size uint64) (int, bool) {
 // the nil pointer is a no-op. Free is lock-free and may be called by
 // any thread, not just the allocating one. Like Malloc, it counts every
 // free by its size class, and with a recorder attached hands the one
-// the recorder is due on to freeTimed.
+// that is due to freeTimed, which times it.
 func (t *Thread) Free(ptr mem.Ptr) {
 	if ptr.IsNil() { // line 1
 		return
@@ -35,22 +35,12 @@ func (t *Thread) Free(ptr mem.Ptr) {
 	t.free(ptr, t.a.heap.Load(ptr-1))
 }
 
-// freeTimed is Free on a free the recorder is due on.
+// freeTimed is Free on a free that is due.
 func (t *Thread) freeTimed(ptr mem.Ptr) {
-	timed, _, next := t.rec.Due(telemetry.OpFree)
-	t.freeTick = next
-	// Match against the allocation sampler before the block can be
-	// recycled (and outside the timed window, so sampling never skews
-	// the free latency histogram).
-	t.rec.SampleFree(uint64(ptr))
-	var start int64
-	if timed {
-		start = telemetry.Now()
-	}
+	t.freeTick = telemetry.Interval
+	start := telemetry.Now()
 	cls := t.free(ptr, t.a.heap.Load(ptr-1))
-	if timed {
-		t.rec.EndFree(cls, time.Duration(telemetry.Now()-start))
-	}
+	t.rec.EndFree(cls, time.Duration(telemetry.Now()-start))
 }
 
 // free releases a non-nil block whose prefix the caller has already

@@ -16,7 +16,7 @@ import (
 // Every malloc is counted, by the path that served it and its size
 // class. With a recorder attached, retry-site counters accumulate inside
 // t.malloc, and the malloc at which the thread's countdown runs out goes
-// to mallocTimed.
+// to mallocTimed, which times it.
 func (t *Thread) Malloc(size uint64) (mem.Ptr, error) {
 	if t.rec == nil {
 		p, _, err := t.malloc(size)
@@ -29,34 +29,25 @@ func (t *Thread) Malloc(size uint64) (mem.Ptr, error) {
 	return p, err
 }
 
-// due counts down one operation of a kind and reports whether the
-// recorder is due on it (telemetry.ThreadShard.Due): the Interval-th
-// since the last timed one, or one the allocation sampler takes. It must
-// inline into Malloc and Free (ci/inline_guard.sh).
+// due counts down one operation of a kind and reports whether it is
+// the one to time, the telemetry.Interval-th since the last; the timed
+// path resets the countdown. It must inline into Malloc and Free
+// (ci/inline_guard.sh).
 func (t *Thread) due(countdown *uint64) bool {
 	*countdown--
 	return *countdown == 0
 }
 
-// mallocTimed is Malloc on a malloc the recorder is due on: the one
-// place, with freeTimed, that reads the clock.
+// mallocTimed is Malloc on a malloc that is due: the one place, with
+// freeTimed, that reads the clock.
 func (t *Thread) mallocTimed(size uint64) (mem.Ptr, error) {
-	timed, sampled, next := t.rec.Due(telemetry.OpMalloc)
-	t.mallocTick = next
-	var start int64
-	if timed {
-		start = telemetry.Now()
-	}
+	t.mallocTick = telemetry.Interval
+	start := telemetry.Now()
 	p, cls, err := t.malloc(size)
 	if err != nil {
 		return p, err
 	}
-	if timed {
-		t.rec.EndMalloc(cls, time.Duration(telemetry.Now()-start))
-	}
-	if sampled {
-		t.rec.Sample(uint64(p), size, cls)
-	}
+	t.rec.EndMalloc(cls, time.Duration(telemetry.Now()-start))
 	return p, nil
 }
 

@@ -5,7 +5,6 @@ import (
 	"math/bits"
 	"math/rand"
 	"runtime"
-	"strings"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -299,7 +298,7 @@ func countsEveryOperation(t *testing.T, magazine int, recorded bool) {
 	cfg.MagazineSize = magazine
 	var rec *telemetry.Recorder
 	if recorded {
-		rec = NewRecorder(telemetry.Config{SampleRate: 3})
+		rec = NewRecorder(telemetry.Config{})
 		cfg.Telemetry = rec
 	}
 	a := New(cfg)
@@ -336,13 +335,6 @@ func countsEveryOperation(t *testing.T, magazine int, recorded bool) {
 	for _, size := range sizes {
 		for i := 0; i < n; i++ {
 			malloc(size)
-		}
-	}
-	// A sample's call site is Malloc's caller.
-	if recorded {
-		if live := rec.Sampler().Live(); len(live) == 0 ||
-			!strings.Contains(runtime.FuncForPC(uintptr(live[0].PC)).Name(), "countsEveryOperation") {
-			t.Errorf("sample call site is not this test: %+v", live[:min(len(live), 1)])
 		}
 	}
 	// Every other block back, half of them by another thread: full
@@ -405,13 +397,13 @@ func countsEveryOperation(t *testing.T, magazine int, recorded bool) {
 	if snap.Mallocs != mallocs || snap.Frees != mallocs {
 		t.Errorf("snapshot counts %d mallocs, %d frees; performed %d each", snap.Mallocs, snap.Frees, mallocs)
 	}
-	// With the sampler on every free is due, and every Interval-th of a
-	// thread's is timed.
+	// Every Interval-th malloc and free of a thread is timed, and no
+	// other: th does every malloc.
+	if timed := mallocs / telemetry.Interval; snap.Malloc.Count != timed {
+		t.Errorf("%d mallocs timed, want %d", snap.Malloc.Count, timed)
+	}
 	if timed := freesBy[th]/telemetry.Interval + freesBy[other]/telemetry.Interval; snap.Free.Count != timed {
 		t.Errorf("%d frees timed, want %d", snap.Free.Count, timed)
-	}
-	if got := rec.Sampler().Stats().Sampled; got != mallocs/3 {
-		t.Errorf("sampler took %d mallocs, want every third: %d", got, mallocs/3)
 	}
 }
 

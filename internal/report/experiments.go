@@ -11,7 +11,6 @@ import (
 	"repro/alloc"
 	"repro/internal/bench"
 	"repro/internal/core"
-	"repro/internal/telemetry"
 )
 
 // RunConfig controls an experiment run.
@@ -37,10 +36,6 @@ type RunConfig struct {
 	// buddy count into it), so each printed result carries CAS
 	// retries/op and latency quantiles for its interval.
 	Telemetry bool
-	// SampleRate sets the allocation sampler's period (one sample per
-	// SampleRate mallocs) on every telemetry recorder constructed for
-	// an experiment; 0 leaves the sampler off. Requires Telemetry.
-	SampleRate int
 	// Record, when non-nil, receives every individual measurement as
 	// it is taken (used for machine-readable output, e.g. benchmal
 	// -json).
@@ -130,7 +125,7 @@ func Experiments(cfg RunConfig) []Experiment {
 	// The three allocators of the paper's Table 1 and §4.2.5, in its order.
 	paperSubjects := []subject{{name: "lockfree"}, {name: "hoard"}, {name: "ptmalloc"}}
 	lockfree := func(label string, edit func(*core.Config)) subject {
-		return subject{"lockfree", label, func(o *alloc.Options) { edit(&o.LockFree) }}
+		return subject{name: "lockfree", label: label, edit: func(o *alloc.Options) { edit(&o.LockFree) }}
 	}
 	// sweep is an A/B experiment over one knob of the lock-free
 	// allocator: every variant on every workload at the most threads.
@@ -187,12 +182,6 @@ func Experiments(cfg RunConfig) []Experiment {
 		latency = append(latency, mallocP50Column, mallocP99Column, retriesPerOpColumn)
 	}
 	magSize := cmp.Or(c.Options.LockFree.MagazineSize, 64)
-	// The census rows replace the recorder every allocator of a
-	// telemetry spec is handed by one with the row's sampling period.
-	rate := cmp.Or(c.SampleRate, 1024)
-	sampler := func(rate int) func(*alloc.Options) {
-		return func(o *alloc.Options) { o.LockFree.Telemetry = core.NewRecorder(telemetry.Config{SampleRate: rate}) }
-	}
 
 	exps = append(exps, []Experiment{{
 		ID:    "latency",
@@ -228,7 +217,7 @@ func Experiments(cfg RunConfig) []Experiment {
 			layout: bySubject, title: "Uniprocessor optimization: single-heap lock-free allocator, 1 thread", head: "config",
 			subjects: []subject{
 				{name: "lockfree", label: fmt.Sprintf("heaps=%d", procs)},
-				{"lockfree", "heaps=1", func(o *alloc.Options) { o.Processors = 1 }},
+				{name: "lockfree", label: "heaps=1", edit: func(o *alloc.Options) { o.Processors = 1 }},
 			},
 			workloads: loads{linux}, threads: one, ref: firstRow,
 			columns: []column{opsColumn, {name: "vs multi-heap", value: bench.Result.SpeedupOver, show: fixed(2)}},
@@ -268,37 +257,28 @@ func Experiments(cfg RunConfig) []Experiment {
 			}),
 		}, "same binary, same run; magazines batch Active/anchor CAS traffic into refills and flushes"),
 	}, {
-		// The observability tax: sampler off and no walker against
-		// sampler on with a census walker looping beside the workload
-		// (bench.Walked walks where the sampler is on). Both rows have a
-		// recorder, so the delta isolates the census machinery.
+		// The observability tax: the workload alone against the same
+		// workload with a census walker looping beside it (bench.Walked).
+		// Both rows have a recorder, so the delta isolates the walker.
 		ID:    "census",
-		Title: "Heap census: walker + allocation-sampler overhead under Larson",
-		Paper: "beyond the paper — quantifies the observability tax: sampler off vs on with a concurrent census walker; acceptance is <= 3% ops/s at the default sample rate",
+		Title: "Heap census: walker overhead under Larson",
+		Paper: "beyond the paper — quantifies the observability tax: walker off vs a concurrent census walker; acceptance is <= 3% ops/s",
 		spec: spec{
 			layout: bySubject, title: fmt.Sprintf("Heap census overhead: %s at %d threads", larson.Name(), most[0]), head: "variant",
 			subjects: []subject{
-				{"lockfree", "census off (no sampler, no walker)", sampler(0)},
-				{"lockfree", fmt.Sprintf("census on (rate=1/%d + concurrent walker)", rate), sampler(rate)},
+				{name: "lockfree", label: "walker off"},
+				{name: "lockfree", label: "walker on (a census every 2 ms)", walked: true},
 			},
-			workloads: loads{bench.Walked{Workload: larson}}, threads: most, ref: firstRow, telemetry: true,
+			workloads: loads{larson}, threads: most, ref: firstRow, telemetry: true,
 			columns: []column{
 				opsColumn,
 				{name: "vs off", value: bench.Result.SpeedupOver, show: fixed(3)},
 				censusColumn("walks", nil, func(r bench.Result) float64 { return float64(r.CensusWalks) }),
-				censusColumn("live samples", nil, func(r bench.Result) float64 { return float64(r.Census.LiveSamples) }),
-				censusColumn("int frag", percent, func(r bench.Result) float64 {
-					if r.Census.InternalFragPct < 0 {
-						return math.NaN() // unsampled
-					}
-					return r.Census.InternalFragPct
-				}),
 				censusColumn("ext frag", percent, func(r bench.Result) float64 { return r.Census.ExternalFragPct }),
-				censusColumn("age p50", duration, func(r bench.Result) float64 { return float64(r.Census.AgeP50NS) }),
 			},
 			notes: []string{
-				"both variants run with telemetry attached; the delta isolates the sampler and walker",
-				"acceptance: census on within 3% ops/s of census off at the default rate",
+				"both variants run with telemetry attached; the delta isolates the walker",
+				"acceptance: walker on within 3% ops/s of walker off",
 			},
 		},
 	}, {

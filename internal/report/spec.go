@@ -68,6 +68,9 @@ type subject struct {
 	name  string // alloc registry name
 	label string // row, column or series label; "" = name
 	edit  func(*alloc.Options)
+	// walked runs every workload with a census walker beside it
+	// (bench.Walked).
+	walked bool
 }
 
 func (s subject) String() string {
@@ -229,7 +232,7 @@ func (cfg RunConfig) measure(cells []cell) ([][]bench.Result, error) {
 func (cfg RunConfig) once(c cell) (bench.Result, error) {
 	opt := cfg.Options
 	if cfg.Telemetry {
-		opt.LockFree.Telemetry = core.NewRecorder(telemetry.Config{SampleRate: cfg.SampleRate})
+		opt.LockFree.Telemetry = core.NewRecorder(telemetry.Config{})
 	}
 	if c.sub.edit != nil {
 		c.sub.edit(&opt)
@@ -239,6 +242,9 @@ func (cfg RunConfig) once(c cell) (bench.Result, error) {
 		return bench.Result{}, err
 	}
 	runtime.GC()
+	if c.sub.walked {
+		return bench.Walked{Workload: c.w}.Run(a, c.threads), nil
+	}
 	return c.w.Run(a, c.threads), nil
 }
 

@@ -5,7 +5,6 @@ import (
 
 	"repro/alloc"
 	"repro/internal/buddy"
-	"repro/internal/telemetry"
 )
 
 // TestBuddyKillAtEveryPoint pins victims to each buddy hook point in
@@ -27,7 +26,7 @@ func TestBuddyKillAtEveryPoint(t *testing.T) {
 	for p := buddy.HookPoint(0); p < buddy.NumHookPoints; p++ {
 		t.Run(p.String(), func(t *testing.T) {
 			t.Parallel()
-			target, b := buddyTarget(buddy.Config{}, false)
+			target, depth := buddyTarget(false, false)
 			res, err := Run(Plan{
 				Victims:        6,
 				Survivors:      4,
@@ -46,7 +45,7 @@ func TestBuddyKillAtEveryPoint(t *testing.T) {
 			// Each victim killed mid-free strands at most one root path
 			// of coalescing marks (depth bits); more means unmark logic
 			// leaked marks it should have cleared.
-			kills, depth := kills(res), b.Depth()
+			kills := kills(res)
 			if res.StrandedCoalBits > kills*depth {
 				t.Fatalf("StrandedCoalBits = %d, want <= kills(%d) * depth(%d) (%v)",
 					res.StrandedCoalBits, kills, depth, res)
@@ -74,7 +73,7 @@ func checkBuddyPostMortem(t *testing.T, res Result) {
 // TestBuddyRandomKills draws random kill points, the configuration the
 // CI smoke runs at scale.
 func TestBuddyRandomKills(t *testing.T) {
-	target, _ := buddyTarget(buddy.Config{Telemetry: &telemetry.Stripes{}}, false)
+	target, _ := buddyTarget(true, false)
 	res, err := Run(Plan{
 		Victims:        10,
 		Survivors:      4,
@@ -92,7 +91,7 @@ func TestBuddyRandomKills(t *testing.T) {
 // TestBuddyNoKillsIsClean sanity-checks the harness itself: with zero
 // victims nothing may leak and no coalescing marks may remain.
 func TestBuddyNoKillsIsClean(t *testing.T) {
-	target, _ := buddyTarget(buddy.Config{}, false)
+	target, _ := buddyTarget(false, false)
 	res, err := Run(Plan{
 		Survivors:      4,
 		OpsPerSurvivor: 4000,
@@ -127,7 +126,7 @@ func TestBuddyNoKillsIsClean(t *testing.T) {
 // counts freed, which is either released or stranded-occupied — never
 // handed out twice).
 func TestBuddyKillsUnderShadowOracle(t *testing.T) {
-	target, _ := buddyTarget(buddy.Config{}, true)
+	target, _ := buddyTarget(false, true)
 	res, err := Run(Plan{
 		Victims:        8,
 		Survivors:      4,
@@ -149,7 +148,7 @@ func TestBuddyKillsUnderShadowOracle(t *testing.T) {
 // points through alloc's registry, so the table there must be the
 // backends' own enumeration, in order.
 func TestRegistryTargetsMatchTheirBackends(t *testing.T) {
-	target, _ := buddyTarget(buddy.Config{}, false)
+	target, _ := buddyTarget(false, false)
 	names := target.HookPoints()
 	if len(names) != int(buddy.NumHookPoints) {
 		t.Fatalf("buddy target has %d hook points, want %d", len(names), buddy.NumHookPoints)

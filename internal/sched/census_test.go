@@ -9,12 +9,12 @@ import (
 )
 
 // censusTarget is the lock-free shape the census sweeps run on: two
-// processor heaps, magazines, and the allocation sampler on.
+// processor heaps, magazines, and a recorder.
 func censusTarget(oracle bool) Target {
 	return lockFree(core.Config{
 		Processors:   2,
 		MagazineSize: 8,
-		Telemetry:    core.NewRecorder(telemetry.Config{SampleRate: 64}),
+		Telemetry:    core.NewRecorder(telemetry.Config{}),
 	}, oracle)
 }
 
@@ -57,14 +57,14 @@ func TestCensusSurvivesKillAtEveryPoint(t *testing.T) {
 		sweep(p.String(), int(p), censusTarget(false))
 	}
 	for p := buddy.HookPoint(0); p < buddy.NumHookPoints; p++ {
-		target, _ := buddyTarget(buddy.Config{}, false)
+		target, _ := buddyTarget(false, false)
 		sweep("buddy/"+p.String(), int(p), target)
 	}
 }
 
 // TestCensusWalkerRandomKills drives the randomized sweep (a fresh
-// random point per victim) with the walker and sampler on — the
-// configuration CI runs under -race.
+// random point per victim) with the walker on and the oracle attached —
+// the configuration CI runs under -race.
 func TestCensusWalkerRandomKills(t *testing.T) {
 	res, err := Run(Plan{
 		Victims:        4,

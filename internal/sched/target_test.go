@@ -1,15 +1,17 @@
 package sched
 
 import (
+	"math/bits"
 	"os"
 	"runtime/debug"
 	"testing"
 
 	"repro/alloc"
-	"repro/internal/buddy"
+	"repro/internal/census"
 	"repro/internal/core"
 	"repro/internal/mem"
 	"repro/internal/shadow"
+	"repro/internal/telemetry"
 )
 
 // Every Run and every explored schedule builds a fresh allocator, whose
@@ -49,15 +51,27 @@ func lockFree(cfg core.Config, oracle bool) Target {
 	}))
 }
 
-// buddyTarget builds a target around a buddy allocator on sweepHeap.
-// The trees are 2^12 words: small trees put every operation's
+// buddyHeap is sweepHeap with 2^12-word segments. The buddy clamps its
+// trees to the segment, and small trees put every operation's
 // coalescing path through the same few ancestors, maximizing
-// interleaving with the kills. The allocator is returned for its depth.
-func buddyTarget(cfg buddy.Config, oracle bool) (Target, *buddy.Allocator) {
-	cfg.HeapConfig = sweepHeap
-	cfg.TreeWordsLog2 = 12
-	b := buddy.New(cfg)
-	return alloc.HarnessOf(alloc.FromBuddy(b, alloc.Options{Shadow: oracle, ShadowConfig: collecting})), b
+// interleaving with the kills. No request of a sweep outgrows a tree.
+var buddyHeap = mem.Config{SegmentWordsLog2: 12, TotalWordsLog2: 28}
+
+// buddyTarget builds a target around the registry's buddy backend on
+// buddyHeap, counting CAS retries into a recorder's stripes if recorded,
+// and returns it with the depth of its trees.
+func buddyTarget(recorded, oracle bool) (Target, int) {
+	opt := alloc.Options{HeapConfig: buddyHeap, Shadow: oracle, ShadowConfig: collecting}
+	if recorded {
+		opt.LockFree.Telemetry = core.NewRecorder(telemetry.Config{})
+	}
+	a, err := alloc.New("buddy", opt)
+	if err != nil {
+		panic(err)
+	}
+	h := alloc.HarnessOf(a)
+	st := h.Census().Parts[0].(*census.Buddy).Stats
+	return h, bits.Len64(st.TreeWords/st.MinBlockWords) - 1
 }
 
 // kills sums the kills that fired.

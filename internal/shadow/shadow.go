@@ -35,7 +35,7 @@
 // The oracle is a debugging tool, not a production path: it serializes
 // all mirrored operations on one mutex and touches every freed payload
 // word. It is part of every build and attached in exactly one way:
-// alloc.New (or NewLockFree, FromBuddy) with Options.Shadow wraps the
+// alloc.New (or NewLockFree) with Options.Shadow wraps the
 // allocator's handles so that each malloc is mirrored after the
 // operation and each free before it. An allocator built without the
 // option has no wrapper, so its paths carry no trace of the oracle.

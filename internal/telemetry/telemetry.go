@@ -1,8 +1,7 @@
 // Package telemetry is the lock-free observability layer for the
 // allocators in this repository: contention counters at every CAS
 // retry site, exact operation counts and log2-bucketed latency
-// histograms for malloc/free keyed by size class, and the allocation
-// sampler.
+// histograms for malloc/free keyed by size class.
 //
 // The design discipline is the allocator's own (the paper's §2:
 // "lock-free"): recording never takes a lock, never blocks a recording
@@ -16,8 +15,8 @@
 //   - Every operation is counted, by the path that served it and its
 //     size class (Counts), and every retry recorded; every Interval-th
 //     malloc and every Interval-th free of a thread is timed. The owner
-//     keeps the countdown to the next timed operation (Due), so an
-//     untimed one reads no clock and touches no histogram.
+//     keeps the countdown to the next timed operation, so an untimed
+//     one reads no clock and touches no histogram.
 //
 //   - Contexts without a thread handle (the mem region free stacks,
 //     the partial-list node pools, the descriptor freelist) record
@@ -169,39 +168,26 @@ type Config struct {
 	// Classes is the number of small size classes; histograms get one
 	// row per class per op kind, plus one row for large blocks.
 	Classes int
-	// SampleRate enables the allocation sampler behind the heap
-	// census's fragmentation, call-site, and live-age reporting: every
-	// Nth malloc per thread is sampled (1 samples every allocation).
-	// 0 disables the sampler entirely. Its countdown is the timing
-	// countdown's (ThreadShard.Due), so it adds no per-malloc branch.
-	SampleRate int
 }
 
-const (
-	// Interval: every Interval-th malloc and every Interval-th free of a
-	// thread is timed. Timing one operation in Interval keeps two clock
-	// reads and a histogram add off all others.
-	// Interval is prime, so it cannot phase-lock with a caller timing
-	// every 2^k-th of its own operations, as 256 did with a harness
-	// timing every 64th malloc/free unit.
-	Interval = 257
-	// sampleSlots is the allocation sampler's live-sample table
-	// capacity.
-	sampleSlots = 2048
-)
+// Interval: every Interval-th malloc and every Interval-th free of a
+// thread is timed. Timing one operation in Interval keeps two clock
+// reads and a histogram add off all others. The owner counts down to
+// the next one itself (core.Thread's mallocTick and freeTick).
+// Interval is prime, so it cannot phase-lock with a caller timing every
+// 2^k-th of its own operations, as 256 did with a harness timing every
+// 64th malloc/free unit.
+const Interval = 257
 
 func (c Config) withDefaults() Config {
 	if c.Classes < 0 {
 		c.Classes = 0
 	}
-	if c.SampleRate < 0 {
-		c.SampleRate = 0
-	}
 	return c
 }
 
 // Recorder is the telemetry hub for one allocator: it owns the shared
-// stripes, the allocation sampler and the registry of per-thread shards.
+// stripes and the registry of per-thread shards.
 // All methods are safe for concurrent use; NewShard uses a mutex
 // (registration happens once per thread, off the malloc/free paths),
 // everything else is lock-free.
@@ -215,10 +201,6 @@ type Recorder struct {
 	shards atomic.Pointer[[]*ThreadShard]
 	mu     sync.Mutex
 
-	// smp is the optional allocation sampler (nil unless
-	// Config.SampleRate > 0), shared by all shards.
-	smp *Sampler
-
 	started time.Time
 }
 
@@ -226,9 +208,6 @@ type Recorder struct {
 func New(cfg Config) *Recorder {
 	cfg = cfg.withDefaults()
 	r := &Recorder{cfg: cfg, started: time.Now()}
-	if cfg.SampleRate > 0 {
-		r.smp = newSampler(cfg.SampleRate, sampleSlots)
-	}
 	empty := []*ThreadShard{}
 	r.shards.Store(&empty)
 	return r
@@ -238,24 +217,9 @@ func New(cfg Config) *Recorder {
 // thread handle.
 func (r *Recorder) Stripes() *Stripes { return &r.stripes }
 
-// Sampler returns the allocation sampler, or nil when Config.SampleRate
-// is 0.
-func (r *Recorder) Sampler() *Sampler { return r.smp }
-
 // NewShard registers and returns a per-thread shard.
 func (r *Recorder) NewShard() *ThreadShard {
-	s := &ThreadShard{
-		classes:    r.cfg.Classes,
-		counts:     NewCounts(r.cfg.Classes),
-		smp:        r.smp,
-		untilTimed: [2]uint64{Interval, Interval},
-		armed:      [2]uint64{Interval, Interval},
-	}
-	if r.smp != nil {
-		s.smpEvery = uint64(r.cfg.SampleRate)
-		s.untilSample = s.smpEvery
-		s.armed = [2]uint64{min(Interval, s.smpEvery), 1}
-	}
+	s := &ThreadShard{classes: r.cfg.Classes, counts: NewCounts(r.cfg.Classes)}
 	r.mu.Lock()
 	old := *r.shards.Load()
 	next := make([]*ThreadShard, len(old)+1)
@@ -350,18 +314,6 @@ type ThreadShard struct {
 	hist    atomic.Pointer[[]Histogram]
 	classes int
 
-	// The countdowns behind Due: operations of each kind left until the
-	// next timed one, mallocs left until the next sample, as of the
-	// countdown last handed to the owner (armed). Plain, single-writer.
-	untilTimed  [2]uint64
-	untilSample uint64
-	armed       [2]uint64
-
-	// smp is the recorder's allocation sampler (nil when disabled),
-	// sampling every smpEvery-th malloc.
-	smp      *Sampler
-	smpEvery uint64
-
 	_ pad
 }
 
@@ -372,38 +324,6 @@ func (s *ThreadShard) Retry(site Site) {
 		return
 	}
 	s.retries[site].Add(1)
-}
-
-// Countdown is how many operations of kind op the owner runs before its
-// first call to Due.
-func (s *ThreadShard) Countdown(op Op) uint64 { return s.armed[op] }
-
-// Due is the owner's call on the operation at which its countdown for
-// op ran out. It reports whether the operation is timed (the
-// Interval-th of its kind since the last) and, for a malloc, whether the
-// allocation sampler takes it, and returns the countdown to the next
-// call. With the sampler on, every free is due, so the owner matches it
-// against the samples (SampleFree) before the block can be recycled.
-func (s *ThreadShard) Due(op Op) (timed, sampled bool, next uint64) {
-	n := s.armed[op]
-	s.untilTimed[op] -= n
-	if timed = s.untilTimed[op] == 0; timed {
-		s.untilTimed[op] = Interval
-	}
-	next = s.untilTimed[op]
-	if s.smp != nil {
-		if op == OpFree {
-			next = 1
-		} else {
-			s.untilSample -= n
-			if sampled = s.untilSample == 0; sampled {
-				s.untilSample = s.smpEvery
-			}
-			next = min(next, s.untilSample)
-		}
-	}
-	s.armed[op] = next
-	return timed, sampled, next
 }
 
 // column is class's index in a histogram row, class < 0 or >= classes

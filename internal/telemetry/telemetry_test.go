@@ -52,6 +52,23 @@ func TestHistogramQuantiles(t *testing.T) {
 	}
 }
 
+func TestHistBucketsObserve(t *testing.T) {
+	var b HistBuckets
+	b.Observe(0)
+	b.Observe(time.Microsecond)
+	b.Observe(time.Microsecond)
+	if b.Count() != 3 {
+		t.Fatalf("Count = %d, want 3", b.Count())
+	}
+	var h Histogram
+	h.Record(0)
+	h.Record(time.Microsecond)
+	h.Record(time.Microsecond)
+	if h.Load() != b {
+		t.Error("Observe and Record disagree on bucket mapping")
+	}
+}
+
 // TestQuantileRank: the q-quantile is the bucket of the
 // ceil(q*count)-th observation, so a rank that falls between two
 // observations rounds up to the later one.
