@@ -6,6 +6,7 @@ package core
 // §3.2.6 into reproducible unit tests instead of stress-luck.
 
 import (
+	"sync/atomic"
 	"testing"
 
 	"repro/internal/atomicx"
@@ -147,7 +148,7 @@ func TestNewSBInstallRace(t *testing.T) {
 	pA := <-done
 	A.SetHook(nil)
 
-	if got := A.ops.newSBRaceLoss.Load(); got != 1 {
+	if got := atomic.LoadUint64(&A.ops.newSBRaceLoss); got != 1 {
 		t.Errorf("A race losses = %d, want 1", got)
 	}
 	if got := A.OpStats().FromActive; got != 1 {
@@ -196,7 +197,7 @@ func TestKeepNewSBOnRaceLossVariant(t *testing.T) {
 	pA := <-done
 	A.SetHook(nil)
 
-	if A.ops.newSBRaceLoss.Load() != 0 {
+	if atomic.LoadUint64(&A.ops.newSBRaceLoss) != 0 {
 		t.Error("keep-variant should not count a race loss discard")
 	}
 	// A's block must come from its own (kept) superblock, now PARTIAL.
@@ -330,7 +331,7 @@ func TestEmptyDescInPartialList(t *testing.T) {
 	// slot, finding the EMPTY descriptor: it must skip-and-retire it
 	// and still satisfy the request.
 	var got []mem.Ptr
-	for M.ops.emptyPartialSkips.Load() == 0 {
+	for atomic.LoadUint64(&M.ops.emptyPartialSkips) == 0 {
 		p, err := M.Malloc(2048)
 		if err != nil {
 			t.Fatal(err)

@@ -23,8 +23,9 @@ import (
 //   - every descriptor's anchor fields are within range;
 //   - each non-EMPTY superblock's free list is acyclic, in-bounds, and
 //     exactly count+reserved long, and every block on it carries its
-//     descriptor's prefix beside the link;
-//   - every magazine-cached block has a valid small-block prefix, is
+//     descriptor's prefix — its index and class — beside the link;
+//   - every magazine-cached block has a valid small-block prefix that
+//     carries its descriptor's class, sits in that class's magazine, is
 //     cached exactly once, belongs to a non-EMPTY superblock, and does
 //     not also appear on that superblock's free list;
 //   - the sum over descriptors of allocated blocks equals expectLive
@@ -150,6 +151,9 @@ func (a *Allocator) magazineScan() (magBlocks map[uint64]map[uint64]bool, totalM
 				if desc.ClassIndex() != cls {
 					return nil, 0, fmt.Errorf("thread %d magazine class %d caches %#x of class %d", t.id, cls, p, desc.ClassIndex())
 				}
+				if prefixClass(prefix) != cls {
+					return nil, 0, fmt.Errorf("thread %d magazine class %d caches %#x whose prefix names class %d", t.id, cls, p, prefixClass(prefix))
+				}
 				hi, _ := bits.Mul64((p - 1).Sub(desc.SB()), desc.szMagic.Load())
 				set := magBlocks[descIdx]
 				if set == nil {
@@ -188,7 +192,7 @@ func (a *Allocator) walkFreeList(idx uint64, desc *Descriptor, anchor atomicx.An
 		// Malloc hands the block out without writing it, so the prefix
 		// it will be freed through must already be in place.
 		w := a.heap.Load(sb.Add(cur * sz))
-		if prefixIsLarge(w) || prefixDesc(w) != idx {
+		if prefixIsLarge(w) || prefixDesc(w) != idx || prefixClass(w) != desc.ClassIndex() {
 			return fmt.Errorf("desc %d: free block %d carries prefix %#x, not its descriptor's", idx, cur, w)
 		}
 		cur = prefixLink(w)

@@ -12,8 +12,8 @@ const cacheLine = 64
 // silently shift the hot cache lines. Thread's first line holds what
 // every Malloc and Free reads of it, the count included, its second the
 // rest of what they read, the magazines among it; the third is the
-// slow paths', and the atomic counter block other goroutines sample
-// starts on the fourth.
+// slow paths', and the counter block other goroutines sample starts on
+// the fourth.
 // Descriptor and ProcHeap are each exactly one 64-byte line (DESIGN.md,
 // "Memory layout"): a ninth descriptor word would put neighbouring
 // superblocks' Anchor words back on shared lines. Two-sided compile-time

@@ -2,6 +2,7 @@ package core
 
 import (
 	"math/rand"
+	"slices"
 	"sync"
 	"testing"
 
@@ -122,14 +123,18 @@ func TestMagazineUnregisterFlush(t *testing.T) {
 // magazine must still retire emptied superblocks (release's EMPTY
 // transition for a flush group) once the magazines are flushed — and their
 // descriptors with them, also when a flush group is a whole FULL
-// superblock, which no Partial slot or list holds: 15 blocks of 16
-// flushed at once, or both blocks of the top class.
+// superblock, which no Partial slot or list holds. A magazine holds one
+// superblock at most and a free into a full one flushes only the colder
+// half, so that group is FlushMagazines' on a magazine holding exactly
+// one superblock: 15 blocks of 1080 B, or both blocks of the top class.
 func TestMagazineFlushEmptiesSuperblock(t *testing.T) {
 	for _, size := range []uint64{1024, sizeclass.MaxPayloadBytes} {
 		cfg := magConfig(32)
 		cfg.Processors = 1
 		a := newTestAllocator(t, cfg)
 		th := a.Thread()
+		ci, _ := sizeclass.IndexFor(size)
+		maxCount := int(sizeclass.ByIndex(ci).MaxCount)
 		// Enough blocks of one class to fill several superblocks.
 		var ptrs []mem.Ptr
 		for i := 0; i < 200; i++ {
@@ -139,13 +144,49 @@ func TestMagazineFlushEmptiesSuperblock(t *testing.T) {
 			}
 			ptrs = append(ptrs, p)
 		}
+		// The refills' leftovers go back; a superblock all of whose
+		// blocks are held is FULL.
+		th.FlushMagazines()
+		bySB := make(map[uint64][]mem.Ptr)
 		for _, p := range ptrs {
+			d := prefixDesc(a.heap.Load(p - 1))
+			bySB[d] = append(bySB[d], p)
+		}
+		var whole []mem.Ptr
+		for _, g := range bySB {
+			if len(g) == maxCount {
+				whole = g
+				break
+			}
+		}
+		if whole == nil {
+			t.Fatalf("%d B: no superblock has all %d blocks held", size, maxCount)
+		}
+		before := a.Stats()
+		for _, p := range whole {
 			th.Free(p)
+		}
+		if got := a.MagazineCounts()[ci]; got != uint64(maxCount) {
+			t.Fatalf("%d B: magazine holds %d blocks, want the whole superblock's %d", size, got, maxCount)
+		}
+		th.FlushMagazines()
+		after := a.Stats()
+		splices := after.Ops.MagazineFlushes - before.Ops.MagazineFlushes
+		emptied := after.Ops.EmptySBFreed - before.Ops.EmptySBFreed
+		retired := after.DescsOnFreelist - before.DescsOnFreelist
+		if splices != 1 || emptied != 1 || retired != 1 {
+			t.Errorf("%d B: a whole FULL superblock went back in %d splices, emptying %d superblocks and retiring %d descriptors; want 1 of each",
+				size, splices, emptied, retired)
+		}
+		for _, p := range ptrs {
+			if !slices.Contains(whole, p) {
+				th.Free(p)
+			}
 		}
 		th.FlushMagazines()
 		st := a.Stats()
-		if st.Ops.EmptySBFreed == 0 {
-			t.Errorf("%d B: no superblock retired after flushing all blocks", size)
+		if st.Ops.EmptySBFreed < 2 {
+			t.Errorf("%d B: %d superblocks retired after flushing all blocks", size, st.Ops.EmptySBFreed)
 		}
 		// What is not back on the freelist is the heap's Active and
 		// Partial superblocks and EMPTY descriptors a list still links.
@@ -159,6 +200,116 @@ func TestMagazineFlushEmptiesSuperblock(t *testing.T) {
 		}
 		if err := a.CheckInvariants(0); err != nil {
 			t.Fatal(err)
+		}
+	}
+}
+
+// TestMagazineCapacityIsOneSuperblock: a magazine holds at most
+// MagazineSize blocks and never more than one superblock of its class.
+// For every class, MaxCount+8 frees into one thread fill its magazine to
+// exactly that bound and no further, and Unregister returns every block.
+func TestMagazineCapacityIsOneSuperblock(t *testing.T) {
+	const size = 64
+	for ci := range sizeclass.NumClasses() {
+		cls := sizeclass.ByIndex(ci)
+		a := newTestAllocator(t, magConfig(size))
+		th := a.Thread()
+		bound := min(size, cls.MaxCount)
+		ptrs := make([]mem.Ptr, cls.MaxCount+8)
+		for i := range ptrs {
+			p, err := th.Malloc(cls.PayloadBytes)
+			if err != nil {
+				t.Fatal(err)
+			}
+			ptrs[i] = p
+		}
+		var most uint64
+		for _, p := range ptrs {
+			th.Free(p)
+			most = max(most, a.MagazineCounts()[ci])
+		}
+		if most != bound {
+			t.Errorf("class %d (%d blocks a superblock): magazine held up to %d blocks, want min(%d, %d) = %d",
+				ci, cls.MaxCount, most, size, cls.MaxCount, bound)
+		}
+		th.Unregister()
+		if n := a.MagazineCounts()[ci]; n != 0 {
+			t.Errorf("class %d: %d blocks cached after Unregister", ci, n)
+		}
+		if err := a.CheckInvariants(0); err != nil {
+			t.Fatalf("class %d: %v", ci, err)
+		}
+	}
+}
+
+// TestMagazineFlushSplicesEachSuperblockOnce: a flush whose window holds
+// blocks of k superblocks, interleaved, makes exactly k splices, and the
+// keep hottest blocks stay in their LIFO order beneath the free that
+// found the magazine full. 1080 B blocks, 15 a superblock, so a
+// magazine of MagazineSize 64 holds 15 and flushes the 8 oldest.
+func TestMagazineFlushSplicesEachSuperblockOnce(t *testing.T) {
+	ci, _ := sizeclass.IndexFor(1024)
+	cls := sizeclass.ByIndex(ci)
+	capacity := int(min(64, cls.MaxCount))
+	keep := capacity / 2
+	for k := 1; k <= 3; k++ {
+		cfg := magConfig(64)
+		cfg.Processors = 1
+		a := newTestAllocator(t, cfg)
+		th := a.Thread()
+		var ptrs []mem.Ptr
+		for range 6 * cls.MaxCount {
+			p, err := th.Malloc(cls.PayloadBytes)
+			if err != nil {
+				t.Fatal(err)
+			}
+			ptrs = append(ptrs, p)
+		}
+		th.FlushMagazines()
+		bySB := make(map[uint64][]mem.Ptr)
+		var order []uint64
+		for _, p := range ptrs {
+			d := prefixDesc(a.heap.Load(p - 1))
+			if bySB[d] == nil {
+				order = append(order, d)
+			}
+			bySB[d] = append(bySB[d], p)
+		}
+		// The window cycles through k superblocks; the hot blocks and
+		// the free that flushes come from another.
+		var window []mem.Ptr
+		for i := 0; len(window) < capacity-keep; i++ {
+			g := bySB[order[i%k]]
+			window = append(window, g[i/k])
+		}
+		hot := bySB[order[k]][:keep+1]
+		for _, p := range append(window, hot[:keep]...) {
+			th.Free(p)
+		}
+		before := a.Stats().Ops
+		if before.MagazineFlushes != 0 {
+			t.Fatalf("k=%d: %d flushes before the magazine was full", k, before.MagazineFlushes)
+		}
+		th.Free(hot[keep])
+		after := a.Stats().Ops
+		if got := after.MagazineFlushes; got != uint64(k) {
+			t.Errorf("k=%d: the flush made %d splices, want %d", k, got, k)
+		}
+		if got := after.MagazineFlushedBlocks; got != uint64(capacity-keep) {
+			t.Errorf("k=%d: the flush returned %d blocks, want %d", k, got, capacity-keep)
+		}
+		mag := &th.mags[ci]
+		if got := mag.buf[:mag.n]; !slices.Equal(got, hot) {
+			t.Errorf("k=%d: magazine holds %v after the flush, want the hot blocks in LIFO order %v", k, got, hot)
+		}
+		for _, p := range ptrs {
+			if !slices.Contains(window, p) && !slices.Contains(hot, p) {
+				th.Free(p)
+			}
+		}
+		th.Unregister()
+		if err := a.CheckInvariants(0); err != nil {
+			t.Fatalf("k=%d: %v", k, err)
 		}
 	}
 }
@@ -382,8 +533,9 @@ func TestMagazineDisabledUnchanged(t *testing.T) {
 // TestMagazineOpStatsExact scripts one thread through a magazine of 8
 // and checks core.OpStats, the only count of magazine traffic, at every
 // step, with the census count beside it. 8-byte blocks of one fresh
-// superblock: a refill takes 8/2+1 blocks and caches 4, the 8th cached
-// block flushes the 4 oldest, and every flush is one group.
+// superblock: a refill takes 8/2+1 blocks and caches 4, a free into the
+// full magazine (8 cached) first flushes the 4 oldest, and every flush
+// is one group.
 func TestMagazineOpStatsExact(t *testing.T) {
 	a := newTestAllocator(t, magConfig(8))
 	th := a.Thread()
@@ -419,8 +571,11 @@ func TestMagazineOpStatsExact(t *testing.T) {
 	check("third miss", 4, 3, 0, 0, 4)
 	for i, p := range ptrs {
 		th.Free(p)
-		if i == 3 {
-			check("8th cached block", 4, 3, 1, 4, 4)
+		switch i {
+		case 3:
+			check("8th cached block", 4, 3, 0, 0, 8)
+		case 4:
+			check("9th cached block", 4, 3, 1, 4, 5)
 		}
 	}
 	check("all freed", 4, 3, 1, 4, 7)

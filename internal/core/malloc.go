@@ -77,7 +77,7 @@ func (t *Thread) malloc(size uint64) (mem.Ptr, int, error) {
 			t.counts.Count(telemetry.PathMagazine, cls)
 			return p, cls, nil
 		}
-		t.ops.magMisses.Add(1)
+		add(&t.ops.magMisses, 1)
 		if p := t.refillFromActive(t.findHeap(sc), mag); !p.IsNil() {
 			// One malloc was served from the active superblock; the
 			// cached remainder surfaces later as magazine hits.
@@ -265,7 +265,7 @@ retry:
 		oldWord := desc.Anchor.Load()
 		oa := atomicx.UnpackAnchor(oldWord)
 		if oa.State == atomicx.StateEmpty {
-			t.ops.emptyPartialSkips.Add(1)
+			add(&t.ops.emptyPartialSkips, 1)
 			a.descs.Retire(t.stripe(), descIdx) // line 6
 			goto retry
 		}
@@ -353,7 +353,7 @@ func (t *Thread) mallocFromNewSB(h *ProcHeap) (mem.Ptr, error) {
 	// thread; blocks 1..maxcount-1 form the free list (block i links to
 	// i+1; the last block's link, which need not even fit its field, is
 	// never followed before a free, per the paper's footnote 1).
-	prefix := smallPrefix(descIdx)
+	prefix := smallPrefix(descIdx, cls.Index)
 	for i := uint64(0); i < cls.MaxCount; i++ {
 		a.heap.Store(sb.Add(i*cls.BlockWords), withLink(prefix, i+1))
 	}
@@ -400,6 +400,6 @@ func (t *Thread) mallocFromNewSB(h *ProcHeap) (mem.Ptr, error) {
 	desc.Anchor.Store(atomicx.Anchor{State: atomicx.StateEmpty, Tag: anchor.Tag + 1}.Pack())
 	a.freeSB(sb, cls.SBWords)
 	a.descs.Retire(t.stripe(), descIdx)
-	t.ops.newSBRaceLoss.Add(1)
+	add(&t.ops.newSBRaceLoss, 1)
 	return 0, nil
 }

@@ -152,6 +152,29 @@ func TestRunRoundRobin(t *testing.T) {
 	}
 }
 
+// TestMeasureRecordsEveryRoundButTheWarmUp: measure runs the first cell
+// once before its rounds and records none of that run: Record sees
+// exactly scalarReps runs of every cell, while the workload ran once more.
+func TestMeasureRecordsEveryRoundButTheWarmUp(t *testing.T) {
+	w := scripted{next: new(int), runs: []bench.Result{{Ops: 1000, Elapsed: time.Second}}}
+	cells := []cell{{subject{name: "lockfree"}, w, 1}, {subject{name: "hoard"}, w, 1}, {subject{name: "lockfree"}, w, 2}}
+	recorded := 0
+	cfg := RunConfig{Threads: []int{1, 2}, Scale: 0.0002}.withDefaults()
+	cfg.Record = func(bench.Result) { recorded++ }
+	runs, err := cfg.measure(cells)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if want := scalarReps * len(cells); recorded != want || *w.next != want+1 {
+		t.Errorf("Record saw %d runs of %d the workload made; want %d of %d", recorded, *w.next, want, want+1)
+	}
+	for i, r := range runs {
+		if len(r) != scalarReps {
+			t.Errorf("cell %d returned %d runs, want %d", i, len(r), scalarReps)
+		}
+	}
+}
+
 // scripted is a workload whose runs return the next result of a script.
 type scripted struct {
 	runs []bench.Result

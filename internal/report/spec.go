@@ -207,8 +207,16 @@ type cell struct {
 // a cell one of its runs, not all of them. (On a 2-vCPU VM two
 // goroutines read the clock at half speed for about a second after an
 // idle spell, and the first cell of a process read 3.1-3.3 M ops/s where
-// later runs read 5-6 M.) Every run is recorded and returned, by cell.
+// later runs read 5-6 M.) The first cell runs once more before the
+// rounds, unrecorded, so that no cell's numbers include the process's
+// cold first run (15.5-20.8 M ops/s where the same cell's later runs
+// read 22-35 M). Every other run is recorded and returned, by cell.
 func (cfg RunConfig) measure(cells []cell) ([][]bench.Result, error) {
+	if len(cells) > 0 {
+		if _, err := cfg.once(cells[0]); err != nil {
+			return nil, err
+		}
+	}
 	runs := make([][]bench.Result, len(cells))
 	for range scalarReps {
 		for i, c := range cells {
