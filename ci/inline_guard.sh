@@ -12,9 +12,10 @@
 # operation divides nothing, and checks that Heap.Load translates with
 # one compare (see the last sections).
 #
-# mem's accessors are checked where they are declared. pool.Pool is
+# mem's accessors are checked where they are declared. pool.Table is
 # generic, so the compiler only reports on its methods where they are
-# instantiated: Get is checked through core's descriptor pool.
+# instantiated: Get is checked through core's copy of the descriptor
+# pool's table.
 set -eu
 cd "$(dirname "$0")/.."
 
@@ -39,8 +40,8 @@ need 'mem\.go:[0-9:]+ inlining call to atomicx\.PlainLoad( |$)' 'inlining call t
 need 'can inline PayloadWords( |$)' 'can inline mem.PayloadWords'
 need 'largeobj\.go:[0-9:]+ inlining call to PayloadWords( |$)' 'inlining call to mem.PayloadWords in (*Heap).LargeAlloc'
 need 'can inline \(\*Allocator\)\.desc( |$)' 'can inline (*Allocator).desc'
-need 'allocator\.go:[0-9:]+ inlining call to pool\.\(\*Pool\[.*\]\)\.Get( |$)' \
-	'inlining call to pool.(*Pool[...]).Get in (*Allocator).desc'
+need 'allocator\.go:[0-9:]+ inlining call to pool\.\(\*Table\[.*\]\)\.Get( |$)' \
+	'inlining call to pool.(*Table[...]).Get in (*Allocator).desc'
 # The prefix helpers must inline where malloc's pop loops
 # (mallocFromActive, mallocFromPartial), free and a magazine flush read
 # word 0; a free takes its class from the prefix alone.
@@ -81,18 +82,20 @@ inlined_within free free 'telemetry\.Counts\.Count'
 # kill point of the Active pop.
 inlined_within malloc mallocFromActive '\(\*Thread\)\.hook'
 if [ "$status" -eq 0 ]; then
-	echo "inline guard: atomicx.PlainStore, atomicx.PlainLoad, mem.(*Heap).{Mapped,word,Load,Store,CAS,Get,Set}, mem.PayloadWords, pool.(*Pool).Get, core.(*Allocator).desc and the prefix helpers all inline, withLink and smallPrefix inside release, the count inside malloc and free, the recorder's countdown inside Malloc and Free and the hook inside mallocFromActive"
+	echo "inline guard: atomicx.PlainStore, atomicx.PlainLoad, mem.(*Heap).{Mapped,word,Load,Store,CAS,Get,Set}, mem.PayloadWords, pool.(*Table).Get, core.(*Allocator).desc and the prefix helpers all inline, withLink and smallPrefix inside release, the count inside malloc and free, the recorder's countdown inside Malloc and Free and the hook inside mallocFromActive"
 fi
 
 # Locked-instruction count, from the disassembly of a non-race build
 # (the race build keeps Heap.Store atomic). Heap.Store is a plain store:
 # the CAS after every link store publishes it. A plain XCHG is a locked
 # store (an atomic Store on amd64); LOCK is the prefix of CMPXCHG (a
-# CAS) and XADD (an atomic Add). spliceGroup is the one place this fails
+# CAS) and XADD (an atomic Add). spliceGroup is one place this fails
 # on: it writes only blocks it owns and hands the chain to release's CAS,
 # so any XCHG in it is a barrier paid per block, and its two counters
-# are the owner's plain stores, so any LOCK is paid per flush group. The
-# other counts are printed for the record.
+# are the owner's plain stores, so any LOCK is paid per flush group.
+# pushRemote, a free onto another heap's remote stack, is the other: its
+# CAS is its one locked instruction (free counts its retries after it
+# returns). The other counts are printed for the record.
 if [ "$(go env GOARCH)" = amd64 ]; then
 	bin=$(mktemp -d)
 	trap 'rm -rf "$bin"' EXIT
@@ -102,7 +105,7 @@ if [ "$(go env GOARCH)" = amd64 ]; then
 			awk '/^TEXT/ { seen = 1 } /[ \t]XCHG[BWLQ]?[ \t]/ { x++ } /[ \t]LOCK[ \t]/ { l++ }
 				END { if (seen) print x + 0, l + 0 }'
 	}
-	for fn in spliceGroup free mallocFromActive refillFromActive release; do
+	for fn in spliceGroup pushRemote free mallocFromActive refillFromActive release; do
 		counts=$(locked "$fn")
 		if [ -z "$counts" ]; then
 			echo "inline guard: no code for core.(*Thread).$fn in the test binary" >&2
@@ -117,6 +120,10 @@ if [ "$(go env GOARCH)" = amd64 ]; then
 		fi
 		if [ "$fn" = spliceGroup ] && [ "$2" -ne 0 ]; then
 			echo "inline guard: core.(*Thread).spliceGroup has $2 LOCK; its counters must be plain stores" >&2
+			status=1
+		fi
+		if [ "$fn" = pushRemote ] && { [ "$1" -ne 0 ] || [ "$2" -ne 1 ]; }; then
+			echo "inline guard: core.(*Thread).pushRemote has $1 XCHG and $2 LOCK, want 0 and its one CMPXCHG" >&2
 			status=1
 		fi
 	done

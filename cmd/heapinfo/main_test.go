@@ -17,7 +17,7 @@ func TestStaticTables(t *testing.T) {
 		t.Fatalf("heapinfo: exit %d\n%s", code, errOut.String())
 	}
 	wants := []string{"Packed word layouts", "SB words", "blocks/SB", "Large-allocation threshold",
-		"backend lockfree aliases=[new] verify-on-reuse=true header-mask=0x0 kill-points=12",
+		"backend lockfree aliases=[new] verify-on-reuse=true header-mask=0x0 kill-points=14",
 		"backend serial aliases=[libc] verify-on-reuse=false header-mask=0x2 kill-points=0",
 		"backend buddy aliases=[] verify-on-reuse=false header-mask=0x0 kill-points=7"}
 	for _, b := range alloc.Backends() {

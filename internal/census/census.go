@@ -190,7 +190,7 @@ func TakeLockFree(a *core.Allocator) (*Superblocks, *DescPool) {
 			return true // superblock returned to the OS
 		}
 		res := reserved[d.Desc]
-		free := d.FreeCount
+		free := d.FreeCount + d.Remote
 		used := d.MaxCount - free
 		if used >= res {
 			used -= res

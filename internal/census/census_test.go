@@ -87,6 +87,39 @@ func TestCensusQuiescent(t *testing.T) {
 	}
 }
 
+// TestCensusCountsStackedBlocksFree: a block another heap freed into an
+// installed superblock sits on its remote stack until the owner takes
+// the last credit; the census counts it free, not used.
+func TestCensusCountsStackedBlocksFree(t *testing.T) {
+	cfg := testConfig()
+	cfg.MagazineSize = 0
+	a := core.New(cfg)
+	owner, other := a.Thread(), a.Thread() // processors 0 and 1
+	p, err := owner.Malloc(64)
+	if err != nil {
+		t.Fatal(err)
+	}
+	q, err := owner.Malloc(64)
+	if err != nil {
+		t.Fatal(err)
+	}
+	other.Free(p)
+	if n := other.OpStats().RemoteFrees; n != 1 {
+		t.Fatalf("RemoteFrees = %d after one free into another heap's Active superblock, want 1", n)
+	}
+	c, _ := TakeLockFree(a)
+	if c.Totals.BlocksUsed != 1 {
+		t.Errorf("BlocksUsed = %d with one block held and one on the remote stack, want 1", c.Totals.BlocksUsed)
+	}
+	if err := a.CheckInvariants(1); err != nil {
+		t.Fatal(err)
+	}
+	owner.Free(q)
+	if err := a.CheckInvariants(0); err != nil {
+		t.Fatal(err)
+	}
+}
+
 // TestCensusUnderChurn runs walkers against concurrent malloc/free
 // churn. The walk must be race-detector-clean, never panic, and always
 // produce internally well-formed numbers even while every identity is

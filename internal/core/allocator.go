@@ -27,6 +27,7 @@ import (
 	"repro/internal/atomicx"
 	"repro/internal/mem"
 	"repro/internal/partial"
+	"repro/internal/pool"
 	"repro/internal/sizeclass"
 	"repro/internal/telemetry"
 )
@@ -139,6 +140,7 @@ type Allocator struct {
 
 	classes []scState
 	descs   *descPool
+	descTab pool.Table[Descriptor, *Descriptor] // descs' table: a lookup loads no pool pointer
 
 	cfg Config
 
@@ -153,7 +155,7 @@ type Allocator struct {
 	// phase a 208- or 224-byte slot happens to start at. Growing the
 	// struct within the padding budget cannot change the layout
 	// (layout.go pins the total with compile-time assertions).
-	_ [80]byte
+	_ [24]byte
 }
 
 // scState is the per-size-class state (paper's sizeclass structure).
@@ -218,6 +220,7 @@ func New(cfg Config) *Allocator {
 		classes:    make([]scState, sizeclass.NumClasses()),
 		descs:      newDescPool(maxSuperblocks, cfg.Processors),
 	}
+	a.descTab = a.descs.Table()
 	if cfg.Hyperblocks {
 		// 64 superblocks per hyperblock = 1 MiB batches (§3.2.5), of
 		// 16 KiB superblocks only: allocSB and freeSB send the others
@@ -285,7 +288,7 @@ func (a *Allocator) procHeap(id uint64) *ProcHeap {
 func (a *Allocator) classOf(h *ProcHeap) *scState { return &a.classes[h.cls] }
 
 // desc returns the descriptor with the given index.
-func (a *Allocator) desc(idx uint64) *Descriptor { return a.descs.Get(idx) }
+func (a *Allocator) desc(idx uint64) *Descriptor { return a.descTab.Get(idx) }
 
 // stripe is the identity this thread passes the descriptor pool: a pure
 // function of the thread id, like processor-heap selection. The
@@ -390,9 +393,9 @@ type Thread struct {
 	// superblock, a flush or an OS call, added in place.
 	ops opCounters
 
-	// Pad into the 256-byte size class, a whole number of lines: every
+	// Pad into the 320-byte size class, a whole number of lines: every
 	// Thread starts on a line boundary (layout.go pins size and phase).
-	_ [8]byte
+	_ [56]byte
 }
 
 // opCounters is the per-thread block of event counters Stats loads
@@ -408,6 +411,8 @@ type opCounters struct {
 	magFlushes        uint64
 	magFlushedBlocks  uint64
 	partialListDrops  uint64
+	remoteFrees       uint64
+	remoteSplices     uint64
 }
 
 // add adds d to one of the calling thread's own counters.
@@ -441,6 +446,8 @@ func (t *Thread) snapshot() OpStats {
 		MagazineFlushes:       atomic.LoadUint64(&c.magFlushes),
 		MagazineFlushedBlocks: atomic.LoadUint64(&c.magFlushedBlocks),
 		PartialListDrops:      atomic.LoadUint64(&c.partialListDrops),
+		RemoteFrees:           atomic.LoadUint64(&c.remoteFrees),
+		RemoteSplices:         atomic.LoadUint64(&c.remoteSplices),
 	}
 }
 
@@ -476,6 +483,10 @@ type OpStats struct {
 	// leak of superblock capacity in place of the pre-pool panic;
 	// the dropped superblock's blocks stay live and freeable).
 	PartialListDrops uint64
+	// RemoteFrees counts frees pushed onto a remote stack (remote.go),
+	// RemoteSplices the non-empty stacks spliced at a last credit.
+	RemoteFrees   uint64
+	RemoteSplices uint64
 }
 
 func (s *OpStats) add(o OpStats) {
@@ -494,6 +505,8 @@ func (s *OpStats) add(o OpStats) {
 	s.MagazineFlushes += o.MagazineFlushes
 	s.MagazineFlushedBlocks += o.MagazineFlushedBlocks
 	s.PartialListDrops += o.PartialListDrops
+	s.RemoteFrees += o.RemoteFrees
+	s.RemoteSplices += o.RemoteSplices
 }
 
 // Stats is an allocator-wide snapshot.

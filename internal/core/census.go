@@ -28,6 +28,9 @@ type SuperblockInfo struct {
 	State     uint64
 	Avail     uint64
 	FreeCount uint64
+	// Remote is the count of the remote stack (remote.go): free blocks
+	// not yet spliced onto the free list, loaded after the anchor.
+	Remote uint64
 	// MaxCount is the superblock's block capacity; HeapID the
 	// processor heap that last owned it.
 	MaxCount uint64
@@ -57,6 +60,7 @@ func (a *Allocator) WalkSuperblocks(visit func(SuperblockInfo) bool) {
 			State:     an.State,
 			Avail:     an.Avail,
 			FreeCount: an.Count,
+			Remote:    d.remote.Load() & remoteCountMask,
 			MaxCount:  maxcount,
 			HeapID:    d.HeapID(),
 		}) {

@@ -761,14 +761,18 @@ func TestThreadsMapToDistinctHeaps(t *testing.T) {
 }
 
 // TestNewFootprint pins what constructing an allocator, and serving its
-// first block, costs in Go memory. On the default 2^31-word heap New is
-// the 256 KiB descriptor table that heap's 2^20 superblocks need and
-// some 27 KB that does not grow with the heap: the whole of New on the
-// 2^26-word heap sched.Explore builds per schedule. The heap's words are
-// an OS mapping, not Go memory, so the first Malloc adds only a 4 KiB
-// descriptor chunk, whatever the heap. The limits leave room for a few
+// first block, costs in Go memory. New is some 21 KB that does not grow
+// with the heap, the whole of New on the 2^26-word heap sched.Explore
+// builds per schedule, and the directories of the descriptor and
+// partial-list tables, which do: 3 KB more on the default 2^31-word
+// heap. The heap's words are an OS mapping, not Go memory, so the first
+// Malloc adds only an 8 KiB chunk of 64 two-line descriptors and its
+// 2 KiB table leaf, whatever the heap. The limits leave room for a few
 // more size classes, not for a table or a pool per class, nor for any
-// backing of heap words in Go memory.
+// backing of heap words in Go memory. (A flat descriptor table was
+// 342 KiB at 64 descriptors a chunk on the default heap: over New's
+// limit, and 128 two-line descriptors a chunk put the first Malloc over
+// its own.)
 //
 // descChunkLog2 stays 6: 512-descriptor chunks would shrink the table
 // eightfold, but every allocator then carves and every CheckInvariants
@@ -779,8 +783,8 @@ func TestNewFootprint(t *testing.T) {
 		heap              mem.Config
 		limit, withMalloc uint64
 	}{
-		{mem.Config{}, 384 << 10, 400 << 10},                 // 238 896 B + 11 528 B with 46 classes
-		{mem.Config{TotalWordsLog2: 26}, 48 << 10, 64 << 10}, // 31 024 B + 11 528 B
+		{mem.Config{}, 384 << 10, 400 << 10},                 // 23 880 B + 13 896 B with 46 classes
+		{mem.Config{TotalWordsLog2: 26}, 48 << 10, 64 << 10}, // 21 160 B + 13 896 B
 	} {
 		built, first := uint64(1<<62), uint64(1<<62)
 		for i := 0; i < 3; i++ { // the least of three: other tests' goroutines allocate too
@@ -839,6 +843,7 @@ func TestDescriptorTableFollowsTheHeap(t *testing.T) {
 
 	a = New(testConfig())
 	a.descs = newDescPool(0, 1) // two usable chunks
+	a.descTab = a.descs.Table()
 	th = a.Thread()
 	var err error
 	for n := 0; err == nil && n < 1<<20; n++ {

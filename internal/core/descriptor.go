@@ -27,13 +27,12 @@ import (
 // stale access from a previous lifetime are atomic, which also keeps
 // the implementation clean under the Go race detector.
 //
-// A descriptor is exactly one 64-byte cache line (pinned by a
-// compile-time assertion in layout.go) and pool chunks start on a line
-// boundary, so — as with the paper's 64-byte-aligned descriptors, whose
-// alignment bits are where the Active word's credits come from — no two
-// superblocks' Anchor words ever share a line: a thread's CAS on one
-// superblock's Anchor never invalidates the line another thread reads a
-// different superblock's szMagic or maxCount from.
+// A descriptor is two 64-byte cache lines (pinned in layout.go) and pool
+// chunks start on a line boundary, so — as with the paper's
+// 64-byte-aligned descriptors — no two superblocks' Anchor words share a
+// line. The first line is what the owner's pops read, the second what a
+// free reads first, the remote stack among it: a remote free
+// (pushRemote) never takes the line the owner's pops CAS.
 type Descriptor struct {
 	// Anchor is the packed anchor word (avail, count, state, tag); all
 	// malloc/free coordination for the superblock happens through CAS
@@ -48,24 +47,30 @@ type Descriptor struct {
 	// sb is the base pointer of the associated superblock.
 	sb atomic.Uint64
 
-	// heapID identifies the processor heap that owns (last owned) the
-	// superblock. Written on ownership transfer (MallocFromPartial
-	// line 3), read by free (Figure 6 line 13).
-	heapID atomic.Uint64
-
 	// szWords is the block size in words (payload + prefix).
 	szWords atomic.Uint64
-
-	// szMagic is ceil(2^64/szWords), the reciprocal used to divide a
-	// block offset by the block size with one multiplication in free
-	// (exact for all offsets within a superblock).
-	szMagic atomic.Uint64
 
 	// maxCount is the number of blocks in the superblock.
 	maxCount atomic.Uint64
 
 	// classIdx is the size-class index of the superblock.
 	classIdx atomic.Int64
+	_        [2]uint64
+
+	remote atomic.Uint64 // the remote stack (remote.go)
+
+	// heapID identifies the processor heap that owns (last owned) the
+	// superblock. Written on ownership transfer (MallocFromPartial
+	// line 3), read by free (Figure 6 line 13) and to tell a remote free.
+	heapID atomic.Uint64
+
+	freeSB atomic.Uint64 // sb again, for free on this line
+
+	// szMagic is ceil(2^64/szWords), the reciprocal used to divide a
+	// block offset by the block size with one multiplication in free
+	// (exact for all offsets within a superblock).
+	szMagic atomic.Uint64
+	_       [4]uint64
 }
 
 // PoolNext exposes the freelist link word to the descriptor pool.
@@ -90,15 +95,15 @@ func (d *Descriptor) HeapID() uint64 { return d.heapID.Load() }
 const (
 	// descChunkLog2 is the log2 of descriptors per table chunk; a chunk
 	// is also the unit of descriptor-superblock allocation (the paper's
-	// DESCSBSIZE). A larger chunk shrinks the table New clears but is
-	// carved and walked whole by allocators that use a handful of
-	// descriptors; TestNewFootprint records the trial of 9.
-	descChunkLog2 = 7
+	// DESCSBSIZE), 8 KiB. A larger chunk is carved and walked whole by
+	// allocators that use a handful of descriptors; TestNewFootprint
+	// records the trial of 9.
+	descChunkLog2 = 6
 	descChunk     = 1 << descChunkLog2
 
-	// maxDescChunks bounds the descriptor table (2^25 descriptors, a
-	// 2 MiB table); the largest heap, 2^31 words, needs under 2^22.
-	maxDescChunks = 1 << 18
+	// maxDescChunks bounds the descriptor table (2^25 descriptors); the
+	// largest heap, 2^31 words, needs under 2^22.
+	maxDescChunks = 1 << 19
 )
 
 // descPool is the descriptor store: the paper's chunked table plus the

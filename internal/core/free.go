@@ -65,12 +65,23 @@ func (t *Thread) free(ptr mem.Ptr, prefix uint64) int {
 		return cls
 	}
 	descIdx := prefixDesc(prefix)
-	desc := a.desc(descIdx) // line 3
-	sb := desc.SB()         // line 6
-	maxcount := desc.MaxCount()
+	desc := a.desc(descIdx)           // line 3
+	sb := mem.Ptr(desc.freeSB.Load()) // line 6
 	// line 9: this block's index, offset/size via the precomputed
 	// reciprocal (exact within a superblock).
 	idx, _ := bits.Mul64(block.Sub(sb), desc.szMagic.Load())
+	if desc.heapID.Load() != uint64(cls)*a.procs+t.proc { // another heap's: remote.go
+		pushed, fails := t.pushRemote(desc, block, prefix, idx)
+		for ; fails > 0; fails-- {
+			t.rec.Retry(telemetry.SiteFreeFast)
+		}
+		if pushed {
+			add(&t.ops.remoteFrees, 1)
+			t.counts.Count(telemetry.PathFree, cls)
+			return cls
+		}
+	}
+	maxcount := desc.MaxCount()
 
 	// Fast path: the superblock stays in its current state (not FULL,
 	// not about to become EMPTY); only avail, count, and the link word

@@ -67,6 +67,12 @@ const (
 	// before the anchor CAS. A kill leaks the group's blocks (already
 	// removed from the magazine, not yet on the free list).
 	HookMagFlushBeforeSplice
+	// HookFreeBeforePush fires in a remote free's loop (pushRemote) on
+	// every attempt, before its CAS; a kill leaks the block.
+	HookFreeBeforePush
+	// HookCloseBeforeSplice fires before the CAS of closeRemote's
+	// release. A kill leaks the stacked blocks.
+	HookCloseBeforeSplice
 	// NumHookPoints is the number of hook points.
 	NumHookPoints
 )
@@ -84,6 +90,8 @@ var hookNames = [NumHookPoints]string{
 	"free-before-retire",
 	"mag-refill-after-reserve",
 	"mag-flush-before-splice",
+	"free-before-push",
+	"close-before-splice",
 }
 
 func (p HookPoint) String() string {

@@ -24,6 +24,9 @@ import (
 //   - each non-EMPTY superblock's free list is acyclic, in-bounds, and
 //     exactly count+reserved long, and every block on it carries its
 //     descriptor's prefix — its index and class — beside the link;
+//   - a remote stack is the zero word (closed) or open on an ACTIVE
+//     superblock, and holds its count of free blocks from head to tail,
+//     as the free list does, on neither the free list nor a magazine;
 //   - every magazine-cached block has a valid small-block prefix that
 //     carries its descriptor's class, sits in that class's magazine, is
 //     cached exactly once, belongs to a non-EMPTY superblock, and does
@@ -94,6 +97,11 @@ func (a *Allocator) CheckInvariants(expectLive int64) error {
 			continue // never initialized
 		}
 		maxcount := desc.MaxCount()
+		remote := desc.remote.Load()
+		if remote != 0 && (remote&remoteOpen == 0 || anchor.State != atomicx.StateActive) {
+			return fmt.Errorf("desc %d: remote stack word %#x on a %s superblock",
+				idx, remote, atomicx.StateName(anchor.State))
+		}
 		if anchor.State == atomicx.StateEmpty {
 			if n := len(magBlocks[idx]); n > 0 {
 				return fmt.Errorf("desc %d is EMPTY but %d of its blocks are magazine-cached", idx, n)
@@ -114,12 +122,20 @@ func (a *Allocator) CheckInvariants(expectLive int64) error {
 			return fmt.Errorf("desc %d: count %d + reserved %d exceeds maxcount %d",
 				idx, anchor.Count, res, maxcount)
 		}
-		// Walk the free list: must be acyclic, in-bounds, exactly
-		// `free` blocks long, and disjoint from magazine caches.
-		if err := a.walkFreeList(idx, desc, anchor, free, magBlocks[idx]); err != nil {
+		// Walk the free list and the remote stack, disjoint.
+		seen := make(map[uint64]bool, free)
+		if _, err := a.walkChain(idx, desc, "free list", anchor.Avail, free, seen, magBlocks[idx]); err != nil {
 			return err
 		}
-		totalAllocated += int64(maxcount - free)
+		stacked := remote & remoteCountMask
+		last, err := a.walkChain(idx, desc, "remote stack", remoteHead(remote), stacked, seen, magBlocks[idx])
+		if err != nil {
+			return err
+		}
+		if stacked > 0 && last != remoteTail(remote) {
+			return fmt.Errorf("desc %d: remote stack ends at block %d, not its tail %d", idx, last, remoteTail(remote))
+		}
+		totalAllocated += int64(maxcount - free - stacked)
 	}
 
 	if expectLive >= 0 && totalAllocated != expectLive+totalMag {
@@ -171,31 +187,32 @@ func (a *Allocator) magazineScan() (magBlocks map[uint64]map[uint64]bool, totalM
 	return magBlocks, totalMag, nil
 }
 
-func (a *Allocator) walkFreeList(idx uint64, desc *Descriptor, anchor atomicx.Anchor, free uint64, mag map[uint64]bool) error {
+// walkChain follows n blocks of desc's superblock from first through
+// their prefix links, adding each to seen, and returns the last.
+func (a *Allocator) walkChain(idx uint64, desc *Descriptor, what string, first, n uint64, seen, mag map[uint64]bool) (uint64, error) {
 	maxcount := desc.MaxCount()
 	sb := desc.SB()
 	sz := desc.Size()
-	visited := make(map[uint64]bool, free)
-	cur := anchor.Avail
-	for n := uint64(0); n < free; n++ {
+	cur, last := first, first
+	for i := uint64(0); i < n; i++ {
 		if cur >= maxcount {
-			return fmt.Errorf("desc %d (%s): free-list index %d out of range after %d steps",
-				idx, atomicx.StateName(anchor.State), cur, n)
+			return 0, fmt.Errorf("desc %d (%s): %s index %d out of range after %d steps",
+				idx, atomicx.StateName(atomicx.UnpackAnchor(desc.Anchor.Load()).State), what, cur, i)
 		}
-		if visited[cur] {
-			return fmt.Errorf("desc %d: free list cycles at block %d", idx, cur)
+		if seen[cur] {
+			return 0, fmt.Errorf("desc %d: block %d is twice on the free list or remote stack (%s)", idx, cur, what)
 		}
 		if mag[cur] {
-			return fmt.Errorf("desc %d: block %d is both free-listed and magazine-cached", idx, cur)
+			return 0, fmt.Errorf("desc %d: block %d is both on the %s and magazine-cached", idx, cur, what)
 		}
-		visited[cur] = true
+		seen[cur] = true
 		// Malloc hands the block out without writing it, so the prefix
 		// it will be freed through must already be in place.
 		w := a.heap.Load(sb.Add(cur * sz))
 		if prefixIsLarge(w) || prefixDesc(w) != idx || prefixClass(w) != desc.ClassIndex() {
-			return fmt.Errorf("desc %d: free block %d carries prefix %#x, not its descriptor's", idx, cur, w)
+			return 0, fmt.Errorf("desc %d: block %d on the %s carries prefix %#x, not its descriptor's", idx, cur, what, w)
 		}
-		cur = prefixLink(w)
+		last, cur = cur, prefixLink(w)
 	}
-	return nil
+	return last, nil
 }

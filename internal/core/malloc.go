@@ -183,6 +183,8 @@ func (t *Thread) mallocFromActive(h *ProcHeap) mem.Ptr {
 // index already; site tells their retries apart.
 func (t *Thread) popLastCredit(h *ProcHeap, desc *Descriptor, descIdx uint64, site telemetry.Site) mem.Ptr {
 	a := t.a
+	// The remote stack's blocks become credits like the anchor's.
+	t.closeRemote(desc, descIdx)
 	sb := desc.SB()
 	sz := desc.Size()
 	var addr mem.Ptr
@@ -219,11 +221,14 @@ func (t *Thread) popLastCredit(h *ProcHeap, desc *Descriptor, descIdx uint64, si
 // thread installed a different superblock meanwhile, return the credits
 // to the anchor, mark the superblock PARTIAL, and make it available.
 func (t *Thread) updateActive(h *ProcHeap, descIdx, morecredits uint64) {
+	desc := t.a.desc(descIdx)
 	newActive := atomicx.Active{Desc: descIdx, Credits: morecredits - 1}.Pack()
+	desc.remote.Store(remoteOpen)              // before the install, which a closer may follow
 	if h.Active.CompareAndSwap(0, newActive) { // line 3
 		return
 	}
 	t.rec.Retry(telemetry.SiteActiveInstall)
+	t.closeRemote(desc, descIdx)
 	t.returnCredits(descIdx, morecredits)
 }
 
@@ -359,6 +364,7 @@ func (t *Thread) mallocFromNewSB(h *ProcHeap) (mem.Ptr, error) {
 	}
 
 	desc.sb.Store(uint64(sb))
+	desc.freeSB.Store(uint64(sb))
 	desc.heapID.Store(h.id) // line 4
 	desc.szWords.Store(cls.BlockWords)
 	desc.szMagic.Store(^uint64(0)/cls.BlockWords + 1)
@@ -376,6 +382,7 @@ func (t *Thread) mallocFromNewSB(h *ProcHeap) (mem.Ptr, error) {
 		Tag:   oldTag + 1,                         // fresh tag across descriptor reuse
 	}
 	desc.Anchor.Store(anchor.Pack())
+	desc.remote.Store(remoteOpen)
 
 	atomicx.Fence() // line 12: publish descriptor fields before install
 	t.hook(HookNewSBBeforeInstall)
@@ -386,6 +393,7 @@ func (t *Thread) mallocFromNewSB(h *ProcHeap) (mem.Ptr, error) {
 	t.rec.Retry(telemetry.SiteActiveInstall)
 
 	// Lost the race: another thread installed an active superblock.
+	desc.remote.Store(0) // closed empty: block 0 is still this thread's
 	if a.cfg.KeepNewSBOnRaceLoss {
 		// Alternative policy (paper line 16 comment): take block 0,
 		// return the reserved credits, and keep the superblock PARTIAL.

@@ -15,7 +15,6 @@
 package partial
 
 import (
-	"math/bits"
 	"sync/atomic"
 
 	"repro/internal/lfstack"
@@ -73,16 +72,13 @@ type Nodes struct{ pool *nodePool }
 // chunk to spare, instead of paying for DefaultNodes worth of chunk
 // table.
 //
-// A pool pays for two things up front — one chunk of nodes (16 bytes
-// each, linked one by one; a FIFO's dummy node forces it) and the flat
-// chunk table (8 bytes a chunk) — and their sum is least when a chunk
-// holds about sqrt(maxNodes/2) nodes: 2^11 or 2^12 at 2^23 and 2^24
-// nodes, 64 and 96 KiB, where a fixed small chunk would need a table of
-// half a megabyte. The first chunk of indices holds the reserved NULL
-// index and is never materialized, so the usable capacity is one chunk
-// less.
+// A pool pays up front for the pool's table directory (8 bytes a leaf
+// of 256 chunks) and, once a FIFO's dummy node forces it, one chunk of
+// 64 nodes (16 bytes each) with its leaf: 13 KiB at 2^24 nodes. The
+// first chunk of indices holds the reserved NULL index and is never
+// materialized, so the usable capacity is one chunk less.
 func NewNodes(maxNodes uint64) *Nodes {
-	chunkLog2 := max(uint(bits.Len64(maxNodes)-1)/2, 6)
+	const chunkLog2 = 6
 	return &Nodes{pool.New[node, *node](pool.Config{
 		ChunkLog2: chunkLog2,
 		MaxChunks: max((maxNodes+1<<chunkLog2-1)>>chunkLog2, 2),

@@ -32,6 +32,7 @@ package pool
 import (
 	"errors"
 	"fmt"
+	"math/bits"
 	"sync/atomic"
 	"unsafe"
 
@@ -130,15 +131,9 @@ type Pool[T any, PT interface {
 	*T
 	Node
 }] struct {
-	// chunks is the flat index-translation table: chunks[c] is the
-	// address of node 0 of chunk c, or nil until grow publishes the
-	// chunk. With chunkLog and chunkMask it is everything Get reads, so a
-	// node is one table load away from its index. Read-only after New
-	// (the table's entries are written once each, nil → base), and
-	// grouped ahead of the counters below, which Alloc and Retire write.
-	chunks    []unsafe.Pointer
-	chunkLog  uint
-	chunkMask uint64
+	// tab is everything Get reads, grouped ahead of the counters below,
+	// which Alloc and Retire write.
+	tab       Table[T, PT]
 	chunkSize uint64
 
 	be algoBackend
@@ -171,12 +166,20 @@ func New[T any, PT interface {
 	if cfg.Stripes < 1 {
 		cfg.Stripes = 1
 	}
+	leafLog := min(uint(bits.Len64(max(cfg.MaxChunks, 1)-1)), maxLeafLog)
 	p := &Pool[T, PT]{
-		chunks:    make([]unsafe.Pointer, cfg.MaxChunks),
+		tab: Table[T, PT]{
+			dir:       make([]unsafe.Pointer, (cfg.MaxChunks+1<<leafLog-1)>>leafLog),
+			chunkLog:  cfg.ChunkLog2,
+			dirShift:  cfg.ChunkLog2 + leafLog,
+			chunkMask: 1<<cfg.ChunkLog2 - 1,
+			leafMask:  1<<leafLog - 1,
+		},
 		cfg:       cfg,
-		chunkLog:  cfg.ChunkLog2,
 		chunkSize: 1 << cfg.ChunkLog2,
-		chunkMask: 1<<cfg.ChunkLog2 - 1,
+	}
+	for i := range p.tab.dir {
+		p.tab.dir[i] = unsafe.Pointer(&noLeaf)
 	}
 	p.nextIdx.Store(p.chunkSize)
 	p.links = func(idx uint64) *atomic.Uint64 { return p.Get(idx).PoolNext() }
@@ -204,29 +207,59 @@ func (e unpublishedError) Error() string {
 	return fmt.Sprintf("pool: Get(%d): index in an unpublished chunk", uint64(e))
 }
 
+// maxLeafLog bounds a leaf at 256 chunks (2 KiB); the first chunk under
+// it brings it. noLeaf is every directory entry until then: never
+// written, so Get needs no nil check for the directory.
+const maxLeafLog = 8
+
+var noLeaf [1 << maxLeafLog]unsafe.Pointer
+
+// Table is a pool's two-level index translation: entry c&leafMask of
+// leaf dir[idx>>dirShift] is chunk c's node 0 (nil in noLeaf, or before
+// the chunk is published). New allocates only dir, and a Table is
+// read-only after it, so a client may keep a copy (Pool.Table) beside
+// its own hot fields instead of loading the pool pointer on each lookup.
+type Table[T any, PT interface {
+	*T
+	Node
+}] struct {
+	dir       []unsafe.Pointer
+	chunkLog  uint
+	dirShift  uint // chunkLog + the log2 of a leaf's chunks
+	chunkMask uint64
+	leafMask  uint64 // a leaf's chunks - 1
+}
+
+// Table returns a copy of the pool's index translation.
+func (p *Pool[T, PT]) Table() Table[T, PT] { return p.tab }
+
 // chunkBase loads the table entry of idx's chunk: the address of the
 // chunk's node 0, or nil if the chunk is not published. An index beyond
-// the table fails the table's bounds check. (Masking the shift count
-// tells the compiler it is below 64, which New guarantees.)
-func (p *Pool[T, PT]) chunkBase(idx uint64) unsafe.Pointer {
-	return atomic.LoadPointer(&p.chunks[idx>>(p.chunkLog&63)])
+// the table fails the directory's bounds check or, in the last leaf,
+// finds nil. (Masking the shift counts tells the compiler they are below
+// 64, which New guarantees.)
+func (t *Table[T, PT]) chunkBase(idx uint64) unsafe.Pointer {
+	return atomic.LoadPointer((*unsafe.Pointer)(unsafe.Add(atomic.LoadPointer(&t.dir[idx>>(t.dirShift&63)]), idx>>(t.chunkLog&63)&t.leafMask*8)))
 }
 
 // nodeAt returns idx's node within the chunk that starts at base.
-func (p *Pool[T, PT]) nodeAt(base unsafe.Pointer, idx uint64) PT {
+func (t *Table[T, PT]) nodeAt(base unsafe.Pointer, idx uint64) PT {
 	var zero T
-	return PT(unsafe.Add(base, (idx&p.chunkMask)*uint64(unsafe.Sizeof(zero))))
+	return PT(unsafe.Add(base, (idx&t.chunkMask)*uint64(unsafe.Sizeof(zero))))
 }
 
 // Get returns the node with the given index, which must have been
-// produced by Alloc: one bounds-checked table load plus a masked offset.
-func (p *Pool[T, PT]) Get(idx uint64) PT {
-	base := p.chunkBase(idx)
+// produced by Alloc: a directory and a leaf load plus a masked offset.
+func (t *Table[T, PT]) Get(idx uint64) PT {
+	base := t.chunkBase(idx)
 	if base == nil {
 		panic(unpublishedError(idx))
 	}
-	return p.nodeAt(base, idx)
+	return t.nodeAt(base, idx)
 }
+
+// Get is Table.Get on the pool's own table.
+func (p *Pool[T, PT]) Get(idx uint64) PT { return p.tab.Get(idx) }
 
 // TryGet returns the node with the given index, or nil if the chunk
 // holding it has not been published yet. grow advances the bump
@@ -235,11 +268,11 @@ func (p *Pool[T, PT]) Get(idx uint64) PT {
 // observe an index whose chunk pointer is still nil; no node of such a
 // chunk has ever been handed out, so skipping it is sound.
 func (p *Pool[T, PT]) TryGet(idx uint64) PT {
-	base := p.chunkBase(idx)
+	base := p.tab.chunkBase(idx)
 	if base == nil {
 		return nil
 	}
-	return p.nodeAt(base, idx)
+	return p.tab.nodeAt(base, idx)
 }
 
 // retry records n failed CASes at site, if telemetry is attached.
@@ -283,14 +316,14 @@ func (p *Pool[T, PT]) RetireChain(stripe int, first, last, n uint64) {
 // publication, and after ErrExhausted.
 //
 // A chunk is one Go allocation. For a pointer-free node type whose size
-// is a multiple of the cache line (core.Descriptor is exactly one), the
+// is a multiple of the cache line (core.Descriptor is two lines), the
 // allocator's size classes start it on a line boundary, so every node
 // owns its lines and two threads working on neighbouring indices never
 // share one; TestLineSizedNodesGetOwnLines pins that property.
 func (p *Pool[T, PT]) grow() (uint64, error) {
 	for {
 		base := p.nextIdx.Load()
-		ci := base >> p.chunkLog
+		ci := base >> p.tab.chunkLog
 		if ci >= p.cfg.MaxChunks {
 			return 0, fmt.Errorf("pool: %d chunks of %d nodes: %w",
 				p.cfg.MaxChunks, p.chunkSize, ErrExhausted)
@@ -306,7 +339,17 @@ func (p *Pool[T, PT]) grow() (uint64, error) {
 			}
 			PT(&s[i]).PoolNext().Store(atomicx.Tagged{Idx: n}.Pack())
 		}
-		if !atomic.CompareAndSwapPointer(&p.chunks[ci], nil, unsafe.Pointer(unsafe.SliceData(s))) {
+		slot := &p.tab.dir[base>>p.tab.dirShift]
+		leaf := atomic.LoadPointer(slot)
+		if leaf == unsafe.Pointer(&noLeaf) {
+			// Install the leaf, or take another carver's.
+			leaf = unsafe.Pointer(unsafe.SliceData(make([]unsafe.Pointer, p.tab.leafMask+1)))
+			if !atomic.CompareAndSwapPointer(slot, unsafe.Pointer(&noLeaf), leaf) {
+				leaf = atomic.LoadPointer(slot)
+			}
+		}
+		entry := (*unsafe.Pointer)(unsafe.Add(leaf, (ci&p.tab.leafMask)*8))
+		if !atomic.CompareAndSwapPointer(entry, nil, unsafe.Pointer(unsafe.SliceData(s))) {
 			panic("pool: chunk slot already populated")
 		}
 		return base, nil

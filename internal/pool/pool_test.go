@@ -544,3 +544,40 @@ func TestLineSizedNodesGetOwnLines(t *testing.T) {
 		}
 	}
 }
+
+// TestTableGrowsWithUse: New allocates the table's directory only, so
+// a pool sized for a million chunks costs 32 KiB until it carves, not a
+// flat table's 8 MiB;
+// chunks past the first leaf publish their own leaves and resolve like
+// the first leaf's, and an index in a leaf never installed is
+// unpublished to both accessors.
+func TestTableGrowsWithUse(t *testing.T) {
+	const maxChunks = 1 << 20
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	p := newTestPool(Config{ChunkLog2: 0, MaxChunks: maxChunks})
+	runtime.ReadMemStats(&after)
+	if got, limit := after.TotalAlloc-before.TotalAlloc, uint64(40<<10); got > limit {
+		t.Errorf("New with %d chunks allocates %d bytes, limit %d (the directory, not the table)", maxChunks, got, limit)
+	}
+	leaf := uint64(1 << maxLeafLog)
+	seen := map[*tnode]uint64{}
+	for p.Limit() < 3*leaf {
+		idx := mustAlloc(t, p, 0)
+		n := p.Get(idx)
+		if prev, dup := seen[n]; dup {
+			t.Fatalf("indices %d and %d resolve to one node", prev, idx)
+		}
+		seen[n] = idx
+		if p.TryGet(idx) != n {
+			t.Fatalf("TryGet(%d) and Get disagree", idx)
+		}
+	}
+	bad := uint64(maxChunks - 1) // the last leaf: never installed
+	if p.TryGet(bad) != nil {
+		t.Errorf("TryGet(%d) in a leaf never installed is not nil", bad)
+	}
+	if v := panicOf(func() { p.Get(bad) }); v == nil || !strings.Contains(v.(error).Error(), "unpublished chunk") {
+		t.Errorf("Get(%d) in a leaf never installed panicked with %#v, want an unpublished-chunk error", bad, v)
+	}
+}

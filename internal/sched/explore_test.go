@@ -366,3 +366,83 @@ func TestExploreFlushGroupMeetsSingleFree(t *testing.T) {
 		t.Logf("%d x %d B: explored %d interleavings", c.blocks, c.size, res.Schedules)
 	}
 }
+
+// TestExploreRemoteFreeMeetsLastCredit: thread A, on processor heap 0,
+// mallocs three blocks, the third through its superblock's last credit
+// (MaxCredits 2), while thread B, on heap 1, frees each of A's first two
+// blocks that A has published by the time B looks. B's frees are remote:
+// pushes onto the superblock's remote stack while it is open, Figure 6
+// once A's last-credit pop has closed it. In every interleaving of the
+// pushes with A's pops, close, splice and reinstall, the structure must
+// check out with exact block counts.
+func TestExploreRemoteFreeMeetsLastCredit(t *testing.T) {
+	t.Parallel() // single-threaded by construction: the director runs one thread at a time
+	var pub [2]atomic.Uint64
+	var freed atomic.Int64
+	var a *core.Allocator
+	var pushedTwo, spliced, figure6 int // schedules
+	res, err := Explore(ExploreConfig{
+		NewTarget: func() Target {
+			for i := range pub {
+				pub[i].Store(0)
+			}
+			freed.Store(0)
+			heap := mem.Config{SegmentWordsLog2: 16, TotalWordsLog2: 26}
+			la := alloc.NewLockFree(alloc.Options{
+				HeapConfig: heap,
+				LockFree:   core.Config{Processors: 2, MaxCredits: 2, HeapConfig: heap},
+			})
+			a = la.(alloc.CoreAccessor).Core()
+			return alloc.HarnessOf(la)
+		},
+		Scripts: []Script{
+			func(th alloc.Thread) { // A: thread 0, heap 0
+				for i := 0; i < 3; i++ {
+					p, err := th.Malloc(16)
+					if err != nil {
+						panic(err)
+					}
+					if i < len(pub) {
+						pub[i].Store(uint64(p))
+					}
+				}
+			},
+			func(th alloc.Thread) { // B: thread 1, heap 1
+				for i := range pub {
+					if p := pub[i].Load(); p != 0 {
+						th.Free(mem.Ptr(p))
+						freed.Add(1)
+					}
+				}
+			},
+		},
+		Check: func(t Target) error {
+			if err := t.Inspect(3 - freed.Load()).InvariantErr; err != nil {
+				return err
+			}
+			st := a.Stats().Ops
+			if st.RemoteFrees > uint64(freed.Load()) || st.RemoteSplices > 1 {
+				return fmt.Errorf("%d remote frees and %d splices after %d frees", st.RemoteFrees, st.RemoteSplices, freed.Load())
+			}
+			if st.RemoteFrees == 2 {
+				pushedTwo++
+			}
+			if st.RemoteSplices == 1 {
+				spliced++
+			}
+			if st.RemoteFrees < uint64(freed.Load()) {
+				figure6++
+			}
+			return nil
+		},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if res.Truncated || pushedTwo == 0 || spliced == 0 || figure6 == 0 {
+		t.Errorf("%d schedules (truncated=%v): %d pushed both blocks, %d spliced, %d freed through Figure 6; want the whole space and each case",
+			res.Schedules, res.Truncated, pushedTwo, spliced, figure6)
+	}
+	t.Logf("explored %d interleavings: %d pushed both blocks, %d spliced a stack, %d freed a block through Figure 6",
+		res.Schedules, pushedTwo, spliced, figure6)
+}

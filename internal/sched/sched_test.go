@@ -18,9 +18,16 @@ import (
 
 // TestKillAtEveryPoint kills one victim at each instrumented point in
 // turn and requires survivors to finish: the paper's kill-tolerance
-// claim, point by point.
+// claim, point by point. Victims free blocks of superblocks another
+// heap has installed since, so they also die mid-push onto a remote
+// stack and, holding a last credit, mid-splice of one.
 func TestKillAtEveryPoint(t *testing.T) {
-	sweepLockFree(t, "", 20000, func(p int64) int64 { return p + 1 }, core.Config{})
+	fired := sweepLockFree(t, "", 20000, func(p int64) int64 { return p + 1 }, core.Config{})
+	for _, p := range []core.HookPoint{core.HookFreeBeforePush, core.HookCloseBeforeSplice} {
+		if fired[p.String()] == 0 {
+			t.Errorf("no victim died at %v: kills %v", p, fired)
+		}
+	}
 }
 
 // TestKillAtEveryPointMagazine repeats the per-point kill sweep with

@@ -14,9 +14,8 @@ import (
 	"repro/internal/telemetry"
 )
 
-// Every Run and every explored schedule builds a fresh allocator, whose
-// descriptor table alone is 2 MiB, thousands of times over on a live
-// heap of a few MB. At the default pacing the collector then runs every
+// Every Run and every explored schedule builds a fresh allocator,
+// thousands of times over on a live heap of a few MB. At the default pacing the collector then runs every
 // other schedule and takes a third of the package's CPU time.
 func TestMain(m *testing.M) {
 	debug.SetGCPercent(400)
